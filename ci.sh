@@ -66,6 +66,10 @@ cargo run -q --release -p arv-experiments --bin experiments -- --fig storm --sca
 echo "==> storm campaign, rotated seeds (the ladder must hold beyond the canonical seeds)"
 cargo run -q --release -p arv-experiments --bin experiments -- --fig storm --scale 0.5 --seed-offset 1 > /dev/null
 
+echo "==> core bench (NsMonitor::tick ns per container at N = 100 / 1 000 / 10 000, linear-scaling gate)"
+cargo bench -q -p arv-bench --bench core > /dev/null
+test -s BENCH_core.json || { echo "BENCH_core.json missing"; exit 1; }
+
 echo "==> fleet bench (ingest throughput, rollup query cost, resync ticks, failover convergence, obs overhead)"
 cargo bench -q -p arv-bench --bench fleet > /dev/null
 test -s BENCH_fleet.json || { echo "BENCH_fleet.json missing"; exit 1; }

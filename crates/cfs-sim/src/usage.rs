@@ -66,6 +66,12 @@ impl UsageLedger {
             .map_or(SimDuration::ZERO, |g| g.last_period)
     }
 
+    /// Every group's last-period usage, in id order (the update timer
+    /// walks this beside its namespaces instead of looking each one up).
+    pub fn last_usages(&self) -> impl Iterator<Item = (CgroupId, SimDuration)> + '_ {
+        self.groups.iter().map(|(id, g)| (*id, g.last_period))
+    }
+
     /// Cumulative CPU time used by `id` (cpuacct.usage).
     pub fn cumulative(&self, id: CgroupId) -> SimDuration {
         self.groups
@@ -93,6 +99,11 @@ impl UsageLedger {
     /// CPU time used by `id` since the last [`UsageLedger::reset_window`].
     pub fn window_usage(&self, id: CgroupId) -> SimDuration {
         self.groups.get(&id).map_or(SimDuration::ZERO, |g| g.window)
+    }
+
+    /// Every group's usage over the current window, in id order.
+    pub fn window_usages(&self) -> impl Iterator<Item = (CgroupId, SimDuration)> + '_ {
+        self.groups.iter().map(|(id, g)| (*id, g.window))
     }
 
     /// Idle host CPU time accumulated over the current window.

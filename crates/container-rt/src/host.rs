@@ -15,7 +15,7 @@ use arv_resview::{
 use arv_sim_core::{clock::sched_period, FaultPlan, FaultStats, SimClock, SimDuration, SimTime};
 use arv_telemetry::PipelineEvent;
 use arv_viewd::{HostSpec, ViewServer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::spec::ContainerSpec;
 
@@ -99,6 +99,9 @@ pub struct SimHost {
     stall_ticks: u64,
     // Remaining update-timer firings whose viewd publish is suppressed.
     delay_publish_ticks: u64,
+    // Static bounds were recomputed since the last viewd publish, so the
+    // daemon's conservative fallbacks (lower bound, soft limit) are due.
+    fallbacks_stale: bool,
     journal: Option<JournalState>,
     last_restore: Option<RestoreEvent>,
     periphery: Option<Periphery>,
@@ -144,6 +147,7 @@ impl SimHost {
             fault_plan: None,
             stall_ticks: 0,
             delay_publish_ticks: 0,
+            fallbacks_stale: false,
             journal: None,
             last_restore: None,
             periphery: None,
@@ -258,6 +262,7 @@ impl SimHost {
             plan.mangle_queue(&mut events);
         }
         let report = self.monitor.ingest(&events, &self.cgm);
+        self.fallbacks_stale |= report.applied > 0;
         let overflow = self.pipe.take_overflow_dropped();
         if self.watchdog.after_ingest(&report, overflow) == Verdict::Resync {
             self.resync_now();
@@ -270,6 +275,7 @@ impl SimHost {
     /// container table.
     fn resync_now(&mut self) {
         self.monitor.resync(&mut self.cgm);
+        self.fallbacks_stale = true;
         self.monitor.align_seq(self.pipe.next_seq());
         for (id, meta) in &self.containers {
             if let Some(ns) = self.monitor.namespace_mut(*id) {
@@ -330,10 +336,10 @@ impl SimHost {
     // --- crash-safe journal + warm restart ---
 
     /// Turn on view-state journaling: every update-timer firing appends
-    /// per-container deltas, and every `checkpoint_every` ticks the
-    /// journal is compacted into a full checkpoint. The journal models
-    /// the daemon's on-disk state file — it survives a
-    /// [`crash_restart`](SimHost::crash_restart).
+    /// a delta for each view whose value moved, and every
+    /// `checkpoint_every` ticks the journal is compacted into a full
+    /// checkpoint. The journal models the daemon's on-disk state file —
+    /// it survives a [`crash_restart`](SimHost::crash_restart).
     pub fn enable_journal(&mut self, checkpoint_every: u64) {
         self.enable_journal_with_store(Box::new(arv_persist::MemStore::new()), checkpoint_every);
     }
@@ -492,37 +498,40 @@ impl SimHost {
         self.last_restore.as_ref()
     }
 
-    /// Append this firing's view state to the journal (deltas plus a
-    /// group-commit sync, or a compacted checkpoint on the cadence).
+    /// Append this firing's news to the journal: one delta per view in
+    /// `dirty` (the views whose value moved since the last firing —
+    /// a quiet tick appends nothing) plus a group-commit sync, or a
+    /// compacted checkpoint on the cadence.
     ///
     /// This is also where the durability ladder turns: while degraded
     /// the host retries a full checkpoint *every* tick (a clean one
     /// heals the rung), and any store error flips it onto the flagged
     /// in-memory fallback.
-    fn journal_tick(&mut self) {
-        let tick = self.monitor.now_tick();
-        if self.journal.is_none() {
+    fn journal_tick(&mut self, snap: &arv_persist::Snapshot, dirty: &BTreeSet<CgroupId>) {
+        let Some(js) = self.journal.as_mut() else {
             return;
-        }
-        let snap = self.monitor.snapshot();
-        let js = self.journal.as_mut().expect("presence checked above");
+        };
+        let tick = snap.tick;
         js.journal.set_tick(tick);
-        let checkpointing = js.durability_lost || tick % js.checkpoint_every == 0;
-        let mut errored = false;
-        if checkpointing {
-            errored = js.journal.checkpoint(&snap).is_err();
-        } else {
-            for e in &snap.entries {
-                if js.journal.append_delta(e, tick).is_err() {
-                    errored = true;
-                    break;
-                }
-            }
-            if !errored {
-                errored = js.journal.sync().is_err();
+        let news = || dirty.iter().filter_map(|id| snap.get(id.0));
+        // Keep the fallback current: a takeover (not a crash — RAM dies
+        // with the process) can still read the latest views from it.
+        if let Some(fb) = &mut js.fallback {
+            for e in news() {
+                let _ = fb.append_delta(e, tick);
             }
         }
-        self.journal_ladder(errored, checkpointing && !errored, &snap, tick);
+        let checkpointing = js.durability_lost || tick % js.checkpoint_every == 0;
+        let errored = if checkpointing {
+            js.journal.checkpoint(snap).is_err()
+        } else {
+            let journal = &mut js.journal;
+            news()
+                .try_for_each(|e| journal.append_delta(e, tick))
+                .and_then(|()| journal.sync())
+                .is_err()
+        };
+        self.journal_ladder(errored, checkpointing && !errored, snap, tick);
     }
 
     /// Advance the durability degradation ladder after a store
@@ -545,16 +554,10 @@ impl SimHost {
             js.io_errors += 1;
             flipped = !js.durability_lost;
             js.durability_lost = true;
-            // Keep the fallback current: a takeover (not a crash —
-            // RAM dies with the process) can still read the latest
-            // views from it.
-            let fb = js.fallback.get_or_insert_with(Journal::new);
-            if flipped {
-                let _ = fb.checkpoint(snap);
-            } else {
-                for e in &snap.entries {
-                    let _ = fb.append_delta(e, tick);
-                }
+            // Start the in-memory stand-in from the state the store
+            // just refused; `journal_tick` keeps it current from there.
+            if js.fallback.is_none() {
+                let _ = js.fallback.insert(Journal::new()).checkpoint(snap);
             }
         } else if clean_checkpoint && js.durability_lost {
             js.durability_lost = false;
@@ -663,14 +666,11 @@ impl SimHost {
     /// always answer with the same view the simulated kernel holds,
     /// while the simulation itself stays single-threaded.
     pub fn attach_viewd(&mut self, server: ViewServer) {
-        let ids: Vec<CgroupId> = self.containers.keys().copied().collect();
-        for id in &ids {
+        for id in self.containers.keys() {
             self.viewd_register(&server, *id);
         }
         self.viewd = Some(server);
-        for id in &ids {
-            self.viewd_mirror(*id);
-        }
+        self.viewd_mirror_all();
     }
 
     /// The attached view daemon, if any.
@@ -680,13 +680,14 @@ impl SimHost {
 
     /// Attach a fleet periphery agent. On every update-timer firing the
     /// agent diffs the monitor's persisted snapshot and queues DELTA
-    /// frames (FULL first), which the fleet transport drains via
-    /// [`SimHost::take_fleet_frames`] — the same mirroring pattern as
+    /// frames (FULL first; a heartbeat when nothing moved), which the
+    /// fleet transport drains via [`SimHost::take_fleet_frames`] — the
+    /// same mirroring pattern as
     /// [`SimHost::attach_viewd`], pointed up at the cluster controller
     /// instead of sideways at local query threads.
     pub fn attach_periphery(&mut self, periphery: Periphery) {
         self.periphery = Some(periphery);
-        self.periphery_observe(false);
+        self.periphery_observe(None, false);
     }
 
     /// The attached fleet periphery, if any.
@@ -722,14 +723,15 @@ impl SimHost {
         }
     }
 
-    /// One periphery observation of the monitor's current snapshot.
-    /// The durability rung rides along so the controller's fleet view
-    /// carries it.
-    fn periphery_observe(&mut self, stalled: bool) {
+    /// One periphery observation of the monitor's current snapshot
+    /// (`snap`, when this firing already built one). The durability rung
+    /// rides along so the controller's fleet view carries it.
+    fn periphery_observe(&mut self, snap: Option<arv_persist::Snapshot>, stalled: bool) {
         let (lost, io_errors, fallback_bytes) = self.durability_stats();
         if let Some(periphery) = self.periphery.as_mut() {
+            let snap = snap.unwrap_or_else(|| self.monitor.snapshot());
             periphery.set_durability(lost, io_errors, fallback_bytes);
-            periphery.observe(&self.monitor.snapshot(), stalled, 0);
+            periphery.observe(&snap, stalled, 0);
         }
     }
 
@@ -749,25 +751,24 @@ impl SimHost {
         server.register(id, bounds, self.cpu_cfg, e_mem);
     }
 
-    /// Push a container's current effective view into the daemon, along
-    /// with the conservative fallback the daemon serves if this publish
-    /// turns out to be the last one for a while.
-    fn viewd_mirror(&self, id: CgroupId) {
-        let (Some(server), Some(ns)) = (&self.viewd, self.monitor.namespace(id)) else {
-            return;
-        };
-        server.set_fallback(id, ns.cpu_bounds().lower, ns.soft_limit());
-        server.mirror(
-            id,
-            ns.effective_cpu(),
-            ns.effective_memory(),
-            ns.available_memory(),
-        );
-    }
-
-    fn viewd_mirror_all(&self) {
+    /// Push every container's current effective view into the daemon: a
+    /// cell's freshness stamp always advances, its generation only when
+    /// the value moved (so cached renders survive a quiet firing). When
+    /// static bounds were recomputed since the last publish, the
+    /// conservative fallbacks the daemon serves if this publish turns
+    /// out to be the last for a while are refreshed too.
+    fn viewd_mirror_all(&mut self) {
+        let Some(server) = &self.viewd else { return };
+        let refresh = std::mem::take(&mut self.fallbacks_stale);
         for id in self.containers.keys() {
-            self.viewd_mirror(*id);
+            let Some(ns) = self.monitor.namespace(*id) else {
+                continue;
+            };
+            if refresh {
+                server.set_fallback(*id, ns.cpu_bounds().lower, ns.soft_limit());
+            }
+            let (cpus, mem, avail) = ns.views();
+            server.mirror(*id, cpus, mem, avail);
         }
     }
 
@@ -851,7 +852,7 @@ impl SimHost {
             // publishes stay frozen at their last values — but the
             // periphery still reports the stall upward so the fleet
             // controller sees the host degrade in real time.
-            self.periphery_observe(true);
+            self.periphery_observe(None, true);
             return;
         }
         // A resync latched while the monitor was stalled runs on the
@@ -862,13 +863,20 @@ impl SimHost {
         self.monitor.tick_window(&self.ledger, &self.mem);
         self.ledger.reset_window();
         self.watchdog.note_deadline_met();
-        self.journal_tick();
+        // One snapshot per firing serves both the journal and the
+        // periphery; the journal appends only what moved.
+        let dirty = self.monitor.take_dirty();
+        let snap =
+            (self.journal.is_some() || self.periphery.is_some()).then(|| self.monitor.snapshot());
+        if let Some(snap) = &snap {
+            self.journal_tick(snap, &dirty);
+        }
         if self.delay_publish_ticks > 0 {
             self.delay_publish_ticks -= 1;
-        } else if self.viewd.is_some() {
+        } else {
             self.viewd_mirror_all();
         }
-        self.periphery_observe(false);
+        self.periphery_observe(snap, false);
     }
 
     /// Build a CPU-bound demand for a container from its cgroup settings.
@@ -1262,19 +1270,24 @@ mod tests {
         let server = ViewServer::new(host.viewd_host_spec(), 4);
         host.attach_viewd(server.clone());
         let id = host.launch(&ContainerSpec::new("c", 20).cpus(10.0));
+        let client = server.client();
+        let gen_at_launch = client.generation(id).unwrap();
         host.update_limits(
             id,
             &ContainerSpec::new("c", 20)
                 .cpus(2.0)
                 .memory(Bytes::from_gib(1)),
         );
-        let client = server.client();
         assert_eq!(
             client.sysconf(Some(id), Sysconf::PhysPages) * arv_resview::PAGE_SIZE,
             Bytes::from_gib(1).as_u64()
         );
-        let gen_after_update = client.generation(id).unwrap();
-        assert!(gen_after_update >= 4, "launch + update both published");
+        // The launch mirror moved nothing (a generation names a value);
+        // the update's clamp did.
+        assert!(
+            client.generation(id).unwrap() > gen_at_launch,
+            "the update was published"
+        );
     }
 
     #[test]
@@ -1434,6 +1447,121 @@ mod tests {
         let d = vec![host.demand(ids[0], 20)];
         host.step(&d);
         assert_eq!(host.effective_cpu(ids[0]), 10);
+    }
+
+    #[test]
+    fn fallbacks_follow_bounds_moved_behind_a_stall() {
+        let mut host = SimHost::paper_testbed();
+        let server = ViewServer::new(host.viewd_host_spec(), 4);
+        host.attach_viewd(server.clone());
+        let a = host.launch(&ContainerSpec::new("a", 20).cpus(10.0));
+        let step = |host: &mut SimHost| {
+            let d = vec![host.demand(a, 4)];
+            host.step(&d);
+        };
+        step(&mut host);
+        // Four neighbours arrive while the monitor sleeps: `a`'s lower
+        // bound drops from 10 to 4 only once the events are delivered,
+        // on a firing that launches and updates nothing.
+        host.inject_monitor_stall(2);
+        for i in 0..4 {
+            host.launch(&ContainerSpec::new(format!("n{i}"), 20).cpus(10.0));
+        }
+        for _ in 0..4 {
+            step(&mut host);
+        }
+        assert_eq!(host.monitor().namespace(a).unwrap().cpu_bounds().lower, 4);
+        let budget = server.policy().budget;
+        host.inject_publish_delay(budget + 2);
+        for _ in 0..(budget + 2) {
+            step(&mut host);
+        }
+        let client = server.client();
+        assert!(client.health(Some(a)).is_degraded());
+        assert_eq!(client.sysconf(Some(a), Sysconf::NprocessorsOnln), 4);
+    }
+
+    #[test]
+    fn quiet_ticks_carry_freshness_and_nothing_else() {
+        use arv_fleet::{FleetController, FleetPolicy};
+        let mut host = SimHost::paper_testbed();
+        let server = ViewServer::new(host.viewd_host_spec(), 4);
+        host.attach_viewd(server.clone());
+        host.enable_journal(1 << 20); // no checkpoint inside the test
+        let ids = five_paper_containers(&mut host);
+        host.charge(ids[0], Bytes::from_gib(2));
+        host.attach_periphery(Periphery::new(3));
+        let ctl = FleetController::new(2, FleetPolicy::default());
+        let round = |host: &mut SimHost| {
+            let d = vec![host.demand(ids[0], 20)];
+            host.step(&d);
+            let frames = host.take_fleet_frames();
+            for frame in &frames {
+                let ack = ctl.handle_frame(frame).expect("a request frame");
+                assert!(host.deliver_fleet_ack(&ack));
+            }
+            ctl.advance_tick();
+            frames
+        };
+        // Converge: container 0 grows to its quota, the rest sit idle.
+        for _ in 0..60 {
+            round(&mut host);
+        }
+        let client = server.client();
+        let path = "/proc/meminfo";
+        for id in &ids {
+            assert!(client.read(Some(*id), path).is_some(), "prime the cache");
+        }
+        let views = host.monitor().snapshot();
+        let generations: Vec<_> = ids.iter().map(|id| client.generation(*id)).collect();
+        let journal_len = host.journal_bytes().expect("journaling").len();
+        let before = server.metrics();
+        let shipped = host.periphery().expect("attached").stats().entries;
+
+        for _ in 0..20 {
+            let frames = round(&mut host);
+            assert_eq!(frames.len(), 1, "the heartbeat, and only it");
+            for id in &ids {
+                assert!(client.health(Some(*id)).is_fresh());
+                assert!(client.read_cached(Some(*id), path).is_some(), "render kept");
+            }
+        }
+
+        let now = host.monitor().snapshot();
+        assert_eq!(now.entries.len(), views.entries.len());
+        for (a, b) in now.entries.iter().zip(&views.entries) {
+            assert_eq!((a.e_cpu, a.e_mem, a.e_avail), (b.e_cpu, b.e_mem, b.e_avail));
+            assert_eq!(a.last_tick, b.last_tick + 20, "the stamp still advances");
+        }
+        let after: Vec<_> = ids.iter().map(|id| client.generation(*id)).collect();
+        assert_eq!(after, generations, "no value moved, no generation did");
+        let m = server.metrics();
+        assert_eq!(m.cache_misses, before.cache_misses);
+        assert_eq!(m.cache_hits - before.cache_hits, 20 * ids.len() as u64);
+        assert_eq!(m.degraded_serves, 0);
+        assert_eq!(
+            host.journal_bytes().expect("journaling").len(),
+            journal_len,
+            "a quiet tick appends no delta"
+        );
+        assert_eq!(host.periphery().expect("attached").stats().entries, shipped);
+        let rollup = ctl.cluster_capacity();
+        assert_eq!((rollup.hosts, rollup.partitioned), (1, 0));
+        assert_eq!(ctl.metrics().snapshot().hosts_partitioned, 0);
+
+        // The journal said nothing for 20 ticks and still holds it all.
+        let ev = host.crash_restart();
+        assert_eq!(ev.report.truncated_records, 0);
+        let restored = host.monitor().snapshot();
+        for (a, b) in restored.entries.iter().zip(&now.entries) {
+            assert_eq!((a.id, a.e_cpu, a.e_mem), (b.id, b.e_cpu, b.e_mem));
+        }
+        // Availability is usage-derived: the next firing re-observes it.
+        round(&mut host);
+        let resumed = host.monitor().snapshot();
+        for (a, b) in resumed.entries.iter().zip(&now.entries) {
+            assert_eq!((a.e_cpu, a.e_mem, a.e_avail), (b.e_cpu, b.e_mem, b.e_avail));
+        }
     }
 
     #[test]

@@ -70,7 +70,8 @@ pub struct ViewSnapshot {
     /// minus the last observed usage, clamped at zero).
     pub avail: Bytes,
     /// Generation stamp: even, monotonically increasing; bumped by two on
-    /// every published update. View servers key render caches on it.
+    /// every publish that moves a value. View servers key render caches
+    /// on it.
     pub generation: u64,
 }
 
@@ -188,10 +189,21 @@ impl NsCell {
         self.updates.load(Ordering::Relaxed)
     }
 
-    /// Publish `(cpu, mem)` under the seqlock: generation goes odd, the
-    /// values land, generation goes even. Callers hold the state mutex, so
-    /// writers are already serialized.
+    /// Publish `(cpu, mem, avail)` under the seqlock: generation goes
+    /// odd, the values land, generation goes even. Callers hold the state
+    /// mutex, so writers are already serialized — which also makes the
+    /// plain reads below exact. A publish that moves nothing leaves the
+    /// generation alone: a generation names a *value*, so images cached
+    /// under it stay valid for as long as the value does.
     fn publish(&self, cpu: u32, mem: Bytes, avail: Bytes) {
+        let published = (
+            self.effective_cpu(),
+            self.effective_memory(),
+            self.available_memory(),
+        );
+        if published == (cpu, mem, avail) {
+            return;
+        }
         self.generation.fetch_add(1, Ordering::AcqRel);
         self.e_cpu.store(cpu, Ordering::Release);
         self.e_mem.store(mem.as_u64(), Ordering::Release);

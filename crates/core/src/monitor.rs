@@ -16,8 +16,9 @@
 use arv_cfs::UsageLedger;
 use arv_cgroups::{Bytes, CgroupEvent, CgroupId, CgroupManager, CpuSet, SeqEvent};
 use arv_mem::{MemSim, Watermarks};
+use arv_sim_core::SimDuration;
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PipelineEvent, Tracer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::effective_cpu::{CpuBounds, CpuSample, EffectiveCpuConfig};
 use crate::effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
@@ -64,6 +65,9 @@ pub struct NsMonitor {
     cpu_cfg: EffectiveCpuConfig,
     mem_cfg: EffectiveMemoryConfig,
     namespaces: BTreeMap<CgroupId, SysNamespace>,
+    /// Containers whose `(e_cpu, e_mem, e_avail)` may have moved since
+    /// the last [`NsMonitor::take_dirty`].
+    dirty: BTreeSet<CgroupId>,
     next_pid: u32,
     now_tick: u64,
     next_seq: u64,
@@ -86,6 +90,7 @@ impl NsMonitor {
             cpu_cfg,
             mem_cfg,
             namespaces: BTreeMap::new(),
+            dirty: BTreeSet::new(),
             next_pid: 1,
             now_tick: 0,
             next_seq: 0,
@@ -145,6 +150,18 @@ impl NsMonitor {
     /// Effective memory for a container, if it has a namespace.
     pub fn effective_memory(&self, id: CgroupId) -> Option<Bytes> {
         self.namespaces.get(&id).map(|n| n.effective_memory())
+    }
+
+    /// Drain the dirty set: the live containers whose value triple
+    /// `(e_cpu, e_mem, e_avail)` moved since the previous call. A timer
+    /// firing marks exactly the views it changed; anything that
+    /// recomputes static inputs (cgroup events, resync, recover) marks
+    /// every container, since any clamp may have moved. Consumers that
+    /// persist or ship views act on these and skip the rest.
+    pub fn take_dirty(&mut self) -> BTreeSet<CgroupId> {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.retain(|id| self.namespaces.contains_key(id));
+        dirty
     }
 
     /// The monitor's notion of "now", in update-timer firings.
@@ -275,12 +292,15 @@ impl NsMonitor {
             entries: self
                 .namespaces
                 .values()
-                .map(|ns| arv_persist::ViewState {
-                    id: ns.id().0,
-                    e_cpu: ns.effective_cpu(),
-                    e_mem: ns.effective_memory().as_u64(),
-                    e_avail: ns.available_memory().as_u64(),
-                    last_tick: ns.last_tick(),
+                .map(|ns| {
+                    let (e_cpu, e_mem, e_avail) = ns.views();
+                    arv_persist::ViewState {
+                        id: ns.id().0,
+                        e_cpu,
+                        e_mem: e_mem.as_u64(),
+                        e_avail: e_avail.as_u64(),
+                        last_tick: ns.last_tick(),
+                    }
                 })
                 .collect(),
         }
@@ -431,6 +451,7 @@ impl NsMonitor {
     /// each view the clamp actually moved.
     fn recompute_all(&mut self, cgm: &CgroupManager, cause: DecisionCause) {
         let total_shares = cgm.total_shares();
+        self.dirty.extend(self.namespaces.keys().copied());
         for (id, ns) in self.namespaces.iter_mut() {
             if let Some(spec) = cgm.get(*id) {
                 let cpu_before = ns.effective_cpu();
@@ -475,52 +496,57 @@ impl NsMonitor {
     /// Periodic update: advance every namespace from the last scheduling
     /// period's CPU accounting and the memory manager's current state.
     pub fn tick(&mut self, ledger: &UsageLedger, mem: &MemSim) {
-        if ledger.last_period().is_zero() {
-            return; // nothing scheduled yet
-        }
-        for (id, ns) in self.namespaces.iter_mut() {
-            let (cpu_d, mem_d) = ns.update_explained(
-                CpuSample {
-                    usage: ledger.last_usage(*id),
-                    period: ledger.last_period(),
-                    slack: ledger.last_slack(),
-                },
-                MemSample {
-                    free: mem.free(),
-                    usage: mem.usage(*id),
-                    reclaiming: mem.is_reclaiming(),
-                },
-            );
-            if let Some(d) = cpu_d {
-                self.tracer.emit_cpu(self.now_tick, *id, d);
-            }
-            if let Some(d) = mem_d {
-                self.tracer.emit_mem(self.now_tick, *id, d);
-            }
-            ns.stamp(self.now_tick);
-        }
+        let (period, slack) = (ledger.last_period(), ledger.last_slack());
+        self.fire(period, slack, ledger.last_usages(), Some(mem));
     }
 
     /// Update-timer firing over the ledger's accumulated window (used by
     /// event-driven drivers whose steps are shorter than one scheduling
     /// period).
     pub fn tick_window(&mut self, ledger: &UsageLedger, mem: &MemSim) {
-        if ledger.window_time().is_zero() {
-            return;
+        let (period, slack) = (ledger.window_time(), ledger.window_slack());
+        self.fire(period, slack, ledger.window_usages(), Some(mem));
+    }
+
+    /// CPU-only periodic update (memory decimated by the caller).
+    pub fn tick_cpu(&mut self, ledger: &UsageLedger) {
+        let (period, slack) = (ledger.last_period(), ledger.last_slack());
+        self.fire(period, slack, ledger.last_usages(), None);
+    }
+
+    /// One update-timer firing. Host-wide state (`period`, `slack`, free
+    /// memory, kswapd) is sampled once, so every namespace judges the
+    /// same instant, and the per-container usages (`cpu_usage`, the
+    /// memory manager's) arrive as id-ordered streams walked beside the
+    /// namespaces — no per-namespace lookup, so the firing costs the
+    /// same per container at any population. Each namespace whose value
+    /// triple moved joins the dirty set.
+    fn fire(
+        &mut self,
+        period: SimDuration,
+        slack: SimDuration,
+        cpu_usage: impl Iterator<Item = (CgroupId, SimDuration)>,
+        mem: Option<&MemSim>,
+    ) {
+        if period.is_zero() {
+            return; // nothing scheduled yet
         }
+        let mut cpu_usage = cpu_usage.peekable();
+        let mut mem = mem.map(|m| (m.usages().peekable(), m.free(), m.is_reclaiming()));
         for (id, ns) in self.namespaces.iter_mut() {
-            let (cpu_d, mem_d) = ns.update_explained(
-                CpuSample {
-                    usage: ledger.window_usage(*id),
-                    period: ledger.window_time(),
-                    slack: ledger.window_slack(),
-                },
-                MemSample {
-                    free: mem.free(),
-                    usage: mem.usage(*id),
-                    reclaiming: mem.is_reclaiming(),
-                },
-            );
+            let before = ns.views();
+            let cpu_d = ns.update_cpu_explained(CpuSample {
+                usage: seek(&mut cpu_usage, *id).unwrap_or(SimDuration::ZERO),
+                period,
+                slack,
+            });
+            let mem_d = mem.as_mut().and_then(|(usages, free, reclaiming)| {
+                ns.update_mem_explained(MemSample {
+                    free: *free,
+                    usage: seek(usages, *id).unwrap_or(Bytes::ZERO),
+                    reclaiming: *reclaiming,
+                })
+            });
             if let Some(d) = cpu_d {
                 self.tracer.emit_cpu(self.now_tick, *id, d);
             }
@@ -528,26 +554,20 @@ impl NsMonitor {
                 self.tracer.emit_mem(self.now_tick, *id, d);
             }
             ns.stamp(self.now_tick);
-        }
-    }
-
-    /// CPU-only periodic update (memory decimated by the caller).
-    pub fn tick_cpu(&mut self, ledger: &UsageLedger) {
-        if ledger.last_period().is_zero() {
-            return;
-        }
-        for (id, ns) in self.namespaces.iter_mut() {
-            let cpu_d = ns.update_cpu_explained(CpuSample {
-                usage: ledger.last_usage(*id),
-                period: ledger.last_period(),
-                slack: ledger.last_slack(),
-            });
-            if let Some(d) = cpu_d {
-                self.tracer.emit_cpu(self.now_tick, *id, d);
+            if ns.views() != before {
+                self.dirty.insert(*id);
             }
-            ns.stamp(self.now_tick);
         }
     }
+}
+
+/// Advance an id-ordered stream to `id`; its value there, if it has one.
+fn seek<V>(
+    sorted: &mut std::iter::Peekable<impl Iterator<Item = (CgroupId, V)>>,
+    id: CgroupId,
+) -> Option<V> {
+    while sorted.next_if(|(k, _)| *k < id).is_some() {}
+    sorted.next_if(|(k, _)| *k == id).map(|(_, v)| v)
 }
 
 #[cfg(test)]
@@ -556,7 +576,7 @@ mod tests {
     use arv_cfs::{CfsSim, GroupDemand};
     use arv_cgroups::{CgroupSpec, CpuController, MemController};
     use arv_mem::MemSimConfig;
-    use arv_sim_core::SimDuration;
+    use arv_telemetry::EventKind;
 
     const P: SimDuration = SimDuration::from_millis(24);
 
@@ -985,5 +1005,177 @@ mod tests {
         ledger.record(&cfs.allocate(P, &[GroupDemand::cpu_bound(a, 20, 1024, 10.0)]));
         mon.tick_window(&ledger, &mem);
         assert_eq!(mon.namespace(a).unwrap().last_tick(), 5);
+    }
+
+    /// The per-namespace loop the firing replaced, kept as the reference
+    /// it must agree with: every host-wide input re-read, and every usage
+    /// looked up, for each namespace in turn.
+    fn reference_tick(mon: &mut NsMonitor, ledger: &UsageLedger, mem: &MemSim) {
+        if ledger.last_period().is_zero() {
+            return;
+        }
+        for (id, ns) in mon.namespaces.iter_mut() {
+            let (cpu_d, mem_d) = ns.update_explained(
+                CpuSample {
+                    usage: ledger.last_usage(*id),
+                    period: ledger.last_period(),
+                    slack: ledger.last_slack(),
+                },
+                MemSample {
+                    free: mem.free(),
+                    usage: mem.usage(*id),
+                    reclaiming: mem.is_reclaiming(),
+                },
+            );
+            if let Some(d) = cpu_d {
+                mon.tracer.emit_cpu(mon.now_tick, *id, d);
+            }
+            if let Some(d) = mem_d {
+                mon.tracer.emit_mem(mon.now_tick, *id, d);
+            }
+            ns.stamp(mon.now_tick);
+        }
+    }
+
+    /// A 1 GiB host whose twelve containers ride a seeded memory wave in
+    /// and out of kswapd's reclaim band. Two of them exercise the usage
+    /// streams' gaps: one is unknown to the memory manager, and one
+    /// cgroup the manager and ledger still carry has no namespace.
+    struct Wave {
+        cgm: CgroupManager,
+        cfs: CfsSim,
+        mem: MemSim,
+        ledger: UsageLedger,
+        ids: Vec<CgroupId>,
+        rng: arv_sim_core::SimRng,
+        round: u64,
+    }
+
+    impl Wave {
+        fn new(seed: u64) -> (Wave, NsMonitor) {
+            let cfs = CfsSim::with_cpus(20);
+            let mut mem = MemSim::new(MemSimConfig::with_total(Bytes::from_gib(1)));
+            let mut mon = NsMonitor::with_defaults(cfs.online(), mem.total(), *mem.watermarks());
+            let mut cgm = CgroupManager::new();
+            let spec = CgroupSpec::new(
+                CpuController::unlimited(20).with_quota_cpus(6.0),
+                MemController::unlimited()
+                    .with_soft_limit(Bytes::from_mib(48))
+                    .with_hard_limit(Bytes::from_mib(160)),
+            );
+            let ghost = cgm.create(spec);
+            mem.register(ghost, spec.mem);
+            let ids: Vec<CgroupId> = (0..12).map(|_| cgm.create(spec)).collect();
+            for id in &ids[1..] {
+                mem.register(*id, spec.mem);
+            }
+            mon.sync(&mut cgm);
+            cgm.remove(ghost);
+            mon.sync(&mut cgm);
+            assert!(mon.namespace(ghost).is_none());
+            let wave = Wave {
+                cgm,
+                cfs,
+                mem,
+                ledger: UsageLedger::new(),
+                ids,
+                rng: arv_sim_core::SimRng::seed_from_u64(seed),
+                round: 0,
+            };
+            (wave, mon)
+        }
+
+        /// One scheduling period: a seeded subset runs, memory targets
+        /// rise for 20 rounds and fall for 20, kswapd takes its step.
+        fn step(&mut self) {
+            let ghost = CgroupId(self.ids[0].0 - 1);
+            let mut demands = vec![GroupDemand::cpu_bound(ghost, 2, 1024, 6.0)];
+            for id in &self.ids {
+                if self.rng.range_u64(0, 3) == 0 {
+                    demands.push(GroupDemand::cpu_bound(*id, 8, 1024, 6.0));
+                }
+            }
+            self.ledger.record(&self.cfs.allocate(P, &demands));
+            let rising = self.round % 40 < 20;
+            for _ in 0..4 {
+                let id = self.ids[1 + self.rng.range_u64(0, 11) as usize];
+                let amount = Bytes::from_mib(self.rng.range_u64(8, 64));
+                if rising {
+                    let _ = self.mem.charge(id, amount);
+                } else {
+                    self.mem.uncharge(id, amount);
+                }
+            }
+            self.mem.kswapd_step(P);
+            self.round += 1;
+        }
+    }
+
+    #[test]
+    fn firing_matches_the_per_namespace_reference_across_reclaim_flips() {
+        let (mut wave, mut fast) = Wave::new(0x5EED);
+        let mut reference = fast.clone();
+        fast.set_tracer(Tracer::bounded(1 << 16));
+        reference.set_tracer(Tracer::bounded(1 << 16));
+        let (mut flips, mut was_reclaiming) = (0, false);
+        for tick in 0..300 {
+            wave.step();
+            flips += u32::from(wave.mem.is_reclaiming() != was_reclaiming);
+            was_reclaiming = wave.mem.is_reclaiming();
+            fast.observe_tick();
+            reference.observe_tick();
+            fast.tick(&wave.ledger, &wave.mem);
+            reference_tick(&mut reference, &wave.ledger, &wave.mem);
+            assert_eq!(fast.snapshot(), reference.snapshot(), "tick {tick}");
+            assert_eq!(
+                fast.tracer().events(),
+                reference.tracer().events(),
+                "tick {tick}"
+            );
+        }
+        assert!(flips >= 4, "kswapd flipped only {flips} times");
+        let events = fast.tracer().events();
+        assert!(events.iter().any(|e| matches!(e.kind, EventKind::Cpu(_))));
+        assert!(events.iter().any(|e| matches!(e.kind, EventKind::Mem(_))));
+        assert!(wave.cgm.contains(wave.ids[0]));
+    }
+
+    mod dirty_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// After a firing the dirty set is exactly the containers
+            /// whose value triple differs between the snapshots either
+            /// side of it — no view that moved is missed, none that
+            /// stood still is named.
+            #[test]
+            fn dirty_set_is_exactly_the_views_that_moved(
+                seed in 0u64..1 << 32,
+                ticks in 1usize..60
+            ) {
+                let (mut wave, mut mon) = Wave::new(seed);
+                prop_assert_eq!(
+                    mon.take_dirty().len(), mon.len(), "a static refresh dirties every view"
+                );
+                for _ in 0..ticks {
+                    wave.step();
+                    mon.observe_tick();
+                    let before = mon.snapshot();
+                    mon.tick(&wave.ledger, &wave.mem);
+                    let after = mon.snapshot();
+                    let moved: BTreeSet<CgroupId> = before
+                        .entries
+                        .iter()
+                        .zip(&after.entries)
+                        .filter(|(b, a)| {
+                            (b.e_cpu, b.e_mem, b.e_avail) != (a.e_cpu, a.e_mem, a.e_avail)
+                        })
+                        .map(|(_, a)| CgroupId(a.id))
+                        .collect();
+                    prop_assert_eq!(mon.take_dirty(), moved);
+                }
+            }
+        }
     }
 }

@@ -83,6 +83,17 @@ impl SysNamespace {
         self.e_mem.value().saturating_sub(used)
     }
 
+    /// The value triple `(effective CPU, effective memory, available
+    /// memory)` — everything a consumer of this view can observe. A view
+    /// is news downstream iff this moved.
+    pub fn views(&self) -> (u32, Bytes, Bytes) {
+        (
+            self.effective_cpu(),
+            self.effective_memory(),
+            self.available_memory(),
+        )
+    }
+
     /// The static CPU bounds.
     pub fn cpu_bounds(&self) -> CpuBounds {
         self.e_cpu.bounds()

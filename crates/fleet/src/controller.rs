@@ -42,7 +42,7 @@ use arv_persist::{
     decode_records, encode_record, restore, Journal, Record, Snapshot, Store, ViewState,
 };
 use arv_telemetry::{FlightRecorder, FlightTrigger, LagHistogram, PipelineEvent, PromText, Tracer};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -497,6 +497,9 @@ struct LeaseState {
 struct ReplState {
     /// Primary: CRC-framed record bytes not yet shipped.
     outbox: Vec<Vec<u8>>,
+    /// Primary: hosts whose DELTA was accepted since the last drain —
+    /// their freshness rides the next REPL frame, records or none.
+    heard: BTreeSet<u32>,
     /// Primary: sequence of the next REPL frame to send.
     next_seq: u64,
     /// Standby: next REPL sequence accepted in order.
@@ -1068,6 +1071,9 @@ impl FleetController {
 
         let mut journal = lock(&self.journal);
         let mut repl = lock(&self.repl);
+        if let Some(rs) = repl.as_mut() {
+            rs.heard.insert(host_id);
+        }
         let mut journal_errs = 0u64;
         if journal.is_some() || repl.is_some() {
             for id in &journaled_removals {
@@ -1447,37 +1453,36 @@ impl FleetController {
             rs.outbox
                 .push(encode_record(&Record::Checkpoint(self.index_snapshot(now))));
         }
-        if rs.outbox.is_empty() {
+        if rs.outbox.is_empty() && rs.heard.is_empty() {
             return Vec::new();
         }
         let records = std::mem::take(&mut rs.outbox);
+        let heard: Vec<u32> = std::mem::take(&mut rs.heard).into_iter().collect();
         self.metrics
             .repl_records_streamed
             .fetch_add(records.len() as u64, Ordering::Relaxed);
-        let budget = (MAX_FLEET_FRAME as usize).saturating_sub(64);
+        let budget = (MAX_FLEET_FRAME as usize).saturating_sub(64 + 4 * heard.len());
         let mut frames = Vec::new();
-        let mut cur: Vec<u8> = Vec::new();
-        for rec in records {
-            if !cur.is_empty() && cur.len() + rec.len() > budget {
-                frames.push(encode_repl(&Repl {
-                    ctl_epoch: epoch,
-                    repl_seq: rs.next_seq,
-                    as_of_tick: now,
-                    records: std::mem::take(&mut cur),
-                }));
-                rs.next_seq += 1;
-            }
-            cur.extend_from_slice(&rec);
-        }
-        if !cur.is_empty() {
+        let mut frame = |heard: Vec<u32>, records: Vec<u8>| {
             frames.push(encode_repl(&Repl {
                 ctl_epoch: epoch,
                 repl_seq: rs.next_seq,
                 as_of_tick: now,
-                records: cur,
+                heard,
+                records,
             }));
             rs.next_seq += 1;
+        };
+        let mut cur: Vec<u8> = Vec::new();
+        for rec in records {
+            if !cur.is_empty() && cur.len() + rec.len() > budget {
+                frame(Vec::new(), std::mem::take(&mut cur));
+            }
+            cur.extend_from_slice(&rec);
         }
+        // The last frame carries the heard list — alone when every host
+        // that reported was quiet.
+        frame(heard, cur);
         frames
     }
 
@@ -1569,6 +1574,12 @@ impl FleetController {
         rs.last_as_of = rs.last_as_of.max(r.as_of_tick);
         for record in &scan.records {
             self.apply_record(record, now);
+        }
+        for host_id in &r.heard {
+            if let Some(host) = lock(self.shard_for(*host_id)).hosts.get_mut(host_id) {
+                host.last_delta_tick = now;
+                host.partitioned = false;
+            }
         }
         self.metrics
             .repl_records_applied
@@ -2306,6 +2317,39 @@ mod tests {
     }
 
     #[test]
+    fn a_quiet_host_stays_live_on_primary_and_standby() {
+        let primary = FleetController::new(2, FleetPolicy::default());
+        primary.enable_replication();
+        let standby = FleetController::new(2, FleetPolicy::default());
+        let budget = primary.policy().staleness_budget;
+        let mut quiet = Periphery::new(1);
+        let mut silent = Periphery::new(2);
+        silent.observe(&snap(1, &[(1, 1, 10, 5)]), false, 0);
+        pump(&mut silent, &primary);
+        let before = primary.metrics().snapshot();
+        // Nothing on host 1 moves for three budgets: its per-tick
+        // heartbeat — and the REPL frame's heard list — carry its
+        // freshness; host 2 says nothing at all.
+        for tick in 1..=3 * budget {
+            quiet.observe(&snap(tick, &[(1, 2, 100, 50)]), false, 0);
+            pump(&mut quiet, &primary);
+            pump_repl(&primary, &standby);
+            primary.advance_tick();
+            standby.advance_tick();
+        }
+        let after = primary.metrics().snapshot();
+        assert_eq!(after.delta_entries - before.delta_entries, 1, "one FULL");
+        assert_eq!(after.hosts_partitioned, 1, "only the silent host");
+        assert!(primary.explain_host(2).expect("tracked").partitioned);
+        for ctl in [&primary, &standby] {
+            let host = ctl.explain_host(1).expect("tracked");
+            assert!(!host.partitioned, "quiet is not silent");
+        }
+        assert_eq!(standby.cluster_capacity(), primary.cluster_capacity());
+        assert_eq!(standby.cluster_capacity().partitioned, 1);
+    }
+
+    #[test]
     fn repl_gap_heals_with_checkpoint() {
         let primary = FleetController::new(2, FleetPolicy::default());
         primary.enable_replication();
@@ -2433,6 +2477,7 @@ mod tests {
                 ctl_epoch: 0,
                 repl_seq: 0,
                 as_of_tick: 0,
+                heard: Vec::new(),
                 records: vec![0xA5; len],
             });
             let _ = standby.handle_frame(&frame);

@@ -8,6 +8,13 @@
 //! first frame after attach (and after any controller-requested resync)
 //! is a FULL snapshot; everything else is incremental.
 //!
+//! A view is news iff its value (`tenant`, `e_cpu`, `e_mem`, `e_avail`)
+//! moved: the per-entry `last_tick` stamp advances on every healthy
+//! firing and is not a reason to ship. Freshness travels once per host
+//! per tick instead — a healthy observation with nothing to say still
+//! ships one empty DELTA, the heartbeat that keeps the controller's
+//! staleness clock from flagging a quiet host partitioned.
+//!
 //! The periphery owns no socket: the caller moves frames and feeds ACKs
 //! back. That keeps it deterministic under simulation and reusable over
 //! either the real wire ([`crate::wire::FleetClient`]) or an in-process
@@ -108,6 +115,9 @@ pub struct Periphery {
     /// was observed — the origin of the causal span. Survives
     /// coalescing so `flush tick − origin` exposes the bucket's delay.
     pending_origin: Option<u64>,
+    /// Snapshot tick of the last DELTA queued: a quiet host heartbeats
+    /// once per tick, not once per observation.
+    shipped_tick: Option<u64>,
     outbox: Vec<Vec<u8>>,
     stats: PeripheryStats,
 }
@@ -134,6 +144,7 @@ impl Periphery {
             ctl_epoch_seen: 0,
             trace_seq: 0,
             pending_origin: None,
+            shipped_tick: None,
             policy,
             outbox: Vec::new(),
             stats: PeripheryStats::default(),
@@ -228,7 +239,11 @@ impl Periphery {
                 e_avail: s.e_avail,
                 last_tick: s.last_tick,
             };
-            if full || self.last_sent.get(&s.id) != Some(&entry) {
+            let moved = self.last_sent.get(&s.id).map_or(true, |sent| {
+                (sent.tenant, sent.e_cpu, sent.e_mem, sent.e_avail)
+                    != (entry.tenant, entry.e_cpu, entry.e_mem, entry.e_avail)
+            });
+            if full || moved {
                 self.pending.insert(entry.id, entry);
                 self.pending_removed.remove(&entry.id);
                 self.last_sent.insert(entry.id, entry);
@@ -258,13 +273,17 @@ impl Periphery {
             self.pending_origin = Some(snap.tick);
         }
 
-        // A health transition with no view changes still ships one
-        // (empty) delta, so the controller sees Fresh↔Stale↔Degraded
-        // flips as they happen.
+        // With no view changes an (empty) delta still ships on a health
+        // transition, so the controller sees Fresh↔Stale↔Degraded flips
+        // as they happen, and once per tick of a healthy host as its
+        // heartbeat. A stalled host has no freshness to report: it goes
+        // quiet and the controller's staleness budget flags it.
+        let heartbeat = !stalled && self.shipped_tick.map_or(true, |t| snap.tick > t);
         if !full
             && self.pending.is_empty()
             && self.pending_removed.is_empty()
             && shipped_health == self.last_health
+            && !heartbeat
         {
             return;
         }
@@ -288,6 +307,7 @@ impl Periphery {
         }
         self.tokens = self.tokens.saturating_sub(cost);
         self.last_health = shipped_health;
+        self.shipped_tick = Some(snap.tick);
         // FULL data is re-read fresh at this tick; otherwise the span
         // starts where the oldest pending diff was observed. An empty
         // (health-flip) delta originates here too.
@@ -472,6 +492,47 @@ mod tests {
         p.take_frames();
         p.observe(&s, false, 0);
         assert!(!p.has_frames());
+    }
+
+    #[test]
+    fn a_moved_stamp_is_not_news_but_the_tick_is_a_heartbeat() {
+        let mut p = Periphery::new(1);
+        p.observe(&snap(1, &[(1, 2, 100), (2, 4, 200)]), false, 0);
+        p.take_frames();
+        // Same values, every `last_tick` moved: one empty DELTA.
+        p.observe(&snap(2, &[(1, 2, 100), (2, 4, 200)]), false, 0);
+        let ds = deltas(p.take_frames());
+        assert_eq!(ds.len(), 1, "one heartbeat per tick");
+        assert!(ds[0].entries.is_empty() && ds[0].removed.is_empty());
+        assert_eq!((ds[0].tick, ds[0].origin_tick, ds[0].seq), (2, 2, 1));
+        // Observed again within the tick: freshness already travelled.
+        p.observe(&snap(2, &[(1, 2, 100), (2, 4, 200)]), false, 0);
+        assert!(!p.has_frames());
+        // One value moves: exactly that entry ships, stamp included.
+        p.observe(&snap(3, &[(1, 2, 100), (2, 5, 200)]), false, 0);
+        let ds = deltas(p.take_frames());
+        assert_eq!(ds.len(), 1);
+        assert_eq!(ds[0].entries.len(), 1);
+        assert_eq!((ds[0].entries[0].id, ds[0].entries[0].last_tick), (2, 3));
+        assert_eq!(p.stats().entries, 3, "2 in the FULL, 1 changed");
+    }
+
+    #[test]
+    fn a_stalled_host_has_no_freshness_to_report() {
+        let mut p = Periphery::new(1);
+        let s = [(1, 2, 100)];
+        p.observe(&snap(1, &s), false, 0);
+        p.take_frames();
+        // The stall itself is a health flip and ships once …
+        p.observe(&snap(2, &s), true, 0);
+        assert_eq!(deltas(p.take_frames()).len(), 1);
+        // … then the host goes quiet, so the controller's staleness
+        // budget can flag it, until it is healthy again.
+        p.observe(&snap(3, &s), true, 0);
+        p.observe(&snap(4, &s), true, 0);
+        assert!(!p.has_frames());
+        p.observe(&snap(5, &s), false, 0);
+        assert_eq!(deltas(p.take_frames()).len(), 1);
     }
 
     #[test]

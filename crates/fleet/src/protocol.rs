@@ -28,7 +28,9 @@
 //!   kind 3 = Prometheus stats exposition (arg ignored),
 //!   kind 4 = flight-recorder dump (arg = dumps back from newest)
 //! REPL   := 0x14 | ctl_epoch u64 | repl_seq u64 | as_of_tick u64
-//!           | records
+//!           | h u32 | h × heard-host u32 | records
+//!   heard = the hosts the primary accepted a DELTA from since its
+//!   previous frame (their freshness: a quiet host leaves no record);
 //!   records = zero or more CRC-framed `arv_persist` journal records
 //!   (checkpoint / delta / remove), exactly the bytes the primary's
 //!   journal appended; the standby validates each record's CRC on
@@ -265,6 +267,11 @@ pub struct Repl {
     /// The primary's controller tick when this frame was drained —
     /// the span stamp that lets a standby gauge its shadow-index lag.
     pub as_of_tick: u64,
+    /// Hosts the primary heard from since its previous frame. A host
+    /// whose views did not move leaves no record, so its freshness
+    /// travels here and the standby's staleness clock follows the
+    /// primary's.
+    pub heard: Vec<u32>,
     /// CRC-framed `arv_persist` record bytes, zero or more records.
     pub records: Vec<u8>,
 }
@@ -499,11 +506,15 @@ pub fn encode_query(q: &Query) -> Vec<u8> {
 
 /// Encode a REPL payload.
 pub fn encode_repl(r: &Repl) -> Vec<u8> {
-    let mut out = Vec::with_capacity(25 + r.records.len());
+    let mut out = Vec::with_capacity(29 + 4 * r.heard.len() + r.records.len());
     out.push(OP_REPL);
     put_u64(&mut out, r.ctl_epoch);
     put_u64(&mut out, r.repl_seq);
     put_u64(&mut out, r.as_of_tick);
+    put_u32(&mut out, r.heard.len() as u32);
+    for host in &r.heard {
+        put_u32(&mut out, *host);
+    }
     out.extend_from_slice(&r.records);
     out
 }
@@ -796,12 +807,19 @@ pub fn decode_frame(payload: &[u8]) -> Option<Frame> {
                 arg: c.u32()?,
             })
         }
-        OP_REPL => Frame::Repl(Repl {
-            ctl_epoch: c.u64()?,
-            repl_seq: c.u64()?,
-            as_of_tick: c.u64()?,
-            records: c.rest().to_vec(),
-        }),
+        OP_REPL => {
+            let (ctl_epoch, repl_seq, as_of_tick) = (c.u64()?, c.u64()?, c.u64()?);
+            let heard = (0..c.u32()?)
+                .map(|_| c.u32())
+                .collect::<Option<Vec<u32>>>()?;
+            Frame::Repl(Repl {
+                ctl_epoch,
+                repl_seq,
+                as_of_tick,
+                heard,
+                records: c.rest().to_vec(),
+            })
+        }
         OP_ACK => {
             let host = c.u32()?;
             let expected_seq = c.u64()?;
@@ -951,6 +969,7 @@ mod tests {
             ctl_epoch: 4,
             repl_seq: 11,
             as_of_tick: 99,
+            heard: vec![7, 9],
             records: vec![1, 2, 3, 4, 5],
         };
         assert_eq!(decode_frame(&encode_repl(&repl)), Some(Frame::Repl(repl)));
@@ -1044,6 +1063,7 @@ mod tests {
                 ctl_epoch: 2,
                 repl_seq: 3,
                 as_of_tick: 5,
+                heard: Vec::new(),
                 records: vec![9; 24],
             }),
         ];
@@ -1264,7 +1284,7 @@ mod tests {
                 repl_seq in 0u64..8,
                 records in prop::collection::vec(0u8..255, 0..256)
             ) {
-                let frame = encode_repl(&Repl { ctl_epoch, repl_seq, as_of_tick: 0, records });
+                let frame = encode_repl(&Repl { ctl_epoch, repl_seq, as_of_tick: 0, heard: Vec::new(), records });
                 let standby = FleetController::new(2, FleetPolicy::default());
                 let _ = standby.handle_frame(&frame);
             }
@@ -1293,7 +1313,7 @@ mod tests {
                 }
                 let keep = cut.min(records.len());
                 records.truncate(keep);
-                let frame = encode_repl(&Repl { ctl_epoch: 1, repl_seq: 0, as_of_tick: 0, records });
+                let frame = encode_repl(&Repl { ctl_epoch: 1, repl_seq: 0, as_of_tick: 0, heard: Vec::new(), records });
                 let standby = FleetController::new(2, FleetPolicy::default());
                 let _ = standby.handle_frame(&frame);
             }

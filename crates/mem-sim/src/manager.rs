@@ -73,6 +73,12 @@ pub struct MemSim {
     cfg: MemSimConfig,
     groups: BTreeMap<CgroupId, GroupMem>,
     kswapd: KswapdState,
+    /// Σ `resident` over `groups`, kept exact by every mutation so
+    /// [`MemSim::free`] is O(1).
+    resident_total: Bytes,
+    /// Σ `swapped` over `groups` (same contract, for
+    /// [`MemSim::swap_free`]).
+    swapped_total: Bytes,
     /// Cumulative bytes ever moved to swap (reporting).
     swap_out_total: Bytes,
 }
@@ -85,6 +91,8 @@ impl MemSim {
             cfg,
             groups: BTreeMap::new(),
             kswapd: KswapdState::Idle,
+            resident_total: Bytes::ZERO,
+            swapped_total: Bytes::ZERO,
             swap_out_total: Bytes::ZERO,
         }
     }
@@ -106,14 +114,12 @@ impl MemSim {
 
     /// System-wide free physical memory (`cfree` in Algorithm 2).
     pub fn free(&self) -> Bytes {
-        let used: Bytes = self.groups.values().map(|g| g.resident).sum();
-        self.cfg.total.saturating_sub(used)
+        self.cfg.total.saturating_sub(self.resident_total)
     }
 
     /// Free space left on the swap device.
     pub fn swap_free(&self) -> Bytes {
-        let used: Bytes = self.groups.values().map(|g| g.swapped).sum();
-        self.cfg.swap.saturating_sub(used)
+        self.cfg.swap.saturating_sub(self.swapped_total)
     }
 
     /// Whether kswapd is actively reclaiming.
@@ -157,19 +163,30 @@ impl MemSim {
             let excess = g.resident - g.hard;
             g.resident = g.hard;
             g.swapped += excess;
+            self.resident_total -= excess;
+            self.swapped_total += excess;
             self.swap_out_total += excess;
         }
     }
 
     /// Remove a container, releasing all its memory and swap.
     pub fn unregister(&mut self, id: CgroupId) {
-        self.groups.remove(&id);
+        if let Some(g) = self.groups.remove(&id) {
+            self.resident_total -= g.resident;
+            self.swapped_total -= g.swapped;
+        }
     }
 
     /// Resident memory charged to the container
     /// (`memory.usage_in_bytes` — `cmem` in Algorithm 2).
     pub fn usage(&self, id: CgroupId) -> Bytes {
         self.groups.get(&id).map_or(Bytes::ZERO, |g| g.resident)
+    }
+
+    /// Every container's resident memory, in id order (the update timer
+    /// walks this beside its namespaces instead of looking each one up).
+    pub fn usages(&self) -> impl Iterator<Item = (CgroupId, Bytes)> + '_ {
+        self.groups.iter().map(|(id, g)| (*id, g.resident))
     }
 
     /// Bytes of the container currently on swap.
@@ -239,6 +256,8 @@ impl MemSim {
         let g = self.groups.get_mut(&id).expect("unknown cgroup");
         g.resident += to_resident;
         g.swapped += to_swap_self;
+        self.resident_total += to_resident;
+        self.swapped_total += to_swap_self;
         swapped_out += to_swap_self;
         self.swap_out_total += to_swap_self;
         ChargeOutcome::Charged { swapped_out }
@@ -251,8 +270,10 @@ impl MemSim {
         let g = self.groups.get_mut(&id).expect("unknown cgroup");
         let from_swap = amount.min(g.swapped);
         g.swapped -= from_swap;
-        let rest = amount - from_swap;
-        g.resident = g.resident.saturating_sub(rest);
+        let from_resident = (amount - from_swap).min(g.resident);
+        g.resident -= from_resident;
+        self.swapped_total -= from_swap;
+        self.resident_total -= from_resident;
     }
 
     /// One kswapd step covering `dt` of simulated time: update the state
@@ -305,7 +326,7 @@ impl MemSim {
             g.swapped += take;
             reclaimed += take;
         }
-        self.swap_out_total += reclaimed;
+        self.note_swapped_out(reclaimed);
         reclaimed
     }
 
@@ -350,10 +371,8 @@ impl MemSim {
                 .iter()
                 .max_by_key(|(_, r)| r.as_u64())
                 .expect("non-empty");
-            let swap_left = self
-                .cfg
-                .swap
-                .saturating_sub(self.groups.values().map(|g| g.swapped).sum());
+            // The running total does not yet hold this pass's moves.
+            let swap_left = self.swap_free().saturating_sub(swap_used);
             let g = self.groups.get_mut(big).expect("victim exists");
             let take = (target - reclaimed).min(g.resident).min(swap_left);
             g.resident -= take;
@@ -361,8 +380,15 @@ impl MemSim {
             reclaimed += take;
             swap_used += take;
         }
-        self.swap_out_total += swap_used;
+        self.note_swapped_out(swap_used);
         reclaimed
+    }
+
+    /// Fold a reclaim pass's resident→swap moves into the running totals.
+    fn note_swapped_out(&mut self, moved: Bytes) {
+        self.resident_total -= moved;
+        self.swapped_total += moved;
+        self.swap_out_total += moved;
     }
 }
 
@@ -600,6 +626,63 @@ mod proptests {
                         "hard limit violated"
                     );
                 }
+            }
+        }
+
+        /// The running totals behind `free()`/`swap_free()` equal the
+        /// recomputed sums after every operation, whatever the sequence
+        /// of registrations, charges (including refused ones),
+        /// over-releases, limit cuts, removals and reclaim steps.
+        #[test]
+        fn running_totals_equal_recomputed_sums(
+            ops in prop::collection::vec((0u32..6, 0u32..4, 0u64..700), 1..96)
+        ) {
+            let mut cfg = MemSimConfig::with_total(Bytes::from_mib(1024));
+            cfg.swap = Bytes::from_mib(512);
+            let mut m = MemSim::new(cfg);
+            let sums = |m: &MemSim| {
+                let resident: Bytes = m.groups.values().map(|g| g.resident).sum();
+                let swapped: Bytes = m.groups.values().map(|g| g.swapped).sum();
+                (resident, swapped)
+            };
+            for (kind, id, mib) in ops {
+                let id = CgroupId(id);
+                let amount = Bytes::from_mib(mib);
+                let live = m.groups.contains_key(&id);
+                match kind {
+                    0 if !live => m.register(
+                        id,
+                        MemController::unlimited()
+                            .with_hard_limit(Bytes::from_mib(600))
+                            .with_soft_limit(Bytes::from_mib(150)),
+                    ),
+                    1 if live => {
+                        let before = (m.resident_total, m.swapped_total);
+                        if m.charge(id, amount) == ChargeOutcome::OomKilled {
+                            prop_assert_eq!(
+                                (m.resident_total, m.swapped_total),
+                                before,
+                                "a refused charge moved the totals"
+                            );
+                        }
+                    }
+                    // Over-release is clamped to the footprint.
+                    2 if live => m.uncharge(id, amount),
+                    // A cut below the resident size pushes the excess to swap.
+                    3 if live => m.set_limits(
+                        id,
+                        MemController::unlimited()
+                            .with_hard_limit(Bytes::from_mib(mib.max(64)))
+                            .with_soft_limit(Bytes::from_mib(32)),
+                    ),
+                    4 => m.unregister(id),
+                    5 => m.kswapd_step(arv_sim_core::SimDuration::from_millis(24)),
+                    _ => {}
+                }
+                let (resident, swapped) = sums(&m);
+                prop_assert_eq!((m.resident_total, m.swapped_total), (resident, swapped));
+                prop_assert_eq!(m.free(), m.total().saturating_sub(resident));
+                prop_assert_eq!(m.swap_free(), cfg.swap.saturating_sub(swapped));
             }
         }
     }

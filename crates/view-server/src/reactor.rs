@@ -565,14 +565,16 @@ fn settle(
                 return;
             };
             let _ = shared.epoll.delete(conn.stream.as_raw_fd());
-            drop(conn);
-            free.push(slot);
-            active.fetch_sub(1, Ordering::AcqRel);
+            // Account before closing: a peer that reads EOF must find
+            // the counter already moved.
             match fate {
                 Fate::Reject => service.on_frame_rejected(),
                 Fate::Evict(reason) => service.on_evicted(reason),
                 _ => {}
             }
+            drop(conn);
+            free.push(slot);
+            active.fetch_sub(1, Ordering::AcqRel);
         }
     }
 }
