@@ -4,8 +4,10 @@
 //! numbers the fleet design budgets for — delta-ingest throughput at
 //! the controller, the cluster-rollup query cost, how many periphery
 //! ticks a sequence-gap resync costs, how many ticks a promoted standby
-//! needs to converge every host back to Fresh, and how many records the
-//! hot standby trails the primary by in steady state — writes them to
+//! needs to converge every host back to Fresh, how many records the
+//! hot standby trails the primary by in steady state, and what
+//! journaling and replicating an entry adds to ingesting it — writes
+//! them to
 //! `BENCH_fleet.json`, and exits nonzero if any threshold is breached,
 //! so `ci.sh` can gate on it with a single run.
 //!
@@ -43,6 +45,14 @@ const MAX_RESYNC_TICKS: u64 = 2;
 /// onto the hot path (per-entry tracing, dump freezes on clean
 /// ingest). Both sides are min-of-3, which rejects scheduler noise.
 const MAX_OBS_OVERHEAD_RATIO: f64 = 1.75;
+
+/// Ceiling on what durability may add to ingest: ns per accepted entry
+/// with the journal and the REPL outbox on, over the same with neither,
+/// in the same run — machine speed cancels. A record is framed once
+/// (one encode, one CRC) and its bytes land in the journal and the
+/// outbox; a buffer per record or a second encode per consumer put
+/// this at 4–5.
+const MAX_JOURNALED_INGEST_RATIO: f64 = 2.0;
 
 /// Hosts in the replicated failover fleet (smaller than the ingest
 /// fleet: the metric is convergence shape, not raw volume).
@@ -118,6 +128,45 @@ fn ingest_elapsed_secs(traced: bool) -> f64 {
             ctl.advance_tick();
         }
         best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// Nanoseconds inside `handle_frame` per accepted entry in steady
+/// state, min over 3 trials with a fresh controller each, bare or with
+/// journal and replication on. The outbox is drained every round and
+/// the journal compacts every 4 ticks, both outside the clock, as a
+/// standby link and the tick would; the first rounds, up to the first
+/// compaction, are not timed, so neither side pays for memory the
+/// process touches for the first time.
+fn ingest_ns_per_entry(journaled: bool) -> f64 {
+    const WARM_ROUNDS: u32 = 5;
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let mut ctl = FleetController::new(64, FleetPolicy::default());
+        if journaled {
+            ctl.enable_journal(4);
+            ctl.enable_replication();
+        }
+        let mut peripheries: Vec<Periphery> = (0..HOSTS).map(Periphery::new).collect();
+        let mut in_ingest = std::time::Duration::ZERO;
+        let mut entries = 0;
+        for round in 0..=ROUNDS {
+            if round == WARM_ROUNDS {
+                in_ingest = std::time::Duration::ZERO;
+                entries = ctl.metrics().snapshot().delta_entries;
+            }
+            for (h, p) in peripheries.iter_mut().enumerate() {
+                p.observe(&snapshot(h as u32, u64::from(round) + 1, round), false, 0);
+                let start = Instant::now();
+                pump(p, &ctl);
+                in_ingest += start.elapsed();
+            }
+            ctl.take_repl_frames();
+            ctl.advance_tick();
+        }
+        let entries = ctl.metrics().snapshot().delta_entries - entries;
+        best = best.min(in_ingest.as_nanos() as f64 / entries as f64);
     }
     best
 }
@@ -252,6 +301,9 @@ fn main() {
     let traced_secs = ingest_elapsed_secs(true);
     let untraced_secs = ingest_elapsed_secs(false);
     let obs_overhead_ratio = traced_secs / untraced_secs.max(f64::EPSILON);
+    let journaled_ingest_ns = ingest_ns_per_entry(true);
+    let bare_ingest_ns = ingest_ns_per_entry(false);
+    let journaled_ingest_ratio = journaled_ingest_ns / bare_ingest_ns.max(f64::EPSILON);
 
     let json = format!(
         "{{\n  \"bench\": \"fleet\",\n  \"hosts\": {HOSTS},\n  \"containers\": {},\n  \
@@ -260,13 +312,17 @@ fn main() {
          \"periphery_resync_ticks\": {resync_ticks},\n  \
          \"failover_ticks_to_fresh\": {failover_ticks_to_fresh},\n  \
          \"repl_lag_records\": {repl_lag_records},\n  \
-         \"obs_overhead_ratio\": {obs_overhead_ratio:.3},\n  \"thresholds\": {{\n    \
+         \"obs_overhead_ratio\": {obs_overhead_ratio:.3},\n  \
+         \"journaled_ingest_ns_per_entry\": {journaled_ingest_ns:.1},\n  \
+         \"bare_ingest_ns_per_entry\": {bare_ingest_ns:.1},\n  \
+         \"journaled_ingest_ratio\": {journaled_ingest_ratio:.3},\n  \"thresholds\": {{\n    \
          \"min_ingest_entries_per_sec\": {MIN_INGEST_ENTRIES_PER_SEC:.0},\n    \
          \"max_rollup_query_ns\": {MAX_ROLLUP_QUERY_NS:.0},\n    \
          \"max_resync_ticks\": {MAX_RESYNC_TICKS},\n    \
          \"max_failover_ticks_to_fresh\": {MAX_FAILOVER_TICKS_TO_FRESH},\n    \
          \"max_repl_lag_records\": {MAX_REPL_LAG_RECORDS},\n    \
-         \"max_obs_overhead_ratio\": {MAX_OBS_OVERHEAD_RATIO}\n  }}\n}}\n",
+         \"max_obs_overhead_ratio\": {MAX_OBS_OVERHEAD_RATIO},\n    \
+         \"max_journaled_ingest_ratio\": {MAX_JOURNALED_INGEST_RATIO}\n  }}\n}}\n",
         u64::from(HOSTS) * u64::from(CONTAINERS),
     );
     // Cargo runs bench binaries with the package as cwd; anchor the
@@ -305,6 +361,13 @@ fn main() {
         eprintln!(
             "FAIL: observability overhead {obs_overhead_ratio:.3}x > {MAX_OBS_OVERHEAD_RATIO}x \
              (traced {traced_secs:.4}s vs untraced {untraced_secs:.4}s)"
+        );
+        failed = true;
+    }
+    if journaled_ingest_ratio > MAX_JOURNALED_INGEST_RATIO {
+        eprintln!(
+            "FAIL: journal + replication make ingest {journaled_ingest_ratio:.3}x bare > \
+             {MAX_JOURNALED_INGEST_RATIO}x ({journaled_ingest_ns:.1} vs {bare_ingest_ns:.1} ns/entry)"
         );
         failed = true;
     }

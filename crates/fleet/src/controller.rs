@@ -39,7 +39,8 @@
 
 use arv_persist::lease::{Lease, LeaseError, LeaseFile};
 use arv_persist::{
-    decode_records, encode_record, restore, Journal, Record, Snapshot, Store, ViewState,
+    decode_records, frame_checkpoint, frame_delta, frame_remove, framed_len, restore, Journal,
+    MemStore, Record, Snapshot, Store, StoreError, ViewState,
 };
 use arv_telemetry::{FlightRecorder, FlightTrigger, LagHistogram, PipelineEvent, PromText, Tracer};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -48,10 +49,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::protocol::{
-    decode_frame, encode_ack, encode_policy, encode_repl, encode_rollup, Ack, ClusterRollup, Delta,
-    DeltaEntry, FleetPolicy, Frame, HostSummary, PressurePoint, Query, Repl, Rollup, RollupFrame,
-    SpanStamp, TenantRollup, MAX_FLEET_FRAME, QUERY_CLUSTER, QUERY_FLIGHT, QUERY_STATS,
-    QUERY_TENANT, QUERY_TOPK, REPL_PEER,
+    decode_frame, encode_ack, encode_policy, encode_repl_parts, encode_rollup, Ack, ClusterRollup,
+    Delta, DeltaEntry, FleetPolicy, Frame, HostSummary, PressurePoint, Query, Repl, Rollup,
+    RollupFrame, SpanStamp, TenantRollup, MAX_FLEET_FRAME, QUERY_CLUSTER, QUERY_FLIGHT,
+    QUERY_STATS, QUERY_TENANT, QUERY_TOPK, REPL_PEER,
 };
 
 /// A lease store shared between contending controllers — the
@@ -119,117 +120,104 @@ fn pack_id(host: u32, container: u32) -> Option<u32> {
     }
 }
 
-/// Lock-free counters for the controller. The four headline counters
-/// (`deltas_ingested`, `deltas_gap_resyncs`, `hosts_partitioned`,
-/// `rollup_queries`) are the ones the Prometheus exposition leads with.
-#[derive(Debug, Default)]
-pub struct FleetMetrics {
+/// The journalable form of one container's entry on `host`: id packed
+/// by [`pack_id`], tenant in the top 16 bits of `last_tick` (host ticks
+/// never approach 2^48). `None` if the ids do not fit.
+fn pack_state(host: u32, e: &DeltaEntry) -> Option<ViewState> {
+    Some(ViewState {
+        id: pack_id(host, e.id)?,
+        e_cpu: e.e_cpu,
+        e_mem: e.e_mem,
+        e_avail: e.e_avail,
+        last_tick: (u64::from(e.tenant) << 48) | (e.last_tick & TICK_MASK),
+    })
+}
+
+/// [`pack_state`] undone: the container's entry on host `e.id >> 16`.
+fn unpack_state(e: &ViewState) -> DeltaEntry {
+    DeltaEntry {
+        id: e.id & 0xFFFF,
+        tenant: (e.last_tick >> 48) as u32,
+        e_cpu: e.e_cpu,
+        e_mem: e.e_mem,
+        e_avail: e.e_avail,
+        last_tick: e.last_tick & TICK_MASK,
+    }
+}
+
+/// The controller's counters, listed once: [`FleetMetrics`] holds them
+/// lock-free, [`FleetMetricsSnapshot`] is a point-in-time copy.
+macro_rules! fleet_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Lock-free counters for the controller. The four headline
+        /// counters (`deltas_ingested`, `deltas_gap_resyncs`,
+        /// `hosts_partitioned`, `rollup_queries`) are the ones the
+        /// Prometheus exposition leads with.
+        #[derive(Debug, Default)]
+        pub struct FleetMetrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of [`FleetMetrics`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct FleetMetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl FleetMetrics {
+            /// Copy the counters.
+            pub fn snapshot(&self) -> FleetMetricsSnapshot {
+                FleetMetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+fleet_counters! {
     /// DELTA frames accepted and applied.
-    pub deltas_ingested: AtomicU64,
+    deltas_ingested,
     /// Delta entries applied across all accepted frames.
-    pub delta_entries: AtomicU64,
+    delta_entries,
     /// Sequence gaps detected (each flips a host into resync).
-    pub deltas_gap_resyncs: AtomicU64,
+    deltas_gap_resyncs,
     /// FULL snapshots accepted.
-    pub full_syncs: AtomicU64,
+    full_syncs,
     /// Transitions of a host into the partitioned state.
-    pub hosts_partitioned: AtomicU64,
+    hosts_partitioned,
     /// Rollup queries answered (cluster, tenant, top-k, stats).
-    pub rollup_queries: AtomicU64,
+    rollup_queries,
     /// Frames that failed to decode (connection-fatal for the sender).
-    pub malformed_frames: AtomicU64,
+    malformed_frames,
     /// Policy blocks pushed down in ACKs.
-    pub policy_pushes: AtomicU64,
+    policy_pushes,
     /// HELLO frames answered.
-    pub hellos: AtomicU64,
+    hellos,
     /// Standby→primary promotions (lease takeovers).
-    pub promotions: AtomicU64,
+    promotions,
     /// Primary→standby demotions (lost lease / saw a higher epoch).
-    pub demotions: AtomicU64,
+    demotions,
     /// Journal records streamed out in REPL frames (primary side).
-    pub repl_records_streamed: AtomicU64,
+    repl_records_streamed,
     /// Journal records applied into the shadow index (standby side).
-    pub repl_records_applied: AtomicU64,
+    repl_records_applied,
     /// REPL frames fenced for carrying a stale controller epoch.
-    pub repl_fenced: AtomicU64,
+    repl_fenced,
     /// Full checkpoints queued because a standby lost REPL sequence.
-    pub repl_gap_snapshots: AtomicU64,
+    repl_gap_snapshots,
     /// REPL frames whose record stream was torn or corrupt (the valid
     /// prefix was applied; a checkpoint was demanded).
-    pub repl_truncated: AtomicU64,
+    repl_truncated,
     /// HELLO/DELTA frames rejected because this controller does not
     /// hold the lease.
-    pub not_leader_rejects: AtomicU64,
+    not_leader_rejects,
     /// Journal/lease store errors absorbed by this controller (its own
-    /// durability ladder, not the per-host summaries).
-    pub journal_io_errors: AtomicU64,
-}
-
-/// A point-in-time copy of [`FleetMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetMetricsSnapshot {
-    /// DELTA frames accepted and applied.
-    pub deltas_ingested: u64,
-    /// Delta entries applied across all accepted frames.
-    pub delta_entries: u64,
-    /// Sequence gaps detected.
-    pub deltas_gap_resyncs: u64,
-    /// FULL snapshots accepted.
-    pub full_syncs: u64,
-    /// Transitions of a host into the partitioned state.
-    pub hosts_partitioned: u64,
-    /// Rollup queries answered.
-    pub rollup_queries: u64,
-    /// Frames that failed to decode.
-    pub malformed_frames: u64,
-    /// Policy blocks pushed down in ACKs.
-    pub policy_pushes: u64,
-    /// HELLO frames answered.
-    pub hellos: u64,
-    /// Standby→primary promotions.
-    pub promotions: u64,
-    /// Primary→standby demotions.
-    pub demotions: u64,
-    /// Journal records streamed out in REPL frames.
-    pub repl_records_streamed: u64,
-    /// Journal records applied into the shadow index.
-    pub repl_records_applied: u64,
-    /// REPL frames fenced for carrying a stale epoch.
-    pub repl_fenced: u64,
-    /// Full checkpoints queued after a standby REPL gap.
-    pub repl_gap_snapshots: u64,
-    /// REPL frames with a torn or corrupt record stream.
-    pub repl_truncated: u64,
-    /// Frames rejected for lack of the lease.
-    pub not_leader_rejects: u64,
-    /// Journal/lease store errors absorbed by this controller.
-    pub journal_io_errors: u64,
-}
-
-impl FleetMetrics {
-    /// Copy the counters.
-    pub fn snapshot(&self) -> FleetMetricsSnapshot {
-        FleetMetricsSnapshot {
-            deltas_ingested: self.deltas_ingested.load(Ordering::Relaxed),
-            delta_entries: self.delta_entries.load(Ordering::Relaxed),
-            deltas_gap_resyncs: self.deltas_gap_resyncs.load(Ordering::Relaxed),
-            full_syncs: self.full_syncs.load(Ordering::Relaxed),
-            hosts_partitioned: self.hosts_partitioned.load(Ordering::Relaxed),
-            rollup_queries: self.rollup_queries.load(Ordering::Relaxed),
-            malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
-            policy_pushes: self.policy_pushes.load(Ordering::Relaxed),
-            hellos: self.hellos.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-            repl_records_streamed: self.repl_records_streamed.load(Ordering::Relaxed),
-            repl_records_applied: self.repl_records_applied.load(Ordering::Relaxed),
-            repl_fenced: self.repl_fenced.load(Ordering::Relaxed),
-            repl_gap_snapshots: self.repl_gap_snapshots.load(Ordering::Relaxed),
-            repl_truncated: self.repl_truncated.load(Ordering::Relaxed),
-            not_leader_rejects: self.not_leader_rejects.load(Ordering::Relaxed),
-            journal_io_errors: self.journal_io_errors.load(Ordering::Relaxed),
-        }
-    }
+    /// durability ladder, not the per-host summaries). The unit is one
+    /// refused store interaction: a DELTA's record batch, a REPL
+    /// frame's shadow write, a tick's sync or checkpoint, or a lease
+    /// write — not one per record in a refused batch.
+    journal_io_errors,
 }
 
 /// Causal events retained per host for [`FleetController::explain_host`].
@@ -434,15 +422,22 @@ impl Totals {
     }
 }
 
-/// One shard: a slice of the host index plus its running totals.
+/// One shard: a slice of the host index plus its running sums — two
+/// fields, so a host is updated borrowed in place beside the sums.
 #[derive(Debug, Default)]
 struct Shard {
     hosts: HashMap<u32, HostEntry>,
+    sums: Sums,
+}
+
+/// A shard's running totals, overall and per tenant.
+#[derive(Debug, Default)]
+struct Sums {
     totals: Totals,
     tenants: HashMap<u32, Totals>,
 }
 
-impl Shard {
+impl Sums {
     fn upsert(&mut self, host: &mut HostEntry, e: DeltaEntry) {
         if let Some(old) = host.containers.insert(e.id, e) {
             self.totals.sub(&old);
@@ -480,6 +475,27 @@ struct JournalState {
     degraded: bool,
 }
 
+impl JournalState {
+    /// Shadow-journal the verified prefix `raw` of a REPL frame, decoded
+    /// as `records`: a checkpoint compacts the file (and supersedes
+    /// whatever the frame held before it); the records after the last
+    /// one go in as they came, in one write. Stops at the first store
+    /// error; syncs when there is none.
+    fn shadow(&mut self, raw: &[u8], records: &[Record], now: u64) -> Result<(), StoreError> {
+        let (mut tail, mut at) = (0, 0);
+        for record in records {
+            at += framed_len(&raw[at..]).unwrap_or(0);
+            if let Record::Checkpoint(snap) = record {
+                self.journal.checkpoint(snap)?;
+                self.last_checkpoint = now;
+                tail = at;
+            }
+        }
+        self.journal.append_framed(&raw[tail..])?;
+        self.journal.sync()
+    }
+}
+
 /// Lease plumbing: the shared store this controller contends on.
 #[derive(Debug)]
 struct LeaseState {
@@ -495,8 +511,11 @@ struct LeaseState {
 /// outbox and the standby's apply cursor.
 #[derive(Debug, Default)]
 struct ReplState {
-    /// Primary: CRC-framed record bytes not yet shipped.
-    outbox: Vec<Vec<u8>>,
+    /// Primary: CRC-framed records not yet shipped, back to back — the
+    /// very bytes the journal appended.
+    outbox: Vec<u8>,
+    /// Primary: how many records `outbox` holds.
+    outbox_records: u64,
     /// Primary: hosts whose DELTA was accepted since the last drain —
     /// their freshness rides the next REPL frame, records or none.
     heard: BTreeSet<u32>,
@@ -600,6 +619,21 @@ impl FleetController {
         );
     }
 
+    /// Record an edge of a durability ladder — this controller's own or
+    /// a host's: a trace-ring entry and a flight dump.
+    fn durability_edge(&self, now: u64, lost: bool) {
+        let (event, trigger) = if lost {
+            (PipelineEvent::DurabilityLost, FlightTrigger::DurabilityLost)
+        } else {
+            (
+                PipelineEvent::DurabilityRestored,
+                FlightTrigger::DurabilityRestored,
+            )
+        };
+        self.tracer.emit_pipeline(now, None, event);
+        self.record_flight(now, trigger);
+    }
+
     /// The controller's staleness clock (advanced by the driver once per
     /// aggregation period).
     pub fn now_tick(&self) -> u64 {
@@ -644,7 +678,19 @@ impl FleetController {
 
     /// Containers currently tracked.
     pub fn container_count(&self) -> u64 {
-        self.shards.iter().map(|s| lock(s).totals.containers).sum()
+        self.shards
+            .iter()
+            .map(|s| lock(s).sums.totals.containers)
+            .sum()
+    }
+
+    /// Visit every tracked host, one shard lock at a time.
+    fn each_host(&self, mut f: impl FnMut(u32, &mut HostEntry)) {
+        for shard in self.shards.iter() {
+            for (hid, host) in lock(shard).hosts.iter_mut() {
+                f(*hid, host);
+            }
+        }
     }
 
     fn shard_for(&self, host: u32) -> &Mutex<Shard> {
@@ -662,22 +708,19 @@ impl FleetController {
         self.maintain_lease(now);
         let budget = lock(&self.policy).staleness_budget;
         let mut newly_partitioned = false;
-        for shard in self.shards.iter() {
-            let mut s = lock(shard);
-            for host in s.hosts.values_mut() {
-                if !host.partitioned && now.saturating_sub(host.last_delta_tick) > budget {
-                    host.partitioned = true;
-                    let seq = host.expected_seq;
-                    host.push_event(now, HostEventKind::Partitioned, seq);
-                    newly_partitioned = true;
-                    self.metrics
-                        .hosts_partitioned
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.tracer
-                        .emit_pipeline(now, None, PipelineEvent::FleetPartitioned);
-                }
+        self.each_host(|_, host| {
+            if !host.partitioned && now.saturating_sub(host.last_delta_tick) > budget {
+                host.partitioned = true;
+                let seq = host.expected_seq;
+                host.push_event(now, HostEventKind::Partitioned, seq);
+                newly_partitioned = true;
+                self.metrics
+                    .hosts_partitioned
+                    .fetch_add(1, Ordering::Relaxed);
+                self.tracer
+                    .emit_pipeline(now, None, PipelineEvent::FleetPartitioned);
             }
-        }
+        });
         if newly_partitioned {
             // One dump per tick no matter how many hosts flipped: the
             // dump's counters already say how many went silent.
@@ -708,9 +751,7 @@ impl FleetController {
                     if js.degraded && !errored {
                         js.degraded = false;
                         drop(journal);
-                        self.tracer
-                            .emit_pipeline(now, None, PipelineEvent::DurabilityRestored);
-                        self.record_flight(now, FlightTrigger::DurabilityRestored);
+                        self.durability_edge(now, false);
                         return;
                     }
                 }
@@ -725,9 +766,7 @@ impl FleetController {
             js.degraded = true;
             drop(journal);
             if flip {
-                self.tracer
-                    .emit_pipeline(now, None, PipelineEvent::DurabilityLost);
-                self.record_flight(now, FlightTrigger::DurabilityLost);
+                self.durability_edge(now, true);
             }
         }
     }
@@ -836,19 +875,16 @@ impl FleetController {
     /// to Fresh.
     fn promote(&self, now: u64) {
         let mut flagged = 0u64;
-        for shard in self.shards.iter() {
-            let mut s = lock(shard);
-            for host in s.hosts.values_mut() {
-                host.needs_resync = true;
-                if !host.partitioned {
-                    host.partitioned = true;
-                    flagged += 1;
-                }
-                host.last_delta_tick = now;
-                let seq = host.expected_seq;
-                host.push_event(now, HostEventKind::Promoted, seq);
+        self.each_host(|_, host| {
+            host.needs_resync = true;
+            if !host.partitioned {
+                host.partitioned = true;
+                flagged += 1;
             }
-        }
+            host.last_delta_tick = now;
+            let seq = host.expected_seq;
+            host.push_event(now, HostEventKind::Promoted, seq);
+        });
         self.metrics
             .hosts_partitioned
             .fetch_add(flagged, Ordering::Relaxed);
@@ -948,10 +984,8 @@ impl FleetController {
         let host_id = d.host;
         let epoch = d.epoch;
         let mut s = lock(self.shard_for(host_id));
-        let shard = &mut *s;
-        // Take the host out of the map so shard totals and host state
-        // can be updated together without aliasing the shard borrow.
-        let mut host = shard.hosts.remove(&host_id).unwrap_or_default();
+        let Shard { hosts, sums } = &mut *s;
+        let host = hosts.entry(host_id).or_default();
 
         let accept = d.full || (d.seq == host.expected_seq && !host.needs_resync);
         if !accept {
@@ -969,7 +1003,6 @@ impl FleetController {
                     .emit_pipeline(now, None, PipelineEvent::FleetGapResync);
             }
             let expected = host.expected_seq;
-            shard.hosts.insert(host_id, host);
             drop(s);
             if gap_detected {
                 self.record_flight(now, FlightTrigger::GapResync);
@@ -980,16 +1013,20 @@ impl FleetController {
         let mut journaled_removals: Vec<u32> = Vec::new();
         if d.full {
             // Replace the host's state wholesale; containers absent from
-            // the snapshot are removals the journal must also see.
-            let stale: Vec<u32> = host
-                .containers
-                .keys()
-                .filter(|id| !d.entries.iter().any(|e| e.id == **id))
-                .copied()
-                .collect();
-            for id in stale {
-                shard.remove(&mut host, id);
-                journaled_removals.push(id);
+            // the snapshot are removals the journal must also see. The
+            // frame is not trusted to be sorted: its ids are, here, so
+            // a resync costs O(n log n) under the shard lock whatever
+            // the sender packed into it.
+            let mut kept: Vec<u32> = d.entries.iter().map(|e| e.id).collect();
+            kept.sort_unstable();
+            journaled_removals.extend(
+                host.containers
+                    .keys()
+                    .filter(|id| kept.binary_search(id).is_err()),
+            );
+            journaled_removals.sort_unstable();
+            for id in &journaled_removals {
+                sums.remove(host, *id);
             }
             host.needs_resync = false;
             host.expected_seq = d.seq + 1;
@@ -998,12 +1035,12 @@ impl FleetController {
             host.expected_seq += 1;
         }
         for id in &d.removed {
-            if shard.remove(&mut host, *id) {
+            if sums.remove(host, *id) {
                 journaled_removals.push(*id);
             }
         }
         for e in &d.entries {
-            shard.upsert(&mut host, *e);
+            sums.upsert(host, *e);
         }
         host.last_delta_tick = now;
         host.host_tick = d.tick;
@@ -1041,27 +1078,10 @@ impl FleetController {
             d.seq,
         );
         let expected = host.expected_seq;
-        shard.hosts.insert(host_id, host);
         drop(s);
 
         if durability_flip {
-            self.tracer.emit_pipeline(
-                now,
-                None,
-                if d.durability_lost {
-                    PipelineEvent::DurabilityLost
-                } else {
-                    PipelineEvent::DurabilityRestored
-                },
-            );
-            self.record_flight(
-                now,
-                if d.durability_lost {
-                    FlightTrigger::DurabilityLost
-                } else {
-                    FlightTrigger::DurabilityRestored
-                },
-            );
+            self.durability_edge(now, d.durability_lost);
         }
 
         self.metrics.deltas_ingested.fetch_add(1, Ordering::Relaxed);
@@ -1069,51 +1089,50 @@ impl FleetController {
             .delta_entries
             .fetch_add(d.entries.len() as u64, Ordering::Relaxed);
 
+        // Frame this DELTA's records once; the journal takes them in
+        // one write and the REPL outbox keeps the same bytes.
+        let frame_into = |out: &mut Vec<u8>| {
+            // Packed first, framed second: the encoder's wide loads
+            // stall on a state still in flight from the stack it was
+            // just packed on (37 against 18 ns a record, measured).
+            let states: Vec<ViewState> = d
+                .entries
+                .iter()
+                .filter_map(|e| pack_state(host_id, e))
+                .collect();
+            let removals = journaled_removals
+                .iter()
+                .filter_map(|id| pack_id(host_id, *id));
+            let mut records = states.len() as u64;
+            for packed in removals {
+                frame_remove(out, packed);
+                records += 1;
+            }
+            for state in &states {
+                frame_delta(out, state, now);
+            }
+            records
+        };
         let mut journal = lock(&self.journal);
         let mut repl = lock(&self.repl);
+        let mut refused = false;
         if let Some(rs) = repl.as_mut() {
             rs.heard.insert(host_id);
-        }
-        let mut journal_errs = 0u64;
-        if journal.is_some() || repl.is_some() {
-            for id in &journaled_removals {
-                if let Some(packed) = pack_id(host_id, *id) {
-                    if let Some(js) = journal.as_mut() {
-                        if js.journal.append_remove(packed).is_err() {
-                            journal_errs += 1;
-                        }
-                    }
-                    if let Some(rs) = repl.as_mut() {
-                        rs.outbox.push(encode_record(&Record::Remove(packed)));
-                    }
-                }
+            let start = rs.outbox.len();
+            rs.outbox_records += frame_into(&mut rs.outbox);
+            if let Some(js) = journal.as_mut() {
+                refused = js.journal.append_framed(&rs.outbox[start..]).is_err();
             }
-            for e in &d.entries {
-                if let Some(packed) = pack_id(host_id, e.id) {
-                    let state = ViewState {
-                        id: packed,
-                        e_cpu: e.e_cpu,
-                        e_mem: e.e_mem,
-                        e_avail: e.e_avail,
-                        last_tick: (u64::from(e.tenant) << 48) | (e.last_tick & TICK_MASK),
-                    };
-                    if let Some(js) = journal.as_mut() {
-                        if js.journal.append_delta(&state, now).is_err() {
-                            journal_errs += 1;
-                        }
-                    }
-                    if let Some(rs) = repl.as_mut() {
-                        rs.outbox
-                            .push(encode_record(&Record::Delta { state, tick: now }));
-                    }
-                }
-            }
+        } else if let Some(js) = journal.as_mut() {
+            let mut batch = Vec::new();
+            frame_into(&mut batch);
+            refused = js.journal.append_framed(&batch).is_err();
         }
-        // An append the store refused means the journal no longer holds
+        // A batch the store refused means the journal no longer holds
         // everything the live index does: flip the controller's own
         // ladder; the next successful checkpoint heals it (and rebuilds
         // the missing records from the index itself).
-        let flip = journal_errs > 0
+        let flip = refused
             && journal.as_mut().is_some_and(|js| {
                 let first = !js.degraded;
                 js.degraded = true;
@@ -1121,14 +1140,12 @@ impl FleetController {
             });
         drop(repl);
         drop(journal);
-        if journal_errs > 0 {
+        if refused {
             self.metrics
                 .journal_io_errors
-                .fetch_add(journal_errs, Ordering::Relaxed);
+                .fetch_add(1, Ordering::Relaxed);
             if flip {
-                self.tracer
-                    .emit_pipeline(now, None, PipelineEvent::DurabilityLost);
-                self.record_flight(now, FlightTrigger::DurabilityLost);
+                self.durability_edge(now, true);
             }
         }
 
@@ -1177,13 +1194,10 @@ impl FleetController {
         let now = self.now_tick();
         let mut origin_min = u64::MAX;
         let mut trace_max = 0u64;
-        for shard in self.shards.iter() {
-            let s = lock(shard);
-            for host in s.hosts.values() {
-                origin_min = origin_min.min(host.origin_tick);
-                trace_max = trace_max.max(host.trace_seq);
-            }
-        }
+        self.each_host(|_, host| {
+            origin_min = origin_min.min(host.origin_tick);
+            trace_max = trace_max.max(host.trace_seq);
+        });
         SpanStamp {
             as_of_tick: now,
             // No hosts: nothing is stale, the span collapses to now.
@@ -1202,12 +1216,7 @@ impl FleetController {
     pub fn host_freshness_lags(&self) -> Vec<(u32, u64)> {
         let now = self.now_tick();
         let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let s = lock(shard);
-            for (hid, host) in &s.hosts {
-                out.push((*hid, now.saturating_sub(host.origin_tick)));
-            }
-        }
+        self.each_host(|hid, host| out.push((hid, now.saturating_sub(host.origin_tick))));
         out.sort_unstable_by_key(|r| r.0);
         out
     }
@@ -1244,10 +1253,10 @@ impl FleetController {
         let mut out = ClusterRollup::default();
         for shard in self.shards.iter() {
             let s = lock(shard);
-            out.cpu += s.totals.cpu;
-            out.mem += s.totals.mem;
-            out.avail += s.totals.avail;
-            out.containers += s.totals.containers;
+            out.cpu += s.sums.totals.cpu;
+            out.mem += s.sums.totals.mem;
+            out.avail += s.sums.totals.avail;
+            out.containers += s.sums.totals.containers;
             out.hosts += s.hosts.len() as u32;
             out.partitioned += s.hosts.values().filter(|h| h.partitioned).count() as u32;
         }
@@ -1261,7 +1270,7 @@ impl FleetController {
         let mut degraded = false;
         for shard in self.shards.iter() {
             let s = lock(shard);
-            if let Some(t) = s.tenants.get(&tenant) {
+            if let Some(t) = s.sums.tenants.get(&tenant) {
                 out.cpu += t.cpu;
                 out.mem += t.mem;
                 out.avail += t.avail;
@@ -1277,21 +1286,18 @@ impl FleetController {
     /// answer is deterministic).
     pub fn top_pressured(&self, k: usize) -> Vec<PressurePoint> {
         let mut points: Vec<PressurePoint> = Vec::new();
-        for shard in self.shards.iter() {
-            let s = lock(shard);
-            for (hid, host) in &s.hosts {
-                for e in host.containers.values() {
-                    let pressure = (e.e_avail.min(e.e_mem) * 1000)
-                        .checked_div(e.e_mem)
-                        .map_or(0, |served| (1000 - served) as u32);
-                    points.push(PressurePoint {
-                        host: *hid,
-                        id: e.id,
-                        pressure_milli: pressure,
-                    });
-                }
+        self.each_host(|hid, host| {
+            for e in host.containers.values() {
+                let pressure = (e.e_avail.min(e.e_mem) * 1000)
+                    .checked_div(e.e_mem)
+                    .map_or(0, |served| (1000 - served) as u32);
+                points.push(PressurePoint {
+                    host: hid,
+                    id: e.id,
+                    pressure_milli: pressure,
+                });
             }
-        }
+        });
         points.sort_unstable_by(|a, b| {
             b.pressure_milli
                 .cmp(&a.pressure_milli)
@@ -1306,13 +1312,10 @@ impl FleetController {
     /// in host-id order — ground-truth checks in tests and experiments.
     pub fn host_rollups(&self) -> Vec<(u32, bool, u64, u64)> {
         let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let s = lock(shard);
-            for (hid, host) in &s.hosts {
-                let cpu: u64 = host.containers.values().map(|e| u64::from(e.e_cpu)).sum();
-                out.push((*hid, host.partitioned, host.containers.len() as u64, cpu));
-            }
-        }
+        self.each_host(|hid, host| {
+            let cpu: u64 = host.containers.values().map(|e| u64::from(e.e_cpu)).sum();
+            out.push((hid, host.partitioned, host.containers.len() as u64, cpu));
+        });
         out.sort_unstable_by_key(|r| r.0);
         out
     }
@@ -1323,17 +1326,7 @@ impl FleetController {
 
     /// Journal the aggregate state, checkpointing every `every` ticks.
     pub fn enable_journal(&mut self, every: u64) {
-        let snap = self.index_snapshot(self.now_tick());
-        let mut journal = Journal::new();
-        journal
-            .checkpoint(&snap)
-            .expect("MemStore checkpoint never fails");
-        *lock(&self.journal) = Some(JournalState {
-            journal,
-            every: every.max(1),
-            last_checkpoint: self.now_tick(),
-            degraded: false,
-        });
+        self.enable_journal_with_store(Box::new(MemStore::new()), every);
     }
 
     /// Journal over a caller-supplied storage backend (e.g. a seeded
@@ -1386,25 +1379,17 @@ impl FleetController {
     /// Hosts currently reporting `DurabilityLost` (the Prometheus
     /// `arv_fleet_durability_degraded_hosts` gauge).
     pub fn durability_degraded_hosts(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| lock(s).hosts.values().filter(|h| h.durability_lost).count() as u64)
-            .sum()
+        let mut lost = 0;
+        self.each_host(|_, host| lost += u64::from(host.durability_lost));
+        lost
     }
 
     /// Total bytes sitting in hosts' in-memory fallback journals, per
     /// the piggybacked summaries (`arv_fleet_journal_fallback_bytes`).
     pub fn journal_fallback_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                lock(s)
-                    .hosts
-                    .values()
-                    .map(|h| h.summary.journal_fallback_bytes)
-                    .sum::<u64>()
-            })
-            .sum()
+        let mut bytes = 0;
+        self.each_host(|_, host| bytes += host.summary.journal_fallback_bytes);
+        bytes
     }
 
     // -----------------------------------------------------------------
@@ -1423,9 +1408,7 @@ impl FleetController {
     /// Records queued for standbys but not yet shipped (replication
     /// lag, in records — the failover bench's headline number).
     pub fn repl_backlog_records(&self) -> u64 {
-        lock(&self.repl)
-            .as_ref()
-            .map_or(0, |rs| rs.outbox.len() as u64)
+        lock(&self.repl).as_ref().map_or(0, |rs| rs.outbox_records)
     }
 
     /// Standby: the primary's tick stamped on the last applied REPL
@@ -1450,39 +1433,35 @@ impl FleetController {
         if rs.send_snapshot {
             rs.send_snapshot = false;
             rs.outbox.clear();
-            rs.outbox
-                .push(encode_record(&Record::Checkpoint(self.index_snapshot(now))));
+            frame_checkpoint(&mut rs.outbox, &self.index_snapshot(now));
+            rs.outbox_records = 1;
         }
         if rs.outbox.is_empty() && rs.heard.is_empty() {
             return Vec::new();
         }
-        let records = std::mem::take(&mut rs.outbox);
         let heard: Vec<u32> = std::mem::take(&mut rs.heard).into_iter().collect();
         self.metrics
             .repl_records_streamed
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
+            .fetch_add(std::mem::take(&mut rs.outbox_records), Ordering::Relaxed);
         let budget = (MAX_FLEET_FRAME as usize).saturating_sub(64 + 4 * heard.len());
         let mut frames = Vec::new();
-        let mut frame = |heard: Vec<u32>, records: Vec<u8>| {
-            frames.push(encode_repl(&Repl {
-                ctl_epoch: epoch,
-                repl_seq: rs.next_seq,
-                as_of_tick: now,
-                heard,
-                records,
-            }));
+        let mut frame = |heard: &[u32], records: &[u8]| {
+            frames.push(encode_repl_parts(epoch, rs.next_seq, now, heard, records));
             rs.next_seq += 1;
         };
-        let mut cur: Vec<u8> = Vec::new();
-        for rec in records {
-            if !cur.is_empty() && cur.len() + rec.len() > budget {
-                frame(Vec::new(), std::mem::take(&mut cur));
+        // Chunk at record boundaries, read off the length words.
+        let (mut start, mut end) = (0, 0);
+        while let Some(len) = framed_len(&rs.outbox[end..]) {
+            if end > start && end - start + len > budget {
+                frame(&[], &rs.outbox[start..end]);
+                start = end;
             }
-            cur.extend_from_slice(&rec);
+            end += len;
         }
         // The last frame carries the heard list — alone when every host
         // that reported was quiet.
-        frame(heard, cur);
+        frame(&heard, &rs.outbox[start..]);
+        rs.outbox.clear();
         frames
     }
 
@@ -1572,9 +1551,7 @@ impl FleetController {
         rs.expected_seq = r.repl_seq + 1;
         rs.need_snapshot = false;
         rs.last_as_of = rs.last_as_of.max(r.as_of_tick);
-        for record in &scan.records {
-            self.apply_record(record, now);
-        }
+        self.apply_records(&scan.records, now);
         for host_id in &r.heard {
             if let Some(host) = lock(self.shard_for(*host_id)).hosts.get_mut(host_id) {
                 host.last_delta_tick = now;
@@ -1591,123 +1568,111 @@ impl FleetController {
         // the standby flags its ladder and demands a fresh checkpoint;
         // a checkpoint-led frame that lands cleanly heals the flag.
         let mut shadow_err = false;
-        let mut flip = false;
-        let mut healed = false;
+        let mut edge = false;
         if let Some(js) = journal.as_mut() {
             js.journal.set_tick(now);
-            for record in &scan.records {
-                let res = match record {
-                    Record::Checkpoint(s) => {
-                        let res = js.journal.checkpoint(s);
-                        if res.is_ok() {
-                            js.last_checkpoint = now;
-                        }
-                        res
-                    }
-                    Record::Delta { state, tick } => js.journal.append_delta(state, *tick),
-                    Record::Remove(id) => js.journal.append_remove(*id),
-                };
-                if res.is_err() {
-                    shadow_err = true;
-                    break;
-                }
-            }
-            if !shadow_err && js.journal.sync().is_err() {
-                shadow_err = true;
-            }
-            if shadow_err {
-                flip = !js.degraded;
-                js.degraded = true;
-            } else if js.degraded && starts_with_checkpoint {
-                js.degraded = false;
-                healed = true;
+            let verified = &r.records[..scan.verified_len];
+            shadow_err = js.shadow(verified, &scan.records, now).is_err();
+            edge = if shadow_err {
+                !js.degraded
+            } else {
+                js.degraded && starts_with_checkpoint
+            };
+            if edge {
+                js.degraded = shadow_err;
             }
         }
         drop(journal);
+        // The valid prefix is applied (prefix-consistent, like the
+        // journal); a lost tail forces a checkpoint realign.
+        let resync = shadow_err || scan.truncated > 0;
         if shadow_err {
             self.metrics
                 .journal_io_errors
                 .fetch_add(1, Ordering::Relaxed);
-            rs.need_snapshot = true;
-            let expected = rs.expected_seq;
-            drop(repl);
-            if flip {
-                self.tracer
-                    .emit_pipeline(now, None, PipelineEvent::DurabilityLost);
-                self.record_flight(now, FlightTrigger::DurabilityLost);
-            }
-            return repl_ack(expected, epoch, true);
-        }
-        if healed {
-            self.tracer
-                .emit_pipeline(now, None, PipelineEvent::DurabilityRestored);
-            self.record_flight(now, FlightTrigger::DurabilityRestored);
-        }
-        if scan.truncated > 0 {
-            // The valid prefix is applied (prefix-consistent, like the
-            // journal); the lost tail forces a checkpoint realign.
+        } else if resync {
             self.metrics.repl_truncated.fetch_add(1, Ordering::Relaxed);
-            rs.need_snapshot = true;
-            let expected = rs.expected_seq;
-            drop(repl);
-            return repl_ack(expected, epoch, true);
         }
+        rs.need_snapshot = resync;
         let expected = rs.expected_seq;
         drop(repl);
-        repl_ack(expected, epoch, false)
+        if edge {
+            self.durability_edge(now, shadow_err);
+        }
+        repl_ack(expected, epoch, resync)
     }
 
-    /// Fold one replicated journal record into the live index.
-    fn apply_record(&self, record: &Record, now: u64) {
-        match record {
-            Record::Checkpoint(snap) => {
-                for shard in self.shards.iter() {
-                    let mut s = lock(shard);
-                    s.hosts.clear();
-                    s.totals = Totals::default();
-                    s.tenants.clear();
+    /// Fold replicated journal records into the live index, each run of
+    /// one host's records under one shard lock.
+    fn apply_records(&self, records: &[Record], now: u64) {
+        let host_of = |r: &Record| match r {
+            Record::Checkpoint(_) => None,
+            Record::Delta { state, .. } => Some(state.id >> 16),
+            Record::Remove(packed) => Some(packed >> 16),
+        };
+        let mut rest = records;
+        while let Some(first) = rest.first() {
+            let host_id = host_of(first);
+            let n = match host_id {
+                Some(_) => rest.iter().take_while(|r| host_of(r) == host_id).count(),
+                None => 1,
+            };
+            let (run, tail) = rest.split_at(n);
+            rest = tail;
+            let Some(host_id) = host_id else {
+                if let Record::Checkpoint(snap) = first {
+                    for shard in self.shards.iter() {
+                        *lock(shard) = Shard::default();
+                    }
+                    self.apply_states(&snap.entries, now);
                 }
-                for e in &snap.entries {
-                    self.apply_packed_state(e, now);
-                }
+                continue;
+            };
+            let mut s = lock(self.shard_for(host_id));
+            let Shard { hosts, sums } = &mut *s;
+            // A removal alone never makes a host known or fresh.
+            let fresh = run.iter().any(|r| matches!(r, Record::Delta { .. }));
+            let host = if fresh {
+                Some(hosts.entry(host_id).or_default())
+            } else {
+                hosts.get_mut(&host_id)
+            };
+            let Some(host) = host else { continue };
+            if fresh {
+                host.last_delta_tick = now;
+                host.partitioned = false;
             }
-            Record::Delta { state, .. } => self.apply_packed_state(state, now),
-            Record::Remove(packed) => {
-                let host_id = *packed >> 16;
-                let container = *packed & 0xFFFF;
-                let mut s = lock(self.shard_for(host_id));
-                let shard = &mut *s;
-                if let Some(mut host) = shard.hosts.remove(&host_id) {
-                    shard.remove(&mut host, container);
-                    shard.hosts.insert(host_id, host);
+            for record in run {
+                match record {
+                    Record::Delta { state, .. } => sums.upsert(host, unpack_state(state)),
+                    Record::Remove(packed) => {
+                        sums.remove(host, packed & 0xFFFF);
+                    }
+                    Record::Checkpoint(_) => {}
                 }
             }
         }
     }
 
-    /// Upsert one packed (`host << 16 | container`) state into the
-    /// shadow index, refreshing the host's staleness clock.
-    fn apply_packed_state(&self, e: &ViewState, now: u64) {
-        let host_id = e.id >> 16;
-        let container = e.id & 0xFFFF;
-        let tenant = (e.last_tick >> 48) as u32;
-        let mut s = lock(self.shard_for(host_id));
-        let shard = &mut *s;
-        let mut host = shard.hosts.remove(&host_id).unwrap_or_default();
-        host.last_delta_tick = now;
-        host.partitioned = false;
-        shard.upsert(
-            &mut host,
-            DeltaEntry {
-                id: container,
-                tenant,
-                e_cpu: e.e_cpu,
-                e_mem: e.e_mem,
-                e_avail: e.e_avail,
-                last_tick: e.last_tick & TICK_MASK,
-            },
-        );
-        shard.hosts.insert(host_id, host);
+    /// Upsert packed states into the index, each run of one host's
+    /// states under one shard lock, refreshing the host's staleness
+    /// clock.
+    fn apply_states(&self, states: &[ViewState], now: u64) {
+        let mut rest = states;
+        while let Some(first) = rest.first() {
+            let host_id = first.id >> 16;
+            let n = rest.iter().take_while(|e| e.id >> 16 == host_id).count();
+            let (run, tail) = rest.split_at(n);
+            rest = tail;
+            let mut s = lock(self.shard_for(host_id));
+            let Shard { hosts, sums } = &mut *s;
+            let host = hosts.entry(host_id).or_default();
+            host.last_delta_tick = now;
+            host.partitioned = false;
+            for e in run {
+                sums.upsert(host, unpack_state(e));
+            }
+        }
     }
 
     /// Build a persistable snapshot of the whole index: ids packed
@@ -1715,22 +1680,11 @@ impl FleetController {
     /// `last_tick` (host ticks never approach 2^48).
     fn index_snapshot(&self, tick: u64) -> Snapshot {
         let mut snap = Snapshot::at(tick);
-        for shard in self.shards.iter() {
-            let s = lock(shard);
-            for (hid, host) in &s.hosts {
-                for e in host.containers.values() {
-                    if let Some(packed) = pack_id(*hid, e.id) {
-                        snap.entries.push(ViewState {
-                            id: packed,
-                            e_cpu: e.e_cpu,
-                            e_mem: e.e_mem,
-                            e_avail: e.e_avail,
-                            last_tick: (u64::from(e.tenant) << 48) | (e.last_tick & TICK_MASK),
-                        });
-                    }
-                }
-            }
-        }
+        self.each_host(|hid, host| {
+            let states = host.containers.values();
+            snap.entries
+                .extend(states.filter_map(|e| pack_state(hid, e)));
+        });
         snap.entries.sort_unstable_by_key(|e| e.id);
         snap
     }
@@ -1747,36 +1701,13 @@ impl FleetController {
             return ctl;
         };
         ctl.tick = AtomicU64::new(snap.tick);
+        ctl.apply_states(&snap.entries, snap.tick);
         let mut partitioned = 0u64;
-        {
-            let mut seen = std::collections::HashSet::new();
-            for e in &snap.entries {
-                let host_id = e.id >> 16;
-                let container = e.id & 0xFFFF;
-                let tenant = (e.last_tick >> 48) as u32;
-                let mut s = lock(ctl.shard_for(host_id));
-                let shard = &mut *s;
-                let mut host = shard.hosts.remove(&host_id).unwrap_or_default();
-                if seen.insert(host_id) {
-                    host.partitioned = true;
-                    host.needs_resync = true;
-                    host.last_delta_tick = snap.tick;
-                    partitioned += 1;
-                }
-                shard.upsert(
-                    &mut host,
-                    DeltaEntry {
-                        id: container,
-                        tenant,
-                        e_cpu: e.e_cpu,
-                        e_mem: e.e_mem,
-                        e_avail: e.e_avail,
-                        last_tick: e.last_tick & TICK_MASK,
-                    },
-                );
-                shard.hosts.insert(host_id, host);
-            }
-        }
+        ctl.each_host(|_, host| {
+            host.partitioned = true;
+            host.needs_resync = true;
+            partitioned += 1;
+        });
         ctl.metrics
             .hosts_partitioned
             .store(partitioned, Ordering::Relaxed);
@@ -1881,7 +1812,7 @@ impl FleetController {
         );
         out.counter(
             "arv_fleet_journal_io_errors",
-            "Journal/lease store errors absorbed by this controller",
+            "Journal/lease store refusals absorbed by this controller (one per refused batch, sync, checkpoint or lease write)",
             m.journal_io_errors as f64,
         );
         out.gauge(
@@ -1931,81 +1862,52 @@ impl FleetController {
         // order is sorted so scrapes are deterministic.
         type HostRow = (u32, u64, u64, u64, bool, bool, HostSummary, LagHistogram);
         let mut hosts: Vec<HostRow> = Vec::new();
-        for shard in self.shards.iter() {
-            let s = lock(shard);
-            for (hid, host) in &s.hosts {
-                hosts.push((
-                    *hid,
-                    now.saturating_sub(host.origin_tick),
-                    host.origin_tick,
-                    host.trace_seq,
-                    host.partitioned,
-                    host.durability_lost,
-                    host.summary,
-                    host.waterfall,
-                ));
-            }
-        }
+        self.each_host(|hid, host| {
+            hosts.push((
+                hid,
+                now.saturating_sub(host.origin_tick),
+                host.origin_tick,
+                host.trace_seq,
+                host.partitioned,
+                host.durability_lost,
+                host.summary,
+                host.waterfall,
+            ));
+        });
         hosts.sort_unstable_by_key(|h| h.0);
-        out.header(
-            "arv_fleet_host_freshness_lag_ticks",
-            "Per-host end-to-end freshness lag (controller tick minus origin tick)",
-            "gauge",
-        );
-        for (hid, lag, ..) in &hosts {
-            out.labeled(
+        type Gauge = (&'static str, &'static str, fn(&HostRow) -> f64);
+        let gauges: [Gauge; 5] = [
+            (
                 "arv_fleet_host_freshness_lag_ticks",
-                &[("host", hid.to_string())],
-                *lag as f64,
-            );
-        }
-        out.header(
-            "arv_fleet_host_origin_tick",
-            "Per-host origin tick of the newest accepted delta",
-            "gauge",
-        );
-        for (hid, _, origin, ..) in &hosts {
-            out.labeled(
+                "Per-host end-to-end freshness lag (controller tick minus origin tick)",
+                |h| h.1 as f64,
+            ),
+            (
                 "arv_fleet_host_origin_tick",
-                &[("host", hid.to_string())],
-                *origin as f64,
-            );
-        }
-        out.header(
-            "arv_fleet_host_trace_seq",
-            "Per-host newest periphery trace sequence ingested",
-            "gauge",
-        );
-        for (hid, _, _, trace, ..) in &hosts {
-            out.labeled(
+                "Per-host origin tick of the newest accepted delta",
+                |h| h.2 as f64,
+            ),
+            (
                 "arv_fleet_host_trace_seq",
-                &[("host", hid.to_string())],
-                *trace as f64,
-            );
-        }
-        out.header(
-            "arv_fleet_host_partitioned",
-            "Whether the host is currently partitioned (1) or live (0)",
-            "gauge",
-        );
-        for (hid, _, _, _, part, ..) in &hosts {
-            out.labeled(
+                "Per-host newest periphery trace sequence ingested",
+                |h| h.3 as f64,
+            ),
+            (
                 "arv_fleet_host_partitioned",
-                &[("host", hid.to_string())],
-                if *part { 1.0 } else { 0.0 },
-            );
-        }
-        out.header(
-            "arv_fleet_host_durability_lost",
-            "Whether the host's journal has lost durability (1) or is durable (0)",
-            "gauge",
-        );
-        for (hid, _, _, _, _, lost, ..) in &hosts {
-            out.labeled(
+                "Whether the host is currently partitioned (1) or live (0)",
+                |h| f64::from(u8::from(h.4)),
+            ),
+            (
                 "arv_fleet_host_durability_lost",
-                &[("host", hid.to_string())],
-                if *lost { 1.0 } else { 0.0 },
-            );
+                "Whether the host's journal has lost durability (1) or is durable (0)",
+                |h| f64::from(u8::from(h.5)),
+            ),
+        ];
+        for (name, help, value) in gauges {
+            out.header(name, help, "gauge");
+            for host in &hosts {
+                out.labeled(name, &[("host", host.0.to_string())], value(host));
+            }
         }
         out.header(
             "arv_fleet_host_agent",
@@ -2610,5 +2512,264 @@ mod tests {
             panic!("expected ROLLUP");
         };
         assert_eq!(frame.body, Rollup::Flight(Vec::new()));
+    }
+    mod diff_props {
+        use super::*;
+        use crate::protocol::{encode_delta, encode_repl, HostSummary};
+        use crate::reference::{snapshot_of, Index, RecordPrimary, RecordStandby};
+        use proptest::prelude::*;
+
+        /// `(cpu, mem, avail, containers)` over `index`, of one tenant
+        /// or of all.
+        fn sums(index: &Index, tenant: Option<u32>) -> (u64, u64, u64, u64) {
+            index
+                .values()
+                .flat_map(|c| c.values())
+                .filter(|e| tenant.map_or(true, |t| e.tenant == t))
+                .fold((0, 0, 0, 0), |(c, m, a, n), e| {
+                    (c + u64::from(e.e_cpu), m + e.e_mem, a + e.e_avail, n + 1)
+                })
+        }
+
+        /// `ctl`'s index and running sums are exactly `index`.
+        fn assert_mirrors(ctl: &FleetController, index: &Index, hosts: usize) {
+            assert_eq!(ctl.index_snapshot(0), snapshot_of(index, 0));
+            assert_eq!(ctl.host_count(), hosts);
+            let r = ctl.cluster_capacity();
+            assert_eq!((r.cpu, r.mem, r.avail, r.containers), sums(index, None));
+            for tenant in 0..4 {
+                let (t, _) = ctl.tenant_rollup(tenant);
+                assert_eq!(
+                    (t.cpu, t.mem, t.avail, t.containers),
+                    sums(index, Some(tenant)),
+                    "tenant {tenant}"
+                );
+            }
+        }
+
+        // More records than one REPL frame holds: both outboxes split
+        // at the same record boundaries.
+        #[test]
+        fn a_backlog_past_one_frame_splits_at_the_same_records() {
+            let primary = FleetController::new(2, FleetPolicy::default());
+            primary.enable_replication();
+            let mut ref_primary = RecordPrimary::new(u64::MAX);
+            // The checkpoint that aligns a fresh standby goes first.
+            assert_eq!(primary.take_repl_frames(), ref_primary.take_repl_frames());
+            for seq in 0..120u64 {
+                let d = Delta {
+                    host: 1,
+                    seq,
+                    tick: 0,
+                    full: seq == 0,
+                    health: 0,
+                    durability_lost: false,
+                    staleness_age: 0,
+                    epoch: 0,
+                    origin_tick: 0,
+                    trace_seq: seq,
+                    summary: HostSummary::default(),
+                    entries: (0..200u32)
+                        .map(|id| DeltaEntry {
+                            id,
+                            tenant: 0,
+                            e_cpu: 1 + (seq as u32 + id) % 7,
+                            e_mem: 100,
+                            e_avail: 40,
+                            last_tick: seq,
+                        })
+                        .collect(),
+                    removed: vec![200 + seq as u32],
+                };
+                primary.handle_frame(&encode_delta(&d)).expect("answered");
+                assert!(ref_primary.handle_delta(&d));
+            }
+            assert_eq!(primary.repl_backlog_records(), 24_000);
+            let frames = primary.take_repl_frames();
+            assert_eq!(frames.len(), 2, "24 000 records of 49 bytes, 1 MiB frames");
+            assert!(frames.iter().all(|f| f.len() <= MAX_FLEET_FRAME as usize));
+            assert_eq!(frames, ref_primary.take_repl_frames());
+            assert_eq!(primary.repl_backlog_records(), 0);
+        }
+
+        type Op = (u8, u32, Vec<(u32, u32, u32, u64)>, Vec<u32>, usize);
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            // Arbitrary DELTA streams — upserts, removals, FULLs that
+            // leave stale containers behind, gaps, ids too wide to
+            // journal — interleaved with ticks and REPL pumps that are
+            // whole, torn mid-record or lost: batch framing writes the
+            // primary journal, the REPL frames and the shadow journal
+            // the record-at-a-time path wrote, byte for byte, and leaves
+            // the same indexes and rollups.
+            #[test]
+            fn batch_framing_equals_the_per_record_path(
+                every in 1u64..6,
+                ops in prop::collection::vec(
+                    (0u8..13, 0u32..3,
+                     prop::collection::vec((0u32..10, 0u32..4, 1u32..8, 1u64..5), 0..6),
+                     prop::collection::vec(0u32..9, 0..3),
+                     1usize..60),
+                    1..40),
+            ) {
+                let mut primary = FleetController::new(2, FleetPolicy::default());
+                primary.enable_journal(every);
+                primary.enable_replication();
+                let mut standby = FleetController::new(4, FleetPolicy::default());
+                standby.enable_journal(u64::MAX);
+                let mut ref_primary = RecordPrimary::new(every);
+                let mut ref_standby = RecordStandby::new();
+                let mut seq = [0u64; 3];
+                let mut wants_full = [true; 3];
+                let ops: Vec<Op> = ops;
+                for (kind, host, entries, removed, tear) in ops {
+                    match kind {
+                        0..=7 => {
+                            let h = host as usize;
+                            let full = wants_full[h] || kind == 6;
+                            // A gap: one sequence number goes missing.
+                            seq[h] += u64::from(kind == 7);
+                            let d = Delta {
+                                host,
+                                seq: seq[h],
+                                tick: primary.now_tick(),
+                                full,
+                                health: 0,
+                                durability_lost: false,
+                                staleness_age: 0,
+                                epoch: 0,
+                                origin_tick: primary.now_tick(),
+                                trace_seq: seq[h],
+                                summary: HostSummary::default(),
+                                entries: entries
+                                    .iter()
+                                    .map(|&(id, tenant, e_cpu, mem)| DeltaEntry {
+                                        // 9 stands for an id too wide to pack.
+                                        id: if id == 9 { 70_000 } else { id },
+                                        tenant,
+                                        e_cpu,
+                                        e_mem: mem * 100,
+                                        e_avail: mem * 40,
+                                        last_tick: primary.now_tick(),
+                                    })
+                                    .collect(),
+                                removed,
+                            };
+                            seq[h] += 1;
+                            let resp = primary.handle_frame(&encode_delta(&d)).expect("answered");
+                            let Some(Frame::Ack(ack)) = decode_frame(&resp) else {
+                                panic!("expected ACK");
+                            };
+                            let accepted = ref_primary.handle_delta(&d);
+                            prop_assert_eq!(ack.resync, !accepted);
+                            prop_assert_eq!(ack.expected_seq, ref_primary.hosts[&host].expected_seq);
+                            wants_full[h] = ack.resync;
+                        }
+                        8 => {
+                            primary.advance_tick();
+                            ref_primary.advance_tick();
+                        }
+                        12 => {
+                            // A frame no primary of ours sends, in sequence
+                            // for the standby: removals on hosts it may
+                            // never have heard of, a checkpoint in
+                            // mid-stream, deltas on either side of it.
+                            let state = |h: u32, &(id, tenant, e_cpu, mem): &(u32, u32, u32, u64)| {
+                                ViewState {
+                                    id: (h << 16) | id,
+                                    e_cpu,
+                                    e_mem: mem * 100,
+                                    e_avail: mem * 40,
+                                    last_tick: u64::from(tenant) << 48 | 7,
+                                }
+                            };
+                            let (before, after) = entries.split_at(entries.len() / 2);
+                            let mut stream: Vec<Record> = Vec::new();
+                            for id in &removed {
+                                let h = if id % 2 == 0 { host } else { 7 + host };
+                                stream.push(Record::Remove((h << 16) | id));
+                            }
+                            stream.extend(before.iter().map(|e| Record::Delta {
+                                state: state(host, e),
+                                tick: 2,
+                            }));
+                            if tear % 2 == 0 {
+                                let mut snap = Snapshot::at(3);
+                                snap.entries.extend(after.iter().map(|e| state(1, e)));
+                                snap.entries.sort_by_key(|e| e.id);
+                                snap.entries.dedup_by_key(|e| e.id);
+                                stream.push(Record::Checkpoint(snap));
+                            }
+                            stream.extend(after.iter().map(|e| Record::Delta {
+                                state: state(5, e),
+                                tick: 4,
+                            }));
+                            let frame = encode_repl(&Repl {
+                                ctl_epoch: 0,
+                                repl_seq: ref_standby.expected_seq,
+                                as_of_tick: 0,
+                                heard: vec![host],
+                                records: stream.iter().flat_map(arv_persist::encode_record).collect(),
+                            });
+                            let want = ref_standby.handle_repl(&frame);
+                            let got = standby.handle_frame(&frame).and_then(|resp| {
+                                match decode_frame(&resp) {
+                                    Some(Frame::Ack(ack)) => Some((ack.expected_seq, ack.resync)),
+                                    _ => None,
+                                }
+                            });
+                            prop_assert_eq!(got, want);
+                            assert_mirrors(&standby, &ref_standby.index, ref_standby.index.len());
+                            prop_assert_eq!(
+                                standby.journal_bytes().expect("journal on"),
+                                ref_standby.journal.as_bytes()
+                            );
+                        }
+                        _ => {
+                            let frames = primary.take_repl_frames();
+                            prop_assert_eq!(&frames, &ref_primary.take_repl_frames());
+                            // 9 delivers, 10 tears the last frame inside
+                            // its records, 11 loses the batch.
+                            for (i, frame) in frames.iter().enumerate().filter(|_| kind != 11) {
+                                let last = i + 1 == frames.len();
+                                let cut = if kind == 10 && last { tear.min(frame.len() / 2) } else { 0 };
+                                let frame = &frame[..frame.len() - cut];
+                                let want = ref_standby.handle_repl(frame);
+                                let got = standby.handle_frame(frame).and_then(|resp| {
+                                    match decode_frame(&resp) {
+                                        Some(Frame::Ack(ack)) => Some(ack),
+                                        _ => None,
+                                    }
+                                });
+                                prop_assert_eq!(got.map(|a| (a.expected_seq, a.resync)), want);
+                                if let Some(ack) = got {
+                                    primary.handle_repl_ack(&ack);
+                                    ref_primary.handle_repl_ack(&ack);
+                                }
+                            }
+                            assert_mirrors(&standby, &ref_standby.index, ref_standby.index.len());
+                            prop_assert_eq!(
+                                standby.journal_bytes().expect("journal on"),
+                                ref_standby.journal.as_bytes()
+                            );
+                            let m = standby.metrics().snapshot();
+                            prop_assert_eq!(m.repl_records_applied, ref_standby.applied);
+                            prop_assert_eq!(m.repl_truncated, ref_standby.truncated);
+                        }
+                    }
+                    prop_assert_eq!(
+                        primary.journal_bytes().expect("journal on"),
+                        ref_primary.journal.as_bytes()
+                    );
+                }
+                assert_mirrors(&primary, &ref_primary.index, ref_primary.hosts.len());
+                prop_assert_eq!(
+                    primary.metrics().snapshot().repl_records_streamed,
+                    ref_primary.streamed
+                );
+            }
+        }
     }
 }

@@ -47,6 +47,8 @@
 pub mod controller;
 pub mod periphery;
 pub mod protocol;
+#[cfg(test)]
+mod reference;
 pub mod wire;
 
 pub use controller::{

@@ -25,9 +25,9 @@
 //! The pushed policy's `rate_burst` is **enforced** here as a token
 //! bucket: each observation refills a quarter-burst of tokens and every
 //! queued entry or removal costs one. When the bucket runs dry the diff
-//! is *coalesced* — held in a pending map where newer observations of
-//! the same container overwrite older unsent ones — and flushes as one
-//! batch when tokens return. Nothing is ever dropped; a FULL resync
+//! is *coalesced* — held as unsent marks on the shipped-state mirror,
+//! where newer observations of the same container overwrite older
+//! unsent ones — and flushes as one batch when tokens return. Nothing is ever dropped; a FULL resync
 //! bypasses the bucket (the controller demanded it).
 //!
 //! Every ACK carries the sender's controller epoch. The periphery
@@ -35,7 +35,7 @@
 //! stamped lower — a deposed primary's ACK cannot mutate policy or
 //! sequence state, no matter when it arrives.
 
-use arv_persist::Snapshot;
+use arv_persist::{Snapshot, ViewState};
 use std::collections::{BTreeSet, HashMap};
 
 use crate::protocol::{
@@ -79,6 +79,15 @@ pub enum AckDisposition {
     Ignored,
 }
 
+/// One container in the shipped-state mirror.
+#[derive(Debug, Clone, Copy)]
+struct Mirrored {
+    entry: DeltaEntry,
+    /// Diffed but not yet queued (token bucket dry); a newer observation
+    /// overwrites `entry` and keeps the mark.
+    unsent: bool,
+}
+
 /// Per-host agent streaming view deltas to the [`crate::FleetController`].
 #[derive(Debug)]
 pub struct Periphery {
@@ -96,11 +105,19 @@ pub struct Periphery {
     durability_lost: bool,
     journal_io_errors: u64,
     journal_fallback_bytes: u64,
-    last_sent: HashMap<u32, DeltaEntry>,
+    /// The state last diffed for each live container, sorted by id — the
+    /// diff is a merge-walk of this against the (sorted) snapshot.
+    last_sent: Vec<Mirrored>,
+    /// The previous `last_sent`, kept for its capacity: each diff
+    /// builds the next mirror here and swaps.
+    spare: Vec<Mirrored>,
+    /// A snapshot that arrived unsorted, sorted: input is never trusted
+    /// to be in id order.
+    sorted: Vec<ViewState>,
     tenants: HashMap<u32, u32>,
-    /// Diffed-but-unsent entries (token bucket dry): newer observations
-    /// of the same container overwrite older unsent ones.
-    pending: HashMap<u32, DeltaEntry>,
+    /// [`set_tenant`](Periphery::set_tenant) was called since the last
+    /// diff: until then a mirrored entry's tenant is still the map's.
+    tenants_moved: bool,
     /// Diffed-but-unsent removals.
     pending_removed: BTreeSet<u32>,
     /// Send tokens remaining; refilled each observation, capped at
@@ -136,9 +153,11 @@ impl Periphery {
             durability_lost: false,
             journal_io_errors: 0,
             journal_fallback_bytes: 0,
-            last_sent: HashMap::new(),
+            last_sent: Vec::new(),
+            spare: Vec::new(),
+            sorted: Vec::new(),
             tenants: HashMap::new(),
-            pending: HashMap::new(),
+            tenants_moved: false,
             pending_removed: BTreeSet::new(),
             tokens: u64::from(policy.rate_burst.max(1)),
             ctl_epoch_seen: 0,
@@ -170,6 +189,7 @@ impl Periphery {
     /// containers without a record roll up under tenant 0).
     pub fn set_tenant(&mut self, container: u32, tenant: u32) {
         self.tenants.insert(container, tenant);
+        self.tenants_moved = true;
     }
 
     /// Mirror the host's durability-ladder state before an observation:
@@ -221,55 +241,82 @@ impl Periphery {
         if full {
             // Everything ships fresh: earlier unsent diffs are subsumed,
             // so the causal origin resets to this very tick.
-            self.pending.clear();
             self.pending_removed.clear();
             self.last_sent.clear();
             self.pending_origin = None;
         }
 
-        // Diff into the pending (coalescing) layer and refresh the
-        // shipped-state mirror. The mirror tracks what has been *queued*,
-        // so repeated observations don't re-diff already-pending state.
-        for s in &snap.entries {
-            let entry = DeltaEntry {
-                id: s.id,
-                tenant: self.tenants.get(&s.id).copied().unwrap_or(0),
-                e_cpu: s.e_cpu,
-                e_mem: s.e_mem,
-                e_avail: s.e_avail,
-                last_tick: s.last_tick,
+        // Diff against the shipped-state mirror, which tracks what has
+        // been *queued*, so repeated observations don't re-diff unsent
+        // state: one merge-walk of mirror and snapshot, both in id
+        // order, finds the new, the moved and the gone.
+        let in_order = snap.entries.windows(2).all(|w| w[0].id < w[1].id);
+        if !in_order {
+            // Never trusted: sorted into a scratch copy, and of an id
+            // that repeats the last occurrence wins, as in a map.
+            self.sorted.clear();
+            self.sorted.extend_from_slice(&snap.entries);
+            self.sorted.sort_by_key(|s| s.id);
+            self.sorted.reverse();
+            self.sorted.dedup_by_key(|s| s.id);
+            self.sorted.reverse();
+        }
+        let entries = if in_order {
+            &snap.entries
+        } else {
+            &self.sorted
+        };
+        let sent = std::mem::take(&mut self.last_sent);
+        let mut next = std::mem::take(&mut self.spare);
+        next.clear();
+        next.reserve(entries.len());
+        let (mut at, mut unsent) = (0, 0);
+        // `None` ends the walk: every mirrored id still unmatched is gone.
+        for s in entries.iter().map(Some).chain([None]) {
+            while at < sent.len() && s.map_or(true, |s| sent[at].entry.id < s.id) {
+                self.tenants.remove(&sent[at].entry.id);
+                self.pending_removed.insert(sent[at].entry.id);
+                at += 1;
+            }
+            let Some(s) = s else { break };
+            let prev = sent.get(at).filter(|p| p.entry.id == s.id);
+            at += usize::from(prev.is_some());
+            let tenant = match prev {
+                Some(p) if !self.tenants_moved => p.entry.tenant,
+                _ => self.tenants.get(&s.id).copied().unwrap_or(0),
             };
-            let moved = self.last_sent.get(&s.id).map_or(true, |sent| {
-                (sent.tenant, sent.e_cpu, sent.e_mem, sent.e_avail)
-                    != (entry.tenant, entry.e_cpu, entry.e_mem, entry.e_avail)
-            });
-            if full || moved {
-                self.pending.insert(entry.id, entry);
-                self.pending_removed.remove(&entry.id);
-                self.last_sent.insert(entry.id, entry);
-            }
+            let moved = full
+                || prev.map_or(true, |Mirrored { entry: p, .. }| {
+                    (p.tenant, p.e_cpu, p.e_mem, p.e_avail) != (tenant, s.e_cpu, s.e_mem, s.e_avail)
+                });
+            let mirrored = match prev {
+                Some(p) if !moved => *p,
+                _ => {
+                    self.pending_removed.remove(&s.id);
+                    Mirrored {
+                        entry: DeltaEntry {
+                            id: s.id,
+                            tenant,
+                            e_cpu: s.e_cpu,
+                            e_mem: s.e_mem,
+                            e_avail: s.e_avail,
+                            last_tick: s.last_tick,
+                        },
+                        unsent: true,
+                    }
+                }
+            };
+            unsent += usize::from(mirrored.unsent);
+            next.push(mirrored);
         }
-        if !full {
-            let gone: Vec<u32> = self
-                .last_sent
-                .keys()
-                .filter(|id| snap.get(**id).is_none())
-                .copied()
-                .collect();
-            for id in gone {
-                self.last_sent.remove(&id);
-                self.tenants.remove(&id);
-                self.pending.remove(&id);
-                self.pending_removed.insert(id);
-            }
-        }
+        self.tenants_moved = false;
+        self.last_sent = next;
+        self.spare = sent;
 
         // Stamp the span origin: the tick at which the oldest unsent
         // diff entered the pending layer. Coalescing keeps it, so the
         // eventual flush carries how long the bucket held the data.
-        if self.pending_origin.is_none()
-            && (!self.pending.is_empty() || !self.pending_removed.is_empty())
-        {
+        if self.pending_origin.is_none() && (unsent > 0 || !self.pending_removed.is_empty()) {
             self.pending_origin = Some(snap.tick);
         }
 
@@ -280,7 +327,7 @@ impl Periphery {
         // quiet and the controller's staleness budget flags it.
         let heartbeat = !stalled && self.shipped_tick.map_or(true, |t| snap.tick > t);
         if !full
-            && self.pending.is_empty()
+            && unsent == 0
             && self.pending_removed.is_empty()
             && shipped_health == self.last_health
             && !heartbeat
@@ -297,7 +344,7 @@ impl Periphery {
         let capacity = u64::from(self.policy.rate_burst.max(1));
         let refill = (capacity / 4).max(1);
         self.tokens = self.tokens.saturating_add(refill).min(capacity);
-        let cost = (self.pending.len() + self.pending_removed.len()) as u64;
+        let cost = (unsent + self.pending_removed.len()) as u64;
         // A full bucket always buys one flush, even when the coalesced
         // diff outgrew the whole burst — coalescing delays, it can
         // never starve.
@@ -313,9 +360,14 @@ impl Periphery {
         // (health-flip) delta originates here too.
         let origin_tick = self.pending_origin.take().unwrap_or(snap.tick);
 
-        let mut entries: Vec<DeltaEntry> =
-            std::mem::take(&mut self.pending).into_values().collect();
-        entries.sort_unstable_by_key(|e| e.id);
+        // `take`: the walk counted the marks, so a heartbeat scans nothing.
+        let marked = self.last_sent.iter_mut().filter(|m| m.unsent).take(unsent);
+        let entries: Vec<DeltaEntry> = marked
+            .map(|m| {
+                m.unsent = false;
+                m.entry
+            })
+            .collect();
         let mut removed: Vec<u32> = std::mem::take(&mut self.pending_removed)
             .into_iter()
             .collect();
@@ -837,6 +889,117 @@ mod tests {
                         prop_assert!(d != AckDisposition::Fenced);
                     }
                     prop_assert_eq!(p.ctl_epoch_seen(), max_seen);
+                }
+            }
+        }
+    }
+    #[test]
+    fn a_repeated_id_is_its_last_occurrence() {
+        let mut p = Periphery::new(1);
+        p.observe(&snap(1, &[(2, 1, 100), (1, 1, 100), (2, 7, 100)]), false, 0);
+        let ds = deltas(p.take_frames());
+        let got: Vec<(u32, u32)> = ds[0].entries.iter().map(|e| (e.id, e.e_cpu)).collect();
+        assert_eq!(got, vec![(1, 1), (2, 7)]);
+        // The mirror holds one entry an id: nothing moved, nothing gone.
+        p.observe(&snap(2, &[(1, 1, 100), (2, 7, 100)]), false, 0);
+        let ds = deltas(p.take_frames());
+        assert!(ds[0].entries.is_empty() && ds[0].removed.is_empty());
+    }
+
+    mod diff_props {
+        use super::*;
+        use crate::reference::HashMapPeriphery;
+        use proptest::prelude::*;
+
+        type Step = (
+            Vec<(u32, u32, u64)>,
+            (u8, bool, bool, u64),
+            Option<(u32, u32)>,
+            (u8, u32, u32),
+        );
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            // Arbitrary snapshot sequences — containers added, changed,
+            // removed and re-added, a tenant set in mid-stream, snapshots
+            // out of id order, resync demands, reconnects, durability
+            // flips, stalls, a token bucket run dry and batches chunked
+            // small: the merge-walk emits the frames and the stats of
+            // the `HashMap` diff it replaced, byte for byte.
+            #[test]
+            fn merge_walk_equals_the_hashmap_diff(
+                steps in prop::collection::vec(
+                    (prop::collection::vec((0u32..12, 1u32..4, 1u64..3), 0..12),
+                     (0u8..4, prop::bool::ANY, prop::bool::ANY, 0u64..2),
+                     prop::option::of((0u32..12, 0u32..4)),
+                     (0u8..12, 1u32..6, 1u32..10)),
+                    1..40),
+            ) {
+                let mut new = Periphery::new(3);
+                let mut old = HashMapPeriphery::new(3);
+                let mut tick = 0u64;
+                let mut policy_epoch = 0u64;
+                let steps: Vec<Step> = steps;
+                for (states, (order, advance, stalled, age), tenant, (event, batch, burst)) in steps {
+                    if let Some((container, tenant)) = tenant {
+                        new.set_tenant(container, tenant);
+                        old.set_tenant(container, tenant);
+                    }
+                    let ack = |resync: bool, policy: Option<FleetPolicy>| Ack {
+                        host: 3,
+                        expected_seq: 0,
+                        ctl_epoch: 0,
+                        resync,
+                        not_leader: false,
+                        policy,
+                    };
+                    let ack = match event {
+                        0 => Some(ack(true, None)),
+                        1 | 2 => {
+                            policy_epoch += 1;
+                            Some(ack(false, Some(FleetPolicy {
+                                epoch: policy_epoch,
+                                max_batch: batch,
+                                rate_burst: burst,
+                                ..FleetPolicy::default()
+                            })))
+                        }
+                        3 => {
+                            new.on_reconnect();
+                            old.on_reconnect();
+                            None
+                        }
+                        4 | 5 => {
+                            new.set_durability(event == 4, u64::from(batch), u64::from(burst));
+                            old.set_durability(event == 4, u64::from(batch), u64::from(burst));
+                            None
+                        }
+                        _ => None,
+                    };
+                    if let Some(ack) = ack {
+                        prop_assert_eq!(new.handle_ack(&ack), old.handle_ack(&ack));
+                    }
+                    // One state an id (the last drawn), in id order or not.
+                    let mut by_id = std::collections::BTreeMap::new();
+                    for (id, cpu, mem) in states {
+                        by_id.insert(id, (id, cpu, mem * 100));
+                    }
+                    let states: Vec<(u32, u32, u64)> = by_id.into_values().collect();
+                    tick += u64::from(advance);
+                    let mut s = snap(tick, &states);
+                    match order {
+                        1 => s.entries.reverse(),
+                        2 => {
+                            let mid = s.entries.len() / 2;
+                            s.entries.rotate_left(mid);
+                        }
+                        _ => {}
+                    }
+                    new.observe(&s, stalled, age);
+                    old.observe(&s, stalled, age);
+                    prop_assert_eq!(new.take_frames(), old.take_frames());
+                    prop_assert_eq!(new.stats(), old.stats());
                 }
             }
         }

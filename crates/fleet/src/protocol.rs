@@ -119,6 +119,10 @@ pub const HEALTH_DURABILITY_LOST: u8 = 0x80;
 
 /// Bytes of one encoded delta entry.
 const ENTRY_BYTES: usize = 4 + 4 + 4 + 8 + 8 + 8;
+/// Bytes of a DELTA payload around its entries and removals: opcode,
+/// host, seq, tick, flags, health, four span/epoch words, the eight
+/// summary counters, and the two counts.
+const DELTA_FIXED_BYTES: usize = 1 + 4 + 8 + 8 + 1 + 1 + 4 * 8 + 8 * 8 + 4 + 4;
 
 /// The policy a controller pushes down to every periphery: the fleet
 /// analogue of the per-host staleness budget and `WireLimits`.
@@ -445,7 +449,8 @@ pub fn encode_hello(h: &Hello) -> Vec<u8> {
 
 /// Encode a DELTA payload.
 pub fn encode_delta(d: &Delta) -> Vec<u8> {
-    let mut out = Vec::with_capacity(47 + d.entries.len() * ENTRY_BYTES + d.removed.len() * 4);
+    let mut out =
+        Vec::with_capacity(DELTA_FIXED_BYTES + d.entries.len() * ENTRY_BYTES + d.removed.len() * 4);
     out.push(OP_DELTA);
     put_u32(&mut out, d.host);
     put_u64(&mut out, d.seq);
@@ -506,16 +511,28 @@ pub fn encode_query(q: &Query) -> Vec<u8> {
 
 /// Encode a REPL payload.
 pub fn encode_repl(r: &Repl) -> Vec<u8> {
-    let mut out = Vec::with_capacity(29 + 4 * r.heard.len() + r.records.len());
+    encode_repl_parts(r.ctl_epoch, r.repl_seq, r.as_of_tick, &r.heard, &r.records)
+}
+
+/// [`encode_repl`] over borrowed parts: the primary frames a slice of
+/// its outbox without first copying it into a [`Repl`].
+pub(crate) fn encode_repl_parts(
+    ctl_epoch: u64,
+    repl_seq: u64,
+    as_of_tick: u64,
+    heard: &[u32],
+    records: &[u8],
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(29 + 4 * heard.len() + records.len());
     out.push(OP_REPL);
-    put_u64(&mut out, r.ctl_epoch);
-    put_u64(&mut out, r.repl_seq);
-    put_u64(&mut out, r.as_of_tick);
-    put_u32(&mut out, r.heard.len() as u32);
-    for host in &r.heard {
+    put_u64(&mut out, ctl_epoch);
+    put_u64(&mut out, repl_seq);
+    put_u64(&mut out, as_of_tick);
+    put_u32(&mut out, heard.len() as u32);
+    for host in heard {
         put_u32(&mut out, *host);
     }
-    out.extend_from_slice(&r.records);
+    out.extend_from_slice(records);
     out
 }
 
@@ -926,10 +943,13 @@ mod tests {
         );
 
         let delta = sample_delta();
+        let encoded = encode_delta(&delta);
         assert_eq!(
-            decode_frame(&encode_delta(&delta)),
-            Some(Frame::Delta(delta))
+            encoded.len(),
+            DELTA_FIXED_BYTES + 2 * ENTRY_BYTES + 2 * 4,
+            "the size hint is the size"
         );
+        assert_eq!(decode_frame(&encoded), Some(Frame::Delta(delta)));
 
         let policy = FleetPolicy {
             epoch: 9,

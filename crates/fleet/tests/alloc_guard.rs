@@ -1,0 +1,159 @@
+//! Allocation guard for the fleet half of the propagation path: heap
+//! allocations are counted, not timed, so a regression to a buffer per
+//! record cannot hide in machine noise.
+//!
+//! Its own test binary because it installs a counting global allocator.
+//! The count is per thread, so the tests may run side by side.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use arv_fleet::{
+    decode_frame, encode_delta, Delta, DeltaEntry, FleetController, FleetPolicy, Frame,
+    HostSummary, Periphery,
+};
+use arv_persist::{Snapshot, ViewState};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; counting touches only a `Cell` local to
+// the calling thread and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are `System::alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) this thread makes while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+fn delta(seq: u64, entries: u32, bump: u32) -> Vec<u8> {
+    encode_delta(&Delta {
+        host: 1,
+        seq,
+        tick: seq,
+        full: seq == 0,
+        health: 0,
+        durability_lost: false,
+        staleness_age: 0,
+        epoch: 0,
+        origin_tick: seq,
+        trace_seq: seq,
+        summary: HostSummary::default(),
+        entries: (0..entries)
+            .map(|id| DeltaEntry {
+                id,
+                tenant: id % 3,
+                e_cpu: 1 + (id + bump) % 16,
+                e_mem: 4096,
+                e_avail: 1024,
+                last_tick: seq,
+            })
+            .collect(),
+        removed: Vec::new(),
+    })
+}
+
+/// Before batch framing a DELTA cost about six allocations an entry:
+/// three `Vec`s in `Journal::append_delta`, three in `encode_record`.
+#[test]
+fn ingest_allocations_do_not_grow_with_the_entries_in_a_frame() {
+    let mut ctl = FleetController::new(4, FleetPolicy::default());
+    ctl.enable_journal(64);
+    ctl.enable_replication();
+    // Warm: the host and its containers are known, the REPL outbox and
+    // the journal's file have grown past what the measured frames add.
+    let mut seq = 0;
+    for round in 0..8 {
+        let resp = ctl.handle_frame(&delta(seq, 100, round)).expect("ACK");
+        assert!(matches!(decode_frame(&resp), Some(Frame::Ack(a)) if !a.resync));
+        seq += 1;
+    }
+    assert!(!ctl.take_repl_frames().is_empty());
+    ctl.advance_tick();
+
+    let mut ingest = |entries: u32| {
+        let frame = delta(seq, entries, seq as u32);
+        seq += 1;
+        let (n, resp) = allocations(|| ctl.handle_frame(&frame));
+        assert!(matches!(decode_frame(&resp.expect("ACK")), Some(Frame::Ack(a)) if !a.resync));
+        n
+    };
+    let small = ingest(1);
+    let large = ingest(100);
+    assert!(
+        large <= small + 4,
+        "a 100-entry DELTA made {large} allocations, a 1-entry one {small}"
+    );
+    assert_eq!(
+        ctl.repl_backlog_records(),
+        101,
+        "both frames were replicated"
+    );
+    assert_eq!(ctl.metrics().snapshot().journal_io_errors, 0);
+}
+
+#[test]
+fn observing_an_unchanged_snapshot_allocates_only_its_heartbeat() {
+    let mut snap = Snapshot::at(1);
+    snap.entries = (0..1000u32)
+        .map(|id| ViewState {
+            id,
+            e_cpu: 1 + id % 8,
+            e_mem: 1 << 30,
+            e_avail: 1 << 29,
+            last_tick: 1,
+        })
+        .collect();
+    let mut p = Periphery::new(7);
+    // Warm: HELLO and the FULL are out, both mirror buffers have grown,
+    // and the outbox holds a slot for the next frame.
+    for tick in 1..=3 {
+        snap.tick = tick;
+        p.observe(&snap, false, 0);
+        if tick == 1 {
+            // HELLO, and the FULL in four `max_batch` chunks.
+            assert_eq!(p.take_frames().len(), 5);
+        }
+    }
+    snap.tick = 4;
+    let (at_a_new_tick, ()) = allocations(|| p.observe(&snap, false, 0));
+    assert_eq!(
+        at_a_new_tick, 1,
+        "the heartbeat frame's bytes, nothing else"
+    );
+    let (at_the_same_tick, ()) = allocations(|| p.observe(&snap, false, 0));
+    assert_eq!(at_the_same_tick, 0);
+    assert_eq!(p.take_frames().len(), 3, "one heartbeat a tick");
+    assert_eq!(p.stats().entries, 1000, "nothing shipped after the FULL");
+}

@@ -77,19 +77,77 @@ pub enum Record {
     Remove(u32),
 }
 
+/// Bytes of one encoded [`ViewState`].
+const STATE_BYTES: usize = 32;
+
+/// The one record writer: append `len | body | crc32` to `out` in
+/// place. `body` writes the record body straight into `out`; the length
+/// word is patched and the CRC taken over the slice just written, so a
+/// record costs no buffer of its own. Every consumer — [`Journal`], a
+/// replication stream, a standby's shadow journal — takes these bytes.
+fn frame(out: &mut Vec<u8>, body_len: usize, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.reserve(body_len + 8);
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32::checksum(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Append one framed delta record (a container's refreshed view at
+/// `tick`) to `out`.
+pub fn frame_delta(out: &mut Vec<u8>, state: &ViewState, tick: u64) {
+    frame(out, 1 + 8 + STATE_BYTES, |b| {
+        b.push(KIND_DELTA);
+        b.extend_from_slice(&tick.to_le_bytes());
+        encode_state(b, state);
+    });
+}
+
+/// Append one framed removal record to `out`.
+pub fn frame_remove(out: &mut Vec<u8>, id: u32) {
+    frame(out, 1 + 4, |b| {
+        b.push(KIND_REMOVE);
+        b.extend_from_slice(&id.to_le_bytes());
+    });
+}
+
+/// Append one framed checkpoint record (a full snapshot) to `out`.
+pub fn frame_checkpoint(out: &mut Vec<u8>, snap: &Snapshot) {
+    frame(out, 1 + 8 + 4 + snap.entries.len() * STATE_BYTES, |b| {
+        b.push(KIND_CHECKPOINT);
+        b.extend_from_slice(&snap.tick.to_le_bytes());
+        b.extend_from_slice(&(snap.entries.len() as u32).to_le_bytes());
+        for e in &snap.entries {
+            encode_state(b, e);
+        }
+    });
+}
+
 /// Encode one record in the journal's CRC-framed record format
-/// (`len | body | crc32`, no file header). The bytes are exactly what
-/// [`Journal`] appends, so a replication stream and the journal cannot
+/// (`len | body | crc32`, no file header): a one-record use of the
+/// writer behind [`frame_delta`], [`frame_remove`] and
+/// [`frame_checkpoint`], so a replication stream and the journal cannot
 /// drift in format.
 pub fn encode_record(r: &Record) -> Vec<u8> {
-    let body = match r {
-        Record::Checkpoint(snap) => checkpoint_body(snap),
-        Record::Delta { state, tick } => delta_body(state, *tick),
-        Record::Remove(id) => remove_body(*id),
-    };
-    let mut out = Vec::with_capacity(body.len() + 8);
-    frame_record_into(&mut out, &body);
+    let mut out = Vec::new();
+    match r {
+        Record::Checkpoint(snap) => frame_checkpoint(&mut out, snap),
+        Record::Delta { state, tick } => frame_delta(&mut out, state, *tick),
+        Record::Remove(id) => frame_remove(&mut out, *id),
+    }
     out
+}
+
+/// Byte length of the framed record at the head of `bytes`, read off its
+/// length word (`None` if `bytes` ends before the record does). Walks a
+/// stream of records without decoding them; verifies nothing.
+pub fn framed_len(bytes: &[u8]) -> Option<usize> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+    let end = len.checked_add(8)?;
+    (end <= bytes.len()).then_some(end)
 }
 
 /// What a [`decode_records`] scan recovered from a bare record stream.
@@ -100,6 +158,9 @@ pub struct RecordScan {
     /// 1 if the stream ended in a torn or corrupt frame (everything
     /// from that frame on is dropped), else 0.
     pub truncated: u64,
+    /// Bytes of the stream that `records` were decoded from: the
+    /// verified prefix, always a whole number of records.
+    pub verified_len: usize,
 }
 
 /// Decode a bare stream of CRC-framed records (no file header), as
@@ -110,76 +171,52 @@ pub fn decode_records(bytes: &[u8]) -> RecordScan {
     let mut scan = RecordScan::default();
     let mut c = Cursor { bytes, pos: 0 };
     while c.pos < bytes.len() {
-        let Some(record) = read_record(&mut c) else {
+        let Some(record) = next_record(&mut c) else {
             scan.truncated = 1;
             break;
         };
-        let mut rc = Cursor {
-            bytes: record,
-            pos: 0,
-        };
-        let decoded = match rc.u8() {
-            Some(KIND_CHECKPOINT) => decode_checkpoint(&mut rc).map(Record::Checkpoint),
-            Some(KIND_DELTA) => rc
-                .u64()
-                .and_then(|tick| decode_state(&mut rc).map(|state| Record::Delta { state, tick })),
-            Some(KIND_REMOVE) => rc.u32().map(Record::Remove),
-            _ => None,
-        };
-        match decoded {
-            Some(r) => scan.records.push(r),
-            None => {
-                scan.truncated = 1;
-                break;
-            }
-        }
+        scan.records.push(record);
+        scan.verified_len = c.pos;
     }
     scan
 }
 
-fn checkpoint_body(snap: &Snapshot) -> Vec<u8> {
-    let mut body = Vec::with_capacity(13 + snap.entries.len() * 28);
-    body.push(KIND_CHECKPOINT);
-    body.extend_from_slice(&snap.tick.to_le_bytes());
-    body.extend_from_slice(&(snap.entries.len() as u32).to_le_bytes());
-    for e in &snap.entries {
-        encode_state(&mut body, e);
+/// Decode the record at the cursor; `None` if it is torn, fails its
+/// CRC, or is of no kind this version knows — a later format, or
+/// corruption the CRC happened to miss. The prefix before it is good.
+fn next_record(c: &mut Cursor<'_>) -> Option<Record> {
+    let start = c.pos;
+    let len = c.u32()? as usize;
+    if len > MAX_RECORD {
+        return None;
     }
-    body
-}
-
-fn delta_body(state: &ViewState, tick: u64) -> Vec<u8> {
-    let mut body = Vec::with_capacity(37);
-    body.push(KIND_DELTA);
-    body.extend_from_slice(&tick.to_le_bytes());
-    encode_state(&mut body, state);
-    body
-}
-
-fn remove_body(id: u32) -> Vec<u8> {
-    let mut body = Vec::with_capacity(5);
-    body.push(KIND_REMOVE);
-    body.extend_from_slice(&id.to_le_bytes());
-    body
-}
-
-fn frame_record_into(buf: &mut Vec<u8>, body: &[u8]) {
-    let len = (body.len() as u32).to_le_bytes();
-    let mut crc_input = Vec::with_capacity(4 + body.len());
-    crc_input.extend_from_slice(&len);
-    crc_input.extend_from_slice(body);
-    let crc = crc32::checksum(&crc_input);
-    buf.extend_from_slice(&len);
-    buf.extend_from_slice(body);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    let body = c.take(len)?;
+    if crc32::checksum(&c.bytes[start..start + 4 + len]) != c.u32()? {
+        return None;
+    }
+    let mut rc = Cursor {
+        bytes: body,
+        pos: 0,
+    };
+    match rc.u8()? {
+        KIND_CHECKPOINT => decode_checkpoint(&mut rc).map(Record::Checkpoint),
+        KIND_DELTA => {
+            let tick = rc.u64()?;
+            decode_state(&mut rc).map(|state| Record::Delta { state, tick })
+        }
+        KIND_REMOVE => rc.u32().map(Record::Remove),
+        _ => None,
+    }
 }
 
 pub mod crc32 {
     //! Table-driven IEEE CRC32 (the zlib/ethernet polynomial),
     //! hand-rolled because the CI containers build fully offline.
+    //! Slice-by-8: eight tables fold eight input bytes per step; the
+    //! value is the byte-at-a-time CRC's, bit for bit.
 
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
+    const fn tables() -> [[u32; 256]; 8] {
+        let mut t = [[0u32; 256]; 8];
         let mut i = 0;
         while i < 256 {
             let mut c = i as u32;
@@ -192,26 +229,74 @@ pub mod crc32 {
                 };
                 k += 1;
             }
-            t[i] = c;
+            t[0][i] = c;
             i += 1;
+        }
+        // t[k][i] is the CRC of byte `i` followed by `k` zero bytes.
+        let mut k = 1;
+        while k < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+                i += 1;
+            }
+            k += 1;
         }
         t
     }
 
-    const TABLE: [u32; 256] = table();
+    const TABLES: [[u32; 256]; 8] = tables();
 
     /// CRC32 of `bytes` (IEEE, init `0xFFFF_FFFF`, final xor).
     pub fn checksum(bytes: &[u8]) -> u32 {
+        let t = &TABLES;
         let mut c = 0xFFFF_FFFFu32;
-        for &b in bytes {
-            c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        let mut chunks = bytes.chunks_exact(8);
+        for w in &mut chunks {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
         c ^ 0xFFFF_FFFF
     }
 
     #[cfg(test)]
     mod tests {
-        use super::checksum;
+        use super::{checksum, TABLES};
+
+        /// The byte-at-a-time CRC the slice-by-8 loop replaced.
+        fn bytewise(bytes: &[u8]) -> u32 {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c = TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        }
+
+        #[test]
+        fn slice_by_8_equals_bytewise_at_every_length_and_alignment() {
+            let data: Vec<u8> = (0..128u32)
+                .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+                .collect();
+            for start in 0..16 {
+                for len in 0..=96 {
+                    let s = &data[start..start + len];
+                    assert_eq!(checksum(s), bytewise(s), "start {start} len {len}");
+                }
+            }
+            assert_eq!(bytewise(b"123456789"), 0xCBF4_3926);
+        }
 
         #[test]
         fn known_vectors() {
@@ -789,6 +874,8 @@ pub struct RestoreReport {
 #[derive(Debug)]
 pub struct Journal {
     store: Box<dyn Store>,
+    /// Where single records are framed before they go to the store.
+    scratch: Vec<u8>,
 }
 
 impl Default for Journal {
@@ -809,12 +896,15 @@ impl Journal {
     /// store.
     pub fn with_store(mut store: Box<dyn Store>) -> Result<Journal, StoreError> {
         store.truncate(0)?;
-        let mut hdr = Vec::with_capacity(8);
-        hdr.extend_from_slice(&MAGIC.to_le_bytes());
-        hdr.extend_from_slice(&VERSION.to_le_bytes());
+        let mut hdr = [0u8; 8];
+        hdr[..4].copy_from_slice(&MAGIC.to_le_bytes());
+        hdr[4..].copy_from_slice(&VERSION.to_le_bytes());
         store.append(&hdr)?;
         store.sync()?;
-        Ok(Journal { store })
+        Ok(Journal {
+            store,
+            scratch: Vec::new(),
+        })
     }
 
     /// The live journal bytes (header + records), synced or not.
@@ -847,8 +937,10 @@ impl Journal {
     /// synced through to the medium.
     pub fn checkpoint(&mut self, snap: &Snapshot) -> Result<(), StoreError> {
         self.store.truncate(8)?;
+        // A snapshot's worth of bytes, once per cadence: not worth
+        // keeping in `scratch` between checkpoints.
         let mut buf = Vec::new();
-        frame_record_into(&mut buf, &checkpoint_body(snap));
+        frame_checkpoint(&mut buf, snap);
         self.store.append(&buf)?;
         self.store.sync()
     }
@@ -856,17 +948,31 @@ impl Journal {
     /// Append one container's refreshed view (unsynced until the next
     /// [`sync`](Journal::sync) or checkpoint).
     pub fn append_delta(&mut self, state: &ViewState, tick: u64) -> Result<(), StoreError> {
-        let mut buf = Vec::new();
-        frame_record_into(&mut buf, &delta_body(state, tick));
-        self.store.append(&buf)
+        self.scratch.clear();
+        frame_delta(&mut self.scratch, state, tick);
+        self.store.append(&self.scratch)
     }
 
     /// Append a container removal (unsynced until the next
     /// [`sync`](Journal::sync) or checkpoint).
     pub fn append_remove(&mut self, id: u32) -> Result<(), StoreError> {
-        let mut buf = Vec::new();
-        frame_record_into(&mut buf, &remove_body(id));
-        self.store.append(&buf)
+        self.scratch.clear();
+        frame_remove(&mut self.scratch, id);
+        self.store.append(&self.scratch)
+    }
+
+    /// Append a batch of records already framed by [`frame_delta`] /
+    /// [`frame_remove`] (or the verified prefix of a
+    /// [`decode_records`] scan) with **one** store write, unsynced
+    /// until the next [`sync`](Journal::sync) or checkpoint. A write the
+    /// store tears leaves a prefix of the batch behind, which
+    /// [`restore`] reads as its whole records and one torn tail. An
+    /// empty batch is no write at all.
+    pub fn append_framed(&mut self, records: &[u8]) -> Result<(), StoreError> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        self.store.append(records)
     }
 
     /// Group-commit: advance the durable watermark over every append
@@ -893,11 +999,13 @@ impl Journal {
 }
 
 fn encode_state(out: &mut Vec<u8>, e: &ViewState) {
-    out.extend_from_slice(&e.id.to_le_bytes());
-    out.extend_from_slice(&e.e_cpu.to_le_bytes());
-    out.extend_from_slice(&e.e_mem.to_le_bytes());
-    out.extend_from_slice(&e.e_avail.to_le_bytes());
-    out.extend_from_slice(&e.last_tick.to_le_bytes());
+    let mut b = [0u8; STATE_BYTES];
+    b[0..4].copy_from_slice(&e.id.to_le_bytes());
+    b[4..8].copy_from_slice(&e.e_cpu.to_le_bytes());
+    b[8..16].copy_from_slice(&e.e_mem.to_le_bytes());
+    b[16..24].copy_from_slice(&e.e_avail.to_le_bytes());
+    b[24..32].copy_from_slice(&e.last_tick.to_le_bytes());
+    out.extend_from_slice(&b);
 }
 
 struct Cursor<'a> {
@@ -932,6 +1040,10 @@ impl<'a> Cursor<'a> {
 }
 
 fn decode_state(c: &mut Cursor<'_>) -> Option<ViewState> {
+    let mut c = Cursor {
+        bytes: c.take(STATE_BYTES)?,
+        pos: 0,
+    };
     Some(ViewState {
         id: c.u32()?,
         e_cpu: c.u32()?,
@@ -951,103 +1063,42 @@ fn decode_state(c: &mut Cursor<'_>) -> Option<ViewState> {
 pub fn restore(bytes: &[u8]) -> RestoreReport {
     let mut report = RestoreReport::default();
     let mut c = Cursor { bytes, pos: 0 };
-    let (magic, version) = match (c.u32(), c.u32()) {
-        (Some(m), Some(v)) => (m, v),
-        _ => {
-            report.truncated_records = 1;
-            return report;
-        }
-    };
-    if magic != MAGIC || version != VERSION {
+    if (c.u32(), c.u32()) != (Some(MAGIC), Some(VERSION)) {
         report.truncated_records = 1;
         return report;
     }
-    let mut snap: Option<Snapshot> = None;
-    loop {
-        let frame_start = c.pos;
-        if frame_start == bytes.len() {
-            break; // clean end
-        }
-        let Some(record) = read_record(&mut c) else {
+    while c.pos < bytes.len() {
+        let Some(record) = next_record(&mut c) else {
             // Torn or corrupt tail: drop this frame and everything
             // after it. One counter bump per discarded tail.
             report.truncated_records += 1;
             break;
         };
-        let mut rc = Cursor {
-            bytes: record,
-            pos: 0,
-        };
-        match rc.u8() {
-            Some(KIND_CHECKPOINT) => {
-                if let Some(s) = decode_checkpoint(&mut rc) {
-                    snap = Some(s);
-                    report.applied_deltas = 0;
-                    report.applied_removes = 0;
-                } else {
-                    report.truncated_records += 1;
-                    break;
-                }
+        match (record, &mut report.snapshot) {
+            (Record::Checkpoint(snap), _) => {
+                report.snapshot = Some(snap);
+                report.applied_deltas = 0;
+                report.applied_removes = 0;
             }
-            Some(KIND_DELTA) => {
-                let decoded = rc
-                    .u64()
-                    .and_then(|tick| decode_state(&mut rc).map(|state| (tick, state)));
-                match (decoded, &mut snap) {
-                    (Some((tick, state)), Some(s)) => {
-                        s.upsert(state);
-                        s.tick = s.tick.max(tick);
-                        report.applied_deltas += 1;
-                    }
-                    (Some(_), None) => {} // delta with no base: ignore
-                    (None, _) => {
-                        report.truncated_records += 1;
-                        break;
-                    }
-                }
+            (Record::Delta { state, tick }, Some(s)) => {
+                s.upsert(state);
+                s.tick = s.tick.max(tick);
+                report.applied_deltas += 1;
             }
-            Some(KIND_REMOVE) => match (rc.u32(), &mut snap) {
-                (Some(id), Some(s)) => {
-                    s.remove(id);
-                    report.applied_removes += 1;
-                }
-                (Some(_), None) => {}
-                (None, _) => {
-                    report.truncated_records += 1;
-                    break;
-                }
-            },
-            _ => {
-                // Unknown kind — a later format or corruption the CRC
-                // happened to miss. Stop here; the prefix is still good.
-                report.truncated_records += 1;
-                break;
+            (Record::Remove(id), Some(s)) => {
+                s.remove(id);
+                report.applied_removes += 1;
             }
+            (_, None) => {} // no checkpoint to apply it to: ignore
         }
     }
-    report.snapshot = snap;
     report
-}
-
-fn read_record<'a>(c: &mut Cursor<'a>) -> Option<&'a [u8]> {
-    let start = c.pos;
-    let len = c.u32()? as usize;
-    if len > MAX_RECORD {
-        return None;
-    }
-    let body = c.take(len)?;
-    let crc = c.u32()?;
-    let covered = &c.bytes[start..start + 4 + len];
-    if crc32::checksum(covered) != crc {
-        return None;
-    }
-    Some(body)
 }
 
 fn decode_checkpoint(rc: &mut Cursor<'_>) -> Option<Snapshot> {
     let tick = rc.u64()?;
     let count = rc.u32()? as usize;
-    if count > MAX_RECORD / 28 {
+    if count > MAX_RECORD / STATE_BYTES {
         return None;
     }
     let mut entries = Vec::with_capacity(count);
@@ -1611,6 +1662,195 @@ mod tests {
             // Absurd length word: bounded allocation, no panic.
             let huge = [0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3];
             assert_eq!(decode_records(&huge).truncated, 1);
+        }
+    }
+
+    mod batch_props {
+        use super::*;
+        use crate::store::{FaultyStore, StoreFaults};
+        use proptest::prelude::*;
+
+        /// `ops` as records: kind 0 upserts, anything else removes.
+        fn records(ops: &[(u8, u32, u32, u64)]) -> Vec<Record> {
+            ops.iter()
+                .enumerate()
+                .map(|(i, &(kind, id, cpu, mem))| match kind % 2 {
+                    0 => Record::Delta {
+                        state: ViewState {
+                            id,
+                            e_cpu: cpu,
+                            e_mem: mem,
+                            e_avail: mem / 2,
+                            last_tick: i as u64,
+                        },
+                        tick: i as u64 + 1,
+                    },
+                    _ => Record::Remove(id),
+                })
+                .collect()
+        }
+
+        /// The same records through the batch writer, and where each
+        /// one ends in the batch.
+        fn batch(records: &[Record]) -> (Vec<u8>, Vec<usize>) {
+            let mut bytes = Vec::new();
+            let mut ends = Vec::new();
+            for r in records {
+                match r {
+                    Record::Delta { state, tick } => frame_delta(&mut bytes, state, *tick),
+                    Record::Remove(id) => frame_remove(&mut bytes, *id),
+                    Record::Checkpoint(s) => frame_checkpoint(&mut bytes, s),
+                }
+                ends.push(bytes.len());
+            }
+            (bytes, ends)
+        }
+
+        /// What `restore` must yield from an empty checkpoint plus the
+        /// first `n` records.
+        fn replay(records: &[Record], n: usize) -> Snapshot {
+            let mut s = Snapshot::at(0);
+            for r in &records[..n] {
+                match r {
+                    Record::Delta { state, tick } => {
+                        s.upsert(*state);
+                        s.tick = s.tick.max(*tick);
+                    }
+                    Record::Remove(id) => s.remove(*id),
+                    Record::Checkpoint(c) => s = c.clone(),
+                }
+            }
+            s
+        }
+
+        proptest! {
+            // One writer, one format: a journal fed framed batches is
+            // byte for byte the journal fed record by record, and the
+            // batch is the concatenation of `encode_record`s.
+            #[test]
+            fn batched_journal_equals_record_by_record(
+                ops in prop::collection::vec(
+                    (0u8..2, 1u32..6, 1u32..32, 1u64..1_000_000), 0..24),
+                split in 0usize..24,
+            ) {
+                let records = records(&ops);
+                let (bytes, ends) = batch(&records);
+                let concat: Vec<u8> = records.iter().flat_map(encode_record).collect();
+                prop_assert_eq!(&bytes, &concat);
+
+                let mut one_by_one = Journal::new();
+                one_by_one.checkpoint(&Snapshot::at(0)).expect("mem store");
+                for r in &records {
+                    match r {
+                        Record::Delta { state, tick } => one_by_one.append_delta(state, *tick),
+                        Record::Remove(id) => one_by_one.append_remove(*id),
+                        Record::Checkpoint(_) => unreachable!("none generated"),
+                    }
+                    .expect("mem store");
+                }
+                // Two batches, cut at an arbitrary record boundary.
+                let cut = ends.get(split).copied().unwrap_or(bytes.len());
+                let mut batched = Journal::new();
+                batched.checkpoint(&Snapshot::at(0)).expect("mem store");
+                batched.append_framed(&bytes[..cut]).expect("mem store");
+                batched.append_framed(&bytes[cut..]).expect("mem store");
+                prop_assert_eq!(batched.as_bytes(), one_by_one.as_bytes());
+            }
+
+            // A batch cut at any byte restores to its whole-record
+            // prefix, and a scan of the cut batch verifies exactly
+            // those records' bytes.
+            #[test]
+            fn batch_truncated_anywhere_restores_a_record_prefix(
+                ops in prop::collection::vec(
+                    (0u8..2, 1u32..6, 1u32..32, 1u64..1_000_000), 1..24),
+                cut_frac in 0.0f64..1.0,
+            ) {
+                let records = records(&ops);
+                let (bytes, ends) = batch(&records);
+                let cut = (bytes.len() as f64 * cut_frac) as usize;
+                let whole = ends.iter().filter(|e| **e <= cut).count();
+                let verified = ends[..whole].last().copied().unwrap_or(0);
+
+                let mut j = Journal::new();
+                j.checkpoint(&Snapshot::at(0)).expect("mem store");
+                j.append_framed(&bytes[..cut]).expect("mem store");
+                let r = restore(j.as_bytes());
+                prop_assert_eq!(r.snapshot, Some(replay(&records, whole)));
+                prop_assert_eq!(r.applied_deltas + r.applied_removes, whole as u64);
+                prop_assert_eq!(r.truncated_records, u64::from(cut > verified));
+
+                let scan = decode_records(&bytes[..cut]);
+                prop_assert_eq!(&scan.records[..], &records[..whole]);
+                prop_assert_eq!(scan.verified_len, verified);
+                prop_assert_eq!(scan.truncated, u64::from(cut > verified));
+            }
+
+            // The same through a store that tears the one batch write:
+            // whatever prefix the store kept, the journal restores to
+            // the batch's whole records and reports one torn tail.
+            #[test]
+            fn batch_torn_by_the_store_restores_a_record_prefix(
+                seed in 0u64..4096,
+                ops in prop::collection::vec(
+                    (0u8..2, 1u32..6, 1u32..32, 1u64..1_000_000), 1..24),
+            ) {
+                let records = records(&ops);
+                let (bytes, ends) = batch(&records);
+                let faults = StoreFaults { torn_prob: 0.5, ..StoreFaults::default() };
+                // Walk seeds to one whose store takes the header and the
+                // checkpoint whole and tears the batch.
+                let torn = (seed..seed + 256).find_map(|s| {
+                    let mut j = Journal::with_store(Box::new(FaultyStore::new(s, faults))).ok()?;
+                    j.checkpoint(&Snapshot::at(0)).ok()?;
+                    let head = j.len();
+                    (j.append_framed(&bytes) == Err(StoreError::TornWrite)).then_some((j, head))
+                });
+                let Some((j, head)) = torn else {
+                    panic!("no seed in 256 tore the batch");
+                };
+                let kept = j.len() - head;
+                prop_assert!(kept >= 1 && kept < bytes.len(), "a strict prefix landed");
+                prop_assert_eq!(&j.as_bytes()[head..], &bytes[..kept]);
+                let whole = ends.iter().filter(|e| **e <= kept).count();
+                let r = restore(j.as_bytes());
+                prop_assert_eq!(r.snapshot, Some(replay(&records, whole)));
+                prop_assert_eq!(r.applied_deltas + r.applied_removes, whole as u64);
+                prop_assert_eq!(r.truncated_records, u64::from(ends[..whole].last() != Some(&kept)));
+            }
+
+            // Bit rot anywhere in a stream: the scan's verified length
+            // is always the byte length of the records it returned, and
+            // those are a prefix of what was written.
+            #[test]
+            fn verified_len_is_the_bytes_of_the_records_returned(
+                ops in prop::collection::vec(
+                    (0u8..2, 1u32..6, 1u32..32, 1u64..1_000_000), 1..24),
+                flips in prop::collection::vec((0usize..4096, 0u8..8), 0..3),
+                cut_frac in 0.0f64..1.0,
+            ) {
+                let records = records(&ops);
+                let (mut bytes, ends) = batch(&records);
+                for &(pos, bit) in &flips {
+                    let idx = pos % bytes.len();
+                    bytes[idx] ^= 1 << bit;
+                }
+                if flips.is_empty() {
+                    bytes.truncate((bytes.len() as f64 * cut_frac) as usize);
+                }
+                let scan = decode_records(&bytes);
+                let n = scan.records.len();
+                prop_assert_eq!(&scan.records[..], &records[..n]);
+                prop_assert_eq!(scan.verified_len, ends[..n].last().copied().unwrap_or(0));
+                prop_assert_eq!(scan.truncated, u64::from(scan.verified_len < bytes.len()));
+                // Walking length words over the verified prefix lands on
+                // the same boundaries.
+                let mut off = 0;
+                for end in &ends[..n] {
+                    off += framed_len(&bytes[off..]).expect("verified record");
+                    prop_assert_eq!(off, *end);
+                }
+            }
         }
     }
 
