@@ -70,6 +70,10 @@ echo "==> core bench (NsMonitor::tick ns per container at N = 100 / 1 000 / 10 0
 cargo bench -q -p arv-bench --bench core > /dev/null
 test -s BENCH_core.json || { echo "BENCH_core.json missing"; exit 1; }
 
+echo "==> viewd bench (cached hit, re-stamped miss, first render, sysconf, lookup miss; same-run ratio gates)"
+cargo bench -q -p arv-bench --bench viewd > /dev/null
+test -s BENCH_viewd.json || { echo "BENCH_viewd.json missing"; exit 1; }
+
 echo "==> fleet bench (ingest throughput, rollup query cost, resync ticks, failover convergence, obs overhead)"
 cargo bench -q -p arv-bench --bench fleet > /dev/null
 test -s BENCH_fleet.json || { echo "BENCH_fleet.json missing"; exit 1; }

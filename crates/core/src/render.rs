@@ -93,7 +93,11 @@ pub fn cpu_max(cpus: u32, period_us: u64) -> String {
 
 /// cgroup v2 `memory.max`: the limit in bytes on its own line.
 pub fn memory_max(limit: Bytes) -> String {
-    format!("{}\n", limit.as_u64())
+    // Room for any u64 and the newline: `format!` would size the
+    // string for the digits alone and grow it for the newline.
+    let mut out = String::with_capacity(21);
+    let _ = writeln!(out, "{}", limit.as_u64());
+    out
 }
 
 #[cfg(test)]

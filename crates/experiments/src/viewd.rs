@@ -1,18 +1,26 @@
-//! `arv-viewd` serving cost: cached hits vs uncached renders.
+//! `arv-viewd` serving cost: cached hits, re-stamped misses, first renders.
 //!
 //! The paper prices a view query at ~5 µs against a 24 ms update period
-//! (§5.4). The daemon's render cache moves almost every query onto an
-//! even cheaper path: a full `/proc/cpuinfo` or `/proc/stat` image is
-//! rendered once per published generation and then served as an `Arc`
-//! clone until the view moves again. This study drives a three-container
+//! (§5.4). The daemon moves almost every query onto cheaper paths. A
+//! `/proc/cpuinfo` or `/proc/stat` image is a function of the CPU count
+//! alone, so it is formatted once per count for the whole daemon (the
+//! image table) and every container at that count shares the bytes; a
+//! container's cache then serves it as an `Arc` clone until its view
+//! moves, and the miss that follows a move only re-stamps the shared
+//! image at the new generation. This study drives a three-container
 //! daemon through many view generations, reading each image once cold
-//! (render) and many times warm (cached), and reports both latency
-//! distributions from the daemon's own histograms plus the query
-//! accounting identity `hits + misses = queries`.
+//! and many times warm, times every read on its own clock and files it
+//! under what the driver knows it was — first render of a `(path, cpus)`
+//! pair, re-stamped miss, cached hit — and reports the three latency
+//! distributions plus the accounting identities `hits + misses =
+//! queries` and `renders <= distinct (path, cpus) pairs`.
 
 use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};
 use arv_viewd::{HostSpec, ViewServer};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::Instant;
 
 use crate::report::{FigReport, Row, Table};
 
@@ -34,6 +42,16 @@ fn mk_mem(soft_mib: u64, hard_mib: u64) -> EffectiveMemory {
     )
 }
 
+/// Median, mean and 99th percentile of one class of reads. The median
+/// is the row to compare: on a shared machine one preempted read in a
+/// thousand moves a mean of sub-microsecond samples by half.
+fn order_stats(samples: &mut [u64]) -> [f64; 3] {
+    samples.sort_unstable();
+    let at = |q: f64| samples[((samples.len() - 1) as f64 * q) as usize] as f64;
+    let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
+    [at(0.5), mean, at(0.99)]
+}
+
 /// Run this study and produce its report.
 pub fn run(scale: f64) -> FigReport {
     let server = ViewServer::new(HostSpec::paper_testbed(), 8);
@@ -51,18 +69,37 @@ pub fn run(scale: f64) -> FigReport {
     }
     let client = server.client();
 
+    // What a read was is the driver's knowledge, not the daemon's: the
+    // first read after a publish misses, and it formats only if no
+    // container has been at that CPU count before.
+    let (mut hit, mut restamped, mut first_render) = (Vec::new(), Vec::new(), Vec::new());
+    let mut rendered: HashSet<(&str, u32)> = HashSet::new();
     let generations = ((400.0 * scale) as u32).max(8);
     for g in 0..generations {
         for (i, id) in ids.iter().enumerate() {
             // A fresh view each round: publishing moves the generation,
-            // so the first read per path re-renders and the rest hit.
+            // so the first read per path misses and the rest hit.
             let cpus = 2 + (g + i as u32) % 8;
             let view = Bytes::from_mib(256 * u64::from(cpus));
             server.mirror(*id, cpus, view, view);
             for path in HEAVY_PATHS {
-                for _ in 0..=HITS_PER_MISS {
+                let start = Instant::now();
+                client.read(Some(*id), path).expect("renderable path");
+                let ns = start.elapsed().as_nanos() as u64;
+                if !rendered.insert((path, cpus)) {
+                    restamped.push(ns);
+                } else if path == "/proc/cpuinfo" {
+                    // The claim is about the big image; a first
+                    // `/proc/stat` is a tenth of it and in no row.
+                    first_render.push(ns);
+                }
+                // The warm reads share one clock pair, which costs a
+                // third of a hit: a sample is the mean of the run.
+                let start = Instant::now();
+                for _ in 0..HITS_PER_MISS {
                     client.read(Some(*id), path).expect("renderable path");
                 }
+                hit.push(start.elapsed().as_nanos() as u64 / u64::from(HITS_PER_MISS));
             }
         }
     }
@@ -70,7 +107,13 @@ pub fn run(scale: f64) -> FigReport {
     // Wire phase: replay a slice of the workload through the socket
     // protocol so the report can separate protocol overhead (the
     // dedicated wire-latency histogram) from in-process query cost.
-    let socket = std::env::temp_dir().join(format!("arv-viewd-fig-{}.sock", std::process::id()));
+    // One socket per call: the tests below run side by side in one process.
+    static RUNS: AtomicU32 = AtomicU32::new(0);
+    let socket = std::env::temp_dir().join(format!(
+        "arv-viewd-fig-{}-{}.sock",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
     let wire = arv_viewd::WireServer::spawn(server.clone(), &socket).expect("bind wire socket");
     let mut wire_client = arv_viewd::WireClient::connect(wire.socket_path()).expect("wire connect");
     let wire_reads = ((128.0 * scale) as u32).max(16);
@@ -97,22 +140,23 @@ pub fn run(scale: f64) -> FigReport {
     }
 
     let m = server.metrics();
-    let speedup = m.miss_latency_ns / m.hit_latency_ns.max(1.0);
+    let (hit, restamped, first_render) = (
+        order_stats(&mut hit),
+        order_stats(&mut restamped),
+        order_stats(&mut first_render),
+    );
+    let speedup = first_render[0] / hit[0].max(1.0);
 
-    let mut latency = Table::new("serving_latency_ns", &["mean_ns", "p99_ns"]);
-    latency.push(Row::full(
-        "cached_hit",
-        &[m.hit_latency_ns, m.hit_p99_ns as f64],
-    ));
-    latency.push(Row::full(
-        "uncached_render",
-        &[m.miss_latency_ns, m.miss_p99_ns as f64],
-    ));
+    let mut latency = Table::new("serving_latency_ns", &["median_ns", "mean_ns", "p99_ns"]);
+    latency.push(Row::full("cached_hit", &hit));
+    latency.push(Row::full("restamped_miss", &restamped));
+    latency.push(Row::full("first_render", &first_render));
+    // The daemon's own histogram keeps no median.
     latency.push(Row::full(
         "wire_request",
-        &[m.wire_latency_ns, m.wire_p99_ns as f64],
+        &[f64::NAN, m.wire_latency_ns, m.wire_p99_ns as f64],
     ));
-    latency.push(Row::full("render_over_hit", &[speedup, f64::NAN]));
+    latency.push(Row::full("render_over_hit", &[speedup, f64::NAN, f64::NAN]));
 
     let mut accounting = Table::new("query_accounting", &["count"]);
     accounting.push(Row::full("queries", &[m.queries as f64]));
@@ -121,6 +165,14 @@ pub fn run(scale: f64) -> FigReport {
     accounting.push(Row::full(
         "hits_plus_misses",
         &[(m.cache_hits + m.cache_misses) as f64],
+    ));
+    accounting.push(Row::full("renders", &[m.renders as f64]));
+    // Every path read here is CPU-keyed (no memory-keyed miss to add),
+    // and the wire phase and the degraded epilogue reuse counts the
+    // generations already visited, so this bounds the whole run.
+    accounting.push(Row::full(
+        "distinct_path_cpus_pairs",
+        &[rendered.len() as f64],
     ));
     accounting.push(Row::full("failures", &[m.failures as f64]));
     accounting.push(Row::full("wire_requests", &[m.wire_requests as f64]));
@@ -148,16 +200,17 @@ pub fn run(scale: f64) -> FigReport {
 
     let mut rep = FigReport::new(
         "viewd",
-        "arv-viewd serving cost: cached hits vs uncached renders (§5.4)",
+        "arv-viewd serving cost: cached hits, re-stamped misses, first renders (§5.4)",
     );
     rep.tables.push(latency);
     rep.tables.push(accounting);
     rep.tables.push(robustness);
     rep.note(format!(
-        "{generations} generations x 3 containers; each published view rendered once, then served {HITS_PER_MISS}x from cache"
+        "{generations} generations x 3 containers; each published view missed once per file, then served {HITS_PER_MISS}x from cache"
     ));
     rep.note(format!(
-        "cached hit is {speedup:.1}x cheaper than an uncached render; every hit still reflects the current generation"
+        "a cached hit is {speedup:.1}x cheaper than a first /proc/cpuinfo render; {} misses cost {} renders, the rest re-stamped a shared image",
+        m.cache_misses, m.renders
     ));
     rep.note(format!(
         "epilogue ages the clock past the staleness budget: {} degraded serves answered from the conservative fallback",
@@ -178,12 +231,19 @@ mod tests {
     fn cached_hits_are_at_least_10x_cheaper_than_renders() {
         let rep = run(0.2);
         let t = &rep.tables[0];
-        let hit = t.get("cached_hit", "mean_ns").unwrap();
-        let miss = t.get("uncached_render", "mean_ns").unwrap();
+        let hit = t.get("cached_hit", "median_ns").unwrap();
+        let render = t.get("first_render", "median_ns").unwrap();
         assert!(
-            miss >= 10.0 * hit,
-            "render {miss:.0} ns is under 10x hit {hit:.0} ns"
+            render >= 10.0 * hit,
+            "first render {render:.0} ns is under 10x hit {hit:.0} ns"
         );
+        // A miss formats only the first time any container reaches a
+        // CPU count; every other miss re-stamps the shared image.
+        let t = &rep.tables[1];
+        let renders = t.get("renders", "count").unwrap();
+        assert!(renders >= 1.0);
+        assert!(renders <= t.get("distinct_path_cpus_pairs", "count").unwrap());
+        assert!(renders < t.get("cache_misses", "count").unwrap());
     }
 
     #[test]

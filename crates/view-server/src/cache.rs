@@ -1,15 +1,19 @@
 //! Generation-stamped render cache.
 //!
-//! `arv-viewd` renders whole virtual-file images (a `/proc/cpuinfo` with
+//! `arv-viewd` serves whole virtual-file images (a `/proc/cpuinfo` with
 //! one stanza per effective CPU, a `/proc/meminfo` sized to the effective
-//! view, …). Rendering is tens of times more expensive than answering, so
+//! view, …). Building one — a snapshot and an image-table lookup, or a
+//! format for the memory-keyed files — costs more than answering, so
 //! images are cached per `(container, path)` — and invalidated not by
 //! clocks or explicit flushes but by the namespace cell's seqlock
 //! generation: a cached image is served only while its stamp equals the
 //! cell's current even generation. Any published update moves the
-//! generation, and the next query re-renders from a fresh untorn
+//! generation, and the next query rebuilds from a fresh untorn
 //! [`arv_resview::ViewSnapshot`]. A torn image can never be cached
-//! because renders take all inputs from one snapshot.
+//! because an image takes all its inputs from one snapshot. The bytes
+//! themselves may be shared: the CPU-keyed files' images live once per
+//! CPU count in the server's image table and a cache entry holds a
+//! pointer to them.
 //!
 //! The set of renderable paths is closed, so paths are interned into a
 //! [`PathId`] once at the query boundary and the cache is a fixed array
@@ -39,6 +43,22 @@ pub enum PathId {
 impl PathId {
     /// Number of distinct renderable paths.
     pub const COUNT: usize = 6;
+
+    /// Every renderable path, in discriminant order.
+    pub const ALL: [PathId; PathId::COUNT] = [
+        PathId::Cpuinfo,
+        PathId::Meminfo,
+        PathId::Stat,
+        PathId::OnlineCpus,
+        PathId::CpuMax,
+        PathId::MemoryMax,
+    ];
+
+    /// Whether the file's image is a function of the CPU count alone
+    /// (the rest are functions of the memory sizes alone).
+    pub fn cpu_keyed(self) -> bool {
+        !matches!(self, PathId::Meminfo | PathId::MemoryMax)
+    }
 
     /// Intern a path string (`None` for paths the daemon cannot render).
     pub fn resolve(path: &str) -> Option<PathId> {

@@ -233,22 +233,33 @@ impl FrameDecoder {
 
     /// Append freshly read bytes (any split, including empty).
     pub fn feed(&mut self, bytes: &[u8]) {
+        // Reclaim consumed space here, not when a frame is popped: a
+        // popped frame is borrowed from the buffer. A drained buffer
+        // resets for free; a long-lived backlog is shifted down once the
+        // consumed prefix dominates it, so the buffer stays bounded.
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        } else if self.start > 4096 && self.start * 2 >= self.buf.len() {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pop the next complete frame, if one has fully arrived.
+    /// Pop the next complete frame, if one has fully arrived, borrowed
+    /// from the decoder's buffer (valid until the next call).
     ///
     /// `Ok(None)` means "need more bytes". An oversized length prefix
     /// is [`WireError::Malformed`]: the stream can no longer be framed
     /// and the connection must be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        let avail = self.buf.len() - self.start;
-        if avail < 4 {
-            self.compact();
+    pub fn next_frame_ref(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let avail = &self.buf[self.start..];
+        if avail.len() < 4 {
             return Ok(None);
         }
         let mut len_buf = [0u8; 4];
-        len_buf.copy_from_slice(&self.buf[self.start..self.start + 4]);
+        len_buf.copy_from_slice(&avail[..4]);
         let len = u32::from_le_bytes(len_buf);
         if len > self.max {
             return Err(WireError::Malformed(format!(
@@ -257,32 +268,23 @@ impl FrameDecoder {
             )));
         }
         let need = 4 + len as usize;
-        if avail < need {
-            self.compact();
+        if avail.len() < need {
             return Ok(None);
         }
-        let frame = self.buf[self.start + 4..self.start + need].to_vec();
+        let frame = self.start + 4..self.start + need;
         self.start += need;
-        self.compact();
-        Ok(Some(frame))
+        Ok(Some(&self.buf[frame]))
+    }
+
+    /// [`next_frame_ref`](FrameDecoder::next_frame_ref), copied out.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
     }
 
     /// Whether bytes of an unfinished frame (or prefix) are buffered —
     /// EOF now would tear a frame rather than end the conversation.
     pub fn has_partial(&self) -> bool {
         self.buf.len() > self.start
-    }
-
-    /// Reclaim consumed prefix space once it dominates the buffer, so a
-    /// long-lived connection doesn't grow its buffer without bound.
-    fn compact(&mut self) {
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start > 4096 && self.start * 2 >= self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
     }
 }
 

@@ -241,9 +241,10 @@ impl TokenBucket {
         }
     }
 
-    pub(crate) fn take(&mut self) -> bool {
-        let now = std::time::Instant::now();
-        let dt = now.duration_since(self.last).as_secs_f64();
+    /// Take one token at `now` — the caller's clock reading, so a
+    /// readiness pass serving a whole pipeline reads the clock once.
+    pub(crate) fn take(&mut self, now: std::time::Instant) -> bool {
+        let dt = now.saturating_duration_since(self.last).as_secs_f64();
         self.last = now;
         self.tokens = (self.tokens + dt * self.refill_per_sec).min(self.capacity);
         if self.tokens >= 1.0 {
@@ -319,9 +320,10 @@ mod tests {
     #[test]
     fn zero_refill_bucket_is_deterministic() {
         let mut bucket = TokenBucket::new(2, 0.0);
-        assert!(bucket.take());
-        assert!(bucket.take());
-        assert!(!bucket.take());
-        assert!(!bucket.take());
+        let now = std::time::Instant::now();
+        assert!(bucket.take(now));
+        assert!(bucket.take(now));
+        assert!(!bucket.take(now));
+        assert!(!bucket.take(now));
     }
 }

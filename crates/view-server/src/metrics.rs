@@ -17,8 +17,12 @@ pub struct Metrics {
     pub queries: AtomicU64,
     /// Queries answered from a cached render.
     pub cache_hits: AtomicU64,
-    /// Queries that had to render (cold path or stale generation).
+    /// Queries the per-container cache could not answer (cold path,
+    /// moved generation, degraded fallback).
     pub cache_misses: AtomicU64,
+    /// Times a formatter actually ran: a first fill of an image-table
+    /// slot, a memory-keyed miss, or a CPU count past the table.
+    pub renders: AtomicU64,
     /// Queries that failed (unknown container, unknown path/key).
     pub failures: AtomicU64,
     /// Requests decoded off the wire.
@@ -66,21 +70,42 @@ pub struct Metrics {
     pub staleness_age: Histogram,
     /// Ticks from warm restart until the first Fresh-health serve.
     pub recovery_latency: Histogram,
-    /// Nanoseconds per query, cached-hit path.
+    /// Nanoseconds per query, cached-hit path: the in-process call, or
+    /// the whole wire request around it (one clock pair serves both).
     pub hit_latency: Histogram,
-    /// Nanoseconds per query, render (miss) path.
+    /// Nanoseconds per query, miss path (same windows).
     pub miss_latency: Histogram,
-    /// Nanoseconds per wire request, measured from frame decode to
-    /// response encode (excludes socket transfer time). Separates
-    /// protocol overhead from the in-process query cost recorded in
-    /// `hit_latency`/`miss_latency`.
+    /// Nanoseconds per wire request of any kind, measured from frame
+    /// decode to response encode (excludes socket transfer time).
     pub wire_latency: Histogram,
+}
+
+/// Which side of the per-container cache answered a query: the hit
+/// histogram's population or the miss histogram's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Served {
+    /// A cached image, a host image or a sysconf scalar.
+    Hit,
+    /// The cache was cold or stale, or the view degraded.
+    Miss,
 }
 
 impl Metrics {
     /// Fresh zeroed metrics.
     pub fn new() -> Metrics {
         Metrics::default()
+    }
+
+    /// Account one answered query that `took` this long on the clock of
+    /// whoever timed it (the in-process call, or the wire request
+    /// around it).
+    pub(crate) fn served(&self, how: Served, took: std::time::Duration) {
+        let (latency, count) = match how {
+            Served::Hit => (&self.hit_latency, &self.cache_hits),
+            Served::Miss => (&self.miss_latency, &self.cache_misses),
+        };
+        latency.record(took.as_nanos() as u64);
+        count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of every counter (values may be mutually
@@ -91,6 +116,7 @@ impl Metrics {
             queries: self.queries.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            renders: self.renders.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
             wire_requests: self.wire_requests.load(Ordering::Relaxed),
             wire_errors: self.wire_errors.load(Ordering::Relaxed),
@@ -138,8 +164,10 @@ pub struct MetricsSnapshot {
     pub queries: u64,
     /// Cached-render answers.
     pub cache_hits: u64,
-    /// Fresh-render answers.
+    /// Answers the per-container cache could not give.
     pub cache_misses: u64,
+    /// Formatter runs (a miss on a warm image-table slot is not one).
+    pub renders: u64,
     /// Failed queries.
     pub failures: u64,
     /// Wire requests decoded.
@@ -203,6 +231,7 @@ impl MetricsSnapshot {
         self.queries == other.queries
             && self.cache_hits == other.cache_hits
             && self.cache_misses == other.cache_misses
+            && self.renders == other.renders
             && self.failures == other.failures
             && self.wire_requests == other.wire_requests
             && self.wire_errors == other.wire_errors

@@ -13,9 +13,11 @@
 //!   [`FrameDecoder`]; frames torn at any byte boundary decode exactly
 //!   as the blocking codec would.
 //! * **Vectored, batched writes** — responses queue per connection and
-//!   drain through `writev`, several frames per syscall; a cached file
-//!   image rides as a shared [`Arc<String>`] slice, so a hot read is
-//!   served with **zero per-request body copies**.
+//!   drain through `writev`, a whole pipeline per syscall; a cached file
+//!   image rides as a shared [`Arc<String>`] slice and a reply's head
+//!   (with a short scalar body) sits inline in its queue slot, so a hot
+//!   request is served with **no body copy and no heap allocation**:
+//!   frames are handed to the service borrowed from the decoder.
 //! * **Admission control** — the [`ServerConfig`] connection cap and
 //!   per-connection token buckets are enforced here; the protocol
 //!   service only learns *whether* a request arrived pressured and
@@ -33,7 +35,7 @@
 //! connection. The service never sees sockets, readiness or queues.
 
 use std::collections::VecDeque;
-use std::io::{self, Read};
+use std::io::{self, IoSlice, Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -44,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use crate::codec::FrameDecoder;
 use crate::config::{ServerConfig, TokenBucket};
-use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLOUT, EPOLLRDHUP, MAX_IOVECS};
+use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Epoll tag reserved for each loop's wake eventfd.
 const WAKE_TAG: u64 = u64::MAX;
@@ -55,6 +57,14 @@ const POLL_MS: i32 = 10;
 const SCAN_EVERY: Duration = Duration::from_millis(5);
 /// Read chunk per `read(2)` call.
 const READ_CHUNK: usize = 16 * 1024;
+/// Most queue chunks one `writev` batches: a 16-deep pipeline of cached
+/// reads (an inline head and a shared body each) drains in one syscall.
+/// Far below the kernel's IOV_MAX (1024).
+const MAX_IOVECS: usize = 64;
+/// Bytes a queue chunk holds inline. A scalar reply needs 33 (length
+/// prefix, status, generation, 20 decimal digits); 46 is what fits
+/// beside the tag and length in the 48 bytes a chunk occupies anyway.
+const INLINE_CHUNK: usize = 46;
 
 /// Why the reactor evicted a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,39 +100,88 @@ impl ResponseBody {
     }
 }
 
+/// One queued run of outbound bytes and what owns them.
+#[derive(Debug, Clone)]
+enum OutChunk {
+    Inline { len: u8, bytes: [u8; INLINE_CHUNK] },
+    Owned(Vec<u8>),
+    Shared(Arc<String>),
+}
+
+impl OutChunk {
+    /// A frame's length prefix (announcing `frame_len` payload bytes)
+    /// followed by `head`: inline when it fits, on the heap when not.
+    fn framed(frame_len: usize, head: &[u8]) -> OutChunk {
+        let prefix = (frame_len as u32).to_le_bytes();
+        let len = prefix.len() + head.len();
+        if len <= INLINE_CHUNK {
+            let mut bytes = [0u8; INLINE_CHUNK];
+            bytes[..4].copy_from_slice(&prefix);
+            bytes[4..len].copy_from_slice(head);
+            OutChunk::Inline {
+                len: len as u8,
+                bytes,
+            }
+        } else {
+            let mut owned = Vec::with_capacity(len);
+            owned.extend_from_slice(&prefix);
+            owned.extend_from_slice(head);
+            OutChunk::Owned(owned)
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            OutChunk::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            OutChunk::Owned(v) => v,
+            OutChunk::Shared(s) => s.as_bytes(),
+        }
+    }
+}
+
 /// One framed response: the `u32le` length prefix plus protocol head,
 /// followed by an optionally shared body. Written with `writev`, so a
-/// shared body is never copied into a contiguous frame.
+/// shared body is never copied into a contiguous frame, and a short
+/// head never touches the heap.
 #[derive(Debug, Clone)]
 pub struct Response {
-    head: Vec<u8>,
+    head: OutChunk,
     body: ResponseBody,
 }
 
 impl Response {
-    /// Frame `head_payload` (the protocol header bytes) plus `body`;
-    /// the length prefix covers both.
+    /// Frame `head_payload` (the protocol header bytes, plus a short
+    /// body if the service built one there) and `body`; the length
+    /// prefix covers both.
     pub fn new(head_payload: &[u8], body: ResponseBody) -> Response {
-        let total = head_payload.len() + body.len();
-        let mut head = Vec::with_capacity(4 + head_payload.len());
-        head.extend_from_slice(&(total as u32).to_le_bytes());
-        head.extend_from_slice(head_payload);
-        Response { head, body }
+        Response {
+            head: OutChunk::framed(head_payload.len() + body.len(), head_payload),
+            body,
+        }
     }
 
     /// Frame a fully built payload (no shared body).
     pub fn from_payload(payload: Vec<u8>) -> Response {
-        let mut head = Vec::with_capacity(4);
-        head.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         Response {
-            head,
+            head: OutChunk::framed(payload.len(), &[]),
             body: ResponseBody::Owned(payload),
         }
     }
 
     /// Total bytes this response puts on the wire (prefix included).
     pub fn wire_len(&self) -> usize {
-        self.head.len() + self.body.len()
+        self.head.as_bytes().len() + self.body.len()
+    }
+
+    /// Write the whole frame to a blocking stream (the threaded
+    /// engine's path; the reactor queues the chunks instead).
+    pub(crate) fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
+        stream.write_all(self.head.as_bytes())?;
+        match &self.body {
+            ResponseBody::Empty => Ok(()),
+            ResponseBody::Owned(v) => stream.write_all(v),
+            ResponseBody::Shared(s) => stream.write_all(s.as_bytes()),
+        }
     }
 }
 
@@ -168,19 +227,81 @@ pub trait FrameService: Send + Sync + 'static {
     }
 }
 
-/// What one queued outbound chunk borrows its bytes from.
-#[derive(Debug)]
-enum OutChunk {
-    Owned(Vec<u8>),
-    Shared(Arc<String>),
+/// A connection's outbound queue: response chunks awaiting the socket.
+#[derive(Default)]
+struct OutQueue {
+    chunks: VecDeque<OutChunk>,
+    /// Bytes of the front chunk already written.
+    front_written: usize,
+    /// Total unwritten bytes across the queue.
+    queued_bytes: usize,
+    /// When the most recent write returned `WouldBlock` with the queue
+    /// nonempty; cleared on any progress.
+    stalled_since: Option<Instant>,
 }
 
-impl OutChunk {
-    fn as_bytes(&self) -> &[u8] {
-        match self {
-            OutChunk::Owned(v) => v,
-            OutChunk::Shared(s) => s.as_bytes(),
+impl OutQueue {
+    fn push(&mut self, resp: Response) {
+        self.queued_bytes += resp.wire_len();
+        self.chunks.push_back(resp.head);
+        match resp.body {
+            ResponseBody::Owned(v) if !v.is_empty() => self.chunks.push_back(OutChunk::Owned(v)),
+            ResponseBody::Shared(s) if !s.is_empty() => self.chunks.push_back(OutChunk::Shared(s)),
+            _ => {}
         }
+    }
+
+    /// Drop `n` written bytes off the front of the queue.
+    fn consume(&mut self, mut n: usize) {
+        self.queued_bytes = self.queued_bytes.saturating_sub(n);
+        while n > 0 {
+            let Some(front) = self.chunks.front() else {
+                break;
+            };
+            let remaining = front.as_bytes().len() - self.front_written;
+            if n >= remaining {
+                n -= remaining;
+                self.front_written = 0;
+                self.chunks.pop_front();
+            } else {
+                self.front_written += n;
+                n = 0;
+            }
+        }
+    }
+
+    /// Drain the queue with vectored writes until empty or the socket
+    /// stops accepting bytes. Tracks the write-stall clock.
+    fn flush(&mut self, mut stream: &UnixStream, now: Instant) -> io::Result<()> {
+        while !self.chunks.is_empty() {
+            let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
+            let batch = self.chunks.len().min(MAX_IOVECS);
+            for (i, (slot, chunk)) in iov.iter_mut().zip(&self.chunks).enumerate() {
+                let bytes = chunk.as_bytes();
+                *slot = IoSlice::new(if i == 0 {
+                    &bytes[self.front_written..]
+                } else {
+                    bytes
+                });
+            }
+            match stream.write_vectored(&iov[..batch]) {
+                Ok(0) => break,
+                Ok(n) => {
+                    self.consume(n);
+                    self.stalled_since = None;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.stalled_since.get_or_insert(now);
+                    break;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        if self.chunks.is_empty() {
+            self.stalled_since = None;
+        }
+        Ok(())
     }
 }
 
@@ -189,14 +310,7 @@ struct Conn {
     stream: UnixStream,
     decoder: FrameDecoder,
     bucket: TokenBucket,
-    out: VecDeque<OutChunk>,
-    /// Bytes of the front chunk already written.
-    front_written: usize,
-    /// Total unwritten bytes across the queue.
-    queued_bytes: usize,
-    /// When the most recent write returned `WouldBlock` with the queue
-    /// nonempty; cleared on any progress.
-    stalled_since: Option<Instant>,
+    out: OutQueue,
     /// Interest mask currently registered with epoll.
     interest: u32,
     /// Stop reading; close once the queue drains.
@@ -209,47 +323,9 @@ impl Conn {
             stream,
             decoder: FrameDecoder::new(max_request),
             bucket: TokenBucket::new(cfg.rate_burst, cfg.rate_refill_per_sec),
-            out: VecDeque::new(),
-            front_written: 0,
-            queued_bytes: 0,
-            stalled_since: None,
+            out: OutQueue::default(),
             interest: EPOLLIN | EPOLLRDHUP,
             closing: false,
-        }
-    }
-
-    fn push_response(&mut self, resp: Response) {
-        self.queued_bytes += resp.wire_len();
-        self.out.push_back(OutChunk::Owned(resp.head));
-        match resp.body {
-            ResponseBody::Empty => {}
-            ResponseBody::Owned(v) => {
-                if !v.is_empty() {
-                    self.out.push_back(OutChunk::Owned(v));
-                }
-            }
-            ResponseBody::Shared(s) => {
-                if !s.is_empty() {
-                    self.out.push_back(OutChunk::Shared(s));
-                }
-            }
-        }
-    }
-
-    /// Drop `n` written bytes off the front of the queue.
-    fn consume(&mut self, mut n: usize) {
-        self.queued_bytes = self.queued_bytes.saturating_sub(n);
-        while n > 0 {
-            let Some(front) = self.out.front() else { break };
-            let remaining = front.as_bytes().len() - self.front_written;
-            if n >= remaining {
-                n -= remaining;
-                self.front_written = 0;
-                self.out.pop_front();
-            } else {
-                self.front_written += n;
-                n = 0;
-            }
         }
     }
 
@@ -259,7 +335,7 @@ impl Conn {
         if !self.closing {
             mask |= EPOLLIN | EPOLLRDHUP;
         }
-        if !self.out.is_empty() {
+        if !self.out.chunks.is_empty() {
             mask |= EPOLLOUT;
         }
         mask
@@ -445,6 +521,9 @@ fn run_loop(
         if stop.load(Ordering::Acquire) {
             break;
         }
+        // The one clock reading of a wake: token buckets, the stall
+        // clock and the scan throttle all run on it.
+        let now = Instant::now();
         for ev in events.iter().take(n) {
             let mask = ev.events;
             let tag = ev.data;
@@ -457,20 +536,21 @@ fn run_loop(
             let Some(conn) = slots.get_mut(slot).and_then(Option::as_mut) else {
                 continue; // already closed this pass
             };
-            let fate = handle_ready(conn, mask, service, config, stop, &mut read_buf);
+            let fate = handle_ready(conn, mask, service, config, stop, &mut read_buf, now);
             settle(shared, service, active, &mut slots, &mut free, slot, fate);
         }
         // Slow-client scan: cheap, so it runs on a short period, but
         // throttled so a hot loop doesn't pay it per wake.
-        if last_scan.elapsed() >= SCAN_EVERY {
-            last_scan = Instant::now();
+        if now.duration_since(last_scan) >= SCAN_EVERY {
+            last_scan = now;
             for slot in 0..slots.len() {
                 let Some(conn) = slots.get_mut(slot).and_then(Option::as_mut) else {
                     continue;
                 };
                 let stalled = conn
+                    .out
                     .stalled_since
-                    .is_some_and(|t| t.elapsed() >= config.write_deadline);
+                    .is_some_and(|t| now.duration_since(t) >= config.write_deadline);
                 if stalled {
                     settle(
                         shared,
@@ -588,6 +668,7 @@ fn handle_ready(
     config: &ServerConfig,
     stop: &AtomicBool,
     read_buf: &mut [u8],
+    now: Instant,
 ) -> Fate {
     // Errors and hard hangups first; RDHUP alone still allows reading
     // the bytes the peer sent before half-closing, so it is left to the
@@ -610,13 +691,14 @@ fn handle_ready(
                 }
                 Ok(n) => {
                     conn.decoder.feed(&read_buf[..n]);
-                    match serve_frames(conn, service, stop) {
-                        Some(fate) => return fate,
-                        None => {
-                            if conn.closing {
-                                break;
-                            }
-                        }
+                    if let Some(fate) = serve_frames(conn, service, stop, now) {
+                        return fate;
+                    }
+                    // A short read drained the socket. Epoll is
+                    // level-triggered, so anything that lands later
+                    // wakes the loop again: no read-until-EAGAIN.
+                    if conn.closing || n < read_buf.len() {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -625,24 +707,29 @@ fn handle_ready(
             }
         }
     }
-    match flush(conn) {
-        Ok(()) => {}
-        Err(_) => return Fate::Close,
+    if conn.out.flush(&conn.stream, now).is_err() {
+        return Fate::Close;
     }
-    if conn.queued_bytes > config.outbound_queue_cap {
+    if conn.out.queued_bytes > config.outbound_queue_cap {
         return Fate::Evict(EvictReason::QueueDepth);
     }
-    if conn.closing && conn.out.is_empty() {
+    if conn.closing && conn.out.chunks.is_empty() {
         return Fate::Close;
     }
     Fate::Keep
 }
 
-/// Serve every complete frame currently buffered. `Some(fate)` ends the
-/// connection immediately; `None` keeps it (possibly marked closing).
-fn serve_frames(conn: &mut Conn, service: &dyn FrameService, stop: &AtomicBool) -> Option<Fate> {
+/// Serve every complete frame currently buffered, each borrowed from
+/// the decoder. `Some(fate)` ends the connection immediately; `None`
+/// keeps it (possibly marked closing).
+fn serve_frames(
+    conn: &mut Conn,
+    service: &dyn FrameService,
+    stop: &AtomicBool,
+    now: Instant,
+) -> Option<Fate> {
     loop {
-        match conn.decoder.next_frame() {
+        match conn.decoder.next_frame_ref() {
             Ok(Some(frame)) => {
                 // Checked per frame, not only per wake: a connection
                 // with steady pipelined traffic must not hold shutdown
@@ -651,9 +738,9 @@ fn serve_frames(conn: &mut Conn, service: &dyn FrameService, stop: &AtomicBool) 
                 if stop.load(Ordering::Acquire) {
                     return Some(Fate::Close);
                 }
-                let pressured = !conn.bucket.take();
-                match service.handle(&frame, pressured) {
-                    ServiceAction::Reply(resp) => conn.push_response(resp),
+                let pressured = !conn.bucket.take(now);
+                match service.handle(frame, pressured) {
+                    ServiceAction::Reply(resp) => conn.out.push(resp),
                     ServiceAction::Close => {
                         conn.closing = true;
                         return None;
@@ -664,42 +751,6 @@ fn serve_frames(conn: &mut Conn, service: &dyn FrameService, stop: &AtomicBool) 
             Err(_) => return Some(Fate::Reject),
         }
     }
-}
-
-/// Drain the outbound queue with vectored writes until empty or the
-/// socket stops accepting bytes. Tracks the write-stall clock.
-fn flush(conn: &mut Conn) -> io::Result<()> {
-    let fd = conn.stream.as_raw_fd();
-    while !conn.out.is_empty() {
-        let mut bufs: Vec<&[u8]> = Vec::with_capacity(MAX_IOVECS.min(conn.out.len()));
-        for (i, chunk) in conn.out.iter().take(MAX_IOVECS).enumerate() {
-            let bytes = chunk.as_bytes();
-            if i == 0 {
-                bufs.push(&bytes[conn.front_written..]);
-            } else {
-                bufs.push(bytes);
-            }
-        }
-        match crate::sys::writev_fd(fd, &bufs) {
-            Ok(0) => break,
-            Ok(n) => {
-                conn.consume(n);
-                conn.stalled_since = None;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if conn.stalled_since.is_none() {
-                    conn.stalled_since = Some(Instant::now());
-                }
-                break;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    if conn.out.is_empty() {
-        conn.stalled_since = None;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -769,6 +820,47 @@ mod tests {
 
     fn sock(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("arv-reactor-{}-{tag}.sock", std::process::id()))
+    }
+
+    /// The queue resumes mid-chunk after a partial write, skips empty
+    /// bodies, keeps short heads inline and long ones whole, and batches
+    /// past [`MAX_IOVECS`] chunks over several vectored writes.
+    #[test]
+    fn writev_partial_batches() {
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let mut out = OutQueue::default();
+        let long_head = vec![b'h'; INLINE_CHUNK];
+        let edge_head = vec![b'e'; INLINE_CHUNK - 4];
+        let mut expect = Vec::new();
+        for i in 0..MAX_IOVECS {
+            let body = match i % 3 {
+                0 => ResponseBody::Empty,
+                1 => ResponseBody::Owned(Vec::new()),
+                _ => ResponseBody::Shared(Arc::new(format!("body-{i}"))),
+            };
+            let head: &[u8] = match i % 5 {
+                0 => &long_head,
+                1 => &edge_head,
+                _ => b"abc",
+            };
+            let resp = Response::new(head, body.clone());
+            assert_eq!(
+                matches!(resp.head, OutChunk::Inline { .. }),
+                head.len() + 4 <= INLINE_CHUNK
+            );
+            resp.write_to(&mut expect).unwrap();
+            out.push(resp);
+        }
+        assert!(out.chunks.len() > MAX_IOVECS);
+        assert_eq!(out.queued_bytes, expect.len());
+        // Pretend an earlier write stopped two bytes into the prefix.
+        out.consume(2);
+        out.flush(&a, Instant::now()).unwrap();
+        assert!(out.chunks.is_empty());
+        assert_eq!(out.queued_bytes, 0);
+        let mut got = vec![0u8; expect.len() - 2];
+        b.read_exact(&mut got).unwrap();
+        assert_eq!(got, &expect[2..]);
     }
 
     #[test]

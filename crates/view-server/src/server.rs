@@ -6,9 +6,11 @@
 //! * **file reads** — full images of the virtual files resource probing
 //!   opens (`/proc/cpuinfo`, `/proc/meminfo`, `/proc/stat`,
 //!   `/sys/devices/system/cpu/online`, and the container's own cgroup
-//!   interface files `cpu.max` / `memory.max`), rendered from one untorn
+//!   interface files `cpu.max` / `memory.max`), built from one untorn
 //!   [`ViewSnapshot`] and cached per `(container, path)` behind the
-//!   cell's generation stamp;
+//!   cell's generation stamp. The four CPU-keyed files are formatted
+//!   once per CPU count for the whole daemon (the image table); only
+//!   the two memory-keyed ones are formatted per miss;
 //! * **sysconf** — the scalar parameters glibc derives from those files.
 //!
 //! Queries from host processes (no container identity) and for unknown
@@ -21,13 +23,12 @@ use arv_resview::{
     Sysconf, ViewHealth, ViewSnapshot, PAGE_SIZE,
 };
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PromText, Tracer};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::cache::PathId;
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, MetricsSnapshot, Served};
 use crate::shard::{ContainerEntry, ShardedRegistry};
 
 /// The host's physical configuration, answered to non-container callers.
@@ -74,7 +75,16 @@ struct ServerInner {
     live: LiveRegistry,
     shards: ShardedRegistry,
     host: HostSpec,
-    host_images: HashMap<&'static str, Arc<String>>,
+    // The host's physical configuration as a view: what non-container
+    // callers are answered from (generation 0: it never changes).
+    host_view: ViewSnapshot,
+    host_meminfo: Arc<String>,
+    // `images[path][cpus]`: the four CPU-keyed files are functions of a
+    // CPU count alone, so each is formatted at most once per count up to
+    // the host's and every container (and the host, at `online_cpus`)
+    // shares the bytes. Slots fill on first use, at most
+    // O(online_cpus^2) image bytes; the memory-keyed rows are empty.
+    images: [Box<[OnceLock<Arc<String>>]>; PathId::COUNT],
     metrics: Metrics,
     policy: StalenessPolicy,
     // Update-timer tick, advanced by the driver; cells whose stamp lags
@@ -134,25 +144,27 @@ impl ViewServer {
         policy: StalenessPolicy,
         tracer: Tracer,
     ) -> ViewServer {
-        let mut host_images: HashMap<&'static str, Arc<String>> = HashMap::new();
-        // Host images are immutable for the server's lifetime; render
-        // them once so the host path is always a cache hit.
-        host_images.insert("/proc/cpuinfo", Arc::new(render::cpuinfo(host.online_cpus)));
-        host_images.insert("/proc/stat", Arc::new(render::stat(host.online_cpus)));
-        host_images.insert(
-            "/proc/meminfo",
-            Arc::new(render::meminfo(host.total_memory, host.free_memory)),
-        );
-        let cpu_list = Arc::new(render::cpu_list(host.online_cpus));
-        host_images.insert("/sys/devices/system/cpu/online", Arc::clone(&cpu_list));
-        host_images.insert("/sys/devices/system/cpu/possible", Arc::clone(&cpu_list));
-        host_images.insert("/sys/devices/system/cpu/present", cpu_list);
+        let images = PathId::ALL.map(|id| {
+            let counts = if id.cpu_keyed() {
+                host.online_cpus as usize + 1
+            } else {
+                0
+            };
+            (0..counts).map(|_| OnceLock::new()).collect()
+        });
         ViewServer {
             inner: Arc::new(ServerInner {
                 live: LiveRegistry::with_tracer(tracer.clone()),
                 shards: ShardedRegistry::new(shards),
                 host,
-                host_images,
+                host_view: ViewSnapshot {
+                    cpus: host.online_cpus,
+                    bytes: host.total_memory,
+                    avail: host.free_memory,
+                    generation: 0,
+                },
+                host_meminfo: Arc::new(render::meminfo(host.total_memory, host.free_memory)),
+                images,
                 metrics: Metrics::new(),
                 policy,
                 clock: AtomicU64::new(0),
@@ -267,8 +279,13 @@ impl ViewServer {
         );
         out.counter(
             "arv_viewd_cache_misses",
-            "Fresh-render answers",
+            "Answers the per-container cache could not give",
             m.cache_misses as f64,
+        );
+        out.counter(
+            "arv_viewd_renders",
+            "Formatter runs (image-table fills and memory-keyed misses)",
+            m.renders as f64,
         );
         out.counter("arv_viewd_failures", "Failed queries", m.failures as f64);
         out.counter(
@@ -498,12 +515,25 @@ impl ViewClient {
     /// container the server doesn't know — gets the host image. Returns
     /// `None` for unsupported paths (ENOENT).
     pub fn read(&self, caller: Option<CgroupId>, path: &str) -> Option<ViewImage> {
+        let start = Instant::now();
+        let (view, how) = self.serve_read(caller, path)?;
+        self.inner.metrics.served(how, start.elapsed());
+        Some(view)
+    }
+
+    /// [`read`](ViewClient::read) without the clock: the caller times
+    /// the query and accounts it with [`Metrics::served`], so a wire
+    /// request reads the clock once for itself and the query both.
+    pub(crate) fn serve_read(
+        &self,
+        caller: Option<CgroupId>,
+        path: &str,
+    ) -> Option<(ViewImage, Served)> {
         let m = &self.inner.metrics;
         m.queries.fetch_add(1, Ordering::Relaxed);
-        let entry = caller.and_then(|id| self.inner.shards.get(id));
-        let result = match entry {
+        let result = match caller.and_then(|id| self.inner.shards.get(id)) {
             Some(entry) => self.read_container(&entry, path),
-            None => self.read_host(path),
+            None => self.read_host(path).map(|view| (view, Served::Hit)),
         };
         if result.is_none() {
             m.failures.fetch_add(1, Ordering::Relaxed);
@@ -519,36 +549,32 @@ impl ViewClient {
     /// unknown — the load-shedding tier-2 signal: under pressure the
     /// wire layer serves what this returns and sheds the rest.
     pub fn read_cached(&self, caller: Option<CgroupId>, path: &str) -> Option<ViewImage> {
-        let entry = caller.and_then(|id| self.inner.shards.get(id));
-        let Some(entry) = entry else {
-            return self.count_query(self.read_host(path));
-        };
-        if matches!(
-            path,
-            "/sys/devices/system/cpu/possible" | "/sys/devices/system/cpu/present"
-        ) {
-            return self.count_query(self.read_host(path));
-        }
         let start = Instant::now();
+        let view = match caller.and_then(|id| self.inner.shards.get(id)) {
+            Some(entry) if !HOST_GLOBAL.contains(&path) => self.cached(&entry, path)?,
+            _ => self.read_host(path)?,
+        };
+        let m = &self.inner.metrics;
+        m.queries.fetch_add(1, Ordering::Relaxed);
+        m.served(Served::Hit, start.elapsed());
+        Some(view)
+    }
+
+    /// The container's cached image of `path`, if it is current and the
+    /// view is not degraded (fallback images are built per read).
+    fn cached(&self, entry: &ContainerEntry, path: &str) -> Option<ViewImage> {
         let id = PathId::resolve(path)?;
         let now = self.inner.clock.load(Ordering::Acquire);
         let health = entry.cell.health(now, &self.inner.policy);
         if health.is_degraded() {
-            return None; // fallback images are rendered per read
+            return None;
         }
-        let generation = entry.cell.generation();
-        if generation & 1 != 0 {
-            return None; // publish in flight; snapshot would be a render
-        }
-        let image = entry.cache.get(id, generation)?;
+        let (image, generation) = Self::current(entry, id)?;
         let m = &self.inner.metrics;
-        m.queries.fetch_add(1, Ordering::Relaxed);
         m.staleness_age.record(health.age());
         if matches!(health, ViewHealth::Stale { .. }) {
             m.stale_serves.fetch_add(1, Ordering::Relaxed);
         }
-        m.hit_latency.record(start.elapsed().as_nanos() as u64);
-        m.cache_hits.fetch_add(1, Ordering::Relaxed);
         Some(ViewImage {
             image,
             generation,
@@ -556,13 +582,17 @@ impl ViewClient {
         })
     }
 
-    /// Count the query that wrapped a host-image lookup (the host path
-    /// records its own hit metrics; the query counter is the caller's).
-    fn count_query(&self, result: Option<ViewImage>) -> Option<ViewImage> {
-        if result.is_some() {
-            self.inner.metrics.queries.fetch_add(1, Ordering::Relaxed);
+    /// The image the container's cache holds at the cell's current
+    /// generation, with that generation: one generation load, and the
+    /// image is consistent by construction — it was built from a
+    /// snapshot taken at the same stamp. `None` if the cache is cold or
+    /// stale, or a publish is in flight (odd stamp).
+    fn current(entry: &ContainerEntry, id: PathId) -> Option<(Arc<String>, u64)> {
+        let generation = entry.cell.generation();
+        if generation & 1 != 0 {
+            return None;
         }
-        result
+        Some((entry.cache.get(id, generation)?, generation))
     }
 
     /// Health of the view `caller` would currently be served (host and
@@ -651,17 +681,21 @@ impl ViewClient {
         }
     }
 
+    /// The host's image of `path`: always a hit, the CPU-keyed files
+    /// being the image table's `online_cpus` entries. A host caller has
+    /// no cgroup interface files.
     fn read_host(&self, path: &str) -> Option<ViewImage> {
-        let start = Instant::now();
-        let image = self.inner.host_images.get(path).cloned()?;
-        self.inner
-            .metrics
-            .hit_latency
-            .record(start.elapsed().as_nanos() as u64);
-        self.inner
-            .metrics
-            .cache_hits
-            .fetch_add(1, Ordering::Relaxed);
+        let inner = &self.inner;
+        let id = if HOST_GLOBAL.contains(&path) {
+            PathId::OnlineCpus
+        } else {
+            PathId::resolve(path)?
+        };
+        let image = match id {
+            PathId::Meminfo => Arc::clone(&inner.host_meminfo),
+            PathId::CpuMax | PathId::MemoryMax => return None,
+            _ => inner.image(id, &inner.host_view),
+        };
         Some(ViewImage {
             image,
             generation: 0,
@@ -669,100 +703,82 @@ impl ViewClient {
         })
     }
 
-    fn read_container(&self, entry: &ContainerEntry, path: &str) -> Option<ViewImage> {
-        // Hardware-property files are host-global even inside a view.
-        if matches!(
-            path,
-            "/sys/devices/system/cpu/possible" | "/sys/devices/system/cpu/present"
-        ) {
-            return self.read_host(path);
+    fn read_container(&self, entry: &ContainerEntry, path: &str) -> Option<(ViewImage, Served)> {
+        if HOST_GLOBAL.contains(&path) {
+            return self.read_host(path).map(|view| (view, Served::Hit));
         }
-        let m = &self.inner.metrics;
-        let start = Instant::now();
         let id = PathId::resolve(path)?;
         let health = self.judge(entry);
-        if health.is_degraded() {
-            // Degraded: render the conservative fallback view. Never
-            // cached — the cache is keyed by generation, and the same
-            // generation must go back to serving the live image the
-            // moment the cell is refreshed.
-            let snap = entry.cell.degraded_snapshot();
-            let rendered = Arc::new(render_container_image(id, &snap, &self.inner.host));
-            m.miss_latency.record(start.elapsed().as_nanos() as u64);
-            m.cache_misses.fetch_add(1, Ordering::Relaxed);
-            return Some(ViewImage {
-                image: rendered,
-                generation: snap.generation,
-                health,
-            });
-        }
-        // Fast path: one generation load. If the stamp is even (no write
-        // in flight) and the cache holds an image at exactly that stamp,
-        // the image is consistent by construction — it was rendered from
-        // a snapshot taken at the same generation.
-        let generation = entry.cell.generation();
-        if generation & 1 == 0 {
-            if let Some(image) = entry.cache.get(id, generation) {
-                m.hit_latency.record(start.elapsed().as_nanos() as u64);
-                m.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(ViewImage {
-                    image,
-                    generation,
-                    health,
-                });
+        let live = !health.is_degraded();
+        let (image, generation, how) = match live.then(|| Self::current(entry, id)).flatten() {
+            Some((image, generation)) => (image, generation, Served::Hit),
+            // Miss, mid-publish or degraded: take one untorn snapshot
+            // and build the image from it alone, so it can never mix two
+            // generations. A fallback image is never put in the cache —
+            // that is keyed by generation, and the same generation must
+            // go back to serving the live image the moment the cell is
+            // refreshed.
+            None => {
+                let snap = Self::view_of(entry, health);
+                let image = self.inner.image(id, &snap);
+                if live {
+                    entry.cache.put(id, snap.generation, Arc::clone(&image));
+                }
+                (image, snap.generation, Served::Miss)
             }
-        }
-        // Miss (or mid-publish): take a full untorn snapshot and render
-        // from it alone, so an image can never mix two generations.
-        let snap = entry.cell.snapshot();
-        let rendered = Arc::new(render_container_image(id, &snap, &self.inner.host));
-        entry.cache.put(id, snap.generation, Arc::clone(&rendered));
-        m.miss_latency.record(start.elapsed().as_nanos() as u64);
-        m.cache_misses.fetch_add(1, Ordering::Relaxed);
-        Some(ViewImage {
-            image: rendered,
-            generation: snap.generation,
+        };
+        let view = ViewImage {
+            image,
+            generation,
             health,
-        })
+        };
+        Some((view, how))
+    }
+
+    /// The view a container of `health` is answered from: the live
+    /// snapshot, or the conservative fallback once degraded.
+    fn view_of(entry: &ContainerEntry, health: ViewHealth) -> ViewSnapshot {
+        if health.is_degraded() {
+            entry.cell.degraded_snapshot()
+        } else {
+            entry.cell.snapshot()
+        }
     }
 
     /// Answer a `sysconf` query for `caller` (host values for `None` or
     /// unknown containers, like [`arv_resview::VirtualSysfs::sysconf`]).
     pub fn sysconf(&self, caller: Option<CgroupId>, query: Sysconf) -> u64 {
-        let m = &self.inner.metrics;
-        m.queries.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let entry = caller.and_then(|id| self.inner.shards.get(id));
-        let value = match entry {
-            Some(entry) => {
-                let snap = if self.judge(&entry).is_degraded() {
-                    entry.cell.degraded_snapshot()
-                } else {
-                    entry.cell.snapshot()
-                };
-                match query {
-                    Sysconf::PageSize => PAGE_SIZE,
-                    Sysconf::NprocessorsOnln | Sysconf::NprocessorsConf => u64::from(snap.cpus),
-                    Sysconf::PhysPages => snap.bytes.as_u64() / PAGE_SIZE,
-                    Sysconf::AvphysPages => snap.avail.as_u64() / PAGE_SIZE,
-                }
-            }
-            None => {
-                let host = &self.inner.host;
-                match query {
-                    Sysconf::PageSize => PAGE_SIZE,
-                    Sysconf::NprocessorsOnln | Sysconf::NprocessorsConf => {
-                        u64::from(host.online_cpus)
-                    }
-                    Sysconf::PhysPages => host.total_memory.as_u64() / PAGE_SIZE,
-                    Sysconf::AvphysPages => host.free_memory.as_u64() / PAGE_SIZE,
-                }
-            }
-        };
+        let (value, _, _) = self.serve_sysconf(caller, query);
         // Sysconf needs no render; it always counts as the cheap path.
-        m.hit_latency.record(start.elapsed().as_nanos() as u64);
-        m.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.inner.metrics.served(Served::Hit, start.elapsed());
         value
+    }
+
+    /// [`sysconf`](ViewClient::sysconf) without the clock (see
+    /// [`serve_read`](ViewClient::serve_read)), with the generation and
+    /// health of the one snapshot the value was read from — a reply
+    /// built from these three cannot pair a value with a later stamp.
+    pub(crate) fn serve_sysconf(
+        &self,
+        caller: Option<CgroupId>,
+        query: Sysconf,
+    ) -> (u64, u64, ViewHealth) {
+        self.inner.metrics.queries.fetch_add(1, Ordering::Relaxed);
+        let (snap, health) = match caller.and_then(|id| self.inner.shards.get(id)) {
+            Some(entry) => {
+                let health = self.judge(&entry);
+                (Self::view_of(&entry, health), health)
+            }
+            None => (self.inner.host_view, ViewHealth::Fresh),
+        };
+        let value = match query {
+            Sysconf::PageSize => PAGE_SIZE,
+            Sysconf::NprocessorsOnln | Sysconf::NprocessorsConf => u64::from(snap.cpus),
+            Sysconf::PhysPages => snap.bytes.as_u64() / PAGE_SIZE,
+            Sysconf::AvphysPages => snap.avail.as_u64() / PAGE_SIZE,
+        };
+        (value, snap.generation, health)
     }
 
     /// The generation currently published for a container (`None` if the
@@ -778,17 +794,37 @@ impl std::fmt::Debug for ViewClient {
     }
 }
 
-/// Render a container-visible file image entirely from one snapshot.
-fn render_container_image(id: PathId, snap: &ViewSnapshot, host: &HostSpec) -> String {
-    match id {
-        PathId::Cpuinfo => render::cpuinfo(snap.cpus),
-        PathId::Stat => render::stat(snap.cpus),
-        PathId::Meminfo => render::meminfo(snap.bytes, snap.avail),
-        PathId::OnlineCpus => render::cpu_list(snap.cpus),
-        // The container's own cgroup interface files, rendered from the
-        // *effective* view (what the adaptive runtime should size to).
-        PathId::CpuMax => render::cpu_max(snap.cpus, host.cfs_period_us),
-        PathId::MemoryMax => render::memory_max(snap.bytes),
+/// Hardware-property files: host-global even inside a view.
+const HOST_GLOBAL: [&str; 2] = [
+    "/sys/devices/system/cpu/possible",
+    "/sys/devices/system/cpu/present",
+];
+
+impl ServerInner {
+    /// The image of `id` for the view `snap`: the shared image-table
+    /// entry when the file is CPU-keyed and the count within the host's,
+    /// formatted on the spot otherwise (memory-keyed files, and a count
+    /// past `online_cpus`, which no algorithm produces but a mirror may).
+    fn image(&self, id: PathId, snap: &ViewSnapshot) -> Arc<String> {
+        match self.images[id as usize].get(snap.cpus as usize) {
+            Some(slot) => Arc::clone(slot.get_or_init(|| self.render(id, snap))),
+            None => self.render(id, snap),
+        }
+    }
+
+    /// Format a container-visible file image entirely from one snapshot.
+    fn render(&self, id: PathId, snap: &ViewSnapshot) -> Arc<String> {
+        self.metrics.renders.fetch_add(1, Ordering::Relaxed);
+        Arc::new(match id {
+            PathId::Cpuinfo => render::cpuinfo(snap.cpus),
+            PathId::Stat => render::stat(snap.cpus),
+            PathId::Meminfo => render::meminfo(snap.bytes, snap.avail),
+            PathId::OnlineCpus => render::cpu_list(snap.cpus),
+            // The container's own cgroup interface files, from the
+            // *effective* view (what the adaptive runtime should size to).
+            PathId::CpuMax => render::cpu_max(snap.cpus, self.host.cfs_period_us),
+            PathId::MemoryMax => render::memory_max(snap.bytes),
+        })
     }
 }
 
@@ -1111,6 +1147,96 @@ mod tests {
             server.metrics().recovery_latency_p99,
             m.recovery_latency_p99
         );
+    }
+
+    mod image_table {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What `arv_resview::render` makes of `id` for a view.
+        fn rendered(id: PathId, cpus: u32, mem: Bytes, avail: Bytes, host: &HostSpec) -> String {
+            match id {
+                PathId::Cpuinfo => render::cpuinfo(cpus),
+                PathId::Meminfo => render::meminfo(mem, avail),
+                PathId::Stat => render::stat(cpus),
+                PathId::OnlineCpus => render::cpu_list(cpus),
+                PathId::CpuMax => render::cpu_max(cpus, host.cfs_period_us),
+                PathId::MemoryMax => render::memory_max(mem),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Every path at every CPU count up to two past the host's —
+            /// the counts past it are not in the table and still answer —
+            /// is byte-equal to the renderer, live and degraded, and two
+            /// containers at one count share the CPU-keyed images.
+            #[test]
+            fn images_equal_the_renderers_and_are_shared(
+                mems in prop::collection::vec(1u64..(1 << 40), 2..3),
+                avail_pct in 0u64..101,
+                fb_mem in 1u64..(1 << 40),
+            ) {
+                let host = HostSpec { online_cpus: 6, ..HostSpec::paper_testbed() };
+                let server = ViewServer::new(host, 4);
+                let client = server.client();
+                let ids = [CgroupId(1), CgroupId(2)];
+                for id in ids {
+                    let bounds = CpuBounds { lower: 1, upper: host.online_cpus };
+                    server.register(id, bounds, EffectiveCpuConfig::default(), mk_mem(500, 1024));
+                }
+                for cpus in 0..=host.online_cpus + 2 {
+                    let views = [0, 1].map(|i| {
+                        let mem = Bytes(mems[i]);
+                        (mem, Bytes(mem.as_u64() / 100 * avail_pct))
+                    });
+                    for (id, (mem, avail)) in ids.into_iter().zip(views) {
+                        prop_assert!(server.mirror(id, cpus, mem, avail));
+                    }
+                    for path in PathId::ALL {
+                        let [a, b] = [0, 1].map(|i| {
+                            let view = client.read(Some(ids[i]), path.as_str()).expect("known path");
+                            assert!(view.health.is_fresh());
+                            let (mem, avail) = views[i];
+                            assert_eq!(*view.image, rendered(path, cpus, mem, avail, &host));
+                            view.image
+                        });
+                        prop_assert_eq!(
+                            Arc::ptr_eq(&a, &b),
+                            path.cpu_keyed() && cpus <= host.online_cpus
+                        );
+                    }
+                    // Age both views past the budget: the fallback's
+                    // images come from the same table and renderers.
+                    let fb = Bytes(fb_mem);
+                    for id in ids {
+                        prop_assert!(server.set_fallback(id, cpus, fb));
+                    }
+                    for _ in 0..=server.policy().budget {
+                        server.advance_tick();
+                    }
+                    for path in PathId::ALL {
+                        for (id, (_, avail)) in ids.into_iter().zip(views) {
+                            let view = client.read(Some(id), path.as_str()).expect("known path");
+                            prop_assert!(view.health.is_degraded());
+                            prop_assert_eq!(
+                                &*view.image,
+                                &rendered(path, cpus, fb, avail.min(fb), &host)
+                            );
+                        }
+                    }
+                }
+                // Formatting happened once per table slot, plus once
+                // per read the table does not cover.
+                let m = server.metrics();
+                let counts = u64::from(host.online_cpus) + 3;
+                let slots = 4 * (u64::from(host.online_cpus) + 1);
+                let uncovered = counts * 2 * 2 * 2 + 2 * 4 * 2 * 2;
+                prop_assert_eq!(m.renders, slots + uncovered);
+                prop_assert_eq!(m.cache_misses, counts * 6 * 2 * 2);
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Minimal direct FFI over the handful of Linux syscalls the readiness
-//! reactor needs: `epoll`, `eventfd`, and vectored writes.
+//! reactor needs and std does not offer: `epoll` and `eventfd`.
 //!
 //! The workspace is offline and carries no `libc` crate, so the reactor
 //! declares the few `extern "C"` signatures it needs against the C
 //! library directly. Everything unsafe is confined to this module; the
-//! rest of the crate sees only the safe [`Epoll`], [`EventFd`] and
-//! [`writev_fd`] wrappers, which translate failures into `io::Error`
-//! via `errno` exactly as std does.
+//! rest of the crate sees only the safe [`Epoll`] and [`EventFd`]
+//! wrappers, which translate failures into `io::Error` via `errno`
+//! exactly as std does. (Vectored writes go through std's
+//! `write_vectored` on the socket itself.)
 //!
 //! Only the constants and operations the reactor actually uses are
 //! bound — this is deliberately not a general-purpose binding layer.
@@ -58,18 +59,11 @@ impl EpollEvent {
     }
 }
 
-#[repr(C)]
-struct IoVec {
-    iov_base: *const u8,
-    iov_len: usize,
-}
-
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
-    fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
@@ -211,53 +205,12 @@ impl Drop for EventFd {
     }
 }
 
-/// Write up to [`MAX_IOVECS`] buffers to `fd` in one syscall, returning
-/// the number of bytes accepted. `Ok(0)` is only possible for empty
-/// input; partial writes are normal and the caller resumes mid-buffer.
-pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
-    if bufs.is_empty() {
-        return Ok(0);
-    }
-    let iov: Vec<IoVec> = bufs
-        .iter()
-        .take(MAX_IOVECS)
-        .map(|b| IoVec {
-            iov_base: b.as_ptr(),
-            iov_len: b.len(),
-        })
-        .collect();
-    // SAFETY: every iovec points into a slice borrowed for the duration
-    // of the call, and iovcnt matches the vector length.
-    let n = unsafe { writev(fd, iov.as_ptr(), iov.len() as i32) };
-    if n < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(n as usize)
-    }
-}
-
-/// Most buffers a single [`writev_fd`] call will batch. Far below the
-/// kernel's IOV_MAX (1024); big enough to drain several queued
-/// responses per syscall.
-pub const MAX_IOVECS: usize = 16;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use std::io::{Read, Write};
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
-
-    #[test]
-    fn writev_partial_batches() {
-        let (a, mut b) = UnixStream::pair().unwrap();
-        let n = writev_fd(a.as_raw_fd(), &[b"abc", b"", b"defg"]).unwrap();
-        assert_eq!(n, 7);
-        let mut got = [0u8; 7];
-        b.read_exact(&mut got).unwrap();
-        assert_eq!(&got, b"abcdefg");
-        assert_eq!(writev_fd(a.as_raw_fd(), &[]).unwrap(), 0);
-    }
 
     #[test]
     fn eventfd_wakes_epoll() {
@@ -284,7 +237,7 @@ mod tests {
         ep.add(a.as_raw_fd(), EPOLLIN | EPOLLRDHUP, 7).unwrap();
         let mut buf = [EpollEvent::zeroed(); 4];
         assert_eq!(ep.wait(&mut buf, 0).unwrap(), 0);
-        writev_fd(b.as_raw_fd(), &[b"he", b"llo"]).unwrap();
+        (&b).write_all(b"hello").unwrap();
         let n = ep.wait(&mut buf, 1000).unwrap();
         assert_eq!(n, 1);
         let mask = buf[0].events;

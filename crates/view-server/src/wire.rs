@@ -67,8 +67,10 @@ use std::time::Duration;
 
 use crate::codec::{read_frame, server_read_frame, write_frame, ServerRead, Transport, Verdict};
 use crate::config::{ServerConfig, TokenBucket};
+use crate::metrics::Served;
 use crate::reactor::{EvictReason, FrameService, Reactor, Response, ResponseBody, ServiceAction};
 use crate::server::{ViewClient, ViewImage, ViewServer};
+use arv_resview::ViewHealth;
 
 pub use crate::codec::{RetryPolicy, WireError};
 
@@ -127,14 +129,6 @@ fn encode_request(kind: u8, raw_caller: u32, key: &str) -> Vec<u8> {
     payload
 }
 
-fn encode_response(status: u8, generation: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9 + body.len());
-    out.push(status);
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
 /// Decode a response frame (the payload after the length prefix).
 ///
 /// `Ok(None)` is a NOT_FOUND answer. A frame too short to carry the
@@ -161,10 +155,7 @@ pub fn parse_response(resp: &[u8]) -> io::Result<Option<WireResponse>> {
             retry_after_ms: 0,
         })),
         STATUS_OK_SHED => {
-            let retry_after_ms = std::str::from_utf8(&resp[9..])
-                .ok()
-                .and_then(|t| t.parse::<u64>().ok())
-                .unwrap_or(DEFAULT_RETRY_AFTER_MS);
+            let retry_after_ms = decimal(&resp[9..]).unwrap_or(DEFAULT_RETRY_AFTER_MS);
             Ok(Some(WireResponse {
                 body: resp[9..].to_vec(),
                 generation,
@@ -217,19 +208,15 @@ impl Default for WireLimits {
     }
 }
 
-/// An `OK_SHED` response carrying the retry-after hint.
-fn shed_response(retry_after_ms: u64) -> Vec<u8> {
-    encode_response(STATUS_OK_SHED, 0, retry_after_ms.to_string().as_bytes())
-}
-
-/// Handle one connection until EOF, error, eviction, or server shutdown.
+/// Handle one connection until EOF, error, eviction, or server shutdown
+/// (the threaded engine: same [`ViewdService::handle`] as the reactor,
+/// replies written straight to the blocking stream).
 fn serve_connection(
-    server: &ViewServer,
+    service: &ViewdService,
     mut stream: UnixStream,
     stop: &AtomicBool,
     limits: WireLimits,
 ) -> io::Result<()> {
-    let client = server.client();
     let mut bucket = TokenBucket::new(limits.rate_burst, limits.rate_refill_per_sec);
     loop {
         let req = match server_read_frame(&mut stream, MAX_REQUEST) {
@@ -244,10 +231,7 @@ fn serve_connection(
             // Oversized or torn frame: count it, drop only this
             // connection — other clients are unaffected.
             Err(e) => {
-                server
-                    .metrics_ref()
-                    .wire_rejected
-                    .fetch_add(1, Ordering::Relaxed);
+                service.on_frame_rejected();
                 return Err(e);
             }
         };
@@ -259,91 +243,11 @@ fn serve_connection(
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        server
-            .metrics_ref()
-            .wire_requests
-            .fetch_add(1, Ordering::Relaxed);
-        let started = std::time::Instant::now();
-        // Out of tokens: two-tier shedding. Tier 1 (cached-generation
-        // reads, sysconf scalars) is still served — those are the reads
-        // resource probing depends on and they cost no render. Tier 2
-        // (render misses, stats expositions, trace walks) is refused
-        // with a retry-after hint.
-        let pressured = !bucket.take();
-        let response = match decode_request(&req) {
-            Some((KIND_READ, caller, key)) if pressured => match client.read_cached(caller, key) {
-                Some(view) => {
-                    let status = if view.health.is_degraded() {
-                        STATUS_OK_DEGRADED
-                    } else {
-                        STATUS_OK
-                    };
-                    encode_response(status, view.generation, view.image.as_bytes())
-                }
-                None => {
-                    server
-                        .metrics_ref()
-                        .requests_shed
-                        .fetch_add(1, Ordering::Relaxed);
-                    shed_response(limits.retry_after_ms)
-                }
-            },
-            Some((KIND_STATS | KIND_TRACE, _, _)) if pressured => {
-                server
-                    .metrics_ref()
-                    .requests_shed
-                    .fetch_add(1, Ordering::Relaxed);
-                shed_response(limits.retry_after_ms)
-            }
-            Some((KIND_READ, caller, key)) => match client.read(caller, key) {
-                Some(view) => {
-                    let status = if view.health.is_degraded() {
-                        STATUS_OK_DEGRADED
-                    } else {
-                        STATUS_OK
-                    };
-                    encode_response(status, view.generation, view.image.as_bytes())
-                }
-                None => encode_response(STATUS_NOT_FOUND, 0, &[]),
-            },
-            Some((KIND_SYSCONF, caller, key)) => match sysconf_key(key) {
-                Some(q) => {
-                    let value = client.sysconf(caller, q);
-                    let generation = caller.and_then(|id| client.generation(id)).unwrap_or(0);
-                    let status = if client.health(caller).is_degraded() {
-                        STATUS_OK_DEGRADED
-                    } else {
-                        STATUS_OK
-                    };
-                    encode_response(status, generation, value.to_string().as_bytes())
-                }
-                None => encode_response(STATUS_NOT_FOUND, 0, &[]),
-            },
-            Some((KIND_STATS, _, _)) => {
-                let body = clamp_text_body(server.prometheus_exposition());
-                encode_response(STATUS_OK, 0, body.as_bytes())
-            }
-            Some((KIND_TRACE, caller, _)) => {
-                let rendered = match caller {
-                    Some(id) => server.tracer().render_timeline(id),
-                    None => server.tracer().render_full(),
-                };
-                let body = clamp_text_body(rendered);
-                encode_response(STATUS_OK, 0, body.as_bytes())
-            }
-            _ => {
-                server
-                    .metrics_ref()
-                    .wire_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                encode_response(STATUS_NOT_FOUND, 0, &[])
-            }
+        let pressured = !bucket.take(std::time::Instant::now());
+        let ServiceAction::Reply(response) = service.handle(&req, pressured) else {
+            return Ok(());
         };
-        server
-            .metrics_ref()
-            .wire_latency
-            .record(started.elapsed().as_nanos() as u64);
-        if let Err(e) = write_frame(&mut stream, &response) {
+        if let Err(e) = response.write_to(&mut stream) {
             // A write stalling past the deadline is a slow client
             // hogging a connection slot: evict it. Other write errors
             // (peer gone) just close the connection as before.
@@ -351,10 +255,7 @@ fn serve_connection(
                 e.kind(),
                 io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
             ) {
-                server
-                    .metrics_ref()
-                    .conns_evicted_slow
-                    .fetch_add(1, Ordering::Relaxed);
+                service.on_evicted(EvictReason::WriteStall);
             }
             return Err(e);
         }
@@ -392,18 +293,59 @@ fn decode_request(payload: &[u8]) -> Option<(u8, Option<CgroupId>, &str)> {
     Some((kind, caller, key))
 }
 
-/// Protocol head bytes (status + generation) for a reactor response;
-/// the reactor's framing adds the length prefix.
-fn response_head(status: u8, generation: u64) -> [u8; 9] {
+/// The status byte a view of `health` is answered with.
+fn status_of(health: ViewHealth) -> u8 {
+    if health.is_degraded() {
+        STATUS_OK_DEGRADED
+    } else {
+        STATUS_OK
+    }
+}
+
+/// A reply whose body is `value` in decimal, built with its status and
+/// generation in one stack buffer the response keeps inline.
+fn scalar_reply(status: u8, generation: u64, value: u64) -> Response {
+    use std::io::Write;
+    let mut head = [0u8; 9 + 20];
+    head[0] = status;
+    head[1..9].copy_from_slice(&generation.to_le_bytes());
+    let mut digits = &mut head[9..];
+    // Cannot fail: a u64 has at most 20 decimal digits.
+    let _ = write!(digits, "{value}");
+    let unused = digits.len();
+    Response::new(&head[..head.len() - unused], ResponseBody::Empty)
+}
+
+/// A decimal body, as [`scalar_reply`] writes it.
+fn decimal(body: &[u8]) -> Option<u64> {
+    std::str::from_utf8(body).ok()?.parse().ok()
+}
+
+/// The value a sysconf answer carries (`None`: NOT_FOUND).
+fn sysconf_value(resp: Option<WireResponse>) -> Result<Option<u64>, WireError> {
+    let Some(resp) = resp else {
+        return Ok(None);
+    };
+    match decimal(&resp.body) {
+        Some(value) => Ok(Some(value)),
+        None => Err(WireError::Malformed(
+            "sysconf body is not a decimal value".into(),
+        )),
+    }
+}
+
+/// A reply of status, generation and `body`.
+fn reply(status: u8, generation: u64, body: ResponseBody) -> Response {
     let mut head = [0u8; 9];
     head[0] = status;
     head[1..9].copy_from_slice(&generation.to_le_bytes());
-    head
+    Response::new(&head, body)
 }
 
-/// viewd's protocol plugged into the [`Reactor`]: the exact two-tier
-/// shed semantics of the threaded path, with cached file images queued
-/// as shared `Arc` slices — no per-request body copies.
+/// viewd's protocol, the one opcode dispatch both engines serve: the
+/// [`Reactor`] queues what [`FrameService::handle`] returns (cached
+/// file images as shared `Arc` slices — no per-request body copies),
+/// the threaded engine writes it out.
 struct ViewdService {
     server: ViewServer,
     client: ViewClient,
@@ -425,26 +367,20 @@ impl ViewdService {
             .metrics_ref()
             .requests_shed
             .fetch_add(1, Ordering::Relaxed);
-        Response::new(
-            &response_head(STATUS_OK_SHED, 0),
-            ResponseBody::Owned(self.retry_after_ms.to_string().into_bytes()),
-        )
+        scalar_reply(STATUS_OK_SHED, 0, self.retry_after_ms)
     }
 
     fn view_reply(view: ViewImage) -> Response {
-        let status = if view.health.is_degraded() {
-            STATUS_OK_DEGRADED
-        } else {
-            STATUS_OK
-        };
-        Response::new(
-            &response_head(status, view.generation),
-            ResponseBody::Shared(Arc::clone(&view.image)),
+        reply(
+            status_of(view.health),
+            view.generation,
+            ResponseBody::Shared(view.image),
         )
     }
 
-    fn not_found(&self) -> Response {
-        Response::new(&response_head(STATUS_NOT_FOUND, 0), ResponseBody::Empty)
+    fn text_reply(text: String) -> Response {
+        let body = clamp_text_body(text).into_bytes();
+        reply(STATUS_OK, 0, ResponseBody::Owned(body))
     }
 }
 
@@ -456,11 +392,16 @@ impl FrameService for ViewdService {
     fn handle(&self, request: &[u8], pressured: bool) -> ServiceAction {
         let metrics = self.server.metrics_ref();
         metrics.wire_requests.fetch_add(1, Ordering::Relaxed);
+        // One clock pair per request: the interval is the wire latency
+        // and, for a served query, its hit or miss latency too.
         let started = std::time::Instant::now();
-        // Out of tokens: two-tier shedding, same as the threaded path.
-        // Tier 1 (cached-generation reads, sysconf scalars) is still
-        // served; tier 2 (render misses, stats expositions, trace
-        // walks) is refused with a retry-after hint.
+        let mut served = None;
+        let not_found = || reply(STATUS_NOT_FOUND, 0, ResponseBody::Empty);
+        // Out of tokens: two-tier shedding. Tier 1 (cached-generation
+        // reads, sysconf scalars) is still served — those are the reads
+        // resource probing depends on and they cost no render. Tier 2
+        // (misses, stats expositions, trace walks) is refused with a
+        // retry-after hint.
         let response = match decode_request(request) {
             Some((KIND_READ, caller, key)) if pressured => {
                 match self.client.read_cached(caller, key) {
@@ -469,54 +410,39 @@ impl FrameService for ViewdService {
                 }
             }
             Some((KIND_STATS | KIND_TRACE, _, _)) if pressured => self.shed(),
-            Some((KIND_READ, caller, key)) => match self.client.read(caller, key) {
-                Some(view) => Self::view_reply(view),
-                None => self.not_found(),
+            Some((KIND_READ, caller, key)) => match self.client.serve_read(caller, key) {
+                Some((view, how)) => {
+                    served = Some(how);
+                    Self::view_reply(view)
+                }
+                None => not_found(),
             },
             Some((KIND_SYSCONF, caller, key)) => match sysconf_key(key) {
                 Some(q) => {
-                    let value = self.client.sysconf(caller, q);
-                    let generation = caller
-                        .and_then(|id| self.client.generation(id))
-                        .unwrap_or(0);
-                    let status = if self.client.health(caller).is_degraded() {
-                        STATUS_OK_DEGRADED
-                    } else {
-                        STATUS_OK
-                    };
-                    Response::new(
-                        &response_head(status, generation),
-                        ResponseBody::Owned(value.to_string().into_bytes()),
-                    )
+                    // Value, generation and health of one snapshot: the
+                    // header can never stamp a value with a later (or a
+                    // mid-publish, odd) generation.
+                    let (value, generation, health) = self.client.serve_sysconf(caller, q);
+                    served = Some(Served::Hit);
+                    scalar_reply(status_of(health), generation, value)
                 }
-                None => self.not_found(),
+                None => not_found(),
             },
-            Some((KIND_STATS, _, _)) => {
-                let body = clamp_text_body(self.server.prometheus_exposition());
-                Response::new(
-                    &response_head(STATUS_OK, 0),
-                    ResponseBody::Owned(body.into_bytes()),
-                )
-            }
-            Some((KIND_TRACE, caller, _)) => {
-                let rendered = match caller {
-                    Some(id) => self.server.tracer().render_timeline(id),
-                    None => self.server.tracer().render_full(),
-                };
-                let body = clamp_text_body(rendered);
-                Response::new(
-                    &response_head(STATUS_OK, 0),
-                    ResponseBody::Owned(body.into_bytes()),
-                )
-            }
+            Some((KIND_STATS, _, _)) => Self::text_reply(self.server.prometheus_exposition()),
+            Some((KIND_TRACE, caller, _)) => Self::text_reply(match caller {
+                Some(id) => self.server.tracer().render_timeline(id),
+                None => self.server.tracer().render_full(),
+            }),
             _ => {
                 metrics.wire_errors.fetch_add(1, Ordering::Relaxed);
-                self.not_found()
+                not_found()
             }
         };
-        metrics
-            .wire_latency
-            .record(started.elapsed().as_nanos() as u64);
+        let took = started.elapsed();
+        metrics.wire_latency.record(took.as_nanos() as u64);
+        if let Some(how) = served {
+            metrics.served(how, took);
+        }
         ServiceAction::Reply(response)
     }
 
@@ -605,10 +531,10 @@ impl WireServer {
         config: ServerConfig,
     ) -> io::Result<WireServer> {
         config.validate()?;
-        if config.threaded {
-            return WireServer::spawn_threaded(server, socket_path, config.limits());
-        }
         let service = Arc::new(ViewdService::new(server, config.retry_after_ms));
+        if config.threaded {
+            return WireServer::spawn_threaded(service, socket_path, config.limits());
+        }
         let reactor = Reactor::spawn(service, socket_path, config)?;
         Ok(WireServer {
             engine: Engine::Reactor(reactor),
@@ -616,7 +542,7 @@ impl WireServer {
     }
 
     fn spawn_threaded(
-        server: ViewServer,
+        service: Arc<ViewdService>,
         socket_path: impl AsRef<Path>,
         limits: WireLimits,
     ) -> io::Result<WireServer> {
@@ -635,18 +561,12 @@ impl WireServer {
                 while !stop2.load(Ordering::Acquire) {
                     match listener.accept() {
                         Ok((stream, _addr)) => {
-                            server
-                                .metrics_ref()
-                                .connections_accepted
-                                .fetch_add(1, Ordering::Relaxed);
+                            service.on_accepted();
                             // Connection cap: the app-level bound on the
                             // accept backlog. Closing the stream is the
                             // refusal — the peer sees EOF.
                             if active.load(Ordering::Acquire) >= limits.max_connections {
-                                server
-                                    .metrics_ref()
-                                    .connections_dropped
-                                    .fetch_add(1, Ordering::Relaxed);
+                                service.on_conn_rejected();
                             } else {
                                 // Blocking reads with a short timeout:
                                 // the connection thread polls the stop
@@ -656,7 +576,7 @@ impl WireServer {
                                 let _ = stream.set_nonblocking(false);
                                 let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
                                 let _ = stream.set_write_timeout(Some(limits.write_deadline));
-                                let conn_server = server.clone();
+                                let conn_service = Arc::clone(&service);
                                 let stop3 = Arc::clone(&stop2);
                                 active.fetch_add(1, Ordering::AcqRel);
                                 let active2 = Arc::clone(&active);
@@ -664,7 +584,7 @@ impl WireServer {
                                     .name("arv-viewd-conn".into())
                                     .spawn(move || {
                                         let _ =
-                                            serve_connection(&conn_server, stream, &stop3, limits);
+                                            serve_connection(&conn_service, stream, &stop3, limits);
                                         active2.fetch_sub(1, Ordering::AcqRel);
                                     });
                                 match spawned {
@@ -675,10 +595,7 @@ impl WireServer {
                                     // daemon alive.
                                     Err(_) => {
                                         active.fetch_sub(1, Ordering::AcqRel);
-                                        server
-                                            .metrics_ref()
-                                            .connections_dropped
-                                            .fetch_add(1, Ordering::Relaxed);
+                                        service.on_conn_rejected();
                                     }
                                 }
                             }
@@ -806,17 +723,7 @@ impl WireClient {
     /// Query a sysconf value by wire key name (e.g. `"nprocessors_onln"`).
     pub fn sysconf(&mut self, caller: Option<CgroupId>, key: &str) -> io::Result<Option<u64>> {
         let resp = self.request(KIND_SYSCONF, caller, key)?;
-        match resp {
-            Some(r) => {
-                let text = std::str::from_utf8(&r.body)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                let value = text
-                    .parse::<u64>()
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                Ok(Some(value))
-            }
-            None => Ok(None),
-        }
+        Ok(sysconf_value(resp)?)
     }
 
     /// Fetch the daemon's Prometheus text exposition.
@@ -1016,19 +923,7 @@ impl RobustWireClient {
         caller: Option<CgroupId>,
         key: &str,
     ) -> Result<Option<u64>, WireError> {
-        let resp = self.request(KIND_SYSCONF, caller, key)?;
-        match resp {
-            Some(r) => {
-                let value = std::str::from_utf8(&r.body)
-                    .ok()
-                    .and_then(|text| text.parse::<u64>().ok())
-                    .ok_or_else(|| {
-                        WireError::Malformed("sysconf body is not a decimal value".into())
-                    })?;
-                Ok(Some(value))
-            }
-            None => Ok(None),
-        }
+        sysconf_value(self.request(KIND_SYSCONF, caller, key)?)
     }
 }
 
@@ -1039,6 +934,14 @@ mod tests {
     use arv_cgroups::Bytes;
     use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};
     use std::io::{Read, Write};
+
+    /// A response payload as the daemon frames it, for the parser tests.
+    fn encode_response(status: u8, generation: u64, body: &[u8]) -> Vec<u8> {
+        let mut out = vec![status];
+        out.extend_from_slice(&generation.to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
 
     /// Unwrap with context: chaos-style tests issue the same call dozens
     /// of times across opcodes and seeds, and a bare `unwrap()` failure
@@ -1142,6 +1045,53 @@ mod tests {
         assert!(String::from_utf8(after.body)
             .unwrap()
             .contains(&format!("MemTotal: {} kB", 800 * 1024)));
+        wire.shutdown();
+    }
+
+    /// A sysconf reply's value, generation and status come from one
+    /// snapshot: under a publisher racing the reader the generation is
+    /// never a mid-publish (odd) one and never stamps the other view's
+    /// value.
+    #[test]
+    fn sysconf_reply_is_never_torn_under_a_racing_publisher() {
+        let (server, wire, id) = spawn_server("torn");
+        let mut client = WireClient::connect(wire.socket_path()).unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let publisher = std::thread::spawn({
+            let (done, start) = (Arc::clone(&done), Arc::clone(&start));
+            move || {
+                start.wait();
+                for round in 0u64.. {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let cpus = if round % 2 == 0 { 4 } else { 8 };
+                    let mem = Bytes::from_mib(100 * u64::from(cpus));
+                    server.mirror(id, cpus, mem, mem);
+                }
+            }
+        });
+        start.wait();
+        let mut value_at: HashMap<u64, Vec<u8>> = HashMap::new();
+        for _ in 0..30_000 {
+            let resp = client
+                .request(KIND_SYSCONF, Some(id), "nprocessors_onln")
+                .unwrap()
+                .unwrap();
+            assert_eq!(resp.generation % 2, 0, "mid-publish generation served");
+            let seen = value_at
+                .entry(resp.generation)
+                .or_insert_with(|| resp.body.clone());
+            assert_eq!(
+                *seen, resp.body,
+                "generation {} has two values",
+                resp.generation
+            );
+        }
+        done.store(true, Ordering::Relaxed);
+        publisher.join().unwrap();
+        assert!(value_at.len() > 1, "the publisher never raced the reader");
         wire.shutdown();
     }
 
