@@ -82,9 +82,12 @@ echo "==> persist bench (journal append cost, restore throughput, faulty-store o
 cargo bench -q -p arv-bench --bench persist > /dev/null
 test -s BENCH_persist.json || { echo "BENCH_persist.json missing"; exit 1; }
 
-echo "==> wire bench (5k-connection fanout, cached-read p99, reactor vs threaded engine)"
+echo "==> wire bench (5k-connection fanout, cached-read p99)"
 cargo bench -q -p arv-bench --bench wire > /dev/null
 test -s BENCH_wire.json || { echo "BENCH_wire.json missing"; exit 1; }
+
+echo "==> arv-benchmark's own tests (contract + determinism: every pinned signature still compiles)"
+cargo test -q --offline --manifest-path arv-benchmark/Cargo.toml
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

@@ -1,8 +1,8 @@
-//! Deterministic chaos harness for the fault-tolerant view pipeline.
+//! Deterministic chaos campaign for the fault-tolerant view pipeline.
 //!
 //! Every fault-handling claim the robustness work makes is asserted
-//! here, under seeded fault injection ([`arv_sim_core::FaultPlan`]) so a
-//! failing run replays bit-for-bit:
+//! here, under seeded fault injection ([`arv_sim_core::FaultPlan`]) and
+//! replay-checked on the [`crate::campaign`] harness:
 //!
 //! * **monitor stall** — the update timer fires but the monitor does no
 //!   work. Views must never leave their Algorithm 1 bounds, degraded
@@ -23,21 +23,17 @@
 //!   dropping other clients; [`arv_viewd::RobustWireClient`] must serve
 //!   its last-good answer (flagged degraded) during the outage and
 //!   reconnect on its own once the socket returns.
-//!
-//! Each scenario runs under two seeds, and twice per seed: the replays
-//! must produce identical counters, which is what makes the harness a
-//! debugging tool rather than a dice roll.
 
-use arv_cgroups::{Bytes, CgroupId};
+use arv_cgroups::CgroupId;
 use arv_container::{ContainerSpec, SimHost};
-use arv_resview::{
-    CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig, StalenessPolicy,
-    Sysconf, ViewHealth,
-};
+use arv_resview::{StalenessPolicy, Sysconf, ViewHealth};
 use arv_sim_core::{FaultConfig, FaultPlan};
 use arv_viewd::{HostSpec, RetryPolicy, RobustWireClient, ViewServer, WireServer, KIND_READ};
 
-use crate::report::{FigReport, Row, Table};
+use crate::campaign::{
+    out_of_bounds, paper_container, rows, serve_one_view, step_busy, Campaign, Run, Scenario,
+};
+use crate::report::FigReport;
 
 /// The two campaign seeds. Both must satisfy every invariant; together
 /// with the per-seed replay they demonstrate the harness is seeded, not
@@ -54,15 +50,11 @@ const STALL_TICKS: u64 = 6;
 const RECONVERGE_BOUND: u64 = 15;
 
 fn churn_spec(tag: impl std::fmt::Display) -> ContainerSpec {
-    ContainerSpec::new(format!("churn-{tag}"), 20)
-        .cpus(8.0)
-        .cpu_shares(1024)
+    paper_container(format!("churn-{tag}")).cpus(8.0)
 }
 
 fn paper_spec(tag: impl std::fmt::Display) -> ContainerSpec {
-    ContainerSpec::new(format!("chaos-{tag}"), 20)
-        .cpus(10.0)
-        .cpu_shares(1024)
+    paper_container(format!("chaos-{tag}"))
 }
 
 // --- scenario 1: monitor stall ---
@@ -215,8 +207,7 @@ fn run_event_chaos(seed: u64, rounds: u32) -> EventChaosOutcome {
             host.terminate(victim);
         }
         for _ in 0..2 {
-            let demands: Vec<_> = live.iter().map(|id| host.demand(*id, 8)).collect();
-            host.step(&demands);
+            step_busy(&mut host, &live, 8);
         }
     }
 
@@ -225,22 +216,15 @@ fn run_event_chaos(seed: u64, rounds: u32) -> EventChaosOutcome {
     // resync it forces reconciles straight from the cgroup hierarchy.
     live.push(host.launch(&churn_spec("clean")));
     for _ in 0..3 {
-        let demands: Vec<_> = live.iter().map(|id| host.demand(*id, 8)).collect();
-        host.step(&demands);
+        step_busy(&mut host, &live, 8);
     }
 
     let w = host.watchdog_stats();
     let mut missing = 0u64;
     let mut bound_violations = 0u64;
     for id in &live {
-        match host.monitor().namespace(*id) {
-            Some(ns) => {
-                let bounds = ns.cpu_bounds();
-                let eff = ns.effective_cpu();
-                if eff < bounds.lower || eff > bounds.upper {
-                    bound_violations += 1;
-                }
-            }
+        match out_of_bounds(&host, *id) {
+            Some(out) => bound_violations += u64::from(out),
             None => missing += 1,
         }
     }
@@ -302,8 +286,7 @@ fn run_publish_delay(seed: u64) -> PublishDelayOutcome {
     // Only c0 runs: its live view climbs to the 10-core quota while the
     // conservative fallback stays at the all-busy fair share.
     for _ in 0..12 {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_busy(&mut host, &ids[..1], 20);
     }
     let client = host.viewd().expect("viewd attached").client();
     assert!(client.health(Some(ids[0])).is_fresh());
@@ -323,8 +306,7 @@ fn run_publish_delay(seed: u64) -> PublishDelayOutcome {
     let mut ticks_to_degraded = 0u64;
     let mut degraded_cpus = 0u64;
     for tick in 1..=delay {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_busy(&mut host, &ids[..1], 20);
         match client.health(Some(ids[0])) {
             ViewHealth::Stale { .. } => {
                 if ticks_to_stale == 0 {
@@ -343,8 +325,7 @@ fn run_publish_delay(seed: u64) -> PublishDelayOutcome {
 
     let mut ticks_to_recover = 0u64;
     for tick in 1..=4u64 {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_busy(&mut host, &ids[..1], 20);
         if client.health(Some(ids[0])).is_fresh() {
             ticks_to_recover = tick;
             break;
@@ -415,19 +396,7 @@ fn run_wire_chaos(seed: u64, replay: u32) -> WireChaosOutcome {
     let _ = std::fs::remove_file(&socket);
 
     let view = ViewServer::new(HostSpec::paper_testbed(), 4);
-    view.register(
-        CgroupId(1),
-        CpuBounds { lower: 2, upper: 8 },
-        EffectiveCpuConfig::default(),
-        EffectiveMemory::new(
-            Bytes::from_mib(512),
-            Bytes::from_mib(1024),
-            Bytes::from_mib(1280),
-            Bytes::from_mib(2560),
-            EffectiveMemoryConfig::default(),
-        ),
-    );
-    view.mirror(CgroupId(1), 6, Bytes::from_mib(1536), Bytes::from_mib(768));
+    serve_one_view(&view);
     let wire = WireServer::spawn(view.clone(), &socket).expect("spawn wire server");
 
     let retry = RetryPolicy {
@@ -547,226 +516,99 @@ fn assert_wire_chaos(out: &WireChaosOutcome, seed: u64) {
     assert_eq!(out.fallback_serves, 1, "seed {seed:#x}");
 }
 
-// --- harness ---
-
-fn seed_label(seed: u64) -> String {
-    format!("seed_{seed:#x}")
-}
-
-fn b2f(flag: bool) -> f64 {
-    if flag {
-        1.0
-    } else {
-        0.0
-    }
-}
+// --- the campaign ---
 
 /// Run the chaos campaign and produce its report. Panics (on purpose)
 /// if any fault-tolerance invariant or the same-seed replay check fails.
-pub fn run(scale: f64) -> FigReport {
+pub fn run(scale: f64, seed_offset: u64) -> FigReport {
     let churn_rounds = ((12.0 * scale) as u32).clamp(6, 48);
-
-    let mut stall = Vec::new();
-    let mut events = Vec::new();
-    let mut delay = Vec::new();
-    let mut wires = Vec::new();
-    for (i, &seed) in SEEDS.iter().enumerate() {
-        // Same seed, run twice: a chaos harness is only useful if a
-        // failure replays exactly.
-        let s = run_monitor_stall(seed);
-        assert_eq!(s, run_monitor_stall(seed), "stall replay diverged");
-        assert_stall(&s, seed);
-        stall.push(s);
-
-        let e = run_event_chaos(seed, churn_rounds);
-        assert_eq!(
-            e,
-            run_event_chaos(seed, churn_rounds),
-            "event-chaos replay diverged"
-        );
-        assert_event_chaos(&e, seed);
-        events.push(e);
-
-        let d = run_publish_delay(seed);
-        assert_eq!(d, run_publish_delay(seed), "publish-delay replay diverged");
-        assert_publish_delay(&d, seed);
-        delay.push(d);
-
-        let w = run_wire_chaos(seed, (i * 2) as u32);
-        assert_eq!(
-            w,
-            run_wire_chaos(seed, (i * 2 + 1) as u32),
-            "wire-chaos replay diverged"
-        );
-        assert_wire_chaos(&w, seed);
-        wires.push(w);
-    }
-
-    let cols: Vec<String> = SEEDS.iter().map(|s| seed_label(*s)).collect();
-    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
-
-    let mut t_stall = Table::new("monitor_stall", &cols);
-    let pick = |f: &dyn Fn(&StallOutcome) -> f64| [f(&stall[0]), f(&stall[1])];
-    t_stall.push(Row::full("missed_ticks", &pick(&|o| o.missed_ticks as f64)));
-    t_stall.push(Row::full("resyncs", &pick(&|o| o.resyncs as f64)));
-    t_stall.push(Row::full(
-        "degraded_serves",
-        &pick(&|o| o.degraded_serves as f64),
-    ));
-    t_stall.push(Row::full(
-        "bound_violations",
-        &pick(&|o| o.bound_violations as f64),
-    ));
-    t_stall.push(Row::full(
-        "reconverge_ticks",
-        &pick(&|o| o.reconverge_ticks as f64),
-    ));
-    t_stall.push(Row::full("final_cpus", &pick(&|o| o.final_cpus as f64)));
-
-    let mut t_events = Table::new("event_stream_chaos", &cols);
-    let pick = |f: &dyn Fn(&EventChaosOutcome) -> f64| [f(&events[0]), f(&events[1])];
-    t_events.push(Row::full(
-        "injected_drops",
-        &pick(&|o| o.injected_drops as f64),
-    ));
-    t_events.push(Row::full(
-        "injected_dups",
-        &pick(&|o| o.injected_dups as f64),
-    ));
-    t_events.push(Row::full(
-        "injected_reorders",
-        &pick(&|o| o.injected_reorders as f64),
-    ));
-    t_events.push(Row::full(
-        "gaps_detected",
-        &pick(&|o| o.gaps_detected as f64),
-    ));
-    t_events.push(Row::full(
-        "duplicates_ignored",
-        &pick(&|o| o.duplicates_ignored as f64),
-    ));
-    t_events.push(Row::full("resyncs", &pick(&|o| o.resyncs as f64)));
-    t_events.push(Row::full(
-        "live_containers",
-        &pick(&|o| o.live_containers as f64),
-    ));
-    t_events.push(Row::full("namespaces", &pick(&|o| o.namespaces as f64)));
-    t_events.push(Row::full(
-        "missing_namespaces",
-        &pick(&|o| o.missing_namespaces as f64),
-    ));
-    t_events.push(Row::full(
-        "bound_violations",
-        &pick(&|o| o.bound_violations as f64),
-    ));
-
-    let mut t_delay = Table::new("publish_delay", &cols);
-    let pick = |f: &dyn Fn(&PublishDelayOutcome) -> f64| [f(&delay[0]), f(&delay[1])];
-    t_delay.push(Row::full(
-        "staleness_budget",
-        &pick(&|o| o.staleness_budget as f64),
-    ));
-    t_delay.push(Row::full("delay_ticks", &pick(&|o| o.delay_ticks as f64)));
-    t_delay.push(Row::full(
-        "ticks_to_stale",
-        &pick(&|o| o.ticks_to_stale as f64),
-    ));
-    t_delay.push(Row::full(
-        "ticks_to_degraded",
-        &pick(&|o| o.ticks_to_degraded as f64),
-    ));
-    t_delay.push(Row::full("live_cpus", &pick(&|o| o.live_cpus as f64)));
-    t_delay.push(Row::full(
-        "fallback_cpus",
-        &pick(&|o| o.fallback_cpus as f64),
-    ));
-    t_delay.push(Row::full(
-        "degraded_cpus",
-        &pick(&|o| o.degraded_cpus as f64),
-    ));
-    t_delay.push(Row::full(
-        "ticks_to_recover",
-        &pick(&|o| o.ticks_to_recover as f64),
-    ));
-    t_delay.push(Row::full(
-        "recovered_cpus",
-        &pick(&|o| o.recovered_cpus as f64),
-    ));
-
-    let mut t_wire = Table::new("wire_chaos", &cols);
-    let pick = |f: &dyn Fn(&WireChaosOutcome) -> f64| [f(&wires[0]), f(&wires[1])];
-    t_wire.push(Row::full(
-        "frames_corrupted",
-        &pick(&|o| o.frames_corrupted as f64),
-    ));
-    t_wire.push(Row::full(
-        "frames_truncated",
-        &pick(&|o| o.frames_truncated as f64),
-    ));
-    t_wire.push(Row::full(
-        "frames_rejected",
-        &pick(&|o| o.frames_rejected as f64),
-    ));
-    t_wire.push(Row::full(
-        "decode_errors",
-        &pick(&|o| o.decode_errors as f64),
-    ));
-    t_wire.push(Row::full("successes", &pick(&|o| o.successes as f64)));
-    t_wire.push(Row::full("failures", &pick(&|o| o.failures as f64)));
-    t_wire.push(Row::full("retries", &pick(&|o| o.retries as f64)));
-    t_wire.push(Row::full("reconnects", &pick(&|o| o.reconnects as f64)));
-    t_wire.push(Row::full(
-        "fallback_serves",
-        &pick(&|o| o.fallback_serves as f64),
-    ));
-    t_wire.push(Row::full(
-        "downtime_degraded",
-        &pick(&|o| b2f(o.downtime_degraded)),
-    ));
-    t_wire.push(Row::full(
-        "post_restart_live",
-        &pick(&|o| b2f(o.post_restart_live)),
-    ));
-
-    let mut t_det = Table::new("determinism", &["replays_identical"]);
-    for scenario in [
-        "monitor_stall",
-        "event_stream_chaos",
-        "publish_delay",
-        "wire_chaos",
-    ] {
-        // Each scenario above already ran twice per seed behind an
-        // assert_eq!; reaching this point means every replay matched.
-        t_det.push(Row::full(scenario, &[1.0]));
-    }
-
-    let mut rep = FigReport::new(
+    let mut campaign = Campaign::new(
         "chaos",
         "deterministic fault injection: stalls, event loss, publish delay, wire chaos",
+        &SEEDS,
+        seed_offset,
     );
-    rep.tables.push(t_stall);
-    rep.tables.push(t_events);
-    rep.tables.push(t_delay);
-    rep.tables.push(t_wire);
-    rep.tables.push(t_det);
-    rep.note(format!(
-        "seeds {:#x} and {:#x}; every scenario run twice per seed and asserted bit-identical",
-        SEEDS[0], SEEDS[1]
-    ));
-    rep.note(format!(
+
+    campaign.scenario(Scenario {
+        name: "monitor_stall",
+        run: &|seed, _| Run::of(run_monitor_stall(seed)),
+        check: &|run, seed| assert_stall(&run.outcome, seed),
+        rows: rows!(
+            missed_ticks,
+            resyncs,
+            degraded_serves,
+            bound_violations,
+            reconverge_ticks,
+            final_cpus
+        ),
+    });
+    campaign.scenario(Scenario {
+        name: "event_stream_chaos",
+        run: &|seed, _| Run::of(run_event_chaos(seed, churn_rounds)),
+        check: &|run, seed| assert_event_chaos(&run.outcome, seed),
+        rows: rows!(
+            injected_drops,
+            injected_dups,
+            injected_reorders,
+            gaps_detected,
+            duplicates_ignored,
+            resyncs,
+            live_containers,
+            namespaces,
+            missing_namespaces,
+            bound_violations
+        ),
+    });
+    campaign.scenario(Scenario {
+        name: "publish_delay",
+        run: &|seed, _| Run::of(run_publish_delay(seed)),
+        check: &|run, seed| assert_publish_delay(&run.outcome, seed),
+        rows: rows!(
+            staleness_budget,
+            delay_ticks,
+            ticks_to_stale,
+            ticks_to_degraded,
+            live_cpus,
+            fallback_cpus,
+            degraded_cpus,
+            ticks_to_recover,
+            recovered_cpus
+        ),
+    });
+    campaign.scenario(Scenario {
+        name: "wire_chaos",
+        run: &|seed, replay| Run::of(run_wire_chaos(seed, replay)),
+        check: &|run, seed| assert_wire_chaos(&run.outcome, seed),
+        rows: rows!(
+            frames_corrupted,
+            frames_truncated,
+            frames_rejected,
+            decode_errors,
+            successes,
+            failures,
+            retries,
+            reconnects,
+            fallback_serves,
+            downtime_degraded,
+            post_restart_live
+        ),
+    });
+
+    campaign.report.note(format!(
         "invariants held: views inside Algorithm 1 bounds under every fault, degraded serving \
          within the staleness budget, resync after loss, reconvergence <= {RECONVERGE_BOUND} ticks"
     ));
-    rep
+    campaign.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::seed_label;
 
     #[test]
     fn chaos_campaign_passes_and_reports() {
-        let rep = run(0.5);
+        let rep = run(0.5, 0);
         assert_eq!(rep.tables.len(), 5);
         let stall = &rep.tables[0];
         for col in [seed_label(SEEDS[0]), seed_label(SEEDS[1])] {

@@ -1,8 +1,8 @@
 //! Fleet control-plane campaign: core↔periphery aggregation at scale,
 //! under partitions, lagging hosts, and controller failover.
 //!
-//! Two scenarios, seeded and replay-checked like the [`crate::chaos`]
-//! and [`crate::recovery`] campaigns:
+//! Four scenarios, seeded and replay-checked on the
+//! [`crate::campaign`] harness:
 //!
 //! * **scale** — a synthetic fleet (1000 hosts × 100 containers at full
 //!   scale) streams seeded view churn through peripheries into one
@@ -39,27 +39,19 @@
 //!   impostor), a late stale ACK duplicated to a periphery is fenced
 //!   without mutating state, and the deposed primary rejoins as a
 //!   standby mirroring the new leader.
-//!
-//! Every scenario runs twice per seed and the outcomes must be
-//! bit-identical — a failing campaign replays exactly.
 
-use arv_cgroups::CgroupId;
-use arv_container::{ContainerSpec, SimHost};
-use arv_fleet::{AckDisposition, FleetController, FleetPolicy, Periphery, SharedLease};
-use arv_persist::{Snapshot, ViewState};
+use arv_fleet::{AckDisposition, FleetController, FleetPolicy, Periphery};
 use arv_sim_core::{FaultConfig, FaultPlan, SimRng};
 
-use crate::report::{FigReport, Row, Table};
+use crate::campaign::{
+    churn_demands, churn_view, fleet_hosts, ground_truth, periphery_total, pump_repl,
+    replicated_pair, rows, snapshot_at, synthetic_views, take_ack, Campaign, FaultyLinks, Run,
+    Scenario,
+};
+use crate::report::FigReport;
 
 /// Campaign seeds (distinct from the chaos and recovery suites).
 const SEEDS: [u64; 2] = [0xF1EE7, 0xA66AE6];
-
-/// Derive this run's seeds: a nonzero `offset` rotates every base seed
-/// through a splitmix-style odd multiplier, so `--seed-offset 1` is a
-/// genuinely different campaign that still replays bit-identically.
-fn seeds(offset: u64) -> [u64; 2] {
-    SEEDS.map(|s| s ^ offset.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
 
 /// The paper's update-timer period is 100 ms; a full fleet ingest round
 /// (every host's frames applied plus one aggregation tick) must fit
@@ -95,34 +87,13 @@ struct ScaleOutcome {
     topk_head_pressure: u64,
 }
 
-/// Driver-side ground truth for one container.
-#[derive(Debug, Clone, Copy)]
-struct Truth {
-    cpu: u32,
-    mem: u64,
-    avail: u64,
-}
-
-fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
+fn run_scale(seed: u64, hosts: u32, containers: u32) -> Run<ScaleOutcome> {
     let mut ctl = FleetController::new(64, FleetPolicy::default());
     let mut rng = SimRng::seed_from_u64(seed);
 
     // Ground truth lives in the driver; the controller must reproduce
     // its sums from deltas alone.
-    let mut truth: Vec<Vec<Truth>> = (0..hosts)
-        .map(|_| {
-            (0..containers)
-                .map(|_| {
-                    let mem = rng.range_u64(64, 1024);
-                    Truth {
-                        cpu: rng.range_u64(1, 16) as u32,
-                        mem,
-                        avail: rng.range_u64(0, mem),
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    let mut truth = synthetic_views(&mut rng, hosts, containers);
     let mut peripheries: Vec<Periphery> = (0..hosts)
         .map(|h| {
             let mut p = Periphery::new(h);
@@ -143,27 +114,13 @@ fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
         for host in truth.iter_mut() {
             let changes = 1 + rng.range_u64(0, 7) as usize;
             for _ in 0..changes {
-                let c = rng.range_u64(0, u64::from(containers)) as usize;
-                let t = &mut host[c];
-                t.cpu = (t.cpu % 64) + 1 + rng.range_u64(0, 4) as u32;
-                t.mem = rng.range_u64(64, 1024);
-                t.avail = rng.range_u64(0, t.mem);
+                churn_view(host, &mut rng);
             }
         }
 
         let start = std::time::Instant::now();
         for (h, p) in peripheries.iter_mut().enumerate() {
-            let mut snap = Snapshot::at(u64::from(round) + 1);
-            for (c, t) in truth[h].iter().enumerate() {
-                snap.entries.push(ViewState {
-                    id: c as u32,
-                    e_cpu: t.cpu,
-                    e_mem: t.mem,
-                    e_avail: t.avail,
-                    last_tick: u64::from(round) + 1,
-                });
-            }
-            p.observe(&snap, false, 0);
+            p.observe(&snapshot_at(u64::from(round) + 1, &truth[h]), false, 0);
             for frame in p.take_frames() {
                 if let Some(resp) = ctl.handle_frame(&frame) {
                     if let Some(arv_fleet::Frame::Ack(ack)) = arv_fleet::decode_frame(&resp) {
@@ -180,9 +137,9 @@ fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
         let (mut cpu, mut mem, mut avail) = (0u64, 0u64, 0u64);
         for host in &truth {
             for t in host {
-                cpu += u64::from(t.cpu);
-                mem += t.mem;
-                avail += t.avail;
+                cpu += u64::from(t.e_cpu);
+                mem += t.e_mem;
+                avail += t.e_avail;
             }
         }
         if (r.cpu, r.mem, r.avail, r.containers, u64::from(r.hosts))
@@ -201,7 +158,7 @@ fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
             let mut want = 0u64;
             for (h, host) in truth.iter().enumerate() {
                 if h as u32 % TENANTS == tenant {
-                    want += host.iter().map(|t| u64::from(t.cpu)).sum::<u64>();
+                    want += host.iter().map(|t| u64::from(t.e_cpu)).sum::<u64>();
                 }
             }
             if t.cpu != want || degraded {
@@ -218,7 +175,7 @@ fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
 
     let top = ctl.top_pressured(10);
     let m = ctl.metrics().snapshot();
-    (
+    Run::timed(
         ScaleOutcome {
             hosts: u64::from(hosts),
             containers: u64::from(hosts) * u64::from(containers),
@@ -235,6 +192,7 @@ fn run_scale(seed: u64, hosts: u32, containers: u32) -> (ScaleOutcome, f64) {
                 .map(|p| u64::from(p.pressure_milli))
                 .unwrap_or(0),
         },
+        "max_round_ms",
         max_round_ms,
     )
 }
@@ -293,12 +251,6 @@ struct FaultsOutcome {
     truth_containers: u64,
 }
 
-/// A frame waiting out the lagging host's delay.
-struct Lagged {
-    release: u64,
-    frame: Vec<u8>,
-}
-
 fn run_faults(seed: u64, rounds: u32) -> FaultsOutcome {
     let plan = FaultPlan::new(
         seed,
@@ -310,23 +262,15 @@ fn run_faults(seed: u64, rounds: u32) -> FaultsOutcome {
         },
     );
     let mut rng = SimRng::seed_from_u64(seed ^ 0xF1EE7);
-    let (mut hosts, ids) = fleet_hosts("fleet");
+    let (mut hosts, ids) = fleet_hosts("fleet", FAULT_HOSTS);
 
     let mut ctl = FleetController::new(8, FleetPolicy::default());
     ctl.enable_journal(2);
 
-    let mut dropped = 0u64;
-    let mut delayed = 0u64;
     let mut degraded_rounds = 0u64;
     let mut post_restore_partitioned = 0u64;
     let mut crashed = false;
-    let mut lag_queue: Vec<Lagged> = Vec::new();
-
-    let deliver = |ctl: &FleetController, host: &mut SimHost, frame: &[u8]| {
-        if let Some(resp) = ctl.handle_frame(frame) {
-            host.deliver_fleet_ack(&resp);
-        }
-    };
+    let mut links = FaultyLinks::default();
 
     let total = rounds + HEAL_ROUNDS;
     for round in 0..u64::from(total) {
@@ -343,61 +287,12 @@ fn run_faults(seed: u64, rounds: u32) -> FaultsOutcome {
         }
 
         for (h, host) in hosts.iter_mut().enumerate() {
-            // Seeded demand churn keeps views moving so every firing
-            // ships deltas; the epilogue pins demand so views settle.
-            let demands: Vec<_> = if healing {
-                ids[h].iter().map(|id| host.demand(*id, 20)).collect()
-            } else {
-                let mut picks = Vec::new();
-                for id in &ids[h] {
-                    if rng.unit() > 0.4 {
-                        picks.push(host.demand(*id, rng.range_u64(4, 20) as u32));
-                    }
-                }
-                picks
-            };
-            host.step(&demands);
+            host.step(&churn_demands(host, &ids[h], healing, &mut rng));
 
             let frames = host.take_fleet_frames();
-            if h == 0 && !healing && plan.partitioned(round) {
-                // The partition: frames vanish on the floor. The gap
-                // they leave forces a FULL resync once the link heals.
-                dropped += frames.len() as u64;
-            } else if h == 1 && !healing {
-                for frame in frames {
-                    delayed += 1;
-                    lag_queue.push(Lagged {
-                        release: round + plan.frame_lag(),
-                        frame,
-                    });
-                }
-            } else {
-                for frame in frames {
-                    deliver(&ctl, host, &frame);
-                }
-            }
-            if h == 1 {
-                // Release lagged frames in order once their delay is up
-                // (the epilogue flushes whatever is left).
-                let due: Vec<Lagged> = if healing {
-                    std::mem::take(&mut lag_queue)
-                } else {
-                    let mut due = Vec::new();
-                    lag_queue.retain_mut(|l| {
-                        if l.release <= round {
-                            due.push(Lagged {
-                                release: l.release,
-                                frame: std::mem::take(&mut l.frame),
-                            });
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    due
-                };
-                for l in &due {
-                    deliver(&ctl, host, &l.frame);
+            for frame in links.route(&plan, h, round, healing, frames) {
+                if let Some(resp) = ctl.handle_frame(&frame) {
+                    host.deliver_fleet_ack(&resp);
                 }
             }
         }
@@ -415,13 +310,10 @@ fn run_faults(seed: u64, rounds: u32) -> FaultsOutcome {
     let m = ctl.metrics().snapshot();
     FaultsOutcome {
         hosts: u64::from(FAULT_HOSTS),
-        partition_frames_dropped: dropped,
-        lag_frames_delayed: delayed,
+        partition_frames_dropped: links.dropped,
+        lag_frames_delayed: links.delayed,
         gap_resyncs: m.deltas_gap_resyncs,
-        periphery_resyncs: hosts
-            .iter()
-            .map(|h| h.periphery().map(|p| p.stats().resyncs).unwrap_or(0))
-            .sum(),
+        periphery_resyncs: periphery_total(&hosts, |s| s.resyncs),
         full_syncs: m.full_syncs,
         partition_transitions: m.hosts_partitioned,
         degraded_rounds,
@@ -481,56 +373,6 @@ const LEASE_TTL: u64 = 2;
 /// (coalescing) is actually exercised.
 const TIGHT_BURST: u32 = 2;
 
-/// Ship every queued REPL frame from `from` to `to` and feed the
-/// replication ACKs back — one pump of the primary→standby stream.
-fn pump_repl(from: &FleetController, to: &FleetController) {
-    for frame in from.take_repl_frames() {
-        if let Some(resp) = to.handle_frame(&frame) {
-            if let Some(arv_fleet::Frame::Ack(ack)) = arv_fleet::decode_frame(&resp) {
-                from.handle_repl_ack(&ack);
-            }
-        }
-    }
-}
-
-/// Sum of every host's last-observed monitor snapshot — the ground
-/// truth a healed controller's rollup must reproduce exactly.
-fn ground_truth(hosts: &[SimHost]) -> (u64, u64) {
-    let (mut cpu, mut containers) = (0u64, 0u64);
-    for host in hosts {
-        let snap = host.monitor().snapshot();
-        cpu += snap.entries.iter().map(|e| u64::from(e.e_cpu)).sum::<u64>();
-        containers += snap.entries.len() as u64;
-    }
-    (cpu, containers)
-}
-
-fn fleet_hosts(tag: &str) -> (Vec<SimHost>, Vec<Vec<CgroupId>>) {
-    let mut hosts = Vec::new();
-    let mut ids: Vec<Vec<CgroupId>> = Vec::new();
-    for h in 0..FAULT_HOSTS {
-        let mut host = SimHost::paper_testbed();
-        ids.push(
-            (0..3)
-                .map(|i| {
-                    host.launch(
-                        &ContainerSpec::new(format!("{tag}-{h}-{i}"), 20)
-                            .cpus(10.0)
-                            .cpu_shares(1024),
-                    )
-                })
-                .collect(),
-        );
-        let mut p = Periphery::new(h);
-        for (i, _) in ids[h as usize].iter().enumerate() {
-            p.set_tenant(i as u32 + 1, h % 2);
-        }
-        host.attach_periphery(p);
-        hosts.push(host);
-    }
-    (hosts, ids)
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FailoverOutcome {
     hosts: u64,
@@ -567,14 +409,9 @@ fn run_failover(seed: u64, rounds: u32) -> FailoverOutcome {
         },
     );
     let mut rng = SimRng::seed_from_u64(seed ^ 0xFA17);
-    let (mut hosts, ids) = fleet_hosts("failover");
+    let (mut hosts, ids) = fleet_hosts("failover", FAULT_HOSTS);
 
-    let lease = SharedLease::new();
-    let primary = FleetController::new(8, FleetPolicy::default());
-    primary.attach_lease(lease.clone(), 1, LEASE_TTL);
-    primary.enable_replication();
-    let mut standby = FleetController::new(8, FleetPolicy::default());
-    standby.attach_lease(lease, 2, LEASE_TTL);
+    let (primary, mut standby) = replicated_pair(8, LEASE_TTL);
 
     let mut killed = false;
     let mut kill_tick = 0u64;
@@ -600,18 +437,7 @@ fn run_failover(seed: u64, rounds: u32) -> FailoverOutcome {
         }
 
         for (h, host) in hosts.iter_mut().enumerate() {
-            let demands: Vec<_> = if healing {
-                ids[h].iter().map(|id| host.demand(*id, 20)).collect()
-            } else {
-                let mut picks = Vec::new();
-                for id in &ids[h] {
-                    if rng.unit() > 0.4 {
-                        picks.push(host.demand(*id, rng.range_u64(4, 20) as u32));
-                    }
-                }
-                picks
-            };
-            host.step(&demands);
+            host.step(&churn_demands(host, &ids[h], healing, &mut rng));
             let target = if killed { &standby } else { &primary };
             for frame in host.take_fleet_frames() {
                 if let Some(resp) = target.handle_frame(&frame) {
@@ -656,18 +482,8 @@ fn run_failover(seed: u64, rounds: u32) -> FailoverOutcome {
         repl_records_applied: m.repl_records_applied,
         promotions: m.promotions,
         not_leader_rejects: m.not_leader_rejects,
-        deltas_coalesced: hosts
-            .iter()
-            .map(|h| {
-                h.periphery()
-                    .map(|p| p.stats().deltas_coalesced)
-                    .unwrap_or(0)
-            })
-            .sum(),
-        periphery_failovers: hosts
-            .iter()
-            .map(|h| h.periphery().map(|p| p.stats().failovers).unwrap_or(0))
-            .sum(),
+        deltas_coalesced: periphery_total(&hosts, |s| s.deltas_coalesced),
+        periphery_failovers: periphery_total(&hosts, |s| s.failovers),
         final_epoch: standby.ctl_epoch(),
         final_partitioned: u64::from(r.partitioned),
         final_cpu: r.cpu,
@@ -750,14 +566,9 @@ fn run_splitbrain(seed: u64, rounds: u32) -> SplitBrainOutcome {
         },
     );
     let mut rng = SimRng::seed_from_u64(seed ^ 0x5B11);
-    let (mut hosts, ids) = fleet_hosts("split");
+    let (mut hosts, ids) = fleet_hosts("split", FAULT_HOSTS);
 
-    let lease = SharedLease::new();
-    let primary = FleetController::new(8, FleetPolicy::default());
-    primary.attach_lease(lease.clone(), 1, LEASE_TTL);
-    primary.enable_replication();
-    let standby = FleetController::new(8, FleetPolicy::default());
-    standby.attach_lease(lease, 2, LEASE_TTL);
+    let (primary, standby) = replicated_pair(8, LEASE_TTL);
 
     let mut on_standby = vec![false; FAULT_HOSTS as usize];
     let mut reversed = false;
@@ -770,18 +581,7 @@ fn run_splitbrain(seed: u64, rounds: u32) -> SplitBrainOutcome {
         primary.set_lease_stalled(plan.lease_stalled(round));
 
         for (h, host) in hosts.iter_mut().enumerate() {
-            let demands: Vec<_> = if healing {
-                ids[h].iter().map(|id| host.demand(*id, 20)).collect()
-            } else {
-                let mut picks = Vec::new();
-                for id in &ids[h] {
-                    if rng.unit() > 0.4 {
-                        picks.push(host.demand(*id, rng.range_u64(4, 20) as u32));
-                    }
-                }
-                picks
-            };
-            host.step(&demands);
+            host.step(&churn_demands(host, &ids[h], healing, &mut rng));
             let frames = host.take_fleet_frames();
             for frame in frames {
                 let target = if on_standby[h] { &standby } else { &primary };
@@ -791,22 +591,14 @@ fn run_splitbrain(seed: u64, rounds: u32) -> SplitBrainOutcome {
                 let Some(arv_fleet::Frame::Ack(ack)) = arv_fleet::decode_frame(&resp) else {
                     continue;
                 };
-                let disp = host
-                    .periphery_mut()
-                    .map(|p| p.handle_ack(&ack))
-                    .unwrap_or(AckDisposition::Ignored);
-                if disp == AckDisposition::NotLeader && !on_standby[h] {
-                    // Walk the controller list: re-HELLO at the standby.
-                    on_standby[h] = true;
-                    if let Some(p) = host.periphery_mut() {
-                        p.on_reconnect();
-                    }
-                    if h == 0 {
-                        // The network duplicated this stale-epoch ACK;
-                        // the copy straggles in below, after the new
-                        // leader's first ACK raised the seen epoch.
-                        stale_ack = Some(resp.clone());
-                    }
+                let walked = on_standby[h];
+                let disp = take_ack(host, &ack, &mut on_standby[h]);
+                if h == 0 && on_standby[0] && !walked {
+                    // The network duplicated the stale-epoch ACK that
+                    // walked host 0 away; the copy straggles in below,
+                    // after the new leader's first ACK raised the seen
+                    // epoch.
+                    stale_ack = Some(resp.clone());
                 }
                 if h == 0 && on_standby[0] && disp == AckDisposition::Applied {
                     if let Some(dup) = stale_ack.take() {
@@ -846,10 +638,7 @@ fn run_splitbrain(seed: u64, rounds: u32) -> SplitBrainOutcome {
         promotions: standby.metrics().snapshot().promotions,
         primary_demotions: primary.metrics().snapshot().demotions,
         repl_fenced: standby.metrics().snapshot().repl_fenced,
-        periphery_acks_fenced: hosts[0]
-            .periphery()
-            .map(|p| p.stats().acks_fenced)
-            .unwrap_or(0),
+        periphery_acks_fenced: periphery_total(&hosts[..1], |s| s.acks_fenced),
         split_brain_rounds,
         final_partitioned: u64::from(r.partitioned),
         final_cpu: r.cpu,
@@ -895,211 +684,99 @@ fn assert_splitbrain(out: &SplitBrainOutcome, seed: u64) {
     );
 }
 
-// --- harness ---
-
-fn seed_label(seed: u64) -> String {
-    format!("seed_{seed:#x}")
-}
+// --- the campaign ---
 
 /// Run the fleet campaign and produce its report. Panics (on purpose)
 /// if any aggregation, fault-recovery, failover, fencing, or
 /// same-seed-replay invariant fails.
-pub fn run(scale: f64) -> FigReport {
-    run_seeded(scale, 0)
-}
-
-/// [`run`] with this run's seeds rotated by `seed_offset` (the CLI's
-/// `--seed-offset`): offset 0 is the canonical campaign, any other
-/// value a fresh one with identical invariants.
-pub fn run_seeded(scale: f64, seed_offset: u64) -> FigReport {
+pub fn run(scale: f64, seed_offset: u64) -> FigReport {
     let hosts = ((1000.0 * scale) as u32).clamp(32, 2000);
     let containers = ((100.0 * scale) as u32).clamp(8, 200);
     let fault_rounds = ((30.0 * scale) as u32).clamp(20, 40);
-    let run_seeds = seeds(seed_offset);
-
-    let mut scales = Vec::new();
-    let mut round_ms = Vec::new();
-    let mut faults = Vec::new();
-    let mut failovers = Vec::new();
-    let mut splits = Vec::new();
-    for &seed in &run_seeds {
-        // Same seed, run twice: a fleet campaign is only useful if a
-        // failure replays exactly.
-        let (s, ms) = run_scale(seed, hosts, containers);
-        let (s2, _) = run_scale(seed, hosts, containers);
-        assert_eq!(s, s2, "scale replay diverged");
-        assert_scale(&s, ms, seed);
-        scales.push(s);
-        round_ms.push(ms);
-
-        let f = run_faults(seed, fault_rounds);
-        assert_eq!(f, run_faults(seed, fault_rounds), "faults replay diverged");
-        assert_faults(&f, seed);
-        faults.push(f);
-
-        let fo = run_failover(seed, fault_rounds);
-        assert_eq!(
-            fo,
-            run_failover(seed, fault_rounds),
-            "failover replay diverged"
-        );
-        assert_failover(&fo, seed);
-        failovers.push(fo);
-
-        let sb = run_splitbrain(seed, fault_rounds);
-        assert_eq!(
-            sb,
-            run_splitbrain(seed, fault_rounds),
-            "splitbrain replay diverged"
-        );
-        assert_splitbrain(&sb, seed);
-        splits.push(sb);
-    }
-
-    let cols: Vec<String> = run_seeds.iter().map(|s| seed_label(*s)).collect();
-    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
-
-    let mut t_scale = Table::new("scale", &cols);
-    let pick = |f: &dyn Fn(&ScaleOutcome) -> f64| [f(&scales[0]), f(&scales[1])];
-    t_scale.push(Row::full("hosts", &pick(&|o| o.hosts as f64)));
-    t_scale.push(Row::full("containers", &pick(&|o| o.containers as f64)));
-    t_scale.push(Row::full(
-        "rollup_mismatches",
-        &pick(&|o| o.rollup_mismatches as f64),
-    ));
-    t_scale.push(Row::full(
-        "tenant_mismatches",
-        &pick(&|o| o.tenant_mismatches as f64),
-    ));
-    t_scale.push(Row::full(
-        "deltas_ingested",
-        &pick(&|o| o.deltas_ingested as f64),
-    ));
-    t_scale.push(Row::full(
-        "delta_entries",
-        &pick(&|o| o.delta_entries as f64),
-    ));
-    t_scale.push(Row::full(
-        "policy_adoptions",
-        &pick(&|o| o.policy_adoptions as f64),
-    ));
-    t_scale.push(Row::full("max_round_ms", &[round_ms[0], round_ms[1]]));
-
-    let mut t_faults = Table::new("faults", &cols);
-    let pick = |f: &dyn Fn(&FaultsOutcome) -> f64| [f(&faults[0]), f(&faults[1])];
-    t_faults.push(Row::full(
-        "partition_frames_dropped",
-        &pick(&|o| o.partition_frames_dropped as f64),
-    ));
-    t_faults.push(Row::full(
-        "lag_frames_delayed",
-        &pick(&|o| o.lag_frames_delayed as f64),
-    ));
-    t_faults.push(Row::full("gap_resyncs", &pick(&|o| o.gap_resyncs as f64)));
-    t_faults.push(Row::full(
-        "periphery_resyncs",
-        &pick(&|o| o.periphery_resyncs as f64),
-    ));
-    t_faults.push(Row::full(
-        "degraded_rounds",
-        &pick(&|o| o.degraded_rounds as f64),
-    ));
-    t_faults.push(Row::full(
-        "post_restore_partitioned",
-        &pick(&|o| o.post_restore_partitioned as f64),
-    ));
-    t_faults.push(Row::full(
-        "final_partitioned",
-        &pick(&|o| o.final_partitioned as f64),
-    ));
-    t_faults.push(Row::full("final_cpu", &pick(&|o| o.final_cpu as f64)));
-    t_faults.push(Row::full("truth_cpu", &pick(&|o| o.truth_cpu as f64)));
-
-    let mut t_failover = Table::new("failover", &cols);
-    let pick = |f: &dyn Fn(&FailoverOutcome) -> f64| [f(&failovers[0]), f(&failovers[1])];
-    t_failover.push(Row::full("kill_tick", &pick(&|o| o.kill_tick as f64)));
-    t_failover.push(Row::full(
-        "ticks_to_promote",
-        &pick(&|o| o.ticks_to_promote as f64),
-    ));
-    t_failover.push(Row::full(
-        "ticks_to_fresh",
-        &pick(&|o| o.ticks_to_fresh as f64),
-    ));
-    t_failover.push(Row::full(
-        "repl_backlog_at_kill",
-        &pick(&|o| o.repl_backlog_at_kill as f64),
-    ));
-    t_failover.push(Row::full(
-        "repl_records_applied",
-        &pick(&|o| o.repl_records_applied as f64),
-    ));
-    t_failover.push(Row::full(
-        "not_leader_rejects",
-        &pick(&|o| o.not_leader_rejects as f64),
-    ));
-    t_failover.push(Row::full(
-        "deltas_coalesced",
-        &pick(&|o| o.deltas_coalesced as f64),
-    ));
-    t_failover.push(Row::full("final_epoch", &pick(&|o| o.final_epoch as f64)));
-    t_failover.push(Row::full("final_cpu", &pick(&|o| o.final_cpu as f64)));
-    t_failover.push(Row::full("truth_cpu", &pick(&|o| o.truth_cpu as f64)));
-
-    let mut t_split = Table::new("splitbrain", &cols);
-    let pick = |f: &dyn Fn(&SplitBrainOutcome) -> f64| [f(&splits[0]), f(&splits[1])];
-    t_split.push(Row::full(
-        "split_brain_rounds",
-        &pick(&|o| o.split_brain_rounds as f64),
-    ));
-    t_split.push(Row::full("repl_fenced", &pick(&|o| o.repl_fenced as f64)));
-    t_split.push(Row::full(
-        "periphery_acks_fenced",
-        &pick(&|o| o.periphery_acks_fenced as f64),
-    ));
-    t_split.push(Row::full(
-        "primary_demotions",
-        &pick(&|o| o.primary_demotions as f64),
-    ));
-    t_split.push(Row::full("final_cpu", &pick(&|o| o.final_cpu as f64)));
-    t_split.push(Row::full("rejoined_cpu", &pick(&|o| o.rejoined_cpu as f64)));
-    t_split.push(Row::full("truth_cpu", &pick(&|o| o.truth_cpu as f64)));
-
-    let mut t_det = Table::new("determinism", &["replays_identical"]);
-    for scenario in ["scale", "faults", "failover", "splitbrain"] {
-        // Each scenario already ran twice per seed behind an
-        // assert_eq!; reaching this point means every replay matched.
-        t_det.push(Row::full(scenario, &[1.0]));
-    }
-
-    let mut rep = FigReport::new(
+    let mut campaign = Campaign::new(
         "fleet",
         "core↔periphery control plane: exact rollups at fleet scale, degraded serving under \
          partition, journaled controller failover healed by FULL resyncs, lease-based standby \
          promotion with epoch fencing",
+        &SEEDS,
+        seed_offset,
     );
-    rep.tables.push(t_scale);
-    rep.tables.push(t_faults);
-    rep.tables.push(t_failover);
-    rep.tables.push(t_split);
-    rep.tables.push(t_det);
-    rep.note(format!(
-        "seeds {:#x} and {:#x} (offset {seed_offset}); every scenario run twice per seed and \
-         asserted bit-identical",
-        run_seeds[0], run_seeds[1]
-    ));
-    rep.note(format!(
+
+    let scales = campaign.scenario(Scenario {
+        name: "scale",
+        run: &|seed, _| run_scale(seed, hosts, containers),
+        check: &|run, seed| assert_scale(&run.outcome, run.wall_value(), seed),
+        rows: rows!(
+            hosts,
+            containers,
+            rollup_mismatches,
+            tenant_mismatches,
+            deltas_ingested,
+            delta_entries,
+            policy_adoptions
+        ),
+    });
+    campaign.scenario(Scenario {
+        name: "faults",
+        run: &|seed, _| Run::of(run_faults(seed, fault_rounds)),
+        check: &|run, seed| assert_faults(&run.outcome, seed),
+        rows: rows!(
+            partition_frames_dropped,
+            lag_frames_delayed,
+            gap_resyncs,
+            periphery_resyncs,
+            degraded_rounds,
+            post_restore_partitioned,
+            final_partitioned,
+            final_cpu,
+            truth_cpu
+        ),
+    });
+    campaign.scenario(Scenario {
+        name: "failover",
+        run: &|seed, _| Run::of(run_failover(seed, fault_rounds)),
+        check: &|run, seed| assert_failover(&run.outcome, seed),
+        rows: rows!(
+            kill_tick,
+            ticks_to_promote,
+            ticks_to_fresh,
+            repl_backlog_at_kill,
+            repl_records_applied,
+            not_leader_rejects,
+            deltas_coalesced,
+            final_epoch,
+            final_cpu,
+            truth_cpu
+        ),
+    });
+    campaign.scenario(Scenario {
+        name: "splitbrain",
+        run: &|seed, _| Run::of(run_splitbrain(seed, fault_rounds)),
+        check: &|run, seed| assert_splitbrain(&run.outcome, seed),
+        rows: rows!(
+            split_brain_rounds,
+            repl_fenced,
+            periphery_acks_fenced,
+            primary_demotions,
+            final_cpu,
+            rejoined_cpu,
+            truth_cpu
+        ),
+    });
+
+    campaign.report.note(format!(
         "{hosts} hosts × {containers} containers: capacity and tenant rollups equal ground \
          truth at every tick; worst ingest round {:.2} / {:.2} ms against the \
          {TICK_PERIOD_MS} ms timer period",
-        round_ms[0], round_ms[1]
+        scales[0].wall_value(),
+        scales[1].wall_value()
     ));
-    rep.note(format!(
+    campaign.report.note(format!(
         "fleet faults on {FAULT_HOSTS} live hosts: partition serves last-good degraded then \
          heals by FULL resync; a crashed controller restores its journal, serves every host \
          last-good, and recovers to Fresh rollups equal to per-host ground truth",
     ));
-    rep.note(format!(
+    campaign.report.note(format!(
         "replicated pair: a mid-storm primary kill promotes the standby within {} ticks of \
          lease expiry, every host converges back to Fresh, and the promoted leader's rollups \
          equal ground truth; a lease-stalled split-brain is fenced by epochs — stale REPL \
@@ -1107,16 +784,17 @@ pub fn run_seeded(scale: f64, seed_offset: u64) -> FigReport {
          mirror of the new leader",
         LEASE_TTL + 2
     ));
-    rep
+    campaign.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::seed_label;
 
     #[test]
     fn fleet_campaign_passes_and_reports() {
-        let rep = run(0.05);
+        let rep = run(0.05, 0);
         assert_eq!(rep.tables.len(), 5);
         for col in [seed_label(SEEDS[0]), seed_label(SEEDS[1])] {
             assert_eq!(rep.tables[0].get("rollup_mismatches", &col), Some(0.0));
@@ -1148,12 +826,5 @@ mod tests {
     #[test]
     fn failover_scenario_replays_bit_identically() {
         assert_eq!(run_failover(3, 20), run_failover(3, 20));
-    }
-
-    #[test]
-    fn seed_offset_changes_the_seeds_reversibly() {
-        assert_eq!(seeds(0), SEEDS);
-        assert_ne!(seeds(1), SEEDS);
-        assert_eq!(seeds(1), seeds(1));
     }
 }

@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod campaign;
 pub mod chaos;
 pub mod driver;
 pub mod fig01_dockerhub;
@@ -45,10 +46,11 @@ pub fn run_figure(id: &str, scale: f64) -> Option<FigReport> {
     run_figure_seeded(id, scale, 0)
 }
 
-/// [`run_figure`] with a seed offset: seeded campaigns (currently the
-/// fleet suite) rotate their seeds by `seed_offset`, so CI can prove
-/// the invariants hold on more than the canonical seeds. Figures
-/// without seed plumbing ignore the offset.
+/// [`run_figure`] with a seed offset: the six campaigns on the
+/// [`campaign`] harness (`chaos`, `obs`, `recovery`, `fleet`,
+/// `fleetobs`, `storm`) all rotate their seeds by `seed_offset`, by one
+/// rule, so CI can prove the invariants hold on more than the canonical
+/// seeds. The paper-figure runners have no seeds and ignore it.
 pub fn run_figure_seeded(id: &str, scale: f64, seed_offset: u64) -> Option<FigReport> {
     let report = match id {
         "1" => fig01_dockerhub::run(),
@@ -65,12 +67,12 @@ pub fn run_figure_seeded(id: &str, scale: f64, seed_offset: u64) -> Option<FigRe
         "ablations" => ablation::run(scale),
         "accuracy" => view_accuracy::run(scale),
         "viewd" => viewd::run(scale),
-        "chaos" => chaos::run(scale),
-        "obs" => obs::run(scale),
-        "recovery" => recovery::run(scale),
-        "fleet" => fleet::run_seeded(scale, seed_offset),
-        "fleetobs" => fleetobs::run_seeded(scale, seed_offset),
-        "storm" => storm::run_seeded(scale, seed_offset),
+        "chaos" => chaos::run(scale, seed_offset),
+        "obs" => obs::run(scale, seed_offset),
+        "recovery" => recovery::run(scale, seed_offset),
+        "fleet" => fleet::run(scale, seed_offset),
+        "fleetobs" => fleetobs::run(scale, seed_offset),
+        "storm" => storm::run(scale, seed_offset),
         _ => return None,
     };
     Some(report)

@@ -18,7 +18,8 @@
 //! * `degraded-fallback` from `arv-viewd` answering queries past the
 //!   staleness budget.
 //!
-//! After the scenario it replays the trace ring against checkpoints of
+//! After the scenario (a one-seed [`crate::campaign`], so the trace
+//! itself must replay) it walks the trace ring against checkpoints of
 //! the *actual* view trajectory (sampled after every step) and asserts
 //! full reconstructibility: every change is chained (each decision's
 //! `before` equals the previous decision's `after`), every checkpoint
@@ -33,14 +34,16 @@ use std::time::Instant;
 use arv_cgroups::{Bytes, CgroupId};
 use arv_container::{ContainerSpec, SimHost};
 use arv_mem::ChargeOutcome;
-use arv_resview::{
-    CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig, StalenessPolicy,
-};
+use arv_resview::StalenessPolicy;
 use arv_sim_core::{FaultConfig, FaultPlan};
 use arv_telemetry::{DecisionCause, EventKind, Tracer};
 use arv_viewd::{HostSpec, ViewServer};
 
+use crate::campaign::{paper_container, serve_one_view, step_busy, Campaign, Run};
 use crate::report::{FigReport, Row, Table};
+
+/// The campaign's one seed: it seeds the phase-8 fault plan.
+const SEEDS: [u64; 1] = [0xB5];
 
 /// Trace-ring capacity for the scenario: far above the event volume,
 /// so reconstruction sees every event (`dropped_events == 0`).
@@ -70,9 +73,7 @@ const REQUIRED_CAUSES: [&str; 7] = [
 /// A tenant with explicit memory limits (soft 1 GiB, hard 4 GiB): the
 /// memory phases charge against these.
 fn tenant_spec(tag: impl std::fmt::Display) -> ContainerSpec {
-    ContainerSpec::new(format!("obs-{tag}"), 20)
-        .cpus(10.0)
-        .cpu_shares(1024)
+    unlimited_spec(tag)
         .memory(Bytes::from_mib(4096))
         .memory_reservation(Bytes::from_mib(1024))
 }
@@ -80,9 +81,7 @@ fn tenant_spec(tag: impl std::fmt::Display) -> ContainerSpec {
 /// A tenant with no memory limits — one of these doubles as the memory
 /// hog that drives host free memory below the watermarks.
 fn unlimited_spec(tag: impl std::fmt::Display) -> ContainerSpec {
-    ContainerSpec::new(format!("obs-{tag}"), 20)
-        .cpus(10.0)
-        .cpu_shares(1024)
+    paper_container(format!("obs-{tag}"))
 }
 
 /// Actual view values sampled from the monitor after one step, plus the
@@ -103,6 +102,7 @@ fn snap(host: &SimHost, tracer: &Tracer, ids: &[CgroupId]) -> Checkpoint {
     }
 }
 
+#[derive(Debug)]
 struct Scenario {
     tracer: Tracer,
     ids: Vec<CgroupId>,
@@ -114,6 +114,17 @@ struct Scenario {
     prometheus: String,
 }
 
+/// Two runs are the same run when they traced the same events and
+/// walked the same view trajectory.
+impl PartialEq for Scenario {
+    fn eq(&self, other: &Scenario) -> bool {
+        let render = |sc: &Scenario| -> Vec<String> {
+            sc.tracer.events().iter().map(|e| e.render()).collect()
+        };
+        render(self) == render(other) && self.checkpoints == other.checkpoints
+    }
+}
+
 fn charge_ok(host: &mut SimHost, id: CgroupId, mib: u64) {
     let outcome = host.charge(id, Bytes::from_mib(mib));
     assert!(
@@ -122,7 +133,7 @@ fn charge_ok(host: &mut SimHost, id: CgroupId, mib: u64) {
     );
 }
 
-fn run_scenario() -> Scenario {
+fn run_scenario(seed: u64) -> Scenario {
     let tracer = Tracer::bounded(RING_CAPACITY);
     let mut host = SimHost::paper_testbed();
     host.set_tracer(tracer.clone());
@@ -149,23 +160,17 @@ fn run_scenario() -> Scenario {
     }
     checkpoints.push(snap(&host, &tracer, &ids));
 
-    let busy = |host: &SimHost, ids: &[CgroupId]| -> Vec<_> {
-        ids.iter().map(|id| host.demand(*id, 20)).collect()
-    };
-
     // Phase 1 — contention: all tenants busy, no slack, so Algorithm 1
     // walks every view down toward the fair share (cpu-shrink-no-slack).
     for _ in 0..6 {
-        let demands = busy(&host, &ids);
-        host.step(&demands);
+        step_busy(&mut host, &ids, 20);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
 
     // Phase 2 — solo demand: only c0 runs, the host has slack, and c0's
     // view climbs to its quota (cpu-saturated+slack).
     for _ in 0..8 {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_busy(&mut host, &ids[..1], 20);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
 
@@ -179,8 +184,7 @@ fn run_scenario() -> Scenario {
     host.inject_publish_delay(delay);
     let mut degraded_reads = 0u64;
     for _ in 0..delay {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_busy(&mut host, &ids[..1], 20);
         if client.health(Some(ids[0])).is_degraded() {
             client
                 .read(Some(ids[0]), "/proc/cpuinfo")
@@ -190,8 +194,7 @@ fn run_scenario() -> Scenario {
         checkpoints.push(snap(&host, &tracer, &ids));
     }
     for _ in 0..2 {
-        let demands = vec![host.demand(ids[0], 20)];
-        host.step(&demands);
+        step_busy(&mut host, &ids[..1], 20);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
 
@@ -202,8 +205,7 @@ fn run_scenario() -> Scenario {
     }
     checkpoints.push(snap(&host, &tracer, &ids));
     for _ in 0..8 {
-        let demands = busy(&host, &ids);
-        host.step(&demands);
+        step_busy(&mut host, &ids, 20);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
 
@@ -212,8 +214,7 @@ fn run_scenario() -> Scenario {
     // view by 10% of the headroom each period (mem-pressure-growth).
     for add_mib in [950, 400, 400, 400] {
         charge_ok(&mut host, ids[0], add_mib);
-        let demands = busy(&host, &ids);
-        host.step(&demands);
+        step_busy(&mut host, &ids, 20);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
 
@@ -223,14 +224,12 @@ fn run_scenario() -> Scenario {
     let hog = ids[3];
     charge_ok(&mut host, hog, 128_100);
     for _ in 0..2 {
-        let demands = busy(&host, &ids);
-        host.step(&demands);
+        step_busy(&mut host, &ids, 20);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
     host.uncharge(hog, Bytes::from_mib(128_100));
     for _ in 0..2 {
-        let demands = busy(&host, &ids);
-        host.step(&demands);
+        step_busy(&mut host, &ids, 20);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
 
@@ -246,8 +245,7 @@ fn run_scenario() -> Scenario {
             .memory_reservation(Bytes::from_mib(512)),
     );
     checkpoints.push(snap(&host, &tracer, &ids));
-    let demands = busy(&host, &ids);
-    host.step(&demands);
+    step_busy(&mut host, &ids, 20);
     checkpoints.push(snap(&host, &tracer, &ids));
 
     // Phase 8 — stalled monitor with a lost event: a limits change
@@ -266,23 +264,21 @@ fn run_scenario() -> Scenario {
             .memory_reservation(Bytes::from_mib(1024)),
     );
     host.set_fault_plan(FaultPlan::new(
-        0xB5,
+        seed,
         FaultConfig {
             drop_prob: 1.0,
             ..FaultConfig::quiet()
         },
     ));
     for _ in 0..6 {
-        let demands = busy(&host, &ids);
-        host.step(&demands);
+        step_busy(&mut host, &ids, 20);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
     let _ = host.take_fault_plan();
 
     // Phase 9 — steady tail.
     for _ in 0..2 {
-        let demands = busy(&host, &ids);
-        host.step(&demands);
+        step_busy(&mut host, &ids, 20);
         checkpoints.push(snap(&host, &tracer, &ids));
     }
 
@@ -408,16 +404,6 @@ fn replay(sc: &Scenario) -> ReplayOutcome {
     out
 }
 
-fn mk_mem(soft_mib: u64, hard_mib: u64) -> EffectiveMemory {
-    EffectiveMemory::new(
-        Bytes::from_mib(soft_mib),
-        Bytes::from_mib(hard_mib),
-        Bytes::from_mib(1280),
-        Bytes::from_mib(2560),
-        EffectiveMemoryConfig::default(),
-    )
-}
-
 /// Mean nanoseconds per cached-hit query against a fresh view, min over
 /// several trials (min-of-trials rejects scheduler noise).
 fn cached_hit_ns(tracer: Tracer, iters: u32) -> f64 {
@@ -427,14 +413,7 @@ fn cached_hit_ns(tracer: Tracer, iters: u32) -> f64 {
         StalenessPolicy::default(),
         tracer,
     );
-    let id = CgroupId(1);
-    server.register(
-        id,
-        CpuBounds { lower: 2, upper: 8 },
-        EffectiveCpuConfig::default(),
-        mk_mem(512, 1024),
-    );
-    server.mirror(id, 6, Bytes::from_mib(1536), Bytes::from_mib(768));
+    let id = serve_one_view(&server);
     let client = server.client();
     client.read(Some(id), "/proc/cpuinfo").expect("warm read");
     let mut best = f64::INFINITY;
@@ -448,24 +427,10 @@ fn cached_hit_ns(tracer: Tracer, iters: u32) -> f64 {
     best
 }
 
-/// Run this study and produce its report. Panics (on purpose) when a
-/// view change is not reconstructible from the trace or when tracing
-/// slows the cached-hit path past the budget — `ci.sh` runs this
-/// figure, so either regression fails the gate.
-pub fn run(scale: f64) -> FigReport {
-    let sc = run_scenario();
-    // Replayed scenario: the trace itself must be deterministic, or a
-    // timeline could never be trusted as a debugging artifact.
-    let sc2 = run_scenario();
-    let rendered: Vec<String> = sc.tracer.events().iter().map(|e| e.render()).collect();
-    let rendered2: Vec<String> = sc2.tracer.events().iter().map(|e| e.render()).collect();
-    assert_eq!(rendered, rendered2, "obs scenario replay diverged");
-    assert_eq!(
-        sc.checkpoints, sc2.checkpoints,
-        "obs checkpoint trajectory diverged between replays"
-    );
-
-    let verdict = replay(&sc);
+/// Full reconstructibility: every change chained, every checkpoint
+/// reproduced, every cause known and exercised, nothing dropped.
+fn check_provenance(sc: &Scenario) {
+    let verdict = replay(sc);
     assert_eq!(
         sc.tracer.dropped_events(),
         0,
@@ -500,6 +465,28 @@ pub fn run(scale: f64) -> FigReport {
             "scenario never exercised pipeline event {ev}"
         );
     }
+}
+
+/// Run this study and produce its report. Panics (on purpose) when a
+/// view change is not reconstructible from the trace or when tracing
+/// slows the cached-hit path past the budget — `ci.sh` runs this
+/// figure, so either regression fails the gate.
+pub fn run(scale: f64, seed_offset: u64) -> FigReport {
+    let mut campaign = Campaign::new(
+        "obs",
+        "decision provenance: every view change reconstructed from the trace",
+        &SEEDS,
+        seed_offset,
+    );
+    let sc = campaign
+        .replay(
+            "provenance",
+            &|seed, _| Run::of(run_scenario(seed)),
+            &|run, _| check_provenance(&run.outcome),
+        )
+        .remove(0)
+        .outcome;
+    let verdict = replay(&sc);
 
     let iters = ((20_000.0 * scale) as u32).max(2_000);
     let traced_ns = cached_hit_ns(Tracer::bounded(1024), iters);
@@ -524,31 +511,20 @@ pub fn run(scale: f64) -> FigReport {
     }
 
     let mut t_prov = Table::new("provenance_check", &["value"]);
-    t_prov.push(Row::full("containers", &[sc.ids.len() as f64]));
-    t_prov.push(Row::full("checkpoints", &[sc.checkpoints.len() as f64]));
-    t_prov.push(Row::full("trace_events", &[sc.tracer.emitted() as f64]));
-    t_prov.push(Row::full(
-        "events_replayed",
-        &[verdict.events_replayed as f64],
-    ));
-    t_prov.push(Row::full("chain_breaks", &[verdict.chain_breaks as f64]));
-    t_prov.push(Row::full(
-        "checkpoint_mismatches",
-        &[verdict.checkpoint_mismatches as f64],
-    ));
-    t_prov.push(Row::full(
-        "degraded_mismatches",
-        &[verdict.degraded_mismatches as f64],
-    ));
-    t_prov.push(Row::full(
-        "unknown_causes",
-        &[verdict.unknown_causes as f64],
-    ));
-    t_prov.push(Row::full(
-        "dropped_events",
-        &[sc.tracer.dropped_events() as f64],
-    ));
-    t_prov.push(Row::full("degraded_reads", &[sc.degraded_reads as f64]));
+    for (label, value) in [
+        ("containers", sc.ids.len() as u64),
+        ("checkpoints", sc.checkpoints.len() as u64),
+        ("trace_events", sc.tracer.emitted()),
+        ("events_replayed", verdict.events_replayed),
+        ("chain_breaks", verdict.chain_breaks),
+        ("checkpoint_mismatches", verdict.checkpoint_mismatches),
+        ("degraded_mismatches", verdict.degraded_mismatches),
+        ("unknown_causes", verdict.unknown_causes),
+        ("dropped_events", sc.tracer.dropped_events()),
+        ("degraded_reads", sc.degraded_reads),
+    ] {
+        t_prov.push(Row::full(label, &[value as f64]));
+    }
 
     let mut t_over = Table::new("trace_overhead", &["value"]);
     t_over.push(Row::full("traced_hit_ns", &[traced_ns]));
@@ -556,22 +532,16 @@ pub fn run(scale: f64) -> FigReport {
     t_over.push(Row::full("ratio", &[traced_ns / untraced_ns.max(1.0)]));
     t_over.push(Row::full("budget_ns", &[budget_ns]));
 
-    let mut rep = FigReport::new(
-        "obs",
-        "decision provenance: every view change reconstructed from the trace",
-    );
-    rep.tables.push(t_causes);
-    rep.tables.push(t_pipeline);
-    rep.tables.push(t_prov);
-    rep.tables.push(t_over);
-    rep.note(format!(
+    let tables = [t_causes, t_pipeline, t_prov, t_over];
+    campaign.report.tables.extend(tables);
+    campaign.report.note(format!(
         "{} containers, {} checkpoints, {} trace events; replay reproduced every sampled view \
          with 0 chain breaks and 0 unknown causes",
         sc.ids.len(),
         sc.checkpoints.len(),
         sc.tracer.emitted()
     ));
-    rep.note(format!(
+    campaign.report.note(format!(
         "explain c{}: {}",
         sc.ids[0].0,
         sc.tracer
@@ -580,23 +550,23 @@ pub fn run(scale: f64) -> FigReport {
             .replace('\n', " | ")
     ));
     for id in &sc.ids {
-        rep.note(format!(
+        campaign.report.note(format!(
             "timeline c{}:\n{}",
             id.0,
             sc.tracer.render_timeline(*id).trim_end()
         ));
     }
     let prom_head: Vec<&str> = sc.prometheus.lines().take(6).collect();
-    rep.note(format!(
+    campaign.report.note(format!(
         "prometheus exposition ({} lines): {}",
         sc.prometheus.lines().count(),
         prom_head.join(" | ")
     ));
-    rep.note(format!(
+    campaign.report.note(format!(
         "cached hit {traced_ns:.0} ns traced vs {untraced_ns:.0} ns untraced \
          (budget {budget_ns:.0} ns): tracing stays off the serving hot path"
     ));
-    rep
+    campaign.finish()
 }
 
 #[cfg(test)]
@@ -605,7 +575,7 @@ mod tests {
 
     #[test]
     fn obs_campaign_passes_and_reports() {
-        let rep = run(0.1);
+        let rep = run(0.1, 0);
         assert_eq!(rep.tables.len(), 4);
         let causes = &rep.tables[0];
         for cause in REQUIRED_CAUSES {
@@ -624,17 +594,15 @@ mod tests {
 
     #[test]
     fn scenario_trace_is_deterministic() {
-        let a = run_scenario();
-        let b = run_scenario();
-        let ra: Vec<String> = a.tracer.events().iter().map(|e| e.render()).collect();
-        let rb: Vec<String> = b.tracer.events().iter().map(|e| e.render()).collect();
-        assert_eq!(ra, rb);
+        let a = run_scenario(SEEDS[0]);
+        let b = run_scenario(SEEDS[0]);
+        assert!(a == b, "rendered trace or checkpoint trajectory diverged");
         assert_eq!(a.degraded_reads, b.degraded_reads);
     }
 
     #[test]
     fn every_change_is_attributed_and_chained() {
-        let sc = run_scenario();
+        let sc = run_scenario(SEEDS[0]);
         let verdict = replay(&sc);
         assert_eq!(verdict.chain_breaks, 0);
         assert_eq!(verdict.checkpoint_mismatches, 0);

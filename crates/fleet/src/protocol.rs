@@ -125,7 +125,8 @@ const ENTRY_BYTES: usize = 4 + 4 + 4 + 8 + 8 + 8;
 const DELTA_FIXED_BYTES: usize = 1 + 4 + 8 + 8 + 1 + 1 + 4 * 8 + 8 * 8 + 4 + 4;
 
 /// The policy a controller pushes down to every periphery: the fleet
-/// analogue of the per-host staleness budget and `WireLimits`.
+/// analogue of the per-host staleness budget and the `ServerConfig`
+/// admission fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetPolicy {
     /// Monotone policy generation; peripheries adopt strictly newer.
@@ -136,7 +137,7 @@ pub struct FleetPolicy {
     pub staleness_budget: u64,
     /// Max delta entries per DELTA frame (peripheries chunk above it).
     pub max_batch: u32,
-    /// Advisory periphery send burst (WireLimits `rate_burst` analogue).
+    /// Advisory periphery send burst (`ServerConfig::rate_burst` analogue).
     pub rate_burst: u32,
 }
 

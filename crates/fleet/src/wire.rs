@@ -101,21 +101,12 @@ impl FleetWireServer {
         FleetWireServer::spawn_with_config(controller, socket_path, fleet_server_config()?)
     }
 
-    /// Bind and serve under an explicit reactor configuration. The
-    /// fleet core has no legacy threaded engine, so a config asking for
-    /// one is refused up front.
+    /// Bind and serve under an explicit reactor configuration.
     pub fn spawn_with_config(
         controller: Arc<FleetController>,
         socket_path: impl AsRef<Path>,
         config: ServerConfig,
     ) -> io::Result<FleetWireServer> {
-        if config.threaded {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "the fleet core serves on the reactor only; \
-                 the threaded engine exists for viewd benchmarking",
-            ));
-        }
         let service = Arc::new(FleetService { controller });
         let reactor = Reactor::spawn(service, socket_path, config)?;
         Ok(FleetWireServer { reactor })
@@ -426,14 +417,5 @@ mod tests {
         assert!(matches!(decode_frame(&resp), Some(Frame::Ack(_))));
 
         server.shutdown();
-    }
-
-    #[test]
-    fn threaded_config_is_refused() {
-        let controller = Arc::new(FleetController::new(2, FleetPolicy::default()));
-        let cfg = ServerConfig::builder().threaded(true).build().unwrap();
-        let err =
-            FleetWireServer::spawn_with_config(controller, sock_path("threaded"), cfg).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

@@ -9,9 +9,8 @@
 //!
 //! Three layers live here:
 //!
-//! * the blocking frame functions ([`read_frame`], [`write_frame`],
-//!   [`server_read_frame`]) used by thread-per-connection paths and
-//!   thin clients;
+//! * the blocking frame functions ([`read_frame`], [`write_frame`])
+//!   the clients use;
 //! * [`FrameDecoder`], the incremental reassembler the readiness
 //!   reactor ([`crate::reactor`]) feeds from nonblocking reads — it
 //!   accepts bytes at arbitrary boundaries and yields exactly the
@@ -136,74 +135,6 @@ pub fn read_frame(stream: &mut impl Read, max: u32) -> io::Result<Option<Vec<u8>
     let mut payload = vec![0u8; len as usize];
     stream.read_exact(&mut payload)?;
     Ok(Some(payload))
-}
-
-/// One poll of the server-side frame reader.
-pub enum ServerRead {
-    /// A whole request frame.
-    Frame(Vec<u8>),
-    /// Peer closed between frames.
-    Eof,
-    /// No frame started within the poll window; check the stop flag.
-    Idle,
-}
-
-/// Read a request frame on a stream with a read timeout. A timeout
-/// *before any byte of the length prefix* is an idle poll; once a frame
-/// has started, keep reading through timeouts so a slow writer can't
-/// corrupt framing.
-pub fn server_read_frame(stream: &mut UnixStream, max: u32) -> io::Result<ServerRead> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match stream.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(ServerRead::Eof)
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if got == 0
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
-                return Ok(ServerRead::Idle);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > max {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit {max}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    let mut filled = 0usize;
-    while filled < payload.len() {
-        match stream.read(&mut payload[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(ServerRead::Frame(payload))
 }
 
 /// Incremental frame reassembler for nonblocking reads.

@@ -1,26 +1,31 @@
-//! Validated serving-tier configuration: one [`ServerConfig`] builder
-//! folding the admission-control knobs ([`crate::wire::WireLimits`])
-//! together with the reactor's sizing (event-loop count, connection
-//! slabs, outbound queues).
+//! Validated serving-tier configuration: the one [`ServerConfig`],
+//! holding the admission-control knobs (connection cap, token bucket,
+//! write deadline, shed hint) and the reactor's sizing (event-loop
+//! count, outbound queue cap).
 //!
 //! Both wire servers — viewd's and the fleet controller's — are spawned
-//! from a `ServerConfig`, replacing the old positional constructors.
-//! The builder validates at `build()` so a nonsense configuration (zero
-//! loops, a queue cap smaller than a frame) fails loudly at startup
-//! instead of wedging the daemon under load.
+//! from a `ServerConfig`. The defaults are deliberately generous: a
+//! daemon that never sees a flood behaves exactly as one with no limits
+//! at all; tighten them to model (or survive) overload. Spawning
+//! validates the configuration, so a nonsense one (zero loops, a queue
+//! cap smaller than a frame) fails loudly at startup instead of wedging
+//! the daemon under load.
 
 use std::io;
 use std::time::Duration;
 
-use crate::wire::{WireLimits, MAX_RESPONSE};
+use crate::wire::{DEFAULT_RETRY_AFTER_MS, MAX_RESPONSE};
 
 /// Full serving-tier configuration: admission control plus reactor
-/// sizing. Construct via [`ServerConfig::builder`] (validated) or from
-/// a plain [`WireLimits`] (reactor knobs defaulted).
+/// sizing. Construct via [`ServerConfig::builder`] or struct update
+/// over [`ServerConfig::default`]; either way the server validates it
+/// at spawn.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Concurrently served connections; accepts beyond this are closed
-    /// immediately and counted dropped.
+    /// immediately (the app-level bound on the accept backlog) and
+    /// counted dropped. Also the bound on each event loop's connection
+    /// slab, so every admitted connection has a slot.
     pub max_connections: usize,
     /// Token-bucket burst per connection: requests served at full
     /// service before shedding starts.
@@ -35,37 +40,21 @@ pub struct ServerConfig {
     pub retry_after_ms: u64,
     /// Sharded event loops the reactor runs (one epoll fd each).
     pub loops: usize,
-    /// Connection slots per event loop; a loop at capacity refuses the
-    /// handoff and the connection is dropped (counted).
-    pub slab_capacity: usize,
     /// Outbound queue bytes per connection before the peer is evicted
-    /// as too slow to drain its responses (queue-depth eviction — the
-    /// reactor's analogue of the threaded tier's write-deadline kill).
+    /// as too slow to drain its responses (queue-depth eviction).
     pub outbound_queue_cap: usize,
-    /// Serve with the legacy thread-per-connection engine instead of
-    /// the reactor. Kept for apples-to-apples benchmarking
-    /// (`BENCH_wire.json` compares both) and as a fallback.
-    pub threaded: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig::from(WireLimits::default())
-    }
-}
-
-impl From<WireLimits> for ServerConfig {
-    fn from(limits: WireLimits) -> ServerConfig {
         ServerConfig {
-            max_connections: limits.max_connections,
-            rate_burst: limits.rate_burst,
-            rate_refill_per_sec: limits.rate_refill_per_sec,
-            write_deadline: limits.write_deadline,
-            retry_after_ms: limits.retry_after_ms,
+            max_connections: 64,
+            rate_burst: 1 << 16,
+            rate_refill_per_sec: 1_000_000.0,
+            write_deadline: Duration::from_secs(2),
+            retry_after_ms: DEFAULT_RETRY_AFTER_MS,
             loops: default_loops(),
-            slab_capacity: limits.max_connections.max(1),
             outbound_queue_cap: 4 * MAX_RESPONSE as usize,
-            threaded: false,
         }
     }
 }
@@ -84,18 +73,6 @@ impl ServerConfig {
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder {
             cfg: ServerConfig::default(),
-        }
-    }
-
-    /// The admission-control subset, for code that still speaks
-    /// [`WireLimits`].
-    pub fn limits(&self) -> WireLimits {
-        WireLimits {
-            max_connections: self.max_connections,
-            rate_burst: self.rate_burst,
-            rate_refill_per_sec: self.rate_refill_per_sec,
-            write_deadline: self.write_deadline,
-            retry_after_ms: self.retry_after_ms,
         }
     }
 
@@ -125,9 +102,6 @@ impl ServerConfig {
         if self.loops == 0 || self.loops > 64 {
             return bad(format!("loops must be in 1..=64, got {}", self.loops));
         }
-        if self.slab_capacity == 0 {
-            return bad("slab_capacity must be at least 1".into());
-        }
         if self.outbound_queue_cap < 4096 {
             return bad(format!(
                 "outbound_queue_cap of {} cannot hold even one small response; want >= 4096",
@@ -148,9 +122,6 @@ impl ServerConfigBuilder {
     /// Cap on concurrently served connections.
     pub fn max_connections(mut self, n: usize) -> Self {
         self.cfg.max_connections = n;
-        // Keep the slab able to hold the whole cap unless the caller
-        // sizes it explicitly afterwards.
-        self.cfg.slab_capacity = self.cfg.slab_capacity.max(n);
         self
     }
 
@@ -184,33 +155,9 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Connection slots per event loop.
-    pub fn slab_capacity(mut self, n: usize) -> Self {
-        self.cfg.slab_capacity = n;
-        self
-    }
-
     /// Outbound queue bytes per connection before eviction.
     pub fn outbound_queue_cap(mut self, bytes: usize) -> Self {
         self.cfg.outbound_queue_cap = bytes;
-        self
-    }
-
-    /// Use the legacy thread-per-connection engine instead of the
-    /// reactor.
-    pub fn threaded(mut self, threaded: bool) -> Self {
-        self.cfg.threaded = threaded;
-        self
-    }
-
-    /// Seed the admission-control knobs from a [`WireLimits`].
-    pub fn limits(mut self, limits: WireLimits) -> Self {
-        self.cfg.max_connections = limits.max_connections;
-        self.cfg.rate_burst = limits.rate_burst;
-        self.cfg.rate_refill_per_sec = limits.rate_refill_per_sec;
-        self.cfg.write_deadline = limits.write_deadline;
-        self.cfg.retry_after_ms = limits.retry_after_ms;
-        self.cfg.slab_capacity = self.cfg.slab_capacity.max(limits.max_connections);
         self
     }
 
@@ -264,9 +211,8 @@ mod tests {
     fn defaults_validate() {
         ServerConfig::default().validate().unwrap();
         let cfg = ServerConfig::builder().build().unwrap();
-        assert!(!cfg.threaded);
         assert!(cfg.loops >= 1);
-        assert_eq!(cfg.max_connections, WireLimits::default().max_connections);
+        assert_eq!(cfg.max_connections, 64);
     }
 
     #[test]
@@ -288,33 +234,6 @@ mod tests {
             .build()
             .is_err());
         assert!(ServerConfig::builder().retry_after_ms(0).build().is_err());
-        assert!(ServerConfig::builder().slab_capacity(0).build().is_err());
-    }
-
-    #[test]
-    fn max_connections_grows_the_slab() {
-        let cfg = ServerConfig::builder()
-            .max_connections(5000)
-            .build()
-            .unwrap();
-        assert!(cfg.slab_capacity >= 5000, "slab holds the whole cap");
-    }
-
-    #[test]
-    fn limits_round_trip() {
-        let limits = WireLimits {
-            max_connections: 3,
-            rate_burst: 9,
-            rate_refill_per_sec: 0.0,
-            write_deadline: Duration::from_millis(40),
-            retry_after_ms: 11,
-        };
-        let cfg = ServerConfig::from(limits);
-        let back = cfg.limits();
-        assert_eq!(back.max_connections, 3);
-        assert_eq!(back.rate_burst, 9);
-        assert_eq!(back.retry_after_ms, 11);
-        assert_eq!(back.write_deadline, Duration::from_millis(40));
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub mod wire;
 
 pub use cache::{CachedImage, PathId, RenderCache};
 pub use codec::{
-    read_frame, server_read_frame, write_frame, FrameDecoder, RetryPolicy, ServerRead, Transport,
-    TransportStats, Verdict, WireError,
+    read_frame, write_frame, FrameDecoder, RetryPolicy, Transport, TransportStats, Verdict,
+    WireError,
 };
 pub use config::{ServerConfig, ServerConfigBuilder};
 pub use metrics::{Metrics, MetricsSnapshot};
@@ -66,8 +66,7 @@ pub use reactor::{EvictReason, FrameService, Reactor, Response, ResponseBody, Se
 pub use server::{HostSpec, ViewClient, ViewImage, ViewServer, CONTAINER_PATHS};
 pub use shard::{ContainerEntry, ShardedRegistry};
 pub use wire::{
-    parse_response, RobustWireClient, WireClient, WireClientStats, WireLimits, WireResponse,
-    WireServer, DEFAULT_RETRY_AFTER_MS, HOST_CALLER, KIND_READ, KIND_STATS, KIND_SYSCONF,
-    KIND_TRACE, MAX_REQUEST, MAX_RESPONSE, STATUS_NOT_FOUND, STATUS_OK, STATUS_OK_DEGRADED,
-    STATUS_OK_SHED,
+    parse_response, RobustWireClient, WireClient, WireClientStats, WireResponse, WireServer,
+    DEFAULT_RETRY_AFTER_MS, HOST_CALLER, KIND_READ, KIND_STATS, KIND_SYSCONF, KIND_TRACE,
+    MAX_REQUEST, MAX_RESPONSE, STATUS_NOT_FOUND, STATUS_OK, STATUS_OK_DEGRADED, STATUS_OK_SHED,
 };

@@ -1,13 +1,13 @@
 //! Readiness-driven reactor: the shared serving engine both daemons
 //! ride (viewd's wire tier here, the fleet controller's in `arv-fleet`).
 //!
-//! The original wire tier dedicated one blocking thread to every
-//! connection; past a few hundred clients the scheduler, not the
-//! serving work, dominates tail latency — the same quota-amplified
-//! context-switch pathology the related "CPU-Limits kill Performance"
-//! measurements show. The reactor replaces it with N sharded event
-//! loops (one epoll fd each, via the direct-FFI [`crate::sys`] module),
-//! each owning a slab of nonblocking connections:
+//! A tier that dedicates one blocking thread to every connection hands
+//! its tail latency to the scheduler past a few hundred clients — the
+//! quota-amplified context-switch pathology the related "CPU-Limits
+//! kill Performance" measurements show — so the daemons serve on N
+//! sharded event loops instead (one epoll fd each, via the direct-FFI
+//! [`crate::sys`] module), each owning a slab of nonblocking
+//! connections:
 //!
 //! * **Incremental reassembly** — reads land in a per-connection
 //!   [`FrameDecoder`]; frames torn at any byte boundary decode exactly
@@ -22,10 +22,9 @@
 //!   per-connection token buckets are enforced here; the protocol
 //!   service only learns *whether* a request arrived pressured and
 //!   answers with its own shed policy.
-//! * **Slow-client eviction** — the threaded tier's write-deadline kill
-//!   becomes two triggers: an outbound queue-depth cap (a peer letting
-//!   bytes pile up) and a write-stall clock (a peer accepting nothing
-//!   at all past the deadline).
+//! * **Slow-client eviction** — two triggers: an outbound queue-depth
+//!   cap (a peer letting bytes pile up) and a write-stall clock (a peer
+//!   accepting nothing at all past the write deadline).
 //! * **Prompt shutdown** — a stop flag checked per frame and per wake,
 //!   with an eventfd to kick loops blocked in `epoll_wait`, so even a
 //!   fully busy reactor stops within one poll interval.
@@ -173,8 +172,9 @@ impl Response {
         self.head.as_bytes().len() + self.body.len()
     }
 
-    /// Write the whole frame to a blocking stream (the threaded
-    /// engine's path; the reactor queues the chunks instead).
+    /// Write the whole frame to a blocking stream: the reference
+    /// serialiser the tests compare the queued, vectored path against.
+    #[cfg(test)]
     pub(crate) fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
         stream.write_all(self.head.as_bytes())?;
         match &self.body {
@@ -565,8 +565,7 @@ fn run_loop(
             }
         }
     }
-    // Shutdown: every connection closes; peers see EOF, like the
-    // threaded tier's join-and-drop.
+    // Shutdown: every connection closes; peers see EOF.
     for slot in slots.iter_mut() {
         if slot.take().is_some() {
             active.fetch_sub(1, Ordering::AcqRel);
@@ -590,7 +589,7 @@ fn adopt_new_conns(
     for stream in streams {
         let slot = match free.pop() {
             Some(s) => s,
-            None if slots.len() < config.slab_capacity => {
+            None if slots.len() < config.max_connections => {
                 slots.push(None);
                 slots.len() - 1
             }

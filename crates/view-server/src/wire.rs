@@ -22,21 +22,18 @@
 //! ```
 //!
 //! One connection carries any number of request/response pairs in order;
-//! concurrent clients each get their own connection. Two serving
-//! engines exist behind the one [`WireServer`] API: the default
-//! readiness-driven [`crate::reactor`] (sharded epoll event loops,
-//! nonblocking connection slabs, cached images written as shared `Arc`
-//! slices with zero per-request copies) and the legacy
-//! thread-per-connection engine, kept behind
-//! [`crate::config::ServerConfig::threaded`] for apples-to-apples
-//! benchmarking.
+//! concurrent clients each get their own connection. [`WireServer`]
+//! serves them on the readiness-driven [`crate::reactor`] (sharded
+//! epoll event loops, nonblocking connection slabs, cached images
+//! written as shared `Arc` slices with zero per-request copies).
 //!
 //! # Overload protection
 //!
-//! The listener enforces [`WireLimits`]: a cap on concurrently served
-//! connections (excess accepts are closed immediately), a per-connection
-//! token bucket, a write deadline that evicts clients too slow to drain
-//! their responses, and two-tier load shedding. When a connection runs
+//! The listener enforces [`ServerConfig`]'s admission fields: a cap on
+//! concurrently served connections (excess accepts are closed
+//! immediately), a per-connection token bucket, a write deadline that
+//! evicts clients too slow to drain their responses, and two-tier load
+//! shedding. When a connection runs
 //! out of tokens, requests answerable from a cached render (and cheap
 //! sysconf scalars) are still served, while work that would render,
 //! walk the trace ring, or build a stats exposition is refused with
@@ -58,15 +55,13 @@ use arv_cgroups::CgroupId;
 use arv_resview::Sysconf;
 use std::collections::HashMap;
 use std::io;
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::unix::net::UnixStream;
+use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crate::codec::{read_frame, server_read_frame, write_frame, ServerRead, Transport, Verdict};
-use crate::config::{ServerConfig, TokenBucket};
+use crate::codec::{read_frame, write_frame, Transport, Verdict};
+use crate::config::ServerConfig;
 use crate::metrics::Served;
 use crate::reactor::{EvictReason, FrameService, Reactor, Response, ResponseBody, ServiceAction};
 use crate::server::{ViewClient, ViewImage, ViewServer};
@@ -172,96 +167,6 @@ pub fn parse_response(resp: &[u8]) -> io::Result<Option<WireResponse>> {
     }
 }
 
-/// Admission-control knobs for a [`WireServer`].
-///
-/// The defaults are deliberately generous — a daemon that never sees a
-/// flood behaves exactly as one with no limits at all. Tighten them to
-/// model (or survive) overload.
-#[derive(Debug, Clone, Copy)]
-pub struct WireLimits {
-    /// Concurrently served connections; accepts beyond this are closed
-    /// immediately (the app-level bound on the accept backlog) and
-    /// counted in `connections_dropped`.
-    pub max_connections: usize,
-    /// Token-bucket burst per connection: requests served at full
-    /// service before shedding starts.
-    pub rate_burst: u32,
-    /// Token refill rate per connection, tokens per second. Zero means
-    /// the burst is all a connection ever gets (deterministic in tests).
-    pub rate_refill_per_sec: f64,
-    /// How long a response write may stall before the connection is
-    /// evicted as a slow client (counted in `conns_evicted_slow`).
-    pub write_deadline: Duration,
-    /// Retry-after hint carried in `OK_SHED` responses, milliseconds.
-    pub retry_after_ms: u64,
-}
-
-impl Default for WireLimits {
-    fn default() -> WireLimits {
-        WireLimits {
-            max_connections: 64,
-            rate_burst: 1 << 16,
-            rate_refill_per_sec: 1_000_000.0,
-            write_deadline: Duration::from_secs(2),
-            retry_after_ms: DEFAULT_RETRY_AFTER_MS,
-        }
-    }
-}
-
-/// Handle one connection until EOF, error, eviction, or server shutdown
-/// (the threaded engine: same [`ViewdService::handle`] as the reactor,
-/// replies written straight to the blocking stream).
-fn serve_connection(
-    service: &ViewdService,
-    mut stream: UnixStream,
-    stop: &AtomicBool,
-    limits: WireLimits,
-) -> io::Result<()> {
-    let mut bucket = TokenBucket::new(limits.rate_burst, limits.rate_refill_per_sec);
-    loop {
-        let req = match server_read_frame(&mut stream, MAX_REQUEST) {
-            Ok(ServerRead::Frame(req)) => req,
-            Ok(ServerRead::Eof) => return Ok(()),
-            Ok(ServerRead::Idle) => {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                continue;
-            }
-            // Oversized or torn frame: count it, drop only this
-            // connection — other clients are unaffected.
-            Err(e) => {
-                service.on_frame_rejected();
-                return Err(e);
-            }
-        };
-        // Check the stop flag per frame, not just on idle polls: a
-        // client in a steady request loop would otherwise keep this
-        // thread alive (and served) forever, and shutdown() joins it.
-        // Dropping the request closes the connection; the peer sees EOF
-        // and treats it like any other server failure.
-        if stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let pressured = !bucket.take(std::time::Instant::now());
-        let ServiceAction::Reply(response) = service.handle(&req, pressured) else {
-            return Ok(());
-        };
-        if let Err(e) = response.write_to(&mut stream) {
-            // A write stalling past the deadline is a slow client
-            // hogging a connection slot: evict it. Other write errors
-            // (peer gone) just close the connection as before.
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) {
-                service.on_evicted(EvictReason::WriteStall);
-            }
-            return Err(e);
-        }
-    }
-}
-
 /// Clamp a rendered text body under the response-frame cap, keeping the
 /// tail — for traces the newest events are the interesting end.
 fn clamp_text_body(text: String) -> String {
@@ -342,10 +247,9 @@ fn reply(status: u8, generation: u64, body: ResponseBody) -> Response {
     Response::new(&head, body)
 }
 
-/// viewd's protocol, the one opcode dispatch both engines serve: the
-/// [`Reactor`] queues what [`FrameService::handle`] returns (cached
-/// file images as shared `Arc` slices — no per-request body copies),
-/// the threaded engine writes it out.
+/// viewd's protocol, the one opcode dispatch: the [`Reactor`] queues
+/// what [`FrameService::handle`] returns (cached file images as shared
+/// `Arc` slices — no per-request body copies).
 struct ViewdService {
     server: ViewServer,
     client: ViewClient,
@@ -469,9 +373,9 @@ impl FrameService for ViewdService {
 
     fn on_evicted(&self, reason: EvictReason) {
         let metrics = self.server.metrics_ref();
-        // Both flavours are "client too slow to drain its responses";
-        // the legacy counter keeps covering the union so dashboards and
-        // existing assertions survive the engine swap.
+        // Both flavours are "client too slow to drain its responses":
+        // `conns_evicted_slow` counts the union, the backlog counter
+        // the queue-depth subset.
         metrics.conns_evicted_slow.fetch_add(1, Ordering::Relaxed);
         if reason == EvictReason::QueueDepth {
             metrics
@@ -482,178 +386,42 @@ impl FrameService for ViewdService {
 }
 
 /// The listening daemon front-end: accepts connections on a Unix socket
-/// and serves them until shut down. Two engines exist behind this one
-/// API — the default readiness-driven [`Reactor`] and the legacy
-/// thread-per-connection engine ([`ServerConfig::threaded`]), kept for
-/// apples-to-apples benchmarking.
+/// and serves them on the [`Reactor`] until shut down.
 #[derive(Debug)]
 pub struct WireServer {
-    engine: Engine,
-}
-
-#[derive(Debug)]
-enum Engine {
-    Reactor(Reactor),
-    Threaded {
-        stop: Arc<AtomicBool>,
-        accept_handle: Option<JoinHandle<()>>,
-        socket_path: PathBuf,
-    },
+    reactor: Reactor,
 }
 
 impl WireServer {
     /// Bind `socket_path` with the default [`ServerConfig`] (generous
-    /// limits, reactor engine).
+    /// limits).
     pub fn spawn(server: ViewServer, socket_path: impl AsRef<Path>) -> io::Result<WireServer> {
         WireServer::spawn_with_config(server, socket_path, ServerConfig::default())
     }
 
-    /// Bind `socket_path` under `limits`, with every reactor knob
-    /// defaulted ([`ServerConfig::from`]).
-    pub fn spawn_with_limits(
-        server: ViewServer,
-        socket_path: impl AsRef<Path>,
-        limits: WireLimits,
-    ) -> io::Result<WireServer> {
-        WireServer::spawn_with_config(server, socket_path, ServerConfig::from(limits))
-    }
-
     /// Bind `socket_path` (removing any stale socket file first) and
-    /// start serving under `config`, validated first. The engine is the
-    /// readiness reactor unless [`ServerConfig::threaded`] asks for the
-    /// legacy thread-per-connection path. Fails if the configuration is
-    /// invalid, the socket can't be bound, or the serving threads can't
-    /// be spawned; per-connection failures after that are absorbed and
-    /// counted, never panicked on.
+    /// start serving under `config`, validated first. Fails if the
+    /// configuration is invalid, the socket can't be bound, or the
+    /// serving threads can't be spawned; per-connection failures after
+    /// that are absorbed and counted, never panicked on.
     pub fn spawn_with_config(
         server: ViewServer,
         socket_path: impl AsRef<Path>,
         config: ServerConfig,
     ) -> io::Result<WireServer> {
-        config.validate()?;
         let service = Arc::new(ViewdService::new(server, config.retry_after_ms));
-        if config.threaded {
-            return WireServer::spawn_threaded(service, socket_path, config.limits());
-        }
         let reactor = Reactor::spawn(service, socket_path, config)?;
-        Ok(WireServer {
-            engine: Engine::Reactor(reactor),
-        })
-    }
-
-    fn spawn_threaded(
-        service: Arc<ViewdService>,
-        socket_path: impl AsRef<Path>,
-        limits: WireLimits,
-    ) -> io::Result<WireServer> {
-        let socket_path = socket_path.as_ref().to_path_buf();
-        let _ = std::fs::remove_file(&socket_path);
-        let listener = UnixListener::bind(&socket_path)?;
-        // Nonblocking accept so the loop can observe the stop flag.
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let accept_handle = std::thread::Builder::new()
-            .name("arv-viewd-accept".into())
-            .spawn(move || {
-                let active = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-                let mut workers: Vec<JoinHandle<()>> = Vec::new();
-                while !stop2.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _addr)) => {
-                            service.on_accepted();
-                            // Connection cap: the app-level bound on the
-                            // accept backlog. Closing the stream is the
-                            // refusal — the peer sees EOF.
-                            if active.load(Ordering::Acquire) >= limits.max_connections {
-                                service.on_conn_rejected();
-                            } else {
-                                // Blocking reads with a short timeout:
-                                // the connection thread polls the stop
-                                // flag between frames, so shutdown can
-                                // always join it. The write deadline is
-                                // the slow-client eviction trigger.
-                                let _ = stream.set_nonblocking(false);
-                                let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-                                let _ = stream.set_write_timeout(Some(limits.write_deadline));
-                                let conn_service = Arc::clone(&service);
-                                let stop3 = Arc::clone(&stop2);
-                                active.fetch_add(1, Ordering::AcqRel);
-                                let active2 = Arc::clone(&active);
-                                let spawned = std::thread::Builder::new()
-                                    .name("arv-viewd-conn".into())
-                                    .spawn(move || {
-                                        let _ =
-                                            serve_connection(&conn_service, stream, &stop3, limits);
-                                        active2.fetch_sub(1, Ordering::AcqRel);
-                                    });
-                                match spawned {
-                                    Ok(handle) => workers.push(handle),
-                                    // Out of threads: shed this
-                                    // connection (closing the stream
-                                    // tells the peer) and keep the
-                                    // daemon alive.
-                                    Err(_) => {
-                                        active.fetch_sub(1, Ordering::AcqRel);
-                                        service.on_conn_rejected();
-                                    }
-                                }
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(_) => break,
-                    }
-                    workers.retain(|w| !w.is_finished());
-                }
-                for w in workers {
-                    let _ = w.join();
-                }
-            })?;
-        Ok(WireServer {
-            engine: Engine::Threaded {
-                stop,
-                accept_handle: Some(accept_handle),
-                socket_path,
-            },
-        })
+        Ok(WireServer { reactor })
     }
 
     /// The socket path clients connect to.
     pub fn socket_path(&self) -> &Path {
-        match &self.engine {
-            Engine::Reactor(r) => r.socket_path(),
-            Engine::Threaded { socket_path, .. } => socket_path,
-        }
+        self.reactor.socket_path()
     }
 
-    /// Stop accepting, wait for in-flight connections, unlink the socket.
+    /// Stop accepting, close every connection, unlink the socket.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        match &mut self.engine {
-            Engine::Reactor(r) => r.shutdown(),
-            Engine::Threaded {
-                stop,
-                accept_handle,
-                socket_path,
-            } => {
-                stop.store(true, Ordering::Release);
-                if let Some(h) = accept_handle.take() {
-                    let _ = h.join();
-                }
-                let _ = std::fs::remove_file(socket_path);
-            }
-        }
-    }
-}
-
-impl Drop for WireServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
+        self.reactor.shutdown();
     }
 }
 
@@ -934,6 +702,9 @@ mod tests {
     use arv_cgroups::Bytes;
     use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};
     use std::io::{Read, Write};
+    use std::path::PathBuf;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     /// A response payload as the daemon frames it, for the parser tests.
     fn encode_response(status: u8, generation: u64, body: &[u8]) -> Vec<u8> {
@@ -996,15 +767,8 @@ mod tests {
         (server, wire, id)
     }
 
-    fn spawn_server_with_limits(
-        tag: &str,
-        limits: WireLimits,
-    ) -> (ViewServer, WireServer, CgroupId) {
-        spawn_server_with_config(tag, ServerConfig::from(limits))
-    }
-
     fn spawn_server(tag: &str) -> (ViewServer, WireServer, CgroupId) {
-        spawn_server_with_limits(tag, WireLimits::default())
+        spawn_server_with_config(tag, ServerConfig::default())
     }
 
     #[test]
@@ -1325,13 +1089,13 @@ mod tests {
 
     #[test]
     fn over_rate_requests_shed_but_cached_reads_survive() {
-        let limits = WireLimits {
+        let cfg = ServerConfig {
             rate_burst: 2,
             rate_refill_per_sec: 0.0,
             retry_after_ms: 7,
-            ..WireLimits::default()
+            ..ServerConfig::default()
         };
-        let (server, wire, id) = spawn_server_with_limits("shedtiers", limits);
+        let (server, wire, id) = spawn_server_with_config("shedtiers", cfg);
         let mut client = expect(WireClient::connect(wire.socket_path()), "connect shedtiers");
         // Token 1: render + cache /proc/cpuinfo. Token 2: a stats call.
         let first = expect_some(
@@ -1375,11 +1139,11 @@ mod tests {
 
     #[test]
     fn connection_cap_closes_excess_accepts() {
-        let limits = WireLimits {
+        let cfg = ServerConfig {
             max_connections: 1,
-            ..WireLimits::default()
+            ..ServerConfig::default()
         };
-        let (server, wire, id) = spawn_server_with_limits("conncap", limits);
+        let (server, wire, id) = spawn_server_with_config("conncap", cfg);
         let mut first = expect(WireClient::connect(wire.socket_path()), "connect first");
         // Serve one request so the first connection is surely active.
         assert_eq!(
@@ -1406,11 +1170,11 @@ mod tests {
 
     #[test]
     fn slow_client_is_evicted_at_the_write_deadline() {
-        let limits = WireLimits {
+        let cfg = ServerConfig {
             write_deadline: Duration::from_millis(25),
-            ..WireLimits::default()
+            ..ServerConfig::default()
         };
-        let (server, wire, _id) = spawn_server_with_limits("slow", limits);
+        let (server, wire, _id) = spawn_server_with_config("slow", cfg);
         let stream = expect(UnixStream::connect(wire.socket_path()), "connect slow");
         let mut writer = stream;
         expect(
@@ -1443,13 +1207,13 @@ mod tests {
 
     #[test]
     fn shed_burst_does_not_open_the_breaker() {
-        let limits = WireLimits {
+        let cfg = ServerConfig {
             rate_burst: 1,
             rate_refill_per_sec: 0.0,
             retry_after_ms: 1,
-            ..WireLimits::default()
+            ..ServerConfig::default()
         };
-        let (server, wire, id) = spawn_server_with_limits("shedburst", limits);
+        let (server, wire, id) = spawn_server_with_config("shedburst", cfg);
         let policy = RetryPolicy {
             breaker_threshold: 1,
             ..RetryPolicy::fast_test()
@@ -1488,28 +1252,6 @@ mod tests {
         );
         assert!(!cached.shed && !cached.degraded);
         assert!(server.metrics().requests_shed >= 3);
-        wire.shutdown();
-    }
-
-    #[test]
-    fn threaded_engine_serves_behind_the_same_api() {
-        let cfg = expect(
-            ServerConfig::builder().threaded(true).build(),
-            "build threaded config",
-        );
-        let (server, wire, id) = spawn_server_with_config("threaded", cfg);
-        let mut client = expect(WireClient::connect(wire.socket_path()), "connect threaded");
-        let resp = expect_some(
-            expect(client.read(Some(id), "/proc/cpuinfo"), "threaded read"),
-            "threaded read body",
-        );
-        let text = expect(String::from_utf8(resp.body), "utf8 body");
-        assert_eq!(text.matches("processor").count(), 4);
-        assert_eq!(
-            expect(client.sysconf(Some(id), "pagesize"), "threaded sysconf"),
-            Some(4096)
-        );
-        assert!(server.metrics().wire_requests >= 2);
         wire.shutdown();
     }
 
@@ -1563,6 +1305,128 @@ mod tests {
             "backlog evictions are a subset of slow evictions"
         );
         wire.shutdown();
+    }
+
+    /// The slab bound is the connection cap: a struct-update config
+    /// that raises only `max_connections` must seat every connection it
+    /// admits, on a single loop too.
+    #[test]
+    fn every_admitted_connection_gets_a_slot() {
+        let cfg = ServerConfig {
+            max_connections: 200,
+            loops: 1,
+            ..ServerConfig::default()
+        };
+        let (server, wire, id) = spawn_server_with_config("slots", cfg);
+        let mut clients: Vec<WireClient> = (0..200)
+            .map(|i| {
+                expect(
+                    WireClient::connect(wire.socket_path()),
+                    &format!("connect {i}"),
+                )
+            })
+            .collect();
+        for (i, client) in clients.iter_mut().enumerate() {
+            assert_eq!(
+                expect(
+                    client.sysconf(Some(id), "nprocessors_onln"),
+                    &format!("conn {i}")
+                ),
+                Some(4)
+            );
+        }
+        assert_eq!(server.metrics().connections_dropped, 0);
+        wire.shutdown();
+    }
+
+    /// The wire differential: what a reactor connection answers, byte
+    /// for byte, is what [`ViewdService::handle`] answers in-process.
+    mod differential {
+        use super::*;
+        use crate::server::CONTAINER_PATHS;
+        use proptest::prelude::*;
+
+        const SYSCONF_KEYS: [&str; 5] = [
+            "nprocessors_onln",
+            "nprocessors_conf",
+            "phys_pages",
+            "avphys_pages",
+            "pagesize",
+        ];
+
+        /// One request payload of `category` (eight of them, see the
+        /// arms), varied by `pick`.
+        fn request(category: u8, pick: usize) -> Vec<u8> {
+            let path = CONTAINER_PATHS[pick % CONTAINER_PATHS.len()];
+            let key = SYSCONF_KEYS[pick % SYSCONF_KEYS.len()];
+            assert!(sysconf_key(key).is_some(), "{key} is not a wire key");
+            match category {
+                0 => encode_request(KIND_READ, 7, path),
+                1 => encode_request(KIND_SYSCONF, 7, key),
+                2 => encode_request(KIND_READ, 7, "/proc/nope"),
+                3 => encode_request(KIND_SYSCONF, 7, "bogus_key"),
+                4 if pick % 2 == 0 => encode_request(KIND_READ, HOST_CALLER, path),
+                4 => encode_request(KIND_SYSCONF, HOST_CALLER, key),
+                5 => encode_request(9 + (pick % 200) as u8, 7, path),
+                6 => {
+                    let mut payload = encode_request(KIND_READ, 7, "");
+                    payload.extend_from_slice(&[0xFF, 0xFE, b'/', 0x80]);
+                    payload
+                }
+                _ => encode_request(KIND_SYSCONF, 7, key)[..pick % 5].to_vec(),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every request category once, then a seeded mix, written
+            /// to one connection in arbitrary chunks: the reply stream
+            /// equals `handle` called once per frame on the same
+            /// quiescent server, serialised by `Response::write_to`.
+            #[test]
+            fn reactor_replies_equal_in_process_handle(
+                picks in prop::collection::vec((0u8..8, 0usize..64), 0..24),
+                chunks in prop::collection::vec(1usize..48, 0..32),
+            ) {
+                static CASE: std::sync::atomic::AtomicUsize =
+                    std::sync::atomic::AtomicUsize::new(0);
+                let case = CASE.fetch_add(1, Ordering::Relaxed);
+                let cfg = ServerConfig { loops: 1, ..ServerConfig::default() };
+                let (server, wire, _id) = spawn_server_with_config(&format!("diff{case}"), cfg);
+
+                let frames: Vec<Vec<u8>> = (0u8..8)
+                    .map(|category| request(category, case))
+                    .chain(picks.iter().map(|&(category, pick)| request(category, pick)))
+                    .collect();
+
+                let reference = ViewdService::new(server, cfg.retry_after_ms);
+                let mut expected = Vec::new();
+                let mut stream_bytes = Vec::new();
+                for frame in &frames {
+                    match reference.handle(frame, false) {
+                        ServiceAction::Reply(resp) => resp.write_to(&mut expected).unwrap(),
+                        ServiceAction::Close => prop_assert!(false, "viewd never closes"),
+                    }
+                    write_frame(&mut stream_bytes, frame).unwrap();
+                }
+
+                let mut conn = UnixStream::connect(wire.socket_path()).unwrap();
+                let mut rest = stream_bytes.as_slice();
+                for &chunk in &chunks {
+                    let (head, tail) = rest.split_at(chunk.min(rest.len()));
+                    conn.write_all(head).unwrap();
+                    std::thread::yield_now();
+                    rest = tail;
+                }
+                conn.write_all(rest).unwrap();
+                conn.shutdown(std::net::Shutdown::Write).unwrap();
+                let mut got = Vec::new();
+                conn.read_to_end(&mut got).unwrap();
+                prop_assert_eq!(got, expected);
+                wire.shutdown();
+            }
+        }
     }
 
     mod frame_props {
