@@ -12,6 +12,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+echo "==> cargo clippy -p arv-bench --benches (the gate code; --workspace skips bench targets)"
+cargo clippy -p arv-bench --benches -- -D warnings
+
 echo "==> cargo clippy -p arv-view-server (no unwraps in serving paths)"
 cargo clippy -p arv-view-server -- -D warnings -D clippy::unwrap_used
 
@@ -66,28 +69,22 @@ cargo run -q --release -p arv-experiments --bin experiments -- --fig storm --sca
 echo "==> storm campaign, rotated seeds (the ladder must hold beyond the canonical seeds)"
 cargo run -q --release -p arv-experiments --bin experiments -- --fig storm --scale 0.5 --seed-offset 1 > /dev/null
 
-echo "==> core bench (NsMonitor::tick ns per container at N = 100 / 1 000 / 10 000, linear-scaling gate)"
-cargo bench -q -p arv-bench --bench core > /dev/null
-test -s BENCH_core.json || { echo "BENCH_core.json missing"; exit 1; }
-
-echo "==> viewd bench (cached hit, re-stamped miss, first render, sysconf, lookup miss; same-run ratio gates)"
-cargo bench -q -p arv-bench --bench viewd > /dev/null
-test -s BENCH_viewd.json || { echo "BENCH_viewd.json missing"; exit 1; }
-
-echo "==> fleet bench (ingest throughput, rollup query cost, resync ticks, failover convergence, obs overhead)"
-cargo bench -q -p arv-bench --bench fleet > /dev/null
-test -s BENCH_fleet.json || { echo "BENCH_fleet.json missing"; exit 1; }
-
-echo "==> persist bench (journal append cost, restore throughput, faulty-store overhead)"
-cargo bench -q -p arv-bench --bench persist > /dev/null
-test -s BENCH_persist.json || { echo "BENCH_persist.json missing"; exit 1; }
-
-echo "==> wire bench (5k-connection fanout, cached-read p99)"
-cargo bench -q -p arv-bench --bench wire > /dev/null
-test -s BENCH_wire.json || { echo "BENCH_wire.json missing"; exit 1; }
+# core: NsMonitor::tick linear scaling; viewd: hit / re-stamped miss /
+# first render ratios; fleet: resync + failover ticks, REPL lag, rollup
+# growth, obs + journal overhead; persist: append + replay growth, faulty
+# store; wire: 5k-connection fanout. Each writes BENCH_<name>.json and
+# exits nonzero on a failed gate or a non-finite value.
+for bench in core viewd fleet persist wire; do
+    echo "==> $bench bench"
+    cargo bench -q -p arv-bench --bench "$bench" > /dev/null
+    test -s "BENCH_$bench.json" || { echo "BENCH_$bench.json missing"; exit 1; }
+done
 
 echo "==> arv-benchmark's own tests (contract + determinism: every pinned signature still compiles)"
 cargo test -q --offline --manifest-path arv-benchmark/Cargo.toml
+
+echo "==> arv-benchmark smoke run (all four workloads + probes, 2 s each; nonzero on a failed check or non-finite metric)"
+cargo run --release --offline --quiet --manifest-path arv-benchmark/Cargo.toml --bin arv-benchmark -- --seconds 2 > /dev/null
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

@@ -6,20 +6,19 @@
 //! dense host as on a sparse one: host-wide state (free memory, kswapd,
 //! period, slack) is sampled once per firing and per-container usages
 //! are walked, not looked up. This bench times the firing at three
-//! populations in one process, writes `BENCH_core.json`, and exits
-//! nonzero when the densest costs more than [`MAX_SCALING_RATIO`] times
-//! the sparsest per container — a same-run ratio, so machine speed
-//! cancels and what is left is the shape of the loop (the
-//! per-namespace `MemSim::free()` walk this guards against already read
-//! 9× at N = 1 000 over N = 100).
+//! populations in one process, writes `BENCH_core.json`, and fails when
+//! the densest costs more than [`MAX_SCALING_RATIO`] times the sparsest
+//! per container — a same-run ratio, so machine speed cancels and what
+//! is left is the shape of the loop (the per-namespace `MemSim::free()`
+//! walk this guards against already read 9× at N = 1 000 over N = 100).
 
+use arv_bench::{best_of, ns_per_call, Report};
 use arv_cfs::{CfsSim, GroupDemand, UsageLedger};
 use arv_cgroups::{Bytes, CgroupId, CgroupManager, CgroupSpec, CpuController, MemController};
 use arv_mem::{MemSim, MemSimConfig};
 use arv_resview::NsMonitor;
 use arv_sim_core::SimDuration;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Container populations timed, sparsest first.
 const POPULATIONS: [u32; 3] = [100, 1_000, 10_000];
@@ -72,44 +71,27 @@ fn host(n: u32) -> (NsMonitor, UsageLedger, MemSim) {
 fn tick_ns_per_container(n: u32) -> f64 {
     let (mut monitor, ledger, mem) = host(n);
     let firings = (UPDATES_PER_TRIAL / n).max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
-        let start = Instant::now();
-        for _ in 0..firings {
+    best_of(TRIALS, || {
+        let ns = ns_per_call(firings, || {
             monitor.observe_tick();
             monitor.tick(black_box(&ledger), black_box(&mem));
-        }
-        let ns = start.elapsed().as_secs_f64() * 1e9;
-        best = best.min(ns / (f64::from(firings) * f64::from(n)));
+        });
         black_box(monitor.take_dirty());
-    }
-    best
+        ns / f64::from(n)
+    })
 }
 
 fn main() {
-    let ns: Vec<f64> = POPULATIONS.map(tick_ns_per_container).to_vec();
-    let ratio = ns[2] / ns[0].max(f64::EPSILON);
-
-    let json = format!(
-        "{{\n  \"bench\": \"core\",\n  \"monitor_tick_ns_per_container\": {{\n    \
-         \"n100\": {:.1},\n    \"n1000\": {:.1},\n    \"n10000\": {:.1}\n  }},\n  \
-         \"scaling_ratio_n10000_over_n100\": {ratio:.3},\n  \"thresholds\": {{\n    \
-         \"max_scaling_ratio\": {MAX_SCALING_RATIO}\n  }}\n}}\n",
-        ns[0], ns[1], ns[2],
-    );
-    // Cargo runs bench binaries with the package as cwd; anchor the
-    // report at the workspace root where ci.sh checks for it.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_core.json");
-    std::fs::write(&out, &json).expect("write BENCH_core.json");
-    print!("{json}");
-
-    if ratio > MAX_SCALING_RATIO {
-        eprintln!(
-            "FAIL: NsMonitor::tick costs {:.1} ns/container at N = 10 000, {ratio:.2}x the \
-             {:.1} ns at N = 100 (> {MAX_SCALING_RATIO}x): the firing is not linear",
-            ns[2], ns[0]
-        );
-        std::process::exit(1);
-    }
-    println!("core bench: all thresholds met");
+    let [sparse, mid, dense] = POPULATIONS.map(tick_ns_per_container);
+    Report::new("core")
+        .value("monitor_tick_ns_per_container_n100", sparse)
+        .value("monitor_tick_ns_per_container_n1000", mid)
+        .value("monitor_tick_ns_per_container_n10000", dense)
+        .at_most(
+            "scaling_ratio_n10000_over_n100",
+            dense / sparse,
+            MAX_SCALING_RATIO,
+            "NsMonitor::tick per container grows with the population: the firing is not linear",
+        )
+        .finish();
 }

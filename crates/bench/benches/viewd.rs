@@ -8,17 +8,17 @@
 //! before; a **first render** formats the image for a count nobody has
 //! reached yet. This bench times the three (plus `sysconf` and the
 //! unknown-container fallback to the host image) in one process, writes
-//! `BENCH_viewd.json`, and exits nonzero when the *shape* breaks — the
-//! gates are same-run ratios, so machine speed cancels: a re-stamped
-//! miss stays within [`MAX_RESTAMP_OVER_HIT`] hits (it must not format),
-//! and a first render of the host-sized `/proc/cpuinfo` (the largest
-//! image the table holds; the cost grows with the CPU count, ≈110 ns a
-//! CPU) costs at least [`MIN_RENDER_OVER_HIT`] hits — what every miss
-//! would pay without the table.
+//! `BENCH_viewd.json`, and fails when the *shape* breaks — the gates
+//! are same-run ratios, so machine speed cancels: a re-stamped miss
+//! stays within [`MAX_RESTAMP_OVER_HIT`] hits (it must not format), and
+//! a first render of the host-sized `/proc/cpuinfo` (the largest image
+//! the table holds; the cost grows with the CPU count, ≈110 ns a CPU)
+//! costs at least [`MIN_RENDER_OVER_HIT`] hits — what every miss would
+//! pay without the table.
 
+use arv_bench::{best_of, median, ns_per_call, paper_server, Report};
 use arv_cgroups::{Bytes, CgroupId};
-use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig, Sysconf};
-use arv_viewd::{HostSpec, ViewServer};
+use arv_resview::Sysconf;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -38,51 +38,20 @@ const TRIALS: u32 = 9;
 /// Rounds the three gated paths are timed over; the medians count.
 const ROUNDS: u32 = 1_001;
 
-fn mk_server(containers: u32) -> ViewServer {
-    let server = ViewServer::new(HostSpec::paper_testbed(), 8);
-    for i in 0..containers {
-        server.register(
-            CgroupId(i),
-            CpuBounds {
-                lower: 4,
-                upper: 10,
-            },
-            EffectiveCpuConfig::default(),
-            EffectiveMemory::new(
-                Bytes::from_mib(500),
-                Bytes::from_gib(1),
-                Bytes::from_mib(1280),
-                Bytes::from_mib(2560),
-                EffectiveMemoryConfig::default(),
-            ),
-        );
-    }
-    server
-}
-
-/// Nanoseconds per call of `f` over the fastest of [`TRIALS`] blocks.
-fn per_call_ns(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
-        let start = Instant::now();
-        for _ in 0..BLOCK {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() * 1e9 / f64::from(BLOCK));
-    }
-    best
-}
-
 fn main() {
-    let server = mk_server(CONTAINERS);
+    let server = paper_server(CONTAINERS);
     let client = server.client();
     let id = Some(CgroupId(42));
 
-    let sysconf = per_call_ns(|| {
-        black_box(client.sysconf(id, Sysconf::NprocessorsOnln));
+    let sysconf = best_of(TRIALS, || {
+        ns_per_call(BLOCK, || {
+            black_box(client.sysconf(id, Sysconf::NprocessorsOnln));
+        })
     });
-    let lookup_miss = per_call_ns(|| {
-        black_box(client.read(Some(CgroupId(9999)), "/proc/cpuinfo"));
+    let lookup_miss = best_of(TRIALS, || {
+        ns_per_call(BLOCK, || {
+            black_box(client.read(Some(CgroupId(9999)), "/proc/cpuinfo"));
+        })
     });
 
     // The three gated paths are timed side by side, round by round, and
@@ -109,7 +78,7 @@ fn main() {
         };
         let (restamp, hit) = (sweep(), sweep());
         // The first read at a CPU count on a server that has seen none.
-        let cold = mk_server(1);
+        let cold = paper_server(1);
         let cold_client = cold.client();
         let view = Bytes::from_gib(1);
         cold.mirror(CgroupId(0), RENDER_CPUS, view, view);
@@ -131,44 +100,25 @@ fn main() {
     );
     assert_eq!(m.cache_misses, u64::from(ROUNDS * CONTAINERS));
     let [hit, restamp, first_render, restamp_over_hit, render_over_hit] =
-        [hits, restamps, renders, restamp_ratios, render_ratios].map(|mut samples| {
-            samples.sort_by(f64::total_cmp);
-            samples[samples.len() / 2]
-        });
-
-    let json = format!(
-        "{{\n  \"bench\": \"viewd\",\n  \"cached_hit_ns\": {hit:.1},\n  \
-         \"restamped_miss_ns\": {restamp:.1},\n  \"first_render_cpuinfo_ns\": {first_render:.1},\n  \"first_render_cpus\": {RENDER_CPUS},\n  \
-         \"sysconf_ns\": {sysconf:.1},\n  \"lookup_miss_ns\": {lookup_miss:.1},\n  \
-         \"restamped_miss_over_hit\": {restamp_over_hit:.3},\n  \
-         \"first_render_over_hit\": {render_over_hit:.3},\n  \"thresholds\": {{\n    \
-         \"max_restamped_miss_over_hit\": {MAX_RESTAMP_OVER_HIT},\n    \
-         \"min_first_render_over_hit\": {MIN_RENDER_OVER_HIT}\n  }}\n}}\n"
-    );
-    // Cargo runs bench binaries with the package as cwd; anchor the
-    // report at the workspace root where ci.sh checks for it.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_viewd.json");
-    std::fs::write(&out, &json).expect("write BENCH_viewd.json");
-    print!("{json}");
-
-    let mut failed = false;
-    if restamp_over_hit > MAX_RESTAMP_OVER_HIT {
-        eprintln!(
-            "FAIL: a re-stamped miss costs {restamp:.0} ns, {restamp_over_hit:.2}x a {hit:.0} ns \
-             hit (> {MAX_RESTAMP_OVER_HIT}x): a miss on a warm image-table slot is doing more \
-             than snapshot, index, clone, put"
-        );
-        failed = true;
-    }
-    if render_over_hit < MIN_RENDER_OVER_HIT {
-        eprintln!(
-            "FAIL: a first {RENDER_CPUS}-CPU /proc/cpuinfo render costs {first_render:.0} ns, \
-             only {render_over_hit:.2}x a {hit:.0} ns hit (< {MIN_RENDER_OVER_HIT}x)"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("viewd bench: all thresholds met");
+        [hits, restamps, renders, restamp_ratios, render_ratios].map(median);
+    Report::new("viewd")
+        .value("cached_hit_ns", hit)
+        .value("restamped_miss_ns", restamp)
+        .value("first_render_cpuinfo_ns", first_render)
+        .value("first_render_cpus", f64::from(RENDER_CPUS))
+        .value("sysconf_ns", sysconf)
+        .value("lookup_miss_ns", lookup_miss)
+        .at_most(
+            "restamped_miss_over_hit",
+            restamp_over_hit,
+            MAX_RESTAMP_OVER_HIT,
+            "a miss on a warm image-table slot is doing more than snapshot, index, clone, put",
+        )
+        .at_least(
+            "first_render_over_hit",
+            render_over_hit,
+            MIN_RENDER_OVER_HIT,
+            "a cached hit costs over a tenth of a first render: the hit path is doing render-sized work",
+        )
+        .finish();
 }

@@ -1,31 +1,28 @@
 //! Wire-tier fanout benchmark with a machine-checkable report.
 //!
-//! A plain harness (like the fleet bench) measuring the numbers the
-//! readiness reactor was built for, writing them to `BENCH_wire.json`
-//! and exiting nonzero when a threshold is breached so `ci.sh` can gate
-//! on one run:
+//! Measures the numbers the readiness reactor was built for, writes
+//! them to `BENCH_wire.json`, and fails when a gate is breached so
+//! `ci.sh` can gate on one run:
 //!
 //! * **Fanout** — one viewd daemon holding ≥5000 concurrent
 //!   connections, every one of them answered while all stay open, from
-//!   `loops` event loops.
+//!   `loops` event loops. Gated: every connection must be served.
 //! * **Cached-read p99** — serial request/response latency for a warm
 //!   `/proc/cpuinfo` read over the socket, the paper's ~µs query cost
-//!   plus wire round-trip. The threshold is ms-scale: it catches a
-//!   per-request copy or render regression, not scheduler noise.
+//!   plus wire round-trip. Reported, not gated: a per-request copy or
+//!   render on the hot path is caught where it cannot hide in
+//!   scheduler noise — `view-server/tests/alloc_guard.rs` counts 0
+//!   allocations per cached read over the socket, and the `viewd`
+//!   bench holds a re-stamped miss within 3 hits of the same run.
 //!
 //! The client side is itself a single-threaded epoll driver (over the
 //! same `arv_viewd::sys` bindings), so client scheduling never skews
 //! what the server is being measured on.
 
-use arv_cgroups::{Bytes, CgroupId};
-use arv_resview::effective_cpu::CpuBounds;
-use arv_resview::effective_mem::{EffectiveMemory, EffectiveMemoryConfig};
-use arv_resview::EffectiveCpuConfig;
+use arv_bench::{paper_server, Report};
 use arv_viewd::codec::{read_frame, write_frame};
 use arv_viewd::sys::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
-use arv_viewd::{
-    FrameDecoder, HostSpec, ServerConfig, ViewServer, WireServer, KIND_READ, MAX_RESPONSE,
-};
+use arv_viewd::{FrameDecoder, ServerConfig, WireServer, KIND_READ, MAX_RESPONSE};
 use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -38,34 +35,8 @@ const FANOUT_CONNS: usize = 5000;
 const MIN_FANOUT_SERVED: usize = FANOUT_CONNS;
 /// Serial warm-read samples for the latency distribution.
 const P99_SAMPLES: usize = 10_000;
-/// Ceiling on the warm cached-read p99 over the socket, milliseconds.
-/// Release-mode round trips are tens of microseconds; this catches a
-/// per-request body copy or a render on the hot path, not jitter.
-const MAX_CACHED_READ_P99_MS: f64 = 5.0;
 /// Hard wall-clock ceiling on any single drive phase.
 const PHASE_DEADLINE: Duration = Duration::from_secs(120);
-
-fn mk_server(containers: u32) -> ViewServer {
-    let server = ViewServer::new(HostSpec::paper_testbed(), 8);
-    for i in 0..containers {
-        server.register(
-            CgroupId(i),
-            CpuBounds {
-                lower: 4,
-                upper: 10,
-            },
-            EffectiveCpuConfig::default(),
-            EffectiveMemory::new(
-                Bytes::from_mib(500),
-                Bytes::from_gib(1),
-                Bytes::from_mib(1280),
-                Bytes::from_mib(2560),
-                EffectiveMemoryConfig::default(),
-            ),
-        );
-    }
-    server
-}
 
 /// A framed `KIND_READ` request for `key` from container `id`.
 fn read_request(id: u32, key: &str) -> Vec<u8> {
@@ -267,7 +238,7 @@ fn main() {
         .write_deadline(Duration::from_secs(30))
         .build()
         .expect("fanout config");
-    let server = WireServer::spawn_with_config(mk_server(64), sock("fanout"), fanout_cfg)
+    let server = WireServer::spawn_with_config(paper_server(64), sock("fanout"), fanout_cfg)
         .expect("spawn fanout daemon");
     // Prime the cache so the fanout burst is served from shared images.
     {
@@ -279,38 +250,15 @@ fn main() {
     let fanout = drive(server.socket_path(), FANOUT_CONNS, 1, &req).expect("fanout phase");
     server.shutdown();
 
-    let json = format!(
-        "{{\n  \"bench\": \"wire\",\n  \
-         \"fanout_conns\": {FANOUT_CONNS},\n  \
-         \"fanout_served\": {},\n  \
-         \"fanout_drain_secs\": {:.3},\n  \
-         \"cached_read_p99_ms\": {cached_read_p99_ms:.4},\n  \
-         \"thresholds\": {{\n    \
-         \"min_fanout_served\": {MIN_FANOUT_SERVED},\n    \
-         \"max_cached_read_p99_ms\": {MAX_CACHED_READ_P99_MS}\n  }}\n}}\n",
-        fanout.served_conns,
-        fanout.elapsed.as_secs_f64(),
-    );
-    // Cargo runs bench binaries with the package as cwd; anchor the
-    // report at the workspace root where ci.sh checks for it.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_wire.json");
-    std::fs::write(&out, &json).expect("write BENCH_wire.json");
-    print!("{json}");
-
-    let mut failed = false;
-    if fanout.served_conns < MIN_FANOUT_SERVED {
-        eprintln!(
-            "FAIL: fanout served {} of {FANOUT_CONNS} concurrent connections",
-            fanout.served_conns
-        );
-        failed = true;
-    }
-    if cached_read_p99_ms > MAX_CACHED_READ_P99_MS {
-        eprintln!("FAIL: cached-read p99 {cached_read_p99_ms:.4} ms > {MAX_CACHED_READ_P99_MS} ms");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("wire bench: all thresholds met");
+    Report::new("wire")
+        .value("fanout_conns", FANOUT_CONNS as f64)
+        .at_least(
+            "fanout_served",
+            fanout.served_conns as f64,
+            MIN_FANOUT_SERVED as f64,
+            "the daemon dropped or starved connections while all of them stayed open",
+        )
+        .value("fanout_drain_secs", fanout.elapsed.as_secs_f64())
+        .value("cached_read_p99_ms", cached_read_p99_ms)
+        .finish();
 }

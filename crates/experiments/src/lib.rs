@@ -4,7 +4,8 @@
 //! Each `figNN` module builds the paper's scenario on the simulated host,
 //! runs it, and returns a [`report::FigReport`] with the same rows/series
 //! the paper plots. The `experiments` binary renders reports as text and
-//! CSV; the `arv-bench` crate wraps the same runners in Criterion.
+//! CSV; timed costs are gated by `arv-bench` and tracked by
+//! `arv-benchmark`.
 //!
 //! Absolute numbers differ from the paper (our substrate is a calibrated
 //! simulator, not a 20-core Xeon) — what must hold is the *shape*: who

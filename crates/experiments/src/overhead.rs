@@ -5,9 +5,10 @@
 //! effective-CPU / effective-memory `sysconf` query (theirs crosses the
 //! kernel; ours is an in-process atomic read, so expect much lower
 //! query numbers — the point is that both paths are far below the 24 ms
-//! update period). The Criterion benches in `arv-bench` measure the same
-//! paths with proper statistics; this runner gives a quick wall-clock
-//! estimate for the text report.
+//! update period). `arv-benchmark` measures the same paths with
+//! reference-scaled medians (`core.apply_ns`, `core.snapshot_ns`) and
+//! the served path behind them (`server.sysconf_ns`, `wire.rtt_p50_us`);
+//! this runner gives a quick wall-clock estimate for the text report.
 
 use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::effective_cpu::{CpuBounds, CpuSample};

@@ -228,17 +228,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cached_hits_are_at_least_10x_cheaper_than_renders() {
-        let rep = run(0.2);
-        let t = &rep.tables[0];
-        let hit = t.get("cached_hit", "median_ns").unwrap();
-        let render = t.get("first_render", "median_ns").unwrap();
-        assert!(
-            render >= 10.0 * hit,
-            "first render {render:.0} ns is under 10x hit {hit:.0} ns"
-        );
+    fn misses_render_once_per_cpu_count_and_restamp_the_rest() {
         // A miss formats only the first time any container reaches a
-        // CPU count; every other miss re-stamps the shared image.
+        // CPU count; every other miss re-stamps the shared image. (That
+        // a hit is ≥10x cheaper than a first render is a wall-clock
+        // claim, gated in release by `--bench viewd`.)
+        let rep = run(0.2);
         let t = &rep.tables[1];
         let renders = t.get("renders", "count").unwrap();
         assert!(renders >= 1.0);
