@@ -27,6 +27,12 @@ cargo clippy -p arv-persist -- -D warnings -D clippy::unwrap_used
 echo "==> cargo clippy -p arv-telemetry (no unwraps in the observability plane)"
 cargo clippy -p arv-telemetry -- -D warnings -D clippy::unwrap_used
 
+echo "==> cargo clippy -p arv-resview (no unwraps in the algorithms, monitor and live cells)"
+cargo clippy -p arv-resview -- -D warnings -D clippy::unwrap_used
+
+echo "==> cargo clippy -p arv-container (no unwraps in the simulated host)"
+cargo clippy -p arv-container -- -D warnings -D clippy::unwrap_used
+
 echo "==> cargo test -q"
 cargo test -q
 

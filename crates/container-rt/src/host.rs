@@ -102,6 +102,9 @@ pub struct SimHost {
     // Static bounds were recomputed since the last viewd publish, so the
     // daemon's conservative fallbacks (lower bound, soft limit) are due.
     fallbacks_stale: bool,
+    // Views that moved since the daemon last heard: a firing's dirty set,
+    // held over the firings whose publish was delayed.
+    viewd_dirty: BTreeSet<CgroupId>,
     journal: Option<JournalState>,
     last_restore: Option<RestoreEvent>,
     periphery: Option<Periphery>,
@@ -148,6 +151,7 @@ impl SimHost {
             stall_ticks: 0,
             delay_publish_ticks: 0,
             fallbacks_stale: false,
+            viewd_dirty: BTreeSet::new(),
             journal: None,
             last_restore: None,
             periphery: None,
@@ -203,7 +207,7 @@ impl SimHost {
             self.viewd_register(&server, id);
             // A launch changes the share denominator, so every
             // container's bounds (and clamped views) may have moved.
-            self.viewd_mirror_all();
+            self.viewd_publish(true);
         }
         id
     }
@@ -230,7 +234,7 @@ impl SimHost {
             }
             if let Some(server) = &self.viewd {
                 server.unregister(id);
-                self.viewd_mirror_all();
+                self.viewd_publish(true);
             }
         }
     }
@@ -241,7 +245,7 @@ impl SimHost {
         self.cgm.update(id, CgroupSpec::new(spec.cpu, spec.mem));
         self.mem.set_limits(id, spec.mem);
         self.pump_events();
-        self.viewd_mirror_all();
+        self.viewd_publish(true);
     }
 
     // --- fault-tolerant event pipeline ---
@@ -469,7 +473,7 @@ impl SimHost {
                 server.unregister(*id);
                 self.viewd_register(&server, *id);
             }
-            self.viewd_mirror_all();
+            self.viewd_publish(true);
             server.note_restore(
                 outcome.map_or(0, |o| o.reconciled as u64),
                 report.truncated_records,
@@ -662,15 +666,15 @@ impl SimHost {
     /// Attach a view-serving daemon. Every current and future container
     /// is registered with `server`, and its effective view is mirrored
     /// into the daemon's seqlocked cells whenever the `sys_namespace`
-    /// update timer fires — so the daemon's concurrent query threads
-    /// always answer with the same view the simulated kernel holds,
-    /// while the simulation itself stays single-threaded.
+    /// update timer fires and moved it — so the daemon's concurrent query
+    /// threads always answer with the same view the simulated kernel
+    /// holds, while the simulation itself stays single-threaded.
     pub fn attach_viewd(&mut self, server: ViewServer) {
         for id in self.containers.keys() {
             self.viewd_register(&server, *id);
         }
         self.viewd = Some(server);
-        self.viewd_mirror_all();
+        self.viewd_publish(true);
     }
 
     /// The attached view daemon, if any.
@@ -751,25 +755,31 @@ impl SimHost {
         server.register(id, bounds, self.cpu_cfg, e_mem);
     }
 
-    /// Push every container's current effective view into the daemon: a
-    /// cell's freshness stamp always advances, its generation only when
-    /// the value moved (so cached renders survive a quiet firing). When
-    /// static bounds were recomputed since the last publish, the
-    /// conservative fallbacks the daemon serves if this publish turns
-    /// out to be the last for a while are refreshed too.
-    fn viewd_mirror_all(&mut self) {
+    /// Bring the daemon level with the monitor, then advance its one
+    /// freshness word. A firing mirrors the views that moved since the
+    /// daemon last heard (`viewd_dirty`); lifecycle paths (`all`) and a
+    /// bounds recompute, which dirty everything anyway, mirror every
+    /// container, and a recompute refreshes the conservative fallbacks.
+    fn viewd_publish(&mut self, all: bool) {
+        let dirty = std::mem::take(&mut self.viewd_dirty);
         let Some(server) = &self.viewd else { return };
         let refresh = std::mem::take(&mut self.fallbacks_stale);
-        for id in self.containers.keys() {
+        let publish = |id: &CgroupId| {
             let Some(ns) = self.monitor.namespace(*id) else {
-                continue;
+                return;
             };
             if refresh {
                 server.set_fallback(*id, ns.cpu_bounds().lower, ns.soft_limit());
             }
             let (cpus, mem, avail) = ns.views();
             server.mirror(*id, cpus, mem, avail);
+        };
+        if all || refresh {
+            self.containers.keys().for_each(publish);
+        } else {
+            dirty.iter().for_each(publish);
         }
+        server.mark_fresh();
     }
 
     /// The container's name, if it exists.
@@ -864,17 +874,18 @@ impl SimHost {
         self.ledger.reset_window();
         self.watchdog.note_deadline_met();
         // One snapshot per firing serves both the journal and the
-        // periphery; the journal appends only what moved.
-        let dirty = self.monitor.take_dirty();
+        // periphery; the journal and the daemon take only what moved.
+        let mut dirty = self.monitor.take_dirty();
         let snap =
             (self.journal.is_some() || self.periphery.is_some()).then(|| self.monitor.snapshot());
         if let Some(snap) = &snap {
             self.journal_tick(snap, &dirty);
         }
+        self.viewd_dirty.append(&mut dirty);
         if self.delay_publish_ticks > 0 {
             self.delay_publish_ticks -= 1;
         } else {
-            self.viewd_mirror_all();
+            self.viewd_publish(false);
         }
         self.periphery_observe(snap, false);
     }
@@ -1517,6 +1528,15 @@ mod tests {
         let journal_len = host.journal_bytes().expect("journaling").len();
         let before = server.metrics();
         let shipped = host.periphery().expect("attached").stats().entries;
+        // Mirror calls into the daemon's cells, whatever they published.
+        let live = server.live_registry();
+        let mirrors = || -> u64 {
+            ids.iter()
+                .filter_map(|id| live.get(*id))
+                .map(|cell| cell.update_count())
+                .sum()
+        };
+        let mirrored = mirrors();
 
         for _ in 0..20 {
             let frames = round(&mut host);
@@ -1535,6 +1555,7 @@ mod tests {
         }
         let after: Vec<_> = ids.iter().map(|id| client.generation(*id)).collect();
         assert_eq!(after, generations, "no value moved, no generation did");
+        assert_eq!(mirrors(), mirrored, "a quiet firing mirrors nothing");
         let m = server.metrics();
         assert_eq!(m.cache_misses, before.cache_misses);
         assert_eq!(m.cache_hits - before.cache_hits, 20 * ids.len() as u64);
@@ -1562,6 +1583,21 @@ mod tests {
         for (a, b) in resumed.entries.iter().zip(&now.entries) {
             assert_eq!((a.e_cpu, a.e_mem, a.e_avail), (b.e_cpu, b.e_mem, b.e_avail));
         }
+
+        // A busy firing mirrors exactly the views that moved.
+        host.charge(ids[1], Bytes::from_gib(1));
+        let (views, mirrored) = (host.monitor().snapshot(), mirrors());
+        round(&mut host);
+        let moved = host
+            .monitor()
+            .snapshot()
+            .entries
+            .iter()
+            .zip(&views.entries)
+            .filter(|(a, b)| (a.e_cpu, a.e_mem, a.e_avail) != (b.e_cpu, b.e_mem, b.e_avail))
+            .count() as u64;
+        assert!(moved > 0, "the charge moved a view");
+        assert_eq!(mirrors() - mirrored, moved);
     }
 
     #[test]
@@ -1651,5 +1687,189 @@ mod tests {
         let outcome = ev.outcome.expect("recover ran");
         assert_eq!(outcome.restored + outcome.reconciled, 4);
         assert_eq!(outcome.dropped, 0, "journal already recorded the remove");
+    }
+
+    /// The test's own account of what the daemon must serve: the tick it
+    /// was last brought level with the monitor (a healthy, unsuppressed
+    /// firing or a lifecycle change), and each container's view and
+    /// conservative fallback as of then.
+    struct Level {
+        fresh: u64,
+        views: BTreeMap<CgroupId, (Triple, (u32, Bytes))>,
+    }
+
+    /// `(e_cpu, e_mem, e_avail)`.
+    type Triple = (u32, Bytes, Bytes);
+
+    impl Level {
+        fn of(host: &SimHost, ids: &[CgroupId]) -> Level {
+            let views = ids
+                .iter()
+                .map(|id| {
+                    let ns = host.monitor().namespace(*id).expect("a live namespace");
+                    (*id, (ns.views(), (ns.cpu_bounds().lower, ns.soft_limit())))
+                })
+                .collect();
+            Level {
+                fresh: host.now_tick(),
+                views,
+            }
+        }
+    }
+
+    /// Every container is served at the host's one age, the values it
+    /// was last brought level to (the fallback once degraded), and a
+    /// generation that is even and moved iff the served triple did.
+    fn check_served(
+        server: &ViewServer,
+        level: &Level,
+        generations: &mut BTreeMap<CgroupId, (u64, Triple)>,
+    ) {
+        let client = server.client();
+        let now = server.now_tick();
+        let health = server.policy().classify(now - level.fresh);
+        for (id, (view, (fb_cpus, fb_mem))) in &level.views {
+            assert_eq!(client.health(Some(*id)), health, "tick {now} {id:?}");
+            let (cpus, mem, avail) = if health.is_degraded() {
+                (*fb_cpus, *fb_mem, view.2.min(*fb_mem))
+            } else {
+                *view
+            };
+            let sysconf = |q| client.sysconf(Some(*id), q);
+            assert_eq!(sysconf(Sysconf::NprocessorsOnln), u64::from(cpus));
+            assert_eq!(
+                sysconf(Sysconf::PhysPages),
+                mem.as_u64() / arv_resview::PAGE_SIZE
+            );
+            assert_eq!(
+                sysconf(Sysconf::AvphysPages),
+                avail.as_u64() / arv_resview::PAGE_SIZE
+            );
+            let meminfo = client.read(Some(*id), "/proc/meminfo").expect("a view");
+            assert_eq!(*meminfo.image, arv_resview::render::meminfo(mem, avail));
+            let generation = client.generation(*id).expect("registered");
+            assert_eq!(generation % 2, 0, "tick {now} {id:?}");
+            if let Some((was, seen)) = generations.insert(*id, (generation, *view)) {
+                assert_eq!(generation != was, *view != seen, "tick {now} {id:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn served_views_follow_the_monitor_across_faults() {
+        use arv_sim_core::{FaultConfig, SimRng};
+        const STALL: (u64, u64) = (150, 8);
+        // Publish-delay windows: one within the staleness budget, one past it.
+        const DELAYS: [(u64, u64); 2] = [(60, 3), (210, 6)];
+        let mut host = SimHost::paper_testbed();
+        let server = ViewServer::new(host.viewd_host_spec(), 4);
+        host.attach_viewd(server.clone());
+        host.enable_journal(16);
+        host.set_fault_plan(FaultPlan::new(
+            1,
+            FaultConfig {
+                stall_at: Some(STALL),
+                ..FaultConfig::quiet()
+            },
+        ));
+        let mut spec_rng = SimRng::seed_from_u64(0xF2E5);
+        let mut spec = |name: String| {
+            ContainerSpec::new(name, 20)
+                .cpus(spec_rng.range_u64(2, 11) as f64)
+                .cpu_shares(512 * spec_rng.range_u64(1, 4))
+                .memory_reservation(Bytes::from_mib(256 * spec_rng.range_u64(1, 4)))
+                .memory(Bytes::from_gib(spec_rng.range_u64(1, 4)))
+        };
+        let mut ids: Vec<CgroupId> = (0..6)
+            .map(|i| host.launch(&spec(format!("c{i}"))))
+            .collect();
+        let mut level = Level::of(&host, &ids);
+        let mut generations = BTreeMap::new();
+        let mut rng = SimRng::seed_from_u64(0x5EED);
+        let (mut delayed, mut held, mut caught) = (0, None, 0);
+
+        for _ in 0..360 {
+            // Lifecycle changes land between firings, outside the fault
+            // windows: a container the monitor has not heard of has no
+            // view to check against.
+            let now = host.now_tick();
+            let lifecycle = match now {
+                30 | 100 | 240 => {
+                    ids.push(host.launch(&spec(format!("l{now}"))));
+                    true
+                }
+                45 | 180 => {
+                    let id = ids.remove(rng.range_u64(0, ids.len() as u64) as usize);
+                    host.terminate(id);
+                    generations.remove(&id);
+                    true
+                }
+                80 | 250 => {
+                    let id = ids[rng.range_u64(0, ids.len() as u64) as usize];
+                    host.update_limits(id, &spec(format!("u{now}")));
+                    true
+                }
+                270 => {
+                    host.crash_restart();
+                    generations.clear(); // fresh cells
+                    true
+                }
+                _ => false,
+            };
+            if lifecycle {
+                level = Level::of(&host, &ids);
+                check_served(&server, &level, &mut generations);
+            }
+            if let Some((_, len)) = DELAYS.iter().find(|(start, _)| *start == now) {
+                host.inject_publish_delay(*len);
+                delayed = *len;
+            }
+
+            let mut demands = Vec::new();
+            for id in &ids {
+                if rng.range_u64(0, 2) == 0 {
+                    demands.push(host.demand(*id, rng.range_u64(1, 16) as u32));
+                }
+            }
+            for _ in 0..2 {
+                let id = ids[rng.range_u64(0, ids.len() as u64) as usize];
+                let amount = Bytes::from_mib(rng.range_u64(16, 256));
+                if rng.range_u64(0, 3) == 0 {
+                    host.uncharge(id, amount);
+                } else {
+                    let _ = host.charge(id, amount);
+                }
+            }
+            host.step(&demands);
+            let now = host.now_tick();
+            assert_eq!(server.now_tick(), now, "one firing per step");
+
+            if !(STALL.0..STALL.0 + STALL.1).contains(&now) {
+                if delayed > 0 {
+                    delayed -= 1;
+                    held = Some(Level::of(&host, &ids).views);
+                } else {
+                    let fresh = Level::of(&host, &ids);
+                    // Views that moved inside the window and stood still
+                    // on this firing: not in its dirty set, still news.
+                    if let Some(held) = held.take() {
+                        caught += ids
+                            .iter()
+                            .filter(|id| {
+                                held[*id].0 != level.views[*id].0
+                                    && held[*id].0 == fresh.views[*id].0
+                            })
+                            .count();
+                    }
+                    level = fresh;
+                }
+            }
+            check_served(&server, &level, &mut generations);
+        }
+        assert!(caught > 0, "no view moved inside a publish-delay window");
+        let m = server.metrics();
+        assert!(m.stale_serves > 0 && m.degraded_serves > 0);
+        assert!(host.watchdog_stats().missed_ticks >= STALL.1);
+        assert!(host.last_restore().is_some_and(|ev| ev.outcome.is_some()));
     }
 }

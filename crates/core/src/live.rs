@@ -21,7 +21,10 @@ use std::time::Duration;
 
 use crate::effective_cpu::{CpuBounds, CpuSample, EffectiveCpu, EffectiveCpuConfig};
 use crate::effective_mem::{EffectiveMemory, MemSample};
-use crate::health::{StalenessPolicy, ViewHealth};
+
+/// The tick the cells' traced decisions carry: the registry has no
+/// update-timer clock (a driver's lives beside it, in its server).
+const UNTICKED: u64 = 0;
 
 /// One update observation delivered by the host sampler.
 #[derive(Debug, Clone, Copy)]
@@ -90,10 +93,10 @@ pub struct NsCell {
     e_avail: AtomicU64,
     updates: AtomicU64,
     generation: AtomicU64,
-    // Tick of the last publish, and the conservative fallback view
-    // (Algorithm 1's lower bound, Algorithm 2's soft limit) served when
-    // the cell ages past the staleness budget.
-    last_tick: AtomicU64,
+    // The conservative fallback view (Algorithm 1's lower bound,
+    // Algorithm 2's soft limit) served once the host's views age past
+    // the staleness budget. Freshness itself is not per cell: the server
+    // keeps one word per host.
     fb_cpu: AtomicU32,
     fb_mem: AtomicU64,
     state: Mutex<CellState>,
@@ -118,7 +121,6 @@ impl NsCell {
             e_avail: AtomicU64::new(mem.value().as_u64()),
             updates: AtomicU64::new(0),
             generation: AtomicU64::new(0),
-            last_tick: AtomicU64::new(0),
             fb_cpu: AtomicU32::new(cpu.bounds().lower),
             fb_mem: AtomicU64::new(mem.soft_limit().as_u64()),
             state: Mutex::new(CellState { cpu, mem }),
@@ -226,12 +228,11 @@ impl NsCell {
         let avail = mem.saturating_sub(sample.mem.usage);
         self.publish(cpu, mem, avail);
         self.updates.fetch_add(1, Ordering::Relaxed);
-        let tick = self.last_tick.load(Ordering::Acquire);
         if let Some(d) = cpu_d {
-            self.tracer.emit_cpu(tick, self.id, d);
+            self.tracer.emit_cpu(UNTICKED, self.id, d);
         }
         if let Some(d) = mem_d {
-            self.tracer.emit_mem(tick, self.id, d);
+            self.tracer.emit_mem(UNTICKED, self.id, d);
         }
     }
 
@@ -249,10 +250,9 @@ impl NsCell {
         let mem = st.mem.value();
         let avail = mem.saturating_sub(st.mem.last_usage().unwrap_or(Bytes(0)));
         self.publish(cpu, mem, avail);
-        let tick = self.last_tick.load(Ordering::Acquire);
         if cpu != cpu_before {
             self.tracer.emit_cpu(
-                tick,
+                UNTICKED,
                 self.id,
                 CpuDecision {
                     cause: DecisionCause::StaticRefresh,
@@ -265,7 +265,7 @@ impl NsCell {
         }
         if mem != mem_before {
             self.tracer.emit_mem(
-                tick,
+                UNTICKED,
                 self.id,
                 MemDecision {
                     cause: DecisionCause::StaticRefresh,
@@ -295,26 +295,12 @@ impl NsCell {
     /// clamped-restore paths, so a journaled view that fell outside the
     /// current static bounds is reconciled rather than trusted. The
     /// reconciled pair is published under the seqlock and returned.
-    pub fn restore_views(&self, e_cpu: u32, e_mem: Bytes, avail: Bytes, tick: u64) -> (u32, Bytes) {
+    pub fn restore_views(&self, e_cpu: u32, e_mem: Bytes, avail: Bytes) -> (u32, Bytes) {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let cpu = st.cpu.restore_value(e_cpu);
         let mem = st.mem.restore_value(e_mem);
         self.publish(cpu, mem, avail.min(mem));
-        self.last_tick.store(tick, Ordering::Release);
         (cpu, mem)
-    }
-
-    /// Record the update-timer tick of the latest publish (set by the
-    /// updater alongside each publish or mirror).
-    #[inline]
-    pub fn stamp(&self, tick: u64) {
-        self.last_tick.store(tick, Ordering::Release);
-    }
-
-    /// Tick of the last publish.
-    #[inline]
-    pub fn last_tick(&self) -> u64 {
-        self.last_tick.load(Ordering::Acquire)
     }
 
     /// Refresh the conservative fallback view (Algorithm 1's lower
@@ -324,13 +310,8 @@ impl NsCell {
         self.fb_mem.store(mem.as_u64(), Ordering::Release);
     }
 
-    /// Classify this cell's age against `policy` at tick `now`.
-    pub fn health(&self, now: u64, policy: &StalenessPolicy) -> ViewHealth {
-        policy.classify(now.saturating_sub(self.last_tick()))
-    }
-
     /// The conservative fallback view, served in place of
-    /// [`snapshot`](NsCell::snapshot) once the cell is degraded: CPU at
+    /// [`snapshot`](NsCell::snapshot) once the view is degraded: CPU at
     /// Algorithm 1's lower bound, memory reset to the soft limit — the
     /// paper's own safe resets, legal under any interleaving. Available
     /// memory never exceeds either the fallback size or the last
@@ -431,8 +412,9 @@ impl LiveRegistry {
             .is_empty()
     }
 
-    /// Capture every cell's published view for journaling, stamped with
-    /// the caller's `tick` (the registry itself has no clock).
+    /// Capture every cell's published view for journaling, every entry
+    /// stamped with the caller's `tick` (the registry itself has no
+    /// clock, and freshness is not per cell).
     pub fn checkpoint(&self, tick: u64) -> arv_persist::Snapshot {
         let mut entries: Vec<arv_persist::ViewState> = self
             .snapshot()
@@ -444,7 +426,7 @@ impl LiveRegistry {
                     e_cpu: v.cpus,
                     e_mem: v.bytes.as_u64(),
                     e_avail: v.avail.as_u64(),
-                    last_tick: cell.last_tick(),
+                    last_tick: tick,
                 }
             })
             .collect();
@@ -469,12 +451,8 @@ impl LiveRegistry {
                 continue;
             };
             seen += 1;
-            let (cpu, mem) = cell.restore_views(
-                entry.e_cpu,
-                Bytes(entry.e_mem),
-                Bytes(entry.e_avail),
-                entry.last_tick,
-            );
+            let (cpu, mem) =
+                cell.restore_views(entry.e_cpu, Bytes(entry.e_mem), Bytes(entry.e_avail));
             out.restored += 1;
             if cpu != entry.e_cpu || mem != Bytes(entry.e_mem) {
                 out.reconciled += 1;
@@ -690,7 +668,7 @@ mod tests {
     }
 
     #[test]
-    fn staleness_health_and_degraded_fallback() {
+    fn degraded_snapshot_reverts_to_registration_bounds() {
         let reg = LiveRegistry::new();
         let cell = reg.register(
             CgroupId(0),
@@ -701,20 +679,12 @@ mod tests {
             EffectiveCpuConfig::default(),
             mk_mem(),
         );
-        let policy = StalenessPolicy::default(); // budget 4
-        assert!(cell.health(0, &policy).is_fresh());
-        assert!(cell.health(1, &policy).is_fresh());
-        assert_eq!(cell.health(3, &policy), ViewHealth::Stale { age: 3 });
-        assert!(cell.health(5, &policy).is_degraded());
-
-        // Grow the view, then judge it degraded: the fallback snapshot
-        // reverts to the registration-time lower bound and soft limit.
+        // Grow the view: the fallback snapshot still reverts to the
+        // registration-time lower bound and soft limit, at the live
+        // generation.
         for _ in 0..6 {
             cell.apply(saturated_sample());
         }
-        cell.stamp(7);
-        assert!(cell.health(8, &policy).is_fresh());
-        assert!(cell.health(20, &policy).is_degraded());
         let live = cell.snapshot();
         assert_eq!(live.cpus, 10);
         let deg = cell.degraded_snapshot();
@@ -739,11 +709,11 @@ mod tests {
         for _ in 0..6 {
             cell.apply(saturated_sample());
         }
-        cell.stamp(6);
         assert_eq!(cell.effective_cpu(), 10);
         let snap = reg.checkpoint(6);
         assert_eq!(snap.tick, 6);
         assert_eq!(snap.get(0).unwrap().e_cpu, 10);
+        assert_eq!(snap.get(0).unwrap().last_tick, 6, "the caller's tick");
 
         // A cold registry would serve 4; restore resumes 10.
         let reg2 = LiveRegistry::new();
@@ -761,7 +731,6 @@ mod tests {
         assert_eq!(out.restored, 1);
         assert_eq!(out.reconciled, 0);
         assert_eq!(cell2.effective_cpu(), 10);
-        assert_eq!(cell2.last_tick(), 6);
     }
 
     #[test]

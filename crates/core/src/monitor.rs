@@ -70,6 +70,8 @@ pub struct NsMonitor {
     dirty: BTreeSet<CgroupId>,
     next_pid: u32,
     now_tick: u64,
+    /// Tick of the last healthy firing, which refreshes every namespace.
+    fresh_tick: u64,
     next_seq: u64,
     tracer: Tracer,
 }
@@ -93,6 +95,7 @@ impl NsMonitor {
             dirty: BTreeSet::new(),
             next_pid: 1,
             now_tick: 0,
+            fresh_tick: 0,
             next_seq: 0,
             tracer: Tracer::disabled(),
         }
@@ -167,6 +170,12 @@ impl NsMonitor {
     /// The monitor's notion of "now", in update-timer firings.
     pub fn now_tick(&self) -> u64 {
         self.now_tick
+    }
+
+    /// Tick of the monitor's last healthy firing (or warm restart): every
+    /// namespace's views are that old. A stalled monitor stalls them all.
+    pub fn fresh_tick(&self) -> u64 {
+        self.fresh_tick
     }
 
     /// Advance the monitor's clock by one update-timer firing.
@@ -283,9 +292,9 @@ impl NsMonitor {
     /// Capture every namespace's dynamic view for journaling.
     ///
     /// The snapshot records only the *dynamic* state (effective CPU and
-    /// memory, availability, refresh tick); static bounds and limits are
-    /// deliberately not persisted — on recovery they are recomputed from
-    /// the live cgroup hierarchy, which is the authority.
+    /// memory, availability, the monitor's one refresh tick); static
+    /// bounds and limits are deliberately not persisted — on recovery
+    /// they are recomputed from the live cgroup hierarchy, the authority.
     pub fn snapshot(&self) -> arv_persist::Snapshot {
         arv_persist::Snapshot {
             tick: self.now_tick,
@@ -299,7 +308,7 @@ impl NsMonitor {
                         e_cpu,
                         e_mem: e_mem.as_u64(),
                         e_avail: e_avail.as_u64(),
-                        last_tick: ns.last_tick(),
+                        last_tick: self.fresh_tick,
                     }
                 })
                 .collect(),
@@ -357,7 +366,6 @@ impl NsMonitor {
             let cpu_before = ns.effective_cpu();
             let mem_before = ns.effective_memory();
             let (cpu_after, mem_after) = ns.restore_views(entry.e_cpu, Bytes(entry.e_mem));
-            ns.stamp(self.now_tick);
             out.restored += 1;
             let clamped = cpu_after != entry.e_cpu || mem_after != Bytes(entry.e_mem);
             if clamped {
@@ -400,6 +408,8 @@ impl NsMonitor {
             .keys()
             .filter(|id| snapshot.get(id.0).is_none())
             .count();
+        // Every namespace is restored or admitted as of now.
+        self.fresh_tick = self.now_tick;
         self.tracer
             .emit_pipeline(self.now_tick, None, PipelineEvent::Restored);
         out
@@ -415,9 +425,11 @@ impl NsMonitor {
     /// Align the tick counter (after a warm restart: the update timer's
     /// cadence is host-side and survives the daemon, so a replacement
     /// monitor resumes the old clock instead of restarting at zero —
-    /// otherwise every served view would look impossibly fresh).
+    /// otherwise every served view would look impossibly fresh). What
+    /// the replacement then builds or restores is current as of `tick`.
     pub fn align_tick(&mut self, tick: u64) {
         self.now_tick = tick;
+        self.fresh_tick = tick;
     }
 
     fn create_namespace(&mut self, id: CgroupId, cgm: &CgroupManager) {
@@ -439,8 +451,7 @@ impl NsMonitor {
         );
         let owner = Pid(self.next_pid);
         self.next_pid += 1;
-        let mut ns = SysNamespace::new(id, owner, bounds, self.cpu_cfg, e_mem);
-        ns.stamp(self.now_tick);
+        let ns = SysNamespace::new(id, owner, bounds, self.cpu_cfg, e_mem);
         self.namespaces.insert(id, ns);
         self.tracer
             .emit_pipeline(self.now_tick, Some(id), PipelineEvent::ContainerCreated);
@@ -520,7 +531,7 @@ impl NsMonitor {
     /// memory manager's) arrive as id-ordered streams walked beside the
     /// namespaces — no per-namespace lookup, so the firing costs the
     /// same per container at any population. Each namespace whose value
-    /// triple moved joins the dirty set.
+    /// triple moved joins the dirty set; freshness is one store.
     fn fire(
         &mut self,
         period: SimDuration,
@@ -533,6 +544,7 @@ impl NsMonitor {
         }
         let mut cpu_usage = cpu_usage.peekable();
         let mut mem = mem.map(|m| (m.usages().peekable(), m.free(), m.is_reclaiming()));
+        self.fresh_tick = self.now_tick;
         for (id, ns) in self.namespaces.iter_mut() {
             let before = ns.views();
             let cpu_d = ns.update_cpu_explained(CpuSample {
@@ -553,7 +565,6 @@ impl NsMonitor {
             if let Some(d) = mem_d {
                 self.tracer.emit_mem(self.now_tick, *id, d);
             }
-            ns.stamp(self.now_tick);
             if ns.views() != before {
                 self.dirty.insert(*id);
             }
@@ -995,16 +1006,19 @@ mod tests {
         let a = cgm.create(paper_spec());
         mem.register(a, MemController::unlimited());
         mon.sync(&mut cgm);
-        assert_eq!(mon.namespace(a).unwrap().last_tick(), 0);
+        assert_eq!(mon.fresh_tick(), 0);
         for _ in 0..5 {
             mon.observe_tick();
         }
         assert_eq!(mon.now_tick(), 5);
-        // The namespace has not been refreshed: its stamp lags.
-        assert_eq!(mon.namespace(a).unwrap().last_tick(), 0);
+        // No firing has refreshed the namespaces: the host's word lags,
+        // and every snapshot entry carries it.
+        assert_eq!(mon.fresh_tick(), 0);
+        assert_eq!(mon.snapshot().get(a.0).unwrap().last_tick, 0);
         ledger.record(&cfs.allocate(P, &[GroupDemand::cpu_bound(a, 20, 1024, 10.0)]));
         mon.tick_window(&ledger, &mem);
-        assert_eq!(mon.namespace(a).unwrap().last_tick(), 5);
+        assert_eq!(mon.fresh_tick(), 5);
+        assert_eq!(mon.snapshot().get(a.0).unwrap().last_tick, 5);
     }
 
     /// The per-namespace loop the firing replaced, kept as the reference
@@ -1033,8 +1047,8 @@ mod tests {
             if let Some(d) = mem_d {
                 mon.tracer.emit_mem(mon.now_tick, *id, d);
             }
-            ns.stamp(mon.now_tick);
         }
+        mon.fresh_tick = mon.now_tick;
     }
 
     /// A 1 GiB host whose twelve containers ride a seeded memory wave in

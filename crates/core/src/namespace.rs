@@ -26,7 +26,6 @@ pub struct SysNamespace {
     owner: Pid,
     e_cpu: EffectiveCpu,
     e_mem: EffectiveMemory,
-    last_tick: u64,
 }
 
 impl SysNamespace {
@@ -43,7 +42,6 @@ impl SysNamespace {
             owner,
             e_cpu: EffectiveCpu::new(cpu_bounds, cpu_cfg),
             e_mem,
-            last_tick: 0,
         }
     }
 
@@ -112,16 +110,6 @@ impl SysNamespace {
     /// Last observed memory usage (zero before the first update).
     pub fn last_usage(&self) -> Bytes {
         self.e_mem.last_usage().unwrap_or(Bytes(0))
-    }
-
-    /// Update-timer tick this namespace's views were last refreshed at.
-    pub fn last_tick(&self) -> u64 {
-        self.last_tick
-    }
-
-    /// Record the tick a refresh happened at (set by `ns_monitor`).
-    pub fn stamp(&mut self, tick: u64) {
-        self.last_tick = tick;
     }
 
     /// Static-bound refresh from `ns_monitor` (cgroup events).

@@ -94,24 +94,16 @@ impl<'m> VirtualSysfs<'m> {
     /// callers without a namespace) read physical values, which are
     /// always fresh; without a policy, staleness is not judged.
     pub fn health(&self, caller: Option<CgroupId>) -> ViewHealth {
-        match (
-            self.policy,
-            caller.and_then(|id| self.monitor.namespace(id)),
-        ) {
-            (Some(policy), Some(ns)) => {
-                policy.classify(self.monitor.now_tick().saturating_sub(ns.last_tick()))
-            }
+        let mon = self.monitor;
+        match (self.policy, caller.and_then(|id| mon.namespace(id))) {
+            // One age for every namespace: the monitor's last healthy firing.
+            (Some(policy), Some(_)) => policy.classify(mon.now_tick() - mon.fresh_tick()),
             _ => ViewHealth::Fresh,
         }
     }
 
     fn is_degraded(&self, ns: &SysNamespace) -> bool {
-        match self.policy {
-            Some(policy) => policy
-                .classify(self.monitor.now_tick().saturating_sub(ns.last_tick()))
-                .is_degraded(),
-            None => false,
-        }
+        self.health(Some(ns.id())).is_degraded()
     }
 
     /// CPU count served for `ns`, honouring degradation. Substituting

@@ -33,12 +33,15 @@
 //!
 //! # Fault tolerance
 //!
-//! The server stamps every published view with an update-timer tick
-//! ([`server::ViewServer::advance_tick`]) and judges each query against
-//! a [`arv_resview::StalenessPolicy`]: views past the staleness budget
-//! are answered from the conservative fallback (Algorithm 1's lower
-//! bound, the memory soft limit) and flagged degraded in both the
-//! in-process [`server::ViewImage`] and the wire status byte.
+//! The server keeps an update-timer clock
+//! ([`server::ViewServer::advance_tick`]) and one freshness word per host,
+//! the tick the driver last brought every cell level with its monitor
+//! ([`server::ViewServer::mark_fresh`]). Every query is judged by the
+//! word's age against a [`arv_resview::StalenessPolicy`]: views past the
+//! staleness budget are answered from the conservative fallback
+//! (Algorithm 1's lower bound, the memory soft limit) and flagged
+//! degraded in both the in-process [`server::ViewImage`] and the wire
+//! status byte.
 
 // Production code must not panic on a recoverable fault: unwraps are
 // confined to tests.

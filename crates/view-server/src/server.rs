@@ -87,9 +87,12 @@ struct ServerInner {
     images: [Box<[OnceLock<Arc<String>>]>; PathId::COUNT],
     metrics: Metrics,
     policy: StalenessPolicy,
-    // Update-timer tick, advanced by the driver; cells whose stamp lags
-    // this clock past the policy budget are served degraded.
+    // Update-timer tick, advanced by the driver on every firing.
     clock: AtomicU64,
+    // Tick the driver last brought every cell level with its monitor at:
+    // every served view is `clock - fresh` old (one word per host). Stored
+    // with Release after the mirrors it vouches for, loaded with Acquire.
+    fresh: AtomicU64,
     // Tick of the last warm restart, or `u64::MAX` when no recovery is
     // in flight. The first Fresh-health serve after a restart records
     // the recovery latency and resets this to `u64::MAX`.
@@ -122,8 +125,7 @@ impl ViewServer {
     /// A server for `host` with `shards` registry shards and the default
     /// [`StalenessPolicy`]. The staleness clock starts at 0 and only
     /// moves when the driver calls [`advance_tick`](ViewServer::advance_tick),
-    /// so a server that never advances it behaves exactly as before
-    /// staleness awareness existed.
+    /// so a server that never advances it serves every view fresh.
     pub fn new(host: HostSpec, shards: usize) -> ViewServer {
         ViewServer::with_policy(host, shards, StalenessPolicy::default())
     }
@@ -168,6 +170,7 @@ impl ViewServer {
                 metrics: Metrics::new(),
                 policy,
                 clock: AtomicU64::new(0),
+                fresh: AtomicU64::new(0),
                 restore_tick: AtomicU64::new(u64::MAX),
                 tracer,
             }),
@@ -191,6 +194,13 @@ impl ViewServer {
     /// Current staleness-clock tick.
     pub fn now_tick(&self) -> u64 {
         self.inner.clock.load(Ordering::Acquire)
+    }
+
+    /// Record that every cell now holds its monitor's view, as of the
+    /// current tick: once per healthy firing (or lifecycle change), after
+    /// mirroring what moved — never once per container.
+    pub fn mark_fresh(&self) {
+        self.inner.fresh.store(self.now_tick(), Ordering::Release);
     }
 
     /// The staleness policy views are judged against.
@@ -483,11 +493,11 @@ impl ViewServer {
 
     /// Mirror externally computed views into a container's cell (the
     /// simulation driver path; see [`arv_resview::NsCell::force_publish`]).
+    /// Only publishes: freshness is [`mark_fresh`](ViewServer::mark_fresh).
     pub fn mirror(&self, id: CgroupId, cpus: u32, mem: Bytes, avail: Bytes) -> bool {
         match self.inner.shards.get(id) {
             Some(entry) => {
                 entry.cell.force_publish(cpus, mem, avail);
-                entry.cell.stamp(self.now_tick());
                 true
             }
             None => false,
@@ -564,8 +574,7 @@ impl ViewClient {
     /// view is not degraded (fallback images are built per read).
     fn cached(&self, entry: &ContainerEntry, path: &str) -> Option<ViewImage> {
         let id = PathId::resolve(path)?;
-        let now = self.inner.clock.load(Ordering::Acquire);
-        let health = entry.cell.health(now, &self.inner.policy);
+        let (_, health) = self.inner.health();
         if health.is_degraded() {
             return None;
         }
@@ -599,9 +608,7 @@ impl ViewClient {
     /// unknown-container callers read physical values, always fresh).
     pub fn health(&self, caller: Option<CgroupId>) -> ViewHealth {
         match caller.and_then(|id| self.inner.shards.get(id)) {
-            Some(entry) => entry
-                .cell
-                .health(self.inner.clock.load(Ordering::Acquire), &self.inner.policy),
+            Some(_) => self.inner.health().1,
             None => ViewHealth::Fresh,
         }
     }
@@ -610,8 +617,7 @@ impl ViewClient {
     /// go with serving it.
     fn judge(&self, entry: &ContainerEntry) -> ViewHealth {
         let m = &self.inner.metrics;
-        let now = self.inner.clock.load(Ordering::Acquire);
-        let health = entry.cell.health(now, &self.inner.policy);
+        let (now, health) = self.inner.health();
         m.staleness_age.record(health.age());
         match health {
             ViewHealth::Fresh => {
@@ -801,6 +807,14 @@ const HOST_GLOBAL: [&str; 2] = [
 ];
 
 impl ServerInner {
+    /// The current tick and the health of every container view at it:
+    /// the age of the host's freshness word.
+    fn health(&self) -> (u64, ViewHealth) {
+        let now = self.clock.load(Ordering::Acquire);
+        let fresh = self.fresh.load(Ordering::Acquire);
+        (now, self.policy.classify(now.saturating_sub(fresh)))
+    }
+
     /// The image of `id` for the view `snap`: the shared image-table
     /// entry when the file is CPU-keyed and the count within the host's,
     /// formatted on the spot otherwise (memory-keyed files, and a count
@@ -1015,9 +1029,12 @@ mod tests {
         assert!(m.degraded_serves >= 3);
         assert!(m.stale_serves >= 1);
 
-        // A fresh publish restores the live view immediately — and the
-        // cache never served the degraded image for a live generation.
+        // A publish alone does not refresh the host; the firing that
+        // brought it level does, and the live view is back immediately —
+        // the cache never served the degraded image for a live generation.
         server.mirror(id, 8, Bytes::from_mib(800), Bytes::from_mib(700));
+        assert!(client.health(Some(id)).is_degraded());
+        server.mark_fresh();
         assert!(client.health(Some(id)).is_fresh());
         let img = client.read(Some(id), "/proc/cpuinfo").unwrap();
         assert!(img.health.is_fresh());
@@ -1133,6 +1150,7 @@ mod tests {
         server.advance_tick();
         server.advance_tick(); // tick 3
         server.mirror(id, 8, Bytes::from_mib(800), Bytes::from_mib(700));
+        server.mark_fresh();
         client.read(Some(id), "/proc/cpuinfo").unwrap();
         let m = server.metrics();
         assert_eq!(m.restore_reconciled_containers, 2);
@@ -1194,6 +1212,7 @@ mod tests {
                     for (id, (mem, avail)) in ids.into_iter().zip(views) {
                         prop_assert!(server.mirror(id, cpus, mem, avail));
                     }
+                    server.mark_fresh();
                     for path in PathId::ALL {
                         let [a, b] = [0, 1].map(|i| {
                             let view = client.read(Some(ids[i]), path.as_str()).expect("known path");
