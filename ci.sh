@@ -12,6 +12,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+echo "==> cargo clippy --workspace --examples (--workspace skips example targets)"
+cargo clippy --workspace --examples -- -D warnings
+
 echo "==> cargo clippy -p arv-bench --benches (the gate code; --workspace skips bench targets)"
 cargo clippy -p arv-bench --benches -- -D warnings
 

@@ -1529,10 +1529,9 @@ mod tests {
         let before = server.metrics();
         let shipped = host.periphery().expect("attached").stats().entries;
         // Mirror calls into the daemon's cells, whatever they published.
-        let live = server.live_registry();
         let mirrors = || -> u64 {
             ids.iter()
-                .filter_map(|id| live.get(*id))
+                .filter_map(|id| server.cell(*id))
                 .map(|cell| cell.update_count())
                 .sum()
         };
@@ -1598,6 +1597,103 @@ mod tests {
             .count() as u64;
         assert!(moved > 0, "the charge moved a view");
         assert_eq!(mirrors() - mirrored, moved);
+    }
+
+    /// Both front-ends answer every container caller alike — health,
+    /// every `sysconf` key, the bytes of every CPU- and memory-keyed file
+    /// — fresh, stale and degraded, with usage past the soft limit.
+    #[test]
+    fn virtual_sysfs_and_viewd_answer_alike() {
+        const KEYS: [Sysconf; 5] = [
+            Sysconf::NprocessorsOnln,
+            Sysconf::NprocessorsConf,
+            Sysconf::PhysPages,
+            Sysconf::AvphysPages,
+            Sysconf::PageSize,
+        ];
+        const PATHS: [&str; 4] = [
+            "/proc/cpuinfo",
+            "/proc/meminfo",
+            "/proc/stat",
+            "/sys/devices/system/cpu/online",
+        ];
+        let mut host = SimHost::paper_testbed();
+        let server = ViewServer::new(host.viewd_host_spec(), 4);
+        host.attach_viewd(server.clone());
+        let ids: Vec<CgroupId> = (0..3)
+            .map(|i| {
+                host.launch(
+                    &ContainerSpec::new(format!("c{i}"), 20)
+                        .cpus(4.0)
+                        .memory_reservation(Bytes::from_mib(512))
+                        .memory(Bytes::from_gib(2 + i)),
+                )
+            })
+            .collect();
+        let client = server.client();
+        // No publish is ever delayed here, so the daemon is level with
+        // the monitor after every firing, stalled ones included.
+        let compare = |host: &SimHost| -> arv_resview::ViewHealth {
+            let fs = host.sysfs_with_policy(server.policy());
+            let tick = host.now_tick();
+            let health = fs.health(Some(ids[0]));
+            for id in &ids {
+                let caller = Some(*id);
+                assert_eq!(fs.health(caller), health, "tick {tick} {id:?}");
+                assert_eq!(client.health(caller), health, "tick {tick} {id:?}");
+                for key in KEYS {
+                    let (daemon, sysfs) = (client.sysconf(caller, key), fs.sysconf(caller, key));
+                    assert_eq!(daemon, sysfs, "tick {tick} {id:?} {key:?}");
+                }
+                for path in PATHS {
+                    let daemon = client.read(caller, path).expect("a container file");
+                    let sysfs = fs.read(caller, path).expect("a container file");
+                    assert_eq!(*daemon.image, sysfs, "tick {tick} {id:?} {path}");
+                }
+            }
+            health
+        };
+        // Keep each container at ≈95 % of its view: Algorithm 2 grows it,
+        // and the usage follows past the soft limit.
+        let step = |host: &mut SimHost| {
+            for id in &ids {
+                let target = host.effective_memory(*id).mul_f64(0.95);
+                let _ = host.charge(*id, target.saturating_sub(host.memory_usage(*id)));
+            }
+            let demands: Vec<_> = ids.iter().map(|id| host.demand(*id, 2)).collect();
+            host.step(&demands);
+        };
+        let past_soft = |host: &SimHost| {
+            ids.iter().all(|id| {
+                let ns = host.monitor().namespace(*id).expect("a live namespace");
+                ns.effective_memory() > ns.soft_limit() && ns.last_usage() > ns.soft_limit()
+            })
+        };
+        for _ in 0..40 {
+            step(&mut host);
+            assert!(compare(&host).is_fresh());
+            if past_soft(&host) {
+                break;
+            }
+        }
+        assert!(past_soft(&host), "views and usage grew past the soft limit");
+
+        // A stall past the budget, then recovery; no lifecycle change.
+        let budget = server.policy().budget;
+        host.inject_monitor_stall(budget + 3);
+        let mut degraded = 0;
+        for _ in 0..budget + 3 {
+            step(&mut host);
+            degraded += u64::from(compare(&host).is_degraded());
+        }
+        assert_eq!(degraded, 3, "the ticks past the budget");
+        assert_eq!(
+            client.sysconf(Some(ids[0]), Sysconf::AvphysPages),
+            0,
+            "usage past the soft limit leaves none of it"
+        );
+        step(&mut host);
+        assert!(compare(&host).is_fresh());
     }
 
     #[test]
@@ -1731,7 +1827,8 @@ mod tests {
         for (id, (view, (fb_cpus, fb_mem))) in &level.views {
             assert_eq!(client.health(Some(*id)), health, "tick {now} {id:?}");
             let (cpus, mem, avail) = if health.is_degraded() {
-                (*fb_cpus, *fb_mem, view.2.min(*fb_mem))
+                // The soft limit less the usage the view implies.
+                (*fb_cpus, *fb_mem, fb_mem.saturating_sub(view.1 - view.2))
             } else {
                 *view
             };

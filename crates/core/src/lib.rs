@@ -17,9 +17,9 @@
 //! * [`sysfs`] — the virtual sysfs / `sysconf` front-end that answers
 //!   resource queries from inside a container with effective values and
 //!   from the host with physical ones;
-//! * [`live`] — a real multithreaded registry (atomic cells + a monitor
-//!   thread) reproducing the concurrency structure the paper measures in
-//!   §5.4 (1 µs updates, lock-free queries).
+//! * [`live`] — atomic namespace cells that query threads read lock-free
+//!   while an updater writes them, the concurrency structure the paper
+//!   measures in §5.4 (1 µs updates, lock-free queries).
 //!
 //! # Example: Algorithm 1 end to end
 //!
@@ -62,9 +62,7 @@ pub use effective_cpu::{
 };
 pub use effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
 pub use health::{Durability, StalenessPolicy, ViewHealth};
-pub use live::{
-    CgroupChange, HostSampler, LiveMonitor, LiveRegistry, LiveSample, NsCell, ViewSnapshot,
-};
+pub use live::{LiveRegistry, LiveSample, NsCell, ViewSnapshot};
 pub use monitor::{IngestReport, NsMonitor, RecoverOutcome};
 pub use namespace::SysNamespace;
 pub use sysfs::{HostView, Sysconf, VirtualSysfs, PAGE_SIZE};

@@ -12,8 +12,8 @@ use arv_cgroups::{Bytes, CgroupId};
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision};
 
 use crate::health::{StalenessPolicy, ViewHealth};
+use crate::live::ViewSnapshot;
 use crate::monitor::NsMonitor;
-use crate::namespace::SysNamespace;
 use crate::render;
 
 /// `_SC_PAGESIZE`: 4 KiB pages, as on the paper's x86-64 testbed.
@@ -102,65 +102,65 @@ impl<'m> VirtualSysfs<'m> {
         }
     }
 
-    fn is_degraded(&self, ns: &SysNamespace) -> bool {
-        self.health(Some(ns.id())).is_degraded()
-    }
-
-    /// CPU count served for `ns`, honouring degradation. Substituting
-    /// the fallback for a live view is itself a traced decision: the
-    /// served value deviates from the namespace's actual view.
-    fn ns_cpus(&self, ns: &SysNamespace) -> u32 {
-        if self.is_degraded(ns) {
-            let fallback = ns.cpu_bounds().lower;
-            if fallback != ns.effective_cpu() {
-                self.monitor.tracer().emit_cpu(
-                    self.monitor.now_tick(),
+    /// The view `caller` is answered from for `query`: the host's for
+    /// host processes and containers without a namespace, else the
+    /// namespace's own, or its conservative [`ViewSnapshot::fallback`]
+    /// once degraded.
+    /// Substituting the fallback is itself a traced decision for the
+    /// resource `query` reads: the served value deviates from the
+    /// namespace's actual view.
+    fn view(&self, caller: Option<CgroupId>, query: Sysconf) -> ViewSnapshot {
+        let Some(ns) = caller.and_then(|id| self.monitor.namespace(id)) else {
+            return ViewSnapshot {
+                cpus: self.host.online_cpus,
+                bytes: self.host.total_memory,
+                avail: self.host.free_memory,
+                generation: 0,
+            };
+        };
+        let (cpus, bytes, avail) = ns.views();
+        // The monitor publishes no generation; its views are read in place.
+        let live = ViewSnapshot {
+            cpus,
+            bytes,
+            avail,
+            generation: 0,
+        };
+        if !self.health(caller).is_degraded() {
+            return live;
+        }
+        let fallback = live.fallback(ns.cpu_bounds().lower, ns.soft_limit());
+        let (tracer, now) = (self.monitor.tracer(), self.monitor.now_tick());
+        match query {
+            Sysconf::NprocessorsOnln | Sysconf::NprocessorsConf if fallback.cpus != live.cpus => {
+                tracer.emit_cpu(
+                    now,
                     ns.id(),
                     CpuDecision {
                         cause: DecisionCause::DegradedFallback,
-                        before: ns.effective_cpu(),
-                        after: fallback,
+                        before: live.cpus,
+                        after: fallback.cpus,
                         utilization: 0.0,
                         had_slack: false,
                     },
                 );
             }
-            fallback
-        } else {
-            ns.effective_cpu()
-        }
-    }
-
-    /// Memory size served for `ns`, honouring degradation.
-    fn ns_memory(&self, ns: &SysNamespace) -> Bytes {
-        if self.is_degraded(ns) {
-            let fallback = ns.soft_limit();
-            if fallback != ns.effective_memory() {
-                self.monitor.tracer().emit_mem(
-                    self.monitor.now_tick(),
+            Sysconf::PhysPages if fallback.bytes != live.bytes => {
+                tracer.emit_mem(
+                    now,
                     ns.id(),
                     MemDecision {
                         cause: DecisionCause::DegradedFallback,
-                        before: ns.effective_memory(),
-                        after: fallback,
+                        before: live.bytes,
+                        after: fallback.bytes,
                         usage: ns.last_usage(),
                         free: Bytes(0),
                     },
                 );
             }
-            fallback
-        } else {
-            ns.effective_memory()
+            _ => {}
         }
-    }
-
-    /// Available memory served for `ns`, honouring degradation.
-    fn ns_available(&self, ns: &SysNamespace) -> Bytes {
-        if self.is_degraded(ns) {
-            ns.soft_limit().saturating_sub(ns.last_usage())
-        } else {
-            ns.available_memory()
-        }
+        fallback
     }
 
     /// Answer a `sysconf` query for `caller`.
@@ -169,23 +169,7 @@ impl<'m> VirtualSysfs<'m> {
     /// processes — and containers for which no namespace exists, exactly
     /// the pre-paper failure mode — receive physical totals.
     pub fn sysconf(&self, caller: Option<CgroupId>, query: Sysconf) -> u64 {
-        let ns = caller.and_then(|id| self.monitor.namespace(id));
-        match (query, ns) {
-            (Sysconf::PageSize, _) => PAGE_SIZE,
-            (Sysconf::NprocessorsOnln, Some(ns)) | (Sysconf::NprocessorsConf, Some(ns)) => {
-                u64::from(self.ns_cpus(ns))
-            }
-            (Sysconf::NprocessorsOnln, None) | (Sysconf::NprocessorsConf, None) => {
-                u64::from(self.host.online_cpus)
-            }
-            (Sysconf::PhysPages, Some(ns)) => self.ns_memory(ns).as_u64() / PAGE_SIZE,
-            (Sysconf::PhysPages, None) => self.host.total_memory.as_u64() / PAGE_SIZE,
-            // Available memory inside the view: what the container has
-            // not yet consumed of its budget (clamped at zero when usage
-            // transiently overshoots a shrinking view).
-            (Sysconf::AvphysPages, Some(ns)) => self.ns_available(ns).as_u64() / PAGE_SIZE,
-            (Sysconf::AvphysPages, None) => self.host.free_memory.as_u64() / PAGE_SIZE,
-        }
+        self.view(caller, query).sysconf(query)
     }
 
     /// Total memory as seen by `caller`, in bytes
@@ -212,12 +196,8 @@ impl<'m> VirtualSysfs<'m> {
             "/proc/cpuinfo" => Some(render::cpuinfo(self.online_cpus(caller))),
             "/proc/stat" => Some(render::stat(self.online_cpus(caller))),
             "/proc/meminfo" => {
-                let total = self.memory_bytes(caller);
-                let free = match caller.and_then(|id| self.monitor.namespace(id)) {
-                    Some(ns) => self.ns_available(ns),
-                    None => self.host.free_memory,
-                };
-                Some(render::meminfo(total, free))
+                let view = self.view(caller, Sysconf::PhysPages);
+                Some(render::meminfo(view.bytes, view.avail))
             }
             _ => None,
         }

@@ -39,9 +39,11 @@
 //! ([`server::ViewServer::mark_fresh`]). Every query is judged by the
 //! word's age against a [`arv_resview::StalenessPolicy`]: views past the
 //! staleness budget are answered from the conservative fallback
-//! (Algorithm 1's lower bound, the memory soft limit) and flagged
-//! degraded in both the in-process [`server::ViewImage`] and the wire
-//! status byte.
+//! ([`arv_resview::ViewSnapshot::fallback`]: Algorithm 1's lower bound,
+//! the memory soft limit and what the last usage leaves of it — the
+//! same answer [`arv_resview::VirtualSysfs`] gives) and flagged degraded
+//! in both the in-process [`server::ViewImage`] and the wire status
+//! byte.
 
 // Production code must not panic on a recoverable fault: unwraps are
 // confined to tests.

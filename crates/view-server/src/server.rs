@@ -19,8 +19,8 @@
 
 use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::{
-    render, CpuBounds, EffectiveCpuConfig, EffectiveMemory, LiveRegistry, NsCell, StalenessPolicy,
-    Sysconf, ViewHealth, ViewSnapshot, PAGE_SIZE,
+    render, CpuBounds, EffectiveCpuConfig, EffectiveMemory, NsCell, StalenessPolicy, Sysconf,
+    ViewHealth, ViewSnapshot,
 };
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PromText, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,7 +72,6 @@ pub struct ViewImage {
 }
 
 struct ServerInner {
-    live: LiveRegistry,
     shards: ShardedRegistry,
     host: HostSpec,
     // The host's physical configuration as a view: what non-container
@@ -97,7 +96,7 @@ struct ServerInner {
     // in flight. The first Fresh-health serve after a restart records
     // the recovery latency and resets this to `u64::MAX`.
     restore_tick: AtomicU64,
-    // Decision-provenance trace shared with the registry's cells (a
+    // Decision-provenance trace shared with every registered cell (a
     // disabled tracer unless built via `with_telemetry`).
     tracer: Tracer,
 }
@@ -156,7 +155,6 @@ impl ViewServer {
         });
         ViewServer {
             inner: Arc::new(ServerInner {
-                live: LiveRegistry::with_tracer(tracer.clone()),
                 shards: ShardedRegistry::new(shards),
                 host,
                 host_view: ViewSnapshot {
@@ -220,9 +218,10 @@ impl ViewServer {
         }
     }
 
-    /// Register a container; the returned cell is shared with the
-    /// registry (updaters apply samples through it or through
-    /// [`arv_resview::LiveMonitor`] on [`ViewServer::live_registry`]).
+    /// Register a container; the returned cell is the one the daemon
+    /// serves from (an updater may apply samples through it, or mirror
+    /// views in with [`mirror`](ViewServer::mirror)). Panics if `id` is
+    /// already registered.
     pub fn register(
         &self,
         id: CgroupId,
@@ -230,7 +229,8 @@ impl ViewServer {
         cpu_cfg: EffectiveCpuConfig,
         mem: EffectiveMemory,
     ) -> Arc<NsCell> {
-        let cell = self.inner.live.register(id, bounds, cpu_cfg, mem);
+        let tracer = self.inner.tracer.clone();
+        let cell = Arc::new(NsCell::new(id, bounds, cpu_cfg, mem, tracer));
         self.inner.shards.insert(id, Arc::clone(&cell));
         cell
     }
@@ -238,13 +238,14 @@ impl ViewServer {
     /// Remove a container (its cell stays valid for outstanding holders).
     pub fn unregister(&self, id: CgroupId) {
         self.inner.shards.remove(id);
-        self.inner.live.unregister(id);
     }
 
-    /// The underlying live registry, e.g. to spawn a
-    /// [`arv_resview::LiveMonitor`] updating every registered cell.
-    pub fn live_registry(&self) -> LiveRegistry {
-        self.inner.live.clone()
+    /// A registered container's cell.
+    pub fn cell(&self, id: CgroupId) -> Option<Arc<NsCell>> {
+        self.inner
+            .shards
+            .get(id)
+            .map(|entry| Arc::clone(&entry.cell))
     }
 
     /// Number of registered containers.
@@ -778,13 +779,7 @@ impl ViewClient {
             }
             None => (self.inner.host_view, ViewHealth::Fresh),
         };
-        let value = match query {
-            Sysconf::PageSize => PAGE_SIZE,
-            Sysconf::NprocessorsOnln | Sysconf::NprocessorsConf => u64::from(snap.cpus),
-            Sysconf::PhysPages => snap.bytes.as_u64() / PAGE_SIZE,
-            Sysconf::AvphysPages => snap.avail.as_u64() / PAGE_SIZE,
-        };
-        (value, snap.generation, health)
+        (snap.sysconf(query), snap.generation, health)
     }
 
     /// The generation currently published for a container (`None` if the
@@ -845,7 +840,7 @@ impl ServerInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arv_resview::EffectiveMemoryConfig;
+    use arv_resview::{EffectiveMemoryConfig, PAGE_SIZE};
 
     fn mk_mem(soft_mib: u64, hard_mib: u64) -> EffectiveMemory {
         EffectiveMemory::new(
@@ -1236,12 +1231,15 @@ mod tests {
                         server.advance_tick();
                     }
                     for path in PathId::ALL {
-                        for (id, (_, avail)) in ids.into_iter().zip(views) {
+                        for (id, (mem, avail)) in ids.into_iter().zip(views) {
                             let view = client.read(Some(id), path.as_str()).expect("known path");
                             prop_assert!(view.health.is_degraded());
+                            // What the usage the live view implies leaves
+                            // of the fallback.
+                            let fb_avail = fb.saturating_sub(mem - avail);
                             prop_assert_eq!(
                                 &*view.image,
-                                &rendered(path, cpus, fb, avail.min(fb), &host)
+                                &rendered(path, cpus, fb, fb_avail, &host)
                             );
                         }
                     }

@@ -130,11 +130,11 @@ impl ShardedRegistry {
 mod tests {
     use super::*;
     use arv_cgroups::Bytes;
-    use arv_resview::LiveRegistry;
     use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};
+    use arv_telemetry::Tracer;
 
-    fn mk_cell(live: &LiveRegistry, id: CgroupId) -> Arc<NsCell> {
-        live.register(
+    fn mk_cell(id: CgroupId) -> Arc<NsCell> {
+        Arc::new(NsCell::new(
             id,
             CpuBounds { lower: 2, upper: 8 },
             EffectiveCpuConfig::default(),
@@ -145,15 +145,15 @@ mod tests {
                 Bytes::from_mib(128),
                 EffectiveMemoryConfig::default(),
             ),
-        )
+            Tracer::disabled(),
+        ))
     }
 
     #[test]
     fn insert_get_remove() {
-        let live = LiveRegistry::new();
         let reg = ShardedRegistry::new(8);
         for i in 0..50 {
-            reg.insert(CgroupId(i), mk_cell(&live, CgroupId(i)));
+            reg.insert(CgroupId(i), mk_cell(CgroupId(i)));
         }
         assert_eq!(reg.len(), 50);
         assert_eq!(reg.ids().len(), 50);
@@ -173,10 +173,9 @@ mod tests {
 
     #[test]
     fn sequential_ids_spread_over_shards() {
-        let live = LiveRegistry::new();
         let reg = ShardedRegistry::new(8);
         for i in 0..64 {
-            reg.insert(CgroupId(i), mk_cell(&live, CgroupId(i)));
+            reg.insert(CgroupId(i), mk_cell(CgroupId(i)));
         }
         let occupied = reg
             .shards
@@ -189,10 +188,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn double_insert_panics() {
-        let live = LiveRegistry::new();
         let reg = ShardedRegistry::new(4);
-        reg.insert(CgroupId(1), mk_cell(&live, CgroupId(1)));
-        let second = LiveRegistry::new();
-        reg.insert(CgroupId(1), mk_cell(&second, CgroupId(1)));
+        reg.insert(CgroupId(1), mk_cell(CgroupId(1)));
+        reg.insert(CgroupId(1), mk_cell(CgroupId(1)));
     }
 }

@@ -1,6 +1,6 @@
-//! The live threaded resource view: a real `ns_monitor` thread updating
-//! atomic namespace cells while application threads query them
-//! concurrently — the §5.4 deployment shape with actual OS threads.
+//! The concurrent resource view: one updater thread applying Algorithms
+//! 1–2 to an atomic namespace cell while four application threads query
+//! it lock-free — the §5.4 deployment shape with actual OS threads.
 //!
 //! ```text
 //! cargo run --release --example live_view
@@ -9,37 +9,28 @@
 use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::effective_cpu::{CpuBounds, CpuSample};
 use arv_resview::effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
-use arv_resview::live::{HostSampler, LiveMonitor, LiveRegistry, LiveSample};
+use arv_resview::live::{LiveRegistry, LiveSample};
 use arv_resview::EffectiveCpuConfig;
 use arv_sim_core::SimDuration;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// A toy host whose slack oscillates: even seconds are busy (no slack),
-/// odd seconds idle — the view should breathe with it.
-struct OscillatingHost {
-    started: Instant,
-    samples: AtomicU64,
-}
-
-impl HostSampler for OscillatingHost {
-    fn sample(&self, _id: CgroupId) -> Option<LiveSample> {
-        self.samples.fetch_add(1, Ordering::Relaxed);
-        let t = SimDuration::from_millis(24);
-        let busy = self.started.elapsed().as_millis() / 250 % 2 == 0;
-        Some(LiveSample {
-            cpu: CpuSample {
-                usage: t * 10, // the container is always hungry
-                period: t,
-                slack: if busy { SimDuration::ZERO } else { t * 4 },
-            },
-            mem: MemSample {
-                free: Bytes::from_gib(64),
-                usage: Bytes::from_mib(480),
-                reclaiming: false,
-            },
-        })
+/// A toy host whose slack oscillates: busy quarter-seconds (no slack)
+/// alternate with idle ones — the view should breathe with it.
+fn sample(started: Instant) -> LiveSample {
+    let t = SimDuration::from_millis(24);
+    let busy = started.elapsed().as_millis() / 250 % 2 == 0;
+    LiveSample {
+        cpu: CpuSample {
+            usage: t * 10, // the container is always hungry
+            period: t,
+            slack: if busy { SimDuration::ZERO } else { t * 4 },
+        },
+        mem: MemSample {
+            free: Bytes::from_gib(64),
+            usage: Bytes::from_mib(480),
+            reclaiming: false,
+        },
     }
 }
 
@@ -60,53 +51,56 @@ fn main() {
             EffectiveMemoryConfig::default(),
         ),
     );
+    let started = Instant::now();
+    let stop = AtomicBool::new(false);
 
-    let sampler = Arc::new(OscillatingHost {
-        started: Instant::now(),
-        samples: AtomicU64::new(0),
-    });
-    let monitor = LiveMonitor::spawn(
-        registry.clone(),
-        Arc::clone(&sampler) as Arc<dyn HostSampler>,
-        Duration::from_millis(5),
-    );
+    std::thread::scope(|s| {
+        // The updater: one sample per 5 ms period.
+        let updater = s.spawn(|| {
+            while !stop.load(Ordering::Acquire) {
+                cell.apply(sample(started));
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
 
-    // Application threads hammer the lock-free query path while the
-    // monitor updates in the background.
-    let readers: Vec<_> = (0..4)
-        .map(|r| {
-            let c = Arc::clone(&cell);
-            std::thread::spawn(move || {
-                let mut queries = 0u64;
-                let deadline = Instant::now() + Duration::from_millis(900);
-                let mut min = u32::MAX;
-                let mut max = 0;
-                while Instant::now() < deadline {
-                    let v = c.effective_cpu();
-                    min = min.min(v);
-                    max = max.max(v);
-                    queries += 1;
-                }
-                (r, queries, min, max)
+        // Application threads hammer the lock-free query path while the
+        // updater runs beside them.
+        let readers: Vec<_> = (0..4)
+            .map(|r| {
+                let cell = &cell;
+                s.spawn(move || {
+                    let mut queries = 0u64;
+                    let deadline = Instant::now() + Duration::from_millis(900);
+                    let mut min = u32::MAX;
+                    let mut max = 0;
+                    while Instant::now() < deadline {
+                        let v = cell.effective_cpu();
+                        min = min.min(v);
+                        max = max.max(v);
+                        queries += 1;
+                    }
+                    (r, queries, min, max)
+                })
             })
-        })
-        .collect();
+            .collect();
 
-    for _ in 0..6 {
-        std::thread::sleep(Duration::from_millis(150));
-        println!(
-            "t={:>4}ms  E_CPU={:>2}  E_MEM={}  (updates so far: {})",
-            sampler.started.elapsed().as_millis(),
-            cell.effective_cpu(),
-            cell.effective_memory(),
-            cell.update_count(),
-        );
-    }
+        for _ in 0..6 {
+            std::thread::sleep(Duration::from_millis(150));
+            println!(
+                "t={:>4}ms  E_CPU={:>2}  E_MEM={}  (updates so far: {})",
+                started.elapsed().as_millis(),
+                cell.effective_cpu(),
+                cell.effective_memory(),
+                cell.update_count(),
+            );
+        }
 
-    for r in readers {
-        let (id, queries, min, max) = r.join().unwrap();
-        println!("reader {id}: {queries} lock-free queries, saw E_CPU range {min}..={max}");
-    }
-    monitor.shutdown();
-    println!("monitor stopped after {} updates", cell.update_count());
+        for r in readers {
+            let (id, queries, min, max) = r.join().expect("reader thread panicked");
+            println!("reader {id}: {queries} lock-free queries, saw E_CPU range {min}..={max}");
+        }
+        stop.store(true, Ordering::Release);
+        updater.join().expect("updater thread panicked");
+    });
+    println!("updater stopped after {} updates", cell.update_count());
 }
