@@ -9,14 +9,8 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
-
-echo "==> cargo clippy --workspace --examples (--workspace skips example targets)"
-cargo clippy --workspace --examples -- -D warnings
-
-echo "==> cargo clippy -p arv-bench --benches (the gate code; --workspace skips bench targets)"
-cargo clippy -p arv-bench --benches -- -D warnings
+echo "==> cargo clippy --workspace --all-targets (libraries, tests, examples, benches)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy -p arv-view-server (no unwraps in serving paths)"
 cargo clippy -p arv-view-server -- -D warnings -D clippy::unwrap_used

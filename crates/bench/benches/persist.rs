@@ -86,8 +86,8 @@ fn faulty_append_secs() -> f64 {
         trial += 1;
         let mut journal = loop {
             match Journal::with_store(Box::new(FaultyStore::new(seed, faults))) {
-                Ok(j) => break j,
-                Err(_) => seed += 1,
+                (j, Ok(())) => break j,
+                (_, Err(_)) => seed += 1,
             }
         };
         append_workload(&mut journal, 0)

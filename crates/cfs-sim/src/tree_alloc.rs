@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn work_conservation_stays_inside_the_subtree_first() {
-        let (t, c1, c2, c3, sysd) = kube();
+        let (t, c1, _c2, c3, sysd) = kube();
         let cfs = CfsSim::with_cpus(18);
         // c2 idle: its share flows to c1 (same pod) before anyone else.
         let mut demands = BTreeMap::new();
@@ -288,9 +288,13 @@ mod proptests {
 
     const P: SimDuration = SimDuration::from_millis(24);
 
+    /// One pod: its shares, optional quota, and `(shares, runnable)`
+    /// per leaf container.
+    type Pod = (u64, Option<f64>, Vec<(u64, u32)>);
+
     /// Build a random two-level tree: `pods` top-level groups, each with
     /// 1–4 leaf containers, random shares and optional quotas.
-    fn random_tree(pods: &[(u64, Option<f64>, Vec<(u64, u32)>)]) -> (CgroupTree, Vec<CgroupId>) {
+    fn random_tree(pods: &[Pod]) -> (CgroupTree, Vec<CgroupId>) {
         let mut tree = CgroupTree::new();
         let mut leaves = Vec::new();
         for (shares, quota, containers) in pods {
@@ -313,7 +317,7 @@ mod proptests {
         (tree, leaves)
     }
 
-    fn pod_strategy() -> impl Strategy<Value = (u64, Option<f64>, Vec<(u64, u32)>)> {
+    fn pod_strategy() -> impl Strategy<Value = Pod> {
         (
             2u64..8192,
             prop::option::of(0.5f64..16.0),

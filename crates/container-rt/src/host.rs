@@ -4,7 +4,7 @@ use arv_cfs::{Allocation, CfsSim, GroupDemand, Loadavg, UsageLedger};
 use arv_cgroups::{Bytes, CgroupId, CgroupManager, CgroupSpec, EventPipe, DEFAULT_PIPE_CAPACITY};
 use arv_fleet::Periphery;
 use arv_mem::{ChargeOutcome, MemSim, MemSimConfig};
-use arv_persist::{Journal, RestoreReport, Store};
+use arv_persist::{DurableJournal, Edge, RestoreReport, Store};
 use arv_resview::effective_cpu::EffectiveCpuConfig;
 use arv_resview::effective_mem::EffectiveMemoryConfig;
 use arv_resview::namespace::Pid;
@@ -34,24 +34,6 @@ pub struct StepOutcome {
 struct ContainerMeta {
     name: String,
     init_pid: Pid,
-}
-
-/// Journal state of the monitor daemon: the append-only on-disk log
-/// that survives a crash, plus the compaction cadence and the
-/// durability degradation ladder. When the backing store errors, the
-/// host flips onto a flagged in-memory fallback journal (RAM dies
-/// with the process, so it is explicitly *not* durable) and retries a
-/// full checkpoint every tick until the store recovers.
-#[derive(Debug)]
-struct JournalState {
-    journal: Journal,
-    checkpoint_every: u64,
-    /// In-memory stand-in kept current while the store is erroring.
-    fallback: Option<Journal>,
-    /// Whether the host is on the degraded rung of the ladder.
-    durability_lost: bool,
-    /// Store errors absorbed since journaling was enabled.
-    io_errors: u64,
 }
 
 /// What a warm restart recovered (see [`SimHost::crash_restart`]).
@@ -105,7 +87,8 @@ pub struct SimHost {
     // Views that moved since the daemon last heard: a firing's dirty set,
     // held over the firings whose publish was delayed.
     viewd_dirty: BTreeSet<CgroupId>,
-    journal: Option<JournalState>,
+    /// The daemon's on-disk state file, under the durability ladder.
+    journal: Option<DurableJournal>,
     last_restore: Option<RestoreEvent>,
     periphery: Option<Periphery>,
 }
@@ -219,18 +202,13 @@ impl SimHost {
             self.mem.unregister(id);
             self.ledger.forget(id);
             self.pump_events();
-            if !self.monitor_stalled() && self.journal.is_some() {
-                let tick = self.monitor.now_tick();
-                let snap = self.monitor.snapshot();
-                let js = self.journal.as_mut().expect("presence checked above");
-                // Group-commit the removal immediately: a crash
-                // before the next timer firing must not resurrect
-                // the container.
-                let errored = js.journal.append_remove(id.0).is_err() || js.journal.sync().is_err();
-                if let Some(fb) = &mut js.fallback {
-                    let _ = fb.append_remove(id.0);
-                }
-                self.journal_ladder(errored, false, &snap, tick);
+            if !self.monitor_stalled() {
+                // Group-commit the removal immediately: a crash before
+                // the next timer firing must not resurrect the container.
+                self.journal_write(false, |journal| {
+                    let journal = journal.journal_mut();
+                    journal.append_remove(id.0).and_then(|()| journal.sync())
+                });
             }
             if let Some(server) = &self.viewd {
                 server.unregister(id);
@@ -355,53 +333,16 @@ impl SimHost {
     /// store that refuses the setup writes starts the host already on
     /// the degraded rung of the durability ladder.
     pub fn enable_journal_with_store(&mut self, store: Box<dyn Store>, checkpoint_every: u64) {
-        let (mut journal, mut errored) = match Journal::with_store(store) {
-            Ok(j) => (j, false),
-            // The store is consumed on failure; journal on RAM until
-            // a checkpoint onto a healthy store replaces the state.
-            Err(_) => (Journal::new(), true),
-        };
-        let snap = self.monitor.snapshot();
-        if !errored {
-            errored = journal.checkpoint(&snap).is_err();
-        }
-        let mut js = JournalState {
-            journal,
-            checkpoint_every: checkpoint_every.max(1),
-            fallback: None,
-            durability_lost: errored,
-            io_errors: u64::from(errored),
-        };
-        if errored {
-            let fb = js.fallback.insert(Journal::new());
-            let _ = fb.checkpoint(&snap);
-        }
-        self.journal = Some(js);
-        if errored {
-            self.monitor.tracer().emit_pipeline(
-                self.monitor.now_tick(),
-                None,
-                PipelineEvent::DurabilityLost,
-            );
-        }
+        let (journal, edge) =
+            DurableJournal::open(store, checkpoint_every, &self.monitor.snapshot());
+        self.journal = Some(journal);
         self.publish_durability();
+        self.durability_edge(edge);
     }
 
     /// The raw journal bytes, if journaling is enabled.
     pub fn journal_bytes(&self) -> Option<&[u8]> {
-        self.journal.as_ref().map(|js| js.journal.as_bytes())
-    }
-
-    /// Snapshot every namespace's dynamic view; when journaling is on,
-    /// the journal is compacted to this checkpoint.
-    pub fn checkpoint(&mut self) -> arv_persist::Snapshot {
-        let tick = self.monitor.now_tick();
-        let snap = self.monitor.snapshot();
-        if let Some(js) = &mut self.journal {
-            let errored = js.journal.checkpoint(&snap).is_err();
-            self.journal_ladder(errored, !errored, &snap, tick);
-        }
-        snap
+        self.journal.as_ref().map(|j| j.journal().as_bytes())
     }
 
     /// Kill the monitor daemon and warm-restart it from its own
@@ -409,15 +350,13 @@ impl SimHost {
     /// [`restore_from`](SimHost::restore_from).
     pub fn crash_restart(&mut self) -> RestoreEvent {
         // The fsync model: only the synced prefix survives the crash;
-        // the unsynced tail — and the whole in-memory fallback — die
-        // with the process.
+        // the unsynced tail dies with the process.
         let bytes: Vec<u8> = self
             .journal
             .as_mut()
-            .map(|js| {
-                js.journal.crash();
-                js.fallback = None;
-                js.journal.durable_bytes().to_vec()
+            .map(|j| {
+                j.journal_mut().crash();
+                j.journal().durable_bytes().to_vec()
             })
             .unwrap_or_default();
         self.restore_from(&bytes)
@@ -480,14 +419,9 @@ impl SimHost {
             );
         }
         // Re-seed the journal with a compacted checkpoint of the
-        // reconciled state; the ladder turns on the outcome (a clean
-        // checkpoint heals a degraded rung, an error flips it).
-        if self.journal.is_some() {
-            let snap = self.monitor.snapshot();
-            let js = self.journal.as_mut().expect("presence checked above");
-            let errored = js.journal.checkpoint(&snap).is_err();
-            self.journal_ladder(errored, !errored, &snap, tick);
-        }
+        // reconciled state.
+        let snap = self.monitor.snapshot();
+        self.journal_write(true, |journal| journal.checkpoint(&snap, tick));
         let ev = RestoreEvent {
             tick,
             report,
@@ -505,127 +439,81 @@ impl SimHost {
     /// Append this firing's news to the journal: one delta per view in
     /// `dirty` (the views whose value moved since the last firing —
     /// a quiet tick appends nothing) plus a group-commit sync, or a
-    /// compacted checkpoint on the cadence.
-    ///
-    /// This is also where the durability ladder turns: while degraded
-    /// the host retries a full checkpoint *every* tick (a clean one
-    /// heals the rung), and any store error flips it onto the flagged
-    /// in-memory fallback.
+    /// compacted checkpoint when one is due.
     fn journal_tick(&mut self, snap: &arv_persist::Snapshot, dirty: &BTreeSet<CgroupId>) {
-        let Some(js) = self.journal.as_mut() else {
+        let Some(journal) = self.journal.as_mut() else {
             return;
         };
         let tick = snap.tick;
-        js.journal.set_tick(tick);
-        let news = || dirty.iter().filter_map(|id| snap.get(id.0));
-        // Keep the fallback current: a takeover (not a crash — RAM dies
-        // with the process) can still read the latest views from it.
-        if let Some(fb) = &mut js.fallback {
-            for e in news() {
-                let _ = fb.append_delta(e, tick);
+        journal.journal_mut().set_tick(tick);
+        let due = journal.due(tick);
+        self.journal_write(due, |journal| {
+            if due {
+                return journal.checkpoint(snap, tick);
             }
-        }
-        let checkpointing = js.durability_lost || tick % js.checkpoint_every == 0;
-        let errored = if checkpointing {
-            js.journal.checkpoint(snap).is_err()
-        } else {
-            let journal = &mut js.journal;
-            news()
+            let journal = journal.journal_mut();
+            dirty
+                .iter()
+                .filter_map(|id| snap.get(id.0))
                 .try_for_each(|e| journal.append_delta(e, tick))
                 .and_then(|()| journal.sync())
-                .is_err()
-        };
-        self.journal_ladder(errored, checkpointing && !errored, snap, tick);
+        });
     }
 
-    /// Advance the durability degradation ladder after a store
-    /// interaction: an error flips the host onto the flagged
-    /// in-memory fallback journal (emitting
-    /// [`PipelineEvent::DurabilityLost`]); a clean synced checkpoint
-    /// heals it (emitting [`PipelineEvent::DurabilityRestored`] and
-    /// dropping the fallback).
-    fn journal_ladder(
+    /// Issue one store interaction against the journal, if enabled, and
+    /// settle its result on the durability ladder.
+    fn journal_write(
         &mut self,
-        errored: bool,
-        clean_checkpoint: bool,
-        snap: &arv_persist::Snapshot,
-        tick: u64,
+        checkpoint: bool,
+        write: impl FnOnce(&mut DurableJournal) -> Result<(), arv_persist::StoreError>,
     ) {
-        let Some(js) = &mut self.journal else { return };
-        let mut flipped = false;
-        let mut healed = false;
-        if errored {
-            js.io_errors += 1;
-            flipped = !js.durability_lost;
-            js.durability_lost = true;
-            // Start the in-memory stand-in from the state the store
-            // just refused; `journal_tick` keeps it current from there.
-            if js.fallback.is_none() {
-                let _ = js.fallback.insert(Journal::new()).checkpoint(snap);
-            }
-        } else if clean_checkpoint && js.durability_lost {
-            js.durability_lost = false;
-            js.fallback = None;
-            healed = true;
-        }
-        if flipped {
-            self.monitor
-                .tracer()
-                .emit_pipeline(tick, None, PipelineEvent::DurabilityLost);
-        }
-        if healed {
-            self.monitor
-                .tracer()
-                .emit_pipeline(tick, None, PipelineEvent::DurabilityRestored);
-        }
-        if flipped || healed {
-            self.publish_durability();
-        }
+        let Some(journal) = self.journal.as_mut() else {
+            return;
+        };
+        let result = write(journal);
+        let edge = journal.settle(result, checkpoint);
+        self.durability_edge(edge);
+    }
+
+    /// Report a ladder edge: a pipeline trace event, and the new rung
+    /// mirrored into the attached view daemon.
+    fn durability_edge(&self, edge: Option<Edge>) {
+        let Some(edge) = edge else { return };
+        let event = match edge {
+            Edge::Lost => PipelineEvent::DurabilityLost,
+            Edge::Restored => PipelineEvent::DurabilityRestored,
+        };
+        self.monitor
+            .tracer()
+            .emit_pipeline(self.monitor.now_tick(), None, event);
+        self.publish_durability();
     }
 
     /// Mirror the ladder's current rung into the attached view daemon
     /// (Prometheus) so operators see durability next to staleness.
     fn publish_durability(&self) {
-        let Some(server) = &self.viewd else { return };
-        let (lost, io_errors, fallback_bytes) = self.durability_stats();
-        server.note_durability(lost, io_errors, fallback_bytes);
-    }
-
-    /// `(durability_lost, io_errors, fallback_bytes)` of the journal
-    /// ladder (all zero/false when journaling is off).
-    fn durability_stats(&self) -> (bool, u64, u64) {
-        self.journal.as_ref().map_or((false, 0, 0), |js| {
-            (
-                js.durability_lost,
-                js.io_errors,
-                js.fallback.as_ref().map_or(0, |f| f.len() as u64),
-            )
-        })
+        if let Some(server) = &self.viewd {
+            server.note_durability(self.durability_lost(), self.journal_io_errors());
+        }
     }
 
     /// Whether the host's journal is currently on the degraded
     /// (durability-lost) rung of the ladder.
     pub fn durability_lost(&self) -> bool {
-        self.journal.as_ref().is_some_and(|js| js.durability_lost)
+        self.journal.as_ref().is_some_and(DurableJournal::degraded)
     }
 
     /// Store errors the journal has absorbed since it was enabled.
     pub fn journal_io_errors(&self) -> u64 {
-        self.journal.as_ref().map_or(0, |js| js.io_errors)
-    }
-
-    /// Size of the flagged in-memory fallback journal (zero while
-    /// durable).
-    pub fn journal_fallback_bytes(&self) -> u64 {
-        self.durability_stats().2
+        self.journal.as_ref().map_or(0, DurableJournal::io_errors)
     }
 
     /// The bytes that would survive a crash: the synced prefix of the
-    /// on-disk journal (the in-memory fallback never counts).
+    /// on-disk journal.
     pub fn journal_durable_bytes(&self) -> Option<Vec<u8>> {
         self.journal
             .as_ref()
-            .map(|js| js.journal.durable_bytes().to_vec())
+            .map(|j| j.journal().durable_bytes().to_vec())
     }
 
     /// Install a [`Tracer`](arv_telemetry::Tracer): both the
@@ -731,10 +619,10 @@ impl SimHost {
     /// (`snap`, when this firing already built one). The durability rung
     /// rides along so the controller's fleet view carries it.
     fn periphery_observe(&mut self, snap: Option<arv_persist::Snapshot>, stalled: bool) {
-        let (lost, io_errors, fallback_bytes) = self.durability_stats();
+        let (lost, io_errors) = (self.durability_lost(), self.journal_io_errors());
         if let Some(periphery) = self.periphery.as_mut() {
             let snap = snap.unwrap_or_else(|| self.monitor.snapshot());
-            periphery.set_durability(lost, io_errors, fallback_bytes);
+            periphery.set_durability(lost, io_errors);
             periphery.observe(&snap, stalled, 0);
         }
     }
@@ -1769,6 +1657,35 @@ mod tests {
         let w = host.watchdog_stats();
         assert!(w.missed_ticks >= 2, "crash window missed its deadlines");
         assert!(w.resyncs >= 1, "restart counts as a recovery pass");
+    }
+
+    #[test]
+    fn a_store_refusing_the_setup_keeps_the_host_degraded_until_it_recovers() {
+        use arv_persist::{FaultyStore, StoreFaults};
+        let mut host = SimHost::paper_testbed();
+        let ids = five_paper_containers(&mut host);
+        let full = StoreFaults {
+            full_at: Some((0, 50)),
+            ..StoreFaults::default()
+        };
+        host.enable_journal_with_store(Box::new(FaultyStore::new(1, full)), 8);
+        assert!(host.durability_lost(), "the disk refused the setup");
+        while host.now_tick() < 60 {
+            let d = vec![host.demand(ids[0], 20)];
+            host.step(&d);
+            let tick = host.now_tick();
+            assert_eq!(host.durability_lost(), tick < 50, "tick {tick}");
+        }
+        assert_eq!(host.journal_io_errors(), 50, "the setup and ticks 1-49");
+        let views = |s: arv_persist::Snapshot| -> Vec<_> {
+            s.entries
+                .iter()
+                .map(|e| (e.id, e.e_cpu, e.e_mem, e.e_avail))
+                .collect()
+        };
+        let bytes = host.journal_durable_bytes().expect("journaling");
+        let restored = arv_persist::restore(&bytes).snapshot.expect("a checkpoint");
+        assert_eq!(views(restored), views(host.monitor().snapshot()));
     }
 
     #[test]

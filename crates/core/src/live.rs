@@ -318,38 +318,6 @@ impl LiveRegistry {
         assert!(prev.is_none(), "container {id:?} already registered");
         cell
     }
-
-    /// Drop a container's cell. Outstanding handles keep working on the
-    /// last published values (the namespace outlives the registry entry,
-    /// like a namespace held open by a process).
-    pub fn unregister(&self, id: CgroupId) {
-        self.cells
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&id);
-    }
-
-    /// Look up a container's cell.
-    pub fn get(&self, id: CgroupId) -> Option<Arc<NsCell>> {
-        self.cells
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&id)
-            .cloned()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.cells.read().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.cells
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -400,7 +368,6 @@ mod tests {
         );
         assert_eq!(cell.effective_cpu(), 4);
         assert_eq!(cell.effective_memory(), Bytes::from_mib(500));
-        assert_eq!(reg.len(), 1);
     }
 
     #[test]
@@ -419,20 +386,6 @@ mod tests {
         assert_eq!(cell.effective_cpu(), 5);
         assert!(cell.effective_memory() > Bytes::from_mib(500));
         assert_eq!(cell.update_count(), 1);
-    }
-
-    #[test]
-    fn handles_survive_unregister() {
-        let reg = LiveRegistry::new();
-        let cell = reg.register(
-            CgroupId(0),
-            CpuBounds { lower: 2, upper: 2 },
-            EffectiveCpuConfig::default(),
-            mk_mem(),
-        );
-        reg.unregister(CgroupId(0));
-        assert!(reg.get(CgroupId(0)).is_none());
-        assert_eq!(cell.effective_cpu(), 2); // still readable
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   torture replays bit-identically per seed.
 //! * **storm** — the full matrix on live hosts: per-host journal
 //!   stores hit disk-full and sync-stall windows (flipping hosts onto
-//!   the flagged in-memory fallback and the `DurabilityLost` health
-//!   dimension, then healing), the controller pair journals onto
-//!   faulty stores of their own (the standby's shadow journal errors
-//!   and demands a fresh checkpoint), and the shared lease store goes
+//!   the degraded rung and the `DurabilityLost` health dimension, then
+//!   healing), the controller pair journals onto faulty stores of
+//!   their own (the standby's shadow journal errors and demands a
+//!   fresh checkpoint), and the shared lease store goes
 //!   out of space — the primary that cannot persist a renewal steps
 //!   down *before* its TTL, asserted against ground-truth lease
 //!   arithmetic, and never acks above its fenced epoch afterwards.
@@ -87,10 +87,8 @@ fn run_soak(seed: u64, ticks: u64) -> SoakOutcome {
         full_at: Some((ticks / 3, 5)),
         sync_stall_at: Some((2 * ticks / 3, 5)),
     };
-    let mut journal = match Journal::with_store(Box::new(FaultyStore::new(seed, faults))) {
-        Ok(j) => j,
-        Err(_) => Journal::new(),
-    };
+    // A refused header is laid again by the first checkpoint.
+    let (mut journal, _header) = Journal::with_store(Box::new(FaultyStore::new(seed, faults)));
     let mut rng = SimRng::seed_from_u64(seed ^ 0x50AC);
 
     let mut out = SoakOutcome {
@@ -196,7 +194,6 @@ struct StormOutcome {
     random_frames_dropped: u64,
     host_io_errors: u64,
     max_degraded_hosts: u64,
-    max_fallback_bytes: u64,
     final_degraded_hosts: u64,
     final_hosts_durability_lost: u64,
     primary_journal_degraded_seen: bool,
@@ -427,10 +424,6 @@ fn run_storm(seed: u64) -> StormOutcome {
             .durability_degraded_hosts()
             .max(standby.durability_degraded_hosts());
         out.max_degraded_hosts = out.max_degraded_hosts.max(gauge);
-        out.max_fallback_bytes = out
-            .max_fallback_bytes
-            .max(primary.journal_fallback_bytes())
-            .max(standby.journal_fallback_bytes());
     }
 
     out.partition_frames_dropped = links.dropped;
@@ -490,7 +483,7 @@ fn assert_storm(out: &StormOutcome, seed: u64) {
         "seed {seed:#x}: the fleet fault axes never fired: {out:?}"
     );
     assert!(
-        out.host_io_errors >= 1 && out.max_degraded_hosts >= 1 && out.max_fallback_bytes >= 1,
+        out.host_io_errors >= 1 && out.max_degraded_hosts >= 1,
         "seed {seed:#x}: no host ever walked the durability ladder: {out:?}"
     );
     assert!(
@@ -622,7 +615,6 @@ pub fn run(scale: f64, seed_offset: u64) -> FigReport {
             bound_violations,
             host_io_errors,
             max_degraded_hosts,
-            max_fallback_bytes,
             final_degraded_hosts,
             step_down_tick,
             last_ok_renew_tick,

@@ -39,8 +39,8 @@
 
 use arv_persist::lease::{Lease, LeaseError, LeaseFile};
 use arv_persist::{
-    decode_records, frame_checkpoint, frame_delta, frame_remove, framed_len, restore, Journal,
-    MemStore, Record, Snapshot, Store, StoreError, ViewState,
+    decode_records, frame_checkpoint, frame_delta, frame_remove, framed_len, restore,
+    DurableJournal, Edge, MemStore, Record, Snapshot, Store, StoreError, ViewState,
 };
 use arv_telemetry::{FlightRecorder, FlightTrigger, LagHistogram, PipelineEvent, PromText, Tracer};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -463,39 +463,6 @@ impl Sums {
     }
 }
 
-/// Journal plumbing: the append-only log plus its checkpoint cadence
-/// and the controller's own durability-ladder flag.
-#[derive(Debug)]
-struct JournalState {
-    journal: Journal,
-    every: u64,
-    last_checkpoint: u64,
-    /// A store error was absorbed; the flag heals on the next
-    /// checkpoint that fully reaches the store.
-    degraded: bool,
-}
-
-impl JournalState {
-    /// Shadow-journal the verified prefix `raw` of a REPL frame, decoded
-    /// as `records`: a checkpoint compacts the file (and supersedes
-    /// whatever the frame held before it); the records after the last
-    /// one go in as they came, in one write. Stops at the first store
-    /// error; syncs when there is none.
-    fn shadow(&mut self, raw: &[u8], records: &[Record], now: u64) -> Result<(), StoreError> {
-        let (mut tail, mut at) = (0, 0);
-        for record in records {
-            at += framed_len(&raw[at..]).unwrap_or(0);
-            if let Record::Checkpoint(snap) = record {
-                self.journal.checkpoint(snap)?;
-                self.last_checkpoint = now;
-                tail = at;
-            }
-        }
-        self.journal.append_framed(&raw[tail..])?;
-        self.journal.sync()
-    }
-}
-
 /// Lease plumbing: the shared store this controller contends on.
 #[derive(Debug)]
 struct LeaseState {
@@ -540,7 +507,7 @@ pub struct FleetController {
     policy: Mutex<FleetPolicy>,
     tick: AtomicU64,
     metrics: FleetMetrics,
-    journal: Mutex<Option<JournalState>>,
+    journal: Mutex<Option<DurableJournal>>,
     /// Monotone controller epoch stamped on every ACK and ROLLUP.
     /// Lease-less controllers stay at epoch 0 (single-controller
     /// deployments predating replication).
@@ -632,6 +599,22 @@ impl FleetController {
         };
         self.tracer.emit_pipeline(now, None, event);
         self.record_flight(now, trigger);
+    }
+
+    /// Settle one store interaction on the controller's own durability
+    /// ladder; a refusal also counts in `journal_io_errors`.
+    fn settle(
+        &self,
+        journal: &mut DurableJournal,
+        result: Result<(), StoreError>,
+        checkpoint: bool,
+    ) -> Option<Edge> {
+        if result.is_err() {
+            self.metrics
+                .journal_io_errors
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        journal.settle(result, checkpoint)
     }
 
     /// The controller's staleness clock (advanced by the driver once per
@@ -729,45 +712,26 @@ impl FleetController {
         self.journal_tick(now);
     }
 
-    /// The controller's own durability ladder, run once per tick:
-    /// group-commit the journal (sync), take the cadence checkpoint,
-    /// and while degraded re-checkpoint every tick so the flag heals
-    /// the moment the store recovers.
+    /// The controller's journal, once per tick: group-commit (sync),
+    /// plus a checkpoint when one is due.
     fn journal_tick(&self, now: u64) {
         let mut journal = lock(&self.journal);
         let Some(js) = journal.as_mut() else {
             return;
         };
-        js.journal.set_tick(now);
-        let mut errored = false;
-        if js.journal.sync().is_err() {
-            errored = true;
-        }
-        if now.saturating_sub(js.last_checkpoint) >= js.every || js.degraded {
-            let snap = self.index_snapshot(now);
-            match js.journal.checkpoint(&snap) {
-                Ok(()) => {
-                    js.last_checkpoint = now;
-                    if js.degraded && !errored {
-                        js.degraded = false;
-                        drop(journal);
-                        self.durability_edge(now, false);
-                        return;
-                    }
-                }
-                Err(_) => errored = true,
-            }
-        }
-        if errored {
-            self.metrics
-                .journal_io_errors
-                .fetch_add(1, Ordering::Relaxed);
-            let flip = !js.degraded;
-            js.degraded = true;
-            drop(journal);
-            if flip {
-                self.durability_edge(now, true);
-            }
+        js.journal_mut().set_tick(now);
+        let synced = js.journal_mut().sync();
+        let due = js.due(now);
+        let result = if due {
+            let checkpointed = js.checkpoint(&self.index_snapshot(now), now);
+            synced.and(checkpointed)
+        } else {
+            synced
+        };
+        let edge = self.settle(js, result, due);
+        drop(journal);
+        if let Some(edge) = edge {
+            self.durability_edge(now, edge == Edge::Lost);
         }
     }
 
@@ -1115,38 +1079,31 @@ impl FleetController {
         };
         let mut journal = lock(&self.journal);
         let mut repl = lock(&self.repl);
-        let mut refused = false;
-        if let Some(rs) = repl.as_mut() {
-            rs.heard.insert(host_id);
-            let start = rs.outbox.len();
-            rs.outbox_records += frame_into(&mut rs.outbox);
-            if let Some(js) = journal.as_mut() {
-                refused = js.journal.append_framed(&rs.outbox[start..]).is_err();
+        let mut batch = Vec::new();
+        let records: &[u8] = match repl.as_mut() {
+            Some(rs) => {
+                rs.heard.insert(host_id);
+                let start = rs.outbox.len();
+                rs.outbox_records += frame_into(&mut rs.outbox);
+                &rs.outbox[start..]
             }
-        } else if let Some(js) = journal.as_mut() {
-            let mut batch = Vec::new();
-            frame_into(&mut batch);
-            refused = js.journal.append_framed(&batch).is_err();
-        }
+            None if journal.is_some() => {
+                frame_into(&mut batch);
+                &batch
+            }
+            None => &[],
+        };
         // A batch the store refused means the journal no longer holds
-        // everything the live index does: flip the controller's own
-        // ladder; the next successful checkpoint heals it (and rebuilds
-        // the missing records from the index itself).
-        let flip = refused
-            && journal.as_mut().is_some_and(|js| {
-                let first = !js.degraded;
-                js.degraded = true;
-                first
-            });
+        // everything the live index does; the checkpoint that heals the
+        // ladder rebuilds the missing records from the index itself.
+        let edge = journal.as_mut().and_then(|js| {
+            let result = js.journal_mut().append_framed(records);
+            self.settle(js, result, false)
+        });
         drop(repl);
         drop(journal);
-        if refused {
-            self.metrics
-                .journal_io_errors
-                .fetch_add(1, Ordering::Relaxed);
-            if flip {
-                self.durability_edge(now, true);
-            }
+        if let Some(edge) = edge {
+            self.durability_edge(now, edge == Edge::Lost);
         }
 
         self.ack_for(host_id, expected, false, epoch)
@@ -1330,36 +1287,26 @@ impl FleetController {
     }
 
     /// Journal over a caller-supplied storage backend (e.g. a seeded
-    /// `FaultyStore`). The initial checkpoint may itself fail — the
-    /// journal then starts on the degraded rung of the ladder and heals
-    /// at the first checkpoint the store accepts.
+    /// `FaultyStore`). The setup may itself fail — the journal then
+    /// starts on the degraded rung of the ladder and heals at the first
+    /// checkpoint the store accepts.
     pub fn enable_journal_with_store(&mut self, store: Box<dyn Store>, every: u64) {
-        let snap = self.index_snapshot(self.now_tick());
-        let (journal, degraded) = match Journal::with_store(store) {
-            Ok(mut journal) => {
-                let degraded = journal.checkpoint(&snap).is_err();
-                (journal, degraded)
-            }
-            Err(_) => (Journal::new(), true),
-        };
-        if degraded {
-            self.metrics
-                .journal_io_errors
-                .fetch_add(1, Ordering::Relaxed);
+        let now = self.now_tick();
+        let (journal, edge) = DurableJournal::open(store, every, &self.index_snapshot(now));
+        self.metrics
+            .journal_io_errors
+            .fetch_add(journal.io_errors(), Ordering::Relaxed);
+        *lock(&self.journal) = Some(journal);
+        if let Some(edge) = edge {
+            self.durability_edge(now, edge == Edge::Lost);
         }
-        *lock(&self.journal) = Some(JournalState {
-            journal,
-            every: every.max(1),
-            last_checkpoint: self.now_tick(),
-            degraded,
-        });
     }
 
     /// The journal's current bytes (what a failover peer would replay).
     pub fn journal_bytes(&self) -> Option<Vec<u8>> {
         lock(&self.journal)
             .as_ref()
-            .map(|js| js.journal.as_bytes().to_vec())
+            .map(|js| js.journal().as_bytes().to_vec())
     }
 
     /// The journal's *durable* bytes — the synced prefix that survives
@@ -1367,13 +1314,13 @@ impl FleetController {
     pub fn journal_durable_bytes(&self) -> Option<Vec<u8>> {
         lock(&self.journal)
             .as_ref()
-            .map(|js| js.journal.durable_bytes().to_vec())
+            .map(|js| js.journal().durable_bytes().to_vec())
     }
 
     /// Whether the controller's own journal sits on the degraded rung
     /// of the durability ladder.
     pub fn journal_degraded(&self) -> bool {
-        lock(&self.journal).as_ref().is_some_and(|js| js.degraded)
+        lock(&self.journal).as_ref().is_some_and(|js| js.degraded())
     }
 
     /// Hosts currently reporting `DurabilityLost` (the Prometheus
@@ -1382,14 +1329,6 @@ impl FleetController {
         let mut lost = 0;
         self.each_host(|_, host| lost += u64::from(host.durability_lost));
         lost
-    }
-
-    /// Total bytes sitting in hosts' in-memory fallback journals, per
-    /// the piggybacked summaries (`arv_fleet_journal_fallback_bytes`).
-    pub fn journal_fallback_bytes(&self) -> u64 {
-        let mut bytes = 0;
-        self.each_host(|_, host| bytes += host.summary.journal_fallback_bytes);
-        bytes
     }
 
     // -----------------------------------------------------------------
@@ -1567,37 +1506,26 @@ impl FleetController {
         // shadow would silently diverge from the live mirror — instead
         // the standby flags its ladder and demands a fresh checkpoint;
         // a checkpoint-led frame that lands cleanly heals the flag.
-        let mut shadow_err = false;
-        let mut edge = false;
+        let (mut shadow_err, mut edge) = (false, None);
         if let Some(js) = journal.as_mut() {
-            js.journal.set_tick(now);
+            js.journal_mut().set_tick(now);
             let verified = &r.records[..scan.verified_len];
-            shadow_err = js.shadow(verified, &scan.records, now).is_err();
-            edge = if shadow_err {
-                !js.degraded
-            } else {
-                js.degraded && starts_with_checkpoint
-            };
-            if edge {
-                js.degraded = shadow_err;
-            }
+            let result = js.shadow(verified, &scan.records, now);
+            shadow_err = result.is_err();
+            edge = self.settle(js, result, starts_with_checkpoint);
         }
         drop(journal);
         // The valid prefix is applied (prefix-consistent, like the
         // journal); a lost tail forces a checkpoint realign.
-        let resync = shadow_err || scan.truncated > 0;
-        if shadow_err {
-            self.metrics
-                .journal_io_errors
-                .fetch_add(1, Ordering::Relaxed);
-        } else if resync {
+        if !shadow_err && scan.truncated > 0 {
             self.metrics.repl_truncated.fetch_add(1, Ordering::Relaxed);
         }
+        let resync = shadow_err || scan.truncated > 0;
         rs.need_snapshot = resync;
         let expected = rs.expected_seq;
         drop(repl);
-        if edge {
-            self.durability_edge(now, shadow_err);
+        if let Some(edge) = edge {
+            self.durability_edge(now, edge == Edge::Lost);
         }
         repl_ack(expected, epoch, resync)
     }
@@ -1821,11 +1749,6 @@ impl FleetController {
             self.durability_degraded_hosts() as f64,
         );
         out.gauge(
-            "arv_fleet_journal_fallback_bytes",
-            "Bytes held in hosts' in-memory fallback journals",
-            self.journal_fallback_bytes() as f64,
-        );
-        out.gauge(
             "arv_fleet_journal_degraded",
             "Whether this controller's own journal is on the degraded rung (1) or durable (0)",
             if self.journal_degraded() { 1.0 } else { 0.0 },
@@ -1924,7 +1847,6 @@ impl FleetController {
                 ("coalesced", sum.deltas_coalesced),
                 ("acks_fenced", sum.acks_fenced),
                 ("journal_io_errors", sum.journal_io_errors),
-                ("journal_fallback_bytes", sum.journal_fallback_bytes),
             ] {
                 out.labeled(
                     "arv_fleet_host_agent",
@@ -2142,6 +2064,51 @@ mod tests {
         let torn = &bytes[..bytes.len() - 3];
         let ctl2 = FleetController::restore_from(torn, 2, FleetPolicy::default());
         assert!(ctl2.host_count() <= 1);
+    }
+
+    #[test]
+    fn a_store_refusing_the_setup_keeps_the_journal_degraded_until_it_recovers() {
+        use arv_persist::{FaultyStore, StoreFaults};
+        use arv_telemetry::EventKind;
+        let mut ctl = FleetController::new(2, FleetPolicy::default());
+        let tracer = Tracer::bounded(1024);
+        ctl.set_tracer(tracer.clone());
+        let full = StoreFaults {
+            full_at: Some((0, 50)),
+            ..StoreFaults::default()
+        };
+        ctl.enable_journal_with_store(Box::new(FaultyStore::new(1, full)), 8);
+        assert!(ctl.journal_degraded(), "the disk refused the setup");
+        let mut p = Periphery::new(1);
+        for tick in 1..=60u32 {
+            p.observe(
+                &snap(u64::from(tick), &[(1, tick % 7 + 1, 100, 50)]),
+                false,
+                0,
+            );
+            pump(&mut p, &ctl);
+            ctl.advance_tick();
+            assert_eq!(ctl.journal_degraded(), tick < 50, "tick {tick}");
+        }
+        let bytes = ctl.journal_durable_bytes().expect("journal on");
+        let restored = restore(&bytes).snapshot.expect("a checkpoint");
+        assert_eq!(restored.entries, ctl.index_snapshot(60).entries);
+        let edges: Vec<_> = tracer
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Pipeline(ev @ PipelineEvent::DurabilityLost)
+                | EventKind::Pipeline(ev @ PipelineEvent::DurabilityRestored) => Some((e.tick, ev)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            edges,
+            [
+                (0, PipelineEvent::DurabilityLost),
+                (50, PipelineEvent::DurabilityRestored)
+            ]
+        );
     }
 
     #[test]

@@ -104,7 +104,6 @@ pub struct Periphery {
     /// observation (see [`Periphery::set_durability`]).
     durability_lost: bool,
     journal_io_errors: u64,
-    journal_fallback_bytes: u64,
     /// The state last diffed for each live container, sorted by id — the
     /// diff is a merge-walk of this against the (sorted) snapshot.
     last_sent: Vec<Mirrored>,
@@ -152,7 +151,6 @@ impl Periphery {
             last_health: HEALTH_FRESH,
             durability_lost: false,
             journal_io_errors: 0,
-            journal_fallback_bytes: 0,
             last_sent: Vec::new(),
             spare: Vec::new(),
             sorted: Vec::new(),
@@ -193,16 +191,14 @@ impl Periphery {
     }
 
     /// Mirror the host's durability-ladder state before an observation:
-    /// whether the journal has lost durability, how many store errors
-    /// it has absorbed, and how many bytes sit in the in-memory
-    /// fallback. A flip in `lost` ships an (empty) delta on the next
-    /// [`Periphery::observe`] even when no view changed, so the
-    /// controller sees `DurabilityLost`/`DurabilityRestored` edges as
-    /// they happen.
-    pub fn set_durability(&mut self, lost: bool, io_errors: u64, fallback_bytes: u64) {
+    /// whether the journal has lost durability, and how many store
+    /// errors it has absorbed. A flip in `lost` ships an (empty) delta
+    /// on the next [`Periphery::observe`] even when no view changed, so
+    /// the controller sees `DurabilityLost`/`DurabilityRestored` edges
+    /// as they happen.
+    pub fn set_durability(&mut self, lost: bool, io_errors: u64) {
         self.durability_lost = lost;
         self.journal_io_errors = io_errors;
-        self.journal_fallback_bytes = fallback_bytes;
     }
 
     /// Diff `snap` against the last shipped state, coalesce it into the
@@ -408,7 +404,6 @@ impl Periphery {
                     deltas_coalesced: self.stats.deltas_coalesced,
                     acks_fenced: self.stats.acks_fenced,
                     journal_io_errors: self.journal_io_errors,
-                    journal_fallback_bytes: self.journal_fallback_bytes,
                 },
                 entries: chunk.to_vec(),
                 removed: frame_removed,
@@ -595,26 +590,25 @@ mod tests {
         p.take_frames();
 
         // Losing durability with zero view changes still ships a frame.
-        p.set_durability(true, 3, 512);
+        p.set_durability(true, 3);
         p.observe(&s, false, 0);
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1);
         assert!(ds[0].durability_lost);
         assert!(ds[0].entries.is_empty());
         assert_eq!(ds[0].summary.journal_io_errors, 3);
-        assert_eq!(ds[0].summary.journal_fallback_bytes, 512);
 
         // Steady degraded state is quiet again...
         p.observe(&s, false, 0);
         assert!(!p.has_frames());
 
         // ...and healing flips once more.
-        p.set_durability(false, 3, 0);
+        p.set_durability(false, 3);
         p.observe(&s, false, 0);
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1);
         assert!(!ds[0].durability_lost);
-        assert_eq!(ds[0].summary.journal_fallback_bytes, 0);
+        assert_eq!(ds[0].summary.journal_io_errors, 3);
     }
 
     #[test]
@@ -971,8 +965,8 @@ mod tests {
                             None
                         }
                         4 | 5 => {
-                            new.set_durability(event == 4, u64::from(batch), u64::from(burst));
-                            old.set_durability(event == 4, u64::from(batch), u64::from(burst));
+                            new.set_durability(event == 4, u64::from(batch));
+                            old.set_durability(event == 4, u64::from(batch));
                             None
                         }
                         _ => None,

@@ -8,13 +8,14 @@
 //! HELLO  := 0x10 | host u32 | tick u64 | containers u32 | epoch u64
 //! DELTA  := 0x11 | host u32 | seq u64 | tick u64 | flags u8 | health u8
 //!           | staleness_age u64 | epoch u64 | origin_tick u64
-//!           | trace_seq u64 | summary (8 × u64)
+//!           | trace_seq u64 | summary (7 × u64)
 //!           | n u32 | n × entry | m u32 | m × removed-id u32
 //!   entry := id u32 | tenant u32 | e_cpu u32 | e_mem u64 | e_avail u64
 //!           | last_tick u64
 //!   flags bit0 = FULL (snapshot replacing all host state)
-//!   health bit7 = DURABILITY_LOST (the host journals into a flagged
-//!   in-memory fallback; orthogonal to the staleness code in bits 0–6)
+//!   health bit7 = DURABILITY_LOST (the host's journal is on the
+//!   degraded rung of its durability ladder; orthogonal to the
+//!   staleness code in bits 0–6)
 //!   origin_tick / trace_seq = the causal span stamp: the host tick at
 //!   which the oldest coalesced diff in this batch was observed, and a
 //!   monotone per-periphery trace sequence; summary = the periphery's
@@ -112,17 +113,18 @@ pub const HEALTH_FRESH: u8 = 0;
 pub const HEALTH_STALE: u8 = 1;
 /// Host-level health byte: host serving conservative fallbacks.
 pub const HEALTH_DEGRADED: u8 = 2;
-/// Health-byte flag (bit 7): the host's journal lost durability and is
-/// writing to a flagged in-memory fallback. Orthogonal to the staleness
-/// code carried in the low bits — a host can be Fresh yet non-durable.
+/// Health-byte flag (bit 7): the host's journal lost durability (a
+/// store error it has not yet healed with a clean checkpoint).
+/// Orthogonal to the staleness code carried in the low bits — a host
+/// can be Fresh yet non-durable.
 pub const HEALTH_DURABILITY_LOST: u8 = 0x80;
 
 /// Bytes of one encoded delta entry.
 const ENTRY_BYTES: usize = 4 + 4 + 4 + 8 + 8 + 8;
 /// Bytes of a DELTA payload around its entries and removals: opcode,
-/// host, seq, tick, flags, health, four span/epoch words, the eight
+/// host, seq, tick, flags, health, four span/epoch words, the seven
 /// summary counters, and the two counts.
-const DELTA_FIXED_BYTES: usize = 1 + 4 + 8 + 8 + 1 + 1 + 4 * 8 + 8 * 8 + 4 + 4;
+const DELTA_FIXED_BYTES: usize = 1 + 4 + 8 + 8 + 1 + 1 + 4 * 8 + 7 * 8 + 4 + 4;
 
 /// The policy a controller pushes down to every periphery: the fleet
 /// analogue of the per-host staleness budget and the `ServerConfig`
@@ -202,9 +204,6 @@ pub struct HostSummary {
     pub acks_fenced: u64,
     /// Journal store errors the host has absorbed (durability ladder).
     pub journal_io_errors: u64,
-    /// Bytes currently held in the host's in-memory fallback journal
-    /// (0 while durable).
-    pub journal_fallback_bytes: u64,
 }
 
 /// A decoded DELTA batch.
@@ -476,7 +475,6 @@ pub fn encode_delta(d: &Delta) -> Vec<u8> {
     put_u64(&mut out, d.summary.deltas_coalesced);
     put_u64(&mut out, d.summary.acks_fenced);
     put_u64(&mut out, d.summary.journal_io_errors);
-    put_u64(&mut out, d.summary.journal_fallback_bytes);
     put_u32(&mut out, d.entries.len() as u32);
     for e in &d.entries {
         put_u32(&mut out, e.id);
@@ -705,7 +703,6 @@ fn decode_delta(c: &mut Cur) -> Option<Delta> {
         deltas_coalesced: c.u64()?,
         acks_fenced: c.u64()?,
         journal_io_errors: c.u64()?,
-        journal_fallback_bytes: c.u64()?,
     };
     let n = c.u32()? as usize;
     // A claimed count larger than the bytes present is corruption; the
@@ -906,7 +903,6 @@ mod tests {
                 deltas_coalesced: 7,
                 acks_fenced: 0,
                 journal_io_errors: 3,
-                journal_fallback_bytes: 4096,
             },
             entries: vec![
                 DeltaEntry {
@@ -1130,7 +1126,6 @@ mod tests {
                     deltas_coalesced: seq % 7,
                     acks_fenced: 0,
                     journal_io_errors: seq % 3,
-                    journal_fallback_bytes: (seq % 2) * 512,
                 },
                 entries: (0..n)
                     .map(|i| DeltaEntry {
@@ -1358,8 +1353,8 @@ mod tests {
             entries: Vec::new(),
             removed: Vec::new(),
         });
-        // Overwrite the entry count (offset 119) with a huge claim.
-        frame[119..123].copy_from_slice(&u32::MAX.to_le_bytes());
+        // Overwrite the entry count (offset 111) with a huge claim.
+        frame[111..115].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_frame(&frame), None);
     }
 }

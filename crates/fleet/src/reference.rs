@@ -26,7 +26,6 @@ pub(crate) struct HashMapPeriphery {
     last_health: u8,
     durability_lost: bool,
     journal_io_errors: u64,
-    journal_fallback_bytes: u64,
     last_sent: HashMap<u32, DeltaEntry>,
     tenants: HashMap<u32, u32>,
     pending: HashMap<u32, DeltaEntry>,
@@ -50,7 +49,6 @@ impl HashMapPeriphery {
             last_health: HEALTH_FRESH,
             durability_lost: false,
             journal_io_errors: 0,
-            journal_fallback_bytes: 0,
             last_sent: HashMap::new(),
             tenants: HashMap::new(),
             pending: HashMap::new(),
@@ -72,10 +70,9 @@ impl HashMapPeriphery {
     pub(crate) fn set_tenant(&mut self, container: u32, tenant: u32) {
         self.tenants.insert(container, tenant);
     }
-    pub(crate) fn set_durability(&mut self, lost: bool, io_errors: u64, fallback_bytes: u64) {
+    pub(crate) fn set_durability(&mut self, lost: bool, io_errors: u64) {
         self.durability_lost = lost;
         self.journal_io_errors = io_errors;
-        self.journal_fallback_bytes = fallback_bytes;
     }
 
     pub(crate) fn observe(&mut self, snap: &Snapshot, stalled: bool, staleness_age: u64) {
@@ -217,7 +214,6 @@ impl HashMapPeriphery {
                     deltas_coalesced: self.stats.deltas_coalesced,
                     acks_fenced: self.stats.acks_fenced,
                     journal_io_errors: self.journal_io_errors,
-                    journal_fallback_bytes: self.journal_fallback_bytes,
                 },
                 entries: chunk.to_vec(),
                 removed: frame_removed,

@@ -55,6 +55,9 @@ pub const VERSION: u32 = 1;
 /// cause huge allocations during restore).
 pub const MAX_RECORD: usize = 1 << 20;
 
+/// The file header every journal starts with: magic, then version.
+const HEADER: [u8; 8] = ((VERSION as u64) << 32 | MAGIC as u64).to_le_bytes();
+
 const KIND_CHECKPOINT: u8 = 1;
 const KIND_DELTA: u8 = 2;
 const KIND_REMOVE: u8 = 3;
@@ -775,9 +778,9 @@ pub mod store {
             let mut current: Vec<u8> = Vec::new();
             for i in 0..64u8 {
                 let next = vec![i; 24];
-                match s.replace(&next) {
-                    Ok(()) => current = next,
-                    Err(_) => {} // old contents must survive untouched
+                // A refused replace must leave the old contents untouched.
+                if s.replace(&next).is_ok() {
+                    current = next;
                 }
                 assert_eq!(s.read(), &current[..], "replace half-applied at {i}");
                 assert_eq!(s.durable(), &current[..], "replace left unsynced bytes");
@@ -871,11 +874,15 @@ pub struct RestoreReport {
 /// rather than uptime. Appends are group-committed: callers
 /// [`sync`](Journal::sync) once per tick, and only synced bytes
 /// ([`durable_bytes`](Journal::durable_bytes)) survive a crash.
+/// [`DurableJournal`] adds the durability ladder on top.
 #[derive(Debug)]
 pub struct Journal {
     store: Box<dyn Store>,
     /// Where single records are framed before they go to the store.
     scratch: Vec<u8>,
+    /// Whether the store holds a synced header; until it does, each
+    /// checkpoint lays one.
+    headed: bool,
 }
 
 impl Default for Journal {
@@ -887,24 +894,30 @@ impl Default for Journal {
 impl Journal {
     /// An empty journal on an infallible in-memory store.
     pub fn new() -> Journal {
-        Journal::with_store(Box::new(MemStore::new())).expect("MemStore never fails")
+        Journal::with_store(Box::new(MemStore::new())).0
     }
 
     /// An empty journal on `store`: the file is reset to the format
-    /// header. Fails if the store refuses the header write — the
-    /// journal is unusable until the caller retries on a healthy
-    /// store.
-    pub fn with_store(mut store: Box<dyn Store>) -> Result<Journal, StoreError> {
-        store.truncate(0)?;
-        let mut hdr = [0u8; 8];
-        hdr[..4].copy_from_slice(&MAGIC.to_le_bytes());
-        hdr[4..].copy_from_slice(&VERSION.to_le_bytes());
-        store.append(&hdr)?;
-        store.sync()?;
-        Ok(Journal {
+    /// header, and the second value says whether the store took it. A
+    /// refused header keeps the store: the next
+    /// [`checkpoint`](Journal::checkpoint) lays the header with its
+    /// record, so the journal is durable again once the store is.
+    pub fn with_store(store: Box<dyn Store>) -> (Journal, Result<(), StoreError>) {
+        let mut journal = Journal {
             store,
             scratch: Vec::new(),
-        })
+            headed: false,
+        };
+        let header = journal.lay_header();
+        (journal, header)
+    }
+
+    fn lay_header(&mut self) -> Result<(), StoreError> {
+        self.store.truncate(0)?;
+        self.store.append(&HEADER)?;
+        self.store.sync()?;
+        self.headed = true;
+        Ok(())
     }
 
     /// The live journal bytes (header + records), synced or not.
@@ -934,15 +947,23 @@ impl Journal {
 
     /// Write a compacted checkpoint: the file is reset to the header
     /// plus this single snapshot record, discarding older history, and
-    /// synced through to the medium.
+    /// synced through to the medium. A journal whose header the store
+    /// refused writes the header too, in the same append.
     pub fn checkpoint(&mut self, snap: &Snapshot) -> Result<(), StoreError> {
-        self.store.truncate(8)?;
         // A snapshot's worth of bytes, once per cadence: not worth
         // keeping in `scratch` between checkpoints.
         let mut buf = Vec::new();
+        if self.headed {
+            self.store.truncate(HEADER.len())?;
+        } else {
+            self.store.truncate(0)?;
+            buf.extend_from_slice(&HEADER);
+        }
         frame_checkpoint(&mut buf, snap);
         self.store.append(&buf)?;
-        self.store.sync()
+        self.store.sync()?;
+        self.headed = true;
+        Ok(())
     }
 
     /// Append one container's refreshed view (unsynced until the next
@@ -995,6 +1016,124 @@ impl Journal {
     /// Fault counters of the backing store (zero for plain stores).
     pub fn store_fault_stats(&self) -> StoreFaultStats {
         self.store.fault_stats()
+    }
+}
+
+/// A move of a [`DurableJournal`]'s durability ladder, for its owner to
+/// report (trace event, metrics, flight dump).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Edge {
+    /// A store error flipped the journal onto the degraded rung.
+    Lost,
+    /// A clean checkpoint healed the degraded rung.
+    Restored,
+}
+
+/// A [`Journal`] under the **durability ladder**, the one rule every
+/// journaling daemon follows: a store error flips the journal to
+/// *degraded*; a degraded journal is [`due`](DurableJournal::due) a
+/// checkpoint every tick (a durable one every `every` ticks after its
+/// last clean one); a clean checkpoint heals it. The owner issues its
+/// own writes, hands each result to [`settle`](DurableJournal::settle),
+/// and reports the [`Edge`]s it returns.
+#[derive(Debug)]
+pub struct DurableJournal {
+    journal: Journal,
+    every: u64,
+    /// Tick of the last checkpoint the store took.
+    last_checkpoint: u64,
+    degraded: bool,
+    io_errors: u64,
+}
+
+impl DurableJournal {
+    /// Open a journal on `store` checkpointing every `every` ticks
+    /// (at least 1), seeded with a checkpoint of `seed` taken at
+    /// `seed.tick`. A store that refuses the setup starts the journal
+    /// degraded, and the [`Edge::Lost`] is returned for reporting.
+    pub fn open(store: Box<dyn Store>, every: u64, seed: &Snapshot) -> (Self, Option<Edge>) {
+        let (journal, header) = Journal::with_store(store);
+        let mut durable = DurableJournal {
+            journal,
+            every: every.max(1),
+            last_checkpoint: seed.tick,
+            degraded: false,
+            io_errors: 0,
+        };
+        let setup = header.and_then(|()| durable.checkpoint(seed, seed.tick));
+        let edge = durable.settle(setup, true);
+        (durable, edge)
+    }
+
+    /// The journal.
+    pub fn journal(&self) -> &Journal {
+        &self.journal
+    }
+
+    /// The journal, for the owner's appends and syncs.
+    pub fn journal_mut(&mut self) -> &mut Journal {
+        &mut self.journal
+    }
+
+    /// Whether a checkpoint is due at tick `now`: always while
+    /// degraded, else once `every` ticks have passed since the last
+    /// clean one.
+    pub fn due(&self, now: u64) -> bool {
+        self.degraded || now.saturating_sub(self.last_checkpoint) >= self.every
+    }
+
+    /// Compact the journal to `snap` at tick `now`; a clean one restarts
+    /// the cadence. Hand the result to [`settle`](DurableJournal::settle)
+    /// with `checkpoint` set.
+    pub fn checkpoint(&mut self, snap: &Snapshot, now: u64) -> Result<(), StoreError> {
+        self.journal.checkpoint(snap)?;
+        self.last_checkpoint = now;
+        Ok(())
+    }
+
+    /// Shadow-journal the verified prefix `raw` of a replication stream,
+    /// decoded as `records`: a checkpoint record compacts the file (and
+    /// supersedes whatever the stream held before it); the records after
+    /// the last one go in as they came, in one write. Stops at the first
+    /// store error; syncs when there is none.
+    pub fn shadow(&mut self, raw: &[u8], records: &[Record], now: u64) -> Result<(), StoreError> {
+        let (mut tail, mut at) = (0, 0);
+        for record in records {
+            at += framed_len(&raw[at..]).unwrap_or(0);
+            if let Record::Checkpoint(snap) = record {
+                self.checkpoint(snap, now)?;
+                tail = at;
+            }
+        }
+        self.journal.append_framed(&raw[tail..])?;
+        self.journal.sync()
+    }
+
+    /// Judge one store interaction: an error counts, and flips a
+    /// durable journal to degraded ([`Edge::Lost`]); a clean
+    /// `checkpoint` heals a degraded one ([`Edge::Restored`]).
+    pub fn settle(&mut self, result: Result<(), StoreError>, checkpoint: bool) -> Option<Edge> {
+        match result {
+            Err(_) => {
+                self.io_errors += 1;
+                (!std::mem::replace(&mut self.degraded, true)).then_some(Edge::Lost)
+            }
+            Ok(()) if checkpoint && self.degraded => {
+                self.degraded = false;
+                Some(Edge::Restored)
+            }
+            Ok(()) => None,
+        }
+    }
+
+    /// Whether the journal is on the degraded rung.
+    pub fn degraded(&self) -> bool {
+        self.degraded
+    }
+
+    /// Store errors settled so far.
+    pub fn io_errors(&self) -> u64 {
+        self.io_errors
     }
 }
 
@@ -1801,7 +1940,8 @@ mod tests {
                 // Walk seeds to one whose store takes the header and the
                 // checkpoint whole and tears the batch.
                 let torn = (seed..seed + 256).find_map(|s| {
-                    let mut j = Journal::with_store(Box::new(FaultyStore::new(s, faults))).ok()?;
+                    let (mut j, header) = Journal::with_store(Box::new(FaultyStore::new(s, faults)));
+                    header.ok()?;
                     j.checkpoint(&Snapshot::at(0)).ok()?;
                     let head = j.len();
                     (j.append_framed(&bytes) == Err(StoreError::TornWrite)).then_some((j, head))
@@ -1965,6 +2105,40 @@ mod tests {
         }
     }
 
+    mod ladder {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            // Whatever the store does, ladder edges alternate starting
+            // with Lost, every error counts, and a degraded journal is
+            // always due a checkpoint.
+            #[test]
+            fn edges_alternate_and_degraded_is_always_due(
+                outcomes in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 0..64),
+                every in 1u64..8,
+            ) {
+                let (mut j, edge) = DurableJournal::open(Box::new(MemStore::new()), every, &Snapshot::at(0));
+                prop_assert_eq!(edge, None);
+                let mut edges = Vec::new();
+                for (i, &(ok, checkpoint)) in outcomes.iter().enumerate() {
+                    let result = if ok { Ok(()) } else { Err(StoreError::WriteFailed) };
+                    edges.extend(j.settle(result, checkpoint));
+                    if j.degraded() {
+                        prop_assert!(j.due(i as u64) && j.due(u64::MAX));
+                    }
+                }
+                for (i, edge) in edges.iter().enumerate() {
+                    let want = if i % 2 == 0 { Edge::Lost } else { Edge::Restored };
+                    prop_assert_eq!(*edge, want);
+                }
+                prop_assert_eq!(j.degraded(), edges.len() % 2 == 1);
+                let errors = outcomes.iter().filter(|(ok, _)| !ok).count() as u64;
+                prop_assert_eq!(j.io_errors(), errors);
+            }
+        }
+    }
+
     mod checkpoint_fault_props {
         use super::*;
         use crate::store::{FaultyStore, StoreFaults};
@@ -1995,11 +2169,11 @@ mod tests {
                     // the synced-prefix property under test.
                     ..StoreFaults::default()
                 };
-                let journal = Journal::with_store(
+                let (mut j, header) = Journal::with_store(
                     Box::new(FaultyStore::new(seed, faults)));
-                let Ok(mut j) = journal else {
-                    return; // header refused: no journal, nothing to check
-                };
+                if header.is_err() {
+                    return; // header refused: nothing durable to check
+                }
                 // Reachable states: the snapshot after every prefix of
                 // *successfully written* records — restore must land on
                 // one of these. `written_ok` counts full records in the
@@ -2101,9 +2275,11 @@ mod tests {
                     bit_rot_prob: 0.1,
                     ..StoreFaults::default()
                 };
-                let journal = Journal::with_store(
+                let (mut j, header) = Journal::with_store(
                     Box::new(FaultyStore::new(seed, faults)));
-                let Ok(mut j) = journal else { return };
+                if header.is_err() {
+                    return;
+                }
                 for (i, &(kind, id, cpu)) in ops.iter().enumerate() {
                     let tick = i as u64 + 1;
                     let st = ViewState {
@@ -2137,9 +2313,11 @@ mod tests {
                         bit_rot_prob: 0.1,
                         ..StoreFaults::default()
                     };
-                    let j = Journal::with_store(
+                    let (mut j, header) = Journal::with_store(
                         Box::new(FaultyStore::new(seed, faults)));
-                    let Ok(mut j) = j else { return Vec::new() };
+                    if header.is_err() {
+                        return Vec::new();
+                    }
                     for (i, &(kind, id, cpu)) in ops.iter().enumerate() {
                         let tick = i as u64 + 1;
                         let st = ViewState {

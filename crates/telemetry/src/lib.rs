@@ -207,7 +207,7 @@ pub enum PipelineEvent {
     /// coalesced for a later batch instead of being sent.
     FleetCoalesced,
     /// A journal or lease store error flipped a component onto the
-    /// durability degradation ladder (in-memory fallback / step-down).
+    /// durability degradation ladder (degraded journal / step-down).
     DurabilityLost,
     /// A successful re-checkpoint against the recovered store healed
     /// the durability flag.

@@ -60,9 +60,6 @@ pub struct Metrics {
     /// Store errors the host's journal has absorbed (absolute value,
     /// mirrored from the monitor daemon's durability ladder).
     pub journal_io_errors: AtomicU64,
-    /// Bytes held in the flagged in-memory fallback journal (gauge;
-    /// zero while the on-disk journal is durable).
-    pub journal_fallback_bytes: AtomicU64,
     /// Whether the host's journal durability is currently lost (0/1
     /// gauge).
     pub durability_lost: AtomicU64,
@@ -133,7 +130,6 @@ impl Metrics {
                 .load(Ordering::Relaxed),
             journal_truncated_records: self.journal_truncated_records.load(Ordering::Relaxed),
             journal_io_errors: self.journal_io_errors.load(Ordering::Relaxed),
-            journal_fallback_bytes: self.journal_fallback_bytes.load(Ordering::Relaxed),
             durability_lost: self.durability_lost.load(Ordering::Relaxed) != 0,
             staleness_age_mean: self.staleness_age.mean(),
             staleness_age_p99: self.staleness_age.quantile(0.99),
@@ -198,8 +194,6 @@ pub struct MetricsSnapshot {
     pub journal_truncated_records: u64,
     /// Store errors the host's journal has absorbed.
     pub journal_io_errors: u64,
-    /// Bytes in the flagged in-memory fallback journal.
-    pub journal_fallback_bytes: u64,
     /// Whether the host's journal durability is currently lost.
     pub durability_lost: bool,
     /// Mean age, in ticks, of served container views.
@@ -246,7 +240,6 @@ impl MetricsSnapshot {
             && self.restore_reconciled_containers == other.restore_reconciled_containers
             && self.journal_truncated_records == other.journal_truncated_records
             && self.journal_io_errors == other.journal_io_errors
-            && self.journal_fallback_bytes == other.journal_fallback_bytes
             && self.durability_lost == other.durability_lost
             && self.recovery_latency_p99 == other.recovery_latency_p99
             && self.staleness_age_p99 == other.staleness_age_p99
@@ -325,19 +318,16 @@ mod tests {
     fn durability_counters_round_trip() {
         let m = Metrics::new();
         m.journal_io_errors.fetch_add(4, Ordering::Relaxed);
-        m.journal_fallback_bytes.store(2_048, Ordering::Relaxed);
         m.durability_lost.store(1, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!(s.journal_io_errors, 4);
-        assert_eq!(s.journal_fallback_bytes, 2_048);
         assert!(s.durability_lost);
         let fresh = Metrics::new().snapshot();
         assert!(
             !s.counters_eq(&fresh),
             "durability counters must affect equality"
         );
-        // Healing clears the gauges but keeps the error count.
-        m.journal_fallback_bytes.store(0, Ordering::Relaxed);
+        // Healing clears the gauge but keeps the error count.
         m.durability_lost.store(0, Ordering::Relaxed);
         let healed = m.snapshot();
         assert!(!healed.durability_lost);

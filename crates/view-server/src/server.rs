@@ -350,11 +350,6 @@ impl ViewServer {
             m.journal_io_errors as f64,
         );
         out.gauge(
-            "arv_viewd_journal_fallback_bytes",
-            "Bytes held in the flagged in-memory fallback journal",
-            m.journal_fallback_bytes as f64,
-        );
-        out.gauge(
             "arv_viewd_durability_lost",
             "Whether the host's journal durability is lost (1) or intact (0)",
             if m.durability_lost { 1.0 } else { 0.0 },
@@ -480,16 +475,13 @@ impl ViewServer {
     }
 
     /// Mirror the host's durability ladder into the daemon's metrics:
-    /// whether journal durability is currently `lost`, the absolute
-    /// store-error count, and the size of the flagged in-memory
-    /// fallback journal. Called by the monitor daemon on every rung
+    /// whether journal durability is currently `lost`, and the absolute
+    /// store-error count. Called by the monitor daemon on every rung
     /// transition.
-    pub fn note_durability(&self, lost: bool, io_errors: u64, fallback_bytes: u64) {
+    pub fn note_durability(&self, lost: bool, io_errors: u64) {
         let m = &self.inner.metrics;
         m.durability_lost.store(u64::from(lost), Ordering::Relaxed);
         m.journal_io_errors.store(io_errors, Ordering::Relaxed);
-        m.journal_fallback_bytes
-            .store(fallback_bytes, Ordering::Relaxed);
     }
 
     /// Mirror externally computed views into a container's cell (the
@@ -1120,13 +1112,11 @@ mod tests {
         assert!(text.contains("arv_viewd_restore_reconciled_containers_total"));
         assert!(text.contains("arv_viewd_journal_truncated_records_total"));
         assert!(text.contains("arv_viewd_journal_io_errors_total"));
-        assert!(text.contains("arv_viewd_journal_fallback_bytes"));
         assert!(text.contains("arv_viewd_durability_lost 0"));
-        server.note_durability(true, 2, 512);
+        server.note_durability(true, 2);
         let text = server.prometheus_exposition();
         assert!(text.contains("arv_viewd_durability_lost 1"));
         assert!(text.contains("arv_viewd_journal_io_errors_total 2"));
-        assert!(text.contains("arv_viewd_journal_fallback_bytes 512"));
         assert!(text.contains("arv_viewd_recovery_latency_ticks{stat=\"p99\"}"));
         assert!(text.contains(&format!(
             "arv_container_effective_bytes{{container=\"1\"}} {}",
