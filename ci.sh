@@ -45,6 +45,11 @@ cargo test -q -p arv-integration-tests --test fleet_failover_e2e
 echo "==> wire reactor e2e (hundreds of racing/slow/hostile clients on one daemon)"
 cargo test -q -p arv-integration-tests --test wire_reactor_e2e
 
+echo "==> the paper's figures at full scale (the case studies read their views through sysconf)"
+cargo run -q --release -p arv-experiments --bin experiments -- \
+    --fig 2a --fig 2b --fig 6 --fig 7 --fig 8 --fig 9 --fig 10 --fig 11 --fig 12 \
+    --fig ablations --fig accuracy > /dev/null
+
 echo "==> chaos experiment (seeded fault injection, replay-checked)"
 cargo run -q --release -p arv-experiments --bin experiments -- --fig chaos --scale 0.5 > /dev/null
 

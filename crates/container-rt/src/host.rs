@@ -9,8 +9,8 @@ use arv_resview::effective_cpu::EffectiveCpuConfig;
 use arv_resview::effective_mem::EffectiveMemoryConfig;
 use arv_resview::namespace::Pid;
 use arv_resview::{
-    CpuBounds, EffectiveMemory, HostView, NsMonitor, RecoverOutcome, StalenessPolicy, Sysconf,
-    Verdict, VirtualSysfs, Watchdog, WatchdogConfig, WatchdogStats,
+    CpuBounds, EffectiveMemory, HostView, NsMonitor, RecoverOutcome, Sysconf, Verdict,
+    VirtualSysfs, Watchdog, WatchdogConfig, WatchdogStats,
 };
 use arv_sim_core::{clock::sched_period, FaultPlan, FaultStats, SimClock, SimDuration, SimTime};
 use arv_telemetry::PipelineEvent;
@@ -789,21 +789,10 @@ impl SimHost {
         )
     }
 
-    /// Effective CPU from the container's `sys_namespace`.
-    pub fn effective_cpu(&self, id: CgroupId) -> u32 {
-        self.monitor
-            .effective_cpu(id)
-            .expect("container has a namespace")
-    }
-
-    /// Effective memory from the container's `sys_namespace`.
-    pub fn effective_memory(&self, id: CgroupId) -> Bytes {
-        self.monitor
-            .effective_memory(id)
-            .expect("container has a namespace")
-    }
-
-    /// The virtual sysfs front-end over the current host state.
+    /// The virtual sysfs front-end over the current host state: what a
+    /// process inside a container is answered, judged for staleness the
+    /// way `arv-viewd` judges it. The monitor's own, never-degraded
+    /// values are [`SimHost::monitor`]'s namespaces.
     pub fn sysfs(&self) -> VirtualSysfs<'_> {
         VirtualSysfs::new(
             &self.monitor,
@@ -812,21 +801,6 @@ impl SimHost {
                 total_memory: self.mem.total(),
                 free_memory: self.mem.free(),
             },
-        )
-    }
-
-    /// Like [`SimHost::sysfs`], but staleness-aware: container queries
-    /// are judged against `policy` and degrade to the conservative
-    /// fallback once their view ages past the budget.
-    pub fn sysfs_with_policy(&self, policy: StalenessPolicy) -> VirtualSysfs<'_> {
-        VirtualSysfs::with_policy(
-            &self.monitor,
-            HostView {
-                online_cpus: self.cfs.online_count(),
-                total_memory: self.mem.total(),
-                free_memory: self.mem.free(),
-            },
-            policy,
         )
     }
 
@@ -898,7 +872,23 @@ impl SimHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arv_resview::Sysconf;
+    use arv_resview::{Sysconf, ViewHealth, STALENESS_BUDGET};
+
+    /// The monitor's own effective CPU for `id`, never degraded.
+    fn e_cpu(host: &SimHost, id: CgroupId) -> u32 {
+        host.monitor()
+            .namespace(id)
+            .expect("a namespace")
+            .effective_cpu()
+    }
+
+    /// The monitor's own effective memory for `id`, never degraded.
+    fn e_mem(host: &SimHost, id: CgroupId) -> Bytes {
+        host.monitor()
+            .namespace(id)
+            .expect("a namespace")
+            .effective_memory()
+    }
 
     fn five_paper_containers(host: &mut SimHost) -> Vec<CgroupId> {
         (0..5)
@@ -932,7 +922,7 @@ mod tests {
             host.step(&demands);
         }
         for id in &ids {
-            assert_eq!(host.effective_cpu(*id), 4);
+            assert_eq!(e_cpu(&host, *id), 4);
         }
     }
 
@@ -946,7 +936,7 @@ mod tests {
             host.step(&demands);
         }
         // Work conservation lets it climb to its 10-core quota.
-        assert_eq!(host.effective_cpu(ids[0]), 10);
+        assert_eq!(e_cpu(&host, ids[0]), 10);
     }
 
     #[test]
@@ -957,12 +947,12 @@ mod tests {
             let demands = vec![host.demand(ids[0], 20)];
             host.step(&demands);
         }
-        assert_eq!(host.effective_cpu(ids[0]), 10);
+        assert_eq!(e_cpu(&host, ids[0]), 10);
         for _ in 0..50 {
             let demands: Vec<_> = ids.iter().map(|id| host.demand(*id, 20)).collect();
             host.step(&demands);
         }
-        assert_eq!(host.effective_cpu(ids[0]), 4);
+        assert_eq!(e_cpu(&host, ids[0]), 4);
     }
 
     #[test]
@@ -1040,7 +1030,7 @@ mod tests {
         );
         let ns = host.monitor().namespace(id).unwrap();
         assert_eq!(ns.cpu_bounds().upper, 2);
-        assert_eq!(host.effective_memory(id), Bytes::from_gib(1));
+        assert_eq!(e_mem(&host, id), Bytes::from_gib(1));
     }
 
     #[test]
@@ -1096,15 +1086,15 @@ mod tests {
         // Launched into a 5-way share, the view is born at the 4-CPU
         // lower bound and has a 10-CPU quota to climb to.
         let a = host.launch(&ContainerSpec::new("a", 20).cpus(10.0));
-        assert_eq!(host.effective_cpu(a), 4);
+        assert_eq!(e_cpu(&host, a), 4);
         let mut changes = 0;
-        let mut last = host.effective_cpu(a);
+        let mut last = e_cpu(&host, a);
         for _ in 0..48 {
             let d = host.demand(a, 20);
             host.step_capped(&[d], SimDuration::from_millis(1));
-            if host.effective_cpu(a) != last {
+            if e_cpu(&host, a) != last {
                 changes += 1;
-                last = host.effective_cpu(a);
+                last = e_cpu(&host, a);
             }
         }
         // 48 ms of 1 ms steps = at most 2 update-timer firings.
@@ -1127,7 +1117,7 @@ mod tests {
         for id in &ids {
             assert_eq!(
                 client.sysconf(Some(*id), Sysconf::NprocessorsOnln),
-                u64::from(host.effective_cpu(*id))
+                u64::from(e_cpu(&host, *id))
             );
         }
         assert_eq!(client.sysconf(Some(ids[4]), Sysconf::NprocessorsOnln), 4);
@@ -1137,7 +1127,7 @@ mod tests {
             let demands = vec![host.demand(ids[0], 20)];
             host.step(&demands);
         }
-        assert_eq!(host.effective_cpu(ids[0]), 10);
+        assert_eq!(e_cpu(&host, ids[0]), 10);
         assert_eq!(client.sysconf(Some(ids[0]), Sysconf::NprocessorsOnln), 10);
         let online = client
             .read(Some(ids[0]), "/sys/devices/system/cpu/online")
@@ -1159,7 +1149,7 @@ mod tests {
         let client = server.client();
         assert_eq!(
             client.sysconf(Some(ids[0]), Sysconf::NprocessorsOnln),
-            u64::from(host.effective_cpu(ids[0]))
+            u64::from(e_cpu(&host, ids[0]))
         );
     }
 
@@ -1262,13 +1252,13 @@ mod tests {
             let d = vec![host.demand(ids[0], 20)];
             host.step(&d);
         }
-        assert_eq!(host.effective_cpu(ids[0]), 10);
+        assert_eq!(e_cpu(&host, ids[0]), 10);
         let client = server.client();
         assert_eq!(client.sysconf(Some(ids[0]), Sysconf::NprocessorsOnln), 10);
         // Suppress publishes past the staleness budget: the daemon keeps
         // answering, but from the conservative fallback (the 4-CPU lower
         // bound), never the frozen 10-CPU view.
-        let budget = server.policy().budget;
+        let budget = STALENESS_BUDGET;
         host.inject_publish_delay(budget + 2);
         for _ in 0..(budget + 2) {
             let d = vec![host.demand(ids[0], 20)];
@@ -1296,7 +1286,7 @@ mod tests {
         }
         let client = server.client();
         assert_eq!(client.sysconf(Some(ids[0]), Sysconf::NprocessorsOnln), 10);
-        let budget = server.policy().budget;
+        let budget = STALENESS_BUDGET;
         host.inject_monitor_stall(budget + 2);
         for _ in 0..(budget + 2) {
             let d = vec![host.demand(ids[0], 20)];
@@ -1318,7 +1308,7 @@ mod tests {
             let d = vec![host.demand(ids[0], 20)];
             host.step(&d);
         }
-        assert_eq!(host.effective_cpu(ids[0]), 10);
+        assert_eq!(e_cpu(host, ids[0]), 10);
     }
 
     #[test]
@@ -1327,12 +1317,12 @@ mod tests {
         host.enable_journal(8);
         let ids = five_paper_containers(&mut host);
         grow_first(&mut host, &ids);
-        let grown_mem = host.effective_memory(ids[0]);
+        let grown_mem = e_mem(&host, ids[0]);
         let ev = host.crash_restart();
         // The replacement monitor resumed the journaled views, not the
         // cold 4-CPU lower bound.
-        assert_eq!(host.effective_cpu(ids[0]), 10);
-        assert_eq!(host.effective_memory(ids[0]), grown_mem);
+        assert_eq!(e_cpu(&host, ids[0]), 10);
+        assert_eq!(e_mem(&host, ids[0]), grown_mem);
         assert!(ev.report.snapshot.is_some(), "journal held a checkpoint");
         assert_eq!(ev.report.truncated_records, 0);
         let outcome = ev.outcome.expect("recover ran, not cold resync");
@@ -1345,7 +1335,7 @@ mod tests {
         // And adjustment resumes from the restored values.
         let d = vec![host.demand(ids[0], 20)];
         host.step(&d);
-        assert_eq!(host.effective_cpu(ids[0]), 10);
+        assert_eq!(e_cpu(&host, ids[0]), 10);
     }
 
     #[test]
@@ -1370,7 +1360,7 @@ mod tests {
             step(&mut host);
         }
         assert_eq!(host.monitor().namespace(a).unwrap().cpu_bounds().lower, 4);
-        let budget = server.policy().budget;
+        let budget = STALENESS_BUDGET;
         host.inject_publish_delay(budget + 2);
         for _ in 0..(budget + 2) {
             step(&mut host);
@@ -1521,8 +1511,8 @@ mod tests {
         let client = server.client();
         // No publish is ever delayed here, so the daemon is level with
         // the monitor after every firing, stalled ones included.
-        let compare = |host: &SimHost| -> arv_resview::ViewHealth {
-            let fs = host.sysfs_with_policy(server.policy());
+        let compare = |host: &SimHost| -> ViewHealth {
+            let fs = host.sysfs();
             let tick = host.now_tick();
             let health = fs.health(Some(ids[0]));
             for id in &ids {
@@ -1545,7 +1535,7 @@ mod tests {
         // and the usage follows past the soft limit.
         let step = |host: &mut SimHost| {
             for id in &ids {
-                let target = host.effective_memory(*id).mul_f64(0.95);
+                let target = e_mem(host, *id).mul_f64(0.95);
                 let _ = host.charge(*id, target.saturating_sub(host.memory_usage(*id)));
             }
             let demands: Vec<_> = ids.iter().map(|id| host.demand(*id, 2)).collect();
@@ -1567,7 +1557,7 @@ mod tests {
         assert!(past_soft(&host), "views and usage grew past the soft limit");
 
         // A stall past the budget, then recovery; no lifecycle change.
-        let budget = server.policy().budget;
+        let budget = STALENESS_BUDGET;
         host.inject_monitor_stall(budget + 3);
         let mut degraded = 0;
         for _ in 0..budget + 3 {
@@ -1599,11 +1589,11 @@ mod tests {
         assert!(ev.report.snapshot.is_some());
         // Views are a valid earlier state: between the bounds, and the
         // monitor keeps adjusting from there.
-        let cpu = host.effective_cpu(ids[0]);
+        let cpu = e_cpu(&host, ids[0]);
         assert!((4..=10).contains(&cpu), "restored cpu {cpu} out of bounds");
         let d = vec![host.demand(ids[0], 20)];
         host.step(&d);
-        assert!(host.effective_cpu(ids[0]) >= cpu);
+        assert!(e_cpu(&host, ids[0]) >= cpu);
     }
 
     #[test]
@@ -1616,7 +1606,7 @@ mod tests {
         assert!(ev.report.snapshot.is_none());
         assert!(ev.outcome.is_none(), "no checkpoint: cold resync");
         // Cold restart: views are rebuilt from static bounds (the floor).
-        assert_eq!(host.effective_cpu(ids[0]), 4);
+        assert_eq!(e_cpu(&host, ids[0]), 4);
         assert!(host.watchdog_stats().resyncs >= 1);
     }
 
@@ -1649,7 +1639,7 @@ mod tests {
         assert!(ev.outcome.is_some());
         // First-served views after the restart are the reconciled
         // journal state, not the cold floor.
-        assert_eq!(host.effective_cpu(ids[0]), 10);
+        assert_eq!(e_cpu(&host, ids[0]), 10);
         assert_eq!(client.sysconf(Some(ids[0]), Sysconf::NprocessorsOnln), 10);
         assert!(client.health(Some(ids[0])).is_fresh());
         let m = server.metrics();
@@ -1740,7 +1730,7 @@ mod tests {
     ) {
         let client = server.client();
         let now = server.now_tick();
-        let health = server.policy().classify(now - level.fresh);
+        let health = ViewHealth::from_age(now - level.fresh);
         for (id, (view, (fb_cpus, fb_mem))) in &level.views {
             assert_eq!(client.health(Some(*id)), health, "tick {now} {id:?}");
             let (cpus, mem, avail) = if health.is_degraded() {

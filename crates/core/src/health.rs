@@ -1,21 +1,29 @@
 //! View staleness classification.
 //!
-//! Every published view carries the update-timer tick it was computed
-//! at. Consumers compare that stamp against the current tick and get a
-//! [`ViewHealth`]: `Fresh` while the monitor is keeping up, `Stale` once
-//! an update has been missed, and `Degraded` past a configurable
-//! staleness budget — at which point the serving layer stops forwarding
-//! the (possibly wrong) adaptive view and falls back to the paper's own
-//! safe resets: effective CPU clamped to Algorithm 1's lower bound and
-//! effective memory reset to the soft limit. Both are values the
-//! container is entitled to under any interleaving, so a consumer sized
-//! against a degraded view can never over-provision.
+//! Each host keeps one freshness word: the update-timer tick at which
+//! its monitor last brought every view level. A view's age is the
+//! current tick minus that word, and [`ViewHealth::from_age`] turns it
+//! into a health: `Fresh` while the monitor is keeping up, `Stale` once
+//! an update has been missed, and `Degraded` past [`STALENESS_BUDGET`] —
+//! at which point the serving layer stops forwarding the (possibly
+//! wrong) adaptive view and falls back to the paper's own safe resets:
+//! effective CPU clamped to Algorithm 1's lower bound and effective
+//! memory reset to the soft limit. Both are values the container is
+//! entitled to under any interleaving, so a consumer sized against a
+//! degraded view can never over-provision.
 //!
 //! Orthogonal to staleness, a view carries a [`Durability`] dimension:
 //! whether the journal behind it is reaching stable storage. A view can
-//! be perfectly Fresh while its host journals into a flagged in-memory
-//! fallback — the values served are correct, but a crash right now
-//! would lose the unsynced window, and fleet operators must see that.
+//! be perfectly Fresh while its host's store refuses journal writes —
+//! the values served are correct, but a crash right now would lose
+//! everything since the last synced record, and fleet operators must
+//! see that.
+
+/// How many update-timer ticks (CFS periods) a view may age and still
+/// be served as-is; ages strictly greater degrade. 4 periods (~96 ms at
+/// the paper's 24 ms period) ride out scheduling hiccups, yet consumers
+/// never act on a view a whole second old.
+pub const STALENESS_BUDGET: u64 = 4;
 
 /// Health of a served view, judged by its age in update-timer ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +45,20 @@ pub enum ViewHealth {
 }
 
 impl ViewHealth {
+    /// The health of a view `age` ticks old.
+    ///
+    /// Age 0 or 1 is `Fresh` — a view stamped last tick is simply the
+    /// normal cadence, not a missed deadline.
+    pub fn from_age(age: u64) -> ViewHealth {
+        if age <= 1 {
+            ViewHealth::Fresh
+        } else if age <= STALENESS_BUDGET {
+            ViewHealth::Stale { age }
+        } else {
+            ViewHealth::Degraded { age }
+        }
+    }
+
     /// Ticks since the last refresh (0 when fresh).
     pub fn age(&self) -> u64 {
         match *self {
@@ -65,9 +87,9 @@ pub enum Durability {
     /// Journal appends are reaching stable storage.
     #[default]
     Durable,
-    /// A storage fault flipped the journal to a flagged in-memory
-    /// fallback; state survives process restarts only once a
-    /// re-checkpoint to the primary store heals the flag.
+    /// A store write or sync failed: what the journal holds since its
+    /// last synced record would not survive a crash, until a clean
+    /// re-checkpoint to the store heals the flag.
     Lost,
 }
 
@@ -88,68 +110,34 @@ impl Durability {
     }
 }
 
-/// How many missed update periods a view may age before the serving
-/// layer degrades it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StalenessPolicy {
-    /// Maximum view age, in update-timer ticks (CFS periods), that is
-    /// still served as-is. Ages strictly greater degrade.
-    pub budget: u64,
-}
-
-impl Default for StalenessPolicy {
-    /// The default budget is 4 CFS periods (~96 ms at the paper's 24 ms
-    /// period): long enough to ride out scheduling hiccups, short enough
-    /// that consumers never act on a view a whole second old.
-    fn default() -> StalenessPolicy {
-        StalenessPolicy { budget: 4 }
-    }
-}
-
-impl StalenessPolicy {
-    /// A policy with the given budget.
-    pub fn with_budget(budget: u64) -> StalenessPolicy {
-        StalenessPolicy { budget }
-    }
-
-    /// Classify a view of the given age.
-    ///
-    /// Age 0 or 1 is `Fresh` — a view stamped last tick is simply the
-    /// normal cadence, not a missed deadline.
-    pub fn classify(&self, age: u64) -> ViewHealth {
-        if age <= 1 {
-            ViewHealth::Fresh
-        } else if age <= self.budget {
-            ViewHealth::Stale { age }
-        } else {
-            ViewHealth::Degraded { age }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn classification_brackets() {
-        let p = StalenessPolicy::default();
-        assert_eq!(p.classify(0), ViewHealth::Fresh);
-        assert_eq!(p.classify(1), ViewHealth::Fresh);
-        assert_eq!(p.classify(2), ViewHealth::Stale { age: 2 });
-        assert_eq!(p.classify(4), ViewHealth::Stale { age: 4 });
-        assert_eq!(p.classify(5), ViewHealth::Degraded { age: 5 });
-        assert_eq!(p.classify(1000), ViewHealth::Degraded { age: 1000 });
+        assert_eq!(ViewHealth::from_age(0), ViewHealth::Fresh);
+        assert_eq!(ViewHealth::from_age(1), ViewHealth::Fresh);
+        assert_eq!(ViewHealth::from_age(2), ViewHealth::Stale { age: 2 });
+        assert_eq!(ViewHealth::from_age(4), ViewHealth::Stale { age: 4 });
+        assert_eq!(ViewHealth::from_age(5), ViewHealth::Degraded { age: 5 });
+        assert_eq!(
+            ViewHealth::from_age(1000),
+            ViewHealth::Degraded { age: 1000 }
+        );
     }
 
     #[test]
     fn helpers_agree_with_variant() {
-        let p = StalenessPolicy::with_budget(2);
-        assert!(p.classify(1).is_fresh());
-        assert!(!p.classify(3).is_fresh());
-        assert!(p.classify(3).is_degraded());
-        assert_eq!(p.classify(3).age(), 3);
-        assert_eq!(p.classify(0).age(), 0);
+        let (stale, degraded) = (STALENESS_BUDGET, STALENESS_BUDGET + 1);
+        assert!(ViewHealth::from_age(1).is_fresh());
+        assert!(!ViewHealth::from_age(stale).is_fresh());
+        assert!(!ViewHealth::from_age(stale).is_degraded());
+        assert!(!ViewHealth::from_age(degraded).is_fresh());
+        assert!(ViewHealth::from_age(degraded).is_degraded());
+        assert_eq!(ViewHealth::from_age(stale).age(), stale);
+        assert_eq!(ViewHealth::from_age(degraded).age(), degraded);
+        assert_eq!(ViewHealth::from_age(0).age(), 0);
     }
 
     #[test]
@@ -169,14 +157,5 @@ mod tests {
             Durability::Lost.merge(Durability::Durable),
             Durability::Lost
         );
-    }
-
-    #[test]
-    fn zero_budget_degrades_anything_not_fresh() {
-        // budget 0 < age 2: even one missed period degrades. Ages ≤ 1
-        // remain fresh by definition of the cadence.
-        let p = StalenessPolicy::with_budget(0);
-        assert!(p.classify(2).is_degraded());
-        assert!(p.classify(1).is_fresh());
     }
 }

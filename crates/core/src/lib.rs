@@ -61,7 +61,7 @@ pub use effective_cpu::{
     CpuBounds, CpuSample, EffectiveCpu, EffectiveCpuConfig, FractionalEffectiveCpu,
 };
 pub use effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
-pub use health::{Durability, StalenessPolicy, ViewHealth};
+pub use health::{Durability, ViewHealth, STALENESS_BUDGET};
 pub use live::{LiveRegistry, LiveSample, NsCell, ViewSnapshot};
 pub use monitor::{IngestReport, NsMonitor, RecoverOutcome};
 pub use namespace::SysNamespace;

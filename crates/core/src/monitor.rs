@@ -55,8 +55,9 @@ pub struct RecoverOutcome {
     pub admitted: usize,
 }
 
-/// The monitor daemon (simulation-side; see [`crate::live`] for the
-/// threaded equivalent).
+/// The monitor daemon: the one updater of every container's
+/// `sys_namespace`. Drivers mirror its views into the lock-free
+/// [`crate::live`] cells that query threads read.
 #[derive(Debug, Clone)]
 pub struct NsMonitor {
     online: CpuSet,
@@ -77,7 +78,9 @@ pub struct NsMonitor {
 }
 
 impl NsMonitor {
-    /// An empty report for figure `id`.
+    /// A monitor with no namespaces yet, for a host with `online` CPUs,
+    /// `host_total` memory and kswapd's `watermarks`, running
+    /// Algorithms 1 and 2 with the given tunables.
     pub fn new(
         online: CpuSet,
         host_total: Bytes,
@@ -143,16 +146,6 @@ impl NsMonitor {
     /// Whether there are no entries.
     pub fn is_empty(&self) -> bool {
         self.namespaces.is_empty()
-    }
-
-    /// Effective CPU for a container, if it has a namespace.
-    pub fn effective_cpu(&self, id: CgroupId) -> Option<u32> {
-        self.namespaces.get(&id).map(|n| n.effective_cpu())
-    }
-
-    /// Effective memory for a container, if it has a namespace.
-    pub fn effective_memory(&self, id: CgroupId) -> Option<Bytes> {
-        self.namespaces.get(&id).map(|n| n.effective_memory())
     }
 
     /// Drain the dirty set: the live containers whose value triple
@@ -591,6 +584,10 @@ mod tests {
 
     const P: SimDuration = SimDuration::from_millis(24);
 
+    fn e_cpu(mon: &NsMonitor, id: CgroupId) -> Option<u32> {
+        mon.namespace(id).map(SysNamespace::effective_cpu)
+    }
+
     fn testbed() -> (CgroupManager, NsMonitor, CfsSim, MemSim, UsageLedger) {
         let cfs = CfsSim::with_cpus(20);
         let mem = MemSim::new(MemSimConfig::paper_testbed());
@@ -679,7 +676,7 @@ mod tests {
         }
         mem.register(a, MemController::unlimited());
         mon.sync(&mut cgm);
-        assert_eq!(mon.effective_cpu(a), Some(4));
+        assert_eq!(e_cpu(&mon, a), Some(4));
         for _ in 0..10 {
             let demand = GroupDemand::cpu_bound(a, 20, 1024, 10.0);
             let alloc = cfs.allocate(P, &[demand]);
@@ -687,7 +684,7 @@ mod tests {
             mon.tick(&ledger, &mem);
         }
         // With slack and saturation, E climbs to the 10-core upper bound.
-        assert_eq!(mon.effective_cpu(a), Some(10));
+        assert_eq!(e_cpu(&mon, a), Some(10));
     }
 
     #[test]
@@ -706,7 +703,7 @@ mod tests {
         ];
         ledger.record(&cfs.allocate(P, &demands));
         mon.tick(&ledger, &mem);
-        let e_a_before = mon.effective_cpu(a).unwrap();
+        let e_a_before = e_cpu(&mon, a).unwrap();
         // `b` disappears between ticks; the ledger still carries its
         // last-window usage when the next tick fires.
         cgm.remove(b);
@@ -714,14 +711,14 @@ mod tests {
         mon.sync(&mut cgm);
         assert_eq!(mon.len(), 1);
         assert!(mon.namespace(b).is_none());
-        assert!(mon.effective_cpu(b).is_none());
+        assert!(e_cpu(&mon, b).is_none());
         ledger.record(&cfs.allocate(P, &demands[..1]));
         mon.tick(&ledger, &mem);
         // No stale update resurrected `b`, and `a` keeps adapting —
         // alone now, its bounds opened up to the full 10-core quota.
         assert_eq!(mon.len(), 1);
         assert!(mon.namespace(b).is_none());
-        assert!(mon.effective_cpu(a).unwrap() >= e_a_before);
+        assert!(e_cpu(&mon, a).unwrap() >= e_a_before);
         assert_eq!(mon.namespace(a).unwrap().cpu_bounds().lower, 10);
     }
 
@@ -731,7 +728,7 @@ mod tests {
         let a = cgm.create(paper_spec());
         mon.sync(&mut cgm);
         mon.tick(&ledger, &mem);
-        assert_eq!(mon.effective_cpu(a), Some(10));
+        assert_eq!(e_cpu(&mon, a), Some(10));
     }
 
     #[test]
@@ -804,12 +801,12 @@ mod tests {
             ledger.record(&alloc);
             mon.tick(&ledger, &mem);
         }
-        let grown = mon.effective_cpu(a).unwrap();
+        let grown = e_cpu(&mon, a).unwrap();
         // Replay the Created event (duplicate delivery).
         let rep = mon.ingest(&events, &cgm);
         assert_eq!(rep.duplicates, 1);
         assert_eq!(rep.applied, 0);
-        assert_eq!(mon.effective_cpu(a), Some(grown), "duplicate reset state");
+        assert_eq!(e_cpu(&mon, a), Some(grown), "duplicate reset state");
     }
 
     #[test]
@@ -908,7 +905,7 @@ mod tests {
             ledger.record(&cfs.allocate(P, &[GroupDemand::cpu_bound(a, 20, 1024, 10.0)]));
             mon.tick(&ledger, &mem);
         }
-        assert_eq!(mon.effective_cpu(a), Some(10));
+        assert_eq!(e_cpu(&mon, a), Some(10));
         let snap = mon.snapshot();
         assert_eq!(snap.get(a.0).unwrap().e_cpu, 10);
 
@@ -919,7 +916,7 @@ mod tests {
         assert_eq!(out.dropped, 0);
         assert_eq!(out.admitted, 0);
         assert_eq!(
-            fresh.effective_cpu(a),
+            e_cpu(&fresh, a),
             Some(10),
             "warm restart must resume the converged view"
         );
@@ -955,7 +952,7 @@ mod tests {
         assert_eq!(out.reconciled, 1, "16 CPUs clamped to the quota");
         assert_eq!(out.dropped, 1, "vanished container discarded");
         assert_eq!(out.admitted, 1, "late container admitted cold");
-        assert_eq!(fresh.effective_cpu(a), Some(10), "clamped to fresh upper");
+        assert_eq!(e_cpu(&fresh, a), Some(10), "clamped to fresh upper");
         assert!(fresh.namespace(b).is_some());
         let late_ns = fresh.namespace(late).unwrap();
         assert_eq!(

@@ -11,7 +11,7 @@
 use arv_cgroups::{Bytes, CgroupId};
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision};
 
-use crate::health::{StalenessPolicy, ViewHealth};
+use crate::health::ViewHealth;
 use crate::live::ViewSnapshot;
 use crate::monitor::NsMonitor;
 use crate::render;
@@ -58,47 +58,26 @@ pub struct HostView {
 pub struct VirtualSysfs<'m> {
     monitor: &'m NsMonitor,
     host: HostView,
-    policy: Option<StalenessPolicy>,
 }
 
 impl<'m> VirtualSysfs<'m> {
     /// A front-end over `monitor` answering with `host` for host processes.
-    ///
-    /// Without a [`StalenessPolicy`] every view is served as-is,
-    /// whatever its age (the pre-fault-tolerance behaviour); see
-    /// [`with_policy`](VirtualSysfs::with_policy).
-    pub fn new(monitor: &'m NsMonitor, host: HostView) -> VirtualSysfs<'m> {
-        VirtualSysfs {
-            monitor,
-            host,
-            policy: None,
-        }
-    }
-
-    /// A staleness-aware front-end: views older than the policy's
-    /// budget are served as the conservative fallback (effective CPU at
+    /// Container views older than [`STALENESS_BUDGET`](crate::STALENESS_BUDGET)
+    /// are served as the conservative fallback (effective CPU at
     /// Algorithm 1's lower bound, effective memory at the soft limit).
-    pub fn with_policy(
-        monitor: &'m NsMonitor,
-        host: HostView,
-        policy: StalenessPolicy,
-    ) -> VirtualSysfs<'m> {
-        VirtualSysfs {
-            monitor,
-            host,
-            policy: Some(policy),
-        }
+    pub fn new(monitor: &'m NsMonitor, host: HostView) -> VirtualSysfs<'m> {
+        VirtualSysfs { monitor, host }
     }
 
     /// Health of the view `caller` would be served. Host processes (and
     /// callers without a namespace) read physical values, which are
-    /// always fresh; without a policy, staleness is not judged.
+    /// always fresh.
     pub fn health(&self, caller: Option<CgroupId>) -> ViewHealth {
         let mon = self.monitor;
-        match (self.policy, caller.and_then(|id| mon.namespace(id))) {
+        match caller.and_then(|id| mon.namespace(id)) {
             // One age for every namespace: the monitor's last healthy firing.
-            (Some(policy), Some(_)) => policy.classify(mon.now_tick() - mon.fresh_tick()),
-            _ => ViewHealth::Fresh,
+            Some(_) => ViewHealth::from_age(mon.now_tick() - mon.fresh_tick()),
+            None => ViewHealth::Fresh,
         }
     }
 
@@ -387,18 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn without_policy_old_views_are_served_as_is() {
-        let (mut mon, id) = setup();
-        for _ in 0..100 {
-            mon.observe_tick();
-        }
-        let fs = VirtualSysfs::new(&mon, host());
-        assert!(fs.health(Some(id)).is_fresh());
-        assert_eq!(fs.online_cpus(Some(id)), 4);
-        assert_eq!(fs.memory_bytes(Some(id)), Bytes::from_mib(500));
-    }
-
-    #[test]
     fn degraded_views_fall_back_to_lower_bound_and_soft_limit() {
         let (mut mon, id) = setup();
         // Grow the view past its safe floor first.
@@ -409,13 +376,18 @@ mod tests {
         });
         let grown = mon.namespace(id).unwrap().effective_memory();
         assert!(grown > Bytes::from_mib(500));
-        // Monitor clock runs ahead of the namespace stamp: 5 ticks past
-        // a default budget of 4 → degraded.
-        for _ in 0..5 {
+        // Monitor clock runs ahead of the namespace stamp: one tick past
+        // the budget → degraded.
+        for _ in 0..=crate::STALENESS_BUDGET {
             mon.observe_tick();
         }
-        let fs = VirtualSysfs::with_policy(&mon, host(), StalenessPolicy::default());
-        assert_eq!(fs.health(Some(id)), ViewHealth::Degraded { age: 5 });
+        let fs = VirtualSysfs::new(&mon, host());
+        assert_eq!(
+            fs.health(Some(id)),
+            ViewHealth::Degraded {
+                age: crate::STALENESS_BUDGET + 1
+            }
+        );
         assert_eq!(fs.online_cpus(Some(id)), 4); // == lower bound here
         assert_eq!(fs.memory_bytes(Some(id)), Bytes::from_mib(500));
         let avail = fs.sysconf(Some(id), Sysconf::AvphysPages) * PAGE_SIZE;
@@ -428,11 +400,16 @@ mod tests {
     #[test]
     fn views_within_budget_are_served_as_is() {
         let (mut mon, id) = setup();
-        for _ in 0..3 {
+        for _ in 0..crate::STALENESS_BUDGET {
             mon.observe_tick();
         }
-        let fs = VirtualSysfs::with_policy(&mon, host(), StalenessPolicy::default());
-        assert_eq!(fs.health(Some(id)), ViewHealth::Stale { age: 3 });
+        let fs = VirtualSysfs::new(&mon, host());
+        assert_eq!(
+            fs.health(Some(id)),
+            ViewHealth::Stale {
+                age: crate::STALENESS_BUDGET
+            }
+        );
         assert_eq!(fs.online_cpus(Some(id)), 4);
         assert_eq!(fs.memory_bytes(Some(id)), Bytes::from_mib(500));
     }

@@ -36,10 +36,18 @@ fn cpu_adaptation(cpu_cfg: EffectiveCpuConfig) -> (u32, u32, u32) {
         .map(|i| host.launch(&ContainerSpec::new(format!("c{i}"), 20).cpus(10.0)))
         .collect();
 
+    // Convergence is the algorithm's own value, read from the monitor.
+    let e_cpu = |host: &SimHost| {
+        host.monitor()
+            .namespace(ids[0])
+            .expect("namespace exists")
+            .effective_cpu()
+    };
+
     // Phase 1: everyone saturates; the first container's view (launched
     // alone, so born at 10) contracts to the 4-CPU fair share.
     let mut decay = 0;
-    while host.effective_cpu(ids[0]) > 4 {
+    while e_cpu(&host) > 4 {
         let demands: Vec<_> = ids.iter().map(|id| host.demand(*id, 20)).collect();
         host.step(&demands);
         decay += 1;
@@ -54,11 +62,11 @@ fn cpu_adaptation(cpu_cfg: EffectiveCpuConfig) -> (u32, u32, u32) {
         let d = host.demand(ids[0], 6);
         host.step(&[d]);
     }
-    let settled = host.effective_cpu(ids[0]);
+    let settled = e_cpu(&host);
 
     // Phase 3: full demand; count periods to reach the 10-CPU quota.
     let mut ramp = 0;
-    while host.effective_cpu(ids[0]) < 10 {
+    while e_cpu(&host) < 10 {
         let d = host.demand(ids[0], 20);
         host.step(&[d]);
         ramp += 1;
@@ -82,9 +90,15 @@ fn mem_ramp(mem_cfg: EffectiveMemoryConfig) -> u32 {
             .memory_reservation(Bytes::from_gib(1)),
     );
     let goal = Bytes::from_gib(2).mul_f64(0.99);
+    let e_mem = |host: &SimHost| {
+        host.monitor()
+            .namespace(id)
+            .expect("namespace exists")
+            .effective_memory()
+    };
     let mut periods = 0;
-    while host.effective_memory(id) < goal {
-        let target = host.effective_memory(id).mul_f64(0.95);
+    while e_mem(&host) < goal {
+        let target = e_mem(&host).mul_f64(0.95);
         let current = host.memory_usage(id);
         if target > current {
             assert!(host.charge(id, target - current).is_ok());

@@ -26,7 +26,7 @@
 
 use arv_cgroups::CgroupId;
 use arv_container::{ContainerSpec, SimHost};
-use arv_resview::{StalenessPolicy, Sysconf, ViewHealth};
+use arv_resview::{Sysconf, ViewHealth, STALENESS_BUDGET};
 use arv_sim_core::{FaultConfig, FaultPlan};
 use arv_viewd::{HostSpec, RetryPolicy, RobustWireClient, ViewServer, WireServer, KIND_READ};
 
@@ -83,8 +83,14 @@ fn run_monitor_stall(seed: u64) -> StallOutcome {
         },
     ));
 
-    let policy = StalenessPolicy::default();
     let stall_end = STALL_START + STALL_TICKS;
+    // The monitor's own view of c0, which the twin comparison tracks.
+    let e_cpu = |host: &SimHost, id: CgroupId| {
+        host.monitor()
+            .namespace(id)
+            .expect("namespace exists")
+            .effective_cpu()
+    };
     let mut degraded_serves = 0u64;
     let mut bound_violations = 0u64;
     let mut converged_after: Option<u64> = None;
@@ -111,7 +117,7 @@ fn run_monitor_stall(seed: u64) -> StallOutcome {
         faulty.step(&demands);
         twin.step(&twin_demands);
 
-        let sysfs = faulty.sysfs_with_policy(policy);
+        let sysfs = faulty.sysfs();
         for id in &ids {
             let ns = faulty.monitor().namespace(*id).expect("namespace exists");
             let bounds = ns.cpu_bounds();
@@ -132,7 +138,7 @@ fn run_monitor_stall(seed: u64) -> StallOutcome {
         }
         if step >= stall_end
             && converged_after.is_none()
-            && faulty.effective_cpu(ids[0]) == twin.effective_cpu(tids[0])
+            && e_cpu(&faulty, ids[0]) == e_cpu(&twin, tids[0])
         {
             converged_after = Some(step + 1 - stall_end);
         }
@@ -145,7 +151,7 @@ fn run_monitor_stall(seed: u64) -> StallOutcome {
         degraded_serves,
         bound_violations,
         reconverge_ticks: converged_after.unwrap_or(u64::MAX),
-        final_cpus: u64::from(faulty.effective_cpu(ids[0])),
+        final_cpus: u64::from(e_cpu(&faulty, ids[0])),
     }
 }
 
@@ -278,10 +284,9 @@ struct PublishDelayOutcome {
 }
 
 fn run_publish_delay(seed: u64) -> PublishDelayOutcome {
-    let policy = StalenessPolicy::default();
     let mut host = SimHost::paper_testbed();
     let ids: Vec<CgroupId> = (0..3).map(|i| host.launch(&paper_spec(i))).collect();
-    host.attach_viewd(ViewServer::with_policy(host.viewd_host_spec(), 4, policy));
+    host.attach_viewd(ViewServer::new(host.viewd_host_spec(), 4));
 
     // Only c0 runs: its live view climbs to the 10-core quota while the
     // conservative fallback stays at the all-busy fair share.
@@ -300,7 +305,7 @@ fn run_publish_delay(seed: u64) -> PublishDelayOutcome {
     );
 
     // Seed-flavoured outage length, always past the budget.
-    let delay = policy.budget + 2 + seed % 3;
+    let delay = STALENESS_BUDGET + 2 + seed % 3;
     host.inject_publish_delay(delay);
     let mut ticks_to_stale = 0u64;
     let mut ticks_to_degraded = 0u64;
@@ -332,7 +337,7 @@ fn run_publish_delay(seed: u64) -> PublishDelayOutcome {
         }
     }
     PublishDelayOutcome {
-        staleness_budget: policy.budget,
+        staleness_budget: STALENESS_BUDGET,
         delay_ticks: delay,
         ticks_to_stale,
         ticks_to_degraded,

@@ -95,7 +95,8 @@ fn run_case(
     let start = host.now();
     while !fleet.primaries_done() {
         let now = fleet.step(&mut host);
-        e_mem.push(now, host.effective_memory(ids[0]).as_gib_f64());
+        let ns = host.monitor().namespace(ids[0]).expect("namespace exists");
+        e_mem.push(now, ns.effective_memory().as_gib_f64());
         if now.since(start) >= deadline {
             break;
         }

@@ -34,7 +34,6 @@ use std::time::Instant;
 use arv_cgroups::{Bytes, CgroupId};
 use arv_container::{ContainerSpec, SimHost};
 use arv_mem::ChargeOutcome;
-use arv_resview::StalenessPolicy;
 use arv_sim_core::{FaultConfig, FaultPlan};
 use arv_telemetry::{DecisionCause, EventKind, Tracer};
 use arv_viewd::{HostSpec, ViewServer};
@@ -97,9 +96,19 @@ fn snap(host: &SimHost, tracer: &Tracer, ids: &[CgroupId]) -> Checkpoint {
         cursor: tracer.emitted(),
         views: ids
             .iter()
-            .map(|id| (*id, host.effective_cpu(*id), host.effective_memory(*id).0))
+            .map(|id| {
+                let (cpus, bytes) = monitor_view(host, *id);
+                (*id, cpus, bytes)
+            })
             .collect(),
     }
+}
+
+/// The monitor's own `(e_cpu, e_mem)` for `id`: what the trace replays,
+/// never the degraded answer a container may be served.
+fn monitor_view(host: &SimHost, id: CgroupId) -> (u32, u64) {
+    let ns = host.monitor().namespace(id).expect("namespace exists");
+    (ns.effective_cpu(), ns.effective_memory().0)
 }
 
 #[derive(Debug)]
@@ -140,7 +149,6 @@ fn run_scenario(seed: u64) -> Scenario {
     host.attach_viewd(ViewServer::with_telemetry(
         host.viewd_host_spec(),
         4,
-        StalenessPolicy::default(),
         tracer.clone(),
     ));
 
@@ -152,7 +160,7 @@ fn run_scenario(seed: u64) -> Scenario {
                   ids: &mut Vec<CgroupId>,
                   spec: &ContainerSpec| {
         let id = host.launch(spec);
-        baselines.insert(id.0, (host.effective_cpu(id), host.effective_memory(id).0));
+        baselines.insert(id.0, monitor_view(host, id));
         ids.push(id);
     };
     for i in 0..3 {
@@ -178,9 +186,8 @@ fn run_scenario(seed: u64) -> Scenario {
     // publishing to viewd; once past the staleness budget every query
     // is answered from the conservative fallback and the serving layer
     // traces the substitution (degraded-fallback).
-    let policy = host.viewd().expect("viewd attached").policy();
     let client = host.viewd().expect("viewd attached").client();
-    let delay = policy.budget + 3;
+    let delay = arv_resview::STALENESS_BUDGET + 3;
     host.inject_publish_delay(delay);
     let mut degraded_reads = 0u64;
     for _ in 0..delay {
@@ -407,12 +414,7 @@ fn replay(sc: &Scenario) -> ReplayOutcome {
 /// Mean nanoseconds per cached-hit query against a fresh view, min over
 /// several trials (min-of-trials rejects scheduler noise).
 fn cached_hit_ns(tracer: Tracer, iters: u32) -> f64 {
-    let server = ViewServer::with_telemetry(
-        HostSpec::paper_testbed(),
-        4,
-        StalenessPolicy::default(),
-        tracer,
-    );
+    let server = ViewServer::with_telemetry(HostSpec::paper_testbed(), 4, tracer);
     let id = serve_one_view(&server);
     let client = server.client();
     client.read(Some(id), "/proc/cpuinfo").expect("warm read");

@@ -221,7 +221,14 @@ fn run_torn_journal(seed: u64, cuts: u32) -> TornOutcome {
         step_busy(&mut host, &ids[1..], 20);
     }
     let bytes = host.journal_bytes().expect("journaling enabled").to_vec();
-    let pre: Vec<u32> = ids.iter().map(|id| host.effective_cpu(*id)).collect();
+    // The monitor's own views, which a restore must reproduce.
+    let e_cpu = |host: &SimHost, id: CgroupId| {
+        host.monitor()
+            .namespace(id)
+            .expect("namespace exists")
+            .effective_cpu()
+    };
+    let pre: Vec<u32> = ids.iter().map(|id| e_cpu(&host, *id)).collect();
 
     // Two deterministic tears — mid-header (kills the checkpoint, forces
     // the cold path) and mid-final-record (classic torn tail) — plus
@@ -256,7 +263,7 @@ fn run_torn_journal(seed: u64, cuts: u32) -> TornOutcome {
     let exact_matches = ids
         .iter()
         .zip(&pre)
-        .filter(|(id, p)| host.effective_cpu(**id) == **p)
+        .filter(|(id, p)| e_cpu(&host, **id) == **p)
         .count() as u64;
     TornOutcome {
         cuts: offsets.len() as u64,

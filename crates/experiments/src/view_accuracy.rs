@@ -73,7 +73,7 @@ pub fn run(_scale: f64) -> FigReport {
             // Container 0 saturates in every phase: compare what it got
             // against what each view claims it can use.
             let actual = out.alloc.granted_cpus(ids[0]);
-            let adaptive = f64::from(host.effective_cpu(ids[0]));
+            let adaptive = f64::from(host.sysfs().online_cpus(Some(ids[0])));
             let e_l = (limit_view - actual).abs();
             let e_s = (share_view - actual).abs();
             let e_a = (adaptive - actual).abs();

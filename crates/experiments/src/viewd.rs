@@ -16,7 +16,9 @@
 //! queries` and `renders <= distinct (path, cpus) pairs`.
 
 use arv_cgroups::{Bytes, CgroupId};
-use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};
+use arv_resview::{
+    CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig, STALENESS_BUDGET,
+};
 use arv_viewd::{HostSpec, ViewServer};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -130,7 +132,7 @@ pub fn run(scale: f64) -> FigReport {
     // Robustness epilogue: age the staleness clock past the budget and
     // read each image once more — the daemon must answer every query
     // from the conservative fallback and count the degraded serves.
-    for _ in 0..=server.policy().budget {
+    for _ in 0..=STALENESS_BUDGET {
         server.advance_tick();
     }
     for id in ids {

@@ -207,6 +207,11 @@ impl Jvm {
     ///   (JDK 9: cpuset/quota) or static lower bound (JDK 10: shares);
     /// * visible memory — host physical (JDK 8), the cgroup hard limit
     ///   (JDK 9/10), or the effective-memory view (adaptive).
+    ///
+    /// The adaptive JVM reads its views the way HotSpot does, through the
+    /// container's `sysconf`: `_SC_NPROCESSORS_ONLN` for GC workers and
+    /// `_SC_PHYS_PAGES × _SC_PAGESIZE` for the heap, so a stale or
+    /// degraded view reaches it exactly as served.
     pub fn launch(host: &mut SimHost, id: CgroupId, cfg: JvmConfig, profile: JavaProfile) -> Jvm {
         profile.validate();
         let ns = host
@@ -231,7 +236,7 @@ impl Jvm {
         let visible_mem = match cfg.awareness {
             ContainerAwareness::None => host.total_memory(),
             ContainerAwareness::StaticLimits | ContainerAwareness::StaticShares => hard,
-            ContainerAwareness::AdaptiveView => host.effective_memory(id),
+            ContainerAwareness::AdaptiveView => host.sysfs().memory_bytes(Some(id)),
         };
 
         let limits = match cfg.heap_policy {
@@ -242,7 +247,7 @@ impl Jvm {
                 // sufficiently large value, close to the size of physical
                 // memory" (§4.2).
                 reserved: host.total_memory().mul_f64(0.9),
-                virtual_max: host.effective_memory(id),
+                virtual_max: host.sysfs().memory_bytes(Some(id)),
             },
         };
         let initial = cfg.xms.unwrap_or_else(|| limits.virtual_max.mul_f64(0.25));
@@ -412,7 +417,7 @@ impl Jvm {
             )
         });
         let e_cpu = (self.cfg.awareness == ContainerAwareness::AdaptiveView)
-            .then(|| host.effective_cpu(self.id));
+            .then(|| host.sysfs().online_cpus(Some(self.id)));
         gc_workers(self.launch_threads, n_active, e_cpu)
     }
 
@@ -494,7 +499,7 @@ impl Jvm {
     /// and resolve the three shrink scenarios.
     fn elastic_adjust(&mut self, host: &mut SimHost) {
         self.last_elastic_poll = host.now();
-        let e_mem = host.effective_memory(self.id);
+        let e_mem = host.sysfs().memory_bytes(Some(self.id));
         let used_over = self.heap.set_virtual_max(e_mem);
         if self.heap.committed_over_max() {
             // Case 2: committed crossed the new maxima — shrink it.

@@ -15,7 +15,8 @@ pub enum ThreadStrategy {
     /// libgomp dynamic threads: `max(1, n_onln − loadavg)` evaluated at
     /// region start, with the host-reported online count.
     Dynamic,
-    /// The paper's adaptive strategy: the container's effective CPU count.
+    /// The paper's adaptive strategy: the container's effective CPU count,
+    /// read as `_SC_NPROCESSORS_ONLN` at region start.
     Adaptive,
 }
 
@@ -113,7 +114,7 @@ impl OmpRuntime {
                 let n_onln = host.online_cpus() as f64;
                 (n_onln - host.loadavg()).floor().max(1.0) as u32
             }
-            ThreadStrategy::Adaptive => host.effective_cpu(self.id).max(1),
+            ThreadStrategy::Adaptive => host.sysfs().online_cpus(Some(self.id)).max(1),
         }
     }
 

@@ -37,8 +37,8 @@
 //! ([`server::ViewServer::advance_tick`]) and one freshness word per host,
 //! the tick the driver last brought every cell level with its monitor
 //! ([`server::ViewServer::mark_fresh`]). Every query is judged by the
-//! word's age against a [`arv_resview::StalenessPolicy`]: views past the
-//! staleness budget are answered from the conservative fallback
+//! word's age ([`arv_resview::ViewHealth::from_age`]): views past
+//! [`arv_resview::STALENESS_BUDGET`] are answered from the conservative fallback
 //! ([`arv_resview::ViewSnapshot::fallback`]: Algorithm 1's lower bound,
 //! the memory soft limit and what the last usage leaves of it — the
 //! same answer [`arv_resview::VirtualSysfs`] gives) and flagged degraded

@@ -19,8 +19,8 @@
 
 use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::{
-    render, CpuBounds, EffectiveCpuConfig, EffectiveMemory, NsCell, StalenessPolicy, Sysconf,
-    ViewHealth, ViewSnapshot,
+    render, CpuBounds, EffectiveCpuConfig, EffectiveMemory, NsCell, Sysconf, ViewHealth,
+    ViewSnapshot,
 };
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PromText, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,7 +85,6 @@ struct ServerInner {
     // O(online_cpus^2) image bytes; the memory-keyed rows are empty.
     images: [Box<[OnceLock<Arc<String>>]>; PathId::COUNT],
     metrics: Metrics,
-    policy: StalenessPolicy,
     // Update-timer tick, advanced by the driver on every firing.
     clock: AtomicU64,
     // Tick the driver last brought every cell level with its monitor at:
@@ -121,30 +120,20 @@ pub const CONTAINER_PATHS: [&str; 6] = [
 ];
 
 impl ViewServer {
-    /// A server for `host` with `shards` registry shards and the default
-    /// [`StalenessPolicy`]. The staleness clock starts at 0 and only
-    /// moves when the driver calls [`advance_tick`](ViewServer::advance_tick),
-    /// so a server that never advances it serves every view fresh.
+    /// A server for `host` with `shards` registry shards. Views older
+    /// than [`arv_resview::STALENESS_BUDGET`] are served degraded. The
+    /// staleness clock starts at 0 and only moves when the driver calls
+    /// [`advance_tick`](ViewServer::advance_tick), so a server that never
+    /// advances it serves every view fresh.
     pub fn new(host: HostSpec, shards: usize) -> ViewServer {
-        ViewServer::with_policy(host, shards, StalenessPolicy::default())
+        ViewServer::with_telemetry(host, shards, Tracer::disabled())
     }
 
-    /// A server with an explicit staleness policy.
-    pub fn with_policy(host: HostSpec, shards: usize, policy: StalenessPolicy) -> ViewServer {
-        ViewServer::with_telemetry(host, shards, policy, Tracer::disabled())
-    }
-
-    /// A server with an explicit staleness policy and a shared
-    /// decision-provenance [`Tracer`]. Every cell registered through
-    /// this server emits into the same trace ring the monitor side
-    /// uses, so a container's timeline interleaves monitor decisions
-    /// with the serving layer's degraded-fallback switches.
-    pub fn with_telemetry(
-        host: HostSpec,
-        shards: usize,
-        policy: StalenessPolicy,
-        tracer: Tracer,
-    ) -> ViewServer {
+    /// A server with a shared decision-provenance [`Tracer`]. Every cell
+    /// registered through this server emits into the same trace ring the
+    /// monitor side uses, so a container's timeline interleaves monitor
+    /// decisions with the serving layer's degraded-fallback switches.
+    pub fn with_telemetry(host: HostSpec, shards: usize, tracer: Tracer) -> ViewServer {
         let images = PathId::ALL.map(|id| {
             let counts = if id.cpu_keyed() {
                 host.online_cpus as usize + 1
@@ -166,7 +155,6 @@ impl ViewServer {
                 host_meminfo: Arc::new(render::meminfo(host.total_memory, host.free_memory)),
                 images,
                 metrics: Metrics::new(),
-                policy,
                 clock: AtomicU64::new(0),
                 fresh: AtomicU64::new(0),
                 restore_tick: AtomicU64::new(u64::MAX),
@@ -199,11 +187,6 @@ impl ViewServer {
     /// mirroring what moved — never once per container.
     pub fn mark_fresh(&self) {
         self.inner.fresh.store(self.now_tick(), Ordering::Release);
-    }
-
-    /// The staleness policy views are judged against.
-    pub fn policy(&self) -> StalenessPolicy {
-        self.inner.policy
     }
 
     /// Refresh a container's conservative fallback view (Algorithm 1's
@@ -799,7 +782,7 @@ impl ServerInner {
     fn health(&self) -> (u64, ViewHealth) {
         let now = self.clock.load(Ordering::Acquire);
         let fresh = self.fresh.load(Ordering::Acquire);
-        (now, self.policy.classify(now.saturating_sub(fresh)))
+        (now, ViewHealth::from_age(now.saturating_sub(fresh)))
     }
 
     /// The image of `id` for the view `snap`: the shared image-table
@@ -832,7 +815,7 @@ impl ServerInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arv_resview::{EffectiveMemoryConfig, PAGE_SIZE};
+    use arv_resview::{EffectiveMemoryConfig, PAGE_SIZE, STALENESS_BUDGET};
 
     fn mk_mem(soft_mib: u64, hard_mib: u64) -> EffectiveMemory {
         EffectiveMemory::new(
@@ -1033,7 +1016,7 @@ mod tests {
         let (server, id) = server_with_one();
         let client = server.client();
         assert!(server.set_fallback(id, 2, Bytes::from_mib(250)));
-        for _ in 0..(server.policy().budget + 1) {
+        for _ in 0..=STALENESS_BUDGET {
             server.advance_tick();
         }
         assert_eq!(client.sysconf(Some(id), Sysconf::NprocessorsOnln), 2);
@@ -1048,12 +1031,7 @@ mod tests {
     fn degraded_provenance_is_deduped_per_tick() {
         use arv_telemetry::{EventKind, Tracer};
         let tracer = Tracer::bounded(64);
-        let server = ViewServer::with_telemetry(
-            HostSpec::paper_testbed(),
-            8,
-            StalenessPolicy::default(),
-            tracer.clone(),
-        );
+        let server = ViewServer::with_telemetry(HostSpec::paper_testbed(), 8, tracer.clone());
         let id = CgroupId(1);
         server.register(
             id,
@@ -1066,7 +1044,7 @@ mod tests {
         );
         let client = server.client();
         server.mirror(id, 8, Bytes::from_mib(800), Bytes::from_mib(700));
-        for _ in 0..(server.policy().budget + 1) {
+        for _ in 0..=STALENESS_BUDGET {
             server.advance_tick();
         }
         let fallback_decisions = |t: &Tracer| {
@@ -1217,7 +1195,7 @@ mod tests {
                     for id in ids {
                         prop_assert!(server.set_fallback(id, cpus, fb));
                     }
-                    for _ in 0..=server.policy().budget {
+                    for _ in 0..=STALENESS_BUDGET {
                         server.advance_tick();
                     }
                     for path in PathId::ALL {

@@ -930,7 +930,7 @@ mod tests {
                 .unwrap()
                 .degraded
         );
-        for _ in 0..(server.policy().budget + 1) {
+        for _ in 0..=arv_resview::STALENESS_BUDGET {
             server.advance_tick();
         }
         let resp = client.read(Some(id), "/proc/cpuinfo").unwrap().unwrap();
@@ -951,14 +951,8 @@ mod tests {
 
     #[test]
     fn stats_and_trace_travel_over_the_wire() {
-        use arv_resview::StalenessPolicy;
         use arv_telemetry::Tracer;
-        let server = ViewServer::with_telemetry(
-            HostSpec::paper_testbed(),
-            8,
-            StalenessPolicy::default(),
-            Tracer::bounded(64),
-        );
+        let server = ViewServer::with_telemetry(HostSpec::paper_testbed(), 8, Tracer::bounded(64));
         let id = CgroupId(7);
         server.register(
             id,
@@ -985,7 +979,7 @@ mod tests {
         // Grow the view, let it age past the budget, and read: the
         // degraded serve must leave a provenance record.
         server.mirror(id, 8, Bytes::from_mib(800), Bytes::from_mib(700));
-        for _ in 0..(server.policy().budget + 1) {
+        for _ in 0..=arv_resview::STALENESS_BUDGET {
             server.advance_tick();
         }
         client.read(Some(id), "/proc/cpuinfo").unwrap().unwrap();

@@ -9,7 +9,6 @@
 
 use arv_cgroups::{Bytes, CgroupId};
 use arv_container::{ContainerSpec, SimHost};
-use arv_resview::StalenessPolicy;
 use arv_telemetry::Tracer;
 use arv_viewd::ViewServer;
 
@@ -30,7 +29,6 @@ fn main() {
     host.attach_viewd(ViewServer::with_telemetry(
         host.viewd_host_spec(),
         4,
-        StalenessPolicy::default(),
         tracer.clone(),
     ));
 

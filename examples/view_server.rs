@@ -106,7 +106,7 @@ fn main() {
             "  {:<8} effective_cpu={:<2} view_mem={:>6} MiB  generation={}",
             host.container_name(*id).unwrap(),
             client.sysconf(Some(*id), Sysconf::NprocessorsOnln),
-            host.effective_memory(*id).as_u64() / (1024 * 1024),
+            client.sysconf(Some(*id), Sysconf::PhysPages) * arv_resview::PAGE_SIZE / (1024 * 1024),
             client.generation(*id).unwrap(),
         );
     }

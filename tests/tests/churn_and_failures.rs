@@ -178,7 +178,7 @@ fn launch_into_a_full_host_starts_at_the_fair_share() {
     // A fifth container arrives on the saturated host: its view must be
     // born at the (new) five-way fair share, not the machine size.
     let late = host.launch(&ContainerSpec::new("late", 20));
-    assert_eq!(host.effective_cpu(late), 4);
+    assert_eq!(host.monitor().namespace(late).unwrap().effective_cpu(), 4);
     // The incumbents' lower bounds moved too.
     for id in &ids {
         assert_eq!(host.monitor().namespace(*id).unwrap().cpu_bounds().lower, 4);

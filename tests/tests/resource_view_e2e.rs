@@ -1,14 +1,30 @@
 //! End-to-end tests of the adaptive resource view: cgroups → scheduler →
 //! `ns_monitor` → virtual sysfs, on the full simulated host.
 
-use arv_cgroups::{Bytes, CpuSet};
+use arv_cgroups::{Bytes, CgroupId, CpuSet};
 use arv_container::{ContainerSpec, SimHost};
 use arv_resview::Sysconf;
 use arv_sim_core::SimDuration;
 
+/// The monitor's own effective CPU for `id`.
+fn e_cpu(host: &SimHost, id: CgroupId) -> u32 {
+    host.monitor()
+        .namespace(id)
+        .expect("a namespace")
+        .effective_cpu()
+}
+
+/// The monitor's own effective memory for `id`.
+fn e_mem(host: &SimHost, id: CgroupId) -> Bytes {
+    host.monitor()
+        .namespace(id)
+        .expect("a namespace")
+        .effective_memory()
+}
+
 /// Drive `host` for `periods` scheduling periods with the given per-id
 /// runnable counts.
-fn drive(host: &mut SimHost, load: &[(arv_cgroups::CgroupId, u32)], periods: u32) {
+fn drive(host: &mut SimHost, load: &[(CgroupId, u32)], periods: u32) {
     for _ in 0..periods {
         let demands: Vec<_> = load
             .iter()
@@ -46,7 +62,7 @@ fn view_follows_neighbour_churn_up_and_down() {
     // Both saturated: fair split (lower bound is ceil(20/2) = 10 with only
     // two containers, which also equals the quota).
     drive(&mut host, &[(a, 20), (b, 20)], 60);
-    assert_eq!(host.effective_cpu(a), 10);
+    assert_eq!(e_cpu(&host, a), 10);
 
     // Three more arrive and saturate: a's share shrinks to 4.
     let more: Vec<_> = (0..3)
@@ -55,7 +71,7 @@ fn view_follows_neighbour_churn_up_and_down() {
     let mut load = vec![(a, 20), (b, 20)];
     load.extend(more.iter().map(|id| (*id, 20u32)));
     drive(&mut host, &load, 120);
-    assert_eq!(host.effective_cpu(a), 4);
+    assert_eq!(e_cpu(&host, a), 4);
 
     // Everyone else terminates: a expands back to its 10-core quota.
     host.terminate(b);
@@ -63,7 +79,7 @@ fn view_follows_neighbour_churn_up_and_down() {
         host.terminate(id);
     }
     drive(&mut host, &[(a, 20)], 120);
-    assert_eq!(host.effective_cpu(a), 10);
+    assert_eq!(e_cpu(&host, a), 10);
 }
 
 #[test]
@@ -72,7 +88,7 @@ fn cpuset_bounds_the_view_regardless_of_slack() {
     let pinned = host.launch(&ContainerSpec::new("pinned", 20).cpuset(CpuSet::range(0, 2)));
     drive(&mut host, &[(pinned, 8)], 120);
     // The host is otherwise idle, but the mask caps the view at 2.
-    assert_eq!(host.effective_cpu(pinned), 2);
+    assert_eq!(e_cpu(&host, pinned), 2);
 }
 
 #[test]
@@ -83,11 +99,11 @@ fn memory_view_grows_to_hard_limit_without_pressure() {
             .memory(Bytes::from_gib(2))
             .memory_reservation(Bytes::from_gib(1)),
     );
-    assert_eq!(host.effective_memory(id), Bytes::from_gib(1));
+    assert_eq!(e_mem(&host, id), Bytes::from_gib(1));
 
     // Keep usage above 90% of the (growing) view.
     for _ in 0..2_000 {
-        let target = host.effective_memory(id).mul_f64(0.95);
+        let target = e_mem(&host, id).mul_f64(0.95);
         let current = host.memory_usage(id);
         if target > current {
             assert!(host.charge(id, target - current).is_ok());
@@ -96,8 +112,8 @@ fn memory_view_grows_to_hard_limit_without_pressure() {
         host.step(&[d]);
     }
     // With 128 GB free, the view converges to the hard limit.
-    assert!(host.effective_memory(id) > Bytes::from_gib(2).mul_f64(0.97));
-    assert!(host.effective_memory(id) <= Bytes::from_gib(2));
+    assert!(e_mem(&host, id) > Bytes::from_gib(2).mul_f64(0.97));
+    assert!(e_mem(&host, id) <= Bytes::from_gib(2));
 }
 
 #[test]
@@ -113,7 +129,7 @@ fn memory_view_resets_under_host_pressure() {
     // Grow the view beyond the soft limit first.
     assert!(host.charge(id, Bytes::from_mib(950)).is_ok());
     for _ in 0..200 {
-        let target = host.effective_memory(id).mul_f64(0.95);
+        let target = e_mem(&host, id).mul_f64(0.95);
         let current = host.memory_usage(id);
         if target > current {
             let _ = host.charge(id, target - current);
@@ -121,7 +137,7 @@ fn memory_view_resets_under_host_pressure() {
         let d = host.demand(id, 4);
         host.step(&[d]);
     }
-    assert!(host.effective_memory(id) > Bytes::from_gib(1));
+    assert!(e_mem(&host, id) > Bytes::from_gib(1));
 
     // The hog eats the rest of the host: free memory collapses below the
     // low watermark, kswapd wakes, and the view snaps back to soft.
@@ -130,7 +146,7 @@ fn memory_view_resets_under_host_pressure() {
         let d = host.demand(id, 4);
         host.step(&[d]);
     }
-    assert_eq!(host.effective_memory(id), Bytes::from_gib(1));
+    assert_eq!(e_mem(&host, id), Bytes::from_gib(1));
 }
 
 #[test]
@@ -145,13 +161,13 @@ fn virtual_sysfs_paths_match_views_end_to_end() {
     drive(&mut host, &[(id, 8)], 30);
 
     let fs = host.sysfs();
-    let e_cpu = host.effective_cpu(id);
+    let e_cpu = e_cpu(&host, id);
     assert_eq!(
         fs.read(Some(id), "/sys/devices/system/cpu/online").unwrap(),
         format!("0-{}", e_cpu - 1)
     );
     let meminfo = fs.read(Some(id), "/proc/meminfo").unwrap();
-    let e_mem_kb = host.effective_memory(id).as_u64() / 1024;
+    let e_mem_kb = e_mem(&host, id).as_u64() / 1024;
     assert!(meminfo.contains(&format!("MemTotal: {e_mem_kb} kB")));
 
     // Host-side reads stay physical.
@@ -171,13 +187,13 @@ fn update_timer_follows_scheduling_period() {
     let _c = host.launch(&ContainerSpec::new("c", 20).cpus(10.0));
     // Three containers: lower bound ceil(20/3) = 7; only a runs, so it can
     // climb to its 10-core quota — at most +1 per 24 ms.
-    let start_cpu = host.effective_cpu(a);
+    let start_cpu = e_cpu(&host, a);
     let mut last = start_cpu;
     let mut changes = Vec::new();
     for _ in 0..40 {
         let d = host.demand(a, 20);
         let out = host.step(&[d]);
-        let now_cpu = host.effective_cpu(a);
+        let now_cpu = e_cpu(&host, a);
         if now_cpu != last {
             changes.push((out.now, now_cpu));
             last = now_cpu;

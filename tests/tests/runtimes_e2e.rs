@@ -6,6 +6,7 @@ use arv_container::{ContainerSpec, SimHost};
 use arv_experiments::driver::Fleet;
 use arv_jvm::{HeapPolicy, JavaProfile, Jvm, JvmConfig, JvmOutcome};
 use arv_omp::{OmpProfile, OmpRuntime, ThreadStrategy};
+use arv_resview::STALENESS_BUDGET;
 use arv_sim_core::SimDuration;
 use arv_workloads::{dacapo_profile, npb_profile};
 
@@ -183,4 +184,88 @@ fn mixed_jvm_and_openmp_share_one_host() {
     assert!(fleet.run(&mut host, SimDuration::from_secs(4_000)));
     assert_eq!(fleet.jvm(ji).outcome(), JvmOutcome::Completed);
     assert!(!fleet.omp(oi).is_running());
+}
+
+/// The case studies size themselves from the served `sysconf`, so a
+/// monitor stall reaches them as the served answer does: while the view
+/// is degraded the next GC and the next OpenMP team fall to Algorithm 1's
+/// lower bound, and the first healthy firing gives the grown view back.
+#[test]
+fn runtimes_fall_to_the_lower_bound_while_the_view_is_degraded() {
+    let mut host = SimHost::paper_testbed();
+    // Five equal-share tenants put the shares-derived floor at 4. The two
+    // busy ones, launched last, are born near it; quota'd to 8, they leave
+    // the host slack, so their views grow to the quota while the three
+    // neighbours stay idle.
+    let ids: Vec<_> = (0..5)
+        .map(|i| host.launch(&ContainerSpec::new(format!("c{i}"), 20).cpus(8.0)))
+        .collect();
+    let (j, o) = (ids[3], ids[4]);
+    let mut profile = JavaProfile::test_profile();
+    profile.mutators = 8;
+    profile.total_work = SimDuration::from_secs(60);
+    // Without the `N_active` heuristic the worker count is min(N, E_CPU).
+    let cfg = JvmConfig::adaptive()
+        .with_dynamic_gc_threads(false)
+        .with_heap_policy(HeapPolicy::FixedMax(profile.paper_heap_size()));
+    let mut omp = OmpProfile::test_profile();
+    omp.regions = 100_000;
+    omp.work_per_region = SimDuration::from_millis(80);
+    let mut fleet = Fleet::new();
+    let ji = fleet.push_jvm(Jvm::launch(&mut host, j, cfg, profile));
+    let oi = fleet.push_omp(OmpRuntime::launch(o, ThreadStrategy::Adaptive, omp));
+
+    let e_cpu = |host: &SimHost, id| host.monitor().namespace(id).unwrap().effective_cpu();
+    assert_eq!(e_cpu(&host, o), 4, "born at the floor");
+    while e_cpu(&host, j) < 8 || e_cpu(&host, o) < 8 {
+        fleet.step(&mut host);
+        assert!(host.now_tick() < 200, "views never grew");
+    }
+    let lower = host.monitor().namespace(j).unwrap().cpu_bounds().lower;
+    assert_eq!(
+        lower,
+        host.monitor().namespace(o).unwrap().cpu_bounds().lower
+    );
+    assert_eq!(lower, 4);
+
+    // Every firing so far was healthy, so the views are as old as the
+    // stall: degraded on the three firings past the budget, fresh again
+    // on the first one after the stall.
+    let start = host.now_tick();
+    host.inject_monitor_stall(STALENESS_BUDGET + 3);
+    let recovered = start + STALENESS_BUDGET + 4;
+    let (mut degraded_gcs, mut degraded_teams) = (0, 0);
+    let (mut gc_after, mut team_after) = (None, None);
+    while gc_after.is_none() || team_after.is_none() {
+        let (gcs, teams) = (
+            fleet.jvm(ji).metrics().gc_thread_trace.len(),
+            fleet.omp(oi).metrics().thread_trace.len(),
+        );
+        fleet.step(&mut host);
+        let tick = host.now_tick();
+        assert!(tick < recovered + 20, "no GC or team after the stall");
+        let degraded = tick > start + STALENESS_BUDGET && tick < recovered;
+        let new_gcs = &fleet.jvm(ji).metrics().gc_thread_trace[gcs..];
+        let new_teams = &fleet.omp(oi).metrics().thread_trace[teams..];
+        if degraded {
+            assert!(
+                new_gcs.iter().all(|w| *w == lower),
+                "tick {tick}: {new_gcs:?}"
+            );
+            assert!(
+                new_teams.iter().all(|t| *t == lower),
+                "tick {tick}: {new_teams:?}"
+            );
+            degraded_gcs += new_gcs.len();
+            degraded_teams += new_teams.len();
+        } else if tick >= recovered {
+            gc_after = gc_after.or(new_gcs.first().copied());
+            team_after = team_after.or(new_teams.first().copied());
+        }
+        assert_eq!(host.sysfs().health(Some(j)).is_degraded(), degraded);
+    }
+    assert!(degraded_gcs > 0, "no collection ran while degraded");
+    assert!(degraded_teams > 0, "no region forked while degraded");
+    assert_eq!(gc_after, Some(8), "the first GC after the stall");
+    assert_eq!(team_after, Some(8), "the first team after the stall");
 }

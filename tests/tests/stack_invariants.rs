@@ -79,7 +79,7 @@ proptest! {
                 prop_assert!(e >= b.lower && e <= b.upper, "E_CPU {e} outside {b:?}");
 
                 // 2. Effective memory within [soft, hard].
-                let e_mem = host.effective_memory(*id);
+                let e_mem = ns.effective_memory();
                 let hard = p
                     .hard_mib
                     .map(Bytes::from_mib)
@@ -125,13 +125,14 @@ proptest! {
                 host.step(&[]);
             }
             for id in &ids {
+                let ns = host.monitor().namespace(*id).unwrap();
                 let via_sysconf =
                     host.sysconf(Some(*id), arv_resview::Sysconf::NprocessorsOnln) as u32;
-                prop_assert_eq!(via_sysconf, host.effective_cpu(*id));
+                prop_assert_eq!(via_sysconf, ns.effective_cpu());
                 let mem_pages = host.sysconf(Some(*id), arv_resview::Sysconf::PhysPages);
                 prop_assert_eq!(
                     mem_pages * arv_resview::PAGE_SIZE,
-                    host.effective_memory(*id).as_u64() / arv_resview::PAGE_SIZE
+                    ns.effective_memory().as_u64() / arv_resview::PAGE_SIZE
                         * arv_resview::PAGE_SIZE
                 );
             }
