@@ -9,8 +9,9 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets (libraries, tests, examples, benches)"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets (libraries, tests, examples, benches; one SAFETY comment per single-op unsafe block)"
+cargo clippy --workspace --all-targets -- -D warnings \
+    -D clippy::undocumented_unsafe_blocks -D clippy::multiple_unsafe_ops_per_block
 
 echo "==> cargo clippy -p arv-view-server (no unwraps in serving paths)"
 cargo clippy -p arv-view-server -- -D warnings -D clippy::unwrap_used

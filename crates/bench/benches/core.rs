@@ -11,9 +11,14 @@
 //! per container — a same-run ratio, so machine speed cancels and what
 //! is left is the shape of the loop (the per-namespace `MemSim::free()`
 //! walk this guards against already read 9× at N = 1 000 over N = 100).
+//!
+//! Around the firing, a period should cost what ran, not what exists:
+//! `UsageLedger::record` of the same few grants is timed over a ledger
+//! of 1 000 groups and one of 10 000, and fails when the larger costs
+//! more than [`MAX_LEDGER_RECORD_GROWTH`] times the smaller.
 
 use arv_bench::{best_of, ns_per_call, Report};
-use arv_cfs::{CfsSim, GroupDemand, UsageLedger};
+use arv_cfs::{Allocation, CfsSim, GroupDemand, UsageLedger};
 use arv_cgroups::{Bytes, CgroupId, CgroupManager, CgroupSpec, CpuController, MemController};
 use arv_mem::{MemSim, MemSimConfig};
 use arv_resview::NsMonitor;
@@ -33,6 +38,17 @@ const UPDATES_PER_TRIAL: u32 = 2_000_000;
 const TRIALS: u32 = 5;
 
 const PERIOD: SimDuration = SimDuration::from_millis(24);
+
+/// Ledger sizes the record is timed at, smaller first.
+const LEDGER_GROUPS: [u32; 2] = [1_000, 10_000];
+/// Groups granted CPU in each timed period.
+const GRANTS: u32 = 16;
+/// Timed `record` calls per trial.
+const RECORDS_PER_TRIAL: u32 = 20_000;
+/// Ceiling on one `record` of [`GRANTS`] grants over the larger ledger
+/// over the smaller. Zeroing only last period's grantees keeps it near
+/// 1 (deeper map probes only); a walk of every group reads ≈10×.
+const MAX_LEDGER_RECORD_GROWTH: f64 = 2.0;
 
 /// A host of `n` containers mid-run: a quarter of them on CPU, all of
 /// them holding memory, free memory above the watermarks.
@@ -75,14 +91,38 @@ fn tick_ns_per_container(n: u32) -> f64 {
         let ns = ns_per_call(firings, || {
             monitor.observe_tick();
             monitor.tick(black_box(&ledger), black_box(&mem));
+            black_box(monitor.take_moved());
         });
-        black_box(monitor.take_dirty());
         ns / f64::from(n)
+    })
+}
+
+/// Nanoseconds per `UsageLedger::record` of [`GRANTS`] grants, spread
+/// over and rotating through a ledger that has seen `groups` groups.
+fn record_ns(groups: u32) -> f64 {
+    let allocation = |ids: &mut dyn Iterator<Item = u32>| Allocation {
+        granted: ids.map(|id| (CgroupId(id), PERIOD)).collect(),
+        slack: PERIOD,
+        period: PERIOD,
+        total_runnable: GRANTS,
+    };
+    let rounds: Vec<Allocation> = (0..groups / GRANTS)
+        .map(|r| allocation(&mut (0..GRANTS).map(|j| j * (groups / GRANTS) + r)))
+        .collect();
+    let mut ledger = UsageLedger::new();
+    ledger.record(&allocation(&mut (0..groups)));
+    let mut next = 0;
+    best_of(TRIALS, || {
+        ns_per_call(RECORDS_PER_TRIAL, || {
+            ledger.record(black_box(&rounds[next % rounds.len()]));
+            next += 1;
+        })
     })
 }
 
 fn main() {
     let [sparse, mid, dense] = POPULATIONS.map(tick_ns_per_container);
+    let [small_ledger, large_ledger] = LEDGER_GROUPS.map(record_ns);
     Report::new("core")
         .value("monitor_tick_ns_per_container_n100", sparse)
         .value("monitor_tick_ns_per_container_n1000", mid)
@@ -92,6 +132,14 @@ fn main() {
             dense / sparse,
             MAX_SCALING_RATIO,
             "NsMonitor::tick per container grows with the population: the firing is not linear",
+        )
+        .value("ledger_record_ns_groups1000", small_ledger)
+        .value("ledger_record_ns_groups10000", large_ledger)
+        .at_most(
+            "ledger_record_growth",
+            large_ledger / small_ledger,
+            MAX_LEDGER_RECORD_GROWTH,
+            "UsageLedger::record walks every group, not the grantees",
         )
         .finish();
 }

@@ -11,8 +11,9 @@
 //!
 //! The gates are exact counts and same-run ratios, so machine speed
 //! cancels: they catch algorithmic regressions — an O(containers)
-//! rollup, per-entry frame re-encoding, observability on the hot path —
-//! not machine noise. Ingest throughput itself is reported ungated; a
+//! rollup, an O(containers) periphery observation of a few moved views,
+//! per-entry frame re-encoding, observability on the hot path — not
+//! machine noise. Ingest throughput itself is reported ungated; a
 //! per-entry re-encode or buffer is caught by the journaled-ingest
 //! ratio here and by `fleet/tests/alloc_guard.rs`, which counts the
 //! allocations an ingested frame costs.
@@ -42,6 +43,18 @@ const ROLLUPS: u32 = 2_000;
 /// a rollup O(shards + hosts); an O(containers) regression walks 10×
 /// the entries in the larger index and blows straight through this.
 const MAX_ROLLUP_GROWTH: f64 = 2.0;
+/// Mirror sizes a periphery's observation of what moved is timed at,
+/// smaller first.
+const MOVED_POPULATIONS: [u32; 2] = [1_000, 10_000];
+/// Views moved per timed observation, spread over the id range.
+const MOVED: u32 = 16;
+/// Timed observations per trial.
+const MOVED_OBSERVES: u32 = 20_000;
+/// Ceiling on one `Periphery::observe_moved` of [`MOVED`] views (and
+/// the flush of their DELTA) over the larger mirror over the smaller.
+/// A binary search per moved id keeps it near 1; a merge-walk of the
+/// whole mirror reads ≈10×.
+const MAX_MOVED_OBSERVE_GROWTH: f64 = 2.0;
 /// A gap must heal in at most this many periphery observations (the
 /// rejected delta that surfaces the gap, then the FULL snapshot).
 const MAX_RESYNC_TICKS: u64 = 2;
@@ -184,6 +197,43 @@ fn ingest_ns_per_entry(journaled: bool) -> f64 {
     })
 }
 
+/// Nanoseconds per `Periphery::observe_moved` of [`MOVED`] views, each
+/// a new value, spread over and rotating through a mirror of `n`
+/// containers, with the DELTA it queues drained.
+fn moved_observe_ns(n: u32) -> f64 {
+    let state = |id: u32, e_cpu: u32| ViewState {
+        id,
+        e_cpu,
+        e_mem: 1 << 30,
+        e_avail: 1 << 29,
+        last_tick: 0,
+    };
+    let mut p = Periphery::new(1);
+    let mut full = Snapshot::at(0);
+    full.entries = (0..n).map(|id| state(id, 3)).collect();
+    p.observe(&full, false, 0);
+    p.take_frames();
+    // Every id's value alternates between 1 and 2 on successive visits,
+    // so each timed observation moves all of its views.
+    let stride = n / MOVED;
+    let lists: Vec<Vec<ViewState>> = (0..2 * stride)
+        .map(|k| {
+            (0..MOVED)
+                .map(|j| state(j * stride + k % stride, 1 + k / stride))
+                .collect()
+        })
+        .collect();
+    let mut tick = 0;
+    best_of(TRIALS, || {
+        ns_per_call(MOVED_OBSERVES, || {
+            tick += 1;
+            let moved = &lists[tick as usize % lists.len()];
+            p.observe_moved(tick, black_box(moved), false, 0);
+            black_box(p.take_frames());
+        })
+    })
+}
+
 /// Observations from first dropped frame to totals matching again.
 fn bench_resync_ticks() -> u64 {
     let ctl = FleetController::new(8, FleetPolicy::default());
@@ -301,6 +351,7 @@ fn main() {
     let obs_overhead_ratio = ingest_secs(true) / ingest_secs(false);
     let journaled_ingest_ns = ingest_ns_per_entry(true);
     let bare_ingest_ns = ingest_ns_per_entry(false);
+    let [small_mirror, large_mirror] = MOVED_POPULATIONS.map(moved_observe_ns);
 
     Report::new("fleet")
         .value("hosts", f64::from(HOSTS))
@@ -345,6 +396,14 @@ fn main() {
             journaled_ingest_ns / bare_ingest_ns,
             MAX_JOURNALED_INGEST_RATIO,
             "a record is framed more than once, or buffered per record, on its way to journal and outbox",
+        )
+        .value("moved_observe_ns_n1000", small_mirror)
+        .value("moved_observe_ns_n10000", large_mirror)
+        .at_most(
+            "moved_observe_growth",
+            large_mirror / small_mirror,
+            MAX_MOVED_OBSERVE_GROWTH,
+            "observing a few moved views walks the whole periphery mirror",
         )
         .finish();
 }

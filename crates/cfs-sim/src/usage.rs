@@ -21,6 +21,13 @@ struct GroupUsage {
 #[derive(Debug, Clone, Default)]
 pub struct UsageLedger {
     groups: BTreeMap<CgroupId, GroupUsage>,
+    /// The last period's grantees: the only groups whose `last_period`
+    /// can be non-zero.
+    granted: Vec<CgroupId>,
+    /// Groups charged since the last [`UsageLedger::reset_window`]: the
+    /// only ones whose `window` can be non-zero. Each joins once a
+    /// window, when its window leaves zero.
+    charged: Vec<CgroupId>,
     last_slack: SimDuration,
     last_period: SimDuration,
     window_slack: SimDuration,
@@ -36,17 +43,22 @@ impl UsageLedger {
     /// Record one period's allocation. In the fluid model every grant is
     /// fully consumed, so grants are charged as usage.
     pub fn record(&mut self, alloc: &Allocation) {
+        // Groups absent this period used nothing; only last period's
+        // grantees can say otherwise.
+        for id in self.granted.drain(..) {
+            if let Some(g) = self.groups.get_mut(&id) {
+                g.last_period = SimDuration::ZERO;
+            }
+        }
         for (id, granted) in &alloc.granted {
             let g = self.groups.entry(*id).or_default();
+            if g.window.is_zero() && !granted.is_zero() {
+                self.charged.push(*id);
+            }
             g.last_period = *granted;
             g.cumulative += *granted;
             g.window += *granted;
-        }
-        // Groups absent this period used nothing.
-        for (id, g) in self.groups.iter_mut() {
-            if !alloc.granted.contains_key(id) {
-                g.last_period = SimDuration::ZERO;
-            }
+            self.granted.push(*id);
         }
         self.last_slack = alloc.slack;
         self.last_period = alloc.period;
@@ -118,8 +130,10 @@ impl UsageLedger {
 
     /// Close the current window (called when the update timer fires).
     pub fn reset_window(&mut self) {
-        for g in self.groups.values_mut() {
-            g.window = SimDuration::ZERO;
+        for id in self.charged.drain(..) {
+            if let Some(g) = self.groups.get_mut(&id) {
+                g.window = SimDuration::ZERO;
+            }
         }
         self.window_slack = SimDuration::ZERO;
         self.window_time = SimDuration::ZERO;
@@ -184,5 +198,88 @@ mod tests {
         let ledger = UsageLedger::new();
         assert_eq!(ledger.last_usage(CgroupId(42)), SimDuration::ZERO);
         assert_eq!(ledger.cumulative(CgroupId(42)), SimDuration::ZERO);
+    }
+
+    mod reference_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The ledger as it was when `record` and `reset_window` walked
+        /// every group: the reference the incremental zeroing must match.
+        #[derive(Default)]
+        struct Naive {
+            groups: BTreeMap<CgroupId, GroupUsage>,
+        }
+
+        impl Naive {
+            fn record(&mut self, alloc: &Allocation) {
+                for (id, granted) in &alloc.granted {
+                    let g = self.groups.entry(*id).or_default();
+                    g.last_period = *granted;
+                    g.cumulative += *granted;
+                    g.window += *granted;
+                }
+                for (id, g) in self.groups.iter_mut() {
+                    if !alloc.granted.contains_key(id) {
+                        g.last_period = SimDuration::ZERO;
+                    }
+                }
+            }
+
+            fn reset_window(&mut self) {
+                for g in self.groups.values_mut() {
+                    g.window = SimDuration::ZERO;
+                }
+            }
+        }
+
+        proptest! {
+            /// Random allocations recorded, groups forgotten and windows
+            /// closed in any order: every accessor answers as the
+            /// walk-every-group ledger does.
+            #[test]
+            fn incremental_zeroing_matches_the_full_walk(
+                steps in prop::collection::vec(
+                    (prop::collection::vec((0u32..10, 0u32..4), 0..8), 0u8..6, 0u32..10),
+                    1..60),
+            ) {
+                let cfs = CfsSim::with_cpus(4);
+                let (mut ledger, mut naive) = (UsageLedger::new(), Naive::default());
+                for (demands, op, victim) in steps {
+                    // One demand a group (the last drawn); zero runnable
+                    // is granted nothing.
+                    let demands: Vec<GroupDemand> = demands
+                        .into_iter()
+                        .collect::<BTreeMap<u32, u32>>()
+                        .into_iter()
+                        .map(|(id, runnable)| GroupDemand::cpu_bound(CgroupId(id), runnable, 1024, 2.0))
+                        .collect();
+                    let alloc = cfs.allocate(P, &demands);
+                    ledger.record(&alloc);
+                    naive.record(&alloc);
+                    match op {
+                        0 => {
+                            ledger.forget(CgroupId(victim));
+                            naive.groups.remove(&CgroupId(victim));
+                        }
+                        1 | 2 => {
+                            ledger.reset_window();
+                            naive.reset_window();
+                        }
+                        _ => {}
+                    }
+                    for id in (0..10).map(CgroupId) {
+                        let g = naive.groups.get(&id).copied().unwrap_or_default();
+                        prop_assert_eq!(ledger.last_usage(id), g.last_period);
+                        prop_assert_eq!(ledger.cumulative(id), g.cumulative);
+                        prop_assert_eq!(ledger.window_usage(id), g.window);
+                    }
+                    let last: Vec<_> = naive.groups.iter().map(|(id, g)| (*id, g.last_period)).collect();
+                    let window: Vec<_> = naive.groups.iter().map(|(id, g)| (*id, g.window)).collect();
+                    prop_assert_eq!(ledger.last_usages().collect::<Vec<_>>(), last);
+                    prop_assert_eq!(ledger.window_usages().collect::<Vec<_>>(), window);
+                }
+            }
+        }
     }
 }

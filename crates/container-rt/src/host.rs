@@ -4,7 +4,7 @@ use arv_cfs::{Allocation, CfsSim, GroupDemand, Loadavg, UsageLedger};
 use arv_cgroups::{Bytes, CgroupId, CgroupManager, CgroupSpec, EventPipe, DEFAULT_PIPE_CAPACITY};
 use arv_fleet::Periphery;
 use arv_mem::{ChargeOutcome, MemSim, MemSimConfig};
-use arv_persist::{DurableJournal, Edge, RestoreReport, Store};
+use arv_persist::{DurableJournal, Edge, RestoreReport, Store, ViewState};
 use arv_resview::effective_cpu::EffectiveCpuConfig;
 use arv_resview::effective_mem::EffectiveMemoryConfig;
 use arv_resview::namespace::Pid;
@@ -15,7 +15,7 @@ use arv_resview::{
 use arv_sim_core::{clock::sched_period, FaultPlan, FaultStats, SimClock, SimDuration, SimTime};
 use arv_telemetry::PipelineEvent;
 use arv_viewd::{HostSpec, ViewServer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::spec::ContainerSpec;
 
@@ -84,9 +84,13 @@ pub struct SimHost {
     // Static bounds were recomputed since the last viewd publish, so the
     // daemon's conservative fallbacks (lower bound, soft limit) are due.
     fallbacks_stale: bool,
-    // Views that moved since the daemon last heard: a firing's dirty set,
-    // held over the firings whose publish was delayed.
-    viewd_dirty: BTreeSet<CgroupId>,
+    // Views that moved while the daemon's publish was delayed, as the
+    // firings that moved them left them.
+    viewd_held: Vec<ViewState>,
+    // Static inputs were recomputed (cgroup events, a resync, a restart)
+    // since the periphery last saw the whole snapshot, so a container
+    // may have left: its next observation takes the whole snapshot.
+    periphery_stale: bool,
     /// The daemon's on-disk state file, under the durability ladder.
     journal: Option<DurableJournal>,
     last_restore: Option<RestoreEvent>,
@@ -134,7 +138,8 @@ impl SimHost {
             stall_ticks: 0,
             delay_publish_ticks: 0,
             fallbacks_stale: false,
-            viewd_dirty: BTreeSet::new(),
+            viewd_held: Vec::new(),
+            periphery_stale: false,
             journal: None,
             last_restore: None,
             periphery: None,
@@ -190,7 +195,7 @@ impl SimHost {
             self.viewd_register(&server, id);
             // A launch changes the share denominator, so every
             // container's bounds (and clamped views) may have moved.
-            self.viewd_publish(true);
+            self.viewd_publish(true, &[]);
         }
         id
     }
@@ -212,7 +217,7 @@ impl SimHost {
             }
             if let Some(server) = &self.viewd {
                 server.unregister(id);
-                self.viewd_publish(true);
+                self.viewd_publish(true, &[]);
             }
         }
     }
@@ -223,7 +228,7 @@ impl SimHost {
         self.cgm.update(id, CgroupSpec::new(spec.cpu, spec.mem));
         self.mem.set_limits(id, spec.mem);
         self.pump_events();
-        self.viewd_publish(true);
+        self.viewd_publish(true, &[]);
     }
 
     // --- fault-tolerant event pipeline ---
@@ -245,6 +250,7 @@ impl SimHost {
         }
         let report = self.monitor.ingest(&events, &self.cgm);
         self.fallbacks_stale |= report.applied > 0;
+        self.periphery_stale |= report.applied > 0;
         let overflow = self.pipe.take_overflow_dropped();
         if self.watchdog.after_ingest(&report, overflow) == Verdict::Resync {
             self.resync_now();
@@ -258,6 +264,7 @@ impl SimHost {
     fn resync_now(&mut self) {
         self.monitor.resync(&mut self.cgm);
         self.fallbacks_stale = true;
+        self.periphery_stale = true;
         self.monitor.align_seq(self.pipe.next_seq());
         for (id, meta) in &self.containers {
             if let Some(ns) = self.monitor.namespace_mut(*id) {
@@ -387,6 +394,7 @@ impl SimHost {
         fresh.set_tracer(tracer);
         fresh.align_tick(tick);
         self.monitor = fresh;
+        self.periphery_stale = true;
 
         let report = arv_persist::restore(bytes);
         let outcome = match &report.snapshot {
@@ -412,7 +420,7 @@ impl SimHost {
                 server.unregister(*id);
                 self.viewd_register(&server, *id);
             }
-            self.viewd_publish(true);
+            self.viewd_publish(true, &[]);
             server.note_restore(
                 outcome.map_or(0, |o| o.reconciled as u64),
                 report.truncated_records,
@@ -437,24 +445,25 @@ impl SimHost {
     }
 
     /// Append this firing's news to the journal: one delta per view in
-    /// `dirty` (the views whose value moved since the last firing —
+    /// `moved` (the views whose value moved since the last firing —
     /// a quiet tick appends nothing) plus a group-commit sync, or a
-    /// compacted checkpoint when one is due.
-    fn journal_tick(&mut self, snap: &arv_persist::Snapshot, dirty: &BTreeSet<CgroupId>) {
+    /// compacted checkpoint when one is due, the only case that needs
+    /// the whole snapshot.
+    fn journal_tick(&mut self, moved: &[ViewState]) {
         let Some(journal) = self.journal.as_mut() else {
             return;
         };
-        let tick = snap.tick;
+        let tick = self.monitor.now_tick();
         journal.journal_mut().set_tick(tick);
         let due = journal.due(tick);
+        let snap = due.then(|| self.monitor.snapshot());
         self.journal_write(due, |journal| {
-            if due {
+            if let Some(snap) = &snap {
                 return journal.checkpoint(snap, tick);
             }
             let journal = journal.journal_mut();
-            dirty
+            moved
                 .iter()
-                .filter_map(|id| snap.get(id.0))
                 .try_for_each(|e| journal.append_delta(e, tick))
                 .and_then(|()| journal.sync())
         });
@@ -562,7 +571,7 @@ impl SimHost {
             self.viewd_register(&server, *id);
         }
         self.viewd = Some(server);
-        self.viewd_publish(true);
+        self.viewd_publish(true, &[]);
     }
 
     /// The attached view daemon, if any.
@@ -571,15 +580,19 @@ impl SimHost {
     }
 
     /// Attach a fleet periphery agent. On every update-timer firing the
-    /// agent diffs the monitor's persisted snapshot and queues DELTA
+    /// agent marks the views the monitor reports moved and queues DELTA
     /// frames (FULL first; a heartbeat when nothing moved), which the
     /// fleet transport drains via [`SimHost::take_fleet_frames`] — the
     /// same mirroring pattern as
     /// [`SimHost::attach_viewd`], pointed up at the cluster controller
-    /// instead of sideways at local query threads.
+    /// instead of sideways at local query threads. It diffs the whole
+    /// snapshot instead when it must: for a FULL (attach, a resync
+    /// demand, a reconnect), after a tenant change, and on the firing
+    /// after static inputs were recomputed, since a container may have
+    /// left.
     pub fn attach_periphery(&mut self, periphery: Periphery) {
         self.periphery = Some(periphery);
-        self.periphery_observe(None, false);
+        self.periphery_observe(&[], false);
     }
 
     /// The attached fleet periphery, if any.
@@ -615,15 +628,20 @@ impl SimHost {
         }
     }
 
-    /// One periphery observation of the monitor's current snapshot
-    /// (`snap`, when this firing already built one). The durability rung
-    /// rides along so the controller's fleet view carries it.
-    fn periphery_observe(&mut self, snap: Option<arv_persist::Snapshot>, stalled: bool) {
+    /// One periphery observation: of the views that `moved` since the
+    /// last one, or of the whole snapshot when the periphery needs it or
+    /// a container may have left. The durability rung rides along so
+    /// the controller's fleet view carries it.
+    fn periphery_observe(&mut self, moved: &[ViewState], stalled: bool) {
         let (lost, io_errors) = (self.durability_lost(), self.journal_io_errors());
-        if let Some(periphery) = self.periphery.as_mut() {
-            let snap = snap.unwrap_or_else(|| self.monitor.snapshot());
-            periphery.set_durability(lost, io_errors);
-            periphery.observe(&snap, stalled, 0);
+        let Some(periphery) = self.periphery.as_mut() else {
+            return;
+        };
+        periphery.set_durability(lost, io_errors);
+        if std::mem::take(&mut self.periphery_stale) || periphery.needs_snapshot() {
+            periphery.observe(&self.monitor.snapshot(), stalled, 0);
+        } else {
+            periphery.observe_moved(self.monitor.now_tick(), moved, stalled, 0);
         }
     }
 
@@ -644,29 +662,45 @@ impl SimHost {
     }
 
     /// Bring the daemon level with the monitor, then advance its one
-    /// freshness word. A firing mirrors the views that moved since the
-    /// daemon last heard (`viewd_dirty`); lifecycle paths (`all`) and a
-    /// bounds recompute, which dirty everything anyway, mirror every
-    /// container, and a recompute refreshes the conservative fallbacks.
-    fn viewd_publish(&mut self, all: bool) {
-        let dirty = std::mem::take(&mut self.viewd_dirty);
+    /// freshness word. A firing mirrors the views that `moved`, and any a
+    /// publish-delay window held over, as values: of an id held more
+    /// than once the last value wins, which is the monitor's. Lifecycle
+    /// paths (`all`) and a bounds recompute, which move everything
+    /// anyway, mirror every container, and a recompute refreshes the
+    /// conservative fallbacks.
+    fn viewd_publish(&mut self, all: bool, moved: &[ViewState]) {
         let Some(server) = &self.viewd else { return };
         let refresh = std::mem::take(&mut self.fallbacks_stale);
-        let publish = |id: &CgroupId| {
-            let Some(ns) = self.monitor.namespace(*id) else {
-                return;
-            };
-            if refresh {
-                server.set_fallback(*id, ns.cpu_bounds().lower, ns.soft_limit());
-            }
-            let (cpus, mem, avail) = ns.views();
-            server.mirror(*id, cpus, mem, avail);
-        };
         if all || refresh {
-            self.containers.keys().for_each(publish);
+            for id in self.containers.keys() {
+                let Some(ns) = self.monitor.namespace(*id) else {
+                    continue;
+                };
+                if refresh {
+                    server.set_fallback(*id, ns.cpu_bounds().lower, ns.soft_limit());
+                }
+                let (cpus, mem, avail) = ns.views();
+                server.mirror(*id, cpus, mem, avail);
+            }
         } else {
-            dirty.iter().for_each(publish);
+            let held = &mut self.viewd_held;
+            if !held.is_empty() {
+                held.extend_from_slice(moved);
+                held.sort_by_key(|v| v.id);
+                held.dedup_by(|later, earlier| {
+                    let same = later.id == earlier.id;
+                    if same {
+                        *earlier = *later;
+                    }
+                    same
+                });
+            }
+            let views = if held.is_empty() { moved } else { held };
+            for v in views {
+                server.mirror(CgroupId(v.id), v.e_cpu, Bytes(v.e_mem), Bytes(v.e_avail));
+            }
         }
+        self.viewd_held.clear();
         server.mark_fresh();
     }
 
@@ -747,10 +781,10 @@ impl SimHost {
             self.stall_ticks = self.stall_ticks.saturating_sub(1);
             self.watchdog.note_missed_deadline();
             // The usage window keeps accumulating unread; views and
-            // publishes stay frozen at their last values — but the
-            // periphery still reports the stall upward so the fleet
-            // controller sees the host degrade in real time.
-            self.periphery_observe(None, true);
+            // publishes stay frozen at their last values, so nothing
+            // moved — but the periphery still reports the stall upward
+            // so the fleet controller sees the host degrade in real time.
+            self.periphery_observe(&[], true);
             return;
         }
         // A resync latched while the monitor was stalled runs on the
@@ -761,21 +795,19 @@ impl SimHost {
         self.monitor.tick_window(&self.ledger, &self.mem);
         self.ledger.reset_window();
         self.watchdog.note_deadline_met();
-        // One snapshot per firing serves both the journal and the
-        // periphery; the journal and the daemon take only what moved.
-        let mut dirty = self.monitor.take_dirty();
-        let snap =
-            (self.journal.is_some() || self.periphery.is_some()).then(|| self.monitor.snapshot());
-        if let Some(snap) = &snap {
-            self.journal_tick(snap, &dirty);
-        }
-        self.viewd_dirty.append(&mut dirty);
+        // What moved, drained once as values: the journal appends it,
+        // the daemon mirrors it and the periphery marks it.
+        let moved = self.monitor.take_moved();
+        self.journal_tick(&moved);
         if self.delay_publish_ticks > 0 {
             self.delay_publish_ticks -= 1;
+            if self.viewd.is_some() {
+                self.viewd_held.extend_from_slice(&moved);
+            }
         } else {
-            self.viewd_publish(false);
+            self.viewd_publish(false, &moved);
         }
-        self.periphery_observe(snap, false);
+        self.periphery_observe(&moved, false);
     }
 
     /// Build a CPU-bound demand for a container from its cgroup settings.
@@ -1475,6 +1507,28 @@ mod tests {
             .count() as u64;
         assert!(moved > 0, "the charge moved a view");
         assert_eq!(mirrors() - mirrored, moved);
+
+        // Behind a publish-delay window the daemon hears nothing; the
+        // firing after it mirrors each view that moved in any of them
+        // once, however often it moved.
+        host.inject_publish_delay(2);
+        let mirrored = mirrors();
+        let mut moved = std::collections::BTreeSet::new();
+        for _ in 0..3 {
+            host.charge(ids[2], Bytes::from_gib(1));
+            let views = host.monitor().snapshot();
+            round(&mut host);
+            let now = host.monitor().snapshot();
+            moved.extend(
+                now.entries
+                    .iter()
+                    .zip(&views.entries)
+                    .filter(|(a, b)| (a.e_cpu, a.e_mem, a.e_avail) != (b.e_cpu, b.e_mem, b.e_avail))
+                    .map(|(a, _)| a.id),
+            );
+        }
+        assert!(moved.contains(&ids[2].0), "the charges moved a view");
+        assert_eq!(mirrors() - mirrored, moved.len() as u64);
     }
 
     /// Both front-ends answer every container caller alike — health,
@@ -1875,5 +1929,129 @@ mod tests {
         assert!(m.stale_serves > 0 && m.degraded_serves > 0);
         assert!(host.watchdog_stats().missed_ticks >= STALL.1);
         assert!(host.last_restore().is_some_and(|ev| ev.outcome.is_some()));
+    }
+
+    mod moved_props {
+        use super::*;
+        use arv_fleet::{encode_ack, Ack, FleetPolicy};
+        use arv_persist::{FaultyStore, StoreFaults};
+        use proptest::prelude::*;
+
+        const HOST: u32 = 5;
+
+        fn spec(name: String, quota: u32, mem_gib: u64) -> ContainerSpec {
+            ContainerSpec::new(name, 8)
+                .cpus(f64::from(1 + quota % 6))
+                .cpu_shares(512 * u64::from(1 + quota % 3))
+                .memory_reservation(Bytes::from_mib(256))
+                .memory(Bytes::from_gib(1 + mem_gib % 2))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Random steps, launches, terminates, limit updates, tenant
+            /// changes, stalls, publish delays, warm restarts, resync
+            /// and policy ACKs and reconnects, over a journal on a
+            /// faulty disk: after every operation the host's periphery,
+            /// fed what moved, has queued exactly the frames of a shadow
+            /// periphery fed the monitor's whole snapshot at every
+            /// firing, with the same ACKs, tenants and durability.
+            #[test]
+            fn moved_observations_ship_what_whole_snapshots_would(
+                ops in prop::collection::vec((0u8..17, 0u32..64, 0u32..8), 1..80),
+                store_seed in 0u64..1 << 16,
+            ) {
+                let mut host = SimHost::new(8, Bytes::from_gib(6));
+                let server = ViewServer::new(host.viewd_host_spec(), 2);
+                host.attach_viewd(server);
+                let faults = StoreFaults {
+                    write_err_prob: 0.05,
+                    torn_prob: 0.05,
+                    ..StoreFaults::default()
+                };
+                host.enable_journal_with_store(Box::new(FaultyStore::new(store_seed, faults)), 4);
+                let mut ids: Vec<CgroupId> = (0..3u32)
+                    .map(|i| host.launch(&spec(format!("c{i}"), i, u64::from(i))))
+                    .collect();
+                host.attach_periphery(Periphery::new(HOST));
+                let mut shadow = Periphery::new(HOST);
+                let observe = |shadow: &mut Periphery, host: &SimHost, stalled: bool| {
+                    shadow.set_durability(host.durability_lost(), host.journal_io_errors());
+                    shadow.observe(&host.monitor().snapshot(), stalled, 0);
+                };
+                observe(&mut shadow, &host, false);
+                let mut policy_epoch = 0;
+                for (step, (op, a, b)) in ops.into_iter().enumerate() {
+                    let pick = ids[a as usize % ids.len()];
+                    match op {
+                        0..=7 => {
+                            for (i, id) in ids.iter().enumerate() {
+                                let amount = Bytes::from_mib(64 * u64::from(1 + b));
+                                if (a >> (i % 6)) & 1 == 1 {
+                                    let _ = host.charge(*id, amount);
+                                } else if i % 2 == 0 {
+                                    host.uncharge(*id, amount);
+                                }
+                            }
+                            let demands: Vec<_> = ids
+                                .iter()
+                                .enumerate()
+                                .filter(|(i, _)| (a >> (i % 6)) & 1 == 1)
+                                .map(|(_, id)| host.demand(*id, 1 + b))
+                                .collect();
+                            let stalled = host.monitor_stalled();
+                            host.step(&demands);
+                            observe(&mut shadow, &host, stalled);
+                        }
+                        8 if ids.len() < 8 => {
+                            ids.push(host.launch(&spec(format!("l{step}"), a, u64::from(b))));
+                        }
+                        9 if ids.len() > 1 => {
+                            ids.retain(|id| *id != pick);
+                            host.terminate(pick);
+                        }
+                        10 => host.update_limits(pick, &spec(format!("u{step}"), b, u64::from(a))),
+                        11 => {
+                            host.periphery_mut().expect("attached").set_tenant(pick.0, b);
+                            shadow.set_tenant(pick.0, b);
+                        }
+                        12 => host.inject_monitor_stall(u64::from(1 + b % 4)),
+                        13 => host.inject_publish_delay(u64::from(1 + b % 4)),
+                        14 => {
+                            host.crash_restart();
+                        }
+                        15 => {
+                            let resync = a % 2 == 0;
+                            let policy = (!resync).then(|| {
+                                policy_epoch += 1;
+                                FleetPolicy {
+                                    epoch: policy_epoch,
+                                    max_batch: 1 + b,
+                                    rate_burst: 1 + a % 8,
+                                    ..FleetPolicy::default()
+                                }
+                            });
+                            let ack = Ack {
+                                host: HOST,
+                                expected_seq: 0,
+                                ctl_epoch: 0,
+                                resync,
+                                not_leader: false,
+                                policy,
+                            };
+                            prop_assert!(host.deliver_fleet_ack(&encode_ack(&ack)));
+                            shadow.handle_ack(&ack);
+                        }
+                        _ => {
+                            host.periphery_mut().expect("attached").on_reconnect();
+                            shadow.on_reconnect();
+                        }
+                    }
+                    prop_assert_eq!(host.take_fleet_frames(), shadow.take_frames(), "op {}", step);
+                    prop_assert_eq!(host.periphery().expect("attached").stats(), shadow.stats());
+                }
+            }
+        }
     }
 }

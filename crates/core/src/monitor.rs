@@ -16,9 +16,10 @@
 use arv_cfs::UsageLedger;
 use arv_cgroups::{Bytes, CgroupEvent, CgroupId, CgroupManager, CpuSet, SeqEvent};
 use arv_mem::{MemSim, Watermarks};
+use arv_persist::ViewState;
 use arv_sim_core::SimDuration;
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PipelineEvent, Tracer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::effective_cpu::{CpuBounds, CpuSample, EffectiveCpuConfig};
 use crate::effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
@@ -66,9 +67,12 @@ pub struct NsMonitor {
     cpu_cfg: EffectiveCpuConfig,
     mem_cfg: EffectiveMemoryConfig,
     namespaces: BTreeMap<CgroupId, SysNamespace>,
-    /// Containers whose `(e_cpu, e_mem, e_avail)` may have moved since
-    /// the last [`NsMonitor::take_dirty`].
-    dirty: BTreeSet<CgroupId>,
+    /// The views a firing moved since the last [`NsMonitor::take_moved`],
+    /// as values, in id order.
+    moved: Vec<ViewState>,
+    /// Static inputs were recomputed since the last drain, so any view
+    /// may have moved: the drain walks every namespace instead.
+    all_moved: bool,
     next_pid: u32,
     now_tick: u64,
     /// Tick of the last healthy firing, which refreshes every namespace.
@@ -95,7 +99,8 @@ impl NsMonitor {
             cpu_cfg,
             mem_cfg,
             namespaces: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            moved: Vec::new(),
+            all_moved: false,
             next_pid: 1,
             now_tick: 0,
             fresh_tick: 0,
@@ -148,16 +153,22 @@ impl NsMonitor {
         self.namespaces.is_empty()
     }
 
-    /// Drain the dirty set: the live containers whose value triple
-    /// `(e_cpu, e_mem, e_avail)` moved since the previous call. A timer
-    /// firing marks exactly the views it changed; anything that
-    /// recomputes static inputs (cgroup events, resync, recover) marks
-    /// every container, since any clamp may have moved. Consumers that
-    /// persist or ship views act on these and skip the rest.
-    pub fn take_dirty(&mut self) -> BTreeSet<CgroupId> {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.retain(|id| self.namespaces.contains_key(id));
-        dirty
+    /// Drain the moved views: each live container whose value triple
+    /// `(e_cpu, e_mem, e_avail)` moved since the previous call, once, in
+    /// id order, as it stands now (the entry [`snapshot`] would hold).
+    /// A timer firing records exactly the views it changed; anything
+    /// that recomputes static inputs (cgroup events, resync, recover)
+    /// names every container, since any clamp may have moved, and so
+    /// does a second firing before the drain. Consumers that persist or
+    /// ship views act on these and skip the rest.
+    ///
+    /// [`snapshot`]: NsMonitor::snapshot
+    pub fn take_moved(&mut self) -> Vec<ViewState> {
+        if std::mem::take(&mut self.all_moved) {
+            self.moved.clear();
+            return self.snapshot().entries;
+        }
+        std::mem::take(&mut self.moved)
     }
 
     /// The monitor's notion of "now", in update-timer firings.
@@ -294,16 +305,7 @@ impl NsMonitor {
             entries: self
                 .namespaces
                 .values()
-                .map(|ns| {
-                    let (e_cpu, e_mem, e_avail) = ns.views();
-                    arv_persist::ViewState {
-                        id: ns.id().0,
-                        e_cpu,
-                        e_mem: e_mem.as_u64(),
-                        e_avail: e_avail.as_u64(),
-                        last_tick: self.fresh_tick,
-                    }
-                })
+                .map(|ns| view_state(ns, self.fresh_tick))
                 .collect(),
         }
     }
@@ -455,7 +457,8 @@ impl NsMonitor {
     /// each view the clamp actually moved.
     fn recompute_all(&mut self, cgm: &CgroupManager, cause: DecisionCause) {
         let total_shares = cgm.total_shares();
-        self.dirty.extend(self.namespaces.keys().copied());
+        self.all_moved = true;
+        self.moved.clear();
         for (id, ns) in self.namespaces.iter_mut() {
             if let Some(spec) = cgm.get(*id) {
                 let cpu_before = ns.effective_cpu();
@@ -524,7 +527,8 @@ impl NsMonitor {
     /// memory manager's) arrive as id-ordered streams walked beside the
     /// namespaces — no per-namespace lookup, so the firing costs the
     /// same per container at any population. Each namespace whose value
-    /// triple moved joins the dirty set; freshness is one store.
+    /// triple moved is recorded while the loop holds it; freshness is one
+    /// store.
     fn fire(
         &mut self,
         period: SimDuration,
@@ -538,6 +542,13 @@ impl NsMonitor {
         let mut cpu_usage = cpu_usage.peekable();
         let mut mem = mem.map(|m| (m.usages().peekable(), m.free(), m.is_reclaiming()));
         self.fresh_tick = self.now_tick;
+        // An undrained list would name an id twice: fold it into
+        // "everything moved", which the drain reads once.
+        if !self.moved.is_empty() {
+            self.all_moved = true;
+            self.moved.clear();
+        }
+        let record = !self.all_moved;
         for (id, ns) in self.namespaces.iter_mut() {
             let before = ns.views();
             let cpu_d = ns.update_cpu_explained(CpuSample {
@@ -558,10 +569,23 @@ impl NsMonitor {
             if let Some(d) = mem_d {
                 self.tracer.emit_mem(self.now_tick, *id, d);
             }
-            if ns.views() != before {
-                self.dirty.insert(*id);
+            if record && ns.views() != before {
+                self.moved.push(view_state(ns, self.fresh_tick));
             }
         }
+    }
+}
+
+/// `ns`'s journaled form: its value triple, stamped with the monitor's
+/// refresh tick `fresh`.
+fn view_state(ns: &SysNamespace, fresh: u64) -> ViewState {
+    let (e_cpu, e_mem, e_avail) = ns.views();
+    ViewState {
+        id: ns.id().0,
+        e_cpu,
+        e_mem: e_mem.as_u64(),
+        e_avail: e_avail.as_u64(),
+        last_tick: fresh,
     }
 }
 
@@ -1151,40 +1175,51 @@ mod tests {
         assert!(wave.cgm.contains(wave.ids[0]));
     }
 
-    mod dirty_props {
+    mod moved_props {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            /// After a firing the dirty set is exactly the containers
-            /// whose value triple differs between the snapshots either
-            /// side of it — no view that moved is missed, none that
-            /// stood still is named.
+            /// After a firing the moved list is exactly the entries of
+            /// the snapshot after it whose value triple differs from the
+            /// snapshot before it — no view that moved is missed, none
+            /// that stood still is named, and each carries its current
+            /// value and stamp. A static refresh names every view. Two
+            /// firings before one drain may name more, never fewer, and
+            /// each still once, as it stands.
             #[test]
-            fn dirty_set_is_exactly_the_views_that_moved(
+            fn moved_list_is_exactly_the_views_that_moved(
                 seed in 0u64..1 << 32,
-                ticks in 1usize..60
+                ticks in 1usize..60,
+                twice in 0usize..60
             ) {
                 let (mut wave, mut mon) = Wave::new(seed);
-                prop_assert_eq!(
-                    mon.take_dirty().len(), mon.len(), "a static refresh dirties every view"
-                );
-                for _ in 0..ticks {
-                    wave.step();
-                    mon.observe_tick();
+                prop_assert_eq!(mon.take_moved(), mon.snapshot().entries);
+                for tick in 0..ticks {
                     let before = mon.snapshot();
-                    mon.tick(&wave.ledger, &wave.mem);
+                    for _ in 0..1 + usize::from(tick == twice) {
+                        wave.step();
+                        mon.observe_tick();
+                        mon.tick(&wave.ledger, &wave.mem);
+                    }
                     let after = mon.snapshot();
-                    let moved: BTreeSet<CgroupId> = before
+                    let moved: Vec<ViewState> = before
                         .entries
                         .iter()
                         .zip(&after.entries)
                         .filter(|(b, a)| {
                             (b.e_cpu, b.e_mem, b.e_avail) != (a.e_cpu, a.e_mem, a.e_avail)
                         })
-                        .map(|(_, a)| CgroupId(a.id))
+                        .map(|(_, a)| *a)
                         .collect();
-                    prop_assert_eq!(mon.take_dirty(), moved);
+                    let drained = mon.take_moved();
+                    if tick == twice {
+                        prop_assert!(drained.windows(2).all(|w| w[0].id < w[1].id));
+                        prop_assert!(drained.iter().all(|v| after.get(v.id) == Some(v)));
+                        prop_assert!(moved.iter().all(|v| drained.contains(v)));
+                    } else {
+                        prop_assert_eq!(drained, moved);
+                    }
                 }
             }
         }

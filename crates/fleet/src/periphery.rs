@@ -1,12 +1,17 @@
 //! The periphery: a thin per-host agent that streams view deltas up.
 //!
-//! A [`Periphery`] rides the host's update timer. Each firing it is
-//! handed the monitor's persisted snapshot (the same
-//! [`arv_persist::Snapshot`] the journal checkpoints), diffs it against
-//! what it last shipped, and queues DELTA frames — chunked to the
-//! controller's `max_batch` — on an outbox the transport drains. The
-//! first frame after attach (and after any controller-requested resync)
-//! is a FULL snapshot; everything else is incremental.
+//! A [`Periphery`] rides the host's update timer. Each firing it marks
+//! what moved on a mirror of what it last shipped, and queues DELTA
+//! frames — chunked to the controller's `max_batch` — on an outbox the
+//! transport drains. It has two front-ends onto one mark rule and one
+//! flush: [`Periphery::observe`] merge-walks a whole
+//! [`arv_persist::Snapshot`] (the one the journal checkpoints), finding
+//! the new, the moved and the gone; [`Periphery::observe_moved`] takes
+//! only the views that moved (the list `NsMonitor::take_moved` drains)
+//! and costs what moved. The first frame after attach (and after any
+//! controller-requested resync or reconnect) is a FULL snapshot, and a
+//! removal or a tenant change also needs the whole snapshot; everything
+//! else is incremental.
 //!
 //! A view is news iff its value (`tenant`, `e_cpu`, `e_mem`, `e_avail`)
 //! moved: the per-entry `last_tick` stamp advances on every healthy
@@ -104,8 +109,9 @@ pub struct Periphery {
     /// observation (see [`Periphery::set_durability`]).
     durability_lost: bool,
     journal_io_errors: u64,
-    /// The state last diffed for each live container, sorted by id — the
-    /// diff is a merge-walk of this against the (sorted) snapshot.
+    /// The state last diffed for each live container, sorted by id: the
+    /// merge-walk pairs it with a sorted snapshot, and a moved id finds
+    /// its entry by binary search.
     last_sent: Vec<Mirrored>,
     /// The previous `last_sent`, kept for its capacity: each diff
     /// builds the next mirror here and swaps.
@@ -119,6 +125,9 @@ pub struct Periphery {
     tenants_moved: bool,
     /// Diffed-but-unsent removals.
     pending_removed: BTreeSet<u32>,
+    /// Where in `last_sent` the entries marked unsent sit, one position
+    /// each, so a flush reads them without scanning the mirror.
+    marked: Vec<usize>,
     /// Send tokens remaining; refilled each observation, capped at
     /// `policy.rate_burst`.
     tokens: u64,
@@ -157,6 +166,7 @@ impl Periphery {
             tenants: HashMap::new(),
             tenants_moved: false,
             pending_removed: BTreeSet::new(),
+            marked: Vec::new(),
             tokens: u64::from(policy.rate_burst.max(1)),
             ctl_epoch_seen: 0,
             trace_seq: 0,
@@ -201,6 +211,15 @@ impl Periphery {
         self.journal_io_errors = io_errors;
     }
 
+    /// Whether the next observation needs the whole snapshot
+    /// ([`observe`](Periphery::observe)): a FULL is due (first attach,
+    /// a resync demand, a reconnect) or a tenant was set since the last
+    /// one. Until then [`observe_moved`](Periphery::observe_moved)
+    /// serves.
+    pub fn needs_snapshot(&self) -> bool {
+        self.pending_full || self.tenants_moved
+    }
+
     /// Diff `snap` against the last shipped state, coalesce it into the
     /// pending layer, and flush DELTA frames if the token bucket
     /// allows. `stalled` marks the host's monitor as behind;
@@ -215,23 +234,6 @@ impl Periphery {
             }));
             self.said_hello = true;
         }
-
-        let health = if stalled {
-            HEALTH_DEGRADED
-        } else if staleness_age > 0 {
-            HEALTH_STALE
-        } else {
-            HEALTH_FRESH
-        };
-        // The byte actually compared for flip detection folds the
-        // durability flag in: losing or regaining durability is a
-        // health transition the controller must see.
-        let shipped_health = health
-            | if self.durability_lost {
-                HEALTH_DURABILITY_LOST
-            } else {
-                0
-            };
 
         let full = self.pending_full;
         if full {
@@ -257,16 +259,14 @@ impl Periphery {
             self.sorted.dedup_by_key(|s| s.id);
             self.sorted.reverse();
         }
-        let entries = if in_order {
-            &snap.entries
-        } else {
-            &self.sorted
-        };
+        let sorted = std::mem::take(&mut self.sorted);
+        let entries = if in_order { &snap.entries } else { &sorted };
         let sent = std::mem::take(&mut self.last_sent);
         let mut next = std::mem::take(&mut self.spare);
         next.clear();
         next.reserve(entries.len());
-        let (mut at, mut unsent) = (0, 0);
+        self.marked.clear();
+        let mut at = 0;
         // `None` ends the walk: every mirrored id still unmatched is gone.
         for s in entries.iter().map(Some).chain([None]) {
             while at < sent.len() && s.map_or(true, |s| sent[at].entry.id < s.id) {
@@ -281,39 +281,119 @@ impl Periphery {
                 Some(p) if !self.tenants_moved => p.entry.tenant,
                 _ => self.tenants.get(&s.id).copied().unwrap_or(0),
             };
-            let moved = full
-                || prev.map_or(true, |Mirrored { entry: p, .. }| {
-                    (p.tenant, p.e_cpu, p.e_mem, p.e_avail) != (tenant, s.e_cpu, s.e_mem, s.e_avail)
-                });
-            let mirrored = match prev {
-                Some(p) if !moved => *p,
-                _ => {
-                    self.pending_removed.remove(&s.id);
-                    Mirrored {
-                        entry: DeltaEntry {
-                            id: s.id,
-                            tenant,
-                            e_cpu: s.e_cpu,
-                            e_mem: s.e_mem,
-                            e_avail: s.e_avail,
-                            last_tick: s.last_tick,
-                        },
-                        unsent: true,
-                    }
-                }
-            };
-            unsent += usize::from(mirrored.unsent);
+            let mirrored = self.mark(prev, s, tenant);
+            if mirrored.unsent {
+                self.marked.push(next.len());
+            }
             next.push(mirrored);
         }
         self.tenants_moved = false;
         self.last_sent = next;
         self.spare = sent;
+        self.sorted = sorted;
+        self.flush(snap.tick, stalled, staleness_age);
+    }
+
+    /// [`observe`](Periphery::observe) from what moved instead of the
+    /// whole snapshot: `moved` holds, as of `tick`, every container whose
+    /// value moved since the previous observation, in any order; naming
+    /// one that did not move is harmless. It cannot say what left, so
+    /// after a removal — as whenever [`needs_snapshot`] says so — the
+    /// caller observes the whole snapshot instead. Each moved id costs a
+    /// binary search of the mirror, a new one an insertion.
+    ///
+    /// # Panics
+    ///
+    /// If [`needs_snapshot`]: only the whole snapshot can answer a FULL
+    /// or re-tag every container.
+    ///
+    /// [`needs_snapshot`]: Periphery::needs_snapshot
+    pub fn observe_moved(
+        &mut self,
+        tick: u64,
+        moved: &[ViewState],
+        stalled: bool,
+        staleness_age: u64,
+    ) {
+        assert!(
+            !self.needs_snapshot(),
+            "a FULL or a tenant change needs the whole snapshot"
+        );
+        for s in moved {
+            match self.last_sent.binary_search_by_key(&s.id, |m| m.entry.id) {
+                Ok(at) => {
+                    let prev = self.last_sent[at];
+                    let next = self.mark(Some(&prev), s, prev.entry.tenant);
+                    if next.unsent && !prev.unsent {
+                        self.marked.push(at);
+                    }
+                    self.last_sent[at] = next;
+                }
+                Err(at) => {
+                    let tenant = self.tenants.get(&s.id).copied().unwrap_or(0);
+                    let next = self.mark(None, s, tenant);
+                    for m in self.marked.iter_mut().filter(|m| **m >= at) {
+                        *m += 1;
+                    }
+                    self.marked.push(at);
+                    self.last_sent.insert(at, next);
+                }
+            }
+        }
+        self.flush(tick, stalled, staleness_age);
+    }
+
+    /// The one rule both front-ends mark by: `s` under `tenant` is news
+    /// iff `(tenant, e_cpu, e_mem, e_avail)` differs from the mirrored
+    /// `prev` (or nothing is mirrored). News replaces the mirror entry,
+    /// marked unsent; otherwise `prev` stands, stamp and mark included.
+    fn mark(&mut self, prev: Option<&Mirrored>, s: &ViewState, tenant: u32) -> Mirrored {
+        if let Some(p) = prev.filter(|Mirrored { entry: e, .. }| {
+            (e.tenant, e.e_cpu, e.e_mem, e.e_avail) == (tenant, s.e_cpu, s.e_mem, s.e_avail)
+        }) {
+            return *p;
+        }
+        self.pending_removed.remove(&s.id);
+        Mirrored {
+            entry: DeltaEntry {
+                id: s.id,
+                tenant,
+                e_cpu: s.e_cpu,
+                e_mem: s.e_mem,
+                e_avail: s.e_avail,
+                last_tick: s.last_tick,
+            },
+            unsent: true,
+        }
+    }
+
+    /// Ship what the mirror holds unsent, as of `tick`: the heartbeat,
+    /// the token bucket and the chunking both front-ends share.
+    fn flush(&mut self, tick: u64, stalled: bool, staleness_age: u64) {
+        let full = self.pending_full;
+        let health = if stalled {
+            HEALTH_DEGRADED
+        } else if staleness_age > 0 {
+            HEALTH_STALE
+        } else {
+            HEALTH_FRESH
+        };
+        // The byte actually compared for flip detection folds the
+        // durability flag in: losing or regaining durability is a
+        // health transition the controller must see.
+        let shipped_health = health
+            | if self.durability_lost {
+                HEALTH_DURABILITY_LOST
+            } else {
+                0
+            };
+        let unsent = self.marked.len();
 
         // Stamp the span origin: the tick at which the oldest unsent
         // diff entered the pending layer. Coalescing keeps it, so the
         // eventual flush carries how long the bucket held the data.
         if self.pending_origin.is_none() && (unsent > 0 || !self.pending_removed.is_empty()) {
-            self.pending_origin = Some(snap.tick);
+            self.pending_origin = Some(tick);
         }
 
         // With no view changes an (empty) delta still ships on a health
@@ -321,7 +401,7 @@ impl Periphery {
         // as they happen, and once per tick of a healthy host as its
         // heartbeat. A stalled host has no freshness to report: it goes
         // quiet and the controller's staleness budget flags it.
-        let heartbeat = !stalled && self.shipped_tick.map_or(true, |t| snap.tick > t);
+        let heartbeat = !stalled && self.shipped_tick.map_or(true, |t| tick > t);
         if !full
             && unsent == 0
             && self.pending_removed.is_empty()
@@ -350,16 +430,20 @@ impl Periphery {
         }
         self.tokens = self.tokens.saturating_sub(cost);
         self.last_health = shipped_health;
-        self.shipped_tick = Some(snap.tick);
+        self.shipped_tick = Some(tick);
         // FULL data is re-read fresh at this tick; otherwise the span
         // starts where the oldest pending diff was observed. An empty
         // (health-flip) delta originates here too.
-        let origin_tick = self.pending_origin.take().unwrap_or(snap.tick);
+        let origin_tick = self.pending_origin.take().unwrap_or(tick);
 
-        // `take`: the walk counted the marks, so a heartbeat scans nothing.
-        let marked = self.last_sent.iter_mut().filter(|m| m.unsent).take(unsent);
-        let entries: Vec<DeltaEntry> = marked
-            .map(|m| {
+        // Entries ship in id order: the merge-walk lists their positions
+        // so, a moved list in its own order.
+        self.marked.sort_unstable();
+        let entries: Vec<DeltaEntry> = self
+            .marked
+            .drain(..)
+            .map(|at| {
+                let m = &mut self.last_sent[at];
                 m.unsent = false;
                 m.entry
             })
@@ -388,7 +472,7 @@ impl Periphery {
             self.outbox.push(encode_delta(&Delta {
                 host: self.host,
                 seq: self.seq,
-                tick: snap.tick,
+                tick,
                 full: full && first,
                 health,
                 durability_lost: self.durability_lost,
@@ -910,6 +994,7 @@ mod tests {
             (u8, bool, bool, u64),
             Option<(u32, u32)>,
             (u8, u32, u32),
+            u8,
         );
 
         proptest! {
@@ -920,24 +1005,32 @@ mod tests {
             // out of id order, resync demands, reconnects, durability
             // flips, stalls, a token bucket run dry and batches chunked
             // small: the merge-walk emits the frames and the stats of
-            // the `HashMap` diff it replaced, byte for byte.
+            // the `HashMap` diff it replaced, byte for byte. So does a
+            // third periphery fed only what moved between consecutive
+            // snapshots — padded with ids that did not move, up to every
+            // one, as a static refresh names them — whenever it needs no
+            // whole snapshot and nothing left.
             #[test]
             fn merge_walk_equals_the_hashmap_diff(
                 steps in prop::collection::vec(
                     (prop::collection::vec((0u32..12, 1u32..4, 1u64..3), 0..12),
                      (0u8..4, prop::bool::ANY, prop::bool::ANY, 0u64..2),
                      prop::option::of((0u32..12, 0u32..4)),
-                     (0u8..12, 1u32..6, 1u32..10)),
+                     (0u8..12, 1u32..6, 1u32..10),
+                     0u8..4),
                     1..40),
             ) {
                 let mut new = Periphery::new(3);
+                let mut moved = Periphery::new(3);
                 let mut old = HashMapPeriphery::new(3);
                 let mut tick = 0u64;
                 let mut policy_epoch = 0u64;
+                let mut last = std::collections::BTreeMap::new();
                 let steps: Vec<Step> = steps;
-                for (states, (order, advance, stalled, age), tenant, (event, batch, burst)) in steps {
+                for (states, (order, advance, stalled, age), tenant, (event, batch, burst), pad) in steps {
                     if let Some((container, tenant)) = tenant {
                         new.set_tenant(container, tenant);
+                        moved.set_tenant(container, tenant);
                         old.set_tenant(container, tenant);
                     }
                     let ack = |resync: bool, policy: Option<FleetPolicy>| Ack {
@@ -961,25 +1054,29 @@ mod tests {
                         }
                         3 => {
                             new.on_reconnect();
+                            moved.on_reconnect();
                             old.on_reconnect();
                             None
                         }
                         4 | 5 => {
                             new.set_durability(event == 4, u64::from(batch));
+                            moved.set_durability(event == 4, u64::from(batch));
                             old.set_durability(event == 4, u64::from(batch));
                             None
                         }
                         _ => None,
                     };
                     if let Some(ack) = ack {
-                        prop_assert_eq!(new.handle_ack(&ack), old.handle_ack(&ack));
+                        let applied = old.handle_ack(&ack);
+                        prop_assert_eq!(new.handle_ack(&ack), applied);
+                        prop_assert_eq!(moved.handle_ack(&ack), applied);
                     }
                     // One state an id (the last drawn), in id order or not.
                     let mut by_id = std::collections::BTreeMap::new();
                     for (id, cpu, mem) in states {
                         by_id.insert(id, (id, cpu, mem * 100));
                     }
-                    let states: Vec<(u32, u32, u64)> = by_id.into_values().collect();
+                    let states: Vec<(u32, u32, u64)> = by_id.values().copied().collect();
                     tick += u64::from(advance);
                     let mut s = snap(tick, &states);
                     match order {
@@ -992,8 +1089,29 @@ mod tests {
                     }
                     new.observe(&s, stalled, age);
                     old.observe(&s, stalled, age);
-                    prop_assert_eq!(new.take_frames(), old.take_frames());
+                    let left = last.keys().any(|id| !by_id.contains_key(id));
+                    if moved.needs_snapshot() || left {
+                        moved.observe(&s, stalled, age);
+                    } else {
+                        let list: Vec<ViewState> = s
+                            .entries
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, e)| {
+                                last.get(&e.id) != by_id.get(&e.id)
+                                    || pad == 1
+                                    || (pad == 2 && i % 2 == 0)
+                            })
+                            .map(|(_, e)| *e)
+                            .collect();
+                        moved.observe_moved(tick, &list, stalled, age);
+                    }
+                    last = by_id;
+                    let frames = old.take_frames();
+                    prop_assert_eq!(new.take_frames(), frames.clone());
+                    prop_assert_eq!(moved.take_frames(), frames);
                     prop_assert_eq!(new.stats(), old.stats());
+                    prop_assert_eq!(moved.stats(), old.stats());
                 }
             }
         }
