@@ -13,23 +13,8 @@ echo "==> cargo clippy --workspace --all-targets (libraries, tests, examples, be
 cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::undocumented_unsafe_blocks -D clippy::multiple_unsafe_ops_per_block
 
-echo "==> cargo clippy -p arv-view-server (no unwraps in serving paths)"
-cargo clippy -p arv-view-server -- -D warnings -D clippy::unwrap_used
-
-echo "==> cargo clippy -p arv-fleet (no unwraps in the control plane)"
-cargo clippy -p arv-fleet -- -D warnings -D clippy::unwrap_used
-
-echo "==> cargo clippy -p arv-persist (no unwraps under the journal/lease)"
-cargo clippy -p arv-persist -- -D warnings -D clippy::unwrap_used
-
-echo "==> cargo clippy -p arv-telemetry (no unwraps in the observability plane)"
-cargo clippy -p arv-telemetry -- -D warnings -D clippy::unwrap_used
-
-echo "==> cargo clippy -p arv-resview (no unwraps in the algorithms, monitor and live cells)"
-cargo clippy -p arv-resview -- -D warnings -D clippy::unwrap_used
-
-echo "==> cargo clippy -p arv-container (no unwraps in the simulated host)"
-cargo clippy -p arv-container -- -D warnings -D clippy::unwrap_used
+echo "==> cargo clippy --lib (no unwraps in any library outside the experiment, bench and integration-test harnesses)"
+cargo clippy --workspace --exclude arv-experiments --exclude arv-bench --exclude arv-integration-tests --lib -- -D warnings -D clippy::unwrap_used
 
 echo "==> cargo test -q"
 cargo test -q

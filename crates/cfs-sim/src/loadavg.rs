@@ -35,11 +35,6 @@ impl Loadavg {
         Loadavg::new(ONE_MINUTE)
     }
 
-    /// Default 15-minute series.
-    pub fn fifteen_min() -> Loadavg {
-        Loadavg::new(FIFTEEN_MINUTES)
-    }
-
     /// Start from a known steady-state value.
     pub fn primed(tau: SimDuration, value: f64) -> Loadavg {
         assert!(value >= 0.0);
@@ -104,6 +99,13 @@ mod tests {
             l.observe(5, SimDuration::from_millis(500));
             assert!(l.value() >= prev - 1e-12 && l.value() <= 5.0 + 1e-12);
             prev = l.value();
+        }
+    }
+
+    impl Loadavg {
+        /// Default 15-minute series.
+        fn fifteen_min() -> Loadavg {
+            Loadavg::new(FIFTEEN_MINUTES)
         }
     }
 }

@@ -42,11 +42,6 @@ impl CpuSet {
         CpuSet(self.0 | (1u128 << cpu))
     }
 
-    /// Whether the set contains `cpu`.
-    pub fn contains(self, cpu: u32) -> bool {
-        cpu < 128 && self.0 & (1u128 << cpu) != 0
-    }
-
     /// Number of CPUs in the set — the `|M_i|` of Algorithm 1.
     pub fn count(self) -> u32 {
         self.0.count_ones()
@@ -57,19 +52,9 @@ impl CpuSet {
         self.0 == 0
     }
 
-    /// The union of the two sets.
-    pub fn union(self, other: CpuSet) -> CpuSet {
-        CpuSet(self.0 | other.0)
-    }
-
     /// The intersection of the two sets.
     pub fn intersection(self, other: CpuSet) -> CpuSet {
         CpuSet(self.0 & other.0)
-    }
-
-    /// Iterate over the CPUs in the set, ascending.
-    pub fn iter(self) -> impl Iterator<Item = u32> {
-        (0..128).filter(move |c| self.contains(*c))
     }
 }
 
@@ -110,13 +95,6 @@ impl CpuController {
     pub fn with_quota_cpus(mut self, cpus: f64) -> CpuController {
         assert!(cpus > 0.0, "quota must be positive");
         self.quota = Some(self.period.mul_f64(cpus));
-        self
-    }
-
-    /// Builder-style: set an explicit quota duration per period.
-    pub fn with_quota(mut self, quota: SimDuration) -> CpuController {
-        assert!(!quota.is_zero(), "quota must be positive");
-        self.quota = Some(quota);
         self
     }
 
@@ -217,5 +195,22 @@ mod tests {
         let c = CpuController::unlimited(4).with_quota_cpus(0.5);
         assert_eq!(c.quota_ratio(), Some(0.5));
         assert_eq!(c.cpu_cap(CpuSet::first_n(4)), 0.5);
+    }
+
+    impl CpuSet {
+        /// Whether the set contains `cpu`.
+        fn contains(self, cpu: u32) -> bool {
+            cpu < 128 && self.0 & (1u128 << cpu) != 0
+        }
+
+        /// The union of the two sets.
+        fn union(self, other: CpuSet) -> CpuSet {
+            CpuSet(self.0 | other.0)
+        }
+
+        /// Iterate over the CPUs in the set, ascending.
+        fn iter(self) -> impl Iterator<Item = u32> {
+            (0..128).filter(move |c| self.contains(*c))
+        }
     }
 }

@@ -69,16 +69,6 @@ impl EventPipe {
         self.queue.drain(..).collect()
     }
 
-    /// Events currently queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// The sequence number the next pushed event will get.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
@@ -151,5 +141,17 @@ mod tests {
         assert_eq!(pipe.len(), 1);
         assert_eq!(pipe.drain()[0].seq, 1);
         assert_eq!(pipe.take_overflow_dropped(), 1);
+    }
+
+    impl EventPipe {
+        /// Events currently queued.
+        fn len(&self) -> usize {
+            self.queue.len()
+        }
+
+        /// Whether the queue is empty.
+        fn is_empty(&self) -> bool {
+            self.queue.is_empty()
+        }
     }
 }

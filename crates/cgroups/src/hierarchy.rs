@@ -64,26 +64,6 @@ impl CgroupTree {
         id
     }
 
-    /// Remove a leaf cgroup (children must be removed first, as in the
-    /// kernel: `rmdir` fails on a populated cgroup).
-    pub fn remove(&mut self, id: CgroupId) -> Option<CgroupSpec> {
-        let node = self.nodes.get(&id)?;
-        assert!(node.children.is_empty(), "cgroup {id:?} still has children");
-        let parent = node.parent;
-        let node = self.nodes.remove(&id).expect("present");
-        if parent == ROOT {
-            self.root_children.retain(|c| *c != id);
-        } else if let Some(p) = self.nodes.get_mut(&parent) {
-            p.children.retain(|c| *c != id);
-        }
-        Some(node.spec)
-    }
-
-    /// The settings of `id`, if it exists.
-    pub fn get(&self, id: CgroupId) -> Option<&CgroupSpec> {
-        self.nodes.get(&id).map(|n| &n.spec)
-    }
-
     /// The parent of `id` ([`ROOT`] for top-level groups).
     pub fn parent(&self, id: CgroupId) -> Option<CgroupId> {
         self.nodes.get(&id).map(|n| n.parent)
@@ -101,16 +81,6 @@ impl CgroupTree {
     /// Whether `id` has no children.
     pub fn is_leaf(&self, id: CgroupId) -> bool {
         self.nodes.get(&id).is_some_and(|n| n.children.is_empty())
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Leaves under `id` (containers), depth-first.
@@ -228,5 +198,27 @@ mod tests {
     fn create_under_unknown_parent_panics() {
         let mut t = CgroupTree::new();
         t.create(CgroupId(42), spec(1024, None));
+    }
+
+    impl CgroupTree {
+        /// Remove a leaf cgroup (children must be removed first, as in the
+        /// kernel: `rmdir` fails on a populated cgroup).
+        fn remove(&mut self, id: CgroupId) -> Option<CgroupSpec> {
+            let node = self.nodes.get(&id)?;
+            assert!(node.children.is_empty(), "cgroup {id:?} still has children");
+            let parent = node.parent;
+            let node = self.nodes.remove(&id).expect("present");
+            if parent == ROOT {
+                self.root_children.retain(|c| *c != id);
+            } else if let Some(p) = self.nodes.get_mut(&parent) {
+                p.children.retain(|c| *c != id);
+            }
+            Some(node.spec)
+        }
+
+        /// Number of entries.
+        fn len(&self) -> usize {
+            self.nodes.len()
+        }
     }
 }

@@ -100,16 +100,6 @@ impl CgroupManager {
         self.groups.contains_key(&id)
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
     /// Iterate over live cgroups in id order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (CgroupId, &CgroupSpec)> {
         self.groups.iter().map(|(id, s)| (*id, s))
@@ -124,11 +114,6 @@ impl CgroupManager {
     /// Drain the pending change events (consumed by `ns_monitor`).
     pub fn drain_events(&mut self) -> Vec<CgroupEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Number of pending (undrained) events.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
     }
 }
 
@@ -225,5 +210,17 @@ mod tests {
         let ids: Vec<CgroupId> = (0..5).map(|_| m.create(spec())).collect();
         let seen: Vec<CgroupId> = m.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, seen);
+    }
+
+    impl CgroupManager {
+        /// Number of entries.
+        fn len(&self) -> usize {
+            self.groups.len()
+        }
+
+        /// Number of pending (undrained) events.
+        fn pending_events(&self) -> usize {
+            self.events.len()
+        }
     }
 }

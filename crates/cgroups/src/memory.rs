@@ -64,12 +64,6 @@ impl Bytes {
         Bytes(self.0.min(rhs.0))
     }
 
-    #[inline]
-    /// The larger of the two values.
-    pub fn max(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0.max(rhs.0))
-    }
-
     /// Scale by a non-negative factor, rounding to the nearest byte.
     #[inline]
     pub fn mul_f64(self, factor: f64) -> Bytes {

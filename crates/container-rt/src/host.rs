@@ -12,7 +12,7 @@ use arv_resview::{
     CpuBounds, EffectiveMemory, HostView, NsMonitor, RecoverOutcome, Sysconf, Verdict,
     VirtualSysfs, Watchdog, WatchdogConfig, WatchdogStats,
 };
-use arv_sim_core::{clock::sched_period, FaultPlan, FaultStats, SimClock, SimDuration, SimTime};
+use arv_sim_core::{clock::sched_period, FaultPlan, SimClock, SimDuration, SimTime};
 use arv_telemetry::PipelineEvent;
 use arv_viewd::{HostSpec, ViewServer};
 use std::collections::BTreeMap;
@@ -312,11 +312,6 @@ impl SimHost {
         self.fault_plan.take()
     }
 
-    /// Counters from the current fault plan, if one is installed.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.fault_plan.as_ref().map(|p| p.stats())
-    }
-
     /// The watchdog's counters (missed ticks, gaps, overflows, resyncs).
     pub fn watchdog_stats(&self) -> WatchdogStats {
         self.watchdog.stats()
@@ -533,12 +528,6 @@ impl SimHost {
     pub fn set_tracer(&mut self, tracer: arv_telemetry::Tracer) {
         self.monitor.set_tracer(tracer.clone());
         self.watchdog.set_tracer(tracer);
-    }
-
-    /// The monitor's tracer (disabled unless
-    /// [`set_tracer`](SimHost::set_tracer) installed one).
-    pub fn tracer(&self) -> &arv_telemetry::Tracer {
-        self.monitor.tracer()
     }
 
     /// The monitor's update-timer tick count (advances once per firing,
@@ -868,11 +857,6 @@ impl SimHost {
     /// The container's resident memory (`memory.usage_in_bytes`).
     pub fn memory_usage(&self, id: CgroupId) -> Bytes {
         self.mem.usage(id)
-    }
-
-    /// Fraction of the container's footprint on swap.
-    pub fn swapped_fraction(&self, id: CgroupId) -> f64 {
-        self.mem.swapped_fraction(id)
     }
 
     /// System-wide free physical memory.
@@ -2052,6 +2036,13 @@ mod tests {
                     prop_assert_eq!(host.periphery().expect("attached").stats(), shadow.stats());
                 }
             }
+        }
+    }
+
+    impl SimHost {
+        /// Counters from the current fault plan, if one is installed.
+        fn fault_stats(&self) -> Option<arv_sim_core::FaultStats> {
+            self.fault_plan.as_ref().map(|p| p.stats())
         }
     }
 }

@@ -531,17 +531,6 @@ impl FractionalEffectiveCpu {
         }
     }
 
-    /// Un-rounded effective capacity in CPUs.
-    pub fn capacity(&self) -> f64 {
-        self.value
-    }
-
-    /// The discrete count an application would be shown (nearest whole
-    /// CPU, clamped to the bounds).
-    pub fn count(&self) -> u32 {
-        (self.value.round() as u32).clamp(self.bounds.lower, self.bounds.upper)
-    }
-
     /// One firing of the update timer; same decision structure as
     /// Algorithm 1, with `step`-sized moves.
     pub fn update(&mut self, sample: CpuSample) -> f64 {
@@ -639,5 +628,18 @@ mod fractional_tests {
             EffectiveCpuConfig::default(),
             0.0,
         );
+    }
+
+    impl FractionalEffectiveCpu {
+        /// Un-rounded effective capacity in CPUs.
+        fn capacity(&self) -> f64 {
+            self.value
+        }
+
+        /// The discrete count an application would be shown (nearest whole
+        /// CPU, clamped to the bounds).
+        fn count(&self) -> u32 {
+            (self.value.round() as u32).clamp(self.bounds.lower, self.bounds.upper)
+        }
     }
 }

@@ -11,13 +11,6 @@
 //! memory reset to the soft limit. Both are values the container is
 //! entitled to under any interleaving, so a consumer sized against a
 //! degraded view can never over-provision.
-//!
-//! Orthogonal to staleness, a view carries a [`Durability`] dimension:
-//! whether the journal behind it is reaching stable storage. A view can
-//! be perfectly Fresh while its host's store refuses journal writes —
-//! the values served are correct, but a crash right now would lose
-//! everything since the last synced record, and fleet operators must
-//! see that.
 
 /// How many update-timer ticks (CFS periods) a view may age and still
 /// be served as-is; ages strictly greater degrade. 4 periods (~96 ms at
@@ -78,38 +71,6 @@ impl ViewHealth {
     }
 }
 
-/// The durability dimension of a served view: whether the state behind
-/// it is reaching stable storage. Orthogonal to [`ViewHealth`] — a
-/// Fresh view with [`Durability::Lost`] serves correct values that a
-/// crash would forget.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Durability {
-    /// Journal appends are reaching stable storage.
-    #[default]
-    Durable,
-    /// A store write or sync failed: what the journal holds since its
-    /// last synced record would not survive a crash, until a clean
-    /// re-checkpoint to the store heals the flag.
-    Lost,
-}
-
-impl Durability {
-    /// Whether journal durability is currently lost.
-    pub fn is_lost(self) -> bool {
-        matches!(self, Durability::Lost)
-    }
-
-    /// Fold a second opinion in: durability across a set of journals
-    /// (host + shadow, or a whole fleet) is lost if any member's is.
-    pub fn merge(self, other: Durability) -> Durability {
-        if self.is_lost() || other.is_lost() {
-            Durability::Lost
-        } else {
-            Durability::Durable
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,24 +99,5 @@ mod tests {
         assert_eq!(ViewHealth::from_age(stale).age(), stale);
         assert_eq!(ViewHealth::from_age(degraded).age(), degraded);
         assert_eq!(ViewHealth::from_age(0).age(), 0);
-    }
-
-    #[test]
-    fn durability_merges_pessimistically() {
-        assert_eq!(Durability::default(), Durability::Durable);
-        assert!(!Durability::Durable.is_lost());
-        assert!(Durability::Lost.is_lost());
-        assert_eq!(
-            Durability::Durable.merge(Durability::Durable),
-            Durability::Durable
-        );
-        assert_eq!(
-            Durability::Durable.merge(Durability::Lost),
-            Durability::Lost
-        );
-        assert_eq!(
-            Durability::Lost.merge(Durability::Durable),
-            Durability::Lost
-        );
     }
 }

@@ -504,7 +504,7 @@ impl NsMonitor {
     /// period's CPU accounting and the memory manager's current state.
     pub fn tick(&mut self, ledger: &UsageLedger, mem: &MemSim) {
         let (period, slack) = (ledger.last_period(), ledger.last_slack());
-        self.fire(period, slack, ledger.last_usages(), Some(mem));
+        self.fire(period, slack, ledger.last_usages(), mem);
     }
 
     /// Update-timer firing over the ledger's accumulated window (used by
@@ -512,13 +512,7 @@ impl NsMonitor {
     /// period).
     pub fn tick_window(&mut self, ledger: &UsageLedger, mem: &MemSim) {
         let (period, slack) = (ledger.window_time(), ledger.window_slack());
-        self.fire(period, slack, ledger.window_usages(), Some(mem));
-    }
-
-    /// CPU-only periodic update (memory decimated by the caller).
-    pub fn tick_cpu(&mut self, ledger: &UsageLedger) {
-        let (period, slack) = (ledger.last_period(), ledger.last_slack());
-        self.fire(period, slack, ledger.last_usages(), None);
+        self.fire(period, slack, ledger.window_usages(), mem);
     }
 
     /// One update-timer firing. Host-wide state (`period`, `slack`, free
@@ -534,13 +528,14 @@ impl NsMonitor {
         period: SimDuration,
         slack: SimDuration,
         cpu_usage: impl Iterator<Item = (CgroupId, SimDuration)>,
-        mem: Option<&MemSim>,
+        mem: &MemSim,
     ) {
         if period.is_zero() {
             return; // nothing scheduled yet
         }
         let mut cpu_usage = cpu_usage.peekable();
-        let mut mem = mem.map(|m| (m.usages().peekable(), m.free(), m.is_reclaiming()));
+        let (mut mem_usage, free, reclaiming) =
+            (mem.usages().peekable(), mem.free(), mem.is_reclaiming());
         self.fresh_tick = self.now_tick;
         // An undrained list would name an id twice: fold it into
         // "everything moved", which the drain reads once.
@@ -556,12 +551,10 @@ impl NsMonitor {
                 period,
                 slack,
             });
-            let mem_d = mem.as_mut().and_then(|(usages, free, reclaiming)| {
-                ns.update_mem_explained(MemSample {
-                    free: *free,
-                    usage: seek(usages, *id).unwrap_or(Bytes::ZERO),
-                    reclaiming: *reclaiming,
-                })
+            let mem_d = ns.update_mem_explained(MemSample {
+                free,
+                usage: seek(&mut mem_usage, *id).unwrap_or(Bytes::ZERO),
+                reclaiming,
             });
             if let Some(d) = cpu_d {
                 self.tracer.emit_cpu(self.now_tick, *id, d);

@@ -132,46 +132,15 @@ impl SysNamespace {
         )
     }
 
-    /// Periodic update-timer firing.
-    pub fn update(&mut self, cpu: CpuSample, mem: MemSample) {
-        self.e_cpu.update(cpu);
-        self.e_mem.update(mem);
-    }
-
-    /// Update only the CPU view (used when memory sampling is decimated,
-    /// since "the change of memory usage is less frequent than that of CPU
-    /// allocation", §3.2).
-    pub fn update_cpu(&mut self, cpu: CpuSample) {
-        self.e_cpu.update(cpu);
-    }
-
-    /// Update only the memory view.
-    pub fn update_mem(&mut self, mem: MemSample) {
-        self.e_mem.update(mem);
-    }
-
-    /// [`update`](SysNamespace::update) with decision provenance:
-    /// returns what moved (and why) for each resource, `None` per
-    /// resource when its view was left unchanged.
-    pub fn update_explained(
-        &mut self,
-        cpu: CpuSample,
-        mem: MemSample,
-    ) -> (Option<CpuDecision>, Option<MemDecision>) {
-        (
-            self.e_cpu.update_explained(cpu),
-            self.e_mem.update_explained(mem),
-        )
-    }
-
-    /// [`update_cpu`](SysNamespace::update_cpu) with decision
-    /// provenance.
+    /// Periodic update-timer firing of the CPU view (Algorithm 1):
+    /// returns what moved and why, `None` when the view was left
+    /// unchanged.
     pub fn update_cpu_explained(&mut self, cpu: CpuSample) -> Option<CpuDecision> {
         self.e_cpu.update_explained(cpu)
     }
 
-    /// [`update_mem`](SysNamespace::update_mem) with decision
-    /// provenance.
+    /// Periodic update-timer firing of the memory view (Algorithm 2),
+    /// with decision provenance as for the CPU view.
     pub fn update_mem_explained(&mut self, mem: MemSample) -> Option<MemDecision> {
         self.e_mem.update_explained(mem)
     }
@@ -255,5 +224,39 @@ mod tests {
         assert_eq!(n.effective_cpu(), 4);
         n.set_mem_limits(Bytes::from_mib(200), Bytes::from_mib(400));
         assert_eq!(n.effective_memory(), Bytes::from_mib(200));
+    }
+
+    impl SysNamespace {
+        /// Periodic update-timer firing.
+        fn update(&mut self, cpu: CpuSample, mem: MemSample) {
+            self.e_cpu.update(cpu);
+            self.e_mem.update(mem);
+        }
+
+        /// Update only the CPU view (used when memory sampling is decimated,
+        /// since "the change of memory usage is less frequent than that of CPU
+        /// allocation", §3.2).
+        fn update_cpu(&mut self, cpu: CpuSample) {
+            self.e_cpu.update(cpu);
+        }
+
+        /// Update only the memory view.
+        pub(crate) fn update_mem(&mut self, mem: MemSample) {
+            self.e_mem.update(mem);
+        }
+
+        /// [`update`](SysNamespace::update) with decision provenance:
+        /// returns what moved (and why) for each resource, `None` per
+        /// resource when its view was left unchanged.
+        pub(crate) fn update_explained(
+            &mut self,
+            cpu: CpuSample,
+            mem: MemSample,
+        ) -> (Option<CpuDecision>, Option<MemDecision>) {
+            (
+                self.e_cpu.update_explained(cpu),
+                self.e_mem.update_explained(mem),
+            )
+        }
     }
 }

@@ -37,11 +37,6 @@ impl MemHog {
         self.id
     }
 
-    /// Memory charged so far.
-    pub fn charged(&self) -> Bytes {
-        self.charged
-    }
-
     fn on_period(&mut self, host: &mut SimHost, period: SimDuration) {
         if self.stalled || self.charged >= self.target {
             return;
@@ -292,5 +287,12 @@ mod tests {
         fleet.push_hog(CpuHog::new(c, 4, SimDuration::from_secs(100_000)));
         // No primaries: fleet is immediately "done".
         assert!(fleet.run(&mut host, SimDuration::from_secs(1)));
+    }
+
+    impl MemHog {
+        /// Memory charged so far.
+        fn charged(&self) -> Bytes {
+            self.charged
+        }
     }
 }

@@ -41,17 +41,13 @@ pub mod viewd;
 
 pub use report::{FigReport, Row, Table};
 
-/// Run a figure by id ("1", "2a", "2b", "6" … "12", "overhead");
+/// Run a figure by id ("1", "2a", "2b", "6" … "12", "overhead", …);
 /// `scale` < 1 shrinks workload sizes proportionally for quick runs.
-pub fn run_figure(id: &str, scale: f64) -> Option<FigReport> {
-    run_figure_seeded(id, scale, 0)
-}
-
-/// [`run_figure`] with a seed offset: the six campaigns on the
-/// [`campaign`] harness (`chaos`, `obs`, `recovery`, `fleet`,
-/// `fleetobs`, `storm`) all rotate their seeds by `seed_offset`, by one
-/// rule, so CI can prove the invariants hold on more than the canonical
-/// seeds. The paper-figure runners have no seeds and ignore it.
+/// The six campaigns on the [`campaign`] harness (`chaos`, `obs`,
+/// `recovery`, `fleet`, `fleetobs`, `storm`) all rotate their seeds by
+/// `seed_offset`, by one rule, so CI can prove the invariants hold on
+/// more than the canonical seeds. The paper-figure runners have no
+/// seeds and ignore it.
 pub fn run_figure_seeded(id: &str, scale: f64, seed_offset: u64) -> Option<FigReport> {
     let report = match id {
         "1" => fig01_dockerhub::run(),
@@ -109,8 +105,8 @@ mod tests {
 
     #[test]
     fn unknown_figure_is_none() {
-        assert!(run_figure("99", 1.0).is_none());
-        assert!(run_figure("", 1.0).is_none());
+        assert!(run_figure_seeded("99", 1.0, 0).is_none());
+        assert!(run_figure_seeded("", 1.0, 0).is_none());
     }
 
     #[test]
@@ -118,7 +114,7 @@ mod tests {
         // Quick smoke at tiny scale: each id must resolve and produce at
         // least one table (full-value checks live in each module).
         for id in ["1", "overhead"] {
-            let rep = run_figure(id, 0.05).expect("known figure");
+            let rep = run_figure_seeded(id, 0.05, 0).expect("known figure");
             assert_eq!(rep.id, id);
             assert!(!rep.tables.is_empty(), "{id} produced no tables");
         }

@@ -64,15 +64,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Look up a cell by row label and column name.
-    pub fn get(&self, row: &str, column: &str) -> Option<f64> {
-        let c = self.columns.iter().position(|x| x == column)?;
-        self.rows
-            .iter()
-            .find(|r| r.label == row)
-            .and_then(|r| r.values[c])
-    }
-
     fn render(&self, out: &mut String) {
         let label_w = self
             .rows
@@ -256,64 +247,6 @@ impl FigReport {
         .pretty()
     }
 
-    /// Parse a report previously produced by [`FigReport::to_json`].
-    pub fn from_json(input: &str) -> Result<FigReport, String> {
-        let root = Json::parse(input)?;
-        let str_field = |v: &Json, key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        };
-        let arr_field = |v: &Json, key: &str| -> Result<Vec<Json>, String> {
-            v.get(key)
-                .and_then(Json::as_arr)
-                .map(<[Json]>::to_vec)
-                .ok_or_else(|| format!("missing array field {key:?}"))
-        };
-        let mut report = FigReport::new(str_field(&root, "id")?, str_field(&root, "title")?);
-        for t in arr_field(&root, "tables")? {
-            let mut table = Table {
-                name: str_field(&t, "name")?,
-                columns: arr_field(&t, "columns")?
-                    .iter()
-                    .map(|c| c.as_str().map(str::to_string).ok_or("non-string column"))
-                    .collect::<Result<_, _>>()?,
-                rows: Vec::new(),
-            };
-            for r in arr_field(&t, "rows")? {
-                table.rows.push(Row {
-                    label: str_field(&r, "label")?,
-                    values: arr_field(&r, "values")?
-                        .iter()
-                        .map(|v| v.as_f64())
-                        .collect(),
-                });
-            }
-            report.tables.push(table);
-        }
-        for s in arr_field(&root, "series")? {
-            let mut series = TimeSeries::new(str_field(&s, "name")?);
-            for sample in arr_field(&s, "samples")? {
-                let pair = sample.as_arr().ok_or("non-array sample")?;
-                let (Some(t), Some(v)) = (
-                    pair.first().and_then(Json::as_f64),
-                    pair.get(1).and_then(Json::as_f64),
-                ) else {
-                    return Err("sample must be a [time, value] pair".into());
-                };
-                series.push(arv_sim_core::SimTime(t as u64), v);
-            }
-            report.series.push(series);
-        }
-        for n in arr_field(&root, "notes")? {
-            report
-                .notes
-                .push(n.as_str().ok_or("non-string note")?.to_string());
-        }
-        Ok(report)
-    }
-
     /// Write each table/series as a CSV file under `dir`.
     pub fn write_csv(&self, dir: &std::path::Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
@@ -447,5 +380,76 @@ mod tests {
         let series_csv = std::fs::read_to_string(dir.join("fig6_trace.csv")).unwrap();
         assert!(series_csv.contains("1,2"));
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    impl Table {
+        /// Look up a cell by row label and column name.
+        pub(crate) fn get(&self, row: &str, column: &str) -> Option<f64> {
+            let c = self.columns.iter().position(|x| x == column)?;
+            self.rows
+                .iter()
+                .find(|r| r.label == row)
+                .and_then(|r| r.values[c])
+        }
+    }
+
+    impl FigReport {
+        /// Parse a report previously produced by [`FigReport::to_json`].
+        fn from_json(input: &str) -> Result<FigReport, String> {
+            let root = Json::parse(input)?;
+            let str_field = |v: &Json, key: &str| -> Result<String, String> {
+                v.get(key)
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("missing string field {key:?}"))
+            };
+            let arr_field = |v: &Json, key: &str| -> Result<Vec<Json>, String> {
+                v.get(key)
+                    .and_then(Json::as_arr)
+                    .map(<[Json]>::to_vec)
+                    .ok_or_else(|| format!("missing array field {key:?}"))
+            };
+            let mut report = FigReport::new(str_field(&root, "id")?, str_field(&root, "title")?);
+            for t in arr_field(&root, "tables")? {
+                let mut table = Table {
+                    name: str_field(&t, "name")?,
+                    columns: arr_field(&t, "columns")?
+                        .iter()
+                        .map(|c| c.as_str().map(str::to_string).ok_or("non-string column"))
+                        .collect::<Result<_, _>>()?,
+                    rows: Vec::new(),
+                };
+                for r in arr_field(&t, "rows")? {
+                    table.rows.push(Row {
+                        label: str_field(&r, "label")?,
+                        values: arr_field(&r, "values")?
+                            .iter()
+                            .map(|v| v.as_f64())
+                            .collect(),
+                    });
+                }
+                report.tables.push(table);
+            }
+            for s in arr_field(&root, "series")? {
+                let mut series = TimeSeries::new(str_field(&s, "name")?);
+                for sample in arr_field(&s, "samples")? {
+                    let pair = sample.as_arr().ok_or("non-array sample")?;
+                    let (Some(t), Some(v)) = (
+                        pair.first().and_then(Json::as_f64),
+                        pair.get(1).and_then(Json::as_f64),
+                    ) else {
+                        return Err("sample must be a [time, value] pair".into());
+                    };
+                    series.push(arv_sim_core::SimTime(t as u64), v);
+                }
+                report.series.push(series);
+            }
+            for n in arr_field(&root, "notes")? {
+                report
+                    .notes
+                    .push(n.as_str().ok_or("non-string note")?.to_string());
+            }
+            Ok(report)
+        }
     }
 }

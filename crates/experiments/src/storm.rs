@@ -270,7 +270,6 @@ fn run_storm(seed: u64) -> StormOutcome {
             lease_stall_at: Some((18, 2)),
             // The deposed primary's crash-restore rejoin point.
             primary_crash_at: Some((34, 1)),
-            store_full_at: Some(LEASE_FULL),
             ..FaultConfig::quiet()
         },
     );

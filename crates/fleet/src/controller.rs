@@ -44,7 +44,6 @@ use arv_persist::{
 };
 use arv_telemetry::{FlightRecorder, FlightTrigger, LagHistogram, PipelineEvent, PromText, Tracer};
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -64,11 +63,6 @@ impl SharedLease {
     /// An empty (never-granted) shared lease.
     pub fn new() -> SharedLease {
         SharedLease::default()
-    }
-
-    /// Rehydrate from persisted bytes.
-    pub fn from_bytes(bytes: Vec<u8>) -> SharedLease {
-        SharedLease(Arc::new(Mutex::new(LeaseFile::from_bytes(bytes))))
     }
 
     /// A shared lease over a caller-supplied storage backend (e.g. a
@@ -92,16 +86,6 @@ impl SharedLease {
     /// Advance the store's fault clock (drives `FaultyStore` windows).
     pub fn set_tick(&self, tick: u64) {
         lock(&self.0).set_tick(tick);
-    }
-
-    /// The current lease, if intact.
-    pub fn current(&self) -> Option<Lease> {
-        lock(&self.0).current()
-    }
-
-    /// The raw store bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        lock(&self.0).as_bytes().to_vec()
     }
 }
 
@@ -244,22 +228,6 @@ pub enum HostEventKind {
     DurabilityRestored,
 }
 
-impl HostEventKind {
-    /// Short label used in rendered explanations.
-    pub fn label(self) -> &'static str {
-        match self {
-            HostEventKind::Hello => "hello",
-            HostEventKind::DeltaApplied => "delta-applied",
-            HostEventKind::FullApplied => "full-applied",
-            HostEventKind::GapResync => "gap-resync",
-            HostEventKind::Partitioned => "partitioned",
-            HostEventKind::Promoted => "promoted",
-            HostEventKind::DurabilityLost => "durability-lost",
-            HostEventKind::DurabilityRestored => "durability-restored",
-        }
-    }
-}
-
 /// One entry of a host's causal event ring: what happened, when (in
 /// controller ticks), and the span coordinates it happened at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,47 +278,6 @@ pub struct FleetExplain {
     pub waterfall: LagHistogram,
     /// The last causal events, oldest first.
     pub events: Vec<HostCausalEvent>,
-}
-
-impl FleetExplain {
-    /// Render the explanation as human-readable lines.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "host {}: health={} durability_lost={} partitioned={} needs_resync={} lag={} ticks",
-            self.host,
-            self.health,
-            self.durability_lost,
-            self.partitioned,
-            self.needs_resync,
-            self.freshness_lag
-        );
-        let _ = writeln!(
-            out,
-            "  span: origin_tick={} flush_tick={} ingest_tick={} trace_seq={} expected_seq={}",
-            self.origin_tick, self.flush_tick, self.ingest_tick, self.trace_seq, self.expected_seq
-        );
-        let _ = writeln!(
-            out,
-            "  waterfall: n={} sum={} max={} containers={}",
-            self.waterfall.total(),
-            self.waterfall.sum(),
-            self.waterfall.max_lag(),
-            self.containers
-        );
-        for e in &self.events {
-            let _ = writeln!(
-                out,
-                "  [tick {:>4}] {} seq={} origin={}",
-                e.tick,
-                e.kind.label(),
-                e.seq,
-                e.origin_tick
-            );
-        }
-        out
-    }
 }
 
 /// One tracked host.
@@ -543,7 +470,8 @@ impl FleetController {
     }
 
     /// Route fleet pipeline events (partition flagged, gap resync,
-    /// failover) into a trace ring. Call before sharing the controller.
+    /// promotion, fence, durability edges) into a trace ring. Call
+    /// before sharing the controller.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -652,19 +580,6 @@ impl FleetController {
     /// Counters.
     pub fn metrics(&self) -> &FleetMetrics {
         &self.metrics
-    }
-
-    /// Hosts currently tracked.
-    pub fn host_count(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).hosts.len()).sum()
-    }
-
-    /// Containers currently tracked.
-    pub fn container_count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| lock(s).sums.totals.containers)
-            .sum()
     }
 
     /// Visit every tracked host, one shard lock at a time.
@@ -1265,18 +1180,6 @@ impl FleetController {
         points
     }
 
-    /// Per-host breakdown (host id, partitioned?, containers, cpu sum)
-    /// in host-id order — ground-truth checks in tests and experiments.
-    pub fn host_rollups(&self) -> Vec<(u32, bool, u64, u64)> {
-        let mut out = Vec::new();
-        self.each_host(|hid, host| {
-            let cpu: u64 = host.containers.values().map(|e| u64::from(e.e_cpu)).sum();
-            out.push((hid, host.partitioned, host.containers.len() as u64, cpu));
-        });
-        out.sort_unstable_by_key(|r| r.0);
-        out
-    }
-
     // -----------------------------------------------------------------
     // Journaling and failover
     // -----------------------------------------------------------------
@@ -1348,12 +1251,6 @@ impl FleetController {
     /// lag, in records — the failover bench's headline number).
     pub fn repl_backlog_records(&self) -> u64 {
         lock(&self.repl).as_ref().map_or(0, |rs| rs.outbox_records)
-    }
-
-    /// Standby: the primary's tick stamped on the last applied REPL
-    /// frame (0 before any) — how fresh the shadow index is.
-    pub fn repl_last_as_of(&self) -> u64 {
-        lock(&self.repl).as_ref().map_or(0, |rs| rs.last_as_of)
     }
 
     /// Drain the replication outbox into encoded REPL frames, each
@@ -1639,8 +1536,6 @@ impl FleetController {
         ctl.metrics
             .hosts_partitioned
             .store(partitioned, Ordering::Relaxed);
-        ctl.tracer
-            .emit_pipeline(snap.tick, None, PipelineEvent::FleetFailover);
         ctl
     }
 
@@ -2340,15 +2235,9 @@ mod tests {
     #[test]
     fn repl_garbage_never_panics_standby() {
         let standby = FleetController::new(2, FleetPolicy::default());
-        use crate::protocol::{encode_repl, Repl};
+        use crate::protocol::encode_repl_parts;
         for len in [0usize, 1, 7, 64, 300] {
-            let frame = encode_repl(&Repl {
-                ctl_epoch: 0,
-                repl_seq: 0,
-                as_of_tick: 0,
-                heard: Vec::new(),
-                records: vec![0xA5; len],
-            });
+            let frame = encode_repl_parts(0, 0, 0, &[], &vec![0xA5; len]);
             let _ = standby.handle_frame(&frame);
         }
     }
@@ -2482,7 +2371,7 @@ mod tests {
     }
     mod diff_props {
         use super::*;
-        use crate::protocol::{encode_delta, encode_repl, HostSummary};
+        use crate::protocol::{encode_delta, encode_repl_parts, HostSummary};
         use crate::reference::{snapshot_of, Index, RecordPrimary, RecordStandby};
         use proptest::prelude::*;
 
@@ -2673,13 +2562,15 @@ mod tests {
                                 state: state(5, e),
                                 tick: 4,
                             }));
-                            let frame = encode_repl(&Repl {
-                                ctl_epoch: 0,
-                                repl_seq: ref_standby.expected_seq,
-                                as_of_tick: 0,
-                                heard: vec![host],
-                                records: stream.iter().flat_map(arv_persist::encode_record).collect(),
-                            });
+                            let records: Vec<u8> =
+                                stream.iter().flat_map(arv_persist::encode_record).collect();
+                            let frame = encode_repl_parts(
+                                0,
+                                ref_standby.expected_seq,
+                                0,
+                                &[host],
+                                &records,
+                            );
                             let want = ref_standby.handle_repl(&frame);
                             let got = standby.handle_frame(&frame).and_then(|resp| {
                                 match decode_frame(&resp) {
@@ -2737,6 +2628,75 @@ mod tests {
                     ref_primary.streamed
                 );
             }
+        }
+    }
+
+    impl FleetController {
+        /// Hosts currently tracked.
+        fn host_count(&self) -> usize {
+            self.shards.iter().map(|s| lock(s).hosts.len()).sum()
+        }
+    }
+
+    impl HostEventKind {
+        /// Short label used in rendered explanations.
+        fn label(self) -> &'static str {
+            match self {
+                HostEventKind::Hello => "hello",
+                HostEventKind::DeltaApplied => "delta-applied",
+                HostEventKind::FullApplied => "full-applied",
+                HostEventKind::GapResync => "gap-resync",
+                HostEventKind::Partitioned => "partitioned",
+                HostEventKind::Promoted => "promoted",
+                HostEventKind::DurabilityLost => "durability-lost",
+                HostEventKind::DurabilityRestored => "durability-restored",
+            }
+        }
+    }
+
+    impl FleetExplain {
+        /// Render the explanation as human-readable lines.
+        fn render(&self) -> String {
+            use std::fmt::Write as _;
+            let mut out = String::new();
+            let _ = writeln!(
+                out,
+                "host {}: health={} durability_lost={} partitioned={} needs_resync={} lag={} ticks",
+                self.host,
+                self.health,
+                self.durability_lost,
+                self.partitioned,
+                self.needs_resync,
+                self.freshness_lag
+            );
+            let _ = writeln!(
+                out,
+                "  span: origin_tick={} flush_tick={} ingest_tick={} trace_seq={} expected_seq={}",
+                self.origin_tick,
+                self.flush_tick,
+                self.ingest_tick,
+                self.trace_seq,
+                self.expected_seq
+            );
+            let _ = writeln!(
+                out,
+                "  waterfall: n={} sum={} max={} containers={}",
+                self.waterfall.total(),
+                self.waterfall.sum(),
+                self.waterfall.max_lag(),
+                self.containers
+            );
+            for e in &self.events {
+                let _ = writeln!(
+                    out,
+                    "  [tick {:>4}] {} seq={} origin={}",
+                    e.tick,
+                    e.kind.label(),
+                    e.seq,
+                    e.origin_tick
+                );
+            }
+            out
         }
     }
 }

@@ -34,10 +34,13 @@
 //! file-backed lease ([`arv_persist::lease`]) with monotone controller
 //! epochs governs leadership, and every ACK/ROLLUP carries the issuing
 //! controller's epoch so peripheries and readers fence frames from a
-//! deposed primary. Peripheries ride [`wire::FleetFailoverClient`] to
-//! walk a configured controller list on send/ACK failure and enforce
-//! pushed `rate_burst` as a local token bucket, coalescing (never
-//! dropping) diffs while the bucket is dry.
+//! deposed primary. Peripheries enforce the pushed `rate_burst` as a
+//! local token bucket, coalescing (never dropping) diffs while the
+//! bucket is dry. Over real sockets, [`wire::FleetFailoverClient`]
+//! walks a configured controller list on send/ACK failure (the e2e
+//! suites drive it); the campaigns carry frames between peripheries and
+//! controllers in-process, and `arv-benchmark`'s `fleet_fanin` writes
+//! codec frames over its own pipe.
 
 // Production code must not panic on a recoverable fault: unwraps are
 // confined to tests.
@@ -57,12 +60,10 @@ pub use controller::{
 };
 pub use periphery::{AckDisposition, Periphery, PeripheryStats};
 pub use protocol::{
-    decode_frame, encode_ack, encode_delta, encode_hello, encode_policy, encode_query, encode_repl,
+    decode_frame, encode_ack, encode_delta, encode_hello, encode_policy, encode_query,
     encode_rollup, Ack, ClusterRollup, Delta, DeltaEntry, FleetPolicy, Frame, Hello, HostSummary,
     PressurePoint, Query, Repl, Rollup, RollupFrame, SpanStamp, TenantRollup, MAX_FLEET_FRAME,
     OP_ACK, OP_DELTA, OP_HELLO, OP_POLICY, OP_QUERY, OP_REPL, OP_ROLLUP, QUERY_CLUSTER,
     QUERY_FLIGHT, QUERY_STATS, QUERY_TENANT, QUERY_TOPK, REPL_PEER,
 };
-pub use wire::{
-    FailoverClientStats, FailoverPolicy, FleetClient, FleetFailoverClient, FleetWireServer,
-};
+pub use wire::{FailoverPolicy, FleetClient, FleetFailoverClient, FleetWireServer};

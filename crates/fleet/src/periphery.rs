@@ -178,11 +178,6 @@ impl Periphery {
         }
     }
 
-    /// The host this agent speaks for.
-    pub fn host(&self) -> u32 {
-        self.host
-    }
-
     /// The policy currently in force (defaults until the first ACK).
     pub fn policy(&self) -> FleetPolicy {
         self.policy
@@ -508,11 +503,6 @@ impl Periphery {
     /// Drain the queued frames (HELLO first, then DELTAs in order).
     pub fn take_frames(&mut self) -> Vec<Vec<u8>> {
         std::mem::take(&mut self.outbox)
-    }
-
-    /// Whether frames are waiting to be drained.
-    pub fn has_frames(&self) -> bool {
-        !self.outbox.is_empty()
     }
 
     /// Apply a controller ACK: adopt a strictly newer policy, and honour
@@ -1114,6 +1104,13 @@ mod tests {
                     prop_assert_eq!(moved.stats(), old.stats());
                 }
             }
+        }
+    }
+
+    impl Periphery {
+        /// Whether frames are waiting to be drained.
+        fn has_frames(&self) -> bool {
+            !self.outbox.is_empty()
         }
     }
 }

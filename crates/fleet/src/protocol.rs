@@ -508,12 +508,7 @@ pub fn encode_query(q: &Query) -> Vec<u8> {
     out
 }
 
-/// Encode a REPL payload.
-pub fn encode_repl(r: &Repl) -> Vec<u8> {
-    encode_repl_parts(r.ctl_epoch, r.repl_seq, r.as_of_tick, &r.heard, &r.records)
-}
-
-/// [`encode_repl`] over borrowed parts: the primary frames a slice of
+/// Encode a REPL frame from borrowed parts: the primary frames a slice of
 /// its outbox without first copying it into a [`Repl`].
 pub(crate) fn encode_repl_parts(
     ctl_epoch: u64,
@@ -989,7 +984,14 @@ mod tests {
             heard: vec![7, 9],
             records: vec![1, 2, 3, 4, 5],
         };
-        assert_eq!(decode_frame(&encode_repl(&repl)), Some(Frame::Repl(repl)));
+        let frame = encode_repl_parts(
+            repl.ctl_epoch,
+            repl.repl_seq,
+            repl.as_of_tick,
+            &repl.heard,
+            &repl.records,
+        );
+        assert_eq!(decode_frame(&frame), Some(Frame::Repl(repl)));
 
         let query = Query {
             kind: QUERY_TENANT,
@@ -1076,13 +1078,7 @@ mod tests {
                     pressure_milli: 500,
                 }]),
             }),
-            encode_repl(&Repl {
-                ctl_epoch: 2,
-                repl_seq: 3,
-                as_of_tick: 5,
-                heard: Vec::new(),
-                records: vec![9; 24],
-            }),
+            encode_repl_parts(2, 3, 5, &[], &[9; 24]),
         ];
         for frame in &frames {
             for cut in 0..frame.len() {
@@ -1300,7 +1296,7 @@ mod tests {
                 repl_seq in 0u64..8,
                 records in prop::collection::vec(0u8..255, 0..256)
             ) {
-                let frame = encode_repl(&Repl { ctl_epoch, repl_seq, as_of_tick: 0, heard: Vec::new(), records });
+                let frame = encode_repl_parts(ctl_epoch, repl_seq, 0, &[], &records);
                 let standby = FleetController::new(2, FleetPolicy::default());
                 let _ = standby.handle_frame(&frame);
             }
@@ -1329,7 +1325,7 @@ mod tests {
                 }
                 let keep = cut.min(records.len());
                 records.truncate(keep);
-                let frame = encode_repl(&Repl { ctl_epoch: 1, repl_seq: 0, as_of_tick: 0, heard: Vec::new(), records });
+                let frame = encode_repl_parts(1, 0, 0, &[], &records);
                 let standby = FleetController::new(2, FleetPolicy::default());
                 let _ = standby.handle_frame(&frame);
             }

@@ -9,8 +9,8 @@ use arv_persist::{decode_records, encode_record, Journal, Record, Snapshot, View
 
 use crate::periphery::{AckDisposition, PeripheryStats};
 use crate::protocol::{
-    decode_frame, encode_delta, encode_hello, encode_repl, Ack, Delta, DeltaEntry, FleetPolicy,
-    Frame, Hello, HostSummary, Repl, HEALTH_DEGRADED, HEALTH_DURABILITY_LOST, HEALTH_FRESH,
+    decode_frame, encode_delta, encode_hello, encode_repl_parts, Ack, Delta, DeltaEntry,
+    FleetPolicy, Frame, Hello, HostSummary, HEALTH_DEGRADED, HEALTH_DURABILITY_LOST, HEALTH_FRESH,
     HEALTH_STALE, MAX_FLEET_FRAME,
 };
 
@@ -417,13 +417,13 @@ impl RecordPrimary {
         let budget = (MAX_FLEET_FRAME as usize).saturating_sub(64 + 4 * heard.len());
         let mut frames = Vec::new();
         let mut frame = |heard: Vec<u32>, records: Vec<u8>| {
-            frames.push(encode_repl(&Repl {
-                ctl_epoch: 0,
-                repl_seq: self.next_seq,
-                as_of_tick: self.now,
-                heard,
-                records,
-            }));
+            frames.push(encode_repl_parts(
+                0,
+                self.next_seq,
+                self.now,
+                &heard,
+                &records,
+            ));
             self.next_seq += 1;
         };
         let mut cur: Vec<u8> = Vec::new();

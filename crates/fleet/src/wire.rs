@@ -27,8 +27,7 @@
 
 use arv_viewd::codec::{read_frame, write_frame};
 use arv_viewd::{
-    FrameService, Reactor, Response, RetryPolicy, ServerConfig, ServiceAction, Transport, Verdict,
-    WireError,
+    FrameService, Reactor, Response, RetryPolicy, ServerConfig, ServiceAction, Transport,
 };
 use std::io;
 use std::os::unix::net::UnixStream;
@@ -37,7 +36,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::controller::FleetController;
-use crate::protocol::{decode_frame, Frame, MAX_FLEET_FRAME};
+use crate::protocol::MAX_FLEET_FRAME;
 
 /// Retry, backoff and failover policy for [`FleetFailoverClient`] — the
 /// shared [`arv_viewd::RetryPolicy`], aliased so fleet callers keep
@@ -146,23 +145,6 @@ impl FleetClient {
     }
 }
 
-/// Counters describing one [`FleetFailoverClient`]'s life so far — a
-/// projection of the underlying [`arv_viewd::TransportStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FailoverClientStats {
-    /// Requests answered successfully.
-    pub successes: u64,
-    /// Attempts beyond the first within a request.
-    pub retries: u64,
-    /// Times the client moved to the next controller in the list
-    /// (after an I/O failure, EOF, or an explicit not-leader signal).
-    pub controller_switches: u64,
-    /// Fresh connections established (first connect included).
-    pub reconnects: u64,
-    /// Requests that exhausted every attempt.
-    pub failures: u64,
-}
-
 /// A periphery's failover transport: one live connection at a time,
 /// walking an ordered controller list on failure with seeded-jitter
 /// exponential backoff — a thin fleet-typed wrapper over the shared
@@ -195,24 +177,6 @@ impl FleetFailoverClient {
         }
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> FailoverClientStats {
-        let t = self.transport.stats();
-        FailoverClientStats {
-            successes: t.successes,
-            retries: t.retries,
-            controller_switches: t.target_switches,
-            reconnects: t.connects,
-            failures: t.failures,
-        }
-    }
-
-    /// The controller currently targeted (index into the configured
-    /// list).
-    pub fn active_controller(&self) -> usize {
-        self.transport.active_target()
-    }
-
     /// True exactly once after the conversation moved to a fresh
     /// connection; the caller must re-HELLO before its next delta.
     pub fn take_reconnected(&mut self) -> bool {
@@ -233,26 +197,6 @@ impl FleetFailoverClient {
     pub fn request(&mut self, frame: &[u8]) -> io::Result<Vec<u8>> {
         self.transport.request(frame).map_err(io::Error::from)
     }
-
-    /// Send one frame and fence the answer: an ACK carrying a
-    /// controller epoch below `min_epoch` came from a deposed peer, so
-    /// the transport advances to the next controller and the request
-    /// fails with [`WireError::Fenced`] — the caller re-HELLOs before
-    /// anything else makes sense. Non-ACK answers pass through
-    /// unjudged.
-    pub fn request_fenced(&mut self, frame: &[u8], min_epoch: u64) -> Result<Vec<u8>, WireError> {
-        self.transport.request_classified(frame, |bytes| {
-            match decode_frame(bytes) {
-                Some(Frame::Ack(ack)) if ack.ctl_epoch < min_epoch => Verdict::Fenced {
-                    epoch: ack.ctl_epoch,
-                },
-                // Undecodable frames are left to the caller: the fleet
-                // treats them as protocol errors above this layer, and
-                // judging them here would double-count reconnects.
-                _ => Verdict::Accept,
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -262,6 +206,7 @@ mod tests {
         decode_frame, encode_delta, encode_hello, encode_query, Delta, DeltaEntry, FleetPolicy,
         Frame, Hello, Query, Rollup, HEALTH_FRESH, QUERY_CLUSTER,
     };
+    use arv_viewd::WireError;
     use std::path::PathBuf;
 
     fn sock_path(name: &str) -> PathBuf {
@@ -417,5 +362,68 @@ mod tests {
         assert!(matches!(decode_frame(&resp), Some(Frame::Ack(_))));
 
         server.shutdown();
+    }
+
+    impl FleetFailoverClient {
+        /// Counters so far.
+        fn stats(&self) -> FailoverClientStats {
+            let t = self.transport.stats();
+            FailoverClientStats {
+                successes: t.successes,
+                retries: t.retries,
+                controller_switches: t.target_switches,
+                reconnects: t.connects,
+                failures: t.failures,
+            }
+        }
+
+        /// The controller currently targeted (index into the configured
+        /// list).
+        fn active_controller(&self) -> usize {
+            self.transport.active_target()
+        }
+
+        /// Send one frame and fence the answer: an ACK carrying a
+        /// controller epoch below `min_epoch` came from a deposed peer, so
+        /// the transport advances to the next controller and the request
+        /// fails with [`WireError::Fenced`] — the caller re-HELLOs before
+        /// anything else makes sense. Non-ACK answers pass through
+        /// unjudged.
+        fn request_fenced(
+            &mut self,
+            frame: &[u8],
+            min_epoch: u64,
+        ) -> Result<Vec<u8>, arv_viewd::WireError> {
+            use crate::protocol::{decode_frame, Frame};
+            use arv_viewd::Verdict;
+            self.transport.request_classified(frame, |bytes| {
+                match decode_frame(bytes) {
+                    Some(Frame::Ack(ack)) if ack.ctl_epoch < min_epoch => Verdict::Fenced {
+                        epoch: ack.ctl_epoch,
+                    },
+                    // Undecodable frames are left to the caller: the fleet
+                    // treats them as protocol errors above this layer, and
+                    // judging them here would double-count reconnects.
+                    _ => Verdict::Accept,
+                }
+            })
+        }
+    }
+
+    /// Counters describing one [`FleetFailoverClient`]'s life so far — a
+    /// projection of the underlying [`arv_viewd::TransportStats`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct FailoverClientStats {
+        /// Requests answered successfully.
+        successes: u64,
+        /// Attempts beyond the first within a request.
+        retries: u64,
+        /// Times the client moved to the next controller in the list
+        /// (after an I/O failure, EOF, or an explicit not-leader signal).
+        controller_switches: u64,
+        /// Fresh connections established (first connect included).
+        reconnects: u64,
+        /// Requests that exhausted every attempt.
+        failures: u64,
     }
 }

@@ -110,11 +110,6 @@ impl Heap {
         self.eden_used + self.old_used()
     }
 
-    /// Current eden fill.
-    pub fn eden_used(&self) -> Bytes {
-        self.eden_used
-    }
-
     /// Old-generation occupancy (live + garbage).
     pub fn old_used(&self) -> Bytes {
         self.old_live + self.old_garbage
@@ -128,11 +123,6 @@ impl Heap {
     /// Committed young-generation space (the eden capacity).
     pub fn young_committed(&self) -> Bytes {
         self.young_committed
-    }
-
-    /// Committed old-generation space.
-    pub fn old_committed(&self) -> Bytes {
-        self.old_committed
     }
 
     /// Effective old-generation limit: whatever `VirtualMax` leaves after
@@ -495,6 +485,18 @@ mod proptests {
                 prop_assert!(h.eden_used() <= h.young_committed());
                 prop_assert!(h.old_used() <= h.old_committed());
             }
+        }
+    }
+
+    impl Heap {
+        /// Current eden fill.
+        pub(crate) fn eden_used(&self) -> Bytes {
+            self.eden_used
+        }
+
+        /// Committed old-generation space.
+        pub(crate) fn old_committed(&self) -> Bytes {
+            self.old_committed
         }
     }
 }

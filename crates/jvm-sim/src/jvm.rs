@@ -313,11 +313,6 @@ impl Jvm {
         &self.heap
     }
 
-    /// GC threads created at launch (`N` in §4.1).
-    pub fn launch_threads(&self) -> u32 {
-        self.launch_threads
-    }
-
     /// Time until this JVM's next internal event — eden filling (next
     /// minor GC) or the current collection completing — assuming a full
     /// CPU grant. Event-driven drivers cap the simulation step here so
@@ -948,5 +943,12 @@ mod tests {
         assert_eq!(jvm.outcome(), JvmOutcome::OomKilled);
         // Everything it charged was released on the way out.
         assert_eq!(host.memory_usage(id), Bytes::ZERO);
+    }
+
+    impl Jvm {
+        /// GC threads created at launch (`N` in §4.1).
+        fn launch_threads(&self) -> u32 {
+            self.launch_threads
+        }
     }
 }

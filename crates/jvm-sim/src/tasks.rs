@@ -59,21 +59,6 @@ impl GcTaskQueue {
     pub fn fetch(&mut self) -> Option<GcTask> {
         self.tasks.pop_front()
     }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Total CPU cost of the queued tasks.
-    pub fn total_cost(&self) -> SimDuration {
-        self.tasks.iter().map(|t| t.cost).sum()
-    }
 }
 
 /// Decompose `parallel_work` into the task set of one minor collection
@@ -233,5 +218,17 @@ mod tests {
     #[test]
     fn zero_work_is_neutral() {
         assert_eq!(imbalance_factor(SimDuration::ZERO, 8, 4), 1.0);
+    }
+
+    impl GcTaskQueue {
+        /// Whether there are no entries.
+        fn is_empty(&self) -> bool {
+            self.tasks.is_empty()
+        }
+
+        /// Total CPU cost of the queued tasks.
+        fn total_cost(&self) -> SimDuration {
+            self.tasks.iter().map(|t| t.cost).sum()
+        }
     }
 }

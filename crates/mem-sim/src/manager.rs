@@ -97,11 +97,6 @@ impl MemSim {
         }
     }
 
-    /// The host memory configuration.
-    pub fn config(&self) -> &MemSimConfig {
-        &self.cfg
-    }
-
     /// Physical memory size.
     pub fn total(&self) -> Bytes {
         self.cfg.total
@@ -194,29 +189,9 @@ impl MemSim {
         self.groups.get(&id).map_or(Bytes::ZERO, |g| g.swapped)
     }
 
-    /// Resident + swapped — everything the container has allocated.
-    pub fn footprint(&self, id: CgroupId) -> Bytes {
-        self.groups
-            .get(&id)
-            .map_or(Bytes::ZERO, |g| g.resident + g.swapped)
-    }
-
-    /// Fraction of the container's footprint that lives on swap, in
-    /// `[0, 1]`. Runtime models turn this into mutator slowdown.
-    pub fn swapped_fraction(&self, id: CgroupId) -> f64 {
-        self.groups
-            .get(&id)
-            .map_or(0.0, |g| g.swapped.ratio(g.resident + g.swapped))
-    }
-
     /// The container's resolved hard limit.
     pub fn hard_limit(&self, id: CgroupId) -> Option<Bytes> {
         self.groups.get(&id).map(|g| g.hard)
-    }
-
-    /// The container's resolved soft limit.
-    pub fn soft_limit(&self, id: CgroupId) -> Option<Bytes> {
-        self.groups.get(&id).map(|g| g.soft)
     }
 
     /// Charge `amount` bytes to `id`.
@@ -684,6 +659,23 @@ mod proptests {
                 prop_assert_eq!(m.free(), m.total().saturating_sub(resident));
                 prop_assert_eq!(m.swap_free(), cfg.swap.saturating_sub(swapped));
             }
+        }
+    }
+
+    impl MemSim {
+        /// Resident + swapped — everything the container has allocated.
+        pub(crate) fn footprint(&self, id: CgroupId) -> Bytes {
+            self.groups
+                .get(&id)
+                .map_or(Bytes::ZERO, |g| g.resident + g.swapped)
+        }
+
+        /// Fraction of the container's footprint that lives on swap, in
+        /// `[0, 1]`. Runtime models turn this into mutator slowdown.
+        pub(crate) fn swapped_fraction(&self, id: CgroupId) -> f64 {
+            self.groups
+                .get(&id)
+                .map_or(0.0, |g| g.swapped.ratio(g.resident + g.swapped))
         }
     }
 }

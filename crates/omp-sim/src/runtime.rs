@@ -91,11 +91,6 @@ impl OmpRuntime {
         self.id
     }
 
-    /// Current lifecycle state.
-    pub fn outcome(&self) -> OmpOutcome {
-        self.outcome
-    }
-
     /// Whether the workload is still running.
     pub fn is_running(&self) -> bool {
         self.outcome == OmpOutcome::Running
@@ -344,5 +339,12 @@ mod tests {
             ThreadStrategy::Static(0),
             OmpProfile::test_profile(),
         );
+    }
+
+    impl OmpRuntime {
+        /// Current lifecycle state.
+        fn outcome(&self) -> OmpOutcome {
+            self.outcome
+        }
     }
 }

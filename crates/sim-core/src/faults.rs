@@ -1,12 +1,13 @@
 //! Deterministic fault injection for the view pipeline.
 //!
-//! A [`FaultPlan`] is a seeded source of faults covering every stage of
-//! the pipeline — event delivery (drop / duplicate / reorder), the
-//! monitor itself (stall windows), publication (delay windows), the
-//! wire protocol (corrupt / truncate / reset frames), and the storage
-//! layer (torn / failed / refused appends, bit rot, sync stalls —
-//! mirrored 1:1 into an `arv_persist` `FaultyStore`). Because every
-//! decision flows through a [`SimRng`] forked from the
+//! A [`FaultPlan`] is a seeded source of faults for the view pipeline
+//! and the fleet — event delivery (drop / duplicate / reorder), the
+//! monitor itself (stall windows), the wire protocol (corrupt /
+//! truncate frames), daemon and controller crashes, partitions, lag,
+//! lease stalls and replication lag. Publish delays are injected on the
+//! host (`SimHost::inject_publish_delay`) and storage faults by an
+//! `arv_persist` `FaultyStore` under its own `StoreFaults`, not here.
+//! Because every decision flows through a [`SimRng`] seeded from the
 //! experiment seed, a chaos run is bit-for-bit reproducible: the same
 //! seed injects the same faults at the same ticks, so recovery
 //! invariants can be asserted exactly.
@@ -31,17 +32,10 @@ pub struct FaultConfig {
     pub truncate_prob: f64,
     /// Monitor stall window: `(first_tick, duration_ticks)`.
     pub stall_at: Option<(u64, u64)>,
-    /// Publish-delay window: `(first_tick, duration_ticks)`.
-    pub publish_delay_at: Option<(u64, u64)>,
     /// Daemon crash window: `(crash_tick, downtime_ticks)`. The daemon
     /// is down for the window and warm-restarts from its journal at the
     /// first tick past it.
     pub crash_at: Option<(u64, u64)>,
-    /// Client-flood window: `(first_tick, duration_ticks)` during which
-    /// [`FaultConfig::flood_clients`] greedy clients hammer the daemon.
-    pub flood_at: Option<(u64, u64)>,
-    /// Number of concurrent flooding clients during the flood window.
-    pub flood_clients: u32,
     /// Fleet partition window: `(first_tick, duration_ticks)` during
     /// which a periphery's frames never reach the controller (the
     /// controller serves its last-good contribution flagged degraded).
@@ -67,22 +61,6 @@ pub struct FaultConfig {
     /// which REPL frames queue at the primary instead of reaching the
     /// standby (they drain, in order, after the window).
     pub repl_lag_at: Option<(u64, u64)>,
-    /// Probability a journal/lease store append is torn short (a strict
-    /// prefix reaches the medium before the error). Consumers feed the
-    /// `store_*` axes into an `arv_persist` `FaultyStore` 1:1.
-    pub store_torn_prob: f64,
-    /// Probability a store append fails outright, writing nothing.
-    pub store_write_err_prob: f64,
-    /// Disk-full window: `(first_tick, duration_ticks)` during which
-    /// every store append is refused with a no-space error.
-    pub store_full_at: Option<(u64, u64)>,
-    /// Probability a store append flips one bit somewhere in the
-    /// already-written file (latent media decay surfacing under load).
-    pub store_bit_rot_prob: f64,
-    /// Sync-stall window: `(first_tick, duration_ticks)` during which
-    /// `sync` fails — the durable watermark freezes, so a crash inside
-    /// the window loses everything appended since it opened.
-    pub store_sync_stall_at: Option<(u64, u64)>,
 }
 
 impl FaultConfig {
@@ -107,13 +85,6 @@ pub struct FaultStats {
     pub truncated: u64,
 }
 
-impl FaultStats {
-    /// Total number of injected faults of any kind.
-    pub fn total(&self) -> u64 {
-        self.dropped + self.duplicated + self.reordered + self.corrupted + self.truncated
-    }
-}
-
 /// A seeded, replayable fault injector.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
@@ -132,11 +103,6 @@ impl FaultPlan {
         }
     }
 
-    /// The configuration this plan runs under.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// What has been injected so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
@@ -145,11 +111,6 @@ impl FaultPlan {
     /// Whether the monitor is stalled at `tick`.
     pub fn monitor_stalled(&self, tick: u64) -> bool {
         in_window(self.cfg.stall_at, tick)
-    }
-
-    /// Whether publishes are delayed at `tick`.
-    pub fn publish_delayed(&self, tick: u64) -> bool {
-        in_window(self.cfg.publish_delay_at, tick)
     }
 
     /// Whether the daemon is crashed (down) at `tick`.
@@ -163,16 +124,6 @@ impl FaultPlan {
         self.cfg
             .crash_at
             .map(|(start, dur)| start.saturating_add(dur))
-    }
-
-    /// Number of flooding clients active at `tick` (zero outside the
-    /// flood window).
-    pub fn flood_clients(&self, tick: u64) -> u32 {
-        if in_window(self.cfg.flood_at, tick) {
-            self.cfg.flood_clients
-        } else {
-            0
-        }
     }
 
     /// Whether the fleet periphery is partitioned from the controller
@@ -191,22 +142,9 @@ impl FaultPlan {
         in_window(self.cfg.controller_crash_at, tick)
     }
 
-    /// The tick a replacement controller warm-restarts from the journal
-    /// (first tick past the crash window), if a crash is scheduled.
-    pub fn controller_restart_tick(&self) -> Option<u64> {
-        self.cfg
-            .controller_crash_at
-            .map(|(start, dur)| start.saturating_add(dur))
-    }
-
     /// Whether the replicated-fleet primary is dead at `tick`.
     pub fn primary_crashed(&self, tick: u64) -> bool {
         in_window(self.cfg.primary_crash_at, tick)
-    }
-
-    /// The tick the primary is killed at, if a kill is scheduled.
-    pub fn primary_kill_tick(&self) -> Option<u64> {
-        self.cfg.primary_crash_at.map(|(start, _)| start)
     }
 
     /// Whether the primary's lease renewals are stalled at `tick`.
@@ -218,28 +156,6 @@ impl FaultPlan {
     /// `tick`.
     pub fn repl_lagged(&self, tick: u64) -> bool {
         in_window(self.cfg.repl_lag_at, tick)
-    }
-
-    /// Whether the storage device is out of space at `tick`.
-    pub fn store_full(&self, tick: u64) -> bool {
-        in_window(self.cfg.store_full_at, tick)
-    }
-
-    /// Whether store syncs stall (the durable watermark freezes) at
-    /// `tick`.
-    pub fn store_sync_stalled(&self, tick: u64) -> bool {
-        in_window(self.cfg.store_sync_stall_at, tick)
-    }
-
-    /// Whether any storage-fault axis is configured at all (probability
-    /// nonzero or a window scheduled) — campaigns use this to decide
-    /// whether hosts need fault-injecting stores.
-    pub fn has_store_faults(&self) -> bool {
-        self.cfg.store_torn_prob > 0.0
-            || self.cfg.store_write_err_prob > 0.0
-            || self.cfg.store_bit_rot_prob > 0.0
-            || self.cfg.store_full_at.is_some()
-            || self.cfg.store_sync_stall_at.is_some()
     }
 
     /// Apply drop / duplicate / reorder faults to a queue of events.
@@ -366,7 +282,6 @@ mod tests {
     fn stall_and_delay_windows_are_half_open() {
         let cfg = FaultConfig {
             stall_at: Some((10, 4)),
-            publish_delay_at: Some((20, 1)),
             ..FaultConfig::default()
         };
         let p = FaultPlan::new(0, cfg);
@@ -374,16 +289,12 @@ mod tests {
         assert!(p.monitor_stalled(10));
         assert!(p.monitor_stalled(13));
         assert!(!p.monitor_stalled(14));
-        assert!(p.publish_delayed(20));
-        assert!(!p.publish_delayed(21));
     }
 
     #[test]
     fn crash_and_flood_windows_are_half_open() {
         let cfg = FaultConfig {
             crash_at: Some((30, 5)),
-            flood_at: Some((10, 3)),
-            flood_clients: 8,
             ..FaultConfig::default()
         };
         let p = FaultPlan::new(0, cfg);
@@ -392,14 +303,9 @@ mod tests {
         assert!(p.crashed(34));
         assert!(!p.crashed(35));
         assert_eq!(p.restart_tick(), Some(35));
-        assert_eq!(p.flood_clients(9), 0);
-        assert_eq!(p.flood_clients(10), 8);
-        assert_eq!(p.flood_clients(12), 8);
-        assert_eq!(p.flood_clients(13), 0);
         let quiet = FaultPlan::new(0, FaultConfig::quiet());
         assert!(!quiet.crashed(0));
         assert_eq!(quiet.restart_tick(), None);
-        assert_eq!(quiet.flood_clients(0), 0);
     }
 
     #[test]
@@ -420,11 +326,9 @@ mod tests {
         assert!(p.controller_crashed(20));
         assert!(p.controller_crashed(23));
         assert!(!p.controller_crashed(24));
-        assert_eq!(p.controller_restart_tick(), Some(24));
         let quiet = FaultPlan::new(0, FaultConfig::quiet());
         assert!(!quiet.partitioned(0));
         assert_eq!(quiet.frame_lag(), 0);
-        assert_eq!(quiet.controller_restart_tick(), None);
     }
 
     #[test]
@@ -440,7 +344,6 @@ mod tests {
         assert!(p.primary_crashed(40));
         assert!(p.primary_crashed(1039));
         assert!(!p.primary_crashed(1040));
-        assert_eq!(p.primary_kill_tick(), Some(40));
         assert!(!p.lease_stalled(9));
         assert!(p.lease_stalled(10));
         assert!(p.lease_stalled(15));
@@ -453,30 +356,6 @@ mod tests {
         assert!(!quiet.primary_crashed(0));
         assert!(!quiet.lease_stalled(0));
         assert!(!quiet.repl_lagged(0));
-        assert_eq!(quiet.primary_kill_tick(), None);
-    }
-
-    #[test]
-    fn store_windows_are_half_open() {
-        let cfg = FaultConfig {
-            store_full_at: Some((12, 3)),
-            store_sync_stall_at: Some((20, 2)),
-            ..FaultConfig::default()
-        };
-        let p = FaultPlan::new(0, cfg);
-        assert!(!p.store_full(11));
-        assert!(p.store_full(12));
-        assert!(p.store_full(14));
-        assert!(!p.store_full(15));
-        assert!(!p.store_sync_stalled(19));
-        assert!(p.store_sync_stalled(20));
-        assert!(p.store_sync_stalled(21));
-        assert!(!p.store_sync_stalled(22));
-        assert!(p.has_store_faults());
-        let quiet = FaultPlan::new(0, FaultConfig::quiet());
-        assert!(!quiet.store_full(0));
-        assert!(!quiet.store_sync_stalled(0));
-        assert!(!quiet.has_store_faults());
     }
 
     #[test]
@@ -490,6 +369,13 @@ mod tests {
             let mut f = vec![0xABu8; len];
             p.mangle_frame(&mut f);
             assert!(!f.is_empty() && f.len() < len);
+        }
+    }
+
+    impl FaultStats {
+        /// Total number of injected faults of any kind.
+        fn total(&self) -> u64 {
+            self.dropped + self.duplicated + self.reordered + self.corrupted + self.truncated
         }
     }
 }

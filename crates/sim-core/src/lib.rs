@@ -8,14 +8,13 @@
 //! the paper).
 //!
 //! The kernel is intentionally small: time arithmetic, a clock, a seeded
-//! RNG, an event queue for timers, and trace/statistics helpers shared by
-//! the experiment harnesses. All simulations are exactly reproducible for a
+//! RNG, a fault plan, and trace/statistics helpers shared by the
+//! experiment harnesses. All simulations are exactly reproducible for a
 //! given seed — no wall-clock time or OS entropy is consulted anywhere.
 
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod events;
 pub mod faults;
 pub mod rng;
 pub mod series;
@@ -23,7 +22,6 @@ pub mod stats;
 pub mod time;
 
 pub use clock::SimClock;
-pub use events::{EventQueue, TimerId};
 pub use faults::{FaultConfig, FaultPlan, FaultStats};
 pub use rng::SimRng;
 pub use series::TimeSeries;

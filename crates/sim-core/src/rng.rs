@@ -38,13 +38,6 @@ impl SimRng {
         splitmix64(&mut self.state)
     }
 
-    /// Derive an independent child RNG (e.g. one per container) so adding a
-    /// consumer does not perturb the stream seen by others.
-    pub fn fork(&mut self, tag: u64) -> SimRng {
-        let s: u64 = self.next_u64();
-        SimRng::seed_from_u64(s ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         // 53 random mantissa bits scaled into [0, 1).
@@ -119,6 +112,15 @@ mod tests {
         for _ in 0..1_000 {
             let j = r.jitter(0.1);
             assert!((0.9..=1.1).contains(&j));
+        }
+    }
+
+    impl SimRng {
+        /// Derive an independent child RNG (e.g. one per container) so adding a
+        /// consumer does not perturb the stream seen by others.
+        fn fork(&mut self, tag: u64) -> SimRng {
+            let s: u64 = self.next_u64();
+            SimRng::seed_from_u64(s ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         }
     }
 }

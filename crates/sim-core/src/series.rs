@@ -90,15 +90,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Value at or before `t` (step interpolation); `None` before first sample.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.samples.binary_search_by(|(st, _)| st.cmp(&t)) {
-            Ok(i) => Some(self.samples[i].1),
-            Err(0) => None,
-            Err(i) => Some(self.samples[i - 1].1),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,5 +151,16 @@ mod tests {
         let mut s = TimeSeries::new("x");
         s.push(SimTime(10), 1.0);
         s.push(SimTime(5), 2.0);
+    }
+
+    impl TimeSeries {
+        /// Value at or before `t` (step interpolation); `None` before first sample.
+        fn value_at(&self, t: SimTime) -> Option<f64> {
+            match self.samples.binary_search_by(|(st, _)| st.cmp(&t)) {
+                Ok(i) => Some(self.samples[i].1),
+                Err(0) => None,
+                Err(i) => Some(self.samples[i - 1].1),
+            }
+        }
     }
 }

@@ -12,24 +12,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean of strictly positive values; 0.0 for an empty slice.
-///
-/// Panics if any value is non-positive — normalized performance ratios, the
-/// only inputs we feed this, are positive by construction.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = xs
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geomean requires positive values, got {x}");
-            x.ln()
-        })
-        .sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
 /// Sample standard deviation; 0.0 for fewer than two samples.
 pub fn stddev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
@@ -38,26 +20,6 @@ pub fn stddev(xs: &[f64]) -> f64 {
     let m = mean(xs);
     let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
     var.sqrt()
-}
-
-/// `value / baseline`, the "normalized to baseline" metric the paper plots.
-/// Returns 0.0 when the baseline is zero (plotted as a missing bar).
-pub fn normalize(value: f64, baseline: f64) -> f64 {
-    if baseline == 0.0 {
-        0.0
-    } else {
-        value / baseline
-    }
-}
-
-/// Relative improvement of `new` over `old` for lower-is-better metrics,
-/// e.g. 0.49 means "49% faster".
-pub fn improvement(old: f64, new: f64) -> f64 {
-    if old == 0.0 {
-        0.0
-    } else {
-        (old - new) / old
-    }
 }
 
 /// A lock-free latency histogram with power-of-two buckets.
@@ -84,11 +46,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
     /// Record one sample.
     #[inline]
     pub fn record(&self, value: u64) {
@@ -130,16 +87,6 @@ impl Histogram {
         }
         u64::MAX
     }
-
-    /// Highest non-empty bucket's upper edge (0 when empty).
-    pub fn max_bucket(&self) -> u64 {
-        for i in (0..self.buckets.len()).rev() {
-            if self.buckets[i].load(Ordering::Relaxed) > 0 {
-                return bucket_edge(i);
-            }
-        }
-        0
-    }
 }
 
 /// Exclusive upper edge of bucket `i` (saturated for the top bucket).
@@ -162,34 +109,14 @@ mod tests {
     }
 
     #[test]
-    fn geomean_of_values() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn geomean_rejects_non_positive() {
-        geomean(&[1.0, 0.0]);
-    }
-
-    #[test]
     fn stddev_of_values() {
         assert_eq!(stddev(&[5.0]), 0.0);
         assert!((stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.138089935).abs() < 1e-6);
     }
 
     #[test]
-    fn normalize_and_improvement() {
-        assert_eq!(normalize(5.0, 10.0), 0.5);
-        assert_eq!(normalize(5.0, 0.0), 0.0);
-        assert!((improvement(10.0, 5.1) - 0.49).abs() < 1e-12);
-        assert_eq!(improvement(0.0, 5.0), 0.0);
-    }
-
-    #[test]
     fn histogram_counts_and_mean() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0);
@@ -202,7 +129,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bracket_samples() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for _ in 0..99 {
             h.record(1000); // bucket [512, 1024) → edge 1024
         }
@@ -215,7 +142,7 @@ mod tests {
 
     #[test]
     fn histogram_extremes() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(0);
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
@@ -244,7 +171,7 @@ mod tests {
                 // Deliberately past 1.0: `quantile` clamps internally.
                 mut qs in prop::collection::vec(0.0f64..1.25, 2..8)
             ) {
-                let h = Histogram::new();
+                let h = Histogram::default();
                 for &v in &values {
                     h.record(v);
                 }
@@ -265,7 +192,7 @@ mod tests {
             /// outside `[0, 1]` is clamped, never panics.
             #[test]
             fn quantile_handles_empty_and_out_of_range(q in -2.0f64..3.0) {
-                let h = Histogram::new();
+                let h = Histogram::default();
                 prop_assert_eq!(h.quantile(q), 0);
                 h.record(777);
                 let clamped = h.quantile(q);
@@ -277,7 +204,7 @@ mod tests {
     #[test]
     fn histogram_is_shareable_across_threads() {
         use std::sync::Arc;
-        let h = Arc::new(Histogram::new());
+        let h = Arc::new(Histogram::default());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let h = Arc::clone(&h);
@@ -292,5 +219,17 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(h.count(), 4000);
+    }
+
+    impl Histogram {
+        /// Highest non-empty bucket's upper edge (0 when empty).
+        fn max_bucket(&self) -> u64 {
+            for i in (0..self.buckets.len()).rev() {
+                if self.buckets[i].load(Ordering::Relaxed) > 0 {
+                    return bucket_edge(i);
+                }
+            }
+            0
+        }
     }
 }

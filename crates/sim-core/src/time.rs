@@ -19,19 +19,10 @@ pub struct SimTime(pub u64);
 pub struct SimDuration(pub u64);
 
 impl SimTime {
-    /// The zero value.
-    pub const ZERO: SimTime = SimTime(0);
-
     #[inline]
     /// The value in whole microseconds.
     pub fn as_micros(self) -> u64 {
         self.0
-    }
-
-    #[inline]
-    /// The value in milliseconds, as floating point.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     #[inline]
@@ -44,12 +35,6 @@ impl SimTime {
     #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0 - earlier.0)
-    }
-
-    #[inline]
-    /// Elapsed since `earlier`, clamped at zero.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -110,18 +95,6 @@ impl SimDuration {
     /// Subtraction clamped at zero.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    #[inline]
-    /// The smaller of the two values.
-    pub fn min(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(rhs.0))
-    }
-
-    #[inline]
-    /// The larger of the two values.
-    pub fn max(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(rhs.0))
     }
 
     /// Scale by a non-negative factor, rounding to the nearest microsecond.
@@ -241,7 +214,7 @@ mod tests {
 
     #[test]
     fn time_plus_duration_advances() {
-        let t = SimTime::ZERO + SimDuration::from_millis(24);
+        let t = SimTime(0) + SimDuration::from_millis(24);
         assert_eq!(t.as_micros(), 24_000);
     }
 
@@ -285,5 +258,12 @@ mod tests {
         assert_eq!(format!("{}", SimDuration(12)), "12us");
         assert_eq!(format!("{}", SimDuration(12_000)), "12.000ms");
         assert_eq!(format!("{}", SimDuration(1_200_000)), "1.200s");
+    }
+
+    impl SimTime {
+        /// Elapsed since `earlier`, clamped at zero.
+        fn saturating_since(self, earlier: SimTime) -> SimDuration {
+            SimDuration(self.0.saturating_sub(earlier.0))
+        }
     }
 }

@@ -194,18 +194,12 @@ pub enum PipelineEvent {
     /// The fleet controller flagged a host partitioned: its rollup
     /// contribution is served last-good, degraded.
     FleetPartitioned,
-    /// A replacement fleet controller warm-restarted from the journal
-    /// (failover); every restored host starts last-good until resync.
-    FleetFailover,
     /// A standby fleet controller took over the lease and promoted
     /// itself to primary at a bumped epoch.
     FleetPromoted,
     /// A frame stamped with a stale controller epoch was rejected
     /// (fenced) instead of applied.
     FleetFenced,
-    /// A periphery's token bucket ran dry and its pending diffs were
-    /// coalesced for a later batch instead of being sent.
-    FleetCoalesced,
     /// A journal or lease store error flipped a component onto the
     /// durability degradation ladder (degraded journal / step-down).
     DurabilityLost,
@@ -225,10 +219,8 @@ impl PipelineEvent {
             PipelineEvent::Restored => 6,
             PipelineEvent::FleetGapResync => 7,
             PipelineEvent::FleetPartitioned => 8,
-            PipelineEvent::FleetFailover => 9,
             PipelineEvent::FleetPromoted => 10,
             PipelineEvent::FleetFenced => 11,
-            PipelineEvent::FleetCoalesced => 12,
             PipelineEvent::DurabilityLost => 13,
             PipelineEvent::DurabilityRestored => 14,
         }
@@ -244,10 +236,8 @@ impl PipelineEvent {
             6 => Some(PipelineEvent::Restored),
             7 => Some(PipelineEvent::FleetGapResync),
             8 => Some(PipelineEvent::FleetPartitioned),
-            9 => Some(PipelineEvent::FleetFailover),
             10 => Some(PipelineEvent::FleetPromoted),
             11 => Some(PipelineEvent::FleetFenced),
-            12 => Some(PipelineEvent::FleetCoalesced),
             13 => Some(PipelineEvent::DurabilityLost),
             14 => Some(PipelineEvent::DurabilityRestored),
             _ => None,
@@ -265,10 +255,8 @@ impl PipelineEvent {
             PipelineEvent::Restored => "restored",
             PipelineEvent::FleetGapResync => "fleet-gap-resync",
             PipelineEvent::FleetPartitioned => "fleet-partitioned",
-            PipelineEvent::FleetFailover => "fleet-failover",
             PipelineEvent::FleetPromoted => "fleet-promoted",
             PipelineEvent::FleetFenced => "fleet-fenced",
-            PipelineEvent::FleetCoalesced => "fleet-coalesced",
             PipelineEvent::DurabilityLost => "durability-lost",
             PipelineEvent::DurabilityRestored => "durability-restored",
         }
@@ -757,11 +745,6 @@ impl LagHistogram {
         self.max
     }
 
-    /// Raw per-bucket counts, one per bound plus the `+Inf` bucket.
-    pub fn buckets(&self) -> [u64; LAG_BOUNDS.len() + 1] {
-        self.counts
-    }
-
     /// Emit this histogram as Prometheus `_bucket`/`_sum`/`_count`
     /// samples (cumulative `le` buckets) under `name`, with `base`
     /// labels prepended to every sample.
@@ -800,8 +783,6 @@ pub enum FlightTrigger {
     Demotion,
     /// A silent host was flagged partitioned.
     Partition,
-    /// A replacement controller warm-restarted from the journal.
-    Failover,
     /// A storage fault flipped a journal or lease onto the durability
     /// degradation ladder.
     DurabilityLost,
@@ -817,7 +798,6 @@ impl FlightTrigger {
             FlightTrigger::Promotion => 3,
             FlightTrigger::Demotion => 4,
             FlightTrigger::Partition => 5,
-            FlightTrigger::Failover => 6,
             FlightTrigger::DurabilityLost => 7,
             FlightTrigger::DurabilityRestored => 8,
         }
@@ -830,7 +810,6 @@ impl FlightTrigger {
             3 => Some(FlightTrigger::Promotion),
             4 => Some(FlightTrigger::Demotion),
             5 => Some(FlightTrigger::Partition),
-            6 => Some(FlightTrigger::Failover),
             7 => Some(FlightTrigger::DurabilityLost),
             8 => Some(FlightTrigger::DurabilityRestored),
             _ => None,
@@ -845,7 +824,6 @@ impl FlightTrigger {
             FlightTrigger::Promotion => "promotion",
             FlightTrigger::Demotion => "demotion",
             FlightTrigger::Partition => "partition",
-            FlightTrigger::Failover => "failover",
             FlightTrigger::DurabilityLost => "durability-lost",
             FlightTrigger::DurabilityRestored => "durability-restored",
         }
@@ -967,26 +945,6 @@ impl FlightDump {
             counters,
         })
     }
-
-    /// Human-readable rendering: a header line, the counter snapshot,
-    /// then the frozen event timeline.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "# flight dump {} at tick {} (trigger: {}, {} events)\n",
-            self.seq,
-            self.tick,
-            self.trigger.label(),
-            self.events.len()
-        );
-        for (name, value) in &self.counters {
-            let _ = writeln!(out, "{name} {value}");
-        }
-        for ev in &self.events {
-            out.push_str(&ev.render());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[derive(Debug, Default)]
@@ -1068,16 +1026,6 @@ impl FlightRecorder {
     /// Total dumps ever frozen (including evicted ones).
     pub fn dumps_frozen(&self) -> u64 {
         self.lock().map_or(0, |st| st.next_seq)
-    }
-
-    /// Dumps currently retained.
-    pub fn len(&self) -> usize {
-        self.lock().map_or(0, |st| st.dumps.len())
-    }
-
-    /// Whether no dump is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The dump `back` places before the newest (`0` = newest).
@@ -1511,6 +1459,73 @@ mod tests {
     }
 
     #[test]
+    fn retired_trace_codes_fail_closed() {
+        // Every live variant keeps its wire code and label, so dumps
+        // frozen before the retirement still decode byte for byte.
+        let pipeline = [
+            (PipelineEvent::ContainerCreated, 1, "container-created"),
+            (PipelineEvent::ContainerRemoved, 2, "container-removed"),
+            (PipelineEvent::GapDetected, 3, "gap-detected"),
+            (PipelineEvent::StallDetected, 4, "stall-detected"),
+            (PipelineEvent::Resynced, 5, "resynced"),
+            (PipelineEvent::Restored, 6, "restored"),
+            (PipelineEvent::FleetGapResync, 7, "fleet-gap-resync"),
+            (PipelineEvent::FleetPartitioned, 8, "fleet-partitioned"),
+            (PipelineEvent::FleetPromoted, 10, "fleet-promoted"),
+            (PipelineEvent::FleetFenced, 11, "fleet-fenced"),
+            (PipelineEvent::DurabilityLost, 13, "durability-lost"),
+            (PipelineEvent::DurabilityRestored, 14, "durability-restored"),
+        ];
+        for (ev, code, label) in pipeline {
+            assert_eq!((ev.code(), ev.label()), (code, label));
+            assert_eq!(PipelineEvent::from_code(code), Some(ev));
+        }
+        let triggers = [
+            (FlightTrigger::GapResync, 1, "gap-resync"),
+            (FlightTrigger::Fence, 2, "fence"),
+            (FlightTrigger::Promotion, 3, "promotion"),
+            (FlightTrigger::Demotion, 4, "demotion"),
+            (FlightTrigger::Partition, 5, "partition"),
+            (FlightTrigger::DurabilityLost, 7, "durability-lost"),
+            (FlightTrigger::DurabilityRestored, 8, "durability-restored"),
+        ];
+        for (trigger, code, label) in triggers {
+            assert_eq!((trigger.code(), trigger.label()), (code, label));
+            assert_eq!(FlightTrigger::from_code(code), Some(trigger));
+        }
+
+        // The retired codes (fleet failover 9, fleet coalesced 12, the
+        // failover trigger 6) name nothing any more.
+        assert_eq!(PipelineEvent::from_code(9), None);
+        assert_eq!(PipelineEvent::from_code(12), None);
+        assert_eq!(FlightTrigger::from_code(6), None);
+
+        // A well-sealed dump carrying one of them is rejected whole.
+        let seal = |mut body: Vec<u8>| {
+            let crc = arv_persist::crc32::checksum(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            body
+        };
+        let bytes = sample_dump().encode();
+        let body = bytes[..bytes.len() - 4].to_vec();
+        // seq, tick, trigger byte, event count, then 56-byte events; the
+        // third event is the pipeline one and its code is byte 5 of its
+        // meta word (the event's third u64).
+        let (trigger_at, code_at) = (16, 21 + 2 * 56 + 16 + 5);
+        assert_eq!(body[trigger_at], FlightTrigger::GapResync.code());
+        assert_eq!(body[code_at], PipelineEvent::FleetGapResync.code());
+        assert_eq!(FlightDump::decode(&seal(body.clone())), Some(sample_dump()));
+        let mut retired_trigger = body.clone();
+        retired_trigger[trigger_at] = 6;
+        assert_eq!(FlightDump::decode(&seal(retired_trigger)), None);
+        for code in [9, 12] {
+            let mut retired_event = body.clone();
+            retired_event[code_at] = code;
+            assert_eq!(FlightDump::decode(&seal(retired_event)), None);
+        }
+    }
+
+    #[test]
     fn prom_text_formats_headers_labels_and_values() {
         let mut p = PromText::new();
         p.header("arv_queries_total", "Total queries.", "counter");
@@ -1523,5 +1538,46 @@ mod tests {
         assert!(body.contains("arv_queries_total 42\n"));
         assert!(body.contains("arv_effective_cpus{container=\"3\"} 4\n"));
         assert!(body.contains("arv_hit_latency_ns 123.5\n"));
+    }
+
+    impl LagHistogram {
+        /// Raw per-bucket counts, one per bound plus the `+Inf` bucket.
+        fn buckets(&self) -> [u64; LAG_BOUNDS.len() + 1] {
+            self.counts
+        }
+    }
+
+    impl FlightDump {
+        /// Human-readable rendering: a header line, the counter snapshot,
+        /// then the frozen event timeline.
+        fn render(&self) -> String {
+            let mut out = format!(
+                "# flight dump {} at tick {} (trigger: {}, {} events)\n",
+                self.seq,
+                self.tick,
+                self.trigger.label(),
+                self.events.len()
+            );
+            for (name, value) in &self.counters {
+                let _ = writeln!(out, "{name} {value}");
+            }
+            for ev in &self.events {
+                out.push_str(&ev.render());
+                out.push('\n');
+            }
+            out
+        }
+    }
+
+    impl FlightRecorder {
+        /// Dumps currently retained.
+        fn len(&self) -> usize {
+            self.lock().map_or(0, |st| st.dumps.len())
+        }
+
+        /// Whether no dump is retained.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
     }
 }

@@ -72,18 +72,6 @@ impl PathId {
             _ => None,
         }
     }
-
-    /// The canonical path string.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PathId::Cpuinfo => "/proc/cpuinfo",
-            PathId::Meminfo => "/proc/meminfo",
-            PathId::Stat => "/proc/stat",
-            PathId::OnlineCpus => "/sys/devices/system/cpu/online",
-            PathId::CpuMax => "cpu.max",
-            PathId::MemoryMax => "memory.max",
-        }
-    }
 }
 
 /// A rendered file image plus the generation it was rendered from.
@@ -140,21 +128,6 @@ impl RenderCache {
             slot => *slot = Some(CachedImage { generation, image }),
         }
     }
-
-    /// Number of cached paths.
-    pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .filter(|e| e.is_some())
-            .count()
-    }
-
-    /// Whether nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -196,5 +169,36 @@ mod tests {
         assert_eq!(cache.get(PathId::Stat, 6).unwrap().as_str(), "new");
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
+    }
+
+    impl PathId {
+        /// The canonical path string.
+        pub(crate) fn as_str(self) -> &'static str {
+            match self {
+                PathId::Cpuinfo => "/proc/cpuinfo",
+                PathId::Meminfo => "/proc/meminfo",
+                PathId::Stat => "/proc/stat",
+                PathId::OnlineCpus => "/sys/devices/system/cpu/online",
+                PathId::CpuMax => "cpu.max",
+                PathId::MemoryMax => "memory.max",
+            }
+        }
+    }
+
+    impl RenderCache {
+        /// Number of cached paths.
+        fn len(&self) -> usize {
+            self.entries
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .iter()
+                .filter(|e| e.is_some())
+                .count()
+        }
+
+        /// Whether nothing is cached.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
     }
 }

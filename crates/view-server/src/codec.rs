@@ -390,26 +390,6 @@ impl Transport {
         self.stats
     }
 
-    /// The configured retry policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// Whether a connection is currently established.
-    pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
-    }
-
-    /// Whether the transport has connected at least once in its life.
-    pub fn ever_connected(&self) -> bool {
-        self.ever_connected
-    }
-
-    /// Whether the circuit breaker is currently failing requests fast.
-    pub fn breaker_open(&self) -> bool {
-        self.breaker_remaining > 0
-    }
-
     /// The target currently aimed at (index into the configured list).
     pub fn active_target(&self) -> usize {
         self.active
@@ -815,6 +795,18 @@ mod tests {
                 let got = incremental(&bytes, &splits, 64);
                 prop_assert_eq!(expected, got);
             }
+        }
+    }
+
+    impl Transport {
+        /// Whether a connection is currently established.
+        pub(crate) fn is_connected(&self) -> bool {
+            self.stream.is_some()
+        }
+
+        /// Whether the circuit breaker is currently failing requests fast.
+        pub(crate) fn breaker_open(&self) -> bool {
+            self.breaker_remaining > 0
         }
     }
 }

@@ -143,12 +143,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Retry-after hint carried in `OK_SHED` responses, milliseconds.
-    pub fn retry_after_ms(mut self, ms: u64) -> Self {
-        self.cfg.retry_after_ms = ms;
-        self
-    }
-
     /// Number of sharded event loops.
     pub fn loops(mut self, n: usize) -> Self {
         self.cfg.loops = n;
@@ -244,5 +238,13 @@ mod tests {
         assert!(bucket.take(now));
         assert!(!bucket.take(now));
         assert!(!bucket.take(now));
+    }
+
+    impl ServerConfigBuilder {
+        /// Retry-after hint carried in `OK_SHED` responses, milliseconds.
+        fn retry_after_ms(mut self, ms: u64) -> Self {
+            self.cfg.retry_after_ms = ms;
+            self
+        }
     }
 }

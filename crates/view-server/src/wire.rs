@@ -226,19 +226,6 @@ fn decimal(body: &[u8]) -> Option<u64> {
     std::str::from_utf8(body).ok()?.parse().ok()
 }
 
-/// The value a sysconf answer carries (`None`: NOT_FOUND).
-fn sysconf_value(resp: Option<WireResponse>) -> Result<Option<u64>, WireError> {
-    let Some(resp) = resp else {
-        return Ok(None);
-    };
-    match decimal(&resp.body) {
-        Some(value) => Ok(Some(value)),
-        None => Err(WireError::Malformed(
-            "sysconf body is not a decimal value".into(),
-        )),
-    }
-}
-
 /// A reply of status, generation and `body`.
 fn reply(status: u8, generation: u64, body: ResponseBody) -> Response {
     let mut head = [0u8; 9];
@@ -458,10 +445,10 @@ impl WireClient {
         })
     }
 
-    /// Issue one raw request and parse the response. The typed helpers
-    /// ([`read`](WireClient::read), [`sysconf`](WireClient::sysconf),
-    /// [`stats`](WireClient::stats), [`trace`](WireClient::trace)) wrap
-    /// this; use it directly to observe raw statuses such as `OK_SHED`.
+    /// Issue one raw request and parse the response. The typed helper
+    /// [`read`](WireClient::read) wraps this; use it directly for the
+    /// other request kinds and to observe raw statuses such as
+    /// `OK_SHED`.
     pub fn request(
         &mut self,
         kind: u8,
@@ -486,30 +473,6 @@ impl WireClient {
         path: &str,
     ) -> io::Result<Option<WireResponse>> {
         self.request(KIND_READ, caller, path)
-    }
-
-    /// Query a sysconf value by wire key name (e.g. `"nprocessors_onln"`).
-    pub fn sysconf(&mut self, caller: Option<CgroupId>, key: &str) -> io::Result<Option<u64>> {
-        let resp = self.request(KIND_SYSCONF, caller, key)?;
-        Ok(sysconf_value(resp)?)
-    }
-
-    /// Fetch the daemon's Prometheus text exposition.
-    pub fn stats(&mut self) -> io::Result<String> {
-        self.text_request(KIND_STATS, None)
-    }
-
-    /// Fetch a rendered decision-provenance trace: one container's
-    /// timeline, or the full ring for `None`.
-    pub fn trace(&mut self, container: Option<CgroupId>) -> io::Result<String> {
-        self.text_request(KIND_TRACE, container)
-    }
-
-    fn text_request(&mut self, kind: u8, caller: Option<CgroupId>) -> io::Result<String> {
-        let resp = self.request(kind, caller, "")?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "text query answered NOT_FOUND")
-        })?;
-        String::from_utf8(resp.body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -563,11 +526,6 @@ impl RobustWireClient {
         }
     }
 
-    /// A client with the default [`RetryPolicy`].
-    pub fn with_defaults(socket_path: impl AsRef<Path>) -> RobustWireClient {
-        RobustWireClient::new(socket_path, RetryPolicy::default())
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> WireClientStats {
         let t = self.transport.stats();
@@ -583,16 +541,6 @@ impl RobustWireClient {
             fallback_serves: self.fallback_serves,
             shed_backoffs: t.shed_backoffs,
         }
-    }
-
-    /// Whether a connection is currently established.
-    pub fn is_connected(&self) -> bool {
-        self.transport.is_connected()
-    }
-
-    /// Whether the circuit breaker is currently failing requests fast.
-    pub fn breaker_open(&self) -> bool {
-        self.transport.breaker_open()
     }
 
     /// Serve a request from the last-good cache (flagged degraded), or
@@ -683,15 +631,6 @@ impl RobustWireClient {
         path: &str,
     ) -> Result<Option<WireResponse>, WireError> {
         self.request(KIND_READ, caller, path)
-    }
-
-    /// Query a sysconf value by wire key name (e.g. `"nprocessors_onln"`).
-    pub fn sysconf(
-        &mut self,
-        caller: Option<CgroupId>,
-        key: &str,
-    ) -> Result<Option<u64>, WireError> {
-        sysconf_value(self.request(KIND_SYSCONF, caller, key)?)
     }
 }
 
@@ -1543,6 +1482,66 @@ mod tests {
                 frame[i] ^= 1 << bit;
                 let _ = parse_response(&frame);
             }
+        }
+    }
+
+    impl RobustWireClient {
+        /// Whether a connection is currently established.
+        fn is_connected(&self) -> bool {
+            self.transport.is_connected()
+        }
+
+        /// Whether the circuit breaker is currently failing requests fast.
+        fn breaker_open(&self) -> bool {
+            self.transport.breaker_open()
+        }
+
+        /// Query a sysconf value by wire key name (e.g. `"nprocessors_onln"`).
+        fn sysconf(
+            &mut self,
+            caller: Option<CgroupId>,
+            key: &str,
+        ) -> Result<Option<u64>, WireError> {
+            sysconf_value(self.request(KIND_SYSCONF, caller, key)?)
+        }
+    }
+
+    impl WireClient {
+        /// Query a sysconf value by wire key name (e.g. `"nprocessors_onln"`).
+        fn sysconf(&mut self, caller: Option<CgroupId>, key: &str) -> io::Result<Option<u64>> {
+            let resp = self.request(KIND_SYSCONF, caller, key)?;
+            Ok(sysconf_value(resp)?)
+        }
+
+        /// Fetch the daemon's Prometheus text exposition.
+        fn stats(&mut self) -> io::Result<String> {
+            self.text_request(KIND_STATS, None)
+        }
+
+        /// Fetch a rendered decision-provenance trace: one container's
+        /// timeline, or the full ring for `None`.
+        fn trace(&mut self, container: Option<CgroupId>) -> io::Result<String> {
+            self.text_request(KIND_TRACE, container)
+        }
+
+        fn text_request(&mut self, kind: u8, caller: Option<CgroupId>) -> io::Result<String> {
+            let resp = self.request(kind, caller, "")?.ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidData, "text query answered NOT_FOUND")
+            })?;
+            String::from_utf8(resp.body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        }
+    }
+
+    /// The value a sysconf answer carries (`None`: NOT_FOUND).
+    fn sysconf_value(resp: Option<WireResponse>) -> Result<Option<u64>, WireError> {
+        let Some(resp) = resp else {
+            return Ok(None);
+        };
+        match decimal(&resp.body) {
+            Some(value) => Ok(Some(value)),
+            None => Err(WireError::Malformed(
+                "sysconf body is not a decimal value".into(),
+            )),
         }
     }
 }
