@@ -63,10 +63,11 @@ cargo run -q --release -p arv-experiments --bin experiments -- --fig storm --sca
 echo "==> storm campaign, rotated seeds (the ladder must hold beyond the canonical seeds)"
 cargo run -q --release -p arv-experiments --bin experiments -- --fig storm --scale 0.5 --seed-offset 1 > /dev/null
 
-# core: NsMonitor::tick linear scaling; viewd: hit / re-stamped miss /
-# first render ratios; fleet: resync + failover ticks, REPL lag, rollup
-# growth, obs + journal overhead; persist: append + replay growth, faulty
-# store; wire: 5k-connection fanout. Each writes BENCH_<name>.json and
+# core: NsMonitor::tick linear scaling, ledger record growth; viewd: hit /
+# re-stamped miss / first render ratios; fleet: resync + failover ticks,
+# REPL lag, rollup growth, obs + journal overhead, index update growth,
+# unsorted FULL; persist: append + replay growth, faulty store; wire:
+# 5k-connection fanout. Each writes BENCH_<name>.json and
 # exits nonzero on a failed gate or a non-finite value.
 for bench in core viewd fleet persist wire; do
     echo "==> $bench bench"

@@ -14,7 +14,7 @@
 //!
 //! Around the firing, a period should cost what ran, not what exists:
 //! `UsageLedger::record` of the same few grants is timed over a ledger
-//! of 1 000 groups and one of 10 000, and fails when the larger costs
+//! of 1 000 groups and one of 100 000, and fails when the larger costs
 //! more than [`MAX_LEDGER_RECORD_GROWTH`] times the smaller.
 
 use arv_bench::{best_of, ns_per_call, Report};
@@ -40,15 +40,16 @@ const TRIALS: u32 = 5;
 const PERIOD: SimDuration = SimDuration::from_millis(24);
 
 /// Ledger sizes the record is timed at, smaller first.
-const LEDGER_GROUPS: [u32; 2] = [1_000, 10_000];
+const LEDGER_GROUPS: [u32; 2] = [1_000, 100_000];
 /// Groups granted CPU in each timed period.
 const GRANTS: u32 = 16;
 /// Timed `record` calls per trial.
 const RECORDS_PER_TRIAL: u32 = 20_000;
 /// Ceiling on one `record` of [`GRANTS`] grants over the larger ledger
 /// over the smaller. Zeroing only last period's grantees keeps it near
-/// 1 (deeper map probes only); a walk of every group reads ≈10×.
-const MAX_LEDGER_RECORD_GROWTH: f64 = 2.0;
+/// 3 (deeper map probes, which miss the cache more often, and nothing
+/// else); a walk of every group reads ≈100×.
+const MAX_LEDGER_RECORD_GROWTH: f64 = 10.0;
 
 /// A host of `n` containers mid-run: a quarter of them on CPU, all of
 /// them holding memory, free memory above the watermarks.
@@ -134,7 +135,7 @@ fn main() {
             "NsMonitor::tick per container grows with the population: the firing is not linear",
         )
         .value("ledger_record_ns_groups1000", small_ledger)
-        .value("ledger_record_ns_groups10000", large_ledger)
+        .value("ledger_record_ns_groups100000", large_ledger)
         .at_most(
             "ledger_record_growth",
             large_ledger / small_ledger,

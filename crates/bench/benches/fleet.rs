@@ -12,14 +12,18 @@
 //! The gates are exact counts and same-run ratios, so machine speed
 //! cancels: they catch algorithmic regressions — an O(containers)
 //! rollup, an O(containers) periphery observation of a few moved views,
-//! per-entry frame re-encoding, observability on the hot path — not
-//! machine noise. Ingest throughput itself is reported ungated; a
+//! a DELTA that walks its host's whole container run, a FULL inserted
+//! entry by entry, per-entry frame re-encoding, observability on the
+//! hot path — not machine noise. Ingest throughput itself is reported ungated; a
 //! per-entry re-encode or buffer is caught by the journaled-ingest
 //! ratio here and by `fleet/tests/alloc_guard.rs`, which counts the
 //! allocations an ingested frame costs.
 
 use arv_bench::{best_of, ns_per_call, Report};
-use arv_fleet::{decode_frame, FleetController, FleetPolicy, Frame, Periphery, SharedLease};
+use arv_fleet::{
+    decode_frame, encode_delta, Delta, DeltaEntry, FleetController, FleetPolicy, Frame,
+    HostSummary, Periphery, SharedLease,
+};
 use arv_persist::{Snapshot, ViewState};
 use arv_telemetry::{FlightRecorder, Tracer};
 use std::hint::black_box;
@@ -55,6 +59,27 @@ const MOVED_OBSERVES: u32 = 20_000;
 /// A binary search per moved id keeps it near 1; a merge-walk of the
 /// whole mirror reads ≈10×.
 const MAX_MOVED_OBSERVE_GROWTH: f64 = 2.0;
+/// Containers one host holds while its updates are timed, smaller
+/// first.
+const UPDATE_POPULATIONS: [u32; 2] = [1_000, 10_000];
+/// Entries per timed update DELTA, spread over the host's ids.
+const UPDATES: u32 = 16;
+/// Timed update DELTAs per trial.
+const UPDATE_DELTAS: u32 = 5_000;
+/// Ceiling on ingesting one DELTA of [`UPDATES`] entries into the
+/// larger host over the smaller. A binary search per entry keeps it
+/// near 1; a walk of the host's whole container run per frame breaches
+/// it.
+const MAX_INDEX_UPDATE_GROWTH: f64 = 2.0;
+/// Entries in the FULL that is timed in id order and in reverse.
+const FULL_ENTRIES: u32 = 20_000;
+/// Timed FULLs per trial, each into a fresh controller.
+const FULLS: u32 = 20;
+/// Ceiling on a FULL in reverse id order over the same FULL in id
+/// order. Sorting a scratch copy and merging it once costs the same
+/// for either; a `Vec::insert` per entry shifts the whole run each time
+/// in reverse order, and breaches it.
+const MAX_UNSORTED_FULL_RATIO: f64 = 3.0;
 /// A gap must heal in at most this many periphery observations (the
 /// rejected delta that surfaces the gap, then the FULL snapshot).
 const MAX_RESYNC_TICKS: u64 = 2;
@@ -71,8 +96,9 @@ const MAX_OBS_OVERHEAD_RATIO: f64 = 1.75;
 /// with the journal and the REPL outbox on, over the same with neither,
 /// in the same run — machine speed cancels. A record is framed once
 /// (one encode, one CRC) and its bytes land in the journal and the
-/// outbox; a buffer per record or a second encode per consumer put
-/// this at 4–5.
+/// outbox: 1.8–2.0 over a bare ingest that binary-searches its index.
+/// A second batch encode for the journal reads 2.6, and a buffer per
+/// record more.
 const MAX_JOURNALED_INGEST_RATIO: f64 = 2.0;
 
 /// Hosts in the replicated failover fleet (smaller than the ingest
@@ -161,40 +187,48 @@ fn ingest_secs(traced: bool) -> f64 {
 }
 
 /// Nanoseconds inside `handle_frame` per accepted entry in steady
-/// state, fastest of [`TRIALS`], bare or with journal and replication
-/// on. The outbox is drained every round and the journal compacts
-/// every 4 ticks, both outside the clock, as a standby link and the
-/// tick would; the first rounds, up to the first compaction, are not
-/// timed, so neither side pays for memory the process touches for the
-/// first time.
-fn ingest_ns_per_entry(journaled: bool) -> f64 {
+/// state, with journal and replication on and bare, each the fastest of
+/// [`TRIALS`]. The two alternate trial by trial, so a slow spell of the
+/// machine lands on both sides of their ratio.
+fn ingest_ns_per_entry() -> (f64, f64) {
+    (0..TRIALS)
+        .map(|_| (ingest_trial(true), ingest_trial(false)))
+        .fold((f64::INFINITY, f64::INFINITY), |(j, b), (tj, tb)| {
+            (j.min(tj), b.min(tb))
+        })
+}
+
+/// One trial of [`ingest_ns_per_entry`], bare or journaled. The outbox
+/// is drained every round and the journal compacts every 4 ticks, both
+/// outside the clock, as a standby link and the tick would; the first
+/// rounds, up to the first compaction, are not timed, so neither side
+/// pays for memory the process touches for the first time.
+fn ingest_trial(journaled: bool) -> f64 {
     const WARM_ROUNDS: u32 = 5;
-    best_of(TRIALS, || {
-        let mut ctl = FleetController::new(64, FleetPolicy::default());
-        if journaled {
-            ctl.enable_journal(4);
-            ctl.enable_replication();
+    let mut ctl = FleetController::new(64, FleetPolicy::default());
+    if journaled {
+        ctl.enable_journal(4);
+        ctl.enable_replication();
+    }
+    let mut peripheries: Vec<Periphery> = (0..HOSTS).map(Periphery::new).collect();
+    let mut in_ingest = std::time::Duration::ZERO;
+    let mut entries = 0;
+    for round in 0..=ROUNDS {
+        if round == WARM_ROUNDS {
+            in_ingest = std::time::Duration::ZERO;
+            entries = ctl.metrics().snapshot().delta_entries;
         }
-        let mut peripheries: Vec<Periphery> = (0..HOSTS).map(Periphery::new).collect();
-        let mut in_ingest = std::time::Duration::ZERO;
-        let mut entries = 0;
-        for round in 0..=ROUNDS {
-            if round == WARM_ROUNDS {
-                in_ingest = std::time::Duration::ZERO;
-                entries = ctl.metrics().snapshot().delta_entries;
-            }
-            for (h, p) in peripheries.iter_mut().enumerate() {
-                p.observe(&snapshot(h as u32, u64::from(round) + 1, round), false, 0);
-                let start = Instant::now();
-                pump(p, &ctl);
-                in_ingest += start.elapsed();
-            }
-            ctl.take_repl_frames();
-            ctl.advance_tick();
+        for (h, p) in peripheries.iter_mut().enumerate() {
+            p.observe(&snapshot(h as u32, u64::from(round) + 1, round), false, 0);
+            let start = Instant::now();
+            pump(p, &ctl);
+            in_ingest += start.elapsed();
         }
-        let entries = ctl.metrics().snapshot().delta_entries - entries;
-        in_ingest.as_nanos() as f64 / entries as f64
-    })
+        ctl.take_repl_frames();
+        ctl.advance_tick();
+    }
+    let entries = ctl.metrics().snapshot().delta_entries - entries;
+    in_ingest.as_nanos() as f64 / entries as f64
 }
 
 /// Nanoseconds per `Periphery::observe_moved` of [`MOVED`] views, each
@@ -231,6 +265,76 @@ fn moved_observe_ns(n: u32) -> f64 {
             p.observe_moved(tick, black_box(moved), false, 0);
             black_box(p.take_frames());
         })
+    })
+}
+
+/// A DELTA into host 1 at `seq`, FULL at 0.
+fn delta(seq: u64, entries: Vec<DeltaEntry>) -> Vec<u8> {
+    encode_delta(&Delta {
+        host: 1,
+        seq,
+        tick: seq,
+        full: seq == 0,
+        health: 0,
+        durability_lost: false,
+        staleness_age: 0,
+        epoch: 0,
+        origin_tick: seq,
+        trace_seq: seq,
+        summary: HostSummary::default(),
+        entries,
+        removed: Vec::new(),
+    })
+}
+
+fn entry(id: u32, e_cpu: u32) -> DeltaEntry {
+    DeltaEntry {
+        id,
+        tenant: id % 4,
+        e_cpu,
+        e_mem: 1 << 30,
+        e_avail: 1 << 29,
+        last_tick: 0,
+    }
+}
+
+/// Nanoseconds inside `handle_frame` per DELTA of [`UPDATES`] entries,
+/// spread over and rotating through a host of `n` containers.
+fn update_ns(n: u32) -> f64 {
+    let stride = n / UPDATES;
+    best_of(TRIALS, || {
+        let ctl = FleetController::new(64, FleetPolicy::default());
+        ctl.handle_frame(&delta(0, (0..n).map(|id| entry(id, 1)).collect()));
+        let mut in_ingest = std::time::Duration::ZERO;
+        for seq in 1..=u64::from(UPDATE_DELTAS) {
+            let k = seq as u32;
+            let moved = (0..UPDATES).map(|j| entry(j * stride + k % stride, 1 + k % 7));
+            let frame = delta(seq, moved.collect());
+            let start = Instant::now();
+            black_box(ctl.handle_frame(&frame));
+            in_ingest += start.elapsed();
+        }
+        in_ingest.as_nanos() as f64 / f64::from(UPDATE_DELTAS)
+    })
+}
+
+/// Nanoseconds inside `handle_frame` per [`FULL_ENTRIES`]-entry FULL
+/// into a fresh controller, its entries in id order or in reverse.
+fn full_ns(reversed: bool) -> f64 {
+    let mut entries: Vec<DeltaEntry> = (0..FULL_ENTRIES).map(|id| entry(id, 1)).collect();
+    if reversed {
+        entries.reverse();
+    }
+    let frame = delta(0, entries);
+    best_of(TRIALS, || {
+        let mut in_ingest = std::time::Duration::ZERO;
+        for _ in 0..FULLS {
+            let ctl = FleetController::new(64, FleetPolicy::default());
+            let start = Instant::now();
+            black_box(ctl.handle_frame(&frame));
+            in_ingest += start.elapsed();
+        }
+        in_ingest.as_nanos() as f64 / f64::from(FULLS)
     })
 }
 
@@ -349,9 +453,10 @@ fn main() {
     let resync_ticks = bench_resync_ticks();
     let (failover_ticks_to_fresh, repl_lag_records) = bench_failover();
     let obs_overhead_ratio = ingest_secs(true) / ingest_secs(false);
-    let journaled_ingest_ns = ingest_ns_per_entry(true);
-    let bare_ingest_ns = ingest_ns_per_entry(false);
+    let (journaled_ingest_ns, bare_ingest_ns) = ingest_ns_per_entry();
     let [small_mirror, large_mirror] = MOVED_POPULATIONS.map(moved_observe_ns);
+    let [small_host, large_host] = UPDATE_POPULATIONS.map(update_ns);
+    let (sorted_full, reversed_full) = (full_ns(false), full_ns(true));
 
     Report::new("fleet")
         .value("hosts", f64::from(HOSTS))
@@ -404,6 +509,22 @@ fn main() {
             large_mirror / small_mirror,
             MAX_MOVED_OBSERVE_GROWTH,
             "observing a few moved views walks the whole periphery mirror",
+        )
+        .value("index_update_ns_n1000", small_host)
+        .value("index_update_ns_n10000", large_host)
+        .at_most(
+            "index_update_growth",
+            large_host / small_host,
+            MAX_INDEX_UPDATE_GROWTH,
+            "a DELTA of a few updates walks the host's whole container run",
+        )
+        .value("full_ns_sorted", sorted_full)
+        .value("full_ns_reversed", reversed_full)
+        .at_most(
+            "unsorted_full_ratio",
+            reversed_full / sorted_full,
+            MAX_UNSORTED_FULL_RATIO,
+            "a FULL in reverse id order is inserted entry by entry, not sorted and merged",
         )
         .finish();
 }

@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn fifteen_minute_series_is_slow() {
-        let mut l = Loadavg::fifteen_min();
+        let mut l = Loadavg::new(FIFTEEN_MINUTES);
         // One minute of full load barely moves a 15-minute EWMA.
         for _ in 0..2_500 {
             l.observe(20, SimDuration::from_millis(24));
@@ -99,13 +99,6 @@ mod tests {
             l.observe(5, SimDuration::from_millis(500));
             assert!(l.value() >= prev - 1e-12 && l.value() <= 5.0 + 1e-12);
             prev = l.value();
-        }
-    }
-
-    impl Loadavg {
-        /// Default 15-minute series.
-        fn fifteen_min() -> Loadavg {
-            Loadavg::new(FIFTEEN_MINUTES)
         }
     }
 }

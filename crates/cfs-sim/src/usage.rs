@@ -84,13 +84,6 @@ impl UsageLedger {
         self.groups.iter().map(|(id, g)| (*id, g.last_period))
     }
 
-    /// Cumulative CPU time used by `id` (cpuacct.usage).
-    pub fn cumulative(&self, id: CgroupId) -> SimDuration {
-        self.groups
-            .get(&id)
-            .map_or(SimDuration::ZERO, |g| g.cumulative)
-    }
-
     /// Idle host CPU time in the last period (`pslack`).
     pub fn last_slack(&self) -> SimDuration {
         self.last_slack
@@ -107,11 +100,6 @@ impl UsageLedger {
     // (event-driven stepping); the `sys_namespace` update timer still
     // fires once per scheduling period, reading the usage accumulated
     // across the window since the previous firing.
-
-    /// CPU time used by `id` since the last [`UsageLedger::reset_window`].
-    pub fn window_usage(&self, id: CgroupId) -> SimDuration {
-        self.groups.get(&id).map_or(SimDuration::ZERO, |g| g.window)
-    }
 
     /// Every group's usage over the current window, in id order.
     pub fn window_usages(&self) -> impl Iterator<Item = (CgroupId, SimDuration)> + '_ {
@@ -280,6 +268,21 @@ mod tests {
                     prop_assert_eq!(ledger.window_usages().collect::<Vec<_>>(), window);
                 }
             }
+        }
+    }
+
+    impl UsageLedger {
+        /// Cumulative CPU time used by `id` (cpuacct.usage).
+        fn cumulative(&self, id: CgroupId) -> SimDuration {
+            self.groups
+                .get(&id)
+                .map_or(SimDuration::ZERO, |g| g.cumulative)
+        }
+
+        /// CPU time used by `id` since the last
+        /// [`UsageLedger::reset_window`].
+        fn window_usage(&self, id: CgroupId) -> SimDuration {
+            self.groups.get(&id).map_or(SimDuration::ZERO, |g| g.window)
         }
     }
 }

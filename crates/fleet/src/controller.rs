@@ -9,6 +9,26 @@
 //! controller warm-restarts prefix-consistently and is caught up by
 //! periphery resyncs.
 //!
+//! # The index
+//!
+//! A host's containers are one id-sorted `Vec`, and a shard's per-tenant
+//! totals a `BTreeMap`; a frame looks its host up once, and no record is
+//! hashed. A DELTA entry on the primary and a REPL record on the standby
+//! take the same path (`Sums::upsert` / `Sums::drop_where`): a binary
+//! search finds the slot and the entry is replaced in place, with one
+//! tenant lookup if it keeps its tenant. Input is never trusted to be
+//! ordered: new ids that do not extend the run are stably sorted into a
+//! scratch copy (of a repeated id the last occurrence wins, the
+//! periphery's rule) and merged in one pass, and removals are one pass
+//! against a sorted copy of their ids, so a frame of k entries into n
+//! containers costs O(k log k + n), never O(k·n). A checkpoint
+//! concatenates the per-host runs in host-id order: only the host ids
+//! are sorted. The ids a journal record packs are 16 bits each, so a
+//! HELLO or DELTA naming a wider host, container or tenant id is refused
+//! whole, as malformed, before any state moves, and counted apart in
+//! `wide_id_frames`: container ids are never reused, so the limit is on
+//! the ids a host launches over its lifetime.
+//!
 //! # Replication and leadership
 //!
 //! A controller can run **replicated**: the primary streams every
@@ -43,7 +63,7 @@ use arv_persist::{
     DurableJournal, Edge, MemStore, Record, Snapshot, Store, StoreError, ViewState,
 };
 use arv_telemetry::{FlightRecorder, FlightTrigger, LagHistogram, PipelineEvent, PromText, Tracer};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -90,31 +110,44 @@ impl SharedLease {
 }
 
 /// Mask for the host-tick bits of a journaled `last_tick` (the tenant
-/// rides the top 16 bits — see [`pack_id`]).
+/// rides the top 16 bits — see [`pack_state`]).
 const TICK_MASK: u64 = (1 << 48) - 1;
 
+/// The widest host, container or tenant id a journal record carries:
+/// each rides 16 bits of it. The bound is on ids, not on how many run
+/// at once: a host's cgroup manager never reuses a container id, so a
+/// host that has launched 65 536 containers over its lifetime has every
+/// later frame naming a new one refused (counted in `wide_id_frames`).
+const MAX_ID: u32 = 0xFFFF;
+
+/// Whether every id `d` names fits a journal record. One that does not
+/// is refused whole by [`FleetController::handle_frame`]: indexed but
+/// not journaled, it would be on the primary and never on its standby.
+fn journalable(d: &Delta) -> bool {
+    d.host <= MAX_ID
+        && d.entries
+            .iter()
+            .all(|e| e.id <= MAX_ID && e.tenant <= MAX_ID)
+        && d.removed.iter().all(|id| *id <= MAX_ID)
+}
+
 /// Pack a (host, container) pair into a journalable `ViewState` id.
-/// Both must fit 16 bits — the fleet model caps at 65 536 hosts and
-/// 65 536 containers per host, far above the paper's scale.
-fn pack_id(host: u32, container: u32) -> Option<u32> {
-    if host <= 0xFFFF && container <= 0xFFFF {
-        Some((host << 16) | container)
-    } else {
-        None
-    }
+/// Both fit 16 bits: nothing wider enters the index ([`journalable`]).
+fn pack_id(host: u32, container: u32) -> u32 {
+    (host << 16) | container
 }
 
 /// The journalable form of one container's entry on `host`: id packed
 /// by [`pack_id`], tenant in the top 16 bits of `last_tick` (host ticks
-/// never approach 2^48). `None` if the ids do not fit.
-fn pack_state(host: u32, e: &DeltaEntry) -> Option<ViewState> {
-    Some(ViewState {
-        id: pack_id(host, e.id)?,
+/// never approach 2^48).
+fn pack_state(host: u32, e: &DeltaEntry) -> ViewState {
+    ViewState {
+        id: pack_id(host, e.id),
         e_cpu: e.e_cpu,
         e_mem: e.e_mem,
         e_avail: e.e_avail,
         last_tick: (u64::from(e.tenant) << 48) | (e.last_tick & TICK_MASK),
-    })
+    }
 }
 
 /// [`pack_state`] undone: the container's entry on host `e.id >> 16`.
@@ -174,6 +207,11 @@ fleet_counters! {
     rollup_queries,
     /// Frames that failed to decode (connection-fatal for the sender).
     malformed_frames,
+    /// HELLO/DELTA frames refused for naming a host, container or
+    /// tenant id too wide to journal (also counted in
+    /// `malformed_frames`). Nonzero means a host has outgrown the
+    /// 16-bit id space and its stream is locked out.
+    wide_id_frames,
     /// Policy blocks pushed down in ACKs.
     policy_pushes,
     /// HELLO frames answered.
@@ -307,8 +345,8 @@ struct HostEntry {
     waterfall: LagHistogram,
     /// Recent causal events, oldest first, capped at [`EXPLAIN_EVENTS`].
     events: VecDeque<HostCausalEvent>,
-    /// Live container states.
-    containers: HashMap<u32, DeltaEntry>,
+    /// Live container states, sorted by id, one entry per id.
+    containers: Vec<DeltaEntry>,
 }
 
 impl HostEntry {
@@ -361,33 +399,135 @@ struct Shard {
 #[derive(Debug, Default)]
 struct Sums {
     totals: Totals,
-    tenants: HashMap<u32, Totals>,
+    tenants: BTreeMap<u32, Totals>,
 }
 
+/// The one path by which a host's containers change, on the primary
+/// (DELTA entries) and on the standby (REPL records) alike. Input is
+/// never trusted to be sorted, and a frame costs O(k log k + n) for k
+/// entries into n containers, never O(k·n).
 impl Sums {
-    fn upsert(&mut self, host: &mut HostEntry, e: DeltaEntry) {
-        if let Some(old) = host.containers.insert(e.id, e) {
-            self.totals.sub(&old);
-            if let Some(t) = self.tenants.get_mut(&old.tenant) {
-                t.sub(&old);
-            }
-        }
-        self.totals.add(&e);
-        self.tenants.entry(e.tenant).or_default().add(&e);
+    fn add(&mut self, e: &DeltaEntry) {
+        self.totals.add(e);
+        self.tenants.entry(e.tenant).or_default().add(e);
     }
 
-    fn remove(&mut self, host: &mut HostEntry, id: u32) -> bool {
-        match host.containers.remove(&id) {
-            Some(old) => {
-                self.totals.sub(&old);
-                if let Some(t) = self.tenants.get_mut(&old.tenant) {
-                    t.sub(&old);
-                }
-                true
-            }
-            None => false,
+    fn sub(&mut self, e: &DeltaEntry) {
+        self.totals.sub(e);
+        if let Some(t) = self.tenants.get_mut(&e.tenant) {
+            t.sub(e);
         }
     }
+
+    /// `old` is replaced by `new`: one tenant lookup if it keeps its
+    /// tenant.
+    fn replace(&mut self, old: &DeltaEntry, new: &DeltaEntry) {
+        if old.tenant != new.tenant {
+            self.sub(old);
+            self.add(new);
+            return;
+        }
+        self.totals.add(new);
+        self.totals.sub(old);
+        let t = self.tenants.entry(new.tenant).or_default();
+        t.add(new);
+        t.sub(old);
+    }
+
+    /// Upsert `entries` into `host` in order: of a repeated id, the last
+    /// occurrence wins. An id the host holds is replaced in place after
+    /// one binary search, and one past its last id is appended; the
+    /// others are stably sorted into a scratch copy, deduplicated, and
+    /// merged into the run in one pass from the back.
+    fn upsert(&mut self, host: &mut HostEntry, entries: impl IntoIterator<Item = DeltaEntry>) {
+        let containers = &mut host.containers;
+        let mut fresh: Vec<DeltaEntry> = Vec::new();
+        for e in entries {
+            match containers.binary_search_by_key(&e.id, |c| c.id) {
+                Ok(i) => {
+                    self.replace(&containers[i], &e);
+                    containers[i] = e;
+                }
+                Err(i) if i == containers.len() => {
+                    self.add(&e);
+                    containers.push(e);
+                }
+                Err(_) => fresh.push(e),
+            }
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        fresh.sort_by_key(|e| e.id);
+        fresh.dedup_by(|later, kept| {
+            let repeat = later.id == kept.id;
+            if repeat {
+                *kept = *later;
+            }
+            repeat
+        });
+        for e in &fresh {
+            self.add(e);
+        }
+        let (mut i, mut j) = (containers.len(), fresh.len());
+        containers.extend_from_slice(&fresh);
+        while j > 0 {
+            if i > 0 && containers[i - 1].id > fresh[j - 1].id {
+                containers[i + j - 1] = containers[i - 1];
+                i -= 1;
+            } else {
+                containers[i + j - 1] = fresh[j - 1];
+                j -= 1;
+            }
+        }
+    }
+
+    /// Drop every container of `host` whose id `gone` holds, in one pass;
+    /// `gone` is asked in ascending id order.
+    fn drop_where(&mut self, host: &mut HostEntry, mut gone: impl FnMut(u32) -> bool) {
+        host.containers.retain(|e| {
+            let drop = gone(e.id);
+            if drop {
+                self.sub(e);
+            }
+            !drop
+        });
+    }
+}
+
+/// Membership in the ascending `ids` for queries made in ascending
+/// order: one forward cursor, so a pass over n ids costs O(n + k).
+fn member(ids: &[u32]) -> impl FnMut(u32) -> bool + '_ {
+    let mut at = 0;
+    move |id| {
+        while ids.get(at).is_some_and(|x| *x < id) {
+            at += 1;
+        }
+        ids.get(at) == Some(&id)
+    }
+}
+
+/// `items` split into its maximal runs of neighbours with equal `key`.
+fn runs<'a, T, K: PartialEq>(
+    items: &'a [T],
+    key: impl Fn(&T) -> K + 'a,
+) -> impl Iterator<Item = &'a [T]> + 'a {
+    let mut rest = items;
+    std::iter::from_fn(move || {
+        let first = key(rest.first()?);
+        let n = rest.iter().take_while(|x| key(x) == first).count();
+        let (run, tail) = rest.split_at(n);
+        rest = tail;
+        Some(run)
+    })
+}
+
+/// `ids` sorted and deduplicated, in a scratch copy.
+fn sorted_set(ids: impl IntoIterator<Item = u32>) -> Vec<u32> {
+    let mut set: Vec<u32> = ids.into_iter().collect();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 /// Lease plumbing: the shared store this controller contends on.
@@ -775,15 +915,26 @@ impl FleetController {
 
     /// Handle one decoded-or-not request frame; `None` means the frame
     /// was malformed (or not a request) and the connection should drop.
-    /// Never panics, for any input bytes.
+    /// A HELLO or DELTA naming an id too wide to journal counts as
+    /// malformed, refused before any state moves. Never panics, for any
+    /// input bytes.
     pub fn handle_frame(&self, payload: &[u8]) -> Option<Vec<u8>> {
         match decode_frame(payload) {
-            Some(Frame::Hello(h)) => Some(self.handle_hello(h.host, h.epoch, h.tick)),
-            Some(Frame::Delta(d)) => Some(self.handle_delta(d)),
+            Some(Frame::Hello(h)) if h.host <= MAX_ID => {
+                Some(self.handle_hello(h.host, h.epoch, h.tick))
+            }
+            Some(Frame::Delta(d)) if journalable(&d) => Some(self.handle_delta(d)),
             Some(Frame::Query(q)) => Some(self.handle_query(q)),
             Some(Frame::Policy(p)) => self.handle_policy_push(p),
             Some(Frame::Repl(r)) => Some(self.handle_repl(&r)),
-            Some(Frame::Ack(_)) | Some(Frame::Rollup(_)) | None => {
+            Some(Frame::Hello(_) | Frame::Delta(_)) => {
+                self.metrics.wide_id_frames.fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .malformed_frames
+                    .fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Some(Frame::Ack(_) | Frame::Rollup(_)) | None => {
                 self.metrics
                     .malformed_frames
                     .fetch_add(1, Ordering::Relaxed);
@@ -892,35 +1043,42 @@ impl FleetController {
         let mut journaled_removals: Vec<u32> = Vec::new();
         if d.full {
             // Replace the host's state wholesale; containers absent from
-            // the snapshot are removals the journal must also see. The
-            // frame is not trusted to be sorted: its ids are, here, so
-            // a resync costs O(n log n) under the shard lock whatever
-            // the sender packed into it.
-            let mut kept: Vec<u32> = d.entries.iter().map(|e| e.id).collect();
-            kept.sort_unstable();
-            journaled_removals.extend(
-                host.containers
-                    .keys()
-                    .filter(|id| kept.binary_search(id).is_err()),
-            );
-            journaled_removals.sort_unstable();
-            for id in &journaled_removals {
-                sums.remove(host, *id);
-            }
+            // the snapshot are removals the journal must also see, in id
+            // order.
+            let kept = sorted_set(d.entries.iter().map(|e| e.id));
+            let mut in_frame = member(&kept);
+            sums.drop_where(host, |id| {
+                let gone = !in_frame(id);
+                if gone {
+                    journaled_removals.push(id);
+                }
+                gone
+            });
             host.needs_resync = false;
             host.expected_seq = d.seq + 1;
             self.metrics.full_syncs.fetch_add(1, Ordering::Relaxed);
         } else {
             host.expected_seq += 1;
         }
-        for id in &d.removed {
-            if sums.remove(host, *id) {
-                journaled_removals.push(*id);
-            }
+        if !d.removed.is_empty() {
+            let listed = sorted_set(d.removed.iter().copied());
+            let mut hit = Vec::new();
+            let mut in_list = member(&listed);
+            sums.drop_where(host, |id| {
+                let gone = in_list(id);
+                if gone {
+                    hit.push(id);
+                }
+                gone
+            });
+            // Journaled in the frame's order, each id once.
+            let mut said = vec![false; hit.len()];
+            journaled_removals.extend(d.removed.iter().copied().filter(|id| {
+                hit.binary_search(id)
+                    .is_ok_and(|i| !std::mem::replace(&mut said[i], true))
+            }));
         }
-        for e in &d.entries {
-            sums.upsert(host, *e);
-        }
+        sums.upsert(host, d.entries.iter().copied());
         host.last_delta_tick = now;
         host.host_tick = d.tick;
         host.health = d.health;
@@ -974,17 +1132,10 @@ impl FleetController {
             // Packed first, framed second: the encoder's wide loads
             // stall on a state still in flight from the stack it was
             // just packed on (37 against 18 ns a record, measured).
-            let states: Vec<ViewState> = d
-                .entries
-                .iter()
-                .filter_map(|e| pack_state(host_id, e))
-                .collect();
-            let removals = journaled_removals
-                .iter()
-                .filter_map(|id| pack_id(host_id, *id));
+            let states: Vec<ViewState> = d.entries.iter().map(|e| pack_state(host_id, e)).collect();
             let mut records = states.len() as u64;
-            for packed in removals {
-                frame_remove(out, packed);
+            for id in &journaled_removals {
+                frame_remove(out, pack_id(host_id, *id));
                 records += 1;
             }
             for state in &states {
@@ -1159,7 +1310,7 @@ impl FleetController {
     pub fn top_pressured(&self, k: usize) -> Vec<PressurePoint> {
         let mut points: Vec<PressurePoint> = Vec::new();
         self.each_host(|hid, host| {
-            for e in host.containers.values() {
+            for e in &host.containers {
                 let pressure = (e.e_avail.min(e.e_mem) * 1000)
                     .checked_div(e.e_mem)
                     .map_or(0, |served| (1000 - served) as u32);
@@ -1435,21 +1586,15 @@ impl FleetController {
             Record::Delta { state, .. } => Some(state.id >> 16),
             Record::Remove(packed) => Some(packed >> 16),
         };
-        let mut rest = records;
-        while let Some(first) = rest.first() {
-            let host_id = host_of(first);
-            let n = match host_id {
-                Some(_) => rest.iter().take_while(|r| host_of(r) == host_id).count(),
-                None => 1,
-            };
-            let (run, tail) = rest.split_at(n);
-            rest = tail;
-            let Some(host_id) = host_id else {
-                if let Record::Checkpoint(snap) = first {
-                    for shard in self.shards.iter() {
-                        *lock(shard) = Shard::default();
+        for run in runs(records, host_of) {
+            let Some(host_id) = host_of(&run[0]) else {
+                for record in run {
+                    if let Record::Checkpoint(snap) = record {
+                        for shard in self.shards.iter() {
+                            *lock(shard) = Shard::default();
+                        }
+                        self.apply_states(&snap.entries, now);
                     }
-                    self.apply_states(&snap.entries, now);
                 }
                 continue;
             };
@@ -1467,13 +1612,24 @@ impl FleetController {
                 host.last_delta_tick = now;
                 host.partitioned = false;
             }
-            for record in run {
-                match record {
-                    Record::Delta { state, .. } => sums.upsert(host, unpack_state(state)),
-                    Record::Remove(packed) => {
-                        sums.remove(host, packed & 0xFFFF);
-                    }
-                    Record::Checkpoint(_) => {}
+            // Records apply in stream order: each stretch of removals is
+            // one pass, each stretch of deltas one upsert.
+            let is_remove = |r: &Record| matches!(r, Record::Remove(_));
+            for stretch in runs(run, is_remove) {
+                if is_remove(&stretch[0]) {
+                    let gone = sorted_set(stretch.iter().filter_map(|r| match r {
+                        Record::Remove(packed) => Some(packed & 0xFFFF),
+                        _ => None,
+                    }));
+                    sums.drop_where(host, member(&gone));
+                } else {
+                    sums.upsert(
+                        host,
+                        stretch.iter().filter_map(|r| match r {
+                            Record::Delta { state, .. } => Some(unpack_state(state)),
+                            _ => None,
+                        }),
+                    );
                 }
             }
         }
@@ -1483,34 +1639,36 @@ impl FleetController {
     /// states under one shard lock, refreshing the host's staleness
     /// clock.
     fn apply_states(&self, states: &[ViewState], now: u64) {
-        let mut rest = states;
-        while let Some(first) = rest.first() {
-            let host_id = first.id >> 16;
-            let n = rest.iter().take_while(|e| e.id >> 16 == host_id).count();
-            let (run, tail) = rest.split_at(n);
-            rest = tail;
+        for run in runs(states, |e| e.id >> 16) {
+            let host_id = run[0].id >> 16;
             let mut s = lock(self.shard_for(host_id));
             let Shard { hosts, sums } = &mut *s;
             let host = hosts.entry(host_id).or_default();
             host.last_delta_tick = now;
             host.partitioned = false;
-            for e in run {
-                sums.upsert(host, unpack_state(e));
-            }
+            sums.upsert(host, run.iter().map(unpack_state));
         }
     }
 
     /// Build a persistable snapshot of the whole index: ids packed
     /// `host << 16 | container`, tenant in the top 16 bits of
-    /// `last_tick` (host ticks never approach 2^48).
+    /// `last_tick` (host ticks never approach 2^48). Each host's run is
+    /// already in id order, so only the host ids are sorted and the runs
+    /// concatenated, under every shard lock at once.
     fn index_snapshot(&self, tick: u64) -> Snapshot {
+        let shards: Vec<_> = self.shards.iter().map(lock).collect();
+        let mut hosts: Vec<(u32, &HostEntry)> = shards
+            .iter()
+            .flat_map(|s| s.hosts.iter().map(|(hid, host)| (*hid, host)))
+            .collect();
+        hosts.sort_unstable_by_key(|h| h.0);
         let mut snap = Snapshot::at(tick);
-        self.each_host(|hid, host| {
-            let states = host.containers.values();
+        snap.entries
+            .reserve(hosts.iter().map(|h| h.1.containers.len()).sum());
+        for (hid, host) in hosts {
             snap.entries
-                .extend(states.filter_map(|e| pack_state(hid, e)));
-        });
-        snap.entries.sort_unstable_by_key(|e| e.id);
+                .extend(host.containers.iter().map(|e| pack_state(hid, e)));
+        }
         snap
     }
 
@@ -1587,6 +1745,11 @@ impl FleetController {
             "arv_fleet_malformed_frames",
             "Frames that failed to decode",
             m.malformed_frames as f64,
+        );
+        out.counter(
+            "arv_fleet_wide_id_frames",
+            "HELLO/DELTA frames refused for an id wider than 16 bits (the host is locked out)",
+            m.wide_id_frames as f64,
         );
         out.counter(
             "arv_fleet_policy_pushes",
@@ -2081,6 +2244,67 @@ mod tests {
     }
 
     #[test]
+    fn a_wide_id_never_splits_primary_from_standby() {
+        use crate::protocol::{encode_delta, encode_hello, Hello};
+        let primary = FleetController::new(2, FleetPolicy::default());
+        primary.enable_replication();
+        let standby = FleetController::new(2, FleetPolicy::default());
+        let entry = |id: u32, tenant: u32| DeltaEntry {
+            id,
+            tenant,
+            e_cpu: 4,
+            e_mem: 100,
+            e_avail: 50,
+            last_tick: 1,
+        };
+        let full = |host: u32, entries: Vec<DeltaEntry>, removed: Vec<u32>| Delta {
+            host,
+            seq: 0,
+            tick: 1,
+            full: true,
+            health: 0,
+            durability_lost: false,
+            staleness_age: 0,
+            epoch: 0,
+            origin_tick: 1,
+            trace_seq: 1,
+            summary: HostSummary::default(),
+            entries,
+            removed,
+        };
+        // Each names one id past the 16 bits a journal record packs it
+        // into: a container, a tenant, a removal, a host.
+        let refused = [
+            encode_delta(&full(1, vec![entry(1, 0), entry(70_000, 0)], vec![])),
+            encode_delta(&full(1, vec![entry(1, 70_000)], vec![])),
+            encode_delta(&full(1, vec![entry(1, 0)], vec![70_000])),
+            encode_delta(&full(70_000, vec![entry(1, 0)], vec![])),
+            encode_hello(&Hello {
+                host: 70_000,
+                tick: 1,
+                containers: 1,
+                epoch: 0,
+            }),
+        ];
+        for frame in &refused {
+            assert_eq!(primary.handle_frame(frame), None, "refused whole");
+        }
+        let m = primary.metrics().snapshot();
+        assert_eq!((m.malformed_frames, m.wide_id_frames), (5, 5));
+        assert!(primary
+            .prometheus_exposition()
+            .contains("arv_fleet_wide_id_frames_total"));
+        assert_eq!(primary.host_count(), 0, "nothing moved");
+        let accepted = encode_delta(&full(1, vec![entry(1, 0), entry(2, 3)], vec![]));
+        assert!(primary.handle_frame(&accepted).is_some());
+        pump_repl(&primary, &standby);
+        let r = primary.cluster_capacity();
+        assert_eq!((r.cpu, r.containers), (8, 2));
+        assert_eq!(standby.cluster_capacity(), r);
+        assert_eq!(standby.tenant_rollup(3), primary.tenant_rollup(3));
+    }
+
+    #[test]
     fn a_quiet_host_stays_live_on_primary_and_standby() {
         let primary = FleetController::new(2, FleetPolicy::default());
         primary.enable_replication();
@@ -2387,10 +2611,37 @@ mod tests {
                 })
         }
 
-        /// `ctl`'s index and running sums are exactly `index`.
+        /// The `k` most pressured containers of `index`, as
+        /// [`FleetController::top_pressured`] ranks them.
+        fn top_of(index: &Index, k: usize) -> Vec<PressurePoint> {
+            let mut points: Vec<PressurePoint> = index
+                .iter()
+                .flat_map(|(host, c)| c.values().map(move |e| (*host, e)))
+                .map(|(host, e)| PressurePoint {
+                    host,
+                    id: e.id,
+                    pressure_milli: (e.e_avail.min(e.e_mem) * 1000)
+                        .checked_div(e.e_mem)
+                        .map_or(0, |served| 1000 - served as u32),
+                })
+                .collect();
+            points.sort_by_key(|p| (std::cmp::Reverse(p.pressure_milli), p.host, p.id));
+            points.truncate(k);
+            points
+        }
+
+        /// `ctl`'s index, running sums and per-host answers are exactly
+        /// `index`.
         fn assert_mirrors(ctl: &FleetController, index: &Index, hosts: usize) {
             assert_eq!(ctl.index_snapshot(0), snapshot_of(index, 0));
             assert_eq!(ctl.host_count(), hosts);
+            for (host, containers) in index {
+                let explained = ctl.explain_host(*host).map(|x| x.containers);
+                assert_eq!(explained, Some(containers.len() as u64), "host {host}");
+            }
+            for k in [1, 7, usize::MAX] {
+                assert_eq!(ctl.top_pressured(k), top_of(index, k), "top {k}");
+            }
             let r = ctl.cluster_capacity();
             assert_eq!((r.cpu, r.mem, r.avail, r.containers), sums(index, None));
             for tenant in 0..4 {
@@ -2438,7 +2689,7 @@ mod tests {
                     removed: vec![200 + seq as u32],
                 };
                 primary.handle_frame(&encode_delta(&d)).expect("answered");
-                assert!(ref_primary.handle_delta(&d));
+                assert_eq!(ref_primary.handle_delta(&d), Some(true));
             }
             assert_eq!(primary.repl_backlog_records(), 24_000);
             let frames = primary.take_repl_frames();
@@ -2453,22 +2704,23 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            // Arbitrary DELTA streams — upserts, removals, FULLs that
-            // leave stale containers behind, gaps, ids too wide to
-            // journal — interleaved with ticks and REPL pumps that are
-            // whole, torn mid-record or lost: batch framing writes the
-            // primary journal, the REPL frames and the shadow journal
-            // the record-at-a-time path wrote, byte for byte, and leaves
-            // the same indexes and rollups.
+            // Arbitrary DELTA streams — unsorted upserts with repeated
+            // ids, inserts landing mid-run, removals, FULLs that leave
+            // stale containers behind, gaps, ids too wide to journal —
+            // interleaved with ticks and REPL pumps that are whole, torn
+            // mid-record or lost: batch framing writes the primary
+            // journal, the REPL frames and the shadow journal the
+            // record-at-a-time path wrote, byte for byte, and leaves the
+            // same indexes, rollups and per-host answers.
             #[test]
             fn batch_framing_equals_the_per_record_path(
                 every in 1u64..6,
                 ops in prop::collection::vec(
                     (0u8..13, 0u32..3,
-                     prop::collection::vec((0u32..10, 0u32..4, 1u32..8, 1u64..5), 0..6),
-                     prop::collection::vec(0u32..9, 0..3),
+                     prop::collection::vec((0u32..300, 0u32..4, 1u32..8, 1u64..5), 0..64),
+                     prop::collection::vec(0u32..300, 0..8),
                      1usize..60),
-                    1..40),
+                    1..80),
             ) {
                 let mut primary = FleetController::new(2, FleetPolicy::default());
                 primary.enable_journal(every);
@@ -2511,17 +2763,26 @@ mod tests {
                                         last_tick: primary.now_tick(),
                                     })
                                     .collect(),
-                                removed,
+                                removed: removed
+                                    .iter()
+                                    .map(|&id| if id == 9 { 70_000 } else { id })
+                                    .collect(),
                             };
-                            seq[h] += 1;
-                            let resp = primary.handle_frame(&encode_delta(&d)).expect("answered");
-                            let Some(Frame::Ack(ack)) = decode_frame(&resp) else {
-                                panic!("expected ACK");
-                            };
-                            let accepted = ref_primary.handle_delta(&d);
-                            prop_assert_eq!(ack.resync, !accepted);
-                            prop_assert_eq!(ack.expected_seq, ref_primary.hosts[&host].expected_seq);
-                            wants_full[h] = ack.resync;
+                            let resp = primary.handle_frame(&encode_delta(&d));
+                            match ref_primary.handle_delta(&d) {
+                                // A frame naming an id too wide to journal
+                                // is refused whole: no ACK, nothing moved.
+                                None => prop_assert!(resp.is_none()),
+                                Some(accepted) => {
+                                    seq[h] += 1;
+                                    let Some(Frame::Ack(ack)) = resp.as_deref().and_then(decode_frame) else {
+                                        panic!("expected ACK");
+                                    };
+                                    prop_assert_eq!(ack.resync, !accepted);
+                                    prop_assert_eq!(ack.expected_seq, ref_primary.hosts[&host].expected_seq);
+                                    wants_full[h] = ack.resync;
+                                }
+                            }
                         }
                         8 => {
                             primary.advance_tick();

@@ -269,20 +269,16 @@ impl HashMapPeriphery {
 
 const TICK_MASK: u64 = (1 << 48) - 1;
 
-/// `host << 16 | container`, or `None` if either does not fit 16 bits.
-fn packed_id(host: u32, container: u32) -> Option<u32> {
-    (host <= 0xFFFF && container <= 0xFFFF).then_some((host << 16) | container)
-}
-
-/// The journalable form of a container's entry, if its ids fit.
-fn packed(host: u32, e: &DeltaEntry) -> Option<ViewState> {
-    Some(ViewState {
-        id: packed_id(host, e.id)?,
+/// The journalable form of a container's entry: `host << 16 |
+/// container`, the tenant in the top 16 bits of the tick.
+fn packed(host: u32, e: &DeltaEntry) -> ViewState {
+    ViewState {
+        id: (host << 16) | e.id,
         e_cpu: e.e_cpu,
         e_mem: e.e_mem,
         e_avail: e.e_avail,
         last_tick: (u64::from(e.tenant) << 48) | (e.last_tick & TICK_MASK),
-    })
+    }
 }
 
 /// host → container → entry; iteration is in packed-id order.
@@ -293,7 +289,7 @@ pub(crate) fn snapshot_of(index: &Index, tick: u64) -> Snapshot {
     let mut snap = Snapshot::at(tick);
     for (host, containers) in index {
         snap.entries
-            .extend(containers.values().filter_map(|e| packed(*host, e)));
+            .extend(containers.values().map(|e| packed(*host, e)));
     }
     snap
 }
@@ -341,14 +337,23 @@ impl RecordPrimary {
         }
     }
 
-    /// Apply one DELTA; whether it was accepted (else the ACK demands a
-    /// resync).
-    pub(crate) fn handle_delta(&mut self, d: &Delta) -> bool {
+    /// Apply one DELTA: `None` if it names a host, container or tenant
+    /// id wider than the 16 bits a record packs it into (refused whole,
+    /// nothing moves), else whether it was accepted (else the ACK
+    /// demands a resync).
+    pub(crate) fn handle_delta(&mut self, d: &Delta) -> Option<bool> {
+        let fits = |id: u32| id <= 0xFFFF;
+        if !(fits(d.host)
+            && d.entries.iter().all(|e| fits(e.id) && fits(e.tenant))
+            && d.removed.iter().all(|id| fits(*id)))
+        {
+            return None;
+        }
         let host = self.hosts.entry(d.host).or_default();
         let containers = self.index.entry(d.host).or_default();
         if !(d.full || (d.seq == host.expected_seq && !host.needs_resync)) {
             host.needs_resync = true;
-            return false;
+            return Some(false);
         }
         let mut removals: Vec<u32> = Vec::new();
         if d.full {
@@ -376,17 +381,17 @@ impl RecordPrimary {
             containers.insert(e.id, *e);
         }
         self.heard.insert(d.host);
-        for id in removals.iter().filter_map(|id| packed_id(d.host, *id)) {
+        for id in removals.iter().map(|id| (d.host << 16) | id) {
             self.journal.append_remove(id).expect("mem store");
             self.outbox.push(encode_record(&Record::Remove(id)));
         }
-        for state in d.entries.iter().filter_map(|e| packed(d.host, e)) {
+        for state in d.entries.iter().map(|e| packed(d.host, e)) {
             let tick = self.now;
             self.journal.append_delta(&state, tick).expect("mem store");
             self.outbox
                 .push(encode_record(&Record::Delta { state, tick }));
         }
-        true
+        Some(true)
     }
 
     /// One aggregation period: group-commit, checkpoint on the cadence.

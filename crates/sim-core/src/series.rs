@@ -114,22 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn value_at_uses_step_interpolation() {
-        let s = series();
-        assert_eq!(s.value_at(SimTime(0)), Some(0.0));
-        assert_eq!(s.value_at(SimTime(150)), Some(1.0));
-        assert_eq!(s.value_at(SimTime(900)), Some(9.0));
-        assert_eq!(s.value_at(SimTime(5_000)), Some(9.0));
-    }
-
-    #[test]
-    fn value_before_first_sample_is_none() {
-        let mut s = TimeSeries::new("x");
-        s.push(SimTime(10), 1.0);
-        assert_eq!(s.value_at(SimTime(9)), None);
-    }
-
-    #[test]
     fn downsample_keeps_endpoints() {
         let s = series();
         let d = s.downsample(4);
@@ -151,16 +135,5 @@ mod tests {
         let mut s = TimeSeries::new("x");
         s.push(SimTime(10), 1.0);
         s.push(SimTime(5), 2.0);
-    }
-
-    impl TimeSeries {
-        /// Value at or before `t` (step interpolation); `None` before first sample.
-        fn value_at(&self, t: SimTime) -> Option<f64> {
-            match self.samples.binary_search_by(|(st, _)| st.cmp(&t)) {
-                Ok(i) => Some(self.samples[i].1),
-                Err(0) => None,
-                Err(i) => Some(self.samples[i - 1].1),
-            }
-        }
     }
 }
