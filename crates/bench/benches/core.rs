@@ -28,9 +28,11 @@ use std::hint::black_box;
 /// Container populations timed, sparsest first.
 const POPULATIONS: [u32; 3] = [100, 1_000, 10_000];
 /// Ceiling on per-container cost at the densest population over the
-/// sparsest. Cache misses alone cost a dense host up to ≈2× (its
-/// namespaces no longer fit L2); anything per-namespace that grows
-/// with the population blows straight through 3×.
+/// sparsest. While the per-container tables were trees, cache misses
+/// alone cost a dense host up to ≈2× (its namespaces no longer fit L2);
+/// walked in stride as id-sorted arrays they read 0.6–1.0, the
+/// prefetcher hiding the size. Anything per-namespace that grows with
+/// the population blows straight through 3×.
 const MAX_SCALING_RATIO: f64 = 3.0;
 /// Namespace updates timed per trial, whatever the population.
 const UPDATES_PER_TRIAL: u32 = 2_000_000;
@@ -47,8 +49,8 @@ const GRANTS: u32 = 16;
 const RECORDS_PER_TRIAL: u32 = 20_000;
 /// Ceiling on one `record` of [`GRANTS`] grants over the larger ledger
 /// over the smaller. Zeroing only last period's grantees keeps it near
-/// 3 (deeper map probes, which miss the cache more often, and nothing
-/// else); a walk of every group reads ≈100×.
+/// 2 (deeper binary searches, which miss the cache more often, and
+/// nothing else; ≈3 as tree probes); a walk of every group reads ≈100×.
 const MAX_LEDGER_RECORD_GROWTH: f64 = 10.0;
 
 /// A host of `n` containers mid-run: a quarter of them on CPU, all of

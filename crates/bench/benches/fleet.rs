@@ -15,8 +15,8 @@
 //! a DELTA that walks its host's whole container run, a FULL inserted
 //! entry by entry, per-entry frame re-encoding, observability on the
 //! hot path — not machine noise. Ingest throughput itself is reported ungated; a
-//! per-entry re-encode or buffer is caught by the journaled-ingest
-//! ratio here and by `fleet/tests/alloc_guard.rs`, which counts the
+//! per-entry re-encode or buffer is caught by the journal-overhead
+//! gate here and by `fleet/tests/alloc_guard.rs`, which counts the
 //! allocations an ingested frame costs.
 
 use arv_bench::{best_of, ns_per_call, Report};
@@ -24,7 +24,7 @@ use arv_fleet::{
     decode_frame, encode_delta, Delta, DeltaEntry, FleetController, FleetPolicy, Frame,
     HostSummary, Periphery, SharedLease,
 };
-use arv_persist::{Snapshot, ViewState};
+use arv_persist::{frame_delta, Snapshot, ViewState};
 use arv_telemetry::{FlightRecorder, Tracer};
 use std::hint::black_box;
 use std::time::Instant;
@@ -92,14 +92,25 @@ const MAX_RESYNC_TICKS: u64 = 2;
 /// ingest). Both sides are min-of-3, which rejects scheduler noise.
 const MAX_OBS_OVERHEAD_RATIO: f64 = 1.75;
 
-/// Ceiling on what durability may add to ingest: ns per accepted entry
-/// with the journal and the REPL outbox on, over the same with neither,
-/// in the same run — machine speed cancels. A record is framed once
-/// (one encode, one CRC) and its bytes land in the journal and the
-/// outbox: 1.8–2.0 over a bare ingest that binary-searches its index.
-/// A second batch encode for the journal reads 2.6, and a buffer per
-/// record more.
-const MAX_JOURNALED_INGEST_RATIO: f64 = 2.0;
+/// Ceiling on what durability adds to ingest, in batch encodes: ns per
+/// accepted entry with the journal and the REPL outbox on, minus the
+/// same with neither, over one batch `frame_delta` encode of the same
+/// entries, all three in the same run — machine speed cancels, and so
+/// does the bare index's own cost. A record is framed once (one encode,
+/// one CRC) and its bytes land in the journal and the outbox, for
+/// 1.30–1.43 encodes (twenty runs on a 2-vCPU VM). A second batch
+/// encode for the journal reads 2.57–2.66, and a buffer per record
+/// 2.38–2.53.
+///
+/// This gate replaced `journaled_ingest_ratio` (journaled ÷ bare ns per
+/// entry, ceiling 2.0). Set when batch framing landed, it read
+/// 1.60–1.76 (a buffer per record or a second encode per consumer read
+/// 4–5, the per-record framing before it 7.58). Once the controller's
+/// index became a binary search (bare 64 → 37 ns an entry) the same
+/// journaling read 1.76–2.09 against the same ceiling and breached it
+/// in CI, although journaling had not changed. Dividing the overhead by
+/// what it is made of keeps a faster bare path from moving the gate.
+const MAX_JOURNAL_OVERHEAD_ENCODES: f64 = 1.9;
 
 /// Hosts in the replicated failover fleet (smaller than the ingest
 /// fleet: the metric is convergence shape, not raw volume).
@@ -186,49 +197,83 @@ fn ingest_secs(traced: bool) -> f64 {
     })
 }
 
-/// Nanoseconds inside `handle_frame` per accepted entry in steady
-/// state, with journal and replication on and bare, each the fastest of
-/// [`TRIALS`]. The two alternate trial by trial, so a slow spell of the
-/// machine lands on both sides of their ratio.
-fn ingest_ns_per_entry() -> (f64, f64) {
-    (0..TRIALS)
-        .map(|_| (ingest_trial(true), ingest_trial(false)))
-        .fold((f64::INFINITY, f64::INFINITY), |(j, b), (tj, tb)| {
-            (j.min(tj), b.min(tb))
-        })
+/// Nanoseconds per accepted entry in steady state: inside
+/// `handle_frame` with journal and replication on, the same bare, and
+/// one batch [`frame_delta`] encode of the same entries; each the
+/// fastest of [`TRIALS`].
+fn ingest_ns_per_entry() -> (f64, f64, f64) {
+    (0..TRIALS).map(|_| ingest_trial()).fold(
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY),
+        |(j, b, e), (tj, tb, te)| (j.min(tj), b.min(tb), e.min(te)),
+    )
 }
 
-/// One trial of [`ingest_ns_per_entry`], bare or journaled. The outbox
+/// One trial of [`ingest_ns_per_entry`]. Every frame goes to a
+/// journaled and a bare controller back to back (which goes first
+/// alternates by round), and its host's entries then to the encoder,
+/// so a slow spell of the machine lands on all three clocks. The outbox
 /// is drained every round and the journal compacts every 4 ticks, both
-/// outside the clock, as a standby link and the tick would; the first
-/// rounds, up to the first compaction, are not timed, so neither side
-/// pays for memory the process touches for the first time.
-fn ingest_trial(journaled: bool) -> f64 {
+/// outside the clocks, as a standby link and the tick would; the first
+/// rounds, up to the first compaction, are not timed, so no side pays
+/// for memory the process touches for the first time.
+fn ingest_trial() -> (f64, f64, f64) {
     const WARM_ROUNDS: u32 = 5;
-    let mut ctl = FleetController::new(64, FleetPolicy::default());
-    if journaled {
-        ctl.enable_journal(4);
-        ctl.enable_replication();
-    }
+    let mut journaled = FleetController::new(64, FleetPolicy::default());
+    journaled.enable_journal(4);
+    journaled.enable_replication();
+    let bare = FleetController::new(64, FleetPolicy::default());
     let mut peripheries: Vec<Periphery> = (0..HOSTS).map(Periphery::new).collect();
-    let mut in_ingest = std::time::Duration::ZERO;
-    let mut entries = 0;
+    let mut clocks = [std::time::Duration::ZERO; 3];
+    let (mut entries, mut encoded) = (0, 0);
+    let mut out = Vec::new();
     for round in 0..=ROUNDS {
         if round == WARM_ROUNDS {
-            in_ingest = std::time::Duration::ZERO;
-            entries = ctl.metrics().snapshot().delta_entries;
+            clocks = [std::time::Duration::ZERO; 3];
+            (entries, encoded) = (bare.metrics().snapshot().delta_entries, 0);
         }
+        let tick = u64::from(round) + 1;
         for (h, p) in peripheries.iter_mut().enumerate() {
-            p.observe(&snapshot(h as u32, u64::from(round) + 1, round), false, 0);
+            let snap = snapshot(h as u32, tick, round);
+            p.observe(&snap, false, 0);
+            for frame in p.take_frames() {
+                let mut time = |ctl: &FleetController, clock: usize| {
+                    let start = Instant::now();
+                    let resp = ctl.handle_frame(&frame);
+                    clocks[clock] += start.elapsed();
+                    resp
+                };
+                let resp = if round % 2 == 0 {
+                    black_box(time(&bare, 1));
+                    time(&journaled, 0)
+                } else {
+                    let resp = time(&journaled, 0);
+                    black_box(time(&bare, 1));
+                    resp
+                };
+                if let Some(Frame::Ack(ack)) = resp.as_deref().and_then(decode_frame) {
+                    p.handle_ack(&ack);
+                }
+            }
+            out.clear();
             let start = Instant::now();
-            pump(p, &ctl);
-            in_ingest += start.elapsed();
+            for state in black_box(&snap.entries) {
+                frame_delta(&mut out, state, tick);
+            }
+            black_box(&out);
+            clocks[2] += start.elapsed();
+            encoded += snap.entries.len() as u64;
         }
-        ctl.take_repl_frames();
-        ctl.advance_tick();
+        journaled.take_repl_frames();
+        journaled.advance_tick();
+        bare.advance_tick();
     }
-    let entries = ctl.metrics().snapshot().delta_entries - entries;
-    in_ingest.as_nanos() as f64 / entries as f64
+    let entries = (bare.metrics().snapshot().delta_entries - entries) as f64;
+    let ns = |clock: std::time::Duration| clock.as_nanos() as f64;
+    (
+        ns(clocks[0]) / entries,
+        ns(clocks[1]) / entries,
+        ns(clocks[2]) / encoded as f64,
+    )
 }
 
 /// Nanoseconds per `Periphery::observe_moved` of [`MOVED`] views, each
@@ -453,7 +498,7 @@ fn main() {
     let resync_ticks = bench_resync_ticks();
     let (failover_ticks_to_fresh, repl_lag_records) = bench_failover();
     let obs_overhead_ratio = ingest_secs(true) / ingest_secs(false);
-    let (journaled_ingest_ns, bare_ingest_ns) = ingest_ns_per_entry();
+    let (journaled_ingest_ns, bare_ingest_ns, encode_ns) = ingest_ns_per_entry();
     let [small_mirror, large_mirror] = MOVED_POPULATIONS.map(moved_observe_ns);
     let [small_host, large_host] = UPDATE_POPULATIONS.map(update_ns);
     let (sorted_full, reversed_full) = (full_ns(false), full_ns(true));
@@ -496,10 +541,11 @@ fn main() {
         )
         .value("journaled_ingest_ns_per_entry", journaled_ingest_ns)
         .value("bare_ingest_ns_per_entry", bare_ingest_ns)
+        .value("encode_ns_per_entry", encode_ns)
         .at_most(
-            "journaled_ingest_ratio",
-            journaled_ingest_ns / bare_ingest_ns,
-            MAX_JOURNALED_INGEST_RATIO,
+            "journal_overhead_encodes",
+            (journaled_ingest_ns - bare_ingest_ns) / encode_ns,
+            MAX_JOURNAL_OVERHEAD_ENCODES,
             "a record is framed more than once, or buffered per record, on its way to journal and outbox",
         )
         .value("moved_observe_ns_n1000", small_mirror)

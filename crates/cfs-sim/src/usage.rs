@@ -4,9 +4,8 @@
 //! during the updating period" (`u_i`). The ledger keeps the last-period
 //! figure plus cumulative totals, as the kernel's cpuacct controller does.
 
-use arv_cgroups::CgroupId;
+use arv_cgroups::{CgroupId, IdMap};
 use arv_sim_core::SimDuration;
-use std::collections::BTreeMap;
 
 use crate::scheduler::Allocation;
 
@@ -20,7 +19,7 @@ struct GroupUsage {
 /// CPU usage ledger across all cgroups.
 #[derive(Debug, Clone, Default)]
 pub struct UsageLedger {
-    groups: BTreeMap<CgroupId, GroupUsage>,
+    groups: IdMap<GroupUsage>,
     /// The last period's grantees: the only groups whose `last_period`
     /// can be non-zero.
     granted: Vec<CgroupId>,
@@ -191,6 +190,7 @@ mod tests {
     mod reference_props {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
 
         /// The ledger as it was when `record` and `reset_window` walked
         /// every group: the reference the incremental zeroing must match.

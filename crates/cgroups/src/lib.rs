@@ -15,11 +15,13 @@
 pub mod cpu;
 pub mod events;
 pub mod hierarchy;
+pub mod id_map;
 pub mod manager;
 pub mod memory;
 
 pub use cpu::{CpuController, CpuSet};
 pub use events::{EventPipe, SeqEvent, DEFAULT_PIPE_CAPACITY};
 pub use hierarchy::CgroupTree;
+pub use id_map::IdMap;
 pub use manager::{CgroupEvent, CgroupId, CgroupManager, CgroupSpec};
 pub use memory::{Bytes, MemController};

@@ -14,12 +14,11 @@
 //!   memory-manager observations.
 
 use arv_cfs::UsageLedger;
-use arv_cgroups::{Bytes, CgroupEvent, CgroupId, CgroupManager, CpuSet, SeqEvent};
+use arv_cgroups::{Bytes, CgroupEvent, CgroupId, CgroupManager, CpuSet, IdMap, SeqEvent};
 use arv_mem::{MemSim, Watermarks};
 use arv_persist::ViewState;
 use arv_sim_core::SimDuration;
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PipelineEvent, Tracer};
-use std::collections::BTreeMap;
 
 use crate::effective_cpu::{CpuBounds, CpuSample, EffectiveCpuConfig};
 use crate::effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
@@ -58,7 +57,9 @@ pub struct RecoverOutcome {
 
 /// The monitor daemon: the one updater of every container's
 /// `sys_namespace`. Drivers mirror its views into the lock-free
-/// [`crate::live`] cells that query threads read.
+/// [`crate::live`] cells that query threads read. Its namespaces are an
+/// [`IdMap`], like the ledger's and the memory manager's groups, so a
+/// firing strides through three id-sorted arrays side by side.
 #[derive(Debug, Clone)]
 pub struct NsMonitor {
     online: CpuSet,
@@ -66,7 +67,7 @@ pub struct NsMonitor {
     watermarks: Watermarks,
     cpu_cfg: EffectiveCpuConfig,
     mem_cfg: EffectiveMemoryConfig,
-    namespaces: BTreeMap<CgroupId, SysNamespace>,
+    namespaces: IdMap<SysNamespace>,
     /// The views a firing moved since the last [`NsMonitor::take_moved`],
     /// as values, in id order.
     moved: Vec<ViewState>,
@@ -98,7 +99,7 @@ impl NsMonitor {
             watermarks,
             cpu_cfg,
             mem_cfg,
-            namespaces: BTreeMap::new(),
+            namespaces: IdMap::new(),
             moved: Vec::new(),
             all_moved: false,
             next_pid: 1,
@@ -518,11 +519,12 @@ impl NsMonitor {
     /// One update-timer firing. Host-wide state (`period`, `slack`, free
     /// memory, kswapd) is sampled once, so every namespace judges the
     /// same instant, and the per-container usages (`cpu_usage`, the
-    /// memory manager's) arrive as id-ordered streams walked beside the
-    /// namespaces — no per-namespace lookup, so the firing costs the
-    /// same per container at any population. Each namespace whose value
-    /// triple moved is recorded while the loop holds it; freshness is one
-    /// store.
+    /// memory manager's) arrive as id-ordered streams over the ledger's
+    /// and the memory manager's id-sorted arrays, merged (`seek`) beside
+    /// the namespaces' own array — no per-namespace lookup and no tree
+    /// to chase, so the firing costs the same per container at any
+    /// population. Each namespace whose value triple moved is recorded
+    /// while the loop holds it; freshness is one store.
     fn fire(
         &mut self,
         period: SimDuration,

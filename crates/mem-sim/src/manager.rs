@@ -1,7 +1,6 @@
 //! The host memory manager: charging, limits, reclaim, swap accounting.
 
-use arv_cgroups::{Bytes, CgroupId, MemController};
-use std::collections::BTreeMap;
+use arv_cgroups::{Bytes, CgroupId, IdMap, MemController};
 
 use crate::kswapd::{KswapdState, Watermarks};
 
@@ -67,11 +66,18 @@ struct GroupMem {
     soft: Bytes,
 }
 
+impl GroupMem {
+    /// Resident bytes above the soft limit: what kswapd may take.
+    fn excess(&self) -> Bytes {
+        self.resident.saturating_sub(self.soft)
+    }
+}
+
 /// The host memory manager.
 #[derive(Debug, Clone)]
 pub struct MemSim {
     cfg: MemSimConfig,
-    groups: BTreeMap<CgroupId, GroupMem>,
+    groups: IdMap<GroupMem>,
     kswapd: KswapdState,
     /// Σ `resident` over `groups`, kept exact by every mutation so
     /// [`MemSim::free`] is O(1).
@@ -89,7 +95,7 @@ impl MemSim {
         cfg.watermarks.validate();
         MemSim {
             cfg,
-            groups: BTreeMap::new(),
+            groups: IdMap::new(),
             kswapd: KswapdState::Idle,
             resident_total: Bytes::ZERO,
             swapped_total: Bytes::ZERO,
@@ -277,26 +283,19 @@ impl MemSim {
     /// Reclaim up to `target` bytes from containers above their soft
     /// limit, proportionally to each one's excess (LRU scanning pressures
     /// every offending cgroup, not one victim at a time). Returns the
-    /// amount actually reclaimed.
+    /// amount actually reclaimed. Two passes over the groups in place,
+    /// Σ excess then take: no victim list, no lookups.
     fn soft_limit_reclaim(&mut self, target: Bytes) -> Bytes {
-        let victims: Vec<(CgroupId, Bytes)> = self
-            .groups
-            .iter()
-            .filter_map(|(id, g)| {
-                let excess = g.resident.saturating_sub(g.soft);
-                (!excess.is_zero()).then_some((*id, excess))
-            })
-            .collect();
-        let total_excess: Bytes = victims.iter().map(|(_, e)| *e).sum();
+        let total_excess: Bytes = self.groups.values().map(GroupMem::excess).sum();
         if total_excess.is_zero() {
             return Bytes::ZERO;
         }
         let goal = target.min(total_excess).min(self.swap_free());
 
         let mut reclaimed = Bytes::ZERO;
-        for (id, excess) in victims {
+        for g in self.groups.values_mut() {
+            let excess = g.excess();
             let take = goal.mul_f64(excess.ratio(total_excess)).min(excess);
-            let g = self.groups.get_mut(&id).expect("victim exists");
             g.resident -= take;
             g.swapped += take;
             reclaimed += take;
@@ -316,24 +315,28 @@ impl MemSim {
         if reclaimed >= target {
             return reclaimed;
         }
-        // Indiscriminate pass: take proportionally to resident size.
-        let victims: Vec<(CgroupId, Bytes)> = self
-            .groups
-            .iter()
-            .filter(|(id, g)| Some(**id) != exclude && !g.resident.is_zero())
-            .map(|(id, g)| (*id, g.resident))
-            .collect();
-        let total_resident: Bytes = victims.iter().map(|(_, r)| *r).sum();
-        if total_resident.is_zero() {
-            return reclaimed;
+        // Indiscriminate pass: take proportionally to resident size, in
+        // two passes in place like the soft one. The first also notes
+        // the largest victim (the last of equals) for the remainder.
+        let victim = |id: &CgroupId, g: &GroupMem| Some(*id) != exclude && !g.resident.is_zero();
+        let (mut total_resident, mut most, mut largest) = (Bytes::ZERO, Bytes::ZERO, None);
+        for (id, g) in self.groups.iter().filter(|(id, g)| victim(id, g)) {
+            total_resident += g.resident;
+            if g.resident >= most {
+                (most, largest) = (g.resident, Some(*id));
+            }
         }
+        let Some(largest) = largest else {
+            return reclaimed;
+        };
         let goal = (target - reclaimed)
             .min(total_resident)
             .min(self.swap_free());
         let mut swap_used = Bytes::ZERO;
-        for (id, resident) in &victims {
-            let take = goal.mul_f64(resident.ratio(total_resident)).min(*resident);
-            let g = self.groups.get_mut(id).expect("victim exists");
+        for (_, g) in self.groups.iter_mut().filter(|(id, g)| victim(id, g)) {
+            let take = goal
+                .mul_f64(g.resident.ratio(total_resident))
+                .min(g.resident);
             g.resident -= take;
             g.swapped += take;
             reclaimed += take;
@@ -341,14 +344,10 @@ impl MemSim {
         }
         // Proportional rounding may leave a few bytes short of `goal`;
         // take the remainder from the largest victim.
-        if reclaimed < target && !victims.is_empty() {
-            let (big, _) = victims
-                .iter()
-                .max_by_key(|(_, r)| r.as_u64())
-                .expect("non-empty");
+        if reclaimed < target {
             // The running total does not yet hold this pass's moves.
             let swap_left = self.swap_free().saturating_sub(swap_used);
-            let g = self.groups.get_mut(big).expect("victim exists");
+            let g = self.groups.get_mut(&largest).expect("victim exists");
             let take = (target - reclaimed).min(g.resident).min(swap_left);
             g.resident -= take;
             g.swapped += take;
@@ -558,6 +557,194 @@ mod tests {
     fn swapped_fraction_of_unknown_group_is_zero() {
         let m = small_host();
         assert_eq!(m.swapped_fraction(gid(9)), 0.0);
+    }
+
+    mod reference_props {
+        use super::*;
+        use arv_sim_core::SimDuration;
+        use proptest::prelude::*;
+
+        // The charge and reclaim paths as they were when both reclaim
+        // passes collected a victim list and looked each victim up: the
+        // reference the in-place passes must match byte for byte.
+
+        fn charge(m: &mut MemSim, id: CgroupId, amount: Bytes) -> ChargeOutcome {
+            if amount.is_zero() {
+                return ChargeOutcome::Charged {
+                    swapped_out: Bytes::ZERO,
+                };
+            }
+            let g = *m.groups.get(&id).expect("unknown cgroup");
+            let resident_room = g.hard.saturating_sub(g.resident);
+            let to_resident = amount.min(resident_room);
+            let to_swap_self = amount - to_resident;
+            let free = m.free();
+            let reclaim_needed = to_resident.saturating_sub(free);
+            if to_swap_self + reclaim_needed > m.swap_free() {
+                return ChargeOutcome::OomKilled;
+            }
+            let mut swapped_out = Bytes::ZERO;
+            if !reclaim_needed.is_zero() {
+                let done = direct_reclaim(m, reclaim_needed, Some(id));
+                if done < reclaim_needed {
+                    return ChargeOutcome::OomKilled;
+                }
+                swapped_out += done;
+            }
+            let g = m.groups.get_mut(&id).expect("unknown cgroup");
+            g.resident += to_resident;
+            g.swapped += to_swap_self;
+            m.resident_total += to_resident;
+            m.swapped_total += to_swap_self;
+            swapped_out += to_swap_self;
+            m.swap_out_total += to_swap_self;
+            ChargeOutcome::Charged { swapped_out }
+        }
+
+        fn kswapd_step(m: &mut MemSim, dt: SimDuration) {
+            m.kswapd = m.kswapd.step(m.free(), &m.cfg.watermarks);
+            if !m.kswapd.is_reclaiming() {
+                return;
+            }
+            let budget = m.cfg.reclaim_rate_per_sec.mul_f64(dt.as_secs_f64());
+            let need = m.cfg.watermarks.high.saturating_sub(m.free()).min(budget);
+            if !need.is_zero() {
+                soft_limit_reclaim(m, need);
+            }
+            m.kswapd = m.kswapd.step(m.free(), &m.cfg.watermarks);
+        }
+
+        fn soft_limit_reclaim(m: &mut MemSim, target: Bytes) -> Bytes {
+            let victims: Vec<(CgroupId, Bytes)> = m
+                .groups
+                .iter()
+                .filter_map(|(id, g)| {
+                    let excess = g.resident.saturating_sub(g.soft);
+                    (!excess.is_zero()).then_some((*id, excess))
+                })
+                .collect();
+            let total_excess: Bytes = victims.iter().map(|(_, e)| *e).sum();
+            if total_excess.is_zero() {
+                return Bytes::ZERO;
+            }
+            let goal = target.min(total_excess).min(m.swap_free());
+            let mut reclaimed = Bytes::ZERO;
+            for (id, excess) in victims {
+                let take = goal.mul_f64(excess.ratio(total_excess)).min(excess);
+                let g = m.groups.get_mut(&id).expect("victim exists");
+                g.resident -= take;
+                g.swapped += take;
+                reclaimed += take;
+            }
+            m.note_swapped_out(reclaimed);
+            reclaimed
+        }
+
+        fn direct_reclaim(m: &mut MemSim, target: Bytes, exclude: Option<CgroupId>) -> Bytes {
+            let mut reclaimed = soft_limit_reclaim(m, target);
+            if reclaimed >= target {
+                return reclaimed;
+            }
+            let victims: Vec<(CgroupId, Bytes)> = m
+                .groups
+                .iter()
+                .filter(|(id, g)| Some(**id) != exclude && !g.resident.is_zero())
+                .map(|(id, g)| (*id, g.resident))
+                .collect();
+            let total_resident: Bytes = victims.iter().map(|(_, r)| *r).sum();
+            if total_resident.is_zero() {
+                return reclaimed;
+            }
+            let goal = (target - reclaimed).min(total_resident).min(m.swap_free());
+            let mut swap_used = Bytes::ZERO;
+            for (id, resident) in &victims {
+                let take = goal.mul_f64(resident.ratio(total_resident)).min(*resident);
+                let g = m.groups.get_mut(id).expect("victim exists");
+                g.resident -= take;
+                g.swapped += take;
+                reclaimed += take;
+                swap_used += take;
+            }
+            if reclaimed < target && !victims.is_empty() {
+                let (big, _) = victims
+                    .iter()
+                    .max_by_key(|(_, r)| r.as_u64())
+                    .expect("non-empty");
+                let swap_left = m.swap_free().saturating_sub(swap_used);
+                let g = m.groups.get_mut(big).expect("victim exists");
+                let take = (target - reclaimed).min(g.resident).min(swap_left);
+                g.resident -= take;
+                g.swapped += take;
+                reclaimed += take;
+                swap_used += take;
+            }
+            m.note_swapped_out(swap_used);
+            reclaimed
+        }
+
+        /// An odd unit, so proportional shares round.
+        const UNIT: u64 = 1_048_583;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Random groups (resident, soft and hard sizes in a few
+            /// units, so the largest resident is often tied), a swap
+            /// device a few units from full, charges that overrun free
+            /// memory (direct reclaim, the charging group excluded),
+            /// releases and kswapd steps, in any order: every group's
+            /// `(resident, swapped)`, the running totals and every
+            /// outcome equal the victim-list reference's after every
+            /// operation.
+            #[test]
+            fn in_place_reclaim_matches_the_victim_list(
+                limits in prop::collection::vec((1u64..4, 0u64..3), 2..9),
+                total_units in 6u64..16,
+                swap_units in 2u64..24,
+                ops in prop::collection::vec((0u8..4, 0u32..8, 0u64..8, 0u64..4), 1..80),
+            ) {
+                let mut cfg = MemSimConfig::with_total(Bytes(total_units * UNIT));
+                cfg.swap = Bytes(swap_units * UNIT);
+                cfg.watermarks = Watermarks {
+                    min: Bytes(UNIT),
+                    low: Bytes(2 * UNIT),
+                    high: Bytes(4 * UNIT),
+                };
+                cfg.reclaim_rate_per_sec = Bytes(100 * UNIT);
+                let mut m = MemSim::new(cfg);
+                let groups = limits.len() as u32;
+                for (i, (soft, over)) in limits.into_iter().enumerate() {
+                    m.register(
+                        CgroupId(i as u32),
+                        MemController::unlimited()
+                            .with_hard_limit(Bytes((soft + over) * UNIT))
+                            .with_soft_limit(Bytes(soft * UNIT)),
+                    );
+                }
+                let mut reference = m.clone();
+                for (kind, id, units, extra) in ops {
+                    let id = CgroupId(id % groups);
+                    let amount = Bytes(units * UNIT + extra);
+                    match kind {
+                        0 | 1 => prop_assert_eq!(m.charge(id, amount), charge(&mut reference, id, amount)),
+                        2 => {
+                            m.uncharge(id, amount);
+                            reference.uncharge(id, amount);
+                        }
+                        _ => {
+                            let dt = SimDuration::from_millis(4 * (units + 1));
+                            m.kswapd_step(dt);
+                            kswapd_step(&mut reference, dt);
+                        }
+                    }
+                    let state = |m: &MemSim| {
+                        let groups: Vec<_> = m.groups.iter().map(|(id, g)| (*id, g.resident, g.swapped)).collect();
+                        (groups, m.resident_total, m.swapped_total, m.swap_out_total, m.kswapd)
+                    };
+                    prop_assert_eq!(state(&m), state(&reference));
+                }
+            }
+        }
     }
 }
 
