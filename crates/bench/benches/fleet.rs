@@ -5,7 +5,8 @@
 //! many periphery ticks a sequence-gap resync costs, how many ticks a
 //! promoted standby needs to converge every host back to Fresh, how
 //! many records the hot standby trails the primary by in steady state,
-//! and what journaling and replicating an entry adds to ingesting it —
+//! how many REPL bytes a replicated view record costs, and what
+//! journaling and replicating an entry adds to ingesting it —
 //! writes them to `BENCH_fleet.json`, and fails if a gate is breached,
 //! so `ci.sh` can gate on a single run.
 //!
@@ -20,11 +21,12 @@
 //! allocations an ingested frame costs.
 
 use arv_bench::{best_of, ns_per_call, Report};
+use arv_fleet::protocol::frame_delta_record;
 use arv_fleet::{
     decode_frame, encode_delta, Delta, DeltaEntry, FleetController, FleetPolicy, Frame,
     HostSummary, Periphery, SharedLease,
 };
-use arv_persist::{frame_delta, Snapshot, ViewState};
+use arv_persist::{Snapshot, ViewState};
 use arv_telemetry::{FlightRecorder, Tracer};
 use std::hint::black_box;
 use std::time::Instant;
@@ -67,9 +69,10 @@ const UPDATES: u32 = 16;
 /// Timed update DELTAs per trial.
 const UPDATE_DELTAS: u32 = 5_000;
 /// Ceiling on ingesting one DELTA of [`UPDATES`] entries into the
-/// larger host over the smaller. A binary search per entry keeps it
-/// near 1; a walk of the host's whole container run per frame breaches
-/// it.
+/// larger host over the smaller. Galloping from where the previous entry
+/// landed reads 1.49–1.74 (a binary search per entry read 1.2–1.4); a
+/// cursor that walks the run linearly reads 5.2, and a walk of the
+/// host's whole container run per frame breaches too.
 const MAX_INDEX_UPDATE_GROWTH: f64 = 2.0;
 /// Entries in the FULL that is timed in id order and in reverse.
 const FULL_ENTRIES: u32 = 20_000;
@@ -92,25 +95,35 @@ const MAX_RESYNC_TICKS: u64 = 2;
 /// ingest). Both sides are min-of-3, which rejects scheduler noise.
 const MAX_OBS_OVERHEAD_RATIO: f64 = 1.75;
 
-/// Ceiling on what durability adds to ingest, in batch encodes: ns per
+/// Ceiling on what durability adds to ingest, in record encodes: ns per
 /// accepted entry with the journal and the REPL outbox on, minus the
-/// same with neither, over one batch `frame_delta` encode of the same
-/// entries, all three in the same run — machine speed cancels, and so
-/// does the bare index's own cost. A record is framed once (one encode,
-/// one CRC) and its bytes land in the journal and the outbox, for
-/// 1.30–1.43 encodes (twenty runs on a 2-vCPU VM). A second batch
-/// encode for the journal reads 2.57–2.66, and a buffer per record
-/// 2.38–2.53.
+/// same with neither, over one encode of the controller's own journal
+/// record for the same DELTA (`frame_delta_record`: one copy, one CRC),
+/// all three in the same run — machine speed cancels, and so does the
+/// bare index's own cost. A DELTA is framed once and its bytes land in
+/// the journal and the outbox, for 1.23–1.31 encodes (eight runs on a
+/// 2-vCPU VM). A second record encode for the journal reads 2.22–2.30,
+/// and a record per container 2.66.
 ///
-/// This gate replaced `journaled_ingest_ratio` (journaled ÷ bare ns per
-/// entry, ceiling 2.0). Set when batch framing landed, it read
-/// 1.60–1.76 (a buffer per record or a second encode per consumer read
-/// 4–5, the per-record framing before it 7.58). Once the controller's
-/// index became a binary search (bare 64 → 37 ns an entry) the same
-/// journaling read 1.76–2.09 against the same ceiling and breached it
-/// in CI, although journaling had not changed. Dividing the overhead by
-/// what it is made of keeps a faster bare path from moving the gate.
+/// Until the record became one host batch per DELTA, the denominator
+/// was one batch `frame_delta` encode of a host's entries as
+/// per-container records: a record framed once read 1.30–1.43 of those
+/// encodes, a second encode for the journal 2.57–2.66, a buffer per
+/// record 2.38–2.53. This gate replaced `journaled_ingest_ratio`
+/// (journaled ÷ bare ns per entry, ceiling 2.0), which read 1.60–1.76
+/// when batch framing landed and 1.76–2.09 once the controller's index
+/// became a binary search, breaching in CI although journaling had not
+/// changed. Dividing the overhead by what it is made of keeps a faster
+/// bare path from moving the gate.
 const MAX_JOURNAL_OVERHEAD_ENCODES: f64 = 1.9;
+/// Ceiling on the REPL stream's bytes per view record in steady state
+/// (the failover fleet's rounds after the first: every host's DELTA
+/// moves its 100 containers). One record per DELTA costs its 36-byte
+/// entries plus 22 bytes of host, flags, counts and framing, and its
+/// frame's header: 36.27 bytes a record. A record per container breaches:
+/// 49.05 with the 49-byte records the journal used to pack each
+/// container into, 58.05 with a host batch per container.
+const MAX_REPL_BYTES_PER_RECORD: f64 = 42.0;
 
 /// Hosts in the replicated failover fleet (smaller than the ingest
 /// fleet: the metric is convergence shape, not raw volume).
@@ -199,8 +212,8 @@ fn ingest_secs(traced: bool) -> f64 {
 
 /// Nanoseconds per accepted entry in steady state: inside
 /// `handle_frame` with journal and replication on, the same bare, and
-/// one batch [`frame_delta`] encode of the same entries; each the
-/// fastest of [`TRIALS`].
+/// one [`frame_delta_record`] of the same frames; each the fastest of
+/// [`TRIALS`].
 fn ingest_ns_per_entry() -> (f64, f64, f64) {
     (0..TRIALS).map(|_| ingest_trial()).fold(
         (f64::INFINITY, f64::INFINITY, f64::INFINITY),
@@ -210,8 +223,8 @@ fn ingest_ns_per_entry() -> (f64, f64, f64) {
 
 /// One trial of [`ingest_ns_per_entry`]. Every frame goes to a
 /// journaled and a bare controller back to back (which goes first
-/// alternates by round), and its host's entries then to the encoder,
-/// so a slow spell of the machine lands on all three clocks. The outbox
+/// alternates by round), and then to the record encoder, so a slow
+/// spell of the machine lands on all three clocks. The outbox
 /// is drained every round and the journal compacts every 4 ticks, both
 /// outside the clocks, as a standby link and the tick would; the first
 /// rounds, up to the first compaction, are not timed, so no side pays
@@ -224,12 +237,12 @@ fn ingest_trial() -> (f64, f64, f64) {
     let bare = FleetController::new(64, FleetPolicy::default());
     let mut peripheries: Vec<Periphery> = (0..HOSTS).map(Periphery::new).collect();
     let mut clocks = [std::time::Duration::ZERO; 3];
-    let (mut entries, mut encoded) = (0, 0);
+    let mut entries = 0;
     let mut out = Vec::new();
     for round in 0..=ROUNDS {
         if round == WARM_ROUNDS {
             clocks = [std::time::Duration::ZERO; 3];
-            (entries, encoded) = (bare.metrics().snapshot().delta_entries, 0);
+            entries = bare.metrics().snapshot().delta_entries;
         }
         let tick = u64::from(round) + 1;
         for (h, p) in peripheries.iter_mut().enumerate() {
@@ -253,15 +266,12 @@ fn ingest_trial() -> (f64, f64, f64) {
                 if let Some(Frame::Ack(ack)) = resp.as_deref().and_then(decode_frame) {
                     p.handle_ack(&ack);
                 }
+                out.clear();
+                let start = Instant::now();
+                frame_delta_record(&mut out, black_box(&frame));
+                black_box(&out);
+                clocks[2] += start.elapsed();
             }
-            out.clear();
-            let start = Instant::now();
-            for state in black_box(&snap.entries) {
-                frame_delta(&mut out, state, tick);
-            }
-            black_box(&out);
-            clocks[2] += start.elapsed();
-            encoded += snap.entries.len() as u64;
         }
         journaled.take_repl_frames();
         journaled.advance_tick();
@@ -272,7 +282,7 @@ fn ingest_trial() -> (f64, f64, f64) {
     (
         ns(clocks[0]) / entries,
         ns(clocks[1]) / entries,
-        ns(clocks[2]) / encoded as f64,
+        ns(clocks[2]) / entries,
     )
 }
 
@@ -415,8 +425,9 @@ fn bench_resync_ticks() -> u64 {
 /// Kill a replicated primary mid-stream and measure the failover shape:
 /// aggregation ticks from promotion until every host is Fresh again on
 /// the standby, plus the peak steady-state replication lag (records
-/// queued at the primary right before each REPL pump).
-fn bench_failover() -> (u64, u64) {
+/// queued at the primary right before each REPL pump) and the
+/// steady-state REPL bytes per view record streamed.
+fn bench_failover() -> (u64, u64, f64) {
     let lease = SharedLease::new();
     let primary = FleetController::new(8, FleetPolicy::default());
     primary.attach_lease(lease.clone(), 1, 3);
@@ -426,6 +437,7 @@ fn bench_failover() -> (u64, u64) {
 
     let mut peripheries: Vec<Periphery> = (0..FAILOVER_HOSTS).map(Periphery::new).collect();
     let mut peak_lag = 0u64;
+    let (mut repl_bytes, mut repl_records) = (0, 0);
     for round in 1..=6u64 {
         for (h, p) in peripheries.iter_mut().enumerate() {
             p.observe(&snapshot(h as u32, round, round as u32), false, 0);
@@ -434,10 +446,17 @@ fn bench_failover() -> (u64, u64) {
         // Steady-state lag: what a standby trails by if the primary
         // dies right now. The first round carries the checkpoint that
         // seeds the stream, so it is not steady state.
+        let streamed = || primary.metrics().snapshot().repl_records_streamed;
+        let before = streamed();
         if round > 1 {
             peak_lag = peak_lag.max(primary.repl_backlog_records());
         }
-        for frame in primary.take_repl_frames() {
+        let frames = primary.take_repl_frames();
+        if round > 1 {
+            repl_bytes += frames.iter().map(Vec::len).sum::<usize>();
+            repl_records += streamed() - before;
+        }
+        for frame in frames {
             if let Some(resp) = standby.handle_frame(&frame) {
                 if let Some(Frame::Ack(ack)) = decode_frame(&resp) {
                     primary.handle_repl_ack(&ack);
@@ -485,7 +504,7 @@ fn bench_failover() -> (u64, u64) {
             && r.cpu == want_cpu
             && r.containers == u64::from(FAILOVER_HOSTS) * u64::from(CONTAINERS)
         {
-            return (ticks, peak_lag);
+            return (ticks, peak_lag, repl_bytes as f64 / repl_records as f64);
         }
         assert!(ticks < 32, "failover never converged to Fresh");
     }
@@ -496,7 +515,7 @@ fn main() {
     let rollup_query_ns = rollup_ns(&ctl);
     let sparse_rollup_ns = rollup_ns(&loaded(SPARSE_HOSTS).0);
     let resync_ticks = bench_resync_ticks();
-    let (failover_ticks_to_fresh, repl_lag_records) = bench_failover();
+    let (failover_ticks_to_fresh, repl_lag_records, repl_bytes_per_record) = bench_failover();
     let obs_overhead_ratio = ingest_secs(true) / ingest_secs(false);
     let (journaled_ingest_ns, bare_ingest_ns, encode_ns) = ingest_ns_per_entry();
     let [small_mirror, large_mirror] = MOVED_POPULATIONS.map(moved_observe_ns);
@@ -532,6 +551,12 @@ fn main() {
             repl_lag_records as f64,
             MAX_REPL_LAG_RECORDS as f64,
             "the standby trails by more than a round of churn: whole snapshots are re-replicated",
+        )
+        .at_most(
+            "repl_bytes_per_record",
+            repl_bytes_per_record,
+            MAX_REPL_BYTES_PER_RECORD,
+            "the REPL stream frames a record per container, not one per DELTA",
         )
         .at_most(
             "obs_overhead_ratio",

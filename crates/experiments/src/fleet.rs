@@ -280,7 +280,8 @@ fn run_faults(seed: u64, rounds: u32) -> FaultsOutcome {
         // and re-journals; every host starts last-good + needs-resync.
         if !crashed && plan.controller_crashed(round) {
             let bytes = ctl.journal_bytes().expect("journal enabled");
-            ctl = FleetController::restore_from(&bytes, 8, ctl.policy());
+            ctl = FleetController::restore_from(&bytes, 8, ctl.policy())
+                .expect("a controller journal");
             ctl.enable_journal(2);
             post_restore_partitioned = u64::from(ctl.cluster_capacity().partitioned);
             crashed = true;

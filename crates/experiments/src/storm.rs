@@ -339,7 +339,8 @@ fn run_storm(seed: u64) -> StormOutcome {
                 .journal_durable_bytes()
                 .expect("primary journal enabled");
             let policy = primary.policy();
-            primary = FleetController::restore_from(&bytes, 8, policy);
+            primary =
+                FleetController::restore_from(&bytes, 8, policy).expect("a controller journal");
             primary.enable_journal(2);
             primary.attach_lease(lease.clone(), 1, LEASE_TTL);
             rejoined = true;
@@ -462,7 +463,8 @@ fn run_storm(seed: u64) -> StormOutcome {
     let ctl_bytes = standby
         .journal_durable_bytes()
         .expect("standby journal enabled");
-    let restored = FleetController::restore_from(&ctl_bytes, 8, standby.policy());
+    let restored = FleetController::restore_from(&ctl_bytes, 8, standby.policy())
+        .expect("a controller journal");
     let rr = restored.cluster_capacity();
     out.ctl_restore_matches_live = (rr.cpu, rr.mem, rr.avail, rr.containers, rr.hosts)
         == (r.cpu, r.mem, r.avail, r.containers, r.hosts);

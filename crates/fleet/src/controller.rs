@@ -13,21 +13,24 @@
 //!
 //! A host's containers are one id-sorted `Vec`, and a shard's per-tenant
 //! totals a `BTreeMap`; a frame looks its host up once, and no record is
-//! hashed. A DELTA entry on the primary and a REPL record on the standby
-//! take the same path (`Sums::upsert` / `Sums::drop_where`): a binary
-//! search finds the slot and the entry is replaced in place, with one
-//! tenant lookup if it keeps its tenant. Input is never trusted to be
-//! ordered: new ids that do not extend the run are stably sorted into a
-//! scratch copy (of a repeated id the last occurrence wins, the
-//! periphery's rule) and merged in one pass, and removals are one pass
-//! against a sorted copy of their ids, so a frame of k entries into n
-//! containers costs O(k log k + n), never O(k·n). A checkpoint
-//! concatenates the per-host runs in host-id order: only the host ids
-//! are sorted. The ids a journal record packs are 16 bits each, so a
-//! HELLO or DELTA naming a wider host, container or tenant id is refused
-//! whole, as malformed, before any state moves, and counted apart in
-//! `wide_id_frames`: container ids are never reused, so the limit is on
-//! the ids a host launches over its lifetime.
+//! hashed. Every id keeps its full width. A DELTA on the primary, a
+//! journal record on the standby and in [`FleetController::restore_from`]
+//! are one *host batch* applied by one function (`Sums::apply`), in one
+//! order: a FULL drops the ids absent from it, then the removals are
+//! dropped, then the entries are upserted. An entry is found from a
+//! cursor left where the previous one landed — galloping ahead of it,
+//! binary-searching behind it — and replaced in place, with one tenant
+//! lookup if it keeps its tenant. Input is never trusted to be ordered:
+//! new ids that do not extend the run are stably sorted into a scratch
+//! copy (of a repeated id the last occurrence wins, the periphery's
+//! rule) and merged in one pass, and removals are one pass against a
+//! sorted copy of their ids, so a frame of k entries into n containers
+//! costs O(k log(n/k) + n) at worst, never O(k·n).
+//!
+//! The journal is an `arv_persist` batch journal: an accepted DELTA is
+//! one record, its own tail copied behind its host (see
+//! [`crate::protocol`]), and a checkpoint is a reset marker plus one FULL
+//! batch per host. The REPL stream carries the very same bytes.
 //!
 //! # Replication and leadership
 //!
@@ -59,8 +62,9 @@
 
 use arv_persist::lease::{Lease, LeaseError, LeaseFile};
 use arv_persist::{
-    decode_records, frame_checkpoint, frame_delta, frame_remove, framed_len, restore,
-    DurableJournal, Edge, MemStore, Record, Snapshot, Store, StoreError, ViewState,
+    frame_checkpoint, framed_len, journal_records, records, reset_tick, DurableJournal, Edge,
+    ForeignJournal, MemStore, Snapshot, Store, StoreError, BATCH_VERSION, KIND_CHECKPOINT,
+    KIND_HOST_BATCH,
 };
 use arv_telemetry::{FlightRecorder, FlightTrigger, LagHistogram, PipelineEvent, PromText, Tracer};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -68,10 +72,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::protocol::{
-    decode_frame, encode_ack, encode_policy, encode_repl_parts, encode_rollup, Ack, ClusterRollup,
-    Delta, DeltaEntry, FleetPolicy, Frame, HostSummary, PressurePoint, Query, Repl, Rollup,
-    RollupFrame, SpanStamp, TenantRollup, MAX_FLEET_FRAME, QUERY_CLUSTER, QUERY_FLIGHT,
-    QUERY_STATS, QUERY_TENANT, QUERY_TOPK, REPL_PEER,
+    decode_frame, encode_ack, encode_policy, encode_repl_parts, encode_rollup, frame_batch,
+    frame_delta_record, Ack, ClusterRollup, Delta, DeltaEntry, FleetPolicy, Frame, HostBatch,
+    HostSummary, PressurePoint, Query, Repl, Rollup, RollupFrame, SpanStamp, TenantRollup,
+    BATCH_CHECKPOINT, BATCH_FULL, MAX_FLEET_FRAME, QUERY_CLUSTER, QUERY_FLIGHT, QUERY_STATS,
+    QUERY_TENANT, QUERY_TOPK, REPL_PEER,
 };
 
 /// A lease store shared between contending controllers — the
@@ -109,58 +114,9 @@ impl SharedLease {
     }
 }
 
-/// Mask for the host-tick bits of a journaled `last_tick` (the tenant
-/// rides the top 16 bits — see [`pack_state`]).
-const TICK_MASK: u64 = (1 << 48) - 1;
-
-/// The widest host, container or tenant id a journal record carries:
-/// each rides 16 bits of it. The bound is on ids, not on how many run
-/// at once: a host's cgroup manager never reuses a container id, so a
-/// host that has launched 65 536 containers over its lifetime has every
-/// later frame naming a new one refused (counted in `wide_id_frames`).
-const MAX_ID: u32 = 0xFFFF;
-
-/// Whether every id `d` names fits a journal record. One that does not
-/// is refused whole by [`FleetController::handle_frame`]: indexed but
-/// not journaled, it would be on the primary and never on its standby.
-fn journalable(d: &Delta) -> bool {
-    d.host <= MAX_ID
-        && d.entries
-            .iter()
-            .all(|e| e.id <= MAX_ID && e.tenant <= MAX_ID)
-        && d.removed.iter().all(|id| *id <= MAX_ID)
-}
-
-/// Pack a (host, container) pair into a journalable `ViewState` id.
-/// Both fit 16 bits: nothing wider enters the index ([`journalable`]).
-fn pack_id(host: u32, container: u32) -> u32 {
-    (host << 16) | container
-}
-
-/// The journalable form of one container's entry on `host`: id packed
-/// by [`pack_id`], tenant in the top 16 bits of `last_tick` (host ticks
-/// never approach 2^48).
-fn pack_state(host: u32, e: &DeltaEntry) -> ViewState {
-    ViewState {
-        id: pack_id(host, e.id),
-        e_cpu: e.e_cpu,
-        e_mem: e.e_mem,
-        e_avail: e.e_avail,
-        last_tick: (u64::from(e.tenant) << 48) | (e.last_tick & TICK_MASK),
-    }
-}
-
-/// [`pack_state`] undone: the container's entry on host `e.id >> 16`.
-fn unpack_state(e: &ViewState) -> DeltaEntry {
-    DeltaEntry {
-        id: e.id & 0xFFFF,
-        tenant: (e.last_tick >> 48) as u32,
-        e_cpu: e.e_cpu,
-        e_mem: e.e_mem,
-        e_avail: e.e_avail,
-        last_tick: e.last_tick & TICK_MASK,
-    }
-}
+/// Most containers one checkpoint batch carries, whatever `max_batch`
+/// the policy says: a record must fit a REPL frame with room to spare.
+const MAX_CHECKPOINT_BATCH: usize = 4096;
 
 /// The controller's counters, listed once: [`FleetMetrics`] holds them
 /// lock-free, [`FleetMetricsSnapshot`] is a point-in-time copy.
@@ -207,11 +163,6 @@ fleet_counters! {
     rollup_queries,
     /// Frames that failed to decode (connection-fatal for the sender).
     malformed_frames,
-    /// HELLO/DELTA frames refused for naming a host, container or
-    /// tenant id too wide to journal (also counted in
-    /// `malformed_frames`). Nonzero means a host has outgrown the
-    /// 16-bit id space and its stream is locked out.
-    wide_id_frames,
     /// Policy blocks pushed down in ACKs.
     policy_pushes,
     /// HELLO frames answered.
@@ -220,9 +171,11 @@ fleet_counters! {
     promotions,
     /// Primary→standby demotions (lost lease / saw a higher epoch).
     demotions,
-    /// Journal records streamed out in REPL frames (primary side).
+    /// View records streamed out in REPL frames (primary side): entries
+    /// upserted plus containers dropped, a checkpoint counting one.
     repl_records_streamed,
-    /// Journal records applied into the shadow index (standby side).
+    /// View records applied into the shadow index (standby side),
+    /// counted alike.
     repl_records_applied,
     /// REPL frames fenced for carrying a stale controller epoch.
     repl_fenced,
@@ -402,10 +355,9 @@ struct Sums {
     tenants: BTreeMap<u32, Totals>,
 }
 
-/// The one path by which a host's containers change, on the primary
-/// (DELTA entries) and on the standby (REPL records) alike. Input is
-/// never trusted to be sorted, and a frame costs O(k log k + n) for k
-/// entries into n containers, never O(k·n).
+/// The one path by which a host's containers change: a host batch, on
+/// the primary (a DELTA), on the standby and in a restore (a journal
+/// record) alike. Input is never trusted to be sorted.
 impl Sums {
     fn add(&mut self, e: &DeltaEntry) {
         self.totals.add(e);
@@ -434,25 +386,61 @@ impl Sums {
         t.sub(old);
     }
 
+    /// Apply one host batch to `host`, in the one order: a FULL drops the
+    /// ids absent from `entries`, then the `removed` ids are dropped,
+    /// then `entries` are upserted. Returns the view records the batch
+    /// is worth: entries upserted plus containers dropped.
+    fn apply<E>(
+        &mut self,
+        host: &mut HostEntry,
+        full: bool,
+        entries: E,
+        removed: impl Iterator<Item = u32>,
+    ) -> u64
+    where
+        E: ExactSizeIterator<Item = DeltaEntry> + Clone,
+    {
+        let before = host.containers.len();
+        if full && before > 0 {
+            let kept = sorted_set(entries.clone().map(|e| e.id));
+            let mut in_batch = member(&kept);
+            self.drop_where(host, |id| !in_batch(id));
+        }
+        let listed = sorted_set(removed);
+        if !listed.is_empty() {
+            self.drop_where(host, member(&listed));
+        }
+        let records = entries.len() + before - host.containers.len();
+        self.upsert(host, entries);
+        records as u64
+    }
+
     /// Upsert `entries` into `host` in order: of a repeated id, the last
-    /// occurrence wins. An id the host holds is replaced in place after
-    /// one binary search, and one past its last id is appended; the
-    /// others are stably sorted into a scratch copy, deduplicated, and
-    /// merged into the run in one pass from the back.
+    /// occurrence wins. Each is found by [`seek`] from where the previous
+    /// one landed; an id the host holds is replaced in place, and one
+    /// past its last id is appended. The others are stably sorted into a
+    /// scratch copy, deduplicated, and merged into the run in one pass
+    /// from the back.
     fn upsert(&mut self, host: &mut HostEntry, entries: impl IntoIterator<Item = DeltaEntry>) {
         let containers = &mut host.containers;
         let mut fresh: Vec<DeltaEntry> = Vec::new();
+        let mut at = 0;
         for e in entries {
-            match containers.binary_search_by_key(&e.id, |c| c.id) {
+            match seek(containers, at, e.id) {
                 Ok(i) => {
                     self.replace(&containers[i], &e);
                     containers[i] = e;
+                    at = i + 1;
                 }
                 Err(i) if i == containers.len() => {
                     self.add(&e);
                     containers.push(e);
+                    at = containers.len();
                 }
-                Err(_) => fresh.push(e),
+                Err(i) => {
+                    fresh.push(e);
+                    at = i;
+                }
             }
         }
         if fresh.is_empty() {
@@ -495,6 +483,34 @@ impl Sums {
     }
 }
 
+/// Where `id` is (`Ok`) or would be inserted (`Err`) in the id-sorted
+/// `run`, searched from the cursor `at`, the slot after the last one
+/// found. An id behind the cursor is binary-searched in the run before
+/// it; one ahead is galloped to — probes 1, 2, 4, … slots on, then a
+/// binary search of the last step — so a sorted batch of k ids into n
+/// costs O(k log(n/k)), and an unsorted one stays correct.
+fn seek(run: &[DeltaEntry], at: usize, id: u32) -> Result<usize, usize> {
+    if at > 0 && run[at - 1].id >= id {
+        return run[..at].binary_search_by_key(&id, |c| c.id);
+    }
+    // Every id before `lo` is below `id`.
+    let (mut lo, mut step) = (at, 1);
+    let hi = loop {
+        let probe = lo + step - 1;
+        match run.get(probe) {
+            Some(c) if c.id < id => {
+                lo = probe + 1;
+                step *= 2;
+            }
+            _ => break (probe + 1).min(run.len()),
+        }
+    };
+    match run[lo..hi].binary_search_by_key(&id, |c| c.id) {
+        Ok(i) => Ok(lo + i),
+        Err(i) => Err(lo + i),
+    }
+}
+
 /// Membership in the ascending `ids` for queries made in ascending
 /// order: one forward cursor, so a pass over n ids costs O(n + k).
 fn member(ids: &[u32]) -> impl FnMut(u32) -> bool + '_ {
@@ -505,21 +521,6 @@ fn member(ids: &[u32]) -> impl FnMut(u32) -> bool + '_ {
         }
         ids.get(at) == Some(&id)
     }
-}
-
-/// `items` split into its maximal runs of neighbours with equal `key`.
-fn runs<'a, T, K: PartialEq>(
-    items: &'a [T],
-    key: impl Fn(&T) -> K + 'a,
-) -> impl Iterator<Item = &'a [T]> + 'a {
-    let mut rest = items;
-    std::iter::from_fn(move || {
-        let first = key(rest.first()?);
-        let n = rest.iter().take_while(|x| key(x) == first).count();
-        let (run, tail) = rest.split_at(n);
-        rest = tail;
-        Some(run)
-    })
 }
 
 /// `ids` sorted and deduplicated, in a scratch copy.
@@ -778,8 +779,9 @@ impl FleetController {
         let synced = js.journal_mut().sync();
         let due = js.due(now);
         let result = if due {
-            let checkpointed = js.checkpoint(&self.index_snapshot(now), now);
-            synced.and(checkpointed)
+            let mut records = Vec::new();
+            self.checkpoint_records(now, &mut records);
+            synced.and(js.compact(&records, now))
         } else {
             synced
         };
@@ -915,25 +917,14 @@ impl FleetController {
 
     /// Handle one decoded-or-not request frame; `None` means the frame
     /// was malformed (or not a request) and the connection should drop.
-    /// A HELLO or DELTA naming an id too wide to journal counts as
-    /// malformed, refused before any state moves. Never panics, for any
-    /// input bytes.
+    /// Never panics, for any input bytes.
     pub fn handle_frame(&self, payload: &[u8]) -> Option<Vec<u8>> {
         match decode_frame(payload) {
-            Some(Frame::Hello(h)) if h.host <= MAX_ID => {
-                Some(self.handle_hello(h.host, h.epoch, h.tick))
-            }
-            Some(Frame::Delta(d)) if journalable(&d) => Some(self.handle_delta(d)),
+            Some(Frame::Hello(h)) => Some(self.handle_hello(h.host, h.epoch, h.tick)),
+            Some(Frame::Delta(d)) => Some(self.handle_delta(d, payload)),
             Some(Frame::Query(q)) => Some(self.handle_query(q)),
             Some(Frame::Policy(p)) => self.handle_policy_push(p),
             Some(Frame::Repl(r)) => Some(self.handle_repl(&r)),
-            Some(Frame::Hello(_) | Frame::Delta(_)) => {
-                self.metrics.wide_id_frames.fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .malformed_frames
-                    .fetch_add(1, Ordering::Relaxed);
-                None
-            }
             Some(Frame::Ack(_) | Frame::Rollup(_)) | None => {
                 self.metrics
                     .malformed_frames
@@ -1006,7 +997,9 @@ impl FleetController {
         Some(encode_policy(&now))
     }
 
-    fn handle_delta(&self, d: Delta) -> Vec<u8> {
+    /// Apply one decoded DELTA; `payload` is its encoding, from which
+    /// its journal record is copied.
+    fn handle_delta(&self, d: Delta, payload: &[u8]) -> Vec<u8> {
         if !self.is_leader() {
             return self.not_leader_ack(d.host, d.seq);
         }
@@ -1040,45 +1033,19 @@ impl FleetController {
             return self.ack_for(host_id, expected, true, epoch);
         }
 
-        let mut journaled_removals: Vec<u32> = Vec::new();
         if d.full {
-            // Replace the host's state wholesale; containers absent from
-            // the snapshot are removals the journal must also see, in id
-            // order.
-            let kept = sorted_set(d.entries.iter().map(|e| e.id));
-            let mut in_frame = member(&kept);
-            sums.drop_where(host, |id| {
-                let gone = !in_frame(id);
-                if gone {
-                    journaled_removals.push(id);
-                }
-                gone
-            });
             host.needs_resync = false;
             host.expected_seq = d.seq + 1;
             self.metrics.full_syncs.fetch_add(1, Ordering::Relaxed);
         } else {
             host.expected_seq += 1;
         }
-        if !d.removed.is_empty() {
-            let listed = sorted_set(d.removed.iter().copied());
-            let mut hit = Vec::new();
-            let mut in_list = member(&listed);
-            sums.drop_where(host, |id| {
-                let gone = in_list(id);
-                if gone {
-                    hit.push(id);
-                }
-                gone
-            });
-            // Journaled in the frame's order, each id once.
-            let mut said = vec![false; hit.len()];
-            journaled_removals.extend(d.removed.iter().copied().filter(|id| {
-                hit.binary_search(id)
-                    .is_ok_and(|i| !std::mem::replace(&mut said[i], true))
-            }));
-        }
-        sums.upsert(host, d.entries.iter().copied());
+        let records = sums.apply(
+            host,
+            d.full,
+            d.entries.iter().copied(),
+            d.removed.iter().copied(),
+        );
         host.last_delta_tick = now;
         host.host_tick = d.tick;
         host.health = d.health;
@@ -1126,44 +1093,34 @@ impl FleetController {
             .delta_entries
             .fetch_add(d.entries.len() as u64, Ordering::Relaxed);
 
-        // Frame this DELTA's records once; the journal takes them in
-        // one write and the REPL outbox keeps the same bytes.
-        let frame_into = |out: &mut Vec<u8>| {
-            // Packed first, framed second: the encoder's wide loads
-            // stall on a state still in flight from the stack it was
-            // just packed on (37 against 18 ns a record, measured).
-            let states: Vec<ViewState> = d.entries.iter().map(|e| pack_state(host_id, e)).collect();
-            let mut records = states.len() as u64;
-            for id in &journaled_removals {
-                frame_remove(out, pack_id(host_id, *id));
-                records += 1;
-            }
-            for state in &states {
-                frame_delta(out, state, now);
-            }
-            records
-        };
+        // One record per DELTA that moves anything: its tail copied
+        // behind its host. The journal takes it in one write and the
+        // REPL outbox keeps the same bytes.
+        let moves = d.full || !d.entries.is_empty() || !d.removed.is_empty();
         let mut journal = lock(&self.journal);
         let mut repl = lock(&self.repl);
-        let mut batch = Vec::new();
-        let records: &[u8] = match repl.as_mut() {
+        let mut own = Vec::new();
+        let record: &[u8] = match repl.as_mut() {
             Some(rs) => {
                 rs.heard.insert(host_id);
+                rs.outbox_records += records;
                 let start = rs.outbox.len();
-                rs.outbox_records += frame_into(&mut rs.outbox);
+                if moves {
+                    frame_delta_record(&mut rs.outbox, payload);
+                }
                 &rs.outbox[start..]
             }
-            None if journal.is_some() => {
-                frame_into(&mut batch);
-                &batch
+            None if journal.is_some() && moves => {
+                frame_delta_record(&mut own, payload);
+                &own
             }
             None => &[],
         };
-        // A batch the store refused means the journal no longer holds
+        // A record the store refused means the journal no longer holds
         // everything the live index does; the checkpoint that heals the
         // ladder rebuilds the missing records from the index itself.
         let edge = journal.as_mut().and_then(|js| {
-            let result = js.journal_mut().append_framed(records);
+            let result = js.journal_mut().append_framed(record);
             self.settle(js, result, false)
         });
         drop(repl);
@@ -1346,7 +1303,9 @@ impl FleetController {
     /// checkpoint the store accepts.
     pub fn enable_journal_with_store(&mut self, store: Box<dyn Store>, every: u64) {
         let now = self.now_tick();
-        let (journal, edge) = DurableJournal::open(store, every, &self.index_snapshot(now));
+        let mut seed = Vec::new();
+        self.checkpoint_records(now, &mut seed);
+        let (journal, edge) = DurableJournal::open_batch(store, every, now, &seed);
         self.metrics
             .journal_io_errors
             .fetch_add(journal.io_errors(), Ordering::Relaxed);
@@ -1398,7 +1357,7 @@ impl FleetController {
         rs.send_snapshot = true;
     }
 
-    /// Records queued for standbys but not yet shipped (replication
+    /// View records queued for standbys but not yet shipped (replication
     /// lag, in records — the failover bench's headline number).
     pub fn repl_backlog_records(&self) -> u64 {
         lock(&self.repl).as_ref().map_or(0, |rs| rs.outbox_records)
@@ -1411,7 +1370,7 @@ impl FleetController {
     pub fn take_repl_frames(&self) -> Vec<Vec<u8>> {
         let epoch = self.ctl_epoch();
         let now = self.now_tick();
-        // index_snapshot takes shard locks while `repl` is held; the
+        // checkpoint_records takes shard locks while `repl` is held; the
         // standby apply path orders the same way (repl, then shards).
         let mut repl = lock(&self.repl);
         let Some(rs) = repl.as_mut() else {
@@ -1420,7 +1379,7 @@ impl FleetController {
         if rs.send_snapshot {
             rs.send_snapshot = false;
             rs.outbox.clear();
-            frame_checkpoint(&mut rs.outbox, &self.index_snapshot(now));
+            self.checkpoint_records(now, &mut rs.outbox);
             rs.outbox_records = 1;
         }
         if rs.outbox.is_empty() && rs.heard.is_empty() {
@@ -1520,8 +1479,11 @@ impl FleetController {
         let epoch = self.ctl_epoch();
         let now = self.now_tick();
 
-        let scan = decode_records(&r.records);
-        let starts_with_checkpoint = matches!(scan.records.first(), Some(Record::Checkpoint(_)));
+        // Peek at the first record: only a checkpoint-led frame realigns
+        // a standby that lost sequence.
+        let mut walk = records(&r.records);
+        let starts_with_checkpoint =
+            walk.clone().next().map(|(kind, _)| kind) == Some(KIND_CHECKPOINT);
 
         // Lock order matches handle_delta: journal, then repl, then
         // shards (inside apply_record).
@@ -1538,7 +1500,17 @@ impl FleetController {
         rs.expected_seq = r.repl_seq + 1;
         rs.need_snapshot = false;
         rs.last_as_of = rs.last_as_of.max(r.as_of_tick);
-        self.apply_records(&scan.records, now);
+        // Records apply straight from the frame's bytes, in stream order,
+        // up to the first that is torn, corrupt or not understood.
+        let (mut applied, mut verified, mut understood) = (0, 0, true);
+        while let Some((kind, body)) = walk.next() {
+            let Some(records) = self.apply_record(kind, body, now) else {
+                understood = false;
+                break;
+            };
+            applied += records;
+            verified = walk.verified_len();
+        }
         for host_id in &r.heard {
             if let Some(host) = lock(self.shard_for(*host_id)).hosts.get_mut(host_id) {
                 host.last_delta_tick = now;
@@ -1547,7 +1519,7 @@ impl FleetController {
         }
         self.metrics
             .repl_records_applied
-            .fetch_add(scan.records.len() as u64, Ordering::Relaxed);
+            .fetch_add(applied, Ordering::Relaxed);
 
         // Shadow-journal what was applied, so a promoted standby's
         // journal already holds its index. A store error here means the
@@ -1557,18 +1529,18 @@ impl FleetController {
         let (mut shadow_err, mut edge) = (false, None);
         if let Some(js) = journal.as_mut() {
             js.journal_mut().set_tick(now);
-            let verified = &r.records[..scan.verified_len];
-            let result = js.shadow(verified, &scan.records, now);
+            let result = js.shadow(&r.records[..verified], now);
             shadow_err = result.is_err();
             edge = self.settle(js, result, starts_with_checkpoint);
         }
         drop(journal);
         // The valid prefix is applied (prefix-consistent, like the
         // journal); a lost tail forces a checkpoint realign.
-        if !shadow_err && scan.truncated > 0 {
+        let truncated = walk.torn() || !understood;
+        if !shadow_err && truncated {
             self.metrics.repl_truncated.fetch_add(1, Ordering::Relaxed);
         }
-        let resync = shadow_err || scan.truncated > 0;
+        let resync = shadow_err || truncated;
         rs.need_snapshot = resync;
         let expected = rs.expected_seq;
         drop(repl);
@@ -1578,113 +1550,98 @@ impl FleetController {
         repl_ack(expected, epoch, resync)
     }
 
-    /// Fold replicated journal records into the live index, each run of
-    /// one host's records under one shard lock.
-    fn apply_records(&self, records: &[Record], now: u64) {
-        let host_of = |r: &Record| match r {
-            Record::Checkpoint(_) => None,
-            Record::Delta { state, .. } => Some(state.id >> 16),
-            Record::Remove(packed) => Some(packed >> 16),
-        };
-        for run in runs(records, host_of) {
-            let Some(host_id) = host_of(&run[0]) else {
-                for record in run {
-                    if let Record::Checkpoint(snap) = record {
-                        for shard in self.shards.iter() {
-                            *lock(shard) = Shard::default();
-                        }
-                        self.apply_states(&snap.entries, now);
-                    }
+    /// Apply one record of the controller's journal — a reset marker
+    /// empties the index, a host batch goes through `Sums::apply` and
+    /// makes its host known and fresh at `now` — and return the view
+    /// records it is worth (a checkpoint counts one, its host batches
+    /// none). `None` for a record that is not one of the two.
+    fn apply_record(&self, kind: u8, body: &[u8], now: u64) -> Option<u64> {
+        match kind {
+            KIND_CHECKPOINT => {
+                reset_tick(body)?;
+                for shard in self.shards.iter() {
+                    *lock(shard) = Shard::default();
                 }
-                continue;
-            };
-            let mut s = lock(self.shard_for(host_id));
-            let Shard { hosts, sums } = &mut *s;
-            // A removal alone never makes a host known or fresh.
-            let fresh = run.iter().any(|r| matches!(r, Record::Delta { .. }));
-            let host = if fresh {
-                Some(hosts.entry(host_id).or_default())
-            } else {
-                hosts.get_mut(&host_id)
-            };
-            let Some(host) = host else { continue };
-            if fresh {
+                Some(1)
+            }
+            KIND_HOST_BATCH => {
+                let batch = HostBatch::decode(body)?;
+                let mut s = lock(self.shard_for(batch.host));
+                let Shard { hosts, sums } = &mut *s;
+                let host = hosts.entry(batch.host).or_default();
                 host.last_delta_tick = now;
                 host.partitioned = false;
-            }
-            // Records apply in stream order: each stretch of removals is
-            // one pass, each stretch of deltas one upsert.
-            let is_remove = |r: &Record| matches!(r, Record::Remove(_));
-            for stretch in runs(run, is_remove) {
-                if is_remove(&stretch[0]) {
-                    let gone = sorted_set(stretch.iter().filter_map(|r| match r {
-                        Record::Remove(packed) => Some(packed & 0xFFFF),
-                        _ => None,
-                    }));
-                    sums.drop_where(host, member(&gone));
+                let records = sums.apply(
+                    host,
+                    batch.flags & BATCH_FULL != 0,
+                    batch.tail.entries(),
+                    batch.tail.removed(),
+                );
+                Some(if batch.flags & BATCH_CHECKPOINT != 0 {
+                    0
                 } else {
-                    sums.upsert(
-                        host,
-                        stretch.iter().filter_map(|r| match r {
-                            Record::Delta { state, .. } => Some(unpack_state(state)),
-                            _ => None,
-                        }),
-                    );
-                }
+                    records
+                })
             }
+            _ => None,
         }
     }
 
-    /// Upsert packed states into the index, each run of one host's
-    /// states under one shard lock, refreshing the host's staleness
-    /// clock.
-    fn apply_states(&self, states: &[ViewState], now: u64) {
-        for run in runs(states, |e| e.id >> 16) {
-            let host_id = run[0].id >> 16;
-            let mut s = lock(self.shard_for(host_id));
-            let Shard { hosts, sums } = &mut *s;
-            let host = hosts.entry(host_id).or_default();
-            host.last_delta_tick = now;
-            host.partitioned = false;
-            sums.upsert(host, run.iter().map(unpack_state));
-        }
-    }
-
-    /// Build a persistable snapshot of the whole index: ids packed
-    /// `host << 16 | container`, tenant in the top 16 bits of
-    /// `last_tick` (host ticks never approach 2^48). Each host's run is
-    /// already in id order, so only the host ids are sorted and the runs
-    /// concatenated, under every shard lock at once.
-    fn index_snapshot(&self, tick: u64) -> Snapshot {
+    /// Append the index to `out` as checkpoint records: a reset marker
+    /// at `tick`, then every host that holds containers, in host-id
+    /// order, chunked the way a periphery chunks a FULL — `max_batch`
+    /// containers a batch (at most [`MAX_CHECKPOINT_BATCH`]), the first
+    /// one FULL — so no record outgrows a REPL frame. Each host's run is
+    /// already in id order; only the host ids are sorted, under every
+    /// shard lock at once.
+    fn checkpoint_records(&self, tick: u64, out: &mut Vec<u8>) {
+        let chunk = (self.policy().max_batch as usize).clamp(1, MAX_CHECKPOINT_BATCH);
+        frame_checkpoint(out, &Snapshot::at(tick));
         let shards: Vec<_> = self.shards.iter().map(lock).collect();
         let mut hosts: Vec<(u32, &HostEntry)> = shards
             .iter()
             .flat_map(|s| s.hosts.iter().map(|(hid, host)| (*hid, host)))
+            .filter(|(_, host)| !host.containers.is_empty())
             .collect();
         hosts.sort_unstable_by_key(|h| h.0);
-        let mut snap = Snapshot::at(tick);
-        snap.entries
-            .reserve(hosts.iter().map(|h| h.1.containers.len()).sum());
         for (hid, host) in hosts {
-            snap.entries
-                .extend(host.containers.iter().map(|e| pack_state(hid, e)));
+            for (i, part) in host.containers.chunks(chunk).enumerate() {
+                let full = if i == 0 { BATCH_FULL } else { 0 };
+                frame_batch(out, hid, BATCH_CHECKPOINT | full, part);
+            }
         }
-        snap
     }
 
     /// Warm-restart a replacement controller from journal bytes
-    /// (possibly torn mid-record: `arv_persist::restore` keeps the
-    /// longest valid prefix). Every restored host starts partitioned
-    /// and `needs_resync` — rollups serve its last-good state flagged
+    /// (possibly torn mid-record: the longest valid prefix is replayed,
+    /// from its last checkpoint, through the path a standby applies
+    /// REPL records by). Every restored host starts partitioned and
+    /// `needs_resync` — rollups serve its last-good state flagged
     /// degraded until the host's next delta triggers a FULL resync.
-    pub fn restore_from(bytes: &[u8], shards: usize, policy: FleetPolicy) -> FleetController {
-        let report = restore(bytes);
-        let mut ctl = FleetController::new(shards, policy);
-        let Some(snap) = report.snapshot else {
-            return ctl;
+    /// Bytes that are not a controller journal are refused whole.
+    pub fn restore_from(
+        bytes: &[u8],
+        shards: usize,
+        policy: FleetPolicy,
+    ) -> Result<FleetController, ForeignJournal> {
+        let walk = journal_records(bytes, BATCH_VERSION)?;
+        let ctl = FleetController::new(shards, policy);
+        let mut tick = None;
+        for (kind, body) in walk {
+            // Records before the first checkpoint have no base to apply to.
+            if kind == KIND_CHECKPOINT {
+                let Some(at) = reset_tick(body) else { break };
+                tick = Some(at);
+            }
+            let Some(now) = tick else { continue };
+            if ctl.apply_record(kind, body, now).is_none() {
+                break;
+            }
+        }
+        let Some(tick) = tick else {
+            return Ok(ctl);
         };
-        ctl.tick = AtomicU64::new(snap.tick);
-        ctl.apply_states(&snap.entries, snap.tick);
+        ctl.tick.store(tick, Ordering::Release);
         let mut partitioned = 0u64;
         ctl.each_host(|_, host| {
             host.partitioned = true;
@@ -1694,7 +1651,7 @@ impl FleetController {
         ctl.metrics
             .hosts_partitioned
             .store(partitioned, Ordering::Relaxed);
-        ctl
+        Ok(ctl)
     }
 
     // -----------------------------------------------------------------
@@ -1745,11 +1702,6 @@ impl FleetController {
             "arv_fleet_malformed_frames",
             "Frames that failed to decode",
             m.malformed_frames as f64,
-        );
-        out.counter(
-            "arv_fleet_wide_id_frames",
-            "HELLO/DELTA frames refused for an id wider than 16 bits (the host is locked out)",
-            m.wide_id_frames as f64,
         );
         out.counter(
             "arv_fleet_policy_pushes",
@@ -2088,7 +2040,8 @@ mod tests {
         let before = ctl.cluster_capacity();
 
         // Failover: a replacement controller restores the journal.
-        let ctl2 = FleetController::restore_from(&bytes, 2, FleetPolicy::default());
+        let ctl2 = FleetController::restore_from(&bytes, 2, FleetPolicy::default())
+            .expect("a controller journal");
         let r = ctl2.cluster_capacity();
         assert_eq!(
             (r.cpu, r.mem, r.containers),
@@ -2120,7 +2073,8 @@ mod tests {
         let bytes = ctl.journal_bytes().expect("journal on");
         // Tear the tail mid-record; restore must still see the earlier prefix.
         let torn = &bytes[..bytes.len() - 3];
-        let ctl2 = FleetController::restore_from(torn, 2, FleetPolicy::default());
+        let ctl2 = FleetController::restore_from(torn, 2, FleetPolicy::default())
+            .expect("a controller journal");
         assert!(ctl2.host_count() <= 1);
     }
 
@@ -2149,8 +2103,9 @@ mod tests {
             assert_eq!(ctl.journal_degraded(), tick < 50, "tick {tick}");
         }
         let bytes = ctl.journal_durable_bytes().expect("journal on");
-        let restored = restore(&bytes).snapshot.expect("a checkpoint");
-        assert_eq!(restored.entries, ctl.index_snapshot(60).entries);
+        let restored = FleetController::restore_from(&bytes, 2, FleetPolicy::default())
+            .expect("a controller journal");
+        assert_eq!(restored.contents(), ctl.contents());
         let edges: Vec<_> = tracer
             .events()
             .iter()
@@ -2243,21 +2198,8 @@ mod tests {
         assert!(standby.metrics().snapshot().repl_records_applied > 0);
     }
 
-    #[test]
-    fn a_wide_id_never_splits_primary_from_standby() {
-        use crate::protocol::{encode_delta, encode_hello, Hello};
-        let primary = FleetController::new(2, FleetPolicy::default());
-        primary.enable_replication();
-        let standby = FleetController::new(2, FleetPolicy::default());
-        let entry = |id: u32, tenant: u32| DeltaEntry {
-            id,
-            tenant,
-            e_cpu: 4,
-            e_mem: 100,
-            e_avail: 50,
-            last_tick: 1,
-        };
-        let full = |host: u32, entries: Vec<DeltaEntry>, removed: Vec<u32>| Delta {
+    fn full_delta(host: u32, entries: Vec<DeltaEntry>) -> Delta {
+        Delta {
             host,
             seq: 0,
             tick: 1,
@@ -2270,38 +2212,127 @@ mod tests {
             trace_seq: 1,
             summary: HostSummary::default(),
             entries,
-            removed,
-        };
-        // Each names one id past the 16 bits a journal record packs it
-        // into: a container, a tenant, a removal, a host.
-        let refused = [
-            encode_delta(&full(1, vec![entry(1, 0), entry(70_000, 0)], vec![])),
-            encode_delta(&full(1, vec![entry(1, 70_000)], vec![])),
-            encode_delta(&full(1, vec![entry(1, 0)], vec![70_000])),
-            encode_delta(&full(70_000, vec![entry(1, 0)], vec![])),
-            encode_hello(&Hello {
-                host: 70_000,
-                tick: 1,
-                containers: 1,
-                epoch: 0,
-            }),
-        ];
-        for frame in &refused {
-            assert_eq!(primary.handle_frame(frame), None, "refused whole");
+            removed: Vec::new(),
         }
-        let m = primary.metrics().snapshot();
-        assert_eq!((m.malformed_frames, m.wide_id_frames), (5, 5));
-        assert!(primary
-            .prometheus_exposition()
-            .contains("arv_fleet_wide_id_frames_total"));
-        assert_eq!(primary.host_count(), 0, "nothing moved");
-        let accepted = encode_delta(&full(1, vec![entry(1, 0), entry(2, 3)], vec![]));
-        assert!(primary.handle_frame(&accepted).is_some());
+    }
+
+    fn entry(id: u32, tenant: u32, e_cpu: u32) -> DeltaEntry {
+        DeltaEntry {
+            id,
+            tenant,
+            e_cpu,
+            e_mem: 100,
+            e_avail: 50,
+            last_tick: 1,
+        }
+    }
+
+    /// Send `d` to `ctl` and expect an in-order ACK.
+    fn accepted(ctl: &FleetController, d: &Delta) {
+        let resp = ctl
+            .handle_frame(&crate::protocol::encode_delta(d))
+            .expect("answered");
+        assert!(matches!(decode_frame(&resp), Some(Frame::Ack(a)) if !a.resync));
+    }
+
+    #[test]
+    fn a_wide_id_never_splits_primary_from_standby() {
+        let mut primary = FleetController::new(2, FleetPolicy::default());
+        primary.enable_journal(64);
+        primary.enable_replication();
+        let standby = FleetController::new(2, FleetPolicy::default());
+        // Container, tenant and host all past the 16 bits a journal
+        // record once packed each into.
+        let wide = 70_000;
+        accepted(
+            &primary,
+            &full_delta(wide, vec![entry(1, 0, 4), entry(wide, wide, 3)]),
+        );
         pump_repl(&primary, &standby);
+        let restored = FleetController::restore_from(
+            &primary.journal_bytes().expect("journal on"),
+            2,
+            FleetPolicy::default(),
+        )
+        .expect("a controller journal");
         let r = primary.cluster_capacity();
-        assert_eq!((r.cpu, r.containers), (8, 2));
+        assert_eq!((r.hosts, r.cpu, r.containers), (1, 7, 2));
         assert_eq!(standby.cluster_capacity(), r);
-        assert_eq!(standby.tenant_rollup(3), primary.tenant_rollup(3));
+        assert_eq!(primary.tenant_rollup(wide).0.cpu, 3);
+        for ctl in [&standby, &restored] {
+            assert_eq!(ctl.tenant_rollup(wide).0, primary.tenant_rollup(wide).0);
+            assert_eq!(ctl.top_pressured(9), primary.top_pressured(9));
+            assert_eq!(ctl.contents(), primary.contents());
+        }
+        assert_eq!(restored.cluster_capacity().containers, 2);
+        assert_eq!(
+            restored.cluster_capacity().partitioned,
+            1,
+            "restored last-good"
+        );
+    }
+
+    #[test]
+    fn a_fleet_past_32_767_containers_restores_and_aligns_a_standby() {
+        const HOSTS: u32 = 40;
+        const CONTAINERS: u32 = 1_000;
+        let mut primary = FleetController::new(8, FleetPolicy::default());
+        primary.enable_journal(1);
+        for host in 0..HOSTS {
+            let entries = (0..CONTAINERS).map(|id| entry(id, host % 3, 1 + id % 4));
+            accepted(&primary, &full_delta(host, entries.collect()));
+        }
+        primary.advance_tick(); // a checkpoint of all 40 000
+                                // A fresh standby aligns through a checkpoint of the same index.
+        primary.enable_replication();
+        let standby = FleetController::new(4, FleetPolicy::default());
+        let frames = primary.take_repl_frames();
+        assert!(frames.len() >= 2, "one checkpoint, several frames");
+        for frame in &frames {
+            assert!(
+                frame.len() <= MAX_FLEET_FRAME as usize,
+                "{} bytes",
+                frame.len()
+            );
+            let resp = standby.handle_frame(frame).expect("answered");
+            assert!(matches!(decode_frame(&resp), Some(Frame::Ack(a)) if !a.resync));
+        }
+        let want = u64::from(HOSTS * CONTAINERS);
+        assert_eq!(primary.cluster_capacity().containers, want);
+        assert_eq!(standby.cluster_capacity(), primary.cluster_capacity());
+        assert_eq!(standby.contents(), primary.contents());
+        let restored = FleetController::restore_from(
+            &primary.journal_bytes().expect("journal on"),
+            2,
+            FleetPolicy::default(),
+        )
+        .expect("a controller journal");
+        assert_eq!(restored.cluster_capacity().containers, want);
+        assert_eq!(restored.contents(), primary.contents());
+        assert_eq!(primary.metrics().snapshot().repl_records_streamed, 1);
+        assert_eq!(standby.metrics().snapshot().repl_records_applied, 1);
+    }
+
+    #[test]
+    fn restore_refuses_what_is_not_a_controller_journal() {
+        let mut host = arv_persist::Journal::new();
+        host.checkpoint(&snap(1, &[(1, 2, 100, 50)]))
+            .expect("mem store");
+        let err = FleetController::restore_from(host.as_bytes(), 2, FleetPolicy::default())
+            .expect_err("a host journal");
+        assert_eq!(&err.found[..4], b"AVRJ");
+        assert!(
+            FleetController::restore_from(b"not a journal", 2, FleetPolicy::default()).is_err()
+        );
+        // A journal cut inside its own header holds nothing.
+        let mut ctl = FleetController::new(2, FleetPolicy::default());
+        ctl.enable_journal(4);
+        let bytes = ctl.journal_bytes().expect("journal on");
+        for cut in 0..8 {
+            let empty = FleetController::restore_from(&bytes[..cut], 2, FleetPolicy::default())
+                .expect("its own header");
+            assert_eq!(empty.host_count(), 0);
+        }
     }
 
     #[test]
@@ -2595,8 +2626,8 @@ mod tests {
     }
     mod diff_props {
         use super::*;
-        use crate::protocol::{encode_delta, encode_repl_parts, HostSummary};
-        use crate::reference::{snapshot_of, Index, RecordPrimary, RecordStandby};
+        use crate::protocol::{encode_delta, HostSummary};
+        use crate::reference::{replay, Index, RecordPrimary, RecordStandby, RefRecord};
         use proptest::prelude::*;
 
         /// `(cpu, mem, avail, containers)` over `index`, of one tenant
@@ -2630,11 +2661,22 @@ mod tests {
             points
         }
 
+        /// The hosts, container ids and tenants the streams draw: a few
+        /// small ids, and as many near `u32::MAX`.
+        const HOSTS: [u32; 3] = [0, 70_000, u32::MAX - 1];
+        fn wide(id: u32) -> u32 {
+            if id % 3 == 0 {
+                u32::MAX - id
+            } else {
+                id
+            }
+        }
+        const TENANTS: [u32; 4] = [0, 1, 70_000, u32::MAX];
+
         /// `ctl`'s index, running sums and per-host answers are exactly
         /// `index`.
-        fn assert_mirrors(ctl: &FleetController, index: &Index, hosts: usize) {
-            assert_eq!(ctl.index_snapshot(0), snapshot_of(index, 0));
-            assert_eq!(ctl.host_count(), hosts);
+        fn assert_mirrors(ctl: &FleetController, index: &Index) {
+            assert_eq!(&ctl.contents(), index);
             for (host, containers) in index {
                 let explained = ctl.explain_host(*host).map(|x| x.containers);
                 assert_eq!(explained, Some(containers.len() as u64), "host {host}");
@@ -2644,7 +2686,8 @@ mod tests {
             }
             let r = ctl.cluster_capacity();
             assert_eq!((r.cpu, r.mem, r.avail, r.containers), sums(index, None));
-            for tenant in 0..4 {
+            assert_eq!(r.hosts as usize, index.len());
+            for tenant in TENANTS {
                 let (t, _) = ctl.tenant_rollup(tenant);
                 assert_eq!(
                     (t.cpu, t.mem, t.avail, t.containers),
@@ -2654,49 +2697,78 @@ mod tests {
             }
         }
 
-        // More records than one REPL frame holds: both outboxes split
-        // at the same record boundaries.
+        /// What `restore_from` makes of `ctl`'s journal: exactly `index`.
+        fn assert_restores(ctl: &FleetController, index: &Index) {
+            let bytes = ctl.journal_bytes().expect("journal on");
+            let restored = FleetController::restore_from(&bytes, 4, FleetPolicy::default())
+                .expect("a controller journal");
+            assert_mirrors(&restored, index);
+        }
+
+        fn delta(host: u32, seq: u64, entries: Vec<DeltaEntry>, removed: Vec<u32>) -> Delta {
+            Delta {
+                host,
+                seq,
+                tick: 0,
+                full: seq == 0,
+                health: 0,
+                durability_lost: false,
+                staleness_age: 0,
+                epoch: 0,
+                origin_tick: 0,
+                trace_seq: seq,
+                summary: HostSummary::default(),
+                entries,
+                removed,
+            }
+        }
+
+        // More records than one REPL frame holds: the outbox splits at
+        // the record boundaries the reference's chunking picks, every
+        // frame fits, and a standby fed them all mirrors the primary.
         #[test]
         fn a_backlog_past_one_frame_splits_at_the_same_records() {
             let primary = FleetController::new(2, FleetPolicy::default());
             primary.enable_replication();
             let mut ref_primary = RecordPrimary::new(u64::MAX);
+            let standby = FleetController::new(4, FleetPolicy::default());
             // The checkpoint that aligns a fresh standby goes first.
-            assert_eq!(primary.take_repl_frames(), ref_primary.take_repl_frames());
-            for seq in 0..120u64 {
-                let d = Delta {
-                    host: 1,
-                    seq,
-                    tick: 0,
-                    full: seq == 0,
-                    health: 0,
-                    durability_lost: false,
-                    staleness_age: 0,
-                    epoch: 0,
-                    origin_tick: 0,
-                    trace_seq: seq,
-                    summary: HostSummary::default(),
-                    entries: (0..200u32)
-                        .map(|id| DeltaEntry {
-                            id,
-                            tenant: 0,
-                            e_cpu: 1 + (seq as u32 + id) % 7,
-                            e_mem: 100,
-                            e_avail: 40,
-                            last_tick: seq,
-                        })
-                        .collect(),
-                    removed: vec![200 + seq as u32],
-                };
-                primary.handle_frame(&encode_delta(&d)).expect("answered");
-                assert_eq!(ref_primary.handle_delta(&d), Some(true));
-            }
-            assert_eq!(primary.repl_backlog_records(), 24_000);
             let frames = primary.take_repl_frames();
-            assert_eq!(frames.len(), 2, "24 000 records of 49 bytes, 1 MiB frames");
-            assert!(frames.iter().all(|f| f.len() <= MAX_FLEET_FRAME as usize));
-            assert_eq!(frames, ref_primary.take_repl_frames());
+            let lens = |frames: &[Vec<u8>]| frames.iter().map(Vec::len).collect::<Vec<_>>();
+            let ref_lens = |frames: Vec<crate::reference::RefFrame>| {
+                frames.iter().map(|f| f.len).collect::<Vec<_>>()
+            };
+            assert_eq!(lens(&frames), ref_lens(ref_primary.take_repl_frames()));
+            for frame in &frames {
+                standby.handle_frame(frame).expect("answered");
+            }
+            for seq in 0..150u64 {
+                let entries = (0..200u32)
+                    .map(|id| DeltaEntry {
+                        id,
+                        tenant: 0,
+                        e_cpu: 1 + (seq as u32 + id) % 7,
+                        e_mem: 100,
+                        e_avail: 40,
+                        last_tick: seq,
+                    })
+                    .collect();
+                let d = delta(1, seq, entries, vec![200 + seq as u32]);
+                primary.handle_frame(&encode_delta(&d)).expect("answered");
+                assert!(ref_primary.handle_delta(&d));
+            }
+            assert_eq!(primary.repl_backlog_records(), 30_000);
+            let frames = primary.take_repl_frames();
+            assert_eq!(frames.len(), 2, "150 records of 7 226 bytes, 1 MiB frames");
+            assert_eq!(lens(&frames), ref_lens(ref_primary.take_repl_frames()));
+            for frame in &frames {
+                assert!(frame.len() <= MAX_FLEET_FRAME as usize);
+                let resp = standby.handle_frame(frame).expect("answered");
+                assert!(matches!(decode_frame(&resp), Some(Frame::Ack(a)) if !a.resync));
+            }
             assert_eq!(primary.repl_backlog_records(), 0);
+            assert_eq!(standby.contents(), primary.contents());
+            assert_eq!(standby.metrics().snapshot().repl_records_applied, 30_001);
         }
 
         type Op = (u8, u32, Vec<(u32, u32, u32, u64)>, Vec<u32>, usize);
@@ -2706,12 +2778,13 @@ mod tests {
 
             // Arbitrary DELTA streams — unsorted upserts with repeated
             // ids, inserts landing mid-run, removals, FULLs that leave
-            // stale containers behind, gaps, ids too wide to journal —
-            // interleaved with ticks and REPL pumps that are whole, torn
-            // mid-record or lost: batch framing writes the primary
-            // journal, the REPL frames and the shadow journal the
-            // record-at-a-time path wrote, byte for byte, and leaves the
-            // same indexes, rollups and per-host answers.
+            // stale containers behind, gaps, host, container and tenant
+            // ids up to `u32::MAX` — interleaved with ticks, checkpoints
+            // and REPL pumps that are whole, torn mid-record or lost:
+            // the primary, its journal restored, the standby and its
+            // shadow journal restored hold exactly what the reference
+            // model of one batch per DELTA does, with the same rollups,
+            // per-host answers and record counts.
             #[test]
             fn batch_framing_equals_the_per_record_path(
                 every in 1u64..6,
@@ -2732,57 +2805,36 @@ mod tests {
                 let mut seq = [0u64; 3];
                 let mut wants_full = [true; 3];
                 let ops: Vec<Op> = ops;
-                for (kind, host, entries, removed, tear) in ops {
+                for (kind, h, entries, removed, tear) in ops {
+                    let host = HOSTS[h as usize];
+                    let entries: Vec<DeltaEntry> = entries
+                        .iter()
+                        .map(|&(id, tenant, e_cpu, mem)| DeltaEntry {
+                            id: wide(id),
+                            tenant: TENANTS[tenant as usize],
+                            e_cpu,
+                            e_mem: mem * 100,
+                            e_avail: mem * 40,
+                            last_tick: primary.now_tick(),
+                        })
+                        .collect();
+                    let removed: Vec<u32> = removed.into_iter().map(wide).collect();
                     match kind {
                         0..=7 => {
-                            let h = host as usize;
-                            let full = wants_full[h] || kind == 6;
+                            let h = h as usize;
                             // A gap: one sequence number goes missing.
                             seq[h] += u64::from(kind == 7);
-                            let d = Delta {
-                                host,
-                                seq: seq[h],
-                                tick: primary.now_tick(),
-                                full,
-                                health: 0,
-                                durability_lost: false,
-                                staleness_age: 0,
-                                epoch: 0,
-                                origin_tick: primary.now_tick(),
-                                trace_seq: seq[h],
-                                summary: HostSummary::default(),
-                                entries: entries
-                                    .iter()
-                                    .map(|&(id, tenant, e_cpu, mem)| DeltaEntry {
-                                        // 9 stands for an id too wide to pack.
-                                        id: if id == 9 { 70_000 } else { id },
-                                        tenant,
-                                        e_cpu,
-                                        e_mem: mem * 100,
-                                        e_avail: mem * 40,
-                                        last_tick: primary.now_tick(),
-                                    })
-                                    .collect(),
-                                removed: removed
-                                    .iter()
-                                    .map(|&id| if id == 9 { 70_000 } else { id })
-                                    .collect(),
-                            };
+                            let mut d = delta(host, seq[h], entries, removed);
+                            d.full = wants_full[h] || kind == 6;
                             let resp = primary.handle_frame(&encode_delta(&d));
-                            match ref_primary.handle_delta(&d) {
-                                // A frame naming an id too wide to journal
-                                // is refused whole: no ACK, nothing moved.
-                                None => prop_assert!(resp.is_none()),
-                                Some(accepted) => {
-                                    seq[h] += 1;
-                                    let Some(Frame::Ack(ack)) = resp.as_deref().and_then(decode_frame) else {
-                                        panic!("expected ACK");
-                                    };
-                                    prop_assert_eq!(ack.resync, !accepted);
-                                    prop_assert_eq!(ack.expected_seq, ref_primary.hosts[&host].expected_seq);
-                                    wants_full[h] = ack.resync;
-                                }
-                            }
+                            let accepted = ref_primary.handle_delta(&d);
+                            seq[h] += 1;
+                            let Some(Frame::Ack(ack)) = resp.as_deref().and_then(decode_frame) else {
+                                panic!("expected ACK");
+                            };
+                            prop_assert_eq!(ack.resync, !accepted);
+                            prop_assert_eq!(ack.expected_seq, ref_primary.hosts[&host].expected_seq);
+                            wants_full[h] = ack.resync;
                         }
                         8 => {
                             primary.advance_tick();
@@ -2791,48 +2843,43 @@ mod tests {
                         12 => {
                             // A frame no primary of ours sends, in sequence
                             // for the standby: removals on hosts it may
-                            // never have heard of, a checkpoint in
-                            // mid-stream, deltas on either side of it.
-                            let state = |h: u32, &(id, tenant, e_cpu, mem): &(u32, u32, u32, u64)| {
-                                ViewState {
-                                    id: (h << 16) | id,
-                                    e_cpu,
-                                    e_mem: mem * 100,
-                                    e_avail: mem * 40,
-                                    last_tick: u64::from(tenant) << 48 | 7,
+                            // never have heard of, a reset in mid-stream,
+                            // batches on either side of it.
+                            let (before, after) = entries.split_at(entries.len() / 2);
+                            let batch = |host: u32, entries: &[DeltaEntry], removed: Vec<u32>| {
+                                RefRecord::Batch {
+                                    host,
+                                    full: false,
+                                    checkpoint: false,
+                                    entries: entries.to_vec(),
+                                    removed,
                                 }
                             };
-                            let (before, after) = entries.split_at(entries.len() / 2);
-                            let mut stream: Vec<Record> = Vec::new();
-                            for id in &removed {
-                                let h = if id % 2 == 0 { host } else { 7 + host };
-                                stream.push(Record::Remove((h << 16) | id));
-                            }
-                            stream.extend(before.iter().map(|e| Record::Delta {
-                                state: state(host, e),
-                                tick: 2,
-                            }));
+                            let mut stream = vec![
+                                batch(HOSTS[(h as usize + 1) % 3], &[], removed.clone()),
+                                batch(host, before, Vec::new()),
+                            ];
                             if tear % 2 == 0 {
-                                let mut snap = Snapshot::at(3);
-                                snap.entries.extend(after.iter().map(|e| state(1, e)));
-                                snap.entries.sort_by_key(|e| e.id);
-                                snap.entries.dedup_by_key(|e| e.id);
-                                stream.push(Record::Checkpoint(snap));
+                                stream.push(RefRecord::Reset);
                             }
-                            stream.extend(after.iter().map(|e| Record::Delta {
-                                state: state(5, e),
-                                tick: 4,
-                            }));
-                            let records: Vec<u8> =
-                                stream.iter().flat_map(arv_persist::encode_record).collect();
-                            let frame = encode_repl_parts(
-                                0,
-                                ref_standby.expected_seq,
-                                0,
-                                &[host],
-                                &records,
-                            );
-                            let want = ref_standby.handle_repl(&frame);
+                            stream.push(batch(HOSTS[(h as usize + 2) % 3], after, removed));
+                            let mut records = Vec::new();
+                            for r in &stream {
+                                match r {
+                                    RefRecord::Reset => {
+                                        arv_persist::frame_checkpoint(&mut records, &Snapshot::at(3))
+                                    }
+                                    RefRecord::Batch { host, entries, removed, .. } => {
+                                        let d = Delta {
+                                            full: false,
+                                            ..delta(*host, 1, entries.clone(), removed.clone())
+                                        };
+                                        frame_delta_record(&mut records, &encode_delta(&d));
+                                    }
+                                }
+                            }
+                            let frame = encode_repl_parts(0, ref_standby.expected_seq, 0, &[host], &records);
+                            let want = ref_standby.handle_repl(&frame, &stream);
                             let got = standby.handle_frame(&frame).and_then(|resp| {
                                 match decode_frame(&resp) {
                                     Some(Frame::Ack(ack)) => Some((ack.expected_seq, ack.resync)),
@@ -2840,22 +2887,24 @@ mod tests {
                                 }
                             });
                             prop_assert_eq!(got, want);
-                            assert_mirrors(&standby, &ref_standby.index, ref_standby.index.len());
-                            prop_assert_eq!(
-                                standby.journal_bytes().expect("journal on"),
-                                ref_standby.journal.as_bytes()
-                            );
+                            assert_mirrors(&standby, &ref_standby.index);
+                            assert_restores(&standby, &ref_standby.index);
                         }
                         _ => {
                             let frames = primary.take_repl_frames();
-                            prop_assert_eq!(&frames, &ref_primary.take_repl_frames());
+                            let ref_frames = ref_primary.take_repl_frames();
+                            prop_assert_eq!(frames.len(), ref_frames.len());
                             // 9 delivers, 10 tears the last frame inside
                             // its records, 11 loses the batch.
-                            for (i, frame) in frames.iter().enumerate().filter(|_| kind != 11) {
+                            for (i, (frame, ref_frame)) in frames.iter().zip(&ref_frames).enumerate() {
+                                prop_assert_eq!(frame.len(), ref_frame.len);
+                                if kind == 11 {
+                                    continue;
+                                }
                                 let last = i + 1 == frames.len();
                                 let cut = if kind == 10 && last { tear.min(frame.len() / 2) } else { 0 };
                                 let frame = &frame[..frame.len() - cut];
-                                let want = ref_standby.handle_repl(frame);
+                                let want = ref_standby.handle_repl(frame, &ref_frame.records);
                                 let got = standby.handle_frame(frame).and_then(|resp| {
                                     match decode_frame(&resp) {
                                         Some(Frame::Ack(ack)) => Some(ack),
@@ -2868,22 +2917,17 @@ mod tests {
                                     ref_primary.handle_repl_ack(&ack);
                                 }
                             }
-                            assert_mirrors(&standby, &ref_standby.index, ref_standby.index.len());
-                            prop_assert_eq!(
-                                standby.journal_bytes().expect("journal on"),
-                                ref_standby.journal.as_bytes()
-                            );
+                            assert_mirrors(&standby, &ref_standby.index);
+                            assert_restores(&standby, &ref_standby.index);
                             let m = standby.metrics().snapshot();
                             prop_assert_eq!(m.repl_records_applied, ref_standby.applied);
                             prop_assert_eq!(m.repl_truncated, ref_standby.truncated);
                         }
                     }
-                    prop_assert_eq!(
-                        primary.journal_bytes().expect("journal on"),
-                        ref_primary.journal.as_bytes()
-                    );
+                    assert_eq!(primary.contents(), ref_primary.index);
+                    assert_restores(&primary, &replay(&ref_primary.journal));
                 }
-                assert_mirrors(&primary, &ref_primary.index, ref_primary.hosts.len());
+                assert_mirrors(&primary, &ref_primary.index);
                 prop_assert_eq!(
                     primary.metrics().snapshot().repl_records_streamed,
                     ref_primary.streamed
@@ -2896,6 +2940,16 @@ mod tests {
         /// Hosts currently tracked.
         fn host_count(&self) -> usize {
             self.shards.iter().map(|s| lock(s).hosts.len()).sum()
+        }
+
+        /// Every tracked host's containers, by host and container id.
+        fn contents(&self) -> crate::reference::Index {
+            let mut index = crate::reference::Index::new();
+            self.each_host(|hid, host| {
+                let containers = host.containers.iter().map(|e| (e.id, *e)).collect();
+                index.insert(hid, containers);
+            });
+            index
         }
     }
 

@@ -14,9 +14,10 @@
 //! * [`controller::FleetController`] — the core: a sharded
 //!   host×container index with per-shard running totals, answering
 //!   cluster capacity, per-tenant rollups, and top-k pressure queries;
-//!   journaling every accepted delta through `arv-persist` so a crashed
-//!   controller warm-restarts prefix-consistently; and pushing policy
-//!   (staleness budgets, batch/burst limits) back down in ACKs.
+//!   journaling every accepted DELTA as one record through `arv-persist`
+//!   so a crashed controller warm-restarts prefix-consistently; and
+//!   pushing policy (staleness budgets, batch/burst limits) back down in
+//!   ACKs.
 //! * [`protocol`] — the HELLO/DELTA/POLICY/QUERY frame layouts, riding
 //!   the same length-prefixed framing as the viewd wire (the shared
 //!   [`arv_viewd::codec`]); every decode path is fuzz-hardened.
@@ -30,7 +31,8 @@
 //! restores the journal and is healed host-by-host as resyncs land.
 //!
 //! The controller itself is replicated: a primary streams every
-//! accepted journal record to hot standbys over REPL frames, a
+//! accepted journal record to hot standbys over REPL frames (the same
+//! bytes, applied by the path the primary applies a DELTA by), a
 //! file-backed lease ([`arv_persist::lease`]) with monotone controller
 //! epochs governs leadership, and every ACK/ROLLUP carries the issuing
 //! controller's epoch so peripheries and readers fence frames from a
@@ -45,6 +47,7 @@
 // Production code must not panic on a recoverable fault: unwraps are
 // confined to tests.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod controller;

@@ -32,8 +32,8 @@
 //!           | h u32 | h × heard-host u32 | records
 //!   heard = the hosts the primary accepted a DELTA from since its
 //!   previous frame (their freshness: a quiet host leaves no record);
-//!   records = zero or more CRC-framed `arv_persist` journal records
-//!   (checkpoint / delta / remove), exactly the bytes the primary's
+//!   records = zero or more CRC-framed records of the controller's
+//!   `arv_persist` batch journal, exactly the bytes the primary's
 //!   journal appended; the standby validates each record's CRC on
 //!   apply; as_of_tick = the primary's controller tick at drain time,
 //!   so a standby can gauge how far its shadow index trails
@@ -53,10 +53,27 @@
 //!   to the oldest host tick contributing to it
 //! ```
 //!
+//! The controller journals an accepted DELTA as one record, and ships
+//! the same bytes in REPL frames. The record is an `arv_persist` host
+//! batch whose body is the DELTA's own tail, verbatim, behind its host:
+//!
+//! ```text
+//! batch  := host u32 | flags u8 | n u32 | n × entry | m u32
+//!           | m × removed-id u32
+//!   flags bit0 = FULL (the DELTA's), bit1 = CHECKPOINT (one host's
+//!   part of a checkpoint: it counts as no view record)
+//! ```
+//!
+//! A controller checkpoint is a reset marker (an empty `arv_persist`
+//! checkpoint record, carrying the tick) followed by one FULL batch per
+//! host holding containers, chunked the way a periphery chunks a FULL:
+//! the first chunk FULL, the rest plain upserts.
+//!
 //! Every decode path is bounds-checked and returns `Option` — arbitrary
 //! truncation or corruption must never panic the controller (the same
 //! contract the viewd wire fuzz enforces).
 
+use arv_persist::frame_host_batch;
 use arv_viewd::{STATUS_OK, STATUS_OK_DEGRADED};
 
 /// Opcode: periphery introduces itself (and learns the current policy).
@@ -121,10 +138,22 @@ pub const HEALTH_DURABILITY_LOST: u8 = 0x80;
 
 /// Bytes of one encoded delta entry.
 const ENTRY_BYTES: usize = 4 + 4 + 4 + 8 + 8 + 8;
-/// Bytes of a DELTA payload around its entries and removals: opcode,
-/// host, seq, tick, flags, health, four span/epoch words, the seven
-/// summary counters, and the two counts.
-const DELTA_FIXED_BYTES: usize = 1 + 4 + 8 + 8 + 1 + 1 + 4 * 8 + 7 * 8 + 4 + 4;
+/// Where a DELTA payload's tail (`n | entries | m | removed`) starts:
+/// after the opcode, host, seq, tick, flags, health, four span/epoch
+/// words and the seven summary counters.
+const DELTA_TAIL_AT: usize = 1 + 4 + 8 + 8 + 1 + 1 + 4 * 8 + 7 * 8;
+/// Where a DELTA payload's flags byte sits.
+const DELTA_FLAGS_AT: usize = 1 + 4 + 8 + 8;
+/// Bytes of a DELTA payload around its entries and removals: the
+/// header before the tail, and the tail's two counts.
+const DELTA_FIXED_BYTES: usize = DELTA_TAIL_AT + 4 + 4;
+
+/// Host-batch flag: the batch is a FULL (see [`DELTA_FULL`]).
+pub(crate) const BATCH_FULL: u8 = DELTA_FULL;
+/// Host-batch flag: the batch is one host's part of a checkpoint.
+pub(crate) const BATCH_CHECKPOINT: u8 = 2;
+/// Bytes of a host batch's body before its tail: host and flags.
+const BATCH_HEAD_BYTES: usize = 4 + 1;
 
 /// The policy a controller pushes down to every periphery: the fleet
 /// analogue of the per-host staleness budget and the `ServerConfig`
@@ -475,20 +504,60 @@ pub fn encode_delta(d: &Delta) -> Vec<u8> {
     put_u64(&mut out, d.summary.deltas_coalesced);
     put_u64(&mut out, d.summary.acks_fenced);
     put_u64(&mut out, d.summary.journal_io_errors);
-    put_u32(&mut out, d.entries.len() as u32);
-    for e in &d.entries {
-        put_u32(&mut out, e.id);
-        put_u32(&mut out, e.tenant);
-        put_u32(&mut out, e.e_cpu);
-        put_u64(&mut out, e.e_mem);
-        put_u64(&mut out, e.e_avail);
-        put_u64(&mut out, e.last_tick);
-    }
-    put_u32(&mut out, d.removed.len() as u32);
-    for id in &d.removed {
-        put_u32(&mut out, *id);
-    }
+    put_tail(&mut out, &d.entries, &d.removed);
     out
+}
+
+/// The one entry encoder, for DELTA payloads and journal records alike.
+fn put_entry(out: &mut Vec<u8>, e: &DeltaEntry) {
+    put_u32(out, e.id);
+    put_u32(out, e.tenant);
+    put_u32(out, e.e_cpu);
+    put_u64(out, e.e_mem);
+    put_u64(out, e.e_avail);
+    put_u64(out, e.last_tick);
+}
+
+/// A DELTA's tail: `n | entries | m | removed`.
+fn put_tail(out: &mut Vec<u8>, entries: &[DeltaEntry], removed: &[u32]) {
+    put_u32(out, entries.len() as u32);
+    for e in entries {
+        put_entry(out, e);
+    }
+    put_u32(out, removed.len() as u32);
+    for id in removed {
+        put_u32(out, *id);
+    }
+}
+
+/// Append the journal record of a DELTA payload that [`decode_frame`]
+/// accepted to `out`: its host and FULL flag, then its tail copied
+/// verbatim — one copy and one CRC, whatever the entries. A payload too
+/// short to be a DELTA frames nothing.
+pub fn frame_delta_record(out: &mut Vec<u8>, delta: &[u8]) {
+    let (Some(host), Some(flags), Some(tail)) = (
+        delta.get(1..5),
+        delta.get(DELTA_FLAGS_AT),
+        delta.get(DELTA_TAIL_AT..),
+    ) else {
+        return;
+    };
+    frame_host_batch(out, BATCH_HEAD_BYTES + tail.len(), |b| {
+        b.extend_from_slice(host);
+        b.push(flags & BATCH_FULL);
+        b.extend_from_slice(tail);
+    });
+}
+
+/// Append a host batch of `entries` and no removals to `out`, as a
+/// checkpoint lays one host's containers down.
+pub(crate) fn frame_batch(out: &mut Vec<u8>, host: u32, flags: u8, entries: &[DeltaEntry]) {
+    let body_len = BATCH_HEAD_BYTES + 4 + entries.len() * ENTRY_BYTES + 4;
+    frame_host_batch(out, body_len, |b| {
+        put_u32(b, host);
+        b.push(flags);
+        put_tail(b, entries, &[]);
+    });
 }
 
 /// Encode a standalone POLICY payload.
@@ -699,31 +768,9 @@ fn decode_delta(c: &mut Cur) -> Option<Delta> {
         acks_fenced: c.u64()?,
         journal_io_errors: c.u64()?,
     };
-    let n = c.u32()? as usize;
-    // A claimed count larger than the bytes present is corruption; the
-    // check also bounds the allocation below.
-    if n > c.remaining() / ENTRY_BYTES {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(DeltaEntry {
-            id: c.u32()?,
-            tenant: c.u32()?,
-            e_cpu: c.u32()?,
-            e_mem: c.u64()?,
-            e_avail: c.u64()?,
-            last_tick: c.u64()?,
-        });
-    }
-    let m = c.u32()? as usize;
-    if m > c.remaining() / 4 {
-        return None;
-    }
-    let mut removed = Vec::with_capacity(m);
-    for _ in 0..m {
-        removed.push(c.u32()?);
-    }
+    let tail = Tail::decode(c.rest())?;
+    let entries = tail.entries().collect();
+    let removed = tail.removed().collect();
     Some(Delta {
         host,
         seq,
@@ -739,6 +786,88 @@ fn decode_delta(c: &mut Cur) -> Option<Delta> {
         entries,
         removed,
     })
+}
+
+/// A DELTA's tail (`n | entries | m | removed`), borrowed from a
+/// payload or a journal record and decoded as it is walked.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tail<'a> {
+    entries: &'a [u8],
+    removed: &'a [u8],
+}
+
+impl<'a> Tail<'a> {
+    /// The tail that is exactly `b`: counts that claim more or fewer
+    /// bytes than follow are corruption.
+    fn decode(b: &'a [u8]) -> Option<Tail<'a>> {
+        let mut c = Cur::new(b);
+        let n = c.u32()? as usize;
+        if n > c.remaining() / ENTRY_BYTES {
+            return None;
+        }
+        let entries = &b[4..4 + n * ENTRY_BYTES];
+        c.i += n * ENTRY_BYTES;
+        let m = c.u32()? as usize;
+        let removed = c.rest();
+        (removed.len() == m.checked_mul(4)?).then_some(Tail { entries, removed })
+    }
+
+    /// The entries, in order.
+    pub(crate) fn entries(&self) -> impl ExactSizeIterator<Item = DeltaEntry> + Clone + 'a {
+        self.entries.chunks_exact(ENTRY_BYTES).map(get_entry)
+    }
+
+    /// The removed ids, in order.
+    pub(crate) fn removed(&self) -> impl Iterator<Item = u32> + 'a {
+        self.removed.chunks_exact(4).map(le32)
+    }
+}
+
+/// One journal record's host batch, borrowed from the record's body.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HostBatch<'a> {
+    /// The host the batch is for.
+    pub(crate) host: u32,
+    /// `BATCH_*` flags.
+    pub(crate) flags: u8,
+    /// The DELTA tail it carries.
+    pub(crate) tail: Tail<'a>,
+}
+
+impl<'a> HostBatch<'a> {
+    /// Decode a host batch's body; `None` for anything malformed.
+    pub(crate) fn decode(body: &'a [u8]) -> Option<HostBatch<'a>> {
+        let flags = *body.get(4)?;
+        if flags & !(BATCH_FULL | BATCH_CHECKPOINT) != 0 {
+            return None;
+        }
+        Some(HostBatch {
+            host: le32(body.get(..4)?),
+            flags,
+            tail: Tail::decode(body.get(BATCH_HEAD_BYTES..)?)?,
+        })
+    }
+}
+
+fn le32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().unwrap_or_default())
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().unwrap_or_default())
+}
+
+/// The one entry decoder, over one [`ENTRY_BYTES`] chunk.
+fn get_entry(b: &[u8]) -> DeltaEntry {
+    let b: &[u8; ENTRY_BYTES] = b.try_into().unwrap_or(&[0; ENTRY_BYTES]);
+    DeltaEntry {
+        id: le32(&b[0..4]),
+        tenant: le32(&b[4..8]),
+        e_cpu: le32(&b[8..12]),
+        e_mem: le64(&b[12..20]),
+        e_avail: le64(&b[20..28]),
+        last_tick: le64(&b[28..36]),
+    }
 }
 
 fn decode_rollup(c: &mut Cur<'_>) -> Option<Rollup> {
@@ -819,9 +948,14 @@ pub fn decode_frame(payload: &[u8]) -> Option<Frame> {
         }
         OP_REPL => {
             let (ctl_epoch, repl_seq, as_of_tick) = (c.u64()?, c.u64()?, c.u64()?);
-            let heard = (0..c.u32()?)
-                .map(|_| c.u32())
-                .collect::<Option<Vec<u32>>>()?;
+            let h = c.u32()? as usize;
+            if h > c.remaining() / 4 {
+                return None;
+            }
+            let mut heard = Vec::with_capacity(h);
+            for _ in 0..h {
+                heard.push(c.u32()?);
+            }
             Frame::Repl(Repl {
                 ctl_epoch,
                 repl_seq,
@@ -1088,6 +1222,43 @@ mod tests {
     }
 
     #[test]
+    fn a_delta_record_is_its_tail_behind_its_host() {
+        let mut delta = sample_delta();
+        delta.full = true;
+        let mut payload = encode_delta(&delta);
+        // A flag bit the DELTA does not define never reaches the record.
+        payload[DELTA_FLAGS_AT] |= 0x80;
+        let mut record = Vec::new();
+        frame_delta_record(&mut record, &payload);
+        assert_eq!(
+            record.len(),
+            4 + 1 + BATCH_HEAD_BYTES + payload.len() - DELTA_TAIL_AT + 4
+        );
+        let mut walk = arv_persist::records(&record);
+        let (kind, body) = walk.next().expect("one whole record");
+        assert_eq!(kind, arv_persist::KIND_HOST_BATCH);
+        assert_eq!(&body[BATCH_HEAD_BYTES..], &payload[DELTA_TAIL_AT..]);
+        let batch = HostBatch::decode(body).expect("a host batch");
+        assert_eq!((batch.host, batch.flags), (delta.host, BATCH_FULL));
+        assert_eq!(batch.tail.entries().collect::<Vec<_>>(), delta.entries);
+        assert_eq!(batch.tail.removed().collect::<Vec<_>>(), delta.removed);
+        // The checkpoint's encoder writes the same layout.
+        let mut from_entries = Vec::new();
+        frame_batch(&mut from_entries, delta.host, BATCH_FULL, &delta.entries);
+        let (_, body) = arv_persist::records(&from_entries)
+            .next()
+            .expect("one record");
+        let batch = HostBatch::decode(body).expect("a host batch");
+        assert_eq!(batch.tail.entries().collect::<Vec<_>>(), delta.entries);
+        assert_eq!(batch.tail.removed().count(), 0);
+        // Counts that claim other than the bytes present are refused.
+        assert!(HostBatch::decode(&body[..body.len() - 1]).is_none());
+        let mut nothing = Vec::new();
+        frame_delta_record(&mut nothing, &[OP_DELTA, 1, 2]);
+        assert!(nothing.is_empty(), "too short to be a DELTA");
+    }
+
+    #[test]
     fn trailing_bytes_rejected() {
         let mut frame = encode_query(&Query {
             kind: QUERY_CLUSTER,
@@ -1309,19 +1480,9 @@ mod tests {
                 n in 0usize..6,
                 cut in 0usize..512
             ) {
-                use arv_persist::{encode_record, Record, ViewState};
                 let mut records = Vec::new();
                 for i in 0..n {
-                    records.extend_from_slice(&encode_record(&Record::Delta {
-                        state: ViewState {
-                            id: (1u32 << 16) | i as u32,
-                            e_cpu: i as u32,
-                            e_mem: 1,
-                            e_avail: 1,
-                            last_tick: i as u64,
-                        },
-                        tick: i as u64,
-                    }));
+                    frame_delta_record(&mut records, &encode_delta(&arb_delta(1, i as u64, i, 1)));
                 }
                 let keep = cut.min(records.len());
                 records.truncate(keep);

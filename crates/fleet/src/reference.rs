@@ -1,17 +1,18 @@
 //! Reference implementations the differential tests compare against:
 //! the `HashMap` periphery diff that the merge-walk replaced, and the
-//! record-at-a-time journal / REPL / standby path that batch framing
-//! replaced. Test-only; kept apart from the code under test on purpose.
+//! controller's journal, REPL stream and standby as `BTreeMap`s and
+//! lists of records, whose state the controller's must equal.
+//! Test-only; kept apart from the code under test on purpose.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use arv_persist::{decode_records, encode_record, Journal, Record, Snapshot, ViewState};
+use arv_persist::Snapshot;
 
 use crate::periphery::{AckDisposition, PeripheryStats};
 use crate::protocol::{
-    decode_frame, encode_delta, encode_hello, encode_repl_parts, Ack, Delta, DeltaEntry,
-    FleetPolicy, Frame, Hello, HostSummary, HEALTH_DEGRADED, HEALTH_DURABILITY_LOST, HEALTH_FRESH,
-    HEALTH_STALE, MAX_FLEET_FRAME,
+    decode_frame, encode_delta, encode_hello, Ack, Delta, DeltaEntry, FleetPolicy, Frame, Hello,
+    HostSummary, HEALTH_DEGRADED, HEALTH_DURABILITY_LOST, HEALTH_FRESH, HEALTH_STALE,
+    MAX_FLEET_FRAME,
 };
 
 /// `Periphery` as it was with `last_sent` and the pending layer in
@@ -267,31 +268,105 @@ impl HashMapPeriphery {
     }
 }
 
-const TICK_MASK: u64 = (1 << 48) - 1;
+/// host → container → entry; a host with no containers stays listed.
+pub(crate) type Index = BTreeMap<u32, BTreeMap<u32, DeltaEntry>>;
 
-/// The journalable form of a container's entry: `host << 16 |
-/// container`, the tenant in the top 16 bits of the tick.
-fn packed(host: u32, e: &DeltaEntry) -> ViewState {
-    ViewState {
-        id: (host << 16) | e.id,
-        e_cpu: e.e_cpu,
-        e_mem: e.e_mem,
-        e_avail: e.e_avail,
-        last_tick: (u64::from(e.tenant) << 48) | (e.last_tick & TICK_MASK),
+/// Containers a checkpoint batch carries: the default policy's
+/// `max_batch`, as a periphery chunks a FULL.
+const CHECKPOINT_BATCH: usize = 256;
+
+/// One record of the controller's journal as the reference sees it:
+/// what it does to an index, and how many bytes it frames to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum RefRecord {
+    /// A reset marker: the index empties.
+    Reset,
+    /// One host batch.
+    Batch {
+        host: u32,
+        full: bool,
+        /// One host's part of a checkpoint: counts as no view record.
+        checkpoint: bool,
+        entries: Vec<DeltaEntry>,
+        removed: Vec<u32>,
+    },
+}
+
+impl RefRecord {
+    /// Framed bytes: length word, kind, body, CRC.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            RefRecord::Reset => 4 + 1 + 8 + 4 + 4,
+            RefRecord::Batch {
+                entries, removed, ..
+            } => 4 + 1 + 4 + 1 + 4 + 36 * entries.len() + 4 + 4 * removed.len() + 4,
+        }
+    }
+
+    /// Apply to `index` the way the controller is specified to — a FULL
+    /// drops the absent ids, then `removed` is dropped, then the entries
+    /// are upserted in order — and return the view records it is worth.
+    pub(crate) fn apply(&self, index: &mut Index) -> u64 {
+        match self {
+            RefRecord::Reset => {
+                index.clear();
+                1
+            }
+            RefRecord::Batch {
+                host,
+                full,
+                checkpoint,
+                entries,
+                removed,
+            } => {
+                let containers = index.entry(*host).or_default();
+                let before = containers.len();
+                if *full {
+                    containers.retain(|id, _| entries.iter().any(|e| e.id == *id));
+                }
+                for id in removed {
+                    containers.remove(id);
+                }
+                let dropped = before - containers.len();
+                for e in entries {
+                    containers.insert(e.id, *e);
+                }
+                if *checkpoint {
+                    0
+                } else {
+                    (entries.len() + dropped) as u64
+                }
+            }
+        }
     }
 }
 
-/// host → container → entry; iteration is in packed-id order.
-pub(crate) type Index = BTreeMap<u32, BTreeMap<u32, DeltaEntry>>;
-
-/// The index as a checkpoint carries it.
-pub(crate) fn snapshot_of(index: &Index, tick: u64) -> Snapshot {
-    let mut snap = Snapshot::at(tick);
+/// The index as a checkpoint carries it: a reset marker, then each host
+/// holding containers, in chunks, the first one FULL.
+pub(crate) fn checkpoint_of(index: &Index) -> Vec<RefRecord> {
+    let mut records = vec![RefRecord::Reset];
     for (host, containers) in index {
-        snap.entries
-            .extend(containers.values().map(|e| packed(*host, e)));
+        let all: Vec<DeltaEntry> = containers.values().copied().collect();
+        for (i, part) in all.chunks(CHECKPOINT_BATCH).enumerate() {
+            records.push(RefRecord::Batch {
+                host: *host,
+                full: i == 0,
+                checkpoint: true,
+                entries: part.to_vec(),
+                removed: Vec::new(),
+            });
+        }
     }
-    snap
+    records
+}
+
+/// What `records` leave in an empty index.
+pub(crate) fn replay(records: &[RefRecord]) -> Index {
+    let mut index = Index::new();
+    for r in records {
+        r.apply(&mut index);
+    }
+    index
 }
 
 #[derive(Default)]
@@ -300,19 +375,27 @@ pub(crate) struct RecordHost {
     pub(crate) needs_resync: bool,
 }
 
-/// A journaling, replicating primary as it was when every record was
-/// encoded on its own: one `Journal::append_*` and one `encode_record`
-/// per record, the outbox a `Vec` of record `Vec`s.
+/// A REPL frame as the reference drains it: its records, and its byte
+/// length.
+pub(crate) struct RefFrame {
+    pub(crate) records: Vec<RefRecord>,
+    pub(crate) len: usize,
+}
+
+/// A journaling, replicating primary over `BTreeMap`s: the journal and
+/// the outbox are lists of [`RefRecord`]s.
 pub(crate) struct RecordPrimary {
     pub(crate) hosts: BTreeMap<u32, RecordHost>,
     pub(crate) index: Index,
-    pub(crate) journal: Journal,
+    /// The journal's records, from its last checkpoint on.
+    pub(crate) journal: Vec<RefRecord>,
     every: u64,
     last_checkpoint: u64,
     now: u64,
-    outbox: Vec<Vec<u8>>,
+    outbox: Vec<RefRecord>,
+    /// View records the outbox holds.
+    outbox_records: u64,
     heard: BTreeSet<u32>,
-    next_seq: u64,
     send_snapshot: bool,
     pub(crate) streamed: u64,
 }
@@ -320,125 +403,90 @@ pub(crate) struct RecordPrimary {
 impl RecordPrimary {
     /// Journal on, checkpointing every `every` ticks; replication on.
     pub(crate) fn new(every: u64) -> RecordPrimary {
-        let mut journal = Journal::new();
-        journal.checkpoint(&Snapshot::at(0)).expect("mem store");
         RecordPrimary {
             hosts: BTreeMap::new(),
             index: Index::new(),
-            journal,
+            journal: vec![RefRecord::Reset],
             every,
             last_checkpoint: 0,
             now: 0,
             outbox: Vec::new(),
+            outbox_records: 0,
             heard: BTreeSet::new(),
-            next_seq: 0,
             send_snapshot: true,
             streamed: 0,
         }
     }
 
-    /// Apply one DELTA: `None` if it names a host, container or tenant
-    /// id wider than the 16 bits a record packs it into (refused whole,
-    /// nothing moves), else whether it was accepted (else the ACK
-    /// demands a resync).
-    pub(crate) fn handle_delta(&mut self, d: &Delta) -> Option<bool> {
-        let fits = |id: u32| id <= 0xFFFF;
-        if !(fits(d.host)
-            && d.entries.iter().all(|e| fits(e.id) && fits(e.tenant))
-            && d.removed.iter().all(|id| fits(*id)))
-        {
-            return None;
-        }
+    /// Apply one DELTA; whether it was accepted (else the ACK demands a
+    /// resync).
+    pub(crate) fn handle_delta(&mut self, d: &Delta) -> bool {
         let host = self.hosts.entry(d.host).or_default();
-        let containers = self.index.entry(d.host).or_default();
+        self.index.entry(d.host).or_default();
         if !(d.full || (d.seq == host.expected_seq && !host.needs_resync)) {
             host.needs_resync = true;
-            return Some(false);
+            return false;
         }
-        let mut removals: Vec<u32> = Vec::new();
         if d.full {
-            // The replaced code took these in `HashMap` order; any order
-            // was right, so the reference fixes the sorted one.
-            removals.extend(
-                containers
-                    .keys()
-                    .filter(|id| !d.entries.iter().any(|e| e.id == **id)),
-            );
-            for id in &removals {
-                containers.remove(id);
-            }
             host.needs_resync = false;
             host.expected_seq = d.seq + 1;
         } else {
             host.expected_seq += 1;
         }
-        for id in &d.removed {
-            if containers.remove(id).is_some() {
-                removals.push(*id);
-            }
-        }
-        for e in &d.entries {
-            containers.insert(e.id, *e);
-        }
+        let record = RefRecord::Batch {
+            host: d.host,
+            full: d.full,
+            checkpoint: false,
+            entries: d.entries.clone(),
+            removed: d.removed.clone(),
+        };
+        self.outbox_records += record.apply(&mut self.index);
         self.heard.insert(d.host);
-        for id in removals.iter().map(|id| (d.host << 16) | id) {
-            self.journal.append_remove(id).expect("mem store");
-            self.outbox.push(encode_record(&Record::Remove(id)));
+        if d.full || !d.entries.is_empty() || !d.removed.is_empty() {
+            self.journal.push(record.clone());
+            self.outbox.push(record);
         }
-        for state in d.entries.iter().map(|e| packed(d.host, e)) {
-            let tick = self.now;
-            self.journal.append_delta(&state, tick).expect("mem store");
-            self.outbox
-                .push(encode_record(&Record::Delta { state, tick }));
-        }
-        Some(true)
+        true
     }
 
-    /// One aggregation period: group-commit, checkpoint on the cadence.
+    /// One aggregation period: checkpoint on the cadence.
     pub(crate) fn advance_tick(&mut self) {
         self.now += 1;
-        self.journal.sync().expect("mem store");
         if self.now - self.last_checkpoint >= self.every {
-            let snap = snapshot_of(&self.index, self.now);
-            self.journal.checkpoint(&snap).expect("mem store");
+            self.journal = checkpoint_of(&self.index);
             self.last_checkpoint = self.now;
         }
     }
 
-    /// Drain the outbox into REPL frames, record `Vec` by record `Vec`.
-    pub(crate) fn take_repl_frames(&mut self) -> Vec<Vec<u8>> {
+    /// Drain the outbox into REPL frames, chunked at record boundaries
+    /// under the frame budget, the heard list on the last.
+    pub(crate) fn take_repl_frames(&mut self) -> Vec<RefFrame> {
         if self.send_snapshot {
             self.send_snapshot = false;
-            self.outbox.clear();
-            let snap = snapshot_of(&self.index, self.now);
-            self.outbox.push(encode_record(&Record::Checkpoint(snap)));
+            self.outbox = checkpoint_of(&self.index);
+            self.outbox_records = 1;
         }
         if self.outbox.is_empty() && self.heard.is_empty() {
             return Vec::new();
         }
-        let records = std::mem::take(&mut self.outbox);
-        let heard: Vec<u32> = std::mem::take(&mut self.heard).into_iter().collect();
-        self.streamed += records.len() as u64;
-        let budget = (MAX_FLEET_FRAME as usize).saturating_sub(64 + 4 * heard.len());
+        self.streamed += std::mem::take(&mut self.outbox_records);
+        let heard = std::mem::take(&mut self.heard).len();
+        let budget = (MAX_FLEET_FRAME as usize).saturating_sub(64 + 4 * heard);
         let mut frames = Vec::new();
-        let mut frame = |heard: Vec<u32>, records: Vec<u8>| {
-            frames.push(encode_repl_parts(
-                0,
-                self.next_seq,
-                self.now,
-                &heard,
-                &records,
-            ));
-            self.next_seq += 1;
-        };
-        let mut cur: Vec<u8> = Vec::new();
-        for rec in records {
-            if !cur.is_empty() && cur.len() + rec.len() > budget {
-                frame(Vec::new(), std::mem::take(&mut cur));
+        let mut cur: Vec<RefRecord> = Vec::new();
+        let bytes = |records: &[RefRecord]| records.iter().map(RefRecord::len).sum::<usize>();
+        for rec in std::mem::take(&mut self.outbox) {
+            if !cur.is_empty() && bytes(&cur) + rec.len() > budget {
+                let len = 29 + bytes(&cur);
+                frames.push(RefFrame {
+                    records: std::mem::take(&mut cur),
+                    len,
+                });
             }
-            cur.extend_from_slice(&rec);
+            cur.push(rec);
         }
-        frame(heard, cur);
+        let len = 29 + 4 * heard + bytes(&cur);
+        frames.push(RefFrame { records: cur, len });
         frames
     }
 
@@ -446,16 +494,15 @@ impl RecordPrimary {
     pub(crate) fn handle_repl_ack(&mut self, ack: &Ack) {
         if ack.resync {
             self.send_snapshot = true;
-            self.next_seq = self.next_seq.max(ack.expected_seq);
         }
     }
 }
 
-/// A shadow-journaling standby as it was when every applied record was
-/// looked up, applied and re-encoded on its own.
+/// A standby over `BTreeMap`s, fed the real frame's bytes (for its
+/// header and how many of its record bytes arrived) beside the
+/// reference's records for it.
 pub(crate) struct RecordStandby {
     pub(crate) index: Index,
-    pub(crate) journal: Journal,
     pub(crate) expected_seq: u64,
     need_snapshot: bool,
     pub(crate) applied: u64,
@@ -464,11 +511,8 @@ pub(crate) struct RecordStandby {
 
 impl RecordStandby {
     pub(crate) fn new() -> RecordStandby {
-        let mut journal = Journal::new();
-        journal.checkpoint(&Snapshot::at(0)).expect("mem store");
         RecordStandby {
             index: Index::new(),
-            journal,
             expected_seq: 0,
             need_snapshot: false,
             applied: 0,
@@ -476,64 +520,39 @@ impl RecordStandby {
         }
     }
 
-    fn upsert(&mut self, e: &ViewState) {
-        let entry = DeltaEntry {
-            id: e.id & 0xFFFF,
-            tenant: (e.last_tick >> 48) as u32,
-            e_cpu: e.e_cpu,
-            e_mem: e.e_mem,
-            e_avail: e.e_avail,
-            last_tick: e.last_tick & TICK_MASK,
-        };
-        self.index
-            .entry(e.id >> 16)
-            .or_default()
-            .insert(entry.id, entry);
-    }
-
-    /// Apply one REPL frame; the ACK's `(expected_seq, resync)`, or
-    /// `None` if the frame does not decode.
-    pub(crate) fn handle_repl(&mut self, frame: &[u8]) -> Option<(u64, bool)> {
+    /// Apply the whole records of `records` that `frame` (possibly torn)
+    /// still holds; the ACK's `(expected_seq, resync)`, or `None` if the
+    /// frame does not decode.
+    pub(crate) fn handle_repl(
+        &mut self,
+        frame: &[u8],
+        records: &[RefRecord],
+    ) -> Option<(u64, bool)> {
         let Some(Frame::Repl(r)) = decode_frame(frame) else {
             return None;
         };
-        let scan = decode_records(&r.records);
-        let checkpoint_led = matches!(scan.records.first(), Some(Record::Checkpoint(_)));
+        let (mut whole, mut end) = (0, 0);
+        while let Some(rec) = records.get(whole) {
+            if end + rec.len() > r.records.len() {
+                break;
+            }
+            end += rec.len();
+            whole += 1;
+        }
+        let records = &records[..whole];
+        let checkpoint_led = records.first() == Some(&RefRecord::Reset);
         let in_order = r.repl_seq == self.expected_seq && !self.need_snapshot;
         if !in_order && !checkpoint_led {
             self.need_snapshot = true;
             return Some((self.expected_seq, true));
         }
         self.expected_seq = r.repl_seq + 1;
-        self.need_snapshot = false;
-        for record in &scan.records {
-            match record {
-                Record::Checkpoint(snap) => {
-                    self.index.clear();
-                    for e in &snap.entries {
-                        self.upsert(e);
-                    }
-                    self.journal.checkpoint(snap)
-                }
-                Record::Delta { state, tick } => {
-                    self.upsert(state);
-                    self.journal.append_delta(state, *tick)
-                }
-                Record::Remove(packed) => {
-                    if let Some(containers) = self.index.get_mut(&(packed >> 16)) {
-                        containers.remove(&(packed & 0xFFFF));
-                    }
-                    self.journal.append_remove(*packed)
-                }
-            }
-            .expect("mem store");
+        for rec in records {
+            self.applied += rec.apply(&mut self.index);
         }
-        self.journal.sync().expect("mem store");
-        self.applied += scan.records.len() as u64;
-        if scan.truncated > 0 {
-            self.truncated += 1;
-            self.need_snapshot = true;
-        }
-        Some((self.expected_seq, scan.truncated > 0))
+        let torn = end < r.records.len();
+        self.truncated += u64::from(torn);
+        self.need_snapshot = torn;
+        Some((self.expected_seq, torn))
     }
 }

@@ -1,6 +1,7 @@
-//! Allocation guard for the fleet half of the propagation path: heap
-//! allocations are counted, not timed, so a regression to a buffer per
-//! record cannot hide in machine noise.
+//! Allocation guard for the fleet half of the propagation path —
+//! periphery, primary ingest and standby apply: heap allocations are
+//! counted, not timed, so a regression to a buffer per record cannot
+//! hide in machine noise.
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! The count is per thread, so the tests may run side by side.
@@ -58,8 +59,12 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 fn delta(seq: u64, entries: u32, bump: u32) -> Vec<u8> {
+    delta_from(1, seq, entries, bump)
+}
+
+fn delta_from(host: u32, seq: u64, entries: u32, bump: u32) -> Vec<u8> {
     encode_delta(&Delta {
-        host: 1,
+        host,
         seq,
         tick: seq,
         full: seq == 0,
@@ -121,6 +126,58 @@ fn ingest_allocations_do_not_grow_with_the_entries_in_a_frame() {
         "both frames were replicated"
     );
     assert_eq!(ctl.metrics().snapshot().journal_io_errors, 0);
+}
+
+/// A standby applies a REPL frame straight from its bytes: the frame's
+/// record bytes, its heard list and the ACK are the three allocations,
+/// whatever the number of host batches it carries. Decoding every record
+/// into a growing `Vec` of records first (and the heard list into a
+/// growing `Vec` too) made 6 for a frame of 1 batch of 10 entries and 19
+/// for one of 200 such batches.
+#[test]
+fn applying_a_repl_frame_allocates_the_same_for_1_or_200_batches() {
+    const HOSTS: u32 = 200;
+    let primary = FleetController::new(4, FleetPolicy::default());
+    primary.enable_replication();
+    let standby = FleetController::new(4, FleetPolicy::default());
+    let mut seq = [0; HOSTS as usize];
+    let mut round = |hosts: u32| {
+        for host in 0..hosts {
+            let next = &mut seq[host as usize];
+            let resp = primary
+                .handle_frame(&delta_from(host, *next, 10, *next as u32))
+                .expect("ACK");
+            assert!(matches!(decode_frame(&resp), Some(Frame::Ack(a)) if !a.resync));
+            *next += 1;
+        }
+        let frames = primary.take_repl_frames();
+        assert_eq!(frames.len(), 1);
+        frames
+    };
+    // Warm: every host and its containers are known to the standby.
+    for _ in 0..3 {
+        for frame in round(HOSTS) {
+            standby.handle_frame(&frame).expect("ACK");
+        }
+    }
+    let apply = |frames: Vec<Vec<u8>>| {
+        let (n, resp) = allocations(|| standby.handle_frame(&frames[0]));
+        assert!(matches!(decode_frame(&resp.expect("ACK")), Some(Frame::Ack(a)) if !a.resync));
+        n
+    };
+    // Host 0 alone, then every host: both in sequence for the standby.
+    let one = round(1);
+    let one = apply(one);
+    let all = round(HOSTS);
+    let all = apply(all);
+    assert!(
+        all <= one + 2,
+        "a frame of {HOSTS} batches made {all} allocations, one of 1 batch {one}"
+    );
+    assert_eq!(
+        standby.metrics().snapshot().repl_records_applied,
+        primary.metrics().snapshot().repl_records_streamed
+    );
 }
 
 #[test]

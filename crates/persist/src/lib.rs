@@ -21,6 +21,25 @@
 //! The CRC32 (IEEE, reflected, polynomial `0xEDB88320`) covers the
 //! length prefix *and* the body, so a torn length word is caught too.
 //!
+//! Two formats share the framing; the header's version says which one a
+//! file holds, and a reader refuses the other:
+//!
+//! - **[`VERSION`] 1, a host journal.** Kind 1 is a checkpoint (`tick
+//!   u64 | count u32 | count × state`, replacing all prior state), kind 2
+//!   one container's refreshed view (`tick u64 | state`), kind 3 a
+//!   removal (`id u32`); `state := id u32 | e_cpu u32 | e_mem u64 |
+//!   e_avail u64 | last_tick u64`. [`restore`] folds them into a
+//!   [`Snapshot`].
+//! - **[`BATCH_VERSION`] 2, a batch journal.** A checkpoint record with
+//!   no entries is a *reset marker* (everything before it is superseded;
+//!   its tick is the checkpoint's), and kind 4 ([`KIND_HOST_BATCH`]) is
+//!   a *host batch* whose body this crate does not read: its owner (the
+//!   fleet controller) lays it out and applies it. Such a journal is
+//!   walked with [`journal_records`].
+//!
+//! [`records`] walks any stream of records, verified one by one, and
+//! yields each as a `(kind, body)` slice of the input.
+//!
 //! # Crash tolerance
 //!
 //! A journal may be cut at **any byte offset** (torn tail after a
@@ -49,34 +68,35 @@ pub use store::{FaultyStore, MemStore, Store, StoreError, StoreFaultStats, Store
 
 /// File magic: `b"AVRJ"` as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"AVRJ");
-/// Current journal format version.
+/// Format version of a host journal: checkpoint, delta and removal
+/// records.
 pub const VERSION: u32 = 1;
+/// Format version of a batch journal: reset markers and host batches.
+pub const BATCH_VERSION: u32 = 2;
 /// Upper bound on a single record body (corrupt length words must not
 /// cause huge allocations during restore).
 pub const MAX_RECORD: usize = 1 << 20;
 
-/// The file header every journal starts with: magic, then version.
-const HEADER: [u8; 8] = ((VERSION as u64) << 32 | MAGIC as u64).to_le_bytes();
+/// Bytes of a journal file's header: magic, then version.
+const HEADER_BYTES: usize = 8;
 
-const KIND_CHECKPOINT: u8 = 1;
+/// The header a journal of format `version` starts with.
+fn header(version: u32) -> [u8; HEADER_BYTES] {
+    (u64::from(version) << 32 | u64::from(MAGIC)).to_le_bytes()
+}
+
+/// Record kind: a checkpoint (in a batch journal, a reset marker).
+pub const KIND_CHECKPOINT: u8 = 1;
 const KIND_DELTA: u8 = 2;
 const KIND_REMOVE: u8 = 3;
+/// Record kind: a host batch, opaque to this crate.
+pub const KIND_HOST_BATCH: u8 = 4;
 
-/// One decoded journal record. The journal's own [`restore`] folds
-/// records into a snapshot; replication streams ship them raw so a
-/// standby can fold them into a *live* index instead.
+/// One decoded host-journal record, as [`restore`] folds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Record {
-    /// A full compacted snapshot (replaces all prior state).
+enum Record {
     Checkpoint(Snapshot),
-    /// One container's refreshed view at `tick`.
-    Delta {
-        /// The refreshed state.
-        state: ViewState,
-        /// Journal-clock tick of the refresh.
-        tick: u64,
-    },
-    /// A container removal.
+    Delta { state: ViewState, tick: u64 },
     Remove(u32),
 }
 
@@ -117,9 +137,10 @@ pub fn frame_remove(out: &mut Vec<u8>, id: u32) {
     });
 }
 
-/// Append one framed checkpoint record (a full snapshot) to `out`.
+/// Append one framed checkpoint record (a full snapshot) to `out`; a
+/// snapshot with no entries is a batch journal's reset marker.
 pub fn frame_checkpoint(out: &mut Vec<u8>, snap: &Snapshot) {
-    frame(out, 1 + 8 + 4 + snap.entries.len() * STATE_BYTES, |b| {
+    frame(out, checkpoint_body_len(snap), |b| {
         b.push(KIND_CHECKPOINT);
         b.extend_from_slice(&snap.tick.to_le_bytes());
         b.extend_from_slice(&(snap.entries.len() as u32).to_le_bytes());
@@ -129,19 +150,24 @@ pub fn frame_checkpoint(out: &mut Vec<u8>, snap: &Snapshot) {
     });
 }
 
-/// Encode one record in the journal's CRC-framed record format
-/// (`len | body | crc32`, no file header): a one-record use of the
-/// writer behind [`frame_delta`], [`frame_remove`] and
-/// [`frame_checkpoint`], so a replication stream and the journal cannot
-/// drift in format.
-pub fn encode_record(r: &Record) -> Vec<u8> {
-    let mut out = Vec::new();
-    match r {
-        Record::Checkpoint(snap) => frame_checkpoint(&mut out, snap),
-        Record::Delta { state, tick } => frame_delta(&mut out, state, *tick),
-        Record::Remove(id) => frame_remove(&mut out, *id),
-    }
-    out
+fn checkpoint_body_len(snap: &Snapshot) -> usize {
+    1 + 8 + 4 + snap.entries.len() * STATE_BYTES
+}
+
+/// Append one framed host-batch record to `out`: the kind byte, then the
+/// `body_len` bytes `body` writes, which this crate never reads.
+pub fn frame_host_batch(out: &mut Vec<u8>, body_len: usize, body: impl FnOnce(&mut Vec<u8>)) {
+    frame(out, 1 + body_len, |b| {
+        b.push(KIND_HOST_BATCH);
+        body(b);
+    });
+}
+
+/// The tick of a reset marker's body: a checkpoint record with no
+/// entries. `None` for any other body.
+pub fn reset_tick(body: &[u8]) -> Option<u64> {
+    let (tick, count) = (body.get(..8)?, body.get(8..)?);
+    (count == [0; 4]).then(|| u64::from_le_bytes(tick.try_into().unwrap_or_default()))
 }
 
 /// Byte length of the framed record at the head of `bytes`, read off its
@@ -153,55 +179,120 @@ pub fn framed_len(bytes: &[u8]) -> Option<usize> {
     (end <= bytes.len()).then_some(end)
 }
 
-/// What a [`decode_records`] scan recovered from a bare record stream.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecordScan {
-    /// Records decoded in order, up to the first bad frame.
-    pub records: Vec<Record>,
-    /// 1 if the stream ended in a torn or corrupt frame (everything
-    /// from that frame on is dropped), else 0.
-    pub truncated: u64,
-    /// Bytes of the stream that `records` were decoded from: the
-    /// verified prefix, always a whole number of records.
-    pub verified_len: usize,
+/// A walk over a bare stream of CRC-framed records (no file header), as
+/// a journal holds them after its header and a replication frame
+/// carries them. Each step verifies one record and yields its kind and
+/// body, borrowed from the stream; nothing is allocated. The walk stops
+/// at the first record that is torn, longer than [`MAX_RECORD`], empty,
+/// or fails its CRC, and [`torn`](Records::torn) then says so. Never
+/// panics, for any input bytes.
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    torn: bool,
 }
 
-/// Decode a bare stream of CRC-framed records (no file header), as
-/// carried by a replication frame. Stops at the first torn or corrupt
-/// frame and reports it; never panics, never allocates past
-/// [`MAX_RECORD`] per frame, for any input bytes.
-pub fn decode_records(bytes: &[u8]) -> RecordScan {
-    let mut scan = RecordScan::default();
-    let mut c = Cursor { bytes, pos: 0 };
-    while c.pos < bytes.len() {
-        let Some(record) = next_record(&mut c) else {
-            scan.truncated = 1;
-            break;
-        };
-        scan.records.push(record);
-        scan.verified_len = c.pos;
+/// Walk the records of `bytes` (see [`Records`]).
+pub fn records(bytes: &[u8]) -> Records<'_> {
+    Records {
+        bytes,
+        pos: 0,
+        torn: false,
     }
-    scan
 }
 
-/// Decode the record at the cursor; `None` if it is torn, fails its
-/// CRC, or is of no kind this version knows — a later format, or
-/// corruption the CRC happened to miss. The prefix before it is good.
-fn next_record(c: &mut Cursor<'_>) -> Option<Record> {
-    let start = c.pos;
-    let len = c.u32()? as usize;
-    if len > MAX_RECORD {
-        return None;
+impl<'a> Records<'a> {
+    /// Bytes of the stream walked so far: the verified prefix, always a
+    /// whole number of records.
+    pub fn verified_len(&self) -> usize {
+        self.pos
     }
-    let body = c.take(len)?;
-    if crc32::checksum(&c.bytes[start..start + 4 + len]) != c.u32()? {
-        return None;
+
+    /// Whether the walk stopped at a torn or corrupt record (everything
+    /// from it on is dropped) rather than at the end of the stream.
+    pub fn torn(&self) -> bool {
+        self.torn
     }
+
+    fn verify(&self) -> Option<(u8, &'a [u8], usize)> {
+        let rest = &self.bytes[self.pos..];
+        let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
+        if len == 0 || len > MAX_RECORD {
+            return None;
+        }
+        let body = rest.get(4..4 + len)?;
+        let crc = rest.get(4 + len..8 + len)?;
+        if crc32::checksum(&rest[..4 + len]).to_le_bytes() != crc {
+            return None;
+        }
+        Some((body[0], &body[1..], 8 + len))
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (u8, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u8, &'a [u8])> {
+        if self.torn || self.pos == self.bytes.len() {
+            return None;
+        }
+        match self.verify() {
+            Some((kind, body, len)) => {
+                self.pos += len;
+                Some((kind, body))
+            }
+            None => {
+                self.torn = true;
+                None
+            }
+        }
+    }
+}
+
+/// A journal refused for its header: it is not the format asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForeignJournal {
+    /// The first eight bytes found where the header should be (fewer
+    /// if the bytes end sooner).
+    pub found: [u8; HEADER_BYTES],
+}
+
+impl std::fmt::Display for ForeignJournal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "not a journal of the expected format: header {:02x?}",
+            self.found
+        )
+    }
+}
+
+impl std::error::Error for ForeignJournal {}
+
+/// The records of a journal of format `version`: a walk over everything
+/// after its header. A journal cut inside its own header holds no
+/// records; any other header is refused, before any record is read.
+pub fn journal_records(bytes: &[u8], version: u32) -> Result<Records<'_>, ForeignJournal> {
+    let want = header(version);
+    let head = &bytes[..bytes.len().min(HEADER_BYTES)];
+    if !want.starts_with(head) {
+        let mut found = [0; HEADER_BYTES];
+        found[..head.len()].copy_from_slice(head);
+        return Err(ForeignJournal { found });
+    }
+    Ok(records(&bytes[head.len()..]))
+}
+
+/// Decode one host-journal record; `None` if it is of no kind this
+/// version knows — a later format, or corruption the CRC happened to
+/// miss. The prefix before it is good.
+fn decode_record(kind: u8, body: &[u8]) -> Option<Record> {
     let mut rc = Cursor {
         bytes: body,
         pos: 0,
     };
-    match rc.u8()? {
+    match kind {
         KIND_CHECKPOINT => decode_checkpoint(&mut rc).map(Record::Checkpoint),
         KIND_DELTA => {
             let tick = rc.u64()?;
@@ -355,6 +446,9 @@ pub mod store {
         TornWrite,
         /// `sync` could not flush; the durable watermark did not move.
         SyncStalled,
+        /// The record is larger than [`MAX_RECORD`](crate::MAX_RECORD),
+        /// so no reader would take it back; nothing was written.
+        RecordTooLarge,
     }
 
     impl StoreError {
@@ -366,6 +460,7 @@ pub mod store {
                 StoreError::WriteFailed | StoreError::NoSpace => std::io::ErrorKind::Other,
                 StoreError::TornWrite => std::io::ErrorKind::WriteZero,
                 StoreError::SyncStalled => std::io::ErrorKind::TimedOut,
+                StoreError::RecordTooLarge => std::io::ErrorKind::InvalidInput,
             }
         }
     }
@@ -377,6 +472,9 @@ pub mod store {
                 StoreError::NoSpace => write!(f, "store device full"),
                 StoreError::TornWrite => write!(f, "store append torn short"),
                 StoreError::SyncStalled => write!(f, "store sync stalled"),
+                StoreError::RecordTooLarge => {
+                    write!(f, "record larger than a journal record may be")
+                }
             }
         }
     }
@@ -869,6 +967,8 @@ pub struct Journal {
     store: Box<dyn Store>,
     /// Where single records are framed before they go to the store.
     scratch: Vec<u8>,
+    /// The header this journal's file starts with: its format.
+    header: [u8; HEADER_BYTES],
     /// Whether the store holds a synced header; until it does, each
     /// checkpoint lays one.
     headed: bool,
@@ -886,15 +986,25 @@ impl Journal {
         Journal::with_store(Box::new(MemStore::new())).0
     }
 
-    /// An empty journal on `store`: the file is reset to the format
-    /// header, and the second value says whether the store took it. A
-    /// refused header keeps the store: the next
+    /// An empty host journal ([`VERSION`]) on `store`: the file is reset
+    /// to the format header, and the second value says whether the store
+    /// took it. A refused header keeps the store: the next
     /// [`checkpoint`](Journal::checkpoint) lays the header with its
     /// record, so the journal is durable again once the store is.
     pub fn with_store(store: Box<dyn Store>) -> (Journal, Result<(), StoreError>) {
+        Journal::with_store_version(store, VERSION)
+    }
+
+    /// [`with_store`](Journal::with_store) for a journal of format
+    /// `version` ([`VERSION`] or [`BATCH_VERSION`]).
+    fn with_store_version(
+        store: Box<dyn Store>,
+        version: u32,
+    ) -> (Journal, Result<(), StoreError>) {
         let mut journal = Journal {
             store,
             scratch: Vec::new(),
+            header: header(version),
             headed: false,
         };
         let header = journal.lay_header();
@@ -903,7 +1013,7 @@ impl Journal {
 
     fn lay_header(&mut self) -> Result<(), StoreError> {
         self.store.truncate(0)?;
-        self.store.append(&HEADER)?;
+        self.store.append(&self.header)?;
         self.store.sync()?;
         self.headed = true;
         Ok(())
@@ -926,25 +1036,42 @@ impl Journal {
 
     /// Whether the journal holds only the header (or less).
     pub fn is_empty(&self) -> bool {
-        self.store.read().len() <= 8
+        self.store.read().len() <= HEADER_BYTES
     }
 
     /// Write a compacted checkpoint: the file is reset to the header
     /// plus this single snapshot record, discarding older history, and
     /// synced through to the medium. A journal whose header the store
-    /// refused writes the header too, in the same append.
+    /// refused writes the header too, in the same append. A snapshot
+    /// whose record would exceed [`MAX_RECORD`] — one [`restore`] could
+    /// not read back — is refused with [`StoreError::RecordTooLarge`]
+    /// before the file is touched.
     pub fn checkpoint(&mut self, snap: &Snapshot) -> Result<(), StoreError> {
+        if checkpoint_body_len(snap) > MAX_RECORD {
+            return Err(StoreError::RecordTooLarge);
+        }
         // A snapshot's worth of bytes, once per cadence: not worth
         // keeping in `scratch` between checkpoints.
-        let mut buf = Vec::new();
+        let mut record = Vec::new();
+        frame_checkpoint(&mut record, snap);
+        self.compact(&record)
+    }
+
+    /// Compact the file to the header plus `records`, already framed
+    /// and led by a checkpoint record, in one append, synced through to
+    /// the medium. A journal whose header the store refused writes the
+    /// header too, in the same append.
+    fn compact(&mut self, records: &[u8]) -> Result<(), StoreError> {
         if self.headed {
-            self.store.truncate(HEADER.len())?;
+            self.store.truncate(HEADER_BYTES)?;
+            self.store.append(records)?;
         } else {
             self.store.truncate(0)?;
-            buf.extend_from_slice(&HEADER);
+            let mut buf = Vec::with_capacity(HEADER_BYTES + records.len());
+            buf.extend_from_slice(&self.header);
+            buf.extend_from_slice(records);
+            self.store.append(&buf)?;
         }
-        frame_checkpoint(&mut buf, snap);
-        self.store.append(&buf)?;
         self.store.sync()?;
         self.headed = true;
         Ok(())
@@ -967,12 +1094,12 @@ impl Journal {
     }
 
     /// Append a batch of records already framed by [`frame_delta`] /
-    /// [`frame_remove`] (or the verified prefix of a
-    /// [`decode_records`] scan) with **one** store write, unsynced
-    /// until the next [`sync`](Journal::sync) or checkpoint. A write the
-    /// store tears leaves a prefix of the batch behind, which
-    /// [`restore`] reads as its whole records and one torn tail. An
-    /// empty batch is no write at all.
+    /// [`frame_remove`] / [`frame_host_batch`] (or the verified prefix
+    /// of a [`records`] walk) with **one** store write, unsynced until
+    /// the next [`sync`](Journal::sync) or checkpoint. A write the store
+    /// tears leaves a prefix of the batch behind, which a reader walks
+    /// as its whole records and one torn tail. An empty batch is no
+    /// write at all.
     pub fn append_framed(&mut self, records: &[u8]) -> Result<(), StoreError> {
         if records.is_empty() {
             return Ok(());
@@ -1031,20 +1158,45 @@ pub struct DurableJournal {
 }
 
 impl DurableJournal {
-    /// Open a journal on `store` checkpointing every `every` ticks
+    /// Open a host journal on `store` checkpointing every `every` ticks
     /// (at least 1), seeded with a checkpoint of `seed` taken at
     /// `seed.tick`. A store that refuses the setup starts the journal
     /// degraded, and the [`Edge::Lost`] is returned for reporting.
     pub fn open(store: Box<dyn Store>, every: u64, seed: &Snapshot) -> (Self, Option<Edge>) {
-        let (journal, header) = Journal::with_store(store);
+        DurableJournal::open_with(store, VERSION, every, seed.tick, |d| {
+            d.checkpoint(seed, seed.tick)
+        })
+    }
+
+    /// Open a batch journal ([`BATCH_VERSION`]) on `store`, checkpointing
+    /// every `every` ticks (at least 1), seeded with the checkpoint
+    /// records `seed` (a reset marker first) taken at tick `now`. Setup
+    /// refusals as for [`open`](DurableJournal::open).
+    pub fn open_batch(
+        store: Box<dyn Store>,
+        every: u64,
+        now: u64,
+        seed: &[u8],
+    ) -> (Self, Option<Edge>) {
+        DurableJournal::open_with(store, BATCH_VERSION, every, now, |d| d.compact(seed, now))
+    }
+
+    fn open_with(
+        store: Box<dyn Store>,
+        version: u32,
+        every: u64,
+        now: u64,
+        seed: impl FnOnce(&mut DurableJournal) -> Result<(), StoreError>,
+    ) -> (Self, Option<Edge>) {
+        let (journal, header) = Journal::with_store_version(store, version);
         let mut durable = DurableJournal {
             journal,
             every: every.max(1),
-            last_checkpoint: seed.tick,
+            last_checkpoint: now,
             degraded: false,
             io_errors: 0,
         };
-        let setup = header.and_then(|()| durable.checkpoint(seed, seed.tick));
+        let setup = header.and_then(|()| seed(&mut durable));
         let edge = durable.settle(setup, true);
         (durable, edge)
     }
@@ -1075,22 +1227,35 @@ impl DurableJournal {
         Ok(())
     }
 
-    /// Shadow-journal the verified prefix `raw` of a replication stream,
-    /// decoded as `records`: a checkpoint record compacts the file (and
-    /// supersedes whatever the stream held before it); the records after
-    /// the last one go in as they came, in one write. Stops at the first
-    /// store error; syncs when there is none.
-    pub fn shadow(&mut self, raw: &[u8], records: &[Record], now: u64) -> Result<(), StoreError> {
-        let (mut tail, mut at) = (0, 0);
-        for record in records {
-            at += framed_len(&raw[at..]).unwrap_or(0);
-            if let Record::Checkpoint(snap) = record {
-                self.checkpoint(snap, now)?;
-                tail = at;
+    /// [`checkpoint`](DurableJournal::checkpoint) from records already
+    /// framed, a checkpoint record first: the file becomes its header
+    /// plus `records`, in one append, synced.
+    pub fn compact(&mut self, records: &[u8], now: u64) -> Result<(), StoreError> {
+        self.journal.compact(records)?;
+        self.last_checkpoint = now;
+        Ok(())
+    }
+
+    /// Shadow-journal `raw`, the verified prefix of a replication stream:
+    /// from its last checkpoint record on, it compacts the file (the
+    /// stream supersedes whatever it held before); with none, it goes in
+    /// as it came. One write either way; stops at the first store error
+    /// and syncs when there is none.
+    pub fn shadow(&mut self, raw: &[u8], now: u64) -> Result<(), StoreError> {
+        let (mut last, mut at) = (None, 0);
+        while let Some(len) = framed_len(&raw[at..]) {
+            if raw.get(at + 4) == Some(&KIND_CHECKPOINT) {
+                last = Some(at);
+            }
+            at += len;
+        }
+        match last {
+            Some(at) => self.compact(&raw[at..], now),
+            None => {
+                self.journal.append_framed(raw)?;
+                self.journal.sync()
             }
         }
-        self.journal.append_framed(&raw[tail..])?;
-        self.journal.sync()
     }
 
     /// Judge one store interaction: an error counts, and flips a
@@ -1147,10 +1312,6 @@ impl<'a> Cursor<'a> {
         Some(s)
     }
 
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
     fn u32(&mut self) -> Option<u32> {
         self.take(4)
             .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
@@ -1185,17 +1346,17 @@ fn decode_state(c: &mut Cursor<'_>) -> Option<ViewState> {
 /// [`MAX_RECORD`] per frame.
 pub fn restore(bytes: &[u8]) -> RestoreReport {
     let mut report = RestoreReport::default();
-    let mut c = Cursor { bytes, pos: 0 };
-    if (c.u32(), c.u32()) != (Some(MAGIC), Some(VERSION)) {
+    let Some(body) = bytes.strip_prefix(&header(VERSION)) else {
         report.truncated_records = 1;
         return report;
-    }
-    while c.pos < bytes.len() {
-        let Some(record) = next_record(&mut c) else {
-            // Torn or corrupt tail: drop this frame and everything
-            // after it. One counter bump per discarded tail.
+    };
+    let mut walk = records(body);
+    for (kind, body) in &mut walk {
+        let Some(record) = decode_record(kind, body) else {
+            // A record of no kind this version knows ends the replay
+            // like a torn one.
             report.truncated_records += 1;
-            break;
+            return report;
         };
         match (record, &mut report.snapshot) {
             (Record::Checkpoint(snap), _) => {
@@ -1215,6 +1376,9 @@ pub fn restore(bytes: &[u8]) -> RestoreReport {
             (_, None) => {} // no checkpoint to apply it to: ignore
         }
     }
+    // Torn or corrupt tail: that frame and everything after it are
+    // dropped. One counter bump per discarded tail.
+    report.truncated_records += u64::from(walk.torn());
     report
 }
 
@@ -1488,6 +1652,44 @@ pub mod lease {
 mod tests {
     use super::*;
 
+    /// The framed bytes of one record.
+    fn encode_record(r: &Record) -> Vec<u8> {
+        let mut out = Vec::new();
+        match r {
+            Record::Checkpoint(snap) => frame_checkpoint(&mut out, snap),
+            Record::Delta { state, tick } => frame_delta(&mut out, state, *tick),
+            Record::Remove(id) => frame_remove(&mut out, *id),
+        }
+        out
+    }
+
+    /// What a walk of a bare record stream recovered, decoded the way
+    /// [`restore`] decodes each record.
+    struct Scan {
+        records: Vec<Record>,
+        truncated: u64,
+        verified_len: usize,
+    }
+
+    fn decode_records(bytes: &[u8]) -> Scan {
+        let mut walk = records(bytes);
+        let mut scan = Scan {
+            records: Vec::new(),
+            truncated: 0,
+            verified_len: 0,
+        };
+        while let Some((kind, body)) = walk.next() {
+            let Some(record) = decode_record(kind, body) else {
+                scan.truncated = 1;
+                return scan;
+            };
+            scan.records.push(record);
+            scan.verified_len = walk.verified_len();
+        }
+        scan.truncated = u64::from(walk.torn());
+        scan
+    }
+
     fn state(id: u32, cpu: u32, tick: u64) -> ViewState {
         ViewState {
             id,
@@ -1613,6 +1815,103 @@ mod tests {
         let r = restore(j.as_bytes());
         assert_eq!(r.snapshot, None);
         assert_eq!(r.truncated_records, 0);
+    }
+
+    #[test]
+    fn a_checkpoint_no_reader_could_take_back_is_refused() {
+        let big = |n: u32| Snapshot {
+            tick: 5,
+            entries: (0..n).map(|id| state(id, 2, 5)).collect(),
+        };
+        // 32 767 states are the most one record holds.
+        let mut j = Journal::new();
+        j.checkpoint(&big(32_767)).expect("fits one record");
+        let r = restore(j.as_bytes());
+        assert_eq!(r.snapshot.map(|s| s.entries.len()), Some(32_767));
+        // One more, and the old file is kept whole.
+        let before = j.as_bytes().to_vec();
+        assert_eq!(j.checkpoint(&big(32_768)), Err(StoreError::RecordTooLarge));
+        assert_eq!(j.as_bytes(), &before[..]);
+        // Under the ladder the refusal degrades and counts.
+        let (mut d, edge) = DurableJournal::open(Box::new(MemStore::new()), 4, &Snapshot::at(0));
+        assert_eq!(edge, None);
+        let result = d.checkpoint(&big(32_768), 4);
+        assert_eq!(d.settle(result, true), Some(Edge::Lost));
+        assert!(d.degraded() && d.due(5));
+        assert_eq!(d.io_errors(), 1);
+        let (_, edge) = DurableJournal::open(Box::new(MemStore::new()), 4, &big(32_768));
+        assert_eq!(edge, Some(Edge::Lost), "a seed too large for a record");
+    }
+
+    #[test]
+    fn a_batch_journal_walks_as_kind_and_body_and_refuses_other_headers() {
+        let mut seed = Vec::new();
+        frame_checkpoint(&mut seed, &Snapshot::at(7));
+        frame_host_batch(&mut seed, 3, |b| b.extend_from_slice(b"abc"));
+        let (mut d, edge) = DurableJournal::open_batch(Box::new(MemStore::new()), 4, 7, &seed);
+        assert_eq!(edge, None);
+        let mut tail = Vec::new();
+        frame_host_batch(&mut tail, 0, |_| {});
+        d.journal_mut().append_framed(&tail).expect("mem store");
+        let bytes = d.journal().as_bytes();
+        let walked: Vec<(u8, &[u8])> = journal_records(bytes, BATCH_VERSION)
+            .expect("a batch journal")
+            .collect();
+        assert_eq!(walked.len(), 3);
+        assert_eq!(walked[0].0, KIND_CHECKPOINT);
+        assert_eq!(reset_tick(walked[0].1), Some(7));
+        assert_eq!(walked[1], (KIND_HOST_BATCH, &b"abc"[..]));
+        assert_eq!(walked[2], (KIND_HOST_BATCH, &b""[..]));
+        // A host journal is not a batch journal, nor the other way.
+        let err = journal_records(Journal::new().as_bytes(), BATCH_VERSION).unwrap_err();
+        assert_eq!(err.found, header(VERSION));
+        assert!(journal_records(bytes, VERSION).is_err());
+        assert_eq!(restore(bytes).snapshot, None);
+        // Cut inside its own header, a journal holds nothing.
+        for cut in 0..HEADER_BYTES {
+            let walk = journal_records(&bytes[..cut], BATCH_VERSION).expect("own header");
+            assert_eq!(walk.count(), 0);
+        }
+        // A checkpoint with entries is no reset marker.
+        let mut full = Vec::new();
+        frame_checkpoint(
+            &mut full,
+            &Snapshot {
+                tick: 1,
+                entries: vec![state(1, 1, 1)],
+            },
+        );
+        let (_, body) = records(&full).next().expect("one record");
+        assert_eq!(reset_tick(body), None);
+    }
+
+    #[test]
+    fn a_shadow_compacts_from_the_streams_last_checkpoint() {
+        let (mut d, _) = DurableJournal::open_batch(Box::new(MemStore::new()), 4, 0, &[]);
+        let batch = |b: u8| {
+            let mut out = Vec::new();
+            frame_host_batch(&mut out, 1, |o| o.push(b));
+            out
+        };
+        let reset = |tick: u64| {
+            let mut out = Vec::new();
+            frame_checkpoint(&mut out, &Snapshot::at(tick));
+            out
+        };
+        d.shadow(&batch(1), 1).expect("mem store");
+        d.shadow(
+            &[batch(2), reset(2), batch(3), reset(3), batch(4)].concat(),
+            3,
+        )
+        .expect("mem store");
+        let kept: Vec<(u8, Vec<u8>)> = journal_records(d.journal().as_bytes(), BATCH_VERSION)
+            .expect("own header")
+            .map(|(k, b)| (k, b.to_vec()))
+            .collect();
+        assert_eq!(kept.len(), 2, "the last reset and what follows it");
+        assert_eq!(reset_tick(&kept[0].1), Some(3));
+        assert_eq!(kept[1], (KIND_HOST_BATCH, vec![4]));
+        assert_eq!(d.journal().durable_bytes(), d.journal().as_bytes());
     }
 
     mod journal_props {
