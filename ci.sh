@@ -31,6 +31,13 @@ cargo test -q -p arv-integration-tests --test fleet_failover_e2e
 echo "==> wire reactor e2e (hundreds of racing/slow/hostile clients on one daemon)"
 cargo test -q -p arv-integration-tests --test wire_reactor_e2e
 
+echo "==> every example, once, in release (each asserts its own accounting before exiting)"
+for src in examples/*.rs; do
+    example=$(basename "$src" .rs)
+    echo "  -> $example"
+    cargo run -q --release -p arv-experiments --example "$example" > /dev/null
+done
+
 echo "==> the paper's figures at full scale (the case studies read their views through sysconf)"
 cargo run -q --release -p arv-experiments --bin experiments -- \
     --fig 2a --fig 2b --fig 6 --fig 7 --fig 8 --fig 9 --fig 10 --fig 11 --fig 12 \

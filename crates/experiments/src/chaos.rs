@@ -20,7 +20,7 @@
 //! * **wire chaos** — corrupted and truncated frames (length prefix
 //!   included) hit the daemon's socket, then the daemon is killed and
 //!   restarted mid-stream. The server must reject hostile frames without
-//!   dropping other clients; [`arv_viewd::RobustWireClient`] must serve
+//!   dropping other clients; [`arv_viewd::WireClient`] must serve
 //!   its last-good answer (flagged degraded) during the outage and
 //!   reconnect on its own once the socket returns.
 
@@ -28,7 +28,7 @@ use arv_cgroups::CgroupId;
 use arv_container::{ContainerSpec, SimHost};
 use arv_resview::{Sysconf, ViewHealth, STALENESS_BUDGET};
 use arv_sim_core::{FaultConfig, FaultPlan};
-use arv_viewd::{HostSpec, RetryPolicy, RobustWireClient, ViewServer, WireServer, KIND_READ};
+use arv_viewd::{HostSpec, RetryPolicy, ViewServer, WireClient, WireServer, KIND_READ};
 
 use crate::campaign::{
     out_of_bounds, paper_container, rows, serve_one_view, step_busy, Campaign, Run, Scenario,
@@ -408,7 +408,7 @@ fn run_wire_chaos(seed: u64, replay: u32) -> WireChaosOutcome {
         jitter_seed: seed,
         ..RetryPolicy::fast_test()
     };
-    let mut client = RobustWireClient::new(&socket, retry);
+    let mut client = WireClient::new(&socket, retry);
     // Baseline requests prime the client's last-good cache.
     for _ in 0..3 {
         let resp = client

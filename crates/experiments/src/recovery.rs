@@ -27,7 +27,7 @@ use arv_cgroups::CgroupId;
 use arv_container::{ContainerSpec, SimHost};
 use arv_resview::Sysconf;
 use arv_sim_core::{FaultConfig, FaultPlan};
-use arv_viewd::{ServerConfig, ViewServer, WireClient, WireServer, KIND_STATS};
+use arv_viewd::{RetryPolicy, ServerConfig, ViewServer, WireClient, WireServer, KIND_STATS};
 
 use crate::campaign::{out_of_bounds, paper_container, rows, step_busy, Campaign, Run, Scenario};
 use crate::report::FigReport;
@@ -344,10 +344,17 @@ fn run_flood(seed: u64, replay: u32, clients: u32) -> Run<FloodOutcome> {
     let wire =
         WireServer::spawn_with_config(server.clone(), &socket, config).expect("spawn wire server");
 
+    // One attempt per request: every shed reaches the caller as it
+    // happened, so the shed counts below are exact.
+    let one_attempt = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+
     // Well-behaved reader: spend the burst priming one image, then keep
     // re-reading it while over budget — cached-generation reads are
     // tier-1 traffic and must never be shed.
-    let mut reader = WireClient::connect(&socket).expect("reader connect");
+    let mut reader = WireClient::new(&socket, one_attempt.clone());
     for _ in 0..RATE_BURST {
         let r = reader
             .read(Some(ids[0]), "/proc/cpuinfo")
@@ -380,9 +387,9 @@ fn run_flood(seed: u64, replay: u32, clients: u32) -> Run<FloodOutcome> {
     let flood_sheds: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|_| {
-                let path = socket.clone();
+                let (path, policy) = (socket.clone(), one_attempt.clone());
                 s.spawn(move || {
-                    let mut c = WireClient::connect(&path).expect("flood connect");
+                    let mut c = WireClient::new(&path, policy);
                     let mut sheds = 0u64;
                     for _ in 0..RATE_BURST + FLOOD_REQUESTS_OVER {
                         let r = c

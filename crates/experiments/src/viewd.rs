@@ -117,7 +117,8 @@ pub fn run(scale: f64) -> FigReport {
         RUNS.fetch_add(1, Ordering::Relaxed)
     ));
     let wire = arv_viewd::WireServer::spawn(server.clone(), &socket).expect("bind wire socket");
-    let mut wire_client = arv_viewd::WireClient::connect(wire.socket_path()).expect("wire connect");
+    let mut wire_client =
+        arv_viewd::WireClient::new(wire.socket_path(), arv_viewd::RetryPolicy::default());
     let wire_reads = ((128.0 * scale) as u32).max(16);
     for _ in 0..wire_reads {
         for path in HEAVY_PATHS {

@@ -22,8 +22,8 @@
 //!   the same length-prefixed framing as the viewd wire (the shared
 //!   [`arv_viewd::codec`]); every decode path is fuzz-hardened.
 //! * [`wire`] — the Unix-socket transport: [`wire::FleetWireServer`]
-//!   serving a controller, [`wire::FleetClient`] for peripheries and
-//!   rollup readers.
+//!   serving a controller, and the one client, [`wire::FleetClient`],
+//!   for peripheries, rollup readers and replication links.
 //!
 //! Failure semantics mirror the single-host watchdog: sequence gaps
 //! demand FULL resyncs; silent hosts are flagged partitioned and served
@@ -38,11 +38,11 @@
 //! controller's epoch so peripheries and readers fence frames from a
 //! deposed primary. Peripheries enforce the pushed `rate_burst` as a
 //! local token bucket, coalescing (never dropping) diffs while the
-//! bucket is dry. Over real sockets, [`wire::FleetFailoverClient`]
-//! walks a configured controller list on send/ACK failure (the e2e
-//! suites drive it); the campaigns carry frames between peripheries and
-//! controllers in-process, and `arv-benchmark`'s `fleet_fanin` writes
-//! codec frames over its own pipe.
+//! bucket is dry. Over real sockets, [`wire::FleetClient`] walks a
+//! configured controller list on send failure or a not-leader ACK (the
+//! e2e suites drive it); the campaigns carry frames between peripheries
+//! and controllers in-process, and `arv-benchmark`'s `fleet_fanin`
+//! writes codec frames over its own pipe.
 
 // Production code must not panic on a recoverable fault: unwraps are
 // confined to tests.
@@ -69,4 +69,4 @@ pub use protocol::{
     OP_ACK, OP_DELTA, OP_HELLO, OP_POLICY, OP_QUERY, OP_REPL, OP_ROLLUP, QUERY_CLUSTER,
     QUERY_FLIGHT, QUERY_STATS, QUERY_TENANT, QUERY_TOPK, REPL_PEER,
 };
-pub use wire::{FailoverPolicy, FleetClient, FleetFailoverClient, FleetWireServer};
+pub use wire::{FleetClient, FleetWireServer};

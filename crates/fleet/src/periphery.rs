@@ -22,8 +22,8 @@
 //!
 //! The periphery owns no socket: the caller moves frames and feeds ACKs
 //! back. That keeps it deterministic under simulation and reusable over
-//! either the real wire ([`crate::wire::FleetClient`]) or an in-process
-//! link (the `--fig fleet` campaign).
+//! either the real wire ([`crate::wire::FleetClient`], the fleet's one
+//! client) or an in-process link (the `--fig fleet` campaign).
 //!
 //! # Backpressure and fencing
 //!

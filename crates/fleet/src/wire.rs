@@ -17,34 +17,26 @@
 //! untrustable framing.
 //!
 //! The client side is the same story in reverse: retry, backoff,
-//! reconnect, target failover and epoch fencing live once in
-//! [`arv_viewd::Transport`], and [`FleetFailoverClient`] wraps it with
-//! the fleet protocol's types. [`FailoverPolicy`] *is*
-//! [`arv_viewd::RetryPolicy`] — one policy shape for every client in
-//! the system. The caller learns via
-//! [`FleetFailoverClient::take_reconnected`] that the conversation
-//! moved, so it can re-HELLO and answer the new leader's FULL-resync.
+//! reconnect and target failover live once in [`arv_viewd::Transport`],
+//! and [`FleetClient`], the one fleet client, wraps it with the fleet
+//! protocol's frame bound under the same [`arv_viewd::RetryPolicy`] and
+//! [`arv_viewd::WireError`] as viewd's client. The caller learns via
+//! [`FleetClient::take_reconnected`] that the conversation moved, so it
+//! can re-HELLO and answer the new leader's FULL-resync. Epoch fencing
+//! is the protocol's job, not the transport's: the periphery fences
+//! stale ACKs ([`crate::Periphery::handle_ack`]) and the controller
+//! fences stale REPL frames.
 
-use arv_viewd::codec::{read_frame, write_frame};
 use arv_viewd::{
-    FrameService, Reactor, Response, RetryPolicy, ServerConfig, ServiceAction, Transport,
+    FrameService, Reactor, Response, RetryPolicy, ServerConfig, ServiceAction, Transport, WireError,
 };
 use std::io;
-use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::controller::FleetController;
 use crate::protocol::MAX_FLEET_FRAME;
-
-/// Retry, backoff and failover policy for [`FleetFailoverClient`] — the
-/// shared [`arv_viewd::RetryPolicy`], aliased so fleet callers keep
-/// their vocabulary. The breaker fields are ignored here: a failover
-/// client always walks its controller list instead of failing fast
-/// ([`FleetFailoverClient::new`] disables the breaker regardless of
-/// what the policy carries).
-pub type FailoverPolicy = RetryPolicy;
 
 /// The fleet protocol plugged into the shared reactor: one
 /// [`FleetController::handle_frame`] call per complete request frame.
@@ -123,56 +115,35 @@ impl FleetWireServer {
     }
 }
 
-/// A blocking fleet connection: one stream, request/response in order.
-/// Used by peripheries (HELLO/DELTA) and rollup readers (QUERY) alike.
-#[derive(Debug)]
-pub struct FleetClient {
-    stream: UnixStream,
-}
-
-impl FleetClient {
-    /// Connect to a [`FleetWireServer`].
-    pub fn connect(socket_path: impl AsRef<Path>) -> io::Result<FleetClient> {
-        let stream = UnixStream::connect(socket_path)?;
-        Ok(FleetClient { stream })
-    }
-
-    /// Send one frame and read the response. `Ok(None)` means the
-    /// server closed the conversation (it saw a malformed frame).
-    pub fn request(&mut self, frame: &[u8]) -> io::Result<Option<Vec<u8>>> {
-        write_frame(&mut self.stream, frame)?;
-        read_frame(&mut self.stream, MAX_FLEET_FRAME)
-    }
-}
-
-/// A periphery's failover transport: one live connection at a time,
-/// walking an ordered controller list on failure with seeded-jitter
-/// exponential backoff — a thin fleet-typed wrapper over the shared
-/// [`arv_viewd::Transport`].
+/// The fleet's wire client, for peripheries (HELLO/DELTA), rollup
+/// readers (QUERY) and replication (REPL) alike: one live connection at
+/// a time, walking an ordered controller list on failure with
+/// seeded-jitter exponential backoff — a thin fleet-typed wrapper over
+/// the shared [`arv_viewd::Transport`].
 ///
 /// Connection is lazy — constructing the client never touches a socket,
 /// so a periphery can start before any controller does. After a request
 /// that moved the conversation (new connection, possibly a different
-/// controller), [`FleetFailoverClient::take_reconnected`] returns true
-/// once: the caller must re-HELLO (`Periphery::on_reconnect`) so the
-/// new leader can demand the FULL resync that re-seeds its index.
+/// controller), [`FleetClient::take_reconnected`] returns true once:
+/// the caller must re-HELLO (`Periphery::on_reconnect`) so the new
+/// leader can demand the FULL resync that re-seeds its index.
 #[derive(Debug)]
-pub struct FleetFailoverClient {
+pub struct FleetClient {
     transport: Transport,
 }
 
-impl FleetFailoverClient {
+impl FleetClient {
     /// A client walking `controllers` (primary first) under `policy`.
     /// Does not connect yet. The circuit breaker is force-disabled: a
-    /// failover client's answer to repeated failure is walking the
-    /// list, never failing fast.
+    /// fleet client's answer to repeated failure is walking the list,
+    /// never failing fast.
     pub fn new(
         controllers: impl IntoIterator<Item = impl AsRef<Path>>,
-        policy: FailoverPolicy,
-    ) -> FleetFailoverClient {
+        policy: RetryPolicy,
+    ) -> FleetClient {
         let mut policy = policy;
         policy.breaker_threshold = 0;
-        FleetFailoverClient {
+        FleetClient {
             transport: Transport::new(controllers, policy, MAX_FLEET_FRAME),
         }
     }
@@ -185,17 +156,19 @@ impl FleetFailoverClient {
 
     /// Drop the current connection and aim at the next controller in
     /// the list. The transport calls this internally on I/O failure;
-    /// callers invoke it on protocol-level rejections (a fenced or
-    /// not-leader ACK) where the bytes flowed fine but the peer is not
-    /// the leader.
+    /// callers invoke it on protocol-level rejections (a not-leader ACK,
+    /// a stale-epoch rollup) where the bytes flowed fine but the peer
+    /// is not the leader.
     pub fn advance_controller(&mut self) {
         self.transport.advance_target();
     }
 
     /// Send one frame, walking the controller list until a response
-    /// arrives or attempts are exhausted. Returns the response bytes.
-    pub fn request(&mut self, frame: &[u8]) -> io::Result<Vec<u8>> {
-        self.transport.request(frame).map_err(io::Error::from)
+    /// arrives or attempts are exhausted. Returns the response bytes; a
+    /// controller that keeps closing the conversation (it cannot decode
+    /// the frame) surfaces as [`WireError::Disconnected`].
+    pub fn request(&mut self, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+        self.transport.request(frame)
     }
 }
 
@@ -206,7 +179,6 @@ mod tests {
         decode_frame, encode_delta, encode_hello, encode_query, Delta, DeltaEntry, FleetPolicy,
         Frame, Hello, Query, Rollup, HEALTH_FRESH, QUERY_CLUSTER,
     };
-    use arv_viewd::WireError;
     use std::path::PathBuf;
 
     fn sock_path(name: &str) -> PathBuf {
@@ -215,20 +187,32 @@ mod tests {
         p
     }
 
+    /// One attempt per request, so a close reaches the caller as it
+    /// happened instead of being ridden over by a reconnect.
+    fn one_attempt() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        }
+    }
+
+    fn hello() -> Vec<u8> {
+        encode_hello(&Hello {
+            host: 1,
+            tick: 0,
+            containers: 0,
+            epoch: 0,
+        })
+    }
+
     #[test]
     fn hello_delta_query_over_the_wire() {
         let controller = Arc::new(FleetController::new(4, FleetPolicy::default()));
         let path = sock_path("basic");
         let mut server = FleetWireServer::spawn(Arc::clone(&controller), &path).unwrap();
 
-        let mut client = FleetClient::connect(&path).unwrap();
-        let hello = encode_hello(&Hello {
-            host: 1,
-            tick: 0,
-            containers: 1,
-            epoch: 0,
-        });
-        let resp = client.request(&hello).unwrap().unwrap();
+        let mut client = FleetClient::new([&path], one_attempt());
+        let resp = client.request(&hello()).unwrap();
         assert!(matches!(decode_frame(&resp), Some(Frame::Ack(_))));
 
         let delta = encode_delta(&Delta {
@@ -253,7 +237,7 @@ mod tests {
             }],
             removed: Vec::new(),
         });
-        let resp = client.request(&delta).unwrap().unwrap();
+        let resp = client.request(&delta).unwrap();
         let Some(Frame::Ack(ack)) = decode_frame(&resp) else {
             panic!("expected ACK");
         };
@@ -264,7 +248,7 @@ mod tests {
             kind: QUERY_CLUSTER,
             arg: 0,
         });
-        let resp = client.request(&query).unwrap().unwrap();
+        let resp = client.request(&query).unwrap();
         let Some(Frame::Rollup(frame)) = decode_frame(&resp) else {
             panic!("expected cluster rollup");
         };
@@ -286,36 +270,57 @@ mod tests {
         let _ = std::fs::remove_file(&dead);
         let mut server = FleetWireServer::spawn(Arc::clone(&controller), &live).unwrap();
 
-        let mut client = FleetFailoverClient::new(
-            [dead.as_path(), live.as_path()],
-            FailoverPolicy::fast_test(),
-        );
-        assert_eq!(client.active_controller(), 0);
-        let hello = encode_hello(&Hello {
-            host: 1,
-            tick: 0,
-            containers: 0,
-            epoch: 0,
-        });
-        let resp = client.request(&hello).unwrap();
+        let mut client =
+            FleetClient::new([dead.as_path(), live.as_path()], RetryPolicy::fast_test());
+        assert_eq!(client.transport.active_target(), 0);
+        let resp = client.request(&hello()).unwrap();
         assert!(matches!(decode_frame(&resp), Some(Frame::Ack(_))));
         assert_eq!(
-            client.active_controller(),
+            client.transport.active_target(),
             1,
             "walked past the dead primary"
         );
         assert!(client.take_reconnected(), "fresh connection reported once");
         assert!(!client.take_reconnected());
-        let s = client.stats();
+        let s = client.transport.stats();
         assert_eq!(s.successes, 1);
-        assert!(s.controller_switches >= 1);
+        assert!(s.target_switches >= 1);
         assert!(s.retries >= 1);
-        assert_eq!(s.reconnects, 1, "only the live controller connected");
+        assert_eq!(s.connects, 1, "only the live controller connected");
 
         // Kill the live controller too: attempts exhaust cleanly.
         server.shutdown();
-        assert!(client.request(&hello).is_err());
-        assert_eq!(client.stats().failures, 1);
+        assert!(client.request(&hello()).is_err());
+        assert_eq!(client.transport.stats().failures, 1);
+    }
+
+    /// The breaker is forced off whatever the policy says: with no
+    /// controller listening, every request walks the whole list for
+    /// all its attempts, and none fails fast.
+    #[test]
+    fn client_never_fails_fast() {
+        let dead = [sock_path("nobreaker-a"), sock_path("nobreaker-b")];
+        for path in &dead {
+            let _ = std::fs::remove_file(path);
+        }
+        let policy = RetryPolicy {
+            breaker_threshold: 1,
+            ..RetryPolicy::fast_test()
+        };
+        let attempts = u64::from(policy.max_attempts);
+        let mut client = FleetClient::new(&dead, policy);
+        for round in 1..=3 {
+            assert!(client.request(&hello()).is_err());
+            let s = client.transport.stats();
+            assert_eq!(s.failures, round);
+            assert_eq!(s.fast_fails, 0, "request {round} failed fast");
+            assert_eq!(s.breaker_opens, 0);
+            assert_eq!(
+                s.target_switches,
+                round * attempts,
+                "request {round} did not walk the list on every attempt"
+            );
+        }
     }
 
     #[test]
@@ -324,106 +329,14 @@ mod tests {
         let path = sock_path("malformed");
         let mut server = FleetWireServer::spawn(Arc::clone(&controller), &path).unwrap();
 
-        let mut client = FleetClient::connect(&path).unwrap();
-        let answer = client.request(&[0xEE, 1, 2, 3]).unwrap();
-        assert!(answer.is_none(), "server must close on garbage");
+        let mut client = FleetClient::new([&path], one_attempt());
+        let answer = client.request(&[0xEE, 1, 2, 3]);
+        assert!(
+            matches!(answer, Err(WireError::Disconnected)),
+            "server must close on garbage: {answer:?}"
+        );
         assert!(controller.metrics().snapshot().malformed_frames >= 1);
 
         server.shutdown();
-    }
-
-    #[test]
-    fn fenced_ack_fails_fast_and_advances() {
-        let controller = Arc::new(FleetController::new(2, FleetPolicy::default()));
-        let path = sock_path("fenced");
-        let mut server = FleetWireServer::spawn(Arc::clone(&controller), &path).unwrap();
-
-        // Two entries, both aimed at the same live controller, so the
-        // fence-driven advance lands on a working peer.
-        let mut client = FleetFailoverClient::new(
-            [path.as_path(), path.as_path()],
-            FailoverPolicy::fast_test(),
-        );
-        let hello = encode_hello(&Hello {
-            host: 1,
-            tick: 0,
-            containers: 0,
-            epoch: 0,
-        });
-        // The controller's epoch starts at 0, so any positive fence
-        // refuses its ACKs.
-        let err = client.request_fenced(&hello, 1_000_000).unwrap_err();
-        assert!(matches!(err, WireError::Fenced { .. }));
-        assert_eq!(client.active_controller(), 1, "fence advances the target");
-        assert_eq!(client.stats().failures, 1);
-
-        // With the fence satisfied the same exchange goes through.
-        let resp = client.request_fenced(&hello, 0).unwrap();
-        assert!(matches!(decode_frame(&resp), Some(Frame::Ack(_))));
-
-        server.shutdown();
-    }
-
-    impl FleetFailoverClient {
-        /// Counters so far.
-        fn stats(&self) -> FailoverClientStats {
-            let t = self.transport.stats();
-            FailoverClientStats {
-                successes: t.successes,
-                retries: t.retries,
-                controller_switches: t.target_switches,
-                reconnects: t.connects,
-                failures: t.failures,
-            }
-        }
-
-        /// The controller currently targeted (index into the configured
-        /// list).
-        fn active_controller(&self) -> usize {
-            self.transport.active_target()
-        }
-
-        /// Send one frame and fence the answer: an ACK carrying a
-        /// controller epoch below `min_epoch` came from a deposed peer, so
-        /// the transport advances to the next controller and the request
-        /// fails with [`WireError::Fenced`] — the caller re-HELLOs before
-        /// anything else makes sense. Non-ACK answers pass through
-        /// unjudged.
-        fn request_fenced(
-            &mut self,
-            frame: &[u8],
-            min_epoch: u64,
-        ) -> Result<Vec<u8>, arv_viewd::WireError> {
-            use crate::protocol::{decode_frame, Frame};
-            use arv_viewd::Verdict;
-            self.transport.request_classified(frame, |bytes| {
-                match decode_frame(bytes) {
-                    Some(Frame::Ack(ack)) if ack.ctl_epoch < min_epoch => Verdict::Fenced {
-                        epoch: ack.ctl_epoch,
-                    },
-                    // Undecodable frames are left to the caller: the fleet
-                    // treats them as protocol errors above this layer, and
-                    // judging them here would double-count reconnects.
-                    _ => Verdict::Accept,
-                }
-            })
-        }
-    }
-
-    /// Counters describing one [`FleetFailoverClient`]'s life so far — a
-    /// projection of the underlying [`arv_viewd::TransportStats`].
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    struct FailoverClientStats {
-        /// Requests answered successfully.
-        successes: u64,
-        /// Attempts beyond the first within a request.
-        retries: u64,
-        /// Times the client moved to the next controller in the list
-        /// (after an I/O failure, EOF, or an explicit not-leader signal).
-        controller_switches: u64,
-        /// Fresh connections established (first connect included).
-        reconnects: u64,
-        /// Requests that exhausted every attempt.
-        failures: u64,
     }
 }

@@ -17,9 +17,9 @@
 //!   frames the one-shot reader would;
 //! * [`Transport`] + [`RetryPolicy`], the single client-side
 //!   failure-handling engine (deadlines, seeded-jitter backoff,
-//!   reconnect, target failover, circuit breaker, shed-hint pacing,
-//!   epoch-fence reaction) that `RobustWireClient` and the fleet's
-//!   `FleetFailoverClient` wrap with protocol-typed surfaces.
+//!   reconnect, target failover, circuit breaker, shed-hint pacing)
+//!   that each protocol's one client — viewd's `WireClient`, the
+//!   fleet's `FleetClient` — wraps with its own typed surface.
 //!
 //! The codec deliberately knows nothing about payload contents: opcode
 //! and body layouts belong to the protocol layers above. Failures
@@ -52,12 +52,6 @@ pub enum WireError {
         /// The server's retry-after hint, milliseconds.
         retry_after_ms: u64,
     },
-    /// The peer answered from a deposed controller epoch; the caller
-    /// must re-handshake with the new leader before resending.
-    Fenced {
-        /// The stale epoch the peer answered with.
-        epoch: u64,
-    },
     /// The peer closed the conversation mid-request.
     Disconnected,
 }
@@ -69,9 +63,6 @@ impl std::fmt::Display for WireError {
             WireError::Malformed(why) => write!(f, "malformed frame: {why}"),
             WireError::Shed { retry_after_ms } => {
                 write!(f, "request shed; retry after {retry_after_ms}ms")
-            }
-            WireError::Fenced { epoch } => {
-                write!(f, "peer fenced at stale controller epoch {epoch}")
             }
             WireError::Disconnected => write!(f, "peer closed the conversation"),
         }
@@ -220,8 +211,8 @@ impl FrameDecoder {
 }
 
 /// Retry, backoff, deadline and circuit-breaker policy for the shared
-/// [`Transport`] (and thus for `RobustWireClient` and the fleet's
-/// failover client, which are thin wrappers over it).
+/// [`Transport`], and thus for viewd's `WireClient` and the fleet's
+/// `FleetClient`, which are thin wrappers over it.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total tries per request (first attempt + retries). At least 1.
@@ -282,15 +273,14 @@ impl RetryPolicy {
 
 /// How a response classifier judges one raw frame. The [`Transport`]
 /// turns each verdict into the matching recovery policy, so shed
-/// pacing, malformed-frame reconnects and epoch fencing are implemented
-/// exactly once.
+/// pacing and malformed-frame reconnects are implemented exactly once.
 #[derive(Debug)]
 pub enum Verdict {
     /// The frame answers the request: return it to the caller.
     Accept,
-    /// The server shed the request under overload. Back off per its
-    /// hint (not the exponential schedule), never count it toward the
-    /// circuit breaker, and retry.
+    /// The server shed the request under overload. If another attempt
+    /// follows, back off per its hint (not the exponential schedule)
+    /// first; never count it toward the circuit breaker.
     ShedBackoff {
         /// The server's retry-after hint, milliseconds.
         retry_after_ms: u64,
@@ -298,17 +288,9 @@ pub enum Verdict {
     /// The frame is structurally untrustable: drop the connection so
     /// the next attempt starts on a fresh one.
     Malformed(String),
-    /// The peer answered from a deposed epoch: advance to the next
-    /// target and fail the request immediately — the caller must
-    /// re-handshake before anything else makes sense.
-    Fenced {
-        /// The stale epoch the peer answered with.
-        epoch: u64,
-    },
 }
 
-/// Counters describing one [`Transport`]'s life so far. Client wrappers
-/// project these into their legacy stats shapes.
+/// Counters describing one [`Transport`]'s life so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Requests that got an accepted response.
@@ -332,12 +314,11 @@ pub struct TransportStats {
 /// The one client-side failure-handling engine: lazy connect with
 /// per-attempt deadlines, bounded exponential backoff under
 /// deterministic seeded jitter, automatic reconnect, ordered target
-/// failover, a request-counted circuit breaker, shed-hint pacing and
-/// epoch-fence reaction.
+/// failover, a request-counted circuit breaker and shed-hint pacing.
 ///
-/// Protocol-typed clients (`RobustWireClient`, `FleetFailoverClient`)
-/// wrap this with their own encode/decode and caching; the retry
-/// machinery itself is written once, here.
+/// Each protocol's client (viewd's `WireClient`, the fleet's
+/// `FleetClient`) wraps this with its own encode/decode and caching;
+/// the retry machinery itself is written once, here.
 #[derive(Debug)]
 pub struct Transport {
     targets: Vec<PathBuf>,
@@ -403,8 +384,8 @@ impl Transport {
 
     /// Drop the current connection and aim at the next target in the
     /// list. Called internally on I/O failure; callers invoke it on
-    /// protocol-level rejections (a fenced or not-leader answer) where
-    /// the bytes flowed fine but the peer is the wrong one.
+    /// protocol-level rejections (a not-leader answer) where the bytes
+    /// flowed fine but the peer is the wrong one.
     pub fn advance_target(&mut self) {
         self.stream = None;
         if !self.targets.is_empty() {
@@ -456,9 +437,7 @@ impl Transport {
     /// On success the accepted frame's bytes are returned. Errors tell
     /// the caller what category of trouble exhausted the attempts:
     /// [`WireError::Shed`] when every answer was an overload refusal,
-    /// [`WireError::Fenced`] on a stale-epoch answer (not retried — the
-    /// caller must re-handshake), and `Io`/`Malformed`/`Disconnected`
-    /// for transport-level failure.
+    /// and `Io`/`Malformed`/`Disconnected` for transport-level failure.
     pub fn request_classified(
         &mut self,
         frame: &[u8],
@@ -472,7 +451,8 @@ impl Transport {
         let mut last_err: Option<WireError> = None;
         let mut last_shed: Option<u64> = None;
         let mut skip_backoff = false;
-        for attempt in 0..self.policy.max_attempts.max(1) {
+        let attempts = self.policy.max_attempts.max(1);
+        for attempt in 0..attempts {
             if attempt > 0 {
                 self.stats.retries += 1;
                 if !skip_backoff {
@@ -491,12 +471,15 @@ impl Transport {
                     Verdict::ShedBackoff { retry_after_ms } => {
                         // Overload, not failure: the server is alive and
                         // saying when to come back. Back off per its
-                        // hint (instead of the exponential schedule)
-                        // and never count it toward the breaker.
+                        // hint (instead of the exponential schedule),
+                        // only if another attempt follows, and never
+                        // count it toward the breaker.
                         self.stats.shed_backoffs += 1;
                         self.consecutive_failures = 0;
-                        let hint = Duration::from_millis(retry_after_ms.max(1));
-                        std::thread::sleep(hint.min(self.policy.max_backoff));
+                        if attempt + 1 < attempts {
+                            let hint = Duration::from_millis(retry_after_ms.max(1));
+                            std::thread::sleep(hint.min(self.policy.max_backoff));
+                        }
                         last_shed = Some(retry_after_ms);
                         skip_backoff = true;
                     }
@@ -505,15 +488,6 @@ impl Transport {
                         // so the next attempt reconnects from scratch.
                         self.advance_target();
                         last_err = Some(WireError::Malformed(why));
-                    }
-                    Verdict::Fenced { epoch } => {
-                        // A deposed peer keeps answering with its stale
-                        // epoch; retrying against it is useless. Move
-                        // to the next target and surface immediately so
-                        // the caller can re-handshake.
-                        self.advance_target();
-                        self.stats.failures += 1;
-                        return Err(WireError::Fenced { epoch });
                     }
                 },
                 Err(e) => {
@@ -643,6 +617,63 @@ mod tests {
         assert!(matches!(wire, WireError::Io(_)));
         let shed: io::Error = WireError::Shed { retry_after_ms: 7 }.into();
         assert!(shed.to_string().contains("7ms"));
+    }
+
+    /// A shed hint paces the next attempt and nothing else: a
+    /// one-attempt request returns at once, a two-attempt one waits the
+    /// hint out between its attempts.
+    #[test]
+    fn a_shed_hint_is_waited_out_only_before_another_attempt() {
+        use std::os::unix::net::UnixListener;
+        use std::time::Instant;
+        let path = std::env::temp_dir().join(format!("arv-codec-shed-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        // Answers every frame, one connection after the other; the
+        // classifier below reads each answer as a 150 ms shed.
+        let peer = std::thread::spawn(move || {
+            for conn in listener.incoming().take(2) {
+                let mut conn = conn.unwrap();
+                while let Ok(Some(_)) = read_frame(&mut conn, 64) {
+                    if write_frame(&mut conn, b"busy").is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+        // Each run's transport drops, closing its connection, before
+        // the next run connects.
+        let run = |max_attempts| {
+            let policy = RetryPolicy {
+                max_attempts,
+                max_backoff: Duration::from_millis(200),
+                ..RetryPolicy::fast_test()
+            };
+            let mut transport = Transport::single(&path, policy, 64);
+            let started = Instant::now();
+            let err = transport
+                .request_classified(b"q", |_| Verdict::ShedBackoff {
+                    retry_after_ms: 150,
+                })
+                .unwrap_err();
+            let took = started.elapsed();
+            assert!(matches!(err, WireError::Shed { .. }), "{err:?}");
+            assert_eq!(transport.stats().shed_backoffs, u64::from(max_attempts));
+            took
+        };
+        let once = run(1);
+        assert!(
+            once < Duration::from_millis(50),
+            "slept {once:?} after the last attempt"
+        );
+        let twice = run(2);
+        assert!(
+            twice >= Duration::from_millis(150),
+            "the retry was not paced: {twice:?}"
+        );
+
+        peer.join().unwrap();
+        let _ = std::fs::remove_file(&path);
     }
 
     mod decoder_props {

@@ -18,9 +18,9 @@
 //!   and `sysconf`);
 //! * [`wire`] — a length-prefixed request/response protocol over a
 //!   Unix-domain socket for out-of-process consumers, with
-//!   [`wire::WireServer`], the thin [`wire::WireClient`] and the
-//!   fault-tolerant [`wire::RobustWireClient`] (deadlines, seeded
-//!   backoff, reconnect, circuit breaker, last-good fallback);
+//!   [`wire::WireServer`] and the one client, [`wire::WireClient`]
+//!   (deadlines, seeded backoff, reconnect, circuit breaker, last-good
+//!   fallback);
 //! * [`reactor`] — the readiness-driven serving engine under the wire
 //!   tier (and the fleet controller's): N sharded epoll event loops
 //!   over the direct-FFI [`sys`] module, nonblocking connection slabs,
@@ -71,7 +71,7 @@ pub use reactor::{EvictReason, FrameService, Reactor, Response, ResponseBody, Se
 pub use server::{HostSpec, ViewClient, ViewImage, ViewServer, CONTAINER_PATHS};
 pub use shard::{ContainerEntry, ShardedRegistry};
 pub use wire::{
-    parse_response, RobustWireClient, WireClient, WireClientStats, WireResponse, WireServer,
-    DEFAULT_RETRY_AFTER_MS, HOST_CALLER, KIND_READ, KIND_STATS, KIND_SYSCONF, KIND_TRACE,
-    MAX_REQUEST, MAX_RESPONSE, STATUS_NOT_FOUND, STATUS_OK, STATUS_OK_DEGRADED, STATUS_OK_SHED,
+    parse_response, WireClient, WireClientStats, WireResponse, WireServer, DEFAULT_RETRY_AFTER_MS,
+    HOST_CALLER, KIND_READ, KIND_STATS, KIND_SYSCONF, KIND_TRACE, MAX_REQUEST, MAX_RESPONSE,
+    STATUS_NOT_FOUND, STATUS_OK, STATUS_OK_DEGRADED, STATUS_OK_SHED,
 };

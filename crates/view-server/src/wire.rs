@@ -40,27 +40,27 @@
 //! `OK_SHED` and a retry-after hint — so the update timer and
 //! well-behaved readers are never starved by a flood.
 //!
-//! Two client flavours exist. [`WireClient`] is the thin original: one
-//! blocking connection, errors surface directly. [`RobustWireClient`]
-//! wraps the same protocol in the failure handling a real consumer
-//! needs: per-request deadlines, bounded exponential backoff with
-//! deterministic seeded jitter, automatic reconnect, and a circuit
+//! [`WireClient`] is the one client, with the failure handling a real
+//! consumer needs: per-request deadlines, bounded exponential backoff
+//! with deterministic seeded jitter, automatic reconnect, and a circuit
 //! breaker that fails fast after repeated failures while serving the
-//! last known-good response, flagged degraded — the wire-level analogue
-//! of the serving layer's staleness fallback. All of that machinery
-//! lives in the shared [`crate::codec::Transport`]; this module only
-//! adds viewd's frame encoding and the last-good cache on top.
+//! last known-good view (a file image or sysconf value), flagged
+//! degraded — the wire-level analogue of the serving layer's staleness
+//! fallback. All of that machinery lives in the shared
+//! [`crate::codec::Transport`]; this module only adds viewd's frame
+//! encoding and the last-good cache on top. A caller that must see
+//! every shed or close as it happens gives the client a one-attempt
+//! [`RetryPolicy`].
 
 use arv_cgroups::CgroupId;
 use arv_resview::Sysconf;
 use std::collections::HashMap;
 use std::io;
-use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::codec::{read_frame, write_frame, Transport, Verdict};
+use crate::codec::{Transport, Verdict};
 use crate::config::ServerConfig;
 use crate::metrics::Served;
 use crate::reactor::{EvictReason, FrameService, Reactor, Response, ResponseBody, ServiceAction};
@@ -412,13 +412,6 @@ impl WireServer {
     }
 }
 
-/// Client side of the wire protocol (thin, single connection; see
-/// [`RobustWireClient`] for the fault-tolerant flavour).
-#[derive(Debug)]
-pub struct WireClient {
-    stream: UnixStream,
-}
-
 /// A successful wire read: body bytes plus the server-side generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireResponse {
@@ -437,46 +430,7 @@ pub struct WireResponse {
     pub retry_after_ms: u64,
 }
 
-impl WireClient {
-    /// Connect to a daemon's socket.
-    pub fn connect(socket_path: impl AsRef<Path>) -> io::Result<WireClient> {
-        Ok(WireClient {
-            stream: UnixStream::connect(socket_path)?,
-        })
-    }
-
-    /// Issue one raw request and parse the response. The typed helper
-    /// [`read`](WireClient::read) wraps this; use it directly for the
-    /// other request kinds and to observe raw statuses such as
-    /// `OK_SHED`.
-    pub fn request(
-        &mut self,
-        kind: u8,
-        caller: Option<CgroupId>,
-        key: &str,
-    ) -> io::Result<Option<WireResponse>> {
-        let payload = encode_request(kind, caller.map_or(HOST_CALLER, |c| c.0), key);
-        write_frame(&mut self.stream, &payload)?;
-        let Some(resp) = read_frame(&mut self.stream, MAX_RESPONSE)? else {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed mid-request",
-            ));
-        };
-        parse_response(&resp)
-    }
-
-    /// Read a virtual file as `caller`; `Ok(None)` is ENOENT.
-    pub fn read(
-        &mut self,
-        caller: Option<CgroupId>,
-        path: &str,
-    ) -> io::Result<Option<WireResponse>> {
-        self.request(KIND_READ, caller, path)
-    }
-}
-
-/// Counters describing one [`RobustWireClient`]'s life so far,
+/// Counters describing one [`WireClient`]'s life so far,
 /// projected from the shared transport's
 /// [`crate::codec::TransportStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -500,26 +454,26 @@ pub struct WireClientStats {
     pub shed_backoffs: u64,
 }
 
-/// Fault-tolerant wire client: deadlines, retry with seeded backoff,
+/// viewd's wire client: deadlines, retry with seeded backoff,
 /// automatic reconnect, circuit breaker, last-good fallback.
 ///
 /// A thin typed wrapper over the shared [`Transport`] engine — this
-/// struct only owns viewd's frame encoding and the last-good response
+/// struct only owns viewd's frame encoding and the last-good view
 /// cache; every retry/backoff/breaker decision is the transport's.
 ///
 /// Connection is lazy — constructing the client never touches the
 /// socket, so a consumer can start before the daemon does.
 #[derive(Debug)]
-pub struct RobustWireClient {
+pub struct WireClient {
     transport: Transport,
     last_good: HashMap<(u8, u32, String), WireResponse>,
     fallback_serves: u64,
 }
 
-impl RobustWireClient {
+impl WireClient {
     /// A client for `socket_path` under `policy`. Does not connect yet.
-    pub fn new(socket_path: impl AsRef<Path>, policy: RetryPolicy) -> RobustWireClient {
-        RobustWireClient {
+    pub fn new(socket_path: impl AsRef<Path>, policy: RetryPolicy) -> WireClient {
+        WireClient {
             transport: Transport::single(socket_path, policy, MAX_RESPONSE),
             last_good: HashMap::new(),
             fallback_serves: 0,
@@ -570,9 +524,11 @@ impl RobustWireClient {
     /// `Ok(None)` is a definitive NOT_FOUND from the server. `Err` means
     /// every attempt failed *and* no cached response exists to degrade
     /// to; any successful or fallback answer is `Ok(Some(_))` with its
-    /// `degraded` flag telling the caller which it was. When every
-    /// attempt was shed and nothing is cached, the shed response itself
-    /// is surfaced (`shed: true`) so the caller sees the hint.
+    /// `degraded` flag telling the caller which it was. Only views (file
+    /// reads and sysconf values) are cached: a stats or trace text is
+    /// never replayed. When every attempt was shed and nothing is
+    /// cached, the shed response itself is surfaced (`shed: true`) so
+    /// the caller sees the hint.
     pub fn request(
         &mut self,
         kind: u8,
@@ -594,7 +550,7 @@ impl RobustWireClient {
             Ok(bytes) => {
                 let resp = parse_response(&bytes)?;
                 if let Some(r) = &resp {
-                    if !r.degraded {
+                    if !r.degraded && matches!(kind, KIND_READ | KIND_SYSCONF) {
                         self.last_good
                             .insert((kind, raw_caller, key.to_string()), r.clone());
                     }
@@ -637,10 +593,12 @@ impl RobustWireClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{read_frame, write_frame};
     use crate::server::HostSpec;
     use arv_cgroups::Bytes;
     use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};
     use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
@@ -710,10 +668,19 @@ mod tests {
         spawn_server_with_config(tag, ServerConfig::default())
     }
 
+    /// A client that makes one attempt per request, so every shed or
+    /// close reaches the caller as it happened.
+    fn one_attempt() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        }
+    }
+
     #[test]
     fn round_trip_read_and_sysconf() {
         let (server, wire, id) = spawn_server("rt");
-        let mut client = WireClient::connect(wire.socket_path()).unwrap();
+        let mut client = WireClient::new(wire.socket_path(), one_attempt());
         let resp = client.read(Some(id), "/proc/cpuinfo").unwrap().unwrap();
         assert!(!resp.degraded);
         let text = String::from_utf8(resp.body).unwrap();
@@ -725,22 +692,24 @@ mod tests {
         assert_eq!(client.sysconf(None, "nprocessors_onln").unwrap(), Some(20));
         assert_eq!(client.sysconf(Some(id), "pagesize").unwrap(), Some(4096));
         assert!(server.metrics().wire_requests >= 4);
+        client.assert_one_live_connection();
         wire.shutdown();
     }
 
     #[test]
     fn not_found_paths_and_keys() {
         let (_server, wire, id) = spawn_server("enoent");
-        let mut client = WireClient::connect(wire.socket_path()).unwrap();
+        let mut client = WireClient::new(wire.socket_path(), one_attempt());
         assert!(client.read(Some(id), "/nope").unwrap().is_none());
         assert!(client.sysconf(Some(id), "bogus_key").unwrap().is_none());
+        client.assert_one_live_connection();
         wire.shutdown();
     }
 
     #[test]
     fn generation_travels_with_responses() {
         let (server, wire, id) = spawn_server("gen");
-        let mut client = WireClient::connect(wire.socket_path()).unwrap();
+        let mut client = WireClient::new(wire.socket_path(), one_attempt());
         let before = client.read(Some(id), "/proc/meminfo").unwrap().unwrap();
         server.mirror(id, 8, Bytes::from_mib(800), Bytes::from_mib(700));
         let after = client.read(Some(id), "/proc/meminfo").unwrap().unwrap();
@@ -748,6 +717,7 @@ mod tests {
         assert!(String::from_utf8(after.body)
             .unwrap()
             .contains(&format!("MemTotal: {} kB", 800 * 1024)));
+        client.assert_one_live_connection();
         wire.shutdown();
     }
 
@@ -758,7 +728,7 @@ mod tests {
     #[test]
     fn sysconf_reply_is_never_torn_under_a_racing_publisher() {
         let (server, wire, id) = spawn_server("torn");
-        let mut client = WireClient::connect(wire.socket_path()).unwrap();
+        let mut client = WireClient::new(wire.socket_path(), one_attempt());
         let done = Arc::new(AtomicBool::new(false));
         let start = Arc::new(std::sync::Barrier::new(2));
         let publisher = std::thread::spawn({
@@ -795,6 +765,7 @@ mod tests {
         done.store(true, Ordering::Relaxed);
         publisher.join().unwrap();
         assert!(value_at.len() > 1, "the publisher never raced the reader");
+        client.assert_one_live_connection();
         wire.shutdown();
     }
 
@@ -806,10 +777,7 @@ mod tests {
             .map(|worker| {
                 let path = path.clone();
                 std::thread::spawn(move || {
-                    let mut client = expect(
-                        WireClient::connect(&path),
-                        &format!("worker {worker} connect"),
-                    );
+                    let mut client = WireClient::new(&path, one_attempt());
                     for round in 0..50 {
                         let v = expect(
                             client.sysconf(Some(id), "nprocessors_onln"),
@@ -817,6 +785,7 @@ mod tests {
                         );
                         assert_eq!(v, Some(4));
                     }
+                    client.assert_one_live_connection();
                 })
             })
             .collect();
@@ -860,7 +829,7 @@ mod tests {
     #[test]
     fn degraded_status_travels_over_the_wire() {
         let (server, wire, id) = spawn_server("deg");
-        let mut client = WireClient::connect(wire.socket_path()).unwrap();
+        let mut client = WireClient::new(wire.socket_path(), one_attempt());
         server.mirror(id, 8, Bytes::from_mib(800), Bytes::from_mib(700));
         assert!(
             !client
@@ -885,6 +854,7 @@ mod tests {
                 .unwrap()
                 .degraded
         );
+        client.assert_one_live_connection();
         wire.shutdown();
     }
 
@@ -909,9 +879,9 @@ mod tests {
             ),
         );
         let wire = WireServer::spawn(server.clone(), test_socket("stats")).unwrap();
-        let mut client = WireClient::connect(wire.socket_path()).unwrap();
+        let mut client = WireClient::new(wire.socket_path(), one_attempt());
         client.read(Some(id), "/proc/cpuinfo").unwrap().unwrap();
-        let stats = client.stats().unwrap();
+        let stats = client.exposition().unwrap();
         assert!(stats.contains("arv_viewd_queries_total"));
         assert!(stats.contains("arv_container_effective_cpus{container=\"7\"} 4"));
 
@@ -932,6 +902,7 @@ mod tests {
         assert!(full.contains("c7"));
         // Wire latency landed in its own histogram.
         assert!(server.metrics().wire_p99_ns > 0);
+        client.assert_one_live_connection();
         wire.shutdown();
     }
 
@@ -939,7 +910,7 @@ mod tests {
     fn robust_client_reconnects_after_server_restart() {
         let (_server, wire, id) = spawn_server("restart");
         let socket = wire.socket_path().to_path_buf();
-        let mut client = RobustWireClient::new(&socket, RetryPolicy::fast_test());
+        let mut client = WireClient::new(&socket, RetryPolicy::fast_test());
         assert_eq!(
             client.sysconf(Some(id), "nprocessors_onln").unwrap(),
             Some(4)
@@ -1000,7 +971,7 @@ mod tests {
             breaker_cooldown: 2,
             ..RetryPolicy::fast_test()
         };
-        let mut client = RobustWireClient::new(&socket, policy);
+        let mut client = WireClient::new(&socket, policy);
         // Nothing listening and nothing cached: a hard error that opens
         // the breaker immediately (threshold 1).
         assert!(client.read(None, "/proc/cpuinfo").is_err());
@@ -1029,14 +1000,14 @@ mod tests {
             ..ServerConfig::default()
         };
         let (server, wire, id) = spawn_server_with_config("shedtiers", cfg);
-        let mut client = expect(WireClient::connect(wire.socket_path()), "connect shedtiers");
+        let mut client = WireClient::new(wire.socket_path(), one_attempt());
         // Token 1: render + cache /proc/cpuinfo. Token 2: a stats call.
         let first = expect_some(
             expect(client.read(Some(id), "/proc/cpuinfo"), "prime cpuinfo"),
             "prime cpuinfo body",
         );
         assert!(!first.shed);
-        expect(client.stats(), "stats within burst");
+        expect(client.exposition(), "stats within burst");
         // Bucket empty. Tier 1: the cached read is still served...
         let cached = expect_some(
             expect(client.read(Some(id), "/proc/cpuinfo"), "cached read"),
@@ -1067,6 +1038,36 @@ mod tests {
         assert!(raw.shed);
         let m = server.metrics();
         assert!(m.requests_shed >= 2, "sheds counted: {}", m.requests_shed);
+        client.assert_one_live_connection();
+        wire.shutdown();
+    }
+
+    /// Only views enter the last-good cache: a stats request shed after
+    /// an earlier stats success surfaces the shed and its hint, never
+    /// the old exposition replayed as a degraded answer.
+    #[test]
+    fn a_shed_stats_request_is_never_answered_from_the_cache() {
+        let cfg = ServerConfig {
+            rate_burst: 1,
+            rate_refill_per_sec: 0.0,
+            retry_after_ms: 9,
+            ..ServerConfig::default()
+        };
+        let (_server, wire, _id) = spawn_server_with_config("shedstats", cfg);
+        let mut client = WireClient::new(wire.socket_path(), one_attempt());
+        let first = expect_some(
+            expect(client.request(KIND_STATS, None, ""), "stats within burst"),
+            "stats body",
+        );
+        assert!(!first.shed && !first.body.is_empty());
+        let shed = expect_some(
+            expect(client.request(KIND_STATS, None, ""), "stats over burst"),
+            "shed response",
+        );
+        assert!(shed.shed, "the shed was hidden behind a cached exposition");
+        assert!(!shed.degraded);
+        assert_eq!(shed.retry_after_ms, 9);
+        client.assert_one_live_connection();
         wire.shutdown();
     }
 
@@ -1077,7 +1078,7 @@ mod tests {
             ..ServerConfig::default()
         };
         let (server, wire, id) = spawn_server_with_config("conncap", cfg);
-        let mut first = expect(WireClient::connect(wire.socket_path()), "connect first");
+        let mut first = WireClient::new(wire.socket_path(), one_attempt());
         // Serve one request so the first connection is surely active.
         assert_eq!(
             expect(first.sysconf(Some(id), "nprocessors_onln"), "first conn"),
@@ -1098,6 +1099,7 @@ mod tests {
             expect(first.sysconf(Some(id), "pagesize"), "first conn again"),
             Some(4096)
         );
+        first.assert_one_live_connection();
         wire.shutdown();
     }
 
@@ -1151,7 +1153,7 @@ mod tests {
             breaker_threshold: 1,
             ..RetryPolicy::fast_test()
         };
-        let mut client = RobustWireClient::new(wire.socket_path(), policy);
+        let mut client = WireClient::new(wire.socket_path(), policy);
         // The only token primes the render cache with a live read.
         let first = expect_some(
             expect(client.read(Some(id), "/proc/cpuinfo"), "prime read"),
@@ -1252,12 +1254,7 @@ mod tests {
         };
         let (server, wire, id) = spawn_server_with_config("slots", cfg);
         let mut clients: Vec<WireClient> = (0..200)
-            .map(|i| {
-                expect(
-                    WireClient::connect(wire.socket_path()),
-                    &format!("connect {i}"),
-                )
-            })
+            .map(|_| WireClient::new(wire.socket_path(), one_attempt()))
             .collect();
         for (i, client) in clients.iter_mut().enumerate() {
             assert_eq!(
@@ -1267,6 +1264,9 @@ mod tests {
                 ),
                 Some(4)
             );
+        }
+        for client in &clients {
+            client.assert_one_live_connection();
         }
         assert_eq!(server.metrics().connections_dropped, 0);
         wire.shutdown();
@@ -1485,7 +1485,22 @@ mod tests {
         }
     }
 
-    impl RobustWireClient {
+    impl WireClient {
+        /// Panics unless every request so far was answered live on the
+        /// client's first connection: none failed, none was answered
+        /// from the last-good cache, and the connection was never
+        /// remade. A dropped connection cannot hide behind a cached
+        /// answer or a silent reconnect.
+        fn assert_one_live_connection(&self) {
+            let t = self.transport.stats();
+            assert_eq!(t.failures, 0, "a request failed");
+            assert_eq!(
+                self.fallback_serves, 0,
+                "a request was answered from the cache"
+            );
+            assert_eq!(t.connects, 1, "the connection was dropped and remade");
+        }
+
         /// Whether a connection is currently established.
         fn is_connected(&self) -> bool {
             self.transport.is_connected()
@@ -1504,31 +1519,28 @@ mod tests {
         ) -> Result<Option<u64>, WireError> {
             sysconf_value(self.request(KIND_SYSCONF, caller, key)?)
         }
-    }
-
-    impl WireClient {
-        /// Query a sysconf value by wire key name (e.g. `"nprocessors_onln"`).
-        fn sysconf(&mut self, caller: Option<CgroupId>, key: &str) -> io::Result<Option<u64>> {
-            let resp = self.request(KIND_SYSCONF, caller, key)?;
-            Ok(sysconf_value(resp)?)
-        }
 
         /// Fetch the daemon's Prometheus text exposition.
-        fn stats(&mut self) -> io::Result<String> {
+        fn exposition(&mut self) -> Result<String, WireError> {
             self.text_request(KIND_STATS, None)
         }
 
         /// Fetch a rendered decision-provenance trace: one container's
         /// timeline, or the full ring for `None`.
-        fn trace(&mut self, container: Option<CgroupId>) -> io::Result<String> {
+        fn trace(&mut self, container: Option<CgroupId>) -> Result<String, WireError> {
             self.text_request(KIND_TRACE, container)
         }
 
-        fn text_request(&mut self, kind: u8, caller: Option<CgroupId>) -> io::Result<String> {
-            let resp = self.request(kind, caller, "")?.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "text query answered NOT_FOUND")
-            })?;
-            String::from_utf8(resp.body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        fn text_request(
+            &mut self,
+            kind: u8,
+            caller: Option<CgroupId>,
+        ) -> Result<String, WireError> {
+            let resp = self
+                .request(kind, caller, "")?
+                .ok_or_else(|| WireError::Malformed("text query answered NOT_FOUND".into()))?;
+            String::from_utf8(resp.body)
+                .map_err(|_| WireError::Malformed("text body is not UTF-8".into()))
         }
     }
 

@@ -9,7 +9,7 @@
 
 use arv_container::{ContainerSpec, SimHost};
 use arv_resview::Sysconf;
-use arv_viewd::{ViewServer, WireClient, WireServer};
+use arv_viewd::{RetryPolicy, ViewServer, WireClient, WireServer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -60,7 +60,7 @@ fn main() {
         let id = ids[2];
         let wire_progress = Arc::clone(&wire_progress);
         thread::spawn(move || {
-            let mut client = WireClient::connect(&socket).expect("connect");
+            let mut client = WireClient::new(&socket, RetryPolicy::default());
             let mut reads = 0u64;
             while !stop.load(Ordering::Acquire) {
                 let resp = client

@@ -10,7 +10,7 @@ use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::effective_cpu::CpuBounds;
 use arv_resview::effective_mem::{EffectiveMemory, EffectiveMemoryConfig};
 use arv_resview::EffectiveCpuConfig;
-use arv_viewd::{HostSpec, RetryPolicy, RobustWireClient, ViewServer, WireServer};
+use arv_viewd::{HostSpec, RetryPolicy, ViewServer, WireClient, WireServer};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -144,7 +144,7 @@ fn readers_ride_through_wire_server_restart() {
                 jitter_seed: 0xE2E + r as u64,
                 ..RetryPolicy::fast_test()
             };
-            let mut client = RobustWireClient::new(&socket, policy);
+            let mut client = WireClient::new(&socket, policy);
             let mut last_live_generation = 0u64;
             let mut live_reads = 0u64;
             let mut degraded_reads = 0u64;
@@ -268,7 +268,7 @@ fn hostile_connection_does_not_disturb_other_clients() {
     let _ = std::fs::remove_file(&socket);
     let wire = WireServer::spawn(view.clone(), &socket).expect("spawn wire server");
 
-    let mut client = RobustWireClient::new(&socket, RetryPolicy::fast_test());
+    let mut client = WireClient::new(&socket, RetryPolicy::fast_test());
     let before = client
         .read(Some(ids[0]), "/proc/meminfo")
         .expect("wire up")

@@ -15,7 +15,8 @@ use arv_fleet::{
     decode_frame, encode_query, FleetClient, FleetController, FleetPolicy, Frame, Periphery, Query,
     Rollup, QUERY_CLUSTER, QUERY_STATS, QUERY_TENANT, QUERY_TOPK,
 };
-use std::path::PathBuf;
+use arv_viewd::{RetryPolicy, WireError};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -29,10 +30,21 @@ fn sock_path(name: &str) -> PathBuf {
     p
 }
 
+/// A client of the one controller at `path` that makes one attempt per
+/// request: a dropped connection fails the request instead of being
+/// ridden over by a silent reconnect.
+fn client(path: &Path) -> FleetClient {
+    let policy = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    FleetClient::new([path], policy)
+}
+
 fn query(client: &mut FleetClient, kind: u8, arg: u32) -> Option<Rollup> {
     let resp = client
         .request(&encode_query(&Query { kind, arg }))
-        .expect("wire up")?;
+        .expect("wire up");
     match decode_frame(&resp) {
         Some(Frame::Rollup(r)) => Some(r.body),
         _ => None,
@@ -79,7 +91,7 @@ fn fleet_over_the_wire_with_racing_readers() {
                 let path = path.clone();
                 let stop = &stop;
                 s.spawn(move || {
-                    let mut client = FleetClient::connect(&path).expect("reader connect");
+                    let mut client = client(&path);
                     let mut rounds = 0u64;
                     while !stop.load(Ordering::Acquire) {
                         if let Some(Rollup::Cluster { rollup, .. }) =
@@ -118,25 +130,25 @@ fn fleet_over_the_wire_with_racing_readers() {
 
         // A broken client: garbage costs it the connection, nobody else.
         let broken = s.spawn(|| {
-            let mut c = FleetClient::connect(&path).expect("broken connect");
-            let answer = c.request(&[0xDE, 0xAD, 0xBE, 0xEF]).expect("wire up");
-            assert!(answer.is_none(), "garbage must drop the conversation");
+            let mut c = client(&path);
+            let answer = c.request(&[0xDE, 0xAD, 0xBE, 0xEF]);
+            assert!(
+                matches!(answer, Err(WireError::Disconnected)),
+                "garbage must drop the conversation: {answer:?}"
+            );
         });
 
         // The ingest loop: step every host, ship its frames, feed ACKs
         // back, advance the controller clock.
-        let mut conns: Vec<FleetClient> = (0..HOSTS)
-            .map(|_| FleetClient::connect(&path).expect("periphery connect"))
-            .collect();
+        let mut conns: Vec<FleetClient> = (0..HOSTS).map(|_| client(&path)).collect();
         for round in 0..ROUNDS {
             for (h, host) in hosts.iter_mut().enumerate() {
                 let busy = usize::try_from(round % CONTAINERS_PER_HOST).unwrap();
                 let demands = vec![host.demand(ids[h][busy], 20)];
                 host.step(&demands);
                 for frame in host.take_fleet_frames() {
-                    if let Some(resp) = conns[h].request(&frame).expect("periphery wire") {
-                        host.deliver_fleet_ack(&resp);
-                    }
+                    let resp = conns[h].request(&frame).expect("periphery wire");
+                    host.deliver_fleet_ack(&resp);
                 }
             }
             controller.advance_tick();
@@ -164,8 +176,7 @@ fn fleet_over_the_wire_with_racing_readers() {
     assert_eq!(r.partitioned, 0);
 
     // The stats query serves the fleet counters over the same socket.
-    let mut client = FleetClient::connect(&path).expect("stats connect");
-    let Some(Rollup::Stats(text)) = query(&mut client, QUERY_STATS, 0) else {
+    let Some(Rollup::Stats(text)) = query(&mut client(&path), QUERY_STATS, 0) else {
         panic!("expected stats exposition");
     };
     for name in [

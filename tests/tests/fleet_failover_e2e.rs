@@ -2,7 +2,7 @@
 //! sockets, the primary killed mid-stream.
 //!
 //! Four [`arv_container::SimHost`]s ship deltas through
-//! [`arv_fleet::FleetFailoverClient`]s configured with both controller
+//! [`arv_fleet::FleetClient`]s configured with both controller
 //! sockets. The primary streams accepted records to the hot standby over
 //! REPL (also on the real wire) while both contend on one shared lease.
 //! Mid-storm the primary's server is killed; peripheries walk to the
@@ -21,13 +21,13 @@
 
 use arv_container::{ContainerSpec, SimHost};
 use arv_fleet::{
-    decode_frame, encode_query, AckDisposition, FailoverPolicy, FleetClient, FleetController,
-    FleetFailoverClient, FleetPolicy, Frame, Periphery, Query, Rollup, SharedLease, QUERY_CLUSTER,
-    QUERY_FLIGHT, QUERY_STATS,
+    decode_frame, encode_query, AckDisposition, FleetClient, FleetController, FleetPolicy, Frame,
+    Periphery, Query, Rollup, SharedLease, QUERY_CLUSTER, QUERY_FLIGHT, QUERY_STATS,
 };
 use arv_persist::{FaultyStore, StoreFaults};
 use arv_telemetry::{FlightDump, FlightRecorder, FlightTrigger, Tracer};
-use std::path::PathBuf;
+use arv_viewd::RetryPolicy;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -43,14 +43,25 @@ fn sock_path(name: &str) -> PathBuf {
     p
 }
 
+/// A client of the one controller at `path` that makes one attempt per
+/// request: the primary's replication link never sends a frame twice,
+/// and a close reaches the caller instead of a silent reconnect.
+fn one_attempt_client(path: &Path) -> FleetClient {
+    let policy = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    FleetClient::new([path], policy)
+}
+
 /// One reader's life: accepted-rollup count, fenced-rollup count, and
 /// the highest controller epoch it accepted.
 fn run_reader(paths: [PathBuf; 2], seed: u64, stop: &AtomicBool) -> (u64, u64, u64) {
-    let mut client = FleetFailoverClient::new(
+    let mut client = FleetClient::new(
         paths,
-        FailoverPolicy {
+        RetryPolicy {
             jitter_seed: seed,
-            ..FailoverPolicy::fast_test()
+            ..RetryPolicy::fast_test()
         },
     );
     let query = encode_query(&Query {
@@ -148,21 +159,20 @@ fn fleet_failover_over_the_wire() {
 
         // Each periphery walks the ordered controller list on failure;
         // distinct jitter seeds decorrelate their backoff.
-        let mut conns: Vec<FleetFailoverClient> = (0..HOSTS)
+        let mut conns: Vec<FleetClient> = (0..HOSTS)
             .map(|h| {
-                FleetFailoverClient::new(
+                FleetClient::new(
                     [path_a.clone(), path_b.clone()],
-                    FailoverPolicy {
+                    RetryPolicy {
                         jitter_seed: 0xFA11 + u64::from(h),
-                        ..FailoverPolicy::fast_test()
+                        ..RetryPolicy::fast_test()
                     },
                 )
             })
             .collect();
         // Replication rides the same wire: the primary's REPL frames go
         // to the standby's socket, its ACKs come back to the primary.
-        let mut repl_conn: Option<FleetClient> =
-            Some(FleetClient::connect(&path_b).expect("repl connect"));
+        let mut repl_conn = Some(one_attempt_client(&path_b));
 
         let mut primary_alive = true;
         for round in 0..ROUNDS {
@@ -208,7 +218,7 @@ fn fleet_failover_over_the_wire() {
             if primary_alive {
                 if let Some(conn) = repl_conn.as_mut() {
                     for frame in primary.take_repl_frames() {
-                        if let Ok(Some(resp)) = conn.request(&frame) {
+                        if let Ok(resp) = conn.request(&frame) {
                             if let Some(Frame::Ack(ack)) = decode_frame(&resp) {
                                 primary.handle_repl_ack(&ack);
                             }
@@ -276,14 +286,13 @@ fn fleet_failover_over_the_wire() {
     // Scrape the exposition over the wire (the primary's socket is
     // dead; the survivor's answers): every host's freshness lag and
     // agent summary must be published as labelled gauges.
-    let mut scraper = FleetClient::connect(&path_b).expect("scrape connect");
+    let mut scraper = one_attempt_client(&path_b);
     let resp = scraper
         .request(&encode_query(&Query {
             kind: QUERY_STATS,
             arg: 0,
         }))
-        .expect("stats request")
-        .expect("stats answered");
+        .expect("stats request");
     let Some(Frame::Rollup(frame)) = decode_frame(&resp) else {
         panic!("expected ROLLUP");
     };
@@ -319,8 +328,7 @@ fn fleet_failover_over_the_wire() {
                 kind: QUERY_FLIGHT,
                 arg: back,
             }))
-            .expect("flight request")
-            .expect("flight answered");
+            .expect("flight request");
         let Some(Frame::Rollup(frame)) = decode_frame(&resp) else {
             panic!("expected ROLLUP");
         };
@@ -417,18 +425,18 @@ fn lease_store_outage_steps_primary_down_before_ttl() {
         hosts.push(host);
     }
 
-    let mut conns: Vec<FleetFailoverClient> = (0..HOSTS)
+    let mut conns: Vec<FleetClient> = (0..HOSTS)
         .map(|h| {
-            FleetFailoverClient::new(
+            FleetClient::new(
                 [path_a.clone(), path_b.clone()],
-                FailoverPolicy {
+                RetryPolicy {
                     jitter_seed: 0x1EA5 + u64::from(h),
-                    ..FailoverPolicy::fast_test()
+                    ..RetryPolicy::fast_test()
                 },
             )
         })
         .collect();
-    let mut repl_conn = FleetClient::connect(&path_b).expect("repl connect");
+    let mut repl_conn = one_attempt_client(&path_b);
 
     let mut last_ok_renew_tick = 0u64;
     let mut step_down_tick = u64::MAX;
@@ -473,7 +481,7 @@ fn lease_store_outage_steps_primary_down_before_ttl() {
         }
         if primary.is_leader() {
             for frame in primary.take_repl_frames() {
-                if let Ok(Some(resp)) = repl_conn.request(&frame) {
+                if let Ok(resp) = repl_conn.request(&frame) {
                     if let Some(Frame::Ack(ack)) = decode_frame(&resp) {
                         primary.handle_repl_ack(&ack);
                     }
