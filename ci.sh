@@ -43,32 +43,28 @@ cargo run -q --release -p arv-experiments --bin experiments -- \
     --fig 2a --fig 2b --fig 6 --fig 7 --fig 8 --fig 9 --fig 10 --fig 11 --fig 12 \
     --fig ablations --fig accuracy > /dev/null
 
-echo "==> chaos experiment (seeded fault injection, replay-checked)"
-cargo run -q --release -p arv-experiments --bin experiments -- --fig chaos --scale 0.5 > /dev/null
+# The two campaigns, each on its base seeds and on rotated ones: every
+# scenario runs twice per seed and must replay bit-identically.
+for offset in 0 1; do
+    echo "==> host campaign, seed offset $offset (stall, publish outage, warm restart, provenance, event loss, wire chaos, torn journals, flood)"
+    cargo run -q --release -p arv-experiments --bin experiments -- --fig host --scale 0.5 --seed-offset "$offset" > /dev/null
+    echo "==> fleet campaign, seed offset $offset (scale, waterfalls, storage soak, storm and split-brain takeovers)"
+    cargo run -q --release -p arv-experiments --bin experiments -- --fig fleet --scale 0.5 --seed-offset "$offset" > /dev/null
+done
 
-echo "==> observability experiment (provenance replay + trace-overhead budget)"
-cargo run -q --release -p arv-experiments --bin experiments -- --fig obs --scale 0.5 > /dev/null
-
-echo "==> recovery experiment (journaled warm restart + admission-controlled flood)"
-cargo run -q --release -p arv-experiments --bin experiments -- --fig recovery --scale 0.5 > /dev/null
-
-echo "==> fleet experiment (core↔periphery aggregation, partitions, controller failover)"
-cargo run -q --release -p arv-experiments --bin experiments -- --fig fleet --scale 0.5 > /dev/null
-
-echo "==> fleet experiment, rotated seeds (failover/split-brain must hold beyond the canonical seeds)"
-cargo run -q --release -p arv-experiments --bin experiments -- --fig fleet --scale 0.5 --seed-offset 1 > /dev/null
-
-echo "==> fleet observability experiment (waterfalls vs ground truth, bit-identical flight dumps, overhead budget)"
-cargo run -q --release -p arv-experiments --bin experiments -- --fig fleetobs --scale 0.5 > /dev/null
-
-echo "==> fleet observability experiment, rotated seeds"
-cargo run -q --release -p arv-experiments --bin experiments -- --fig fleetobs --scale 0.5 --seed-offset 1 > /dev/null
-
-echo "==> storm campaign (storage faults composed with every fleet axis, durability ladder gated)"
-cargo run -q --release -p arv-experiments --bin experiments -- --fig storm --scale 0.5 > /dev/null
-
-echo "==> storm campaign, rotated seeds (the ladder must hold beyond the canonical seeds)"
-cargo run -q --release -p arv-experiments --bin experiments -- --fig storm --scale 0.5 --seed-offset 1 > /dev/null
+echo "==> invariant ledger (every check DESIGN §10 names is a fn under crates/ or tests/, or an arv-bench gate)"
+checks=$(sed -n '/^## 10\. The invariant ledger/,/^## /p' DESIGN.md | grep '^| ' \
+    | awk -F'|' '{print $(NF-1)}' | grep -o '`[^`]*`' | tr -d '`' | sort -u || true)
+test -n "$checks" || { echo "DESIGN §10 names no checks"; exit 1; }
+missing=0
+for check in $checks; do
+    if ! grep -rqE "fn ${check}([^A-Za-z0-9_]|$)" crates tests \
+            && ! grep -rqF "\"${check}\"" crates/bench/benches; then
+        echo "ledger names an undefined check: ${check}"
+        missing=1
+    fi
+done
+test "$missing" -eq 0
 
 # core: NsMonitor::tick linear scaling, ledger record growth; viewd: hit /
 # re-stamped miss / first render ratios; fleet: resync + failover ticks,

@@ -7,6 +7,8 @@
 //! not: every comparison with NaN is false, so a 0/0 ratio on a coarse
 //! clock or the median of no samples would otherwise pass any bound.
 
+#![forbid(unsafe_code)]
+
 use arv_cgroups::{Bytes, CgroupId};
 use arv_experiments::json::Json;
 use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};

@@ -40,6 +40,7 @@
 //! assert!(!alloc.has_slack());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod loadavg;

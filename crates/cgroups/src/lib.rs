@@ -10,6 +10,7 @@
 //! cgroups to invoke ns_monitor if a sys_namespace exists for a control
 //! group and there is a change to the cgroups settings", §3.2).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cpu;

@@ -33,6 +33,7 @@
 //! assert_eq!(host.sysconf(None, Sysconf::NprocessorsOnln), 20);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod host;

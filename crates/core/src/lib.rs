@@ -45,6 +45,7 @@
 //! assert_eq!(view.value(), 10);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod effective_cpu;

@@ -1,7 +1,7 @@
 //! The one campaign harness: seeds, replay-twice bit-identity, tables.
 //!
-//! The six robustness campaigns (`chaos`, `obs`, `recovery`, `fleet`,
-//! `fleetobs`, `storm`) all make the same kind of claim — *an invariant
+//! The two robustness campaigns, `host` ([`crate::host`]) and `fleet`
+//! ([`crate::fleet`]), make the same kind of claim — *an invariant
 //! holds under seeded faults, and a failing run replays exactly* — so
 //! they share one driver:
 //!
@@ -20,11 +20,12 @@
 //! * [`Campaign::finish`] closes the report with the `determinism`
 //!   table (one row per scenario that replayed) and the seeds note.
 //!
-//! The campaigns also share their driver plumbing here, one copy each:
-//! hosts and containers ([`fleet_hosts`], [`step_busy`], …), the
-//! controller side ([`replicated_pair`], [`pump_repl`], [`ground_truth`],
-//! …), the synthetic fleet ([`synthetic_views`], …) and the
-//! [`FaultyLinks`] a partitioned and a lagging host are modelled with.
+//! The scenarios also share their driver plumbing here, one copy each:
+//! hosts and containers ([`paper_container`], [`step_busy`], …), the
+//! controller side ([`pump_repl`], [`query`], [`ground_truth`], …), the
+//! synthetic fleet ([`synthetic_views`], …) and the [`FaultyLinks`] a
+//! partitioned and a lagging host are modelled with. Every scenario's
+//! asserts are rows of DESIGN's invariant ledger.
 
 use std::fmt::Debug;
 
@@ -32,8 +33,8 @@ use arv_cfs::GroupDemand;
 use arv_cgroups::{Bytes, CgroupId};
 use arv_container::{ContainerSpec, SimHost};
 use arv_fleet::{
-    decode_frame, Ack, AckDisposition, FleetController, FleetPolicy, Frame, Periphery,
-    PeripheryStats, SharedLease,
+    decode_frame, encode_query, Ack, AckDisposition, FleetController, Frame, PeripheryStats, Query,
+    RollupFrame,
 };
 use arv_persist::{Snapshot, ViewState};
 use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};
@@ -228,17 +229,15 @@ pub fn pump_repl(from: &FleetController, to: &FleetController) {
     }
 }
 
-/// A replicated controller pair contending on one shared lease of
-/// `ttl` ticks: the primary (lease id 1) streams REPL, the standby
-/// (id 2) mirrors it until the lease lets it promote.
-pub fn replicated_pair(index_shards: usize, ttl: u64) -> (FleetController, FleetController) {
-    let lease = SharedLease::new();
-    let primary = FleetController::new(index_shards, FleetPolicy::default());
-    primary.attach_lease(lease.clone(), 1, ttl);
-    primary.enable_replication();
-    let standby = FleetController::new(index_shards, FleetPolicy::default());
-    standby.attach_lease(lease, 2, ttl);
-    (primary, standby)
+/// Ask `ctl` a query over the frame protocol and decode the rollup.
+pub fn query(ctl: &FleetController, kind: u8, arg: u32) -> RollupFrame {
+    let resp = ctl
+        .handle_frame(&encode_query(&Query { kind, arg }))
+        .expect("query answered");
+    let Some(Frame::Rollup(frame)) = decode_frame(&resp) else {
+        panic!("expected ROLLUP");
+    };
+    frame
 }
 
 /// Whether `id`'s effective CPU count sits outside its Algorithm 1
@@ -266,25 +265,6 @@ pub fn ground_truth(hosts: &[SimHost]) -> (u64, u64) {
 /// quota at default shares, no memory limits.
 pub fn paper_container(name: String) -> ContainerSpec {
     ContainerSpec::new(name, 20).cpus(10.0).cpu_shares(1024)
-}
-
-/// `count` live hosts of three 10-CPU containers each, every one with a
-/// periphery attached (two tenants, alternating by host).
-pub fn fleet_hosts(tag: &str, count: u32) -> (Vec<SimHost>, Vec<Vec<CgroupId>>) {
-    let mut hosts = Vec::new();
-    let mut ids: Vec<Vec<CgroupId>> = Vec::new();
-    for h in 0..count {
-        let mut host = SimHost::paper_testbed();
-        let spec = |i: u32| paper_container(format!("{tag}-{h}-{i}"));
-        ids.push((0..3).map(|i| host.launch(&spec(i))).collect());
-        let mut p = Periphery::new(h);
-        for i in 0..3 {
-            p.set_tenant(i + 1, h % 2);
-        }
-        host.attach_periphery(p);
-        hosts.push(host);
-    }
-    (hosts, ids)
 }
 
 /// Hand `ack` to `host`'s periphery. A `NotLeader` answer walks it down
@@ -430,13 +410,14 @@ impl FaultyLinks {
                     .extend(frames.drain(..).map(|frame| (arrives, frame)));
             }
             // Frames are queued in shipping order and every delay is the
-            // same, so the arrived ones are a prefix.
+            // same, so the arrived ones are a prefix; they go out ahead
+            // of anything shipped this round, so the link never reorders.
             let arrived = self
                 .lagging
                 .iter()
                 .take_while(|(arrives, _)| healing || *arrives <= round)
                 .count();
-            frames.extend(self.lagging.drain(..arrived).map(|(_, frame)| frame));
+            frames.splice(0..0, self.lagging.drain(..arrived).map(|(_, frame)| frame));
         }
         frames
     }
@@ -446,6 +427,18 @@ impl FaultyLinks {
 mod tests {
     use super::*;
     use arv_sim_core::FaultConfig;
+
+    impl Campaign {
+        /// One module's share of a merged campaign, run as a campaign
+        /// of its own on `base` rotated by `offset`: the closed report.
+        /// Every scenario in it replayed, or [`Campaign::scenario`]
+        /// would have panicked.
+        pub(crate) fn alone(base: &[u64], offset: u64, f: impl FnOnce(&mut Campaign)) -> FigReport {
+            let mut campaign = Campaign::new("alone", "alone", base, offset);
+            f(&mut campaign);
+            campaign.finish()
+        }
+    }
 
     #[test]
     fn seed_offset_rotates_every_campaign_by_one_rule() {
@@ -497,11 +490,11 @@ mod tests {
         assert!(links.route(&plan, 1, 0, false, vec![vec![1]]).is_empty());
         assert!(links.route(&plan, 1, 1, false, vec![vec![2]]).is_empty());
         assert_eq!(links.route(&plan, 1, 2, false, vec![vec![3]]), [[1]]);
-        // Healing: this round's frame goes straight through, then the
-        // link flushes.
+        // Healing: the link flushes what is still in flight, then this
+        // round's frame follows — late, in order, no gap.
         assert_eq!(
             links.route(&plan, 1, 3, true, vec![vec![4]]),
-            [[4], [2], [3]]
+            [[2], [3], [4]]
         );
         assert_eq!((links.delayed, links.dropped), (3, 0));
         // Other hosts are untouched.

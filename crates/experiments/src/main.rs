@@ -3,6 +3,7 @@
 //! ```text
 //! experiments --all [--quick] [--out DIR]   # every figure
 //! experiments --fig 6 [--scale 0.2]         # one figure
+//! experiments --fig host                    # seeded campaign, base seeds
 //! experiments --fig fleet --seed-offset 1   # seeded campaign, fresh seeds
 //! experiments --list
 //! ```

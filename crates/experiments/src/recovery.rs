@@ -1,15 +1,7 @@
-//! Crash-safe recovery and overload-protection campaign.
+//! The journal and the admission layer under stress, two scenarios of
+//! the `host` campaign ([`crate::host`]); the warm restart itself runs
+//! in the host campaign's testbed:
 //!
-//! The robustness claims the journaled warm restart and the admission
-//! layer make are asserted here, seeded and replay-checked on the
-//! [`crate::campaign`] harness:
-//!
-//! * **warm restart** — the monitor daemon crashes mid-scenario (a
-//!   [`arv_sim_core::FaultPlan`] crash window) and restarts from its
-//!   append-only journal. The first views served after the restart must
-//!   be the reconciled last-good state, never the cold lower bounds,
-//!   and the attached daemon must walk back to Fresh within a bounded
-//!   number of ticks (measured by its own recovery-latency histogram).
 //! * **torn journal** — the journal "file" is truncated at arbitrary
 //!   seeded offsets, plus two deterministic tears (mid-header and
 //!   mid-final-record). Every restore must land on a valid prefix
@@ -25,24 +17,14 @@
 
 use arv_cgroups::CgroupId;
 use arv_container::{ContainerSpec, SimHost};
-use arv_resview::Sysconf;
-use arv_sim_core::{FaultConfig, FaultPlan};
+use arv_sim_core::SimRng;
 use arv_viewd::{RetryPolicy, ServerConfig, ViewServer, WireClient, WireServer, KIND_STATS};
 
 use crate::campaign::{out_of_bounds, paper_container, rows, step_busy, Campaign, Run, Scenario};
-use crate::report::FigReport;
-
-/// The two campaign seeds (distinct from the chaos campaign's, so the
-/// suites never share a lucky constant).
-const SEEDS: [u64; 2] = [0xC0FFEE, 0xB007ED];
 
 /// Update-timer firings that grow the busy container to its quota
-/// before any fault is injected.
+/// before the journal tail is written.
 const GROW_STEPS: u32 = 50;
-
-/// Ticks allowed between the warm restart and the daemon's first
-/// Fresh-health serve.
-const RECOVERY_TO_FRESH_BOUND: u64 = 2;
 
 /// Per-connection token-bucket burst in the flood scenario; refill is
 /// zero so the burst is all a connection ever gets (deterministic).
@@ -61,140 +43,7 @@ fn paper_spec(tag: impl std::fmt::Display) -> ContainerSpec {
     paper_container(format!("recovery-{tag}"))
 }
 
-fn xorshift(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
-
-// --- scenario 1: crash window + warm restart ---
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CrashOutcome {
-    downtime_ticks: u64,
-    pre_crash_cpus: u64,
-    floor_cpus: u64,
-    post_restart_cpus: u64,
-    restored_plus_reconciled: u64,
-    dropped: u64,
-    truncated_records: u64,
-    ticks_to_fresh: u64,
-    recovery_latency_p99_ticks: u64,
-    viewd_reconciled: u64,
-    missed_ticks: u64,
-    resyncs: u64,
-}
-
-fn run_crash_restart(seed: u64) -> CrashOutcome {
-    let mut host = SimHost::paper_testbed();
-    let server = ViewServer::new(host.viewd_host_spec(), 4);
-    host.attach_viewd(server.clone());
-    host.enable_journal(4);
-    let ids: Vec<CgroupId> = (0..5).map(|i| host.launch(&paper_spec(i))).collect();
-
-    // Only c0 runs: its view climbs from the all-busy fair share to the
-    // 10-core quota, so restored-state and cold-floor answers differ.
-    for _ in 0..GROW_STEPS {
-        step_busy(&mut host, &ids[..1], 20);
-    }
-    let client = server.client();
-    let pre_crash_cpus = client.sysconf(Some(ids[0]), Sysconf::NprocessorsOnln);
-    let floor_cpus = u64::from(
-        host.monitor()
-            .namespace(ids[0])
-            .expect("namespace exists")
-            .cpu_bounds()
-            .lower,
-    );
-
-    // Seed-flavoured downtime, always at least two missed deadlines.
-    let downtime = 2 + seed % 3;
-    let crash_start = host.now_tick() + 1;
-    host.set_fault_plan(FaultPlan::new(
-        seed,
-        FaultConfig {
-            crash_at: Some((crash_start, downtime)),
-            ..FaultConfig::quiet()
-        },
-    ));
-    let restart_tick = crash_start + downtime;
-    let mut ticks_to_fresh = u64::MAX;
-    for _ in 0..downtime + 3 {
-        step_busy(&mut host, &ids[..1], 20);
-        if host.now_tick() >= restart_tick && ticks_to_fresh == u64::MAX {
-            // The query is what closes the daemon's recovery-latency
-            // histogram: first Fresh-health serve after note_restore.
-            let _ = client.sysconf(Some(ids[0]), Sysconf::NprocessorsOnln);
-            if client.health(Some(ids[0])).is_fresh() {
-                ticks_to_fresh = host.now_tick() - restart_tick;
-            }
-        }
-    }
-
-    let ev = host
-        .last_restore()
-        .expect("crash window fired a warm restart")
-        .clone();
-    let outcome = ev.outcome.expect("journal held a valid checkpoint");
-    let m = server.metrics();
-    let w = host.watchdog_stats();
-    CrashOutcome {
-        downtime_ticks: downtime,
-        pre_crash_cpus,
-        floor_cpus,
-        post_restart_cpus: client.sysconf(Some(ids[0]), Sysconf::NprocessorsOnln),
-        restored_plus_reconciled: (outcome.restored + outcome.reconciled) as u64,
-        dropped: outcome.dropped as u64,
-        truncated_records: ev.report.truncated_records,
-        ticks_to_fresh,
-        recovery_latency_p99_ticks: m.recovery_latency_p99,
-        viewd_reconciled: m.restore_reconciled_containers,
-        missed_ticks: w.missed_ticks,
-        resyncs: w.resyncs,
-    }
-}
-
-fn assert_crash(out: &CrashOutcome, seed: u64) {
-    assert!(
-        out.pre_crash_cpus > out.floor_cpus,
-        "seed {seed:#x}: scenario must distinguish grown views from the floor"
-    );
-    assert_eq!(
-        out.post_restart_cpus, out.pre_crash_cpus,
-        "seed {seed:#x}: first-served views after restart must be the \
-         journaled last-good state, not the cold floor"
-    );
-    assert_eq!(
-        out.restored_plus_reconciled, 5,
-        "seed {seed:#x}: every container recovered from the checkpoint"
-    );
-    assert_eq!(out.dropped, 0, "seed {seed:#x}");
-    assert_eq!(
-        out.truncated_records, 0,
-        "seed {seed:#x}: an intact journal has no torn frames"
-    );
-    assert!(
-        out.ticks_to_fresh <= RECOVERY_TO_FRESH_BOUND,
-        "seed {seed:#x}: daemon took {} ticks to serve Fresh after restart",
-        out.ticks_to_fresh
-    );
-    assert!(
-        out.recovery_latency_p99_ticks <= RECOVERY_TO_FRESH_BOUND,
-        "seed {seed:#x}: recovery-latency p99 {} ticks over bound",
-        out.recovery_latency_p99_ticks
-    );
-    assert_eq!(
-        out.missed_ticks, out.downtime_ticks,
-        "seed {seed:#x}: the crash window misses exactly its deadlines"
-    );
-    assert!(
-        out.resyncs >= 1,
-        "seed {seed:#x}: restart counts a recovery"
-    );
-}
-
-// --- scenario 2: torn journal ---
+// --- torn journal ---
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TornOutcome {
@@ -234,10 +83,9 @@ fn run_torn_journal(seed: u64, cuts: u32) -> TornOutcome {
     // the cold path) and mid-final-record (classic torn tail) — plus
     // seeded arbitrary offsets.
     let mut offsets: Vec<usize> = vec![5, bytes.len() - 7];
-    let mut rng = seed | 1;
+    let mut rng = SimRng::seed_from_u64(seed);
     for _ in 0..cuts {
-        rng = xorshift(rng);
-        offsets.push(8 + (rng as usize % (bytes.len() - 8)));
+        offsets.push(rng.range_u64(8, bytes.len() as u64) as usize);
     }
 
     let mut warm = 0u64;
@@ -305,7 +153,7 @@ fn assert_torn(out: &TornOutcome, seed: u64) {
     assert_eq!(out.full_restore_truncated, 0, "seed {seed:#x}");
 }
 
-// --- scenario 3: client flood ---
+// --- client flood ---
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FloodOutcome {
@@ -471,38 +319,11 @@ fn assert_flood(out: &FloodOutcome, hit_p99_ns: u64, seed: u64) {
     );
 }
 
-// --- the campaign ---
-
-/// Run the recovery campaign and produce its report. Panics (on
-/// purpose) if any crash-safety or overload invariant, or the
-/// same-seed replay check, fails.
-pub fn run(scale: f64, seed_offset: u64) -> FigReport {
+/// Run both scenarios on `campaign`; `scale` sizes the cut count and
+/// the flood.
+pub(crate) fn scenarios(campaign: &mut Campaign, scale: f64) {
     let cuts = ((8.0 * scale) as u32).clamp(3, 16);
     let clients = ((6.0 * scale) as u32).clamp(2, 8);
-    let mut campaign = Campaign::new(
-        "recovery",
-        "crash-safe warm restart from the view journal + admission-controlled serving under flood",
-        &SEEDS,
-        seed_offset,
-    );
-
-    campaign.scenario(Scenario {
-        name: "warm_restart",
-        run: &|seed, _| Run::of(run_crash_restart(seed)),
-        check: &|run, seed| assert_crash(&run.outcome, seed),
-        rows: rows!(
-            downtime_ticks,
-            pre_crash_cpus,
-            floor_cpus,
-            post_restart_cpus,
-            restored_plus_reconciled,
-            ticks_to_fresh,
-            recovery_latency_p99_ticks,
-            viewd_reconciled,
-            missed_ticks,
-            resyncs
-        ),
-    });
     campaign.scenario(Scenario {
         name: "torn_journal",
         run: &|seed, _| Run::of(run_torn_journal(seed, cuts)),
@@ -529,11 +350,6 @@ pub fn run(scale: f64, seed_offset: u64) -> FigReport {
             missed_ticks
         ),
     });
-
-    campaign.report.note(format!(
-        "restart serves the reconciled journal state (never the cold floor), Fresh within \
-         {RECOVERY_TO_FRESH_BOUND} ticks of the restart"
-    ));
     campaign.report.note(format!(
         "{} arbitrary journal truncations per seed: prefix-consistent restores, zero bound \
          violations, intact bytes replay the exact crash-time views",
@@ -545,36 +361,32 @@ pub fn run(scale: f64, seed_offset: u64) -> FigReport {
         floods[0].wall_value(),
         floods[1].wall_value()
     ));
-    campaign.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::seed_label;
 
     #[test]
     fn recovery_campaign_passes_and_reports() {
-        let rep = run(0.5, 0);
-        assert_eq!(rep.tables.len(), 4);
-        let crash = &rep.tables[0];
-        for col in [seed_label(SEEDS[0]), seed_label(SEEDS[1])] {
-            assert_eq!(crash.get("restored_plus_reconciled", &col), Some(5.0));
-            assert_eq!(
-                crash.get("post_restart_cpus", &col),
-                crash.get("pre_crash_cpus", &col)
-            );
+        // The host campaign's recovery share alone, at seed offset 2:
+        // seeds its offsets 0 and 1 do not run, and flood sockets apart
+        // from its.
+        let rep = Campaign::alone(&crate::host::SEEDS, 2, |c| scenarios(c, 0.5));
+        let (torn, flood) = (rep.table("torn_journal"), rep.table("client_flood"));
+        for col in &torn.columns {
+            assert_eq!(torn.get("bound_violations", col), Some(0.0));
+            assert_eq!(torn.get("exact_matches", col), Some(5.0));
+            assert_eq!(flood.get("reader_cached_ok", col), Some(8.0));
+            assert_eq!(flood.get("missed_ticks", col), Some(0.0));
         }
-        let det = &rep.tables[3];
-        assert_eq!(det.get("client_flood", "replays_identical"), Some(1.0));
     }
 
     #[test]
     fn simulation_scenarios_replay_bit_identically() {
-        // Pure-simulation scenarios compared once more outside run():
-        // guards against accidental global state sneaking into SimHost
-        // or the journal encoding.
-        assert_eq!(run_crash_restart(7), run_crash_restart(7));
+        // Compared once more outside the campaign: guards against
+        // accidental global state sneaking into SimHost or the journal
+        // encoding.
         assert_eq!(run_torn_journal(11, 4), run_torn_journal(11, 4));
     }
 }

@@ -394,6 +394,11 @@ mod tests {
     }
 
     impl FigReport {
+        /// The table named `name`; panics if the report filed none.
+        pub(crate) fn table(&self, name: &str) -> &Table {
+            self.tables.iter().find(|t| t.name == name).expect(name)
+        }
+
         /// Parse a report previously produced by [`FigReport::to_json`].
         fn from_json(input: &str) -> Result<FigReport, String> {
             let root = Json::parse(input)?;

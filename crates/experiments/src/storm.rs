@@ -1,8 +1,5 @@
-//! Chaos-storm campaign: storage faults composed with every fleet
-//! fault axis, gating the durability degradation ladder end to end.
-//!
-//! Two scenarios, seeded and replay-checked on the [`crate::campaign`]
-//! harness:
+//! The storm: storage faults composed with every fleet fault axis on
+//! live hosts, three scenarios of the `fleet` campaign ([`crate::fleet`]).
 //!
 //! * **soak** — a raw [`arv_persist::Journal`] over a seeded
 //!   [`FaultyStore`] with *every* storage axis armed at once (torn
@@ -12,39 +9,52 @@
 //!   yields an invalid view (CRC framing swallows corruption), a crash
 //!   loses exactly the unsynced tail (the fsync model), and the whole
 //!   torture replays bit-identically per seed.
-//! * **storm** — the full matrix on live hosts: per-host journal
-//!   stores hit disk-full and sync-stall windows (flipping hosts onto
-//!   the degraded rung and the `DurabilityLost` health dimension, then
-//!   healing), the controller pair journals onto faulty stores of
-//!   their own (the standby's shadow journal errors and demands a
-//!   fresh checkpoint), and the shared lease store goes
-//!   out of space — the primary that cannot persist a renewal steps
-//!   down *before* its TTL, asserted against ground-truth lease
-//!   arithmetic, and never acks above its fenced epoch afterwards.
-//!   All of it runs under the existing fleet axes: a partition window,
-//!   a lagging host, seeded frame drops, a lease-renewal stall, a
-//!   replication-lag window, and a primary crash-restore that rejoins
-//!   the deposed controller as a mirror. Post-storm the fleet must
-//!   converge back to Fresh with every durability flag clear, and the
-//!   durable journals must restore to exactly the live indices.
+//! * **storm** and **splitbrain** — one rig, two ways to lose the
+//!   leader. Six live hosts journal onto their own stores (three of them
+//!   faulty: disk-full and sync-stall windows walk them down the
+//!   durability ladder and back) and stream to a replicated controller
+//!   pair that journals onto faulty stores too, under a partitioned
+//!   host, a lagging host, seeded frame drops and a replication-lag
+//!   window. In **storm** the shared lease store runs out of space: the
+//!   primary that cannot persist a renewal steps down *before* its TTL
+//!   (checked against ground-truth lease arithmetic) and never acks
+//!   above its fenced epoch. In **splitbrain** the primary's renewals
+//!   stall past the TTL while it keeps serving, so two leaders coexist
+//!   until epoch fencing demotes the impostor. Either way:
+//!   - the sequence gap the partition leaves is counted (summed over
+//!     every controller incarnation) and healed by a FULL resync;
+//!   - exactly one promotion, within two ticks of the lease becoming
+//!     takeable, into epoch 2; the stream the lag window stranded with
+//!     the old primary reaches the new leader at the stale epoch and is
+//!     fenced; a duplicated stale ACK is fenced by its periphery;
+//!   - the new leader tightens `rate_burst`, and the peripheries'
+//!     token buckets coalesce rather than drop;
+//!   - the promotion and the fence each freeze a flight dump, retrieved
+//!     over `QUERY_FLIGHT` and compared byte for byte by the replay;
+//!   - the deposed primary crash-restores from its durable journal
+//!     (serving every host last-good) and rejoins as a mirror;
+//!   - post-storm every host is Fresh within six ticks of the takeover,
+//!     every durability flag clears, the rollups equal per-host ground
+//!     truth, and every durable journal restores to the live index.
 
 use std::collections::BTreeMap;
 
+use arv_cgroups::CgroupId;
 use arv_container::SimHost;
-use arv_fleet::{FleetController, FleetPolicy, SharedLease};
+use arv_fleet::{
+    AckDisposition, FleetController, FleetPolicy, Frame, Periphery, Rollup, SharedLease,
+    QUERY_FLIGHT,
+};
 use arv_persist::{restore, FaultyStore, Journal, Snapshot, StoreFaults, ViewState};
 use arv_sim_core::{FaultConfig, FaultPlan, SimRng};
+use arv_telemetry::{FlightDump, FlightRecorder, FlightTrigger, Tracer};
 
 use crate::campaign::{
-    churn_demands, fleet_hosts, ground_truth, periphery_total, pump_repl, rows, take_ack, Campaign,
-    FaultyLinks, Run, Scenario,
+    churn_demands, ground_truth, paper_container, periphery_total, pump_repl, query, rows,
+    take_ack, Campaign, FaultyLinks, Run, Scenario,
 };
-use crate::report::FigReport;
 
-/// Campaign seeds (distinct from the fleet and chaos suites).
-const SEEDS: [u64; 2] = [0x0057_0213, 0x00D0_7A6E];
-
-/// Hosts in the storm scenario.
+/// Hosts in the storm rig.
 const STORM_HOSTS: u32 = 6;
 
 /// Storm rounds; the fault windows below are laid out inside them.
@@ -53,15 +63,34 @@ const STORM_ROUNDS: u32 = 36;
 /// Fault-free epilogue rounds: every rung must heal in here.
 const HEAL_ROUNDS: u32 = 16;
 
+/// A round after the partition (rounds 4-6) heals and before any lease
+/// event: host 0's resyncs by now answer the partition's gap.
+const PARTITION_SETTLED: u64 = 12;
+
 /// Lease TTL in controller ticks.
 const LEASE_TTL: u64 = 3;
 
 /// The lease store's disk-full window `[at, at+len)` in controller
-/// ticks: the primary steps down at its first unpersistable renewal,
-/// and nobody can take over until the window ends.
+/// ticks (storm): the primary steps down at its first unpersistable
+/// renewal, and nobody can take over until the window ends.
 const LEASE_FULL: (u64, u64) = (24, 5);
 
-// --- scenario 1: storage soak on a raw journal ---
+/// The primary's renewal stall (splitbrain): past the TTL, so the
+/// standby takes over while the primary still believes it leads.
+const SPLIT_STALL: (u64, u64) = (21, LEASE_TTL + 4);
+
+/// The `rate_burst` the promoted leader pushes: small enough that a
+/// steady periphery diff outruns the bucket, so enforced backpressure
+/// (coalescing) is exercised.
+const TIGHT_BURST: u32 = 2;
+
+/// Ticks allowed from the completed takeover to every host Fresh.
+const FRESH_BOUND: u64 = 6;
+
+/// Flight dumps the standby's recorder retains.
+const FLIGHT_DUMPS: usize = 8;
+
+// --- storage soak on a raw journal ---
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SoakOutcome {
@@ -95,38 +124,35 @@ fn run_soak(seed: u64, ticks: u64) -> SoakOutcome {
         ticks,
         ..SoakOutcome::default()
     };
+    // One seeded view; the draws keep their order (memory, CPU, free).
+    let view = |rng: &mut SimRng, id: u32, tick: u64| {
+        let e_mem = rng.range_u64(64, 1024);
+        let e_cpu = rng.range_u64(1, 16) as u32;
+        let e_avail = rng.range_u64(0, e_mem);
+        ViewState {
+            id,
+            e_cpu,
+            e_mem,
+            e_avail,
+            last_tick: tick,
+        }
+    };
     for tick in 0..ticks {
         journal.set_tick(tick);
-        if tick % 8 == 0 {
+        let written = if tick % 8 == 0 {
             let mut snap = Snapshot::at(tick);
-            for id in 0..4u32 {
-                let mem = rng.range_u64(64, 1024);
-                snap.entries.push(ViewState {
-                    id,
-                    e_cpu: rng.range_u64(1, 16) as u32,
-                    e_mem: mem,
-                    e_avail: rng.range_u64(0, mem),
-                    last_tick: tick,
-                });
-            }
-            match journal.checkpoint(&snap) {
-                Ok(()) => out.appends_ok += 1,
-                Err(_) => out.appends_err += 1,
-            }
+            snap.entries
+                .extend((0..4u32).map(|id| view(&mut rng, id, tick)));
+            journal.checkpoint(&snap)
         } else {
-            let mem = rng.range_u64(64, 1024);
-            let state = ViewState {
-                id: rng.range_u64(0, 4) as u32,
-                e_cpu: rng.range_u64(1, 16) as u32,
-                e_mem: mem,
-                e_avail: rng.range_u64(0, mem),
-                last_tick: tick,
-            };
-            match journal.append_delta(&state, tick) {
-                Ok(()) => out.appends_ok += 1,
-                Err(_) => out.appends_err += 1,
-            }
+            let id = rng.range_u64(0, 4) as u32;
+            let written = journal.append_delta(&view(&mut rng, id, tick), tick);
             let _ = journal.sync();
+            written
+        };
+        match written {
+            Ok(()) => out.appends_ok += 1,
+            Err(_) => out.appends_err += 1,
         }
         if tick % 16 == 15 {
             // The fsync model under fire: a crash keeps exactly the
@@ -183,15 +209,18 @@ fn assert_soak(out: &SoakOutcome, seed: u64) {
     );
 }
 
-// --- scenario 2: the full chaos matrix ---
+// --- one rig, two takeovers ---
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct StormOutcome {
-    hosts: u64,
+pub(crate) struct StormOutcome {
+    split_brain: bool,
     bound_violations: u64,
     partition_frames_dropped: u64,
     lag_frames_delayed: u64,
     random_frames_dropped: u64,
+    gap_resyncs: u64,
+    partition_resyncs: u64,
+    degraded_rounds: u64,
     host_io_errors: u64,
     max_degraded_hosts: u64,
     final_degraded_hosts: u64,
@@ -202,13 +231,21 @@ struct StormOutcome {
     standby_io_errors: u64,
     primary_demotions: u64,
     last_ok_renew_tick: u64,
-    step_down_tick: u64,
+    deposed_tick: u64,
     promote_tick: u64,
+    split_brain_rounds: u64,
+    ticks_to_fresh: u64,
     deposed_not_leader_acks: u64,
     deposed_max_ack_epoch: u64,
     promotions: u64,
     not_leader_rejects: u64,
+    repl_records_applied: u64,
+    stranded_repl_records: u64,
+    repl_fenced: u64,
+    periphery_acks_fenced: u64,
+    deltas_coalesced: u64,
     periphery_failovers: u64,
+    post_restore_partitioned: u64,
     final_epoch: u64,
     final_partitioned: u64,
     final_cpu: u64,
@@ -219,6 +256,7 @@ struct StormOutcome {
     truth_containers: u64,
     host_restore_mismatches: u64,
     ctl_restore_matches_live: bool,
+    flight_dumps: Vec<Vec<u8>>,
 }
 
 /// Per-container view map for exact restore-vs-live comparison.
@@ -229,45 +267,72 @@ fn view_map(snap: &Snapshot) -> BTreeMap<u32, (u32, u64, u64)> {
         .collect()
 }
 
-/// The storm fleet: each host journals onto its own store — hosts 2-4
-/// onto seeded faulty stores whose windows are staggered through the
-/// storm, the rest onto clean memory stores as controls.
-fn storm_hosts(seed: u64) -> (Vec<SimHost>, Vec<Vec<arv_cgroups::CgroupId>>) {
-    let (mut hosts, ids) = fleet_hosts("storm", STORM_HOSTS);
-    for (h, host) in (0u64..).zip(hosts.iter_mut()) {
-        let faults = match h {
-            2 => Some(StoreFaults {
-                full_at: Some((8, 4)),
-                ..StoreFaults::default()
-            }),
-            3 => Some(StoreFaults {
-                sync_stall_at: Some((14, 4)),
-                ..StoreFaults::default()
-            }),
-            4 => Some(StoreFaults {
-                full_at: Some((20, 3)),
-                ..StoreFaults::default()
-            }),
-            _ => None,
-        };
-        match faults {
-            Some(f) => host.enable_journal_with_store(Box::new(FaultyStore::new(seed ^ h, f)), 4),
-            None => host.enable_journal(4),
-        }
-    }
-    (hosts, ids)
+/// The storm fleet: live hosts of three 10-CPU containers, each with a
+/// periphery (two tenants, alternating by host) and its own journal
+/// store — hosts 2-4 seeded faulty stores whose windows are staggered
+/// through the storm, the rest clean memory stores as controls.
+fn storm_hosts(seed: u64) -> (Vec<SimHost>, Vec<Vec<CgroupId>>) {
+    (0..STORM_HOSTS)
+        .map(|h| {
+            let mut host = SimHost::paper_testbed();
+            let spec = |i: u32| paper_container(format!("storm-{h}-{i}"));
+            let ids = (0..3).map(|i| host.launch(&spec(i))).collect();
+            let mut p = Periphery::new(h);
+            for i in 0..3 {
+                p.set_tenant(i + 1, h % 2);
+            }
+            host.attach_periphery(p);
+            let faults = match h {
+                2 => Some(StoreFaults {
+                    full_at: Some((8, 4)),
+                    ..StoreFaults::default()
+                }),
+                3 => Some(StoreFaults {
+                    sync_stall_at: Some((14, 4)),
+                    ..StoreFaults::default()
+                }),
+                4 => Some(StoreFaults {
+                    full_at: Some((20, 3)),
+                    ..StoreFaults::default()
+                }),
+                _ => None,
+            };
+            let store_seed = seed ^ u64::from(h);
+            match faults {
+                Some(f) => {
+                    host.enable_journal_with_store(Box::new(FaultyStore::new(store_seed, f)), 4)
+                }
+                None => host.enable_journal(4),
+            }
+            (host, ids)
+        })
+        .unzip()
 }
 
-fn run_storm(seed: u64) -> StormOutcome {
+/// A controller journaling onto a faulty store whose disk fills for
+/// `full`.
+fn faulty_controller(seed: u64, full: (u64, u64)) -> FleetController {
+    let mut ctl = FleetController::new(8, FleetPolicy::default());
+    let faults = StoreFaults {
+        full_at: Some(full),
+        ..StoreFaults::default()
+    };
+    ctl.enable_journal_with_store(Box::new(FaultyStore::new(seed, faults)), 2);
+    ctl
+}
+
+pub(crate) fn run_storm(seed: u64, split_brain: bool) -> StormOutcome {
     let plan = FaultPlan::new(
         seed,
         FaultConfig {
             partition_at: Some((4, 3)),
             lag_ticks: 2,
-            repl_lag_at: Some((16, 3)),
-            // Shorter than the TTL: renewals pause but the lease never
-            // expires — the stall alone must not cost leadership.
-            lease_stall_at: Some((18, 2)),
+            // Holds the primary's stream across the takeover: what it
+            // queues is stranded with the old leader.
+            repl_lag_at: Some((22, 9)),
+            // storm: shorter than the TTL, renewals pause but the lease
+            // never expires — the stall alone must not cost leadership.
+            lease_stall_at: Some(if split_brain { SPLIT_STALL } else { (18, 2) }),
             // The deposed primary's crash-restore rejoin point.
             primary_crash_at: Some((34, 1)),
             ..FaultConfig::quiet()
@@ -278,44 +343,26 @@ fn run_storm(seed: u64) -> StormOutcome {
     let online = u64::from(hosts[0].viewd_host_spec().online_cpus);
 
     // The shared lease lives on a store that runs out of space
-    // mid-storm; both controllers journal onto faulty stores too.
-    let lease = SharedLease::with_store(Box::new(FaultyStore::new(
-        seed ^ 0x1EA5E,
-        StoreFaults {
-            full_at: Some(LEASE_FULL),
-            ..StoreFaults::default()
-        },
-    )));
-    let mut primary = FleetController::new(8, FleetPolicy::default());
-    primary.enable_journal_with_store(
-        Box::new(FaultyStore::new(
-            seed ^ 0x0001,
-            StoreFaults {
-                full_at: Some((10, 3)),
-                ..StoreFaults::default()
-            },
-        )),
-        2,
-    );
+    // mid-storm (storm only); both controllers journal onto faulty
+    // stores, and the standby records anomalies.
+    let lease_faults = StoreFaults {
+        full_at: (!split_brain).then_some(LEASE_FULL),
+        ..StoreFaults::default()
+    };
+    let lease = SharedLease::with_store(Box::new(FaultyStore::new(seed ^ 0x1EA5E, lease_faults)));
+    let mut primary = faulty_controller(seed ^ 0x0001, (10, 3));
     primary.attach_lease(lease.clone(), 1, LEASE_TTL);
     primary.enable_replication();
-    let mut standby = FleetController::new(8, FleetPolicy::default());
-    standby.enable_journal_with_store(
-        Box::new(FaultyStore::new(
-            seed ^ 0x0002,
-            StoreFaults {
-                full_at: Some((12, 2)),
-                ..StoreFaults::default()
-            },
-        )),
-        2,
-    );
+    let mut standby = faulty_controller(seed ^ 0x0002, (12, 2));
     standby.attach_lease(lease.clone(), 2, LEASE_TTL);
+    standby.set_tracer(Tracer::bounded(16_384));
+    standby.set_flight_recorder(FlightRecorder::bounded(FLIGHT_DUMPS));
 
     let mut out = StormOutcome {
-        hosts: u64::from(STORM_HOSTS),
-        step_down_tick: u64::MAX,
+        split_brain,
+        deposed_tick: u64::MAX,
         promote_tick: u64::MAX,
+        ticks_to_fresh: u64::MAX,
         ..StormOutcome::default()
     };
 
@@ -323,6 +370,8 @@ fn run_storm(seed: u64) -> StormOutcome {
     let mut primary_down = false;
     let mut rejoined = false;
     let mut reversed = false;
+    let mut takeover_tick = None;
+    let mut stale_ack: Option<Vec<u8>> = None;
     let mut links = FaultyLinks::default();
 
     let total = STORM_ROUNDS + HEAL_ROUNDS;
@@ -330,17 +379,21 @@ fn run_storm(seed: u64) -> StormOutcome {
         let healing = round >= u64::from(STORM_ROUNDS);
 
         // The primary-crash axis doubles as the rejoin: the deposed
-        // controller restarts from its durable journal and rejoins as
-        // a standby mirror of the new leader.
+        // controller restarts from its durable journal, serving every
+        // host last-good, and rejoins as a standby mirror of the new
+        // leader. Its counters are folded in before it goes.
         if !rejoined && primary_down && plan.primary_crashed(round) {
-            out.primary_demotions = primary.metrics().snapshot().demotions;
-            out.primary_io_errors = primary.metrics().snapshot().journal_io_errors;
+            let m = primary.metrics().snapshot();
+            out.primary_demotions = m.demotions;
+            out.primary_io_errors = m.journal_io_errors;
+            out.gap_resyncs += m.deltas_gap_resyncs;
             let bytes = primary
                 .journal_durable_bytes()
                 .expect("primary journal enabled");
             let policy = primary.policy();
             primary =
                 FleetController::restore_from(&bytes, 8, policy).expect("a controller journal");
+            out.post_restore_partitioned = u64::from(primary.cluster_capacity().partitioned);
             primary.enable_journal(2);
             primary.attach_lease(lease.clone(), 1, LEASE_TTL);
             rejoined = true;
@@ -370,51 +423,94 @@ fn run_storm(seed: u64) -> StormOutcome {
                 let Some(resp) = target.handle_frame(&frame) else {
                     continue;
                 };
-                let Some(arv_fleet::Frame::Ack(ack)) = arv_fleet::decode_frame(&resp) else {
+                let Some(Frame::Ack(ack)) = arv_fleet::decode_frame(&resp) else {
                     continue;
                 };
                 if !on_standby[h] && primary_down && !rejoined {
-                    // Every ack the stepped-down primary still emits
-                    // must refuse leadership at its fenced epoch.
+                    // Every ack the deposed primary still emits must
+                    // refuse leadership at its fenced epoch.
                     out.deposed_not_leader_acks += u64::from(ack.not_leader);
                     out.deposed_max_ack_epoch = out.deposed_max_ack_epoch.max(ack.ctl_epoch);
                 }
-                take_ack(host, &ack, &mut on_standby[h]);
+                let walked = on_standby[h];
+                let disposition = take_ack(host, &ack, &mut on_standby[h]);
+                if h == 0 && on_standby[0] && !walked {
+                    // The network duplicates the stale-epoch ACK that
+                    // walked host 0 away; the copy straggles in after
+                    // the new leader's first ACK raised the seen epoch.
+                    stale_ack = Some(resp.clone());
+                }
+                if h == 0 && on_standby[0] && disposition == AckDisposition::Applied {
+                    if let Some(dup) = stale_ack.take() {
+                        host.deliver_fleet_ack(&dup);
+                    }
+                }
             }
         }
 
-        // A renewal stall shorter than the TTL; the deposed primary
-        // also backs off the lease rather than re-contend.
-        primary.set_lease_stalled(plan.lease_stalled(round) || (primary_down && !rejoined));
+        if round == PARTITION_SETTLED {
+            out.partition_resyncs = periphery_total(&hosts[..1], |s| s.resyncs);
+        }
+
+        // The lease-stall axis; the deposed primary also backs off the
+        // lease rather than re-contend.
+        let stalled = plan.lease_stalled(round);
+        primary.set_lease_stalled(stalled || (primary_down && !rejoined));
         let was_leader = primary.is_leader();
         primary.advance_tick();
         standby.advance_tick();
         let tick = round + 1;
-        if was_leader && primary.is_leader() {
+        if was_leader && primary.is_leader() && !stalled {
             out.last_ok_renew_tick = tick;
         }
         if was_leader && !primary.is_leader() && !primary_down {
             primary_down = true;
-            out.step_down_tick = tick;
+            out.deposed_tick = tick;
         }
-        if out.promote_tick == u64::MAX && standby.is_leader() {
+        if standby.is_leader() && out.promote_tick == u64::MAX {
             out.promote_tick = tick;
+            // The new leader tightens the burst: from here on the
+            // peripheries' enforced token bucket must coalesce.
+            standby.set_policy(3, 256, TIGHT_BURST);
         }
+        out.split_brain_rounds += u64::from(primary.is_leader() && standby.is_leader());
 
-        // Replication follows the leader; the lag window queues the
-        // primary's stream, and the reversed stream only starts once
-        // the deposed primary has rejoined.
-        if primary.is_leader() {
-            if !plan.repl_lagged(round) {
-                pump_repl(&primary, &standby);
-            }
-        } else if standby.is_leader() {
-            if !reversed {
+        // Replication: the primary's stream while it leads (the lag
+        // window queues it); once the lag lifts after a takeover, what
+        // it stranded reaches the new leader at the stale epoch and is
+        // fenced; the reversed stream starts once the deposed primary
+        // has rejoined.
+        if !plan.repl_lagged(round) {
+            if !standby.is_leader() {
+                if primary.is_leader() {
+                    pump_repl(&primary, &standby);
+                }
+            } else if !reversed {
                 reversed = true;
+                out.stranded_repl_records = primary.repl_backlog_records();
+                pump_repl(&primary, &standby);
                 standby.enable_replication();
             }
-            if rejoined {
-                pump_repl(&standby, &primary);
+        }
+        if rejoined {
+            pump_repl(&standby, &primary);
+        }
+
+        // The takeover is complete once the new leader leads alone.
+        let leader = if primary.is_leader() {
+            &primary
+        } else {
+            &standby
+        };
+        out.degraded_rounds +=
+            u64::from(leader.is_leader() && leader.cluster_capacity().degraded());
+        if takeover_tick.is_none() && standby.is_leader() && !primary.is_leader() {
+            takeover_tick = Some(tick);
+        }
+        if let Some(t) = takeover_tick {
+            let r = standby.cluster_capacity();
+            if out.ticks_to_fresh == u64::MAX && r.partitioned == 0 && r.hosts == STORM_HOSTS {
+                out.ticks_to_fresh = tick - t;
             }
         }
 
@@ -428,18 +524,21 @@ fn run_storm(seed: u64) -> StormOutcome {
 
     out.partition_frames_dropped = links.dropped;
     out.lag_frames_delayed = links.delayed;
-    let (truth_cpu, truth_containers) = ground_truth(&hosts);
-    out.truth_cpu = truth_cpu;
-    out.truth_containers = truth_containers;
+    (out.truth_cpu, out.truth_containers) = ground_truth(&hosts);
 
     let r = standby.cluster_capacity();
     let m = standby.metrics().snapshot();
+    out.gap_resyncs += m.deltas_gap_resyncs + primary.metrics().snapshot().deltas_gap_resyncs;
     out.host_io_errors = hosts.iter().map(SimHost::journal_io_errors).sum();
     out.final_degraded_hosts = standby.durability_degraded_hosts();
     out.final_hosts_durability_lost = hosts.iter().filter(|h| h.durability_lost()).count() as u64;
     out.standby_io_errors = m.journal_io_errors;
     out.promotions = m.promotions;
     out.not_leader_rejects = m.not_leader_rejects;
+    out.repl_records_applied = m.repl_records_applied;
+    out.repl_fenced = m.repl_fenced;
+    out.periphery_acks_fenced = periphery_total(&hosts[..1], |s| s.acks_fenced);
+    out.deltas_coalesced = periphery_total(&hosts, |s| s.deltas_coalesced);
     out.periphery_failovers = periphery_total(&hosts, |s| s.failovers);
     out.final_epoch = standby.ctl_epoch();
     out.final_partitioned = u64::from(r.partitioned);
@@ -448,6 +547,13 @@ fn run_storm(seed: u64) -> StormOutcome {
     let rejoined_cap = primary.cluster_capacity();
     out.rejoined_cpu = rejoined_cap.cpu;
     out.rejoined_containers = rejoined_cap.containers;
+    // Every frozen dump, newest first, over the query path.
+    out.flight_dumps = (0..64u32)
+        .map_while(|back| match query(&standby, QUERY_FLIGHT, back).body {
+            Rollup::Flight(bytes) if !bytes.is_empty() => Some(bytes),
+            _ => None,
+        })
+        .collect();
 
     // Durable journals restore to exactly the live indices.
     for host in &hosts {
@@ -468,11 +574,10 @@ fn run_storm(seed: u64) -> StormOutcome {
     let rr = restored.cluster_capacity();
     out.ctl_restore_matches_live = (rr.cpu, rr.mem, rr.avail, rr.containers, rr.hosts)
         == (r.cpu, r.mem, r.avail, r.containers, r.hosts);
-
     out
 }
 
-fn assert_storm(out: &StormOutcome, seed: u64) {
+pub(crate) fn assert_storm(out: &StormOutcome, seed: u64) {
     assert_eq!(
         out.bound_violations, 0,
         "seed {seed:#x}: a served view broke its bound invariant mid-storm"
@@ -482,6 +587,18 @@ fn assert_storm(out: &StormOutcome, seed: u64) {
             && out.lag_frames_delayed >= 1
             && out.random_frames_dropped >= 1,
         "seed {seed:#x}: the fleet fault axes never fired: {out:?}"
+    );
+    assert!(
+        out.gap_resyncs >= 1,
+        "seed {seed:#x}: dropped frames must surface as a sequence gap"
+    );
+    assert!(
+        out.partition_resyncs >= 1,
+        "seed {seed:#x}: the partition's gap must drive its host to a FULL resync"
+    );
+    assert!(
+        out.degraded_rounds >= 1,
+        "seed {seed:#x}: partition or failover must flag the leader's rollups degraded"
     );
     assert!(
         out.host_io_errors >= 1 && out.max_degraded_hosts >= 1,
@@ -495,61 +612,135 @@ fn assert_storm(out: &StormOutcome, seed: u64) {
         out.primary_io_errors >= 1 && out.standby_io_errors >= 1,
         "seed {seed:#x}: store errors must surface in controller metrics"
     );
-    // Ground-truth lease arithmetic: the holder's last persisted
-    // renewal at tick T keeps the lease alive through T + TTL. A
-    // primary that cannot persist a renewal must step down strictly
-    // before that expiry — never serve on a lease nobody else can
-    // read.
+
+    // The takeover.
     assert!(
-        out.step_down_tick != u64::MAX,
-        "seed {seed:#x}: the lease-store fault never forced a step-down"
+        out.deposed_tick != u64::MAX && out.primary_demotions >= 1,
+        "seed {seed:#x}: the primary never lost leadership, or it did not register as a demotion"
     );
+    if out.split_brain {
+        assert!(
+            out.split_brain_rounds >= 1,
+            "seed {seed:#x}: the stall never produced two leaders — untested"
+        );
+    } else {
+        // Ground-truth lease arithmetic: the holder's last persisted
+        // renewal at tick T keeps the lease alive through T + TTL. A
+        // primary that cannot persist a renewal must step down strictly
+        // before that expiry — never serve on a lease nobody else can
+        // read.
+        assert!(
+            out.deposed_tick < out.last_ok_renew_tick + LEASE_TTL,
+            "seed {seed:#x}: step-down at tick {} is not before the TTL expiry {} of the last \
+             persisted renewal",
+            out.deposed_tick,
+            out.last_ok_renew_tick + LEASE_TTL
+        );
+        assert_eq!(
+            out.split_brain_rounds, 0,
+            "seed {seed:#x}: a step-down leaves one leader"
+        );
+        assert!(
+            out.promote_tick - out.deposed_tick <= LEASE_FULL.1 + 1,
+            "seed {seed:#x}: promotion at tick {} too long after the step-down at {}",
+            out.promote_tick,
+            out.deposed_tick
+        );
+        assert!(
+            out.not_leader_rejects >= 1,
+            "seed {seed:#x}: pre-promotion frames must be refused, not applied"
+        );
+    }
+    // The lease is takeable once it has expired and its store takes
+    // writes again; the standby must promote within two ticks of that.
+    let store_back = if out.split_brain {
+        0
+    } else {
+        LEASE_FULL.0 + LEASE_FULL.1
+    };
+    let takeable = (out.last_ok_renew_tick + LEASE_TTL).max(store_back);
     assert!(
-        out.step_down_tick < out.last_ok_renew_tick + LEASE_TTL,
-        "seed {seed:#x}: step-down at tick {} is not before the TTL expiry {} of \
-         the last persisted renewal",
-        out.step_down_tick,
-        out.last_ok_renew_tick + LEASE_TTL
-    );
-    assert!(
-        out.primary_demotions >= 1,
-        "seed {seed:#x}: the step-down must register as a demotion"
-    );
-    assert!(
-        out.deposed_not_leader_acks >= 1,
-        "seed {seed:#x}: the stepped-down primary answered no frames — fencing untested"
-    );
-    assert!(
-        out.deposed_max_ack_epoch <= 1,
-        "seed {seed:#x}: a stepped-down primary acked epoch {} — above its fenced epoch 1",
-        out.deposed_max_ack_epoch
+        out.promote_tick <= takeable + 2,
+        "seed {seed:#x}: promotion at tick {} — outside the lease budget (takeable at {takeable})",
+        out.promote_tick
     );
     assert_eq!(out.promotions, 1, "seed {seed:#x}: exactly one promotion");
-    assert!(
-        out.promote_tick != u64::MAX
-            && out.promote_tick.saturating_sub(out.step_down_tick) <= LEASE_FULL.1 + 1,
-        "seed {seed:#x}: promotion at tick {} too long after the step-down at {}",
-        out.promote_tick,
-        out.step_down_tick
-    );
-    assert!(
-        out.not_leader_rejects >= 1,
-        "seed {seed:#x}: pre-promotion frames must be refused, not applied"
-    );
-    assert_eq!(
-        out.periphery_failovers, out.hosts,
-        "seed {seed:#x}: every periphery walks to the standby exactly once"
-    );
     assert_eq!(
         out.final_epoch, 2,
         "seed {seed:#x}: the standby promotes into epoch 2"
+    );
+    assert!(
+        out.deposed_not_leader_acks >= 1,
+        "seed {seed:#x}: the deposed primary answered no frames — fencing untested"
+    );
+    assert!(
+        out.deposed_max_ack_epoch <= 1,
+        "seed {seed:#x}: a deposed primary acked epoch {} — above its fenced epoch 1",
+        out.deposed_max_ack_epoch
+    );
+    assert!(
+        out.repl_records_applied >= 1,
+        "seed {seed:#x}: the standby applied no replicated records"
+    );
+    assert!(
+        out.stranded_repl_records >= 1,
+        "seed {seed:#x}: the lag window queued nothing — the takeover lost no records, untested"
+    );
+    assert!(
+        out.repl_fenced >= 1,
+        "seed {seed:#x}: the stale primary's REPL frames must be fenced"
+    );
+    assert!(
+        out.periphery_acks_fenced >= 1,
+        "seed {seed:#x}: the late stale ACK must be fenced by the periphery"
+    );
+    assert!(
+        out.deltas_coalesced >= 1,
+        "seed {seed:#x}: the tightened burst never coalesced — backpressure unenforced"
+    );
+    assert_eq!(
+        out.periphery_failovers,
+        u64::from(STORM_HOSTS),
+        "seed {seed:#x}: every periphery walks to the standby exactly once"
+    );
+    let mut triggers = Vec::new();
+    for bytes in &out.flight_dumps {
+        let dump = FlightDump::decode(bytes).expect("retrieved dump decodes");
+        assert!(
+            !dump.events.is_empty(),
+            "seed {seed:#x}: a {} dump froze an empty trace ring",
+            dump.trigger.label()
+        );
+        triggers.push(dump.trigger);
+    }
+    for want in [FlightTrigger::Promotion, FlightTrigger::Fence] {
+        assert!(
+            triggers.contains(&want),
+            "seed {seed:#x}: the {} must freeze a flight dump, got {triggers:?}",
+            want.label()
+        );
+    }
+
+    // Recovery.
+    assert_eq!(
+        out.post_restore_partitioned,
+        u64::from(STORM_HOSTS),
+        "seed {seed:#x}: a restored controller serves every host last-good"
+    );
+    assert!(
+        out.ticks_to_fresh <= FRESH_BOUND,
+        "seed {seed:#x}: hosts took {} ticks to converge back to Fresh on the new leader",
+        out.ticks_to_fresh
     );
     assert_eq!(
         (out.final_degraded_hosts, out.final_hosts_durability_lost),
         (0, 0),
         "seed {seed:#x}: every durability rung must heal post-storm"
     );
-    assert_eq!(out.final_partitioned, 0, "seed {seed:#x}");
+    assert_eq!(
+        out.final_partitioned, 0,
+        "seed {seed:#x}: the heal epilogue must clear every partition flag"
+    );
     assert_eq!(
         (out.final_cpu, out.final_containers),
         (out.truth_cpu, out.truth_containers),
@@ -562,34 +753,18 @@ fn assert_storm(out: &StormOutcome, seed: u64) {
     );
     assert_eq!(
         out.host_restore_mismatches, 0,
-        "seed {seed:#x}: a durable host journal restored to something \
-         other than the live index"
+        "seed {seed:#x}: a durable host journal restored to something other than the live index"
     );
     assert!(
         out.ctl_restore_matches_live,
-        "seed {seed:#x}: the leader's durable journal restored to a \
-         different fleet index"
+        "seed {seed:#x}: the leader's durable journal restored to a different fleet index"
     );
 }
 
-// --- the campaign ---
-
-/// Run the chaos-storm campaign and produce its report. Panics (on
-/// purpose) if any durability-ladder, lease, fencing, convergence, or
-/// same-seed-replay invariant fails.
-pub fn run(scale: f64, seed_offset: u64) -> FigReport {
-    // The storm's fault windows are laid out on an absolute timeline,
-    // so the round count stays fixed; `scale` sizes only the soak.
+/// Run the soak and both takeovers on `campaign`; `scale` sizes only
+/// the soak (the storm's fault windows sit on an absolute timeline).
+pub(crate) fn scenarios(campaign: &mut Campaign, scale: f64) {
     let soak_ticks = ((256.0 * scale) as u64).clamp(64, 512);
-    let mut campaign = Campaign::new(
-        "storm",
-        "chaos-storm matrix: storage faults (torn/error/full/rot/stall) composed with every \
-         fleet axis; the durability ladder degrades and heals, a primary that cannot persist \
-         its lease steps down before the TTL, and durable journals restore to the live index",
-        &SEEDS,
-        seed_offset,
-    );
-
     campaign.scenario(Scenario {
         name: "soak",
         run: &|seed, _| Run::of(run_soak(seed, soak_ticks)),
@@ -608,77 +783,96 @@ pub fn run(scale: f64, seed_offset: u64) -> FigReport {
             lost_tail_violations
         ),
     });
-    campaign.scenario(Scenario {
-        name: "storm",
-        run: &|seed, _| Run::of(run_storm(seed)),
-        check: &|run, seed| assert_storm(&run.outcome, seed),
-        rows: rows!(
-            bound_violations,
-            host_io_errors,
-            max_degraded_hosts,
-            final_degraded_hosts,
-            step_down_tick,
-            last_ok_renew_tick,
-            promote_tick,
-            deposed_max_ack_epoch,
-            final_epoch,
-            host_restore_mismatches,
-            final_cpu,
-            truth_cpu
-        ),
-    });
-
+    let mut dumps = Vec::new();
+    for (name, split_brain) in [("storm", false), ("splitbrain", true)] {
+        let runs = campaign.scenario(Scenario {
+            name,
+            run: &|seed, _| Run::of(run_storm(seed, split_brain)),
+            check: &|run, seed| assert_storm(&run.outcome, seed),
+            rows: rows!(
+                bound_violations,
+                partition_frames_dropped,
+                gap_resyncs,
+                partition_resyncs,
+                degraded_rounds,
+                host_io_errors,
+                max_degraded_hosts,
+                final_degraded_hosts,
+                last_ok_renew_tick,
+                deposed_tick,
+                promote_tick,
+                split_brain_rounds,
+                ticks_to_fresh,
+                deposed_max_ack_epoch,
+                stranded_repl_records,
+                repl_fenced,
+                periphery_acks_fenced,
+                deltas_coalesced,
+                post_restore_partitioned,
+                final_epoch,
+                host_restore_mismatches,
+                final_cpu,
+                truth_cpu
+            ),
+        });
+        dumps.push(runs[0].outcome.flight_dumps.len());
+    }
     campaign.report.note(format!(
         "soak ({soak_ticks} ticks): all five storage axes fired, every crash kept exactly the \
          synced prefix, and no corruption ever replayed into an invalid view"
     ));
     campaign.report.note(format!(
-        "storm ({STORM_ROUNDS}+{HEAL_ROUNDS} rounds, {STORM_HOSTS} hosts): disk-full and \
-         sync-stall windows flipped hosts to DurabilityLost and healed; the lease-store outage \
-         stepped the primary down before its TTL (ground-truth lease arithmetic), the standby \
-         promoted into epoch 2, the deposed primary never acked above epoch 1 and rejoined \
-         from its durable journal as a mirror; post-storm every journal's restore equals the \
-         live index"
+        "storm and splitbrain ({STORM_ROUNDS}+{HEAL_ROUNDS} rounds, {STORM_HOSTS} hosts): the \
+         partition's gap was counted and healed by FULL resync; disk-full and sync-stall windows \
+         flipped hosts to DurabilityLost and healed; the lease-store outage stepped the primary \
+         down before its TTL (ground-truth lease arithmetic), a renewal stall past the TTL left \
+         two leaders until epochs fenced the impostor; one promotion into epoch 2 within two \
+         ticks of the lease becoming takeable, the stranded REPL stream and a duplicated stale \
+         ACK fenced, the tightened burst coalescing; the deposed primary never acked above epoch \
+         1, restored every host last-good and rejoined as a mirror; post-storm every host Fresh \
+         within {FRESH_BOUND} ticks of the takeover and every journal's restore equals the live \
+         index"
     ));
-    campaign.finish()
+    campaign.report.note(format!(
+        "flight recorder: the promotion and the fence each froze a dump ({} / {} retrieved over \
+         QUERY_FLIGHT), replayed bit-identically — the dumps are compared byte for byte",
+        dumps[0], dumps[1]
+    ));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::seed_label;
 
     #[test]
     fn storm_campaign_passes_and_reports() {
-        let rep = run(0.25, 0);
-        assert_eq!(rep.tables.len(), 3);
-        for col in [seed_label(SEEDS[0]), seed_label(SEEDS[1])] {
-            assert_eq!(rep.tables[0].get("invalid_restored_views", &col), Some(0.0));
-            assert_eq!(rep.tables[0].get("lost_tail_violations", &col), Some(0.0));
-            assert_eq!(rep.tables[1].get("bound_violations", &col), Some(0.0));
-            assert_eq!(rep.tables[1].get("final_degraded_hosts", &col), Some(0.0));
-            assert_eq!(
-                rep.tables[1].get("host_restore_mismatches", &col),
-                Some(0.0)
-            );
-            assert_eq!(rep.tables[1].get("final_epoch", &col), Some(2.0));
-            assert_eq!(
-                rep.tables[1].get("final_cpu", &col),
-                rep.tables[1].get("truth_cpu", &col)
-            );
+        // The fleet campaign's storm share alone, at seed offset 1 and a
+        // full-scale soak, four times the fleet campaign test's.
+        let rep = Campaign::alone(&crate::fleet::SEEDS, 1, |c| scenarios(c, 1.0));
+        let soak = rep.table("soak");
+        for col in &soak.columns {
+            assert_eq!(soak.get("invalid_restored_views", col), Some(0.0));
+            assert_eq!(soak.get("lost_tail_violations", col), Some(0.0));
+            for name in ["storm", "splitbrain"] {
+                let t = rep.table(name);
+                assert_eq!(t.get("bound_violations", col), Some(0.0));
+                assert_eq!(t.get("host_restore_mismatches", col), Some(0.0));
+                assert_eq!(t.get("final_epoch", col), Some(2.0));
+                assert_eq!(t.get("final_cpu", col), t.get("truth_cpu", col));
+            }
         }
-        assert_eq!(rep.tables[2].get("storm", "replays_identical"), Some(1.0));
     }
 
     #[test]
     fn storm_scenario_replays_bit_identically() {
-        assert_eq!(run_storm(11), run_storm(11));
+        assert_eq!(run_storm(11, false), run_storm(11, false));
+        assert_eq!(run_storm(11, true), run_storm(11, true));
     }
 
     #[test]
     fn step_down_is_before_ttl_expiry() {
-        let out = run_storm(SEEDS[0]);
-        assert!(out.step_down_tick < out.last_ok_renew_tick + LEASE_TTL);
+        let out = run_storm(0xF1EE7, false);
+        assert!(out.deposed_tick < out.last_ok_renew_tick + LEASE_TTL);
         assert!(out.deposed_max_ack_epoch <= 1);
     }
 }

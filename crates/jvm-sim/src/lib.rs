@@ -20,6 +20,7 @@
 //!   view), JDK 9 (static limits), JDK 10 (static shares), hand-optimized
 //!   configurations, and the paper's adaptive JVM.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gc;

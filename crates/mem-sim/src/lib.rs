@@ -16,6 +16,7 @@
 //!   models translate into mutator slowdown (thrashing/performance
 //!   collapse in Figures 11 and 12).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kswapd;

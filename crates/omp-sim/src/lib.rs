@@ -16,6 +16,7 @@
 //! CPU work advancing on the container's per-period grant, with a
 //! contention penalty when the team outnumbers the CPUs granted.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod profile;

@@ -14,6 +14,8 @@
 //! a failing case panics with the deterministic seed instead of a
 //! minimized input — and no persistence/regression files.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Run-time configuration for a `proptest!` block.

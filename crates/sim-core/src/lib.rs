@@ -12,6 +12,7 @@
 //! experiment harnesses. All simulations are exactly reproducible for a
 //! given seed — no wall-clock time or OS entropy is consulted anywhere.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

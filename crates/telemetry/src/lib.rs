@@ -44,6 +44,7 @@
 //! no ring at all; every emit is a branch on a `None` and the hot
 //! serving paths stay unperturbed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;

@@ -12,6 +12,8 @@
 //! Only the constants and operations the reactor actually uses are
 //! bound — this is deliberately not a general-purpose binding layer.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::io;
 use std::os::unix::io::RawFd;
 

@@ -15,6 +15,7 @@
 //! The Figure 1 DockerHub census is an embedded dataset in
 //! [`dockerhub`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dacapo;
