@@ -103,7 +103,11 @@ const MAX_OBS_OVERHEAD_RATIO: f64 = 1.75;
 /// bare index's own cost. A DELTA is framed once and its bytes land in
 /// the journal and the outbox, for 1.23–1.31 encodes (eight runs on a
 /// 2-vCPU VM). A second record encode for the journal reads 2.22–2.30,
-/// and a record per container 2.66.
+/// and a record per container 2.66. The record CRC's three lanes made
+/// the unit (one copy and one CRC, ≈ 33 → 18 ns an entry) cheaper
+/// while ingest kept its other costs, so the same work now reads
+/// 1.46–1.60 encodes (four runs) and a second encode 2.45–2.56: the
+/// ceiling still splits them, and stays.
 ///
 /// Until the record became one host batch per DELTA, the denominator
 /// was one batch `frame_delta` encode of a host's entries as

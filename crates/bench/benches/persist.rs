@@ -2,18 +2,21 @@
 //!
 //! Measures the numbers the durability design budgets for — the cost of
 //! one journal delta append (encode + CRC + store write), replay cost
-//! through `restore`, and the tax the fault-injecting store wrapper adds
-//! to a clean append path — writes them to `BENCH_persist.json`, and
+//! through `restore`, the tax the fault-injecting store wrapper adds
+//! to a clean append path, and the record CRC's speed over a byte-at-a-time
+//! one — writes them to `BENCH_persist.json`, and
 //! fails if a gate is breached, so `ci.sh` can gate on a single run.
 //!
 //! Every gate is a same-run ratio, so machine speed cancels: what is
 //! left is the shape of the code. Each catches one algorithmic
 //! regression — a re-encode of the whole journal per append or an
 //! O(journal) seek inside the store, a replay that is super-linear in
-//! the records it reads, per-byte RNG draws in the fault wrapper.
+//! the records it reads, per-byte RNG draws in the fault wrapper, a CRC
+//! back on one serial chain of lookups.
 
 use arv_bench::{best_of, Report};
-use arv_persist::{restore, FaultyStore, Journal, Snapshot, StoreFaults, ViewState};
+use arv_persist::{crc32, restore, FaultyStore, Journal, Snapshot, StoreFaults, ViewState};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Delta records appended per trial.
@@ -42,6 +45,18 @@ const MAX_RESTORE_GROWTH: f64 = 2.0;
 /// per call, so anything past this ratio means fault injection leaked
 /// a per-byte cost onto the hot path. Both sides are min-of-3.
 const MAX_FAULTY_OVERHEAD_RATIO: f64 = 3.0;
+/// Bytes each CRC trial checksums.
+const CRC_BYTES: u32 = 64 * 1024;
+/// Checksums of [`CRC_BYTES`] each CRC trial times.
+const CRC_PASSES: u32 = 64;
+/// Floor on the ns per byte of a byte-at-a-time CRC over that of
+/// `crc32::checksum`, both over the same 64 KiB in the same run. Every
+/// journal and REPL record is framed with that CRC on the primary and
+/// verified with it on the standby. Slice-by-8 alone is one dependent
+/// chain of lookups and reads 3.8–3.9; three lanes per 192-byte block
+/// read 7.6–10.0 (2-vCPU VM). Every other gate passes a return to one
+/// chain.
+const MIN_CRC_SPEEDUP: f64 = 6.0;
 
 fn delta(i: u64) -> ViewState {
     let mem = 256 + (i % 512);
@@ -124,6 +139,45 @@ fn restore_ns_per_record(records: u64) -> f64 {
     })
 }
 
+/// The byte-at-a-time IEEE CRC32 the record CRC is measured against.
+fn bytewise_crc(table: &[u32; 256], bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// Nanoseconds per byte of `crc` over [`CRC_BYTES`], fastest of
+/// [`TRIALS`].
+fn crc_ns_per_byte(bytes: &[u8], crc: impl Fn(&[u8]) -> u32) -> f64 {
+    best_of(TRIALS, || {
+        let start = Instant::now();
+        for _ in 0..CRC_PASSES {
+            black_box(crc(black_box(bytes)));
+        }
+        start.elapsed().as_secs_f64() * 1e9 / f64::from(CRC_PASSES * CRC_BYTES)
+    })
+}
+
+/// `crc32::checksum`'s speedup over a byte-at-a-time CRC of the same
+/// bytes, after checking that the two agree.
+fn crc_speedup() -> (f64, f64) {
+    let mut table = [0u32; 256];
+    for (i, slot) in (0u32..).zip(table.iter_mut()) {
+        *slot = (0..8).fold(i, |c, _| {
+            (c >> 1) ^ if c & 1 != 0 { 0xEDB8_8320 } else { 0 }
+        });
+    }
+    let bytes: Vec<u8> = (0..CRC_BYTES)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    assert_eq!(crc32::checksum(&bytes), bytewise_crc(&table, &bytes));
+    let lanes = crc_ns_per_byte(&bytes, crc32::checksum);
+    let bytewise = crc_ns_per_byte(&bytes, |b| bytewise_crc(&table, b));
+    (lanes, bytewise / lanes)
+}
+
 fn main() {
     let clean_secs = best_of(TRIALS, || append_workload(&mut Journal::new(), 0));
     let grown_secs = best_of(TRIALS, || {
@@ -133,6 +187,7 @@ fn main() {
     });
     let [restore_small, restore_large] = RESTORE_RECORDS.map(restore_ns_per_record);
     let faulty_secs = faulty_append_secs();
+    let (crc_ns_per_byte, crc_speedup) = crc_speedup();
 
     Report::new("persist")
         .value("records", RECORDS as f64)
@@ -156,6 +211,13 @@ fn main() {
             faulty_secs / clean_secs,
             MAX_FAULTY_OVERHEAD_RATIO,
             "the fault-injecting store leaked a per-byte cost onto the append path",
+        )
+        .value("crc_ns_per_byte", crc_ns_per_byte)
+        .at_least(
+            "crc_speedup_over_bytewise",
+            crc_speedup,
+            MIN_CRC_SPEEDUP,
+            "the record CRC is back on one serial chain of table lookups",
         )
         .finish();
 }

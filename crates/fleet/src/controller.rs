@@ -114,10 +114,6 @@ impl SharedLease {
     }
 }
 
-/// Most containers one checkpoint batch carries, whatever `max_batch`
-/// the policy says: a record must fit a REPL frame with room to spare.
-const MAX_CHECKPOINT_BATCH: usize = 4096;
-
 /// The controller's counters, listed once: [`FleetMetrics`] holds them
 /// lock-free, [`FleetMetricsSnapshot`] is a point-in-time copy.
 macro_rules! fleet_counters {
@@ -1590,12 +1586,13 @@ impl FleetController {
     /// Append the index to `out` as checkpoint records: a reset marker
     /// at `tick`, then every host that holds containers, in host-id
     /// order, chunked the way a periphery chunks a FULL — `max_batch`
-    /// containers a batch (at most [`MAX_CHECKPOINT_BATCH`]), the first
-    /// one FULL — so no record outgrows a REPL frame. Each host's run is
-    /// already in id order; only the host ids are sorted, under every
-    /// shard lock at once.
+    /// containers a batch (at most
+    /// [`MAX_BATCH`](crate::protocol::MAX_BATCH)), the first one FULL —
+    /// so no record outgrows a REPL frame. Each host's run is already in
+    /// id order; only the host ids are sorted, under every shard lock at
+    /// once.
     fn checkpoint_records(&self, tick: u64, out: &mut Vec<u8>) {
-        let chunk = (self.policy().max_batch as usize).clamp(1, MAX_CHECKPOINT_BATCH);
+        let chunk = self.policy().batch_len();
         frame_checkpoint(out, &Snapshot::at(tick));
         let shards: Vec<_> = self.shards.iter().map(lock).collect();
         let mut hosts: Vec<(u32, &HostEntry)> = shards

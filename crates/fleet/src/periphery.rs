@@ -2,16 +2,18 @@
 //!
 //! A [`Periphery`] rides the host's update timer. Each firing it marks
 //! what moved on a mirror of what it last shipped, and queues DELTA
-//! frames — chunked to the controller's `max_batch` — on an outbox the
+//! frames — chunked to the controller's `max_batch`, at most
+//! [`MAX_BATCH`](crate::protocol::MAX_BATCH) — on an outbox the
 //! transport drains. It has two front-ends onto one mark rule and one
-//! flush: [`Periphery::observe`] merge-walks a whole
-//! [`arv_persist::Snapshot`] (the one the journal checkpoints), finding
-//! the new, the moved and the gone; [`Periphery::observe_moved`] takes
-//! only the views that moved (the list `NsMonitor::take_moved` drains)
-//! and costs what moved. The first frame after attach (and after any
-//! controller-requested resync or reconnect) is a FULL snapshot, and a
-//! removal or a tenant change also needs the whole snapshot; everything
-//! else is incremental.
+//! flush: [`Periphery::observe`] walks a whole [`arv_persist::Snapshot`]
+//! (the one the journal checkpoints) against the mirror in place,
+//! writing only what moved and rebuilding the mirror only when ids came
+//! or went; [`Periphery::observe_moved`] takes only the views that moved
+//! (the list `NsMonitor::take_moved` drains) and costs what moved. The
+//! flush encodes each frame straight from the mirror. The first frame
+//! after attach (and after any controller-requested resync or
+//! reconnect) is a FULL snapshot, and a removal or a tenant change also
+//! needs the whole snapshot; everything else is incremental.
 //!
 //! A view is news iff its value (`tenant`, `e_cpu`, `e_mem`, `e_avail`)
 //! moved: the per-entry `last_tick` stamp advances on every healthy
@@ -45,7 +47,7 @@ use arv_persist::{Snapshot, ViewState};
 use std::collections::{BTreeSet, HashMap};
 
 use crate::protocol::{
-    encode_delta, encode_hello, Ack, Delta, DeltaEntry, FleetPolicy, Hello, HostSummary,
+    encode_delta_parts, encode_hello, Ack, DeltaEntry, DeltaHead, FleetPolicy, Hello, HostSummary,
     HEALTH_DEGRADED, HEALTH_DURABILITY_LOST, HEALTH_FRESH, HEALTH_STALE,
 };
 
@@ -94,6 +96,39 @@ struct Mirrored {
     unsent: bool,
 }
 
+impl Mirrored {
+    /// `s` under `tenant`, marked unsent.
+    fn news(s: &ViewState, tenant: u32) -> Mirrored {
+        Mirrored {
+            entry: DeltaEntry {
+                id: s.id,
+                tenant,
+                e_cpu: s.e_cpu,
+                e_mem: s.e_mem,
+                e_avail: s.e_avail,
+                last_tick: s.last_tick,
+            },
+            unsent: true,
+        }
+    }
+
+    /// The one rule both front-ends mark by: `s` under `tenant` is news
+    /// iff `(tenant, e_cpu, e_mem, e_avail)` differs from this entry.
+    /// News overwrites it in place, marked unsent, and says whether its
+    /// position is yet to be listed (it was not marked before); otherwise
+    /// the entry stands, stamp and mark included. A mirrored id is never
+    /// a pending removal, so news here has none to cancel.
+    fn mark(&mut self, s: &ViewState, tenant: u32) -> bool {
+        let e = &self.entry;
+        if (e.tenant, e.e_cpu, e.e_mem, e.e_avail) == (tenant, s.e_cpu, s.e_mem, s.e_avail) {
+            return false;
+        }
+        let listed = self.unsent;
+        *self = Mirrored::news(s, tenant);
+        !listed
+    }
+}
+
 /// Per-host agent streaming view deltas to the [`crate::FleetController`].
 #[derive(Debug)]
 pub struct Periphery {
@@ -110,13 +145,10 @@ pub struct Periphery {
     /// observation (see [`Periphery::set_durability`]).
     durability_lost: bool,
     journal_io_errors: u64,
-    /// The state last diffed for each live container, sorted by id: the
-    /// merge-walk pairs it with a sorted snapshot, and a moved id finds
-    /// its entry by binary search.
+    /// The state last diffed for each live container, sorted by id: a
+    /// walk pairs it with a sorted snapshot and overwrites what moved in
+    /// place, and a moved id finds its entry by binary search.
     last_sent: Vec<Mirrored>,
-    /// The previous `last_sent`, kept for its capacity: each diff
-    /// builds the next mirror here and swaps.
-    spare: Vec<Mirrored>,
     /// A snapshot that arrived unsorted, sorted: input is never trusted
     /// to be in id order.
     sorted: Vec<ViewState>,
@@ -162,7 +194,6 @@ impl Periphery {
             durability_lost: false,
             journal_io_errors: 0,
             last_sent: Vec::new(),
-            spare: Vec::new(),
             sorted: Vec::new(),
             tenants: HashMap::new(),
             tenants_moved: false,
@@ -231,19 +262,18 @@ impl Periphery {
             self.said_hello = true;
         }
 
-        let full = self.pending_full;
-        if full {
+        if self.pending_full {
             // Everything ships fresh: earlier unsent diffs are subsumed,
             // so the causal origin resets to this very tick.
             self.pending_removed.clear();
             self.last_sent.clear();
+            self.marked.clear();
             self.pending_origin = None;
         }
 
         // Diff against the shipped-state mirror, which tracks what has
         // been *queued*, so repeated observations don't re-diff unsent
-        // state: one merge-walk of mirror and snapshot, both in id
-        // order, finds the new, the moved and the gone.
+        // state.
         let in_order = snap.entries.windows(2).all(|w| w[0].id < w[1].id);
         if !in_order {
             // Never trusted: sorted into a scratch copy, and of an id
@@ -256,38 +286,83 @@ impl Periphery {
             self.sorted.reverse();
         }
         let sorted = std::mem::take(&mut self.sorted);
-        let entries = if in_order { &snap.entries } else { &sorted };
-        let sent = std::mem::take(&mut self.last_sent);
-        let mut next = std::mem::take(&mut self.spare);
-        next.clear();
-        next.reserve(entries.len());
-        self.marked.clear();
-        let mut at = 0;
-        // `None` ends the walk: every mirrored id still unmatched is gone.
-        for s in entries.iter().map(Some).chain([None]) {
-            while at < sent.len() && s.map_or(true, |s| sent[at].entry.id < s.id) {
-                self.tenants.remove(&sent[at].entry.id);
-                self.pending_removed.insert(sent[at].entry.id);
-                at += 1;
-            }
-            let Some(s) = s else { break };
-            let prev = sent.get(at).filter(|p| p.entry.id == s.id);
-            at += usize::from(prev.is_some());
-            let tenant = match prev {
-                Some(p) if !self.tenants_moved => p.entry.tenant,
-                _ => self.tenants.get(&s.id).copied().unwrap_or(0),
-            };
-            let mirrored = self.mark(prev, s, tenant);
-            if mirrored.unsent {
-                self.marked.push(next.len());
-            }
-            next.push(mirrored);
-        }
-        self.tenants_moved = false;
-        self.last_sent = next;
-        self.spare = sent;
+        self.diff(if in_order { &snap.entries } else { &sorted });
         self.sorted = sorted;
         self.flush(snap.tick, stalled, staleness_age);
+    }
+
+    /// One walk of the mirror against `live`, both in id order. An
+    /// unchanged entry is not written; a moved one is overwritten in
+    /// place by the mark rule ([`Mirrored::mark`]). A new id past the
+    /// mirror's last is appended; the other new ids and the gone are
+    /// noted on the way, and only when there are some does one pass
+    /// compact the mirror and merge them in.
+    fn diff(&mut self, live: &[ViewState]) {
+        let tenants_moved = std::mem::take(&mut self.tenants_moved);
+        let len = self.last_sent.len();
+        let mut fresh: Vec<Mirrored> = Vec::new();
+        let mut gone = false;
+        let mut at = 0;
+        for s in live {
+            while at < len && self.last_sent[at].entry.id < s.id {
+                gone = true;
+                at += 1;
+            }
+            if at < len && self.last_sent[at].entry.id == s.id {
+                let m = &mut self.last_sent[at];
+                let tenant = if tenants_moved {
+                    self.tenants.get(&s.id).copied().unwrap_or(0)
+                } else {
+                    m.entry.tenant
+                };
+                if m.mark(s, tenant) {
+                    self.marked.push(at);
+                }
+                at += 1;
+            } else if at == len {
+                let news = self.news(s);
+                self.marked.push(self.last_sent.len());
+                self.last_sent.push(news);
+            } else {
+                fresh.push(self.news(s));
+            }
+        }
+        if gone || at < len || !fresh.is_empty() {
+            self.rebuild(live, &fresh);
+        }
+    }
+
+    /// The walk's one compaction and merge pass: drop every mirrored id
+    /// `live` lacks (its tenant record goes, its removal is pending),
+    /// merge `fresh` (in id order) in from the back, the way the
+    /// controller's `Sums::upsert` merges, and list the unsent positions
+    /// anew.
+    fn rebuild(&mut self, live: &[ViewState], fresh: &[Mirrored]) {
+        let mut ids = live.iter().map(|s| s.id).peekable();
+        self.last_sent.retain(|m| {
+            let id = m.entry.id;
+            while ids.next_if(|live| *live < id).is_some() {}
+            let kept = ids.peek() == Some(&id);
+            if !kept {
+                self.tenants.remove(&id);
+                self.pending_removed.insert(id);
+            }
+            kept
+        });
+        let (mut i, mut j) = (self.last_sent.len(), fresh.len());
+        self.last_sent.extend_from_slice(fresh);
+        while j > 0 {
+            if i > 0 && self.last_sent[i - 1].entry.id > fresh[j - 1].entry.id {
+                self.last_sent[i + j - 1] = self.last_sent[i - 1];
+                i -= 1;
+            } else {
+                self.last_sent[i + j - 1] = fresh[j - 1];
+                j -= 1;
+            }
+        }
+        self.marked.clear();
+        let unsent = self.last_sent.iter().enumerate().filter(|(_, m)| m.unsent);
+        self.marked.extend(unsent.map(|(at, _)| at));
     }
 
     /// [`observe`](Periphery::observe) from what moved instead of the
@@ -318,16 +393,13 @@ impl Periphery {
         for s in moved {
             match self.last_sent.binary_search_by_key(&s.id, |m| m.entry.id) {
                 Ok(at) => {
-                    let prev = self.last_sent[at];
-                    let next = self.mark(Some(&prev), s, prev.entry.tenant);
-                    if next.unsent && !prev.unsent {
+                    let m = &mut self.last_sent[at];
+                    if m.mark(s, m.entry.tenant) {
                         self.marked.push(at);
                     }
-                    self.last_sent[at] = next;
                 }
                 Err(at) => {
-                    let tenant = self.tenants.get(&s.id).copied().unwrap_or(0);
-                    let next = self.mark(None, s, tenant);
+                    let next = self.news(s);
                     for m in self.marked.iter_mut().filter(|m| **m >= at) {
                         *m += 1;
                     }
@@ -339,28 +411,12 @@ impl Periphery {
         self.flush(tick, stalled, staleness_age);
     }
 
-    /// The one rule both front-ends mark by: `s` under `tenant` is news
-    /// iff `(tenant, e_cpu, e_mem, e_avail)` differs from the mirrored
-    /// `prev` (or nothing is mirrored). News replaces the mirror entry,
-    /// marked unsent; otherwise `prev` stands, stamp and mark included.
-    fn mark(&mut self, prev: Option<&Mirrored>, s: &ViewState, tenant: u32) -> Mirrored {
-        if let Some(p) = prev.filter(|Mirrored { entry: e, .. }| {
-            (e.tenant, e.e_cpu, e.e_mem, e.e_avail) == (tenant, s.e_cpu, s.e_mem, s.e_avail)
-        }) {
-            return *p;
-        }
+    /// The mirror entry for a container with nothing mirrored, under
+    /// its recorded tenant (0 without one): always news, and no longer a
+    /// pending removal.
+    fn news(&mut self, s: &ViewState) -> Mirrored {
         self.pending_removed.remove(&s.id);
-        Mirrored {
-            entry: DeltaEntry {
-                id: s.id,
-                tenant,
-                e_cpu: s.e_cpu,
-                e_mem: s.e_mem,
-                e_avail: s.e_avail,
-                last_tick: s.last_tick,
-            },
-            unsent: true,
-        }
+        Mirrored::news(s, self.tenants.get(&s.id).copied().unwrap_or(0))
     }
 
     /// Ship what the mirror holds unsent, as of `tick`: the heartbeat,
@@ -432,44 +488,29 @@ impl Periphery {
         // (health-flip) delta originates here too.
         let origin_tick = self.pending_origin.take().unwrap_or(tick);
 
-        // Entries ship in id order: the merge-walk lists their positions
-        // so, a moved list in its own order.
+        // Entries ship in id order, encoded straight from the mirror;
+        // `marked` lists their positions in the order they were marked.
         self.marked.sort_unstable();
-        let entries: Vec<DeltaEntry> = self
-            .marked
-            .drain(..)
-            .map(|at| {
-                let m = &mut self.last_sent[at];
-                m.unsent = false;
-                m.entry
-            })
-            .collect();
-        let mut removed: Vec<u32> = std::mem::take(&mut self.pending_removed)
+        let removed: Vec<u32> = std::mem::take(&mut self.pending_removed)
             .into_iter()
             .collect();
 
-        // Chunk into frames of at most `max_batch` entries. The FULL
-        // flag rides only the first frame of a resync; followers are
-        // ordinary increments the controller applies in sequence.
-        let batch = self.policy.max_batch.max(1) as usize;
-        let mut first = true;
-        let mut rest = entries.as_slice();
-        loop {
-            let take = rest.len().min(batch);
-            let (chunk, tail) = rest.split_at(take);
-            let frame_removed = if first || tail.is_empty() {
-                std::mem::take(&mut removed)
-            } else {
-                Vec::new()
-            };
+        // Chunk into frames of at most `batch_len` entries; the removals
+        // ride the first. The FULL flag rides only the first frame of a
+        // resync; followers are ordinary increments the controller
+        // applies in sequence.
+        let batch = self.policy.batch_len();
+        let n = self.marked.len();
+        for first in (0..n.max(1)).step_by(batch) {
+            let chunk = &self.marked[first..n.min(first + batch)];
             self.stats.frames += 1;
             self.stats.entries += chunk.len() as u64;
             self.trace_seq += 1;
-            self.outbox.push(encode_delta(&Delta {
+            let head = DeltaHead {
                 host: self.host,
                 seq: self.seq,
                 tick,
-                full: full && first,
+                full: full && first == 0,
                 health,
                 durability_lost: self.durability_lost,
                 staleness_age,
@@ -485,16 +526,18 @@ impl Periphery {
                     acks_fenced: self.stats.acks_fenced,
                     journal_io_errors: self.journal_io_errors,
                 },
-                entries: chunk.to_vec(),
-                removed: frame_removed,
-            }));
+            };
+            let mirror = &self.last_sent;
+            let entries = chunk.iter().map(|&at| &mirror[at].entry);
+            let removed = if first == 0 { &removed[..] } else { &[] };
+            let frame = encode_delta_parts(&head, entries, removed);
+            self.outbox.push(frame);
             self.seq += 1;
-            first = false;
-            rest = tail;
-            if rest.is_empty() {
-                break;
-            }
         }
+        for &at in &self.marked {
+            self.last_sent[at].unsent = false;
+        }
+        self.marked.clear();
         if full {
             self.stats.full_syncs += 1;
             self.pending_full = false;
@@ -563,7 +606,8 @@ impl Periphery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{decode_frame, Frame};
+    use crate::protocol::{decode_frame, Delta, Frame, MAX_BATCH, MAX_FLEET_FRAME};
+    use crate::FleetController;
     use arv_persist::ViewState;
 
     fn snap(tick: u64, states: &[(u32, u32, u64)]) -> Snapshot {
@@ -744,6 +788,50 @@ mod tests {
         let seqs: Vec<u64> = ds.iter().map(|d| d.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
         assert_eq!(p.stats().policy_updates, 1);
+    }
+
+    /// A policy arrives from outside, in ACKs and POLICY pushes. Chunked
+    /// by `max_batch` alone, the FULL of a 40 000-container host under
+    /// `max_batch = u32::MAX` was one 1 440 119-byte frame, past
+    /// `MAX_FLEET_FRAME`: the fleet reactor refuses it, and the host can
+    /// never sync.
+    #[test]
+    fn a_pushed_max_batch_past_the_cap_still_frames_within_the_fleet_frame() {
+        let mut ctl = FleetController::new(4, FleetPolicy::default());
+        ctl.set_policy(3, u32::MAX, 1 << 12);
+        let states: Vec<(u32, u32, u64)> = (0..40_000).map(|i| (i, 1 + i % 8, 1 << 20)).collect();
+        let mut p = Periphery::new(1);
+        p.observe(&snap(1, &states), false, 0);
+        for frame in p.take_frames() {
+            let ack = ctl.handle_frame(&frame).and_then(|r| decode_frame(&r));
+            if let Some(Frame::Ack(ack)) = ack {
+                p.handle_ack(&ack);
+            }
+        }
+        assert_eq!(
+            p.policy().max_batch,
+            u32::MAX,
+            "the pushed policy is adopted"
+        );
+
+        // A reconnect answers with a FULL, chunked under that policy.
+        p.on_reconnect();
+        p.observe(&snap(2, &states), false, 0);
+        let frames = p.take_frames();
+        for frame in &frames {
+            assert!(
+                frame.len() <= MAX_FLEET_FRAME as usize,
+                "a {}-byte frame no controller takes",
+                frame.len()
+            );
+        }
+        assert_eq!(frames.len(), 1 + 40_000usize.div_ceil(MAX_BATCH as usize));
+        let fresh = FleetController::new(4, ctl.policy());
+        for frame in &frames {
+            let ack = fresh.handle_frame(frame).and_then(|r| decode_frame(&r));
+            assert!(matches!(ack, Some(Frame::Ack(a)) if !a.resync));
+        }
+        assert_eq!(fresh.cluster_capacity().containers, 40_000);
     }
 
     #[test]
@@ -986,6 +1074,7 @@ mod tests {
             Option<(u32, u32)>,
             (u8, u32, u32),
             u8,
+            (u8, Vec<(u8, u32, u64)>),
         );
 
         proptest! {
@@ -995,8 +1084,11 @@ mod tests {
             // removed and re-added, a tenant set in mid-stream, snapshots
             // out of id order, resync demands, reconnects, durability
             // flips, stalls, a token bucket run dry and batches chunked
-            // small: the merge-walk emits the frames and the stats of
-            // the `HashMap` diff it replaced, byte for byte. So does a
+            // small, and, about every other step, the steady state: the
+            // previous step's ids with only some values moving, walked
+            // in place over marks a dry bucket left unsent. The walk
+            // emits the frames and the stats of the `HashMap` diff it
+            // replaced, byte for byte. So does a
             // third periphery fed only what moved between consecutive
             // snapshots — padded with ids that did not move, up to every
             // one, as a static refresh names them — whenever it needs no
@@ -1008,7 +1100,8 @@ mod tests {
                      (0u8..4, prop::bool::ANY, prop::bool::ANY, 0u64..2),
                      prop::option::of((0u32..12, 0u32..4)),
                      (0u8..12, 1u32..6, 1u32..10),
-                     0u8..4),
+                     0u8..4,
+                     (0u8..2, prop::collection::vec((0u8..16, 1u32..4, 1u64..3), 0..6))),
                     1..40),
             ) {
                 let mut new = Periphery::new(3);
@@ -1018,7 +1111,7 @@ mod tests {
                 let mut policy_epoch = 0u64;
                 let mut last = std::collections::BTreeMap::new();
                 let steps: Vec<Step> = steps;
-                for (states, (order, advance, stalled, age), tenant, (event, batch, burst), pad) in steps {
+                for (states, (order, advance, stalled, age), tenant, (event, batch, burst), pad, (kind, moves)) in steps {
                     if let Some((container, tenant)) = tenant {
                         new.set_tenant(container, tenant);
                         moved.set_tenant(container, tenant);
@@ -1062,10 +1155,20 @@ mod tests {
                         prop_assert_eq!(new.handle_ack(&ack), applied);
                         prop_assert_eq!(moved.handle_ack(&ack), applied);
                     }
-                    // One state an id (the last drawn), in id order or not.
+                    // One state an id (the last drawn), in id order or not;
+                    // in a steady step, the previous ids with some moved.
                     let mut by_id = std::collections::BTreeMap::new();
-                    for (id, cpu, mem) in states {
-                        by_id.insert(id, (id, cpu, mem * 100));
+                    if kind == 0 && !last.is_empty() {
+                        by_id = last.clone();
+                        let ids: Vec<u32> = by_id.keys().copied().collect();
+                        for (k, cpu, mem) in moves {
+                            let id = ids[usize::from(k) % ids.len()];
+                            by_id.insert(id, (id, cpu, mem * 100));
+                        }
+                    } else {
+                        for (id, cpu, mem) in states {
+                            by_id.insert(id, (id, cpu, mem * 100));
+                        }
                     }
                     let states: Vec<(u32, u32, u64)> = by_id.values().copied().collect();
                     tick += u64::from(advance);

@@ -124,6 +124,12 @@ pub const REPL_PEER: u32 = u32::MAX;
 /// cap still bounds what a corrupt length prefix can allocate.
 pub const MAX_FLEET_FRAME: u32 = 1024 * 1024;
 
+/// Most entries one batch carries — a periphery's DELTA or one host's
+/// part of a controller checkpoint — whatever [`FleetPolicy::max_batch`]
+/// says: a policy arrives from outside, and a batch must fit a frame
+/// with room to spare (4 096 entries are ≈144 KiB).
+pub const MAX_BATCH: u32 = 4096;
+
 /// Host-level health byte carried in DELTA: monitor healthy.
 pub const HEALTH_FRESH: u8 = 0;
 /// Host-level health byte: view age within budget but monitor behind.
@@ -166,7 +172,8 @@ pub struct FleetPolicy {
     /// with no accepted delta for longer is flagged partitioned and its
     /// contribution served last-good, degraded.
     pub staleness_budget: u64,
-    /// Max delta entries per DELTA frame (peripheries chunk above it).
+    /// Max delta entries per DELTA frame (peripheries chunk above it),
+    /// capped at [`MAX_BATCH`].
     pub max_batch: u32,
     /// Advisory periphery send burst (`ServerConfig::rate_burst` analogue).
     pub rate_burst: u32,
@@ -180,6 +187,14 @@ impl Default for FleetPolicy {
             max_batch: 256,
             rate_burst: 1 << 12,
         }
+    }
+}
+
+impl FleetPolicy {
+    /// Entries a batch is chunked to: `max_batch`, within
+    /// `1..=`[`MAX_BATCH`].
+    pub(crate) fn batch_len(&self) -> usize {
+        self.max_batch.clamp(1, MAX_BATCH) as usize
     }
 }
 
@@ -269,6 +284,24 @@ pub struct Delta {
     pub entries: Vec<DeltaEntry>,
     /// Containers removed since the last batch.
     pub removed: Vec<u32>,
+}
+
+/// A DELTA's fields ahead of its entries and removals: what
+/// [`encode_delta_parts`] writes before the tail. Each field is the
+/// [`Delta`] field of the same name.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DeltaHead {
+    pub(crate) host: u32,
+    pub(crate) seq: u64,
+    pub(crate) tick: u64,
+    pub(crate) full: bool,
+    pub(crate) health: u8,
+    pub(crate) durability_lost: bool,
+    pub(crate) staleness_age: u64,
+    pub(crate) epoch: u64,
+    pub(crate) origin_tick: u64,
+    pub(crate) trace_seq: u64,
+    pub(crate) summary: HostSummary,
 }
 
 /// A decoded ACK.
@@ -478,48 +511,80 @@ pub fn encode_hello(h: &Hello) -> Vec<u8> {
 
 /// Encode a DELTA payload.
 pub fn encode_delta(d: &Delta) -> Vec<u8> {
+    let head = DeltaHead {
+        host: d.host,
+        seq: d.seq,
+        tick: d.tick,
+        full: d.full,
+        health: d.health,
+        durability_lost: d.durability_lost,
+        staleness_age: d.staleness_age,
+        epoch: d.epoch,
+        origin_tick: d.origin_tick,
+        trace_seq: d.trace_seq,
+        summary: d.summary,
+    };
+    encode_delta_parts(&head, d.entries.iter(), &d.removed)
+}
+
+/// The one DELTA encoder: `head`, then the tail of `entries` and
+/// `removed`, into one buffer sized up front — a periphery encodes
+/// straight from its mirror, with no `Vec` of entries in between.
+pub(crate) fn encode_delta_parts<'e>(
+    head: &DeltaHead,
+    entries: impl ExactSizeIterator<Item = &'e DeltaEntry>,
+    removed: &[u32],
+) -> Vec<u8> {
     let mut out =
-        Vec::with_capacity(DELTA_FIXED_BYTES + d.entries.len() * ENTRY_BYTES + d.removed.len() * 4);
+        Vec::with_capacity(DELTA_FIXED_BYTES + entries.len() * ENTRY_BYTES + removed.len() * 4);
     out.push(OP_DELTA);
-    put_u32(&mut out, d.host);
-    put_u64(&mut out, d.seq);
-    put_u64(&mut out, d.tick);
-    out.push(if d.full { DELTA_FULL } else { 0 });
+    put_u32(&mut out, head.host);
+    put_u64(&mut out, head.seq);
+    put_u64(&mut out, head.tick);
+    out.push(if head.full { DELTA_FULL } else { 0 });
     out.push(
-        d.health
-            | if d.durability_lost {
+        head.health
+            | if head.durability_lost {
                 HEALTH_DURABILITY_LOST
             } else {
                 0
             },
     );
-    put_u64(&mut out, d.staleness_age);
-    put_u64(&mut out, d.epoch);
-    put_u64(&mut out, d.origin_tick);
-    put_u64(&mut out, d.trace_seq);
-    put_u64(&mut out, d.summary.frames);
-    put_u64(&mut out, d.summary.entries);
-    put_u64(&mut out, d.summary.full_syncs);
-    put_u64(&mut out, d.summary.resyncs);
-    put_u64(&mut out, d.summary.deltas_coalesced);
-    put_u64(&mut out, d.summary.acks_fenced);
-    put_u64(&mut out, d.summary.journal_io_errors);
-    put_tail(&mut out, &d.entries, &d.removed);
+    put_u64(&mut out, head.staleness_age);
+    put_u64(&mut out, head.epoch);
+    put_u64(&mut out, head.origin_tick);
+    put_u64(&mut out, head.trace_seq);
+    let summary = &head.summary;
+    put_u64(&mut out, summary.frames);
+    put_u64(&mut out, summary.entries);
+    put_u64(&mut out, summary.full_syncs);
+    put_u64(&mut out, summary.resyncs);
+    put_u64(&mut out, summary.deltas_coalesced);
+    put_u64(&mut out, summary.acks_fenced);
+    put_u64(&mut out, summary.journal_io_errors);
+    put_tail(&mut out, entries, removed);
     out
 }
 
-/// The one entry encoder, for DELTA payloads and journal records alike.
+/// The one entry encoder, for DELTA payloads and journal records alike:
+/// the entry laid out on the stack and appended as one copy.
 fn put_entry(out: &mut Vec<u8>, e: &DeltaEntry) {
-    put_u32(out, e.id);
-    put_u32(out, e.tenant);
-    put_u32(out, e.e_cpu);
-    put_u64(out, e.e_mem);
-    put_u64(out, e.e_avail);
-    put_u64(out, e.last_tick);
+    let mut b = [0u8; ENTRY_BYTES];
+    b[0..4].copy_from_slice(&e.id.to_le_bytes());
+    b[4..8].copy_from_slice(&e.tenant.to_le_bytes());
+    b[8..12].copy_from_slice(&e.e_cpu.to_le_bytes());
+    b[12..20].copy_from_slice(&e.e_mem.to_le_bytes());
+    b[20..28].copy_from_slice(&e.e_avail.to_le_bytes());
+    b[28..36].copy_from_slice(&e.last_tick.to_le_bytes());
+    out.extend_from_slice(&b);
 }
 
 /// A DELTA's tail: `n | entries | m | removed`.
-fn put_tail(out: &mut Vec<u8>, entries: &[DeltaEntry], removed: &[u32]) {
+fn put_tail<'e>(
+    out: &mut Vec<u8>,
+    entries: impl ExactSizeIterator<Item = &'e DeltaEntry>,
+    removed: &[u32],
+) {
     put_u32(out, entries.len() as u32);
     for e in entries {
         put_entry(out, e);
@@ -556,7 +621,7 @@ pub(crate) fn frame_batch(out: &mut Vec<u8>, host: u32, flags: u8, entries: &[De
     frame_host_batch(out, body_len, |b| {
         put_u32(b, host);
         b.push(flags);
-        put_tail(b, entries, &[]);
+        put_tail(b, entries.iter(), &[]);
     });
 }
 

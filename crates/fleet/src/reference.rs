@@ -182,7 +182,7 @@ impl HashMapPeriphery {
             .into_iter()
             .collect();
 
-        let batch = self.policy.max_batch.max(1) as usize;
+        let batch = self.policy.batch_len();
         let mut first = true;
         let mut rest = entries.as_slice();
         loop {

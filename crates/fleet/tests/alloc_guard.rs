@@ -220,3 +220,51 @@ fn observing_an_unchanged_snapshot_allocates_only_its_heartbeat() {
     assert_eq!(p.take_frames().len(), 4, "one heartbeat a tick");
     assert_eq!(p.stats().entries, 1000, "nothing shipped after the FULL");
 }
+
+/// When k ≤ `max_batch` values move and no id comes or goes, `observe`
+/// overwrites the k mirror entries in place and encodes their frame
+/// straight from the mirror: the frame's bytes are the one allocation.
+/// Copying the moved entries into a `Vec`, and each chunk into the
+/// `Delta` it encoded, made 3.
+#[test]
+fn observing_moved_values_allocates_only_their_frame() {
+    const MOVED: u32 = 100;
+    let mut snap = Snapshot::at(1);
+    snap.entries = (0..1000u32)
+        .map(|id| ViewState {
+            id,
+            e_cpu: 1 + id % 8,
+            e_mem: 1 << 30,
+            e_avail: 1 << 29,
+            last_tick: 1,
+        })
+        .collect();
+    let mut p = Periphery::new(7);
+    assert!(MOVED <= p.policy().max_batch);
+    // Every tenth entry moves to a new value, stamped `tick`.
+    let move_at = |snap: &mut Snapshot, tick: u64| {
+        snap.tick = tick;
+        for s in snap.entries.iter_mut().step_by(10) {
+            s.e_cpu += 1;
+            s.last_tick = tick;
+        }
+    };
+    // Warm: HELLO and the FULL are out, the position list has grown
+    // past the FULL, and the outbox holds a slot for the next frame.
+    p.observe(&snap, false, 0);
+    assert_eq!(p.take_frames().len(), 5, "HELLO and four FULL chunks");
+    for tick in 2..=3 {
+        move_at(&mut snap, tick);
+        p.observe(&snap, false, 0);
+    }
+    move_at(&mut snap, 4);
+    let (n, ()) = allocations(|| p.observe(&snap, false, 0));
+    assert_eq!(n, 1, "the moved entries' frame, nothing else");
+    let frames = p.take_frames();
+    let Some(Frame::Delta(d)) = decode_frame(&frames[2]) else {
+        panic!("the measured observation shipped no DELTA");
+    };
+    assert_eq!(d.entries.len(), MOVED as usize);
+    assert!(d.entries.iter().all(|e| e.id % 10 == 0 && e.last_tick == 4));
+    assert_eq!(p.stats().entries, 1000 + 3 * u64::from(MOVED));
+}
