@@ -114,81 +114,58 @@ impl SharedLease {
     }
 }
 
-/// The controller's counters, listed once: [`FleetMetrics`] holds them
-/// lock-free, [`FleetMetricsSnapshot`] is a point-in-time copy.
-macro_rules! fleet_counters {
-    ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// Lock-free counters for the controller. The four headline
-        /// counters (`deltas_ingested`, `deltas_gap_resyncs`,
-        /// `hosts_partitioned`, `rollup_queries`) are the ones the
-        /// Prometheus exposition leads with.
-        #[derive(Debug, Default)]
-        pub struct FleetMetrics {
-            $($(#[$doc])* pub $name: AtomicU64,)*
-        }
-
-        /// A point-in-time copy of [`FleetMetrics`].
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct FleetMetricsSnapshot {
-            $($(#[$doc])* pub $name: u64,)*
-        }
-
-        impl FleetMetrics {
-            /// Copy the counters.
-            pub fn snapshot(&self) -> FleetMetricsSnapshot {
-                FleetMetricsSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)*
-                }
-            }
-        }
-    };
-}
-
-fleet_counters! {
-    /// DELTA frames accepted and applied.
-    deltas_ingested,
-    /// Delta entries applied across all accepted frames.
-    delta_entries,
-    /// Sequence gaps detected (each flips a host into resync).
-    deltas_gap_resyncs,
-    /// FULL snapshots accepted.
-    full_syncs,
-    /// Transitions of a host into the partitioned state.
-    hosts_partitioned,
-    /// Rollup queries answered (cluster, tenant, top-k, stats).
-    rollup_queries,
-    /// Frames that failed to decode (connection-fatal for the sender).
-    malformed_frames,
-    /// Policy blocks pushed down in ACKs.
-    policy_pushes,
-    /// HELLO frames answered.
-    hellos,
-    /// Standby→primary promotions (lease takeovers).
-    promotions,
-    /// Primary→standby demotions (lost lease / saw a higher epoch).
-    demotions,
-    /// View records streamed out in REPL frames (primary side): entries
-    /// upserted plus containers dropped, a checkpoint counting one.
-    repl_records_streamed,
-    /// View records applied into the shadow index (standby side),
-    /// counted alike.
-    repl_records_applied,
-    /// REPL frames fenced for carrying a stale controller epoch.
-    repl_fenced,
-    /// Full checkpoints queued because a standby lost REPL sequence.
-    repl_gap_snapshots,
-    /// REPL frames whose record stream was torn or corrupt (the valid
-    /// prefix was applied; a checkpoint was demanded).
-    repl_truncated,
-    /// HELLO/DELTA frames rejected because this controller does not
-    /// hold the lease.
-    not_leader_rejects,
-    /// Journal/lease store errors absorbed by this controller (its own
-    /// durability ladder, not the per-host summaries). The unit is one
-    /// refused store interaction: a DELTA's record batch, a REPL
-    /// frame's shadow write, a tick's sync or checkpoint, or a lease
-    /// write — not one per record in a refused batch.
-    journal_io_errors,
+arv_telemetry::metrics! {
+    /// Lock-free counters for the controller. The exposition leads with
+    /// the headline ones (`deltas_ingested`, `deltas_gap_resyncs`,
+    /// `hosts_partitioned`, `rollup_queries`).
+    pub struct FleetMetrics => FleetMetricsSnapshot;
+    counters {
+        /// DELTA frames accepted and applied.
+        deltas_ingested => "arv_fleet_deltas_ingested", "DELTA frames accepted and applied";
+        /// Delta entries applied across all accepted frames.
+        delta_entries => "arv_fleet_delta_entries", "Delta entries applied across all frames";
+        /// Sequence gaps detected (each flips a host into resync).
+        deltas_gap_resyncs => "arv_fleet_deltas_gap_resyncs", "Sequence gaps detected (host flipped into resync)";
+        /// Transitions of a host into the partitioned state.
+        hosts_partitioned => "arv_fleet_hosts_partitioned", "Transitions of a host into the partitioned state";
+        /// Rollup queries answered (cluster, tenant, top-k, stats).
+        rollup_queries => "arv_fleet_rollup_queries", "Rollup queries answered";
+        /// FULL snapshots accepted.
+        full_syncs => "arv_fleet_full_syncs", "FULL snapshots accepted";
+        /// Frames that failed to decode (connection-fatal for the sender).
+        malformed_frames => "arv_fleet_malformed_frames", "Frames that failed to decode";
+        /// Policy blocks pushed down in ACKs.
+        policy_pushes => "arv_fleet_policy_pushes", "Policy blocks pushed down in ACKs";
+        /// HELLO frames answered.
+        hellos => "arv_fleet_hellos", "HELLO frames answered";
+        /// Standby→primary promotions (lease takeovers).
+        promotions => "arv_fleet_failover_promotions", "Standby-to-primary promotions (lease takeovers)";
+        /// Primary→standby demotions (lost lease / saw a higher epoch).
+        demotions => "arv_fleet_failover_demotions", "Primary-to-standby demotions";
+        /// View records streamed out in REPL frames (primary side): entries
+        /// upserted plus containers dropped, a checkpoint counting one.
+        repl_records_streamed => "arv_fleet_failover_repl_records_streamed", "Journal records streamed to standbys";
+        /// View records applied into the shadow index (standby side),
+        /// counted alike.
+        repl_records_applied => "arv_fleet_failover_repl_records_applied", "Replicated records applied into the shadow index";
+        /// REPL frames fenced for carrying a stale controller epoch.
+        repl_fenced => "arv_fleet_failover_fenced", "REPL frames fenced for carrying a stale epoch";
+        /// Full checkpoints queued because a standby lost REPL sequence.
+        repl_gap_snapshots => "arv_fleet_failover_gap_snapshots", "Full checkpoints queued after a standby REPL gap";
+        /// REPL frames whose record stream was torn or corrupt (the valid
+        /// prefix was applied; a checkpoint was demanded).
+        repl_truncated => "arv_fleet_failover_repl_truncated", "REPL frames with a torn or corrupt record stream";
+        /// HELLO/DELTA frames rejected because this controller does not
+        /// hold the lease.
+        not_leader_rejects => "arv_fleet_failover_not_leader_rejects", "HELLO/DELTA frames rejected for lack of the lease";
+        /// Journal/lease store errors absorbed by this controller (its own
+        /// durability ladder, not the per-host summaries). The unit is one
+        /// refused store interaction: a DELTA's record batch, a REPL
+        /// frame's shadow write, a tick's sync or checkpoint, or a lease
+        /// write — not one per record in a refused batch.
+        journal_io_errors => "arv_fleet_journal_io_errors", "Journal/lease store refusals absorbed by this controller (one per refused batch, sync, checkpoint or lease write)";
+    }
+    histograms {}
 }
 
 /// Causal events retained per host for [`FleetController::explain_host`].
@@ -628,27 +605,14 @@ impl FleetController {
     }
 
     /// Freeze a flight dump around an anomaly: the trace ring as it
-    /// stands plus the headline counters. No-op when disabled.
+    /// stands plus every counter and the epoch. No-op when disabled.
     fn record_flight(&self, now: u64, trigger: FlightTrigger) {
         if !self.flight.is_enabled() {
             return;
         }
-        let m = self.metrics.snapshot();
-        self.flight.record(
-            now,
-            trigger,
-            &self.tracer,
-            &[
-                ("deltas_ingested", m.deltas_ingested),
-                ("deltas_gap_resyncs", m.deltas_gap_resyncs),
-                ("hosts_partitioned", m.hosts_partitioned),
-                ("full_syncs", m.full_syncs),
-                ("promotions", m.promotions),
-                ("demotions", m.demotions),
-                ("repl_fenced", m.repl_fenced),
-                ("ctl_epoch", self.ctl_epoch()),
-            ],
-        );
+        let mut counters = self.metrics.snapshot().counters();
+        counters.push(("ctl_epoch", self.ctl_epoch()));
+        self.flight.record(now, trigger, &self.tracer, &counters);
     }
 
     /// Record an edge of a durability ladder — this controller's own or
@@ -1661,95 +1625,10 @@ impl FleetController {
     /// freshness-lag gauges and end-to-end lag waterfalls, and the
     /// periphery counter summaries piggybacked on DELTA frames.
     pub fn prometheus_exposition(&self) -> String {
-        let m = self.metrics.snapshot();
         let r = self.cluster_capacity();
         let now = self.now_tick();
         let mut out = PromText::new();
-        out.counter(
-            "arv_fleet_deltas_ingested",
-            "DELTA frames accepted and applied",
-            m.deltas_ingested as f64,
-        );
-        out.counter(
-            "arv_fleet_delta_entries",
-            "Delta entries applied across all frames",
-            m.delta_entries as f64,
-        );
-        out.counter(
-            "arv_fleet_deltas_gap_resyncs",
-            "Sequence gaps detected (host flipped into resync)",
-            m.deltas_gap_resyncs as f64,
-        );
-        out.counter(
-            "arv_fleet_hosts_partitioned",
-            "Transitions of a host into the partitioned state",
-            m.hosts_partitioned as f64,
-        );
-        out.counter(
-            "arv_fleet_rollup_queries",
-            "Rollup queries answered",
-            m.rollup_queries as f64,
-        );
-        out.counter(
-            "arv_fleet_full_syncs",
-            "FULL snapshots accepted",
-            m.full_syncs as f64,
-        );
-        out.counter(
-            "arv_fleet_malformed_frames",
-            "Frames that failed to decode",
-            m.malformed_frames as f64,
-        );
-        out.counter(
-            "arv_fleet_policy_pushes",
-            "Policy blocks pushed down in ACKs",
-            m.policy_pushes as f64,
-        );
-        out.counter(
-            "arv_fleet_failover_promotions",
-            "Standby-to-primary promotions (lease takeovers)",
-            m.promotions as f64,
-        );
-        out.counter(
-            "arv_fleet_failover_demotions",
-            "Primary-to-standby demotions",
-            m.demotions as f64,
-        );
-        out.counter(
-            "arv_fleet_failover_repl_records_streamed",
-            "Journal records streamed to standbys",
-            m.repl_records_streamed as f64,
-        );
-        out.counter(
-            "arv_fleet_failover_repl_records_applied",
-            "Replicated records applied into the shadow index",
-            m.repl_records_applied as f64,
-        );
-        out.counter(
-            "arv_fleet_failover_fenced",
-            "REPL frames fenced for carrying a stale epoch",
-            m.repl_fenced as f64,
-        );
-        out.counter(
-            "arv_fleet_failover_gap_snapshots",
-            "Full checkpoints queued after a standby REPL gap",
-            m.repl_gap_snapshots as f64,
-        );
-        out.counter(
-            "arv_fleet_failover_repl_truncated",
-            "REPL frames with a torn or corrupt record stream",
-            m.repl_truncated as f64,
-        );
-        out.counter(
-            "arv_fleet_failover_not_leader_rejects",
-            "HELLO/DELTA frames rejected for lack of the lease",
-            m.not_leader_rejects as f64,
-        );
-        out.counter(
-            "arv_fleet_journal_io_errors",
-            "Journal/lease store refusals absorbed by this controller (one per refused batch, sync, checkpoint or lease write)",
-            m.journal_io_errors as f64,
-        );
+        self.metrics.snapshot().expose(&mut out);
         out.gauge(
             "arv_fleet_durability_degraded_hosts",
             "Hosts currently reporting journal durability lost",
@@ -2134,8 +2013,24 @@ mod tests {
             "arv_fleet_deltas_gap_resyncs_total",
             "arv_fleet_hosts_partitioned_total",
             "arv_fleet_rollup_queries_total",
+            "arv_fleet_hellos_total",
         ] {
             assert!(text.contains(name), "missing {name} in exposition");
+        }
+        // Every declared counter is served, each family exactly once.
+        let snap = ctl.metrics().snapshot();
+        let mut declared = PromText::new();
+        snap.expose(&mut declared);
+        let declared = declared.finish();
+        let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let families: Vec<&str> = declared
+            .lines()
+            .filter(|l| l.starts_with("# TYPE "))
+            .collect();
+        assert_eq!(families.len(), snap.counters().len());
+        for family in families {
+            let served = types.iter().filter(|l| **l == family).count();
+            assert_eq!(served, 1, "{family} served {served} times");
         }
     }
 
@@ -2591,6 +2486,16 @@ mod tests {
             .counters
             .iter()
             .any(|(n, v)| n == "deltas_gap_resyncs" && *v == 1));
+        // The dump freezes every declared counter, in order, then the
+        // epoch.
+        let names: Vec<&str> = dump.counters.iter().map(|(n, _)| n.as_str()).collect();
+        let mut declared: Vec<&str> = FleetMetricsSnapshot::default()
+            .counters()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        declared.push("ctl_epoch");
+        assert_eq!(names, declared);
 
         // Retrieve it over the query path and check it decodes to the
         // exact same dump.

@@ -18,7 +18,8 @@
 //!   resource — plus text renderings for the wire `TRACE` opcode;
 //! * a tiny **Prometheus-style text exposition** builder ([`PromText`])
 //!   used by the view server and the fleet controller to export their
-//!   metrics and per-container gauges;
+//!   metrics and per-container gauges, and the [`metrics!`] macro that
+//!   declares each daemon's counters and histograms once;
 //! * a **staleness histogram** ([`LagHistogram`]) with fixed
 //!   power-of-two tick buckets, used by the fleet controller to build
 //!   per-host end-to-end lag waterfalls;
@@ -52,6 +53,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use arv_cgroups::{Bytes, CgroupId};
+/// The lock-free latency histogram a [`metrics!`] declaration holds.
+pub use arv_sim_core::stats::Histogram;
 
 /// Why a view changed (or why a served value deviated from the view).
 ///
@@ -1085,6 +1088,14 @@ impl PromText {
         self.sample(name, value);
     }
 
+    /// One histogram summary family: headers plus a `stat="mean"` and
+    /// a `stat="p99"` gauge sample.
+    pub fn mean_p99(&mut self, name: &str, help: &str, mean: f64, p99: u64) {
+        self.header(name, help, "gauge");
+        self.labeled(name, &[("stat", "mean".to_string())], mean);
+        self.labeled(name, &[("stat", "p99".to_string())], p99 as f64);
+    }
+
     /// Emit one unlabeled sample.
     pub fn sample(&mut self, name: &str, value: f64) {
         let _ = writeln!(self.out, "{name} {}", fmt_value(value));
@@ -1105,6 +1116,100 @@ impl PromText {
     pub fn finish(self) -> String {
         self.out
     }
+}
+
+/// Declare a daemon's metrics once: each counter line gives the field's
+/// doc, the field, the exported family and its HELP text; each histogram
+/// line gives the field, the names of its snapshot's mean and p99 fields,
+/// the family and its HELP text.
+///
+/// From that one list the macro builds the lock-free struct (an
+/// `AtomicU64` per counter, a [`Histogram`] per histogram), its `Copy`
+/// snapshot, `snapshot()`, the snapshot's `expose` (one counter family
+/// per counter, one `stat="mean"`/`stat="p99"` gauge family per
+/// histogram, in declaration order) and its `counters()` (every
+/// counter's name and value, in declaration order, as a flight dump
+/// freezes them).
+///
+/// ```
+/// arv_telemetry::metrics! {
+///     /// Counters of a toy daemon.
+///     pub struct Toy => ToySnapshot;
+///     counters {
+///         /// Requests answered.
+///         requests => "toy_requests", "Requests answered";
+///     }
+///     histograms {
+///         /// Nanoseconds per request.
+///         latency (latency_ns, latency_p99_ns) => "toy_latency_ns", "Request latency, nanoseconds";
+///     }
+/// }
+/// let toy = Toy::default();
+/// toy.requests.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+/// toy.latency.record(700);
+/// let snap = toy.snapshot();
+/// assert_eq!(snap.counters(), [("requests", 2)]);
+/// let mut out = arv_telemetry::PromText::new();
+/// snap.expose(&mut out);
+/// assert!(out.finish().contains("toy_latency_ns{stat=\"p99\"} 1024\n"));
+/// ```
+#[macro_export]
+macro_rules! metrics {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident => $snap:ident;
+        counters {
+            $($(#[$cdoc:meta])* $counter:ident => $cfamily:literal, $chelp:literal;)*
+        }
+        histograms {
+            $($(#[$hdoc:meta])* $hist:ident ($mean:ident, $p99:ident) => $hfamily:literal, $hhelp:literal;)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        pub struct $name {
+            $($(#[$cdoc])* pub $counter: ::std::sync::atomic::AtomicU64,)*
+            $($(#[$hdoc])* pub $hist: $crate::Histogram,)*
+        }
+
+        #[doc = concat!("A point-in-time copy of [`", stringify!($name), "`].")]
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct $snap {
+            $($(#[$cdoc])* pub $counter: u64,)*
+            $(
+                #[doc = concat!("Mean of `", stringify!($hist), "`.")]
+                pub $mean: f64,
+                #[doc = concat!("99th-percentile bucket edge of `", stringify!($hist), "`.")]
+                pub $p99: u64,
+            )*
+        }
+
+        impl $name {
+            /// Copy every counter and summarise every histogram. Each
+            /// value is exact at its read instant; under concurrent load
+            /// they may be slightly out of step with one another.
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $($counter: self.$counter.load(::std::sync::atomic::Ordering::Relaxed),)*
+                    $($mean: self.$hist.mean(), $p99: self.$hist.quantile(0.99),)*
+                }
+            }
+        }
+
+        impl $snap {
+            /// Append one counter family per counter and one mean/p99
+            /// gauge family per histogram, in declaration order.
+            pub fn expose(&self, out: &mut $crate::PromText) {
+                $(out.counter($cfamily, $chelp, self.$counter as f64);)*
+                $(out.mean_p99($hfamily, $hhelp, self.$mean, self.$p99);)*
+            }
+
+            /// Every counter's field name and value, in declaration order.
+            pub fn counters(&self) -> ::std::vec::Vec<(&'static str, u64)> {
+                ::std::vec![$((stringify!($counter), self.$counter)),*]
+            }
+        }
+    };
 }
 
 fn fmt_value(value: f64) -> String {

@@ -23,7 +23,7 @@ use arv_resview::{
     ViewSnapshot,
 };
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PromText, Tracer};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -85,6 +85,9 @@ struct ServerInner {
     // O(online_cpus^2) image bytes; the memory-keyed rows are empty.
     images: [Box<[OnceLock<Arc<String>>]>; PathId::COUNT],
     metrics: Metrics,
+    // Whether the host's journal durability is lost: a 0/1 gauge the
+    // monitor daemon mirrors in, not a count.
+    durability_lost: AtomicBool,
     // Update-timer tick, advanced by the driver on every firing.
     clock: AtomicU64,
     // Tick the driver last brought every cell level with its monitor at:
@@ -154,7 +157,8 @@ impl ViewServer {
                 },
                 host_meminfo: Arc::new(render::meminfo(host.total_memory, host.free_memory)),
                 images,
-                metrics: Metrics::new(),
+                metrics: Metrics::default(),
+                durability_lost: AtomicBool::new(false),
                 clock: AtomicU64::new(0),
                 fresh: AtomicU64::new(0),
                 restore_tick: AtomicU64::new(u64::MAX),
@@ -263,124 +267,12 @@ impl ViewServer {
     /// registered container (effective CPUs/memory, available memory,
     /// publish generation).
     pub fn prometheus_exposition(&self) -> String {
-        let m = self.metrics();
         let mut out = PromText::new();
-        out.counter("arv_viewd_queries", "Queries answered", m.queries as f64);
-        out.counter(
-            "arv_viewd_cache_hits",
-            "Cached-render answers",
-            m.cache_hits as f64,
-        );
-        out.counter(
-            "arv_viewd_cache_misses",
-            "Answers the per-container cache could not give",
-            m.cache_misses as f64,
-        );
-        out.counter(
-            "arv_viewd_renders",
-            "Formatter runs (image-table fills and memory-keyed misses)",
-            m.renders as f64,
-        );
-        out.counter("arv_viewd_failures", "Failed queries", m.failures as f64);
-        out.counter(
-            "arv_viewd_wire_requests",
-            "Wire requests decoded",
-            m.wire_requests as f64,
-        );
-        out.counter(
-            "arv_viewd_wire_errors",
-            "Malformed wire requests",
-            m.wire_errors as f64,
-        );
-        out.counter(
-            "arv_viewd_stale_serves",
-            "Queries served from a within-budget stale view",
-            m.stale_serves as f64,
-        );
-        out.counter(
-            "arv_viewd_degraded_serves",
-            "Queries served from the conservative fallback view",
-            m.degraded_serves as f64,
-        );
-        out.counter(
-            "arv_viewd_requests_shed",
-            "Requests refused with OK_SHED under overload",
-            m.requests_shed as f64,
-        );
-        out.counter(
-            "arv_viewd_conns_evicted_slow",
-            "Connections evicted for stalling past the write deadline",
-            m.conns_evicted_slow as f64,
-        );
-        out.counter(
-            "arv_viewd_conns_evicted_backlog",
-            "Connections evicted for exceeding the outbound-queue byte cap",
-            m.conns_evicted_backlog as f64,
-        );
-        out.counter(
-            "arv_viewd_restore_reconciled_containers",
-            "Containers reconciled during warm restarts",
-            m.restore_reconciled_containers as f64,
-        );
-        out.counter(
-            "arv_viewd_journal_truncated_records",
-            "Journal records discarded as torn or corrupt during restore",
-            m.journal_truncated_records as f64,
-        );
-        out.counter(
-            "arv_viewd_journal_io_errors",
-            "Store errors the host's journal has absorbed",
-            m.journal_io_errors as f64,
-        );
+        self.metrics().expose(&mut out);
         out.gauge(
             "arv_viewd_durability_lost",
             "Whether the host's journal durability is lost (1) or intact (0)",
-            if m.durability_lost { 1.0 } else { 0.0 },
-        );
-        out.header(
-            "arv_viewd_recovery_latency_ticks",
-            "Ticks from warm restart to the first Fresh serve",
-            "gauge",
-        );
-        out.labeled(
-            "arv_viewd_recovery_latency_ticks",
-            &[("stat", "mean".to_string())],
-            m.recovery_latency_mean,
-        );
-        out.labeled(
-            "arv_viewd_recovery_latency_ticks",
-            &[("stat", "p99".to_string())],
-            m.recovery_latency_p99 as f64,
-        );
-        out.header(
-            "arv_viewd_hit_latency_ns",
-            "Cached-hit query latency, nanoseconds",
-            "gauge",
-        );
-        out.labeled(
-            "arv_viewd_hit_latency_ns",
-            &[("stat", "mean".to_string())],
-            m.hit_latency_ns,
-        );
-        out.labeled(
-            "arv_viewd_hit_latency_ns",
-            &[("stat", "p99".to_string())],
-            m.hit_p99_ns as f64,
-        );
-        out.header(
-            "arv_viewd_wire_latency_ns",
-            "Wire request latency (decode to encode), nanoseconds",
-            "gauge",
-        );
-        out.labeled(
-            "arv_viewd_wire_latency_ns",
-            &[("stat", "mean".to_string())],
-            m.wire_latency_ns,
-        );
-        out.labeled(
-            "arv_viewd_wire_latency_ns",
-            &[("stat", "p99".to_string())],
-            m.wire_p99_ns as f64,
+            f64::from(u8::from(self.inner.durability_lost.load(Ordering::Relaxed))),
         );
         let tracer = self.tracer();
         out.counter(
@@ -462,9 +354,11 @@ impl ViewServer {
     /// store-error count. Called by the monitor daemon on every rung
     /// transition.
     pub fn note_durability(&self, lost: bool, io_errors: u64) {
-        let m = &self.inner.metrics;
-        m.durability_lost.store(u64::from(lost), Ordering::Relaxed);
-        m.journal_io_errors.store(io_errors, Ordering::Relaxed);
+        self.inner.durability_lost.store(lost, Ordering::Relaxed);
+        self.inner
+            .metrics
+            .journal_io_errors
+            .store(io_errors, Ordering::Relaxed);
     }
 
     /// Mirror externally computed views into a container's cell (the
@@ -1100,6 +994,25 @@ mod tests {
             "arv_container_effective_bytes{{container=\"1\"}} {}",
             Bytes::from_mib(500).as_u64()
         )));
+        // Every declared counter and histogram is served, each family
+        // exactly once.
+        for family in [
+            "arv_viewd_wire_rejected_total",
+            "arv_viewd_connections_accepted_total",
+            "arv_viewd_connections_dropped_total",
+            "arv_viewd_miss_latency_ns{stat=\"p99\"}",
+            "arv_viewd_staleness_age_ticks{stat=\"mean\"}",
+        ] {
+            assert!(text.contains(family), "missing {family}");
+        }
+        let mut declared = PromText::new();
+        server.metrics().expose(&mut declared);
+        let declared = declared.finish();
+        let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        for family in declared.lines().filter(|l| l.starts_with("# TYPE ")) {
+            let served = types.iter().filter(|l| **l == family).count();
+            assert_eq!(served, 1, "{family} served {served} times");
+        }
     }
 
     #[test]
