@@ -17,10 +17,14 @@
 //! journal record on the standby and in [`FleetController::restore_from`]
 //! are one *host batch* applied by one function (`Sums::apply`), in one
 //! order: a FULL drops the ids absent from it, then the removals are
-//! dropped, then the entries are upserted. An entry is found from a
-//! cursor left where the previous one landed — galloping ahead of it,
-//! binary-searching behind it — and replaced in place, with one tenant
-//! lookup if it keeps its tenant. Input is never trusted to be ordered:
+//! dropped, then the entries are upserted — on every node straight from
+//! the bytes it read, DELTA or record, with nothing decoded into a `Vec`
+//! first. An entry is found from a cursor left where the previous one
+//! landed — a few slots stepped through, then galloping ahead of it,
+//! binary-searching behind it — and replaced in place. What a run of
+//! consecutive same-tenant entries adds and removes is summed apart and
+//! folded into the totals with one tenant lookup when the tenant
+//! changes or the batch ends. Input is never trusted to be ordered:
 //! new ids that do not extend the run are stably sorted into a scratch
 //! copy (of a repeated id the last occurrence wins, the periphery's
 //! rule) and merged in one pass, and removals are one pass against a
@@ -67,16 +71,17 @@ use arv_persist::{
     KIND_HOST_BATCH,
 };
 use arv_telemetry::{FlightRecorder, FlightTrigger, LagHistogram, PipelineEvent, PromText, Tracer};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::protocol::{
-    decode_frame, encode_ack, encode_policy, encode_repl_parts, encode_rollup, frame_batch,
-    frame_delta_record, Ack, ClusterRollup, Delta, DeltaEntry, FleetPolicy, Frame, HostBatch,
-    HostSummary, PressurePoint, Query, Repl, Rollup, RollupFrame, SpanStamp, TenantRollup,
-    BATCH_CHECKPOINT, BATCH_FULL, MAX_FLEET_FRAME, QUERY_CLUSTER, QUERY_FLIGHT, QUERY_STATS,
-    QUERY_TENANT, QUERY_TOPK, REPL_PEER,
+    decode_delta_parts, decode_frame, decode_repl_parts, encode_ack, encode_policy,
+    encode_repl_parts, encode_rollup, frame_batch, frame_delta_record, Ack, ClusterRollup,
+    DeltaEntry, DeltaHead, FleetPolicy, Frame, HostBatch, HostSummary, PressurePoint, Query,
+    ReplParts, Rollup, RollupFrame, SpanStamp, Tail, TenantRollup, BATCH_CHECKPOINT, BATCH_FULL,
+    MAX_FLEET_FRAME, OP_DELTA, OP_REPL, QUERY_CLUSTER, QUERY_FLIGHT, QUERY_STATS, QUERY_TENANT,
+    QUERY_TOPK, REPL_PEER,
 };
 
 /// A lease store shared between contending controllers — the
@@ -305,11 +310,12 @@ impl Totals {
         self.containers += 1;
     }
 
-    fn sub(&mut self, e: &DeltaEntry) {
-        self.cpu -= u64::from(e.e_cpu);
-        self.mem -= e.e_mem;
-        self.avail -= e.e_avail;
-        self.containers -= 1;
+    /// Add `plus`, then take `minus` away: what a tenant run folds in.
+    fn fold(&mut self, plus: &Totals, minus: &Totals) {
+        self.cpu = self.cpu + plus.cpu - minus.cpu;
+        self.mem = self.mem + plus.mem - minus.mem;
+        self.avail = self.avail + plus.avail - minus.avail;
+        self.containers = self.containers + plus.containers - minus.containers;
     }
 }
 
@@ -332,33 +338,6 @@ struct Sums {
 /// the primary (a DELTA), on the standby and in a restore (a journal
 /// record) alike. Input is never trusted to be sorted.
 impl Sums {
-    fn add(&mut self, e: &DeltaEntry) {
-        self.totals.add(e);
-        self.tenants.entry(e.tenant).or_default().add(e);
-    }
-
-    fn sub(&mut self, e: &DeltaEntry) {
-        self.totals.sub(e);
-        if let Some(t) = self.tenants.get_mut(&e.tenant) {
-            t.sub(e);
-        }
-    }
-
-    /// `old` is replaced by `new`: one tenant lookup if it keeps its
-    /// tenant.
-    fn replace(&mut self, old: &DeltaEntry, new: &DeltaEntry) {
-        if old.tenant != new.tenant {
-            self.sub(old);
-            self.add(new);
-            return;
-        }
-        self.totals.add(new);
-        self.totals.sub(old);
-        let t = self.tenants.entry(new.tenant).or_default();
-        t.add(new);
-        t.sub(old);
-    }
-
     /// Apply one host batch to `host`, in the one order: a FULL drops the
     /// ids absent from `entries`, then the `removed` ids are dropped,
     /// then `entries` are upserted. Returns the view records the batch
@@ -374,18 +353,78 @@ impl Sums {
         E: ExactSizeIterator<Item = DeltaEntry> + Clone,
     {
         let before = host.containers.len();
+        let mut run = Run::new(self);
         if full && before > 0 {
             let kept = sorted_set(entries.clone().map(|e| e.id));
             let mut in_batch = member(&kept);
-            self.drop_where(host, |id| !in_batch(id));
+            run.drop_where(host, |id| !in_batch(id));
         }
         let listed = sorted_set(removed);
         if !listed.is_empty() {
-            self.drop_where(host, member(&listed));
+            run.drop_where(host, member(&listed));
         }
         let records = entries.len() + before - host.containers.len();
-        self.upsert(host, entries);
+        run.upsert(host, entries);
+        run.fold();
         records as u64
+    }
+}
+
+/// One batch's changes to a shard's [`Sums`], gathered a tenant run at a
+/// time: what a run of consecutive same-tenant changes adds and takes
+/// away is summed here, and folded into the totals and the tenant's
+/// entry — one tenant lookup — when the tenant changes or the batch
+/// ends. A periphery's batch is in id order, and a tenant's containers
+/// tend to sit together, so a batch costs a lookup a run, not one an
+/// entry.
+struct Run<'s> {
+    sums: &'s mut Sums,
+    tenant: u32,
+    plus: Totals,
+    minus: Totals,
+}
+
+impl<'s> Run<'s> {
+    fn new(sums: &'s mut Sums) -> Run<'s> {
+        Run {
+            sums,
+            tenant: 0,
+            plus: Totals::default(),
+            minus: Totals::default(),
+        }
+    }
+
+    /// The run for `tenant`: the current one, or a new one once the
+    /// current is folded in.
+    fn enter(&mut self, tenant: u32) {
+        if tenant != self.tenant {
+            self.fold();
+            self.tenant = tenant;
+        }
+    }
+
+    fn add(&mut self, e: &DeltaEntry) {
+        self.enter(e.tenant);
+        self.plus.add(e);
+    }
+
+    fn sub(&mut self, e: &DeltaEntry) {
+        self.enter(e.tenant);
+        self.minus.add(e);
+    }
+
+    /// Fold the current run into the sums, and start it empty.
+    fn fold(&mut self) {
+        if self.plus.containers == 0 && self.minus.containers == 0 {
+            return;
+        }
+        let (plus, minus) = (
+            std::mem::take(&mut self.plus),
+            std::mem::take(&mut self.minus),
+        );
+        self.sums.totals.fold(&plus, &minus);
+        let tenant = self.sums.tenants.entry(self.tenant).or_default();
+        tenant.fold(&plus, &minus);
     }
 
     /// Upsert `entries` into `host` in order: of a repeated id, the last
@@ -401,7 +440,8 @@ impl Sums {
         for e in entries {
             match seek(containers, at, e.id) {
                 Ok(i) => {
-                    self.replace(&containers[i], &e);
+                    self.sub(&containers[i]);
+                    self.add(&e);
                     containers[i] = e;
                     at = i + 1;
                 }
@@ -456,18 +496,31 @@ impl Sums {
     }
 }
 
+/// Slots [`seek`] steps through one by one before it gallops.
+const SEEK_STEP: usize = 8;
+
 /// Where `id` is (`Ok`) or would be inserted (`Err`) in the id-sorted
 /// `run`, searched from the cursor `at`, the slot after the last one
 /// found. An id behind the cursor is binary-searched in the run before
-/// it; one ahead is galloped to — probes 1, 2, 4, … slots on, then a
-/// binary search of the last step — so a sorted batch of k ids into n
-/// costs O(k log(n/k)), and an unsorted one stays correct.
+/// it. One ahead is looked for in the next [`SEEK_STEP`] slots one by
+/// one — a periphery's sorted batch moves about a quarter of a host, so
+/// the next id is usually a few slots on — and past them galloped to:
+/// probes 1, 2, 4, … slots on, then a binary search of the last step.
+/// A sorted batch of k ids into n therefore costs O(k log(n/k)) (the
+/// short step adds at most [`SEEK_STEP`] comparisons an id), and an
+/// unsorted one stays correct.
 fn seek(run: &[DeltaEntry], at: usize, id: u32) -> Result<usize, usize> {
     if at > 0 && run[at - 1].id >= id {
         return run[..at].binary_search_by_key(&id, |c| c.id);
     }
+    let near = run.len().min(at + SEEK_STEP);
+    for (i, c) in run[at..near].iter().enumerate() {
+        if c.id >= id {
+            return if c.id == id { Ok(at + i) } else { Err(at + i) };
+        }
+    }
     // Every id before `lo` is below `id`.
-    let (mut lo, mut step) = (at, 1);
+    let (mut lo, mut step) = (near, 1);
     let hi = loop {
         let probe = lo + step - 1;
         match run.get(probe) {
@@ -525,8 +578,10 @@ struct ReplState {
     /// Primary: how many records `outbox` holds.
     outbox_records: u64,
     /// Primary: hosts whose DELTA was accepted since the last drain —
-    /// their freshness rides the next REPL frame, records or none.
-    heard: BTreeSet<u32>,
+    /// their freshness rides the next REPL frame, records or none. In
+    /// arrival order, a host repeated only when another came between;
+    /// sorted and deduplicated at the drain, which keeps the buffer.
+    heard: Vec<u32>,
     /// Primary: sequence of the next REPL frame to send.
     next_seq: u64,
     /// Standby: next REPL sequence accepted in order.
@@ -878,20 +933,28 @@ impl FleetController {
     /// Handle one decoded-or-not request frame; `None` means the frame
     /// was malformed (or not a request) and the connection should drop.
     /// Never panics, for any input bytes.
+    ///
+    /// A DELTA and a REPL frame are applied from `payload` in place: the
+    /// index, the journal and the REPL outbox read their bytes where the
+    /// transport left them.
     pub fn handle_frame(&self, payload: &[u8]) -> Option<Vec<u8>> {
-        match decode_frame(payload) {
-            Some(Frame::Hello(h)) => Some(self.handle_hello(h.host, h.epoch, h.tick)),
-            Some(Frame::Delta(d)) => Some(self.handle_delta(d, payload)),
-            Some(Frame::Query(q)) => Some(self.handle_query(q)),
-            Some(Frame::Policy(p)) => self.handle_policy_push(p),
-            Some(Frame::Repl(r)) => Some(self.handle_repl(&r)),
-            Some(Frame::Ack(_) | Frame::Rollup(_)) | None => {
-                self.metrics
-                    .malformed_frames
-                    .fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let reply = match payload.first() {
+            Some(&OP_DELTA) => decode_delta_parts(payload)
+                .map(|(head, tail)| self.handle_delta(&head, tail, payload)),
+            Some(&OP_REPL) => decode_repl_parts(payload).map(|r| self.handle_repl(&r)),
+            _ => match decode_frame(payload) {
+                Some(Frame::Hello(h)) => Some(self.handle_hello(h.host, h.epoch, h.tick)),
+                Some(Frame::Query(q)) => Some(self.handle_query(q)),
+                Some(Frame::Policy(p)) => Some(self.handle_policy_push(p)),
+                _ => None,
+            },
+        };
+        if reply.is_none() {
+            self.metrics
+                .malformed_frames
+                .fetch_add(1, Ordering::Relaxed);
         }
+        reply
     }
 
     fn ack_for(&self, host: u32, expected_seq: u64, resync: bool, periphery_epoch: u64) -> Vec<u8> {
@@ -947,19 +1010,19 @@ impl FleetController {
 
     /// An admin-side policy push: adopt a strictly newer policy and echo
     /// the one now in force.
-    fn handle_policy_push(&self, p: FleetPolicy) -> Option<Vec<u8>> {
+    fn handle_policy_push(&self, p: FleetPolicy) -> Vec<u8> {
         let mut cur = lock(&self.policy);
         if p.epoch > cur.epoch {
             *cur = p;
         }
         let now = *cur;
         drop(cur);
-        Some(encode_policy(&now))
+        encode_policy(&now)
     }
 
-    /// Apply one decoded DELTA; `payload` is its encoding, from which
-    /// its journal record is copied.
-    fn handle_delta(&self, d: Delta, payload: &[u8]) -> Vec<u8> {
+    /// Apply one DELTA, its `head` decoded and its `tail` borrowed from
+    /// `payload`, from which its journal record is copied.
+    fn handle_delta(&self, d: &DeltaHead, tail: Tail<'_>, payload: &[u8]) -> Vec<u8> {
         if !self.is_leader() {
             return self.not_leader_ack(d.host, d.seq);
         }
@@ -1000,12 +1063,7 @@ impl FleetController {
         } else {
             host.expected_seq += 1;
         }
-        let records = sums.apply(
-            host,
-            d.full,
-            d.entries.iter().copied(),
-            d.removed.iter().copied(),
-        );
+        let records = sums.apply(host, d.full, tail.entries(), tail.removed());
         host.last_delta_tick = now;
         host.host_tick = d.tick;
         host.health = d.health;
@@ -1051,18 +1109,20 @@ impl FleetController {
         self.metrics.deltas_ingested.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .delta_entries
-            .fetch_add(d.entries.len() as u64, Ordering::Relaxed);
+            .fetch_add(tail.entries().len() as u64, Ordering::Relaxed);
 
         // One record per DELTA that moves anything: its tail copied
         // behind its host. The journal takes it in one write and the
         // REPL outbox keeps the same bytes.
-        let moves = d.full || !d.entries.is_empty() || !d.removed.is_empty();
+        let moves = d.full || !tail.is_empty();
         let mut journal = lock(&self.journal);
         let mut repl = lock(&self.repl);
         let mut own = Vec::new();
         let record: &[u8] = match repl.as_mut() {
             Some(rs) => {
-                rs.heard.insert(host_id);
+                if rs.heard.last() != Some(&host_id) {
+                    rs.heard.push(host_id);
+                }
                 rs.outbox_records += records;
                 let start = rs.outbox.len();
                 if moves {
@@ -1345,7 +1405,9 @@ impl FleetController {
         if rs.outbox.is_empty() && rs.heard.is_empty() {
             return Vec::new();
         }
-        let heard: Vec<u32> = std::mem::take(&mut rs.heard).into_iter().collect();
+        let mut heard = std::mem::take(&mut rs.heard);
+        heard.sort_unstable();
+        heard.dedup();
         self.metrics
             .repl_records_streamed
             .fetch_add(std::mem::take(&mut rs.outbox_records), Ordering::Relaxed);
@@ -1368,6 +1430,8 @@ impl FleetController {
         // that reported was quiet.
         frame(&heard, &rs.outbox[start..]);
         rs.outbox.clear();
+        heard.clear();
+        rs.heard = heard;
         frames
     }
 
@@ -1406,7 +1470,7 @@ impl FleetController {
     /// carries our higher epoch so the deposed sender stands down. A
     /// sequence gap or a torn record stream switches the standby to
     /// demanding a checkpoint; only a checkpoint-led frame realigns it.
-    fn handle_repl(&self, r: &Repl) -> Vec<u8> {
+    fn handle_repl(&self, r: &ReplParts<'_>) -> Vec<u8> {
         let own = self.ctl_epoch();
         let repl_ack = |expected_seq: u64, epoch: u64, resync: bool| {
             encode_ack(&Ack {
@@ -1441,7 +1505,7 @@ impl FleetController {
 
         // Peek at the first record: only a checkpoint-led frame realigns
         // a standby that lost sequence.
-        let mut walk = records(&r.records);
+        let mut walk = records(r.records);
         let starts_with_checkpoint =
             walk.clone().next().map(|(kind, _)| kind) == Some(KIND_CHECKPOINT);
 
@@ -1471,8 +1535,8 @@ impl FleetController {
             applied += records;
             verified = walk.verified_len();
         }
-        for host_id in &r.heard {
-            if let Some(host) = lock(self.shard_for(*host_id)).hosts.get_mut(host_id) {
+        for host_id in r.heard() {
+            if let Some(host) = lock(self.shard_for(host_id)).hosts.get_mut(&host_id) {
                 host.last_delta_tick = now;
                 host.partitioned = false;
             }
@@ -1768,6 +1832,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::periphery::Periphery;
+    use crate::protocol::Delta;
     use arv_persist::Snapshot as PSnapshot;
     use arv_persist::ViewState as PViewState;
 
@@ -2526,6 +2591,110 @@ mod tests {
         };
         assert_eq!(frame.body, Rollup::Flight(Vec::new()));
     }
+    /// `seek` from every cursor answers what a binary search of the
+    /// whole run does, over runs of 0 to 40 ids, for every id from below
+    /// the first to past the last: found or not, inside the short step,
+    /// one slot past it, further on, behind the cursor and past the end.
+    #[test]
+    fn seek_equals_a_binary_search_from_every_cursor() {
+        let (mut inside, mut one_past, mut further, mut behind, mut past_end) = (0, 0, 0, 0, 0);
+        for len in 0..=40u32 {
+            // Odd ids, so every even id is absent.
+            let run: Vec<DeltaEntry> = (0..len).map(|i| entry(2 * i + 1, 0, 1)).collect();
+            for at in 0..=run.len() {
+                for id in 0..=2 * len + 2 {
+                    let want = run.binary_search_by_key(&id, |c| c.id);
+                    assert_eq!(seek(&run, at, id), want, "{len} ids, cursor {at}, id {id}");
+                    let slot = want.unwrap_or_else(|i| i);
+                    if slot == run.len() {
+                        past_end += 1;
+                    } else if at > 0 && run[at - 1].id >= id {
+                        behind += 1;
+                    } else if slot < at + SEEK_STEP {
+                        inside += 1;
+                    } else if slot == at + SEEK_STEP {
+                        one_past += 1;
+                    } else {
+                        further += 1;
+                    }
+                }
+            }
+        }
+        assert!(inside > 0 && one_past > 0 && further > 0 && behind > 0 && past_end > 0);
+    }
+
+    /// A host that drops 3 × `batch_len` containers ships its removals
+    /// chunked like entries — each frame at most `batch_len` of them,
+    /// every frame within `MAX_FLEET_FRAME` — and the primary, the
+    /// standby and both journals restored hold exactly the host's
+    /// containers.
+    #[test]
+    fn removals_chunk_like_entries_and_every_node_agrees() {
+        let batch = FleetPolicy::default().batch_len();
+        let mut primary = FleetController::new(2, FleetPolicy::default());
+        primary.enable_journal(1_000);
+        primary.enable_replication();
+        let mut standby = FleetController::new(4, FleetPolicy::default());
+        standby.enable_journal(u64::MAX);
+        let n = 4 * batch as u32 + 10;
+        let mut p = Periphery::new(5);
+        let all: Vec<(u32, u32, u64, u64)> = (0..n).map(|id| (id, 1 + id % 4, 400, 200)).collect();
+        p.observe(&snap(1, &all), false, 0);
+        pump(&mut p, &primary);
+        pump_repl(&primary, &standby);
+
+        // Tick 2: the first 3 × batch_len containers are gone, and every
+        // fifth of the rest moves.
+        let gone = 3 * batch as u32;
+        let moved = |id: u32| id % 5 == 0;
+        let kept: Vec<(u32, u32, u64, u64)> = (gone..n)
+            .map(|id| (id, 1 + id % 4 + u32::from(moved(id)), 400, 200))
+            .collect();
+        p.observe(&snap(2, &kept), false, 0);
+        let frames = p.take_frames();
+        let mut removed = 0;
+        for frame in &frames {
+            assert!(frame.len() <= MAX_FLEET_FRAME as usize);
+            let Some(Frame::Delta(d)) = decode_frame(frame) else {
+                panic!("a DELTA");
+            };
+            assert!(d.removed.len() <= batch, "{} removals", d.removed.len());
+            assert!(d.entries.len() <= batch);
+            removed += d.removed.len();
+            let resp = primary.handle_frame(frame).expect("answered");
+            assert!(matches!(decode_frame(&resp), Some(Frame::Ack(a)) if !a.resync));
+        }
+        assert_eq!((frames.len(), removed), (3, 3 * batch));
+        pump_repl(&primary, &standby);
+
+        let want: crate::reference::Index = [(
+            5,
+            kept.iter()
+                .map(|&(id, e_cpu, e_mem, e_avail)| {
+                    let last_tick = if moved(id) { 2 } else { 1 };
+                    let e = DeltaEntry {
+                        id,
+                        tenant: 0,
+                        e_cpu,
+                        e_mem,
+                        e_avail,
+                        last_tick,
+                    };
+                    (id, e)
+                })
+                .collect(),
+        )]
+        .into();
+        assert_eq!(primary.contents(), want);
+        assert_eq!(standby.contents(), want);
+        for ctl in [&primary, &standby] {
+            let bytes = ctl.journal_bytes().expect("journal on");
+            let restored = FleetController::restore_from(&bytes, 2, FleetPolicy::default())
+                .expect("a controller journal");
+            assert_eq!(restored.contents(), want);
+        }
+    }
+
     mod diff_props {
         use super::*;
         use crate::protocol::{encode_delta, HostSummary};
@@ -2834,6 +3003,80 @@ mod tests {
                     primary.metrics().snapshot().repl_records_streamed,
                     ref_primary.streamed
                 );
+            }
+
+            // Streams in a periphery's shape: two hosts of dense ids whose
+            // tenants come in runs of consecutive ids, a FULL, then sorted
+            // batches that each move about a quarter of a host — some
+            // entries to another tenant in the middle of a run — and
+            // drop and re-add a few ids. After every batch the primary,
+            // the standby and the primary's journal restored hold
+            // exactly the reference, rollups and tenants included.
+            #[test]
+            fn tenant_runs_fold_to_the_reference(
+                n in 1u32..300,
+                run_len in 1u32..40,
+                every in 1u64..4,
+                rounds in prop::collection::vec((0u32..4, 0u32..1000, 1u32..9), 1..10),
+            ) {
+                let mut primary = FleetController::new(2, FleetPolicy::default());
+                primary.enable_journal(every);
+                primary.enable_replication();
+                let standby = FleetController::new(4, FleetPolicy::default());
+                let mut index = Index::new();
+                let tenant_of = |id: u32, shift: u32| TENANTS[((id / run_len + shift) % 4) as usize];
+                for (h, host) in [3u32, 70_000].into_iter().enumerate() {
+                    let entries: Vec<DeltaEntry> = (0..n)
+                        .map(|id| DeltaEntry {
+                            id,
+                            tenant: tenant_of(id, 0),
+                            e_cpu: 1 + id % 5,
+                            e_mem: 1000,
+                            e_avail: 400 + u64::from(id),
+                            last_tick: 0,
+                        })
+                        .collect();
+                    index.insert(host, entries.iter().map(|e| (e.id, *e)).collect());
+                    accepted(&primary, &delta(host, 0, entries, Vec::new()));
+                    for (r, &(phase, salt, switch)) in rounds.iter().enumerate() {
+                        let seq = r as u64 + 1;
+                        let containers = index.entry(host).or_default();
+                        // A quarter of the ids, in order; every `switch`-th
+                        // of those changes tenant, mid-run.
+                        let mut entries = Vec::new();
+                        let mut removed = Vec::new();
+                        for id in 0..n {
+                            if (id + salt) % 29 == 0 {
+                                if containers.remove(&id).is_some() {
+                                    removed.push(id);
+                                }
+                                continue;
+                            }
+                            if (id + phase + h as u32) % 4 != 0 && containers.contains_key(&id) {
+                                continue;
+                            }
+                            let shift = u32::from((id / 4) % switch == 0);
+                            let e = DeltaEntry {
+                                id,
+                                tenant: tenant_of(id, shift),
+                                e_cpu: 1 + (id + salt) % 7,
+                                e_mem: 1000 + u64::from(salt),
+                                e_avail: 400 + u64::from((id * salt) % 500),
+                                last_tick: seq,
+                            };
+                            containers.insert(id, e);
+                            entries.push(e);
+                        }
+                        accepted(&primary, &delta(host, seq, entries, removed));
+                        if r % 3 == 2 {
+                            primary.advance_tick();
+                        }
+                        pump_repl(&primary, &standby);
+                        assert_mirrors(&primary, &index);
+                        assert_mirrors(&standby, &index);
+                        assert_restores(&primary, &index);
+                    }
+                }
             }
         }
     }

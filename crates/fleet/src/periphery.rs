@@ -335,7 +335,7 @@ impl Periphery {
     /// The walk's one compaction and merge pass: drop every mirrored id
     /// `live` lacks (its tenant record goes, its removal is pending),
     /// merge `fresh` (in id order) in from the back, the way the
-    /// controller's `Sums::upsert` merges, and list the unsent positions
+    /// controller's `Run::upsert` merges, and list the unsent positions
     /// anew.
     fn rebuild(&mut self, live: &[ViewState], fresh: &[Mirrored]) {
         let mut ids = live.iter().map(|s| s.id).peekable();
@@ -495,14 +495,16 @@ impl Periphery {
             .into_iter()
             .collect();
 
-        // Chunk into frames of at most `batch_len` entries; the removals
-        // ride the first. The FULL flag rides only the first frame of a
-        // resync; followers are ordinary increments the controller
-        // applies in sequence.
+        // Chunk into frames of at most `batch_len` entries and as many
+        // removals: frame k carries the k-th chunk of each. No id is
+        // both marked and removed, so the order they land in is free.
+        // The FULL flag rides only the first frame of a resync;
+        // followers are ordinary increments the controller applies in
+        // sequence.
         let batch = self.policy.batch_len();
-        let n = self.marked.len();
-        for first in (0..n.max(1)).step_by(batch) {
-            let chunk = &self.marked[first..n.min(first + batch)];
+        let (n, m) = (self.marked.len(), removed.len());
+        for first in (0..n.max(m).max(1)).step_by(batch) {
+            let chunk = &self.marked[n.min(first)..n.min(first + batch)];
             self.stats.frames += 1;
             self.stats.entries += chunk.len() as u64;
             self.trace_seq += 1;
@@ -529,7 +531,7 @@ impl Periphery {
             };
             let mirror = &self.last_sent;
             let entries = chunk.iter().map(|&at| &mirror[at].entry);
-            let removed = if first == 0 { &removed[..] } else { &[] };
+            let removed = &removed[m.min(first)..m.min(first + batch)];
             let frame = encode_delta_parts(&head, entries, removed);
             self.outbox.push(frame);
             self.seq += 1;

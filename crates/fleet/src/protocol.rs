@@ -286,10 +286,49 @@ pub struct Delta {
     pub removed: Vec<u32>,
 }
 
+impl Delta {
+    /// The fields ahead of the entries and removals.
+    pub(crate) fn head(&self) -> DeltaHead {
+        DeltaHead {
+            host: self.host,
+            seq: self.seq,
+            tick: self.tick,
+            full: self.full,
+            health: self.health,
+            durability_lost: self.durability_lost,
+            staleness_age: self.staleness_age,
+            epoch: self.epoch,
+            origin_tick: self.origin_tick,
+            trace_seq: self.trace_seq,
+            summary: self.summary,
+        }
+    }
+
+    /// The owned DELTA of `head` and the entries and removals of `tail`.
+    fn from_parts(head: &DeltaHead, tail: Tail<'_>) -> Delta {
+        Delta {
+            host: head.host,
+            seq: head.seq,
+            tick: head.tick,
+            full: head.full,
+            health: head.health,
+            durability_lost: head.durability_lost,
+            staleness_age: head.staleness_age,
+            epoch: head.epoch,
+            origin_tick: head.origin_tick,
+            trace_seq: head.trace_seq,
+            summary: head.summary,
+            entries: tail.entries().collect(),
+            removed: tail.removed().collect(),
+        }
+    }
+}
+
 /// A DELTA's fields ahead of its entries and removals: what
-/// [`encode_delta_parts`] writes before the tail. Each field is the
-/// [`Delta`] field of the same name.
-#[derive(Debug, Clone, Copy)]
+/// [`encode_delta_parts`] writes before the tail and
+/// [`decode_delta_parts`] reads. Each field is the [`Delta`] field of
+/// the same name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DeltaHead {
     pub(crate) host: u32,
     pub(crate) seq: u64,
@@ -511,20 +550,7 @@ pub fn encode_hello(h: &Hello) -> Vec<u8> {
 
 /// Encode a DELTA payload.
 pub fn encode_delta(d: &Delta) -> Vec<u8> {
-    let head = DeltaHead {
-        host: d.host,
-        seq: d.seq,
-        tick: d.tick,
-        full: d.full,
-        health: d.health,
-        durability_lost: d.durability_lost,
-        staleness_age: d.staleness_age,
-        epoch: d.epoch,
-        origin_tick: d.origin_tick,
-        trace_seq: d.trace_seq,
-        summary: d.summary,
-    };
-    encode_delta_parts(&head, d.entries.iter(), &d.removed)
+    encode_delta_parts(&d.head(), d.entries.iter(), &d.removed)
 }
 
 /// The one DELTA encoder: `head`, then the tail of `entries` and
@@ -787,6 +813,13 @@ impl<'a> Cur<'a> {
         Some(u64::from_le_bytes(buf))
     }
 
+    /// The next `n` bytes, borrowed.
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let s = self.b.get(self.i..self.i.checked_add(n)?)?;
+        self.i += n;
+        Some(s)
+    }
+
     fn rest(&mut self) -> &'a [u8] {
         let s = &self.b[self.i..];
         self.i = self.b.len();
@@ -809,47 +842,86 @@ fn get_policy(c: &mut Cur) -> Option<FleetPolicy> {
     })
 }
 
-fn decode_delta(c: &mut Cur) -> Option<Delta> {
+/// The one DELTA validator: a DELTA payload decoded in place, its head
+/// read out and its tail borrowed from `payload`. `None` for anything
+/// [`decode_frame`] refuses as a DELTA.
+pub(crate) fn decode_delta_parts(payload: &[u8]) -> Option<(DeltaHead, Tail<'_>)> {
+    let mut c = Cur::new(payload);
+    if c.u8()? != OP_DELTA {
+        return None;
+    }
     let host = c.u32()?;
     let seq = c.u64()?;
     let tick = c.u64()?;
     let flags = c.u8()?;
     let raw_health = c.u8()?;
-    let durability_lost = raw_health & HEALTH_DURABILITY_LOST != 0;
     let health = raw_health & !HEALTH_DURABILITY_LOST;
     if health > HEALTH_DEGRADED {
         return None;
     }
-    let staleness_age = c.u64()?;
-    let epoch = c.u64()?;
-    let origin_tick = c.u64()?;
-    let trace_seq = c.u64()?;
-    let summary = HostSummary {
-        frames: c.u64()?,
-        entries: c.u64()?,
-        full_syncs: c.u64()?,
-        resyncs: c.u64()?,
-        deltas_coalesced: c.u64()?,
-        acks_fenced: c.u64()?,
-        journal_io_errors: c.u64()?,
-    };
-    let tail = Tail::decode(c.rest())?;
-    let entries = tail.entries().collect();
-    let removed = tail.removed().collect();
-    Some(Delta {
+    let head = DeltaHead {
         host,
         seq,
         tick,
         full: flags & DELTA_FULL != 0,
         health,
-        durability_lost,
-        staleness_age,
-        epoch,
-        origin_tick,
-        trace_seq,
-        summary,
-        entries,
-        removed,
+        durability_lost: raw_health & HEALTH_DURABILITY_LOST != 0,
+        staleness_age: c.u64()?,
+        epoch: c.u64()?,
+        origin_tick: c.u64()?,
+        trace_seq: c.u64()?,
+        summary: HostSummary {
+            frames: c.u64()?,
+            entries: c.u64()?,
+            full_syncs: c.u64()?,
+            resyncs: c.u64()?,
+            deltas_coalesced: c.u64()?,
+            acks_fenced: c.u64()?,
+            journal_io_errors: c.u64()?,
+        },
+    };
+    Some((head, Tail::decode(c.rest())?))
+}
+
+/// A REPL frame decoded in place: its fields read out, its heard list
+/// and its records borrowed from the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ReplParts<'a> {
+    /// [`Repl::ctl_epoch`].
+    pub(crate) ctl_epoch: u64,
+    /// [`Repl::repl_seq`].
+    pub(crate) repl_seq: u64,
+    /// [`Repl::as_of_tick`].
+    pub(crate) as_of_tick: u64,
+    /// The heard hosts, `u32le` each.
+    heard: &'a [u8],
+    /// [`Repl::records`].
+    pub(crate) records: &'a [u8],
+}
+
+impl<'a> ReplParts<'a> {
+    /// The hosts heard from, in frame order.
+    pub(crate) fn heard(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
+        self.heard.chunks_exact(4).map(le32)
+    }
+}
+
+/// The one REPL validator, the twin of [`encode_repl_parts`]: a REPL
+/// payload decoded in place. `None` for anything [`decode_frame`]
+/// refuses as a REPL.
+pub(crate) fn decode_repl_parts(payload: &[u8]) -> Option<ReplParts<'_>> {
+    let mut c = Cur::new(payload);
+    if c.u8()? != OP_REPL {
+        return None;
+    }
+    let (ctl_epoch, repl_seq, as_of_tick) = (c.u64()?, c.u64()?, c.u64()?);
+    let h = c.u32()? as usize;
+    Some(ReplParts {
+        ctl_epoch,
+        repl_seq,
+        as_of_tick,
+        heard: c.take(h.checked_mul(4)?)?,
+        records: c.rest(),
     })
 }
 
@@ -867,11 +939,7 @@ impl<'a> Tail<'a> {
     fn decode(b: &'a [u8]) -> Option<Tail<'a>> {
         let mut c = Cur::new(b);
         let n = c.u32()? as usize;
-        if n > c.remaining() / ENTRY_BYTES {
-            return None;
-        }
-        let entries = &b[4..4 + n * ENTRY_BYTES];
-        c.i += n * ENTRY_BYTES;
+        let entries = c.take(n.checked_mul(ENTRY_BYTES)?)?;
         let m = c.u32()? as usize;
         let removed = c.rest();
         (removed.len() == m.checked_mul(4)?).then_some(Tail { entries, removed })
@@ -885,6 +953,11 @@ impl<'a> Tail<'a> {
     /// The removed ids, in order.
     pub(crate) fn removed(&self) -> impl Iterator<Item = u32> + 'a {
         self.removed.chunks_exact(4).map(le32)
+    }
+
+    /// Whether the tail carries no entry and no removal.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty() && self.removed.is_empty()
     }
 }
 
@@ -991,6 +1064,23 @@ fn decode_rollup(c: &mut Cur<'_>) -> Option<Rollup> {
 /// unknown opcode, short fields, impossible counts, trailing bytes.
 /// Never panics, for any input bytes.
 pub fn decode_frame(payload: &[u8]) -> Option<Frame> {
+    match *payload.first()? {
+        OP_DELTA => {
+            let (head, tail) = decode_delta_parts(payload)?;
+            return Some(Frame::Delta(Delta::from_parts(&head, tail)));
+        }
+        OP_REPL => {
+            let r = decode_repl_parts(payload)?;
+            return Some(Frame::Repl(Repl {
+                ctl_epoch: r.ctl_epoch,
+                repl_seq: r.repl_seq,
+                as_of_tick: r.as_of_tick,
+                heard: r.heard().collect(),
+                records: r.records.to_vec(),
+            }));
+        }
+        _ => {}
+    }
     let mut c = Cur::new(payload);
     let frame = match c.u8()? {
         OP_HELLO => Frame::Hello(Hello {
@@ -999,7 +1089,6 @@ pub fn decode_frame(payload: &[u8]) -> Option<Frame> {
             containers: c.u32()?,
             epoch: c.u64()?,
         }),
-        OP_DELTA => Frame::Delta(decode_delta(&mut c)?),
         OP_POLICY => Frame::Policy(get_policy(&mut c)?),
         OP_QUERY => {
             let kind = c.u8()?;
@@ -1009,24 +1098,6 @@ pub fn decode_frame(payload: &[u8]) -> Option<Frame> {
             Frame::Query(Query {
                 kind,
                 arg: c.u32()?,
-            })
-        }
-        OP_REPL => {
-            let (ctl_epoch, repl_seq, as_of_tick) = (c.u64()?, c.u64()?, c.u64()?);
-            let h = c.u32()? as usize;
-            if h > c.remaining() / 4 {
-                return None;
-            }
-            let mut heard = Vec::with_capacity(h);
-            for _ in 0..h {
-                heard.push(c.u32()?);
-            }
-            Frame::Repl(Repl {
-                ctl_epoch,
-                repl_seq,
-                as_of_tick,
-                heard,
-                records: c.rest().to_vec(),
             })
         }
         OP_ACK => {
@@ -1373,8 +1444,124 @@ mod tests {
             }
         }
 
+        /// A valid REPL payload: `n` records of host batches behind a
+        /// heard list of `h` hosts.
+        fn arb_repl(seq: u64, h: usize, n: usize) -> Vec<u8> {
+            let mut records = Vec::new();
+            for i in 0..n {
+                frame_delta_record(&mut records, &encode_delta(&arb_delta(i as u32, seq, i, 1)));
+            }
+            let heard: Vec<u32> = (0..h as u32).map(|i| i * 7).collect();
+            encode_repl_parts(seq / 2, seq, seq * 3, &heard, &records)
+        }
+
+        /// A payload of `shape`: 0 arbitrary `bytes` behind the DELTA or
+        /// REPL opcode, 1 a valid one cut at byte `at` (modulo its
+        /// length), 2 a valid one with bit `bit` of byte `at` flipped.
+        fn hostile(
+            repl: bool,
+            shape: u8,
+            bytes: &[u8],
+            seq: u64,
+            n: usize,
+            at: usize,
+            bit: u8,
+        ) -> Vec<u8> {
+            let op = if repl { OP_REPL } else { OP_DELTA };
+            let mut valid = if repl {
+                arb_repl(seq, n % 3, n)
+            } else {
+                encode_delta(&arb_delta(seq as u32, seq, n, n % 3))
+            };
+            match shape {
+                0 => [&[op][..], bytes].concat(),
+                1 => {
+                    valid.truncate(at % (valid.len() + 1));
+                    valid
+                }
+                _ => {
+                    let i = at % valid.len();
+                    valid[i] ^= 1 << bit;
+                    valid
+                }
+            }
+        }
+
+        /// What the borrowed decoders make of `p` is exactly what
+        /// `decode_frame` makes of it.
+        fn assert_one_validator(p: &[u8]) {
+            let delta = decode_delta_parts(p).map(|(head, tail)| {
+                let entries: Vec<DeltaEntry> = tail.entries().collect();
+                (head, entries, tail.removed().collect::<Vec<u32>>())
+            });
+            let repl = decode_repl_parts(p).map(|r| {
+                (
+                    r.ctl_epoch,
+                    r.repl_seq,
+                    r.as_of_tick,
+                    r.heard().collect::<Vec<u32>>(),
+                    r.records,
+                )
+            });
+            match decode_frame(p) {
+                Some(Frame::Delta(d)) => {
+                    assert_eq!(
+                        delta,
+                        Some((d.head(), d.entries.clone(), d.removed.clone()))
+                    );
+                    assert_eq!(repl, None);
+                }
+                Some(Frame::Repl(r)) => {
+                    assert_eq!(delta, None);
+                    let want = (
+                        r.ctl_epoch,
+                        r.repl_seq,
+                        r.as_of_tick,
+                        r.heard.clone(),
+                        &r.records[..],
+                    );
+                    assert_eq!(repl, Some(want));
+                }
+                _ => assert_eq!((delta, repl), (None, None)),
+            }
+        }
+
+        /// `handle_frame` refuses `p` — `None`, and `malformed_frames`
+        /// up by exactly one — iff `decode_frame` does; otherwise it
+        /// answers and counts nothing malformed.
+        fn assert_refused_once(p: &[u8]) {
+            let ctl = FleetController::new(2, FleetPolicy::default());
+            let reply = ctl.handle_frame(p);
+            let refused = decode_frame(p).is_none();
+            assert_eq!(reply.is_none(), refused);
+            assert_eq!(
+                ctl.metrics().snapshot().malformed_frames,
+                u64::from(refused)
+            );
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Arbitrary, truncated and bit-flipped DELTA and REPL
+            /// payloads: the borrowed decoders the controller applies
+            /// from accept exactly what `decode_frame` accepts, with
+            /// equal fields, and the controller refuses exactly the
+            /// rest, counting each once.
+            #[test]
+            fn borrowed_decoders_accept_what_decode_frame_accepts(
+                repl in 0u8..2,
+                shape in 0u8..3,
+                bytes in prop::collection::vec(0u8..255, 0..160),
+                seq in 0u64..8,
+                n in 0usize..5,
+                at in 0usize..2048,
+                bit in 0u8..8
+            ) {
+                let p = hostile(repl == 1, shape, &bytes, seq, n, at, bit);
+                assert_one_validator(&p);
+                assert_refused_once(&p);
+            }
 
             /// Arbitrary bytes never panic the frame decoder.
             #[test]

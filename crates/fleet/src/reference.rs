@@ -178,21 +178,22 @@ impl HashMapPeriphery {
         let mut entries: Vec<DeltaEntry> =
             std::mem::take(&mut self.pending).into_values().collect();
         entries.sort_unstable_by_key(|e| e.id);
-        let mut removed: Vec<u32> = std::mem::take(&mut self.pending_removed)
+        let removed: Vec<u32> = std::mem::take(&mut self.pending_removed)
             .into_iter()
             .collect();
 
+        // Frame k carries the k-th `batch_len` chunk of the entries and
+        // the k-th of the removals.
         let batch = self.policy.batch_len();
+        let mut entries = entries.chunks(batch);
+        let mut removed = removed.chunks(batch);
         let mut first = true;
-        let mut rest = entries.as_slice();
         loop {
-            let take = rest.len().min(batch);
-            let (chunk, tail) = rest.split_at(take);
-            let frame_removed = if first || tail.is_empty() {
-                std::mem::take(&mut removed)
-            } else {
-                Vec::new()
-            };
+            let (chunk, frame_removed) = (entries.next(), removed.next());
+            if chunk.is_none() && frame_removed.is_none() && !first {
+                break;
+            }
+            let chunk = chunk.unwrap_or_default();
             self.stats.frames += 1;
             self.stats.entries += chunk.len() as u64;
             self.trace_seq += 1;
@@ -217,14 +218,10 @@ impl HashMapPeriphery {
                     journal_io_errors: self.journal_io_errors,
                 },
                 entries: chunk.to_vec(),
-                removed: frame_removed,
+                removed: frame_removed.unwrap_or_default().to_vec(),
             }));
             self.seq += 1;
             first = false;
-            rest = tail;
-            if rest.is_empty() {
-                break;
-            }
         }
         if full {
             self.stats.full_syncs += 1;
