@@ -52,6 +52,11 @@ for offset in 0 1; do
     cargo run -q --release -p arv-experiments --bin experiments -- --fig fleet --scale 0.5 --seed-offset "$offset" > /dev/null
 done
 
+echo "==> host campaign at full scale, seed offsets 0-15 (lifecycle calls inside a stall, warm restarts, every scenario replayed)"
+for offset in $(seq 0 15); do
+    cargo run -q --release -p arv-experiments --bin experiments -- --fig host --seed-offset "$offset" > /dev/null
+done
+
 echo "==> invariant ledger (every check DESIGN §10 names is a fn under crates/ or tests/, or an arv-bench gate)"
 checks=$(sed -n '/^## 10\. The invariant ledger/,/^## /p' DESIGN.md | grep '^| ' \
     | awk -F'|' '{print $(NF-1)}' | grep -o '`[^`]*`' | tr -d '`' | sort -u || true)

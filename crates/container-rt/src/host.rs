@@ -9,8 +9,8 @@ use arv_resview::effective_cpu::EffectiveCpuConfig;
 use arv_resview::effective_mem::EffectiveMemoryConfig;
 use arv_resview::namespace::Pid;
 use arv_resview::{
-    CpuBounds, EffectiveMemory, HostView, NsMonitor, RecoverOutcome, Sysconf, Verdict,
-    VirtualSysfs, Watchdog, WatchdogConfig, WatchdogStats,
+    HostView, NsMonitor, RecoverOutcome, Sysconf, Verdict, VirtualSysfs, Watchdog, WatchdogConfig,
+    WatchdogStats,
 };
 use arv_sim_core::{clock::sched_period, FaultPlan, SimClock, SimDuration, SimTime};
 use arv_telemetry::PipelineEvent;
@@ -71,9 +71,10 @@ pub struct SimHost {
     containers: BTreeMap<CgroupId, ContainerMeta>,
     next_pid: u32,
     update_timer_elapsed: SimDuration,
-    cpu_cfg: EffectiveCpuConfig,
-    mem_cfg: EffectiveMemoryConfig,
     viewd: Option<ViewServer>,
+    // The monitor's `recomputes` when the daemon was last brought level
+    // with it (`None` until it first is).
+    viewd_level: Option<u64>,
     pipe: EventPipe,
     watchdog: Watchdog,
     fault_plan: Option<FaultPlan>,
@@ -81,16 +82,11 @@ pub struct SimHost {
     stall_ticks: u64,
     // Remaining update-timer firings whose viewd publish is suppressed.
     delay_publish_ticks: u64,
-    // Static bounds were recomputed since the last viewd publish, so the
-    // daemon's conservative fallbacks (lower bound, soft limit) are due.
-    fallbacks_stale: bool,
     // Views that moved while the daemon's publish was delayed, as the
     // firings that moved them left them.
     viewd_held: Vec<ViewState>,
-    // Static inputs were recomputed (cgroup events, a resync, a restart)
-    // since the periphery last saw the whole snapshot, so a container
-    // may have left: its next observation takes the whole snapshot.
-    periphery_stale: bool,
+    // The monitor's `recomputes` at the periphery's last observation.
+    periphery_level: u64,
     /// The daemon's on-disk state file, under the durability ladder.
     journal: Option<DurableJournal>,
     last_restore: Option<RestoreEvent>,
@@ -129,17 +125,15 @@ impl SimHost {
             containers: BTreeMap::new(),
             next_pid: 1000,
             update_timer_elapsed: SimDuration::ZERO,
-            cpu_cfg,
-            mem_cfg,
             viewd: None,
+            viewd_level: None,
             pipe: EventPipe::new(DEFAULT_PIPE_CAPACITY),
             watchdog: Watchdog::new(WatchdogConfig::default()),
             fault_plan: None,
             stall_ticks: 0,
             delay_publish_ticks: 0,
-            fallbacks_stale: false,
             viewd_held: Vec::new(),
-            periphery_stale: false,
+            periphery_level: 0,
             journal: None,
             last_restore: None,
             periphery: None,
@@ -191,12 +185,7 @@ impl SimHost {
                 init_pid: new_init,
             },
         );
-        if let Some(server) = self.viewd.clone() {
-            self.viewd_register(&server, id);
-            // A launch changes the share denominator, so every
-            // container's bounds (and clamped views) may have moved.
-            self.viewd_publish(true, &[]);
-        }
+        self.viewd_publish(&[]);
         id
     }
 
@@ -215,10 +204,7 @@ impl SimHost {
                     journal.append_remove(id.0).and_then(|()| journal.sync())
                 });
             }
-            if let Some(server) = &self.viewd {
-                server.unregister(id);
-                self.viewd_publish(true, &[]);
-            }
+            self.viewd_publish(&[]);
         }
     }
 
@@ -228,7 +214,7 @@ impl SimHost {
         self.cgm.update(id, CgroupSpec::new(spec.cpu, spec.mem));
         self.mem.set_limits(id, spec.mem);
         self.pump_events();
-        self.viewd_publish(true, &[]);
+        self.viewd_publish(&[]);
     }
 
     // --- fault-tolerant event pipeline ---
@@ -249,22 +235,23 @@ impl SimHost {
             plan.mangle_queue(&mut events);
         }
         let report = self.monitor.ingest(&events, &self.cgm);
-        self.fallbacks_stale |= report.applied > 0;
-        self.periphery_stale |= report.applied > 0;
         let overflow = self.pipe.take_overflow_dropped();
         if self.watchdog.after_ingest(&report, overflow) == Verdict::Resync {
             self.resync_now();
         }
     }
 
-    /// Rebuild monitor state from the cgroup hierarchy: recreate missing
-    /// namespaces, drop orphans, recompute every bound, realign the
-    /// event sequence, and restore namespace ownership from the
-    /// container table.
+    /// Rebuild monitor state from the cgroup hierarchy (recreate missing
+    /// namespaces, drop orphans, recompute every bound), then realign.
     fn resync_now(&mut self) {
         self.monitor.resync(&mut self.cgm);
-        self.fallbacks_stale = true;
-        self.periphery_stale = true;
+        self.realign();
+    }
+
+    /// After the monitor rebuilt its membership: realign the expected
+    /// event sequence with the pipe, restore namespace ownership from the
+    /// container table, and count the pass as a watchdog recovery.
+    fn realign(&mut self) {
         self.monitor.align_seq(self.pipe.next_seq());
         for (id, meta) in &self.containers {
             if let Some(ns) = self.monitor.namespace_mut(*id) {
@@ -373,49 +360,25 @@ impl SimHost {
     /// hierarchy via [`NsMonitor::recover`]; with no salvageable
     /// checkpoint it falls back to a cold [`NsMonitor::resync`].
     /// Events queued while the daemon was down are superseded by the
-    /// rescan and discarded. An attached view daemon is rebuilt from
-    /// the reconciled views, so its first-served answers are the
+    /// rescan and discarded. An attached view daemon is brought level
+    /// with the reconciled views, so its first-served answers are the
     /// journaled last-good values rather than the cold floor.
     pub fn restore_from(&mut self, bytes: &[u8]) -> RestoreEvent {
         let tick = self.monitor.now_tick();
-        let tracer = self.monitor.tracer().clone();
-        let mut fresh = NsMonitor::new(
-            self.cfs.online(),
-            self.mem.total(),
-            *self.mem.watermarks(),
-            self.cpu_cfg,
-            self.mem_cfg,
-        );
-        fresh.set_tracer(tracer);
-        fresh.align_tick(tick);
-        self.monitor = fresh;
-        self.periphery_stale = true;
-
-        let report = arv_persist::restore(bytes);
-        let outcome = match &report.snapshot {
-            Some(snap) => Some(self.monitor.recover(snap, &mut self.cgm)),
-            None => {
-                self.monitor.resync(&mut self.cgm);
-                None
-            }
-        };
+        self.monitor = self.monitor.restarted();
         let _ = self.pipe.drain();
         let _ = self.pipe.take_overflow_dropped();
-        self.monitor.align_seq(self.pipe.next_seq());
-        for (id, meta) in &self.containers {
-            if let Some(ns) = self.monitor.namespace_mut(*id) {
-                if ns.owner() != meta.init_pid {
-                    ns.transfer_ownership(meta.init_pid);
-                }
-            }
+        let report = arv_persist::restore(bytes);
+        let outcome = report
+            .snapshot
+            .as_ref()
+            .map(|snap| self.monitor.recover(snap, &mut self.cgm));
+        if outcome.is_none() {
+            self.monitor.resync(&mut self.cgm);
         }
-        self.watchdog.note_resynced();
-        if let Some(server) = self.viewd.clone() {
-            for id in self.containers.keys() {
-                server.unregister(*id);
-                self.viewd_register(&server, *id);
-            }
-            self.viewd_publish(true, &[]);
+        self.realign();
+        self.viewd_publish(&[]);
+        if let Some(server) = &self.viewd {
             server.note_restore(
                 outcome.map_or(0, |o| o.reconciled as u64),
                 report.truncated_records,
@@ -549,18 +512,17 @@ impl SimHost {
         }
     }
 
-    /// Attach a view-serving daemon. Every current and future container
-    /// is registered with `server`, and its effective view is mirrored
-    /// into the daemon's seqlocked cells whenever the `sys_namespace`
-    /// update timer fires and moved it — so the daemon's concurrent query
-    /// threads always answer with the same view the simulated kernel
-    /// holds, while the simulation itself stays single-threaded.
+    /// Attach a view-serving daemon. Every container the monitor holds a
+    /// namespace for, now or later, is registered with `server`, and its
+    /// effective view is mirrored into the daemon's seqlocked cells
+    /// whenever the `sys_namespace` update timer fires and moved it — so
+    /// the daemon's concurrent query threads always answer with the same
+    /// view the simulated kernel holds, while the simulation itself stays
+    /// single-threaded.
     pub fn attach_viewd(&mut self, server: ViewServer) {
-        for id in self.containers.keys() {
-            self.viewd_register(&server, *id);
-        }
         self.viewd = Some(server);
-        self.viewd_publish(true, &[]);
+        self.viewd_level = None;
+        self.viewd_publish(&[]);
     }
 
     /// The attached view daemon, if any.
@@ -577,8 +539,8 @@ impl SimHost {
     /// instead of sideways at local query threads. It diffs the whole
     /// snapshot instead when it must: for a FULL (attach, a resync
     /// demand, a reconnect), after a tenant change, and on the firing
-    /// after static inputs were recomputed, since a container may have
-    /// left.
+    /// after static inputs were recomputed ([`NsMonitor::recomputes`]
+    /// moved), since a container may have left.
     pub fn attach_periphery(&mut self, periphery: Periphery) {
         self.periphery = Some(periphery);
         self.periphery_observe(&[], false);
@@ -627,49 +589,45 @@ impl SimHost {
             return;
         };
         periphery.set_durability(lost, io_errors);
-        if std::mem::take(&mut self.periphery_stale) || periphery.needs_snapshot() {
+        let recomputes = self.monitor.recomputes();
+        if std::mem::replace(&mut self.periphery_level, recomputes) != recomputes
+            || periphery.needs_snapshot()
+        {
             periphery.observe(&self.monitor.snapshot(), stalled, 0);
         } else {
             periphery.observe_moved(self.monitor.now_tick(), moved, stalled, 0);
         }
     }
 
-    /// Register one container with the daemon, rebuilding the same
-    /// initial state `ns_monitor` gave its namespace.
-    fn viewd_register(&self, server: &ViewServer, id: CgroupId) {
-        let Some(spec) = self.cgm.get(id) else { return };
-        let bounds = CpuBounds::compute(&spec.cpu, self.cgm.total_shares(), self.cfs.online());
-        let wm = self.mem.watermarks();
-        let e_mem = EffectiveMemory::new(
-            spec.mem.soft_limit_or(self.mem.total()),
-            spec.mem.hard_limit_or(self.mem.total()),
-            wm.low,
-            wm.high,
-            self.mem_cfg,
-        );
-        server.register(id, bounds, self.cpu_cfg, e_mem);
-    }
-
-    /// Bring the daemon level with the monitor, then advance its one
-    /// freshness word. A firing mirrors the views that `moved`, and any a
-    /// publish-delay window held over, as values: of an id held more
-    /// than once the last value wins, which is the monitor's. Lifecycle
-    /// paths (`all`) and a bounds recompute, which move everything
-    /// anyway, mirror every container, and a recompute refreshes the
-    /// conservative fallbacks.
-    fn viewd_publish(&mut self, all: bool, moved: &[ViewState]) {
+    /// Bring the daemon level with the monitor — the one way it changes:
+    /// a firing passes the views it `moved`, a lifecycle call none. If
+    /// the monitor recomputed static inputs and membership since the
+    /// daemon was last level, the cells are matched to its namespaces:
+    /// an id it dropped is unregistered, a missing one registered from
+    /// its namespace, and every fallback and view is re-read. Otherwise
+    /// the daemon mirrors the moved views, and any a publish-delay
+    /// window held over, as values: of an id held more than once the
+    /// last value wins, which is the monitor's. Either way the freshness
+    /// word then takes the monitor's age, so nothing is vouched for as
+    /// newer than the monitor holds it.
+    fn viewd_publish(&mut self, moved: &[ViewState]) {
         let Some(server) = &self.viewd else { return };
-        let refresh = std::mem::take(&mut self.fallbacks_stale);
-        if all || refresh {
-            for id in self.containers.keys() {
-                let Some(ns) = self.monitor.namespace(*id) else {
-                    continue;
-                };
-                if refresh {
-                    server.set_fallback(*id, ns.cpu_bounds().lower, ns.soft_limit());
+        let level = Some(self.monitor.recomputes());
+        if std::mem::replace(&mut self.viewd_level, level) != level {
+            for id in server.ids() {
+                if self.monitor.namespace(id).is_none() {
+                    server.unregister(id);
                 }
+            }
+            for ns in self.monitor.namespaces() {
+                let id = ns.id();
+                if server.cell(id).is_none() {
+                    let (bounds, cpu_cfg, e_mem) = ns.cell_parts();
+                    server.register(id, bounds, cpu_cfg, e_mem);
+                }
+                server.set_fallback(id, ns.cpu_bounds().lower, ns.soft_limit());
                 let (cpus, mem, avail) = ns.views();
-                server.mirror(*id, cpus, mem, avail);
+                server.mirror(id, cpus, mem, avail);
             }
         } else {
             let held = &mut self.viewd_held;
@@ -690,7 +648,7 @@ impl SimHost {
             }
         }
         self.viewd_held.clear();
-        server.mark_fresh();
+        server.mark_fresh(self.monitor.now_tick() - self.monitor.fresh_tick());
     }
 
     /// The container's name, if it exists.
@@ -794,7 +752,7 @@ impl SimHost {
                 self.viewd_held.extend_from_slice(&moved);
             }
         } else {
-            self.viewd_publish(false, &moved);
+            self.viewd_publish(&moved);
         }
         self.periphery_observe(&moved, false);
     }
@@ -1517,7 +1475,8 @@ mod tests {
 
     /// Both front-ends answer every container caller alike — health,
     /// every `sysconf` key, the bytes of every CPU- and memory-keyed file
-    /// — fresh, stale and degraded, with usage past the soft limit.
+    /// — fresh, stale and degraded, with usage past the soft limit, and
+    /// through a launch, a limit update and a terminate during a stall.
     #[test]
     fn virtual_sysfs_and_viewd_answer_alike() {
         const KEYS: [Sysconf; 5] = [
@@ -1534,29 +1493,39 @@ mod tests {
             "/sys/devices/system/cpu/online",
         ];
         let mut host = SimHost::paper_testbed();
-        let server = ViewServer::new(host.viewd_host_spec(), 4);
+        let spec = host.viewd_host_spec();
+        let server = ViewServer::new(spec, 4);
         host.attach_viewd(server.clone());
-        let ids: Vec<CgroupId> = (0..3)
-            .map(|i| {
-                host.launch(
-                    &ContainerSpec::new(format!("c{i}"), 20)
-                        .cpus(4.0)
-                        .memory_reservation(Bytes::from_mib(512))
-                        .memory(Bytes::from_gib(2 + i)),
-                )
-            })
-            .collect();
+        let container = |i: u64| {
+            ContainerSpec::new(format!("c{i}"), 20)
+                .cpus(4.0)
+                .memory_reservation(Bytes::from_mib(512))
+                .memory(Bytes::from_gib(2 + i))
+        };
+        let mut ids: Vec<CgroupId> = (0..3).map(|i| host.launch(&container(i))).collect();
         let client = server.client();
         // No publish is ever delayed here, so the daemon is level with
-        // the monitor after every firing, stalled ones included.
-        let compare = |host: &SimHost| -> ViewHealth {
-            let fs = host.sysfs();
+        // the monitor after every firing, stalled ones included. A caller
+        // neither front-end knows reads the host's values, and the
+        // daemon's are the ones it was built with, so the virtual sysfs
+        // is given those too. Returns the health of the first container.
+        let compare = |host: &SimHost, callers: &[CgroupId]| -> ViewHealth {
+            let fs = VirtualSysfs::new(
+                host.monitor(),
+                HostView {
+                    online_cpus: spec.online_cpus,
+                    total_memory: spec.total_memory,
+                    free_memory: spec.free_memory,
+                },
+            );
             let tick = host.now_tick();
-            let health = fs.health(Some(ids[0]));
-            for id in &ids {
+            for id in callers {
                 let caller = Some(*id);
-                assert_eq!(fs.health(caller), health, "tick {tick} {id:?}");
-                assert_eq!(client.health(caller), health, "tick {tick} {id:?}");
+                assert_eq!(
+                    client.health(caller),
+                    fs.health(caller),
+                    "tick {tick} {id:?}"
+                );
                 for key in KEYS {
                     let (daemon, sysfs) = (client.sysconf(caller, key), fs.sysconf(caller, key));
                     assert_eq!(daemon, sysfs, "tick {tick} {id:?} {key:?}");
@@ -1567,16 +1536,19 @@ mod tests {
                     assert_eq!(*daemon.image, sysfs, "tick {tick} {id:?} {path}");
                 }
             }
-            health
+            fs.health(Some(callers[0]))
         };
         // Keep each container at ≈95 % of its view: Algorithm 2 grows it,
         // and the usage follows past the soft limit.
-        let step = |host: &mut SimHost| {
-            for id in &ids {
-                let target = e_mem(host, *id).mul_f64(0.95);
+        let step = |host: &mut SimHost, live: &[CgroupId]| {
+            for id in live {
+                let Some(ns) = host.monitor().namespace(*id) else {
+                    continue; // launched while the monitor sleeps
+                };
+                let target = ns.effective_memory().mul_f64(0.95);
                 let _ = host.charge(*id, target.saturating_sub(host.memory_usage(*id)));
             }
-            let demands: Vec<_> = ids.iter().map(|id| host.demand(*id, 2)).collect();
+            let demands: Vec<_> = live.iter().map(|id| host.demand(*id, 2)).collect();
             host.step(&demands);
         };
         let past_soft = |host: &SimHost| {
@@ -1586,8 +1558,8 @@ mod tests {
             })
         };
         for _ in 0..40 {
-            step(&mut host);
-            assert!(compare(&host).is_fresh());
+            step(&mut host, &ids);
+            assert!(compare(&host, &ids).is_fresh());
             if past_soft(&host) {
                 break;
             }
@@ -1599,8 +1571,8 @@ mod tests {
         host.inject_monitor_stall(budget + 3);
         let mut degraded = 0;
         for _ in 0..budget + 3 {
-            step(&mut host);
-            degraded += u64::from(compare(&host).is_degraded());
+            step(&mut host, &ids);
+            degraded += u64::from(compare(&host, &ids).is_degraded());
         }
         assert_eq!(degraded, 3, "the ticks past the budget");
         assert_eq!(
@@ -1608,8 +1580,43 @@ mod tests {
             0,
             "usage past the soft limit leaves none of it"
         );
-        step(&mut host);
-        assert!(compare(&host).is_fresh());
+        step(&mut host, &ids);
+        assert!(compare(&host, &ids).is_fresh());
+
+        // A second stall past the budget, with a launch, a limit update
+        // and a terminate inside it: the monitor hears of none of them
+        // until it recovers, and neither may the daemon. Every container
+        // ever launched is compared after each call and each firing.
+        host.inject_monitor_stall(budget + 4);
+        for _ in 0..budget + 1 {
+            step(&mut host, &ids);
+        }
+        let mut every = ids.clone();
+        every.push(host.launch(&container(3)));
+        ids.push(every[3]);
+        assert!(compare(&host, &every).is_degraded());
+        step(&mut host, &ids);
+        host.update_limits(ids[1], &container(1).cpus(2.0).memory(Bytes::from_gib(1)));
+        assert!(compare(&host, &every).is_degraded());
+        step(&mut host, &ids);
+        host.terminate(ids.remove(2));
+        assert!(compare(&host, &every).is_degraded());
+        let mut fresh = 0;
+        for _ in 0..6 {
+            step(&mut host, &ids);
+            fresh += u64::from(compare(&host, &every).is_fresh());
+        }
+        assert_eq!(fresh, 5, "the firings after the stall");
+        let ns = host.monitor().namespace(every[3]).expect("the late launch");
+        assert_eq!(
+            client.sysconf(Some(every[3]), Sysconf::NprocessorsOnln),
+            u64::from(ns.effective_cpu())
+        );
+        assert!(
+            host.monitor().namespace(every[2]).is_none(),
+            "the terminate"
+        );
+        assert_eq!(client.sysconf(Some(every[1]), Sysconf::NprocessorsOnln), 2);
     }
 
     #[test]
@@ -1730,10 +1737,10 @@ mod tests {
         assert_eq!(outcome.dropped, 0, "journal already recorded the remove");
     }
 
-    /// The test's own account of what the daemon must serve: the tick it
-    /// was last brought level with the monitor (a healthy, unsuppressed
-    /// firing or a lifecycle change), and each container's view and
-    /// conservative fallback as of then.
+    /// The test's own account of what the daemon must serve: the tick of
+    /// the monitor's views it was last brought level with (on a healthy,
+    /// unsuppressed firing or a lifecycle change), and each container's
+    /// view and conservative fallback as of then.
     struct Level {
         fresh: u64,
         views: BTreeMap<CgroupId, (Triple, (u32, Bytes))>,
@@ -1752,7 +1759,7 @@ mod tests {
                 })
                 .collect();
             Level {
-                fresh: host.now_tick(),
+                fresh: host.monitor().fresh_tick(),
                 views,
             }
         }
@@ -1831,9 +1838,11 @@ mod tests {
         let (mut delayed, mut held, mut caught) = (0, None, 0);
 
         for _ in 0..360 {
-            // Lifecycle changes land between firings, outside the fault
-            // windows: a container the monitor has not heard of has no
-            // view to check against.
+            // Lifecycle changes land between firings. Launches and
+            // terminates stay outside the fault windows, since a
+            // container the monitor has not heard of has no view to check
+            // against; a limit update inside the stall changes nothing
+            // the daemon may serve until the monitor hears of it.
             let now = host.now_tick();
             let lifecycle = match now {
                 30 | 100 | 240 => {
@@ -1846,14 +1855,18 @@ mod tests {
                     generations.remove(&id);
                     true
                 }
-                80 | 250 => {
+                80 | 154 | 250 => {
                     let id = ids[rng.range_u64(0, ids.len() as u64) as usize];
                     host.update_limits(id, &spec(format!("u{now}")));
                     true
                 }
                 270 => {
+                    let cells: Vec<_> = ids.iter().map(|id| server.cell(*id)).collect();
                     host.crash_restart();
-                    generations.clear(); // fresh cells
+                    for (id, cell) in ids.iter().zip(cells) {
+                        let (was, is) = (cell.expect("registered"), server.cell(*id));
+                        assert!(std::sync::Arc::ptr_eq(&was, &is.expect("registered")));
+                    }
                     true
                 }
                 _ => false,

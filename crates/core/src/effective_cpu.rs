@@ -157,6 +157,11 @@ impl EffectiveCpu {
         self.bounds
     }
 
+    /// The tunables this state machine runs with.
+    pub fn config(&self) -> EffectiveCpuConfig {
+        self.cfg
+    }
+
     /// Install new static bounds (cgroup change / container churn); the
     /// current value is clamped into the new range.
     pub fn set_bounds(&mut self, bounds: CpuBounds) {

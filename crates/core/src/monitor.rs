@@ -4,14 +4,18 @@
 //! Two update paths exist, exactly as in §3.1–3.2 of the paper:
 //!
 //! * **cgroup events** (container creation/termination, limit changes) —
-//!   [`NsMonitor::sync`] drains the cgroup manager's event log and
-//!   recomputes every namespace's *static* inputs: the CPU bounds
-//!   (which depend on the share total over all containers, so one
+//!   [`NsMonitor::ingest`] applies the sequence-numbered events a pipe
+//!   delivers and recomputes every namespace's *static* inputs: the CPU
+//!   bounds (which depend on the share total over all containers, so one
 //!   container's arrival moves everyone's lower bound) and the memory
-//!   limits;
-//! * **the update timer** — [`NsMonitor::tick`] fires once per scheduling
-//!   period and advances the *dynamic* state machines from scheduler and
-//!   memory-manager observations.
+//!   limits ([`NsMonitor::sync`] feeds it the manager's log directly);
+//! * **the update timer** — [`NsMonitor::tick_window`] fires once per
+//!   scheduling period and advances the *dynamic* state machines from the
+//!   scheduler's usage window and the memory manager's observations
+//!   ([`NsMonitor::tick`] reads the last period alone).
+//!
+//! A mirror asks the monitor what to re-read ([`NsMonitor::take_moved`],
+//! [`NsMonitor::recomputes`]) and how old it is ([`NsMonitor::fresh_tick`]).
 
 use arv_cfs::UsageLedger;
 use arv_cgroups::{Bytes, CgroupEvent, CgroupId, CgroupManager, CpuSet, IdMap, SeqEvent};
@@ -74,6 +78,8 @@ pub struct NsMonitor {
     /// Static inputs were recomputed since the last drain, so any view
     /// may have moved: the drain walks every namespace instead.
     all_moved: bool,
+    /// How many times static inputs and membership were recomputed.
+    recomputes: u64,
     next_pid: u32,
     now_tick: u64,
     /// Tick of the last healthy firing, which refreshes every namespace.
@@ -102,6 +108,7 @@ impl NsMonitor {
             namespaces: IdMap::new(),
             moved: Vec::new(),
             all_moved: false,
+            recomputes: 0,
             next_pid: 1,
             now_tick: 0,
             fresh_tick: 0,
@@ -144,6 +151,11 @@ impl NsMonitor {
         self.namespaces.get_mut(&id)
     }
 
+    /// Every namespace, in id order.
+    pub fn namespaces(&self) -> impl Iterator<Item = &SysNamespace> {
+        self.namespaces.values()
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.namespaces.len()
@@ -183,6 +195,14 @@ impl NsMonitor {
         self.fresh_tick
     }
 
+    /// How many times static inputs and membership were recomputed
+    /// (cgroup events, a resync, a warm restart). A mirror that finds the
+    /// count moved since it last looked re-reads every namespace; one
+    /// that finds it where it left it needs only the moved views.
+    pub fn recomputes(&self) -> u64 {
+        self.recomputes
+    }
+
     /// Advance the monitor's clock by one update-timer firing.
     ///
     /// The driver calls this on *every* firing, including ones where the
@@ -193,36 +213,23 @@ impl NsMonitor {
         self.now_tick += 1;
     }
 
-    /// Drain pending cgroup events and refresh static inputs.
-    ///
-    /// Any create/remove/update changes the share denominator `Σ w_j`, so
-    /// bounds are recomputed for *every* namespace whenever at least one
-    /// event arrived.
+    /// Apply the manager's drained event log through
+    /// [`ingest`](NsMonitor::ingest), numbered from the stream's next
+    /// sequence number, so no event reads as lost or duplicated.
     pub fn sync(&mut self, cgm: &mut CgroupManager) {
-        let events = cgm.drain_events();
-        if events.is_empty() {
-            return;
-        }
-        for ev in &events {
-            match ev {
-                CgroupEvent::Created(id) => self.create_namespace(*id, cgm),
-                CgroupEvent::Removed(id) => {
-                    if self.namespaces.remove(id).is_some() {
-                        self.tracer.emit_pipeline(
-                            self.now_tick,
-                            Some(*id),
-                            PipelineEvent::ContainerRemoved,
-                        );
-                    }
-                }
-                CgroupEvent::Updated(_) => {}
-            }
-        }
-        self.recompute_all(cgm, DecisionCause::StaticRefresh);
+        let events: Vec<SeqEvent> = (self.next_seq..)
+            .zip(cgm.drain_events())
+            .map(|(seq, event)| SeqEvent { seq, event })
+            .collect();
+        self.ingest(&events, cgm);
     }
 
     /// Apply a batch of sequence-numbered events (delivered through an
     /// [`arv_cgroups::EventPipe`]), detecting loss and duplication.
+    ///
+    /// Any create/remove/update changes the share denominator `Σ w_j`, so
+    /// bounds are recomputed for *every* namespace whenever at least one
+    /// event was applied.
     ///
     /// Duplicated events (sequence already consumed) are skipped —
     /// re-creating an existing namespace would reset its dynamic state.
@@ -275,21 +282,7 @@ impl NsMonitor {
     /// recomputed. After a resync the monitor's view of the hierarchy is
     /// correct regardless of how many events were lost.
     pub fn resync(&mut self, cgm: &mut CgroupManager) {
-        let _ = cgm.drain_events();
-        let tracer = self.tracer.clone();
-        let now = self.now_tick;
-        self.namespaces.retain(|id, _| {
-            let keep = cgm.contains(*id);
-            if !keep {
-                tracer.emit_pipeline(now, Some(*id), PipelineEvent::ContainerRemoved);
-            }
-            keep
-        });
-        let live: Vec<CgroupId> = cgm.iter().map(|(id, _)| id).collect();
-        for id in live {
-            self.create_namespace(id, cgm);
-        }
-        self.recompute_all(cgm, DecisionCause::WatchdogResync);
+        self.rebuild(cgm, DecisionCause::WatchdogResync);
         self.tracer
             .emit_pipeline(self.now_tick, None, PipelineEvent::Resynced);
     }
@@ -334,23 +327,9 @@ impl NsMonitor {
         snapshot: &arv_persist::Snapshot,
         cgm: &mut CgroupManager,
     ) -> RecoverOutcome {
-        let _ = cgm.drain_events();
-        let tracer = self.tracer.clone();
-        let now = self.now_tick;
-        self.namespaces.retain(|id, _| {
-            let keep = cgm.contains(*id);
-            if !keep {
-                tracer.emit_pipeline(now, Some(*id), PipelineEvent::ContainerRemoved);
-            }
-            keep
-        });
-        let live: Vec<CgroupId> = cgm.iter().map(|(id, _)| id).collect();
-        for id in live {
-            self.create_namespace(id, cgm);
-        }
         // Fresh static inputs first: restored values clamp against the
         // hierarchy as it is *now*, not as it was journaled.
-        self.recompute_all(cgm, DecisionCause::StaticRefresh);
+        self.rebuild(cgm, DecisionCause::StaticRefresh);
 
         let mut out = RecoverOutcome::default();
         for entry in &snapshot.entries {
@@ -418,14 +397,48 @@ impl NsMonitor {
         self.next_seq = next_seq;
     }
 
-    /// Align the tick counter (after a warm restart: the update timer's
-    /// cadence is host-side and survives the daemon, so a replacement
-    /// monitor resumes the old clock instead of restarting at zero —
-    /// otherwise every served view would look impossibly fresh). What
-    /// the replacement then builds or restores is current as of `tick`.
-    pub fn align_tick(&mut self, tick: u64) {
-        self.now_tick = tick;
-        self.fresh_tick = tick;
+    /// The replacement daemon after a crash: a monitor over the same
+    /// host, with the same tunables and tracer, and no namespaces yet.
+    /// It resumes the old clock — the update timer's cadence is
+    /// host-side and survives the daemon, and restarting at zero would
+    /// make every served view look impossibly fresh — so what it then
+    /// builds or restores is current as of that tick. It resumes the
+    /// [`recomputes`](NsMonitor::recomputes) count too, so a mirror
+    /// reads its rebuild as one.
+    pub fn restarted(&self) -> NsMonitor {
+        let mut next = NsMonitor::new(
+            self.online,
+            self.host_total,
+            self.watermarks,
+            self.cpu_cfg,
+            self.mem_cfg,
+        );
+        next.tracer = self.tracer.clone();
+        next.now_tick = self.now_tick;
+        next.fresh_tick = self.now_tick;
+        next.recomputes = self.recomputes;
+        next
+    }
+
+    /// Rebuild membership from the live hierarchy, superseding any
+    /// pending events: namespaces of vanished cgroups are dropped, live
+    /// ones kept, missing ones created, and every static input is
+    /// recomputed under `cause`.
+    fn rebuild(&mut self, cgm: &mut CgroupManager, cause: DecisionCause) {
+        let _ = cgm.drain_events();
+        let tracer = self.tracer.clone();
+        let now = self.now_tick;
+        self.namespaces.retain(|id, _| {
+            let keep = cgm.contains(*id);
+            if !keep {
+                tracer.emit_pipeline(now, Some(*id), PipelineEvent::ContainerRemoved);
+            }
+            keep
+        });
+        for (id, _) in cgm.iter() {
+            self.create_namespace(id, cgm);
+        }
+        self.recompute_all(cgm, cause);
     }
 
     fn create_namespace(&mut self, id: CgroupId, cgm: &CgroupManager) {
@@ -458,6 +471,7 @@ impl NsMonitor {
     /// each view the clamp actually moved.
     fn recompute_all(&mut self, cgm: &CgroupManager, cause: DecisionCause) {
         let total_shares = cgm.total_shares();
+        self.recomputes += 1;
         self.all_moved = true;
         self.moved.clear();
         for (id, ns) in self.namespaces.iter_mut() {

@@ -29,7 +29,9 @@ pub struct SysNamespace {
 }
 
 impl SysNamespace {
-    /// An empty report for figure `id`.
+    /// The namespace of container `id`, owned by `owner`: its CPU view
+    /// starts at the lower bound of `cpu_bounds` and adapts with
+    /// `cpu_cfg`, and its memory view is `e_mem`.
     pub fn new(
         id: CgroupId,
         owner: Pid,
@@ -95,6 +97,13 @@ impl SysNamespace {
     /// The static CPU bounds.
     pub fn cpu_bounds(&self) -> CpuBounds {
         self.e_cpu.bounds()
+    }
+
+    /// What a [`NsCell`](crate::live::NsCell) mirroring this namespace is
+    /// registered with: Algorithm 1's bounds and tunables, and
+    /// Algorithm 2's state.
+    pub fn cell_parts(&self) -> (CpuBounds, EffectiveCpuConfig, EffectiveMemory) {
+        (self.e_cpu.bounds(), self.e_cpu.config(), self.e_mem.clone())
     }
 
     /// The soft memory limit (Algorithm 2's safe-reset anchor).

@@ -34,10 +34,11 @@
 //! # Fault tolerance
 //!
 //! The server keeps an update-timer clock
-//! ([`server::ViewServer::advance_tick`]) and one freshness word per host,
-//! the tick the driver last brought every cell level with its monitor
-//! ([`server::ViewServer::mark_fresh`]). Every query is judged by the
-//! word's age ([`arv_resview::ViewHealth::from_age`]): views past
+//! ([`server::ViewServer::advance_tick`]) and one freshness word per host:
+//! when the driver brings every cell level with its monitor, it sets the
+//! word at the monitor's own age ([`server::ViewServer::mark_fresh`]).
+//! Every query is judged by the word's age
+//! ([`arv_resview::ViewHealth::from_age`]): views past
 //! [`arv_resview::STALENESS_BUDGET`] are answered from the conservative fallback
 //! ([`arv_resview::ViewSnapshot::fallback`]: Algorithm 1's lower bound,
 //! the memory soft limit and what the last usage leaves of it — the

@@ -90,9 +90,10 @@ struct ServerInner {
     durability_lost: AtomicBool,
     // Update-timer tick, advanced by the driver on every firing.
     clock: AtomicU64,
-    // Tick the driver last brought every cell level with its monitor at:
-    // every served view is `clock - fresh` old (one word per host). Stored
-    // with Release after the mirrors it vouches for, loaded with Acquire.
+    // Tick the views the driver last brought every cell level with were
+    // current at: every served view is `clock - fresh` old (one word per
+    // host). Stored with Release after the mirrors it vouches for, loaded
+    // with Acquire.
     fresh: AtomicU64,
     // Tick of the last warm restart, or `u64::MAX` when no recovery is
     // in flight. The first Fresh-health serve after a restart records
@@ -186,11 +187,15 @@ impl ViewServer {
         self.inner.clock.load(Ordering::Acquire)
     }
 
-    /// Record that every cell now holds its monitor's view, as of the
-    /// current tick: once per healthy firing (or lifecycle change), after
-    /// mirroring what moved — never once per container.
-    pub fn mark_fresh(&self) {
-        self.inner.fresh.store(self.now_tick(), Ordering::Release);
+    /// Record that every cell now holds its monitor's view, and that
+    /// those views are `age` ticks old: the monitor's own `now − fresh`,
+    /// 0 right after a healthy firing. The age is counted on this
+    /// server's clock, which must advance with the monitor's; an age past
+    /// the clock's reading dates the views to tick 0. Called once per
+    /// publish, after its mirrors — never once per container.
+    pub fn mark_fresh(&self, age: u64) {
+        let fresh = self.now_tick().saturating_sub(age);
+        self.inner.fresh.store(fresh, Ordering::Release);
     }
 
     /// Refresh a container's conservative fallback view (Algorithm 1's
@@ -233,6 +238,11 @@ impl ViewServer {
             .shards
             .get(id)
             .map(|entry| Arc::clone(&entry.cell))
+    }
+
+    /// Every registered container, unordered.
+    pub fn ids(&self) -> Vec<CgroupId> {
+        self.inner.shards.ids()
     }
 
     /// Number of registered containers.
@@ -898,7 +908,7 @@ mod tests {
         // the cache never served the degraded image for a live generation.
         server.mirror(id, 8, Bytes::from_mib(800), Bytes::from_mib(700));
         assert!(client.health(Some(id)).is_degraded());
-        server.mark_fresh();
+        server.mark_fresh(0);
         assert!(client.health(Some(id)).is_fresh());
         let img = client.read(Some(id), "/proc/cpuinfo").unwrap();
         assert!(img.health.is_fresh());
@@ -1026,7 +1036,7 @@ mod tests {
         server.advance_tick();
         server.advance_tick(); // tick 3
         server.mirror(id, 8, Bytes::from_mib(800), Bytes::from_mib(700));
-        server.mark_fresh();
+        server.mark_fresh(0);
         client.read(Some(id), "/proc/cpuinfo").unwrap();
         let m = server.metrics();
         assert_eq!(m.restore_reconciled_containers, 2);
@@ -1088,7 +1098,7 @@ mod tests {
                     for (id, (mem, avail)) in ids.into_iter().zip(views) {
                         prop_assert!(server.mirror(id, cpus, mem, avail));
                     }
-                    server.mark_fresh();
+                    server.mark_fresh(0);
                     for path in PathId::ALL {
                         let [a, b] = [0, 1].map(|i| {
                             let view = client.read(Some(ids[i]), path.as_str()).expect("known path");
