@@ -52,6 +52,11 @@ for offset in 0 1; do
     cargo run -q --release -p arv-experiments --bin experiments -- --fig fleet --scale 0.5 --seed-offset "$offset" > /dev/null
 done
 
+echo "==> fleet campaign at full scale, seed offsets 0 and 1 (1000 hosts × 100 containers, every scenario replayed)"
+for offset in 0 1; do
+    cargo run -q --release -p arv-experiments --bin experiments -- --fig fleet --seed-offset "$offset" > /dev/null
+done
+
 echo "==> host campaign at full scale, seed offsets 0-15 (lifecycle calls inside a stall, warm restarts, every scenario replayed)"
 for offset in $(seq 0 15); do
     cargo run -q --release -p arv-experiments --bin experiments -- --fig host --seed-offset "$offset" > /dev/null

@@ -23,7 +23,7 @@
 use arv_bench::{best_of, ns_per_call, Report};
 use arv_fleet::protocol::frame_delta_record;
 use arv_fleet::{
-    decode_frame, encode_delta, Delta, DeltaEntry, FleetController, FleetPolicy, Frame,
+    decode_frame, encode_delta, Delta, DeltaEntry, DeltaHead, FleetController, FleetPolicy, Frame,
     HostSummary, Periphery, SharedLease,
 };
 use arv_persist::{Snapshot, ViewState};
@@ -122,11 +122,11 @@ const MAX_OBS_OVERHEAD_RATIO: f64 = 1.75;
 const MAX_JOURNAL_OVERHEAD_ENCODES: f64 = 1.9;
 /// Ceiling on the REPL stream's bytes per view record in steady state
 /// (the failover fleet's rounds after the first: every host's DELTA
-/// moves its 100 containers). One record per DELTA costs its 36-byte
+/// moves its 100 containers). One record per DELTA costs its 28-byte
 /// entries plus 22 bytes of host, flags, counts and framing, and its
-/// frame's header: 36.27 bytes a record. A record per container breaches:
+/// frame's header: 28.27 bytes a record. A record per container breaches:
 /// 49.05 with the 49-byte records the journal used to pack each
-/// container into, 58.05 with a host batch per container.
+/// container into, 50.05 with a host batch per container.
 const MAX_REPL_BYTES_PER_RECORD: f64 = 42.0;
 
 /// Hosts in the replicated failover fleet (smaller than the ingest
@@ -330,17 +330,18 @@ fn moved_observe_ns(n: u32) -> f64 {
 /// A DELTA into host 1 at `seq`, FULL at 0.
 fn delta(seq: u64, entries: Vec<DeltaEntry>) -> Vec<u8> {
     encode_delta(&Delta {
-        host: 1,
-        seq,
-        tick: seq,
-        full: seq == 0,
-        health: 0,
-        durability_lost: false,
-        staleness_age: 0,
-        epoch: 0,
-        origin_tick: seq,
-        trace_seq: seq,
-        summary: HostSummary::default(),
+        head: DeltaHead {
+            host: 1,
+            seq,
+            tick: seq,
+            full: seq == 0,
+            health: 0,
+            durability_lost: false,
+            epoch: 0,
+            origin_tick: seq,
+            trace_seq: seq,
+            summary: HostSummary::default(),
+        },
         entries,
         removed: Vec::new(),
     })
@@ -353,7 +354,6 @@ fn entry(id: u32, e_cpu: u32) -> DeltaEntry {
         e_cpu,
         e_mem: 1 << 30,
         e_avail: 1 << 29,
-        last_tick: 0,
     }
 }
 

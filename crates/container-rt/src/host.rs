@@ -945,7 +945,7 @@ mod tests {
             Some(arv_fleet::Frame::Hello(h)) if h.host == 7
         ));
         let full = frames.iter().skip(1).any(
-            |f| matches!(arv_fleet::decode_frame(f), Some(arv_fleet::Frame::Delta(d)) if d.full),
+            |f| matches!(arv_fleet::decode_frame(f), Some(arv_fleet::Frame::Delta(d)) if d.head.full),
         );
         assert!(full, "first delta after attach is a FULL snapshot");
         // A controller resync request schedules another FULL once state moves.

@@ -13,7 +13,9 @@
 //!   tick arithmetic **exactly** — not approximately. The partition
 //!   must also freeze a flight dump.
 
-use arv_fleet::{decode_frame, FleetController, FleetPolicy, Frame, Periphery, QUERY_CLUSTER};
+use arv_fleet::{
+    decode_frame, Delta, FleetController, FleetPolicy, Frame, Periphery, QUERY_CLUSTER,
+};
 use arv_sim_core::{FaultConfig, FaultPlan, SimRng};
 use arv_telemetry::{FlightRecorder, LagHistogram, Tracer};
 
@@ -108,7 +110,7 @@ fn run_waterfall(seed: u64, hosts: u32, containers: u32, rounds: u32) -> Waterfa
                 // doesn't report lag measured from tick zero.
                 gt.origin_tick = gt.origin_tick.max(h.tick);
             }
-            Some(Frame::Delta(d)) => {
+            Some(Frame::Delta(Delta { head: d, .. })) => {
                 if d.full || (d.seq == gt.expect && !gt.needs_resync) {
                     if d.full {
                         gt.expect = d.seq + 1;
@@ -153,7 +155,7 @@ fn run_waterfall(seed: u64, hosts: u32, containers: u32, rounds: u32) -> Waterfa
                 // periphery must stamp this round's tick as the
                 // origin (the end of the ground-truth waterfall).
                 if h != LAGGED_HOST {
-                    if let Some(Frame::Delta(d)) = decode_frame(frame) {
+                    if let Some(Frame::Delta(Delta { head: d, .. })) = decode_frame(frame) {
                         if !d.full && d.origin_tick != flush_tick {
                             out.origin_violations += 1;
                         }

@@ -1427,7 +1427,12 @@ impl FleetController {
             end += len;
         }
         // The last frame carries the heard list — alone when every host
-        // that reported was quiet.
+        // that reported was quiet, or when the last record fills a frame
+        // by itself.
+        if rs.outbox.len() - start > budget {
+            frame(&[], &rs.outbox[start..]);
+            start = rs.outbox.len();
+        }
         frame(&heard, &rs.outbox[start..]);
         rs.outbox.clear();
         heard.clear();
@@ -1832,7 +1837,9 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::periphery::Periphery;
-    use crate::protocol::Delta;
+    use crate::protocol::{
+        encode_delta, encode_hello, Delta, Hello, DELTA_FIXED_BYTES, ENTRY_BYTES,
+    };
     use arv_persist::Snapshot as PSnapshot;
     use arv_persist::ViewState as PViewState;
 
@@ -2157,17 +2164,18 @@ mod tests {
 
     fn full_delta(host: u32, entries: Vec<DeltaEntry>) -> Delta {
         Delta {
-            host,
-            seq: 0,
-            tick: 1,
-            full: true,
-            health: 0,
-            durability_lost: false,
-            staleness_age: 0,
-            epoch: 0,
-            origin_tick: 1,
-            trace_seq: 1,
-            summary: HostSummary::default(),
+            head: DeltaHead {
+                host,
+                seq: 0,
+                tick: 1,
+                full: true,
+                health: 0,
+                durability_lost: false,
+                epoch: 0,
+                origin_tick: 1,
+                trace_seq: 1,
+                summary: HostSummary::default(),
+            },
             entries,
             removed: Vec::new(),
         }
@@ -2180,15 +2188,12 @@ mod tests {
             e_cpu,
             e_mem: 100,
             e_avail: 50,
-            last_tick: 1,
         }
     }
 
     /// Send `d` to `ctl` and expect an in-order ACK.
     fn accepted(ctl: &FleetController, d: &Delta) {
-        let resp = ctl
-            .handle_frame(&crate::protocol::encode_delta(d))
-            .expect("answered");
+        let resp = ctl.handle_frame(&encode_delta(d)).expect("answered");
         assert!(matches!(decode_frame(&resp), Some(Frame::Ack(a)) if !a.resync));
     }
 
@@ -2270,6 +2275,39 @@ mod tests {
         assert_eq!(standby.metrics().snapshot().repl_records_applied, 1);
     }
 
+    /// The largest DELTA a frame holds, after DELTAs from 30 other
+    /// hosts: its record fills a REPL frame by itself, so the heard list
+    /// follows on a records-empty frame, and every frame fits.
+    #[test]
+    fn a_record_that_fills_a_frame_leaves_the_heard_list_to_the_next() {
+        let primary = FleetController::new(2, FleetPolicy::default());
+        primary.enable_replication();
+        let standby = FleetController::new(2, FleetPolicy::default());
+        pump_repl(&primary, &standby);
+        for host in 1..=30 {
+            accepted(&primary, &full_delta(host, vec![entry(1, 0, 1)]));
+        }
+        let n = (MAX_FLEET_FRAME as usize - DELTA_FIXED_BYTES) / ENTRY_BYTES;
+        let big = full_delta(0, (0..n as u32).map(|id| entry(id, 0, 1)).collect());
+        assert!(encode_delta(&big).len() <= MAX_FLEET_FRAME as usize);
+        accepted(&primary, &big);
+        let frames = primary.take_repl_frames();
+        for frame in &frames {
+            assert!(
+                frame.len() <= MAX_FLEET_FRAME as usize,
+                "a {}-byte frame no standby takes",
+                frame.len()
+            );
+            let resp = standby.handle_frame(frame).expect("answered");
+            assert!(matches!(decode_frame(&resp), Some(Frame::Ack(a)) if !a.resync));
+        }
+        let last = frames.last().and_then(|f| decode_frame(f));
+        assert!(
+            matches!(last, Some(Frame::Repl(r)) if r.records.is_empty() && r.heard.len() == 31)
+        );
+        assert_eq!(standby.contents(), primary.contents());
+    }
+
     #[test]
     fn restore_refuses_what_is_not_a_controller_journal() {
         let mut host = arv_persist::Journal::new();
@@ -2290,6 +2328,24 @@ mod tests {
                 .expect("its own header");
             assert_eq!(empty.host_count(), 0);
         }
+        // Version 2 laid a 36-byte entry down: refused whole, not misread.
+        accepted(&ctl, &full_delta(1, vec![entry(1, 0, 4)]));
+        let mut old = ctl.journal_bytes().expect("journal on");
+        old[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let err = FleetController::restore_from(&old, 2, FleetPolicy::default())
+            .expect_err("a version-2 journal");
+        assert_eq!(err.found[4..], 2u32.to_le_bytes());
+        // The layouts version 3 names: a 28-byte entry, 111 bytes of a
+        // DELTA around its entries, a 21-byte HELLO.
+        let one = encode_delta(&full_delta(1, vec![entry(1, 0, 4)]));
+        let none = encode_delta(&full_delta(1, Vec::new()));
+        assert_eq!((one.len() - none.len(), none.len()), (28, 111));
+        let hello = Hello {
+            host: 1,
+            tick: 1,
+            epoch: 0,
+        };
+        assert_eq!(encode_hello(&hello).len(), 21);
     }
 
     #[test]
@@ -2671,14 +2727,12 @@ mod tests {
             5,
             kept.iter()
                 .map(|&(id, e_cpu, e_mem, e_avail)| {
-                    let last_tick = if moved(id) { 2 } else { 1 };
                     let e = DeltaEntry {
                         id,
                         tenant: 0,
                         e_cpu,
                         e_mem,
                         e_avail,
-                        last_tick,
                     };
                     (id, e)
                 })
@@ -2697,7 +2751,7 @@ mod tests {
 
     mod diff_props {
         use super::*;
-        use crate::protocol::{encode_delta, HostSummary};
+        use crate::protocol::{encode_delta, HostSummary, BATCH_HEAD_BYTES, ENTRY_BYTES};
         use crate::reference::{replay, Index, RecordPrimary, RecordStandby, RefRecord};
         use proptest::prelude::*;
 
@@ -2778,17 +2832,18 @@ mod tests {
 
         fn delta(host: u32, seq: u64, entries: Vec<DeltaEntry>, removed: Vec<u32>) -> Delta {
             Delta {
-                host,
-                seq,
-                tick: 0,
-                full: seq == 0,
-                health: 0,
-                durability_lost: false,
-                staleness_age: 0,
-                epoch: 0,
-                origin_tick: 0,
-                trace_seq: seq,
-                summary: HostSummary::default(),
+                head: DeltaHead {
+                    host,
+                    seq,
+                    tick: 0,
+                    full: seq == 0,
+                    health: 0,
+                    durability_lost: false,
+                    epoch: 0,
+                    origin_tick: 0,
+                    trace_seq: seq,
+                    summary: HostSummary::default(),
+                },
                 entries,
                 removed,
             }
@@ -2813,7 +2868,11 @@ mod tests {
             for frame in &frames {
                 standby.handle_frame(frame).expect("answered");
             }
-            for seq in 0..150u64 {
+            // One record more than a frame holds, each of 200 entries and
+            // one removal: length word, kind, host batch, CRC.
+            let record = 4 + 1 + BATCH_HEAD_BYTES + 4 + 200 * ENTRY_BYTES + 4 + 4 + 4;
+            let n = MAX_FLEET_FRAME as u64 / record as u64 + 1;
+            for seq in 0..n {
                 let entries = (0..200u32)
                     .map(|id| DeltaEntry {
                         id,
@@ -2821,16 +2880,19 @@ mod tests {
                         e_cpu: 1 + (seq as u32 + id) % 7,
                         e_mem: 100,
                         e_avail: 40,
-                        last_tick: seq,
                     })
                     .collect();
                 let d = delta(1, seq, entries, vec![200 + seq as u32]);
                 primary.handle_frame(&encode_delta(&d)).expect("answered");
                 assert!(ref_primary.handle_delta(&d));
             }
-            assert_eq!(primary.repl_backlog_records(), 30_000);
+            assert_eq!(primary.repl_backlog_records(), 200 * n);
             let frames = primary.take_repl_frames();
-            assert_eq!(frames.len(), 2, "150 records of 7 226 bytes, 1 MiB frames");
+            assert_eq!(
+                frames.len(),
+                2,
+                "{n} records of {record} bytes, 1 MiB frames"
+            );
             assert_eq!(lens(&frames), ref_lens(ref_primary.take_repl_frames()));
             for frame in &frames {
                 assert!(frame.len() <= MAX_FLEET_FRAME as usize);
@@ -2839,7 +2901,10 @@ mod tests {
             }
             assert_eq!(primary.repl_backlog_records(), 0);
             assert_eq!(standby.contents(), primary.contents());
-            assert_eq!(standby.metrics().snapshot().repl_records_applied, 30_001);
+            assert_eq!(
+                standby.metrics().snapshot().repl_records_applied,
+                200 * n + 1
+            );
         }
 
         type Op = (u8, u32, Vec<(u32, u32, u32, u64)>, Vec<u32>, usize);
@@ -2886,7 +2951,6 @@ mod tests {
                             e_cpu,
                             e_mem: mem * 100,
                             e_avail: mem * 40,
-                            last_tick: primary.now_tick(),
                         })
                         .collect();
                     let removed: Vec<u32> = removed.into_iter().map(wide).collect();
@@ -2896,7 +2960,7 @@ mod tests {
                             // A gap: one sequence number goes missing.
                             seq[h] += u64::from(kind == 7);
                             let mut d = delta(host, seq[h], entries, removed);
-                            d.full = wants_full[h] || kind == 6;
+                            d.head.full = wants_full[h] || kind == 6;
                             let resp = primary.handle_frame(&encode_delta(&d));
                             let accepted = ref_primary.handle_delta(&d);
                             seq[h] += 1;
@@ -2941,10 +3005,7 @@ mod tests {
                                         arv_persist::frame_checkpoint(&mut records, &Snapshot::at(3))
                                     }
                                     RefRecord::Batch { host, entries, removed, .. } => {
-                                        let d = Delta {
-                                            full: false,
-                                            ..delta(*host, 1, entries.clone(), removed.clone())
-                                        };
+                                        let d = delta(*host, 1, entries.clone(), removed.clone());
                                         frame_delta_record(&mut records, &encode_delta(&d));
                                     }
                                 }
@@ -3033,7 +3094,6 @@ mod tests {
                             e_cpu: 1 + id % 5,
                             e_mem: 1000,
                             e_avail: 400 + u64::from(id),
-                            last_tick: 0,
                         })
                         .collect();
                     index.insert(host, entries.iter().map(|e| (e.id, *e)).collect());
@@ -3062,7 +3122,6 @@ mod tests {
                                 e_cpu: 1 + (id + salt) % 7,
                                 e_mem: 1000 + u64::from(salt),
                                 e_avail: 400 + u64::from((id * salt) % 500),
-                                last_tick: seq,
                             };
                             containers.insert(id, e);
                             entries.push(e);

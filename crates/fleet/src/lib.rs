@@ -64,9 +64,9 @@ pub use controller::{
 pub use periphery::{AckDisposition, Periphery, PeripheryStats};
 pub use protocol::{
     decode_frame, encode_ack, encode_delta, encode_hello, encode_policy, encode_query,
-    encode_rollup, Ack, ClusterRollup, Delta, DeltaEntry, FleetPolicy, Frame, Hello, HostSummary,
-    PressurePoint, Query, Repl, Rollup, RollupFrame, SpanStamp, TenantRollup, MAX_FLEET_FRAME,
-    OP_ACK, OP_DELTA, OP_HELLO, OP_POLICY, OP_QUERY, OP_REPL, OP_ROLLUP, QUERY_CLUSTER,
-    QUERY_FLIGHT, QUERY_STATS, QUERY_TENANT, QUERY_TOPK, REPL_PEER,
+    encode_rollup, Ack, ClusterRollup, Delta, DeltaEntry, DeltaHead, FleetPolicy, Frame, Hello,
+    HostSummary, PressurePoint, Query, Repl, Rollup, RollupFrame, SpanStamp, TenantRollup,
+    MAX_FLEET_FRAME, OP_ACK, OP_DELTA, OP_HELLO, OP_POLICY, OP_QUERY, OP_REPL, OP_ROLLUP,
+    QUERY_CLUSTER, QUERY_FLIGHT, QUERY_STATS, QUERY_TENANT, QUERY_TOPK, REPL_PEER,
 };
 pub use wire::{FleetClient, FleetWireServer};

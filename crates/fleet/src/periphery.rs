@@ -16,11 +16,12 @@
 //! needs the whole snapshot; everything else is incremental.
 //!
 //! A view is news iff its value (`tenant`, `e_cpu`, `e_mem`, `e_avail`)
-//! moved: the per-entry `last_tick` stamp advances on every healthy
-//! firing and is not a reason to ship. Freshness travels once per host
-//! per tick instead — a healthy observation with nothing to say still
-//! ships one empty DELTA, the heartbeat that keeps the controller's
-//! staleness clock from flagging a quiet host partitioned.
+//! moved, and an entry carries that value alone: a snapshot's
+//! `last_tick` advances on every healthy firing and never ships.
+//! Freshness travels once per host per tick instead — a healthy
+//! observation with nothing to say still ships one empty DELTA, the
+//! heartbeat that keeps the controller's staleness clock from flagging
+//! a quiet host partitioned.
 //!
 //! The periphery owns no socket: the caller moves frames and feeds ACKs
 //! back. That keeps it deterministic under simulation and reusable over
@@ -106,7 +107,6 @@ impl Mirrored {
                 e_cpu: s.e_cpu,
                 e_mem: s.e_mem,
                 e_avail: s.e_avail,
-                last_tick: s.last_tick,
             },
             unsent: true,
         }
@@ -116,7 +116,7 @@ impl Mirrored {
     /// iff `(tenant, e_cpu, e_mem, e_avail)` differs from this entry.
     /// News overwrites it in place, marked unsent, and says whether its
     /// position is yet to be listed (it was not marked before); otherwise
-    /// the entry stands, stamp and mark included. A mirrored id is never
+    /// the entry stands, mark included. A mirrored id is never
     /// a pending removal, so news here has none to cancel.
     fn mark(&mut self, s: &ViewState, tenant: u32) -> bool {
         let e = &self.entry;
@@ -256,7 +256,6 @@ impl Periphery {
             self.outbox.push(encode_hello(&Hello {
                 host: self.host,
                 tick: snap.tick,
-                containers: snap.entries.len() as u32,
                 epoch: self.policy.epoch,
             }));
             self.said_hello = true;
@@ -515,7 +514,6 @@ impl Periphery {
                 full: full && first == 0,
                 health,
                 durability_lost: self.durability_lost,
-                staleness_age,
                 epoch: self.policy.epoch,
                 origin_tick,
                 trace_seq: self.trace_seq,
@@ -644,12 +642,12 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert!(matches!(
             decode_frame(&frames[0]),
-            Some(Frame::Hello(h)) if h.host == 4 && h.containers == 2
+            Some(Frame::Hello(h)) if h.host == 4
         ));
         let d = deltas(vec![frames[1].clone()]).remove(0);
-        assert!(d.full);
+        assert!(d.head.full);
         assert_eq!(d.entries.len(), 2);
-        assert_eq!(d.seq, 0);
+        assert_eq!(d.head.seq, 0);
     }
 
     #[test]
@@ -672,16 +670,20 @@ mod tests {
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1, "one heartbeat per tick");
         assert!(ds[0].entries.is_empty() && ds[0].removed.is_empty());
-        assert_eq!((ds[0].tick, ds[0].origin_tick, ds[0].seq), (2, 2, 1));
+        assert_eq!(
+            (ds[0].head.tick, ds[0].head.origin_tick, ds[0].head.seq),
+            (2, 2, 1)
+        );
         // Observed again within the tick: freshness already travelled.
         p.observe(&snap(2, &[(1, 2, 100), (2, 4, 200)]), false, 0);
         assert!(!p.has_frames());
-        // One value moves: exactly that entry ships, stamp included.
+        // One value moves: exactly that entry ships, its tick in the head.
         p.observe(&snap(3, &[(1, 2, 100), (2, 5, 200)]), false, 0);
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].entries.len(), 1);
-        assert_eq!((ds[0].entries[0].id, ds[0].entries[0].last_tick), (2, 3));
+        assert_eq!((ds[0].entries[0].id, ds[0].entries[0].e_cpu), (2, 5));
+        assert_eq!(ds[0].head.tick, 3);
         assert_eq!(p.stats().entries, 3, "2 in the FULL, 1 changed");
     }
 
@@ -715,9 +717,9 @@ mod tests {
         p.observe(&s, false, 0);
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1);
-        assert!(ds[0].durability_lost);
+        assert!(ds[0].head.durability_lost);
         assert!(ds[0].entries.is_empty());
-        assert_eq!(ds[0].summary.journal_io_errors, 3);
+        assert_eq!(ds[0].head.summary.journal_io_errors, 3);
 
         // Steady degraded state is quiet again...
         p.observe(&s, false, 0);
@@ -728,8 +730,8 @@ mod tests {
         p.observe(&s, false, 0);
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1);
-        assert!(!ds[0].durability_lost);
-        assert_eq!(ds[0].summary.journal_io_errors, 3);
+        assert!(!ds[0].head.durability_lost);
+        assert_eq!(ds[0].head.summary.journal_io_errors, 3);
     }
 
     #[test]
@@ -740,7 +742,7 @@ mod tests {
         p.observe(&snap(2, &[(1, 3, 100)]), false, 0);
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1);
-        assert!(!ds[0].full);
+        assert!(!ds[0].head.full);
         assert_eq!(ds[0].entries.len(), 1);
         assert_eq!(ds[0].entries[0].e_cpu, 3);
         assert_eq!(ds[0].removed, vec![2]);
@@ -762,7 +764,7 @@ mod tests {
         p.observe(&snap(2, &[(1, 2, 100)]), false, 0);
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1);
-        assert!(ds[0].full);
+        assert!(ds[0].head.full);
         assert_eq!(p.stats().resyncs, 1);
     }
 
@@ -785,9 +787,9 @@ mod tests {
         p.observe(&snap(1, &states), false, 0);
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 4);
-        assert!(ds[0].full && !ds[1].full);
+        assert!(ds[0].head.full && !ds[1].head.full);
         assert_eq!(ds.iter().map(|d| d.entries.len()).sum::<usize>(), 10);
-        let seqs: Vec<u64> = ds.iter().map(|d| d.seq).collect();
+        let seqs: Vec<u64> = ds.iter().map(|d| d.head.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
         assert_eq!(p.stats().policy_updates, 1);
     }
@@ -872,7 +874,7 @@ mod tests {
         p.observe(&snap(1, &states), false, 0);
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1, "FULL bypasses the bucket");
-        assert!(ds[0].full);
+        assert!(ds[0].head.full);
 
         // Every container changes but the bucket is dry: the diff is
         // coalesced, not sent and not dropped.
@@ -918,10 +920,13 @@ mod tests {
         let states: Vec<(u32, u32, u64)> = (0..8).map(|i| (i, 1, 100)).collect();
         p.observe(&snap(1, &states), false, 0);
         let ds = deltas(p.take_frames());
-        assert_eq!(ds[0].origin_tick, 1, "FULL data is fresh at the flush tick");
-        assert_eq!(ds[0].trace_seq, 1);
-        assert_eq!(ds[0].summary.frames, 1);
-        assert_eq!(ds[0].summary.entries, 8);
+        assert_eq!(
+            ds[0].head.origin_tick, 1,
+            "FULL data is fresh at the flush tick"
+        );
+        assert_eq!(ds[0].head.trace_seq, 1);
+        assert_eq!(ds[0].head.summary.frames, 1);
+        assert_eq!(ds[0].head.summary.entries, 8);
 
         // A dry bucket coalesces at tick 2; when the flush finally
         // lands, origin_tick must still say 2 — the span measures the
@@ -939,11 +944,17 @@ mod tests {
         }
         let flush_tick = flushed.expect("tokens must return");
         let ds = deltas(p.take_frames());
-        assert_eq!(ds[0].origin_tick, 2, "origin survives coalescing");
-        assert_eq!(ds[0].tick, flush_tick);
-        assert!(ds[0].tick - ds[0].origin_tick >= 1, "delay is visible");
-        assert_eq!(ds[0].trace_seq, 2, "trace seq is monotone per frame");
-        assert_eq!(ds[0].summary.deltas_coalesced, p.stats().deltas_coalesced);
+        assert_eq!(ds[0].head.origin_tick, 2, "origin survives coalescing");
+        assert_eq!(ds[0].head.tick, flush_tick);
+        assert!(
+            ds[0].head.tick - ds[0].head.origin_tick >= 1,
+            "delay is visible"
+        );
+        assert_eq!(ds[0].head.trace_seq, 2, "trace seq is monotone per frame");
+        assert_eq!(
+            ds[0].head.summary.deltas_coalesced,
+            p.stats().deltas_coalesced
+        );
     }
 
     #[test]
@@ -972,7 +983,7 @@ mod tests {
         assert_eq!(p.stats().resyncs, 0, "resync not honoured");
         p.observe(&snap(2, &[(1, 3, 100)]), false, 0);
         let ds = deltas(p.take_frames());
-        assert!(!ds[0].full, "no FULL was scheduled by the fenced ACK");
+        assert!(!ds[0].head.full, "no FULL was scheduled by the fenced ACK");
 
         // not_leader from a current-epoch controller: nothing applied
         // either, but the disposition says to walk the list.
@@ -994,7 +1005,7 @@ mod tests {
         let frames = p.take_frames();
         assert!(matches!(decode_frame(&frames[0]), Some(Frame::Hello(_))));
         let ds = deltas(frames);
-        assert!(ds[0].full, "reconnect answers with a FULL snapshot");
+        assert!(ds[0].head.full, "reconnect answers with a FULL snapshot");
     }
 
     mod fencing_props {

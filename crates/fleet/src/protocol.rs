@@ -5,13 +5,14 @@
 //! opcode; everything after it is little-endian fixed-width fields:
 //!
 //! ```text
-//! HELLO  := 0x10 | host u32 | tick u64 | containers u32 | epoch u64
+//! HELLO  := 0x10 | host u32 | tick u64 | epoch u64
 //! DELTA  := 0x11 | host u32 | seq u64 | tick u64 | flags u8 | health u8
-//!           | staleness_age u64 | epoch u64 | origin_tick u64
-//!           | trace_seq u64 | summary (7 × u64)
+//!           | epoch u64 | origin_tick u64 | trace_seq u64
+//!           | summary (7 × u64)
 //!           | n u32 | n × entry | m u32 | m × removed-id u32
 //!   entry := id u32 | tenant u32 | e_cpu u32 | e_mem u64 | e_avail u64
-//!           | last_tick u64
+//!   (a view's value alone: its freshness rides the header's tick and
+//!   origin_tick, once per frame)
 //!   flags bit0 = FULL (snapshot replacing all host state)
 //!   health bit7 = DURABILITY_LOST (the host's journal is on the
 //!   degraded rung of its durability ladder; orthogonal to the
@@ -119,7 +120,7 @@ pub const ACK_NOT_LEADER: u8 = 4;
 pub const REPL_PEER: u32 = u32::MAX;
 
 /// Largest accepted fleet frame. A full batch at the default
-/// [`FleetPolicy::max_batch`] is ~9 KiB; REPL frames carrying a
+/// [`FleetPolicy::max_batch`] is ~7 KiB; REPL frames carrying a
 /// compacted checkpoint of a large index need far more headroom. The
 /// cap still bounds what a corrupt length prefix can allocate.
 pub const MAX_FLEET_FRAME: u32 = 1024 * 1024;
@@ -127,7 +128,7 @@ pub const MAX_FLEET_FRAME: u32 = 1024 * 1024;
 /// Most entries one batch carries — a periphery's DELTA or one host's
 /// part of a controller checkpoint — whatever [`FleetPolicy::max_batch`]
 /// says: a policy arrives from outside, and a batch must fit a frame
-/// with room to spare (4 096 entries are ≈144 KiB).
+/// with room to spare (4 096 entries are 112 KiB).
 pub const MAX_BATCH: u32 = 4096;
 
 /// Host-level health byte carried in DELTA: monitor healthy.
@@ -143,23 +144,26 @@ pub const HEALTH_DEGRADED: u8 = 2;
 pub const HEALTH_DURABILITY_LOST: u8 = 0x80;
 
 /// Bytes of one encoded delta entry.
-const ENTRY_BYTES: usize = 4 + 4 + 4 + 8 + 8 + 8;
+pub(crate) const ENTRY_BYTES: usize = 4 + 4 + 4 + 8 + 8;
 /// Where a DELTA payload's tail (`n | entries | m | removed`) starts:
-/// after the opcode, host, seq, tick, flags, health, four span/epoch
+/// after the opcode, host, seq, tick, flags, health, three epoch/span
 /// words and the seven summary counters.
-const DELTA_TAIL_AT: usize = 1 + 4 + 8 + 8 + 1 + 1 + 4 * 8 + 7 * 8;
+pub(crate) const DELTA_TAIL_AT: usize = 1 + 4 + 8 + 8 + 1 + 1 + 3 * 8 + 7 * 8;
 /// Where a DELTA payload's flags byte sits.
 const DELTA_FLAGS_AT: usize = 1 + 4 + 8 + 8;
 /// Bytes of a DELTA payload around its entries and removals: the
 /// header before the tail, and the tail's two counts.
-const DELTA_FIXED_BYTES: usize = DELTA_TAIL_AT + 4 + 4;
+pub(crate) const DELTA_FIXED_BYTES: usize = DELTA_TAIL_AT + 4 + 4;
+/// Bytes of a REPL payload before its heard hosts: the opcode, three
+/// words and the heard count.
+pub(crate) const REPL_HEAD_BYTES: usize = 1 + 8 + 8 + 8 + 4;
 
 /// Host-batch flag: the batch is a FULL (see [`DELTA_FULL`]).
 pub(crate) const BATCH_FULL: u8 = DELTA_FULL;
 /// Host-batch flag: the batch is one host's part of a checkpoint.
 pub(crate) const BATCH_CHECKPOINT: u8 = 2;
 /// Bytes of a host batch's body before its tail: host and flags.
-const BATCH_HEAD_BYTES: usize = 4 + 1;
+pub(crate) const BATCH_HEAD_BYTES: usize = 4 + 1;
 
 /// The policy a controller pushes down to every periphery: the fleet
 /// analogue of the per-host staleness budget and the `ServerConfig`
@@ -198,8 +202,9 @@ impl FleetPolicy {
     }
 }
 
-/// One container's view state as carried in a DELTA frame: the
-/// persisted [`arv_persist::ViewState`] fields plus the owning tenant.
+/// One container's view as carried in a DELTA frame: the values of an
+/// [`arv_persist::ViewState`] plus the owning tenant. An entry is its
+/// value alone; when the view was fresh rides the DELTA's header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaEntry {
     /// Container (cgroup) id on the source host.
@@ -212,8 +217,6 @@ pub struct DeltaEntry {
     pub e_mem: u64,
     /// Available memory as seen by the container, bytes.
     pub e_avail: u64,
-    /// Host update-timer tick of the last view refresh.
-    pub last_tick: u64,
 }
 
 /// A decoded HELLO.
@@ -223,8 +226,6 @@ pub struct Hello {
     pub host: u32,
     /// Host update-timer tick at send time.
     pub tick: u64,
-    /// Containers currently live on the host.
-    pub containers: u32,
     /// Newest policy epoch the periphery has adopted.
     pub epoch: u64,
 }
@@ -250,9 +251,10 @@ pub struct HostSummary {
     pub journal_io_errors: u64,
 }
 
-/// A decoded DELTA batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Delta {
+/// A DELTA's fields ahead of its entries and removals: what
+/// [`encode_delta`] writes before the tail and [`decode_frame`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaHead {
     /// Sending host.
     pub host: u32,
     /// Per-host frame sequence number (gap ⇒ resync).
@@ -262,13 +264,11 @@ pub struct Delta {
     /// Whether this batch is a full snapshot (replaces all host state).
     pub full: bool,
     /// Host-level health (`HEALTH_*`, low bits only — the durability
-    /// flag is split out into [`Delta::durability_lost`]).
+    /// flag is split out into [`DeltaHead::durability_lost`]).
     pub health: u8,
     /// Whether the host's journal has lost durability (health byte bit
     /// 7 on the wire).
     pub durability_lost: bool,
-    /// Host view age in ticks behind its update timer.
-    pub staleness_age: u64,
     /// Newest policy epoch the periphery has adopted.
     pub epoch: u64,
     /// Causal span stamp: the host tick at which the oldest diff in
@@ -280,67 +280,17 @@ pub struct Delta {
     pub trace_seq: u64,
     /// The periphery's piggybacked counter summary.
     pub summary: HostSummary,
+}
+
+/// A decoded DELTA batch: its head, then its tail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Delta {
+    /// The fields ahead of the entries and removals.
+    pub head: DeltaHead,
     /// Changed/new container states.
     pub entries: Vec<DeltaEntry>,
     /// Containers removed since the last batch.
     pub removed: Vec<u32>,
-}
-
-impl Delta {
-    /// The fields ahead of the entries and removals.
-    pub(crate) fn head(&self) -> DeltaHead {
-        DeltaHead {
-            host: self.host,
-            seq: self.seq,
-            tick: self.tick,
-            full: self.full,
-            health: self.health,
-            durability_lost: self.durability_lost,
-            staleness_age: self.staleness_age,
-            epoch: self.epoch,
-            origin_tick: self.origin_tick,
-            trace_seq: self.trace_seq,
-            summary: self.summary,
-        }
-    }
-
-    /// The owned DELTA of `head` and the entries and removals of `tail`.
-    fn from_parts(head: &DeltaHead, tail: Tail<'_>) -> Delta {
-        Delta {
-            host: head.host,
-            seq: head.seq,
-            tick: head.tick,
-            full: head.full,
-            health: head.health,
-            durability_lost: head.durability_lost,
-            staleness_age: head.staleness_age,
-            epoch: head.epoch,
-            origin_tick: head.origin_tick,
-            trace_seq: head.trace_seq,
-            summary: head.summary,
-            entries: tail.entries().collect(),
-            removed: tail.removed().collect(),
-        }
-    }
-}
-
-/// A DELTA's fields ahead of its entries and removals: what
-/// [`encode_delta_parts`] writes before the tail and
-/// [`decode_delta_parts`] reads. Each field is the [`Delta`] field of
-/// the same name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DeltaHead {
-    pub(crate) host: u32,
-    pub(crate) seq: u64,
-    pub(crate) tick: u64,
-    pub(crate) full: bool,
-    pub(crate) health: u8,
-    pub(crate) durability_lost: bool,
-    pub(crate) staleness_age: u64,
-    pub(crate) epoch: u64,
-    pub(crate) origin_tick: u64,
-    pub(crate) trace_seq: u64,
-    pub(crate) summary: HostSummary,
 }
 
 /// A decoded ACK.
@@ -539,18 +489,17 @@ fn put_policy(out: &mut Vec<u8>, p: &FleetPolicy) {
 
 /// Encode a HELLO payload.
 pub fn encode_hello(h: &Hello) -> Vec<u8> {
-    let mut out = Vec::with_capacity(25);
+    let mut out = Vec::with_capacity(21);
     out.push(OP_HELLO);
     put_u32(&mut out, h.host);
     put_u64(&mut out, h.tick);
-    put_u32(&mut out, h.containers);
     put_u64(&mut out, h.epoch);
     out
 }
 
 /// Encode a DELTA payload.
 pub fn encode_delta(d: &Delta) -> Vec<u8> {
-    encode_delta_parts(&d.head(), d.entries.iter(), &d.removed)
+    encode_delta_parts(&d.head, d.entries.iter(), &d.removed)
 }
 
 /// The one DELTA encoder: `head`, then the tail of `entries` and
@@ -576,7 +525,6 @@ pub(crate) fn encode_delta_parts<'e>(
                 0
             },
     );
-    put_u64(&mut out, head.staleness_age);
     put_u64(&mut out, head.epoch);
     put_u64(&mut out, head.origin_tick);
     put_u64(&mut out, head.trace_seq);
@@ -601,7 +549,6 @@ fn put_entry(out: &mut Vec<u8>, e: &DeltaEntry) {
     b[8..12].copy_from_slice(&e.e_cpu.to_le_bytes());
     b[12..20].copy_from_slice(&e.e_mem.to_le_bytes());
     b[20..28].copy_from_slice(&e.e_avail.to_le_bytes());
-    b[28..36].copy_from_slice(&e.last_tick.to_le_bytes());
     out.extend_from_slice(&b);
 }
 
@@ -677,7 +624,7 @@ pub(crate) fn encode_repl_parts(
     heard: &[u32],
     records: &[u8],
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(29 + 4 * heard.len() + records.len());
+    let mut out = Vec::with_capacity(REPL_HEAD_BYTES + 4 * heard.len() + records.len());
     out.push(OP_REPL);
     put_u64(&mut out, ctl_epoch);
     put_u64(&mut out, repl_seq);
@@ -866,7 +813,6 @@ pub(crate) fn decode_delta_parts(payload: &[u8]) -> Option<(DeltaHead, Tail<'_>)
         full: flags & DELTA_FULL != 0,
         health,
         durability_lost: raw_health & HEALTH_DURABILITY_LOST != 0,
-        staleness_age: c.u64()?,
         epoch: c.u64()?,
         origin_tick: c.u64()?,
         trace_seq: c.u64()?,
@@ -1004,7 +950,6 @@ fn get_entry(b: &[u8]) -> DeltaEntry {
         e_cpu: le32(&b[8..12]),
         e_mem: le64(&b[12..20]),
         e_avail: le64(&b[20..28]),
-        last_tick: le64(&b[28..36]),
     }
 }
 
@@ -1067,7 +1012,11 @@ pub fn decode_frame(payload: &[u8]) -> Option<Frame> {
     match *payload.first()? {
         OP_DELTA => {
             let (head, tail) = decode_delta_parts(payload)?;
-            return Some(Frame::Delta(Delta::from_parts(&head, tail)));
+            return Some(Frame::Delta(Delta {
+                head,
+                entries: tail.entries().collect(),
+                removed: tail.removed().collect(),
+            }));
         }
         OP_REPL => {
             let r = decode_repl_parts(payload)?;
@@ -1086,7 +1035,6 @@ pub fn decode_frame(payload: &[u8]) -> Option<Frame> {
         OP_HELLO => Frame::Hello(Hello {
             host: c.u32()?,
             tick: c.u64()?,
-            containers: c.u32()?,
             epoch: c.u64()?,
         }),
         OP_POLICY => Frame::Policy(get_policy(&mut c)?),
@@ -1150,24 +1098,25 @@ mod tests {
 
     fn sample_delta() -> Delta {
         Delta {
-            host: 7,
-            seq: 42,
-            tick: 1000,
-            full: false,
-            health: HEALTH_STALE,
-            durability_lost: true,
-            staleness_age: 2,
-            epoch: 3,
-            origin_tick: 997,
-            trace_seq: 58,
-            summary: HostSummary {
-                frames: 58,
-                entries: 120,
-                full_syncs: 2,
-                resyncs: 1,
-                deltas_coalesced: 7,
-                acks_fenced: 0,
-                journal_io_errors: 3,
+            head: DeltaHead {
+                host: 7,
+                seq: 42,
+                tick: 1000,
+                full: false,
+                health: HEALTH_STALE,
+                durability_lost: true,
+                epoch: 3,
+                origin_tick: 997,
+                trace_seq: 58,
+                summary: HostSummary {
+                    frames: 58,
+                    entries: 120,
+                    full_syncs: 2,
+                    resyncs: 1,
+                    deltas_coalesced: 7,
+                    acks_fenced: 0,
+                    journal_io_errors: 3,
+                },
             },
             entries: vec![
                 DeltaEntry {
@@ -1176,7 +1125,6 @@ mod tests {
                     e_cpu: 4,
                     e_mem: 1 << 30,
                     e_avail: 1 << 29,
-                    last_tick: 999,
                 },
                 DeltaEntry {
                     id: 2,
@@ -1184,7 +1132,6 @@ mod tests {
                     e_cpu: 2,
                     e_mem: 1 << 28,
                     e_avail: 1 << 20,
-                    last_tick: 1000,
                 },
             ],
             removed: vec![3, 9],
@@ -1196,7 +1143,6 @@ mod tests {
         let hello = Hello {
             host: 3,
             tick: 17,
-            containers: 5,
             epoch: 0,
         };
         assert_eq!(
@@ -1323,7 +1269,6 @@ mod tests {
             encode_hello(&Hello {
                 host: 1,
                 tick: 2,
-                containers: 3,
                 epoch: 4,
             }),
             encode_delta(&sample_delta()),
@@ -1360,7 +1305,7 @@ mod tests {
     #[test]
     fn a_delta_record_is_its_tail_behind_its_host() {
         let mut delta = sample_delta();
-        delta.full = true;
+        delta.head.full = true;
         let mut payload = encode_delta(&delta);
         // A flag bit the DELTA does not define never reaches the record.
         payload[DELTA_FLAGS_AT] |= 0x80;
@@ -1375,12 +1320,17 @@ mod tests {
         assert_eq!(kind, arv_persist::KIND_HOST_BATCH);
         assert_eq!(&body[BATCH_HEAD_BYTES..], &payload[DELTA_TAIL_AT..]);
         let batch = HostBatch::decode(body).expect("a host batch");
-        assert_eq!((batch.host, batch.flags), (delta.host, BATCH_FULL));
+        assert_eq!((batch.host, batch.flags), (delta.head.host, BATCH_FULL));
         assert_eq!(batch.tail.entries().collect::<Vec<_>>(), delta.entries);
         assert_eq!(batch.tail.removed().collect::<Vec<_>>(), delta.removed);
         // The checkpoint's encoder writes the same layout.
         let mut from_entries = Vec::new();
-        frame_batch(&mut from_entries, delta.host, BATCH_FULL, &delta.entries);
+        frame_batch(
+            &mut from_entries,
+            delta.head.host,
+            BATCH_FULL,
+            &delta.entries,
+        );
         let (_, body) = arv_persist::records(&from_entries)
             .next()
             .expect("one record");
@@ -1411,24 +1361,25 @@ mod tests {
 
         fn arb_delta(host: u32, seq: u64, n: usize, m: usize) -> Delta {
             Delta {
-                host,
-                seq,
-                tick: seq.wrapping_mul(3),
-                full: seq % 2 == 0,
-                health: (seq % 3) as u8,
-                durability_lost: seq % 4 == 1,
-                staleness_age: seq % 5,
-                epoch: 0,
-                origin_tick: seq.wrapping_mul(3).saturating_sub(seq % 4),
-                trace_seq: seq,
-                summary: HostSummary {
-                    frames: seq,
-                    entries: seq.wrapping_mul(n as u64),
-                    full_syncs: seq / 2,
-                    resyncs: seq % 2,
-                    deltas_coalesced: seq % 7,
-                    acks_fenced: 0,
-                    journal_io_errors: seq % 3,
+                head: DeltaHead {
+                    host,
+                    seq,
+                    tick: seq.wrapping_mul(3),
+                    full: seq % 2 == 0,
+                    health: (seq % 3) as u8,
+                    durability_lost: seq % 4 == 1,
+                    epoch: 0,
+                    origin_tick: seq.wrapping_mul(3).saturating_sub(seq % 4),
+                    trace_seq: seq,
+                    summary: HostSummary {
+                        frames: seq,
+                        entries: seq.wrapping_mul(n as u64),
+                        full_syncs: seq / 2,
+                        resyncs: seq % 2,
+                        deltas_coalesced: seq % 7,
+                        acks_fenced: 0,
+                        journal_io_errors: seq % 3,
+                    },
                 },
                 entries: (0..n)
                     .map(|i| DeltaEntry {
@@ -1437,7 +1388,6 @@ mod tests {
                         e_cpu: (i % 9) as u32,
                         e_mem: (i as u64 + 1) * 1000,
                         e_avail: (i as u64) * 400,
-                        last_tick: seq,
                     })
                     .collect(),
                 removed: (0..m).map(|i| 1000 + i as u32).collect(),
@@ -1505,10 +1455,7 @@ mod tests {
             });
             match decode_frame(p) {
                 Some(Frame::Delta(d)) => {
-                    assert_eq!(
-                        delta,
-                        Some((d.head(), d.entries.clone(), d.removed.clone()))
-                    );
+                    assert_eq!(delta, Some((d.head, d.entries.clone(), d.removed.clone())));
                     assert_eq!(repl, None);
                 }
                 Some(Frame::Repl(r)) => {
@@ -1648,9 +1595,9 @@ mod tests {
                 let Some(Frame::Delta(got)) = decoded else {
                     unreachable!()
                 };
-                prop_assert_eq!(got.origin_tick, delta.origin_tick);
-                prop_assert_eq!(got.trace_seq, delta.trace_seq);
-                prop_assert_eq!(got.summary, delta.summary);
+                prop_assert_eq!(got.head.origin_tick, delta.head.origin_tick);
+                prop_assert_eq!(got.head.trace_seq, delta.head.trace_seq);
+                prop_assert_eq!(got.head.summary, delta.head.summary);
             }
 
             /// Span stamps survive a ROLLUP round-trip exactly, and the
@@ -1747,23 +1694,10 @@ mod tests {
 
     #[test]
     fn impossible_counts_rejected() {
-        let mut frame = encode_delta(&Delta {
-            host: 1,
-            seq: 0,
-            tick: 0,
-            full: true,
-            health: HEALTH_FRESH,
-            durability_lost: false,
-            staleness_age: 0,
-            epoch: 0,
-            origin_tick: 0,
-            trace_seq: 0,
-            summary: HostSummary::default(),
-            entries: Vec::new(),
-            removed: Vec::new(),
-        });
-        // Overwrite the entry count (offset 111) with a huge claim.
-        frame[111..115].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut frame = encode_delta(&sample_delta());
+        // Overwrite the entry count, where the tail starts, with a huge
+        // claim.
+        frame[DELTA_TAIL_AT..DELTA_TAIL_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_frame(&frame), None);
     }
 }

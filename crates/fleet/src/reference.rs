@@ -10,9 +10,9 @@ use arv_persist::Snapshot;
 
 use crate::periphery::{AckDisposition, PeripheryStats};
 use crate::protocol::{
-    decode_frame, encode_delta, encode_hello, Ack, Delta, DeltaEntry, FleetPolicy, Frame, Hello,
-    HostSummary, HEALTH_DEGRADED, HEALTH_DURABILITY_LOST, HEALTH_FRESH, HEALTH_STALE,
-    MAX_FLEET_FRAME,
+    decode_frame, encode_delta, encode_hello, Ack, Delta, DeltaEntry, DeltaHead, FleetPolicy,
+    Frame, Hello, HostSummary, BATCH_HEAD_BYTES, ENTRY_BYTES, HEALTH_DEGRADED,
+    HEALTH_DURABILITY_LOST, HEALTH_FRESH, HEALTH_STALE, MAX_FLEET_FRAME, REPL_HEAD_BYTES,
 };
 
 /// `Periphery` as it was with `last_sent` and the pending layer in
@@ -81,7 +81,6 @@ impl HashMapPeriphery {
             self.outbox.push(encode_hello(&Hello {
                 host: self.host,
                 tick: snap.tick,
-                containers: snap.entries.len() as u32,
                 epoch: self.policy.epoch,
             }));
             self.said_hello = true;
@@ -116,7 +115,6 @@ impl HashMapPeriphery {
                 e_cpu: s.e_cpu,
                 e_mem: s.e_mem,
                 e_avail: s.e_avail,
-                last_tick: s.last_tick,
             };
             let moved = self.last_sent.get(&s.id).map_or(true, |sent| {
                 (sent.tenant, sent.e_cpu, sent.e_mem, sent.e_avail)
@@ -198,24 +196,25 @@ impl HashMapPeriphery {
             self.stats.entries += chunk.len() as u64;
             self.trace_seq += 1;
             self.outbox.push(encode_delta(&Delta {
-                host: self.host,
-                seq: self.seq,
-                tick: snap.tick,
-                full: full && first,
-                health,
-                durability_lost: self.durability_lost,
-                staleness_age,
-                epoch: self.policy.epoch,
-                origin_tick,
-                trace_seq: self.trace_seq,
-                summary: HostSummary {
-                    frames: self.stats.frames,
-                    entries: self.stats.entries,
-                    full_syncs: self.stats.full_syncs,
-                    resyncs: self.stats.resyncs,
-                    deltas_coalesced: self.stats.deltas_coalesced,
-                    acks_fenced: self.stats.acks_fenced,
-                    journal_io_errors: self.journal_io_errors,
+                head: DeltaHead {
+                    host: self.host,
+                    seq: self.seq,
+                    tick: snap.tick,
+                    full: full && first,
+                    health,
+                    durability_lost: self.durability_lost,
+                    epoch: self.policy.epoch,
+                    origin_tick,
+                    trace_seq: self.trace_seq,
+                    summary: HostSummary {
+                        frames: self.stats.frames,
+                        entries: self.stats.entries,
+                        full_syncs: self.stats.full_syncs,
+                        resyncs: self.stats.resyncs,
+                        deltas_coalesced: self.stats.deltas_coalesced,
+                        acks_fenced: self.stats.acks_fenced,
+                        journal_io_errors: self.journal_io_errors,
+                    },
                 },
                 entries: chunk.to_vec(),
                 removed: frame_removed.unwrap_or_default().to_vec(),
@@ -296,7 +295,10 @@ impl RefRecord {
             RefRecord::Reset => 4 + 1 + 8 + 4 + 4,
             RefRecord::Batch {
                 entries, removed, ..
-            } => 4 + 1 + 4 + 1 + 4 + 36 * entries.len() + 4 + 4 * removed.len() + 4,
+            } => {
+                let tail = 4 + ENTRY_BYTES * entries.len() + 4 + 4 * removed.len();
+                4 + 1 + BATCH_HEAD_BYTES + tail + 4
+            }
         }
     }
 
@@ -418,28 +420,29 @@ impl RecordPrimary {
     /// Apply one DELTA; whether it was accepted (else the ACK demands a
     /// resync).
     pub(crate) fn handle_delta(&mut self, d: &Delta) -> bool {
-        let host = self.hosts.entry(d.host).or_default();
-        self.index.entry(d.host).or_default();
-        if !(d.full || (d.seq == host.expected_seq && !host.needs_resync)) {
+        let head = &d.head;
+        let host = self.hosts.entry(head.host).or_default();
+        self.index.entry(head.host).or_default();
+        if !(head.full || (head.seq == host.expected_seq && !host.needs_resync)) {
             host.needs_resync = true;
             return false;
         }
-        if d.full {
+        if head.full {
             host.needs_resync = false;
-            host.expected_seq = d.seq + 1;
+            host.expected_seq = head.seq + 1;
         } else {
             host.expected_seq += 1;
         }
         let record = RefRecord::Batch {
-            host: d.host,
-            full: d.full,
+            host: head.host,
+            full: head.full,
             checkpoint: false,
             entries: d.entries.clone(),
             removed: d.removed.clone(),
         };
         self.outbox_records += record.apply(&mut self.index);
-        self.heard.insert(d.host);
-        if d.full || !d.entries.is_empty() || !d.removed.is_empty() {
+        self.heard.insert(head.host);
+        if head.full || !d.entries.is_empty() || !d.removed.is_empty() {
             self.journal.push(record.clone());
             self.outbox.push(record);
         }
@@ -456,7 +459,8 @@ impl RecordPrimary {
     }
 
     /// Drain the outbox into REPL frames, chunked at record boundaries
-    /// under the frame budget, the heard list on the last.
+    /// under the frame budget, the heard list on the last — or on a
+    /// frame of its own after it, when the last record fills a frame.
     pub(crate) fn take_repl_frames(&mut self) -> Vec<RefFrame> {
         if self.send_snapshot {
             self.send_snapshot = false;
@@ -474,7 +478,7 @@ impl RecordPrimary {
         let bytes = |records: &[RefRecord]| records.iter().map(RefRecord::len).sum::<usize>();
         for rec in std::mem::take(&mut self.outbox) {
             if !cur.is_empty() && bytes(&cur) + rec.len() > budget {
-                let len = 29 + bytes(&cur);
+                let len = REPL_HEAD_BYTES + bytes(&cur);
                 frames.push(RefFrame {
                     records: std::mem::take(&mut cur),
                     len,
@@ -482,7 +486,14 @@ impl RecordPrimary {
             }
             cur.push(rec);
         }
-        let len = 29 + 4 * heard + bytes(&cur);
+        if bytes(&cur) > budget {
+            let len = REPL_HEAD_BYTES + bytes(&cur);
+            frames.push(RefFrame {
+                records: std::mem::take(&mut cur),
+                len,
+            });
+        }
+        let len = REPL_HEAD_BYTES + 4 * heard + bytes(&cur);
         frames.push(RefFrame { records: cur, len });
         frames
     }

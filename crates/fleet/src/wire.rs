@@ -176,8 +176,8 @@ impl FleetClient {
 mod tests {
     use super::*;
     use crate::protocol::{
-        decode_frame, encode_delta, encode_hello, encode_query, Delta, DeltaEntry, FleetPolicy,
-        Frame, Hello, Query, Rollup, HEALTH_FRESH, QUERY_CLUSTER,
+        decode_frame, encode_delta, encode_hello, encode_query, Delta, DeltaEntry, DeltaHead,
+        FleetPolicy, Frame, Hello, Query, Rollup, HEALTH_FRESH, QUERY_CLUSTER,
     };
     use std::path::PathBuf;
 
@@ -200,7 +200,6 @@ mod tests {
         encode_hello(&Hello {
             host: 1,
             tick: 0,
-            containers: 0,
             epoch: 0,
         })
     }
@@ -216,24 +215,24 @@ mod tests {
         assert!(matches!(decode_frame(&resp), Some(Frame::Ack(_))));
 
         let delta = encode_delta(&Delta {
-            host: 1,
-            seq: 0,
-            tick: 1,
-            full: true,
-            health: HEALTH_FRESH,
-            durability_lost: false,
-            staleness_age: 0,
-            epoch: 0,
-            origin_tick: 1,
-            trace_seq: 1,
-            summary: Default::default(),
+            head: DeltaHead {
+                host: 1,
+                seq: 0,
+                tick: 1,
+                full: true,
+                health: HEALTH_FRESH,
+                durability_lost: false,
+                epoch: 0,
+                origin_tick: 1,
+                trace_seq: 1,
+                summary: Default::default(),
+            },
             entries: vec![DeltaEntry {
                 id: 1,
                 tenant: 0,
                 e_cpu: 4,
                 e_mem: 1000,
                 e_avail: 500,
-                last_tick: 1,
             }],
             removed: Vec::new(),
         });

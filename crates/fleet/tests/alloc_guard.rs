@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use arv_fleet::{
-    decode_frame, encode_delta, Delta, DeltaEntry, FleetController, FleetPolicy, Frame,
+    decode_frame, encode_delta, Delta, DeltaEntry, DeltaHead, FleetController, FleetPolicy, Frame,
     HostSummary, Periphery,
 };
 use arv_persist::{Snapshot, ViewState};
@@ -64,17 +64,18 @@ fn delta(seq: u64, entries: u32, bump: u32) -> Vec<u8> {
 
 fn delta_from(host: u32, seq: u64, entries: u32, bump: u32) -> Vec<u8> {
     encode_delta(&Delta {
-        host,
-        seq,
-        tick: seq,
-        full: seq == 0,
-        health: 0,
-        durability_lost: false,
-        staleness_age: 0,
-        epoch: 0,
-        origin_tick: seq,
-        trace_seq: seq,
-        summary: HostSummary::default(),
+        head: DeltaHead {
+            host,
+            seq,
+            tick: seq,
+            full: seq == 0,
+            health: 0,
+            durability_lost: false,
+            epoch: 0,
+            origin_tick: seq,
+            trace_seq: seq,
+            summary: HostSummary::default(),
+        },
         entries: (0..entries)
             .map(|id| DeltaEntry {
                 id,
@@ -82,7 +83,6 @@ fn delta_from(host: u32, seq: u64, entries: u32, bump: u32) -> Vec<u8> {
                 e_cpu: 1 + (id + bump) % 16,
                 e_mem: 4096,
                 e_avail: 1024,
-                last_tick: seq,
             })
             .collect(),
         removed: Vec::new(),
@@ -271,7 +271,7 @@ fn observing_moved_values_allocates_only_their_frame() {
     let Some(Frame::Delta(d)) = decode_frame(&frames[2]) else {
         panic!("the measured observation shipped no DELTA");
     };
-    assert_eq!(d.entries.len(), MOVED as usize);
-    assert!(d.entries.iter().all(|e| e.id % 10 == 0 && e.last_tick == 4));
+    assert_eq!((d.entries.len(), d.head.tick), (MOVED as usize, 4));
+    assert!(d.entries.iter().all(|e| e.id % 10 == 0));
     assert_eq!(p.stats().entries, 1000 + 3 * u64::from(MOVED));
 }

@@ -30,7 +30,7 @@
 //!   removal (`id u32`); `state := id u32 | e_cpu u32 | e_mem u64 |
 //!   e_avail u64 | last_tick u64`. [`restore`] folds them into a
 //!   [`Snapshot`].
-//! - **[`BATCH_VERSION`] 2, a batch journal.** A checkpoint record with
+//! - **[`BATCH_VERSION`] 3, a batch journal.** A checkpoint record with
 //!   no entries is a *reset marker* (everything before it is superseded;
 //!   its tick is the checkpoint's), and kind 4 ([`KIND_HOST_BATCH`]) is
 //!   a *host batch* whose body this crate does not read: its owner (the
@@ -72,7 +72,9 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"AVRJ");
 /// records.
 pub const VERSION: u32 = 1;
 /// Format version of a batch journal: reset markers and host batches.
-pub const BATCH_VERSION: u32 = 2;
+/// Their owner lays the batches out, and the version moves when their
+/// layout does.
+pub const BATCH_VERSION: u32 = 3;
 /// Upper bound on a single record body (corrupt length words must not
 /// cause huge allocations during restore).
 pub const MAX_RECORD: usize = 1 << 20;
