@@ -9,6 +9,13 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> size, reported and not gated: non-test lines of crates/*/src (each file up to its first column-0 #[cfg(test)]) and the pub fns among them"
+find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { code = 1 }
+    /^#\[cfg\(test\)\]/ { code = 0 }
+    code { lines++; if ($0 ~ /^[[:space:]]*pub fn /) fns++ }
+    END { printf "  non-test lines: %d\n  pub fn: %d\n", lines, fns }'
+
 echo "==> cargo clippy --workspace --all-targets (libraries, tests, examples, benches; one SAFETY comment per single-op unsafe block)"
 cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::undocumented_unsafe_blocks -D clippy::multiple_unsafe_ops_per_block

@@ -21,7 +21,7 @@
 //! allocations an ingested frame costs.
 
 use arv_bench::{best_of, ns_per_call, Report};
-use arv_fleet::protocol::frame_delta_record;
+use arv_fleet::protocol::{frame_delta_record, MAX_BATCH};
 use arv_fleet::{
     decode_frame, encode_delta, Delta, DeltaEntry, DeltaHead, FleetController, FleetPolicy, Frame,
     HostSummary, Periphery, SharedLease,
@@ -347,6 +347,16 @@ fn delta(seq: u64, entries: Vec<DeltaEntry>) -> Vec<u8> {
     })
 }
 
+/// `entries` the way a periphery sends them: DELTAs of at most
+/// [`MAX_BATCH`] entries from sequence 0, the first one FULL.
+fn full(entries: &[DeltaEntry]) -> Vec<Vec<u8>> {
+    let parts = entries.chunks(MAX_BATCH as usize);
+    parts
+        .zip(0..)
+        .map(|(part, seq)| delta(seq, part.to_vec()))
+        .collect()
+}
+
 fn entry(id: u32, e_cpu: u32) -> DeltaEntry {
     DeltaEntry {
         id,
@@ -363,9 +373,13 @@ fn update_ns(n: u32) -> f64 {
     let stride = n / UPDATES;
     best_of(TRIALS, || {
         let ctl = FleetController::new(64, FleetPolicy::default());
-        ctl.handle_frame(&delta(0, (0..n).map(|id| entry(id, 1)).collect()));
+        let setup = full(&(0..n).map(|id| entry(id, 1)).collect::<Vec<_>>());
+        for frame in &setup {
+            ctl.handle_frame(frame);
+        }
         let mut in_ingest = std::time::Duration::ZERO;
-        for seq in 1..=u64::from(UPDATE_DELTAS) {
+        let first = setup.len() as u64;
+        for seq in first..first + u64::from(UPDATE_DELTAS) {
             let k = seq as u32;
             let moved = (0..UPDATES).map(|j| entry(j * stride + k % stride, 1 + k % 7));
             let frame = delta(seq, moved.collect());
@@ -378,19 +392,22 @@ fn update_ns(n: u32) -> f64 {
 }
 
 /// Nanoseconds inside `handle_frame` per [`FULL_ENTRIES`]-entry FULL
-/// into a fresh controller, its entries in id order or in reverse.
+/// into a fresh controller, its entries in id order or in reverse, sent
+/// as a periphery sends it ([`full`]).
 fn full_ns(reversed: bool) -> f64 {
     let mut entries: Vec<DeltaEntry> = (0..FULL_ENTRIES).map(|id| entry(id, 1)).collect();
     if reversed {
         entries.reverse();
     }
-    let frame = delta(0, entries);
+    let frames = full(&entries);
     best_of(TRIALS, || {
         let mut in_ingest = std::time::Duration::ZERO;
         for _ in 0..FULLS {
             let ctl = FleetController::new(64, FleetPolicy::default());
             let start = Instant::now();
-            black_box(ctl.handle_frame(&frame));
+            for frame in &frames {
+                black_box(ctl.handle_frame(frame));
+            }
             in_ingest += start.elapsed();
         }
         in_ingest.as_nanos() as f64 / f64::from(FULLS)

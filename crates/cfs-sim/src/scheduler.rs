@@ -1,9 +1,8 @@
 //! Weighted max-min (progressive filling) allocation of one scheduling
 //! period of CPU time among cgroups.
 
-use arv_cgroups::{CgroupId, CpuSet};
+use arv_cgroups::{CgroupId, CpuSet, IdMap};
 use arv_sim_core::SimDuration;
-use std::collections::BTreeMap;
 
 /// One cgroup's CPU request for a scheduling period.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +47,7 @@ impl GroupDemand {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// CPU time granted (and, in the fluid model, consumed) per group.
-    pub granted: BTreeMap<CgroupId, SimDuration>,
+    pub granted: IdMap<SimDuration>,
     /// Unused host CPU time this period — `pslack` in Algorithm 1.
     pub slack: SimDuration,
     /// The period that was allocated.
@@ -121,10 +120,11 @@ impl CfsSim {
             .collect();
         let grants = weighted_max_min(supply_us, &items);
 
-        let mut granted = BTreeMap::new();
-        for (d, g) in demands.iter().zip(&grants) {
-            granted.insert(d.id, SimDuration::from_micros(g.round() as u64));
-        }
+        let granted = demands
+            .iter()
+            .zip(&grants)
+            .map(|(d, g)| (d.id, SimDuration::from_micros(g.round() as u64)))
+            .collect();
         let used: f64 = grants.iter().sum();
         let slack_us = (supply_us - used).max(0.0);
         Allocation {

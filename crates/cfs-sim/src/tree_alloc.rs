@@ -126,12 +126,11 @@ pub fn allocate_tree(
         frontier.extend(children.iter().copied().zip(grants));
     }
 
-    let mut granted = BTreeMap::new();
-    for (id, us) in &granted_us {
-        granted.insert(*id, SimDuration::from_micros(us.round() as u64));
-    }
     Allocation {
-        granted,
+        granted: granted_us
+            .iter()
+            .map(|(id, us)| (*id, SimDuration::from_micros(us.round() as u64)))
+            .collect(),
         slack: SimDuration::from_micros((supply_us - used).max(0.0).round() as u64),
         period,
         total_runnable: demands.values().map(|d| d.runnable).sum(),

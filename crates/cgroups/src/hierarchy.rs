@@ -9,8 +9,7 @@
 //! `arv-cfs`'s `allocate_tree` distributes CPU over it.
 
 use crate::cpu::CpuController;
-use crate::manager::{CgroupId, CgroupSpec};
-use std::collections::BTreeMap;
+use crate::manager::{CgroupId, CgroupSpec, IdMap};
 
 /// Identifier of the implicit root of the tree.
 pub const ROOT: CgroupId = CgroupId(u32::MAX);
@@ -25,7 +24,7 @@ struct Node {
 /// A tree of cgroups under an implicit root.
 #[derive(Debug, Clone, Default)]
 pub struct CgroupTree {
-    nodes: BTreeMap<CgroupId, Node>,
+    nodes: IdMap<Node>,
     root_children: Vec<CgroupId>,
     next_id: u32,
 }

@@ -10,11 +10,14 @@
 
 use crate::cpu::CpuController;
 use crate::memory::MemController;
-use std::collections::BTreeMap;
 
 /// Identifier of a cgroup (and, one-to-one in this model, of a container).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CgroupId(pub u32);
+
+/// The id-sorted table ([`arv_sim_core::IdMap`]) keyed by [`CgroupId`]:
+/// every per-container table of the host.
+pub type IdMap<V> = arv_sim_core::IdMap<CgroupId, V>;
 
 /// Full resource specification of one cgroup.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,7 +50,7 @@ pub enum CgroupEvent {
 /// Flat registry of cgroups with an event log.
 #[derive(Debug, Default)]
 pub struct CgroupManager {
-    groups: BTreeMap<CgroupId, CgroupSpec>,
+    groups: IdMap<CgroupSpec>,
     next_id: u32,
     events: Vec<CgroupEvent>,
 }

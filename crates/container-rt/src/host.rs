@@ -1,7 +1,9 @@
 //! The simulated host: all substrates advancing in lock-step.
 
 use arv_cfs::{Allocation, CfsSim, GroupDemand, Loadavg, UsageLedger};
-use arv_cgroups::{Bytes, CgroupId, CgroupManager, CgroupSpec, EventPipe, DEFAULT_PIPE_CAPACITY};
+use arv_cgroups::{
+    Bytes, CgroupId, CgroupManager, CgroupSpec, EventPipe, IdMap, DEFAULT_PIPE_CAPACITY,
+};
 use arv_fleet::Periphery;
 use arv_mem::{ChargeOutcome, MemSim, MemSimConfig};
 use arv_persist::{DurableJournal, Edge, RestoreReport, Store, ViewState};
@@ -15,7 +17,6 @@ use arv_resview::{
 use arv_sim_core::{clock::sched_period, FaultPlan, SimClock, SimDuration, SimTime};
 use arv_telemetry::PipelineEvent;
 use arv_viewd::{HostSpec, ViewServer};
-use std::collections::BTreeMap;
 
 use crate::spec::ContainerSpec;
 
@@ -68,7 +69,7 @@ pub struct SimHost {
     monitor: NsMonitor,
     ledger: UsageLedger,
     loadavg: Loadavg,
-    containers: BTreeMap<CgroupId, ContainerMeta>,
+    containers: IdMap<ContainerMeta>,
     next_pid: u32,
     update_timer_elapsed: SimDuration,
     viewd: Option<ViewServer>,
@@ -83,8 +84,8 @@ pub struct SimHost {
     // Remaining update-timer firings whose viewd publish is suppressed.
     delay_publish_ticks: u64,
     // Views that moved while the daemon's publish was delayed, as the
-    // firings that moved them left them.
-    viewd_held: Vec<ViewState>,
+    // last firing that moved each left it.
+    viewd_held: IdMap<ViewState>,
     // The monitor's `recomputes` at the periphery's last observation.
     periphery_level: u64,
     /// The daemon's on-disk state file, under the durability ladder.
@@ -122,7 +123,7 @@ impl SimHost {
             monitor,
             ledger: UsageLedger::new(),
             loadavg: Loadavg::one_min(),
-            containers: BTreeMap::new(),
+            containers: IdMap::new(),
             next_pid: 1000,
             update_timer_elapsed: SimDuration::ZERO,
             viewd: None,
@@ -132,7 +133,7 @@ impl SimHost {
             fault_plan: None,
             stall_ticks: 0,
             delay_publish_ticks: 0,
-            viewd_held: Vec::new(),
+            viewd_held: IdMap::new(),
             periphery_level: 0,
             journal: None,
             last_restore: None,
@@ -632,17 +633,13 @@ impl SimHost {
         } else {
             let held = &mut self.viewd_held;
             if !held.is_empty() {
-                held.extend_from_slice(moved);
-                held.sort_by_key(|v| v.id);
-                held.dedup_by(|later, earlier| {
-                    let same = later.id == earlier.id;
-                    if same {
-                        *earlier = *later;
-                    }
-                    same
-                });
+                held.upsert(moved, |v| (CgroupId(v.id), *v), |_, _| {});
             }
-            let views = if held.is_empty() { moved } else { held };
+            let views = if held.is_empty() {
+                moved
+            } else {
+                held.values().as_slice()
+            };
             for v in views {
                 server.mirror(CgroupId(v.id), v.e_cpu, Bytes(v.e_mem), Bytes(v.e_avail));
             }
@@ -749,7 +746,8 @@ impl SimHost {
         if self.delay_publish_ticks > 0 {
             self.delay_publish_ticks -= 1;
             if self.viewd.is_some() {
-                self.viewd_held.extend_from_slice(&moved);
+                let held = &mut self.viewd_held;
+                held.upsert(&moved, |v| (CgroupId(v.id), *v), |_, _| {});
             }
         } else {
             self.viewd_publish(&moved);
@@ -847,6 +845,7 @@ impl SimHost {
 mod tests {
     use super::*;
     use arv_resview::{Sysconf, ViewHealth, STALENESS_BUDGET};
+    use std::collections::BTreeMap;
 
     /// The monitor's own effective CPU for `id`, never degraded.
     fn e_cpu(host: &SimHost, id: CgroupId) -> u32 {
@@ -2047,6 +2046,100 @@ mod tests {
                     }
                     prop_assert_eq!(host.take_fleet_frames(), shadow.take_frames(), "op {}", step);
                     prop_assert_eq!(host.periphery().expect("attached").stats(), shadow.stats());
+                }
+            }
+        }
+    }
+
+    mod lifecycle_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const KEYS: [Sysconf; 5] = [
+            Sysconf::NprocessorsOnln,
+            Sysconf::NprocessorsConf,
+            Sysconf::PhysPages,
+            Sysconf::AvphysPages,
+            Sysconf::PageSize,
+        ];
+
+        fn spec(name: String, quota: u32, mem_gib: u64) -> ContainerSpec {
+            ContainerSpec::new(name, 8)
+                .cpus(f64::from(1 + quota % 6))
+                .cpu_shares(512 * u64::from(1 + quota % 3))
+                .memory_reservation(Bytes::from_mib(256))
+                .memory(Bytes::from_gib(1 + mem_gib % 3))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Random launches, terminates, limit updates and steps (with
+            /// charges) on a host with viewd attached: after every
+            /// operation the host's containers, the cgroup manager's
+            /// groups, the monitor's namespaces and the daemon's cells
+            /// hold the same ids, and for every live container the
+            /// daemon and `host.sysfs()` give the same health and the
+            /// same answer to every `sysconf` key.
+            #[test]
+            fn every_table_and_both_front_ends_agree_after_each_lifecycle_op(
+                ops in prop::collection::vec((0u8..6, 0u32..64, 0u32..8), 1..60),
+            ) {
+                let mut host = SimHost::new(8, Bytes::from_gib(6));
+                let server = ViewServer::new(host.viewd_host_spec(), 2);
+                host.attach_viewd(server.clone());
+                let client = server.client();
+                let mut live: Vec<CgroupId> = Vec::new();
+                for (step, (op, a, b)) in ops.into_iter().enumerate() {
+                    let pick = (!live.is_empty()).then(|| live[a as usize % live.len()]);
+                    match (op, pick) {
+                        (0, _) if live.len() < 8 => {
+                            live.push(host.launch(&spec(format!("l{step}"), a, u64::from(b))));
+                        }
+                        (1, Some(id)) => {
+                            live.retain(|l| *l != id);
+                            host.terminate(id);
+                        }
+                        (2, Some(id)) => {
+                            host.update_limits(id, &spec(format!("u{step}"), b, u64::from(a)));
+                        }
+                        _ => {
+                            for (i, id) in live.iter().enumerate() {
+                                if (a >> (i % 6)) & 1 == 1 {
+                                    let _ = host.charge(*id, Bytes::from_mib(64 * u64::from(1 + b)));
+                                }
+                            }
+                            let demands: Vec<_> = live.iter().map(|id| host.demand(*id, 1 + b)).collect();
+                            host.step(&demands);
+                        }
+                    }
+                    let tables = [
+                        host.containers.keys().copied().collect::<Vec<_>>(),
+                        host.cgm.iter().map(|(id, _)| id).collect(),
+                        host.monitor().namespaces().map(|ns| ns.id()).collect(),
+                        {
+                            let mut ids = server.ids();
+                            ids.sort_unstable();
+                            ids
+                        },
+                    ];
+                    let mut want = live.clone();
+                    want.sort_unstable();
+                    for table in &tables {
+                        prop_assert_eq!(table, &want, "op {}", step);
+                    }
+                    let fs = host.sysfs();
+                    for id in &live {
+                        let caller = Some(*id);
+                        prop_assert_eq!(client.health(caller), fs.health(caller), "op {} {:?}", step, id);
+                        for key in KEYS {
+                            prop_assert_eq!(
+                                client.sysconf(caller, key),
+                                fs.sysconf(caller, key),
+                                "op {} {:?} {:?}", step, id, key
+                            );
+                        }
+                    }
                 }
             }
         }

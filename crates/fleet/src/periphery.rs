@@ -4,12 +4,12 @@
 //! what moved on a mirror of what it last shipped, and queues DELTA
 //! frames — chunked to the controller's `max_batch`, at most
 //! [`MAX_BATCH`](crate::protocol::MAX_BATCH) — on an outbox the
-//! transport drains. It has two front-ends onto one mark rule and one
-//! flush: [`Periphery::observe`] walks a whole [`arv_persist::Snapshot`]
-//! (the one the journal checkpoints) against the mirror in place,
-//! writing only what moved and rebuilding the mirror only when ids came
-//! or went; [`Periphery::observe_moved`] takes only the views that moved
-//! (the list `NsMonitor::take_moved` drains) and costs what moved. The
+//! transport drains. It has two front-ends onto one walk of the mirror
+//! (an [`IdMap`]) and one flush: [`Periphery::observe`] walks a whole
+//! [`arv_persist::Snapshot`] (the one the journal checkpoints), writing
+//! only what moved and reshaping the mirror only when ids came or went;
+//! [`Periphery::observe_moved`] takes only the views that moved (the
+//! list `NsMonitor::take_moved` drains) and costs what moved. The
 //! flush encodes each frame straight from the mirror. The first frame
 //! after attach (and after any controller-requested resync or
 //! reconnect) is a FULL snapshot, and a removal or a tenant change also
@@ -45,7 +45,7 @@
 //! sequence state, no matter when it arrives.
 
 use arv_persist::{Snapshot, ViewState};
-use std::collections::{BTreeSet, HashMap};
+use arv_sim_core::IdMap;
 
 use crate::protocol::{
     encode_delta_parts, encode_hello, Ack, DeltaEntry, DeltaHead, FleetPolicy, Hello, HostSummary,
@@ -145,19 +145,16 @@ pub struct Periphery {
     /// observation (see [`Periphery::set_durability`]).
     durability_lost: bool,
     journal_io_errors: u64,
-    /// The state last diffed for each live container, sorted by id: a
-    /// walk pairs it with a sorted snapshot and overwrites what moved in
-    /// place, and a moved id finds its entry by binary search.
-    last_sent: Vec<Mirrored>,
-    /// A snapshot that arrived unsorted, sorted: input is never trusted
-    /// to be in id order.
-    sorted: Vec<ViewState>,
-    tenants: HashMap<u32, u32>,
+    /// The state last diffed for each live container, by id: a walk
+    /// pairs it with a sorted snapshot and overwrites what moved in
+    /// place, and a moved id finds its entry from a cursor.
+    last_sent: IdMap<u32, Mirrored>,
+    tenants: IdMap<u32, u32>,
     /// [`set_tenant`](Periphery::set_tenant) was called since the last
     /// diff: until then a mirrored entry's tenant is still the map's.
     tenants_moved: bool,
     /// Diffed-but-unsent removals.
-    pending_removed: BTreeSet<u32>,
+    pending_removed: IdMap<u32, ()>,
     /// Where in `last_sent` the entries marked unsent sit, one position
     /// each, so a flush reads them without scanning the mirror.
     marked: Vec<usize>,
@@ -193,11 +190,10 @@ impl Periphery {
             last_health: HEALTH_FRESH,
             durability_lost: false,
             journal_io_errors: 0,
-            last_sent: Vec::new(),
-            sorted: Vec::new(),
-            tenants: HashMap::new(),
+            last_sent: IdMap::new(),
+            tenants: IdMap::new(),
             tenants_moved: false,
-            pending_removed: BTreeSet::new(),
+            pending_removed: IdMap::new(),
             marked: Vec::new(),
             tokens: u64::from(policy.rate_burst.max(1)),
             ctl_epoch_seen: 0,
@@ -274,94 +270,79 @@ impl Periphery {
         // been *queued*, so repeated observations don't re-diff unsent
         // state.
         let in_order = snap.entries.windows(2).all(|w| w[0].id < w[1].id);
-        if !in_order {
-            // Never trusted: sorted into a scratch copy, and of an id
-            // that repeats the last occurrence wins, as in a map.
-            self.sorted.clear();
-            self.sorted.extend_from_slice(&snap.entries);
-            self.sorted.sort_by_key(|s| s.id);
-            self.sorted.reverse();
-            self.sorted.dedup_by_key(|s| s.id);
-            self.sorted.reverse();
+        if in_order {
+            self.diff(&snap.entries, true);
+        } else {
+            // Never trusted: collected into a table, where of an id that
+            // repeats the last occurrence wins.
+            let sorted: IdMap<u32, ViewState> = snap.entries.iter().map(|s| (s.id, *s)).collect();
+            self.diff(sorted.values().as_slice(), true);
         }
-        let sorted = std::mem::take(&mut self.sorted);
-        self.diff(if in_order { &snap.entries } else { &sorted });
-        self.sorted = sorted;
         self.flush(snap.tick, stalled, staleness_age);
     }
 
-    /// One walk of the mirror against `live`, both in id order. An
+    /// One walk of the mirror against `views`, each id of a whole
+    /// snapshot [`seek`](IdMap::seek)ed from where the previous one
+    /// landed. An
     /// unchanged entry is not written; a moved one is overwritten in
-    /// place by the mark rule ([`Mirrored::mark`]). A new id past the
-    /// mirror's last is appended; the other new ids and the gone are
-    /// noted on the way, and only when there are some does one pass
-    /// compact the mirror and merge them in.
-    fn diff(&mut self, live: &[ViewState]) {
+    /// place by the mark rule ([`Mirrored::mark`]), and new ids are
+    /// gathered. When `views` is the `whole` snapshot, in id order, the
+    /// mirrored ids it does not hold are gone. Only when ids came or went
+    /// is the mirror reshaped.
+    fn diff(&mut self, views: &[ViewState], whole: bool) {
         let tenants_moved = std::mem::take(&mut self.tenants_moved);
-        let len = self.last_sent.len();
-        let mut fresh: Vec<Mirrored> = Vec::new();
-        let mut gone = false;
-        let mut at = 0;
-        for s in live {
-            while at < len && self.last_sent[at].entry.id < s.id {
-                gone = true;
-                at += 1;
-            }
-            if at < len && self.last_sent[at].entry.id == s.id {
-                let m = &mut self.last_sent[at];
-                let tenant = if tenants_moved {
-                    self.tenants.get(&s.id).copied().unwrap_or(0)
-                } else {
-                    m.entry.tenant
-                };
-                if m.mark(s, tenant) {
-                    self.marked.push(at);
+        let (mut fresh, mut found, mut at) = (Vec::new(), 0, 0);
+        for s in views {
+            // A whole snapshot lands slot after slot; a moved list is
+            // sparse, so each of its ids is binary-searched instead.
+            let from = if whole { at } else { self.last_sent.len() };
+            match self.last_sent.seek(from, s.id) {
+                Ok(i) => {
+                    let m = &mut self.last_sent.values_mut().into_slice()[i];
+                    let tenant = if tenants_moved {
+                        self.tenants.get(&s.id).copied().unwrap_or(0)
+                    } else {
+                        m.entry.tenant
+                    };
+                    if m.mark(s, tenant) {
+                        self.marked.push(i);
+                    }
+                    (found, at) = (found + 1, i + 1);
                 }
-                at += 1;
-            } else if at == len {
-                let news = self.news(s);
-                self.marked.push(self.last_sent.len());
-                self.last_sent.push(news);
-            } else {
-                fresh.push(self.news(s));
+                Err(i) => {
+                    fresh.push(self.news(s));
+                    at = i;
+                }
             }
         }
-        if gone || at < len || !fresh.is_empty() {
-            self.rebuild(live, &fresh);
+        let live = (whole && found < self.last_sent.len()).then_some(views);
+        if live.is_some() || !fresh.is_empty() {
+            self.reshape(live, fresh);
         }
     }
 
-    /// The walk's one compaction and merge pass: drop every mirrored id
-    /// `live` lacks (its tenant record goes, its removal is pending),
-    /// merge `fresh` (in id order) in from the back, the way the
-    /// controller's `Run::upsert` merges, and list the unsent positions
-    /// anew.
-    fn rebuild(&mut self, live: &[ViewState], fresh: &[Mirrored]) {
-        let mut ids = live.iter().map(|s| s.id).peekable();
-        self.last_sent.retain(|m| {
-            let id = m.entry.id;
-            while ids.next_if(|live| *live < id).is_some() {}
-            let kept = ids.peek() == Some(&id);
-            if !kept {
-                self.tenants.remove(&id);
-                self.pending_removed.insert(id);
-            }
-            kept
-        });
-        let (mut i, mut j) = (self.last_sent.len(), fresh.len());
-        self.last_sent.extend_from_slice(fresh);
-        while j > 0 {
-            if i > 0 && self.last_sent[i - 1].entry.id > fresh[j - 1].entry.id {
-                self.last_sent[i + j - 1] = self.last_sent[i - 1];
-                i -= 1;
-            } else {
-                self.last_sent[i + j - 1] = fresh[j - 1];
-                j -= 1;
-            }
+    /// The mirror's one reshaping pass: drop the mirrored ids `live`
+    /// (the whole snapshot, if ids went) lacks — their tenant records go
+    /// and their removals are pending — admit `fresh` (new ids, in any
+    /// order, of a repeated id the last wins) in one merge, and list the
+    /// unsent positions anew.
+    fn reshape(&mut self, live: Option<&[ViewState]>, fresh: Vec<Mirrored>) {
+        if let Some(live) = live {
+            let (tenants, removed) = (&mut self.tenants, &mut self.pending_removed);
+            self.last_sent.retain(|id, _| {
+                let kept = live.binary_search_by_key(id, |s| s.id).is_ok();
+                if !kept {
+                    tenants.remove(id);
+                    removed.insert(*id, ());
+                }
+                kept
+            });
         }
+        self.last_sent.upsert(fresh, |m| (m.entry.id, m), |_, _| {});
         self.marked.clear();
-        let unsent = self.last_sent.iter().enumerate().filter(|(_, m)| m.unsent);
-        self.marked.extend(unsent.map(|(at, _)| at));
+        let unsent = self.last_sent.values().enumerate();
+        self.marked
+            .extend(unsent.filter(|(_, m)| m.unsent).map(|(at, _)| at));
     }
 
     /// [`observe`](Periphery::observe) from what moved instead of the
@@ -369,8 +350,7 @@ impl Periphery {
     /// value moved since the previous observation, in any order; naming
     /// one that did not move is harmless. It cannot say what left, so
     /// after a removal — as whenever [`needs_snapshot`] says so — the
-    /// caller observes the whole snapshot instead. Each moved id costs a
-    /// binary search of the mirror, a new one an insertion.
+    /// caller observes the whole snapshot instead. It costs what moved.
     ///
     /// # Panics
     ///
@@ -389,24 +369,7 @@ impl Periphery {
             !self.needs_snapshot(),
             "a FULL or a tenant change needs the whole snapshot"
         );
-        for s in moved {
-            match self.last_sent.binary_search_by_key(&s.id, |m| m.entry.id) {
-                Ok(at) => {
-                    let m = &mut self.last_sent[at];
-                    if m.mark(s, m.entry.tenant) {
-                        self.marked.push(at);
-                    }
-                }
-                Err(at) => {
-                    let next = self.news(s);
-                    for m in self.marked.iter_mut().filter(|m| **m >= at) {
-                        *m += 1;
-                    }
-                    self.marked.push(at);
-                    self.last_sent.insert(at, next);
-                }
-            }
-        }
+        self.diff(moved, false);
         self.flush(tick, stalled, staleness_age);
     }
 
@@ -490,9 +453,7 @@ impl Periphery {
         // Entries ship in id order, encoded straight from the mirror;
         // `marked` lists their positions in the order they were marked.
         self.marked.sort_unstable();
-        let removed: Vec<u32> = std::mem::take(&mut self.pending_removed)
-            .into_iter()
-            .collect();
+        let removed = self.pending_removed.keys().as_slice();
 
         // Chunk into frames of at most `batch_len` entries and as many
         // removals: frame k carries the k-th chunk of each. No id is
@@ -527,15 +488,17 @@ impl Periphery {
                     journal_io_errors: self.journal_io_errors,
                 },
             };
-            let mirror = &self.last_sent;
+            let mirror = self.last_sent.values().as_slice();
             let entries = chunk.iter().map(|&at| &mirror[at].entry);
             let removed = &removed[m.min(first)..m.min(first + batch)];
             let frame = encode_delta_parts(&head, entries, removed);
             self.outbox.push(frame);
             self.seq += 1;
         }
+        self.pending_removed.clear();
+        let mirror = self.last_sent.values_mut().into_slice();
         for &at in &self.marked {
-            self.last_sent[at].unsent = false;
+            mirror[at].unsent = false;
         }
         self.marked.clear();
         if full {

@@ -881,14 +881,15 @@ pub(crate) struct Tail<'a> {
 
 impl<'a> Tail<'a> {
     /// The tail that is exactly `b`: counts that claim more or fewer
-    /// bytes than follow are corruption.
+    /// bytes than follow are corruption, and so is a count past
+    /// [`MAX_BATCH`], which no periphery sends and no checkpoint writes.
     fn decode(b: &'a [u8]) -> Option<Tail<'a>> {
         let mut c = Cur::new(b);
-        let n = c.u32()? as usize;
-        let entries = c.take(n.checked_mul(ENTRY_BYTES)?)?;
-        let m = c.u32()? as usize;
+        let n = c.u32().filter(|n| *n <= MAX_BATCH)? as usize;
+        let entries = c.take(n * ENTRY_BYTES)?;
+        let m = c.u32().filter(|m| *m <= MAX_BATCH)? as usize;
         let removed = c.rest();
-        (removed.len() == m.checked_mul(4)?).then_some(Tail { entries, removed })
+        (removed.len() == m * 4).then_some(Tail { entries, removed })
     }
 
     /// The entries, in order.

@@ -43,14 +43,9 @@ pub struct FaultConfig {
     /// Fleet lag: every periphery frame is delivered this many ticks
     /// late (a lagging host; zero = on time).
     pub lag_ticks: u64,
-    /// Fleet controller crash window: `(crash_tick, downtime_ticks)`.
-    /// The controller is down for the window and a replacement
-    /// warm-restarts from the journal at the first tick past it.
-    pub controller_crash_at: Option<(u64, u64)>,
     /// Replicated-fleet primary kill: `(kill_tick, downtime_ticks)`.
-    /// Unlike [`FaultConfig::controller_crash_at`] there is no
-    /// journal warm-restart — peripheries walk to a hot standby, which
-    /// promotes itself once the primary's lease expires.
+    /// There is no journal warm-restart — peripheries walk to a hot
+    /// standby, which promotes itself once the primary's lease expires.
     pub primary_crash_at: Option<(u64, u64)>,
     /// Lease-stall window: `(first_tick, duration_ticks)` during which
     /// the primary cannot renew its lease (a GC pause / disk hiccup)
@@ -135,11 +130,6 @@ impl FaultPlan {
     /// How many ticks late every fleet frame arrives (a lagging host).
     pub fn frame_lag(&self) -> u64 {
         self.cfg.lag_ticks
-    }
-
-    /// Whether the fleet controller is crashed (down) at `tick`.
-    pub fn controller_crashed(&self, tick: u64) -> bool {
-        in_window(self.cfg.controller_crash_at, tick)
     }
 
     /// Whether the replicated-fleet primary is dead at `tick`.
@@ -313,7 +303,6 @@ mod tests {
         let cfg = FaultConfig {
             partition_at: Some((5, 3)),
             lag_ticks: 2,
-            controller_crash_at: Some((20, 4)),
             ..FaultConfig::default()
         };
         let p = FaultPlan::new(0, cfg);
@@ -322,10 +311,6 @@ mod tests {
         assert!(p.partitioned(7));
         assert!(!p.partitioned(8));
         assert_eq!(p.frame_lag(), 2);
-        assert!(!p.controller_crashed(19));
-        assert!(p.controller_crashed(20));
-        assert!(p.controller_crashed(23));
-        assert!(!p.controller_crashed(24));
         let quiet = FaultPlan::new(0, FaultConfig::quiet());
         assert!(!quiet.partitioned(0));
         assert_eq!(quiet.frame_lag(), 0);

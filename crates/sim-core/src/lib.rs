@@ -8,8 +8,8 @@
 //! the paper).
 //!
 //! The kernel is intentionally small: time arithmetic, a clock, a seeded
-//! RNG, a fault plan, and trace/statistics helpers shared by the
-//! experiment harnesses. All simulations are exactly reproducible for a
+//! RNG, a fault plan, the one id-sorted table ([`IdMap`]), and
+//! trace/statistics helpers shared by the experiment harnesses. All simulations are exactly reproducible for a
 //! given seed — no wall-clock time or OS entropy is consulted anywhere.
 
 #![forbid(unsafe_code)]
@@ -17,6 +17,7 @@
 
 pub mod clock;
 pub mod faults;
+pub mod id_map;
 pub mod rng;
 pub mod series;
 pub mod stats;
@@ -24,6 +25,7 @@ pub mod time;
 
 pub use clock::SimClock;
 pub use faults::{FaultConfig, FaultPlan, FaultStats};
+pub use id_map::IdMap;
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimTime};
