@@ -16,14 +16,26 @@
 //! `UsageLedger::record` of the same few grants is timed over a ledger
 //! of 1 000 groups and one of 100 000, and fails when the larger costs
 //! more than [`MAX_LEDGER_RECORD_GROWTH`] times the smaller.
+//!
+//! A lifecycle call should cost what it changed, too: on a host of
+//! [`LIFECYCLE_N`] running quota'd containers with the view daemon
+//! attached, a launch, a limit update and a terminate each recompute
+//! every namespace's static bounds (the paper's `Ns_Monitor` on a cgroup
+//! change), but tell the daemon only what moved. Their mean cost over
+//! one update-timer step of the same host is gated at
+//! [`MAX_LAUNCH_OVER_FIRING`]; a daemon that re-reads every namespace on
+//! a lifecycle call read 2.6 (2-vCPU VM).
 
 use arv_bench::{best_of, ns_per_call, Report};
 use arv_cfs::{Allocation, CfsSim, GroupDemand, UsageLedger};
 use arv_cgroups::{Bytes, CgroupId, CgroupManager, CgroupSpec, CpuController, MemController};
+use arv_container::{ContainerSpec, SimHost};
 use arv_mem::{MemSim, MemSimConfig};
 use arv_resview::NsMonitor;
 use arv_sim_core::SimDuration;
+use arv_viewd::ViewServer;
 use std::hint::black_box;
+use std::time::Instant;
 
 /// Container populations timed, sparsest first.
 const POPULATIONS: [u32; 3] = [100, 1_000, 10_000];
@@ -52,6 +64,17 @@ const RECORDS_PER_TRIAL: u32 = 20_000;
 /// 2 (deeper binary searches, which miss the cache more often, and
 /// nothing else; ≈3 as tree probes); a walk of every group reads ≈100×.
 const MAX_LEDGER_RECORD_GROWTH: f64 = 10.0;
+
+/// Resident containers on the lifecycle host.
+const LIFECYCLE_N: usize = 4_000;
+/// Rounds of one launch, one limit update and one terminate, each
+/// followed by a step, and one timed step.
+const LIFECYCLE_ROUNDS: u32 = 20;
+/// Ceiling on the mean cost of a lifecycle call over one step of the same
+/// host. A step walks every namespace once (Algorithms 1 and 2) and
+/// mirrors what moved; a call recomputes every namespace's bounds and
+/// mirrors what moved, so the two are of a size.
+const MAX_LAUNCH_OVER_FIRING: f64 = 1.0;
 
 /// A host of `n` containers mid-run: a quarter of them on CPU, all of
 /// them holding memory, free memory above the watermarks.
@@ -94,10 +117,62 @@ fn tick_ns_per_container(n: u32) -> f64 {
         let ns = ns_per_call(firings, || {
             monitor.observe_tick();
             monitor.tick(black_box(&ledger), black_box(&mem));
-            black_box(monitor.take_moved());
+            black_box(monitor.take_changes());
         });
         ns / f64::from(n)
     })
+}
+
+/// Mean nanoseconds of a lifecycle call and of one step, on a
+/// [`LIFECYCLE_N`]-container host with the view daemon attached; the
+/// fastest trial of each counts.
+fn lifecycle_ns() -> (f64, f64) {
+    let mut host = SimHost::new(64, Bytes::from_gib(2048));
+    let spec = |i: usize| {
+        ContainerSpec::new(format!("c{i}"), 4)
+            .cpus(2.0)
+            .memory(Bytes::from_gib(1))
+    };
+    let mut ids: Vec<CgroupId> = (0..LIFECYCLE_N).map(|i| host.launch(&spec(i))).collect();
+    host.attach_viewd(ViewServer::new(host.viewd_host_spec(), 8));
+    let step = |host: &mut SimHost, ids: &[CgroupId]| {
+        let demands: Vec<_> = ids.iter().map(|id| host.demand(*id, 2)).collect();
+        let start = Instant::now();
+        host.step(black_box(&demands));
+        start.elapsed().as_secs_f64() * 1e9
+    };
+    for _ in 0..4 {
+        step(&mut host, &ids);
+    }
+    let mut next = LIFECYCLE_N;
+    let mut trial = || {
+        let (mut calls, mut steps) = (0.0, 0.0);
+        for round in 0..LIFECYCLE_ROUNDS as usize {
+            let start = Instant::now();
+            let id = host.launch(&spec(next));
+            calls += start.elapsed().as_secs_f64() * 1e9;
+            ids.push(id);
+            next += 1;
+            step(&mut host, &ids);
+            let target = ids[round * 97 % ids.len()];
+            let limits = spec(next).cpus(1.0 + (round % 2) as f64);
+            let start = Instant::now();
+            host.update_limits(target, &limits);
+            calls += start.elapsed().as_secs_f64() * 1e9;
+            step(&mut host, &ids);
+            let gone = ids.remove(round * 89 % ids.len());
+            let start = Instant::now();
+            host.terminate(gone);
+            calls += start.elapsed().as_secs_f64() * 1e9;
+            step(&mut host, &ids);
+            steps += step(&mut host, &ids);
+        }
+        let rounds = f64::from(LIFECYCLE_ROUNDS);
+        (calls / (3.0 * rounds), steps / rounds)
+    };
+    let trials: Vec<(f64, f64)> = (0..TRIALS).map(|_| trial()).collect();
+    let best = |pick: fn(&(f64, f64)) -> f64| trials.iter().map(pick).fold(f64::INFINITY, f64::min);
+    (best(|t| t.0), best(|t| t.1))
 }
 
 /// Nanoseconds per `UsageLedger::record` of [`GRANTS`] grants, spread
@@ -126,6 +201,7 @@ fn record_ns(groups: u32) -> f64 {
 fn main() {
     let [sparse, mid, dense] = POPULATIONS.map(tick_ns_per_container);
     let [small_ledger, large_ledger] = LEDGER_GROUPS.map(record_ns);
+    let (call, firing) = lifecycle_ns();
     Report::new("core")
         .value("monitor_tick_ns_per_container_n100", sparse)
         .value("monitor_tick_ns_per_container_n1000", mid)
@@ -143,6 +219,14 @@ fn main() {
             large_ledger / small_ledger,
             MAX_LEDGER_RECORD_GROWTH,
             "UsageLedger::record walks every group, not the grantees",
+        )
+        .value("lifecycle_call_ns_n4000", call)
+        .value("step_ns_n4000", firing)
+        .at_most(
+            "launch_over_firing",
+            call / firing,
+            MAX_LAUNCH_OVER_FIRING,
+            "a lifecycle call re-reads every namespace into the view daemon",
         )
         .finish();
 }

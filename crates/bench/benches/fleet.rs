@@ -321,7 +321,7 @@ fn moved_observe_ns(n: u32) -> f64 {
         ns_per_call(MOVED_OBSERVES, || {
             tick += 1;
             let moved = &lists[tick as usize % lists.len()];
-            p.observe_moved(tick, black_box(moved), false, 0);
+            p.observe_moved(tick, black_box(moved), &[], false, 0);
             black_box(p.take_frames());
         })
     })

@@ -11,8 +11,8 @@ use arv_resview::effective_cpu::EffectiveCpuConfig;
 use arv_resview::effective_mem::EffectiveMemoryConfig;
 use arv_resview::namespace::Pid;
 use arv_resview::{
-    HostView, NsMonitor, RecoverOutcome, Sysconf, Verdict, VirtualSysfs, Watchdog, WatchdogConfig,
-    WatchdogStats,
+    Changes, HostView, NsMonitor, RecoverOutcome, Sysconf, Verdict, VirtualSysfs, Watchdog,
+    WatchdogConfig, WatchdogStats,
 };
 use arv_sim_core::{clock::sched_period, FaultPlan, SimClock, SimDuration, SimTime};
 use arv_telemetry::PipelineEvent;
@@ -73,9 +73,6 @@ pub struct SimHost {
     next_pid: u32,
     update_timer_elapsed: SimDuration,
     viewd: Option<ViewServer>,
-    // The monitor's `recomputes` when the daemon was last brought level
-    // with it (`None` until it first is).
-    viewd_level: Option<u64>,
     pipe: EventPipe,
     watchdog: Watchdog,
     fault_plan: Option<FaultPlan>,
@@ -83,11 +80,11 @@ pub struct SimHost {
     stall_ticks: u64,
     // Remaining update-timer firings whose viewd publish is suppressed.
     delay_publish_ticks: u64,
-    // Views that moved while the daemon's publish was delayed, as the
-    // last firing that moved each left it.
-    viewd_held: IdMap<ViewState>,
-    // The monitor's `recomputes` at the periphery's last observation.
-    periphery_level: u64,
+    // Changes a publish-delay window kept from the daemon.
+    viewd_held: Changes,
+    // Changes lifecycle calls drained since the last healthy firing,
+    // which the journal and the periphery take at the next one.
+    unshipped: Changes,
     /// The daemon's on-disk state file, under the durability ladder.
     journal: Option<DurableJournal>,
     last_restore: Option<RestoreEvent>,
@@ -127,14 +124,13 @@ impl SimHost {
             next_pid: 1000,
             update_timer_elapsed: SimDuration::ZERO,
             viewd: None,
-            viewd_level: None,
             pipe: EventPipe::new(DEFAULT_PIPE_CAPACITY),
             watchdog: Watchdog::new(WatchdogConfig::default()),
             fault_plan: None,
             stall_ticks: 0,
             delay_publish_ticks: 0,
-            viewd_held: IdMap::new(),
-            periphery_level: 0,
+            viewd_held: Changes::new(),
+            unshipped: Changes::new(),
             journal: None,
             last_restore: None,
             periphery: None,
@@ -186,7 +182,7 @@ impl SimHost {
                 init_pid: new_init,
             },
         );
-        self.viewd_publish(&[]);
+        self.drain_changes(false);
         id
     }
 
@@ -205,7 +201,7 @@ impl SimHost {
                     journal.append_remove(id.0).and_then(|()| journal.sync())
                 });
             }
-            self.viewd_publish(&[]);
+            self.drain_changes(false);
         }
     }
 
@@ -215,7 +211,17 @@ impl SimHost {
         self.cgm.update(id, CgroupSpec::new(spec.cpu, spec.mem));
         self.mem.set_limits(id, spec.mem);
         self.pump_events();
-        self.viewd_publish(&[]);
+        self.drain_changes(false);
+    }
+
+    /// Drain what the monitor changed: the daemon takes it now, unless a
+    /// publish-delay window holds it back, and the journal and the
+    /// periphery take it at the next healthy firing.
+    fn drain_changes(&mut self, hold: bool) {
+        let changes = self.monitor.take_changes();
+        self.viewd_publish(&changes, hold);
+        self.unshipped
+            .upsert(&changes, |(id, v)| (*id, *v), |_, _| {});
     }
 
     // --- fault-tolerant event pipeline ---
@@ -378,7 +384,7 @@ impl SimHost {
             self.monitor.resync(&mut self.cgm);
         }
         self.realign();
-        self.viewd_publish(&[]);
+        self.drain_changes(false);
         if let Some(server) = &self.viewd {
             server.note_restore(
                 outcome.map_or(0, |o| o.reconciled as u64),
@@ -403,29 +409,28 @@ impl SimHost {
         self.last_restore.as_ref()
     }
 
-    /// Append this firing's news to the journal: one delta per view in
-    /// `moved` (the views whose value moved since the last firing —
-    /// a quiet tick appends nothing) plus a group-commit sync, or a
-    /// compacted checkpoint when one is due, the only case that needs
-    /// the whole snapshot.
-    fn journal_tick(&mut self, moved: &[ViewState]) {
+    /// Append this firing's news to the journal: one delta per present
+    /// view in the unshipped changes (a quiet tick appends nothing; a
+    /// removal was committed by `terminate`, or is left to the next
+    /// checkpoint) plus a group-commit sync, or a compacted checkpoint
+    /// when one is due, the only case that needs the whole snapshot.
+    fn journal_tick(&mut self) {
         let Some(journal) = self.journal.as_mut() else {
             return;
         };
         let tick = self.monitor.now_tick();
         journal.journal_mut().set_tick(tick);
         let due = journal.due(tick);
-        let snap = due.then(|| self.monitor.snapshot());
-        self.journal_write(due, |journal| {
-            if let Some(snap) = &snap {
-                return journal.checkpoint(snap, tick);
-            }
+        let result = if due {
+            journal.checkpoint(&self.monitor.snapshot(), tick)
+        } else {
             let journal = journal.journal_mut();
-            moved
-                .iter()
+            (self.unshipped.values().flatten())
                 .try_for_each(|e| journal.append_delta(e, tick))
                 .and_then(|()| journal.sync())
-        });
+        };
+        let edge = journal.settle(result, due);
+        self.durability_edge(edge);
     }
 
     /// Issue one store interaction against the journal, if enabled, and
@@ -516,14 +521,18 @@ impl SimHost {
     /// Attach a view-serving daemon. Every container the monitor holds a
     /// namespace for, now or later, is registered with `server`, and its
     /// effective view is mirrored into the daemon's seqlocked cells
-    /// whenever the `sys_namespace` update timer fires and moved it — so
-    /// the daemon's concurrent query threads always answer with the same
-    /// view the simulated kernel holds, while the simulation itself stays
-    /// single-threaded.
+    /// whenever the monitor reports it changed — so the daemon's
+    /// concurrent query threads always answer with the same view the
+    /// simulated kernel holds, while the simulation itself stays
+    /// single-threaded. This is the host's one walk of every namespace
+    /// for the daemon: the whole snapshot goes in as one change list, and
+    /// a cell the monitor has no namespace for as a removal.
     pub fn attach_viewd(&mut self, server: ViewServer) {
+        let mut all: Changes = server.ids().into_iter().map(|id| (id, None)).collect();
+        let views = self.monitor.snapshot().entries;
+        all.upsert(views, |v| (CgroupId(v.id), Some(v)), |_, _| {});
         self.viewd = Some(server);
-        self.viewd_level = None;
-        self.viewd_publish(&[]);
+        self.viewd_publish(&all, false);
     }
 
     /// The attached view daemon, if any.
@@ -532,19 +541,18 @@ impl SimHost {
     }
 
     /// Attach a fleet periphery agent. On every update-timer firing the
-    /// agent marks the views the monitor reports moved and queues DELTA
-    /// frames (FULL first; a heartbeat when nothing moved), which the
-    /// fleet transport drains via [`SimHost::take_fleet_frames`] — the
-    /// same mirroring pattern as
+    /// agent marks the views and removals the monitor reported since the
+    /// last one and queues DELTA frames (FULL first; a heartbeat when
+    /// nothing moved), which the fleet transport drains via
+    /// [`SimHost::take_fleet_frames`] — the same mirroring pattern as
     /// [`SimHost::attach_viewd`], pointed up at the cluster controller
     /// instead of sideways at local query threads. It diffs the whole
-    /// snapshot instead when it must: for a FULL (attach, a resync
-    /// demand, a reconnect), after a tenant change, and on the firing
-    /// after static inputs were recomputed ([`NsMonitor::recomputes`]
-    /// moved), since a container may have left.
+    /// snapshot instead only when it asks to
+    /// ([`Periphery::needs_snapshot`]): for a FULL (attach, a resync
+    /// demand, a reconnect) and after a tenant change.
     pub fn attach_periphery(&mut self, periphery: Periphery) {
         self.periphery = Some(periphery);
-        self.periphery_observe(&[], false);
+        self.periphery_observe(false);
     }
 
     /// The attached fleet periphery, if any.
@@ -580,69 +588,58 @@ impl SimHost {
         }
     }
 
-    /// One periphery observation: of the views that `moved` since the
-    /// last one, or of the whole snapshot when the periphery needs it or
-    /// a container may have left. The durability rung rides along so
-    /// the controller's fleet view carries it.
-    fn periphery_observe(&mut self, moved: &[ViewState], stalled: bool) {
+    /// One periphery observation: of the views and removals the monitor
+    /// reported since the last healthy firing, or of the whole snapshot
+    /// when the periphery asks for it. The durability rung rides along
+    /// so the controller's fleet view carries it.
+    fn periphery_observe(&mut self, stalled: bool) {
         let (lost, io_errors) = (self.durability_lost(), self.journal_io_errors());
         let Some(periphery) = self.periphery.as_mut() else {
             return;
         };
         periphery.set_durability(lost, io_errors);
-        let recomputes = self.monitor.recomputes();
-        if std::mem::replace(&mut self.periphery_level, recomputes) != recomputes
-            || periphery.needs_snapshot()
-        {
+        if periphery.needs_snapshot() {
             periphery.observe(&self.monitor.snapshot(), stalled, 0);
         } else {
-            periphery.observe_moved(self.monitor.now_tick(), moved, stalled, 0);
+            let changes = &self.unshipped;
+            let views: Vec<ViewState> = changes.values().flatten().copied().collect();
+            let gone = changes.iter().filter(|(_, v)| v.is_none());
+            let removed: Vec<u32> = gone.map(|(id, _)| id.0).collect();
+            let tick = self.monitor.now_tick();
+            periphery.observe_moved(tick, &views, &removed, stalled, 0);
         }
     }
 
-    /// Bring the daemon level with the monitor — the one way it changes:
-    /// a firing passes the views it `moved`, a lifecycle call none. If
-    /// the monitor recomputed static inputs and membership since the
-    /// daemon was last level, the cells are matched to its namespaces:
-    /// an id it dropped is unregistered, a missing one registered from
-    /// its namespace, and every fallback and view is re-read. Otherwise
-    /// the daemon mirrors the moved views, and any a publish-delay
-    /// window held over, as values: of an id held more than once the
-    /// last value wins, which is the monitor's. Either way the freshness
-    /// word then takes the monitor's age, so nothing is vouched for as
-    /// newer than the monitor holds it.
-    fn viewd_publish(&mut self, moved: &[ViewState]) {
+    /// Tell the daemon what changed — the one way it changes: the
+    /// monitor's change list, with any a publish-delay window held over
+    /// (of an id listed twice the later entry wins), or, while one
+    /// holds, nothing. A removed id is unregistered; a present one is
+    /// registered from its namespace if the daemon lacks it, and its
+    /// fallback (lower bound, soft limit) and view are set. Nothing else
+    /// is touched. The freshness word then takes the monitor's age, so
+    /// nothing is vouched for as newer than the monitor holds it.
+    fn viewd_publish(&mut self, changes: &Changes, hold: bool) {
         let Some(server) = &self.viewd else { return };
-        let level = Some(self.monitor.recomputes());
-        if std::mem::replace(&mut self.viewd_level, level) != level {
-            for id in server.ids() {
-                if self.monitor.namespace(id).is_none() {
-                    server.unregister(id);
-                }
-            }
-            for ns in self.monitor.namespaces() {
-                let id = ns.id();
-                if server.cell(id).is_none() {
-                    let (bounds, cpu_cfg, e_mem) = ns.cell_parts();
-                    server.register(id, bounds, cpu_cfg, e_mem);
-                }
-                server.set_fallback(id, ns.cpu_bounds().lower, ns.soft_limit());
-                let (cpus, mem, avail) = ns.views();
-                server.mirror(id, cpus, mem, avail);
-            }
-        } else {
-            let held = &mut self.viewd_held;
-            if !held.is_empty() {
-                held.upsert(moved, |v| (CgroupId(v.id), *v), |_, _| {});
-            }
-            let views = if held.is_empty() {
-                moved
-            } else {
-                held.values().as_slice()
+        if hold || !self.viewd_held.is_empty() {
+            self.viewd_held
+                .upsert(changes, |(id, v)| (*id, *v), |_, _| {});
+        }
+        if hold {
+            return;
+        }
+        let held = !self.viewd_held.is_empty();
+        let changes = if held { &self.viewd_held } else { changes };
+        for (id, view) in changes {
+            let (Some(v), Some(ns)) = (view, self.monitor.namespace(*id)) else {
+                server.unregister(*id);
+                continue;
             };
-            for v in views {
-                server.mirror(CgroupId(v.id), v.e_cpu, Bytes(v.e_mem), Bytes(v.e_avail));
-            }
+            let cell = server.cell(*id).unwrap_or_else(|| {
+                let (bounds, cpu_cfg, e_mem) = ns.cell_parts();
+                server.register(*id, bounds, cpu_cfg, e_mem)
+            });
+            cell.set_fallback(ns.cpu_bounds().lower, ns.soft_limit());
+            cell.force_publish(v.e_cpu, Bytes(v.e_mem), Bytes(v.e_avail));
         }
         self.viewd_held.clear();
         server.mark_fresh(self.monitor.now_tick() - self.monitor.fresh_tick());
@@ -725,10 +722,11 @@ impl SimHost {
             self.stall_ticks = self.stall_ticks.saturating_sub(1);
             self.watchdog.note_missed_deadline();
             // The usage window keeps accumulating unread; views and
-            // publishes stay frozen at their last values, so nothing
-            // moved — but the periphery still reports the stall upward
-            // so the fleet controller sees the host degrade in real time.
-            self.periphery_observe(&[], true);
+            // publishes stay frozen at their last values — but the
+            // periphery still reports the stall upward, so the fleet
+            // controller sees the host degrade in real time, with what
+            // lifecycle calls changed before it (kept for the journal).
+            self.periphery_observe(true);
             return;
         }
         // A resync latched while the monitor was stalled runs on the
@@ -739,20 +737,12 @@ impl SimHost {
         self.monitor.tick_window(&self.ledger, &self.mem);
         self.ledger.reset_window();
         self.watchdog.note_deadline_met();
-        // What moved, drained once as values: the journal appends it,
-        // the daemon mirrors it and the periphery marks it.
-        let moved = self.monitor.take_moved();
-        self.journal_tick(&moved);
-        if self.delay_publish_ticks > 0 {
-            self.delay_publish_ticks -= 1;
-            if self.viewd.is_some() {
-                let held = &mut self.viewd_held;
-                held.upsert(&moved, |v| (CgroupId(v.id), *v), |_, _| {});
-            }
-        } else {
-            self.viewd_publish(&moved);
-        }
-        self.periphery_observe(&moved, false);
+        let hold = self.delay_publish_ticks > 0;
+        self.delay_publish_ticks -= u64::from(hold);
+        self.drain_changes(hold);
+        self.journal_tick();
+        self.periphery_observe(false);
+        self.unshipped.clear();
     }
 
     /// Build a CPU-bound demand for a container from its cgroup settings.
@@ -1736,6 +1726,85 @@ mod tests {
         assert_eq!(outcome.dropped, 0, "journal already recorded the remove");
     }
 
+    /// A launch, a limit update and a terminate among 1 000 quota'd
+    /// containers with the daemon attached: each op mirrors at most the
+    /// views its recompute moved, plus the newcomer, and the firing after
+    /// it exactly the views that firing moved — not every container at
+    /// the op and again at the firing.
+    #[test]
+    fn a_lifecycle_op_mirrors_what_it_moved() {
+        const N: usize = 1_000;
+        type Served = BTreeMap<CgroupId, (Triple, u32, Bytes)>;
+        let mut host = SimHost::new(64, Bytes::from_gib(2048));
+        let spec = |i: usize| {
+            ContainerSpec::new(format!("c{i}"), 4)
+                .cpus(2.0)
+                .memory(Bytes::from_gib(1))
+        };
+        let mut ids: Vec<CgroupId> = (0..N).map(|i| host.launch(&spec(i))).collect();
+        let server = ViewServer::new(host.viewd_host_spec(), 4);
+        host.attach_viewd(server.clone());
+        let step = |host: &mut SimHost, ids: &[CgroupId]| {
+            let d: Vec<_> = ids
+                .iter()
+                .step_by(7)
+                .map(|id| host.demand(*id, 2))
+                .collect();
+            host.step(&d);
+        };
+        // Mirror calls into the cells of `ids`, whatever they published.
+        let mirrors = |ids: &[CgroupId]| -> u64 {
+            let cells = ids.iter().filter_map(|id| server.cell(*id));
+            cells.map(|cell| cell.update_count()).sum()
+        };
+        let served = |host: &SimHost| -> Served {
+            let of = |ns: &arv_resview::SysNamespace| {
+                (ns.views(), ns.cpu_bounds().lower, ns.soft_limit())
+            };
+            host.monitor()
+                .namespaces()
+                .map(|ns| (ns.id(), of(ns)))
+                .collect()
+        };
+        // Containers in both whose view or fallback differs.
+        let moved = |a: &Served, b: &Served| -> u64 {
+            a.iter()
+                .filter(|(id, s)| b.get(id).is_some_and(|t| t != *s))
+                .count() as u64
+        };
+        step(&mut host, &ids);
+        for op in ["launch", "update_limits", "terminate"] {
+            let before = served(&host);
+            let (counted, newcomer) = match op {
+                "launch" => {
+                    let counted = mirrors(&ids);
+                    ids.push(host.launch(&spec(N)));
+                    (counted, 1)
+                }
+                "update_limits" => {
+                    let counted = mirrors(&ids);
+                    let smaller = spec(3).cpus(1.0).memory(Bytes::from_mib(512));
+                    host.update_limits(ids[3], &smaller);
+                    (counted, 0)
+                }
+                _ => {
+                    let gone = ids.remove(5);
+                    let counted = mirrors(&ids);
+                    host.terminate(gone);
+                    (counted, 0)
+                }
+            };
+            let grew = mirrors(&ids) - counted;
+            let bound = moved(&before, &served(&host)) + newcomer;
+            assert!(grew <= bound, "{op}: {grew} mirror calls, {bound} changes");
+            let (before, counted) = (served(&host), mirrors(&ids));
+            step(&mut host, &ids);
+            let fired = moved(&before, &served(&host));
+            assert_eq!(mirrors(&ids) - counted, fired, "the firing after {op}");
+        }
+        assert_eq!(server.len(), N);
+    }
+
     /// The test's own account of what the daemon must serve: the tick of
     /// the monitor's views it was last brought level with (on a healthy,
     /// unsuppressed firing or a lifecycle change), and each container's
@@ -2079,8 +2148,9 @@ mod tests {
             /// operation the host's containers, the cgroup manager's
             /// groups, the monitor's namespaces and the daemon's cells
             /// hold the same ids, and for every live container the
-            /// daemon and `host.sysfs()` give the same health and the
-            /// same answer to every `sysconf` key.
+            /// daemon holds the namespace's fallback pair (lower bound,
+            /// soft limit) and gives the same health and the same answer
+            /// to every `sysconf` key as `host.sysfs()`.
             #[test]
             fn every_table_and_both_front_ends_agree_after_each_lifecycle_op(
                 ops in prop::collection::vec((0u8..6, 0u32..64, 0u32..8), 1..60),
@@ -2130,6 +2200,13 @@ mod tests {
                     }
                     let fs = host.sysfs();
                     for id in &live {
+                        let ns = host.monitor().namespace(*id).expect("a live namespace");
+                        let fallback = server.cell(*id).expect("registered").degraded_snapshot();
+                        prop_assert_eq!(
+                            (fallback.cpus, fallback.bytes),
+                            (ns.cpu_bounds().lower, ns.soft_limit()),
+                            "op {} {:?}", step, id
+                        );
                         let caller = Some(*id);
                         prop_assert_eq!(client.health(caller), fs.health(caller), "op {} {:?}", step, id);
                         for key in KEYS {

@@ -64,7 +64,7 @@ pub use effective_cpu::{
 pub use effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
 pub use health::{ViewHealth, STALENESS_BUDGET};
 pub use live::{LiveRegistry, LiveSample, NsCell, ViewSnapshot};
-pub use monitor::{IngestReport, NsMonitor, RecoverOutcome};
+pub use monitor::{Changes, IngestReport, NsMonitor, RecoverOutcome};
 pub use namespace::SysNamespace;
 pub use sysfs::{HostView, Sysconf, VirtualSysfs, PAGE_SIZE};
 pub use watchdog::{Verdict, Watchdog, WatchdogConfig, WatchdogStats};

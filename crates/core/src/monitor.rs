@@ -14,8 +14,10 @@
 //!   scheduler's usage window and the memory manager's observations
 //!   ([`NsMonitor::tick`] reads the last period alone).
 //!
-//! A mirror asks the monitor what to re-read ([`NsMonitor::take_moved`],
-//! [`NsMonitor::recomputes`]) and how old it is ([`NsMonitor::fresh_tick`]).
+//! Either path notes each container whose served state changed, and a
+//! mirror drains the notes as one change list
+//! ([`NsMonitor::take_changes`]): what to re-read, and nothing else. How
+//! old the views are is one word ([`NsMonitor::fresh_tick`]).
 
 use arv_cfs::UsageLedger;
 use arv_cgroups::{Bytes, CgroupEvent, CgroupId, CgroupManager, CpuSet, IdMap, SeqEvent};
@@ -27,6 +29,12 @@ use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PipelineEvent, Trac
 use crate::effective_cpu::{CpuBounds, CpuSample, EffectiveCpuConfig};
 use crate::effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
 use crate::namespace::{Pid, SysNamespace};
+
+/// What changed since the last [`NsMonitor::take_changes`], one entry an
+/// id, in id order: `Some` view, as it stands, for a container created,
+/// whose value triple `(e_cpu, e_mem, e_avail)` moved, or whose fallback
+/// pair (CPU lower bound, soft limit) moved; `None` for one removed.
+pub type Changes = IdMap<Option<ViewState>>;
 
 /// Outcome of one [`NsMonitor::ingest`] round over sequence-numbered
 /// events. A `gap` means at least one event was lost in transit — the
@@ -72,14 +80,9 @@ pub struct NsMonitor {
     cpu_cfg: EffectiveCpuConfig,
     mem_cfg: EffectiveMemoryConfig,
     namespaces: IdMap<SysNamespace>,
-    /// The views a firing moved since the last [`NsMonitor::take_moved`],
-    /// as values, in id order.
-    moved: Vec<ViewState>,
-    /// Static inputs were recomputed since the last drain, so any view
-    /// may have moved: the drain walks every namespace instead.
-    all_moved: bool,
-    /// How many times static inputs and membership were recomputed.
-    recomputes: u64,
+    /// The ids whose served state changed since the last
+    /// [`NsMonitor::take_changes`]; a second note of an id is a no-op.
+    changed: IdMap<()>,
     next_pid: u32,
     now_tick: u64,
     /// Tick of the last healthy firing, which refreshes every namespace.
@@ -106,9 +109,7 @@ impl NsMonitor {
             cpu_cfg,
             mem_cfg,
             namespaces: IdMap::new(),
-            moved: Vec::new(),
-            all_moved: false,
-            recomputes: 0,
+            changed: IdMap::new(),
             next_pid: 1,
             now_tick: 0,
             fresh_tick: 0,
@@ -166,22 +167,26 @@ impl NsMonitor {
         self.namespaces.is_empty()
     }
 
-    /// Drain the moved views: each live container whose value triple
-    /// `(e_cpu, e_mem, e_avail)` moved since the previous call, once, in
-    /// id order, as it stands now (the entry [`snapshot`] would hold).
-    /// A timer firing records exactly the views it changed; anything
-    /// that recomputes static inputs (cgroup events, resync, recover)
-    /// names every container, since any clamp may have moved, and so
-    /// does a second firing before the drain. Consumers that persist or
-    /// ship views act on these and skip the rest.
+    /// Drain the change list: each container whose served state changed
+    /// since the previous call, once, in id order — created, moved by a
+    /// firing or a static recompute, or removed — a present one as it
+    /// stands now (the entry [`snapshot`] would hold). Calls in between
+    /// fold into one list: an id is named once, as it ends up. Consumers
+    /// that mirror, persist or ship views act on these and skip the rest.
     ///
     /// [`snapshot`]: NsMonitor::snapshot
-    pub fn take_moved(&mut self) -> Vec<ViewState> {
-        if std::mem::take(&mut self.all_moved) {
-            self.moved.clear();
-            return self.snapshot().entries;
-        }
-        std::mem::take(&mut self.moved)
+    pub fn take_changes(&mut self) -> Changes {
+        let (views, fresh) = (self.namespaces.values().as_slice(), self.fresh_tick);
+        let mut at = 0;
+        let changes: Changes = (self.changed.keys())
+            .map(|id| {
+                let slot = self.namespaces.seek(at, *id);
+                at = slot.map_or_else(|i| i, |i| i + 1);
+                (*id, slot.ok().map(|i| view_state(&views[i], fresh)))
+            })
+            .collect();
+        self.changed.clear();
+        changes
     }
 
     /// The monitor's notion of "now", in update-timer firings.
@@ -193,14 +198,6 @@ impl NsMonitor {
     /// namespace's views are that old. A stalled monitor stalls them all.
     pub fn fresh_tick(&self) -> u64 {
         self.fresh_tick
-    }
-
-    /// How many times static inputs and membership were recomputed
-    /// (cgroup events, a resync, a warm restart). A mirror that finds the
-    /// count moved since it last looked re-reads every namespace; one
-    /// that finds it where it left it needs only the moved views.
-    pub fn recomputes(&self) -> u64 {
-        self.recomputes
     }
 
     /// Advance the monitor's clock by one update-timer firing.
@@ -253,6 +250,7 @@ impl NsMonitor {
                 CgroupEvent::Created(id) => self.create_namespace(id, cgm),
                 CgroupEvent::Removed(id) => {
                     if self.namespaces.remove(&id).is_some() {
+                        self.changed.insert(id, ());
                         self.tracer.emit_pipeline(
                             self.now_tick,
                             Some(id),
@@ -338,9 +336,12 @@ impl NsMonitor {
                 out.dropped += 1;
                 continue;
             };
-            let cpu_before = ns.effective_cpu();
-            let mem_before = ns.effective_memory();
+            let (before, cpu_before, mem_before) =
+                (ns.views(), ns.effective_cpu(), ns.effective_memory());
             let (cpu_after, mem_after) = ns.restore_views(entry.e_cpu, Bytes(entry.e_mem));
+            if ns.views() != before {
+                self.changed.insert(id, ());
+            }
             out.restored += 1;
             let clamped = cpu_after != entry.e_cpu || mem_after != Bytes(entry.e_mem);
             if clamped {
@@ -402,9 +403,9 @@ impl NsMonitor {
     /// It resumes the old clock — the update timer's cadence is
     /// host-side and survives the daemon, and restarting at zero would
     /// make every served view look impossibly fresh — so what it then
-    /// builds or restores is current as of that tick. It resumes the
-    /// [`recomputes`](NsMonitor::recomputes) count too, so a mirror
-    /// reads its rebuild as one.
+    /// builds or restores is current as of that tick. Every id the old
+    /// one held or had yet to report starts its change list, so the
+    /// first drain names each as rebuilt or gone.
     pub fn restarted(&self) -> NsMonitor {
         let mut next = NsMonitor::new(
             self.online,
@@ -416,7 +417,8 @@ impl NsMonitor {
         next.tracer = self.tracer.clone();
         next.now_tick = self.now_tick;
         next.fresh_tick = self.now_tick;
-        next.recomputes = self.recomputes;
+        let ids = self.changed.keys().chain(self.namespaces.keys());
+        next.changed = ids.map(|id| (*id, ())).collect();
         next
     }
 
@@ -426,11 +428,11 @@ impl NsMonitor {
     /// recomputed under `cause`.
     fn rebuild(&mut self, cgm: &mut CgroupManager, cause: DecisionCause) {
         let _ = cgm.drain_events();
-        let tracer = self.tracer.clone();
-        let now = self.now_tick;
+        let (tracer, changed, now) = (&self.tracer, &mut self.changed, self.now_tick);
         self.namespaces.retain(|id, _| {
             let keep = cgm.contains(*id);
             if !keep {
+                changed.insert(*id, ());
                 tracer.emit_pipeline(now, Some(*id), PipelineEvent::ContainerRemoved);
             }
             keep
@@ -462,20 +464,20 @@ impl NsMonitor {
         self.next_pid += 1;
         let ns = SysNamespace::new(id, owner, bounds, self.cpu_cfg, e_mem);
         self.namespaces.insert(id, ns);
+        self.changed.insert(id, ());
         self.tracer
             .emit_pipeline(self.now_tick, Some(id), PipelineEvent::ContainerCreated);
     }
 
     /// Refresh every namespace's static inputs, emitting a provenance
     /// record (with `cause`: static refresh vs. watchdog resync) for
-    /// each view the clamp actually moved.
+    /// each view the clamp actually moved, and noting each container
+    /// whose view or fallback did.
     fn recompute_all(&mut self, cgm: &CgroupManager, cause: DecisionCause) {
         let total_shares = cgm.total_shares();
-        self.recomputes += 1;
-        self.all_moved = true;
-        self.moved.clear();
         for (id, ns) in self.namespaces.iter_mut() {
             if let Some(spec) = cgm.get(*id) {
+                let before = served(ns);
                 let cpu_before = ns.effective_cpu();
                 let mem_before = ns.effective_memory();
                 ns.set_cpu_bounds(CpuBounds::compute(&spec.cpu, total_shares, self.online));
@@ -483,6 +485,9 @@ impl NsMonitor {
                     spec.mem.soft_limit_or(self.host_total),
                     spec.mem.hard_limit_or(self.host_total),
                 );
+                if served(ns) != before {
+                    self.changed.insert(*id, ());
+                }
                 let cpu_after = ns.effective_cpu();
                 let mem_after = ns.effective_memory();
                 if cpu_after != cpu_before {
@@ -537,7 +542,7 @@ impl NsMonitor {
     /// and the memory manager's id-sorted arrays, merged (`seek`) beside
     /// the namespaces' own array — no per-namespace lookup and no tree
     /// to chase, so the firing costs the same per container at any
-    /// population. Each namespace whose value triple moved is recorded
+    /// population. Each namespace whose value triple moved is noted
     /// while the loop holds it; freshness is one store.
     fn fire(
         &mut self,
@@ -553,13 +558,6 @@ impl NsMonitor {
         let (mut mem_usage, free, reclaiming) =
             (mem.usages().peekable(), mem.free(), mem.is_reclaiming());
         self.fresh_tick = self.now_tick;
-        // An undrained list would name an id twice: fold it into
-        // "everything moved", which the drain reads once.
-        if !self.moved.is_empty() {
-            self.all_moved = true;
-            self.moved.clear();
-        }
-        let record = !self.all_moved;
         for (id, ns) in self.namespaces.iter_mut() {
             let before = ns.views();
             let cpu_d = ns.update_cpu_explained(CpuSample {
@@ -578,8 +576,8 @@ impl NsMonitor {
             if let Some(d) = mem_d {
                 self.tracer.emit_mem(self.now_tick, *id, d);
             }
-            if record && ns.views() != before {
-                self.moved.push(view_state(ns, self.fresh_tick));
+            if ns.views() != before {
+                self.changed.insert(*id, ());
             }
         }
     }
@@ -596,6 +594,12 @@ fn view_state(ns: &SysNamespace, fresh: u64) -> ViewState {
         e_avail: e_avail.as_u64(),
         last_tick: fresh,
     }
+}
+
+/// What a mirror serves of `ns`: its value triple and its fallback pair
+/// (the CPU lower bound, the soft limit).
+fn served(ns: &SysNamespace) -> ((u32, Bytes, Bytes), u32, Bytes) {
+    (ns.views(), ns.cpu_bounds().lower, ns.soft_limit())
 }
 
 /// Advance an id-ordered stream to `id`; its value there, if it has one.
@@ -1187,48 +1191,91 @@ mod tests {
     mod moved_props {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        type Served = BTreeMap<CgroupId, ((u32, Bytes, Bytes), u32, Bytes)>;
+
+        fn served_by(mon: &NsMonitor) -> Served {
+            mon.namespaces().map(|ns| (ns.id(), served(ns))).collect()
+        }
+
+        /// Run `change` on `mon`, and name each id it created, removed, or
+        /// whose value triple or fallback pair it moved.
+        fn noting(
+            mon: &mut NsMonitor,
+            named: &mut BTreeSet<CgroupId>,
+            change: impl FnOnce(&mut NsMonitor),
+        ) {
+            let before = served_by(mon);
+            change(mon);
+            let after = served_by(mon);
+            let ids = before.keys().chain(after.keys());
+            named.extend(ids.filter(|id| before.get(id) != after.get(id)));
+        }
 
         proptest! {
-            /// After a firing the moved list is exactly the entries of
-            /// the snapshot after it whose value triple differs from the
-            /// snapshot before it — no view that moved is missed, none
-            /// that stood still is named, and each carries its current
-            /// value and stamp. A static refresh names every view. Two
-            /// firings before one drain may name more, never fewer, and
-            /// each still once, as it stands.
+            /// Cgroup creates, removes and limit updates, interleaved with
+            /// firings: each drain names exactly the ids created, removed,
+            /// or whose value triple or fallback pair moved since the one
+            /// before, once each, in id order — a present one as the
+            /// snapshot holds it now — and two rounds before a drain give
+            /// exactly the union of their changes.
             #[test]
             fn moved_list_is_exactly_the_views_that_moved(
                 seed in 0u64..1 << 32,
-                ticks in 1usize..60,
+                rounds in prop::collection::vec((0u8..6, 0u32..64), 1..60),
                 twice in 0usize..60
             ) {
                 let (mut wave, mut mon) = Wave::new(seed);
-                prop_assert_eq!(mon.take_moved(), mon.snapshot().entries);
-                for tick in 0..ticks {
-                    let before = mon.snapshot();
-                    for _ in 0..1 + usize::from(tick == twice) {
-                        wave.step();
-                        mon.observe_tick();
-                        mon.tick(&wave.ledger, &wave.mem);
+                let ghost = CgroupId(wave.ids[0].0 - 1);
+                let mut want: Vec<_> = mon.snapshot().entries.iter().map(|v| (CgroupId(v.id), Some(*v))).collect();
+                want.insert(0, (ghost, None));
+                prop_assert_eq!(mon.take_changes().iter().map(|(id, v)| (*id, *v)).collect::<Vec<_>>(), want);
+                let mut extra: Vec<CgroupId> = Vec::new();
+                for (round, (op, pick)) in rounds.into_iter().enumerate() {
+                    let mut named = BTreeSet::new();
+                    for _ in 0..1 + usize::from(round == twice) {
+                        let spec = CgroupSpec::new(
+                            CpuController::unlimited(20)
+                                .with_quota_cpus(f64::from(1 + pick % 8))
+                                .with_shares(256 * u64::from(1 + pick % 5)),
+                            MemController::unlimited()
+                                .with_soft_limit(Bytes::from_mib(32 + 16 * u64::from(pick % 4)))
+                                .with_hard_limit(Bytes::from_mib(96 + 32 * u64::from(pick % 3))),
+                        );
+                        let w = &mut wave;
+                        noting(&mut mon, &mut named, |mon| {
+                            match op {
+                                0 => {
+                                    let id = w.cgm.create(spec);
+                                    w.mem.register(id, spec.mem);
+                                    extra.push(id);
+                                }
+                                1 if !extra.is_empty() => {
+                                    let id = extra.remove(pick as usize % extra.len());
+                                    w.cgm.remove(id);
+                                    w.mem.unregister(id);
+                                }
+                                2 => {
+                                    let live: Vec<CgroupId> = w.ids[1..].iter().chain(&extra).copied().collect();
+                                    let id = live[pick as usize % live.len()];
+                                    w.cgm.update(id, spec);
+                                    w.mem.set_limits(id, spec.mem);
+                                }
+                                _ => {}
+                            }
+                            mon.sync(&mut w.cgm);
+                        });
+                        noting(&mut mon, &mut named, |mon| {
+                            wave.step();
+                            mon.observe_tick();
+                            mon.tick(&wave.ledger, &wave.mem);
+                        });
                     }
-                    let after = mon.snapshot();
-                    let moved: Vec<ViewState> = before
-                        .entries
-                        .iter()
-                        .zip(&after.entries)
-                        .filter(|(b, a)| {
-                            (b.e_cpu, b.e_mem, b.e_avail) != (a.e_cpu, a.e_mem, a.e_avail)
-                        })
-                        .map(|(_, a)| *a)
-                        .collect();
-                    let drained = mon.take_moved();
-                    if tick == twice {
-                        prop_assert!(drained.windows(2).all(|w| w[0].id < w[1].id));
-                        prop_assert!(drained.iter().all(|v| after.get(v.id) == Some(v)));
-                        prop_assert!(moved.iter().all(|v| drained.contains(v)));
-                    } else {
-                        prop_assert_eq!(drained, moved);
-                    }
+                    let now = mon.snapshot();
+                    let want: Vec<_> = named.iter().map(|id| (*id, now.get(id.0).copied())).collect();
+                    let drained = mon.take_changes();
+                    prop_assert_eq!(drained.iter().map(|(id, v)| (*id, *v)).collect::<Vec<_>>(), want);
                 }
             }
         }

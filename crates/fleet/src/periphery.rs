@@ -8,12 +8,13 @@
 //! (an [`IdMap`]) and one flush: [`Periphery::observe`] walks a whole
 //! [`arv_persist::Snapshot`] (the one the journal checkpoints), writing
 //! only what moved and reshaping the mirror only when ids came or went;
-//! [`Periphery::observe_moved`] takes only the views that moved (the
-//! list `NsMonitor::take_moved` drains) and costs what moved. The
-//! flush encodes each frame straight from the mirror. The first frame
-//! after attach (and after any controller-requested resync or
-//! reconnect) is a FULL snapshot, and a removal or a tenant change also
-//! needs the whole snapshot; everything else is incremental.
+//! [`Periphery::observe_moved`] takes only the views that moved and the
+//! ids that left (the change list `NsMonitor::take_changes` drains) and
+//! costs what changed. The flush encodes each frame straight from the
+//! mirror. The first frame after attach (and after any
+//! controller-requested resync or reconnect) is a FULL snapshot, and a
+//! tenant change also needs the whole snapshot; everything else is
+//! incremental.
 //!
 //! A view is news iff its value (`tenant`, `e_cpu`, `e_mem`, `e_avail`)
 //! moved, and an entry carries that value alone: a snapshot's
@@ -271,27 +272,32 @@ impl Periphery {
         // state.
         let in_order = snap.entries.windows(2).all(|w| w[0].id < w[1].id);
         if in_order {
-            self.diff(&snap.entries, true);
+            self.diff(&snap.entries, None);
         } else {
             // Never trusted: collected into a table, where of an id that
             // repeats the last occurrence wins.
             let sorted: IdMap<u32, ViewState> = snap.entries.iter().map(|s| (s.id, *s)).collect();
-            self.diff(sorted.values().as_slice(), true);
+            self.diff(sorted.values().as_slice(), None);
         }
         self.flush(snap.tick, stalled, staleness_age);
     }
 
     /// One walk of the mirror against `views`, each id of a whole
     /// snapshot [`seek`](IdMap::seek)ed from where the previous one
-    /// landed. An
-    /// unchanged entry is not written; a moved one is overwritten in
-    /// place by the mark rule ([`Mirrored::mark`]), and new ids are
-    /// gathered. When `views` is the `whole` snapshot, in id order, the
-    /// mirrored ids it does not hold are gone. Only when ids came or went
-    /// is the mirror reshaped.
-    fn diff(&mut self, views: &[ViewState], whole: bool) {
-        let tenants_moved = std::mem::take(&mut self.tenants_moved);
-        let (mut fresh, mut found, mut at) = (Vec::new(), 0, 0);
+    /// landed. An unchanged entry is not written; a moved one is
+    /// overwritten in place by the mark rule ([`Mirrored::mark`]), and
+    /// new ids are gathered. The ids that left are `removed` (in id
+    /// order), or, when that is `None`, the mirrored ids `views` — then
+    /// the whole snapshot, in id order — does not hold. Only when ids
+    /// came or went is the mirror reshaped, in one pass: the gone are
+    /// dropped (their tenant records go, their removals are pending),
+    /// the new admitted by one merge, and the unsent positions listed
+    /// anew.
+    fn diff(&mut self, views: &[ViewState], removed: Option<&[u32]>) {
+        let (tenants_moved, whole) = (std::mem::take(&mut self.tenants_moved), removed.is_none());
+        // Into an empty mirror (a FULL) every id is new: one allocation.
+        let room = views.len() * usize::from(self.last_sent.is_empty());
+        let (mut fresh, mut found, mut at) = (Vec::with_capacity(room), 0, 0);
         for s in views {
             // A whole snapshot lands slot after slot; a moved list is
             // sparse, so each of its ids is binary-searched instead.
@@ -315,42 +321,40 @@ impl Periphery {
                 }
             }
         }
-        let live = (whole && found < self.last_sent.len()).then_some(views);
-        if live.is_some() || !fresh.is_empty() {
-            self.reshape(live, fresh);
+        let gone = removed.map_or(found < self.last_sent.len(), |ids| !ids.is_empty());
+        if !gone && fresh.is_empty() {
+            return;
         }
-    }
-
-    /// The mirror's one reshaping pass: drop the mirrored ids `live`
-    /// (the whole snapshot, if ids went) lacks — their tenant records go
-    /// and their removals are pending — admit `fresh` (new ids, in any
-    /// order, of a repeated id the last wins) in one merge, and list the
-    /// unsent positions anew.
-    fn reshape(&mut self, live: Option<&[ViewState]>, fresh: Vec<Mirrored>) {
-        if let Some(live) = live {
-            let (tenants, removed) = (&mut self.tenants, &mut self.pending_removed);
+        if gone {
+            let (tenants, pending) = (&mut self.tenants, &mut self.pending_removed);
             self.last_sent.retain(|id, _| {
-                let kept = live.binary_search_by_key(id, |s| s.id).is_ok();
-                if !kept {
+                let left = removed.map_or_else(
+                    || views.binary_search_by_key(id, |s| s.id).is_err(),
+                    |ids| ids.binary_search(id).is_ok(),
+                );
+                if left {
                     tenants.remove(id);
-                    removed.insert(*id, ());
+                    pending.insert(*id, ());
                 }
-                kept
+                !left
             });
         }
+        // At most the listed and the new are unsent: one allocation.
+        let most = self.marked.len() + fresh.len();
         self.last_sent.upsert(fresh, |m| (m.entry.id, m), |_, _| {});
         self.marked.clear();
+        self.marked.reserve(most);
         let unsent = self.last_sent.values().enumerate();
         self.marked
             .extend(unsent.filter(|(_, m)| m.unsent).map(|(at, _)| at));
     }
 
-    /// [`observe`](Periphery::observe) from what moved instead of the
-    /// whole snapshot: `moved` holds, as of `tick`, every container whose
-    /// value moved since the previous observation, in any order; naming
-    /// one that did not move is harmless. It cannot say what left, so
-    /// after a removal — as whenever [`needs_snapshot`] says so — the
-    /// caller observes the whole snapshot instead. It costs what moved.
+    /// [`observe`](Periphery::observe) from what changed instead of the
+    /// whole snapshot: as of `tick`, `moved` holds every container whose
+    /// value moved since the previous observation, in any order (naming
+    /// one that did not move is harmless), and `removed`, in id order,
+    /// every one that left (naming one never shipped is harmless). It
+    /// costs what moved, and a removal one pass over the mirror.
     ///
     /// # Panics
     ///
@@ -362,6 +366,7 @@ impl Periphery {
         &mut self,
         tick: u64,
         moved: &[ViewState],
+        removed: &[u32],
         stalled: bool,
         staleness_age: u64,
     ) {
@@ -369,7 +374,7 @@ impl Periphery {
             !self.needs_snapshot(),
             "a FULL or a tenant change needs the whole snapshot"
         );
-        self.diff(moved, false);
+        self.diff(moved, Some(removed));
         self.flush(tick, stalled, staleness_age);
     }
 
@@ -559,9 +564,7 @@ impl Periphery {
     /// them at the next observation.
     pub fn on_reconnect(&mut self) {
         self.said_hello = false;
-        if !self.pending_full {
-            self.pending_full = true;
-        }
+        self.pending_full = true;
         self.stats.failovers += 1;
     }
 }
@@ -1067,8 +1070,8 @@ mod tests {
             // replaced, byte for byte. So does a
             // third periphery fed only what moved between consecutive
             // snapshots — padded with ids that did not move, up to every
-            // one, as a static refresh names them — whenever it needs no
-            // whole snapshot and nothing left.
+            // one — and the ids that left, whenever it needs no whole
+            // snapshot.
             #[test]
             fn merge_walk_equals_the_hashmap_diff(
                 steps in prop::collection::vec(
@@ -1159,8 +1162,8 @@ mod tests {
                     }
                     new.observe(&s, stalled, age);
                     old.observe(&s, stalled, age);
-                    let left = last.keys().any(|id| !by_id.contains_key(id));
-                    if moved.needs_snapshot() || left {
+                    let left: Vec<u32> = last.keys().filter(|id| !by_id.contains_key(id)).copied().collect();
+                    if moved.needs_snapshot() {
                         moved.observe(&s, stalled, age);
                     } else {
                         let list: Vec<ViewState> = s
@@ -1174,7 +1177,7 @@ mod tests {
                             })
                             .map(|(_, e)| *e)
                             .collect();
-                        moved.observe_moved(tick, &list, stalled, age);
+                        moved.observe_moved(tick, &list, &left, stalled, age);
                     }
                     last = by_id;
                     let frames = old.take_frames();

@@ -220,9 +220,9 @@ fn observing_an_unchanged_snapshot_allocates_only_its_heartbeat() {
     assert_eq!(at_the_same_tick, 0);
     // Told that nothing moved, the periphery costs the same: the
     // heartbeat's bytes at a new tick, nothing at the same one.
-    let (moved_at_a_new_tick, ()) = allocations(|| p.observe_moved(5, &[], false, 0));
+    let (moved_at_a_new_tick, ()) = allocations(|| p.observe_moved(5, &[], &[], false, 0));
     assert_eq!(moved_at_a_new_tick, 1, "the heartbeat frame's bytes");
-    let (moved_at_the_same_tick, ()) = allocations(|| p.observe_moved(5, &[], false, 0));
+    let (moved_at_the_same_tick, ()) = allocations(|| p.observe_moved(5, &[], &[], false, 0));
     assert_eq!(moved_at_the_same_tick, 0);
     assert_eq!(p.take_frames().len(), 4, "one heartbeat a tick");
     assert_eq!(p.stats().entries, 1000, "nothing shipped after the FULL");

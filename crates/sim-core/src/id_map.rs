@@ -5,9 +5,9 @@
 //!
 //! - on a host: the monitor's namespaces, the CPU ledger's and the
 //!   memory manager's groups (the update timer walks the three in
-//!   lockstep), the cgroup manager's groups, the cgroup tree's nodes, a
-//!   period's `Allocation::granted`, and `SimHost`'s containers and
-//!   publish-delay holdover;
+//!   lockstep), the monitor's change list, the cgroup manager's groups,
+//!   the cgroup tree's nodes, a period's `Allocation::granted`, and
+//!   `SimHost`'s containers and pending change lists;
 //! - in the fleet controller: a shard's hosts, its per-tenant totals,
 //!   each host's containers and the REPL stream's heard hosts;
 //! - in the fleet periphery: the shipped-state mirror, the tenant
@@ -65,7 +65,10 @@ impl<K: Copy + Ord, V> IdMap<K, V> {
     /// [`seek`](IdMap::seek) from past the last slot, which is a binary
     /// search, or none for a key past the last one.
     fn find(&self, key: K) -> Result<usize, usize> {
-        self.seek(self.keys.len(), key)
+        match self.keys.last() {
+            Some(last) if *last >= key => self.seek(self.keys.len(), key),
+            _ => Err(self.keys.len()),
+        }
     }
 
     /// Where `key` is (`Ok`) or would be inserted (`Err`), searched from
