@@ -25,13 +25,21 @@
 //! one update-timer step of the same host is gated at
 //! [`MAX_LAUNCH_OVER_FIRING`]; a daemon that re-reads every namespace on
 //! a lifecycle call read 2.6 (2-vCPU VM).
+//!
+//! And a firing should pay once per view it moved, whatever the host
+//! holds: with the view daemon, the journal and the periphery attached,
+//! the cost of one more moved view in a step (drained, published,
+//! journaled and diffed) is timed on a host of 1 000 and one of 10 000
+//! containers, and fails when the larger costs more than
+//! [`MAX_MOVED_PUBLISH_GROWTH`] times the smaller.
 
-use arv_bench::{best_of, ns_per_call, Report};
+use arv_bench::{best_of, median, ns_per_call, Report};
 use arv_cfs::{Allocation, CfsSim, GroupDemand, UsageLedger};
 use arv_cgroups::{Bytes, CgroupId, CgroupManager, CgroupSpec, CpuController, MemController};
 use arv_container::{ContainerSpec, SimHost};
+use arv_fleet::Periphery;
 use arv_mem::{MemSim, MemSimConfig};
-use arv_resview::NsMonitor;
+use arv_resview::{Changes, NsMonitor};
 use arv_sim_core::SimDuration;
 use arv_viewd::ViewServer;
 use std::hint::black_box;
@@ -76,6 +84,28 @@ const LIFECYCLE_ROUNDS: u32 = 20;
 /// mirrors what moved, so the two are of a size.
 const MAX_LAUNCH_OVER_FIRING: f64 = 1.0;
 
+/// Hosts the moved-view cost is timed on, smaller first.
+const MOVED_HOSTS: [usize; 2] = [1_000, 10_000];
+/// Views a step moves: a few, and many.
+const MOVED_FEW: usize = 5;
+const MOVED_MANY: usize = 500;
+/// Pairs of steps, one moving each count, per host.
+const MOVED_PAIRS: u32 = 400;
+/// How far the movers' window shifts from one step to the next (a
+/// prime, so it visits every container of either host).
+const MOVED_SHIFT: usize = 1_009;
+/// Checkpoint cadence of the moved-view host's journal, in ticks.
+const MOVED_CHECKPOINT_EVERY: u64 = 64;
+/// Ceiling on the cost of one moved view on the larger host over the
+/// smaller. The movers are every other container of a window, on both
+/// hosts, so the two differ in the host's size and nothing else: each
+/// consumer's walk seeks a moved id from the last one, and what is
+/// left is the larger host's cache misses (1.05–1.3 on a 2-vCPU VM).
+/// A walk of every view per moved one blows through it. Spread evenly
+/// over the host instead, the movers of the larger one sit ten times
+/// farther apart and read 1.3–1.9: their lines miss the cache.
+const MAX_MOVED_PUBLISH_GROWTH: f64 = 1.5;
+
 /// A host of `n` containers mid-run: a quarter of them on CPU, all of
 /// them holding memory, free memory above the watermarks.
 fn host(n: u32) -> (NsMonitor, UsageLedger, MemSim) {
@@ -113,11 +143,13 @@ fn host(n: u32) -> (NsMonitor, UsageLedger, MemSim) {
 fn tick_ns_per_container(n: u32) -> f64 {
     let (mut monitor, ledger, mem) = host(n);
     let firings = (UPDATES_PER_TRIAL / n).max(1);
+    let mut changes = Changes::new();
     best_of(TRIALS, || {
         let ns = ns_per_call(firings, || {
             monitor.observe_tick();
             monitor.tick(black_box(&ledger), black_box(&mem));
-            black_box(monitor.take_changes());
+            monitor.take_changes(&mut changes);
+            black_box(&changes);
         });
         ns / f64::from(n)
     })
@@ -175,6 +207,68 @@ fn lifecycle_ns() -> (f64, f64) {
     (best(|t| t.0), best(|t| t.1))
 }
 
+/// Nanoseconds one more moved view adds to a step of a host of `n` idle
+/// containers with the view daemon, a journal and a periphery attached:
+/// the median over [`MOVED_PAIRS`] of a step whose firing moves
+/// [`MOVED_MANY`] views less the step before it, which moves
+/// [`MOVED_FEW`], over the difference. A view moves by a 1 MiB charge
+/// or uncharge (its available memory); the movers are every other
+/// container from a start that shifts by [`MOVED_SHIFT`] each step, and
+/// the frames are drained between steps.
+fn moved_publish_ns(n: usize) -> f64 {
+    let mut host = SimHost::new(64, Bytes::from_gib(2 * n as u64));
+    let spec = |i: usize| {
+        ContainerSpec::new(format!("c{i}"), 4)
+            .cpus(2.0)
+            .memory_reservation(Bytes::from_mib(512))
+            .memory(Bytes::from_gib(1))
+    };
+    let ids: Vec<CgroupId> = (0..n).map(|i| host.launch(&spec(i))).collect();
+    host.attach_viewd(ViewServer::new(host.viewd_host_spec(), 8));
+    host.enable_journal(MOVED_CHECKPOINT_EVERY);
+    host.attach_periphery(Periphery::new(1));
+    for id in &ids {
+        assert!(host.charge(*id, Bytes::from_mib(64)).is_ok());
+    }
+    // Whether each container holds its extra MiB: a mover gives it back
+    // or takes it, so usage stays where it started.
+    let (mut round, mut holds) = (0, vec![false; n]);
+    let mut step = |host: &mut SimHost, moved: usize| {
+        round += 1;
+        for j in 0..moved {
+            let c = (round * MOVED_SHIFT + 2 * j) % n;
+            if holds[c] {
+                host.uncharge(ids[c], Bytes::from_mib(1));
+            } else {
+                assert!(host.charge(ids[c], Bytes::from_mib(1)).is_ok());
+            }
+            holds[c] = !holds[c];
+        }
+        let shipped = |host: &SimHost| host.periphery().map_or(0, |p| p.stats().entries);
+        let before = shipped(host);
+        let start = Instant::now();
+        host.step(black_box(&[]));
+        let ns = start.elapsed().as_secs_f64() * 1e9;
+        black_box(host.take_fleet_frames());
+        (ns, shipped(host) - before)
+    };
+    for _ in 0..MOVED_CHECKPOINT_EVERY {
+        step(&mut host, MOVED_MANY);
+    }
+    let extra: Vec<f64> = (0..MOVED_PAIRS)
+        .map(|_| {
+            let (few, few_moved) = step(&mut host, MOVED_FEW);
+            let (many, many_moved) = step(&mut host, MOVED_MANY);
+            assert_eq!(
+                (few_moved, many_moved),
+                (MOVED_FEW as u64, MOVED_MANY as u64)
+            );
+            many - few
+        })
+        .collect();
+    median(extra) / (MOVED_MANY - MOVED_FEW) as f64
+}
+
 /// Nanoseconds per `UsageLedger::record` of [`GRANTS`] grants, spread
 /// over and rotating through a ledger that has seen `groups` groups.
 fn record_ns(groups: u32) -> f64 {
@@ -202,6 +296,7 @@ fn main() {
     let [sparse, mid, dense] = POPULATIONS.map(tick_ns_per_container);
     let [small_ledger, large_ledger] = LEDGER_GROUPS.map(record_ns);
     let (call, firing) = lifecycle_ns();
+    let [moved_small, moved_large] = MOVED_HOSTS.map(moved_publish_ns);
     Report::new("core")
         .value("monitor_tick_ns_per_container_n100", sparse)
         .value("monitor_tick_ns_per_container_n1000", mid)
@@ -227,6 +322,14 @@ fn main() {
             call / firing,
             MAX_LAUNCH_OVER_FIRING,
             "a lifecycle call re-reads every namespace into the view daemon",
+        )
+        .value("moved_publish_ns_n1000", moved_small)
+        .value("moved_publish_ns_n10000", moved_large)
+        .at_most(
+            "moved_publish_growth",
+            moved_large / moved_small,
+            MAX_MOVED_PUBLISH_GROWTH,
+            "a moved view costs more on a larger host: its drain or publish walks or looks up by the host's size",
         )
         .finish();
 }

@@ -6,17 +6,18 @@ use arv_cgroups::{
 };
 use arv_fleet::Periphery;
 use arv_mem::{ChargeOutcome, MemSim, MemSimConfig};
-use arv_persist::{DurableJournal, Edge, RestoreReport, Store, ViewState};
+use arv_persist::{DurableJournal, Edge, RestoreReport, Store};
 use arv_resview::effective_cpu::EffectiveCpuConfig;
 use arv_resview::effective_mem::EffectiveMemoryConfig;
 use arv_resview::namespace::Pid;
 use arv_resview::{
-    Changes, HostView, NsMonitor, RecoverOutcome, Sysconf, Verdict, VirtualSysfs, Watchdog,
+    Changes, HostView, NsCell, NsMonitor, RecoverOutcome, Sysconf, Verdict, VirtualSysfs, Watchdog,
     WatchdogConfig, WatchdogStats,
 };
 use arv_sim_core::{clock::sched_period, FaultPlan, SimClock, SimDuration, SimTime};
 use arv_telemetry::PipelineEvent;
 use arv_viewd::{HostSpec, ViewServer};
+use std::sync::Arc;
 
 use crate::spec::ContainerSpec;
 
@@ -73,6 +74,10 @@ pub struct SimHost {
     next_pid: u32,
     update_timer_elapsed: SimDuration,
     viewd: Option<ViewServer>,
+    // The handles `viewd` registered, one a namespace the daemon
+    // mirrors: what a publish writes through, walked beside the change
+    // list. The daemon stays the authority on what is registered.
+    cells: IdMap<Arc<NsCell>>,
     pipe: EventPipe,
     watchdog: Watchdog,
     fault_plan: Option<FaultPlan>,
@@ -82,8 +87,10 @@ pub struct SimHost {
     delay_publish_ticks: u64,
     // Changes a publish-delay window kept from the daemon.
     viewd_held: Changes,
-    // Changes lifecycle calls drained since the last healthy firing,
-    // which the journal and the periphery take at the next one.
+    // The buffer every drain fills, kept for the next one.
+    drained: Changes,
+    // Changes drained since the last healthy firing, which the journal
+    // and the periphery take at the next one.
     unshipped: Changes,
     /// The daemon's on-disk state file, under the durability ladder.
     journal: Option<DurableJournal>,
@@ -124,12 +131,14 @@ impl SimHost {
             next_pid: 1000,
             update_timer_elapsed: SimDuration::ZERO,
             viewd: None,
+            cells: IdMap::new(),
             pipe: EventPipe::new(DEFAULT_PIPE_CAPACITY),
             watchdog: Watchdog::new(WatchdogConfig::default()),
             fault_plan: None,
             stall_ticks: 0,
             delay_publish_ticks: 0,
             viewd_held: Changes::new(),
+            drained: Changes::new(),
             unshipped: Changes::new(),
             journal: None,
             last_restore: None,
@@ -171,9 +180,7 @@ impl SimHost {
         // Under a fault (stalled monitor, dropped Created event) the
         // namespace may not exist yet; the watchdog's resync recreates
         // it and ownership is restored from the container table then.
-        if let Some(ns) = self.monitor.namespace_mut(id) {
-            ns.transfer_ownership(new_init);
-        }
+        self.monitor.transfer_ownership(id, new_init);
 
         self.containers.insert(
             id,
@@ -214,14 +221,22 @@ impl SimHost {
         self.drain_changes(false);
     }
 
-    /// Drain what the monitor changed: the daemon takes it now, unless a
-    /// publish-delay window holds it back, and the journal and the
-    /// periphery take it at the next healthy firing.
+    /// Drain what the monitor changed into the host's one drain buffer:
+    /// the daemon takes it now, unless a publish-delay window holds it
+    /// back, and the journal and the periphery take it at the next
+    /// healthy firing — by a swap of the two buffers when nothing waits
+    /// for them yet, the firing's usual case.
     fn drain_changes(&mut self, hold: bool) {
-        let changes = self.monitor.take_changes();
-        self.viewd_publish(&changes, hold);
-        self.unshipped
-            .upsert(&changes, |(id, v)| (*id, *v), |_, _| {});
+        let mut drained = std::mem::take(&mut self.drained);
+        self.monitor.take_changes(&mut drained);
+        self.viewd_publish(&drained, hold);
+        if self.unshipped.is_empty() {
+            std::mem::swap(&mut self.unshipped, &mut drained);
+        } else {
+            self.unshipped
+                .upsert(&drained, |(id, v)| (*id, *v), |_, _| {});
+        }
+        self.drained = drained;
     }
 
     // --- fault-tolerant event pipeline ---
@@ -261,11 +276,7 @@ impl SimHost {
     fn realign(&mut self) {
         self.monitor.align_seq(self.pipe.next_seq());
         for (id, meta) in &self.containers {
-            if let Some(ns) = self.monitor.namespace_mut(*id) {
-                if ns.owner() != meta.init_pid {
-                    ns.transfer_ownership(meta.init_pid);
-                }
-            }
+            self.monitor.transfer_ownership(*id, meta.init_pid);
         }
         self.watchdog.note_resynced();
     }
@@ -532,6 +543,7 @@ impl SimHost {
         let views = self.monitor.snapshot().entries;
         all.upsert(views, |v| (CgroupId(v.id), Some(v)), |_, _| {});
         self.viewd = Some(server);
+        self.cells.clear();
         self.viewd_publish(&all, false);
     }
 
@@ -601,23 +613,24 @@ impl SimHost {
         if periphery.needs_snapshot() {
             periphery.observe(&self.monitor.snapshot(), stalled, 0);
         } else {
-            let changes = &self.unshipped;
-            let views: Vec<ViewState> = changes.values().flatten().copied().collect();
+            let (changes, tick) = (&self.unshipped, self.monitor.now_tick());
             let gone = changes.iter().filter(|(_, v)| v.is_none());
-            let removed: Vec<u32> = gone.map(|(id, _)| id.0).collect();
-            let tick = self.monitor.now_tick();
-            periphery.observe_moved(tick, &views, &removed, stalled, 0);
+            let removed = gone.map(|(id, _)| &id.0);
+            periphery.observe_moved(tick, changes.values().flatten(), removed, stalled, 0);
         }
     }
 
     /// Tell the daemon what changed — the one way it changes: the
     /// monitor's change list, with any a publish-delay window held over
     /// (of an id listed twice the later entry wins), or, while one
-    /// holds, nothing. A removed id is unregistered; a present one is
-    /// registered from its namespace if the daemon lacks it, and its
-    /// fallback (lower bound, soft limit) and view are set. Nothing else
-    /// is touched. The freshness word then takes the monitor's age, so
-    /// nothing is vouched for as newer than the monitor holds it.
+    /// holds, nothing. One walk in id order, with a cursor each into the
+    /// host's cell handles and the monitor's namespaces: a removed id is
+    /// unregistered and its handle dropped; a present one without a
+    /// handle takes the daemon's cell, or registers one from its
+    /// namespace, and then has its fallback (lower bound, soft limit) and
+    /// view set through the handle. Nothing else is touched. The
+    /// freshness word then takes the monitor's age, so nothing is
+    /// vouched for as newer than the monitor holds it.
     fn viewd_publish(&mut self, changes: &Changes, hold: bool) {
         let Some(server) = &self.viewd else { return };
         if hold || !self.viewd_held.is_empty() {
@@ -629,17 +642,41 @@ impl SimHost {
         }
         let held = !self.viewd_held.is_empty();
         let changes = if held { &self.viewd_held } else { changes };
+        let (namespaces, cells) = (self.monitor.namespaces(), &mut self.cells);
+        let (mut ns_at, mut at, mut gone) = (0, 0, false);
         for (id, view) in changes {
-            let (Some(v), Some(ns)) = (view, self.monitor.namespace(*id)) else {
+            let slot = namespaces.seek(ns_at, *id);
+            ns_at = slot.map_or_else(|i| i, |i| i + 1);
+            let (Some(v), Ok(slot)) = (view, slot) else {
                 server.unregister(*id);
+                gone = true;
                 continue;
             };
-            let cell = server.cell(*id).unwrap_or_else(|| {
-                let (bounds, cpu_cfg, e_mem) = ns.cell_parts();
-                server.register(*id, bounds, cpu_cfg, e_mem)
-            });
+            let ns = &namespaces.values().as_slice()[slot];
+            at = match cells.seek(at, *id) {
+                Ok(i) => i,
+                Err(i) => {
+                    let cell = server.cell(*id).unwrap_or_else(|| {
+                        let (bounds, cpu_cfg, e_mem) = ns.cell_parts();
+                        server.register(*id, bounds, cpu_cfg, e_mem)
+                    });
+                    cells.insert(*id, cell);
+                    i
+                }
+            };
+            let cell = &cells.values().as_slice()[at];
             cell.set_fallback(ns.cpu_bounds().lower, ns.soft_limit());
             cell.force_publish(v.e_cpu, Bytes(v.e_mem), Bytes(v.e_avail));
+            at += 1;
+        }
+        if gone {
+            // The unregistered are the handles whose namespace is gone.
+            let mut ns_at = 0;
+            cells.retain(|id, _| {
+                let slot = namespaces.seek(ns_at, *id);
+                ns_at = slot.map_or_else(|i| i, |i| i + 1);
+                slot.is_ok()
+            });
         }
         self.viewd_held.clear();
         server.mark_fresh(self.monitor.now_tick() - self.monitor.fresh_tick());
@@ -1763,6 +1800,7 @@ mod tests {
             };
             host.monitor()
                 .namespaces()
+                .values()
                 .map(|ns| (ns.id(), of(ns)))
                 .collect()
         };
@@ -2143,22 +2181,27 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Random launches, terminates, limit updates and steps (with
-            /// charges) on a host with viewd attached: after every
-            /// operation the host's containers, the cgroup manager's
-            /// groups, the monitor's namespaces and the daemon's cells
-            /// hold the same ids, and for every live container the
-            /// daemon holds the namespace's fallback pair (lower bound,
-            /// soft limit) and gives the same health and the same answer
-            /// to every `sysconf` key as `host.sysfs()`.
+            /// Random launches, terminates, limit updates, steps (with
+            /// charges), warm restarts and re-attaches to a daemon that
+            /// already holds cells — one for an id the host never had,
+            /// and one for a live container — on a journaling host with
+            /// viewd attached: after every operation the host's
+            /// containers, the cgroup manager's groups, the monitor's
+            /// namespaces, the daemon's cells and the host's handles to
+            /// them hold the same ids, each handle is the daemon's own
+            /// cell, and for every live container the daemon holds the
+            /// namespace's fallback pair (lower bound, soft limit) and
+            /// gives the same health and the same answer to every
+            /// `sysconf` key as `host.sysfs()`.
             #[test]
             fn every_table_and_both_front_ends_agree_after_each_lifecycle_op(
-                ops in prop::collection::vec((0u8..6, 0u32..64, 0u32..8), 1..60),
+                ops in prop::collection::vec((0u8..8, 0u32..64, 0u32..8), 1..60),
             ) {
                 let mut host = SimHost::new(8, Bytes::from_gib(6));
-                let server = ViewServer::new(host.viewd_host_spec(), 2);
+                let mut server = ViewServer::new(host.viewd_host_spec(), 2);
                 host.attach_viewd(server.clone());
-                let client = server.client();
+                host.enable_journal(4);
+                let mut client = server.client();
                 let mut live: Vec<CgroupId> = Vec::new();
                 for (step, (op, a, b)) in ops.into_iter().enumerate() {
                     let pick = (!live.is_empty()).then(|| live[a as usize % live.len()]);
@@ -2173,6 +2216,25 @@ mod tests {
                         (2, Some(id)) => {
                             host.update_limits(id, &spec(format!("u{step}"), b, u64::from(a)));
                         }
+                        (6, _) => {
+                            host.crash_restart();
+                        }
+                        (7, _) => {
+                            server = ViewServer::new(host.viewd_host_spec(), 2);
+                            let e_mem = arv_resview::EffectiveMemory::new(
+                                Bytes::from_mib(256),
+                                Bytes::from_gib(1),
+                                Bytes::from_mib(64),
+                                Bytes::from_mib(128),
+                                EffectiveMemoryConfig::default(),
+                            );
+                            let bounds = arv_resview::CpuBounds { lower: 1, upper: 2 };
+                            for id in [CgroupId(1_000 + a)].into_iter().chain(pick) {
+                                server.register(id, bounds, EffectiveCpuConfig::default(), e_mem.clone());
+                            }
+                            host.attach_viewd(server.clone());
+                            client = server.client();
+                        }
                         _ => {
                             for (i, id) in live.iter().enumerate() {
                                 if (a >> (i % 6)) & 1 == 1 {
@@ -2186,17 +2248,22 @@ mod tests {
                     let tables = [
                         host.containers.keys().copied().collect::<Vec<_>>(),
                         host.cgm.iter().map(|(id, _)| id).collect(),
-                        host.monitor().namespaces().map(|ns| ns.id()).collect(),
+                        host.monitor().namespaces().keys().copied().collect(),
                         {
                             let mut ids = server.ids();
                             ids.sort_unstable();
                             ids
                         },
+                        host.cells.keys().copied().collect(),
                     ];
                     let mut want = live.clone();
                     want.sort_unstable();
                     for table in &tables {
                         prop_assert_eq!(table, &want, "op {}", step);
+                    }
+                    for (id, cell) in &host.cells {
+                        let served = server.cell(*id).expect("registered");
+                        prop_assert!(Arc::ptr_eq(cell, &served), "op {} {:?}", step, id);
                     }
                     let fs = host.sysfs();
                     for id in &live {

@@ -201,10 +201,15 @@ impl EffectiveCpu {
     /// Returns `None` when the view was left unchanged.
     pub fn update_explained(&mut self, sample: CpuSample) -> Option<CpuDecision> {
         let before = self.value;
-        let capacity = sample.period * u64::from(before);
-        let utilization = sample.usage.ratio(capacity);
-        let had_slack = !sample.slack.is_zero();
         let after = self.update(sample);
+        EffectiveCpu::decision(before, after, sample)
+    }
+
+    /// What an [`update`](EffectiveCpu::update) on `sample` that took
+    /// the value from `before` to `after` decided, and why; `None` when
+    /// the value stood. A pure function of the three, so a caller that
+    /// traces only some updates builds it only for those.
+    pub fn decision(before: u32, after: u32, sample: CpuSample) -> Option<CpuDecision> {
         if after == before {
             return None;
         }
@@ -217,8 +222,8 @@ impl EffectiveCpu {
             cause,
             before,
             after,
-            utilization,
-            had_slack,
+            utilization: sample.usage.ratio(sample.period * u64::from(before)),
+            had_slack: !sample.slack.is_zero(),
         })
     }
 }

@@ -153,6 +153,14 @@ impl EffectiveMemory {
     pub fn update_explained(&mut self, sample: MemSample) -> Option<MemDecision> {
         let before = self.value;
         let after = self.update(sample);
+        EffectiveMemory::decision(before, after, sample)
+    }
+
+    /// What an [`update`](EffectiveMemory::update) on `sample` that took
+    /// the view from `before` to `after` decided, and why; `None` when
+    /// the view stood. A pure function of the three, as for the CPU view
+    /// ([`EffectiveCpu::decision`](crate::effective_cpu::EffectiveCpu::decision)).
+    pub fn decision(before: Bytes, after: Bytes, sample: MemSample) -> Option<MemDecision> {
         if after == before {
             return None;
         }

@@ -26,7 +26,7 @@ use arv_persist::ViewState;
 use arv_sim_core::SimDuration;
 use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PipelineEvent, Tracer};
 
-use crate::effective_cpu::{CpuBounds, CpuSample, EffectiveCpuConfig};
+use crate::effective_cpu::{CpuBounds, CpuSample, EffectiveCpu, EffectiveCpuConfig};
 use crate::effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
 use crate::namespace::{Pid, SysNamespace};
 
@@ -147,14 +147,20 @@ impl NsMonitor {
         self.namespaces.get(&id)
     }
 
-    /// Mutable access to the container's namespace.
-    pub fn namespace_mut(&mut self, id: CgroupId) -> Option<&mut SysNamespace> {
-        self.namespaces.get_mut(&id)
+    /// §3.2's handoff: re-own the container's namespace, if it has one,
+    /// by `owner` (its post-`exec` init). Ownership is not served, so
+    /// nothing downstream hears of it.
+    pub fn transfer_ownership(&mut self, id: CgroupId, owner: Pid) {
+        if let Some(ns) = self.namespaces.get_mut(&id) {
+            ns.transfer_ownership(owner);
+        }
     }
 
-    /// Every namespace, in id order.
-    pub fn namespaces(&self) -> impl Iterator<Item = &SysNamespace> {
-        self.namespaces.values()
+    /// Every namespace, by id: read-only, so a mirror can walk it with
+    /// a cursor ([`IdMap::seek`]) beside a change list, and nothing that
+    /// moves a view can bypass the list.
+    pub fn namespaces(&self) -> &IdMap<SysNamespace> {
+        &self.namespaces
     }
 
     /// Number of entries.
@@ -167,26 +173,28 @@ impl NsMonitor {
         self.namespaces.is_empty()
     }
 
-    /// Drain the change list: each container whose served state changed
-    /// since the previous call, once, in id order — created, moved by a
-    /// firing or a static recompute, or removed — a present one as it
-    /// stands now (the entry [`snapshot`] would hold). Calls in between
-    /// fold into one list: an id is named once, as it ends up. Consumers
-    /// that mirror, persist or ship views act on these and skip the rest.
+    /// Drain the change list into `into`, which it replaces: each
+    /// container whose served state changed since the previous call,
+    /// once, in id order — created, moved by a firing or a static
+    /// recompute, or removed — a present one as it stands now (the entry
+    /// [`snapshot`] would hold). Calls in between fold into one list: an
+    /// id is named once, as it ends up. Consumers that mirror, persist or
+    /// ship views act on these and skip the rest. The notes are already
+    /// in id order, so each lands past the last: a caller that passes
+    /// the same buffer every time allocates only when a drain outgrows
+    /// every one before it.
     ///
     /// [`snapshot`]: NsMonitor::snapshot
-    pub fn take_changes(&mut self) -> Changes {
+    pub fn take_changes(&mut self, into: &mut Changes) {
         let (views, fresh) = (self.namespaces.values().as_slice(), self.fresh_tick);
+        into.clear();
         let mut at = 0;
-        let changes: Changes = (self.changed.keys())
-            .map(|id| {
-                let slot = self.namespaces.seek(at, *id);
-                at = slot.map_or_else(|i| i, |i| i + 1);
-                (*id, slot.ok().map(|i| view_state(&views[i], fresh)))
-            })
-            .collect();
+        for id in self.changed.keys() {
+            let slot = self.namespaces.seek(at, *id);
+            at = slot.map_or_else(|i| i, |i| i + 1);
+            into.insert(*id, slot.ok().map(|i| view_state(&views[i], fresh)));
+        }
         self.changed.clear();
-        changes
     }
 
     /// The monitor's notion of "now", in update-timer firings.
@@ -543,7 +551,10 @@ impl NsMonitor {
     /// the namespaces' own array — no per-namespace lookup and no tree
     /// to chase, so the firing costs the same per container at any
     /// population. Each namespace whose value triple moved is noted
-    /// while the loop holds it; freshness is one store.
+    /// while the loop holds it, and only for such a one, and only when
+    /// the tracer is on, are its decisions built (a decision is a pure
+    /// function of the value before and after and the sample);
+    /// freshness is one store.
     fn fire(
         &mut self,
         period: SimDuration,
@@ -557,27 +568,33 @@ impl NsMonitor {
         let mut cpu_usage = cpu_usage.peekable();
         let (mut mem_usage, free, reclaiming) =
             (mem.usages().peekable(), mem.free(), mem.is_reclaiming());
+        let traced = self.tracer.is_enabled();
         self.fresh_tick = self.now_tick;
         for (id, ns) in self.namespaces.iter_mut() {
             let before = ns.views();
-            let cpu_d = ns.update_cpu_explained(CpuSample {
+            let cpu = CpuSample {
                 usage: seek(&mut cpu_usage, *id).unwrap_or(SimDuration::ZERO),
                 period,
                 slack,
-            });
-            let mem_d = ns.update_mem_explained(MemSample {
+            };
+            let mem = MemSample {
                 free,
                 usage: seek(&mut mem_usage, *id).unwrap_or(Bytes::ZERO),
                 reclaiming,
-            });
-            if let Some(d) = cpu_d {
-                self.tracer.emit_cpu(self.now_tick, *id, d);
+            };
+            ns.update(cpu, mem);
+            let after = ns.views();
+            if after == before {
+                continue;
             }
-            if let Some(d) = mem_d {
-                self.tracer.emit_mem(self.now_tick, *id, d);
-            }
-            if ns.views() != before {
-                self.changed.insert(*id, ());
+            self.changed.insert(*id, ());
+            if traced {
+                if let Some(d) = EffectiveCpu::decision(before.0, after.0, cpu) {
+                    self.tracer.emit_cpu(self.now_tick, *id, d);
+                }
+                if let Some(d) = EffectiveMemory::decision(before.1, after.1, mem) {
+                    self.tracer.emit_mem(self.now_tick, *id, d);
+                }
             }
         }
     }
@@ -620,6 +637,21 @@ mod tests {
     use arv_telemetry::EventKind;
 
     const P: SimDuration = SimDuration::from_millis(24);
+
+    impl NsMonitor {
+        /// One memory-view update of `id`'s namespace alone, noted on the
+        /// change list as a firing would: how tests move a single view.
+        pub(crate) fn update_mem(&mut self, id: CgroupId, sample: MemSample) {
+            let Some(ns) = self.namespaces.get_mut(&id) else {
+                return;
+            };
+            let before = ns.views();
+            ns.update_mem(sample);
+            if ns.views() != before {
+                self.changed.insert(id, ());
+            }
+        }
+    }
 
     fn e_cpu(mon: &NsMonitor, id: CgroupId) -> Option<u32> {
         mon.namespace(id).map(SysNamespace::effective_cpu)
@@ -1195,8 +1227,17 @@ mod tests {
 
         type Served = BTreeMap<CgroupId, ((u32, Bytes, Bytes), u32, Bytes)>;
 
+        fn drain(mon: &mut NsMonitor) -> Changes {
+            let mut changes = Changes::new();
+            mon.take_changes(&mut changes);
+            changes
+        }
+
         fn served_by(mon: &NsMonitor) -> Served {
-            mon.namespaces().map(|ns| (ns.id(), served(ns))).collect()
+            mon.namespaces()
+                .values()
+                .map(|ns| (ns.id(), served(ns)))
+                .collect()
         }
 
         /// Run `change` on `mon`, and name each id it created, removed, or
@@ -1230,7 +1271,7 @@ mod tests {
                 let ghost = CgroupId(wave.ids[0].0 - 1);
                 let mut want: Vec<_> = mon.snapshot().entries.iter().map(|v| (CgroupId(v.id), Some(*v))).collect();
                 want.insert(0, (ghost, None));
-                prop_assert_eq!(mon.take_changes().iter().map(|(id, v)| (*id, *v)).collect::<Vec<_>>(), want);
+                prop_assert_eq!(drain(&mut mon).iter().map(|(id, v)| (*id, *v)).collect::<Vec<_>>(), want);
                 let mut extra: Vec<CgroupId> = Vec::new();
                 for (round, (op, pick)) in rounds.into_iter().enumerate() {
                     let mut named = BTreeSet::new();
@@ -1274,7 +1315,7 @@ mod tests {
                     }
                     let now = mon.snapshot();
                     let want: Vec<_> = named.iter().map(|id| (*id, now.get(id.0).copied())).collect();
-                    let drained = mon.take_changes();
+                    let drained = drain(&mut mon);
                     prop_assert_eq!(drained.iter().map(|(id, v)| (*id, *v)).collect::<Vec<_>>(), want);
                 }
             }

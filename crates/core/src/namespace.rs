@@ -9,7 +9,6 @@
 //! reaching the namespace for the container's whole lifetime.
 
 use arv_cgroups::{Bytes, CgroupId};
-use arv_telemetry::{CpuDecision, MemDecision};
 
 use crate::effective_cpu::{CpuBounds, CpuSample, EffectiveCpu, EffectiveCpuConfig};
 use crate::effective_mem::{EffectiveMemory, MemSample};
@@ -141,17 +140,13 @@ impl SysNamespace {
         )
     }
 
-    /// Periodic update-timer firing of the CPU view (Algorithm 1):
-    /// returns what moved and why, `None` when the view was left
-    /// unchanged.
-    pub fn update_cpu_explained(&mut self, cpu: CpuSample) -> Option<CpuDecision> {
-        self.e_cpu.update_explained(cpu)
-    }
-
-    /// Periodic update-timer firing of the memory view (Algorithm 2),
-    /// with decision provenance as for the CPU view.
-    pub fn update_mem_explained(&mut self, mem: MemSample) -> Option<MemDecision> {
-        self.e_mem.update_explained(mem)
+    /// Periodic update-timer firing: Algorithm 1 on the CPU view,
+    /// Algorithm 2 on the memory view. What either decided is
+    /// [`EffectiveCpu::decision`] and [`EffectiveMemory::decision`] of
+    /// its value before and after.
+    pub fn update(&mut self, cpu: CpuSample, mem: MemSample) {
+        self.e_cpu.update(cpu);
+        self.e_mem.update(mem);
     }
 }
 
@@ -160,6 +155,7 @@ mod tests {
     use super::*;
     use crate::effective_mem::EffectiveMemoryConfig;
     use arv_sim_core::SimDuration;
+    use arv_telemetry::{CpuDecision, MemDecision};
 
     const T: SimDuration = SimDuration::from_millis(24);
 
@@ -236,12 +232,6 @@ mod tests {
     }
 
     impl SysNamespace {
-        /// Periodic update-timer firing.
-        fn update(&mut self, cpu: CpuSample, mem: MemSample) {
-            self.e_cpu.update(cpu);
-            self.e_mem.update(mem);
-        }
-
         /// Update only the CPU view (used when memory sampling is decimated,
         /// since "the change of memory usage is less frequent than that of CPU
         /// allocation", §3.2).

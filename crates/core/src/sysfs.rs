@@ -279,11 +279,14 @@ mod tests {
             Bytes::from_mib(500).as_u64()
         );
         // One period with 200 MiB in use: available = view − usage.
-        mon.namespace_mut(id).unwrap().update_mem(crate::MemSample {
-            free: Bytes::from_gib(100),
-            usage: Bytes::from_mib(200),
-            reclaiming: false,
-        });
+        mon.update_mem(
+            id,
+            crate::MemSample {
+                free: Bytes::from_gib(100),
+                usage: Bytes::from_mib(200),
+                reclaiming: false,
+            },
+        );
         let fs = VirtualSysfs::new(&mon, host());
         let avail = fs.sysconf(Some(id), Sysconf::AvphysPages) * PAGE_SIZE;
         let view = fs.memory_bytes(Some(id)).as_u64();
@@ -296,11 +299,14 @@ mod tests {
         let (mut mon, id) = setup();
         // Usage above the hard limit (the view just shrank): clamp to 0,
         // never underflow.
-        mon.namespace_mut(id).unwrap().update_mem(crate::MemSample {
-            free: Bytes::from_mib(100), // below low watermark → reset to soft
-            usage: Bytes::from_gib(2),
-            reclaiming: true,
-        });
+        mon.update_mem(
+            id,
+            crate::MemSample {
+                free: Bytes::from_mib(100), // below low watermark → reset to soft
+                usage: Bytes::from_gib(2),
+                reclaiming: true,
+            },
+        );
         let fs = VirtualSysfs::new(&mon, host());
         assert_eq!(fs.sysconf(Some(id), Sysconf::AvphysPages), 0);
     }
@@ -369,11 +375,14 @@ mod tests {
     fn degraded_views_fall_back_to_lower_bound_and_soft_limit() {
         let (mut mon, id) = setup();
         // Grow the view past its safe floor first.
-        mon.namespace_mut(id).unwrap().update_mem(crate::MemSample {
-            free: Bytes::from_gib(100),
-            usage: Bytes::from_mib(495),
-            reclaiming: false,
-        });
+        mon.update_mem(
+            id,
+            crate::MemSample {
+                free: Bytes::from_gib(100),
+                usage: Bytes::from_mib(495),
+                reclaiming: false,
+            },
+        );
         let grown = mon.namespace(id).unwrap().effective_memory();
         assert!(grown > Bytes::from_mib(500));
         // Monitor clock runs ahead of the namespace stamp: one tick past

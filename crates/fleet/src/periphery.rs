@@ -272,37 +272,44 @@ impl Periphery {
         // state.
         let in_order = snap.entries.windows(2).all(|w| w[0].id < w[1].id);
         if in_order {
-            self.diff(&snap.entries, None);
+            self.diff_whole(&snap.entries);
         } else {
             // Never trusted: collected into a table, where of an id that
             // repeats the last occurrence wins.
             let sorted: IdMap<u32, ViewState> = snap.entries.iter().map(|s| (s.id, *s)).collect();
-            self.diff(sorted.values().as_slice(), None);
+            self.diff_whole(sorted.values().as_slice());
         }
         self.flush(snap.tick, stalled, staleness_age);
     }
 
-    /// One walk of the mirror against `views`, each id of a whole
-    /// snapshot [`seek`](IdMap::seek)ed from where the previous one
-    /// landed. An unchanged entry is not written; a moved one is
-    /// overwritten in place by the mark rule ([`Mirrored::mark`]), and
-    /// new ids are gathered. The ids that left are `removed` (in id
-    /// order), or, when that is `None`, the mirrored ids `views` — then
-    /// the whole snapshot, in id order — does not hold. Only when ids
-    /// came or went is the mirror reshaped, in one pass: the gone are
-    /// dropped (their tenant records go, their removals are pending),
-    /// the new admitted by one merge, and the unsent positions listed
-    /// anew.
-    fn diff(&mut self, views: &[ViewState], removed: Option<&[u32]>) {
-        let (tenants_moved, whole) = (std::mem::take(&mut self.tenants_moved), removed.is_none());
+    /// [`diff`](Periphery::diff) of a whole snapshot, in id order: the
+    /// ids that left are the mirrored ones `views` does not hold.
+    fn diff_whole(&mut self, views: &[ViewState]) {
+        let (fresh, found) = self.diff(views);
+        let gone = found < self.last_sent.len();
+        let left = |id: &u32| views.binary_search_by_key(id, |s| s.id).is_err();
+        self.reshape(fresh, gone.then_some(left));
+    }
+
+    /// One walk of the mirror against `views`, each id
+    /// [`seek`](IdMap::seek)ed from where the previous one landed: a
+    /// whole snapshot lands slot after slot, a sparse list in id order
+    /// gallops, and an id behind the cursor is binary-searched, so any
+    /// order stays correct. An unchanged entry is not written; a moved
+    /// one is overwritten in place by the mark rule ([`Mirrored::mark`]).
+    /// The new ids' entries are gathered and returned, with how many of
+    /// `views` the mirror held.
+    fn diff<'a>(
+        &mut self,
+        views: impl IntoIterator<Item = &'a ViewState>,
+    ) -> (Vec<Mirrored>, usize) {
+        let tenants_moved = std::mem::take(&mut self.tenants_moved);
+        let views = views.into_iter();
         // Into an empty mirror (a FULL) every id is new: one allocation.
-        let room = views.len() * usize::from(self.last_sent.is_empty());
+        let room = views.size_hint().0 * usize::from(self.last_sent.is_empty());
         let (mut fresh, mut found, mut at) = (Vec::with_capacity(room), 0, 0);
         for s in views {
-            // A whole snapshot lands slot after slot; a moved list is
-            // sparse, so each of its ids is binary-searched instead.
-            let from = if whole { at } else { self.last_sent.len() };
-            match self.last_sent.seek(from, s.id) {
+            match self.last_sent.seek(at, s.id) {
                 Ok(i) => {
                     let m = &mut self.last_sent.values_mut().into_slice()[i];
                     let tenant = if tenants_moved {
@@ -321,17 +328,21 @@ impl Periphery {
                 }
             }
         }
-        let gone = removed.map_or(found < self.last_sent.len(), |ids| !ids.is_empty());
-        if !gone && fresh.is_empty() {
+        (fresh, found)
+    }
+
+    /// Only when ids came or went is the mirror reshaped, in one pass:
+    /// the ids `left` names (when given) are dropped — their tenant
+    /// records go, their removals are pending — the `fresh` admitted by
+    /// one merge, and the unsent positions listed anew.
+    fn reshape(&mut self, fresh: Vec<Mirrored>, left: Option<impl FnMut(&u32) -> bool>) {
+        if left.is_none() && fresh.is_empty() {
             return;
         }
-        if gone {
+        if let Some(mut left) = left {
             let (tenants, pending) = (&mut self.tenants, &mut self.pending_removed);
             self.last_sent.retain(|id, _| {
-                let left = removed.map_or_else(
-                    || views.binary_search_by_key(id, |s| s.id).is_err(),
-                    |ids| ids.binary_search(id).is_ok(),
-                );
+                let left = left(id);
                 if left {
                     tenants.remove(id);
                     pending.insert(*id, ());
@@ -351,10 +362,12 @@ impl Periphery {
 
     /// [`observe`](Periphery::observe) from what changed instead of the
     /// whole snapshot: as of `tick`, `moved` holds every container whose
-    /// value moved since the previous observation, in any order (naming
-    /// one that did not move is harmless), and `removed`, in id order,
-    /// every one that left (naming one never shipped is harmless). It
-    /// costs what moved, and a removal one pass over the mirror.
+    /// value moved since the previous observation (naming one that did
+    /// not move is harmless), and `removed`, in id order, every one that
+    /// left (naming one never shipped is harmless). Both are read where
+    /// they lie, with no copy, `moved` best in id order too (any order
+    /// stays correct). It costs what moved, and a removal one pass over
+    /// the mirror.
     ///
     /// # Panics
     ///
@@ -362,11 +375,11 @@ impl Periphery {
     /// or re-tag every container.
     ///
     /// [`needs_snapshot`]: Periphery::needs_snapshot
-    pub fn observe_moved(
+    pub fn observe_moved<'a>(
         &mut self,
         tick: u64,
-        moved: &[ViewState],
-        removed: &[u32],
+        moved: impl IntoIterator<Item = &'a ViewState>,
+        removed: impl IntoIterator<Item = &'a u32>,
         stalled: bool,
         staleness_age: u64,
     ) {
@@ -374,7 +387,15 @@ impl Periphery {
             !self.needs_snapshot(),
             "a FULL or a tenant change needs the whole snapshot"
         );
-        self.diff(moved, Some(removed));
+        let fresh = self.diff(moved).0;
+        let mut removed = removed.into_iter().peekable();
+        let gone = removed.peek().is_some();
+        // The mirror is retained in id order: a cursor over `removed`.
+        let left = move |id: &u32| {
+            while removed.next_if(|r| *r < id).is_some() {}
+            removed.next_if(|r| *r == id).is_some()
+        };
+        self.reshape(fresh, gone.then_some(left));
         self.flush(tick, stalled, staleness_age);
     }
 

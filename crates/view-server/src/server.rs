@@ -198,18 +198,6 @@ impl ViewServer {
         self.inner.fresh.store(fresh, Ordering::Release);
     }
 
-    /// Refresh a container's conservative fallback view (Algorithm 1's
-    /// lower bound and the soft limit), used when its live view degrades.
-    pub fn set_fallback(&self, id: CgroupId, cpus: u32, mem: Bytes) -> bool {
-        match self.inner.shards.get(id) {
-            Some(entry) => {
-                entry.cell.set_fallback(cpus, mem);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Register a container; the returned cell is the one the daemon
     /// serves from (an updater may apply samples through it, or mirror
     /// views in with [`mirror`](ViewServer::mirror)). Panics if `id` is
@@ -919,7 +907,10 @@ mod tests {
     fn explicit_fallback_override_is_served_when_degraded() {
         let (server, id) = server_with_one();
         let client = server.client();
-        assert!(server.set_fallback(id, 2, Bytes::from_mib(250)));
+        server
+            .cell(id)
+            .expect("registered")
+            .set_fallback(2, Bytes::from_mib(250));
         for _ in 0..=STALENESS_BUDGET {
             server.advance_tick();
         }
@@ -928,7 +919,7 @@ mod tests {
             client.sysconf(Some(id), Sysconf::PhysPages) * PAGE_SIZE,
             Bytes::from_mib(250).as_u64()
         );
-        assert!(!server.set_fallback(CgroupId(99), 1, Bytes::from_mib(1)));
+        assert!(server.cell(CgroupId(99)).is_none());
     }
 
     #[test]
@@ -1116,7 +1107,7 @@ mod tests {
                     // images come from the same table and renderers.
                     let fb = Bytes(fb_mem);
                     for id in ids {
-                        prop_assert!(server.set_fallback(id, cpus, fb));
+                        server.cell(id).expect("registered").set_fallback(cpus, fb);
                     }
                     for _ in 0..=STALENESS_BUDGET {
                         server.advance_tick();
