@@ -11,12 +11,12 @@ use arv_resview::effective_cpu::EffectiveCpuConfig;
 use arv_resview::effective_mem::EffectiveMemoryConfig;
 use arv_resview::namespace::Pid;
 use arv_resview::{
-    Changes, HostView, NsCell, NsMonitor, RecoverOutcome, Sysconf, Verdict, VirtualSysfs, Watchdog,
-    WatchdogConfig, WatchdogStats,
+    Changes, HostSpec, NsCell, NsMonitor, RecoverOutcome, Sysconf, Verdict, VirtualSysfs, Watchdog,
+    WatchdogStats,
 };
 use arv_sim_core::{clock::sched_period, FaultPlan, SimClock, SimDuration, SimTime};
 use arv_telemetry::PipelineEvent;
-use arv_viewd::{HostSpec, ViewServer};
+use arv_viewd::ViewServer;
 use std::sync::Arc;
 
 use crate::spec::ContainerSpec;
@@ -133,7 +133,7 @@ impl SimHost {
             viewd: None,
             cells: IdMap::new(),
             pipe: EventPipe::new(DEFAULT_PIPE_CAPACITY),
-            watchdog: Watchdog::new(WatchdogConfig::default()),
+            watchdog: Watchdog::new(),
             fault_plan: None,
             stall_ticks: 0,
             delay_publish_ticks: 0,
@@ -518,8 +518,9 @@ impl SimHost {
 
     // --- view daemon attachment ---
 
-    /// A [`HostSpec`] describing this host's physical configuration, for
-    /// building a [`ViewServer`] whose host-fallback answers match.
+    /// A [`HostSpec`] describing this host's physical configuration: what
+    /// [`SimHost::sysfs`] answers host callers, and what a [`ViewServer`]
+    /// is built with so its host-fallback answers match.
     pub fn viewd_host_spec(&self) -> HostSpec {
         HostSpec {
             online_cpus: self.cfs.online_count(),
@@ -798,14 +799,7 @@ impl SimHost {
     /// way `arv-viewd` judges it. The monitor's own, never-degraded
     /// values are [`SimHost::monitor`]'s namespaces.
     pub fn sysfs(&self) -> VirtualSysfs<'_> {
-        VirtualSysfs::new(
-            &self.monitor,
-            HostView {
-                online_cpus: self.cfs.online_count(),
-                total_memory: self.mem.total(),
-                free_memory: self.mem.free(),
-            },
-        )
+        VirtualSysfs::new(&self.monitor, self.viewd_host_spec())
     }
 
     /// `sysconf` as seen from inside `caller` (or the host for `None`).
@@ -871,6 +865,7 @@ impl SimHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arv_resview::render::CONTAINER_PATHS;
     use arv_resview::{Sysconf, ViewHealth, STALENESS_BUDGET};
     use std::collections::BTreeMap;
 
@@ -1499,10 +1494,21 @@ mod tests {
         assert_eq!(mirrors() - mirrored, moved.len() as u64);
     }
 
-    /// Both front-ends answer every container caller alike — health,
-    /// every `sysconf` key, the bytes of every CPU- and memory-keyed file
-    /// — fresh, stale and degraded, with usage past the soft limit, and
-    /// through a launch, a limit update and a terminate during a stall.
+    /// The paths either front-end answers beside `CONTAINER_PATHS` (the
+    /// host-global files), and one neither knows.
+    const OTHER_PATHS: [&str; 3] = [
+        "/sys/devices/system/cpu/possible",
+        "/sys/devices/system/cpu/present",
+        "/sys/kernel/unrelated",
+    ];
+
+    /// Both front-ends answer every container caller and the host alike
+    /// — health, every `sysconf` key, every path either renders (the
+    /// bytes of every CPU- and memory-keyed file and both cgroup
+    /// interface files, the host-global hardware-property files, and
+    /// ENOENT for an unknown path) — fresh, stale and degraded, with
+    /// usage past the soft limit, and through a launch, a limit update
+    /// and a terminate during a stall.
     #[test]
     fn virtual_sysfs_and_viewd_answer_alike() {
         const KEYS: [Sysconf; 5] = [
@@ -1512,12 +1518,7 @@ mod tests {
             Sysconf::AvphysPages,
             Sysconf::PageSize,
         ];
-        const PATHS: [&str; 4] = [
-            "/proc/cpuinfo",
-            "/proc/meminfo",
-            "/proc/stat",
-            "/sys/devices/system/cpu/online",
-        ];
+        let paths = CONTAINER_PATHS.into_iter().chain(OTHER_PATHS);
         let mut host = SimHost::paper_testbed();
         let spec = host.viewd_host_spec();
         let server = ViewServer::new(spec, 4);
@@ -1534,32 +1535,25 @@ mod tests {
         // the monitor after every firing, stalled ones included. A caller
         // neither front-end knows reads the host's values, and the
         // daemon's are the ones it was built with, so the virtual sysfs
-        // is given those too. Returns the health of the first container.
+        // is given the same spec. Returns the health of the first
+        // container.
         let compare = |host: &SimHost, callers: &[CgroupId]| -> ViewHealth {
-            let fs = VirtualSysfs::new(
-                host.monitor(),
-                HostView {
-                    online_cpus: spec.online_cpus,
-                    total_memory: spec.total_memory,
-                    free_memory: spec.free_memory,
-                },
-            );
+            let fs = VirtualSysfs::new(host.monitor(), spec);
             let tick = host.now_tick();
-            for id in callers {
-                let caller = Some(*id);
+            for caller in callers.iter().copied().map(Some).chain([None]) {
                 assert_eq!(
                     client.health(caller),
                     fs.health(caller),
-                    "tick {tick} {id:?}"
+                    "tick {tick} {caller:?}"
                 );
                 for key in KEYS {
                     let (daemon, sysfs) = (client.sysconf(caller, key), fs.sysconf(caller, key));
-                    assert_eq!(daemon, sysfs, "tick {tick} {id:?} {key:?}");
+                    assert_eq!(daemon, sysfs, "tick {tick} {caller:?} {key:?}");
                 }
-                for path in PATHS {
-                    let daemon = client.read(caller, path).expect("a container file");
-                    let sysfs = fs.read(caller, path).expect("a container file");
-                    assert_eq!(*daemon.image, sysfs, "tick {tick} {id:?} {path}");
+                for path in paths.clone() {
+                    let daemon = client.read(caller, path).map(|view| view.image.to_string());
+                    let sysfs = fs.read(caller, path);
+                    assert_eq!(daemon, sysfs, "tick {tick} {caller:?} {path}");
                 }
             }
             fs.health(Some(callers[0]))
@@ -1580,7 +1574,8 @@ mod tests {
         let past_soft = |host: &SimHost| {
             ids.iter().all(|id| {
                 let ns = host.monitor().namespace(*id).expect("a live namespace");
-                ns.effective_memory() > ns.soft_limit() && ns.last_usage() > ns.soft_limit()
+                let usage = ns.effective_memory().saturating_sub(ns.available_memory());
+                ns.effective_memory() > ns.soft_limit() && usage > ns.soft_limit()
             })
         };
         for _ in 0..40 {
@@ -2191,8 +2186,8 @@ mod tests {
             /// them hold the same ids, each handle is the daemon's own
             /// cell, and for every live container the daemon holds the
             /// namespace's fallback pair (lower bound, soft limit) and
-            /// gives the same health and the same answer to every
-            /// `sysconf` key as `host.sysfs()`.
+            /// gives the same health, the same answer to every `sysconf`
+            /// key and the same bytes for every path as `host.sysfs()`.
             #[test]
             fn every_table_and_both_front_ends_agree_after_each_lifecycle_op(
                 ops in prop::collection::vec((0u8..8, 0u32..64, 0u32..8), 1..60),
@@ -2281,6 +2276,13 @@ mod tests {
                                 client.sysconf(caller, key),
                                 fs.sysconf(caller, key),
                                 "op {} {:?} {:?}", step, id, key
+                            );
+                        }
+                        for path in CONTAINER_PATHS.into_iter().chain(OTHER_PATHS) {
+                            prop_assert_eq!(
+                                client.read(caller, path).map(|view| view.image.to_string()),
+                                fs.read(caller, path),
+                                "op {} {:?} {}", step, id, path
                             );
                         }
                     }

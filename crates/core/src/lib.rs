@@ -17,6 +17,8 @@
 //! * [`sysfs`] — the virtual sysfs / `sysconf` front-end that answers
 //!   resource queries from inside a container with effective values and
 //!   from the host with physical ones;
+//! * [`render`] — the paths a view answers and their images, shared by
+//!   the virtual sysfs and the `arv-viewd` daemon;
 //! * [`live`] — atomic namespace cells that query threads read lock-free
 //!   while an updater writes them, the concurrency structure the paper
 //!   measures in §5.4 (1 µs updates, lock-free queries).
@@ -65,6 +67,7 @@ pub use effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
 pub use health::{ViewHealth, STALENESS_BUDGET};
 pub use live::{LiveRegistry, LiveSample, NsCell, ViewSnapshot};
 pub use monitor::{Changes, IngestReport, NsMonitor, RecoverOutcome};
-pub use namespace::SysNamespace;
-pub use sysfs::{HostView, Sysconf, VirtualSysfs, PAGE_SIZE};
-pub use watchdog::{Verdict, Watchdog, WatchdogConfig, WatchdogStats};
+pub use namespace::{trace_moved, SysNamespace};
+pub use render::PathId;
+pub use sysfs::{HostSpec, Sysconf, VirtualSysfs, PAGE_SIZE};
+pub use watchdog::{Verdict, Watchdog, WatchdogStats};

@@ -24,11 +24,11 @@ use arv_cgroups::{Bytes, CgroupEvent, CgroupId, CgroupManager, CpuSet, IdMap, Se
 use arv_mem::{MemSim, Watermarks};
 use arv_persist::ViewState;
 use arv_sim_core::SimDuration;
-use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PipelineEvent, Tracer};
+use arv_telemetry::{DecisionCause, PipelineEvent, Tracer};
 
 use crate::effective_cpu::{CpuBounds, CpuSample, EffectiveCpu, EffectiveCpuConfig};
 use crate::effective_mem::{EffectiveMemory, EffectiveMemoryConfig, MemSample};
-use crate::namespace::{Pid, SysNamespace};
+use crate::namespace::{trace_moved, Pid, SysNamespace};
 
 /// What changed since the last [`NsMonitor::take_changes`], one entry an
 /// id, in id order: `Some` view, as it stands, for a container created,
@@ -360,32 +360,14 @@ impl NsMonitor {
             } else {
                 DecisionCause::Restored
             };
-            if cpu_after != cpu_before {
-                self.tracer.emit_cpu(
-                    self.now_tick,
-                    id,
-                    CpuDecision {
-                        cause,
-                        before: cpu_before,
-                        after: cpu_after,
-                        utilization: 0.0,
-                        had_slack: false,
-                    },
-                );
-            }
-            if mem_after != mem_before {
-                self.tracer.emit_mem(
-                    self.now_tick,
-                    id,
-                    MemDecision {
-                        cause,
-                        before: mem_before,
-                        after: mem_after,
-                        usage: Bytes(0),
-                        free: Bytes(0),
-                    },
-                );
-            }
+            trace_moved(
+                &self.tracer,
+                self.now_tick,
+                id,
+                cause,
+                (cpu_before, cpu_after),
+                (mem_before, mem_after),
+            );
         }
         out.admitted = self
             .namespaces
@@ -496,34 +478,14 @@ impl NsMonitor {
                 if served(ns) != before {
                     self.changed.insert(*id, ());
                 }
-                let cpu_after = ns.effective_cpu();
-                let mem_after = ns.effective_memory();
-                if cpu_after != cpu_before {
-                    self.tracer.emit_cpu(
-                        self.now_tick,
-                        *id,
-                        CpuDecision {
-                            cause,
-                            before: cpu_before,
-                            after: cpu_after,
-                            utilization: 0.0,
-                            had_slack: false,
-                        },
-                    );
-                }
-                if mem_after != mem_before {
-                    self.tracer.emit_mem(
-                        self.now_tick,
-                        *id,
-                        MemDecision {
-                            cause,
-                            before: mem_before,
-                            after: mem_after,
-                            usage: Bytes(0),
-                            free: Bytes(0),
-                        },
-                    );
-                }
+                trace_moved(
+                    &self.tracer,
+                    self.now_tick,
+                    *id,
+                    cause,
+                    (cpu_before, ns.effective_cpu()),
+                    (mem_before, ns.effective_memory()),
+                );
             }
         }
     }

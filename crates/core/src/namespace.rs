@@ -9,6 +9,7 @@
 //! reaching the namespace for the container's whole lifetime.
 
 use arv_cgroups::{Bytes, CgroupId};
+use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, Tracer};
 
 use crate::effective_cpu::{CpuBounds, CpuSample, EffectiveCpu, EffectiveCpuConfig};
 use crate::effective_mem::{EffectiveMemory, MemSample};
@@ -115,11 +116,6 @@ impl SysNamespace {
         self.e_mem.hard_limit()
     }
 
-    /// Last observed memory usage (zero before the first update).
-    pub fn last_usage(&self) -> Bytes {
-        self.e_mem.last_usage().unwrap_or(Bytes(0))
-    }
-
     /// Static-bound refresh from `ns_monitor` (cgroup events).
     pub fn set_cpu_bounds(&mut self, bounds: CpuBounds) {
         self.e_cpu.set_bounds(bounds);
@@ -150,12 +146,49 @@ impl SysNamespace {
     }
 }
 
+/// Trace a move of container `id`'s served view that neither
+/// Algorithm 1 nor Algorithm 2 decided — a static refresh or resync
+/// clamp, a restore, a degraded fallback — as `cause`: one decision for
+/// each resource whose `(before, after)` pair differs, with zero inputs
+/// (no utilization, slack, usage or free memory stands behind it). The
+/// algorithms' own decisions are [`EffectiveCpu::decision`] and
+/// [`EffectiveMemory::decision`].
+#[inline]
+pub fn trace_moved(
+    tracer: &Tracer,
+    tick: u64,
+    id: CgroupId,
+    cause: DecisionCause,
+    (cpu_before, cpu_after): (u32, u32),
+    (mem_before, mem_after): (Bytes, Bytes),
+) {
+    if cpu_after != cpu_before {
+        let d = CpuDecision {
+            cause,
+            before: cpu_before,
+            after: cpu_after,
+            utilization: 0.0,
+            had_slack: false,
+        };
+        tracer.emit_cpu(tick, id, d);
+    }
+    if mem_after != mem_before {
+        let d = MemDecision {
+            cause,
+            before: mem_before,
+            after: mem_after,
+            usage: Bytes(0),
+            free: Bytes(0),
+        };
+        tracer.emit_mem(tick, id, d);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::effective_mem::EffectiveMemoryConfig;
     use arv_sim_core::SimDuration;
-    use arv_telemetry::{CpuDecision, MemDecision};
 
     const T: SimDuration = SimDuration::from_millis(24);
 

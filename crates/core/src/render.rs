@@ -1,15 +1,113 @@
-//! Renderers for the virtual files resource probing actually opens.
+//! The files a view renders, and how: the one answer both query paths
+//! give.
 //!
-//! Both query paths — the in-process [`crate::sysfs::VirtualSysfs`] and
-//! the `arv-viewd` daemon — must produce byte-identical file images for
-//! the same view, so the formatting lives here, parameterized only by the
-//! numbers a view exposes (CPU count, memory sizes). Formats follow the
-//! real kernel files closely enough that parsers written against Linux
-//! (glibc's `sysconf`, OpenJDK's container probing, LXCFS consumers)
-//! accept them.
+//! The in-process [`crate::sysfs::VirtualSysfs`] and the `arv-viewd`
+//! daemon resolve a path with [`PathId::resolve`] and build its image
+//! with [`image`], so for the same view they answer the same eight
+//! paths byte for byte: the six of [`CONTAINER_PATHS`], and the two
+//! host-global hardware-property files. The images are functions of the
+//! numbers a view exposes alone (CPU count, memory sizes). Formats
+//! follow the real kernel files closely enough that parsers written
+//! against Linux (glibc's `sysconf`, OpenJDK's container probing, LXCFS
+//! consumers) accept them.
 
-use arv_cgroups::Bytes;
+use arv_cgroups::{Bytes, CgroupId};
 use std::fmt::Write as _;
+
+use crate::live::ViewSnapshot;
+
+/// A file a view renders, interned: its index in [`CONTAINER_PATHS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathId {
+    /// `/proc/cpuinfo`
+    Cpuinfo,
+    /// `/proc/meminfo`
+    Meminfo,
+    /// `/proc/stat`
+    Stat,
+    /// `/sys/devices/system/cpu/online`
+    OnlineCpus,
+    /// cgroup v2 `cpu.max`
+    CpuMax,
+    /// cgroup v2 `memory.max`
+    MemoryMax,
+}
+
+/// The paths a container's view renders, in [`PathId`] order.
+pub const CONTAINER_PATHS: [&str; PathId::COUNT] = [
+    "/proc/cpuinfo",
+    "/proc/meminfo",
+    "/proc/stat",
+    "/sys/devices/system/cpu/online",
+    "cpu.max",
+    "memory.max",
+];
+
+/// Hardware-property files: host-global even inside a view. Possible
+/// and present CPUs are a property of the machine; a view virtualizes
+/// *online*, as CPU hotplug does, so both read as the host's online list.
+const HOST_GLOBAL: [&str; 2] = [
+    "/sys/devices/system/cpu/possible",
+    "/sys/devices/system/cpu/present",
+];
+
+impl PathId {
+    /// Number of distinct renderable paths.
+    pub const COUNT: usize = 6;
+
+    /// Every renderable path, in discriminant order.
+    pub const ALL: [PathId; PathId::COUNT] = [
+        PathId::Cpuinfo,
+        PathId::Meminfo,
+        PathId::Stat,
+        PathId::OnlineCpus,
+        PathId::CpuMax,
+        PathId::MemoryMax,
+    ];
+
+    /// Resolve `path` as read by `caller`: the file, and whose view
+    /// answers it — `caller`'s own, or the host's (`None`) for the
+    /// host-global files, which render as the host's online CPUs.
+    /// `None` for a path no view renders (ENOENT).
+    #[inline]
+    pub fn resolve(path: &str, caller: Option<CgroupId>) -> Option<(PathId, Option<CgroupId>)> {
+        match CONTAINER_PATHS.iter().position(|known| *known == path) {
+            Some(i) => Some((PathId::ALL[i], caller)),
+            None => HOST_GLOBAL
+                .contains(&path)
+                .then_some((PathId::OnlineCpus, None)),
+        }
+    }
+
+    /// Whether the file's image is a function of the CPU count alone
+    /// (the rest are functions of the memory sizes alone).
+    #[inline]
+    pub fn cpu_keyed(self) -> bool {
+        !matches!(self, PathId::Meminfo | PathId::MemoryMax)
+    }
+
+    /// Whether a host process has the file too: the cgroup interface
+    /// files exist only inside a container.
+    #[inline]
+    pub fn on_host(self) -> bool {
+        !matches!(self, PathId::CpuMax | PathId::MemoryMax)
+    }
+}
+
+/// The image of `id` for `view`, drawn from that one view alone; a
+/// `cpu.max` counts its quota in CFS periods of `cfs_period_us`.
+pub fn image(id: PathId, view: &ViewSnapshot, cfs_period_us: u64) -> String {
+    match id {
+        PathId::Cpuinfo => cpuinfo(view.cpus),
+        PathId::Stat => stat(view.cpus),
+        PathId::Meminfo => meminfo(view.bytes, view.avail),
+        PathId::OnlineCpus => cpu_list(view.cpus),
+        // The container's own cgroup interface files, from the
+        // *effective* view (what the adaptive runtime should size to).
+        PathId::CpuMax => cpu_max(view.cpus, cfs_period_us),
+        PathId::MemoryMax => memory_max(view.bytes),
+    }
+}
 
 /// Kernel cpu-list syntax for CPUs `0..n`: `"0-3"`, or `"0"` for one CPU.
 pub fn cpu_list(n: u32) -> String {
@@ -136,6 +234,22 @@ mod tests {
         let text = meminfo(Bytes::from_mib(500), Bytes::from_mib(200));
         assert!(text.contains("MemTotal: 512000 kB"));
         assert!(text.contains("MemFree: 204800 kB"));
+    }
+
+    #[test]
+    fn resolve_round_trips_every_path() {
+        let caller = Some(CgroupId(7));
+        for (id, path) in PathId::ALL.into_iter().zip(CONTAINER_PATHS) {
+            assert_eq!(PathId::resolve(path, caller), Some((id, caller)));
+            assert_eq!(PathId::ALL[id as usize], id);
+        }
+        for path in HOST_GLOBAL {
+            assert_eq!(
+                PathId::resolve(path, caller),
+                Some((PathId::OnlineCpus, None))
+            );
+        }
+        assert_eq!(PathId::resolve("/proc/uptime", caller), None);
     }
 
     #[test]

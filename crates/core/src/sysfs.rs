@@ -4,17 +4,23 @@
 //! `sysconf(3)` or read `sysfs`/`procfs` files, and glibc translates.
 //! The paper intercepts those queries: a process linked to a container's
 //! namespaces gets answers from its `sys_namespace`; an ordinary host
-//! process (in the init namespaces) keeps seeing physical totals. This
-//! module reproduces both entry points: the [`Sysconf`] parameter API and
-//! a path-based read of the files runtimes actually open.
+//! process (in the init namespaces) keeps seeing physical totals, the
+//! [`HostSpec`]. This module reproduces both entry points: the
+//! [`Sysconf`] parameter API and a path-based read of the files runtimes
+//! actually open. A read resolves its path with
+//! [`PathId::resolve`](crate::render::PathId::resolve), picks the view
+//! that answers it, and renders it with [`render::image`] — the same
+//! resolver and renderer the `arv-viewd` daemon answers with, so both
+//! give the same bytes for the same view.
 
 use arv_cgroups::{Bytes, CgroupId};
-use arv_telemetry::{CpuDecision, DecisionCause, MemDecision};
+use arv_telemetry::DecisionCause;
 
 use crate::health::ViewHealth;
 use crate::live::ViewSnapshot;
 use crate::monitor::NsMonitor;
-use crate::render;
+use crate::namespace::{trace_moved, SysNamespace};
+use crate::render::{self, PathId};
 
 /// `_SC_PAGESIZE`: 4 KiB pages, as on the paper's x86-64 testbed.
 pub const PAGE_SIZE: u64 = 4096;
@@ -37,27 +43,54 @@ pub enum Sysconf {
     PageSize,
 }
 
-/// The host's physical view, answered to processes outside any container.
+/// The host's physical configuration, answered to non-container callers.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HostView {
+pub struct HostSpec {
     /// Online CPUs on the host.
     pub online_cpus: u32,
     /// Physical memory size.
     pub total_memory: Bytes,
-    /// Free physical memory.
+    /// Free physical memory (the host side is not what the paper
+    /// virtualizes).
     pub free_memory: Bytes,
+    /// CFS period used when rendering `cpu.max`, in microseconds.
+    pub cfs_period_us: u64,
+}
+
+impl HostSpec {
+    /// The paper's testbed: 20 cores, 128 GiB, default 100 ms CFS period.
+    pub fn paper_testbed() -> HostSpec {
+        HostSpec {
+            online_cpus: 20,
+            total_memory: Bytes::from_gib(128),
+            free_memory: Bytes::from_gib(100),
+            cfs_period_us: 100_000,
+        }
+    }
+
+    /// The host's configuration as a view (generation 0: it never
+    /// changes).
+    #[inline]
+    pub fn view(&self) -> ViewSnapshot {
+        ViewSnapshot {
+            cpus: self.online_cpus,
+            bytes: self.total_memory,
+            avail: self.free_memory,
+            generation: 0,
+        }
+    }
 }
 
 /// The virtual sysfs front-end.
 ///
-/// Holds the host view plus a reference to the monitor's namespaces; a
-/// query carries the caller's container identity (or `None` for a host
-/// process), mirroring the kernel-side test of whether the calling task
-/// is linked to non-init namespaces.
+/// Holds the host's configuration plus a reference to the monitor's
+/// namespaces; a query carries the caller's container identity (or
+/// `None` for a host process), mirroring the kernel-side test of whether
+/// the calling task is linked to non-init namespaces.
 #[derive(Debug)]
 pub struct VirtualSysfs<'m> {
     monitor: &'m NsMonitor,
-    host: HostView,
+    host: HostSpec,
 }
 
 impl<'m> VirtualSysfs<'m> {
@@ -65,7 +98,7 @@ impl<'m> VirtualSysfs<'m> {
     /// Container views older than [`STALENESS_BUDGET`](crate::STALENESS_BUDGET)
     /// are served as the conservative fallback (effective CPU at
     /// Algorithm 1's lower bound, effective memory at the soft limit).
-    pub fn new(monitor: &'m NsMonitor, host: HostView) -> VirtualSysfs<'m> {
+    pub fn new(monitor: &'m NsMonitor, host: HostSpec) -> VirtualSysfs<'m> {
         VirtualSysfs { monitor, host }
     }
 
@@ -73,29 +106,29 @@ impl<'m> VirtualSysfs<'m> {
     /// callers without a namespace) read physical values, which are
     /// always fresh.
     pub fn health(&self, caller: Option<CgroupId>) -> ViewHealth {
-        let mon = self.monitor;
-        match caller.and_then(|id| mon.namespace(id)) {
-            // One age for every namespace: the monitor's last healthy firing.
-            Some(_) => ViewHealth::from_age(mon.now_tick() - mon.fresh_tick()),
-            None => ViewHealth::Fresh,
-        }
+        self.namespace(caller)
+            .map_or(ViewHealth::Fresh, |_| self.container_health())
     }
 
-    /// The view `caller` is answered from for `query`: the host's for
-    /// host processes and containers without a namespace, else the
-    /// namespace's own, or its conservative [`ViewSnapshot::fallback`]
-    /// once degraded.
+    /// One age for every namespace: the monitor's last healthy firing.
+    fn container_health(&self) -> ViewHealth {
+        ViewHealth::from_age(self.monitor.now_tick() - self.monitor.fresh_tick())
+    }
+
+    /// The namespace `caller` is answered from, if it has one.
+    fn namespace(&self, caller: Option<CgroupId>) -> Option<&'m SysNamespace> {
+        caller.and_then(|id| self.monitor.namespace(id))
+    }
+
+    /// The view `ns` is answered from for `query`: the host's without a
+    /// namespace, else the namespace's own, or its conservative
+    /// [`ViewSnapshot::fallback`] once degraded.
     /// Substituting the fallback is itself a traced decision for the
     /// resource `query` reads: the served value deviates from the
     /// namespace's actual view.
-    fn view(&self, caller: Option<CgroupId>, query: Sysconf) -> ViewSnapshot {
-        let Some(ns) = caller.and_then(|id| self.monitor.namespace(id)) else {
-            return ViewSnapshot {
-                cpus: self.host.online_cpus,
-                bytes: self.host.total_memory,
-                avail: self.host.free_memory,
-                generation: 0,
-            };
+    fn view(&self, ns: Option<&SysNamespace>, query: Sysconf) -> ViewSnapshot {
+        let Some(ns) = ns else {
+            return self.host.view();
         };
         let (cpus, bytes, avail) = ns.views();
         // The monitor publishes no generation; its views are read in place.
@@ -105,40 +138,24 @@ impl<'m> VirtualSysfs<'m> {
             avail,
             generation: 0,
         };
-        if !self.health(caller).is_degraded() {
+        if !self.container_health().is_degraded() {
             return live;
         }
         let fallback = live.fallback(ns.cpu_bounds().lower, ns.soft_limit());
-        let (tracer, now) = (self.monitor.tracer(), self.monitor.now_tick());
-        match query {
-            Sysconf::NprocessorsOnln | Sysconf::NprocessorsConf if fallback.cpus != live.cpus => {
-                tracer.emit_cpu(
-                    now,
-                    ns.id(),
-                    CpuDecision {
-                        cause: DecisionCause::DegradedFallback,
-                        before: live.cpus,
-                        after: fallback.cpus,
-                        utilization: 0.0,
-                        had_slack: false,
-                    },
-                );
-            }
-            Sysconf::PhysPages if fallback.bytes != live.bytes => {
-                tracer.emit_mem(
-                    now,
-                    ns.id(),
-                    MemDecision {
-                        cause: DecisionCause::DegradedFallback,
-                        before: live.bytes,
-                        after: fallback.bytes,
-                        usage: ns.last_usage(),
-                        free: Bytes(0),
-                    },
-                );
-            }
-            _ => {}
-        }
+        let (cpus, bytes) = match query {
+            Sysconf::NprocessorsOnln | Sysconf::NprocessorsConf => (fallback.cpus, live.bytes),
+            Sysconf::PhysPages => (live.cpus, fallback.bytes),
+            Sysconf::AvphysPages | Sysconf::PageSize => (live.cpus, live.bytes),
+        };
+        let mon = self.monitor;
+        trace_moved(
+            mon.tracer(),
+            mon.now_tick(),
+            ns.id(),
+            DecisionCause::DegradedFallback,
+            (live.cpus, cpus),
+            (live.bytes, bytes),
+        );
         fallback
     }
 
@@ -148,7 +165,7 @@ impl<'m> VirtualSysfs<'m> {
     /// processes — and containers for which no namespace exists, exactly
     /// the pre-paper failure mode — receive physical totals.
     pub fn sysconf(&self, caller: Option<CgroupId>, query: Sysconf) -> u64 {
-        self.view(caller, query).sysconf(query)
+        self.view(self.namespace(caller), query).sysconf(query)
     }
 
     /// Total memory as seen by `caller`, in bytes
@@ -162,32 +179,34 @@ impl<'m> VirtualSysfs<'m> {
         self.sysconf(caller, Sysconf::NprocessorsOnln) as u32
     }
 
-    /// Read a virtual file. Supported paths are the ones resource probing
-    /// actually touches; unknown paths return `None` (ENOENT).
+    /// Read a virtual file: the paths resource probing actually touches
+    /// (see [`PathId::resolve`]). Unknown paths — and the cgroup
+    /// interface files, for a caller without a namespace — return `None`
+    /// (ENOENT). A degraded read traces the resource the file is keyed
+    /// on.
     pub fn read(&self, caller: Option<CgroupId>, path: &str) -> Option<String> {
-        match path {
-            "/sys/devices/system/cpu/online" => Some(render::cpu_list(self.online_cpus(caller))),
-            "/sys/devices/system/cpu/possible" | "/sys/devices/system/cpu/present" => {
-                // Possible/present CPUs are a hardware property; the view
-                // virtualizes *online*, as CPU hotplug does.
-                Some(render::cpu_list(self.host.online_cpus))
-            }
-            "/proc/cpuinfo" => Some(render::cpuinfo(self.online_cpus(caller))),
-            "/proc/stat" => Some(render::stat(self.online_cpus(caller))),
-            "/proc/meminfo" => {
-                let view = self.view(caller, Sysconf::PhysPages);
-                Some(render::meminfo(view.bytes, view.avail))
-            }
-            _ => None,
+        let (id, caller) = PathId::resolve(path, caller)?;
+        let ns = self.namespace(caller);
+        if ns.is_none() && !id.on_host() {
+            return None;
         }
+        let query = if id.cpu_keyed() {
+            Sysconf::NprocessorsOnln
+        } else {
+            Sysconf::PhysPages
+        };
+        let view = self.view(ns, query);
+        Some(render::image(id, &view, self.host.cfs_period_us))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::CONTAINER_PATHS;
     use arv_cgroups::{CgroupManager, CgroupSpec, CpuController, MemController};
     use arv_mem::Watermarks;
+    use arv_telemetry::{CpuDecision, MemDecision};
 
     fn setup() -> (NsMonitor, CgroupId) {
         let mut cgm = CgroupManager::new();
@@ -206,12 +225,8 @@ mod tests {
         (mon, id)
     }
 
-    fn host() -> HostView {
-        HostView {
-            online_cpus: 20,
-            total_memory: Bytes::from_gib(128),
-            free_memory: Bytes::from_gib(100),
-        }
+    fn host() -> HostSpec {
+        HostSpec::paper_testbed()
     }
 
     #[test]
@@ -404,6 +419,101 @@ mod tests {
         // Host callers never degrade.
         assert!(fs.health(None).is_fresh());
         assert_eq!(fs.online_cpus(None), 20);
+    }
+
+    #[test]
+    fn degraded_fallback_traces_the_resource_each_query_reads() {
+        use arv_telemetry::{EventKind, Tracer};
+        // A container entitled to 4 CPUs (a fifth of the shares) and
+        // capped at 8, beside a heavier neighbour.
+        let mut cgm = CgroupManager::new();
+        let id = cgm.create(CgroupSpec::new(
+            CpuController::unlimited(20).with_quota_cpus(8.0),
+            MemController::unlimited()
+                .with_hard_limit(Bytes::from_gib(1))
+                .with_soft_limit(Bytes::from_mib(500)),
+        ));
+        cgm.create(CgroupSpec::new(
+            CpuController::unlimited(20).with_shares(4096),
+            MemController::unlimited(),
+        ));
+        let mut mon = NsMonitor::with_defaults(
+            arv_cgroups::CpuSet::first_n(20),
+            Bytes::from_gib(128),
+            Watermarks::scaled(Bytes::from_gib(128)),
+        );
+        let tracer = Tracer::bounded(64);
+        mon.set_tracer(tracer.clone());
+        // Resume its views above their fallback pair (lower bound 4,
+        // soft limit 500 MiB), then age them past the budget.
+        let snapshot = arv_persist::Snapshot {
+            tick: 0,
+            entries: vec![arv_persist::ViewState {
+                id: id.0,
+                e_cpu: 6,
+                e_mem: Bytes::from_mib(600).as_u64(),
+                e_avail: Bytes::from_mib(600).as_u64(),
+                last_tick: 0,
+            }],
+        };
+        mon.recover(&snapshot, &mut cgm);
+        let ns = mon.namespace(id).unwrap();
+        let (lower, soft) = (ns.cpu_bounds().lower, ns.soft_limit());
+        assert_eq!((ns.effective_cpu(), lower), (6, 4));
+        assert_eq!(ns.effective_memory(), Bytes::from_mib(600));
+        for _ in 0..=crate::STALENESS_BUDGET {
+            mon.observe_tick();
+        }
+        let fs = VirtualSysfs::new(&mon, host());
+        assert!(fs.health(Some(id)).is_degraded());
+        // What one `sysconf` query or file read traces.
+        let traced = |ask: &dyn Fn()| {
+            let seen = tracer.events().len();
+            ask();
+            tracer.events()[seen..]
+                .iter()
+                .map(|e| {
+                    assert_eq!(e.container, Some(id));
+                    e.kind
+                })
+                .collect::<Vec<_>>()
+        };
+        let query = |caller, q| {
+            traced(&|| {
+                fs.sysconf(caller, q);
+            })
+        };
+        let read = |caller, path| traced(&|| drop(fs.read(caller, path)));
+        let cpu = vec![EventKind::Cpu(CpuDecision {
+            cause: DecisionCause::DegradedFallback,
+            before: 6,
+            after: lower,
+            utilization: 0.0,
+            had_slack: false,
+        })];
+        let mem = vec![EventKind::Mem(MemDecision {
+            cause: DecisionCause::DegradedFallback,
+            before: Bytes::from_mib(600),
+            after: soft,
+            usage: Bytes(0),
+            free: Bytes(0),
+        })];
+        assert_eq!(query(Some(id), Sysconf::NprocessorsOnln), cpu);
+        assert_eq!(query(Some(id), Sysconf::NprocessorsConf), cpu);
+        assert_eq!(query(Some(id), Sysconf::PhysPages), mem);
+        assert_eq!(query(Some(id), Sysconf::AvphysPages), []);
+        assert_eq!(query(Some(id), Sysconf::PageSize), []);
+        for path in CONTAINER_PATHS {
+            let keyed = if PathId::resolve(path, None).unwrap().0.cpu_keyed() {
+                &cpu
+            } else {
+                &mem
+            };
+            assert_eq!(&read(Some(id), path), keyed, "{path}");
+        }
+        // Host-global files and host callers never trace.
+        assert_eq!(read(Some(id), "/sys/devices/system/cpu/possible"), []);
+        assert_eq!(query(None, Sysconf::PhysPages), []);
     }
 
     #[test]

@@ -16,21 +16,9 @@ use arv_telemetry::{PipelineEvent, Tracer};
 
 use crate::monitor::IngestReport;
 
-/// Watchdog tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Consecutive missed update deadlines tolerated before a resync is
-    /// demanded once the monitor recovers.
-    pub max_missed_ticks: u64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            max_missed_ticks: 2,
-        }
-    }
-}
+/// Consecutive missed update deadlines tolerated before a resync is
+/// demanded once the monitor recovers.
+const MAX_MISSED_TICKS: u64 = 2;
 
 /// What the pipeline should do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +47,6 @@ pub struct WatchdogStats {
 /// Tracks pipeline liveness and event-stream integrity.
 #[derive(Debug, Default)]
 pub struct Watchdog {
-    cfg: WatchdogConfig,
     stats: WatchdogStats,
     missed_streak: u64,
     pending_resync: bool,
@@ -68,12 +55,9 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// A watchdog with `cfg`.
-    pub fn new(cfg: WatchdogConfig) -> Watchdog {
-        Watchdog {
-            cfg,
-            ..Watchdog::default()
-        }
+    /// A watchdog that has seen nothing yet.
+    pub fn new() -> Watchdog {
+        Watchdog::default()
     }
 
     /// Counters so far.
@@ -103,7 +87,7 @@ impl Watchdog {
         self.ticks_observed += 1;
         self.stats.missed_ticks += 1;
         self.missed_streak += 1;
-        if self.missed_streak > self.cfg.max_missed_ticks {
+        if self.missed_streak > MAX_MISSED_TICKS {
             if !self.pending_resync {
                 self.tracer
                     .emit_pipeline(self.ticks_observed, None, PipelineEvent::StallDetected);
@@ -193,9 +177,7 @@ mod tests {
 
     #[test]
     fn stall_latches_resync_after_budget() {
-        let mut w = Watchdog::new(WatchdogConfig {
-            max_missed_ticks: 2,
-        });
+        let mut w = Watchdog::new();
         w.note_missed_deadline();
         w.note_missed_deadline();
         assert!(!w.take_pending_resync(), "within budget");
@@ -210,9 +192,7 @@ mod tests {
 
     #[test]
     fn meeting_a_deadline_resets_the_streak() {
-        let mut w = Watchdog::new(WatchdogConfig {
-            max_missed_ticks: 2,
-        });
+        let mut w = Watchdog::new();
         w.note_missed_deadline();
         w.note_missed_deadline();
         w.note_deadline_met();

@@ -15,64 +15,14 @@
 //! CPU count in the server's image table and a cache entry holds a
 //! pointer to them.
 //!
-//! The set of renderable paths is closed, so paths are interned into a
-//! [`PathId`] once at the query boundary and the cache is a fixed array
-//! indexed by it — the hit path does a handful of byte compares and an
-//! array index instead of hashing a heap string under the lock.
+//! The set of renderable paths is closed, so a query interns its path
+//! into an [`arv_resview::PathId`] once, with the resolver the in-process
+//! virtual sysfs uses too, and the cache is a fixed array indexed by it —
+//! the hit path does a handful of byte compares and an array index
+//! instead of hashing a heap string under the lock.
 
+use arv_resview::PathId;
 use std::sync::{Arc, Mutex};
-
-/// A renderable container path, interned (see
-/// [`crate::server::CONTAINER_PATHS`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathId {
-    /// `/proc/cpuinfo`
-    Cpuinfo,
-    /// `/proc/meminfo`
-    Meminfo,
-    /// `/proc/stat`
-    Stat,
-    /// `/sys/devices/system/cpu/online`
-    OnlineCpus,
-    /// cgroup v2 `cpu.max`
-    CpuMax,
-    /// cgroup v2 `memory.max`
-    MemoryMax,
-}
-
-impl PathId {
-    /// Number of distinct renderable paths.
-    pub const COUNT: usize = 6;
-
-    /// Every renderable path, in discriminant order.
-    pub const ALL: [PathId; PathId::COUNT] = [
-        PathId::Cpuinfo,
-        PathId::Meminfo,
-        PathId::Stat,
-        PathId::OnlineCpus,
-        PathId::CpuMax,
-        PathId::MemoryMax,
-    ];
-
-    /// Whether the file's image is a function of the CPU count alone
-    /// (the rest are functions of the memory sizes alone).
-    pub fn cpu_keyed(self) -> bool {
-        !matches!(self, PathId::Meminfo | PathId::MemoryMax)
-    }
-
-    /// Intern a path string (`None` for paths the daemon cannot render).
-    pub fn resolve(path: &str) -> Option<PathId> {
-        match path {
-            "/proc/cpuinfo" => Some(PathId::Cpuinfo),
-            "/proc/meminfo" => Some(PathId::Meminfo),
-            "/proc/stat" => Some(PathId::Stat),
-            "/sys/devices/system/cpu/online" => Some(PathId::OnlineCpus),
-            "cpu.max" => Some(PathId::CpuMax),
-            "memory.max" => Some(PathId::MemoryMax),
-            _ => None,
-        }
-    }
-}
 
 /// A rendered file image plus the generation it was rendered from.
 #[derive(Debug, Clone)]
@@ -135,15 +85,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn resolve_round_trips_every_path() {
-        for path in crate::server::CONTAINER_PATHS {
-            let id = PathId::resolve(path).expect("known path");
-            assert_eq!(id.as_str(), path);
-        }
-        assert!(PathId::resolve("/proc/uptime").is_none());
-    }
-
-    #[test]
     fn serves_only_matching_generation() {
         let cache = RenderCache::new();
         cache.put(PathId::Cpuinfo, 4, Arc::new("gen4".into()));
@@ -169,20 +110,6 @@ mod tests {
         assert_eq!(cache.get(PathId::Stat, 6).unwrap().as_str(), "new");
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
-    }
-
-    impl PathId {
-        /// The canonical path string.
-        pub(crate) fn as_str(self) -> &'static str {
-            match self {
-                PathId::Cpuinfo => "/proc/cpuinfo",
-                PathId::Meminfo => "/proc/meminfo",
-                PathId::Stat => "/proc/stat",
-                PathId::OnlineCpus => "/sys/devices/system/cpu/online",
-                PathId::CpuMax => "cpu.max",
-                PathId::MemoryMax => "memory.max",
-            }
-        }
     }
 
     impl RenderCache {

@@ -61,7 +61,8 @@ pub mod shard;
 pub mod sys;
 pub mod wire;
 
-pub use cache::{CachedImage, PathId, RenderCache};
+pub use arv_resview::{render::CONTAINER_PATHS, HostSpec, PathId};
+pub use cache::{CachedImage, RenderCache};
 pub use codec::{
     read_frame, write_frame, FrameDecoder, RetryPolicy, Transport, TransportStats, Verdict,
     WireError,
@@ -69,7 +70,7 @@ pub use codec::{
 pub use config::{ServerConfig, ServerConfigBuilder};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use reactor::{EvictReason, FrameService, Reactor, Response, ResponseBody, ServiceAction};
-pub use server::{HostSpec, ViewClient, ViewImage, ViewServer, CONTAINER_PATHS};
+pub use server::{ViewClient, ViewImage, ViewServer};
 pub use shard::{ContainerEntry, ShardedRegistry};
 pub use wire::{
     parse_response, WireClient, WireClientStats, WireResponse, WireServer, DEFAULT_RETRY_AFTER_MS,

@@ -106,7 +106,8 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{HostSpec, ViewServer};
+    use crate::server::ViewServer;
+    use arv_resview::HostSpec;
 
     #[test]
     fn snapshot_reflects_counters() {

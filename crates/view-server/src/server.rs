@@ -13,49 +13,26 @@
 //!   the two memory-keyed ones are formatted per miss;
 //! * **sysconf** — the scalar parameters glibc derives from those files.
 //!
-//! Queries from host processes (no container identity) and for unknown
-//! containers fall back to the physical host view, mirroring
-//! [`arv_resview::VirtualSysfs`].
+//! What is answered is [`arv_resview::VirtualSysfs`]'s answer: a read
+//! resolves its path with [`PathId::resolve`], renders with
+//! [`render::image`], and traces a degraded fallback with
+//! [`trace_moved`] — the in-process sysfs's own code. What this module
+//! adds is the concurrency around it: the shards, the caches, the image
+//! table and one freshness word per host. Host processes (no container
+//! identity) and unknown containers are answered from the [`HostSpec`].
 
 use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::{
-    render, CpuBounds, EffectiveCpuConfig, EffectiveMemory, NsCell, Sysconf, ViewHealth,
-    ViewSnapshot,
+    render, trace_moved, CpuBounds, EffectiveCpuConfig, EffectiveMemory, HostSpec, NsCell, PathId,
+    Sysconf, ViewHealth, ViewSnapshot,
 };
-use arv_telemetry::{CpuDecision, DecisionCause, MemDecision, PromText, Tracer};
+use arv_telemetry::{DecisionCause, PromText, Tracer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::cache::PathId;
 use crate::metrics::{Metrics, MetricsSnapshot, Served};
 use crate::shard::{ContainerEntry, ShardedRegistry};
-
-/// The host's physical configuration, answered to non-container callers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HostSpec {
-    /// Online CPUs on the host.
-    pub online_cpus: u32,
-    /// Physical memory size.
-    pub total_memory: Bytes,
-    /// Free physical memory (static over a server's lifetime; the host
-    /// side is not what the paper virtualizes).
-    pub free_memory: Bytes,
-    /// CFS period used when rendering `cpu.max`, in microseconds.
-    pub cfs_period_us: u64,
-}
-
-impl HostSpec {
-    /// The paper's testbed: 20 cores, 128 GiB, default 100 ms CFS period.
-    pub fn paper_testbed() -> HostSpec {
-        HostSpec {
-            online_cpus: 20,
-            total_memory: Bytes::from_gib(128),
-            free_memory: Bytes::from_gib(100),
-            cfs_period_us: 100_000,
-        }
-    }
-}
 
 /// A successful file read: the image plus the generation it reflects.
 #[derive(Debug, Clone)]
@@ -74,9 +51,6 @@ pub struct ViewImage {
 struct ServerInner {
     shards: ShardedRegistry,
     host: HostSpec,
-    // The host's physical configuration as a view: what non-container
-    // callers are answered from (generation 0: it never changes).
-    host_view: ViewSnapshot,
     host_meminfo: Arc<String>,
     // `images[path][cpus]`: the four CPU-keyed files are functions of a
     // CPU count alone, so each is formatted at most once per count up to
@@ -113,16 +87,6 @@ pub struct ViewServer {
     inner: Arc<ServerInner>,
 }
 
-/// Paths the server can render for a container.
-pub const CONTAINER_PATHS: [&str; 6] = [
-    "/proc/cpuinfo",
-    "/proc/meminfo",
-    "/proc/stat",
-    "/sys/devices/system/cpu/online",
-    "cpu.max",
-    "memory.max",
-];
-
 impl ViewServer {
     /// A server for `host` with `shards` registry shards. Views older
     /// than [`arv_resview::STALENESS_BUDGET`] are served degraded. The
@@ -150,12 +114,6 @@ impl ViewServer {
             inner: Arc::new(ServerInner {
                 shards: ShardedRegistry::new(shards),
                 host,
-                host_view: ViewSnapshot {
-                    cpus: host.online_cpus,
-                    bytes: host.total_memory,
-                    avail: host.free_memory,
-                    generation: 0,
-                },
                 host_meminfo: Arc::new(render::meminfo(host.total_memory, host.free_memory)),
                 images,
                 metrics: Metrics::default(),
@@ -409,10 +367,12 @@ impl ViewClient {
     ) -> Option<(ViewImage, Served)> {
         let m = &self.inner.metrics;
         m.queries.fetch_add(1, Ordering::Relaxed);
-        let result = match caller.and_then(|id| self.inner.shards.get(id)) {
-            Some(entry) => self.read_container(&entry, path),
-            None => self.read_host(path).map(|view| (view, Served::Hit)),
-        };
+        let result = PathId::resolve(path, caller).and_then(|(id, caller)| {
+            match caller.and_then(|c| self.inner.shards.get(c)) {
+                Some(entry) => Some(self.read_container(&entry, id)),
+                None => self.read_host(id).map(|view| (view, Served::Hit)),
+            }
+        });
         if result.is_none() {
             m.failures.fetch_add(1, Ordering::Relaxed);
         }
@@ -428,9 +388,10 @@ impl ViewClient {
     /// wire layer serves what this returns and sheds the rest.
     pub fn read_cached(&self, caller: Option<CgroupId>, path: &str) -> Option<ViewImage> {
         let start = Instant::now();
-        let view = match caller.and_then(|id| self.inner.shards.get(id)) {
-            Some(entry) if !HOST_GLOBAL.contains(&path) => self.cached(&entry, path)?,
-            _ => self.read_host(path)?,
+        let (id, caller) = PathId::resolve(path, caller)?;
+        let view = match caller.and_then(|c| self.inner.shards.get(c)) {
+            Some(entry) => self.cached(&entry, id)?,
+            None => self.read_host(id)?,
         };
         let m = &self.inner.metrics;
         m.queries.fetch_add(1, Ordering::Relaxed);
@@ -440,8 +401,7 @@ impl ViewClient {
 
     /// The container's cached image of `path`, if it is current and the
     /// view is not degraded (fallback images are built per read).
-    fn cached(&self, entry: &ContainerEntry, path: &str) -> Option<ViewImage> {
-        let id = PathId::resolve(path)?;
+    fn cached(&self, entry: &ContainerEntry, id: PathId) -> Option<ViewImage> {
         let (_, health) = self.inner.health();
         if health.is_degraded() {
             return None;
@@ -526,49 +486,25 @@ impl ViewClient {
         }
         let live = entry.cell.snapshot();
         let fallback = entry.cell.degraded_snapshot();
-        let id = entry.cell.id();
-        if live.cpus != fallback.cpus {
-            self.inner.tracer.emit_cpu(
-                now,
-                id,
-                CpuDecision {
-                    cause: DecisionCause::DegradedFallback,
-                    before: live.cpus,
-                    after: fallback.cpus,
-                    utilization: 0.0,
-                    had_slack: false,
-                },
-            );
-        }
-        if live.bytes != fallback.bytes {
-            self.inner.tracer.emit_mem(
-                now,
-                id,
-                MemDecision {
-                    cause: DecisionCause::DegradedFallback,
-                    before: live.bytes,
-                    after: fallback.bytes,
-                    usage: Bytes(0),
-                    free: Bytes(0),
-                },
-            );
-        }
+        trace_moved(
+            &self.inner.tracer,
+            now,
+            entry.cell.id(),
+            DecisionCause::DegradedFallback,
+            (live.cpus, fallback.cpus),
+            (live.bytes, fallback.bytes),
+        );
     }
 
-    /// The host's image of `path`: always a hit, the CPU-keyed files
+    /// The host's image of `id`: always a hit, the CPU-keyed files
     /// being the image table's `online_cpus` entries. A host caller has
     /// no cgroup interface files.
-    fn read_host(&self, path: &str) -> Option<ViewImage> {
+    fn read_host(&self, id: PathId) -> Option<ViewImage> {
         let inner = &self.inner;
-        let id = if HOST_GLOBAL.contains(&path) {
-            PathId::OnlineCpus
-        } else {
-            PathId::resolve(path)?
-        };
         let image = match id {
             PathId::Meminfo => Arc::clone(&inner.host_meminfo),
-            PathId::CpuMax | PathId::MemoryMax => return None,
-            _ => inner.image(id, &inner.host_view),
+            _ if !id.on_host() => return None,
+            _ => inner.image(id, &inner.host.view()),
         };
         Some(ViewImage {
             image,
@@ -577,11 +513,7 @@ impl ViewClient {
         })
     }
 
-    fn read_container(&self, entry: &ContainerEntry, path: &str) -> Option<(ViewImage, Served)> {
-        if HOST_GLOBAL.contains(&path) {
-            return self.read_host(path).map(|view| (view, Served::Hit));
-        }
-        let id = PathId::resolve(path)?;
+    fn read_container(&self, entry: &ContainerEntry, id: PathId) -> (ViewImage, Served) {
         let health = self.judge(entry);
         let live = !health.is_degraded();
         let (image, generation, how) = match live.then(|| Self::current(entry, id)).flatten() {
@@ -606,7 +538,7 @@ impl ViewClient {
             generation,
             health,
         };
-        Some((view, how))
+        (view, how)
     }
 
     /// The view a container of `health` is answered from: the live
@@ -644,7 +576,7 @@ impl ViewClient {
                 let health = self.judge(&entry);
                 (Self::view_of(&entry, health), health)
             }
-            None => (self.inner.host_view, ViewHealth::Fresh),
+            None => (self.inner.host.view(), ViewHealth::Fresh),
         };
         (snap.sysconf(query), snap.generation, health)
     }
@@ -661,12 +593,6 @@ impl std::fmt::Debug for ViewClient {
         f.debug_struct("ViewClient").finish_non_exhaustive()
     }
 }
-
-/// Hardware-property files: host-global even inside a view.
-const HOST_GLOBAL: [&str; 2] = [
-    "/sys/devices/system/cpu/possible",
-    "/sys/devices/system/cpu/present",
-];
 
 impl ServerInner {
     /// The current tick and the health of every container view at it:
@@ -691,16 +617,7 @@ impl ServerInner {
     /// Format a container-visible file image entirely from one snapshot.
     fn render(&self, id: PathId, snap: &ViewSnapshot) -> Arc<String> {
         self.metrics.renders.fetch_add(1, Ordering::Relaxed);
-        Arc::new(match id {
-            PathId::Cpuinfo => render::cpuinfo(snap.cpus),
-            PathId::Stat => render::stat(snap.cpus),
-            PathId::Meminfo => render::meminfo(snap.bytes, snap.avail),
-            PathId::OnlineCpus => render::cpu_list(snap.cpus),
-            // The container's own cgroup interface files, from the
-            // *effective* view (what the adaptive runtime should size to).
-            PathId::CpuMax => render::cpu_max(snap.cpus, self.host.cfs_period_us),
-            PathId::MemoryMax => render::memory_max(snap.bytes),
-        })
+        Arc::new(render::image(id, snap, self.host.cfs_period_us))
     }
 }
 
@@ -924,7 +841,7 @@ mod tests {
 
     #[test]
     fn degraded_provenance_is_deduped_per_tick() {
-        use arv_telemetry::{EventKind, Tracer};
+        use arv_telemetry::{CpuDecision, EventKind, MemDecision, Tracer};
         let tracer = Tracer::bounded(64);
         let server = ViewServer::with_telemetry(HostSpec::paper_testbed(), 8, tracer.clone());
         let id = CgroupId(1);
@@ -1046,6 +963,7 @@ mod tests {
 
     mod image_table {
         use super::*;
+        use arv_resview::render::CONTAINER_PATHS;
         use proptest::prelude::*;
 
         /// What `arv_resview::render` makes of `id` for a view.
@@ -1092,7 +1010,7 @@ mod tests {
                     server.mark_fresh(0);
                     for path in PathId::ALL {
                         let [a, b] = [0, 1].map(|i| {
-                            let view = client.read(Some(ids[i]), path.as_str()).expect("known path");
+                            let view = client.read(Some(ids[i]), CONTAINER_PATHS[path as usize]).expect("known path");
                             assert!(view.health.is_fresh());
                             let (mem, avail) = views[i];
                             assert_eq!(*view.image, rendered(path, cpus, mem, avail, &host));
@@ -1114,7 +1032,7 @@ mod tests {
                     }
                     for path in PathId::ALL {
                         for (id, (mem, avail)) in ids.into_iter().zip(views) {
-                            let view = client.read(Some(id), path.as_str()).expect("known path");
+                            let view = client.read(Some(id), CONTAINER_PATHS[path as usize]).expect("known path");
                             prop_assert!(view.health.is_degraded());
                             // What the usage the live view implies leaves
                             // of the fallback.

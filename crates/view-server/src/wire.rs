@@ -594,8 +594,8 @@ impl WireClient {
 mod tests {
     use super::*;
     use crate::codec::{read_frame, write_frame};
-    use crate::server::HostSpec;
     use arv_cgroups::Bytes;
+    use arv_resview::HostSpec;
     use arv_resview::{CpuBounds, EffectiveCpuConfig, EffectiveMemory, EffectiveMemoryConfig};
     use std::io::{Read, Write};
     use std::os::unix::net::UnixStream;
@@ -1276,7 +1276,7 @@ mod tests {
     /// for byte, is what [`ViewdService::handle`] answers in-process.
     mod differential {
         use super::*;
-        use crate::server::CONTAINER_PATHS;
+        use arv_resview::render::CONTAINER_PATHS;
         use proptest::prelude::*;
 
         const SYSCONF_KEYS: [&str; 5] = [
