@@ -94,6 +94,23 @@ for check in $checks; do
 done
 test "$missing" -eq 0
 
+echo "==> DESIGN names only what exists (each backticked identifier of 5+ characters, and each segment of a backticked path, occurs under crates/, tests/, examples/ or arv-benchmark/, or is a kernel or paper name)"
+allowed="EPOLLET Ns_Monitor"
+sources=$(find crates tests examples arv-benchmark -name target -prune -o -type f -print)
+names=$(grep -o '`[^`]*`' DESIGN.md | tr -d '`' \
+    | grep -xE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*' | tr -s ':' '\n' \
+    | grep -xE '[A-Za-z_][A-Za-z0-9_]{4,}' | sort -u || true)
+test -n "$names" || { echo "DESIGN names no identifiers"; exit 1; }
+unknown=0
+for name in $names; do
+    case " $allowed " in *" $name "*) continue ;; esac
+    if ! grep -qF -- "$name" $sources && ! printf '%s\n' "$sources" | grep -qF -- "$name"; then
+        echo "DESIGN names what nothing defines or mentions: ${name}"
+        unknown=1
+    fi
+done
+test "$unknown" -eq 0
+
 # core: NsMonitor::tick linear scaling, ledger record growth; viewd: hit /
 # re-stamped miss / first render ratios; fleet: resync + failover ticks,
 # REPL lag, rollup growth, obs + journal overhead, index update growth,

@@ -74,6 +74,9 @@ pub struct SimHost {
     next_pid: u32,
     update_timer_elapsed: SimDuration,
     viewd: Option<ViewServer>,
+    // The host's free memory as sampled at the last update-timer firing:
+    // what both front-ends answer a host caller.
+    host_free: Bytes,
     // The handles `viewd` registered, one a namespace the daemon
     // mirrors: what a publish writes through, walked beside the change
     // list. The daemon stays the authority on what is registered.
@@ -119,6 +122,7 @@ impl SimHost {
         let cfs = CfsSim::with_cpus(cpus);
         let mem = MemSim::new(MemSimConfig::with_total(memory));
         let monitor = NsMonitor::new(cfs.online(), memory, *mem.watermarks(), cpu_cfg, mem_cfg);
+        let host_free = mem.free();
         SimHost {
             clock: SimClock::new(),
             cgm: CgroupManager::new(),
@@ -131,6 +135,7 @@ impl SimHost {
             next_pid: 1000,
             update_timer_elapsed: SimDuration::ZERO,
             viewd: None,
+            host_free,
             cells: IdMap::new(),
             pipe: EventPipe::new(DEFAULT_PIPE_CAPACITY),
             watchdog: Watchdog::new(),
@@ -518,14 +523,16 @@ impl SimHost {
 
     // --- view daemon attachment ---
 
-    /// A [`HostSpec`] describing this host's physical configuration: what
+    /// A [`HostSpec`] describing this host's physical configuration, with
+    /// the free memory sampled at the last update-timer firing: what
     /// [`SimHost::sysfs`] answers host callers, and what a [`ViewServer`]
-    /// is built with so its host-fallback answers match.
+    /// is built with so its host-fallback answers match (an attached one
+    /// is handed every later sample).
     pub fn viewd_host_spec(&self) -> HostSpec {
         HostSpec {
             online_cpus: self.cfs.online_count(),
             total_memory: self.mem.total(),
-            free_memory: self.mem.free(),
+            free_memory: self.host_free,
             cfs_period_us: arv_cgroups::cpu::DEFAULT_CFS_PERIOD.as_micros(),
         }
     }
@@ -543,6 +550,7 @@ impl SimHost {
         let mut all: Changes = server.ids().into_iter().map(|id| (id, None)).collect();
         let views = self.monitor.snapshot().entries;
         all.upsert(views, |v| (CgroupId(v.id), Some(v)), |_, _| {});
+        server.set_host_free(self.host_free);
         self.viewd = Some(server);
         self.cells.clear();
         self.viewd_publish(&all, false);
@@ -739,8 +747,12 @@ impl SimHost {
         // not the monitor gets to its work — that difference is exactly
         // what staleness measures.
         self.monitor.observe_tick();
+        // Host values never degrade, so both front-ends take the host's
+        // free memory from one sample per firing, stalled or not.
+        self.host_free = self.mem.free();
         if let Some(server) = &self.viewd {
             server.advance_tick();
+            server.set_host_free(self.host_free);
         }
         // The first tick past a crash window is the warm restart: the
         // replacement daemon recovers from its journal before this
@@ -1520,8 +1532,7 @@ mod tests {
         ];
         let paths = CONTAINER_PATHS.into_iter().chain(OTHER_PATHS);
         let mut host = SimHost::paper_testbed();
-        let spec = host.viewd_host_spec();
-        let server = ViewServer::new(spec, 4);
+        let server = ViewServer::new(host.viewd_host_spec(), 4);
         host.attach_viewd(server.clone());
         let container = |i: u64| {
             ContainerSpec::new(format!("c{i}"), 20)
@@ -1533,12 +1544,11 @@ mod tests {
         let client = server.client();
         // No publish is ever delayed here, so the daemon is level with
         // the monitor after every firing, stalled ones included. A caller
-        // neither front-end knows reads the host's values, and the
-        // daemon's are the ones it was built with, so the virtual sysfs
-        // is given the same spec. Returns the health of the first
-        // container.
+        // neither front-end knows reads the host's values, free memory
+        // included, which both sample at the same firing. Returns the
+        // health of the first container.
         let compare = |host: &SimHost, callers: &[CgroupId]| -> ViewHealth {
-            let fs = VirtualSysfs::new(host.monitor(), spec);
+            let fs = host.sysfs();
             let tick = host.now_tick();
             for caller in callers.iter().copied().map(Some).chain([None]) {
                 assert_eq!(

@@ -47,7 +47,7 @@ use arv_fleet::{
 };
 use arv_persist::{restore, FaultyStore, Journal, Snapshot, StoreFaults, ViewState};
 use arv_sim_core::{FaultConfig, FaultPlan, SimRng};
-use arv_telemetry::{FlightDump, FlightRecorder, FlightTrigger, Tracer};
+use arv_telemetry::{EventKind, FlightDump, FlightRecorder, PipelineEvent, Tracer};
 
 use crate::campaign::{
     churn_demands, ground_truth, paper_container, periphery_total, pump_repl, query, rows,
@@ -707,13 +707,15 @@ pub(crate) fn assert_storm(out: &StormOutcome, seed: u64) {
     for bytes in &out.flight_dumps {
         let dump = FlightDump::decode(bytes).expect("retrieved dump decodes");
         assert!(
-            !dump.events.is_empty(),
-            "seed {seed:#x}: a {} dump froze an empty trace ring",
+            dump.events
+                .iter()
+                .any(|e| e.tick == dump.tick && e.kind == EventKind::Pipeline(dump.trigger)),
+            "seed {seed:#x}: a {} dump froze a trace ring without its trigger",
             dump.trigger.label()
         );
         triggers.push(dump.trigger);
     }
-    for want in [FlightTrigger::Promotion, FlightTrigger::Fence] {
+    for want in [PipelineEvent::FleetPromoted, PipelineEvent::FleetFenced] {
         assert!(
             triggers.contains(&want),
             "seed {seed:#x}: the {} must freeze a flight dump, got {triggers:?}",

@@ -71,7 +71,7 @@ use arv_persist::{
     KIND_HOST_BATCH,
 };
 use arv_sim_core::IdMap;
-use arv_telemetry::{FlightRecorder, FlightTrigger, LagHistogram, PipelineEvent, PromText, Tracer};
+use arv_telemetry::{FlightRecorder, LagHistogram, PipelineEvent, PromText, Tracer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -177,35 +177,18 @@ arv_telemetry::metrics! {
 /// Causal events retained per host for [`FleetController::explain_host`].
 pub const EXPLAIN_EVENTS: usize = 16;
 
-/// What happened to a host, as recorded in its causal event ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostEventKind {
-    /// The host introduced itself (attach or reconnect).
-    Hello,
-    /// An in-order incremental delta was applied.
-    DeltaApplied,
-    /// A FULL snapshot replaced the host's state.
-    FullApplied,
-    /// A sequence gap flipped the host into resync.
-    GapResync,
-    /// The host fell silent past the staleness budget.
-    Partitioned,
-    /// A promoted standby marked the host last-good pending resync.
-    Promoted,
-    /// The host reported its journal lost durability.
-    DurabilityLost,
-    /// The host reported its journal healed back to durable.
-    DurabilityRestored,
-}
-
 /// One entry of a host's causal event ring: what happened, when (in
-/// controller ticks), and the span coordinates it happened at.
+/// controller ticks), and the span coordinates it happened at. A host's
+/// gap, partition, promotion and durability edges name the same
+/// [`PipelineEvent`] here, in the trace ring and in the flight dump they
+/// freeze.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostCausalEvent {
     /// Controller tick the event was recorded at.
     pub tick: u64,
-    /// What happened.
-    pub kind: HostEventKind,
+    /// What happened: a hello, an applied DELTA or FULL, a gap resync,
+    /// a partition, a promotion or a durability edge.
+    pub kind: PipelineEvent,
     /// The delta sequence involved (the frame's for applies/gaps, the
     /// expected one for hello/partition/promotion events).
     pub seq: u64,
@@ -282,7 +265,7 @@ struct HostEntry {
 }
 
 impl HostEntry {
-    fn push_event(&mut self, tick: u64, kind: HostEventKind, seq: u64) {
+    fn push_event(&mut self, tick: u64, kind: PipelineEvent, seq: u64) {
         self.events.push_back(HostCausalEvent {
             tick,
             kind,
@@ -528,16 +511,17 @@ impl FleetController {
     }
 
     /// Route fleet pipeline events (partition flagged, gap resync,
-    /// promotion, fence, durability edges) into a trace ring. Call
-    /// before sharing the controller.
+    /// promotion, demotion, fence, durability edges) into a trace ring.
+    /// Call before sharing the controller.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
-    /// Attach a flight recorder: anomaly triggers (gap resync, fence,
-    /// promotion, demotion, partition) freeze the tracer's recent
-    /// events plus a counter snapshot into retrievable dumps. Call
-    /// before sharing the controller.
+    /// Attach a flight recorder: anomalies (gap resync, fence,
+    /// promotion, demotion, partition, durability edges) freeze the
+    /// tracer's recent events, their own trigger event among them, plus
+    /// a counter snapshot into retrievable dumps. Call before sharing the
+    /// controller.
     pub fn set_flight_recorder(&mut self, flight: FlightRecorder) {
         self.flight = flight;
     }
@@ -548,9 +532,10 @@ impl FleetController {
         &self.flight
     }
 
-    /// Freeze a flight dump around an anomaly: the trace ring as it
-    /// stands plus every counter and the epoch. No-op when disabled.
-    fn record_flight(&self, now: u64, trigger: FlightTrigger) {
+    /// Freeze a flight dump around an anomaly whose `trigger` event the
+    /// trace ring already holds: the ring as it stands plus every
+    /// counter and the epoch. No-op when disabled.
+    fn freeze(&self, now: u64, trigger: PipelineEvent) {
         if !self.flight.is_enabled() {
             return;
         }
@@ -559,19 +544,17 @@ impl FleetController {
         self.flight.record(now, trigger, &self.tracer, &counters);
     }
 
-    /// Record an edge of a durability ladder — this controller's own or
-    /// a host's: a trace-ring entry and a flight dump.
-    fn durability_edge(&self, now: u64, lost: bool) {
-        let (event, trigger) = if lost {
-            (PipelineEvent::DurabilityLost, FlightTrigger::DurabilityLost)
-        } else {
-            (
-                PipelineEvent::DurabilityRestored,
-                FlightTrigger::DurabilityRestored,
-            )
-        };
+    /// Record an anomaly: its event into the trace ring, then the flight
+    /// dump it freezes.
+    fn anomaly(&self, now: u64, event: PipelineEvent) {
         self.tracer.emit_pipeline(now, None, event);
-        self.record_flight(now, trigger);
+        self.freeze(now, event);
+    }
+
+    /// Record an edge of a durability ladder — this controller's own or
+    /// a host's — as an anomaly.
+    fn durability_edge(&self, now: u64, lost: bool) {
+        self.anomaly(now, durability_event(lost));
     }
 
     /// Settle one store interaction on the controller's own durability
@@ -655,7 +638,7 @@ impl FleetController {
             if !host.partitioned && now.saturating_sub(host.last_delta_tick) > budget {
                 host.partitioned = true;
                 let seq = host.expected_seq;
-                host.push_event(now, HostEventKind::Partitioned, seq);
+                host.push_event(now, PipelineEvent::FleetPartitioned, seq);
                 newly_partitioned = true;
                 self.metrics
                     .hosts_partitioned
@@ -667,7 +650,7 @@ impl FleetController {
         if newly_partitioned {
             // One dump per tick no matter how many hosts flipped: the
             // dump's counters already say how many went silent.
-            self.record_flight(now, FlightTrigger::Partition);
+            self.freeze(now, PipelineEvent::FleetPartitioned);
         }
         self.journal_tick(now);
     }
@@ -774,20 +757,21 @@ impl FleetController {
                 drop(lease);
                 if let LeaseError::Store(_) = e {
                     // The lease store itself refused the write: surface
-                    // the why on the trace ring and the flight recorder
-                    // — this is a durability event, not a lost race.
+                    // the why on the trace ring and, for a stepping-down
+                    // leader, the flight recorder — this is a durability
+                    // event, not a lost race.
                     self.metrics
                         .journal_io_errors
                         .fetch_add(1, Ordering::Relaxed);
                     self.tracer
                         .emit_pipeline(now, None, PipelineEvent::DurabilityLost);
                     if was_leader {
-                        self.record_flight(now, FlightTrigger::DurabilityLost);
+                        self.freeze(now, PipelineEvent::DurabilityLost);
                     }
                 }
                 if was_leader {
                     self.metrics.demotions.fetch_add(1, Ordering::Relaxed);
-                    self.record_flight(now, FlightTrigger::Demotion);
+                    self.anomaly(now, PipelineEvent::FleetDemoted);
                 }
             }
         }
@@ -808,15 +792,13 @@ impl FleetController {
             }
             host.last_delta_tick = now;
             let seq = host.expected_seq;
-            host.push_event(now, HostEventKind::Promoted, seq);
+            host.push_event(now, PipelineEvent::FleetPromoted, seq);
         });
         self.metrics
             .hosts_partitioned
             .fetch_add(flagged, Ordering::Relaxed);
         self.metrics.promotions.fetch_add(1, Ordering::Relaxed);
-        self.tracer
-            .emit_pipeline(now, None, PipelineEvent::FleetPromoted);
-        self.record_flight(now, FlightTrigger::Promotion);
+        self.anomaly(now, PipelineEvent::FleetPromoted);
     }
 
     /// Handle one decoded-or-not request frame; `None` means the frame
@@ -891,7 +873,7 @@ impl FleetController {
         // freshness lag measured from tick zero.
         entry.origin_tick = entry.origin_tick.max(host_tick);
         let seq = entry.expected_seq;
-        entry.push_event(now, HostEventKind::Hello, seq);
+        entry.push_event(now, PipelineEvent::FleetHello, seq);
         let (expected, resync) = (entry.expected_seq, entry.needs_resync);
         drop(s);
         self.ack_for(host, expected, resync, epoch)
@@ -930,17 +912,15 @@ impl FleetController {
             let gap_detected = !host.needs_resync;
             if gap_detected {
                 host.needs_resync = true;
-                host.push_event(now, HostEventKind::GapResync, d.seq);
+                host.push_event(now, PipelineEvent::FleetGapResync, d.seq);
                 self.metrics
                     .deltas_gap_resyncs
                     .fetch_add(1, Ordering::Relaxed);
-                self.tracer
-                    .emit_pipeline(now, None, PipelineEvent::FleetGapResync);
             }
             let expected = host.expected_seq;
             drop(s);
             if gap_detected {
-                self.record_flight(now, FlightTrigger::GapResync);
+                self.anomaly(now, PipelineEvent::FleetGapResync);
             }
             return self.ack_for(host_id, expected, true, epoch);
         }
@@ -961,15 +941,7 @@ impl FleetController {
         let durability_flip = d.durability_lost != host.durability_lost;
         if durability_flip {
             host.durability_lost = d.durability_lost;
-            host.push_event(
-                now,
-                if d.durability_lost {
-                    HostEventKind::DurabilityLost
-                } else {
-                    HostEventKind::DurabilityRestored
-                },
-                d.seq,
-            );
+            host.push_event(now, durability_event(d.durability_lost), d.seq);
         }
         host.partitioned = false;
         // Fold the causal span in: where this data originated, how far
@@ -982,9 +954,9 @@ impl FleetController {
         host.push_event(
             now,
             if d.full {
-                HostEventKind::FullApplied
+                PipelineEvent::FleetFullApplied
             } else {
-                HostEventKind::DeltaApplied
+                PipelineEvent::FleetDeltaApplied
             },
             d.seq,
         );
@@ -1374,9 +1346,7 @@ impl FleetController {
         if r.ctl_epoch < own {
             self.metrics.repl_fenced.fetch_add(1, Ordering::Relaxed);
             let now = self.now_tick();
-            self.tracer
-                .emit_pipeline(now, None, PipelineEvent::FleetFenced);
-            self.record_flight(now, FlightTrigger::Fence);
+            self.anomaly(now, PipelineEvent::FleetFenced);
             let expected = lock(&self.repl).as_ref().map_or(0, |rs| rs.expected_seq);
             return repl_ack(expected, own, false);
         }
@@ -1384,7 +1354,7 @@ impl FleetController {
             if self.is_leader() && lock(&self.lease).is_some() {
                 self.leader.store(false, Ordering::Release);
                 self.metrics.demotions.fetch_add(1, Ordering::Relaxed);
-                self.record_flight(self.now_tick(), FlightTrigger::Demotion);
+                self.anomaly(self.now_tick(), PipelineEvent::FleetDemoted);
             }
             // Our shadow index now mirrors the higher-epoch primary.
             self.ctl_epoch.store(r.ctl_epoch, Ordering::Release);
@@ -1713,6 +1683,15 @@ impl FleetController {
             );
         }
         out.finish()
+    }
+}
+
+/// The event naming a durability ladder's edge: lost, or restored.
+fn durability_event(lost: bool) -> PipelineEvent {
+    if lost {
+        PipelineEvent::DurabilityLost
+    } else {
+        PipelineEvent::DurabilityRestored
     }
 }
 
@@ -2465,13 +2444,13 @@ mod tests {
         assert_eq!(ex.containers, 1);
         assert_eq!(ex.summary.frames, 2, "piggybacked summary is live");
         assert_eq!(ex.waterfall.total(), 2, "both ingests observed");
-        let kinds: Vec<HostEventKind> = ex.events.iter().map(|e| e.kind).collect();
+        let kinds: Vec<PipelineEvent> = ex.events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
             vec![
-                HostEventKind::Hello,
-                HostEventKind::FullApplied,
-                HostEventKind::DeltaApplied
+                PipelineEvent::FleetHello,
+                PipelineEvent::FleetFullApplied,
+                PipelineEvent::FleetDeltaApplied
             ]
         );
         assert!(ex.render().contains("delta-applied"));
@@ -2494,7 +2473,7 @@ mod tests {
         assert!(ex.partitioned);
         assert_eq!(
             ex.events.last().map(|e| e.kind),
-            Some(HostEventKind::Partitioned)
+            Some(PipelineEvent::FleetPartitioned)
         );
     }
 
@@ -2538,7 +2517,7 @@ mod tests {
         pump(&mut p, &ctl);
         assert_eq!(ctl.flight_recorder().dumps_frozen(), 1);
         let dump = ctl.flight_recorder().latest().expect("dump frozen");
-        assert_eq!(dump.trigger, FlightTrigger::GapResync);
+        assert_eq!(dump.trigger, PipelineEvent::FleetGapResync);
         assert!(dump
             .counters
             .iter()
@@ -2582,6 +2561,123 @@ mod tests {
             panic!("expected ROLLUP");
         };
         assert_eq!(frame.body, Rollup::Flight(Vec::new()));
+    }
+
+    /// Every anomaly emits its event into the trace ring before it
+    /// freezes a flight dump, so each dump holds its own trigger at its
+    /// own tick: a gap, a partition, a host's durability edges, a
+    /// promotion, a fence, a demotion on a higher-epoch REPL frame, and a
+    /// demotion on a lease write the store refused.
+    #[test]
+    fn every_flight_dump_holds_its_trigger() {
+        use arv_persist::{FaultyStore, StoreFaults};
+        use arv_telemetry::{EventKind, FlightDump};
+        let observed = |ctl: &mut FleetController| {
+            ctl.set_tracer(Tracer::bounded(1024));
+            ctl.set_flight_recorder(FlightRecorder::bounded(64));
+        };
+
+        // One host: a gap, a partition, then its durability lost and
+        // restored.
+        let mut single = FleetController::new(2, FleetPolicy::default());
+        observed(&mut single);
+        let mut p = Periphery::new(1);
+        p.observe(&snap(1, &[(1, 2, 100, 50)]), false, 0);
+        pump(&mut p, &single);
+        p.observe(&snap(2, &[(1, 3, 100, 50)]), false, 0);
+        p.take_frames();
+        p.observe(&snap(3, &[(1, 4, 100, 50)]), false, 0);
+        pump(&mut p, &single);
+        for _ in 0..5 {
+            single.advance_tick();
+        }
+        for lost in [true, false] {
+            let mut d = full_delta(2, vec![entry(7, 0, 2)]);
+            d.head.durability_lost = lost;
+            accepted(&single, &d);
+        }
+
+        // A replicated pair: the standby takes over and fences the stale
+        // primary's stream; the fencing ACK is lost, so the primary
+        // learns of the takeover from the new primary's own REPL frame.
+        let lease = SharedLease::new();
+        let mut primary = FleetController::new(2, FleetPolicy::default());
+        let mut standby = FleetController::new(2, FleetPolicy::default());
+        observed(&mut primary);
+        observed(&mut standby);
+        primary.enable_replication();
+        primary.attach_lease(lease.clone(), 1, 2);
+        standby.attach_lease(lease, 2, 2);
+        let mut p = Periphery::new(3);
+        p.observe(&snap(1, &[(1, 2, 100, 50)]), false, 0);
+        pump(&mut p, &primary);
+        pump_repl(&primary, &standby);
+        primary.set_lease_stalled(true);
+        for _ in 0..5 {
+            standby.advance_tick();
+        }
+        assert!(standby.is_leader());
+        p.observe(&snap(2, &[(1, 3, 100, 50)]), false, 0);
+        pump(&mut p, &primary);
+        for frame in primary.take_repl_frames() {
+            standby.handle_frame(&frame);
+        }
+        standby.enable_replication();
+        for frame in standby.take_repl_frames() {
+            primary.handle_frame(&frame);
+        }
+        assert!(!primary.is_leader(), "the higher epoch demoted it");
+
+        // A leader whose lease store runs out of space steps down.
+        let mut full = FleetController::new(2, FleetPolicy::default());
+        observed(&mut full);
+        let faults = StoreFaults {
+            full_at: Some((2, 10)),
+            ..StoreFaults::default()
+        };
+        full.attach_lease(
+            SharedLease::with_store(Box::new(FaultyStore::new(1, faults))),
+            1,
+            4,
+        );
+        for _ in 0..3 {
+            full.advance_tick();
+        }
+        assert!(!full.is_leader(), "a refused renewal steps down");
+
+        // Each controller's triggers, oldest first.
+        let triggers = |ctl: &FleetController| -> Vec<PipelineEvent> {
+            let mut dumps: Vec<FlightDump> = (0..)
+                .map_while(|back| ctl.flight_recorder().get(back))
+                .collect();
+            dumps.reverse();
+            assert_eq!(dumps.len() as u64, ctl.flight_recorder().dumps_frozen());
+            for dump in &dumps {
+                let trigger = EventKind::Pipeline(dump.trigger);
+                assert!(
+                    dump.events
+                        .iter()
+                        .any(|e| e.tick == dump.tick && e.kind == trigger),
+                    "a {} dump at tick {} lacks its trigger",
+                    dump.trigger.label(),
+                    dump.tick
+                );
+            }
+            dumps.iter().map(|dump| dump.trigger).collect()
+        };
+        use PipelineEvent::*;
+        assert_eq!(
+            triggers(&single),
+            [
+                FleetGapResync,
+                FleetPartitioned,
+                DurabilityLost,
+                DurabilityRestored
+            ]
+        );
+        assert_eq!(triggers(&primary), [FleetDemoted]);
+        assert_eq!(triggers(&standby), [FleetPromoted, FleetFenced]);
+        assert_eq!(triggers(&full), [DurabilityLost, FleetDemoted]);
     }
 
     /// A host that drops 3 × `batch_len` containers ships its removals
@@ -3059,22 +3155,6 @@ mod tests {
                 index.insert(hid, containers);
             });
             index
-        }
-    }
-
-    impl HostEventKind {
-        /// Short label used in rendered explanations.
-        fn label(self) -> &'static str {
-            match self {
-                HostEventKind::Hello => "hello",
-                HostEventKind::DeltaApplied => "delta-applied",
-                HostEventKind::FullApplied => "full-applied",
-                HostEventKind::GapResync => "gap-resync",
-                HostEventKind::Partitioned => "partitioned",
-                HostEventKind::Promoted => "promoted",
-                HostEventKind::DurabilityLost => "durability-lost",
-                HostEventKind::DurabilityRestored => "durability-restored",
-            }
         }
     }
 

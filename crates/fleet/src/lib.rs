@@ -58,8 +58,7 @@ mod reference;
 pub mod wire;
 
 pub use controller::{
-    FleetController, FleetExplain, FleetMetrics, FleetMetricsSnapshot, HostCausalEvent,
-    HostEventKind, SharedLease,
+    FleetController, FleetExplain, FleetMetrics, FleetMetricsSnapshot, HostCausalEvent, SharedLease,
 };
 pub use periphery::{AckDisposition, Periphery, PeripheryStats};
 pub use protocol::{

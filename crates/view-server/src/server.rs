@@ -19,7 +19,9 @@
 //! [`trace_moved`] — the in-process sysfs's own code. What this module
 //! adds is the concurrency around it: the shards, the caches, the image
 //! table and one freshness word per host. Host processes (no container
-//! identity) and unknown containers are answered from the [`HostSpec`].
+//! identity) and unknown containers are answered from the [`HostSpec`],
+//! with the free memory the driver last sampled
+//! ([`ViewServer::set_host_free`]).
 
 use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::{
@@ -28,7 +30,7 @@ use arv_resview::{
 };
 use arv_telemetry::{DecisionCause, PromText, Tracer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 use crate::metrics::{Metrics, MetricsSnapshot, Served};
@@ -51,7 +53,9 @@ pub struct ViewImage {
 struct ServerInner {
     shards: ShardedRegistry,
     host: HostSpec,
-    host_meminfo: Arc<String>,
+    // The host's free memory as last sampled (the spec's `free_memory`
+    // until the first sample) and the host's `/proc/meminfo` image of it.
+    host_mem: RwLock<(Bytes, Arc<String>)>,
     // `images[path][cpus]`: the four CPU-keyed files are functions of a
     // CPU count alone, so each is formatted at most once per count up to
     // the host's and every container (and the host, at `online_cpus`)
@@ -114,7 +118,10 @@ impl ViewServer {
             inner: Arc::new(ServerInner {
                 shards: ShardedRegistry::new(shards),
                 host,
-                host_meminfo: Arc::new(render::meminfo(host.total_memory, host.free_memory)),
+                host_mem: RwLock::new((
+                    host.free_memory,
+                    Arc::new(render::meminfo(host.total_memory, host.free_memory)),
+                )),
                 images,
                 metrics: Metrics::default(),
                 durability_lost: AtomicBool::new(false),
@@ -303,6 +310,20 @@ impl ViewServer {
         self.inner
             .restore_tick
             .store(self.now_tick(), Ordering::Release);
+    }
+
+    /// Sample the host's free memory: what host callers and unknown
+    /// containers read from `_SC_AVPHYS_PAGES` and `/proc/meminfo` until
+    /// the next sample. The driver samples on every update-timer firing.
+    pub fn set_host_free(&self, free: Bytes) {
+        let inner = &self.inner;
+        let mut host = inner.host_mem.write().unwrap_or_else(|e| e.into_inner());
+        if host.0 != free {
+            *host = (
+                free,
+                Arc::new(render::meminfo(inner.host.total_memory, free)),
+            );
+        }
     }
 
     /// Mirror the host's durability ladder into the daemon's metrics:
@@ -502,7 +523,7 @@ impl ViewClient {
     fn read_host(&self, id: PathId) -> Option<ViewImage> {
         let inner = &self.inner;
         let image = match id {
-            PathId::Meminfo => Arc::clone(&inner.host_meminfo),
+            PathId::Meminfo => Arc::clone(&inner.host_mem().1),
             _ if !id.on_host() => return None,
             _ => inner.image(id, &inner.host.view()),
         };
@@ -576,7 +597,13 @@ impl ViewClient {
                 let health = self.judge(&entry);
                 (Self::view_of(&entry, health), health)
             }
-            None => (self.inner.host.view(), ViewHealth::Fresh),
+            None => {
+                let view = ViewSnapshot {
+                    avail: self.inner.host_mem().0,
+                    ..self.inner.host.view()
+                };
+                (view, ViewHealth::Fresh)
+            }
         };
         (snap.sysconf(query), snap.generation, health)
     }
@@ -601,6 +628,11 @@ impl ServerInner {
         let now = self.clock.load(Ordering::Acquire);
         let fresh = self.fresh.load(Ordering::Acquire);
         (now, ViewHealth::from_age(now.saturating_sub(fresh)))
+    }
+
+    /// The host's free memory as last sampled, and its meminfo image.
+    fn host_mem(&self) -> std::sync::RwLockReadGuard<'_, (Bytes, Arc<String>)> {
+        self.host_mem.read().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The image of `id` for the view `snap`: the shared image-table

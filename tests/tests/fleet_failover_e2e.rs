@@ -25,7 +25,7 @@ use arv_fleet::{
     Periphery, Query, Rollup, SharedLease, QUERY_CLUSTER, QUERY_FLIGHT, QUERY_STATS,
 };
 use arv_persist::{FaultyStore, StoreFaults};
-use arv_telemetry::{FlightDump, FlightRecorder, FlightTrigger, Tracer};
+use arv_telemetry::{EventKind, FlightDump, FlightRecorder, PipelineEvent, Tracer};
 use arv_viewd::RetryPolicy;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -339,10 +339,11 @@ fn fleet_failover_over_the_wire() {
             break;
         }
         let dump = FlightDump::decode(&bytes).expect("retrieved dump decodes");
-        if dump.trigger == FlightTrigger::Promotion {
+        if dump.trigger == PipelineEvent::FleetPromoted {
             assert!(
-                !dump.events.is_empty(),
-                "promotion dump froze an empty ring"
+                dump.events.iter().any(|e| e.tick == dump.tick
+                    && e.kind == EventKind::Pipeline(PipelineEvent::FleetPromoted)),
+                "promotion dump froze a ring without its promotion"
             );
             saw_promotion = true;
         }
