@@ -34,20 +34,8 @@ cargo clippy --workspace --all-targets -- -D warnings \
 echo "==> cargo clippy --lib (no unwraps in any library outside the experiment, bench and integration-test harnesses)"
 cargo clippy --workspace --exclude arv-experiments --exclude arv-bench --exclude arv-integration-tests --lib -- -D warnings -D clippy::unwrap_used
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (every crate, the e2e suites under tests/ among them)"
 cargo test -q
-
-echo "==> fault-pipeline e2e (wire kill/restart under concurrent readers)"
-cargo test -q -p arv-integration-tests --test fault_pipeline_e2e
-
-echo "==> fleet e2e (multi-periphery ingest under racing rollup readers)"
-cargo test -q -p arv-integration-tests --test fleet_e2e
-
-echo "==> fleet failover e2e (replicated pair, primary killed mid-stream)"
-cargo test -q -p arv-integration-tests --test fleet_failover_e2e
-
-echo "==> wire reactor e2e (hundreds of racing/slow/hostile clients on one daemon)"
-cargo test -q -p arv-integration-tests --test wire_reactor_e2e
 
 echo "==> every example, once, in release (each asserts its own accounting before exiting)"
 for src in examples/*.rs; do

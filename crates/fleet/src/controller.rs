@@ -47,10 +47,10 @@
 //! every tick (same epoch); a standby acquires only after expiry (epoch
 //! bumped), then marks every host `needs_resync` + partitioned —
 //! last-good rollups stay servable while FULL snapshots converge the
-//! index. Every ACK and ROLLUP is stamped with the sender's epoch;
-//! anything stamped lower than the highest epoch a receiver has seen is
-//! **fenced** (counted, never applied), so a deposed primary cannot
-//! corrupt state no matter how long it keeps talking.
+//! index. Every ACK, ROLLUP and REPL frame is stamped with the sender's
+//! epoch; anything stamped lower than the highest epoch a receiver has
+//! seen is **fenced** (counted, never applied), so a deposed primary
+//! cannot corrupt state no matter how long it keeps talking.
 //!
 //! # Sequence and staleness rules
 //!
@@ -64,7 +64,7 @@
 //! but the rollup is flagged degraded — the cluster-level analogue of
 //! the staleness fallback.
 
-use arv_persist::lease::{Lease, LeaseError, LeaseFile};
+use arv_persist::lease::{LeaseError, LeaseFile};
 use arv_persist::{
     frame_checkpoint, framed_len, journal_records, records, reset_tick, DurableJournal, Edge,
     ForeignJournal, MemStore, Snapshot, Store, StoreError, BATCH_VERSION, KIND_CHECKPOINT,
@@ -73,7 +73,7 @@ use arv_persist::{
 use arv_sim_core::IdMap;
 use arv_telemetry::{FlightRecorder, LagHistogram, PipelineEvent, PromText, Tracer};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::protocol::{
@@ -100,23 +100,6 @@ impl SharedLease {
     /// seeded `FaultyStore` in chaos campaigns).
     pub fn with_store(store: Box<dyn Store>) -> SharedLease {
         SharedLease(Arc::new(Mutex::new(LeaseFile::with_store(store))))
-    }
-
-    /// Try to acquire for `holder` (see [`LeaseFile::try_acquire`]).
-    pub fn try_acquire(&self, holder: u32, now: u64, ttl: u64) -> Result<Lease, LeaseError> {
-        lock(&self.0).try_acquire(holder, now, ttl)
-    }
-
-    /// Strictly renew an already-held lease (see [`LeaseFile::renew`]):
-    /// never takes over, so a holder that cannot persist the renewal
-    /// learns it must step down.
-    pub fn renew(&self, holder: u32, now: u64, ttl: u64) -> Result<Lease, LeaseError> {
-        lock(&self.0).renew(holder, now, ttl)
-    }
-
-    /// Advance the store's fault clock (drives `FaultyStore` windows).
-    pub fn set_tick(&self, tick: u64) {
-        lock(&self.0).set_tick(tick);
     }
 }
 
@@ -442,6 +425,46 @@ struct LeaseState {
     stalled: bool,
 }
 
+/// A controller's [`State`] and the epoch it stamps on every ACK, ROLLUP
+/// and REPL frame, in one word (`epoch << 2 | state`) a handler reads
+/// once: the role a frame is admitted under is the role it is stamped with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Role(u64);
+
+/// A [`Role`]'s state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// No lease attached: leads, and never steps down.
+    Solo,
+    /// Holds the lease at the role's epoch.
+    Leader,
+    /// Refuses HELLO and DELTA, mirrors REPL, contends for the lease.
+    Standby,
+}
+
+/// The highest epoch a [`Role`] holds, its word's top 62 bits.
+const MAX_EPOCH: u64 = u64::MAX >> 2;
+
+impl Role {
+    /// A role at `epoch`, capped at [`MAX_EPOCH`], in `state`.
+    fn new(epoch: u64, state: State) -> Role {
+        Role(epoch.min(MAX_EPOCH) << 2 | state as u64)
+    }
+
+    fn epoch(self) -> u64 {
+        self.0 >> 2
+    }
+
+    fn state(self) -> State {
+        [State::Solo, State::Leader, State::Standby][(self.0 & 3) as usize]
+    }
+
+    /// Whether this role admits HELLO and DELTA and builds checkpoints.
+    fn leads(self) -> bool {
+        self.state() != State::Standby
+    }
+}
+
 /// Replication plumbing, used on both sides: the primary's record
 /// outbox and the standby's apply cursor.
 #[derive(Debug, Default)]
@@ -454,6 +477,10 @@ struct ReplState {
     /// Primary: hosts whose DELTA was accepted since the last drain —
     /// their freshness rides the next REPL frame, records or none.
     heard: IdMap<u32, ()>,
+    /// Primary: the epoch `outbox` and `heard` were accepted under (the
+    /// lowest, should they span two leaderships), which their REPL frames
+    /// carry: what a deposed leader accepted ships at the epoch it led at.
+    epoch: u64,
     /// Primary: sequence of the next REPL frame to send.
     next_seq: u64,
     /// Standby: next REPL sequence accepted in order.
@@ -462,9 +489,17 @@ struct ReplState {
     need_snapshot: bool,
     /// Primary: a standby demanded a full checkpoint.
     send_snapshot: bool,
-    /// Standby: the primary's tick stamped on the last applied REPL
-    /// frame — how fresh the shadow index is.
-    last_as_of: u64,
+}
+
+impl ReplState {
+    /// What enters the outbox next was accepted at `epoch`.
+    fn admit(&mut self, epoch: u64) {
+        self.epoch = if self.outbox.is_empty() && self.heard.is_empty() {
+            epoch
+        } else {
+            self.epoch.min(epoch)
+        };
+    }
 }
 
 /// The central aggregator of the fleet control plane.
@@ -476,13 +511,8 @@ pub struct FleetController {
     tick: AtomicU64,
     metrics: FleetMetrics,
     journal: Mutex<Option<DurableJournal>>,
-    /// Monotone controller epoch stamped on every ACK and ROLLUP.
-    /// Lease-less controllers stay at epoch 0 (single-controller
-    /// deployments predating replication).
-    ctl_epoch: AtomicU64,
-    /// Whether this controller currently believes it leads. Always true
-    /// without an attached lease.
-    leader: AtomicBool,
+    /// The [`Role`] word. A lease-less controller is Solo at epoch 0.
+    role: AtomicU64,
     lease: Mutex<Option<LeaseState>>,
     repl: Mutex<Option<ReplState>>,
     tracer: Tracer,
@@ -501,8 +531,7 @@ impl FleetController {
             tick: AtomicU64::new(0),
             metrics: FleetMetrics::default(),
             journal: Mutex::new(None),
-            ctl_epoch: AtomicU64::new(0),
-            leader: AtomicBool::new(true),
+            role: AtomicU64::new(Role::new(0, State::Solo).0),
             lease: Mutex::new(None),
             repl: Mutex::new(None),
             tracer: Tracer::disabled(),
@@ -579,14 +608,19 @@ impl FleetController {
         self.tick.load(Ordering::Acquire)
     }
 
-    /// The controller epoch stamped on every ACK and ROLLUP.
-    pub fn ctl_epoch(&self) -> u64 {
-        self.ctl_epoch.load(Ordering::Acquire)
+    fn role(&self) -> Role {
+        Role(self.role.load(Ordering::Acquire))
     }
 
-    /// Whether this controller currently believes it holds the lease.
+    /// The controller epoch stamped on every ACK and ROLLUP.
+    pub fn ctl_epoch(&self) -> u64 {
+        self.role().epoch()
+    }
+
+    /// Whether this controller currently leads: it holds the lease, or
+    /// has none to hold.
     pub fn is_leader(&self) -> bool {
-        self.leader.load(Ordering::Acquire)
+        self.role().leads()
     }
 
     /// The policy currently pushed down to peripheries.
@@ -690,29 +724,17 @@ impl FleetController {
     /// [`advance_tick`](Self::advance_tick) and promotes only after the
     /// holder's lease expires.
     pub fn attach_lease(&self, store: SharedLease, holder: u32, ttl: u64) {
-        let ttl = ttl.max(1);
-        let now = self.now_tick();
-        let won = store.try_acquire(holder, now, ttl);
         *lock(&self.lease) = Some(LeaseState {
             store,
             holder,
-            ttl,
+            ttl: ttl.max(1),
             stalled: false,
         });
-        match won {
-            Ok(l) => {
-                self.ctl_epoch.store(l.epoch, Ordering::Release);
-                self.leader.store(true, Ordering::Release);
-            }
-            Err(e) => {
-                if matches!(e, LeaseError::Store(_)) {
-                    self.metrics
-                        .journal_io_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                self.leader.store(false, Ordering::Release);
-            }
-        }
+        let role = match self.contend(self.now_tick(), false) {
+            Some(Ok(epoch)) => Role::new(epoch, State::Leader),
+            _ => Role::new(self.ctl_epoch(), State::Standby),
+        };
+        self.role.store(role.0, Ordering::Release);
     }
 
     /// Fault hook: while stalled, this controller cannot reach the
@@ -724,56 +746,87 @@ impl FleetController {
         }
     }
 
+    /// The tick's lease attempt: a renewal that lands keeps (or, for a
+    /// standby, takes) the lead, one that fails steps a leader down.
     fn maintain_lease(&self, now: u64) {
-        let mut lease = lock(&self.lease);
-        let Some(ls) = lease.as_mut() else {
-            return;
-        };
-        ls.store.set_tick(now);
-        if ls.stalled {
-            return;
-        }
-        let was_leader = self.is_leader();
-        // A holder strictly *renews* — a renewal that cannot be
-        // persisted (or a lease that lapsed under us) means step down
-        // before the TTL rather than risk split-brain on a lease nobody
-        // else can read. Only a standby contends via try_acquire.
-        let attempt = if was_leader {
-            ls.store.renew(ls.holder, now, ls.ttl)
-        } else {
-            ls.store.try_acquire(ls.holder, now, ls.ttl)
-        };
-        match attempt {
-            Ok(l) => {
-                self.ctl_epoch.store(l.epoch, Ordering::Release);
-                self.leader.store(true, Ordering::Release);
-                drop(lease);
-                if !was_leader {
+        let role = self.role();
+        let leading = role.state() == State::Leader;
+        match self.contend(now, leading) {
+            Some(Ok(epoch)) => {
+                // The lease applies to the role it was decided on: one a
+                // frame stepped down meanwhile stays down this tick.
+                let held = Role::new(epoch, State::Leader).0;
+                let swapped =
+                    self.role
+                        .compare_exchange(role.0, held, Ordering::AcqRel, Ordering::Acquire);
+                if swapped.is_ok() && !leading {
                     self.promote(now);
                 }
             }
-            Err(e) => {
-                self.leader.store(false, Ordering::Release);
-                drop(lease);
-                if let LeaseError::Store(_) = e {
-                    // The lease store itself refused the write: surface
-                    // the why on the trace ring and, for a stepping-down
-                    // leader, the flight recorder — this is a durability
-                    // event, not a lost race.
-                    self.metrics
-                        .journal_io_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.tracer
-                        .emit_pipeline(now, None, PipelineEvent::DurabilityLost);
-                    if was_leader {
-                        self.freeze(now, PipelineEvent::DurabilityLost);
-                    }
-                }
-                if was_leader {
-                    self.metrics.demotions.fetch_add(1, Ordering::Relaxed);
-                    self.anomaly(now, PipelineEvent::FleetDemoted);
-                }
+            Some(Err(_)) if leading => {
+                self.step_down(now, role, role.epoch());
             }
+            _ => {}
+        }
+    }
+
+    /// One attempt on the lease at `now` — none without a lease, or while
+    /// stalled off its store — answering the epoch held. A holder
+    /// (`leading`) strictly *renews*: a renewal that cannot be persisted,
+    /// or a lease that lapsed under it, means stepping down before the
+    /// TTL rather than risking split-brain on a lease nobody else can
+    /// read. Anyone else contends through `try_acquire`. A refused write
+    /// is a durability event, not a lost race: counted, traced and, for
+    /// a holder, dumped.
+    fn contend(&self, now: u64, leading: bool) -> Option<Result<u64, LeaseError>> {
+        let lease = lock(&self.lease);
+        let ls = lease.as_ref()?;
+        let mut file = lock(&ls.store.0);
+        file.set_tick(now);
+        if ls.stalled {
+            return None;
+        }
+        let attempt = if leading {
+            file.renew(ls.holder, now, ls.ttl)
+        } else {
+            file.try_acquire(ls.holder, now, ls.ttl)
+        };
+        drop(file);
+        drop(lease);
+        if let Err(LeaseError::Store(_)) = attempt {
+            self.metrics
+                .journal_io_errors
+                .fetch_add(1, Ordering::Relaxed);
+            self.tracer
+                .emit_pipeline(now, None, PipelineEvent::DurabilityLost);
+            if leading {
+                self.freeze(now, PipelineEvent::DurabilityLost);
+            }
+        }
+        Some(attempt.map(|l| l.epoch))
+    }
+
+    /// Step down from `from`, the role the caller read, on evidence of
+    /// epoch `seen`: a Leader stands by, and the epoch rises to `seen`
+    /// when higher (a failed renewal and a fencing REPL ACK pass `from`'s
+    /// own). One compare-and-swap, so if the role moved meanwhile nothing
+    /// changes and the role now held is returned; only the swap that takes
+    /// a Leader off the lead counts, traces and dumps a demotion.
+    fn step_down(&self, now: u64, from: Role, seen: u64) -> Role {
+        let leader = from.state() == State::Leader;
+        let state = if leader { State::Standby } else { from.state() };
+        let to = Role::new(from.epoch().max(seen), state);
+        let swapped = self
+            .role
+            .compare_exchange(from.0, to.0, Ordering::AcqRel, Ordering::Acquire);
+        match swapped {
+            Err(held) => Role(held),
+            Ok(_) if leader => {
+                self.metrics.demotions.fetch_add(1, Ordering::Relaxed);
+                self.anomaly(now, PipelineEvent::FleetDemoted);
+                to
+            }
+            Ok(_) => to,
         }
     }
 
@@ -828,42 +881,34 @@ impl FleetController {
         reply
     }
 
-    fn ack_for(&self, host: u32, expected_seq: u64, resync: bool, periphery_epoch: u64) -> Vec<u8> {
-        let policy = *lock(&self.policy);
-        let attach = policy.epoch > periphery_epoch;
-        if attach {
-            self.metrics.policy_pushes.fetch_add(1, Ordering::Relaxed);
+    /// The ACK for a HELLO or DELTA handled under `role`. A leader's
+    /// carries the policy when the periphery's (`policy_epoch`) is older;
+    /// a non-leader's applied nothing and sends the periphery down its
+    /// controller list.
+    fn ack(&self, role: Role, host: u32, seq: u64, resync: bool, policy_epoch: u64) -> Vec<u8> {
+        let not_leader = !role.leads();
+        let policy = Some(*lock(&self.policy)).filter(|p| !not_leader && p.epoch > policy_epoch);
+        let m = &self.metrics;
+        if not_leader {
+            m.not_leader_rejects.fetch_add(1, Ordering::Relaxed);
+        } else if policy.is_some() {
+            m.policy_pushes.fetch_add(1, Ordering::Relaxed);
         }
         encode_ack(&Ack {
             host,
-            expected_seq,
-            ctl_epoch: self.ctl_epoch(),
+            expected_seq: seq,
+            ctl_epoch: role.epoch(),
             resync,
-            not_leader: false,
-            policy: attach.then_some(policy),
-        })
-    }
-
-    /// The ACK a non-leader sends back for HELLO/DELTA: nothing was
-    /// applied; the periphery should walk its controller list.
-    fn not_leader_ack(&self, host: u32, expected_seq: u64) -> Vec<u8> {
-        self.metrics
-            .not_leader_rejects
-            .fetch_add(1, Ordering::Relaxed);
-        encode_ack(&Ack {
-            host,
-            expected_seq,
-            ctl_epoch: self.ctl_epoch(),
-            resync: false,
-            not_leader: true,
-            policy: None,
+            not_leader,
+            policy,
         })
     }
 
     fn handle_hello(&self, host: u32, epoch: u64, host_tick: u64) -> Vec<u8> {
         self.metrics.hellos.fetch_add(1, Ordering::Relaxed);
-        if !self.is_leader() {
-            return self.not_leader_ack(host, 0);
+        let role = self.role();
+        if !role.leads() {
+            return self.ack(role, host, 0, false, 0);
         }
         let now = self.now_tick();
         let mut s = lock(self.shard_for(host));
@@ -876,7 +921,7 @@ impl FleetController {
         entry.push_event(now, PipelineEvent::FleetHello, seq);
         let (expected, resync) = (entry.expected_seq, entry.needs_resync);
         drop(s);
-        self.ack_for(host, expected, resync, epoch)
+        self.ack(role, host, expected, resync, epoch)
     }
 
     /// An admin-side policy push: adopt a strictly newer policy and echo
@@ -894,8 +939,9 @@ impl FleetController {
     /// Apply one DELTA, its `head` decoded and its `tail` borrowed from
     /// `payload`, from which its journal record is copied.
     fn handle_delta(&self, d: &DeltaHead, tail: Tail<'_>, payload: &[u8]) -> Vec<u8> {
-        if !self.is_leader() {
-            return self.not_leader_ack(d.host, d.seq);
+        let role = self.role();
+        if !role.leads() {
+            return self.ack(role, d.host, d.seq, false, 0);
         }
         let now = self.now_tick();
         let host_id = d.host;
@@ -922,7 +968,7 @@ impl FleetController {
             if gap_detected {
                 self.anomaly(now, PipelineEvent::FleetGapResync);
             }
-            return self.ack_for(host_id, expected, true, epoch);
+            return self.ack(role, host_id, expected, true, epoch);
         }
 
         if d.full {
@@ -981,6 +1027,7 @@ impl FleetController {
         let mut own = Vec::new();
         let record: &[u8] = match repl.as_mut() {
             Some(rs) => {
+                rs.admit(role.epoch());
                 rs.heard.insert(host_id, ());
                 rs.outbox_records += records;
                 let start = rs.outbox.len();
@@ -1008,11 +1055,12 @@ impl FleetController {
             self.durability_edge(now, edge == Edge::Lost);
         }
 
-        self.ack_for(host_id, expected, false, epoch)
+        self.ack(role, host_id, expected, false, epoch)
     }
 
     fn handle_query(&self, q: Query) -> Vec<u8> {
         self.metrics.rollup_queries.fetch_add(1, Ordering::Relaxed);
+        let role = self.role();
         let rollup = match q.kind {
             QUERY_CLUSTER => {
                 let r = self.cluster_capacity();
@@ -1029,7 +1077,7 @@ impl FleetController {
                 }
             }
             QUERY_TOPK => Rollup::TopK(self.top_pressured(q.arg as usize)),
-            QUERY_STATS => Rollup::Stats(self.prometheus_exposition()),
+            QUERY_STATS => Rollup::Stats(self.exposition(role)),
             QUERY_FLIGHT => Rollup::Flight(
                 self.flight
                     .get(q.arg as usize)
@@ -1040,7 +1088,7 @@ impl FleetController {
             _ => Rollup::TopK(Vec::new()),
         };
         encode_rollup(&RollupFrame {
-            ctl_epoch: self.ctl_epoch(),
+            ctl_epoch: role.epoch(),
             span: self.span_stamp(),
             body: rollup,
         })
@@ -1243,11 +1291,12 @@ impl FleetController {
     }
 
     /// Drain the replication outbox into encoded REPL frames, each
-    /// under [`MAX_FLEET_FRAME`], chunked at record boundaries. Ship
+    /// under [`MAX_FLEET_FRAME`], chunked at record boundaries and
+    /// stamped with the epoch its records were accepted under. Ship
     /// every frame to every standby; feed their ACKs back through
     /// [`handle_repl_ack`](Self::handle_repl_ack).
     pub fn take_repl_frames(&self) -> Vec<Vec<u8>> {
-        let epoch = self.ctl_epoch();
+        let role = self.role();
         let now = self.now_tick();
         // checkpoint_records takes shard locks while `repl` is held; the
         // standby apply path orders the same way (repl, then shards).
@@ -1255,15 +1304,19 @@ impl FleetController {
         let Some(rs) = repl.as_mut() else {
             return Vec::new();
         };
-        if rs.send_snapshot {
+        // Only a leading role produces a checkpoint: a deposed one ships
+        // just what it accepted while it led, at the epoch it led at.
+        if rs.send_snapshot && role.leads() {
             rs.send_snapshot = false;
             rs.outbox.clear();
+            rs.admit(role.epoch());
             self.checkpoint_records(now, &mut rs.outbox);
             rs.outbox_records = 1;
         }
         if rs.outbox.is_empty() && rs.heard.is_empty() {
             return Vec::new();
         }
+        let epoch = rs.epoch;
         let heard = rs.heard.keys().as_slice();
         self.metrics
             .repl_records_streamed
@@ -1304,11 +1357,11 @@ impl FleetController {
         if ack.host != REPL_PEER {
             return;
         }
-        if ack.ctl_epoch > self.ctl_epoch() && self.is_leader() && lock(&self.lease).is_some() {
+        let role = self.role();
+        if ack.ctl_epoch > role.epoch() {
             // Keep our own (stale) epoch: it correctly marks everything
             // we still serve as fenceable.
-            self.leader.store(false, Ordering::Release);
-            self.metrics.demotions.fetch_add(1, Ordering::Relaxed);
+            self.step_down(self.now_tick(), role, role.epoch());
         }
         if ack.resync {
             let mut repl = lock(&self.repl);
@@ -1332,8 +1385,16 @@ impl FleetController {
     /// sequence gap or a torn record stream switches the standby to
     /// demanding a checkpoint; only a checkpoint-led frame realigns it.
     fn handle_repl(&self, r: &ReplParts<'_>) -> Vec<u8> {
-        let own = self.ctl_epoch();
-        let repl_ack = |expected_seq: u64, epoch: u64, resync: bool| {
+        let now = self.now_tick();
+        // A higher epoch steps a Leader down and raises any role's epoch
+        // to the frame's: our shadow index now mirrors that primary.
+        let seen = r.ctl_epoch.min(MAX_EPOCH);
+        let mut role = self.role();
+        while seen > role.epoch() {
+            role = self.step_down(now, role, seen);
+        }
+        let epoch = role.epoch();
+        let repl_ack = |expected_seq: u64, resync: bool| {
             encode_ack(&Ack {
                 host: REPL_PEER,
                 expected_seq,
@@ -1343,24 +1404,12 @@ impl FleetController {
                 policy: None,
             })
         };
-        if r.ctl_epoch < own {
+        if r.ctl_epoch < epoch {
             self.metrics.repl_fenced.fetch_add(1, Ordering::Relaxed);
-            let now = self.now_tick();
             self.anomaly(now, PipelineEvent::FleetFenced);
             let expected = lock(&self.repl).as_ref().map_or(0, |rs| rs.expected_seq);
-            return repl_ack(expected, own, false);
+            return repl_ack(expected, false);
         }
-        if r.ctl_epoch > own {
-            if self.is_leader() && lock(&self.lease).is_some() {
-                self.leader.store(false, Ordering::Release);
-                self.metrics.demotions.fetch_add(1, Ordering::Relaxed);
-                self.anomaly(self.now_tick(), PipelineEvent::FleetDemoted);
-            }
-            // Our shadow index now mirrors the higher-epoch primary.
-            self.ctl_epoch.store(r.ctl_epoch, Ordering::Release);
-        }
-        let epoch = self.ctl_epoch();
-        let now = self.now_tick();
 
         // Peek at the first record: only a checkpoint-led frame realigns
         // a standby that lost sequence.
@@ -1378,11 +1427,10 @@ impl FleetController {
             rs.need_snapshot = true;
             let expected = rs.expected_seq;
             drop(repl);
-            return repl_ack(expected, epoch, true);
+            return repl_ack(expected, true);
         }
         rs.expected_seq = r.repl_seq + 1;
         rs.need_snapshot = false;
-        rs.last_as_of = rs.last_as_of.max(r.as_of_tick);
         // Records apply straight from the frame's bytes, in stream order,
         // up to the first that is torn, corrupt or not understood.
         let (mut applied, mut verified, mut understood) = (0, 0, true);
@@ -1430,7 +1478,7 @@ impl FleetController {
         if let Some(edge) = edge {
             self.durability_edge(now, edge == Edge::Lost);
         }
-        repl_ack(expected, epoch, resync)
+        repl_ack(expected, resync)
     }
 
     /// Apply one record of the controller's journal — a reset marker
@@ -1554,6 +1602,11 @@ impl FleetController {
     /// freshness-lag gauges and end-to-end lag waterfalls, and the
     /// periphery counter summaries piggybacked on DELTA frames.
     pub fn prometheus_exposition(&self) -> String {
+        self.exposition(self.role())
+    }
+
+    /// The exposition, its epoch and leadership gauges read off `role`.
+    fn exposition(&self, role: Role) -> String {
         let r = self.cluster_capacity();
         let now = self.now_tick();
         let mut out = PromText::new();
@@ -1571,12 +1624,12 @@ impl FleetController {
         out.gauge(
             "arv_fleet_ctl_epoch",
             "Controller epoch stamped on ACKs and ROLLUPs",
-            self.ctl_epoch() as f64,
+            role.epoch() as f64,
         );
         out.gauge(
             "arv_fleet_is_leader",
             "Whether this controller holds the lease (1) or stands by (0)",
-            if self.is_leader() { 1.0 } else { 0.0 },
+            if role.leads() { 1.0 } else { 0.0 },
         );
         out.gauge("arv_fleet_hosts", "Hosts tracked", f64::from(r.hosts));
         out.gauge(
@@ -2423,6 +2476,9 @@ mod tests {
             let frame = encode_repl_parts(0, 0, 0, &[], &vec![0xA5; len]);
             let _ = standby.handle_frame(&frame);
         }
+        // An epoch past the role word's ceiling reads as the ceiling.
+        let _ = standby.handle_frame(&encode_repl_parts(u64::MAX, 0, 0, &[], &[]));
+        assert_eq!(standby.ctl_epoch(), MAX_EPOCH);
     }
 
     #[test]
@@ -2566,8 +2622,9 @@ mod tests {
     /// Every anomaly emits its event into the trace ring before it
     /// freezes a flight dump, so each dump holds its own trigger at its
     /// own tick: a gap, a partition, a host's durability edges, a
-    /// promotion, a fence, a demotion on a higher-epoch REPL frame, and a
-    /// demotion on a lease write the store refused.
+    /// promotion, a fence, and a demotion by each of its three triggers —
+    /// a higher-epoch REPL frame, a fencing REPL ACK and a lease write
+    /// the store refused — each traced and dumped once.
     #[test]
     fn every_flight_dump_holds_its_trigger() {
         use arv_persist::{FaultyStore, StoreFaults};
@@ -2597,36 +2654,42 @@ mod tests {
             accepted(&single, &d);
         }
 
-        // A replicated pair: the standby takes over and fences the stale
-        // primary's stream; the fencing ACK is lost, so the primary
-        // learns of the takeover from the new primary's own REPL frame.
-        let lease = SharedLease::new();
-        let mut primary = FleetController::new(2, FleetPolicy::default());
-        let mut standby = FleetController::new(2, FleetPolicy::default());
-        observed(&mut primary);
-        observed(&mut standby);
-        primary.enable_replication();
-        primary.attach_lease(lease.clone(), 1, 2);
-        standby.attach_lease(lease, 2, 2);
-        let mut p = Periphery::new(3);
-        p.observe(&snap(1, &[(1, 2, 100, 50)]), false, 0);
-        pump(&mut p, &primary);
-        pump_repl(&primary, &standby);
-        primary.set_lease_stalled(true);
-        for _ in 0..5 {
-            standby.advance_tick();
-        }
-        assert!(standby.is_leader());
-        p.observe(&snap(2, &[(1, 3, 100, 50)]), false, 0);
-        pump(&mut p, &primary);
-        for frame in primary.take_repl_frames() {
-            standby.handle_frame(&frame);
-        }
-        standby.enable_replication();
-        for frame in standby.take_repl_frames() {
-            primary.handle_frame(&frame);
-        }
-        assert!(!primary.is_leader(), "the higher epoch demoted it");
+        // A replicated pair whose standby has taken over at epoch 2 while
+        // the stalled primary still believes it leads.
+        let taken_over = || {
+            let lease = SharedLease::new();
+            let mut primary = FleetController::new(2, FleetPolicy::default());
+            let mut standby = FleetController::new(2, FleetPolicy::default());
+            observed(&mut primary);
+            observed(&mut standby);
+            primary.enable_replication();
+            primary.attach_lease(lease.clone(), 1, 2);
+            standby.attach_lease(lease, 2, 2);
+            let mut p = Periphery::new(3);
+            p.observe(&snap(1, &[(1, 2, 100, 50)]), false, 0);
+            pump(&mut p, &primary);
+            pump_repl(&primary, &standby);
+            primary.set_lease_stalled(true);
+            for _ in 0..5 {
+                standby.advance_tick();
+            }
+            assert!(standby.is_leader() && primary.is_leader());
+            (primary, standby)
+        };
+        // The stale primary hears of the takeover from the new leader's
+        // REPL stream.
+        let (by_frame, streaming) = taken_over();
+        streaming.enable_replication();
+        pump_repl(&streaming, &by_frame);
+        assert!(!by_frame.is_leader(), "the higher-epoch frame demoted it");
+        // The stale primary streams first: the new leader fences it, and
+        // the fencing ACK demotes it.
+        let (by_ack, fencing) = taken_over();
+        let mut stale = Periphery::new(4);
+        stale.observe(&snap(3, &[(9, 1, 10, 5)]), false, 0);
+        pump(&mut stale, &by_ack);
+        pump_repl(&by_ack, &fencing);
+        assert!(!by_ack.is_leader(), "the fencing ACK demoted it");
 
         // A leader whose lease store runs out of space steps down.
         let mut full = FleetController::new(2, FleetPolicy::default());
@@ -2675,9 +2738,127 @@ mod tests {
                 DurabilityRestored
             ]
         );
-        assert_eq!(triggers(&primary), [FleetDemoted]);
-        assert_eq!(triggers(&standby), [FleetPromoted, FleetFenced]);
+        assert_eq!(triggers(&by_frame), [FleetDemoted]);
+        assert_eq!(triggers(&streaming), [FleetPromoted]);
+        assert_eq!(triggers(&by_ack), [FleetDemoted]);
+        assert_eq!(triggers(&fencing), [FleetPromoted, FleetFenced]);
         assert_eq!(triggers(&full), [DurabilityLost, FleetDemoted]);
+        for demoted in [&by_frame, &by_ack, &full] {
+            let traced = demoted
+                .tracer
+                .events()
+                .iter()
+                .filter(|e| e.kind == EventKind::Pipeline(FleetDemoted))
+                .count();
+            assert_eq!(traced, 1, "one demotion traces once");
+            assert_eq!(demoted.metrics().snapshot().demotions, 1);
+        }
+    }
+
+    /// A higher-epoch REPL ACK and a higher-epoch REPL frame racing on
+    /// two threads into a leader step it down once: one demotion
+    /// counted, one `FleetDemoted` traced and dumped.
+    #[test]
+    fn racing_step_downs_count_one_demotion() {
+        use arv_telemetry::EventKind;
+        use std::sync::Barrier;
+        let ack = Ack {
+            host: REPL_PEER,
+            expected_seq: 0,
+            ctl_epoch: 2,
+            resync: false,
+            not_leader: false,
+            policy: None,
+        };
+        let frame = encode_repl_parts(2, 0, 0, &[], &[]);
+        for round in 0..200 {
+            let mut ctl = FleetController::new(2, FleetPolicy::default());
+            ctl.set_tracer(Tracer::bounded(64));
+            ctl.set_flight_recorder(FlightRecorder::bounded(8));
+            ctl.attach_lease(SharedLease::new(), 1, 4);
+            assert!(ctl.is_leader());
+            let barrier = Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    ctl.handle_repl_ack(&ack);
+                });
+                barrier.wait();
+                assert!(ctl.handle_frame(&frame).is_some());
+            });
+            assert!(!ctl.is_leader());
+            assert_eq!(
+                ctl.ctl_epoch(),
+                2,
+                "round {round}: the frame's epoch is adopted"
+            );
+            assert_eq!(ctl.metrics().snapshot().demotions, 1, "round {round}");
+            assert_eq!(ctl.flight_recorder().dumps_frozen(), 1, "round {round}");
+            let dump = ctl.flight_recorder().latest().expect("dump frozen");
+            assert_eq!(dump.trigger, PipelineEvent::FleetDemoted);
+            let traced = ctl
+                .tracer
+                .events()
+                .iter()
+                .filter(|e| e.kind == EventKind::Pipeline(PipelineEvent::FleetDemoted))
+                .count();
+            assert_eq!(traced, 1, "round {round}");
+        }
+    }
+
+    /// A primary stepped down by the new leader's REPL frame adopts the
+    /// new epoch, yet the records it accepted while it led still ship at
+    /// the epoch it led at — and the new leader fences them.
+    #[test]
+    fn a_deposed_primary_ships_stranded_records_at_the_epoch_it_led() {
+        let lease = SharedLease::new();
+        let primary = FleetController::new(2, FleetPolicy::default());
+        primary.enable_replication();
+        primary.attach_lease(lease.clone(), 1, 2);
+        let standby = FleetController::new(2, FleetPolicy::default());
+        standby.attach_lease(lease, 2, 2);
+        let mut p = Periphery::new(3);
+        p.observe(&snap(1, &[(1, 2, 100, 50)]), false, 0);
+        pump(&mut p, &primary);
+        pump_repl(&primary, &standby);
+
+        // The primary stalls; the standby takes over at epoch 2.
+        primary.set_lease_stalled(true);
+        for _ in 0..5 {
+            standby.advance_tick();
+        }
+        assert_eq!((standby.is_leader(), standby.ctl_epoch()), (true, 2));
+
+        // The stale primary still accepts a DELTA, then hears the new
+        // leader's stream: it steps down and adopts epoch 2.
+        let mut stale = Periphery::new(4);
+        stale.observe(&snap(3, &[(9, 1, 10, 5)]), false, 0);
+        pump(&mut stale, &primary);
+        assert_eq!(primary.repl_backlog_records(), 1);
+        standby.enable_replication();
+        pump_repl(&standby, &primary);
+        assert_eq!((primary.is_leader(), primary.ctl_epoch()), (false, 2));
+        assert_eq!(primary.metrics().snapshot().demotions, 1);
+
+        // What it accepted at epoch 1 still ships at epoch 1.
+        let frames = primary.take_repl_frames();
+        assert!(!frames.is_empty());
+        for frame in &frames {
+            let Some(Frame::Repl(r)) = decode_frame(frame) else {
+                panic!("expected REPL");
+            };
+            assert_eq!(r.ctl_epoch, 1, "stamped with the epoch it led at");
+            standby.handle_frame(frame).expect("answered");
+        }
+        assert_eq!(
+            standby.metrics().snapshot().repl_fenced,
+            frames.len() as u64
+        );
+        assert_eq!(
+            standby.cluster_capacity().containers,
+            1,
+            "stranded records were never applied"
+        );
     }
 
     /// A host that drops 3 × `batch_len` containers ships its removals

@@ -1657,23 +1657,16 @@ pub mod lease {
             now: u64,
             ttl: u64,
         ) -> Result<Lease, LeaseError> {
-            let next = match self.current() {
-                None => Lease {
-                    epoch: 1,
-                    holder,
-                    expires: now.saturating_add(ttl),
-                },
-                Some(cur) if cur.holder == holder && now <= cur.expires => Lease {
-                    epoch: cur.epoch,
-                    holder,
-                    expires: now.saturating_add(ttl),
-                },
-                Some(cur) if now > cur.expires => Lease {
-                    epoch: cur.epoch.saturating_add(1),
-                    holder,
-                    expires: now.saturating_add(ttl),
-                },
+            let epoch = match self.current() {
+                None => 1,
+                Some(cur) if cur.holder == holder && now <= cur.expires => cur.epoch,
+                Some(cur) if now > cur.expires => cur.epoch.saturating_add(1),
                 Some(cur) => return Err(LeaseError::Held(cur)),
+            };
+            let next = Lease {
+                epoch,
+                holder,
+                expires: now.saturating_add(ttl),
             };
             self.store
                 .replace(&next.encode())
@@ -1682,28 +1675,18 @@ pub mod lease {
         }
 
         /// Strict renewal for a holder that believes it leads: extends
-        /// our own unexpired lease without ever taking over. A lapsed
-        /// or foreign lease is an error — a primary that slept through
-        /// its TTL must step down and re-contend via
-        /// [`try_acquire`](LeaseFile::try_acquire) instead of silently
-        /// re-granting itself a bumped epoch.
+        /// our own unexpired lease (at its epoch, as
+        /// [`try_acquire`](LeaseFile::try_acquire) would) without ever
+        /// taking over. A lapsed or foreign lease is an error — a primary
+        /// that slept through its TTL must step down and re-contend via
+        /// `try_acquire` instead of silently re-granting itself a bumped
+        /// epoch.
         pub fn renew(&mut self, holder: u32, now: u64, ttl: u64) -> Result<Lease, LeaseError> {
             match self.current() {
-                Some(cur) if cur.holder == holder && now <= cur.expires => {
-                    let next = Lease {
-                        epoch: cur.epoch,
-                        holder,
-                        expires: now.saturating_add(ttl),
-                    };
-                    self.store
-                        .replace(&next.encode())
-                        .map_err(LeaseError::Store)?;
-                    Ok(next)
-                }
-                Some(cur) if cur.holder != holder && now <= cur.expires => {
-                    Err(LeaseError::Held(cur))
-                }
-                cur => Err(LeaseError::Expired(cur)),
+                Some(cur) if now > cur.expires => Err(LeaseError::Expired(Some(cur))),
+                Some(cur) if cur.holder != holder => Err(LeaseError::Held(cur)),
+                Some(_) => self.try_acquire(holder, now, ttl),
+                None => Err(LeaseError::Expired(None)),
             }
         }
     }
