@@ -2,7 +2,7 @@
 //!
 //! Algorithm 1 adjusts effective CPU from "the CPU usage of container `i`
 //! during the updating period" (`u_i`). The ledger keeps the last-period
-//! figure plus cumulative totals, as the kernel's cpuacct controller does.
+//! figure and the usage over the update timer's current window.
 
 use arv_cgroups::{CgroupId, IdMap};
 use arv_sim_core::SimDuration;
@@ -12,7 +12,6 @@ use crate::scheduler::Allocation;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct GroupUsage {
     last_period: SimDuration,
-    cumulative: SimDuration,
     window: SimDuration,
 }
 
@@ -55,7 +54,6 @@ impl UsageLedger {
                 self.charged.push(*id);
             }
             g.last_period = *granted;
-            g.cumulative += *granted;
             g.window += *granted;
             self.granted.push(*id);
         }
@@ -141,7 +139,7 @@ mod tests {
         let a = cfs.allocate(P, &[GroupDemand::cpu_bound(CgroupId(0), 2, 1024, 4.0)]);
         ledger.record(&a);
         assert_eq!(ledger.last_usage(CgroupId(0)), P * 2);
-        assert_eq!(ledger.cumulative(CgroupId(0)), P * 2);
+        assert_eq!(ledger.window_usage(CgroupId(0)), P * 2);
         assert_eq!(ledger.last_slack(), P * 2);
         assert_eq!(ledger.last_period(), P);
     }
@@ -154,8 +152,11 @@ mod tests {
             let a = cfs.allocate(P, &[GroupDemand::cpu_bound(CgroupId(7), 1, 1024, 2.0)]);
             ledger.record(&a);
         }
-        assert_eq!(ledger.cumulative(CgroupId(7)), P * 5);
+        // Until the update timer closes the window, it sums every period.
+        assert_eq!(ledger.window_usage(CgroupId(7)), P * 5);
         assert_eq!(ledger.last_usage(CgroupId(7)), P);
+        ledger.reset_window();
+        assert_eq!(ledger.window_usage(CgroupId(7)), SimDuration::ZERO);
     }
 
     #[test]
@@ -167,7 +168,7 @@ mod tests {
         let b = cfs.allocate(P, &[GroupDemand::cpu_bound(CgroupId(1), 1, 1024, 2.0)]);
         ledger.record(&b);
         assert_eq!(ledger.last_usage(CgroupId(0)), SimDuration::ZERO);
-        assert_eq!(ledger.cumulative(CgroupId(0)), P);
+        assert_eq!(ledger.window_usage(CgroupId(0)), P);
     }
 
     #[test]
@@ -177,14 +178,15 @@ mod tests {
         let a = cfs.allocate(P, &[GroupDemand::cpu_bound(CgroupId(0), 1, 1024, 2.0)]);
         ledger.record(&a);
         ledger.forget(CgroupId(0));
-        assert_eq!(ledger.cumulative(CgroupId(0)), SimDuration::ZERO);
+        assert_eq!(ledger.last_usage(CgroupId(0)), SimDuration::ZERO);
+        assert_eq!(ledger.window_usage(CgroupId(0)), SimDuration::ZERO);
     }
 
     #[test]
     fn unknown_group_reads_zero() {
         let ledger = UsageLedger::new();
         assert_eq!(ledger.last_usage(CgroupId(42)), SimDuration::ZERO);
-        assert_eq!(ledger.cumulative(CgroupId(42)), SimDuration::ZERO);
+        assert_eq!(ledger.window_usage(CgroupId(42)), SimDuration::ZERO);
     }
 
     mod reference_props {
@@ -204,7 +206,6 @@ mod tests {
                 for (id, granted) in &alloc.granted {
                     let g = self.groups.entry(*id).or_default();
                     g.last_period = *granted;
-                    g.cumulative += *granted;
                     g.window += *granted;
                 }
                 for (id, g) in self.groups.iter_mut() {
@@ -259,7 +260,6 @@ mod tests {
                     for id in (0..10).map(CgroupId) {
                         let g = naive.groups.get(&id).copied().unwrap_or_default();
                         prop_assert_eq!(ledger.last_usage(id), g.last_period);
-                        prop_assert_eq!(ledger.cumulative(id), g.cumulative);
                         prop_assert_eq!(ledger.window_usage(id), g.window);
                     }
                     let last: Vec<_> = naive.groups.iter().map(|(id, g)| (*id, g.last_period)).collect();
@@ -272,13 +272,6 @@ mod tests {
     }
 
     impl UsageLedger {
-        /// Cumulative CPU time used by `id` (cpuacct.usage).
-        fn cumulative(&self, id: CgroupId) -> SimDuration {
-            self.groups
-                .get(&id)
-                .map_or(SimDuration::ZERO, |g| g.cumulative)
-        }
-
         /// CPU time used by `id` since the last
         /// [`UsageLedger::reset_window`].
         fn window_usage(&self, id: CgroupId) -> SimDuration {

@@ -8,10 +8,12 @@
 //! locking between updater and queries**. Each namespace is an atomic
 //! cell — queries are plain atomic loads, writers serialize behind an
 //! uncontended per-cell mutex. Drivers mirror the monitor's views in
-//! ([`NsCell::force_publish`]); [`NsCell::apply`] runs Algorithms 1–2 on
-//! the cell's own state, which is what `--fig overhead` and
-//! `arv-benchmark` (`core.apply_ns`, `core.snapshot_ns`) time against the
-//! paper's reported 1 µs update and 5 µs query costs.
+//! ([`NsCell::force_publish`]). [`NsCell::apply`] runs Algorithms 1–2 a
+//! second time, on the cell's own state: the system never calls it, and
+//! only `arv-benchmark`'s `core.apply_ns` probe and this module's tests
+//! do, as they do [`LiveRegistry`] and [`LiveSample`]. The update the
+//! system runs is the monitor's firing plus the publish that mirrors it
+//! (EXPERIMENTS.md §5.4).
 
 use arv_cgroups::{Bytes, CgroupId};
 use arv_telemetry::Tracer;

@@ -38,17 +38,15 @@ pub mod fleetobs;
 pub mod host;
 pub mod json;
 pub mod obs;
-pub mod overhead;
 pub mod recovery;
 pub mod report;
 pub mod scenarios;
 pub mod storm;
 pub mod view_accuracy;
-pub mod viewd;
 
 pub use report::{FigReport, Row, Table};
 
-/// Run a figure by id ("1", "2a", "2b", "6" … "12", "overhead", …);
+/// Run a figure by id ("1", "2a", "2b", "6" … "12", "ablations", …);
 /// `scale` < 1 shrinks workload sizes proportionally for quick runs.
 /// The two campaigns on the [`campaign`] harness, `host` and `fleet`,
 /// rotate their seeds by `seed_offset`, by one rule, so CI can prove the
@@ -66,10 +64,8 @@ pub fn run_figure_seeded(id: &str, scale: f64, seed_offset: u64) -> Option<FigRe
         "10" => fig10_openmp::run(scale),
         "11" => fig11_elastic_dacapo::run(scale),
         "12" => fig12_heap_traces::run(scale),
-        "overhead" => overhead::run(),
         "ablations" => ablation::run(scale),
         "accuracy" => view_accuracy::run(scale),
-        "viewd" => viewd::run(scale),
         "host" => host::run(scale, seed_offset),
         "fleet" => fleet::run(scale, seed_offset),
         _ => return None,
@@ -78,7 +74,7 @@ pub fn run_figure_seeded(id: &str, scale: f64, seed_offset: u64) -> Option<FigRe
 }
 
 /// Every figure id, in paper order.
-pub const ALL_FIGURES: [&str; 16] = [
+pub const ALL_FIGURES: [&str; 14] = [
     "1",
     "2a",
     "2b",
@@ -89,10 +85,8 @@ pub const ALL_FIGURES: [&str; 16] = [
     "10",
     "11",
     "12",
-    "overhead",
     "ablations",
     "accuracy",
-    "viewd",
     "host",
     "fleet",
 ];
@@ -109,13 +103,12 @@ mod tests {
 
     #[test]
     fn every_listed_figure_dispatches() {
-        // Quick smoke at tiny scale: each id must resolve and produce at
-        // least one table (full-value checks live in each module).
-        for id in ["1", "overhead"] {
-            let rep = run_figure_seeded(id, 0.05, 0).expect("known figure");
-            assert_eq!(rep.id, id);
-            assert!(!rep.tables.is_empty(), "{id} produced no tables");
-        }
-        assert_eq!(ALL_FIGURES.len(), 16);
+        // Quick smoke: the one figure cheap enough for a debug build
+        // resolves and produces a table. CI runs every listed id through
+        // `--all`; full-value checks live in each module.
+        let rep = run_figure_seeded("1", 0.05, 0).expect("known figure");
+        assert_eq!(rep.id, "1");
+        assert!(!rep.tables.is_empty(), "figure 1 produced no tables");
+        assert_eq!(ALL_FIGURES.len(), 14);
     }
 }

@@ -1324,7 +1324,7 @@ impl FleetController {
         let budget = (MAX_FLEET_FRAME as usize).saturating_sub(64 + 4 * heard.len());
         let mut frames = Vec::new();
         let mut frame = |heard: &[u32], records: &[u8]| {
-            frames.push(encode_repl_parts(epoch, rs.next_seq, now, heard, records));
+            frames.push(encode_repl_parts(epoch, rs.next_seq, heard, records));
             rs.next_seq += 1;
         };
         // Chunk at record boundaries, read off the length words.
@@ -2473,11 +2473,11 @@ mod tests {
         let standby = FleetController::new(2, FleetPolicy::default());
         use crate::protocol::encode_repl_parts;
         for len in [0usize, 1, 7, 64, 300] {
-            let frame = encode_repl_parts(0, 0, 0, &[], &vec![0xA5; len]);
+            let frame = encode_repl_parts(0, 0, &[], &vec![0xA5; len]);
             let _ = standby.handle_frame(&frame);
         }
         // An epoch past the role word's ceiling reads as the ceiling.
-        let _ = standby.handle_frame(&encode_repl_parts(u64::MAX, 0, 0, &[], &[]));
+        let _ = standby.handle_frame(&encode_repl_parts(u64::MAX, 0, &[], &[]));
         assert_eq!(standby.ctl_epoch(), MAX_EPOCH);
     }
 
@@ -2770,7 +2770,7 @@ mod tests {
             not_leader: false,
             policy: None,
         };
-        let frame = encode_repl_parts(2, 0, 0, &[], &[]);
+        let frame = encode_repl_parts(2, 0, &[], &[]);
         for round in 0..200 {
             let mut ctl = FleetController::new(2, FleetPolicy::default());
             ctl.set_tracer(Tracer::bounded(64));
@@ -3192,7 +3192,7 @@ mod tests {
                                     }
                                 }
                             }
-                            let frame = encode_repl_parts(0, ref_standby.expected_seq, 0, &[host], &records);
+                            let frame = encode_repl_parts(0, ref_standby.expected_seq, &[host], &records);
                             let want = ref_standby.handle_repl(&frame, &stream);
                             let got = standby.handle_frame(&frame).and_then(|resp| {
                                 match decode_frame(&resp) {

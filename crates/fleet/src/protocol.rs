@@ -29,15 +29,14 @@
 //!   kind 2 = top-k pressured containers (arg = k),
 //!   kind 3 = Prometheus stats exposition (arg ignored),
 //!   kind 4 = flight-recorder dump (arg = dumps back from newest)
-//! REPL   := 0x14 | ctl_epoch u64 | repl_seq u64 | as_of_tick u64
-//!           | h u32 | h × heard-host u32 | records
+//! REPL   := 0x14 | ctl_epoch u64 | repl_seq u64 | h u32
+//!           | h × heard-host u32 | records
 //!   heard = the hosts the primary accepted a DELTA from since its
 //!   previous frame (their freshness: a quiet host leaves no record);
 //!   records = zero or more CRC-framed records of the controller's
 //!   `arv_persist` batch journal, exactly the bytes the primary's
 //!   journal appended; the standby validates each record's CRC on
-//!   apply; as_of_tick = the primary's controller tick at drain time,
-//!   so a standby can gauge how far its shadow index trails
+//!   apply
 //! ACK    := 0x20 | host u32 | expected_seq u64 | ctl_epoch u64
 //!           | flags u8 [| POLICY body when bit1 set]
 //!   flags bit0 = resync required (next DELTA must be FULL),
@@ -154,9 +153,9 @@ const DELTA_FLAGS_AT: usize = 1 + 4 + 8 + 8;
 /// Bytes of a DELTA payload around its entries and removals: the
 /// header before the tail, and the tail's two counts.
 pub(crate) const DELTA_FIXED_BYTES: usize = DELTA_TAIL_AT + 4 + 4;
-/// Bytes of a REPL payload before its heard hosts: the opcode, three
+/// Bytes of a REPL payload before its heard hosts: the opcode, two
 /// words and the heard count.
-pub(crate) const REPL_HEAD_BYTES: usize = 1 + 8 + 8 + 8 + 4;
+pub(crate) const REPL_HEAD_BYTES: usize = 1 + 8 + 8 + 4;
 
 /// Host-batch flag: the batch is a FULL (see [`DELTA_FULL`]).
 pub(crate) const BATCH_FULL: u8 = DELTA_FULL;
@@ -319,9 +318,6 @@ pub struct Repl {
     /// Sequence of this replication frame (gap ⇒ standby demands a
     /// fresh checkpoint).
     pub repl_seq: u64,
-    /// The primary's controller tick when this frame was drained —
-    /// the span stamp that lets a standby gauge its shadow-index lag.
-    pub as_of_tick: u64,
     /// Hosts the primary heard from since its previous frame. A host
     /// whose views did not move leaves no record, so its freshness
     /// travels here and the standby's staleness clock follows the
@@ -620,7 +616,6 @@ pub fn encode_query(q: &Query) -> Vec<u8> {
 pub(crate) fn encode_repl_parts(
     ctl_epoch: u64,
     repl_seq: u64,
-    as_of_tick: u64,
     heard: &[u32],
     records: &[u8],
 ) -> Vec<u8> {
@@ -628,7 +623,6 @@ pub(crate) fn encode_repl_parts(
     out.push(OP_REPL);
     put_u64(&mut out, ctl_epoch);
     put_u64(&mut out, repl_seq);
-    put_u64(&mut out, as_of_tick);
     put_u32(&mut out, heard.len() as u32);
     for host in heard {
         put_u32(&mut out, *host);
@@ -837,8 +831,6 @@ pub(crate) struct ReplParts<'a> {
     pub(crate) ctl_epoch: u64,
     /// [`Repl::repl_seq`].
     pub(crate) repl_seq: u64,
-    /// [`Repl::as_of_tick`].
-    pub(crate) as_of_tick: u64,
     /// The heard hosts, `u32le` each.
     heard: &'a [u8],
     /// [`Repl::records`].
@@ -860,12 +852,11 @@ pub(crate) fn decode_repl_parts(payload: &[u8]) -> Option<ReplParts<'_>> {
     if c.u8()? != OP_REPL {
         return None;
     }
-    let (ctl_epoch, repl_seq, as_of_tick) = (c.u64()?, c.u64()?, c.u64()?);
+    let (ctl_epoch, repl_seq) = (c.u64()?, c.u64()?);
     let h = c.u32()? as usize;
     Some(ReplParts {
         ctl_epoch,
         repl_seq,
-        as_of_tick,
         heard: c.take(h.checked_mul(4)?)?,
         records: c.rest(),
     })
@@ -1024,7 +1015,6 @@ pub fn decode_frame(payload: &[u8]) -> Option<Frame> {
             return Some(Frame::Repl(Repl {
                 ctl_epoch: r.ctl_epoch,
                 repl_seq: r.repl_seq,
-                as_of_tick: r.as_of_tick,
                 heard: r.heard().collect(),
                 records: r.records.to_vec(),
             }));
@@ -1197,17 +1187,10 @@ mod tests {
         let repl = Repl {
             ctl_epoch: 4,
             repl_seq: 11,
-            as_of_tick: 99,
             heard: vec![7, 9],
             records: vec![1, 2, 3, 4, 5],
         };
-        let frame = encode_repl_parts(
-            repl.ctl_epoch,
-            repl.repl_seq,
-            repl.as_of_tick,
-            &repl.heard,
-            &repl.records,
-        );
+        let frame = encode_repl_parts(repl.ctl_epoch, repl.repl_seq, &repl.heard, &repl.records);
         assert_eq!(decode_frame(&frame), Some(Frame::Repl(repl)));
 
         let query = Query {
@@ -1294,7 +1277,7 @@ mod tests {
                     pressure_milli: 500,
                 }]),
             }),
-            encode_repl_parts(2, 3, 5, &[], &[9; 24]),
+            encode_repl_parts(2, 3, &[], &[9; 24]),
         ];
         for frame in &frames {
             for cut in 0..frame.len() {
@@ -1343,6 +1326,27 @@ mod tests {
         let mut nothing = Vec::new();
         frame_delta_record(&mut nothing, &[OP_DELTA, 1, 2]);
         assert!(nothing.is_empty(), "too short to be a DELTA");
+    }
+
+    #[test]
+    fn an_empty_repl_frame_is_its_head() {
+        // opcode | ctl_epoch u64 | repl_seq u64 | h u32: nothing else.
+        assert_eq!(REPL_HEAD_BYTES, 21);
+        let frame = encode_repl_parts(3, 8, &[], &[]);
+        assert_eq!(frame.len(), REPL_HEAD_BYTES);
+        assert_eq!(frame[0], OP_REPL);
+        assert_eq!(&frame[1..9], &3u64.to_le_bytes());
+        assert_eq!(&frame[9..17], &8u64.to_le_bytes());
+        assert_eq!(&frame[17..], &0u32.to_le_bytes());
+        let repl = Repl {
+            ctl_epoch: 3,
+            repl_seq: 8,
+            heard: Vec::new(),
+            records: Vec::new(),
+        };
+        assert_eq!(decode_frame(&frame), Some(Frame::Repl(repl)));
+        // One byte short of the head is refused.
+        assert_eq!(decode_frame(&frame[..REPL_HEAD_BYTES - 1]), None);
     }
 
     #[test]
@@ -1403,7 +1407,7 @@ mod tests {
                 frame_delta_record(&mut records, &encode_delta(&arb_delta(i as u32, seq, i, 1)));
             }
             let heard: Vec<u32> = (0..h as u32).map(|i| i * 7).collect();
-            encode_repl_parts(seq / 2, seq, seq * 3, &heard, &records)
+            encode_repl_parts(seq / 2, seq, &heard, &records)
         }
 
         /// A payload of `shape`: 0 arbitrary `bytes` behind the DELTA or
@@ -1449,7 +1453,6 @@ mod tests {
                 (
                     r.ctl_epoch,
                     r.repl_seq,
-                    r.as_of_tick,
                     r.heard().collect::<Vec<u32>>(),
                     r.records,
                 )
@@ -1461,13 +1464,7 @@ mod tests {
                 }
                 Some(Frame::Repl(r)) => {
                     assert_eq!(delta, None);
-                    let want = (
-                        r.ctl_epoch,
-                        r.repl_seq,
-                        r.as_of_tick,
-                        r.heard.clone(),
-                        &r.records[..],
-                    );
+                    let want = (r.ctl_epoch, r.repl_seq, r.heard.clone(), &r.records[..]);
                     assert_eq!(repl, Some(want));
                 }
                 _ => assert_eq!((delta, repl), (None, None)),
@@ -1667,7 +1664,7 @@ mod tests {
                 repl_seq in 0u64..8,
                 records in prop::collection::vec(0u8..255, 0..256)
             ) {
-                let frame = encode_repl_parts(ctl_epoch, repl_seq, 0, &[], &records);
+                let frame = encode_repl_parts(ctl_epoch, repl_seq, &[], &records);
                 let standby = FleetController::new(2, FleetPolicy::default());
                 let _ = standby.handle_frame(&frame);
             }
@@ -1686,7 +1683,7 @@ mod tests {
                 }
                 let keep = cut.min(records.len());
                 records.truncate(keep);
-                let frame = encode_repl_parts(1, 0, 0, &[], &records);
+                let frame = encode_repl_parts(1, 0, &[], &records);
                 let standby = FleetController::new(2, FleetPolicy::default());
                 let _ = standby.handle_frame(&frame);
             }

@@ -136,8 +136,6 @@ pub struct JvmMetrics {
     pub exec_wall: SimDuration,
     /// Wall time spent in stop-the-world collections.
     pub gc_wall: SimDuration,
-    /// Wall time spent running application threads.
-    pub mutator_wall: SimDuration,
     /// Number of minor collections.
     pub minor_gcs: u32,
     /// Number of major collections.
@@ -157,7 +155,6 @@ impl JvmMetrics {
         JvmMetrics {
             exec_wall: SimDuration::ZERO,
             gc_wall: SimDuration::ZERO,
-            mutator_wall: SimDuration::ZERO,
             minor_gcs: 0,
             major_gcs: 0,
             gc_thread_trace: Vec::new(),
@@ -353,7 +350,6 @@ impl Jvm {
 
         match &mut self.phase {
             Phase::Mutator => {
-                self.metrics.mutator_wall += period;
                 // The mutator's hot set: the allocation wave cycling
                 // through the young generation plus the live data it
                 // actually touches.

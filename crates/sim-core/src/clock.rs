@@ -33,7 +33,6 @@ pub fn sched_period(n_runnable: u32) -> SimDuration {
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
     now: SimTime,
-    periods: u64,
 }
 
 impl SimClock {
@@ -52,7 +51,6 @@ impl SimClock {
     pub fn advance(&mut self, dt: SimDuration) -> SimTime {
         debug_assert!(!dt.is_zero(), "clock must advance by a positive step");
         self.now += dt;
-        self.periods += 1;
         self.now
     }
 }
@@ -82,7 +80,6 @@ mod tests {
         c.advance(SimDuration::from_millis(24));
         c.advance(SimDuration::from_millis(24));
         assert_eq!(c.now().as_micros(), 48_000);
-        assert_eq!(c.periods_elapsed(), 2);
     }
 
     #[test]
@@ -90,12 +87,5 @@ mod tests {
     #[cfg(debug_assertions)]
     fn zero_advance_is_rejected() {
         SimClock::new().advance(SimDuration::ZERO);
-    }
-
-    impl SimClock {
-        /// Number of `advance` steps taken so far.
-        fn periods_elapsed(&self) -> u64 {
-            self.periods
-        }
     }
 }

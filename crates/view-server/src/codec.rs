@@ -327,7 +327,6 @@ pub struct Transport {
     active: usize,
     stream: Option<UnixStream>,
     rng: SimRng,
-    ever_connected: bool,
     reconnected: bool,
     consecutive_failures: u32,
     breaker_remaining: u32,
@@ -353,7 +352,6 @@ impl Transport {
             max_frame,
             active: 0,
             stream: None,
-            ever_connected: false,
             reconnected: false,
             consecutive_failures: 0,
             breaker_remaining: 0,
@@ -407,7 +405,6 @@ impl Transport {
         stream.set_write_timeout(Some(self.policy.request_timeout))?;
         self.stream = Some(stream);
         self.stats.connects += 1;
-        self.ever_connected = true;
         self.reconnected = true;
         Ok(())
     }

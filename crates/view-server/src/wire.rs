@@ -691,7 +691,12 @@ mod tests {
         );
         assert_eq!(client.sysconf(None, "nprocessors_onln").unwrap(), Some(20));
         assert_eq!(client.sysconf(Some(id), "pagesize").unwrap(), Some(4096));
-        assert!(server.metrics().wire_requests >= 4);
+        // Clean traffic: every request counted once, nothing rejected,
+        // one connection accepted.
+        let m = server.metrics();
+        assert_eq!(m.wire_requests, 4);
+        assert_eq!(m.wire_rejected, 0);
+        assert_eq!(m.connections_accepted, 1);
         client.assert_one_live_connection();
         wire.shutdown();
     }
@@ -901,7 +906,9 @@ mod tests {
         let full = client.trace(None).unwrap();
         assert!(full.contains("c7"));
         // Wire latency landed in its own histogram.
-        assert!(server.metrics().wire_p99_ns > 0);
+        let m = server.metrics();
+        assert!(m.wire_latency_ns > 0.0);
+        assert!(m.wire_p99_ns > 0);
         client.assert_one_live_connection();
         wire.shutdown();
     }
