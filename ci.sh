@@ -98,10 +98,10 @@ test "$unknown" -eq 0
 # core: NsMonitor::tick linear scaling, ledger record growth; viewd: hit /
 # re-stamped miss / first render ratios; fleet: resync + failover ticks,
 # REPL lag, rollup growth, obs + journal overhead, index update growth,
-# unsorted FULL; persist: append + replay growth, faulty store, CRC
-# speedup over a byte-at-a-time CRC; wire: 5k-connection fanout. Each
-# writes BENCH_<name>.json and exits nonzero on a failed gate or a
-# non-finite value.
+# unsorted FULL, quarter-update ratio; persist: append + replay growth,
+# faulty store, CRC speedup over a byte-at-a-time CRC; wire:
+# 5k-connection fanout. Each writes BENCH_<name>.json and exits nonzero
+# on a failed gate or a non-finite value.
 for bench in core viewd fleet persist wire; do
     echo "==> $bench bench"
     cargo bench -q -p arv-bench --bench "$bench" > /dev/null

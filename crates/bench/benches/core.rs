@@ -276,7 +276,6 @@ fn record_ns(groups: u32) -> f64 {
         granted: ids.map(|id| (CgroupId(id), PERIOD)).collect(),
         slack: PERIOD,
         period: PERIOD,
-        total_runnable: GRANTS,
     };
     let rounds: Vec<Allocation> = (0..groups / GRANTS)
         .map(|r| allocation(&mut (0..GRANTS).map(|j| j * (groups / GRANTS) + r)))

@@ -13,7 +13,8 @@
 //! The gates are exact counts and same-run ratios, so machine speed
 //! cancels: they catch algorithmic regressions — an O(containers)
 //! rollup, an O(containers) periphery observation of a few moved views,
-//! a DELTA that walks its host's whole container run, a FULL inserted
+//! a DELTA that walks its host's whole container run, a cursor that
+//! mispredicts on a random part of a host's dense ids, a FULL inserted
 //! entry by entry, per-entry frame re-encoding, observability on the
 //! hot path — not machine noise. Ingest throughput itself is reported ungated; a
 //! per-entry re-encode or buffer is caught by the journal-overhead
@@ -27,6 +28,7 @@ use arv_fleet::{
     HostSummary, Periphery, SharedLease,
 };
 use arv_persist::{Snapshot, ViewState};
+use arv_sim_core::SimRng;
 use arv_telemetry::{FlightRecorder, Tracer};
 use std::hint::black_box;
 use std::time::Instant;
@@ -69,10 +71,13 @@ const UPDATES: u32 = 16;
 /// Timed update DELTAs per trial.
 const UPDATE_DELTAS: u32 = 5_000;
 /// Ceiling on ingesting one DELTA of [`UPDATES`] entries into the
-/// larger host over the smaller. Galloping from where the previous entry
-/// landed reads 1.49–1.74 (a binary search per entry read 1.2–1.4); a
-/// cursor that walks the run linearly reads 5.2, and a walk of the
-/// host's whole container run per frame breaches too.
+/// larger host over the smaller. The entries sit a fixed stride apart in
+/// a dense run, so each is found by its distance from the last one:
+/// 0.92–1.03 in nine of ten runs on a 2-vCPU VM, 1.41 in one.
+/// Galloping from where the previous entry landed read 1.16–1.41 in
+/// five (a binary search per entry read 1.2–1.4); a cursor that walks
+/// the run linearly reads 5.2, and a walk of the host's whole container
+/// run per frame breaches too.
 const MAX_INDEX_UPDATE_GROWTH: f64 = 2.0;
 /// Entries in the FULL that is timed in id order and in reverse.
 const FULL_ENTRIES: u32 = 20_000;
@@ -83,6 +88,17 @@ const FULLS: u32 = 20;
 /// for either; a `Vec::insert` per entry shifts the whole run each time
 /// in reverse order, and breaches it.
 const MAX_UNSORTED_FULL_RATIO: f64 = 3.0;
+/// Timed rounds of the quarter-update fleet, half of them quarter
+/// DELTAs and half whole ones.
+const QUARTER_ROUNDS: u32 = 40;
+/// Ceiling on ns per entry of DELTAs that update a random quarter of
+/// each of [`HOSTS`] hosts' [`CONTAINERS`] dense ids over the same of
+/// DELTAs that update every one. A cursor that finds each id by its
+/// distance from the last one reads 1.37–1.61 (ten runs on a 2-vCPU
+/// VM; a quarter DELTA spreads its per-frame cost over a quarter of the
+/// entries). One that steps slot by slot from the last one, exiting at
+/// a random slot, reads 2.02–2.08 (five runs).
+const MAX_QUARTER_UPDATE_RATIO: f64 = 1.8;
 /// A gap must heal in at most this many periphery observations (the
 /// rejected delta that surfaces the gap, then the FULL snapshot).
 const MAX_RESYNC_TICKS: u64 = 2;
@@ -327,11 +343,11 @@ fn moved_observe_ns(n: u32) -> f64 {
     })
 }
 
-/// A DELTA into host 1 at `seq`, FULL at 0.
-fn delta(seq: u64, entries: Vec<DeltaEntry>) -> Vec<u8> {
+/// A DELTA into `host` at `seq`, FULL at 0.
+fn delta(host: u32, seq: u64, entries: Vec<DeltaEntry>) -> Vec<u8> {
     encode_delta(&Delta {
         head: DeltaHead {
-            host: 1,
+            host,
             seq,
             tick: seq,
             full: seq == 0,
@@ -353,7 +369,7 @@ fn full(entries: &[DeltaEntry]) -> Vec<Vec<u8>> {
     let parts = entries.chunks(MAX_BATCH as usize);
     parts
         .zip(0..)
-        .map(|(part, seq)| delta(seq, part.to_vec()))
+        .map(|(part, seq)| delta(1, seq, part.to_vec()))
         .collect()
 }
 
@@ -382,13 +398,62 @@ fn update_ns(n: u32) -> f64 {
         for seq in first..first + u64::from(UPDATE_DELTAS) {
             let k = seq as u32;
             let moved = (0..UPDATES).map(|j| entry(j * stride + k % stride, 1 + k % 7));
-            let frame = delta(seq, moved.collect());
+            let frame = delta(1, seq, moved.collect());
             let start = Instant::now();
             black_box(ctl.handle_frame(&frame));
             in_ingest += start.elapsed();
         }
         in_ingest.as_nanos() as f64 / f64::from(UPDATE_DELTAS)
     })
+}
+
+/// Nanoseconds inside `handle_frame` per entry over [`HOSTS`] hosts of
+/// [`CONTAINERS`] dense ids: of DELTAs that update a seeded random
+/// quarter of each host (what a periphery ships when a quarter of its
+/// views moved), and of DELTAs that update every container (a lockstep
+/// walk); each the fastest of [`TRIALS`].
+fn quarter_and_whole_ns() -> (f64, f64) {
+    (0..TRIALS)
+        .map(|_| quarter_trial())
+        .fold((f64::INFINITY, f64::INFINITY), |(q, w), (tq, tw)| {
+            (q.min(tq), w.min(tw))
+        })
+}
+
+/// One trial of [`quarter_and_whole_ns`]: after a FULL of every host,
+/// rounds alternate between quarter and whole DELTAs, so a slow spell
+/// of the machine lands on both clocks. Frames are encoded before the
+/// clock starts and the tick advances after it stops; the first two
+/// rounds are not timed.
+fn quarter_trial() -> (f64, f64) {
+    const WARM_ROUNDS: u64 = 2;
+    let ctl = FleetController::new(64, FleetPolicy::default());
+    let mut rng = SimRng::seed_from_u64(7);
+    let (mut ns, mut entries) = ([0u128; 2], [0usize; 2]);
+    for seq in 0..=WARM_ROUNDS + u64::from(QUARTER_ROUNDS) {
+        let whole = seq % 2 == 0;
+        let mut sent = 0;
+        let frames: Vec<Vec<u8>> = (0..HOSTS)
+            .map(|host| {
+                let ids = (0..CONTAINERS).filter(|_| whole || rng.unit() < 0.25);
+                let batch: Vec<DeltaEntry> = ids.map(|id| entry(id, 1 + seq as u32 % 7)).collect();
+                sent += batch.len();
+                delta(host, seq, batch)
+            })
+            .collect();
+        let start = Instant::now();
+        for frame in &frames {
+            black_box(ctl.handle_frame(frame));
+        }
+        let elapsed = start.elapsed().as_nanos();
+        ctl.advance_tick();
+        if seq > WARM_ROUNDS {
+            ns[usize::from(whole)] += elapsed;
+            entries[usize::from(whole)] += sent;
+        }
+    }
+    let per_entry = |side: usize| ns[side] as f64 / entries[side] as f64;
+    (per_entry(0), per_entry(1))
 }
 
 /// Nanoseconds inside `handle_frame` per [`FULL_ENTRIES`]-entry FULL
@@ -542,6 +607,7 @@ fn main() {
     let [small_mirror, large_mirror] = MOVED_POPULATIONS.map(moved_observe_ns);
     let [small_host, large_host] = UPDATE_POPULATIONS.map(update_ns);
     let (sorted_full, reversed_full) = (full_ns(false), full_ns(true));
+    let (quarter_ns, whole_ns) = quarter_and_whole_ns();
 
     Report::new("fleet")
         .value("hosts", f64::from(HOSTS))
@@ -617,6 +683,14 @@ fn main() {
             reversed_full / sorted_full,
             MAX_UNSORTED_FULL_RATIO,
             "a FULL in reverse id order is inserted entry by entry, not sorted and merged",
+        )
+        .value("quarter_update_ns_per_entry", quarter_ns)
+        .value("whole_update_ns_per_entry", whole_ns)
+        .at_most(
+            "quarter_update_ratio",
+            quarter_ns / whole_ns,
+            MAX_QUARTER_UPDATE_RATIO,
+            "a DELTA of a random part of a host's dense ids seeks each by a data-dependent branch",
         )
         .finish();
 }

@@ -52,8 +52,6 @@ pub struct Allocation {
     pub slack: SimDuration,
     /// The period that was allocated.
     pub period: SimDuration,
-    /// Total runnable tasks across groups (drives the CFS period rule).
-    pub total_runnable: u32,
 }
 
 impl Allocation {
@@ -131,7 +129,6 @@ impl CfsSim {
             granted,
             slack: SimDuration::from_micros(slack_us.round() as u64),
             period,
-            total_runnable: demands.iter().map(|d| d.runnable).sum(),
         }
     }
 }
@@ -276,7 +273,6 @@ mod tests {
         let cfs = CfsSim::with_cpus(4);
         let a = cfs.allocate(P, &[]);
         assert_eq!(a.slack, P * 4);
-        assert_eq!(a.total_runnable, 0);
     }
 
     #[test]
@@ -308,19 +304,6 @@ mod tests {
         assert!((a.granted_cpus(id(0)) - 0.5).abs() < 1e-6);
         assert!((a.granted_cpus(id(1)) - 0.875).abs() < 1e-6);
         assert!((a.granted_cpus(id(2)) - 2.625).abs() < 1e-6);
-    }
-
-    #[test]
-    fn total_runnable_reported() {
-        let cfs = CfsSim::with_cpus(4);
-        let a = cfs.allocate(
-            P,
-            &[
-                GroupDemand::cpu_bound(id(0), 3, 1024, 4.0),
-                GroupDemand::cpu_bound(id(1), 5, 1024, 4.0),
-            ],
-        );
-        assert_eq!(a.total_runnable, 8);
     }
 }
 

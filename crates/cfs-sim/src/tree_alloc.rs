@@ -133,7 +133,6 @@ pub fn allocate_tree(
             .collect(),
         slack: SimDuration::from_micros((supply_us - used).max(0.0).round() as u64),
         period,
-        total_runnable: demands.values().map(|d| d.runnable).sum(),
     }
 }
 

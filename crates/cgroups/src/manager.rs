@@ -15,6 +15,12 @@ use crate::memory::MemController;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CgroupId(pub u32);
 
+impl From<CgroupId> for u64 {
+    fn from(id: CgroupId) -> u64 {
+        u64::from(id.0)
+    }
+}
+
 /// The id-sorted table ([`arv_sim_core::IdMap`]) keyed by [`CgroupId`]:
 /// every per-container table of the host.
 pub type IdMap<V> = arv_sim_core::IdMap<CgroupId, V>;

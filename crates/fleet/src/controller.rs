@@ -21,8 +21,9 @@
 //! — on every node straight from the bytes it read, DELTA or record, with
 //! nothing decoded into a `Vec` first. The entries are one
 //! [`IdMap::upsert`]: each is found from a cursor left where the previous
-//! one landed ([`IdMap::seek`]) and replaced in place, and new ids that
-//! do not extend the host are sorted (of a repeated id the last
+//! one landed ([`IdMap::seek`]; in a host's dense run of ids, at the
+//! slot its distance from the cursor names) and replaced in place; new
+//! ids that do not extend the host are sorted (of a repeated id the last
 //! occurrence wins, the periphery's rule) and merged in one pass. What a
 //! run of consecutive same-tenant changes adds and removes — upsert tells
 //! each one — is summed apart and folded into the totals with one tenant

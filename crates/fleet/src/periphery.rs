@@ -292,10 +292,10 @@ impl Periphery {
     }
 
     /// One walk of the mirror against `views`, each id
-    /// [`seek`](IdMap::seek)ed from where the previous one landed: a
-    /// whole snapshot lands slot after slot, a sparse list in id order
-    /// gallops, and an id behind the cursor is binary-searched, so any
-    /// order stays correct. An unchanged entry is not written; a moved
+    /// [`seek`](IdMap::seek)ed from where the previous one landed: an id
+    /// lands by its distance from the cursor's while the ids run dense
+    /// (a whole snapshot at distance 0), past a gap it gallops, and behind
+    /// the cursor it is binary-searched, so any order stays correct. An unchanged entry is not written; a moved
     /// one is overwritten in place by the mark rule ([`Mirrored::mark`]).
     /// The new ids' entries are gathered and returned, with how many of
     /// `views` the mirror held.

@@ -17,6 +17,9 @@
 //! each write by hand: the cursor lookup ([`IdMap::seek`]) and the
 //! last-wins upsert of an unsorted batch ([`IdMap::upsert`]), which
 //! merges new keys in from the back in one pass.
+//!
+//! A key is an id, `Copy + Ord + Into<u64>` (`u32`, or `CgroupId` by its
+//! `From<CgroupId> for u64`), so a cursor can measure a key's distance.
 
 use std::fmt;
 
@@ -55,7 +58,7 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for IdMap<K, V> {
     }
 }
 
-impl<K: Copy + Ord, V> IdMap<K, V> {
+impl<K: Copy + Ord + Into<u64>, V> IdMap<K, V> {
     /// An empty map.
     pub fn new() -> IdMap<K, V> {
         IdMap::default()
@@ -72,19 +75,21 @@ impl<K: Copy + Ord, V> IdMap<K, V> {
     }
 
     /// Where `key` is (`Ok`) or would be inserted (`Err`), searched from
-    /// the cursor `at`, the slot after the last one found. A key behind
-    /// the cursor is binary-searched in the slots before it. One ahead
-    /// is looked for in the next `SEEK_STEP` (8) slots one by one — a
-    /// sorted batch usually lands a few slots on — and past them
-    /// galloped to: probes 1, 2, 4, … slots on, then a binary search of
-    /// the last step. Walking a sorted batch of k keys into n therefore
-    /// costs O(k log(n/k)), and an unsorted one stays correct.
+    /// the cursor `at`, the slot after the last one found. It is first
+    /// looked for `key − keys[at]` slots on: its own slot in a dense run
+    /// of ids, whichever part of the run a sorted batch holds. Else a
+    /// key behind the cursor is binary-searched in the slots before it,
+    /// and one ahead is looked for in the next `SEEK_STEP` (8) slots one
+    /// by one and past them galloped to: probes 1, 2, 4, … slots on,
+    /// then a binary search of the last step. Walking a sorted batch of
+    /// k keys into n therefore costs O(k log(n/k)), and an unsorted one
+    /// stays correct.
     #[inline]
     pub fn seek(&self, at: usize, key: K) -> Result<usize, usize> {
-        let keys = &self.keys;
-        if keys.get(at) == Some(&key) {
-            return Ok(at);
+        if let Some(slot) = self.by_distance(at, key) {
+            return Ok(slot);
         }
+        let keys = &self.keys;
         let at = at.min(keys.len());
         if at > 0 && keys[at - 1] >= key {
             return keys[..at].binary_search(&key);
@@ -109,6 +114,15 @@ impl<K: Copy + Ord, V> IdMap<K, V> {
         };
         let slot = keys[lo..hi].binary_search(&key);
         slot.map(|i| lo + i).map_err(|i| lo + i)
+    }
+
+    /// The slot `key − keys[at]` slots on from `at` (wrapping) if it
+    /// holds `key`, which is then its only one: keys are distinct.
+    #[inline]
+    fn by_distance(&self, at: usize, key: K) -> Option<usize> {
+        let here = *self.keys.get(at)?;
+        let slot = at.wrapping_add(key.into().wrapping_sub(here.into()) as usize);
+        (self.keys.get(slot) == Some(&key)).then_some(slot)
     }
 
     /// Number of entries.
@@ -301,7 +315,7 @@ impl<K: Copy + Ord, V> FromIterator<(K, V)> for IdMap<K, V> {
     }
 }
 
-impl<'a, K: Copy + Ord, V> IntoIterator for &'a IdMap<K, V> {
+impl<'a, K: Copy + Ord + Into<u64>, V> IntoIterator for &'a IdMap<K, V> {
     type Item = (&'a K, &'a V);
     type IntoIter = std::iter::Zip<std::slice::Iter<'a, K>, std::slice::Iter<'a, V>>;
 
@@ -354,25 +368,45 @@ mod tests {
     }
 
     /// `seek` from every cursor answers what a binary search of the
-    /// whole table does, over tables of 0 to 40 keys, for every key from
-    /// below the first to past the last: found or not, inside the short
-    /// step, one slot past it, further on, behind the cursor and past the
-    /// end.
+    /// whole table does, for every key from below the first to past the
+    /// last: found or not, by its distance from the cursor's key, inside
+    /// the short step, one slot past it, further on, behind the cursor
+    /// and past the end. The tables: odd keys (every even key absent,
+    /// so a distance names the key's slot only at distance 0) and dense
+    /// runs, of 0 to 40 keys; dense runs with one gap, at every place;
+    /// and dense runs ending at `u32::MAX`, where the distance
+    /// arithmetic meets the top of the key range.
     #[test]
     fn seek_equals_a_binary_search_from_every_cursor() {
-        let (mut inside, mut one_past, mut further, mut behind, mut past_end) = (0, 0, 0, 0, 0);
+        let mut tables: Vec<Vec<u32>> = Vec::new();
         for len in 0..=40u32 {
-            // Odd keys, so every even key is absent.
-            let map: IdMap<u32, ()> = (0..len).map(|i| (2 * i + 1, ())).collect();
-            let keys: Vec<u32> = map.keys().copied().collect();
+            tables.push((0..len).map(|i| 2 * i + 1).collect());
+            tables.push((100..100 + len).collect());
+            tables.push((0..len).map(|i| u32::MAX - i).rev().collect());
+        }
+        for len in 1..=20u32 {
+            for gap in 0..=len {
+                tables.push((100..=100 + len).filter(|k| *k != 100 + gap).collect());
+            }
+        }
+        let (mut inside, mut one_past, mut further, mut behind, mut past_end) = (0, 0, 0, 0, 0);
+        let (mut in_place, mut by_distance) = (0, 0);
+        for keys in tables {
+            let map: IdMap<u32, ()> = keys.iter().map(|k| (*k, ())).collect();
+            let first = keys.first().map_or(0, |k| k.saturating_sub(2));
+            let last = keys.last().map_or(2, |k| k.saturating_add(2));
             for at in 0..=keys.len() {
-                for key in 0..=2 * len + 2 {
+                for key in first..=last {
                     let want = keys.binary_search(&key);
-                    assert_eq!(
-                        map.seek(at, key),
-                        want,
-                        "{len} keys, cursor {at}, key {key}"
-                    );
+                    assert_eq!(map.seek(at, key), want, "{keys:?}, cursor {at}, key {key}");
+                    if let Some(slot) = map.by_distance(at, key) {
+                        assert_eq!(Ok(slot), want, "{keys:?}, cursor {at}, key {key}");
+                        if slot == at {
+                            in_place += 1;
+                        } else {
+                            by_distance += 1;
+                        }
+                    }
                     let (Ok(slot) | Err(slot)) = want;
                     if slot == keys.len() {
                         past_end += 1;
@@ -389,6 +423,10 @@ mod tests {
             }
         }
         assert!(inside > 0 && one_past > 0 && further > 0 && behind > 0 && past_end > 0);
+        assert!(
+            in_place > 0 && by_distance > 0,
+            "the distance probe never answered"
+        );
     }
 
     /// An upsert tells every value that lands, old and new, so a running
