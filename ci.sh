@@ -44,7 +44,7 @@ for src in examples/*.rs; do
     cargo run -q --release -p arv-experiments --example "$example" > /dev/null
 done
 
-echo "==> every listed figure at full scale, the campaigns at seed offset 0 among them (the case studies read their views through sysconf)"
+echo "==> every listed figure at full scale, the campaigns at seed offset 0 among them (the case studies read their views through each host's own viewd)"
 cargo run -q --release -p arv-experiments --bin experiments -- --all > /dev/null
 
 # The two campaigns, each on its base seeds and on rotated ones: every

@@ -217,16 +217,28 @@ fn rollup_ns(ctl: &FleetController) -> f64 {
     })
 }
 
-/// Seconds for one full ingest run, fastest of [`TRIALS`], with the
-/// observability plane armed or disabled.
-fn ingest_secs(traced: bool) -> f64 {
-    best_of(TRIALS, || {
+/// Seconds for one full ingest run with the observability plane armed
+/// and disabled, each the fastest of [`TRIALS`]. A traced and a bare run
+/// go back to back in every trial (which goes first alternates), so a
+/// slow spell of the machine lands on both sides.
+fn ingest_secs() -> (f64, f64) {
+    let run = |traced: bool| {
         let mut ctl = FleetController::new(64, FleetPolicy::default());
         if traced {
             ctl.set_tracer(Tracer::bounded(16_384));
             ctl.set_flight_recorder(FlightRecorder::bounded(8));
         }
         ingest(&ctl, HOSTS)
+    };
+    (0..TRIALS).fold((f64::INFINITY, f64::INFINITY), |(traced, bare), trial| {
+        let (t, b) = if trial % 2 == 0 {
+            let t = run(true);
+            (t, run(false))
+        } else {
+            let b = run(false);
+            (run(true), b)
+        };
+        (traced.min(t), bare.min(b))
     })
 }
 
@@ -602,7 +614,8 @@ fn main() {
     let sparse_rollup_ns = rollup_ns(&loaded(SPARSE_HOSTS).0);
     let resync_ticks = bench_resync_ticks();
     let (failover_ticks_to_fresh, repl_lag_records, repl_bytes_per_record) = bench_failover();
-    let obs_overhead_ratio = ingest_secs(true) / ingest_secs(false);
+    let (traced_secs, bare_secs) = ingest_secs();
+    let obs_overhead_ratio = traced_secs / bare_secs;
     let (journaled_ingest_ns, bare_ingest_ns, encode_ns) = ingest_ns_per_entry();
     let [small_mirror, large_mirror] = MOVED_POPULATIONS.map(moved_observe_ns);
     let [small_host, large_host] = UPDATE_POPULATIONS.map(update_ns);

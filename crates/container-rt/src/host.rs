@@ -11,15 +11,17 @@ use arv_resview::effective_cpu::EffectiveCpuConfig;
 use arv_resview::effective_mem::EffectiveMemoryConfig;
 use arv_resview::namespace::Pid;
 use arv_resview::{
-    Changes, HostSpec, NsCell, NsMonitor, RecoverOutcome, Sysconf, Verdict, VirtualSysfs, Watchdog,
-    WatchdogStats,
+    Changes, HostSpec, NsCell, NsMonitor, RecoverOutcome, Sysconf, Verdict, Watchdog, WatchdogStats,
 };
 use arv_sim_core::{clock::sched_period, FaultPlan, SimClock, SimDuration, SimTime};
-use arv_telemetry::PipelineEvent;
-use arv_viewd::ViewServer;
+use arv_telemetry::{PipelineEvent, Tracer};
+use arv_viewd::{ViewClient, ViewServer};
 use std::sync::Arc;
 
 use crate::spec::ContainerSpec;
+
+/// Registry shards of the view daemon every host is built with.
+const VIEWD_SHARDS: usize = 4;
 
 /// What one scheduling-period step produced.
 #[derive(Debug, Clone)]
@@ -53,8 +55,10 @@ pub struct RestoreEvent {
 /// The simulated host machine.
 ///
 /// Owns the cgroup manager, scheduler, memory manager, usage accounting,
-/// load average, and the `ns_monitor`, and advances them together one
-/// scheduling period at a time via [`SimHost::step`].
+/// load average, the `ns_monitor` and the view daemon that publishes its
+/// views, and advances them together one scheduling period at a time via
+/// [`SimHost::step`]. Every resource query a container makes
+/// ([`SimHost::sysfs`], [`SimHost::sysconf`]) is answered by that daemon.
 ///
 /// Cgroup events reach the monitor through a bounded [`EventPipe`]
 /// rather than a direct call, and a [`Watchdog`] audits the delivery:
@@ -73,9 +77,9 @@ pub struct SimHost {
     containers: IdMap<ContainerMeta>,
     next_pid: u32,
     update_timer_elapsed: SimDuration,
-    viewd: Option<ViewServer>,
+    viewd: ViewServer,
     // The host's free memory as sampled at the last update-timer firing:
-    // what both front-ends answer a host caller.
+    // what the daemon answers a host caller.
     host_free: Bytes,
     // The handles `viewd` registered, one a namespace the daemon
     // mirrors: what a publish writes through, walked beside the change
@@ -123,6 +127,7 @@ impl SimHost {
         let mem = MemSim::new(MemSimConfig::with_total(memory));
         let monitor = NsMonitor::new(cfs.online(), memory, *mem.watermarks(), cpu_cfg, mem_cfg);
         let host_free = mem.free();
+        let viewd = ViewServer::new(host_spec(&cfs, &mem, host_free), VIEWD_SHARDS);
         SimHost {
             clock: SimClock::new(),
             cgm: CgroupManager::new(),
@@ -134,7 +139,7 @@ impl SimHost {
             containers: IdMap::new(),
             next_pid: 1000,
             update_timer_elapsed: SimDuration::ZERO,
-            viewd: None,
+            viewd,
             host_free,
             cells: IdMap::new(),
             pipe: EventPipe::new(DEFAULT_PIPE_CAPACITY),
@@ -306,7 +311,8 @@ impl SimHost {
     }
 
     /// Suppress the viewd publish for the next `ticks` update-timer
-    /// firings (the monitor keeps updating its own namespaces).
+    /// firings. The monitor keeps updating its own namespaces; every
+    /// answer, in process or over the wire, ages with the daemon's.
     pub fn inject_publish_delay(&mut self, ticks: u64) {
         self.delay_publish_ticks += ticks;
     }
@@ -401,12 +407,10 @@ impl SimHost {
         }
         self.realign();
         self.drain_changes(false);
-        if let Some(server) = &self.viewd {
-            server.note_restore(
-                outcome.map_or(0, |o| o.reconciled as u64),
-                report.truncated_records,
-            );
-        }
+        self.viewd.note_restore(
+            outcome.map_or(0, |o| o.reconciled as u64),
+            report.truncated_records,
+        );
         // Re-seed the journal with a compacted checkpoint of the
         // reconciled state.
         let snap = self.monitor.snapshot();
@@ -478,12 +482,11 @@ impl SimHost {
         self.publish_durability();
     }
 
-    /// Mirror the ladder's current rung into the attached view daemon
+    /// Mirror the ladder's current rung into the view daemon
     /// (Prometheus) so operators see durability next to staleness.
     fn publish_durability(&self) {
-        if let Some(server) = &self.viewd {
-            server.note_durability(self.durability_lost(), self.journal_io_errors());
-        }
+        self.viewd
+            .note_durability(self.durability_lost(), self.journal_io_errors());
     }
 
     /// Whether the host's journal is currently on the degraded
@@ -505,14 +508,17 @@ impl SimHost {
             .map(|j| j.journal().durable_bytes().to_vec())
     }
 
-    /// Install a [`Tracer`](arv_telemetry::Tracer): both the
-    /// `ns_monitor` (view decisions, container churn) and the watchdog
-    /// (stalls, event loss) emit provenance into it. Share the same
-    /// tracer with an attached [`ViewServer`] to get the serving
-    /// layer's degraded-fallback decisions in the same ring.
-    pub fn set_tracer(&mut self, tracer: arv_telemetry::Tracer) {
+    /// Install a [`Tracer`]: the `ns_monitor` (view decisions, container
+    /// churn), the watchdog (stalls, event loss) and the view daemon
+    /// (degraded-fallback substitutions) emit provenance into it. A
+    /// daemon's tracer is fixed when it is built, so the host attaches a
+    /// new one built with `tracer`, replacing any attached before; its
+    /// counters start from zero.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
         self.monitor.set_tracer(tracer.clone());
-        self.watchdog.set_tracer(tracer);
+        self.watchdog.set_tracer(tracer.clone());
+        let spec = self.viewd_host_spec();
+        self.attach_viewd(ViewServer::with_telemetry(spec, VIEWD_SHARDS, tracer));
     }
 
     /// The monitor's update-timer tick count (advances once per firing,
@@ -524,41 +530,45 @@ impl SimHost {
     // --- view daemon attachment ---
 
     /// A [`HostSpec`] describing this host's physical configuration, with
-    /// the free memory sampled at the last update-timer firing: what
-    /// [`SimHost::sysfs`] answers host callers, and what a [`ViewServer`]
-    /// is built with so its host-fallback answers match (an attached one
-    /// is handed every later sample).
+    /// the free memory sampled at the last update-timer firing: what the
+    /// view daemon answers host callers, and what a [`ViewServer`] is
+    /// built with so its host-fallback answers match (an attached one is
+    /// handed every later sample).
     pub fn viewd_host_spec(&self) -> HostSpec {
-        HostSpec {
-            online_cpus: self.cfs.online_count(),
-            total_memory: self.mem.total(),
-            free_memory: self.host_free,
-            cfs_period_us: arv_cgroups::cpu::DEFAULT_CFS_PERIOD.as_micros(),
-        }
+        host_spec(&self.cfs, &self.mem, self.host_free)
     }
 
-    /// Attach a view-serving daemon. Every container the monitor holds a
-    /// namespace for, now or later, is registered with `server`, and its
-    /// effective view is mirrored into the daemon's seqlocked cells
-    /// whenever the monitor reports it changed — so the daemon's
-    /// concurrent query threads always answer with the same view the
-    /// simulated kernel holds, while the simulation itself stays
+    /// Replace the host's view daemon with `server`. Every container the
+    /// monitor holds a namespace for, now or later, is registered with
+    /// `server`, and its effective view is mirrored into the daemon's
+    /// seqlocked cells whenever the monitor reports it changed — so the
+    /// daemon's concurrent query threads always answer with the same view
+    /// the simulated kernel holds, while the simulation itself stays
     /// single-threaded. This is the host's one walk of every namespace
     /// for the daemon: the whole snapshot goes in as one change list, and
-    /// a cell the monitor has no namespace for as a removal.
+    /// a cell the monitor has no namespace for as a removal. A daemon
+    /// whose clock is behind the monitor's is advanced to it first. The
+    /// daemon replaced is dropped once nothing else holds it.
     pub fn attach_viewd(&mut self, server: ViewServer) {
         let mut all: Changes = server.ids().into_iter().map(|id| (id, None)).collect();
         let views = self.monitor.snapshot().entries;
         all.upsert(views, |v| (CgroupId(v.id), Some(v)), |_, _| {});
         server.set_host_free(self.host_free);
-        self.viewd = Some(server);
+        // A daemon's clock counts this host's firings. One behind the
+        // monitor's would clamp the age the publish below vouches for,
+        // and serve a stalled host's views as fresh.
+        while server.now_tick() < self.monitor.now_tick() {
+            server.advance_tick();
+        }
+        self.viewd = server;
         self.cells.clear();
         self.viewd_publish(&all, false);
+        self.publish_durability();
     }
 
-    /// The attached view daemon, if any.
+    /// The host's view daemon: always `Some`, since every host owns one.
     pub fn viewd(&self) -> Option<&ViewServer> {
-        self.viewd.as_ref()
+        Some(&self.viewd)
     }
 
     /// Attach a fleet periphery agent. On every update-timer firing the
@@ -641,7 +651,7 @@ impl SimHost {
     /// freshness word then takes the monitor's age, so nothing is
     /// vouched for as newer than the monitor holds it.
     fn viewd_publish(&mut self, changes: &Changes, hold: bool) {
-        let Some(server) = &self.viewd else { return };
+        let server = &self.viewd;
         if hold || !self.viewd_held.is_empty() {
             self.viewd_held
                 .upsert(changes, |(id, v)| (*id, *v), |_, _| {});
@@ -747,13 +757,11 @@ impl SimHost {
         // not the monitor gets to its work — that difference is exactly
         // what staleness measures.
         self.monitor.observe_tick();
-        // Host values never degrade, so both front-ends take the host's
-        // free memory from one sample per firing, stalled or not.
+        // Host values never degrade, so the daemon takes the host's free
+        // memory from one sample per firing, stalled or not.
         self.host_free = self.mem.free();
-        if let Some(server) = &self.viewd {
-            server.advance_tick();
-            server.set_host_free(self.host_free);
-        }
+        self.viewd.advance_tick();
+        self.viewd.set_host_free(self.host_free);
         // The first tick past a crash window is the warm restart: the
         // replacement daemon recovers from its journal before this
         // firing's regular work runs.
@@ -806,12 +814,13 @@ impl SimHost {
         )
     }
 
-    /// The virtual sysfs front-end over the current host state: what a
-    /// process inside a container is answered, judged for staleness the
-    /// way `arv-viewd` judges it. The monitor's own, never-degraded
-    /// values are [`SimHost::monitor`]'s namespaces.
-    pub fn sysfs(&self) -> VirtualSysfs<'_> {
-        VirtualSysfs::new(&self.monitor, self.viewd_host_spec())
+    /// The virtual sysfs: a query handle on the host's view daemon, so a
+    /// process inside a container is answered what a wire client of the
+    /// daemon is — the published view, or its conservative fallback once
+    /// the daemon's views age past the staleness budget. The monitor's
+    /// own, never-degraded values are [`SimHost::monitor`]'s namespaces.
+    pub fn sysfs(&self) -> ViewClient {
+        self.viewd.client()
     }
 
     /// `sysconf` as seen from inside `caller` (or the host for `None`).
@@ -871,6 +880,17 @@ impl SimHost {
     /// The `ns_monitor`.
     pub fn monitor(&self) -> &NsMonitor {
         &self.monitor
+    }
+}
+
+/// The physical configuration of a host of `cfs` and `mem`, `free` of
+/// which was free at the last sample.
+fn host_spec(cfs: &CfsSim, mem: &MemSim, free: Bytes) -> HostSpec {
+    HostSpec {
+        online_cpus: cfs.online_count(),
+        total_memory: mem.total(),
+        free_memory: free,
+        cfs_period_us: arv_cgroups::cpu::DEFAULT_CFS_PERIOD.as_micros(),
     }
 }
 
@@ -1281,6 +1301,39 @@ mod tests {
         assert_eq!(client.sysconf(Some(ids[0]), Sysconf::NprocessorsOnln), 10);
     }
 
+    /// A publish outage reaches what the host's own containers read: the
+    /// in-process `sysconf` and the sysfs health age with the daemon's,
+    /// answer the lower bound past the budget, and are live again one
+    /// firing after publishes resume.
+    #[test]
+    fn publish_delay_degrades_the_hosts_own_sysfs_and_recovers() {
+        let mut host = SimHost::paper_testbed();
+        let ids = five_paper_containers(&mut host);
+        grow_first(&mut host, &ids);
+        let c0 = Some(ids[0]);
+        assert_eq!(host.sysconf(c0, Sysconf::NprocessorsOnln), 10);
+        let budget = STALENESS_BUDGET;
+        host.inject_publish_delay(budget + 2);
+        for _ in 0..(budget + 2) {
+            let d = vec![host.demand(ids[0], 20)];
+            host.step(&d);
+        }
+        assert_eq!(e_cpu(&host, ids[0]), 10, "the monitor kept its view");
+        assert!(host.sysfs().health(c0).is_degraded());
+        let lower = host
+            .monitor()
+            .namespace(ids[0])
+            .expect("a namespace")
+            .cpu_bounds()
+            .lower;
+        assert_eq!(host.sysconf(c0, Sysconf::NprocessorsOnln), u64::from(lower));
+        assert!(lower < 10);
+        let d = vec![host.demand(ids[0], 20)];
+        host.step(&d);
+        assert!(host.sysfs().health(c0).is_fresh());
+        assert_eq!(host.sysconf(c0, Sysconf::NprocessorsOnln), 10);
+    }
+
     #[test]
     fn stalled_monitor_ages_viewd_views_into_degraded_serving() {
         let mut host = SimHost::paper_testbed();
@@ -1307,6 +1360,34 @@ mod tests {
         host.step(&d);
         assert!(client.health(Some(ids[0])).is_fresh());
         assert!(host.watchdog_stats().missed_ticks >= budget);
+    }
+
+    /// A daemon attached while the monitor is stalled past the budget —
+    /// as `set_tracer` attaches one — serves the monitor's age, not a
+    /// fresh one, and the first firing after the stall refreshes it.
+    #[test]
+    fn a_daemon_attached_mid_stall_serves_the_monitors_age() {
+        let mut host = SimHost::paper_testbed();
+        let ids = five_paper_containers(&mut host);
+        grow_first(&mut host, &ids);
+        let budget = STALENESS_BUDGET;
+        host.inject_monitor_stall(budget + 2);
+        for _ in 0..(budget + 1) {
+            let d = vec![host.demand(ids[0], 20)];
+            host.step(&d);
+        }
+        let c0 = Some(ids[0]);
+        let aged = ViewHealth::Degraded { age: budget + 1 };
+        assert_eq!(host.sysfs().health(c0), aged);
+        host.set_tracer(arv_telemetry::Tracer::bounded(64));
+        assert_eq!(host.sysfs().health(c0), aged);
+        assert!(host.sysconf(c0, Sysconf::NprocessorsOnln) < 10);
+        for _ in 0..2 {
+            let d = vec![host.demand(ids[0], 20)];
+            host.step(&d);
+        }
+        assert!(host.sysfs().health(c0).is_fresh());
+        assert_eq!(host.sysconf(c0, Sysconf::NprocessorsOnln), 10);
     }
 
     /// Grow container 0's view to its 10-CPU quota under a 5-way share.
@@ -1506,34 +1587,45 @@ mod tests {
         assert_eq!(mirrors() - mirrored, moved.len() as u64);
     }
 
-    /// The paths either front-end answers beside `CONTAINER_PATHS` (the
-    /// host-global files), and one neither knows.
+    /// The paths the daemon answers beside `CONTAINER_PATHS` (the
+    /// host-global files), and one it does not know.
     const OTHER_PATHS: [&str; 3] = [
         "/sys/devices/system/cpu/possible",
         "/sys/devices/system/cpu/present",
         "/sys/kernel/unrelated",
     ];
 
-    /// Both front-ends answer every container caller and the host alike
-    /// — health, every `sysconf` key, every path either renders (the
-    /// bytes of every CPU- and memory-keyed file and both cgroup
-    /// interface files, the host-global hardware-property files, and
-    /// ENOENT for an unknown path) — fresh, stale and degraded, with
-    /// usage past the soft limit, and through a launch, a limit update
-    /// and a terminate during a stall.
+    /// Every `sysconf` key, with its wire name.
+    const KEYS: [(Sysconf, &str); 5] = [
+        (Sysconf::NprocessorsOnln, "nprocessors_onln"),
+        (Sysconf::NprocessorsConf, "nprocessors_conf"),
+        (Sysconf::PhysPages, "phys_pages"),
+        (Sysconf::AvphysPages, "avphys_pages"),
+        (Sysconf::PageSize, "pagesize"),
+    ];
+
+    /// The host's in-process answers equal its daemon's answers over the
+    /// wire for every container caller and the host — health, every
+    /// `sysconf` key, every path it renders (the bytes and generation of
+    /// every CPU- and memory-keyed file and both cgroup interface files,
+    /// the host-global hardware-property files, and ENOENT for an
+    /// unknown path) — fresh, stale and degraded, with usage past the
+    /// soft limit, through a publish outage, and through a launch, a
+    /// limit update and a terminate during a stall.
     #[test]
-    fn virtual_sysfs_and_viewd_answer_alike() {
-        const KEYS: [Sysconf; 5] = [
-            Sysconf::NprocessorsOnln,
-            Sysconf::NprocessorsConf,
-            Sysconf::PhysPages,
-            Sysconf::AvphysPages,
-            Sysconf::PageSize,
-        ];
+    fn in_process_and_wire_answers_agree() {
+        use arv_viewd::{RetryPolicy, WireClient, WireServer, KIND_READ, KIND_SYSCONF};
         let paths = CONTAINER_PATHS.into_iter().chain(OTHER_PATHS);
         let mut host = SimHost::paper_testbed();
-        let server = ViewServer::new(host.viewd_host_spec(), 4);
-        host.attach_viewd(server.clone());
+        let socket =
+            std::env::temp_dir().join(format!("arv-host-transport-{}.sock", std::process::id()));
+        let server = host.viewd().expect("every host owns one").clone();
+        let wire = WireServer::spawn(server, &socket).expect("bind the socket");
+        let one_attempt = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
+        let mut wire_client = WireClient::new(wire.socket_path(), one_attempt);
         let container = |i: u64| {
             ContainerSpec::new(format!("c{i}"), 20)
                 .cpus(4.0)
@@ -1541,29 +1633,31 @@ mod tests {
                 .memory(Bytes::from_gib(2 + i))
         };
         let mut ids: Vec<CgroupId> = (0..3).map(|i| host.launch(&container(i))).collect();
-        let client = server.client();
-        // No publish is ever delayed here, so the daemon is level with
-        // the monitor after every firing, stalled ones included. A caller
-        // neither front-end knows reads the host's values, free memory
-        // included, which both sample at the same firing. Returns the
-        // health of the first container.
-        let compare = |host: &SimHost, callers: &[CgroupId]| -> ViewHealth {
+        // A caller the daemon does not know reads the host's values, free
+        // memory included. Returns the health of the first container.
+        let mut compare = |host: &SimHost, callers: &[CgroupId]| -> ViewHealth {
             let fs = host.sysfs();
             let tick = host.now_tick();
             for caller in callers.iter().copied().map(Some).chain([None]) {
-                assert_eq!(
-                    client.health(caller),
-                    fs.health(caller),
-                    "tick {tick} {caller:?}"
-                );
-                for key in KEYS {
-                    let (daemon, sysfs) = (client.sysconf(caller, key), fs.sysconf(caller, key));
-                    assert_eq!(daemon, sysfs, "tick {tick} {caller:?} {key:?}");
+                let degraded = fs.health(caller).is_degraded();
+                for (key, name) in KEYS {
+                    let remote = wire_client.request(KIND_SYSCONF, caller, name);
+                    let remote = remote.expect("answered").expect("a known key");
+                    let value = String::from_utf8(remote.body).expect("decimal");
+                    let local = fs.sysconf(caller, key).to_string();
+                    assert_eq!(local, value, "tick {tick} {caller:?} {key:?}");
+                    assert_eq!(degraded, remote.degraded, "tick {tick} {caller:?} {key:?}");
                 }
                 for path in paths.clone() {
-                    let daemon = client.read(caller, path).map(|view| view.image.to_string());
-                    let sysfs = fs.read(caller, path);
-                    assert_eq!(daemon, sysfs, "tick {tick} {caller:?} {path}");
+                    let local = fs.read(caller, path).map(|view| {
+                        let body = view.image.as_bytes().to_vec();
+                        (body, view.generation, view.health.is_degraded())
+                    });
+                    let remote = wire_client.request(KIND_READ, caller, path);
+                    let remote = remote
+                        .expect("answered")
+                        .map(|r| (r.body, r.generation, r.degraded));
+                    assert_eq!(local, remote, "tick {tick} {caller:?} {path}");
                 }
             }
             fs.health(Some(callers[0]))
@@ -1607,10 +1701,22 @@ mod tests {
         }
         assert_eq!(degraded, 3, "the ticks past the budget");
         assert_eq!(
-            client.sysconf(Some(ids[0]), Sysconf::AvphysPages),
+            host.sysconf(Some(ids[0]), Sysconf::AvphysPages),
             0,
             "usage past the soft limit leaves none of it"
         );
+        step(&mut host, &ids);
+        assert!(compare(&host, &ids).is_fresh());
+
+        // A publish outage past the budget: the monitor keeps its views
+        // moving, and neither path serves them until the daemon hears.
+        host.inject_publish_delay(budget + 2);
+        let mut degraded = 0;
+        for _ in 0..budget + 2 {
+            step(&mut host, &ids);
+            degraded += u64::from(compare(&host, &ids).is_degraded());
+        }
+        assert_eq!(degraded, 2, "the ticks past the budget");
         step(&mut host, &ids);
         assert!(compare(&host, &ids).is_fresh());
 
@@ -1640,14 +1746,15 @@ mod tests {
         assert_eq!(fresh, 5, "the firings after the stall");
         let ns = host.monitor().namespace(every[3]).expect("the late launch");
         assert_eq!(
-            client.sysconf(Some(every[3]), Sysconf::NprocessorsOnln),
+            host.sysconf(Some(every[3]), Sysconf::NprocessorsOnln),
             u64::from(ns.effective_cpu())
         );
         assert!(
             host.monitor().namespace(every[2]).is_none(),
             "the terminate"
         );
-        assert_eq!(client.sysconf(Some(every[1]), Sysconf::NprocessorsOnln), 2);
+        assert_eq!(host.sysconf(Some(every[1]), Sysconf::NprocessorsOnln), 2);
+        wire.shutdown();
     }
 
     #[test]
@@ -2165,15 +2272,8 @@ mod tests {
 
     mod lifecycle_props {
         use super::*;
+        use arv_resview::{render, PathId, ViewSnapshot};
         use proptest::prelude::*;
-
-        const KEYS: [Sysconf; 5] = [
-            Sysconf::NprocessorsOnln,
-            Sysconf::NprocessorsConf,
-            Sysconf::PhysPages,
-            Sysconf::AvphysPages,
-            Sysconf::PageSize,
-        ];
 
         fn spec(name: String, quota: u32, mem_gib: u64) -> ContainerSpec {
             ContainerSpec::new(name, 8)
@@ -2189,24 +2289,21 @@ mod tests {
             /// Random launches, terminates, limit updates, steps (with
             /// charges), warm restarts and re-attaches to a daemon that
             /// already holds cells — one for an id the host never had,
-            /// and one for a live container — on a journaling host with
-            /// viewd attached: after every operation the host's
-            /// containers, the cgroup manager's groups, the monitor's
-            /// namespaces, the daemon's cells and the host's handles to
-            /// them hold the same ids, each handle is the daemon's own
-            /// cell, and for every live container the daemon holds the
-            /// namespace's fallback pair (lower bound, soft limit) and
-            /// gives the same health, the same answer to every `sysconf`
-            /// key and the same bytes for every path as `host.sysfs()`.
+            /// and one for a live container — on a journaling host: after
+            /// every operation the host's containers, the cgroup
+            /// manager's groups, the monitor's namespaces, the daemon's
+            /// cells and the host's handles to them hold the same ids,
+            /// each handle is the daemon's own cell, each cell holds its
+            /// namespace's fallback pair (lower bound, soft limit), and
+            /// every live container is served, for every `sysconf` key
+            /// and every path, the monitor's view — or that fallback,
+            /// at the monitor's age past the budget.
             #[test]
-            fn every_table_and_both_front_ends_agree_after_each_lifecycle_op(
+            fn every_table_agrees_and_serves_the_monitors_view(
                 ops in prop::collection::vec((0u8..8, 0u32..64, 0u32..8), 1..60),
             ) {
                 let mut host = SimHost::new(8, Bytes::from_gib(6));
-                let mut server = ViewServer::new(host.viewd_host_spec(), 2);
-                host.attach_viewd(server.clone());
                 host.enable_journal(4);
-                let mut client = server.client();
                 let mut live: Vec<CgroupId> = Vec::new();
                 for (step, (op, a, b)) in ops.into_iter().enumerate() {
                     let pick = (!live.is_empty()).then(|| live[a as usize % live.len()]);
@@ -2225,7 +2322,7 @@ mod tests {
                             host.crash_restart();
                         }
                         (7, _) => {
-                            server = ViewServer::new(host.viewd_host_spec(), 2);
+                            let server = ViewServer::new(host.viewd_host_spec(), 2);
                             let e_mem = arv_resview::EffectiveMemory::new(
                                 Bytes::from_mib(256),
                                 Bytes::from_gib(1),
@@ -2237,8 +2334,7 @@ mod tests {
                             for id in [CgroupId(1_000 + a)].into_iter().chain(pick) {
                                 server.register(id, bounds, EffectiveCpuConfig::default(), e_mem.clone());
                             }
-                            host.attach_viewd(server.clone());
-                            client = server.client();
+                            host.attach_viewd(server);
                         }
                         _ => {
                             for (i, id) in live.iter().enumerate() {
@@ -2250,6 +2346,7 @@ mod tests {
                             host.step(&demands);
                         }
                     }
+                    let server = host.viewd().expect("every host owns one");
                     let tables = [
                         host.containers.keys().copied().collect::<Vec<_>>(),
                         host.cgm.iter().map(|(id, _)| id).collect(),
@@ -2270,28 +2367,39 @@ mod tests {
                         let served = server.cell(*id).expect("registered");
                         prop_assert!(Arc::ptr_eq(cell, &served), "op {} {:?}", step, id);
                     }
-                    let fs = host.sysfs();
+                    let mon = host.monitor();
+                    let health = ViewHealth::from_age(mon.now_tick() - mon.fresh_tick());
+                    let (fs, spec) = (host.sysfs(), host.viewd_host_spec());
                     for id in &live {
-                        let ns = host.monitor().namespace(*id).expect("a live namespace");
+                        let ns = mon.namespace(*id).expect("a live namespace");
                         let fallback = server.cell(*id).expect("registered").degraded_snapshot();
                         prop_assert_eq!(
                             (fallback.cpus, fallback.bytes),
                             (ns.cpu_bounds().lower, ns.soft_limit()),
                             "op {} {:?}", step, id
                         );
+                        let (cpus, bytes, avail) = ns.views();
+                        let mut view = ViewSnapshot { cpus, bytes, avail, generation: 0 };
+                        if health.is_degraded() {
+                            view = view.fallback(ns.cpu_bounds().lower, ns.soft_limit());
+                        }
                         let caller = Some(*id);
-                        prop_assert_eq!(client.health(caller), fs.health(caller), "op {} {:?}", step, id);
-                        for key in KEYS {
+                        prop_assert_eq!(fs.health(caller), health, "op {} {:?}", step, id);
+                        for (key, _) in KEYS {
                             prop_assert_eq!(
-                                client.sysconf(caller, key),
                                 fs.sysconf(caller, key),
+                                view.sysconf(key),
                                 "op {} {:?} {:?}", step, id, key
                             );
                         }
                         for path in CONTAINER_PATHS.into_iter().chain(OTHER_PATHS) {
+                            let want = PathId::resolve(path, caller).map(|(path, caller)| {
+                                let view = if caller.is_some() { view } else { spec.view() };
+                                render::image(path, &view, spec.cfs_period_us)
+                            });
                             prop_assert_eq!(
-                                client.read(caller, path).map(|view| view.image.to_string()),
-                                fs.read(caller, path),
+                                fs.read(caller, path).map(|view| view.image.to_string()),
+                                want,
                                 "op {} {:?} {}", step, id, path
                             );
                         }

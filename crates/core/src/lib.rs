@@ -14,11 +14,10 @@
 //! * [`namespace`] — the per-container `sys_namespace` holding both;
 //! * [`monitor`] — `ns_monitor`: reacts to cgroup events (static bounds)
 //!   and the periodic update timer (dynamic values);
-//! * [`sysfs`] — the virtual sysfs / `sysconf` front-end that answers
-//!   resource queries from inside a container with effective values and
-//!   from the host with physical ones;
-//! * [`render`] — the paths a view answers and their images, shared by
-//!   the virtual sysfs and the `arv-viewd` daemon;
+//! * [`sysfs`] — the `sysconf` parameters a resource query names and the
+//!   host's physical configuration, answered to host callers;
+//! * [`render`] — the paths a view answers and their images, which the
+//!   `arv-viewd` daemon serves as the virtual sysfs;
 //! * [`live`] — atomic namespace cells that query threads read lock-free
 //!   while an updater writes them, the concurrency structure the paper
 //!   measures in §5.4 (1 µs updates, lock-free queries).
@@ -69,5 +68,5 @@ pub use live::{LiveRegistry, LiveSample, NsCell, ViewSnapshot};
 pub use monitor::{Changes, IngestReport, NsMonitor, RecoverOutcome};
 pub use namespace::{trace_moved, SysNamespace};
 pub use render::PathId;
-pub use sysfs::{HostSpec, Sysconf, VirtualSysfs, PAGE_SIZE};
+pub use sysfs::{HostSpec, Sysconf, PAGE_SIZE};
 pub use watchdog::{Verdict, Watchdog, WatchdogStats};

@@ -600,21 +600,6 @@ mod tests {
 
     const P: SimDuration = SimDuration::from_millis(24);
 
-    impl NsMonitor {
-        /// One memory-view update of `id`'s namespace alone, noted on the
-        /// change list as a firing would: how tests move a single view.
-        pub(crate) fn update_mem(&mut self, id: CgroupId, sample: MemSample) {
-            let Some(ns) = self.namespaces.get_mut(&id) else {
-                return;
-            };
-            let before = ns.views();
-            ns.update_mem(sample);
-            if ns.views() != before {
-                self.changed.insert(id, ());
-            }
-        }
-    }
-
     fn e_cpu(mon: &NsMonitor, id: CgroupId) -> Option<u32> {
         mon.namespace(id).map(SysNamespace::effective_cpu)
     }

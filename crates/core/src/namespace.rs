@@ -272,11 +272,6 @@ mod tests {
             self.e_cpu.update(cpu);
         }
 
-        /// Update only the memory view.
-        pub(crate) fn update_mem(&mut self, mem: MemSample) {
-            self.e_mem.update(mem);
-        }
-
         /// [`update`](SysNamespace::update) with decision provenance:
         /// returns what moved (and why) for each resource, `None` per
         /// resource when its view was left unchanged.

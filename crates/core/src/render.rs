@@ -1,15 +1,13 @@
-//! The files a view renders, and how: the one answer both query paths
-//! give.
+//! The files a view renders, and how.
 //!
-//! The in-process [`crate::sysfs::VirtualSysfs`] and the `arv-viewd`
-//! daemon resolve a path with [`PathId::resolve`] and build its image
-//! with [`image`], so for the same view they answer the same eight
-//! paths byte for byte: the six of [`CONTAINER_PATHS`], and the two
-//! host-global hardware-property files. The images are functions of the
-//! numbers a view exposes alone (CPU count, memory sizes). Formats
-//! follow the real kernel files closely enough that parsers written
-//! against Linux (glibc's `sysconf`, OpenJDK's container probing, LXCFS
-//! consumers) accept them.
+//! The `arv-viewd` daemon resolves a path with [`PathId::resolve`] and
+//! builds its image with [`image`]: eight paths, the six of
+//! [`CONTAINER_PATHS`] and the two host-global hardware-property files,
+//! answered alike in process and over its wire. The images are
+//! functions of the numbers a view exposes alone (CPU count, memory
+//! sizes). Formats follow the real kernel files closely enough that
+//! parsers written against Linux (glibc's `sysconf`, OpenJDK's container
+//! probing, LXCFS consumers) accept them.
 
 use arv_cgroups::{Bytes, CgroupId};
 use std::fmt::Write as _;

@@ -1,8 +1,8 @@
 //! The `host` campaign (`--fig host`): one host's view pipeline under
 //! seeded faults, replay-checked on the [`crate::campaign`] harness.
 //!
-//! * **testbed** — one traced, journaled `paper_testbed` host with an
-//!   attached `arv-viewd`, beside a fault-free twin, walks through
+//! * **testbed** — one traced, journaled `paper_testbed` host, whose own
+//!   `arv-viewd` answers its containers, beside a fault-free twin, walks through
 //!   disjoint fault windows. A [`FaultPlan`] stalls the monitor and
 //!   later crashes the daemon; between the two the host stops
 //!   publishing to viewd for longer than the staleness budget. Around
@@ -13,9 +13,10 @@
 //!   - the stall is counted tick for tick, engages degraded serving,
 //!     forces a resync, and the stalled host reconverges to the twin
 //!     within `RECONVERGE_BOUND` ticks;
-//!   - the publish outage walks viewd's health Fresh → Stale →
-//!     Degraded on the budget, serves the fallback while degraded, and
-//!     snaps back to Fresh on the first publish;
+//!   - the publish outage walks viewd's health — what the containers'
+//!     own sysfs reads — Fresh → Stale → Degraded on the budget, serves
+//!     the fallback while degraded, and snaps back to Fresh on the first
+//!     publish;
 //!   - the warm restart serves the journaled last-good views, never the
 //!     cold floor, and viewd is Fresh again within
 //!     `RECOVERY_TO_FRESH_BOUND` ticks;
@@ -35,7 +36,6 @@ use arv_mem::ChargeOutcome;
 use arv_resview::{Sysconf, ViewHealth, STALENESS_BUDGET};
 use arv_sim_core::{FaultConfig, FaultPlan};
 use arv_telemetry::Tracer;
-use arv_viewd::ViewServer;
 
 use crate::campaign::{out_of_bounds, paper_container, step_busy, Campaign, Run, Scenario};
 use crate::obs::{self, Checkpoint, Verdict, REQUIRED_CAUSES, REQUIRED_PIPELINE};
@@ -167,8 +167,7 @@ pub(crate) fn run_testbed(seed: u64) -> TestbedOutcome {
     let tracer = Tracer::bounded(RING_CAPACITY);
     let mut host = SimHost::paper_testbed();
     host.set_tracer(tracer.clone());
-    let server = ViewServer::with_telemetry(host.viewd_host_spec(), 4, tracer.clone());
-    host.attach_viewd(server.clone());
+    let server = host.viewd().expect("every host owns one").clone();
     host.enable_journal(4);
     let mut twin = SimHost::paper_testbed();
     let specs: Vec<ContainerSpec> = (0..5)
@@ -231,8 +230,9 @@ pub(crate) fn run_testbed(seed: u64) -> TestbedOutcome {
     let after_stall = tb.host.watchdog_stats();
 
     // Publish outage: the monitor keeps updating but stops publishing;
-    // past the budget viewd answers from the fallback and traces the
-    // substitution on every degraded read.
+    // past the budget every answer, the containers' own sysfs included,
+    // comes from the fallback, each substitution traced once per
+    // container per tick.
     let client = server.client();
     let c0 = Some(tb.ids[0]);
     assert!(

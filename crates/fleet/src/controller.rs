@@ -198,15 +198,8 @@ pub struct FleetExplain {
     pub expected_seq: u64,
     /// Origin tick of the newest accepted delta (span start).
     pub origin_tick: u64,
-    /// Host flush tick of the newest accepted delta.
-    pub flush_tick: u64,
-    /// Controller tick the newest delta was ingested at.
-    pub ingest_tick: u64,
     /// Newest periphery trace sequence ingested.
     pub trace_seq: u64,
-    /// End-to-end freshness lag right now, in controller ticks
-    /// (`now − origin_tick`).
-    pub freshness_lag: u64,
     /// Containers currently tracked for the host.
     pub containers: u64,
     /// The periphery's piggybacked counter summary.
@@ -224,8 +217,6 @@ struct HostEntry {
     expected_seq: u64,
     /// Controller tick of the last accepted delta (staleness clock).
     last_delta_tick: u64,
-    /// Host-side update-timer tick of the last accepted delta.
-    host_tick: u64,
     /// Host-reported health byte of the last accepted delta.
     health: u8,
     /// Host-reported durability flag of the last accepted delta.
@@ -981,7 +972,6 @@ impl FleetController {
         }
         let records = sums.apply(host, d.full, tail.entries(), tail.removed());
         host.last_delta_tick = now;
-        host.host_tick = d.tick;
         host.health = d.health;
         // Track the host's durability ladder: each edge is a causal
         // event, a trace-ring entry, and (for losses) a flight dump.
@@ -1132,7 +1122,6 @@ impl FleetController {
     /// Why is host `host` stale/partitioned/fenced: its span state,
     /// lag waterfall, and last [`EXPLAIN_EVENTS`] causal events.
     pub fn explain_host(&self, host: u32) -> Option<FleetExplain> {
-        let now = self.now_tick();
         let s = lock(self.shard_for(host));
         let h = s.hosts.get(&host)?;
         Some(FleetExplain {
@@ -1143,10 +1132,7 @@ impl FleetController {
             needs_resync: h.needs_resync,
             expected_seq: h.expected_seq,
             origin_tick: h.origin_tick,
-            flush_tick: h.host_tick,
-            ingest_tick: h.last_delta_tick,
             trace_seq: h.trace_seq,
-            freshness_lag: now.saturating_sub(h.origin_tick),
             containers: h.containers.len() as u64,
             summary: h.summary,
             waterfall: h.waterfall,
@@ -2496,7 +2482,6 @@ mod tests {
         assert_eq!(ex.host, 1);
         assert!(!ex.partitioned);
         assert_eq!(ex.origin_tick, 2, "origin follows the newest delta");
-        assert_eq!(ex.flush_tick, 2);
         assert_eq!(ex.trace_seq, 2);
         assert_eq!(ex.containers, 1);
         assert_eq!(ex.summary.frames, 2, "piggybacked summary is live");
@@ -3347,22 +3332,13 @@ mod tests {
             let mut out = String::new();
             let _ = writeln!(
                 out,
-                "host {}: health={} durability_lost={} partitioned={} needs_resync={} lag={} ticks",
-                self.host,
-                self.health,
-                self.durability_lost,
-                self.partitioned,
-                self.needs_resync,
-                self.freshness_lag
+                "host {}: health={} durability_lost={} partitioned={} needs_resync={}",
+                self.host, self.health, self.durability_lost, self.partitioned, self.needs_resync
             );
             let _ = writeln!(
                 out,
-                "  span: origin_tick={} flush_tick={} ingest_tick={} trace_seq={} expected_seq={}",
-                self.origin_tick,
-                self.flush_tick,
-                self.ingest_tick,
-                self.trace_seq,
-                self.expected_seq
+                "  span: origin_tick={} trace_seq={} expected_seq={}",
+                self.origin_tick, self.trace_seq, self.expected_seq
             );
             let _ = writeln!(
                 out,

@@ -16,10 +16,10 @@
 //! pointer to them.
 //!
 //! The set of renderable paths is closed, so a query interns its path
-//! into an [`arv_resview::PathId`] once, with the resolver the in-process
-//! virtual sysfs uses too, and the cache is a fixed array indexed by it —
-//! the hit path does a handful of byte compares and an array index
-//! instead of hashing a heap string under the lock.
+//! into an [`arv_resview::PathId`] once, with the one resolver, and the
+//! cache is a fixed array indexed by it — the hit path does a handful of
+//! byte compares and an array index instead of hashing a heap string
+//! under the lock.
 
 use arv_resview::PathId;
 use std::sync::{Arc, Mutex};

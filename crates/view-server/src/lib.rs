@@ -15,7 +15,8 @@
 //!   [`arv_resview::ViewSnapshot`] — a served image can never mix the CPU
 //!   count of one update with the memory size of another;
 //! * [`server::ViewClient`] — the in-process query handle (file reads
-//!   and `sysconf`);
+//!   and `sysconf`): the virtual sysfs a simulated host answers its
+//!   containers with;
 //! * [`wire`] — a length-prefixed request/response protocol over a
 //!   Unix-domain socket for out-of-process consumers, with
 //!   [`wire::WireServer`] and the one client, [`wire::WireClient`]
@@ -41,10 +42,9 @@
 //! ([`arv_resview::ViewHealth::from_age`]): views past
 //! [`arv_resview::STALENESS_BUDGET`] are answered from the conservative fallback
 //! ([`arv_resview::ViewSnapshot::fallback`]: Algorithm 1's lower bound,
-//! the memory soft limit and what the last usage leaves of it — the
-//! same answer [`arv_resview::VirtualSysfs`] gives) and flagged degraded
-//! in both the in-process [`server::ViewImage`] and the wire status
-//! byte.
+//! the memory soft limit and what the last usage leaves of it) and
+//! flagged degraded in both the in-process [`server::ViewImage`] and the
+//! wire status byte.
 
 // Production code must not panic on a recoverable fault: unwraps are
 // confined to tests.

@@ -13,20 +13,20 @@
 //!   the two memory-keyed ones are formatted per miss;
 //! * **sysconf** — the scalar parameters glibc derives from those files.
 //!
-//! What is answered is [`arv_resview::VirtualSysfs`]'s answer: a read
-//! resolves its path with [`PathId::resolve`], renders with
-//! [`render::image`], and traces a degraded fallback with
-//! [`trace_moved`] — the in-process sysfs's own code. What this module
-//! adds is the concurrency around it: the shards, the caches, the image
+//! A read resolves its path with [`PathId::resolve`] and renders with
+//! [`render::image`]; a degraded fallback is traced with
+//! [`trace_moved`]. Around that sit the shards, the caches, the image
 //! table and one freshness word per host. Host processes (no container
 //! identity) and unknown containers are answered from the [`HostSpec`],
 //! with the free memory the driver last sampled
-//! ([`ViewServer::set_host_free`]).
+//! ([`ViewServer::set_host_free`]). A simulated host owns one server and
+//! answers every in-process query through its [`ViewClient`], so a
+//! containerized runtime reads exactly what a wire client reads.
 
 use arv_cgroups::{Bytes, CgroupId};
 use arv_resview::{
     render, trace_moved, CpuBounds, EffectiveCpuConfig, EffectiveMemory, HostSpec, NsCell, PathId,
-    Sysconf, ViewHealth, ViewSnapshot,
+    Sysconf, ViewHealth, ViewSnapshot, PAGE_SIZE,
 };
 use arv_telemetry::{DecisionCause, PromText, Tracer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -572,14 +572,26 @@ impl ViewClient {
         }
     }
 
-    /// Answer a `sysconf` query for `caller` (host values for `None` or
-    /// unknown containers, like [`arv_resview::VirtualSysfs::sysconf`]).
+    /// Answer a `sysconf` query for `caller`: the container's view, or
+    /// its conservative fallback once degraded; host values for `None`
+    /// and for a container the server does not know — exactly the
+    /// pre-paper failure mode.
     pub fn sysconf(&self, caller: Option<CgroupId>, query: Sysconf) -> u64 {
         let start = Instant::now();
         let (value, _, _) = self.serve_sysconf(caller, query);
         // Sysconf needs no render; it always counts as the cheap path.
         self.inner.metrics.served(Served::Hit, start.elapsed());
         value
+    }
+
+    /// Total memory as seen by `caller` (`_SC_PHYS_PAGES * _SC_PAGESIZE`).
+    pub fn memory_bytes(&self, caller: Option<CgroupId>) -> Bytes {
+        Bytes(self.sysconf(caller, Sysconf::PhysPages) * PAGE_SIZE)
+    }
+
+    /// Online CPU count as seen by `caller`.
+    pub fn online_cpus(&self, caller: Option<CgroupId>) -> u32 {
+        self.sysconf(caller, Sysconf::NprocessorsOnln) as u32
     }
 
     /// [`sysconf`](ViewClient::sysconf) without the clock (see
@@ -656,7 +668,7 @@ impl ServerInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arv_resview::{EffectiveMemoryConfig, PAGE_SIZE, STALENESS_BUDGET};
+    use arv_resview::{EffectiveMemoryConfig, STALENESS_BUDGET};
 
     fn mk_mem(soft_mib: u64, hard_mib: u64) -> EffectiveMemory {
         EffectiveMemory::new(
@@ -774,6 +786,111 @@ mod tests {
         );
         assert_eq!(client.sysconf(None, Sysconf::NprocessorsOnln), 20);
         assert_eq!(client.sysconf(Some(id), Sysconf::PageSize), PAGE_SIZE);
+        assert_eq!(client.online_cpus(Some(id)), 4);
+        assert_eq!(client.memory_bytes(Some(id)), Bytes::from_mib(500));
+    }
+
+    /// A host caller, and a container the server does not know, read the
+    /// physical totals, the free memory last sampled and the host's
+    /// images; a host caller has no cgroup interface files.
+    #[test]
+    fn host_callers_read_physical_values_and_no_cgroup_files() {
+        let (server, _) = server_with_one();
+        let client = server.client();
+        for caller in [None, Some(CgroupId(99))] {
+            assert_eq!(client.online_cpus(caller), 20);
+            assert_eq!(client.memory_bytes(caller), Bytes::from_gib(128));
+            assert_eq!(
+                client.sysconf(caller, Sysconf::AvphysPages) * PAGE_SIZE,
+                Bytes::from_gib(100).as_u64()
+            );
+            assert_eq!(client.sysconf(caller, Sysconf::PageSize), PAGE_SIZE);
+            let read = |path| client.read(caller, path).expect("a host file").image;
+            assert_eq!(*read("/sys/devices/system/cpu/online"), "0-19");
+            let meminfo = read("/proc/meminfo");
+            assert!(meminfo.contains(&format!("MemTotal: {} kB", 128u64 << 20)));
+        }
+        assert!(client.read(None, "cpu.max").is_none());
+        assert!(client.read(None, "memory.max").is_none());
+        server.set_host_free(Bytes::from_gib(7));
+        assert_eq!(
+            client.sysconf(None, Sysconf::AvphysPages) * PAGE_SIZE,
+            Bytes::from_gib(7).as_u64()
+        );
+    }
+
+    /// Every view-dependent file renders differently inside the container
+    /// (4 effective CPUs, 500 MiB) than on the host, and a container the
+    /// server does not know reads the host's image; the hardware-property
+    /// files are the same inside and out.
+    #[test]
+    fn virtualized_paths_differ_between_host_and_container() {
+        let (server, id) = server_with_one();
+        let client = server.client();
+        let read = |caller, path| client.read(caller, path).map(|view| view.image);
+        for path in [
+            "/sys/devices/system/cpu/online",
+            "/proc/cpuinfo",
+            "/proc/stat",
+            "/proc/meminfo",
+        ] {
+            let outside = read(None, path).expect("a host file");
+            assert_ne!(read(Some(id), path), Some(Arc::clone(&outside)), "{path}");
+            assert_eq!(read(Some(CgroupId(99)), path), Some(outside), "{path}");
+        }
+        for path in [
+            "/sys/devices/system/cpu/possible",
+            "/sys/devices/system/cpu/present",
+        ] {
+            assert_eq!(read(Some(id), path), read(None, path), "{path}");
+        }
+    }
+
+    /// What a container reads from `_SC_AVPHYS_PAGES` is its namespace's
+    /// view less the last observed usage — the whole view before any
+    /// usage is seen — clamped at zero once usage overshoots a view that
+    /// reclaim just shrank.
+    #[test]
+    fn avphys_pages_is_the_view_less_usage_clamped_at_zero() {
+        use arv_resview::effective_cpu::CpuSample;
+        use arv_resview::effective_mem::MemSample;
+        use arv_resview::namespace::{Pid, SysNamespace};
+        use arv_sim_core::SimDuration;
+        let (server, id) = server_with_one();
+        let client = server.client();
+        let bounds = CpuBounds {
+            lower: 4,
+            upper: 10,
+        };
+        let mut ns = SysNamespace::new(id, Pid(1), bounds, Default::default(), mk_mem(500, 1024));
+        let served = |ns: &SysNamespace| {
+            let (cpus, mem, avail) = ns.views();
+            server.mirror(id, cpus, mem, avail);
+            client.sysconf(Some(id), Sysconf::AvphysPages) * PAGE_SIZE
+        };
+        assert_eq!(served(&ns), Bytes::from_mib(500).as_u64());
+        let period = SimDuration::from_millis(24);
+        let update = |ns: &mut SysNamespace, free, usage, reclaiming| {
+            let cpu = CpuSample {
+                usage: SimDuration::ZERO,
+                period,
+                slack: SimDuration::ZERO,
+            };
+            let mem = MemSample {
+                free,
+                usage,
+                reclaiming,
+            };
+            ns.update(cpu, mem);
+        };
+        update(&mut ns, Bytes::from_gib(100), Bytes::from_mib(200), false);
+        let view = ns.effective_memory();
+        assert_eq!(served(&ns), (view - Bytes::from_mib(200)).as_u64());
+        // Free memory below the low watermark resets the view to the
+        // soft limit, under 2 GiB of usage.
+        update(&mut ns, Bytes::from_mib(10), Bytes::from_gib(2), true);
+        assert_eq!(ns.effective_memory(), Bytes::from_mib(500));
+        assert_eq!(served(&ns), 0);
     }
 
     #[test]
@@ -911,15 +1028,43 @@ mod tests {
                 .count()
         };
         // Hammering the degraded path within one tick traces exactly one
-        // CPU + one memory decision.
+        // CPU + one memory decision, from the published view to the
+        // fallback, whatever resource the query reads.
         for _ in 0..100 {
             client.read(Some(id), "/proc/cpuinfo").unwrap();
+            client.sysconf(Some(id), Sysconf::PageSize);
         }
         assert_eq!(fallback_decisions(&tracer), 2);
-        // The next tick (still degraded) gets its own pair.
+        let pair = vec![
+            EventKind::Cpu(CpuDecision {
+                cause: DecisionCause::DegradedFallback,
+                before: 8,
+                after: 4,
+                utilization: 0.0,
+                had_slack: false,
+            }),
+            EventKind::Mem(MemDecision {
+                cause: DecisionCause::DegradedFallback,
+                before: Bytes::from_mib(800),
+                after: Bytes::from_mib(500),
+                usage: Bytes(0),
+                free: Bytes(0),
+            }),
+        ];
+        let traced = |t: &Tracer| -> Vec<EventKind> {
+            let events = t.events();
+            assert!(events.iter().all(|e| e.container == Some(id)));
+            events.iter().map(|e| e.kind).collect()
+        };
+        assert_eq!(traced(&tracer), pair);
+        // The next tick (still degraded) gets its own pair. Host callers
+        // and host-global files are never degraded, so never trace.
         server.advance_tick();
-        client.read(Some(id), "/proc/cpuinfo").unwrap();
-        assert_eq!(fallback_decisions(&tracer), 4);
+        client.sysconf(None, Sysconf::PhysPages);
+        client.read(Some(id), "/sys/devices/system/cpu/possible");
+        assert_eq!(fallback_decisions(&tracer), 2);
+        client.sysconf(Some(id), Sysconf::AvphysPages);
+        assert_eq!(traced(&tracer), [pair.clone(), pair].concat());
     }
 
     #[test]

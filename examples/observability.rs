@@ -10,7 +10,6 @@
 use arv_cgroups::{Bytes, CgroupId};
 use arv_container::{ContainerSpec, SimHost};
 use arv_telemetry::Tracer;
-use arv_viewd::ViewServer;
 
 fn spec(tag: u32) -> ContainerSpec {
     ContainerSpec::new(format!("tenant-{tag}"), 20)
@@ -26,11 +25,6 @@ fn main() {
     let tracer = Tracer::bounded(4096);
     let mut host = SimHost::paper_testbed();
     host.set_tracer(tracer.clone());
-    host.attach_viewd(ViewServer::with_telemetry(
-        host.viewd_host_spec(),
-        4,
-        tracer.clone(),
-    ));
 
     let ids: Vec<CgroupId> = (0..3).map(|i| host.launch(&spec(i))).collect();
 

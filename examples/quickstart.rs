@@ -65,6 +65,7 @@ fn main() {
         host.sysfs()
             .read(Some(ids[0]), "/sys/devices/system/cpu/online")
             .unwrap()
+            .image
     );
 }
 

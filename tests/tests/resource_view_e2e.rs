@@ -161,20 +161,18 @@ fn virtual_sysfs_paths_match_views_end_to_end() {
     drive(&mut host, &[(id, 8)], 30);
 
     let fs = host.sysfs();
+    let read = |caller, path| fs.read(caller, path).unwrap().image;
     let e_cpu = e_cpu(&host, id);
     assert_eq!(
-        fs.read(Some(id), "/sys/devices/system/cpu/online").unwrap(),
+        *read(Some(id), "/sys/devices/system/cpu/online"),
         format!("0-{}", e_cpu - 1)
     );
-    let meminfo = fs.read(Some(id), "/proc/meminfo").unwrap();
+    let meminfo = read(Some(id), "/proc/meminfo");
     let e_mem_kb = e_mem(&host, id).as_u64() / 1024;
     assert!(meminfo.contains(&format!("MemTotal: {e_mem_kb} kB")));
 
     // Host-side reads stay physical.
-    assert_eq!(
-        fs.read(None, "/sys/devices/system/cpu/online").unwrap(),
-        "0-19"
-    );
+    assert_eq!(*read(None, "/sys/devices/system/cpu/online"), "0-19");
 }
 
 #[test]
