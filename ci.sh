@@ -27,6 +27,28 @@ printf '%s\n' "$files" | grep -vxF -e "$test_mods" | xargs awk '
     code { lines++; if ($0 ~ /^[[:space:]]*pub fn /) fns++ }
     END { printf "  non-test lines: %d\n  pub fn: %d\n", lines, fns }'
 
+echo "==> unsafe inventory: every workspace crate but arv-view-server and arv-persist forbids unsafe code, and non-test unsafe blocks sit only in view-server's sys.rs (the FFI) and persist's crc32.rs (exactly one: the call into the carry-less-multiply kernel)"
+unsafe_ok=1
+for lib in crates/*/src/lib.rs tests/src/lib.rs; do
+    case "$lib" in crates/view-server/* | crates/persist/*) continue ;; esac
+    grep -qx '#!\[forbid(unsafe_code)\]' "$lib" || { echo "  $lib does not forbid unsafe code"; unsafe_ok=0; }
+done
+unsafe_blocks=$(printf '%s\n' "$files" | grep -vxF -e "$test_mods" | xargs awk '
+    FNR == 1 { code = 1 }
+    /^#\[cfg\(test\)\]/ { code = 0 }
+    code && $0 !~ /^[[:space:]]*\/\// && $0 ~ /(^|[^A-Za-z0-9_])unsafe[[:space:]]*\{/ { n[FILENAME]++ }
+    END { for (f in n) print f, n[f] }')
+crc_blocks=0
+while read -r file count; do
+    case "$file" in
+        "" | crates/view-server/src/sys.rs) ;;
+        crates/persist/src/crc32.rs) crc_blocks=$count ;;
+        *) echo "  $file holds $count non-test unsafe blocks"; unsafe_ok=0 ;;
+    esac
+done <<< "$unsafe_blocks"
+test "$crc_blocks" -eq 1 || { echo "  crates/persist/src/crc32.rs holds $crc_blocks unsafe blocks, not 1"; unsafe_ok=0; }
+test "$unsafe_ok" -eq 1
+
 echo "==> cargo clippy --workspace --all-targets (libraries, tests, examples, benches; one SAFETY comment per single-op unsafe block)"
 cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::undocumented_unsafe_blocks -D clippy::multiple_unsafe_ops_per_block
@@ -97,9 +119,9 @@ test "$unknown" -eq 0
 
 # core: NsMonitor::tick linear scaling, ledger record growth; viewd: hit /
 # re-stamped miss / first render ratios; fleet: resync + failover ticks,
-# REPL lag, rollup growth, obs + journal overhead, index update growth,
-# unsorted FULL, quarter-update ratio; persist: append + replay growth,
-# faulty store, CRC speedup over a byte-at-a-time CRC; wire:
+# REPL lag, rollup growth, obs overhead, index update growth, unsorted
+# FULL, quarter-update ratio; persist: append + replay growth, faulty
+# store, each CRC kernel's speedup over a byte-at-a-time CRC; wire:
 # 5k-connection fanout. Each writes BENCH_<name>.json and exits nonzero
 # on a failed gate or a non-finite value.
 for bench in core viewd fleet persist wire; do

@@ -16,10 +16,11 @@
 //! a DELTA that walks its host's whole container run, a cursor that
 //! mispredicts on a random part of a host's dense ids, a FULL inserted
 //! entry by entry, per-entry frame re-encoding, observability on the
-//! hot path — not machine noise. Ingest throughput itself is reported ungated; a
-//! per-entry re-encode or buffer is caught by the journal-overhead
-//! gate here and by `fleet/tests/alloc_guard.rs`, which counts the
-//! allocations an ingested frame costs.
+//! hot path — not machine noise. Ingest throughput, and what journaling
+//! and replicating an entry adds to it, are reported ungated; a record
+//! framed twice or a buffer per record is caught by
+//! `fleet/tests/alloc_guard.rs`, which counts the bytes the record CRC
+//! covers and the allocations an ingested frame costs.
 
 use arv_bench::{best_of, ns_per_call, Report};
 use arv_fleet::protocol::{frame_delta_record, MAX_BATCH};
@@ -111,31 +112,6 @@ const MAX_RESYNC_TICKS: u64 = 2;
 /// ingest). Both sides are min-of-3, which rejects scheduler noise.
 const MAX_OBS_OVERHEAD_RATIO: f64 = 1.75;
 
-/// Ceiling on what durability adds to ingest, in record encodes: ns per
-/// accepted entry with the journal and the REPL outbox on, minus the
-/// same with neither, over one encode of the controller's own journal
-/// record for the same DELTA (`frame_delta_record`: one copy, one CRC),
-/// all three in the same run — machine speed cancels, and so does the
-/// bare index's own cost. A DELTA is framed once and its bytes land in
-/// the journal and the outbox, for 1.23–1.31 encodes (eight runs on a
-/// 2-vCPU VM). A second record encode for the journal reads 2.22–2.30,
-/// and a record per container 2.66. The record CRC's three lanes made
-/// the unit (one copy and one CRC, ≈ 33 → 18 ns an entry) cheaper
-/// while ingest kept its other costs, so the same work now reads
-/// 1.46–1.60 encodes (four runs) and a second encode 2.45–2.56: the
-/// ceiling still splits them, and stays.
-///
-/// Until the record became one host batch per DELTA, the denominator
-/// was one batch `frame_delta` encode of a host's entries as
-/// per-container records: a record framed once read 1.30–1.43 of those
-/// encodes, a second encode for the journal 2.57–2.66, a buffer per
-/// record 2.38–2.53. This gate replaced `journaled_ingest_ratio`
-/// (journaled ÷ bare ns per entry, ceiling 2.0), which read 1.60–1.76
-/// when batch framing landed and 1.76–2.09 once the controller's index
-/// became a binary search, breaching in CI although journaling had not
-/// changed. Dividing the overhead by what it is made of keeps a faster
-/// bare path from moving the gate.
-const MAX_JOURNAL_OVERHEAD_ENCODES: f64 = 1.9;
 /// Ceiling on the REPL stream's bytes per view record in steady state
 /// (the failover fleet's rounds after the first: every host's DELTA
 /// moves its 100 containers). One record per DELTA costs its 28-byte
@@ -245,7 +221,10 @@ fn ingest_secs() -> (f64, f64) {
 /// Nanoseconds per accepted entry in steady state: inside
 /// `handle_frame` with journal and replication on, the same bare, and
 /// one [`frame_delta_record`] of the same frames; each the fastest of
-/// [`TRIALS`].
+/// [`TRIALS`]. Reported, not gated: a timed ratio of the three could
+/// not tell a record framed once from one framed twice once the record
+/// CRC folded at memory speed, so `fleet/tests/alloc_guard.rs` counts
+/// the bytes checksummed instead.
 fn ingest_ns_per_entry() -> (f64, f64, f64) {
     (0..TRIALS).map(|_| ingest_trial()).fold(
         (f64::INFINITY, f64::INFINITY, f64::INFINITY),
@@ -361,7 +340,6 @@ fn delta(host: u32, seq: u64, entries: Vec<DeltaEntry>) -> Vec<u8> {
         head: DeltaHead {
             host,
             seq,
-            tick: seq,
             full: seq == 0,
             health: 0,
             durability_lost: false,
@@ -667,12 +645,6 @@ fn main() {
         .value("journaled_ingest_ns_per_entry", journaled_ingest_ns)
         .value("bare_ingest_ns_per_entry", bare_ingest_ns)
         .value("encode_ns_per_entry", encode_ns)
-        .at_most(
-            "journal_overhead_encodes",
-            (journaled_ingest_ns - bare_ingest_ns) / encode_ns,
-            MAX_JOURNAL_OVERHEAD_ENCODES,
-            "a record is framed more than once, or buffered per record, on its way to journal and outbox",
-        )
         .value("moved_observe_ns_n1000", small_mirror)
         .value("moved_observe_ns_n10000", large_mirror)
         .at_most(

@@ -1398,11 +1398,11 @@ impl FleetController {
             return repl_ack(expected, false);
         }
 
-        // Peek at the first record: only a checkpoint-led frame realigns
+        // Verify the first record: only a checkpoint-led frame realigns
         // a standby that lost sequence.
         let mut walk = records(r.records);
-        let starts_with_checkpoint =
-            walk.clone().next().map(|(kind, _)| kind) == Some(KIND_CHECKPOINT);
+        let mut next = walk.next();
+        let starts_with_checkpoint = next.map(|(kind, _)| kind) == Some(KIND_CHECKPOINT);
 
         // Lock order matches handle_delta: journal, then repl, then
         // shards (inside apply_record).
@@ -1421,13 +1421,14 @@ impl FleetController {
         // Records apply straight from the frame's bytes, in stream order,
         // up to the first that is torn, corrupt or not understood.
         let (mut applied, mut verified, mut understood) = (0, 0, true);
-        while let Some((kind, body)) = walk.next() {
+        while let Some((kind, body)) = next {
             let Some(records) = self.apply_record(kind, body, now) else {
                 understood = false;
                 break;
             };
             applied += records;
             verified = walk.verified_len();
+            next = walk.next();
         }
         for host_id in r.heard() {
             if let Some(host) = lock(self.shard_for(host_id)).hosts.get_mut(&host_id) {
@@ -2077,7 +2078,6 @@ mod tests {
             head: DeltaHead {
                 host,
                 seq: 0,
-                tick: 1,
                 full: true,
                 health: 0,
                 durability_lost: false,
@@ -2290,11 +2290,11 @@ mod tests {
         let err = FleetController::restore_from(&old, 2, FleetPolicy::default())
             .expect_err("a version-2 journal");
         assert_eq!(err.found[4..], 2u32.to_le_bytes());
-        // The layouts version 3 names: a 28-byte entry, 111 bytes of a
+        // The layouts version 3 names: a 28-byte entry, 103 bytes of a
         // DELTA around its entries, a 21-byte HELLO.
         let one = encode_delta(&full_delta(1, vec![entry(1, 0, 4)]));
         let none = encode_delta(&full_delta(1, Vec::new()));
-        assert_eq!((one.len() - none.len(), none.len()), (28, 111));
+        assert_eq!((one.len() - none.len(), none.len()), (28, 103));
         let hello = Hello {
             host: 1,
             tick: 1,
@@ -3003,7 +3003,6 @@ mod tests {
                 head: DeltaHead {
                     host,
                     seq,
-                    tick: 0,
                     full: seq == 0,
                     health: 0,
                     durability_lost: false,

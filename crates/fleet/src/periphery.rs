@@ -497,7 +497,6 @@ impl Periphery {
             let head = DeltaHead {
                 host: self.host,
                 seq: self.seq,
-                tick,
                 full: full && first == 0,
                 health,
                 durability_lost: self.durability_lost,
@@ -657,20 +656,18 @@ mod tests {
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1, "one heartbeat per tick");
         assert!(ds[0].entries.is_empty() && ds[0].removed.is_empty());
-        assert_eq!(
-            (ds[0].head.tick, ds[0].head.origin_tick, ds[0].head.seq),
-            (2, 2, 1)
-        );
+        assert_eq!((ds[0].head.origin_tick, ds[0].head.seq), (2, 1));
         // Observed again within the tick: freshness already travelled.
         p.observe(&snap(2, &[(1, 2, 100), (2, 4, 200)]), false, 0);
         assert!(!p.has_frames());
-        // One value moves: exactly that entry ships, its tick in the head.
+        // One value moves: exactly that entry ships, its tick the head's
+        // origin.
         p.observe(&snap(3, &[(1, 2, 100), (2, 5, 200)]), false, 0);
         let ds = deltas(p.take_frames());
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].entries.len(), 1);
         assert_eq!((ds[0].entries[0].id, ds[0].entries[0].e_cpu), (2, 5));
-        assert_eq!(ds[0].head.tick, 3);
+        assert_eq!(ds[0].head.origin_tick, 3);
         assert_eq!(p.stats().entries, 3, "2 in the FULL, 1 changed");
     }
 
@@ -932,11 +929,7 @@ mod tests {
         let flush_tick = flushed.expect("tokens must return");
         let ds = deltas(p.take_frames());
         assert_eq!(ds[0].head.origin_tick, 2, "origin survives coalescing");
-        assert_eq!(ds[0].head.tick, flush_tick);
-        assert!(
-            ds[0].head.tick - ds[0].head.origin_tick >= 1,
-            "delay is visible"
-        );
+        assert!(flush_tick > ds[0].head.origin_tick, "delay is visible");
         assert_eq!(ds[0].head.trace_seq, 2, "trace seq is monotone per frame");
         assert_eq!(
             ds[0].head.summary.deltas_coalesced,

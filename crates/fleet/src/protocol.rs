@@ -6,13 +6,13 @@
 //!
 //! ```text
 //! HELLO  := 0x10 | host u32 | tick u64 | epoch u64
-//! DELTA  := 0x11 | host u32 | seq u64 | tick u64 | flags u8 | health u8
+//! DELTA  := 0x11 | host u32 | seq u64 | flags u8 | health u8
 //!           | epoch u64 | origin_tick u64 | trace_seq u64
 //!           | summary (7 × u64)
 //!           | n u32 | n × entry | m u32 | m × removed-id u32
 //!   entry := id u32 | tenant u32 | e_cpu u32 | e_mem u64 | e_avail u64
-//!   (a view's value alone: its freshness rides the header's tick and
-//!   origin_tick, once per frame)
+//!   (a view's value alone: its freshness rides the header's origin_tick,
+//!   once per frame)
 //!   flags bit0 = FULL (snapshot replacing all host state)
 //!   health bit7 = DURABILITY_LOST (the host's journal is on the
 //!   degraded rung of its durability ladder; orthogonal to the
@@ -145,11 +145,11 @@ pub const HEALTH_DURABILITY_LOST: u8 = 0x80;
 /// Bytes of one encoded delta entry.
 pub(crate) const ENTRY_BYTES: usize = 4 + 4 + 4 + 8 + 8;
 /// Where a DELTA payload's tail (`n | entries | m | removed`) starts:
-/// after the opcode, host, seq, tick, flags, health, three epoch/span
-/// words and the seven summary counters.
-pub(crate) const DELTA_TAIL_AT: usize = 1 + 4 + 8 + 8 + 1 + 1 + 3 * 8 + 7 * 8;
+/// after the opcode, host, seq, flags, health, three epoch/span words
+/// and the seven summary counters.
+pub(crate) const DELTA_TAIL_AT: usize = 1 + 4 + 8 + 1 + 1 + 3 * 8 + 7 * 8;
 /// Where a DELTA payload's flags byte sits.
-const DELTA_FLAGS_AT: usize = 1 + 4 + 8 + 8;
+const DELTA_FLAGS_AT: usize = 1 + 4 + 8;
 /// Bytes of a DELTA payload around its entries and removals: the
 /// header before the tail, and the tail's two counts.
 pub(crate) const DELTA_FIXED_BYTES: usize = DELTA_TAIL_AT + 4 + 4;
@@ -258,8 +258,6 @@ pub struct DeltaHead {
     pub host: u32,
     /// Per-host frame sequence number (gap ⇒ resync).
     pub seq: u64,
-    /// Host update-timer tick the batch was taken at (the flush tick).
-    pub tick: u64,
     /// Whether this batch is a full snapshot (replaces all host state).
     pub full: bool,
     /// Host-level health (`HEALTH_*`, low bits only — the durability
@@ -271,8 +269,8 @@ pub struct DeltaHead {
     /// Newest policy epoch the periphery has adopted.
     pub epoch: u64,
     /// Causal span stamp: the host tick at which the oldest diff in
-    /// this batch was observed. With coalescing, `tick − origin_tick`
-    /// is the flush delay the token bucket imposed.
+    /// this batch was observed. With coalescing, it trails the flush
+    /// tick by the delay the token bucket imposed.
     pub origin_tick: u64,
     /// Causal span stamp: monotone per-periphery trace sequence,
     /// incremented on every frame and never reset by resync logic.
@@ -511,7 +509,6 @@ pub(crate) fn encode_delta_parts<'e>(
     out.push(OP_DELTA);
     put_u32(&mut out, head.host);
     put_u64(&mut out, head.seq);
-    put_u64(&mut out, head.tick);
     out.push(if head.full { DELTA_FULL } else { 0 });
     out.push(
         head.health
@@ -793,7 +790,6 @@ pub(crate) fn decode_delta_parts(payload: &[u8]) -> Option<(DeltaHead, Tail<'_>)
     }
     let host = c.u32()?;
     let seq = c.u64()?;
-    let tick = c.u64()?;
     let flags = c.u8()?;
     let raw_health = c.u8()?;
     let health = raw_health & !HEALTH_DURABILITY_LOST;
@@ -803,7 +799,6 @@ pub(crate) fn decode_delta_parts(payload: &[u8]) -> Option<(DeltaHead, Tail<'_>)
     let head = DeltaHead {
         host,
         seq,
-        tick,
         full: flags & DELTA_FULL != 0,
         health,
         durability_lost: raw_health & HEALTH_DURABILITY_LOST != 0,
@@ -1092,7 +1087,6 @@ mod tests {
             head: DeltaHead {
                 host: 7,
                 seq: 42,
-                tick: 1000,
                 full: false,
                 health: HEALTH_STALE,
                 durability_lost: true,
@@ -1369,7 +1363,6 @@ mod tests {
                 head: DeltaHead {
                     host,
                     seq,
-                    tick: seq.wrapping_mul(3),
                     full: seq % 2 == 0,
                     health: (seq % 3) as u8,
                     durability_lost: seq % 4 == 1,

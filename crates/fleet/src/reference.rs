@@ -199,7 +199,6 @@ impl HashMapPeriphery {
                 head: DeltaHead {
                     host: self.host,
                     seq: self.seq,
-                    tick: snap.tick,
                     full: full && first,
                     health,
                     durability_lost: self.durability_lost,

@@ -218,7 +218,6 @@ mod tests {
             head: DeltaHead {
                 host: 1,
                 seq: 0,
-                tick: 1,
                 full: true,
                 health: HEALTH_FRESH,
                 durability_lost: false,

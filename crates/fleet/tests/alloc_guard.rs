@@ -1,19 +1,22 @@
 //! Allocation guard for the fleet half of the propagation path —
-//! periphery, primary ingest and standby apply: heap allocations are
-//! counted, not timed, so a regression to a buffer per record cannot
-//! hide in machine noise.
+//! periphery, primary ingest and standby apply: heap allocations, and
+//! the bytes the record CRC covers, are counted, not timed, so a
+//! regression to a buffer per record or to a record framed or verified
+//! twice cannot hide in machine noise.
 //!
 //! Its own test binary because it installs a counting global allocator.
-//! The count is per thread, so the tests may run side by side.
+//! Both counts are per thread, so the tests may run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use arv_fleet::protocol::frame_delta_record;
 use arv_fleet::{
     decode_frame, encode_delta, Delta, DeltaEntry, DeltaHead, FleetController, FleetPolicy, Frame,
     HostSummary, Periphery,
 };
-use arv_persist::{Snapshot, ViewState};
+use arv_persist::crc32::checksummed_bytes;
+use arv_persist::{framed_len, Snapshot, ViewState};
 
 struct Counting;
 
@@ -58,6 +61,25 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
+/// Bytes this thread checksums while `f` runs.
+fn checksummed<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = checksummed_bytes();
+    let out = f();
+    (checksummed_bytes() - before, out)
+}
+
+/// Bytes a CRC covers in a stream of framed records: each record's
+/// length word and body, not its CRC.
+fn covered(mut records: &[u8]) -> u64 {
+    let mut bytes = 0;
+    while let Some(len) = framed_len(records) {
+        bytes += len as u64 - 4;
+        records = &records[len..];
+    }
+    assert!(records.is_empty(), "a stream of whole records");
+    bytes
+}
+
 fn delta(seq: u64, entries: u32, bump: u32) -> Vec<u8> {
     delta_from(1, seq, entries, bump)
 }
@@ -67,7 +89,6 @@ fn delta_from(host: u32, seq: u64, entries: u32, bump: u32) -> Vec<u8> {
         head: DeltaHead {
             host,
             seq,
-            tick: seq,
             full: seq == 0,
             health: 0,
             durability_lost: false,
@@ -187,6 +208,72 @@ fn applying_a_repl_frame_allocates_the_same_for_1_or_200_batches() {
     );
 }
 
+/// A warm DELTA into a journaled, replicating primary is framed once:
+/// the CRC covers its record's bytes exactly once, and the journal and
+/// the REPL outbox both take those bytes. The standby that applies the
+/// REPL frame verifies each record exactly once, and shadow-journals the
+/// verified bytes without checksumming them again; shipping the outbox
+/// checksums nothing. Framing the journal's copy a second time, or
+/// re-verifying a record on the standby, doubles a count.
+#[test]
+fn a_record_is_checksummed_once_on_the_primary_and_once_on_the_standby() {
+    const HOSTS: u32 = 50;
+    let mut primary = FleetController::new(4, FleetPolicy::default());
+    primary.enable_journal(64);
+    primary.enable_replication();
+    let mut standby = FleetController::new(4, FleetPolicy::default());
+    standby.enable_journal(64);
+    let mut seq = [0; HOSTS as usize];
+    let mut round = |primary: &FleetController, hosts: u32, entries: u32| {
+        let mut crc_bytes = Vec::new();
+        for host in 0..hosts {
+            let next = &mut seq[host as usize];
+            let frame = delta_from(host, *next, entries, *next as u32);
+            let mut record = Vec::new();
+            frame_delta_record(&mut record, &frame);
+            let (n, resp) = checksummed(|| primary.handle_frame(&frame));
+            assert!(matches!(decode_frame(&resp.expect("ACK")), Some(Frame::Ack(a)) if !a.resync));
+            crc_bytes.push((n, covered(&record)));
+            *next += 1;
+        }
+        crc_bytes
+    };
+    // Warm: every host and its containers are known to both nodes (the
+    // first frames carry the checkpoint that aligns the standby).
+    for _ in 0..3 {
+        round(&primary, HOSTS, 100);
+        for frame in primary.take_repl_frames() {
+            standby.handle_frame(&frame).expect("ACK");
+        }
+    }
+    // A 1-entry record is shorter than a fold block, a 100-entry one
+    // longer: both kernels count the same.
+    for entries in [1, 100] {
+        for (n, record) in round(&primary, HOSTS, entries) {
+            assert_eq!(n, record, "the primary checksums its record once");
+        }
+        let (n, frames) = checksummed(|| primary.take_repl_frames());
+        assert_eq!(n, 0, "shipping the outbox checksums nothing");
+        assert_eq!(frames.len(), 1);
+        let Some(Frame::Repl(repl)) = decode_frame(&frames[0]) else {
+            panic!("the primary shipped no REPL frame");
+        };
+        let (n, resp) = checksummed(|| standby.handle_frame(&frames[0]));
+        assert!(matches!(decode_frame(&resp.expect("ACK")), Some(Frame::Ack(a)) if !a.resync));
+        assert_eq!(
+            n,
+            covered(&repl.records),
+            "the standby verifies each record once"
+        );
+    }
+    assert_eq!(
+        standby.metrics().snapshot().repl_records_applied,
+        primary.metrics().snapshot().repl_records_streamed
+    );
+    assert_eq!(primary.metrics().snapshot().journal_io_errors, 0);
+    assert_eq!(standby.metrics().snapshot().journal_io_errors, 0);
+}
+
 #[test]
 fn observing_an_unchanged_snapshot_allocates_only_its_heartbeat() {
     let mut snap = Snapshot::at(1);
@@ -271,7 +358,7 @@ fn observing_moved_values_allocates_only_their_frame() {
     let Some(Frame::Delta(d)) = decode_frame(&frames[2]) else {
         panic!("the measured observation shipped no DELTA");
     };
-    assert_eq!((d.entries.len(), d.head.tick), (MOVED as usize, 4));
+    assert_eq!((d.entries.len(), d.head.origin_tick), (MOVED as usize, 4));
     assert!(d.entries.iter().all(|e| e.id % 10 == 0));
     assert_eq!(p.stats().entries, 1000 + 3 * u64::from(MOVED));
 }

@@ -61,7 +61,7 @@
 //! appends, write errors, disk-full windows, bit rot, and sync stalls
 //! so every consumer's durability degradation path is testable.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crc32;
