@@ -27,6 +27,17 @@ printf '%s\n' "$files" | grep -vxF -e "$test_mods" | xargs awk '
     code { lines++; if ($0 ~ /^[[:space:]]*pub fn /) fns++ }
     END { printf "  non-test lines: %d\n  pub fn: %d\n", lines, fns }'
 
+echo "==> the size line sees all non-test code: past a file's first column-0 #[cfg(test)], every column-0 item carries its own #[cfg(test)]"
+printf '%s\n' "$files" | xargs awk '
+    FNR == 1 { tested = 0; guarded = 0 }
+    /^#\[cfg\(test\)\]/ { tested = 1; guarded = 1; next }
+    /^(#\[|\/\/)/ { next }
+    tested && !guarded && /^(pub|fn|impl|struct|enum|mod|const|trait|type|static|unsafe|use|macro_rules)([^A-Za-z0-9_]|$)/ {
+        printf "  %s:%d: non-test item after the test code: %s\n", FILENAME, FNR, $0; bad = 1
+    }
+    { guarded = 0 }
+    END { exit bad }'
+
 echo "==> unsafe inventory: every workspace crate but arv-view-server and arv-persist forbids unsafe code, and non-test unsafe blocks sit only in view-server's sys.rs (the FFI) and persist's crc32.rs (exactly one: the call into the carry-less-multiply kernel)"
 unsafe_ok=1
 for lib in crates/*/src/lib.rs tests/src/lib.rs; do
@@ -100,20 +111,22 @@ for check in $checks; do
 done
 test "$missing" -eq 0
 
-echo "==> DESIGN names only what exists (each backticked identifier of 5+ characters, and each segment of a backticked path, occurs under crates/, tests/, examples/ or arv-benchmark/, or is a kernel or paper name)"
+echo "==> DESIGN, README and EXPERIMENTS name only what exists (each backticked identifier of 5+ characters, and each segment of a backticked path, occurs under crates/, tests/, examples/ or arv-benchmark/, or is a kernel or paper name)"
 allowed="EPOLLET Ns_Monitor"
 sources=$(find crates tests examples arv-benchmark -name target -prune -o -type f -print)
-names=$(grep -o '`[^`]*`' DESIGN.md | tr -d '`' \
-    | grep -xE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*' | tr -s ':' '\n' \
-    | grep -xE '[A-Za-z_][A-Za-z0-9_]{4,}' | sort -u || true)
-test -n "$names" || { echo "DESIGN names no identifiers"; exit 1; }
 unknown=0
-for name in $names; do
-    case " $allowed " in *" $name "*) continue ;; esac
-    if ! grep -qF -- "$name" $sources && ! printf '%s\n' "$sources" | grep -qF -- "$name"; then
-        echo "DESIGN names what nothing defines or mentions: ${name}"
-        unknown=1
-    fi
+for doc in DESIGN.md README.md EXPERIMENTS.md; do
+    names=$(grep -o '`[^`]*`' "$doc" | tr -d '`' \
+        | grep -xE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*' | tr -s ':' '\n' \
+        | grep -xE '[A-Za-z_][A-Za-z0-9_]{4,}' | sort -u || true)
+    test -n "$names" || { echo "$doc names no identifiers"; exit 1; }
+    for name in $names; do
+        case " $allowed " in *" $name "*) continue ;; esac
+        if ! grep -qF -- "$name" $sources && ! printf '%s\n' "$sources" | grep -qF -- "$name"; then
+            echo "$doc names what nothing defines or mentions: ${name}"
+            unknown=1
+        fi
+    done
 done
 test "$unknown" -eq 0
 

@@ -1,4 +1,6 @@
-//! A fluid-flow model of the Linux Completely Fair Scheduler over cgroups.
+//! A fluid-flow model of the Linux Completely Fair Scheduler over the
+//! host's flat set of container cgroups (one per container, as Docker
+//! lays them out; nothing nests).
 //!
 //! The paper's effective-CPU calculation (Algorithm 1) depends on three
 //! scheduler behaviours:
@@ -45,10 +47,8 @@
 
 pub mod loadavg;
 pub mod scheduler;
-pub mod tree_alloc;
 pub mod usage;
 
 pub use loadavg::Loadavg;
-pub use scheduler::{weighted_max_min, Allocation, CfsSim, GroupDemand};
-pub use tree_alloc::{allocate_tree, LeafDemand};
+pub use scheduler::{Allocation, CfsSim, GroupDemand};
 pub use usage::UsageLedger;

@@ -137,7 +137,7 @@ impl CfsSim {
 /// items with `(weight, cap)`; every item receives `min(cap, fair share)`
 /// with released capacity redistributed by weight. The steady-state fixed
 /// point of CFS within one period.
-pub fn weighted_max_min(supply: f64, items: &[(f64, f64)]) -> Vec<f64> {
+fn weighted_max_min(supply: f64, items: &[(f64, f64)]) -> Vec<f64> {
     struct Slot {
         weight: f64,
         cap: f64,

@@ -42,7 +42,7 @@ impl CgroupSpec {
     }
 }
 
-/// A change to the cgroup tree, in the order it happened.
+/// A change to the set of cgroups, in the order it happened.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CgroupEvent {
     /// A cgroup was created.

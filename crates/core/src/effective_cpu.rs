@@ -14,8 +14,7 @@
 //!     else:           E-- until LOWER
 //! ```
 
-use arv_cgroups::hierarchy::{CgroupTree, ROOT};
-use arv_cgroups::{CgroupId, CpuController, CpuSet};
+use arv_cgroups::{CpuController, CpuSet};
 use arv_sim_core::SimDuration;
 use arv_telemetry::{CpuDecision, DecisionCause};
 
@@ -73,38 +72,6 @@ impl CpuBounds {
         let lower = (share_cpus.min(quota_cpus).min(mask as f64))
             .ceil()
             .max(1.0) as u32;
-        CpuBounds {
-            lower: lower.min(upper),
-            upper,
-        }
-    }
-
-    /// Compute bounds for a container nested in a cgroup tree
-    /// (Kubernetes-style). The guaranteed share composes multiplicatively
-    /// along the path — at each level, this subtree's shares over the
-    /// sibling total — and the upper bound is the tightest quota/cpuset
-    /// cap on the path.
-    pub fn compute_in_tree(tree: &CgroupTree, id: CgroupId, online: CpuSet) -> CpuBounds {
-        let path_cap = tree.path_cpu_cap(id, online);
-        let upper = path_cap.min(f64::from(online.count())).ceil().max(1.0) as u32;
-
-        let mut share_fraction = 1.0;
-        let mut cur = id;
-        while cur != ROOT {
-            let Some(parent) = tree.parent(cur) else {
-                break;
-            };
-            let own = tree.cpu(cur).map_or(1024.0, |c| c.shares as f64);
-            let sibling_total: f64 = tree
-                .children(parent)
-                .iter()
-                .map(|c| tree.cpu(*c).map_or(1024.0, |x| x.shares as f64))
-                .sum();
-            share_fraction *= own / sibling_total.max(own);
-            cur = parent;
-        }
-        let share_cpus = (share_fraction * f64::from(online.count())).ceil();
-        let lower = share_cpus.min(path_cap).ceil().max(1.0) as u32;
         CpuBounds {
             lower: lower.min(upper),
             upper,
@@ -225,6 +192,52 @@ impl EffectiveCpu {
             utilization: sample.usage.ratio(sample.period * u64::from(before)),
             had_slack: !sample.slack.is_zero(),
         })
+    }
+}
+
+/// A fractional variant of the effective-CPU state machine, for the
+/// integer-vs-fractional ablation DESIGN.md calls out.
+///
+/// The paper deliberately exports a *discrete CPU count* ("it is more
+/// efficient to execute threads on a few stronger, dedicated CPUs …
+/// compatible with applications that probe system resources based on CPU
+/// count", §3.1). This variant keeps the same feedback loop but moves in
+/// sub-CPU steps and can report the un-rounded capacity, quantifying what
+/// the discretization costs in tracking accuracy.
+#[derive(Debug, Clone)]
+pub struct FractionalEffectiveCpu {
+    cfg: EffectiveCpuConfig,
+    bounds: CpuBounds,
+    /// Sub-CPU adjustment step (e.g. 0.25 CPUs per update).
+    step: f64,
+    value: f64,
+}
+
+impl FractionalEffectiveCpu {
+    /// Initialize at the lower bound with the given sub-CPU step.
+    pub fn new(bounds: CpuBounds, cfg: EffectiveCpuConfig, step: f64) -> FractionalEffectiveCpu {
+        assert!(step > 0.0 && step <= 1.0, "step must be in (0, 1]");
+        FractionalEffectiveCpu {
+            cfg,
+            bounds,
+            step,
+            value: f64::from(bounds.lower),
+        }
+    }
+
+    /// One firing of the update timer; same decision structure as
+    /// Algorithm 1, with `step`-sized moves.
+    pub fn update(&mut self, sample: CpuSample) -> f64 {
+        let capacity = sample.period.mul_f64(self.value.max(self.step));
+        let utilization = sample.usage.ratio(capacity);
+        if !sample.slack.is_zero() {
+            if utilization > self.cfg.util_threshold && self.value < f64::from(self.bounds.upper) {
+                self.value = (self.value + self.step).min(f64::from(self.bounds.upper));
+            }
+        } else if self.value > f64::from(self.bounds.lower) {
+            self.value = (self.value - self.step).max(f64::from(self.bounds.lower));
+        }
+        self.value
     }
 }
 
@@ -399,65 +412,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod tree_bounds_tests {
-    use super::*;
-    use arv_cgroups::{CgroupSpec, MemController};
-
-    fn spec(shares: u64, quota: Option<f64>) -> CgroupSpec {
-        let mut cpu = CpuController::unlimited(20).with_shares(shares);
-        if let Some(q) = quota {
-            cpu = cpu.with_quota_cpus(q);
-        }
-        CgroupSpec::new(cpu, MemController::unlimited())
-    }
-
-    #[test]
-    fn nested_shares_compose_multiplicatively() {
-        // root → kubepods(8192), system(1024 ignored here as sibling);
-        // kubepods → podA(2048), podB(1024); podA → c1(1024), c2(1024).
-        let mut t = CgroupTree::new();
-        let kubepods = t.create(ROOT, spec(8192, None));
-        let _system = t.create(ROOT, spec(1024, None));
-        let pod_a = t.create(kubepods, spec(2048, None));
-        let _pod_b = t.create(kubepods, spec(1024, None));
-        let c1 = t.create(pod_a, spec(1024, None));
-        let _c2 = t.create(pod_a, spec(1024, None));
-        let online = CpuSet::first_n(20);
-        let b = CpuBounds::compute_in_tree(&t, c1, online);
-        // fraction = 1/2 (within podA) × 2/3 (podA of kubepods) ×
-        // 8/9 (kubepods of root) = 8/27 → ceil(20 × 8/27) = 6.
-        assert_eq!(b.lower, 6);
-        assert_eq!(b.upper, 20);
-    }
-
-    #[test]
-    fn nested_quota_bounds_the_upper() {
-        let mut t = CgroupTree::new();
-        let slice = t.create(ROOT, spec(1024, Some(4.0)));
-        let c = t.create(slice, spec(1024, None));
-        let b = CpuBounds::compute_in_tree(&t, c, CpuSet::first_n(20));
-        assert_eq!(b.upper, 4);
-        assert!(b.lower <= 4);
-    }
-
-    #[test]
-    fn single_level_matches_flat_computation() {
-        let mut t = CgroupTree::new();
-        let ids: Vec<_> = (0..5)
-            .map(|_| t.create(ROOT, spec(1024, Some(10.0))))
-            .collect();
-        let online = CpuSet::first_n(20);
-        let tree_b = CpuBounds::compute_in_tree(&t, ids[0], online);
-        let flat_b = CpuBounds::compute(
-            &CpuController::unlimited(20).with_quota_cpus(10.0),
-            5 * 1024,
-            online,
-        );
-        assert_eq!(tree_b, flat_b);
-    }
-}
-
-#[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -508,52 +462,6 @@ mod proptests {
             prop_assert!(b.lower >= 1);
             prop_assert!(b.lower <= b.upper);
         }
-    }
-}
-
-/// A fractional variant of the effective-CPU state machine, for the
-/// integer-vs-fractional ablation DESIGN.md calls out.
-///
-/// The paper deliberately exports a *discrete CPU count* ("it is more
-/// efficient to execute threads on a few stronger, dedicated CPUs …
-/// compatible with applications that probe system resources based on CPU
-/// count", §3.1). This variant keeps the same feedback loop but moves in
-/// sub-CPU steps and can report the un-rounded capacity, quantifying what
-/// the discretization costs in tracking accuracy.
-#[derive(Debug, Clone)]
-pub struct FractionalEffectiveCpu {
-    cfg: EffectiveCpuConfig,
-    bounds: CpuBounds,
-    /// Sub-CPU adjustment step (e.g. 0.25 CPUs per update).
-    step: f64,
-    value: f64,
-}
-
-impl FractionalEffectiveCpu {
-    /// Initialize at the lower bound with the given sub-CPU step.
-    pub fn new(bounds: CpuBounds, cfg: EffectiveCpuConfig, step: f64) -> FractionalEffectiveCpu {
-        assert!(step > 0.0 && step <= 1.0, "step must be in (0, 1]");
-        FractionalEffectiveCpu {
-            cfg,
-            bounds,
-            step,
-            value: f64::from(bounds.lower),
-        }
-    }
-
-    /// One firing of the update timer; same decision structure as
-    /// Algorithm 1, with `step`-sized moves.
-    pub fn update(&mut self, sample: CpuSample) -> f64 {
-        let capacity = sample.period.mul_f64(self.value.max(self.step));
-        let utilization = sample.usage.ratio(capacity);
-        if !sample.slack.is_zero() {
-            if utilization > self.cfg.util_threshold && self.value < f64::from(self.bounds.upper) {
-                self.value = (self.value + self.step).min(f64::from(self.bounds.upper));
-            }
-        } else if self.value > f64::from(self.bounds.lower) {
-            self.value = (self.value - self.step).max(f64::from(self.bounds.lower));
-        }
-        self.value
     }
 }
 

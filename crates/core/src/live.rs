@@ -105,7 +105,6 @@ pub struct NsCell {
     e_cpu: AtomicU32,
     e_mem: AtomicU64,
     e_avail: AtomicU64,
-    updates: AtomicU64,
     generation: AtomicU64,
     // The conservative fallback view (Algorithm 1's lower bound,
     // Algorithm 2's soft limit) served once the host's views age past
@@ -143,7 +142,6 @@ impl NsCell {
             e_cpu: AtomicU32::new(cpu.value()),
             e_mem: AtomicU64::new(mem.value().as_u64()),
             e_avail: AtomicU64::new(mem.value().as_u64()),
-            updates: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             fb_cpu: AtomicU32::new(cpu.bounds().lower),
             fb_mem: AtomicU64::new(mem.soft_limit().as_u64()),
@@ -210,11 +208,6 @@ impl NsCell {
         }
     }
 
-    /// Number of updates applied so far.
-    pub fn update_count(&self) -> u64 {
-        self.updates.load(Ordering::Relaxed)
-    }
-
     /// Publish `(cpu, mem, avail)` under the seqlock: generation goes
     /// odd, the values land, generation goes even. Callers hold the state
     /// mutex, so writers are already serialized — which also makes the
@@ -251,7 +244,6 @@ impl NsCell {
         let mem = st.mem.value();
         let avail = mem.saturating_sub(sample.mem.usage);
         self.publish(cpu, mem, avail);
-        self.updates.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = cpu_d {
             self.tracer.emit_cpu(UNTICKED, self.id, d);
         }
@@ -268,7 +260,6 @@ impl NsCell {
     pub fn force_publish(&self, cpus: u32, mem: Bytes, avail: Bytes) {
         let _st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         self.publish(cpus, mem, avail);
-        self.updates.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Refresh the conservative fallback view (Algorithm 1's lower
@@ -387,7 +378,6 @@ mod tests {
         cell.apply(saturated_sample());
         assert_eq!(cell.effective_cpu(), 5);
         assert!(cell.effective_memory() > Bytes::from_mib(500));
-        assert_eq!(cell.update_count(), 1);
     }
 
     #[test]

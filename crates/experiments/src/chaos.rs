@@ -55,8 +55,11 @@ fn run_event_chaos(seed: u64, rounds: u32) -> EventChaosOutcome {
 
     // Churn containers through a lossy event stream: every launch and
     // terminate emits events the plan may drop, duplicate or reorder.
+    // A seed whose plan has dropped nothing by then churns on, for at
+    // most `rounds` more, until it has: loss is what this tests.
     let mut live: Vec<CgroupId> = Vec::new();
-    for round in 0..rounds {
+    let mut round = 0;
+    while round < rounds || (round < 2 * rounds && nothing_dropped(&mut host)) {
         live.push(host.launch(&churn_spec(round)));
         if live.len() > 4 {
             let victim = live.remove(0);
@@ -65,6 +68,7 @@ fn run_event_chaos(seed: u64, rounds: u32) -> EventChaosOutcome {
         for _ in 0..2 {
             step_busy(&mut host, &live, 8);
         }
+        round += 1;
     }
 
     let fstats = host.take_fault_plan().expect("plan installed").stats();
@@ -96,6 +100,14 @@ fn run_event_chaos(seed: u64, rounds: u32) -> EventChaosOutcome {
         missing_namespaces: missing,
         bound_violations,
     }
+}
+
+/// Whether the host's fault plan has dropped no event so far.
+fn nothing_dropped(host: &mut SimHost) -> bool {
+    let plan = host.take_fault_plan().expect("plan installed");
+    let dropped = plan.stats().dropped;
+    host.set_fault_plan(plan);
+    dropped == 0
 }
 
 fn assert_event_chaos(out: &EventChaosOutcome, seed: u64) {
@@ -331,6 +343,14 @@ mod tests {
             assert_eq!(wire.get("failures", col), Some(1.0));
             assert!(wire.get("reconnects", col).unwrap() >= 1.0);
         }
+    }
+
+    #[test]
+    fn a_seed_that_draws_no_drop_in_its_rounds_churns_until_one() {
+        // The host campaign's event-chaos seed at half scale, offset 18:
+        // its six rounds drop nothing.
+        let seed = 0x1fe6_8f0a_f3fc_4694;
+        assert_event_chaos(&run_event_chaos(seed, 6), seed);
     }
 
     #[test]

@@ -120,10 +120,7 @@ fn run_soak(seed: u64, ticks: u64) -> SoakOutcome {
     let (mut journal, _header) = Journal::with_store(Box::new(FaultyStore::new(seed, faults)));
     let mut rng = SimRng::seed_from_u64(seed ^ 0x50AC);
 
-    let mut out = SoakOutcome {
-        ticks,
-        ..SoakOutcome::default()
-    };
+    let mut out = SoakOutcome::default();
     // One seeded view; the draws keep their order (memory, CPU, free).
     let view = |rng: &mut SimRng, id: u32, tick: u64| {
         let e_mem = rng.range_u64(64, 1024);
@@ -137,7 +134,10 @@ fn run_soak(seed: u64, ticks: u64) -> SoakOutcome {
             last_tick: tick,
         }
     };
-    for tick in 0..ticks {
+    // A seed whose store has rotted no bit by then appends on, for at
+    // most `ticks` more, until it has: every axis must fire.
+    let mut tick = 0;
+    while tick < ticks || (tick < 2 * ticks && journal.store_fault_stats().rotted_bits == 0) {
         journal.set_tick(tick);
         let written = if tick % 8 == 0 {
             let mut snap = Snapshot::at(tick);
@@ -176,7 +176,9 @@ fn run_soak(seed: u64, ticks: u64) -> SoakOutcome {
                 }
             }
         }
+        tick += 1;
     }
+    out.ticks = tick;
     let stats = journal.store_fault_stats();
     out.torn_appends = stats.torn_appends;
     out.write_errors = stats.write_errors;
@@ -863,6 +865,14 @@ mod tests {
                 assert_eq!(t.get("final_cpu", col), t.get("truth_cpu", col));
             }
         }
+    }
+
+    #[test]
+    fn a_seed_that_rots_no_bit_in_its_ticks_appends_until_one() {
+        // The fleet campaign's soak seed at half scale, offset 2: its 128
+        // ticks rot no bit.
+        let seed = 0x3c6e_f372_fe9b_e6cd;
+        assert_soak(&run_soak(seed, 128), seed);
     }
 
     #[test]

@@ -53,8 +53,6 @@
 pub mod controller;
 pub mod periphery;
 pub mod protocol;
-#[cfg(test)]
-mod reference;
 pub mod wire;
 
 pub use controller::{
@@ -69,3 +67,6 @@ pub use protocol::{
     QUERY_CLUSTER, QUERY_FLIGHT, QUERY_STATS, QUERY_TENANT, QUERY_TOPK, REPL_PEER,
 };
 pub use wire::{FleetClient, FleetWireServer};
+
+#[cfg(test)]
+mod reference;
