@@ -80,21 +80,30 @@ done
 echo "==> every listed figure at full scale, the campaigns at seed offset 0 among them (the case studies read their views through each host's own viewd)"
 cargo run -q --release -p arv-experiments --bin experiments -- --all > /dev/null
 
-# The two campaigns, each on its base seeds and on rotated ones: every
-# scenario runs twice per seed and must replay bit-identically.
-for offset in 0 1; do
-    echo "==> host campaign, seed offset $offset (stall, publish outage, warm restart, provenance, event loss, wire chaos, torn journals, flood)"
-    cargo run -q --release -p arv-experiments --bin experiments -- --fig host --scale 0.5 --seed-offset "$offset" > /dev/null
-    echo "==> fleet campaign, seed offset $offset (scale, waterfalls, storage soak, storm and split-brain takeovers)"
-    cargo run -q --release -p arv-experiments --bin experiments -- --fig fleet --scale 0.5 --seed-offset "$offset" > /dev/null
+# The seed sweep: the two campaigns, each on its base seeds and on
+# rotated ones; every scenario runs twice per seed and must replay
+# bit-identically. A failing seed prints its campaign's report, then
+# names the scenario and seed: the log keeps a campaign's report only
+# when it fails.
+campaign() {
+    local report
+    report=$(cargo run -q --release -p arv-experiments --bin experiments -- "$@") \
+        || { printf '%s\n' "$report"; return 1; }
+}
+echo "==> host and fleet campaigns at half scale, seed offsets 0-31 (host: stall, publish outage, warm restart, provenance, event loss, wire chaos, torn journals, flood; fleet: scale, waterfalls, storage soak, storm and split-brain takeovers)"
+for offset in $(seq 0 31); do
+    campaign --fig host --scale 0.5 --seed-offset "$offset"
+    campaign --fig fleet --scale 0.5 --seed-offset "$offset"
 done
 
-echo "==> fleet campaign at full scale, seed offset 1 (1000 hosts × 100 containers, every scenario replayed; offset 0 ran under --all)"
-cargo run -q --release -p arv-experiments --bin experiments -- --fig fleet --seed-offset 1 > /dev/null
+echo "==> fleet campaign at full scale, seed offsets 1-15 (1000 hosts × 100 containers, every scenario replayed; offset 0 ran under --all)"
+for offset in $(seq 1 15); do
+    campaign --fig fleet --seed-offset "$offset"
+done
 
 echo "==> host campaign at full scale, seed offsets 1-15 (lifecycle calls inside a stall, warm restarts, every scenario replayed; offset 0 ran under --all)"
 for offset in $(seq 1 15); do
-    cargo run -q --release -p arv-experiments --bin experiments -- --fig host --seed-offset "$offset" > /dev/null
+    campaign --fig host --seed-offset "$offset"
 done
 
 echo "==> invariant ledger (every check DESIGN §10 names is a fn under crates/ or tests/, or an arv-bench gate)"

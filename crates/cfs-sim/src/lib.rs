@@ -51,4 +51,4 @@ pub mod usage;
 
 pub use loadavg::Loadavg;
 pub use scheduler::{Allocation, CfsSim, GroupDemand};
-pub use usage::UsageLedger;
+pub use usage::{GroupUsage, UsageLedger};

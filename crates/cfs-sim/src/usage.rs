@@ -9,10 +9,13 @@ use arv_sim_core::SimDuration;
 
 use crate::scheduler::Allocation;
 
+/// One group's CPU usage, as the ledger holds it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct GroupUsage {
-    last_period: SimDuration,
-    window: SimDuration,
+pub struct GroupUsage {
+    /// Usage in the last recorded period (`u_i`).
+    pub last_period: SimDuration,
+    /// Usage since the last [`UsageLedger::reset_window`].
+    pub window: SimDuration,
 }
 
 /// CPU usage ledger across all cgroups.
@@ -68,17 +71,11 @@ impl UsageLedger {
         self.groups.remove(&id);
     }
 
-    /// CPU time used by `id` in the last recorded period (`u_i`).
-    pub fn last_usage(&self, id: CgroupId) -> SimDuration {
-        self.groups
-            .get(&id)
-            .map_or(SimDuration::ZERO, |g| g.last_period)
-    }
-
-    /// Every group's last-period usage, in id order (the update timer
-    /// walks this beside its namespaces instead of looking each one up).
-    pub fn last_usages(&self) -> impl Iterator<Item = (CgroupId, SimDuration)> + '_ {
-        self.groups.iter().map(|(id, g)| (*id, g.last_period))
+    /// Every group's usage, by id: read-only, so the update timer can
+    /// walk it with a cursor ([`IdMap::get_from`]) beside its namespaces
+    /// instead of looking each one up.
+    pub fn groups(&self) -> &IdMap<GroupUsage> {
+        &self.groups
     }
 
     /// Idle host CPU time in the last period (`pslack`).
@@ -97,11 +94,6 @@ impl UsageLedger {
     // (event-driven stepping); the `sys_namespace` update timer still
     // fires once per scheduling period, reading the usage accumulated
     // across the window since the previous firing.
-
-    /// Every group's usage over the current window, in id order.
-    pub fn window_usages(&self) -> impl Iterator<Item = (CgroupId, SimDuration)> + '_ {
-        self.groups.iter().map(|(id, g)| (*id, g.window))
-    }
 
     /// Idle host CPU time accumulated over the current window.
     pub fn window_slack(&self) -> SimDuration {
@@ -262,16 +254,20 @@ mod tests {
                         prop_assert_eq!(ledger.last_usage(id), g.last_period);
                         prop_assert_eq!(ledger.window_usage(id), g.window);
                     }
-                    let last: Vec<_> = naive.groups.iter().map(|(id, g)| (*id, g.last_period)).collect();
-                    let window: Vec<_> = naive.groups.iter().map(|(id, g)| (*id, g.window)).collect();
-                    prop_assert_eq!(ledger.last_usages().collect::<Vec<_>>(), last);
-                    prop_assert_eq!(ledger.window_usages().collect::<Vec<_>>(), window);
+                    prop_assert!(ledger.groups().iter().eq(naive.groups.iter()));
                 }
             }
         }
     }
 
     impl UsageLedger {
+        /// CPU time used by `id` in the last recorded period (`u_i`).
+        fn last_usage(&self, id: CgroupId) -> SimDuration {
+            self.groups
+                .get(&id)
+                .map_or(SimDuration::ZERO, |g| g.last_period)
+        }
+
         /// CPU time used by `id` since the last
         /// [`UsageLedger::reset_window`].
         fn window_usage(&self, id: CgroupId) -> SimDuration {

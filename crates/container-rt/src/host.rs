@@ -670,14 +670,11 @@ impl SimHost {
         let (namespaces, cells) = (self.monitor.namespaces(), &mut self.cells);
         let (mut ns_at, mut at, mut gone) = (0, 0, false);
         for (id, view) in changes {
-            let slot = namespaces.seek(ns_at, *id);
-            ns_at = slot.map_or_else(|i| i, |i| i + 1);
-            let (Some(v), Ok(slot)) = (view, slot) else {
+            let (Some(v), Some(ns)) = (view, namespaces.get_from(&mut ns_at, *id)) else {
                 server.unregister(*id);
                 gone = true;
                 continue;
             };
-            let ns = &namespaces.values().as_slice()[slot];
             at = match cells.seek(at, *id) {
                 Ok(i) => i,
                 Err(i) => {
@@ -701,11 +698,7 @@ impl SimHost {
         if gone {
             // The unregistered are the handles whose namespace is gone.
             let mut ns_at = 0;
-            cells.retain(|id, _| {
-                let slot = namespaces.seek(ns_at, *id);
-                ns_at = slot.map_or_else(|i| i, |i| i + 1);
-                slot.is_ok()
-            });
+            cells.retain(|id, _| namespaces.get_from(&mut ns_at, *id).is_some());
         }
         self.viewd_held.clear();
         server.mark_fresh(self.monitor.now_tick() - self.monitor.fresh_tick());

@@ -125,10 +125,18 @@ impl EffectiveMemory {
     }
 
     /// One firing of the update timer. Returns the new value.
+    ///
+    /// Growth needs `free − predicted > high` with `predicted ≥ 0`, so
+    /// while `free ≤ high` it cannot pass: that host-wide test goes
+    /// first, and the usage ratio, Δ and the prediction are computed
+    /// only when it holds. The answer is the paper's.
+    #[inline]
     pub fn update(&mut self, sample: MemSample) -> Bytes {
         if sample.free > self.low_watermark && !sample.reclaiming {
-            let used_frac = sample.usage.ratio(self.value);
-            if used_frac > self.cfg.usage_threshold && self.value < self.hard {
+            if sample.free > self.high_watermark
+                && sample.usage.ratio(self.value) > self.cfg.usage_threshold
+                && self.value < self.hard
+            {
                 let delta = (self.hard - self.value).mul_f64(self.cfg.growth_fraction);
                 let predicted_drop = self.predict_free_drop(&sample, delta);
                 if sample.free.saturating_sub(predicted_drop) > self.high_watermark {
@@ -361,6 +369,114 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    const LOW: Bytes = Bytes::from_mib(1280);
+    const HIGH: Bytes = Bytes::from_mib(2560);
+
+    /// Algorithm 2 as the paper states it, every line in its order: the
+    /// usage ratio, Δ and the prediction are computed whenever free
+    /// memory is above `low` and kswapd is idle.
+    struct Paper {
+        soft: Bytes,
+        hard: Bytes,
+        value: Bytes,
+        prev: Option<MemSample>,
+    }
+
+    impl Paper {
+        fn update(&mut self, s: MemSample) -> Bytes {
+            if s.free > LOW && !s.reclaiming {
+                let used_frac = s.usage.ratio(self.value);
+                if used_frac > 0.90 && self.value < self.hard {
+                    let delta = (self.hard - self.value).mul_f64(0.10);
+                    let predicted_drop = match self.prev {
+                        Some(p) if s.usage > p.usage => {
+                            let consumed = p.free.saturating_sub(s.free).as_u64() as f64;
+                            let grown = (s.usage - p.usage).as_u64() as f64;
+                            delta.mul_f64(consumed / grown)
+                        }
+                        _ => delta,
+                    };
+                    if s.free.saturating_sub(predicted_drop) > HIGH {
+                        self.value = (self.value + delta).min(self.hard);
+                    }
+                }
+            } else {
+                self.value = self.soft;
+            }
+            self.prev = Some(s);
+            self.value
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// `update` is the paper's Algorithm 2, whatever it skips: over
+        /// long traces of free memory at, just below and just above
+        /// `high` (and below `low`, between the two, and far above),
+        /// usage growing and shrinking, kswapd now and then reclaiming,
+        /// `set_limits` and `restore_value`, the view and the usage it
+        /// last saw equal the reference's after every call. Each trace
+        /// grows the view, resets it, and skips a growth check because
+        /// free memory was not above `high`, so none of the three goes
+        /// untested.
+        #[test]
+        fn update_is_the_papers_algorithm_2(
+            soft_mib in 100u64..1000,
+            extra_mib in 1u64..2000,
+            trace in prop::collection::vec(
+                (0u8..16, 0u64..4, 0u64..256, prop::bool::ANY, 0u64..3000), 1500..1501),
+        ) {
+            let (soft, hard) = (Bytes::from_mib(soft_mib), Bytes::from_mib(soft_mib + extra_mib));
+            let mut e = EffectiveMemory::new(soft, hard, LOW, HIGH, EffectiveMemoryConfig::default());
+            let mut paper = Paper { soft, hard, value: soft, prev: None };
+            let (mut usage, mut grew, mut reset, mut skipped) = (soft.mul_f64(0.8), 0, 0, 0);
+            for (op, jitter, step_mib, up, mib) in trace {
+                let before = e.value();
+                match op {
+                    0 => {
+                        let (soft, hard) = (Bytes::from_mib(mib / 2), Bytes::from_mib(mib / 2 + mib));
+                        e.set_limits(soft, hard);
+                        (paper.soft, paper.hard) = (soft, hard);
+                        if paper.value < soft || paper.value > hard {
+                            paper.value = soft;
+                        }
+                    }
+                    1 => {
+                        let v = e.restore_value(Bytes::from_mib(mib));
+                        paper.value = Bytes::from_mib(mib).clamp(paper.soft, paper.hard);
+                        paper.prev = None;
+                        prop_assert_eq!(v, paper.value);
+                    }
+                    _ => {
+                        let free = match op % 7 {
+                            0 => HIGH,
+                            1 => HIGH - Bytes(1 + jitter),
+                            2 => HIGH + Bytes(1 + jitter),
+                            3 => LOW - Bytes::from_mib(jitter),
+                            4 => LOW + Bytes::from_mib(step_mib),
+                            _ => HIGH + Bytes::from_mib(jitter * step_mib),
+                        };
+                        let step = Bytes::from_mib(step_mib / 4);
+                        usage = if up { usage + step } else { usage.saturating_sub(step) };
+                        let sample = MemSample { free, usage, reclaiming: op == 15 };
+                        let growth_checked = free > LOW
+                            && !sample.reclaiming
+                            && usage.ratio(before) > 0.90
+                            && before < e.hard_limit();
+                        skipped += u32::from(growth_checked && free <= HIGH);
+                        prop_assert_eq!(e.update(sample), paper.update(sample));
+                        grew += u32::from(e.value() > before);
+                        reset += u32::from(e.value() < before);
+                    }
+                }
+                prop_assert_eq!(e.value(), paper.value);
+                prop_assert_eq!(e.last_usage(), paper.prev.map(|p| p.usage));
+            }
+            prop_assert!(grew > 0 && reset > 0 && skipped > 0, "grew {grew}, reset {reset}, skipped {skipped}");
+        }
+    }
 
     proptest! {
         /// E_MEM always stays within [soft, hard] for arbitrary traces.

@@ -19,7 +19,7 @@
 //! ([`NsMonitor::take_changes`]): what to re-read, and nothing else. How
 //! old the views are is one word ([`NsMonitor::fresh_tick`]).
 
-use arv_cfs::UsageLedger;
+use arv_cfs::{GroupUsage, UsageLedger};
 use arv_cgroups::{Bytes, CgroupEvent, CgroupId, CgroupManager, CpuSet, IdMap, SeqEvent};
 use arv_mem::{MemSim, Watermarks};
 use arv_persist::ViewState;
@@ -157,7 +157,7 @@ impl NsMonitor {
     }
 
     /// Every namespace, by id: read-only, so a mirror can walk it with
-    /// a cursor ([`IdMap::seek`]) beside a change list, and nothing that
+    /// a cursor ([`IdMap::get_from`]) beside a change list, and nothing that
     /// moves a view can bypass the list.
     pub fn namespaces(&self) -> &IdMap<SysNamespace> {
         &self.namespaces
@@ -186,13 +186,11 @@ impl NsMonitor {
     ///
     /// [`snapshot`]: NsMonitor::snapshot
     pub fn take_changes(&mut self, into: &mut Changes) {
-        let (views, fresh) = (self.namespaces.values().as_slice(), self.fresh_tick);
         into.clear();
         let mut at = 0;
         for id in self.changed.keys() {
-            let slot = self.namespaces.seek(at, *id);
-            at = slot.map_or_else(|i| i, |i| i + 1);
-            into.insert(*id, slot.ok().map(|i| view_state(&views[i], fresh)));
+            let ns = self.namespaces.get_from(&mut at, *id);
+            into.insert(*id, ns.map(|ns| view_state(ns, self.fresh_tick)));
         }
         self.changed.clear();
     }
@@ -494,7 +492,7 @@ impl NsMonitor {
     /// period's CPU accounting and the memory manager's current state.
     pub fn tick(&mut self, ledger: &UsageLedger, mem: &MemSim) {
         let (period, slack) = (ledger.last_period(), ledger.last_slack());
-        self.fire(period, slack, ledger.last_usages(), mem);
+        self.fire(period, slack, ledger, |g| g.last_period, mem);
     }
 
     /// Update-timer firing over the ledger's accumulated window (used by
@@ -502,50 +500,56 @@ impl NsMonitor {
     /// period).
     pub fn tick_window(&mut self, ledger: &UsageLedger, mem: &MemSim) {
         let (period, slack) = (ledger.window_time(), ledger.window_slack());
-        self.fire(period, slack, ledger.window_usages(), mem);
+        self.fire(period, slack, ledger, |g| g.window, mem);
     }
 
     /// One update-timer firing. Host-wide state (`period`, `slack`, free
     /// memory, kswapd) is sampled once, so every namespace judges the
-    /// same instant, and the per-container usages (`cpu_usage`, the
-    /// memory manager's) arrive as id-ordered streams over the ledger's
-    /// and the memory manager's id-sorted arrays, merged (`seek`) beside
-    /// the namespaces' own array — no per-namespace lookup and no tree
-    /// to chase, so the firing costs the same per container at any
-    /// population. Each namespace whose value triple moved is noted
-    /// while the loop holds it, and only for such a one, and only when
-    /// the tracer is on, are its decisions built (a decision is a pure
-    /// function of the value before and after and the sample);
-    /// freshness is one store.
+    /// same instant, and each namespace's usages (`cpu_usage` of its
+    /// ledger group, its resident memory) are read through a cursor into
+    /// the ledger's and the memory manager's own id-sorted tables
+    /// ([`IdMap::get_from`]), which run in step with the namespaces'
+    /// array, so each lands at distance 0 — no per-namespace search and
+    /// no tree to chase, so the firing costs the same per container at
+    /// any population. A namespace's value triple is read once before
+    /// its update, which returns the triple after. Each namespace whose
+    /// triple moved is noted while the loop holds it, and only for such
+    /// a one, and only when the tracer is on, are its decisions built (a
+    /// decision is a pure function of the value before and after and
+    /// the sample); freshness is one store.
     fn fire(
         &mut self,
         period: SimDuration,
         slack: SimDuration,
-        cpu_usage: impl Iterator<Item = (CgroupId, SimDuration)>,
+        ledger: &UsageLedger,
+        cpu_usage: impl Fn(&GroupUsage) -> SimDuration,
         mem: &MemSim,
     ) {
         if period.is_zero() {
             return; // nothing scheduled yet
         }
-        let mut cpu_usage = cpu_usage.peekable();
-        let (mut mem_usage, free, reclaiming) =
-            (mem.usages().peekable(), mem.free(), mem.is_reclaiming());
+        let (cpu_groups, mem_groups) = (ledger.groups(), mem.groups());
+        let (free, reclaiming) = (mem.free(), mem.is_reclaiming());
+        let (mut cpu_at, mut mem_at) = (0, 0);
         let traced = self.tracer.is_enabled();
         self.fresh_tick = self.now_tick;
         for (id, ns) in self.namespaces.iter_mut() {
-            let before = ns.views();
             let cpu = CpuSample {
-                usage: seek(&mut cpu_usage, *id).unwrap_or(SimDuration::ZERO),
+                usage: cpu_groups
+                    .get_from(&mut cpu_at, *id)
+                    .map_or(SimDuration::ZERO, &cpu_usage),
                 period,
                 slack,
             };
             let mem = MemSample {
                 free,
-                usage: seek(&mut mem_usage, *id).unwrap_or(Bytes::ZERO),
+                usage: mem_groups
+                    .get_from(&mut mem_at, *id)
+                    .map_or(Bytes::ZERO, |g| g.resident),
                 reclaiming,
             };
-            ns.update(cpu, mem);
-            let after = ns.views();
+            let before = ns.views();
+            let after = ns.update(cpu, mem);
             if after == before {
                 continue;
             }
@@ -579,15 +583,6 @@ fn view_state(ns: &SysNamespace, fresh: u64) -> ViewState {
 /// (the CPU lower bound, the soft limit).
 fn served(ns: &SysNamespace) -> ((u32, Bytes, Bytes), u32, Bytes) {
     (ns.views(), ns.cpu_bounds().lower, ns.soft_limit())
-}
-
-/// Advance an id-ordered stream to `id`; its value there, if it has one.
-fn seek<V>(
-    sorted: &mut std::iter::Peekable<impl Iterator<Item = (CgroupId, V)>>,
-    id: CgroupId,
-) -> Option<V> {
-    while sorted.next_if(|(k, _)| *k < id).is_some() {}
-    sorted.next_if(|(k, _)| *k == id).map(|(_, v)| v)
 }
 
 #[cfg(test)]
@@ -1036,17 +1031,30 @@ mod tests {
 
     /// The per-namespace loop the firing replaced, kept as the reference
     /// it must agree with: every host-wide input re-read, and every usage
-    /// looked up, for each namespace in turn.
-    fn reference_tick(mon: &mut NsMonitor, ledger: &UsageLedger, mem: &MemSim) {
-        if ledger.last_period().is_zero() {
+    /// looked up, for each namespace in turn — the last period's, or
+    /// with `window` the update timer's window's.
+    fn reference_tick(mon: &mut NsMonitor, ledger: &UsageLedger, mem: &MemSim, window: bool) {
+        let (period, slack) = if window {
+            (ledger.window_time(), ledger.window_slack())
+        } else {
+            (ledger.last_period(), ledger.last_slack())
+        };
+        if period.is_zero() {
             return;
         }
         for (id, ns) in mon.namespaces.iter_mut() {
+            let usage = ledger.groups().get(id).map_or(SimDuration::ZERO, |g| {
+                if window {
+                    g.window
+                } else {
+                    g.last_period
+                }
+            });
             let (cpu_d, mem_d) = ns.update_explained(
                 CpuSample {
-                    usage: ledger.last_usage(*id),
-                    period: ledger.last_period(),
-                    slack: ledger.last_slack(),
+                    usage,
+                    period,
+                    slack,
                 },
                 MemSample {
                     free: mem.free(),
@@ -1138,33 +1146,49 @@ mod tests {
         }
     }
 
+    /// Both firings — `tick` over each period, and `tick_window` over a
+    /// window of three periods, closed after it as `SimHost` closes it —
+    /// leave every view and every trace event what the reference's
+    /// per-namespace lookups leave, through kswapd's reclaim flips.
     #[test]
     fn firing_matches_the_per_namespace_reference_across_reclaim_flips() {
-        let (mut wave, mut fast) = Wave::new(0x5EED);
-        let mut reference = fast.clone();
-        fast.set_tracer(Tracer::bounded(1 << 16));
-        reference.set_tracer(Tracer::bounded(1 << 16));
-        let (mut flips, mut was_reclaiming) = (0, false);
-        for tick in 0..300 {
-            wave.step();
-            flips += u32::from(wave.mem.is_reclaiming() != was_reclaiming);
-            was_reclaiming = wave.mem.is_reclaiming();
-            fast.observe_tick();
-            reference.observe_tick();
-            fast.tick(&wave.ledger, &wave.mem);
-            reference_tick(&mut reference, &wave.ledger, &wave.mem);
-            assert_eq!(fast.snapshot(), reference.snapshot(), "tick {tick}");
-            assert_eq!(
-                fast.tracer().events(),
-                reference.tracer().events(),
-                "tick {tick}"
-            );
+        for window in [false, true] {
+            let (mut wave, mut fast) = Wave::new(0x5EED);
+            let mut reference = fast.clone();
+            fast.set_tracer(Tracer::bounded(1 << 16));
+            reference.set_tracer(Tracer::bounded(1 << 16));
+            let (mut flips, mut was_reclaiming) = (0, false);
+            for step in 0..900 {
+                wave.step();
+                flips += u32::from(wave.mem.is_reclaiming() != was_reclaiming);
+                was_reclaiming = wave.mem.is_reclaiming();
+                if window && step % 3 != 2 {
+                    continue;
+                }
+                fast.observe_tick();
+                reference.observe_tick();
+                if window {
+                    fast.tick_window(&wave.ledger, &wave.mem);
+                } else {
+                    fast.tick(&wave.ledger, &wave.mem);
+                }
+                reference_tick(&mut reference, &wave.ledger, &wave.mem, window);
+                if window {
+                    wave.ledger.reset_window();
+                }
+                assert_eq!(fast.snapshot(), reference.snapshot(), "step {step}");
+                assert_eq!(
+                    fast.tracer().events(),
+                    reference.tracer().events(),
+                    "step {step}"
+                );
+            }
+            assert!(flips >= 4, "kswapd flipped only {flips} times");
+            let events = fast.tracer().events();
+            assert!(events.iter().any(|e| matches!(e.kind, EventKind::Cpu(_))));
+            assert!(events.iter().any(|e| matches!(e.kind, EventKind::Mem(_))));
+            assert!(wave.cgm.contains(wave.ids[0]));
         }
-        assert!(flips >= 4, "kswapd flipped only {flips} times");
-        let events = fast.tracer().events();
-        assert!(events.iter().any(|e| matches!(e.kind, EventKind::Cpu(_))));
-        assert!(events.iter().any(|e| matches!(e.kind, EventKind::Mem(_))));
-        assert!(wave.cgm.contains(wave.ids[0]));
     }
 
     mod moved_props {

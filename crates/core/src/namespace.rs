@@ -137,12 +137,15 @@ impl SysNamespace {
     }
 
     /// Periodic update-timer firing: Algorithm 1 on the CPU view,
-    /// Algorithm 2 on the memory view. What either decided is
+    /// Algorithm 2 on the memory view; the value triple after it (the
+    /// [`views`](SysNamespace::views) that now stand: `mem`'s usage is
+    /// the last observed). What either decided is
     /// [`EffectiveCpu::decision`] and [`EffectiveMemory::decision`] of
     /// its value before and after.
-    pub fn update(&mut self, cpu: CpuSample, mem: MemSample) {
-        self.e_cpu.update(cpu);
-        self.e_mem.update(mem);
+    pub fn update(&mut self, cpu: CpuSample, mem: MemSample) -> (u32, Bytes, Bytes) {
+        let e_cpu = self.e_cpu.update(cpu);
+        let e_mem = self.e_mem.update(mem);
+        (e_cpu, e_mem, e_mem.saturating_sub(mem.usage))
     }
 }
 
@@ -227,7 +230,7 @@ mod tests {
     #[test]
     fn update_moves_both_views() {
         let mut n = ns();
-        n.update(
+        let after = n.update(
             CpuSample {
                 usage: T * 2,
                 period: T,
@@ -239,6 +242,7 @@ mod tests {
                 reclaiming: false,
             },
         );
+        assert_eq!(after, n.views());
         assert_eq!(n.effective_cpu(), 3);
         assert!(n.effective_memory() > Bytes::from_mib(500));
     }

@@ -13,12 +13,16 @@
 //!   [`Run`], a `check` holding the invariants, and `rows` naming what
 //!   the report shows. [`Campaign::scenario`] runs it **twice per
 //!   seed**, asserts the two outcomes equal (the one replay assert in
-//!   this crate), checks both, and files one table with a column per
-//!   seed ([`seed_label`]);
+//!   this crate), files one table with a column per seed
+//!   ([`seed_label`]), and only then checks both runs: a failing check
+//!   is noted, not raised, so the campaign runs on and its report holds
+//!   every table;
 //! * a wall-clock measurement (a p99, a worst round) rides beside the
 //!   outcome in [`Run::wall`]: reported and checked, never compared;
 //! * [`Campaign::finish`] closes the report with the `determinism`
-//!   table (one row per scenario that replayed) and the seeds note.
+//!   table (one row per scenario that replayed) and the seeds note;
+//!   if any check failed, it prints the report and then fails, naming
+//!   each failing scenario and seed.
 //!
 //! The scenarios also share their driver plumbing here, one copy each:
 //! hosts and containers ([`paper_container`], [`step_busy`], …), the
@@ -28,6 +32,7 @@
 //! asserts are rows of DESIGN's invariant ledger.
 
 use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use arv_cfs::GroupDemand;
 use arv_cgroups::{Bytes, CgroupId};
@@ -98,7 +103,8 @@ pub struct Scenario<'a, O> {
     /// Execute under `seed`. `replay` (0 or 1) only disambiguates
     /// external names such as socket paths.
     pub run: &'a dyn Fn(u64, u32) -> Run<O>,
-    /// Assert the scenario's invariants; panics name the seed.
+    /// Assert the scenario's invariants; a panic here fails the
+    /// campaign at [`Campaign::finish`], under this scenario and seed.
     pub check: &'a dyn Fn(&Run<O>, u64),
     /// The rows reported, in order; the wall-clock row follows them.
     pub rows: &'a dyn Fn(&O) -> Vec<(&'static str, f64)>,
@@ -122,6 +128,8 @@ pub struct Campaign {
     seeds: Vec<u64>,
     seed_offset: u64,
     replayed: Vec<&'static str>,
+    /// Each failed check, as its scenario and seed.
+    failures: Vec<String>,
 }
 
 impl Campaign {
@@ -132,6 +140,7 @@ impl Campaign {
             seeds: rotate(base_seeds, seed_offset),
             seed_offset,
             replayed: Vec::new(),
+            failures: Vec::new(),
         }
     }
 
@@ -141,37 +150,35 @@ impl Campaign {
     }
 
     /// Run `run` twice under every seed, require the two outcomes
-    /// bit-identical, `check` both, and hand back the first run per
-    /// seed. A campaign is only a debugging tool if a failure replays.
+    /// bit-identical, and hand back both runs per seed. A campaign is
+    /// only a debugging tool if a failure replays.
     pub fn replay<O: PartialEq + Debug>(
         &self,
         name: &str,
         run: &dyn Fn(u64, u32) -> Run<O>,
-        check: &dyn Fn(&Run<O>, u64),
-    ) -> Vec<Run<O>> {
+    ) -> Vec<[Run<O>; 2]> {
         self.seeds
             .iter()
             .map(|&seed| {
-                let first = run(seed, 0);
-                let again = run(seed, 1);
+                let runs = [run(seed, 0), run(seed, 1)];
                 assert_eq!(
-                    first.outcome, again.outcome,
+                    runs[0].outcome, runs[1].outcome,
                     "seed {seed:#x}: {name} replay diverged"
                 );
-                check(&first, seed);
-                check(&again, seed);
-                first
+                runs
             })
             .collect()
     }
 
-    /// [`replay`](Campaign::replay) `scenario`, then file its table —
-    /// one column per seed — and list it under `determinism`.
+    /// [`replay`](Campaign::replay) `scenario`, file its table — one
+    /// column per seed — and list it under `determinism`; then check
+    /// both runs of every seed, noting each seed whose check fails, and
+    /// hand back the first run per seed.
     pub fn scenario<O: PartialEq + Debug>(&mut self, scenario: Scenario<'_, O>) -> Vec<Run<O>> {
-        let runs = self.replay(scenario.name, scenario.run, scenario.check);
+        let runs = self.replay(scenario.name, scenario.run);
         let per_seed: Vec<Vec<(&'static str, f64)>> = runs
             .iter()
-            .map(|run| {
+            .map(|[run, _]| {
                 let mut rows = (scenario.rows)(&run.outcome);
                 rows.extend(run.wall);
                 rows
@@ -186,11 +193,21 @@ impl Campaign {
         }
         self.report.tables.push(table);
         self.replayed.push(scenario.name);
-        runs
+        for (pair, &seed) in runs.iter().zip(&self.seeds) {
+            // The check's own message goes out as it panics.
+            let check = |run| catch_unwind(AssertUnwindSafe(|| (scenario.check)(run, seed)));
+            if pair.iter().try_for_each(check).is_err() {
+                self.failures
+                    .push(format!("{}, seed {seed:#x}", scenario.name));
+            }
+        }
+        runs.into_iter().map(|[first, _]| first).collect()
     }
 
     /// Close the report: the `determinism` table and the seeds note
-    /// (first among the notes) for the scenarios that replayed.
+    /// (first among the notes) for the scenarios that replayed. If a
+    /// check failed, the report is printed first and then the campaign
+    /// fails, naming each failing scenario and seed.
     pub fn finish(mut self) -> FigReport {
         if self.replayed.is_empty() {
             return self.report;
@@ -211,6 +228,11 @@ impl Campaign {
                 self.seed_offset
             ),
         );
+        if !self.failures.is_empty() {
+            println!("{}", self.report.render_text());
+            let failures = self.failures.join("\n  ");
+            panic!("campaign {} failed:\n  {failures}", self.report.id);
+        }
         self.report
     }
 }
@@ -474,7 +496,36 @@ mod tests {
     #[should_panic(expected = "replay diverged")]
     fn a_scenario_that_does_not_replay_fails_the_campaign() {
         let campaign = Campaign::new("t", "t", &[1], 0);
-        campaign.replay("flaky", &|_, replay| Run::of(replay), &|_, _| {});
+        campaign.replay("flaky", &|_, replay| Run::of(replay));
+    }
+
+    /// A failing check is noted, not raised: its own table and every
+    /// later scenario's are filed, and only `finish` fails, naming each
+    /// failing scenario and seed and no passing one.
+    #[test]
+    fn a_failing_check_files_every_table_and_names_each_failing_seed() {
+        let mut campaign = Campaign::new("t", "t", &[3, 5, 7], 0);
+        for (name, bad) in [("odd", 5), ("later", 7), ("clean", 0)] {
+            campaign.scenario(Scenario {
+                name,
+                run: &|seed, _| Run::of(seed),
+                check: &|run, seed| assert_ne!(run.outcome, bad, "seed {seed:#x} is bad"),
+                rows: &|o| vec![("seed", *o as f64)],
+            });
+        }
+        let names: Vec<&str> = campaign
+            .report
+            .tables
+            .iter()
+            .map(|t| t.name.as_str())
+            .collect();
+        assert_eq!(names, ["odd", "later", "clean"]);
+        let failure = catch_unwind(AssertUnwindSafe(|| campaign.finish())).unwrap_err();
+        let message = failure.downcast_ref::<String>().unwrap();
+        assert_eq!(
+            message,
+            "campaign t failed:\n  odd, seed 0x5\n  later, seed 0x7"
+        );
     }
 
     #[test]

@@ -34,7 +34,10 @@
 //!   - the deposed primary crash-restores from its durable journal
 //!     (serving every host last-good) and rejoins as a mirror;
 //!   - post-storm every host is Fresh within six ticks of the takeover,
-//!     every durability flag clears, the rollups equal per-host ground
+//!     save what the drop axis costs: each resync FULL of the drop host
+//!     it takes in a row after the takeover is one more round trip, so
+//!     the fleet is Fresh within `max(6, 2 + 2 × d)` ticks;
+//!   - every durability flag clears, the rollups equal per-host ground
 //!     truth, and every durable journal restores to the live index.
 
 use std::collections::BTreeMap;
@@ -42,8 +45,8 @@ use std::collections::BTreeMap;
 use arv_cgroups::CgroupId;
 use arv_container::SimHost;
 use arv_fleet::{
-    AckDisposition, FleetController, FleetPolicy, Frame, Periphery, Rollup, SharedLease,
-    QUERY_FLIGHT,
+    decode_frame, AckDisposition, FleetController, FleetPolicy, Frame, Periphery, Rollup,
+    SharedLease, QUERY_FLIGHT,
 };
 use arv_persist::{restore, FaultyStore, Journal, Snapshot, StoreFaults, ViewState};
 use arv_sim_core::{FaultConfig, FaultPlan, SimRng};
@@ -84,8 +87,13 @@ const SPLIT_STALL: (u64, u64) = (21, LEASE_TTL + 4);
 /// (coalescing) is exercised.
 const TIGHT_BURST: u32 = 2;
 
-/// Ticks allowed from the completed takeover to every host Fresh.
+/// Ticks allowed from the completed takeover to every host Fresh. Each
+/// resync FULL the drop axis takes in a row after it (`d`) costs the
+/// drop host one more round trip: the fleet's bound is `max(6, 2 + 2d)`.
 const FRESH_BOUND: u64 = 6;
+
+/// The host whose frames the drop axis loses.
+const DROP_HOST: usize = 3;
 
 /// Flight dumps the standby's recorder retains.
 const FLIGHT_DUMPS: usize = 8;
@@ -237,6 +245,9 @@ pub(crate) struct StormOutcome {
     promote_tick: u64,
     split_brain_rounds: u64,
     ticks_to_fresh: u64,
+    fresh_bound: u64,
+    other_hosts_ticks_to_fresh: u64,
+    resync_fulls_dropped: u64,
     deposed_not_leader_acks: u64,
     deposed_max_ack_epoch: u64,
     promotions: u64,
@@ -365,8 +376,10 @@ pub(crate) fn run_storm(seed: u64, split_brain: bool) -> StormOutcome {
         deposed_tick: u64::MAX,
         promote_tick: u64::MAX,
         ticks_to_fresh: u64::MAX,
+        other_hosts_ticks_to_fresh: u64::MAX,
         ..StormOutcome::default()
     };
+    let mut drop_host_resynced = false;
 
     let mut on_standby = vec![false; STORM_HOSTS as usize];
     let mut primary_down = false;
@@ -412,11 +425,18 @@ pub(crate) fn run_storm(seed: u64, split_brain: bool) -> StormOutcome {
             }
 
             let mut frames = host.take_fleet_frames();
-            if h == 3 && !healing {
+            if h == DROP_HOST && !healing {
                 // The drop axis: seeded random frame loss.
-                frames.retain(|_| {
+                frames.retain(|frame| {
                     let keep = rng.unit() > 0.15;
                     out.random_frames_dropped += u64::from(!keep);
+                    // The resync FULLs it takes in a row after the takeover.
+                    let full =
+                        || matches!(decode_frame(frame), Some(Frame::Delta(d)) if d.head.full);
+                    if takeover_tick.is_some() && !drop_host_resynced && full() {
+                        drop_host_resynced = keep;
+                        out.resync_fulls_dropped += u64::from(!keep);
+                    }
                     keep
                 });
             }
@@ -425,7 +445,7 @@ pub(crate) fn run_storm(seed: u64, split_brain: bool) -> StormOutcome {
                 let Some(resp) = target.handle_frame(&frame) else {
                     continue;
                 };
-                let Some(Frame::Ack(ack)) = arv_fleet::decode_frame(&resp) else {
+                let Some(Frame::Ack(ack)) = decode_frame(&resp) else {
                     continue;
                 };
                 if !on_standby[h] && primary_down && !rejoined {
@@ -514,6 +534,12 @@ pub(crate) fn run_storm(seed: u64, split_brain: bool) -> StormOutcome {
             if out.ticks_to_fresh == u64::MAX && r.partitioned == 0 && r.hosts == STORM_HOSTS {
                 out.ticks_to_fresh = tick - t;
             }
+            let mut others = (0..STORM_HOSTS).filter(|h| *h as usize != DROP_HOST);
+            if out.other_hosts_ticks_to_fresh == u64::MAX
+                && others.all(|h| standby.explain_host(h).is_some_and(|e| !e.partitioned))
+            {
+                out.other_hosts_ticks_to_fresh = tick - t;
+            }
         }
 
         out.primary_journal_degraded_seen |= primary.journal_degraded();
@@ -526,6 +552,7 @@ pub(crate) fn run_storm(seed: u64, split_brain: bool) -> StormOutcome {
 
     out.partition_frames_dropped = links.dropped;
     out.lag_frames_delayed = links.delayed;
+    out.fresh_bound = FRESH_BOUND.max(2 + 2 * out.resync_fulls_dropped);
     (out.truth_cpu, out.truth_containers) = ground_truth(&hosts);
 
     let r = standby.cluster_capacity();
@@ -732,9 +759,18 @@ pub(crate) fn assert_storm(out: &StormOutcome, seed: u64) {
         "seed {seed:#x}: a restored controller serves every host last-good"
     );
     assert!(
-        out.ticks_to_fresh <= FRESH_BOUND,
-        "seed {seed:#x}: hosts took {} ticks to converge back to Fresh on the new leader",
-        out.ticks_to_fresh
+        out.other_hosts_ticks_to_fresh <= FRESH_BOUND,
+        "seed {seed:#x}: the hosts the drop axis spares took {} ticks to converge back to Fresh \
+         on the new leader",
+        out.other_hosts_ticks_to_fresh
+    );
+    assert!(
+        out.ticks_to_fresh <= out.fresh_bound,
+        "seed {seed:#x}: with {} of host {DROP_HOST}'s resync FULLs dropped, the fleet took {} \
+         ticks to converge back to Fresh (bound {})",
+        out.resync_fulls_dropped,
+        out.ticks_to_fresh,
+        out.fresh_bound
     );
     assert_eq!(
         (out.final_degraded_hosts, out.final_hosts_durability_lost),
@@ -807,6 +843,9 @@ pub(crate) fn scenarios(campaign: &mut Campaign, scale: f64) {
                 promote_tick,
                 split_brain_rounds,
                 ticks_to_fresh,
+                fresh_bound,
+                other_hosts_ticks_to_fresh,
+                resync_fulls_dropped,
                 deposed_max_ack_epoch,
                 stranded_repl_records,
                 repl_fenced,
@@ -833,9 +872,10 @@ pub(crate) fn scenarios(campaign: &mut Campaign, scale: f64) {
          two leaders until epochs fenced the impostor; one promotion into epoch 2 within two \
          ticks of the lease becoming takeable, the stranded REPL stream and a duplicated stale \
          ACK fenced, the tightened burst coalescing; the deposed primary never acked above epoch \
-         1, restored every host last-good and rejoined as a mirror; post-storm every host Fresh \
-         within {FRESH_BOUND} ticks of the takeover and every journal's restore equals the live \
-         index"
+         1, restored every host last-good and rejoined as a mirror; post-storm every host but \
+         the drop host Fresh within {FRESH_BOUND} ticks of the takeover, the fleet within \
+         max({FRESH_BOUND}, 2 + 2 × the drop host's resync FULLs lost in a row), and every \
+         journal's restore equals the live index"
     ));
     campaign.report.note(format!(
         "flight recorder: the promotion and the fence each froze a dump ({} / {} retrieved over \
@@ -873,6 +913,20 @@ mod tests {
         // ticks rot no bit.
         let seed = 0x3c6e_f372_fe9b_e6cd;
         assert_soak(&run_soak(seed, 128), seed);
+    }
+
+    /// The fleet campaign's storm seed at offset 2: the drop axis takes
+    /// three of host 3's resync FULLs in a row after the takeover, so
+    /// the fleet is Fresh 8 ticks after it, past the 6 every other host
+    /// keeps and within `2 + 2 × 3`.
+    #[test]
+    fn three_lost_resyncs_cost_the_drop_host_three_round_trips() {
+        let seed = 0x3c6e_f372_fe9b_e6cd;
+        let out = run_storm(seed, false);
+        assert_eq!(out.resync_fulls_dropped, 3);
+        assert_eq!((out.ticks_to_fresh, out.fresh_bound), (8, 8));
+        assert!(out.other_hosts_ticks_to_fresh <= FRESH_BOUND);
+        assert_storm(&out, seed);
     }
 
     #[test]

@@ -23,4 +23,4 @@ pub mod kswapd;
 pub mod manager;
 
 pub use kswapd::{KswapdState, Watermarks};
-pub use manager::{ChargeOutcome, MemSim, MemSimConfig};
+pub use manager::{ChargeOutcome, GroupMem, MemSim, MemSimConfig};

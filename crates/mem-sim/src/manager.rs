@@ -58,9 +58,11 @@ impl ChargeOutcome {
     }
 }
 
+/// One container's memory, as the manager holds it.
 #[derive(Debug, Clone, Copy)]
-struct GroupMem {
-    resident: Bytes,
+pub struct GroupMem {
+    /// Resident bytes (`memory.usage_in_bytes`, `cmem` in Algorithm 2).
+    pub resident: Bytes,
     swapped: Bytes,
     hard: Bytes,
     soft: Bytes,
@@ -184,10 +186,11 @@ impl MemSim {
         self.groups.get(&id).map_or(Bytes::ZERO, |g| g.resident)
     }
 
-    /// Every container's resident memory, in id order (the update timer
-    /// walks this beside its namespaces instead of looking each one up).
-    pub fn usages(&self) -> impl Iterator<Item = (CgroupId, Bytes)> + '_ {
-        self.groups.iter().map(|(id, g)| (*id, g.resident))
+    /// Every container's memory, by id: read-only, so the update timer
+    /// can walk it with a cursor ([`IdMap::get_from`]) beside its
+    /// namespaces instead of looking each one up.
+    pub fn groups(&self) -> &IdMap<GroupMem> {
+        &self.groups
     }
 
     /// Bytes of the container currently on swap.

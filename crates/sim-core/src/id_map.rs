@@ -6,20 +6,24 @@
 //! - on a host: the monitor's namespaces, the CPU ledger's and the
 //!   memory manager's groups (the update timer walks the three in
 //!   lockstep), the monitor's change list, the cgroup manager's groups,
-//!   the cgroup tree's nodes, a period's `Allocation::granted`, and
-//!   `SimHost`'s containers and pending change lists;
+//!   a period's `Allocation::granted`, and `SimHost`'s containers and
+//!   pending change lists;
 //! - in the fleet controller: a shard's hosts, its per-tenant totals,
 //!   each host's containers and the REPL stream's heard hosts;
 //! - in the fleet periphery: the shipped-state mirror, the tenant
 //!   records and the pending removals.
 //!
 //! Beside a `BTreeMap` subset it owns what its users would otherwise
-//! each write by hand: the cursor lookup ([`IdMap::seek`]) and the
-//! last-wins upsert of an unsorted batch ([`IdMap::upsert`]), which
-//! merges new keys in from the back in one pass.
+//! each write by hand: the cursor lookup ([`IdMap::seek`],
+//! [`IdMap::get_from`]) and the last-wins upsert of an unsorted batch
+//! ([`IdMap::upsert`]), which merges new keys in from the back in one
+//! pass.
 //!
 //! A key is an id, `Copy + Ord + Into<u64>` (`u32`, or `CgroupId` by its
-//! `From<CgroupId> for u64`), so a cursor can measure a key's distance.
+//! `From<CgroupId> for u64`), so a lookup can measure a key's distance:
+//! a host's ids run dense, so every keyed lookup first probes the slot
+//! the key's distance from the first key names, and searches only when
+//! that slot holds another key.
 
 use std::fmt;
 
@@ -28,13 +32,13 @@ const SEEK_STEP: usize = 8;
 
 /// A map from `K` to `V` with `BTreeMap`'s semantics and (key) order.
 ///
-/// A lookup is a binary search over the dense key array, skipped for a
-/// key past the last one, which appends: ids are allocated
-/// monotonically, so a container launch (and the monitor's `sync`,
-/// `resync` and `recover`, which walk the hierarchy in id order) always
-/// appends. A removal shifts the tail down, O(N): a termination already
-/// triggers a recompute of every namespace's static bounds, which
-/// dominates it.
+/// A lookup is the distance probe, then a binary search over the key
+/// array, skipped for a key past the last one, which appends: ids are
+/// allocated monotonically, so a container launch (and the monitor's
+/// `sync`, `resync` and `recover`, which walk the hierarchy in id order)
+/// always appends. A removal shifts the tail down, O(N): a termination
+/// already triggers a recompute of every namespace's static bounds,
+/// which dominates it.
 #[derive(Clone, PartialEq, Eq)]
 pub struct IdMap<K, V> {
     keys: Vec<K>,
@@ -64,12 +68,16 @@ impl<K: Copy + Ord + Into<u64>, V> IdMap<K, V> {
         IdMap::default()
     }
 
-    /// `Ok(slot)` of `key`, or `Err(slot)` where it would be inserted: a
-    /// [`seek`](IdMap::seek) from past the last slot, which is a binary
-    /// search, or none for a key past the last one.
+    /// `Ok(slot)` of `key`, or `Err(slot)` where it would be inserted:
+    /// the distance probe from the first slot, else a binary search, or
+    /// none for a key past the last one.
+    #[inline]
     fn find(&self, key: K) -> Result<usize, usize> {
+        if let Some(slot) = self.by_distance(0, key) {
+            return Ok(slot);
+        }
         match self.keys.last() {
-            Some(last) if *last >= key => self.seek(self.keys.len(), key),
+            Some(last) if *last >= key => self.search(self.keys.len(), key),
             _ => Err(self.keys.len()),
         }
     }
@@ -86,9 +94,15 @@ impl<K: Copy + Ord + Into<u64>, V> IdMap<K, V> {
     /// stays correct.
     #[inline]
     pub fn seek(&self, at: usize, key: K) -> Result<usize, usize> {
-        if let Some(slot) = self.by_distance(at, key) {
-            return Ok(slot);
+        match self.by_distance(at, key) {
+            Some(slot) => Ok(slot),
+            None => self.search(at, key),
         }
+    }
+
+    /// [`seek`](IdMap::seek) past its distance probe: behind the cursor a
+    /// binary search, ahead of it the step and the gallop.
+    fn search(&self, at: usize, key: K) -> Result<usize, usize> {
         let keys = &self.keys;
         let at = at.min(keys.len());
         if at > 0 && keys[at - 1] >= key {
@@ -114,6 +128,15 @@ impl<K: Copy + Ord + Into<u64>, V> IdMap<K, V> {
         };
         let slot = keys[lo..hi].binary_search(&key);
         slot.map(|i| lo + i).map_err(|i| lo + i)
+    }
+
+    /// The value under `key`, [`seek`](IdMap::seek)ed from the cursor
+    /// `at`, which moves past `key`'s slot, or to where it would be.
+    #[inline]
+    pub fn get_from(&self, at: &mut usize, key: K) -> Option<&V> {
+        let slot = self.seek(*at, key);
+        *at = slot.map_or_else(|i| i, |i| i + 1);
+        slot.ok().map(|i| &self.values[i])
     }
 
     /// The slot `key − keys[at]` slots on from `at` (wrapping) if it
@@ -368,7 +391,8 @@ mod tests {
     }
 
     /// `seek` from every cursor answers what a binary search of the
-    /// whole table does, for every key from below the first to past the
+    /// whole table does (and `get_from` the value there, moving the
+    /// cursor past it), for every key from below the first to past the
     /// last: found or not, by its distance from the cursor's key, inside
     /// the short step, one slot past it, further on, behind the cursor
     /// and past the end. The tables: odd keys (every even key absent,
@@ -399,6 +423,9 @@ mod tests {
                 for key in first..=last {
                     let want = keys.binary_search(&key);
                     assert_eq!(map.seek(at, key), want, "{keys:?}, cursor {at}, key {key}");
+                    let mut cursor = at;
+                    assert_eq!(map.get_from(&mut cursor, key), want.ok().map(|_| &()));
+                    assert_eq!(cursor, want.map_or_else(|i| i, |i| i + 1));
                     if let Some(slot) = map.by_distance(at, key) {
                         assert_eq!(Ok(slot), want, "{keys:?}, cursor {at}, key {key}");
                         if slot == at {
@@ -427,6 +454,69 @@ mod tests {
             in_place > 0 && by_distance > 0,
             "the distance probe never answered"
         );
+    }
+
+    /// Every keyed lookup — `get`, `get_mut`, `contains_key`, `insert`,
+    /// `remove` and `entry` — answers what a binary search of the keys
+    /// does, for every key from below the first to past the last, over
+    /// empty, dense, gapped (one gap at every place), sparse (odd keys)
+    /// and shifted tables (dense runs starting anywhere, up to ones
+    /// ending at `u32::MAX`, where the distance arithmetic wraps). The
+    /// distance probe's answers are counted, at the first slot and
+    /// further on, so a probe that never answers fails.
+    #[test]
+    fn every_keyed_lookup_answers_what_a_binary_search_does() {
+        let mut tables: Vec<Vec<u32>> = vec![Vec::new()];
+        for len in 1..=24u32 {
+            tables.push((100..100 + len).collect());
+            tables.push((0..len).map(|i| 2 * i + 1).collect());
+            for start in [0, 1, 7, u32::MAX / 2, u32::MAX - len + 1] {
+                tables.push((0..len).map(|i| start + i).collect());
+            }
+            for gap in 0..=len {
+                tables.push((100..=100 + len).filter(|k| *k != 100 + gap).collect());
+            }
+        }
+        let (mut probed_first, mut probed_further, mut searched) = (0, 0, 0);
+        for keys in tables {
+            let map: IdMap<u32, u32> = keys.iter().map(|k| (*k, k.wrapping_mul(3))).collect();
+            let oracle: BTreeMap<u32, u32> = map.iter().map(|(k, v)| (*k, *v)).collect();
+            let first = keys.first().map_or(0, |k| k.saturating_sub(2));
+            let last = keys.last().map_or(2, |k| k.saturating_add(2));
+            for key in first..=last {
+                let want = keys.binary_search(&key);
+                assert_eq!(map.find(key), want, "{keys:?}, key {key}");
+                match map.by_distance(0, key) {
+                    Some(slot) => {
+                        assert_eq!(Ok(slot), want, "{keys:?}, key {key}");
+                        if slot == 0 {
+                            probed_first += 1;
+                        } else {
+                            probed_further += 1;
+                        }
+                    }
+                    None => searched += usize::from(want.is_ok()),
+                }
+                assert_eq!(map.get(&key), oracle.get(&key));
+                assert_eq!(map.contains_key(&key), oracle.contains_key(&key));
+                let (mut m, mut o) = (map.clone(), oracle.clone());
+                assert_eq!(m.get_mut(&key).map(|v| *v), o.get_mut(&key).map(|v| *v));
+                assert_eq!(m.insert(key, 1), o.insert(key, 1));
+                *m.entry(key).or_default() += 1;
+                *o.entry(key).or_default() += 1;
+                assert!(m.iter().eq(o.iter()), "{keys:?}, key {key}");
+                let (mut m, mut o) = (map.clone(), oracle.clone());
+                assert_eq!(m.remove(&key), o.remove(&key));
+                *m.entry(key).or_default() += 1;
+                *o.entry(key).or_default() += 1;
+                assert!(m.iter().eq(o.iter()), "{keys:?}, key {key}");
+            }
+        }
+        assert!(
+            probed_first > 0 && probed_further > 0,
+            "the distance probe never answered"
+        );
+        assert!(searched > 0, "no present key fell through to the search");
     }
 
     /// An upsert tells every value that lands, old and new, so a running
