@@ -14,7 +14,8 @@
 //! cancels: they catch algorithmic regressions — an O(containers)
 //! rollup, an O(containers) periphery observation of a few moved views,
 //! a DELTA that walks its host's whole container run, a cursor that
-//! mispredicts on a random part of a host's dense ids, a FULL inserted
+//! mispredicts on a random part of a host's dense ids, a periphery diff
+//! that branches on whether each view moved, a FULL inserted
 //! entry by entry, per-entry frame re-encoding, observability on the
 //! hot path — not machine noise. Ingest throughput, and what journaling
 //! and replicating an entry adds to it, are reported ungated; a record
@@ -89,8 +90,9 @@ const FULLS: u32 = 20;
 /// for either; a `Vec::insert` per entry shifts the whole run each time
 /// in reverse order, and breaches it.
 const MAX_UNSORTED_FULL_RATIO: f64 = 3.0;
-/// Timed rounds of the quarter-update fleet, half of them quarter
-/// DELTAs and half whole ones.
+/// Timed rounds of each quarter-vs-whole fleet (DELTAs into the
+/// controller, snapshots into the peripheries), half of them with a
+/// random quarter of the views moved and half with every one.
 const QUARTER_ROUNDS: u32 = 40;
 /// Ceiling on ns per entry of DELTAs that update a random quarter of
 /// each of [`HOSTS`] hosts' [`CONTAINERS`] dense ids over the same of
@@ -100,6 +102,15 @@ const QUARTER_ROUNDS: u32 = 40;
 /// entries). One that steps slot by slot from the last one, exiting at
 /// a random slot, reads 2.02–2.08 (five runs).
 const MAX_QUARTER_UPDATE_RATIO: f64 = 1.8;
+/// Ceiling on ns per snapshot entry of `Periphery::observe` over
+/// [`HOSTS`] hosts of [`CONTAINERS`] containers when a freshly drawn
+/// random quarter of each host's views moved, over the same when every
+/// view moved. A lockstep walk that decides news without a branch reads
+/// 0.69–0.73 (ten runs on a 2-vCPU VM; a quarter snapshot encodes a
+/// quarter of the entries); a seek walk that branches on whether each
+/// view moved mispredicts about one entry in four and read 0.91–0.99
+/// (seven runs).
+const MAX_QUARTER_OBSERVE_RATIO: f64 = 0.82;
 /// A gap must heal in at most this many periphery observations (the
 /// rejected delta that surfaces the gap, then the FULL snapshot).
 const MAX_RESYNC_TICKS: u64 = 2;
@@ -446,6 +457,59 @@ fn quarter_trial() -> (f64, f64) {
     (per_entry(0), per_entry(1))
 }
 
+/// Nanoseconds inside `Periphery::observe` per snapshot entry over
+/// [`HOSTS`] hosts of [`CONTAINERS`] containers: of snapshots where a
+/// seeded random quarter of each host's views moved (drawn afresh each
+/// round), and of snapshots where every view moved; each the fastest of
+/// [`TRIALS`].
+fn quarter_and_whole_observe_ns() -> (f64, f64) {
+    (0..TRIALS)
+        .map(|_| quarter_observe_trial())
+        .fold((f64::INFINITY, f64::INFINITY), |(q, w), (tq, tw)| {
+            (q.min(tq), w.min(tw))
+        })
+}
+
+/// One trial of [`quarter_and_whole_observe_ns`]: after a FULL of every
+/// host, rounds alternate between a quarter and every view moved, so a
+/// slow spell of the machine lands on both clocks. A moved view takes
+/// the round's own `e_cpu`, a value it never held. Snapshots are built
+/// before the clock starts and the frames drained after it stops; the
+/// first two rounds are not timed.
+fn quarter_observe_trial() -> (f64, f64) {
+    const WARM_ROUNDS: u32 = 2;
+    let mut rng = SimRng::seed_from_u64(11);
+    let mut peripheries: Vec<Periphery> = (0..HOSTS).map(Periphery::new).collect();
+    let mut snaps: Vec<Snapshot> = (0..HOSTS).map(|h| snapshot(h, 0, 0)).collect();
+    let (mut ns, mut entries) = ([0u128; 2], [0usize; 2]);
+    for round in 0..=WARM_ROUNDS + QUARTER_ROUNDS {
+        let whole = round % 2 == 0;
+        for snap in &mut snaps {
+            snap.tick = u64::from(round);
+            for s in &mut snap.entries {
+                if round == 0 || whole || rng.unit() < 0.25 {
+                    s.e_cpu = 100 + round;
+                }
+                s.last_tick = snap.tick;
+            }
+        }
+        let start = Instant::now();
+        for (p, snap) in peripheries.iter_mut().zip(&snaps) {
+            p.observe(black_box(snap), false, 0);
+        }
+        let elapsed = start.elapsed().as_nanos();
+        for p in &mut peripheries {
+            black_box(p.take_frames());
+        }
+        if round > WARM_ROUNDS {
+            ns[usize::from(whole)] += elapsed;
+            entries[usize::from(whole)] += snaps.iter().map(|s| s.entries.len()).sum::<usize>();
+        }
+    }
+    let per_entry = |side: usize| ns[side] as f64 / entries[side] as f64;
+    (per_entry(0), per_entry(1))
+}
+
 /// Nanoseconds inside `handle_frame` per [`FULL_ENTRIES`]-entry FULL
 /// into a fresh controller, its entries in id order or in reverse, sent
 /// as a periphery sends it ([`full`]).
@@ -599,6 +663,7 @@ fn main() {
     let [small_host, large_host] = UPDATE_POPULATIONS.map(update_ns);
     let (sorted_full, reversed_full) = (full_ns(false), full_ns(true));
     let (quarter_ns, whole_ns) = quarter_and_whole_ns();
+    let (quarter_observe, whole_observe) = quarter_and_whole_observe_ns();
 
     Report::new("fleet")
         .value("hosts", f64::from(HOSTS))
@@ -676,6 +741,14 @@ fn main() {
             quarter_ns / whole_ns,
             MAX_QUARTER_UPDATE_RATIO,
             "a DELTA of a random part of a host's dense ids seeks each by a data-dependent branch",
+        )
+        .value("quarter_observe_ns_per_entry", quarter_observe)
+        .value("whole_observe_ns_per_entry", whole_observe)
+        .at_most(
+            "quarter_observe_ratio",
+            quarter_observe / whole_observe,
+            MAX_QUARTER_OBSERVE_RATIO,
+            "a whole-snapshot observation branches on whether each view moved",
         )
         .finish();
 }

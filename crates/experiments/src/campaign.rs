@@ -18,7 +18,9 @@
 //!   is noted, not raised, so the campaign runs on and its report holds
 //!   every table;
 //! * a wall-clock measurement (a p99, a worst round) rides beside the
-//!   outcome in [`Run::wall`]: reported and checked, never compared;
+//!   outcome in [`Run::wall`]: never compared, and reported and checked
+//!   at the better of the seed's two replays, since noise only ever adds
+//!   to it;
 //! * [`Campaign::finish`] closes the report with the `determinism`
 //!   table (one row per scenario that replayed) and the seeds note;
 //!   if any check failed, it prints the report and then fails, naming
@@ -68,8 +70,8 @@ pub struct Run<O> {
     /// What must replay bit-for-bit.
     pub outcome: O,
     /// A wall-clock measurement taken during the run, as the row it is
-    /// reported under: checked and shown, excluded from the replay
-    /// comparison.
+    /// reported under: excluded from the replay comparison, and checked
+    /// and shown at the lower of the seed's two replays.
     pub wall: Option<(&'static str, f64)>,
 }
 
@@ -170,12 +172,20 @@ impl Campaign {
             .collect()
     }
 
-    /// [`replay`](Campaign::replay) `scenario`, file its table — one
+    /// [`replay`](Campaign::replay) `scenario`, give both runs of each
+    /// seed the lower of their wall-clock values, file its table — one
     /// column per seed — and list it under `determinism`; then check
     /// both runs of every seed, noting each seed whose check fails, and
     /// hand back the first run per seed.
     pub fn scenario<O: PartialEq + Debug>(&mut self, scenario: Scenario<'_, O>) -> Vec<Run<O>> {
-        let runs = self.replay(scenario.name, scenario.run);
+        let mut runs = self.replay(scenario.name, scenario.run);
+        for pair in &mut runs {
+            if let [Some((label, a)), Some((_, b))] = [pair[0].wall, pair[1].wall] {
+                for run in pair {
+                    run.wall = Some((label, a.min(b)));
+                }
+            }
+        }
         let per_seed: Vec<Vec<(&'static str, f64)>> = runs
             .iter()
             .map(|[run, _]| {
@@ -526,6 +536,29 @@ mod tests {
             message,
             "campaign t failed:\n  odd, seed 0x5\n  later, seed 0x7"
         );
+    }
+
+    /// A wall-clock check judges the better of a seed's two replays:
+    /// one slow replay fails nothing, two fail the seed.
+    #[test]
+    fn a_wall_clock_check_judges_the_better_replay() {
+        let mut campaign = Campaign::new("t", "t", &[3, 5], 0);
+        campaign.scenario(Scenario {
+            name: "timed",
+            // Seed 3 is slow on its second replay only, seed 5 on both.
+            run: &|seed, replay| {
+                let slow = seed == 5 || replay == 1;
+                Run::timed(seed, "wall_ms", if slow { 9.0 } else { 1.0 })
+            },
+            check: &|run, seed| assert!(run.wall_value() < 5.0, "seed {seed:#x} is slow"),
+            rows: &|o| vec![("seed", *o as f64)],
+        });
+        let table = &campaign.report.tables[0];
+        assert_eq!(table.get("wall_ms", "seed_0x3"), Some(1.0));
+        assert_eq!(table.get("wall_ms", "seed_0x5"), Some(9.0));
+        let failure = catch_unwind(AssertUnwindSafe(|| campaign.finish())).unwrap_err();
+        let message = failure.downcast_ref::<String>().unwrap();
+        assert_eq!(message, "campaign t failed:\n  timed, seed 0x5");
     }
 
     #[test]

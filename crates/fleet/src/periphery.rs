@@ -4,14 +4,17 @@
 //! what moved on a mirror of what it last shipped, and queues DELTA
 //! frames — chunked to the controller's `max_batch`, at most
 //! [`MAX_BATCH`](crate::protocol::MAX_BATCH) — on an outbox the
-//! transport drains. It has two front-ends onto one walk of the mirror
-//! (an [`IdMap`]) and one flush: [`Periphery::observe`] walks a whole
-//! [`arv_persist::Snapshot`] (the one the journal checkpoints), writing
-//! only what moved and reshaping the mirror only when ids came or went;
-//! [`Periphery::observe_moved`] takes only the views that moved and the
-//! ids that left (the change list `NsMonitor::take_changes` drains) and
-//! costs what changed. The flush encodes each frame straight from the
-//! mirror. The first frame after attach (and after any
+//! transport drains. It has two front-ends onto one mark rule over the
+//! mirror (an [`IdMap`]) and one flush: [`Periphery::observe`] walks a
+//! whole [`arv_persist::Snapshot`] (the one the journal checkpoints) —
+//! in lockstep with the mirror when the snapshot holds exactly the
+//! mirrored ids, as it does every tick in steady state, where each
+//! entry's values are stored and its news decided without a branch;
+//! by a seek walk otherwise, reshaping the mirror only when ids came or
+//! went. [`Periphery::observe_moved`] takes only the views that moved
+//! and the ids that left (the change list `NsMonitor::take_changes`
+//! drains) and costs what changed. The flush encodes each frame
+//! straight from the mirror. The first frame after attach (and after any
 //! controller-requested resync or reconnect) is a FULL snapshot, and a
 //! tenant change also needs the whole snapshot; everything else is
 //! incremental.
@@ -113,20 +116,26 @@ impl Mirrored {
         }
     }
 
-    /// The one rule both front-ends mark by: `s` under `tenant` is news
-    /// iff `(tenant, e_cpu, e_mem, e_avail)` differs from this entry.
-    /// News overwrites it in place, marked unsent, and says whether its
-    /// position is yet to be listed (it was not marked before); otherwise
-    /// the entry stands, mark included. A mirrored id is never
+    /// The one rule both walks mark by: `s` under `tenant` is news iff
+    /// `(tenant, e_cpu, e_mem, e_avail)` differs from this entry. The
+    /// values are stored either way (an unmoved view stores what is
+    /// there), news marks the entry unsent, and the answer is whether
+    /// its position is yet to be listed: it moved and was not marked
+    /// before, so a carried mark is listed once and ships the newest
+    /// value. Nothing here branches on the data. A mirrored id is never
     /// a pending removal, so news here has none to cancel.
+    #[inline]
     fn mark(&mut self, s: &ViewState, tenant: u32) -> bool {
-        let e = &self.entry;
-        if (e.tenant, e.e_cpu, e.e_mem, e.e_avail) == (tenant, s.e_cpu, s.e_mem, s.e_avail) {
-            return false;
-        }
-        let listed = self.unsent;
-        *self = Mirrored::news(s, tenant);
-        !listed
+        let e = &mut self.entry;
+        let moved = (u64::from(e.tenant ^ tenant)
+            | u64::from(e.e_cpu ^ s.e_cpu)
+            | (e.e_mem ^ s.e_mem)
+            | (e.e_avail ^ s.e_avail))
+            != 0;
+        (e.tenant, e.e_cpu, e.e_mem, e.e_avail) = (tenant, s.e_cpu, s.e_mem, s.e_avail);
+        let list = moved & !self.unsent;
+        self.unsent |= moved;
+        list
     }
 }
 
@@ -146,9 +155,9 @@ pub struct Periphery {
     /// observation (see [`Periphery::set_durability`]).
     durability_lost: bool,
     journal_io_errors: u64,
-    /// The state last diffed for each live container, by id: a walk
-    /// pairs it with a sorted snapshot and overwrites what moved in
-    /// place, and a moved id finds its entry from a cursor.
+    /// The state last diffed for each live container, by id: a snapshot
+    /// of the same ids walks it in lockstep, and any other view finds
+    /// its entry from a cursor.
     last_sent: IdMap<u32, Mirrored>,
     tenants: IdMap<u32, u32>,
     /// [`set_tenant`](Periphery::set_tenant) was called since the last
@@ -269,17 +278,45 @@ impl Periphery {
 
         // Diff against the shipped-state mirror, which tracks what has
         // been *queued*, so repeated observations don't re-diff unsent
-        // state.
-        let in_order = snap.entries.windows(2).all(|w| w[0].id < w[1].id);
-        if in_order {
-            self.diff_whole(&snap.entries);
+        // state. In steady state the snapshot holds the mirrored ids
+        // themselves, in id order: one pass proves it, and the two walk
+        // in lockstep.
+        let views = &snap.entries;
+        let mirrored = !self.tenants_moved
+            && views.len() == self.last_sent.len()
+            && views
+                .iter()
+                .zip(self.last_sent.keys())
+                .all(|(s, id)| s.id == *id);
+        if mirrored {
+            self.diff_lockstep(views);
+        } else if views.windows(2).all(|w| w[0].id < w[1].id) {
+            self.diff_whole(views);
         } else {
             // Never trusted: collected into a table, where of an id that
             // repeats the last occurrence wins.
-            let sorted: IdMap<u32, ViewState> = snap.entries.iter().map(|s| (s.id, *s)).collect();
+            let sorted: IdMap<u32, ViewState> = views.iter().map(|s| (s.id, *s)).collect();
             self.diff_whole(sorted.values().as_slice());
         }
         self.flush(snap.tick, stalled, staleness_age);
+    }
+
+    /// The diff of a snapshot that holds exactly the mirrored ids, in
+    /// order: each view is marked ([`Mirrored::mark`]) against the entry
+    /// at its own position, no id sought. Each position is written at
+    /// the end of `marked` (sized for the walk first) and the end
+    /// advances past it only if the mark listed it, so whether a view
+    /// moved is never a branch: a random part of the views moving costs
+    /// no mispredicts. Nothing comes or goes, so nothing is reshaped.
+    fn diff_lockstep(&mut self, views: &[ViewState]) {
+        let mut listed = self.marked.len();
+        self.marked.resize(listed + views.len(), 0);
+        for (at, (m, s)) in self.last_sent.values_mut().zip(views).enumerate() {
+            self.marked[listed] = at;
+            let tenant = m.entry.tenant;
+            listed += usize::from(m.mark(s, tenant));
+        }
+        self.marked.truncate(listed);
     }
 
     /// [`diff`](Periphery::diff) of a whole snapshot, in id order: the
@@ -295,8 +332,10 @@ impl Periphery {
     /// [`seek`](IdMap::seek)ed from where the previous one landed: an id
     /// lands by its distance from the cursor's while the ids run dense
     /// (a whole snapshot at distance 0), past a gap it gallops, and behind
-    /// the cursor it is binary-searched, so any order stays correct. An unchanged entry is not written; a moved
-    /// one is overwritten in place by the mark rule ([`Mirrored::mark`]).
+    /// the cursor it is binary-searched, so any order stays correct. Each
+    /// mirrored entry found is marked in place ([`Mirrored::mark`]), its
+    /// position listed if the mark says so; this walk serves change lists
+    /// and snapshots whose ids differ from the mirror's.
     /// The new ids' entries are gathered and returned, with how many of
     /// `views` the mirror held.
     fn diff<'a>(
@@ -1054,6 +1093,121 @@ mod tests {
         p.observe(&snap(2, &[(1, 1, 100), (2, 7, 100)]), false, 0);
         let ds = deltas(p.take_frames());
         assert!(ds[0].entries.is_empty() && ds[0].removed.is_empty());
+    }
+
+    /// A snapshot as long as the mirror, with one id swapped for another
+    /// under the same values, is not walked in lockstep: the gone id
+    /// ships as a removal and the new one as an entry.
+    #[test]
+    fn a_swapped_id_of_the_same_count_ships_the_gone_and_the_new() {
+        let mut p = Periphery::new(1);
+        let before = [(1, 2, 100), (2, 2, 100), (3, 2, 100)];
+        let after = [(1, 2, 100), (2, 2, 100), (4, 2, 100)];
+        p.observe(&snap(1, &before), false, 0);
+        p.take_frames();
+        p.observe(&snap(2, &after), false, 0);
+        let ds = deltas(p.take_frames());
+        assert_eq!(ds.len(), 1);
+        let ids: Vec<u32> = ds[0].entries.iter().map(|e| e.id).collect();
+        assert_eq!((ids, ds[0].removed.clone()), (vec![4], vec![3]));
+        // The mirror holds the new ids: the next tick is a heartbeat.
+        p.observe(&snap(3, &after), false, 0);
+        let ds = deltas(p.take_frames());
+        assert!(ds[0].entries.is_empty() && ds[0].removed.is_empty());
+    }
+
+    /// A tenant set on a mirrored id while the ids stay the same
+    /// re-tags that entry on the next snapshot, which ships it alone, and
+    /// the snapshot after that is walked in lockstep again.
+    #[test]
+    fn a_tenant_set_under_unchanged_ids_ships_the_retagged_entry_once() {
+        let mut p = Periphery::new(1);
+        let s = [(1, 2, 100), (2, 2, 100)];
+        p.observe(&snap(1, &s), false, 0);
+        p.take_frames();
+        p.set_tenant(2, 9);
+        assert!(p.needs_snapshot());
+        p.observe(&snap(2, &s), false, 0);
+        assert!(!p.needs_snapshot());
+        let ds = deltas(p.take_frames());
+        let got: Vec<(u32, u32)> = ds[0].entries.iter().map(|e| (e.id, e.tenant)).collect();
+        assert_eq!(got, vec![(2, 9)]);
+        p.observe(&snap(3, &s), false, 0);
+        let ds = deltas(p.take_frames());
+        assert!(ds[0].entries.is_empty(), "re-tagged once");
+    }
+
+    /// A dry bucket coalesces every view's move; two more lockstep
+    /// observations move view 0 again while it waits. When the bucket
+    /// refills, each view is listed once and view 0 ships its newest
+    /// value.
+    #[test]
+    fn a_coalesced_view_moved_again_in_lockstep_ships_once_with_its_newest_value() {
+        let mut p = Periphery::new(1);
+        p.handle_ack(&Ack {
+            policy: Some(FleetPolicy {
+                epoch: 1,
+                rate_burst: 4,
+                ..FleetPolicy::default()
+            }),
+            ..plain_ack(1, 0)
+        });
+        let at = |cpu0: u32, rest: u32| -> Vec<(u32, u32, u64)> {
+            (0..8)
+                .map(|i| (i, if i == 0 { cpu0 } else { rest }, 100))
+                .collect()
+        };
+        p.observe(&snap(1, &at(1, 1)), false, 0);
+        assert!(deltas(p.take_frames())[0].head.full);
+        for (tick, cpu0) in [(2, 2), (3, 5), (4, 9)] {
+            p.observe(&snap(tick, &at(cpu0, 2)), false, 0);
+            assert!(!p.has_frames(), "tick {tick}: the bucket is dry");
+        }
+        assert_eq!(p.stats().deltas_coalesced, 3);
+        // The bucket is full again: one flush of every coalesced view.
+        p.observe(&snap(5, &at(9, 2)), false, 0);
+        let ds = deltas(p.take_frames());
+        assert_eq!(ds.len(), 1);
+        let got: Vec<(u32, u32)> = ds[0].entries.iter().map(|e| (e.id, e.e_cpu)).collect();
+        assert_eq!(got, at(9, 2).iter().map(|s| (s.0, s.1)).collect::<Vec<_>>());
+        assert_eq!(ds[0].head.origin_tick, 2, "the oldest coalesced move");
+    }
+
+    /// Under a pending FULL the mirror is emptied before the walk is
+    /// chosen: a snapshot of the ids it held ships every one of them, and
+    /// an empty snapshot (which matches the emptied mirror) ships one
+    /// empty FULL and no removals. The next id ships as an increment.
+    #[test]
+    fn a_pending_full_empties_the_mirror_before_the_walk_is_chosen() {
+        let mut p = Periphery::new(1);
+        let s = [(1, 2, 100), (2, 4, 200)];
+        p.observe(&snap(1, &s), false, 0);
+        p.take_frames();
+        let resync = Ack {
+            resync: true,
+            ..plain_ack(1, 0)
+        };
+        p.handle_ack(&resync);
+        p.observe(&snap(2, &s), false, 0);
+        let ds = deltas(p.take_frames());
+        assert_eq!(ds.len(), 1);
+        assert!(ds[0].head.full);
+        let ids: Vec<u32> = ds[0].entries.iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![1, 2], "a FULL ships every view");
+
+        p.handle_ack(&resync);
+        p.observe(&snap(3, &[]), false, 0);
+        let ds = deltas(p.take_frames());
+        assert_eq!(ds.len(), 1);
+        assert!(ds[0].head.full);
+        assert!(ds[0].entries.is_empty() && ds[0].removed.is_empty());
+        assert_eq!(p.stats().full_syncs, 3);
+
+        p.observe(&snap(4, &[(3, 1, 100)]), false, 0);
+        let ds = deltas(p.take_frames());
+        assert!(!ds[0].head.full);
+        let ids: Vec<u32> = ds[0].entries.iter().map(|e| e.id).collect();
+        assert_eq!((ids, ds[0].removed.clone()), (vec![3], vec![]));
     }
 
     mod diff_props {
