@@ -83,8 +83,8 @@ cargo run -q --release -p arv-experiments --bin experiments -- --all > /dev/null
 # The seed sweep: the two campaigns, each on its base seeds and on
 # rotated ones; every scenario runs twice per seed and must replay
 # bit-identically. A failing seed prints its campaign's report, then
-# names the scenario and seed: the log keeps a campaign's report only
-# when it fails.
+# names the scenario, the seed and each ledger row it broke: the log
+# keeps a campaign's report only when it fails.
 campaign() {
     local report
     report=$(cargo run -q --release -p arv-experiments --bin experiments -- "$@") \
@@ -106,14 +106,38 @@ for offset in $(seq 1 15); do
     campaign --fig host --seed-offset "$offset"
 done
 
-echo "==> invariant ledger (every check DESIGN §10 names is a fn under crates/ or tests/, or an arv-bench gate)"
-checks=$(sed -n '/^## 10\. The invariant ledger/,/^## /p' DESIGN.md | grep '^| ' \
-    | awk -F'|' '{print $(NF-1)}' | grep -o '`[^`]*`' | tr -d '`' | sort -u || true)
-test -n "$checks" || { echo "DESIGN §10 names no checks"; exit 1; }
+echo "==> invariant ledger, both ways (every check DESIGN §10 names is a fn under crates/ or tests/, an arv-bench gate or a claim; every claim under crates/experiments/src is one §10 row, made once; every campaign row is a claim, or names replay or the gate that holds it)"
+ledger=$(sed -n '/^## 10\. The invariant ledger/,/^## /p' DESIGN.md | grep '^| ' || true)
+row_id='[a-z]+\.[a-z_]+\.[0-9]+'
+rows=$(printf '%s\n' "$ledger" | awk -F' [|] ' '{print substr($1, 3)}' | grep -xE "$row_id" || true)
+claims=$(awk 'FNR == 1 { code = 1 } /^#\[cfg\(test\)\]/ { code = 0 } code' crates/experiments/src/*.rs \
+    | grep -oE "\"$row_id\"" | tr -d '"' || true)
+gate() { grep -rqF "\"$1\"" crates/bench/benches; }
+test -n "$rows" && test -n "$claims" || { echo "DESIGN §10 has no campaign rows, or crates/experiments/src no claims"; exit 1; }
 missing=0
+for id in $(printf '%s\n' "$claims" | sort | uniq -d); do
+    echo "claimed more than once: ${id}"
+    missing=1
+done
+for id in $claims; do
+    printf '%s\n' "$rows" | grep -qxF "$id" || { echo "a claim names no §10 row: ${id}"; missing=1; }
+done
+while IFS= read -r row; do
+    id=$(printf '%s\n' "$row" | awk -F' [|] ' '{print substr($1, 3)}')
+    printf '%s\n' "$rows" | grep -qxF "$id" || continue
+    printf '%s\n' "$claims" | grep -qxF "$id" && continue
+    held=$(printf '%s\n' "$row" | awk -F'|' '{print $(NF-1)}' | grep -o '`[^`]*`' | tr -d '`' || true)
+    ok=0
+    for check in $held; do
+        if [ "$check" = replay ] || gate "$check"; then ok=1; fi
+    done
+    test "$ok" -eq 1 || { echo "a campaign row is no claim and names neither replay nor a gate: ${id}"; missing=1; }
+done <<< "$ledger"
+checks=$(printf '%s\n' "$ledger" | awk -F'|' '{print $(NF-1)}' | grep -o '`[^`]*`' | tr -d '`' | sort -u || true)
+test -n "$checks" || { echo "DESIGN §10 names no checks"; exit 1; }
 for check in $checks; do
-    if ! grep -rqE "fn ${check}([^A-Za-z0-9_]|$)" crates tests \
-            && ! grep -rqF "\"${check}\"" crates/bench/benches; then
+    if ! grep -rqE "fn ${check}([^A-Za-z0-9_]|$)" crates tests && ! gate "$check" \
+            && ! printf '%s\n' "$claims" | grep -qxF "$check"; then
         echo "ledger names an undefined check: ${check}"
         missing=1
     fi

@@ -1,4 +1,5 @@
-//! The one campaign harness: seeds, replay-twice bit-identity, tables.
+//! The one campaign harness: seeds, replay-twice bit-identity, claims,
+//! tables.
 //!
 //! The two robustness campaigns, `host` ([`crate::host`]) and `fleet`
 //! ([`crate::fleet`]), make the same kind of claim — *an invariant
@@ -10,31 +11,33 @@
 //!   rotates every seed by the same rule ([`rotate`]), so CI can show an
 //!   invariant holds beyond the canonical seeds;
 //! * a [`Scenario`] is a name, a `run(seed, replay)` producing a
-//!   [`Run`], a `check` holding the invariants, and `rows` naming what
-//!   the report shows. [`Campaign::scenario`] runs it **twice per
-//!   seed**, asserts the two outcomes equal (the one replay assert in
-//!   this crate), files one table with a column per seed
-//!   ([`seed_label`]), and only then checks both runs: a failing check
-//!   is noted, not raised, so the campaign runs on and its report holds
+//!   [`Run`], its `claims` and `rows` naming what the report shows.
+//!   A claim is a DESIGN §10 row id paired with whether the run holds
+//!   it ([`Claim`]): the row's sentence lives in the ledger, and the
+//!   values it is judged on are rows of the scenario's table.
+//!   [`Campaign::scenario`] runs the scenario **twice per seed**,
+//!   asserts the two outcomes equal (the one replay assert in this
+//!   crate), files one table with a column per seed ([`seed_label`]),
+//!   and only then evaluates the claims: one that does not hold is
+//!   noted, not raised, so the campaign runs on and its report holds
 //!   every table;
 //! * a wall-clock measurement (a p99, a worst round) rides beside the
-//!   outcome in [`Run::wall`]: never compared, and reported and checked
-//!   at the better of the seed's two replays, since noise only ever adds
-//!   to it;
+//!   outcome in [`Run::wall`]: never compared, and reported and claimed
+//!   at the better of the seed's two replays, since noise only ever
+//!   adds to it;
 //! * [`Campaign::finish`] closes the report with the `determinism`
 //!   table (one row per scenario that replayed) and the seeds note;
-//!   if any check failed, it prints the report and then fails, naming
-//!   each failing scenario and seed.
+//!   if any claim failed — a scenario's, or one the campaign made
+//!   itself through `Campaign::claim` — it prints the report and then
+//!   fails, naming each failing scenario, seed and row id.
 //!
 //! The scenarios also share their driver plumbing here, one copy each:
 //! hosts and containers ([`paper_container`], [`step_busy`], …), the
 //! controller side ([`pump_repl`], [`query`], [`ground_truth`], …), the
 //! synthetic fleet ([`synthetic_views`], …) and the [`FaultyLinks`] a
-//! partitioned and a lagging host are modelled with. Every scenario's
-//! asserts are rows of DESIGN's invariant ledger.
+//! partitioned and a lagging host are modelled with.
 
 use std::fmt::Debug;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use arv_cfs::GroupDemand;
 use arv_cgroups::{Bytes, CgroupId};
@@ -70,7 +73,7 @@ pub struct Run<O> {
     /// What must replay bit-for-bit.
     pub outcome: O,
     /// A wall-clock measurement taken during the run, as the row it is
-    /// reported under: excluded from the replay comparison, and checked
+    /// reported under: excluded from the replay comparison, and claimed
     /// and shown at the lower of the seed's two replays.
     pub wall: Option<(&'static str, f64)>,
 }
@@ -98,6 +101,18 @@ impl<O> Run<O> {
     }
 }
 
+/// A DESIGN §10 row id, and whether a run holds the row's invariant.
+pub type Claim = (&'static str, bool);
+
+/// The row ids among `claims` that do not hold, in order.
+fn failing(claims: Vec<Claim>) -> Vec<&'static str> {
+    claims
+        .into_iter()
+        .filter(|(_, holds)| !holds)
+        .map(|(id, _)| id)
+        .collect()
+}
+
 /// One scenario of a campaign; see the module docs.
 pub struct Scenario<'a, O> {
     /// Table name, and the scenario's row in `determinism`.
@@ -105,9 +120,10 @@ pub struct Scenario<'a, O> {
     /// Execute under `seed`. `replay` (0 or 1) only disambiguates
     /// external names such as socket paths.
     pub run: &'a dyn Fn(u64, u32) -> Run<O>,
-    /// Assert the scenario's invariants; a panic here fails the
-    /// campaign at [`Campaign::finish`], under this scenario and seed.
-    pub check: &'a dyn Fn(&Run<O>, u64),
+    /// The scenario's invariants, one claim per ledger row. Evaluating
+    /// them never panics; one that does not hold fails the campaign at
+    /// [`Campaign::finish`], under this scenario, seed and row id.
+    pub claims: &'a dyn Fn(&Run<O>) -> Vec<Claim>,
     /// The rows reported, in order; the wall-clock row follows them.
     pub rows: &'a dyn Fn(&O) -> Vec<(&'static str, f64)>,
 }
@@ -130,7 +146,8 @@ pub struct Campaign {
     seeds: Vec<u64>,
     seed_offset: u64,
     replayed: Vec<&'static str>,
-    /// Each failed check, as its scenario and seed.
+    /// Each failed claim, as its scenario and seed (or the campaign's own
+    /// table) and the row ids that did not hold.
     failures: Vec<String>,
 }
 
@@ -172,23 +189,26 @@ impl Campaign {
             .collect()
     }
 
-    /// [`replay`](Campaign::replay) `scenario`, give both runs of each
-    /// seed the lower of their wall-clock values, file its table — one
-    /// column per seed — and list it under `determinism`; then check
-    /// both runs of every seed, noting each seed whose check fails, and
-    /// hand back the first run per seed.
+    /// [`replay`](Campaign::replay) `scenario`, give the first run of
+    /// each seed the lower of its two wall-clock values, file its table —
+    /// one column per seed — and list it under `determinism`; then
+    /// `claim` what the scenario claims of each seed's first run (the
+    /// second has the same outcome and wall-clock value), and hand those
+    /// runs back.
     pub fn scenario<O: PartialEq + Debug>(&mut self, scenario: Scenario<'_, O>) -> Vec<Run<O>> {
-        let mut runs = self.replay(scenario.name, scenario.run);
-        for pair in &mut runs {
-            if let [Some((label, a)), Some((_, b))] = [pair[0].wall, pair[1].wall] {
-                for run in pair {
-                    run.wall = Some((label, a.min(b)));
+        let runs: Vec<Run<O>> = self
+            .replay(scenario.name, scenario.run)
+            .into_iter()
+            .map(|[mut first, second]| {
+                if let (Some((label, a)), Some((_, b))) = (first.wall, second.wall) {
+                    first.wall = Some((label, a.min(b)));
                 }
-            }
-        }
+                first
+            })
+            .collect();
         let per_seed: Vec<Vec<(&'static str, f64)>> = runs
             .iter()
-            .map(|[run, _]| {
+            .map(|run| {
                 let mut rows = (scenario.rows)(&run.outcome);
                 rows.extend(run.wall);
                 rows
@@ -203,41 +223,48 @@ impl Campaign {
         }
         self.report.tables.push(table);
         self.replayed.push(scenario.name);
-        for (pair, &seed) in runs.iter().zip(&self.seeds) {
-            // The check's own message goes out as it panics.
-            let check = |run| catch_unwind(AssertUnwindSafe(|| (scenario.check)(run, seed)));
-            if pair.iter().try_for_each(check).is_err() {
-                self.failures
-                    .push(format!("{}, seed {seed:#x}", scenario.name));
-            }
+        for (run, seed) in runs.iter().zip(self.seeds.clone()) {
+            let claims = (scenario.claims)(run);
+            self.claim(&format!("{}, seed {seed:#x}", scenario.name), claims);
         }
-        runs.into_iter().map(|[first, _]| first).collect()
+        runs
+    }
+
+    /// Note the row ids among `claims` that do not hold, under `what`
+    /// (a scenario and seed, or a table the campaign filed itself):
+    /// [`finish`](Campaign::finish) then fails naming them.
+    pub(crate) fn claim(&mut self, what: &str, claims: Vec<Claim>) {
+        let failing = failing(claims);
+        if !failing.is_empty() {
+            self.failures
+                .push(format!("{what}: {}", failing.join(", ")));
+        }
     }
 
     /// Close the report: the `determinism` table and the seeds note
     /// (first among the notes) for the scenarios that replayed. If a
-    /// check failed, the report is printed first and then the campaign
-    /// fails, naming each failing scenario and seed.
+    /// claim failed, the report is printed first and then the campaign
+    /// fails, naming each failing scenario, seed and row id.
     pub fn finish(mut self) -> FigReport {
-        if self.replayed.is_empty() {
-            return self.report;
+        if !self.replayed.is_empty() {
+            let mut determinism = Table::new("determinism", &["replays_identical"]);
+            for name in &self.replayed {
+                // Each ran twice per seed behind `replay`'s assert_eq!;
+                // reaching this point means every replay matched.
+                determinism.push(Row::full(*name, &[1.0]));
+            }
+            self.report.tables.push(determinism);
+            let seeds: Vec<String> = self.seeds.iter().map(|s| format!("{s:#x}")).collect();
+            self.report.notes.insert(
+                0,
+                format!(
+                    "seeds {} (offset {}); every scenario run twice per seed and asserted \
+                     bit-identical",
+                    seeds.join(" and "),
+                    self.seed_offset
+                ),
+            );
         }
-        let mut determinism = Table::new("determinism", &["replays_identical"]);
-        for name in &self.replayed {
-            // Each ran twice per seed behind `replay`'s assert_eq!;
-            // reaching this point means every replay matched.
-            determinism.push(Row::full(*name, &[1.0]));
-        }
-        self.report.tables.push(determinism);
-        let seeds: Vec<String> = self.seeds.iter().map(|s| format!("{s:#x}")).collect();
-        self.report.notes.insert(
-            0,
-            format!(
-                "seeds {} (offset {}); every scenario run twice per seed and asserted bit-identical",
-                seeds.join(" and "),
-                self.seed_offset
-            ),
-        );
         if !self.failures.is_empty() {
             println!("{}", self.report.render_text());
             let failures = self.failures.join("\n  ");
@@ -459,6 +486,21 @@ impl FaultyLinks {
 mod tests {
     use super::*;
     use arv_sim_core::FaultConfig;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    impl<O> Run<O> {
+        /// Assert that every claim `claims` makes of this run holds,
+        /// naming each row id that does not.
+        pub(crate) fn assert_claims(&self, claims: &dyn Fn(&Run<O>) -> Vec<Claim>) {
+            assert_eq!(failing(claims(self)), Vec::<&str>::new(), "failing claims");
+        }
+    }
+
+    /// The message `campaign`'s `finish` fails with.
+    fn failure(campaign: Campaign) -> String {
+        let failure = catch_unwind(AssertUnwindSafe(|| campaign.finish())).unwrap_err();
+        failure.downcast_ref::<String>().unwrap().clone()
+    }
 
     impl Campaign {
         /// One module's share of a merged campaign, run as a campaign
@@ -488,7 +530,7 @@ mod tests {
         let runs = campaign.scenario(Scenario {
             name: "double",
             run: &|seed, replay| Run::timed(seed * 2, "wall_ms", f64::from(replay)),
-            check: &|run, seed| assert_eq!(run.outcome, seed * 2),
+            claims: &|run| vec![("t.double.1", run.outcome % 2 == 0)],
             rows: &|o| vec![("doubled", *o as f64)],
         });
         assert_eq!(runs[1].outcome, 10);
@@ -509,9 +551,9 @@ mod tests {
         campaign.replay("flaky", &|_, replay| Run::of(replay));
     }
 
-    /// A failing check is noted, not raised: its own table and every
+    /// A failing claim is noted, not raised: its own table and every
     /// later scenario's are filed, and only `finish` fails, naming each
-    /// failing scenario and seed and no passing one.
+    /// failing scenario, seed and row id and no passing one.
     #[test]
     fn a_failing_check_files_every_table_and_names_each_failing_seed() {
         let mut campaign = Campaign::new("t", "t", &[3, 5, 7], 0);
@@ -519,7 +561,14 @@ mod tests {
             campaign.scenario(Scenario {
                 name,
                 run: &|seed, _| Run::of(seed),
-                check: &|run, seed| assert_ne!(run.outcome, bad, "seed {seed:#x} is bad"),
+                claims: &|run| {
+                    let seed = run.outcome;
+                    vec![
+                        ("t.any.1", seed != bad),
+                        ("t.any.2", seed > 0),
+                        ("t.any.3", seed != bad || seed != 7),
+                    ]
+                },
                 rows: &|o| vec![("seed", *o as f64)],
             });
         }
@@ -530,15 +579,41 @@ mod tests {
             .map(|t| t.name.as_str())
             .collect();
         assert_eq!(names, ["odd", "later", "clean"]);
-        let failure = catch_unwind(AssertUnwindSafe(|| campaign.finish())).unwrap_err();
-        let message = failure.downcast_ref::<String>().unwrap();
         assert_eq!(
-            message,
-            "campaign t failed:\n  odd, seed 0x5\n  later, seed 0x7"
+            failure(campaign),
+            "campaign t failed:\n  odd, seed 0x5: t.any.1\n  later, seed 0x7: t.any.1, t.any.3"
         );
     }
 
-    /// A wall-clock check judges the better of a seed's two replays:
+    /// A claim the campaign makes beside its scenarios takes the same
+    /// path: every table is filed, the report is closed, and `finish`
+    /// fails naming the claim.
+    #[test]
+    fn a_failing_campaign_claim_files_every_table_and_names_the_claim() {
+        let mut campaign = Campaign::new("t", "t", &[3], 0);
+        campaign.report.tables.push(Table::new("own", &["value"]));
+        campaign.claim("own", vec![("t.own.1", true), ("t.own.2", false)]);
+        campaign.scenario(Scenario {
+            name: "later",
+            run: &|seed, _| Run::of(seed),
+            claims: &|_| vec![("t.later.1", true)],
+            rows: &|o| vec![("seed", *o as f64)],
+        });
+        let names: Vec<&str> = campaign
+            .report
+            .tables
+            .iter()
+            .map(|t| t.name.as_str())
+            .collect();
+        assert_eq!(names, ["own", "later"]);
+        assert_eq!(failure(campaign), "campaign t failed:\n  own: t.own.2");
+        // With no scenario at all, the claim still fails the campaign.
+        let mut alone = Campaign::new("t", "t", &[], 0);
+        alone.claim("own", vec![("t.own.1", false)]);
+        assert_eq!(failure(alone), "campaign t failed:\n  own: t.own.1");
+    }
+
+    /// A wall-clock claim judges the better of a seed's two replays:
     /// one slow replay fails nothing, two fail the seed.
     #[test]
     fn a_wall_clock_check_judges_the_better_replay() {
@@ -550,15 +625,16 @@ mod tests {
                 let slow = seed == 5 || replay == 1;
                 Run::timed(seed, "wall_ms", if slow { 9.0 } else { 1.0 })
             },
-            check: &|run, seed| assert!(run.wall_value() < 5.0, "seed {seed:#x} is slow"),
+            claims: &|run| vec![("t.timed.1", run.wall.is_some_and(|(_, ms)| ms < 5.0))],
             rows: &|o| vec![("seed", *o as f64)],
         });
         let table = &campaign.report.tables[0];
         assert_eq!(table.get("wall_ms", "seed_0x3"), Some(1.0));
         assert_eq!(table.get("wall_ms", "seed_0x5"), Some(9.0));
-        let failure = catch_unwind(AssertUnwindSafe(|| campaign.finish())).unwrap_err();
-        let message = failure.downcast_ref::<String>().unwrap();
-        assert_eq!(message, "campaign t failed:\n  timed, seed 0x5");
+        assert_eq!(
+            failure(campaign),
+            "campaign t failed:\n  timed, seed 0x5: t.timed.1"
+        );
     }
 
     #[test]

@@ -159,43 +159,10 @@ fn run_scale(seed: u64, hosts: u32, containers: u32) -> Run<ScaleOutcome> {
     )
 }
 
-fn assert_scale(out: &ScaleOutcome, max_round_ms: f64, seed: u64) {
-    assert_eq!(
-        out.rollup_mismatches, 0,
-        "seed {seed:#x}: capacity rollup diverged from ground truth"
-    );
-    assert_eq!(
-        out.tenant_mismatches, 0,
-        "seed {seed:#x}: tenant rollup diverged from ground truth"
-    );
-    assert_eq!(
-        out.deltas_ingested,
-        out.hosts * out.rounds,
-        "seed {seed:#x}: every host ships exactly one delta frame per round"
-    );
-    assert_eq!(
-        out.full_syncs, out.hosts,
-        "seed {seed:#x}: exactly one FULL snapshot per host (first attach)"
-    );
-    assert_eq!(
-        out.policy_adoptions, out.hosts,
-        "seed {seed:#x}: the policy bump must reach every periphery"
-    );
-    assert_eq!(out.partitioned_final, 0, "seed {seed:#x}");
-    assert!(
-        out.topk_head_pressure <= 1000,
-        "seed {seed:#x}: pressure is a per-mille"
-    );
-    assert!(
-        max_round_ms < TICK_PERIOD_MS,
-        "seed {seed:#x}: a full ingest round took {max_round_ms:.1} ms — \
-         the controller cannot keep up with a {TICK_PERIOD_MS} ms timer"
-    );
-}
-
-/// Run the fleet campaign and produce its report. Panics (on purpose)
-/// if any aggregation, observability, durability, failover, fencing, or
-/// same-seed-replay invariant fails.
+/// Run the fleet campaign and produce its report. Panics (on purpose),
+/// after printing the whole report, if any aggregation, observability,
+/// durability, failover or fencing claim does not hold; and at once if a
+/// seed's two runs differ.
 pub fn run(scale: f64, seed_offset: u64) -> FigReport {
     let hosts = ((1000.0 * scale) as u32).clamp(32, 2000);
     let containers = ((100.0 * scale) as u32).clamp(8, 200);
@@ -210,7 +177,22 @@ pub fn run(scale: f64, seed_offset: u64) -> FigReport {
     let scales = campaign.scenario(Scenario {
         name: "scale",
         run: &|seed, _| run_scale(seed, hosts, containers),
-        check: &|run, seed| assert_scale(&run.outcome, run.wall_value(), seed),
+        claims: &|run| {
+            let o = &run.outcome;
+            vec![
+                ("fleet.scale.1", o.rollup_mismatches == 0),
+                ("fleet.scale.2", o.tenant_mismatches == 0),
+                ("fleet.scale.3", o.deltas_ingested == o.hosts * o.rounds),
+                ("fleet.scale.4", o.full_syncs == o.hosts),
+                ("fleet.scale.5", o.policy_adoptions == o.hosts),
+                ("fleet.scale.6", o.partitioned_final == 0),
+                ("fleet.scale.7", o.topk_head_pressure <= 1000),
+                (
+                    "fleet.scale.8",
+                    run.wall.is_some_and(|(_, ms)| ms < TICK_PERIOD_MS),
+                ),
+            ]
+        },
         rows: rows!(
             hosts,
             containers,
@@ -237,7 +219,7 @@ pub fn run(scale: f64, seed_offset: u64) -> FigReport {
 mod tests {
     use super::*;
     use crate::campaign::seed_label;
-    use crate::storm::{assert_storm, run_storm};
+    use crate::storm::{run_storm, storm_claims};
 
     #[test]
     fn fleet_campaign_passes_and_reports() {
@@ -268,16 +250,16 @@ mod tests {
         // The partition, lag and crash-restore faults ride the storm
         // rig's step-down takeover; its gap is counted over every
         // controller incarnation.
-        let out = run_storm(3, false);
-        assert_storm(&out, 3);
-        assert_eq!(out, run_storm(3, false));
+        let run = Run::of(run_storm(3, false));
+        run.assert_claims(&storm_claims);
+        assert_eq!(run.outcome, run_storm(3, false));
     }
 
     #[test]
     fn failover_scenario_replays_bit_identically() {
         // The lease-renewal stall's split brain, fenced by epochs.
-        let out = run_storm(3, true);
-        assert_storm(&out, 3);
-        assert_eq!(out, run_storm(3, true));
+        let run = Run::of(run_storm(3, true));
+        run.assert_claims(&storm_claims);
+        assert_eq!(run.outcome, run_storm(3, true));
     }
 }

@@ -221,45 +221,6 @@ fn run_waterfall(seed: u64, hosts: u32, containers: u32, rounds: u32) -> Waterfa
     out
 }
 
-fn assert_waterfall(out: &WaterfallOutcome, seed: u64) {
-    assert!(
-        out.frames_dropped >= 1,
-        "seed {seed:#x}: the partition window dropped nothing — untested"
-    );
-    assert!(
-        out.frames_delayed >= 1,
-        "seed {seed:#x}: the lag window delayed nothing — untested"
-    );
-    assert_eq!(
-        out.gap_resyncs, out.gap_resyncs_truth,
-        "seed {seed:#x}: the controller saw different gaps than the driver's accept rule"
-    );
-    assert!(
-        out.gap_resyncs_truth >= 1,
-        "seed {seed:#x}: the healed partition must surface as a sequence gap"
-    );
-    assert_eq!(
-        out.lag_mismatches, 0,
-        "seed {seed:#x}: a freshness lag diverged from ground-truth tick arithmetic"
-    );
-    assert_eq!(
-        out.span_mismatches, 0,
-        "seed {seed:#x}: a rollup span diverged from ground-truth tick arithmetic"
-    );
-    assert_eq!(
-        out.waterfall_mismatches, 0,
-        "seed {seed:#x}: a per-host waterfall histogram diverged from the driver's"
-    );
-    assert_eq!(
-        out.origin_violations, 0,
-        "seed {seed:#x}: a direct host stamped an origin other than its flush tick"
-    );
-    assert!(
-        out.dumps_frozen >= 1,
-        "seed {seed:#x}: the partition anomaly must freeze a flight dump"
-    );
-}
-
 /// Run the waterfall on `campaign`; `scale` sizes the fleet and the
 /// rounds.
 pub(crate) fn scenarios(campaign: &mut Campaign, scale: f64) {
@@ -269,7 +230,20 @@ pub(crate) fn scenarios(campaign: &mut Campaign, scale: f64) {
     campaign.scenario(Scenario {
         name: "waterfall",
         run: &|seed, _| Run::of(run_waterfall(seed, hosts, containers, rounds)),
-        check: &|run, seed| assert_waterfall(&run.outcome, seed),
+        claims: &|run| {
+            let o = &run.outcome;
+            vec![
+                ("fleetobs.waterfall.1", o.frames_dropped >= 1),
+                ("fleetobs.waterfall.2", o.frames_delayed >= 1),
+                ("fleetobs.waterfall.3", o.gap_resyncs == o.gap_resyncs_truth),
+                ("fleetobs.waterfall.4", o.gap_resyncs_truth >= 1),
+                ("fleetobs.waterfall.5", o.lag_mismatches == 0),
+                ("fleetobs.waterfall.6", o.span_mismatches == 0),
+                ("fleetobs.waterfall.7", o.waterfall_mismatches == 0),
+                ("fleetobs.waterfall.8", o.origin_violations == 0),
+                ("fleetobs.waterfall.9", o.dumps_frozen >= 1),
+            ]
+        },
         rows: rows!(
             hosts,
             rounds,
@@ -293,7 +267,7 @@ pub(crate) fn scenarios(campaign: &mut Campaign, scale: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storm::{assert_storm, run_storm};
+    use crate::storm::{run_storm, storm_claims};
 
     #[test]
     fn fleetobs_campaign_passes_and_reports() {
@@ -319,10 +293,11 @@ mod tests {
     #[test]
     fn flight_dumps_are_bit_identical_across_runs() {
         // The storm rig's outcome carries the dumps its promotion and
-        // fence froze (checked by `assert_storm`), retrieved over
-        // QUERY_FLIGHT: equal outcomes are equal dumps, byte for byte.
-        let out = run_storm(7, true);
-        assert_storm(&out, 7);
-        assert_eq!(out, run_storm(7, true));
+        // fence froze (claimed as `fleetobs.flightrec.5` and `.6`),
+        // retrieved over QUERY_FLIGHT: equal outcomes are equal dumps,
+        // byte for byte.
+        let run = Run::of(run_storm(7, true));
+        run.assert_claims(&storm_claims);
+        assert_eq!(run.outcome, run_storm(7, true));
     }
 }

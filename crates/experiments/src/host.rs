@@ -7,7 +7,7 @@
 //!   later crashes the daemon; between the two the host stops
 //!   publishing to viewd for longer than the staleness budget. Around
 //!   the faults, shifting load, memory pressure, a memory hog and two
-//!   live `docker update`s move every view. The one run asserts:
+//!   live `docker update`s move every view. The one run claims:
 //!   - views stay inside their Algorithm 1 bounds at every step, and
 //!     every degraded answer is the conservative lower bound;
 //!   - the stall is counted tick for tick, engages degraded serving,
@@ -26,7 +26,7 @@
 //!   **torn_journal**, **client_flood** ([`crate::recovery`]).
 //!
 //! Beside the scenarios, the campaign prices the tracer on viewd's
-//! cached-hit path and fails if it costs more than a fixed budget.
+//! cached-hit path and claims it costs no more than a fixed budget.
 
 use std::collections::BTreeMap;
 
@@ -37,7 +37,7 @@ use arv_resview::{Sysconf, ViewHealth, STALENESS_BUDGET};
 use arv_sim_core::{FaultConfig, FaultPlan};
 use arv_telemetry::Tracer;
 
-use crate::campaign::{out_of_bounds, paper_container, step_busy, Campaign, Run, Scenario};
+use crate::campaign::{out_of_bounds, paper_container, step_busy, Campaign, Claim, Run, Scenario};
 use crate::obs::{self, Checkpoint, Verdict, REQUIRED_CAUSES, REQUIRED_PIPELINE};
 use crate::report::FigReport;
 
@@ -73,12 +73,16 @@ fn tenant_spec(i: u32) -> ContainerSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TestbedOutcome {
     bound_violations: u64,
+    /// Degraded answers that were not the lower bound.
+    fallback_violations: u64,
+    failed_charges: u64,
     degraded_serves: u64,
     missed_ticks: u64,
     resyncs: u64,
     restart_resyncs: u64,
     reconverge_ticks: u64,
     floor_cpus: u64,
+    fresh_before_outage: bool,
     live_cpus: u64,
     delay_ticks: u64,
     ticks_to_stale: u64,
@@ -98,7 +102,7 @@ pub(crate) struct TestbedOutcome {
     degraded_reads: u64,
     checkpoints: u64,
     trace_events: u64,
-    pub(crate) dropped_events: u64,
+    dropped_events: u64,
     pub(crate) provenance: Verdict,
     trace: Vec<String>,
     explain: String,
@@ -115,6 +119,8 @@ struct Testbed {
     ids: Vec<CgroupId>,
     checkpoints: Vec<Checkpoint>,
     bound_violations: u64,
+    fallback_violations: u64,
+    failed_charges: u64,
     degraded_serves: u64,
 }
 
@@ -134,7 +140,7 @@ impl Testbed {
                     // Degraded answers fall back to the guaranteed lower
                     // bound, never an optimistic stale value.
                     let served = sysfs.sysconf(Some(*id), Sysconf::NprocessorsOnln);
-                    self.bound_violations += u64::from(self.floor(*id) != Some(served));
+                    self.fallback_violations += u64::from(self.floor(*id) != Some(served));
                 }
             }
             self.sample();
@@ -154,10 +160,7 @@ impl Testbed {
 
     fn charge(&mut self, i: usize, mib: u64) {
         let outcome = self.host.charge(self.ids[i], Bytes::from_mib(mib));
-        assert!(
-            matches!(outcome, ChargeOutcome::Charged { .. }),
-            "testbed charge of {mib} MiB must succeed, got {outcome:?}"
-        );
+        self.failed_charges += u64::from(!matches!(outcome, ChargeOutcome::Charged { .. }));
     }
 }
 
@@ -201,6 +204,8 @@ pub(crate) fn run_testbed(seed: u64) -> TestbedOutcome {
         ids,
         checkpoints: Vec::new(),
         bound_violations: 0,
+        fallback_violations: 0,
+        failed_charges: 0,
         degraded_serves: 0,
     };
     tb.sample();
@@ -235,10 +240,7 @@ pub(crate) fn run_testbed(seed: u64) -> TestbedOutcome {
     // container per tick.
     let client = server.client();
     let c0 = Some(tb.ids[0]);
-    assert!(
-        client.health(c0).is_fresh(),
-        "c0's view is live before the outage"
-    );
+    let fresh_before_outage = client.health(c0).is_fresh();
     let live_cpus = client.sysconf(c0, Sysconf::NprocessorsOnln);
     let floor_cpus = tb.floor(tb.ids[0]).expect("c0 has a namespace");
     let delay = STALENESS_BUDGET + 2 + seed % 3;
@@ -319,12 +321,15 @@ pub(crate) fn run_testbed(seed: u64) -> TestbedOutcome {
     let events = tb.tracer.events();
     TestbedOutcome {
         bound_violations: tb.bound_violations,
+        fallback_violations: tb.fallback_violations,
+        failed_charges: tb.failed_charges,
         degraded_serves: tb.degraded_serves,
         missed_ticks: w.missed_ticks,
         resyncs: after_stall.resyncs,
         restart_resyncs: w.resyncs - after_stall.resyncs,
         reconverge_ticks,
         floor_cpus,
+        fresh_before_outage,
         live_cpus,
         delay_ticks: delay,
         ticks_to_stale,
@@ -361,93 +366,80 @@ pub(crate) fn run_testbed(seed: u64) -> TestbedOutcome {
     }
 }
 
-fn assert_testbed(out: &TestbedOutcome, seed: u64) {
-    assert_eq!(
-        out.bound_violations, 0,
-        "seed {seed:#x}: a view left its bounds, or a degraded answer was not the lower bound"
-    );
-    assert!(
-        out.degraded_serves > 0,
-        "seed {seed:#x}: a {}-tick stall must outlive the staleness budget",
-        STALL.1
-    );
-    assert_eq!(
-        out.missed_ticks,
-        STALL.1 + out.downtime_ticks,
-        "seed {seed:#x}: the stall and the crash miss exactly their deadlines"
-    );
-    assert!(
-        out.resyncs >= 1,
-        "seed {seed:#x}: the stall must force a resync"
-    );
-    assert!(
-        out.reconverge_ticks <= RECONVERGE_BOUND,
-        "seed {seed:#x}: no reconvergence within {RECONVERGE_BOUND} ticks"
-    );
-
-    assert!(
-        out.live_cpus > out.floor_cpus && out.pre_crash_cpus > out.floor_cpus,
-        "seed {seed:#x}: the run must tell the live view from the floor"
-    );
-    assert!(out.ticks_to_stale > 0, "seed {seed:#x}: never went stale");
-    assert_eq!(
-        out.ticks_to_degraded,
-        STALENESS_BUDGET + 1,
-        "seed {seed:#x}: degraded serving must engage right after the budget"
-    );
-    assert_eq!(
-        out.degraded_cpus, out.floor_cpus,
-        "seed {seed:#x}: degraded answer is not the conservative fallback"
-    );
-    assert_eq!(
-        out.ticks_to_recover, 1,
-        "seed {seed:#x}: first publish after the outage must restore Fresh"
-    );
-    assert_eq!(out.recovered_cpus, out.live_cpus, "seed {seed:#x}");
-    assert!(
-        out.degraded_reads > 0,
-        "seed {seed:#x}: outage must produce degraded reads"
-    );
-
-    assert_eq!(
-        out.post_restart_cpus, out.pre_crash_cpus,
-        "seed {seed:#x}: first-served views after restart must be the journaled last-good \
-         state, not the cold floor"
-    );
-    assert_eq!(
-        out.restored_plus_reconciled, 5,
-        "seed {seed:#x}: every container recovered from the checkpoint"
-    );
-    assert_eq!(out.restore_dropped, 0, "seed {seed:#x}");
-    assert!(
-        out.restart_resyncs >= 1,
-        "seed {seed:#x}: the restart counts a recovery"
-    );
-    assert_eq!(
-        out.truncated_records, 0,
-        "seed {seed:#x}: an intact journal has no torn frames"
-    );
-    assert!(
-        out.ticks_to_fresh <= RECOVERY_TO_FRESH_BOUND,
-        "seed {seed:#x}: daemon took {} ticks to serve Fresh after restart",
-        out.ticks_to_fresh
-    );
-    assert!(
-        out.recovery_latency_p99_ticks <= RECOVERY_TO_FRESH_BOUND,
-        "seed {seed:#x}: recovery-latency p99 {} ticks over bound",
-        out.recovery_latency_p99_ticks
-    );
-
-    assert_eq!(
-        out.dropped_events, 0,
-        "seed {seed:#x}: a ring sized for the run must not drop"
-    );
-    out.provenance.assert_reconstructible(seed);
+pub(crate) fn testbed_claims(run: &Run<TestbedOutcome>) -> Vec<Claim> {
+    let o = &run.outcome;
+    let p = &o.provenance;
+    vec![
+        ("chaos.monitor_stall.1", o.bound_violations == 0),
+        (
+            "chaos.monitor_stall.2",
+            o.missed_ticks == STALL.1 + o.downtime_ticks,
+        ),
+        ("chaos.monitor_stall.3", o.degraded_serves > 0),
+        ("chaos.monitor_stall.4", o.fallback_violations == 0),
+        ("chaos.monitor_stall.5", o.resyncs >= 1),
+        (
+            "chaos.monitor_stall.6",
+            o.reconverge_ticks <= RECONVERGE_BOUND,
+        ),
+        ("chaos.publish_delay.1", o.live_cpus > o.floor_cpus),
+        ("chaos.publish_delay.2", o.ticks_to_stale > 0),
+        (
+            "chaos.publish_delay.3",
+            o.ticks_to_degraded == STALENESS_BUDGET + 1,
+        ),
+        ("chaos.publish_delay.4", o.degraded_cpus == o.floor_cpus),
+        ("chaos.publish_delay.5", o.ticks_to_recover == 1),
+        ("chaos.publish_delay.6", o.recovered_cpus == o.live_cpus),
+        ("chaos.publish_delay.7", o.fresh_before_outage),
+        ("obs.provenance.1", o.dropped_events == 0),
+        ("obs.provenance.2", p.unknown_causes == 0),
+        ("obs.provenance.3", p.chain_breaks == 0),
+        ("obs.provenance.4", p.checkpoint_mismatches == 0),
+        ("obs.provenance.5", p.degraded_mismatches == 0),
+        ("obs.provenance.6", o.degraded_reads > 0),
+        (
+            "obs.provenance.7",
+            REQUIRED_CAUSES
+                .iter()
+                .all(|c| p.cause_counts.contains_key(c)),
+        ),
+        (
+            "obs.provenance.8",
+            REQUIRED_PIPELINE
+                .iter()
+                .all(|e| p.pipeline_counts.contains_key(e)),
+        ),
+        ("obs.provenance.9", o.failed_charges == 0),
+        ("recovery.warm_restart.1", o.pre_crash_cpus > o.floor_cpus),
+        (
+            "recovery.warm_restart.2",
+            o.post_restart_cpus == o.pre_crash_cpus,
+        ),
+        ("recovery.warm_restart.3", o.restored_plus_reconciled == 5),
+        ("recovery.warm_restart.4", o.restore_dropped == 0),
+        ("recovery.warm_restart.5", o.truncated_records == 0),
+        (
+            "recovery.warm_restart.6",
+            o.ticks_to_fresh <= RECOVERY_TO_FRESH_BOUND,
+        ),
+        (
+            "recovery.warm_restart.7",
+            o.recovery_latency_p99_ticks <= RECOVERY_TO_FRESH_BOUND,
+        ),
+        (
+            "recovery.warm_restart.8",
+            o.missed_ticks == STALL.1 + o.downtime_ticks,
+        ),
+        ("recovery.warm_restart.9", o.restart_resyncs >= 1),
+        ("recovery.warm_restart.10", o.missed_ticks > STALL.1),
+    ]
 }
 
-/// Run the host campaign and produce its report. Panics (on purpose) if
-/// any fault-tolerance, recovery, overload or provenance invariant, the
-/// trace-overhead budget or the same-seed replay check fails.
+/// Run the host campaign and produce its report. Panics (on purpose),
+/// after printing the whole report, if any fault-tolerance, recovery,
+/// overload or provenance claim, or the trace-overhead claim, does not
+/// hold; and at once if a seed's two runs differ.
 pub fn run(scale: f64, seed_offset: u64) -> FigReport {
     let mut campaign = Campaign::new(
         "host",
@@ -459,7 +451,7 @@ pub fn run(scale: f64, seed_offset: u64) -> FigReport {
     let runs = campaign.scenario(Scenario {
         name: "testbed",
         run: &|seed, _| Run::of(run_testbed(seed)),
-        check: &|run, seed| assert_testbed(&run.outcome, seed),
+        claims: &testbed_claims,
         rows: &|o| {
             let p = &o.provenance;
             let mut rows = vec![
@@ -533,7 +525,7 @@ pub fn run(scale: f64, seed_offset: u64) -> FigReport {
         "prometheus exposition ({} lines): {}",
         first.prometheus.0, first.prometheus.1
     ));
-    obs::assert_trace_overhead(&mut campaign, scale);
+    obs::trace_overhead(&mut campaign, scale);
     campaign.finish()
 }
 

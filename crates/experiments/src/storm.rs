@@ -54,7 +54,7 @@ use arv_telemetry::{EventKind, FlightDump, FlightRecorder, PipelineEvent, Tracer
 
 use crate::campaign::{
     churn_demands, ground_truth, paper_container, periphery_total, pump_repl, query, rows,
-    take_ack, Campaign, FaultyLinks, Run, Scenario,
+    take_ack, Campaign, Claim, FaultyLinks, Run, Scenario,
 };
 
 /// Hosts in the storm rig.
@@ -196,27 +196,21 @@ fn run_soak(seed: u64, ticks: u64) -> SoakOutcome {
     out
 }
 
-fn assert_soak(out: &SoakOutcome, seed: u64) {
-    assert!(
-        out.torn_appends >= 1
-            && out.write_errors >= 1
-            && out.no_space_errors >= 1
-            && out.rotted_bits >= 1
-            && out.sync_stalls >= 1,
-        "seed {seed:#x}: every storage axis must actually fire: {out:?}"
-    );
-    assert_eq!(
-        out.lost_tail_violations, 0,
-        "seed {seed:#x}: a crash must keep exactly the synced prefix"
-    );
-    assert_eq!(
-        out.invalid_restored_views, 0,
-        "seed {seed:#x}: corruption must never replay into an invalid view"
-    );
-    assert!(
-        out.appends_ok >= 1 && out.appends_err >= 1,
-        "seed {seed:#x}: the soak needs both clean and refused writes"
-    );
+fn soak_claims(run: &Run<SoakOutcome>) -> Vec<Claim> {
+    let o = &run.outcome;
+    let axes = [
+        o.torn_appends,
+        o.write_errors,
+        o.no_space_errors,
+        o.rotted_bits,
+        o.sync_stalls,
+    ];
+    vec![
+        ("storm.soak.1", axes.iter().all(|&n| n >= 1)),
+        ("storm.soak.2", o.lost_tail_violations == 0),
+        ("storm.soak.3", o.invalid_restored_views == 0),
+        ("storm.soak.4", o.appends_ok >= 1 && o.appends_err >= 1),
+    ]
 }
 
 // --- one rig, two takeovers ---
@@ -606,199 +600,137 @@ pub(crate) fn run_storm(seed: u64, split_brain: bool) -> StormOutcome {
     out
 }
 
-pub(crate) fn assert_storm(out: &StormOutcome, seed: u64) {
-    assert_eq!(
-        out.bound_violations, 0,
-        "seed {seed:#x}: a served view broke its bound invariant mid-storm"
-    );
-    assert!(
-        out.partition_frames_dropped >= 1
-            && out.lag_frames_delayed >= 1
-            && out.random_frames_dropped >= 1,
-        "seed {seed:#x}: the fleet fault axes never fired: {out:?}"
-    );
-    assert!(
-        out.gap_resyncs >= 1,
-        "seed {seed:#x}: dropped frames must surface as a sequence gap"
-    );
-    assert!(
-        out.partition_resyncs >= 1,
-        "seed {seed:#x}: the partition's gap must drive its host to a FULL resync"
-    );
-    assert!(
-        out.degraded_rounds >= 1,
-        "seed {seed:#x}: partition or failover must flag the leader's rollups degraded"
-    );
-    assert!(
-        out.host_io_errors >= 1 && out.max_degraded_hosts >= 1,
-        "seed {seed:#x}: no host ever walked the durability ladder: {out:?}"
-    );
-    assert!(
-        out.primary_journal_degraded_seen && out.standby_journal_degraded_seen,
-        "seed {seed:#x}: both controllers' journals must degrade mid-storm"
-    );
-    assert!(
-        out.primary_io_errors >= 1 && out.standby_io_errors >= 1,
-        "seed {seed:#x}: store errors must surface in controller metrics"
-    );
-
-    // The takeover.
-    assert!(
-        out.deposed_tick != u64::MAX && out.primary_demotions >= 1,
-        "seed {seed:#x}: the primary never lost leadership, or it did not register as a demotion"
-    );
-    if out.split_brain {
-        assert!(
-            out.split_brain_rounds >= 1,
-            "seed {seed:#x}: the stall never produced two leaders — untested"
-        );
+/// The storm rig's claims, for both takeovers: a row that holds in one
+/// mode only is vacuous in the other.
+pub(crate) fn storm_claims(run: &Run<StormOutcome>) -> Vec<Claim> {
+    let o = &run.outcome;
+    let (storm, hosts) = (!o.split_brain, u64::from(STORM_HOSTS));
+    // The lease is takeable once it has expired and its store takes
+    // writes again; the standby must promote within two ticks of that.
+    let store_back = if storm {
+        LEASE_FULL.0 + LEASE_FULL.1
     } else {
+        0
+    };
+    let takeable = (o.last_ok_renew_tick + LEASE_TTL).max(store_back);
+    let promoted = o.promote_tick <= takeable + 2;
+    let fresh = o.other_hosts_ticks_to_fresh <= FRESH_BOUND && o.ticks_to_fresh <= o.fresh_bound;
+    let truth = (o.truth_cpu, o.truth_containers);
+    let healed = (o.final_cpu, o.final_containers) == truth;
+    let rejoined = (o.rejoined_cpu, o.rejoined_containers) == truth;
+    let triggers: Vec<PipelineEvent> = o
+        .flight_dumps
+        .iter()
+        .filter_map(|bytes| FlightDump::decode(bytes))
+        .map(|dump| dump.trigger)
+        .collect();
+    let holds_trigger = |dump: FlightDump| {
+        let trigger = EventKind::Pipeline(dump.trigger);
+        dump.events
+            .iter()
+            .any(|e| e.tick == dump.tick && e.kind == trigger)
+    };
+    vec![
+        ("fleet.faults.1", o.partition_frames_dropped >= 1),
+        ("fleet.faults.2", o.lag_frames_delayed >= 1),
+        ("fleet.faults.3", o.gap_resyncs >= 1),
+        ("fleet.faults.4", o.partition_resyncs >= 1),
+        ("fleet.faults.5", o.degraded_rounds >= 1),
+        ("fleet.faults.6", o.post_restore_partitioned == hosts),
+        ("fleet.faults.7", o.final_partitioned == 0),
+        ("fleet.faults.8", healed),
+        ("fleet.failover.1", o.promotions == 1),
+        ("fleet.failover.2", promoted),
+        ("fleet.failover.3", fresh),
+        ("fleet.failover.4", o.stranded_repl_records >= 1),
+        ("fleet.failover.5", o.repl_records_applied >= 1),
+        ("fleet.failover.6", !storm || o.not_leader_rejects >= 1),
+        ("fleet.failover.7", o.deltas_coalesced >= 1),
+        ("fleet.failover.8", o.periphery_failovers == hosts),
+        ("fleet.failover.9", o.final_epoch == 2),
+        ("fleet.failover.10", o.final_partitioned == 0),
+        ("fleet.failover.11", healed),
+        ("fleet.splitbrain.1", o.promotions == 1),
+        ("fleet.splitbrain.2", storm || o.split_brain_rounds >= 1),
+        ("fleet.splitbrain.3", o.repl_fenced >= 1),
+        ("fleet.splitbrain.4", o.primary_demotions >= 1),
+        ("fleet.splitbrain.5", o.periphery_acks_fenced >= 1),
+        ("fleet.splitbrain.6", o.final_partitioned == 0),
+        ("fleet.splitbrain.7", healed),
+        ("fleet.splitbrain.8", rejoined),
+        ("fleetobs.flightrec.1", o.promotions == 1),
+        ("fleetobs.flightrec.2", o.repl_fenced >= 1),
+        ("fleetobs.flightrec.3", o.primary_demotions >= 1),
+        ("fleetobs.flightrec.4", o.final_epoch == 2),
+        (
+            "fleetobs.flightrec.5",
+            triggers.contains(&PipelineEvent::FleetPromoted),
+        ),
+        (
+            "fleetobs.flightrec.6",
+            triggers.contains(&PipelineEvent::FleetFenced),
+        ),
+        (
+            "fleetobs.flightrec.7",
+            o.flight_dumps
+                .iter()
+                .all(|bytes| FlightDump::decode(bytes).is_some_and(holds_trigger)),
+        ),
+        ("fleetobs.flightrec.9", promoted),
+        ("storm.storm.1", o.bound_violations == 0),
+        (
+            "storm.storm.2",
+            o.partition_frames_dropped >= 1
+                && o.lag_frames_delayed >= 1
+                && o.random_frames_dropped >= 1,
+        ),
+        (
+            "storm.storm.3",
+            o.host_io_errors >= 1 && o.max_degraded_hosts >= 1,
+        ),
+        (
+            "storm.storm.4",
+            o.primary_journal_degraded_seen && o.standby_journal_degraded_seen,
+        ),
+        (
+            "storm.storm.5",
+            o.primary_io_errors >= 1 && o.standby_io_errors >= 1,
+        ),
+        ("storm.storm.6", o.deposed_tick != u64::MAX),
         // Ground-truth lease arithmetic: the holder's last persisted
         // renewal at tick T keeps the lease alive through T + TTL. A
         // primary that cannot persist a renewal must step down strictly
         // before that expiry — never serve on a lease nobody else can
         // read.
-        assert!(
-            out.deposed_tick < out.last_ok_renew_tick + LEASE_TTL,
-            "seed {seed:#x}: step-down at tick {} is not before the TTL expiry {} of the last \
-             persisted renewal",
-            out.deposed_tick,
-            out.last_ok_renew_tick + LEASE_TTL
-        );
-        assert_eq!(
-            out.split_brain_rounds, 0,
-            "seed {seed:#x}: a step-down leaves one leader"
-        );
-        assert!(
-            out.promote_tick - out.deposed_tick <= LEASE_FULL.1 + 1,
-            "seed {seed:#x}: promotion at tick {} too long after the step-down at {}",
-            out.promote_tick,
-            out.deposed_tick
-        );
-        assert!(
-            out.not_leader_rejects >= 1,
-            "seed {seed:#x}: pre-promotion frames must be refused, not applied"
-        );
-    }
-    // The lease is takeable once it has expired and its store takes
-    // writes again; the standby must promote within two ticks of that.
-    let store_back = if out.split_brain {
-        0
-    } else {
-        LEASE_FULL.0 + LEASE_FULL.1
-    };
-    let takeable = (out.last_ok_renew_tick + LEASE_TTL).max(store_back);
-    assert!(
-        out.promote_tick <= takeable + 2,
-        "seed {seed:#x}: promotion at tick {} — outside the lease budget (takeable at {takeable})",
-        out.promote_tick
-    );
-    assert_eq!(out.promotions, 1, "seed {seed:#x}: exactly one promotion");
-    assert_eq!(
-        out.final_epoch, 2,
-        "seed {seed:#x}: the standby promotes into epoch 2"
-    );
-    assert!(
-        out.deposed_not_leader_acks >= 1,
-        "seed {seed:#x}: the deposed primary answered no frames — fencing untested"
-    );
-    assert!(
-        out.deposed_max_ack_epoch <= 1,
-        "seed {seed:#x}: a deposed primary acked epoch {} — above its fenced epoch 1",
-        out.deposed_max_ack_epoch
-    );
-    assert!(
-        out.repl_records_applied >= 1,
-        "seed {seed:#x}: the standby applied no replicated records"
-    );
-    assert!(
-        out.stranded_repl_records >= 1,
-        "seed {seed:#x}: the lag window queued nothing — the takeover lost no records, untested"
-    );
-    assert!(
-        out.repl_fenced >= 1,
-        "seed {seed:#x}: the stale primary's REPL frames must be fenced"
-    );
-    assert!(
-        out.periphery_acks_fenced >= 1,
-        "seed {seed:#x}: the late stale ACK must be fenced by the periphery"
-    );
-    assert!(
-        out.deltas_coalesced >= 1,
-        "seed {seed:#x}: the tightened burst never coalesced — backpressure unenforced"
-    );
-    assert_eq!(
-        out.periphery_failovers,
-        u64::from(STORM_HOSTS),
-        "seed {seed:#x}: every periphery walks to the standby exactly once"
-    );
-    let mut triggers = Vec::new();
-    for bytes in &out.flight_dumps {
-        let dump = FlightDump::decode(bytes).expect("retrieved dump decodes");
-        assert!(
-            dump.events
-                .iter()
-                .any(|e| e.tick == dump.tick && e.kind == EventKind::Pipeline(dump.trigger)),
-            "seed {seed:#x}: a {} dump froze a trace ring without its trigger",
-            dump.trigger.label()
-        );
-        triggers.push(dump.trigger);
-    }
-    for want in [PipelineEvent::FleetPromoted, PipelineEvent::FleetFenced] {
-        assert!(
-            triggers.contains(&want),
-            "seed {seed:#x}: the {} must freeze a flight dump, got {triggers:?}",
-            want.label()
-        );
-    }
-
-    // Recovery.
-    assert_eq!(
-        out.post_restore_partitioned,
-        u64::from(STORM_HOSTS),
-        "seed {seed:#x}: a restored controller serves every host last-good"
-    );
-    assert!(
-        out.other_hosts_ticks_to_fresh <= FRESH_BOUND,
-        "seed {seed:#x}: the hosts the drop axis spares took {} ticks to converge back to Fresh \
-         on the new leader",
-        out.other_hosts_ticks_to_fresh
-    );
-    assert!(
-        out.ticks_to_fresh <= out.fresh_bound,
-        "seed {seed:#x}: with {} of host {DROP_HOST}'s resync FULLs dropped, the fleet took {} \
-         ticks to converge back to Fresh (bound {})",
-        out.resync_fulls_dropped,
-        out.ticks_to_fresh,
-        out.fresh_bound
-    );
-    assert_eq!(
-        (out.final_degraded_hosts, out.final_hosts_durability_lost),
-        (0, 0),
-        "seed {seed:#x}: every durability rung must heal post-storm"
-    );
-    assert_eq!(
-        out.final_partitioned, 0,
-        "seed {seed:#x}: the heal epilogue must clear every partition flag"
-    );
-    assert_eq!(
-        (out.final_cpu, out.final_containers),
-        (out.truth_cpu, out.truth_containers),
-        "seed {seed:#x}: post-storm rollups must equal per-host ground truth"
-    );
-    assert_eq!(
-        (out.rejoined_cpu, out.rejoined_containers),
-        (out.truth_cpu, out.truth_containers),
-        "seed {seed:#x}: the crash-restored primary must mirror the new leader"
-    );
-    assert_eq!(
-        out.host_restore_mismatches, 0,
-        "seed {seed:#x}: a durable host journal restored to something other than the live index"
-    );
-    assert!(
-        out.ctl_restore_matches_live,
-        "seed {seed:#x}: the leader's durable journal restored to a different fleet index"
-    );
+        (
+            "storm.storm.7",
+            !storm || o.deposed_tick < o.last_ok_renew_tick + LEASE_TTL,
+        ),
+        ("storm.storm.8", o.primary_demotions >= 1),
+        ("storm.storm.9", o.deposed_not_leader_acks >= 1),
+        ("storm.storm.10", o.deposed_max_ack_epoch <= 1),
+        ("storm.storm.11", o.promotions == 1),
+        (
+            "storm.storm.12",
+            !storm
+                || o.promote_tick
+                    .checked_sub(o.deposed_tick)
+                    .is_some_and(|ticks| ticks <= LEASE_FULL.1 + 1),
+        ),
+        ("storm.storm.13", !storm || o.not_leader_rejects >= 1),
+        ("storm.storm.14", o.periphery_failovers == hosts),
+        ("storm.storm.15", o.final_epoch == 2),
+        (
+            "storm.storm.16",
+            o.final_degraded_hosts == 0 && o.final_hosts_durability_lost == 0,
+        ),
+        ("storm.storm.17", o.final_partitioned == 0),
+        ("storm.storm.18", healed),
+        ("storm.storm.19", rejoined),
+        ("storm.storm.20", o.host_restore_mismatches == 0),
+        ("storm.storm.21", o.ctl_restore_matches_live),
+        ("storm.storm.22", !storm || o.split_brain_rounds == 0),
+    ]
 }
 
 /// Run the soak and both takeovers on `campaign`; `scale` sizes only
@@ -808,7 +740,7 @@ pub(crate) fn scenarios(campaign: &mut Campaign, scale: f64) {
     campaign.scenario(Scenario {
         name: "soak",
         run: &|seed, _| Run::of(run_soak(seed, soak_ticks)),
-        check: &|run, seed| assert_soak(&run.outcome, seed),
+        claims: &soak_claims,
         rows: rows!(
             ticks,
             appends_ok,
@@ -828,7 +760,7 @@ pub(crate) fn scenarios(campaign: &mut Campaign, scale: f64) {
         let runs = campaign.scenario(Scenario {
             name,
             run: &|seed, _| Run::of(run_storm(seed, split_brain)),
-            check: &|run, seed| assert_storm(&run.outcome, seed),
+            claims: &storm_claims,
             rows: rows!(
                 bound_violations,
                 partition_frames_dropped,
@@ -911,8 +843,7 @@ mod tests {
     fn a_seed_that_rots_no_bit_in_its_ticks_appends_until_one() {
         // The fleet campaign's soak seed at half scale, offset 2: its 128
         // ticks rot no bit.
-        let seed = 0x3c6e_f372_fe9b_e6cd;
-        assert_soak(&run_soak(seed, 128), seed);
+        Run::of(run_soak(0x3c6e_f372_fe9b_e6cd, 128)).assert_claims(&soak_claims);
     }
 
     /// The fleet campaign's storm seed at offset 2: the drop axis takes
@@ -921,12 +852,12 @@ mod tests {
     /// keeps and within `2 + 2 × 3`.
     #[test]
     fn three_lost_resyncs_cost_the_drop_host_three_round_trips() {
-        let seed = 0x3c6e_f372_fe9b_e6cd;
-        let out = run_storm(seed, false);
+        let run = Run::of(run_storm(0x3c6e_f372_fe9b_e6cd, false));
+        let out = &run.outcome;
         assert_eq!(out.resync_fulls_dropped, 3);
         assert_eq!((out.ticks_to_fresh, out.fresh_bound), (8, 8));
         assert!(out.other_hosts_ticks_to_fresh <= FRESH_BOUND);
-        assert_storm(&out, seed);
+        run.assert_claims(&storm_claims);
     }
 
     #[test]
